@@ -1,15 +1,20 @@
 //! Criterion micro-benchmarks of the allocation-purged hot paths: the
 //! delta-vote pipeline (cursor extraction on the sender, shadow fold on
-//! the receiver), cstruct digesting, and envelope flush encoding. These
-//! are the per-message costs the engine pays millions of times in a
-//! paper-scale run, so a stray allocation here dominates wall time.
+//! the receiver), cstruct digesting, the two ends of one vote at growing
+//! cstruct lengths (acceptor `phase2b` + digest, learner `on_vote`), and
+//! envelope flush encoding. These are the per-message costs the engine
+//! pays millions of times in a paper-scale run, so a stray allocation —
+//! or work proportional to a record's history — dominates wall time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mdcc_common::wire::{to_bytes, with_scratch_encoding, Envelope};
-use mdcc_common::{CommutativeUpdate, Key, NodeId, TableId, TxnId, UpdateOp, Version};
-use mdcc_paxos::acceptor::Phase2b;
+use mdcc_common::{CommutativeUpdate, Key, NodeId, Row, TableId, TxnId, UpdateOp, Version};
+use mdcc_paxos::acceptor::{FastPropose, Phase2b};
 use mdcc_paxos::shadow::{DeltaCursor, FoldOutcome, ShadowView};
-use mdcc_paxos::{Ballot, CStruct, OptionStatus, TxnOption};
+use mdcc_paxos::{
+    AcceptorRecord, AttrConstraint, Ballot, CStruct, LearnOutcome, Learner, OptionStatus,
+    TxnOption, TxnOutcome,
+};
 
 fn key() -> Key {
     Key::new(TableId(0), "bench")
@@ -61,12 +66,67 @@ fn bench_delta_pipeline(c: &mut Criterion) {
                 folded
             });
         });
-        // The digest is recomputed on every emitted vote and every fold;
-        // it runs on the thread-local scratch encoder, not a fresh Vec.
+        // The digest rides on every emitted vote and is checked on every
+        // fold; it is the cstruct's append chain, read off in O(1).
         let full = vote_of(size);
         group.bench_with_input(BenchmarkId::new("digest", size), &size, |bench, _| {
             bench.iter(|| std::hint::black_box(&full.cstruct).digest());
         });
+    }
+    group.finish();
+}
+
+/// The two ends of one vote on a record whose cstruct already holds
+/// `len` committed commutative options (they stay until the instance
+/// closes, so `len` grows with run length): the acceptor emitting its
+/// vote and digest, and a learner digesting a fast quorum of such votes
+/// for the newest option. Neither may cost more per vote as `len` grows
+/// than copying `len` pointers.
+fn bench_vote_ends(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vote");
+    for len in [4u64, 16, 64] {
+        let mut acceptor = AcceptorRecord::with_value(
+            std::sync::Arc::from(vec![AttrConstraint::at_least("stock", 0)]),
+            5,
+            4,
+            128,
+            Row::new().with("stock", 1_000_000),
+        );
+        for seq in 0..len {
+            let opt = comm_option(seq);
+            let txn = opt.txn;
+            assert!(matches!(acceptor.fast_propose(opt), FastPropose::Vote(_)));
+            acceptor.apply_visibility(txn, TxnOutcome::Committed, true);
+        }
+        group.bench_with_input(
+            BenchmarkId::new("acceptor/phase2b+digest", len),
+            &len,
+            |bench, _| {
+                bench.iter(|| {
+                    let vote = std::hint::black_box(&acceptor).phase2b();
+                    let digest = vote.cstruct.digest();
+                    (vote, digest)
+                });
+            },
+        );
+        // Four acceptors that recorded the same options; the learner
+        // follows the last one appended.
+        let votes: Vec<Phase2b> = (0..4).map(|_| vote_of(len)).collect();
+        group.bench_with_input(
+            BenchmarkId::new("learner/on_vote", len),
+            &len,
+            |bench, _| {
+                bench.iter(|| {
+                    let mut learner = Learner::new(5, 3, 4, TxnId::new(NodeId(0), len - 1));
+                    let mut outcome = LearnOutcome::Undecided;
+                    for (from, vote) in votes.iter().enumerate() {
+                        outcome = learner.on_vote(from, std::hint::black_box(vote).clone());
+                    }
+                    assert!(matches!(outcome, LearnOutcome::Learned(_)));
+                    learner
+                });
+            },
+        );
     }
     group.finish();
 }
@@ -100,5 +160,10 @@ fn bench_envelope_flush(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_delta_pipeline, bench_envelope_flush);
+criterion_group!(
+    benches,
+    bench_delta_pipeline,
+    bench_vote_ends,
+    bench_envelope_flush
+);
 criterion_main!(benches);

@@ -271,14 +271,6 @@ pub fn with_scratch_encoding<T: Wire, R>(value: &T, f: impl FnOnce(&[u8]) -> R) 
     })
 }
 
-/// FNV-1a/64 digest of `value`'s wire encoding, computed through the
-/// thread-local scratch buffer (no allocation in steady state). Equal
-/// values digest equal — the property cstruct delta-vote verification
-/// rests on.
-pub fn digest64<T: Wire>(value: &T) -> u64 {
-    with_scratch_encoding(value, fnv1a64)
-}
-
 // ---------------------------------------------------------------------
 // Framing and digests (shared by the WAL and network accounting).
 // ---------------------------------------------------------------------
@@ -297,9 +289,20 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
     h
 }
 
+/// The FNV-1a/64 offset basis: the digest of the empty byte string and
+/// the seed of every [`fnv1a64_extend`] chain.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over `bytes`, 64-bit (state digests, merkle sync ranges).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a/64 digest `h` over `bytes`. FNV-1a is a streaming
+/// hash, so `fnv1a64_extend(fnv1a64(a), b)` is the digest of `a ++ b` —
+/// what lets an append-only structure keep its digest current in
+/// O(appended bytes).
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -495,6 +498,17 @@ impl<T: Wire> Wire for Vec<T> {
             v.push(T::decode(inp)?);
         }
         Ok(v)
+    }
+}
+
+/// A shared value travels as the value itself: sharing is a property of
+/// the process holding it, not of the wire format.
+impl<T: Wire> Wire for std::sync::Arc<T> {
+    fn encode(&self, out: &mut Enc) {
+        (**self).encode(out);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(std::sync::Arc::new(T::decode(inp)?))
     }
 }
 
@@ -786,11 +800,17 @@ mod tests {
     fn scratch_helpers_match_fresh_encodings() {
         let row = Row::new().with("stock", 42).with("title", "widget");
         assert_eq!(wire_len(&row), to_bytes(&row).len());
-        assert_eq!(digest64(&row), fnv1a64(&to_bytes(&row)));
+        let digest = |v: &Row| with_scratch_encoding(v, fnv1a64);
+        assert_eq!(digest(&row), fnv1a64(&to_bytes(&row)));
         // Back-to-back calls reuse the buffer without cross-talk.
         let key = Key::new(TableId(3), "i99");
         assert_eq!(wire_len(&key), to_bytes(&key).len());
-        assert_eq!(digest64(&row), fnv1a64(&to_bytes(&row)));
+        assert_eq!(digest(&row), fnv1a64(&to_bytes(&row)));
+        // A chain carried over two pieces is the digest of the whole.
+        let bytes = to_bytes(&row);
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        assert_eq!(fnv1a64_extend(fnv1a64(head), tail), fnv1a64(&bytes));
+        assert_eq!(fnv1a64(&[]), FNV1A64_OFFSET);
         // Re-entrant encoding inside the closure must not alias the
         // scratch buffer.
         let nested = with_scratch_encoding(&row, |outer| {

@@ -859,20 +859,17 @@ impl StorageNodeProcess {
                 }
             }
         }
-        // One digest (one cstruct serialization) covers every
-        // destination's delta.
-        let digest = vote.cstruct.digest();
         self.vote_cursor_clock += 1;
         let entry = self.vote_cursors.entry(key.clone()).or_default();
         entry.touched = self.vote_cursor_clock;
         let cursors = &mut entry.by_dest;
         for to in targets {
-            match cursors.entry(to).or_default().position(&vote) {
-                Some(from_seq) => ctx.send(
+            match cursors.entry(to).or_default().extract(&vote) {
+                Some(delta) => ctx.send(
                     to,
                     Msg::VoteDelta {
                         key: key.clone(),
-                        delta: mdcc_paxos::DeltaVote::extract_with_digest(&vote, from_seq, digest),
+                        delta,
                     },
                 ),
                 None => ctx.send(

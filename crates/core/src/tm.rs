@@ -141,6 +141,11 @@ pub struct TransactionManager {
     next_seq: u64,
     next_read: u64,
     active: BTreeMap<TxnId, ActiveTxn>,
+    /// Per record, the active transactions still waiting to learn their
+    /// option on it, in transaction order — the learners a vote for that
+    /// record feeds. Entries come with `commit` and go with
+    /// `record_decision`.
+    waiting: HashMap<Key, Vec<TxnId>>,
     reads: HashMap<u64, ReadTask>,
     /// Records believed to be under a classic ballot, with their master.
     classic_cache: HashMap<Key, NodeId>,
@@ -163,6 +168,9 @@ pub struct TransactionManager {
     /// Shared trace collector; spans are recorded only when attached
     /// (and enabled), so the default TM pays one `Option` test.
     tracer: Option<TraceHandle>,
+    /// The `MDCC_TRACE` debug tap (one stderr line per vote fed to a
+    /// learner), read from the environment once at construction.
+    trace_votes: bool,
 }
 
 /// Records whose shadow views this TM retains before the map resets.
@@ -185,6 +193,7 @@ impl TransactionManager {
             next_seq: 0,
             next_read: 0,
             active: BTreeMap::new(),
+            waiting: HashMap::new(),
             reads: HashMap::new(),
             classic_cache: HashMap::new(),
             lease_cache: HashMap::new(),
@@ -192,6 +201,7 @@ impl TransactionManager {
             shadows: HashMap::new(),
             stats: TxnStats::default(),
             tracer: None,
+            trace_votes: std::env::var_os("MDCC_TRACE").is_some(),
         }
     }
 
@@ -358,7 +368,11 @@ impl TransactionManager {
                     txn,
                 ),
             );
-            options.insert(u.key.clone(), opt);
+            if options.insert(u.key.clone(), opt).is_none() {
+                // One coordinator, increasing sequence numbers: pushing
+                // keeps each list in transaction order.
+                self.waiting.entry(u.key.clone()).or_default().push(txn);
+            }
         }
         if let Some(tracer) = &self.tracer {
             // One commit span per attempt, one phase2b span per option:
@@ -708,29 +722,38 @@ impl TransactionManager {
         vote: mdcc_paxos::acceptor::Phase2b,
         ctx: &mut Ctx<'_, Msg>,
     ) -> Vec<TmEvent> {
-        // A vote can decide any of our in-flight transactions touching
-        // this record; find the ones with an option on `key`.
-        let candidates: Vec<TxnId> = self
-            .active
-            .iter()
-            .filter(|(_, a)| a.options.contains_key(&key) && !a.decided.contains_key(&key))
-            .map(|(t, _)| *t)
-            .collect();
+        // A vote can decide any of our in-flight transactions still
+        // waiting on this record.
+        let Some(candidates) = self.waiting.get(&key).cloned() else {
+            return Vec::new();
+        };
+        let Some(idx) = self.placement.acceptor_index(&key, from) else {
+            return Vec::new();
+        };
         let mut events = Vec::new();
-        for txn in candidates {
-            let Some(idx) = self.placement.acceptor_index(&key, from) else {
-                continue;
-            };
+        let mut vote = Some(vote);
+        for (i, txn) in candidates.iter().copied().enumerate() {
+            // The last learner takes the vote itself; any before it take
+            // a copy that shares its entries.
+            let vote = if i + 1 == candidates.len() {
+                vote.take()
+            } else {
+                vote.clone()
+            }
+            .expect("taken only by the last candidate");
             let active = self.active.get_mut(&txn).expect("candidate exists");
             let learner = active.learners.get_mut(&key).expect("learner exists");
-            let outcome = learner.on_vote(idx, vote.clone());
-            if std::env::var_os("MDCC_TRACE").is_some() {
+            let shown = self.trace_votes.then(|| {
+                format!(
+                    "v={} b={} cstruct={}",
+                    vote.version.0, vote.ballot, vote.cstruct
+                )
+            });
+            let outcome = learner.on_vote(idx, vote);
+            if let Some(shown) = shown {
                 eprintln!(
-                    "[tm-trace t={}] {txn} {key} vote from a{idx} v={} b={} cstruct={} -> {outcome:?} ({} resp)",
+                    "[tm-trace t={}] {txn} {key} vote from a{idx} {shown} -> {outcome:?} ({} resp)",
                     ctx.now,
-                    vote.version.0,
-                    vote.ballot,
-                    vote.cstruct,
                     learner.responses()
                 );
             }
@@ -782,6 +805,12 @@ impl TransactionManager {
                 Phase::Phase2b,
                 ctx.now,
             );
+        }
+        if let Some(waiting) = self.waiting.get_mut(&key) {
+            waiting.retain(|t| *t != txn);
+            if waiting.is_empty() {
+                self.waiting.remove(&key);
+            }
         }
         active.decided.insert(key, status);
         if active.decided.len() < active.options.len() {

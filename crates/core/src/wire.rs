@@ -446,7 +446,7 @@ mod tests {
                     version: Version(2),
                     epoch: 1,
                     from_seq: 1,
-                    entries: cstruct.entries().cloned().collect(),
+                    entries: cstruct.shared().to_vec(),
                     digest: cstruct.digest(),
                     full_len: 2,
                 },

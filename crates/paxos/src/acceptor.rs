@@ -15,7 +15,7 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
-use crate::cstruct::CStruct;
+use crate::cstruct::{CStruct, Entry};
 use crate::demarcation::{escrow_accepts, AttrConstraint, EscrowView};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
 
@@ -152,6 +152,17 @@ pub struct AcceptorRecord {
     promised: Ballot,
     accepted_ballot: Option<Ballot>,
     cstruct: CStruct,
+    /// The entries of `cstruct` whose transaction has no recorded outcome
+    /// yet, in recorded order. A committed commutative entry stays in
+    /// the cstruct until its instance closes, so the cstruct grows with
+    /// history while this set stays as small as the record's in-flight
+    /// transactions; validation, escrow accounting, the instance-full
+    /// check, vote fan-out targeting and instance closing all ask about
+    /// it and must not re-scan the cstruct. Kept in step by
+    /// [`Self::append_decided`], [`Self::note_outcome`] and
+    /// [`Self::replace_cstruct`] — the only places entries or outcomes
+    /// of current entries come and go.
+    open: Vec<Arc<Entry>>,
     /// Transaction resolutions this node has heard (Visibility messages);
     /// kept across instances so duplicate or early messages are harmless.
     outcomes: HashMap<TxnId, Resolution>,
@@ -228,7 +239,7 @@ pub struct AcceptorState {
     /// Last accepted ballot of the current instance.
     pub accepted_ballot: Option<Ballot>,
     /// Current-instance cstruct entries, in recorded order.
-    pub entries: Vec<crate::cstruct::Entry>,
+    pub entries: Vec<Arc<Entry>>,
     /// Known transaction resolutions, sorted by transaction id.
     pub outcomes: Vec<(TxnId, Resolution)>,
     /// Transactions whose entry-level resolution already executed,
@@ -267,6 +278,17 @@ pub struct Resolution {
     pub learned_accepted: bool,
 }
 
+/// The open set by definition: the entries of `cstruct` whose transaction
+/// has no recorded outcome, in recorded order.
+fn open_entries(cstruct: &CStruct, outcomes: &HashMap<TxnId, Resolution>) -> Vec<Arc<Entry>> {
+    cstruct
+        .shared()
+        .iter()
+        .filter(|e| !outcomes.contains_key(&e.opt.txn))
+        .cloned()
+        .collect()
+}
+
 impl AcceptorRecord {
     /// A fresh, non-existent record in the implicit initial fast ballot.
     pub fn new(
@@ -286,6 +308,7 @@ impl AcceptorRecord {
             promised: Ballot::INITIAL_FAST,
             accepted_ballot: None,
             cstruct: CStruct::new(),
+            open: Vec::new(),
             outcomes: HashMap::new(),
             resolved_entries: HashSet::new(),
             close_on_resolve: false,
@@ -353,6 +376,41 @@ impl AcceptorRecord {
         self.cstruct_epoch += 1;
     }
 
+    /// Replaces the cstruct wholesale (instance advance, snapshot or
+    /// proved-safe adoption): a new epoch, and the open set is re-derived
+    /// from the new contents.
+    fn replace_cstruct(&mut self, cstruct: CStruct) {
+        self.open = open_entries(&cstruct, &self.outcomes);
+        self.cstruct = cstruct;
+        self.bump_epoch();
+    }
+
+    /// Appends ω(opt, status) to the cstruct; the entry is open unless
+    /// its transaction's outcome overtook it.
+    fn append_decided(&mut self, opt: TxnOption, status: OptionStatus) {
+        let entry = Arc::new(Entry { opt, status });
+        if self.cstruct.append_entry(Arc::clone(&entry))
+            && !self.outcomes.contains_key(&entry.opt.txn)
+        {
+            self.open.push(entry);
+        }
+    }
+
+    /// Records `txn`'s resolution; its entry, if any, is no longer open.
+    fn note_outcome(&mut self, txn: TxnId, resolution: Resolution) {
+        self.outcomes.insert(txn, resolution);
+        self.open.retain(|e| e.opt.txn != txn);
+    }
+
+    /// Removes the entry of `txn`, whose outcome is on record (so the
+    /// entry is not open), from the cstruct — a non-append mutation,
+    /// hence a new epoch.
+    fn remove_entry(&mut self, txn: TxnId) {
+        if self.cstruct.remove(txn).is_some() {
+            self.bump_epoch();
+        }
+    }
+
     /// The outcome this node has recorded for `txn`, if any (recovery
     /// queries short-circuit on it).
     pub fn outcome_of(&self, txn: TxnId) -> Option<TxnOutcome> {
@@ -393,16 +451,12 @@ impl AcceptorRecord {
     /// an update — *except* those the snapshot already folds in, which
     /// re-executing would double-apply.
     fn adopt_snapshot(&mut self, snapshot: &RecordSnapshot) {
-        let carried: Vec<crate::cstruct::Entry> = self
-            .cstruct
-            .entries()
-            .filter(|e| {
-                e.status.is_accepted()
-                    && !self.outcomes.contains_key(&e.opt.txn)
-                    && !snapshot.folded.contains(&e.opt.txn)
-            })
-            .cloned()
-            .collect();
+        let mut carried = CStruct::new();
+        for e in self.pending() {
+            if !snapshot.folded.contains(&e.opt.txn) {
+                carried.append_entry(Arc::clone(e));
+            }
+        }
         // Entries already resolved here leave the cstruct on adoption,
         // but they are settled history: if they stop riding in this
         // node's outgoing `folded` lists, a peer that adopts *our*
@@ -418,13 +472,9 @@ impl AcceptorRecord {
         self.version = snapshot.version;
         self.value = snapshot.value.clone();
         self.base = self.value.clone();
-        self.cstruct = CStruct::new();
-        for entry in carried {
-            self.cstruct.append_entry(entry);
-        }
+        self.replace_cstruct(carried);
         self.accepted_ballot = None;
         self.close_on_resolve = false;
-        self.bump_epoch();
         for txn in executed {
             self.note_inherited(txn);
         }
@@ -562,7 +612,7 @@ impl AcceptorRecord {
         }
         let status = self.validate(&opt);
         let txn = opt.txn;
-        self.cstruct.append(opt, status);
+        self.append_decided(opt, status);
         self.accepted_ballot = Some(self.promised);
         // A Visibility that overtook the proposal resolves immediately.
         if self.outcomes.contains_key(&txn) {
@@ -599,15 +649,14 @@ impl AcceptorRecord {
         // "all storage nodes will always make the same abort or commit
         // decision" (§3.2.1).
         if let Some(safe) = p.safe {
-            self.cstruct = safe;
-            self.bump_epoch();
+            self.replace_cstruct(safe);
         }
         for opt in p.new_options {
             // Skip duplicates and transactions this node already resolved
             // in an earlier instance (stale retries routed via the master).
             if self.cstruct.status_of(opt.txn).is_none() && !self.outcomes.contains_key(&opt.txn) {
                 let status = self.validate(&opt);
-                self.cstruct.append(opt, status);
+                self.append_decided(opt, status);
             }
         }
         // Sticky within the instance: once a close is requested, later
@@ -644,7 +693,7 @@ impl AcceptorRecord {
             base: self.base.clone(),
             promised: self.promised,
             accepted_ballot: self.accepted_ballot,
-            entries: self.cstruct.entries().cloned().collect(),
+            entries: self.cstruct.shared().to_vec(),
             outcomes,
             resolved,
             close_on_resolve: self.close_on_resolve,
@@ -669,6 +718,8 @@ impl AcceptorRecord {
         for entry in state.entries {
             cstruct.append_entry(entry);
         }
+        let outcomes: HashMap<TxnId, Resolution> = state.outcomes.into_iter().collect();
+        let open = open_entries(&cstruct, &outcomes);
         Self {
             n,
             qf,
@@ -680,7 +731,8 @@ impl AcceptorRecord {
             promised: state.promised,
             accepted_ballot: state.accepted_ballot,
             cstruct,
-            outcomes: state.outcomes.into_iter().collect(),
+            open,
+            outcomes,
             resolved_entries: state.resolved.into_iter().collect(),
             close_on_resolve: state.close_on_resolve,
             reopen_fast_after: state.reopen_fast_after,
@@ -746,14 +798,16 @@ impl AcceptorRecord {
         if self.resolved_entries.contains(&txn) {
             return false;
         }
-        self.outcomes.entry(txn).or_insert(resolution);
+        if !self.outcomes.contains_key(&txn) {
+            self.note_outcome(txn, resolution);
+        }
         if self.cstruct.entry_of(txn).is_none() {
             let status = if resolution.learned_accepted {
                 OptionStatus::Accepted
             } else {
                 OptionStatus::Rejected(AbortReason::Resolved)
             };
-            self.cstruct.append(opt, status);
+            self.append_decided(opt, status);
             self.accepted_ballot.get_or_insert(self.promised);
         }
         self.resolve_entry(txn);
@@ -802,14 +856,12 @@ impl AcceptorRecord {
         if snapshot.version > self.version {
             self.adopt_snapshot(snapshot);
             for (opt, resolution) in resolved {
-                self.outcomes.insert(opt.txn, *resolution);
+                self.note_outcome(opt.txn, *resolution);
                 if self.resolved_entries.insert(opt.txn) {
                     self.note_inherited(opt.txn);
                     self.note_settled(opt.txn);
                 }
-                if self.cstruct.remove(opt.txn).is_some() {
-                    self.bump_epoch();
-                }
+                self.remove_entry(opt.txn);
             }
             true
         } else if snapshot.version == self.version {
@@ -857,7 +909,7 @@ impl AcceptorRecord {
             // coordinator resolved the transaction).
             return false;
         }
-        self.outcomes.insert(
+        self.note_outcome(
             txn,
             Resolution {
                 outcome,
@@ -881,6 +933,15 @@ impl AcceptorRecord {
     /// delta senders and shadow views can position entry suffixes
     /// against it.
     pub fn phase2b(&self) -> Phase2b {
+        debug_assert!(
+            self.open
+                .iter()
+                .map(Arc::as_ptr)
+                .eq(open_entries(&self.cstruct, &self.outcomes)
+                    .iter()
+                    .map(Arc::as_ptr)),
+            "open set out of step with the cstruct"
+        );
         Phase2b {
             ballot: self.accepted_ballot.unwrap_or(self.promised),
             version: self.version,
@@ -897,22 +958,16 @@ impl AcceptorRecord {
     /// pure wire waste — the delta-vote fan-out targets exactly this
     /// set.
     pub fn learning_coordinators(&self) -> Vec<mdcc_common::NodeId> {
-        let mut v: Vec<mdcc_common::NodeId> = self
-            .cstruct
-            .entries()
-            .filter(|e| !self.outcomes.contains_key(&e.opt.txn))
-            .map(|e| e.opt.txn.coordinator)
-            .collect();
+        let mut v: Vec<mdcc_common::NodeId> =
+            self.open.iter().map(|e| e.opt.txn.coordinator).collect();
         v.sort();
         v.dedup();
         v
     }
 
     /// Options accepted but with unknown transaction outcome.
-    fn pending(&self) -> impl Iterator<Item = &crate::cstruct::Entry> {
-        self.cstruct
-            .entries()
-            .filter(|e| e.status.is_accepted() && !self.outcomes.contains_key(&e.opt.txn))
+    fn pending(&self) -> impl Iterator<Item = &Arc<Entry>> {
+        self.open.iter().filter(|e| e.status.is_accepted())
     }
 
     fn unresolved_len(&self) -> usize {
@@ -1029,21 +1084,20 @@ impl AcceptorRecord {
     /// * aborted and learned-rejected → the entry simply leaves the
     ///   cstruct (escrow release; it was never going to execute).
     fn resolve_entry(&mut self, txn: TxnId) {
-        if self.cstruct.entry_of(txn).is_none() {
+        let Some(entry) = self.cstruct.entry_of(txn).map(Arc::clone) else {
             return;
-        }
+        };
         if !self.resolved_entries.insert(txn) {
             return;
         }
-        let entry = self.cstruct.entry_of(txn).expect("checked above");
-        let op = entry.opt.op.clone();
+        let op = &entry.opt.op;
         let resolution = self.outcomes[&txn];
         match resolution.outcome {
             TxnOutcome::Committed => {
                 // Execute even if *locally* rejected: the learned global
                 // decision outranks this node's minority vote, and data
                 // must converge.
-                match &op {
+                match op {
                     UpdateOp::Physical(p) => {
                         self.value = p.value.clone();
                     }
@@ -1056,9 +1110,7 @@ impl AcceptorRecord {
                     }
                     UpdateOp::ReadGuard(_) => {
                         // Guards execute as no-ops; the lock releases.
-                        if self.cstruct.remove(txn).is_some() {
-                            self.bump_epoch();
-                        }
+                        self.remove_entry(txn);
                     }
                 }
                 if op.is_physical() {
@@ -1068,8 +1120,8 @@ impl AcceptorRecord {
             TxnOutcome::Aborted => {
                 if resolution.learned_accepted && op.is_physical() {
                     self.advance_instance();
-                } else if self.cstruct.remove(txn).is_some() {
-                    self.bump_epoch();
+                } else {
+                    self.remove_entry(txn);
                 }
             }
         }
@@ -1107,8 +1159,7 @@ impl AcceptorRecord {
         }
         self.version = self.version.next();
         self.base = self.value.clone();
-        self.cstruct = CStruct::new();
-        self.bump_epoch();
+        self.replace_cstruct(CStruct::new());
         self.accepted_ballot = None;
         self.close_on_resolve = false;
         if let Some(fast) = self.reopen_fast_after.take() {

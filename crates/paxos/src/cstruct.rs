@@ -17,9 +17,28 @@
 //! transaction holds at most one option per record, and two cstructs that
 //! disagree on a transaction's status are simply incompatible (no common
 //! upper bound), which surfaces as a Fast Paxos collision.
+//!
+//! # Representation invariants
+//!
+//! * **Entries are immutable once appended.** A cstruct holds
+//!   `Arc<Entry>`s and never hands out a mutable one, so cloning a
+//!   cstruct — into a vote, a delta, a shadow view, a learner — copies
+//!   pointers, and one decided option lives once per process however
+//!   many structures reference it. (`Arc`, not `Rc`: votes ride in
+//!   messages that the per-DC parallel engine moves across threads.)
+//! * **The digest is an append chain.** [`CStruct::digest`] is the
+//!   streaming FNV-1a of the entries' canonical encodings in recorded
+//!   order, carried forward on every append, so reading it is O(1) and
+//!   keeping it current costs O(appended entry). The only non-append
+//!   mutation, [`CStruct::remove`], recomputes the chain from scratch —
+//!   and is exactly the kind of change that opens a new cstruct epoch at
+//!   the acceptor, so within one epoch a digest is a pure function of
+//!   the epoch's append history.
 
 use std::fmt;
+use std::sync::Arc;
 
+use mdcc_common::wire::{fnv1a64_extend, with_scratch_encoding, FNV1A64_OFFSET};
 use mdcc_common::TxnId;
 
 use crate::options::{OptionStatus, TxnOption};
@@ -71,9 +90,25 @@ fn status_rank(s: OptionStatus) -> u8 {
 }
 
 /// A command structure: sequence of decided options modulo commutation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CStruct {
-    entries: Vec<Entry>,
+    entries: Vec<Arc<Entry>>,
+    /// FNV-1a chain over the entries' encodings, in recorded order.
+    chain: u64,
+}
+
+impl Default for CStruct {
+    fn default() -> Self {
+        CStruct {
+            entries: Vec::new(),
+            chain: FNV1A64_OFFSET,
+        }
+    }
+}
+
+/// Carries the digest chain `chain` forward over one more entry.
+fn chain_over(chain: u64, entry: &Entry) -> u64 {
+    with_scratch_encoding(entry, |bytes| fnv1a64_extend(chain, bytes))
 }
 
 impl CStruct {
@@ -94,20 +129,45 @@ impl CStruct {
 
     /// Iterates entries in (one representative of the) recorded order.
     pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter()
+        self.entries.iter().map(|e| &**e)
+    }
+
+    /// The entries as shared values, in recorded order — what votes,
+    /// deltas and shadow views copy instead of the options themselves.
+    pub fn shared(&self) -> &[Arc<Entry>] {
+        &self.entries
+    }
+
+    /// Order-sensitive 64-bit fingerprint of the recorded sequence: the
+    /// digest delta votes carry so receivers can prove their folded
+    /// shadow view equals the acceptor's exact structure. O(1) — the
+    /// chain is kept current by every mutation.
+    pub fn digest(&self) -> u64 {
+        self.chain
     }
 
     /// The recorded status of `txn`'s option, if present.
     pub fn status_of(&self, txn: TxnId) -> Option<OptionStatus> {
-        self.entries
-            .iter()
-            .find(|e| e.opt.txn == txn)
-            .map(|e| e.status)
+        self.entry_of(txn).map(|e| e.status)
     }
 
-    /// The full entry of `txn`'s option, if present.
-    pub fn entry_of(&self, txn: TxnId) -> Option<&Entry> {
+    /// The full (shared) entry of `txn`'s option, if present.
+    pub fn entry_of(&self, txn: TxnId) -> Option<&Arc<Entry>> {
         self.entries.iter().find(|e| e.opt.txn == txn)
+    }
+
+    /// `txn`'s recorded status together with whether its letter is
+    /// *front-movable* here: everything recorded before it commutes with
+    /// it, so it can be commuted to the front of the trace. A letter
+    /// that is front-movable in every member of a set of cstructs is in
+    /// their glb iff every member holds it with the same decision (see
+    /// [`CStruct::glb_many`]), which lets a learner count instead of
+    /// computing the glb.
+    pub fn front_movable(&self, txn: TxnId) -> Option<(OptionStatus, bool)> {
+        let pos = self.entries.iter().position(|e| e.opt.txn == txn)?;
+        let e = &self.entries[pos];
+        let movable = self.entries[..pos].iter().all(|p| p.commutes_with(e));
+        Some((e.status, movable))
     }
 
     /// Appends ω(opt, status) — the `val • ω(up,_)` operator of Table 1.
@@ -116,30 +176,44 @@ impl CStruct {
     /// transaction already holds an option here, making the call
     /// idempotent under message duplication.
     pub fn append(&mut self, opt: TxnOption, status: OptionStatus) -> bool {
-        if self.status_of(opt.txn).is_some() {
+        self.append_entry(Arc::new(Entry { opt, status }))
+    }
+
+    /// Appends an existing entry, sharing it with whoever else holds it
+    /// (delta folds, recovery adoption, lub). Same idempotence as
+    /// [`CStruct::append`].
+    pub fn append_entry(&mut self, entry: Arc<Entry>) -> bool {
+        if self.status_of(entry.opt.txn).is_some() {
             return false;
         }
-        self.entries.push(Entry { opt, status });
+        self.push(entry);
         true
     }
 
-    /// Appends an existing entry (recovery adoption path).
-    pub fn append_entry(&mut self, entry: Entry) -> bool {
-        self.append(entry.opt, entry.status)
+    /// Appends `entry`, whose transaction the caller knows is absent.
+    fn push(&mut self, entry: Arc<Entry>) {
+        self.chain = chain_over(self.chain, &entry);
+        self.entries.push(entry);
     }
 
     /// Removes `txn`'s entry, returning it. Used when a transaction
     /// resolves without consuming the instance (aborts of options that
     /// were not globally learned as accepted): the entry leaves the
-    /// pending set and stops acting as a barrier.
-    pub fn remove(&mut self, txn: TxnId) -> Option<Entry> {
+    /// pending set and stops acting as a barrier. The one non-append
+    /// mutation: the digest chain restarts over the survivors.
+    pub fn remove(&mut self, txn: TxnId) -> Option<Arc<Entry>> {
         let pos = self.entries.iter().position(|e| e.opt.txn == txn)?;
-        Some(self.entries.remove(pos))
+        let removed = self.entries.remove(pos);
+        self.chain = self
+            .entries
+            .iter()
+            .fold(FNV1A64_OFFSET, |chain, e| chain_over(chain, e));
+        Some(removed)
     }
 
     /// Accepted entries in order.
     pub fn accepted(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter().filter(|e| e.status.is_accepted())
+        self.entries().filter(|e| e.status.is_accepted())
     }
 
     /// Trace-prefix test: `self ⊑ other` iff `other` equals `self`
@@ -152,7 +226,7 @@ impl CStruct {
         if other.entries.len() <= 64 {
             return self.is_prefix_of_small(other);
         }
-        let mut remaining: Vec<&Entry> = other.entries.iter().collect();
+        let mut remaining: Vec<&Entry> = other.entries().collect();
         // Consume self's letters in order. Non-commuting pairs keep a
         // fixed relative order across equivalent representatives, so
         // consuming in recorded order is sound.
@@ -212,9 +286,7 @@ impl CStruct {
         }
         let mut merged = self.clone();
         for e in &other.entries {
-            if merged.status_of(e.opt.txn).is_none() {
-                merged.entries.push(e.clone());
-            }
+            merged.append_entry(Arc::clone(e));
         }
         if self.is_prefix_of(&merged) && other.is_prefix_of(&merged) {
             Some(merged)
@@ -244,7 +316,8 @@ impl CStruct {
         if items.is_empty() {
             return CStruct::new();
         }
-        let mut rems: Vec<Vec<Entry>> = items.iter().map(|c| c.entries.clone()).collect();
+        let mut rems: Vec<Vec<&Arc<Entry>>> =
+            items.iter().map(|c| c.entries.iter().collect()).collect();
         let mut out = CStruct::new();
         loop {
             // Letters extractable from every remaining sequence.
@@ -266,7 +339,7 @@ impl CStruct {
                     .expect("extractable letter present");
                 let e = rem.remove(pos);
                 if i == 0 {
-                    out.entries.push(e);
+                    out.push(Arc::clone(e));
                 }
             }
         }
@@ -275,7 +348,7 @@ impl CStruct {
 }
 
 /// Letters that can be commuted to the front of `seq`.
-fn extractable(seq: &[Entry]) -> Vec<(TxnId, u8)> {
+fn extractable(seq: &[&Arc<Entry>]) -> Vec<(TxnId, u8)> {
     let mut out = Vec::new();
     for (i, e) in seq.iter().enumerate() {
         if seq[..i].iter().all(|p| p.commutes_with(e)) {

@@ -5,6 +5,18 @@
 //! cstructs whose greatest lower bound contains the option: a common
 //! trace prefix of a quorum is durable under any future of the protocol.
 //!
+//! The learner never materializes that glb on the common path. It asks
+//! about *one* letter, and a letter that is front-movable in a cstruct
+//! (everything recorded before it commutes with it — always the case on
+//! cstructs of commutative and rejected options) is in a quorum's glb
+//! iff every member holds it with the same decision: front-movable
+//! letters are extractable from the start, and extracting other letters
+//! never disables them. So each vote is reduced once, on arrival, to
+//! "status of my option, and is it front-movable", and a quorum check is
+//! a count over those summaries. Only when some member holds the option
+//! behind a non-commuting predecessor (interleaved physical writes) does
+//! the learner fall back to [`CStruct::glb_many`].
+//!
 //! The learner also detects **definite collisions** — situations where no
 //! quorum can possibly agree anymore (e.g. two concurrent physical writes
 //! interleaved differently across acceptors) — so recovery can start
@@ -22,7 +34,19 @@ use crate::quorum::{mask_indices, subsets};
 
 /// Phase2b votes grouped by `(instance, ballot round, ballot kind flag,
 /// proposer)` — votes are only comparable within one group.
-type VoteGroups<'a> = BTreeMap<(u64, u32, bool, u32), Vec<(usize, &'a CStruct)>>;
+type VoteGroups<'a> = BTreeMap<(u64, u32, bool, u32), Vec<&'a Held>>;
+
+/// One acceptor's latest vote, reduced on arrival to what this learner
+/// asks of it.
+#[derive(Debug, Clone)]
+struct Held {
+    vote: Phase2b,
+    /// [`CStruct::front_movable`] of the learner's option in
+    /// `vote.cstruct`: its recorded status and whether its letter is
+    /// front-movable there; `None` while the option has not reached
+    /// that acceptor.
+    letter: Option<(OptionStatus, bool)>,
+}
 
 /// The learner's verdict after each vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +68,7 @@ pub struct Learner {
     qf: usize,
     txn: TxnId,
     /// Latest vote per acceptor index.
-    votes: BTreeMap<usize, Phase2b>,
+    votes: BTreeMap<usize, Held>,
     learned: Option<OptionStatus>,
     learned_fast: bool,
 }
@@ -86,25 +110,48 @@ impl Learner {
     /// transaction can be resolved as aborted once proposals can no
     /// longer arrive).
     pub fn seen_at_latest(&self) -> bool {
-        let Some(max_version) = self.votes.values().map(|v| v.version).max() else {
+        let Some(max_version) = self.votes.values().map(|h| h.vote.version).max() else {
             return false;
         };
         self.votes
             .values()
-            .filter(|v| v.version == max_version)
-            .any(|v| v.cstruct.status_of(self.txn).is_some())
+            .any(|h| h.vote.version == max_version && h.letter.is_some())
     }
 
     /// Feeds one Phase2b vote from acceptor `from` and re-evaluates.
     pub fn on_vote(&mut self, from: usize, vote: Phase2b) -> LearnOutcome {
         debug_assert!(from < self.n, "acceptor index out of range");
         match self.votes.get(&from) {
-            Some(old) if (old.version, old.ballot) > (vote.version, vote.ballot) => {}
+            Some(old) if (old.vote.version, old.vote.ballot) > (vote.version, vote.ballot) => {}
             _ => {
-                self.votes.insert(from, vote);
+                let letter = vote.cstruct.front_movable(self.txn);
+                self.votes.insert(from, Held { vote, letter });
             }
         }
         self.evaluate()
+    }
+
+    /// `glb(chosen).status_of(txn)` without the glb: absent from any
+    /// member, or held with differing decisions, means the letter is not
+    /// common; held everywhere, same decision, front-movable everywhere
+    /// means it is (the glb's representative entry is the first
+    /// member's, so its status — rejection reason included — is the one
+    /// reported). Anything else needs the real glb.
+    fn quorum_status(&self, chosen: &[&Held]) -> Option<OptionStatus> {
+        let (first, _) = chosen.first()?.letter?;
+        let mut all_movable = true;
+        for h in chosen {
+            let (status, movable) = h.letter?;
+            if status.is_accepted() != first.is_accepted() {
+                return None;
+            }
+            all_movable &= movable;
+        }
+        if all_movable {
+            return Some(first);
+        }
+        let cstructs: Vec<&CStruct> = chosen.iter().map(|h| &h.vote.cstruct).collect();
+        CStruct::glb_many(&cstructs).status_of(self.txn)
     }
 
     fn quorum_for(&self, ballot: Ballot) -> usize {
@@ -128,14 +175,15 @@ impl Learner {
         // instance open at its acceptors, so a quorum at an older version
         // is just as durable as one at the newest.
         let mut groups: VoteGroups<'_> = BTreeMap::new();
-        for (idx, v) in &self.votes {
+        for held in self.votes.values() {
+            let v = &held.vote;
             let key = (
                 v.version.0,
                 v.ballot.round,
                 !v.ballot.is_fast(),
                 v.ballot.proposer.0,
             );
-            groups.entry(key).or_default().push((*idx, &v.cstruct));
+            groups.entry(key).or_default().push(held);
         }
         for ((_, round, classic, proposer), members) in groups.iter().rev() {
             let ballot = if *classic {
@@ -149,9 +197,8 @@ impl Learner {
             }
             // Enumerate q-subsets of this group's members.
             for mask in subsets(members.len(), q) {
-                let chosen: Vec<&CStruct> = mask_indices(mask).map(|i| members[i].1).collect();
-                let glb = CStruct::glb_many(&chosen);
-                if let Some(status) = glb.status_of(self.txn) {
+                let chosen: Vec<&Held> = mask_indices(mask).map(|i| members[i]).collect();
+                if let Some(status) = self.quorum_status(&chosen) {
                     self.learned = Some(status);
                     self.learned_fast = ballot.is_fast();
                     return LearnOutcome::Learned(status);
@@ -175,7 +222,7 @@ impl Learner {
         // reaches the acceptors (acceptors fan votes out to every entry's
         // coordinator). Until at least one vote carries the option, there
         // is nothing to collide about.
-        if members.iter().all(|(_, c)| c.status_of(self.txn).is_none()) {
+        if members.iter().all(|h| h.letter.is_none()) {
             return LearnOutcome::Undecided;
         }
         if self.votes.len() == self.n {
@@ -188,9 +235,9 @@ impl Learner {
         let mut accepted = 0usize;
         let mut rejected = 0usize;
         let mut absent = 0usize;
-        for (_, c) in members {
-            match c.status_of(self.txn) {
-                Some(s) if s.is_accepted() => accepted += 1,
+        for h in members {
+            match h.letter {
+                Some((s, _)) if s.is_accepted() => accepted += 1,
                 Some(_) => rejected += 1,
                 None => absent += 1,
             }

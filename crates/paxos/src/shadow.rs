@@ -8,6 +8,15 @@
 //! previous vote — a [`DeltaVote`] — plus an FNV digest of the full
 //! structure.
 //!
+//! Both ends do work proportional to the delta, not to the cstruct. The
+//! digest is the cstruct's append chain ([`CStruct::digest`]): within an
+//! epoch it is a function of the epoch's append history alone, the
+//! acceptor reads it off in O(1) and a shadow that folded the same
+//! appends holds the same chain, so the per-fold check is one integer
+//! comparison. Entries are immutable shared values: a delta, the shadow
+//! it folds into and the vote synthesized for the learner all point at
+//! the entry the sender's message carried.
+//!
 //! Receivers keep one [`ShadowView`] per acceptor and fold each delta
 //! into it. When the digest of the folded view matches the vote's
 //! digest, the view *is* the acceptor's cstruct and a full
@@ -17,6 +26,8 @@
 //! falls back to an explicit read-repair round trip (`CstructPull` /
 //! `CstructFull` in the message schema) that fetches the full cstruct
 //! only for that diverged acceptor.
+
+use std::sync::Arc;
 
 use mdcc_common::Version;
 
@@ -37,9 +48,9 @@ pub struct DeltaVote {
     /// Position in the epoch's append order where `entries` starts.
     pub from_seq: u64,
     /// Entries `[from_seq..from_seq + entries.len())` of the epoch.
-    pub entries: Vec<Entry>,
-    /// FNV-1a digest of the canonical encoding of the acceptor's full
-    /// cstruct at emission time.
+    pub entries: Vec<Arc<Entry>>,
+    /// The acceptor's full-cstruct digest ([`CStruct::digest`]) at
+    /// emission time.
     pub digest: u64,
     /// Total entries in the full cstruct (cheap pre-check and gap
     /// detector alongside the digest).
@@ -50,26 +61,15 @@ impl DeltaVote {
     /// Extracts the delta representation of an emitted vote: the entry
     /// suffix past `from_seq` plus the full-structure digest.
     pub fn extract(vote: &Phase2b, from_seq: u64) -> Self {
-        Self::extract_with_digest(vote, from_seq, vote.cstruct.digest())
-    }
-
-    /// Like [`DeltaVote::extract`] with the cstruct digest precomputed —
-    /// fan-out to many destinations serializes the cstruct once instead
-    /// of once per target.
-    pub fn extract_with_digest(vote: &Phase2b, from_seq: u64, digest: u64) -> Self {
+        let entries = vote.cstruct.shared();
         DeltaVote {
             ballot: vote.ballot,
             version: vote.version,
             epoch: vote.epoch,
             from_seq,
-            entries: vote
-                .cstruct
-                .entries()
-                .skip(from_seq as usize)
-                .cloned()
-                .collect(),
-            digest,
-            full_len: vote.cstruct.len() as u64,
+            entries: entries[entries.len().min(from_seq as usize)..].to_vec(),
+            digest: vote.cstruct.digest(),
+            full_len: entries.len() as u64,
         }
     }
 }
@@ -100,16 +100,6 @@ impl DeltaCursor {
     /// `None` means the destination has no shadow yet and must receive
     /// the full vote; `Some(delta)` is the positioned entry suffix.
     pub fn extract(&mut self, vote: &Phase2b) -> Option<DeltaVote> {
-        self.position(vote)
-            .map(|from_seq| DeltaVote::extract(vote, from_seq))
-    }
-
-    /// The cursor-advance half of [`DeltaCursor::extract`]: where this
-    /// destination's next delta starts, or `None` for a first contact
-    /// (send the full vote). Callers fanning one vote to many
-    /// destinations pair this with [`DeltaVote::extract_with_digest`]
-    /// so the digest is computed once.
-    pub fn position(&mut self, vote: &Phase2b) -> Option<u64> {
         let len = vote.cstruct.len() as u64;
         let from_seq = if !self.primed {
             // First contact: prime with the full vote.
@@ -125,7 +115,7 @@ impl DeltaCursor {
             0
         };
         self.advance(vote, len);
-        Some(from_seq)
+        Some(DeltaVote::extract(vote, from_seq))
     }
 
     fn advance(&mut self, vote: &Phase2b, len: u64) {
@@ -206,7 +196,7 @@ impl ShadowView {
         // Overlapping prefix entries are already present (duplicate or
         // re-emitted vote); append only the genuinely new tail.
         for entry in dv.entries.iter().skip((have - dv.from_seq) as usize) {
-            self.cstruct.append_entry(entry.clone());
+            self.cstruct.append_entry(Arc::clone(entry));
         }
         if self.cstruct.len() as u64 == dv.full_len && self.cstruct.digest() == dv.digest {
             self.diverged_since_pull = 0;
@@ -271,7 +261,6 @@ mod tests {
     use crate::demarcation::AttrConstraint;
     use crate::options::{TxnOption, TxnOutcome};
     use mdcc_common::{CommutativeUpdate, Key, NodeId, Row, TableId, TxnId, UpdateOp};
-    use std::sync::Arc;
 
     fn acceptor(stock: i64) -> AcceptorRecord {
         AcceptorRecord::with_value(

@@ -18,17 +18,6 @@ use crate::cstruct::{CStruct, Entry};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
 use crate::shadow::DeltaVote;
 
-impl CStruct {
-    /// FNV-1a digest of the cstruct's canonical wire encoding — the
-    /// order-sensitive fingerprint delta votes carry so receivers can
-    /// prove their folded shadow view equals the acceptor's exact
-    /// structure. Computed through the codec's thread-local scratch
-    /// buffer: digesting is per-vote work, so it must not allocate.
-    pub fn digest(&self) -> u64 {
-        mdcc_common::wire::digest64(self)
-    }
-}
-
 impl Wire for Ballot {
     fn encode(&self, out: &mut Enc) {
         out.u32(self.round);
@@ -159,7 +148,7 @@ impl Wire for CStruct {
         }
         let mut c = CStruct::new();
         for _ in 0..n {
-            c.append_entry(Entry::decode(inp)?);
+            c.append_entry(Arc::new(Entry::decode(inp)?));
         }
         Ok(c)
     }
@@ -401,7 +390,7 @@ mod tests {
             version: Version(9),
             epoch: 3,
             from_seq: 2,
-            entries: safe.entries().cloned().collect(),
+            entries: safe.shared().to_vec(),
             digest: safe.digest(),
             full_len: 3,
         };
