@@ -78,10 +78,11 @@ fn bench_delta_pipeline(c: &mut Criterion) {
 
 /// The two ends of one vote on a record whose cstruct already holds
 /// `len` committed commutative options (they stay until the instance
-/// closes, so `len` grows with run length): the acceptor emitting its
-/// vote and digest, and a learner digesting a fast quorum of such votes
-/// for the newest option. Neither may cost more per vote as `len` grows
-/// than copying `len` pointers.
+/// closes, so `len` grows with run length): the acceptor emitting the
+/// vote coordinators are sent — it starts at the settled watermark, so
+/// its cost must not depend on `len` at all — with its digest, and a
+/// learner digesting a fast quorum of whole-cstruct votes of that length
+/// for the newest option (at most `len` pointer copies per vote).
 fn bench_vote_ends(c: &mut Criterion) {
     let mut group = c.benchmark_group("vote");
     for len in [4u64, 16, 64] {
@@ -103,7 +104,7 @@ fn bench_vote_ends(c: &mut Criterion) {
             &len,
             |bench, _| {
                 bench.iter(|| {
-                    let vote = std::hint::black_box(&acceptor).phase2b();
+                    let vote = std::hint::black_box(&acceptor).vote();
                     let digest = vote.cstruct.digest();
                     (vote, digest)
                 });

@@ -5,8 +5,9 @@
 //! The simulated-latency amortization (N transactions, one
 //! `fsync_latency`) is fig10's story; what these benches pin down is
 //! the *host* cost of the same paths — frame encoding and checksum per
-//! append, transient decode on a cold log-structured read, and the
-//! copy-forward compaction rewrite.
+//! append, transient decode on a cold log-structured read, the
+//! copy-forward compaction rewrite, and the single-key anti-entropy pull
+//! a replica sends after a missed commit.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use mdcc_common::{
 use mdcc_paxos::{AcceptorRecord, AttrConstraint, TxnOption};
 use mdcc_recovery::wal::{self, WalRecord};
 use mdcc_sim::Disk;
-use mdcc_storage::{Catalog, LogStructuredBackend, MemBackend, Storage, TableSchema};
+use mdcc_storage::{Catalog, LogStructuredBackend, MemBackend, RecordStore, Storage, TableSchema};
 
 fn key(n: usize) -> Key {
     Key::new(TableId(1), format!("k{n:05}"))
@@ -256,12 +257,45 @@ fn bench_engine_compact(c: &mut Criterion) {
     group.finish();
 }
 
+/// Serving `SyncRangePull { ranges: [(key, key)] }` — what a replica
+/// sends after a commit it could not execute — from a log-structured
+/// store of 30 000 records. A point range is one lookup; the full-range
+/// row is the pass over every key of the store that each such pull used
+/// to cost.
+fn bench_sync_pull(c: &mut Criterion) {
+    const STORE_RECORDS: usize = 30_000;
+    let cfg = ProtocolConfig {
+        storage: mdcc_common::StorageKind::LogStructured,
+        ..ProtocolConfig::default()
+    };
+    let mut store = RecordStore::new(cfg, catalog());
+    for i in 0..STORE_RECORDS {
+        store.load(key(i), Row::new().with("stock", i as i64));
+    }
+    let hot = key(STORE_RECORDS / 2);
+    let point = [(hot.clone(), hot)];
+    let everything = [(key(0), key(STORE_RECORDS - 1))];
+    let mut group = c.benchmark_group("sync_pull");
+    group.sample_size(20);
+    group.bench_function("single_key/30000", |bench| {
+        bench.iter(|| store.sync_items_in(std::hint::black_box(&point)).len());
+    });
+    group.bench_function("list_keys/30000", |bench| {
+        bench.iter(|| store.keys().len());
+    });
+    group.bench_function("whole_store/30000", |bench| {
+        bench.iter(|| store.sync_items_in(std::hint::black_box(&everything))[0].len());
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_wal_commit,
     bench_engine_put,
     bench_engine_get,
     bench_engine_update,
-    bench_engine_compact
+    bench_engine_compact,
+    bench_sync_pull
 );
 criterion_main!(benches);

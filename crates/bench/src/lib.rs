@@ -435,6 +435,41 @@ pub fn print_profile(report: &Report, top: usize) {
     }
 }
 
+/// Prints the `top` (node role, message kind) rows of the event-loop
+/// profile by host time — which handler the engine's wall-clock went
+/// to. Nothing unless the run profiled host time
+/// (`TraceConfig::profile`).
+pub fn print_profile_by_kind(report: &Report, top: usize) {
+    let rows = &report.profile_by_kind;
+    if rows.is_empty() {
+        return;
+    }
+    let total: f64 = rows.iter().map(|r| r.wall.as_secs_f64()).sum();
+    println!(
+        "# event-loop profile — top {} of {} (role, message kind) rows by host time \
+         ({:.1} ms in handlers):",
+        top.min(rows.len()),
+        rows.len(),
+        total * 1e3
+    );
+    println!(
+        "#   {:<8} {:<16} {:>10} {:>12} {:>10} {:>7}",
+        "role", "kind", "events", "host ms", "us/event", "share"
+    );
+    for row in rows.iter().take(top) {
+        let wall = row.wall.as_secs_f64();
+        println!(
+            "#   {:<8} {:<16} {:>10} {:>12.3} {:>10.2} {:>6.1}%",
+            format!("{:?}", row.role).to_lowercase(),
+            row.kind,
+            row.events,
+            wall * 1e3,
+            wall * 1e6 / row.events.max(1) as f64,
+            100.0 * wall / total.max(f64::MIN_POSITIVE),
+        );
+    }
+}
+
 /// Writes a traced run's Chrome-trace JSON (loadable in Perfetto /
 /// `chrome://tracing`) to `path` and echoes what it wrote.
 pub fn export_trace(report: &Report, path: &Path) {

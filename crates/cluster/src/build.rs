@@ -18,7 +18,9 @@ use mdcc_workloads::Workload;
 
 use crate::clients::{MdccClient, MegastoreClient, QwClient, TpcClient};
 use crate::faults::{FaultEvent, FaultPlan};
-use crate::metrics::{ClusterAudit, NodeRecovery, Report, RunPerf, TxnRecord};
+use crate::metrics::{
+    ClusterAudit, KindProfile, NodeRecovery, NodeRole, Report, RunPerf, TxnRecord,
+};
 
 /// Which network model to deploy on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -239,7 +241,7 @@ fn fault_timeline(spec: &ClusterSpec) -> Vec<FaultEvent> {
 /// coordinator leaves its prepare locks held forever (the classic
 /// blocking window), while MDCC's storage-side dangling recovery
 /// resolves the orphaned transaction on its own.
-fn drive<M: Send + 'static>(
+fn drive<M: mdcc_sim::NetMessage + Send + 'static>(
     world: &mut World<M>,
     spec: &ClusterSpec,
     matrix: &[Vec<NodeId>],
@@ -613,6 +615,15 @@ pub fn run_mdcc(
         threads: world.worker_threads(),
     };
     report.profile = world.profile();
+    // Storage nodes were spawned first, so theirs are the low ids.
+    let storage_nodes = spec.dcs as u32 * spec.shards_per_dc as u32;
+    report.profile_by_kind = KindProfile::by_role(&world.profile_by_kind(), |node| {
+        if node.0 < storage_nodes {
+            NodeRole::Storage
+        } else {
+            NodeRole::Client
+        }
+    });
     report.engine = engine;
     report.mastership = ms_stats;
     if let Some(audit) = &lease_audit {

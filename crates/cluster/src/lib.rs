@@ -18,4 +18,7 @@ pub use build::{
     run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, MdccMode, NetKind,
 };
 pub use faults::{FaultEvent, FaultPlan};
-pub use metrics::{BoxStats, ClusterAudit, NetReport, NodeRecovery, Report, RunPerf, TxnRecord};
+pub use metrics::{
+    BoxStats, ClusterAudit, KindProfile, NetReport, NodeRecovery, NodeRole, Report, RunPerf,
+    TxnRecord,
+};

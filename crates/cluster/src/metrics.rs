@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use mdcc_common::{DcId, NodeId, SimDuration, SimTime};
 use mdcc_recovery::RecoveryInfo;
-use mdcc_sim::{ProfileEntry, TrafficClass, TrafficTotals, WorldStats};
+use mdcc_sim::{KindProfileEntry, ProfileEntry, TrafficClass, TrafficTotals, WorldStats};
 use mdcc_trace::{Anatomy, TraceData};
 
 /// One storage-node restart as observed by the harness.
@@ -213,6 +213,10 @@ pub struct Report {
     /// Per-node event-loop profile, hottest node first (MDCC runs; the
     /// wall column is zero unless `TraceConfig::profile` was set).
     pub profile: Vec<ProfileEntry>,
+    /// The same profile split by node role and message kind, most host
+    /// time first — which handler the engine's wall-clock went to.
+    /// Empty unless `TraceConfig::profile` was set.
+    pub profile_by_kind: Vec<KindProfile>,
     /// Storage-engine counters summed across every node (MDCC runs;
     /// all-zero under the in-memory backend, which has no segments).
     pub engine: mdcc_storage::EngineStats,
@@ -223,6 +227,60 @@ pub struct Report {
     /// `(shard, from, ballot)` — the raw material of the no-two-masters
     /// audit. Empty unless dynamic mastership ran.
     pub lease_spans: Vec<mdcc_mastership::LeaseSpan>,
+}
+
+/// What a profiled node does in the deployment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum NodeRole {
+    /// A storage node: acceptor, leader, recovery coordinator.
+    Storage,
+    /// An app server: client driver plus transaction manager.
+    Client,
+}
+
+/// Host cost of one message kind on all nodes of one role.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindProfile {
+    /// The nodes' role.
+    pub role: NodeRole,
+    /// The message kind (`mdcc_sim::NetMessage::kind`; timer payloads
+    /// count under theirs, `"start"` is the `on_start` call).
+    pub kind: &'static str,
+    /// Handler invocations.
+    pub events: u64,
+    /// Host wall time spent inside them.
+    pub wall: Duration,
+}
+
+impl KindProfile {
+    /// Sums a world's per-(node, kind) profile by role — `role_of` says
+    /// which role a node plays — and sorts it most host time first.
+    pub fn by_role(
+        entries: &[KindProfileEntry],
+        role_of: impl Fn(NodeId) -> NodeRole,
+    ) -> Vec<KindProfile> {
+        let mut rows: Vec<KindProfile> = Vec::new();
+        for entry in entries {
+            let role = role_of(entry.node);
+            match rows
+                .iter_mut()
+                .find(|row| row.role == role && row.kind == entry.kind)
+            {
+                Some(row) => {
+                    row.events += entry.events;
+                    row.wall += entry.wall;
+                }
+                None => rows.push(KindProfile {
+                    role,
+                    kind: entry.kind,
+                    events: entry.events,
+                    wall: entry.wall,
+                }),
+            }
+        }
+        rows.sort_by(|a, b| (b.wall, a.role, a.kind).cmp(&(a.wall, b.role, b.kind)));
+        rows
+    }
 }
 
 impl Report {
@@ -243,6 +301,7 @@ impl Report {
             trace: None,
             perf: RunPerf::default(),
             profile: Vec::new(),
+            profile_by_kind: Vec::new(),
             engine: mdcc_storage::EngineStats::default(),
             mastership: mdcc_mastership::MastershipStats::default(),
             lease_spans: Vec::new(),

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, NetKind, Report};
+use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, NetKind, NodeRole, Report};
 use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
 use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc_trace::{Phase, TraceConfig};
@@ -255,4 +255,37 @@ fn profiler_and_run_perf_account_for_the_event_loop() {
         report.profile.iter().any(|p| p.wall.as_nanos() > 0),
         "wall profiling was requested"
     );
+    // The split by (node role, message kind) accounts for the same
+    // events and the same host time, and names the protocol's messages.
+    let by_kind = &report.profile_by_kind;
+    assert_eq!(
+        by_kind.iter().map(|k| k.events).sum::<u64>(),
+        report.perf.events,
+        "the kind split loses events"
+    );
+    assert_eq!(
+        by_kind.iter().map(|k| k.wall).sum::<std::time::Duration>(),
+        report.profile.iter().map(|p| p.wall).sum(),
+        "the kind split loses host time"
+    );
+    assert!(by_kind.windows(2).all(|w| w[0].wall >= w[1].wall));
+    for (role, kind) in [
+        (NodeRole::Storage, "Propose"),
+        (NodeRole::Storage, "Visibility"),
+        (NodeRole::Client, "Vote"),
+        (NodeRole::Client, "start"),
+    ] {
+        assert!(
+            by_kind.iter().any(|k| k.role == role && k.kind == kind),
+            "no {role:?} row for {kind}: {by_kind:?}"
+        );
+    }
+    // Without host profiling the split is not collected at all.
+    assert!(run(&small_spec(3)).profile_by_kind.is_empty());
+    assert!(run(&ClusterSpec {
+        trace: TraceConfig::on(),
+        ..small_spec(3)
+    })
+    .profile_by_kind
+    .is_empty());
 }

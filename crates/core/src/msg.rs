@@ -45,10 +45,13 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Acceptor responses (storage node → learners/TM).
     // ------------------------------------------------------------------
-    /// Phase2b vote (fast or classic) carrying the full cstruct, fanned
-    /// out to the proposer and to the coordinators of every option in
-    /// the cstruct. The legacy vote format
-    /// (`ProtocolConfig::delta_votes = false`).
+    /// Phase2b vote (fast or classic) carrying the acceptor's cstruct.
+    /// With delta votes: the cstruct from the record's settled watermark
+    /// on, sent to a destination that has nothing to fold a delta onto
+    /// (first contact, new epoch, or the watermark overtook what it was
+    /// last sent). With `ProtocolConfig::delta_votes = false`: the whole
+    /// cstruct, to the proposer and to the coordinators of every option
+    /// in it.
     Vote {
         /// Record voted on.
         key: Key,
@@ -58,8 +61,8 @@ pub enum Msg {
     /// Phase2b vote shipped as a per-option delta plus a cstruct digest
     /// (`ProtocolConfig::delta_votes = true`): only the options appended
     /// since the acceptor's previous vote travel; receivers fold them
-    /// into per-acceptor shadow views and pull the full cstruct only on
-    /// digest mismatch.
+    /// into per-acceptor shadow views and pull the acceptor's vote only
+    /// on digest mismatch.
     VoteDelta {
         /// Record voted on.
         key: Key,
@@ -68,17 +71,18 @@ pub enum Msg {
     },
     /// Read-repair request: a receiver's shadow view diverged from this
     /// acceptor's cstruct (lost delta, missed epoch, reordering); ship
-    /// the full structure.
+    /// the current vote.
     CstructPull {
         /// Record whose cstruct diverged.
         key: Key,
     },
-    /// Read-repair response: the acceptor's full current vote, which
-    /// resets the requester's shadow view.
+    /// Read-repair response: the acceptor's current vote (its cstruct
+    /// from the settled watermark on), which resets the requester's
+    /// shadow view.
     CstructFull {
         /// Record concerned.
         key: Key,
-        /// Full-cstruct vote.
+        /// The vote.
         vote: Phase2b,
     },
     /// The record is under a classic ballot; retry via its master.

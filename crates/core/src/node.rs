@@ -51,8 +51,8 @@ pub struct NodeStats {
     pub sync_rounds: u64,
     /// Records whose state changed through peer sync.
     pub sync_adoptions: u64,
-    /// `CstructPull` read-repair requests this node answered with a
-    /// full cstruct (delta-vote divergence repair).
+    /// `CstructPull` read-repair requests this node answered with its
+    /// current vote (delta-vote divergence repair).
     pub repair_served: u64,
     /// Committed visibilities that arrived for options this node never
     /// accepted (bare outcomes): each triggers a targeted per-key
@@ -810,18 +810,24 @@ impl StorageNodeProcess {
     /// proposer plus coordinators that can still learn something
     /// (entries this node has an outcome for are settled business at
     /// their coordinator — it produced the Visibility, and stale retries
-    /// get `AlreadyResolved`), and each destination receives only the
-    /// entry suffix its per-destination [`mdcc_paxos::DeltaCursor`] says
-    /// it is missing, plus a digest of the full cstruct. First-contact
-    /// destinations get the full vote (nothing to fold into yet);
-    /// receivers whose shadows cannot fold a delta (loss, reordering)
+    /// get `AlreadyResolved`). `vote` starts at the record's settled
+    /// watermark ([`mdcc_paxos::AcceptorRecord::vote`]); each
+    /// destination receives only the entry suffix its per-destination
+    /// [`mdcc_paxos::DeltaCursor`] says it is missing, plus a digest of
+    /// the whole cstruct, or — on first contact, in a new epoch, or when
+    /// the watermark overtook what it was last sent — the vote itself.
+    /// Receivers whose shadows cannot fold a delta (loss, reordering)
     /// come back with a `CstructPull`.
     ///
     /// Legacy mode (`delta_votes = false`) preserves the PR 2 baseline:
-    /// the full cstruct to the proposer and every interested
+    /// the whole cstruct to the proposer and every interested
     /// coordinator.
     fn fan_out_vote(&mut self, key: &Key, vote: Phase2b, also: NodeId, ctx: &mut Ctx<'_, Msg>) {
         if !self.cfg.delta_votes {
+            let vote = self
+                .store
+                .with_record(key, |rec| rec.phase2b())
+                .unwrap_or(vote);
             let mut sent = HashSet::new();
             sent.insert(also);
             ctx.send(
@@ -1435,8 +1441,7 @@ impl Process<Msg> for StorageNodeProcess {
                 }
             }
             Msg::SyncRangePull { ranges } => {
-                for (lo, hi) in ranges {
-                    let items = self.store.sync_items_in(&lo, &hi);
+                for items in self.store.sync_items_in(&ranges) {
                     for chunk in items.chunks(self.cfg.sync_chunk_keys.max(1)) {
                         ctx.send(
                             from,
@@ -1469,11 +1474,11 @@ impl Process<Msg> for StorageNodeProcess {
             }
             Msg::CstructPull { key } => {
                 // A receiver's shadow view diverged (lost delta, missed
-                // epoch): read-repair with the full current vote.
+                // epoch): read-repair with the current vote.
                 self.stats.repair_served += 1;
                 let vote = self
                     .store
-                    .with_record(&key, |rec| rec.phase2b())
+                    .with_record(&key, |rec| rec.vote())
                     .unwrap_or_else(absent_vote);
                 ctx.send(from, Msg::CstructFull { key, vote });
             }

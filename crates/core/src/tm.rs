@@ -489,9 +489,10 @@ impl TransactionManager {
     pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
         match msg {
             Msg::Vote { key, vote } => {
-                // A full vote (legacy mode, or a first-contact vote in
-                // delta mode) doubles as a shadow reset: subsequent
-                // deltas from this acceptor fold on top of it.
+                // A vote sent as such (whole-cstruct mode, or in delta
+                // mode a destination with nothing to fold onto) doubles
+                // as a shadow reset: subsequent deltas from this
+                // acceptor fold on top of it.
                 if self.cfg.protocol.delta_votes {
                     if let Some(view) = self.shadow_mut(&key, from) {
                         view.observe_full(&vote);
@@ -501,9 +502,9 @@ impl TransactionManager {
             }
             Msg::VoteDelta { key, delta } => {
                 // Fold the delta into this acceptor's shadow view; on
-                // success the reconstructed full vote feeds the learners,
-                // on divergence (lost delta, missed epoch, reordering)
-                // read-repair pulls the full cstruct.
+                // success the reconstructed vote feeds the learners, on
+                // divergence (lost delta, missed epoch, reordering)
+                // read-repair pulls the acceptor's current vote.
                 let Some(outcome) = self.fold_delta(&key, from, &delta) else {
                     return Vec::new();
                 };
@@ -529,7 +530,7 @@ impl TransactionManager {
             }
             Msg::CstructFull { key, vote } => {
                 // Read-repair response: reset the diverged shadow to the
-                // acceptor's exact state, then learn from the full vote.
+                // acceptor's exact state, then learn from the vote.
                 if let Some(view) = self.shadow_mut(&key, from) {
                     view.reset_full(&vote);
                 }

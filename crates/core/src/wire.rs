@@ -374,6 +374,51 @@ impl NetMessage for Msg {
             _ => TrafficClass::Protocol,
         }
     }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Msg::Propose(_) => "Propose",
+            Msg::ProposeToMaster(_) => "ProposeToMaster",
+            Msg::ProposeMastered { .. } => "ProposeMastered",
+            Msg::Visibility { .. } => "Visibility",
+            Msg::StartRecovery { .. } => "StartRecovery",
+            Msg::Vote { .. } => "Vote",
+            Msg::VoteDelta { .. } => "VoteDelta",
+            Msg::CstructPull { .. } => "CstructPull",
+            Msg::CstructFull { .. } => "CstructFull",
+            Msg::NotFast { .. } => "NotFast",
+            Msg::InstanceFull { .. } => "InstanceFull",
+            Msg::AlreadyResolved { .. } => "AlreadyResolved",
+            Msg::GoFast { .. } => "GoFast",
+            Msg::P1a { .. } => "P1a",
+            Msg::P1b { .. } => "P1b",
+            Msg::P2a { .. } => "P2a",
+            Msg::P2aNack { .. } => "P2aNack",
+            Msg::P2aStale { .. } => "P2aStale",
+            Msg::ReadReq { .. } => "ReadReq",
+            Msg::ReadResp { .. } => "ReadResp",
+            Msg::QueryStatus { .. } => "QueryStatus",
+            Msg::StatusResp { .. } => "StatusResp",
+            Msg::SyncReq => "SyncReq",
+            Msg::SyncKey { .. } => "SyncKey",
+            Msg::SyncDigestReq => "SyncDigestReq",
+            Msg::SyncDigest { .. } => "SyncDigest",
+            Msg::SyncRangePull { .. } => "SyncRangePull",
+            Msg::SyncChunk { .. } => "SyncChunk",
+            Msg::LearnTimeout { .. } => "LearnTimeout",
+            Msg::ReadRetry { .. } => "ReadRetry",
+            Msg::DanglingSweep => "DanglingSweep",
+            Msg::RecoveryRetry { .. } => "RecoveryRetry",
+            Msg::MissedPull { .. } => "MissedPull",
+            Msg::CheckpointTick => "CheckpointTick",
+            Msg::SyncSweep => "SyncSweep",
+            Msg::ClientTick => "ClientTick",
+            Msg::Mastership(_) => "Mastership",
+            Msg::MasterHint { .. } => "MasterHint",
+            Msg::MsTick => "MsTick",
+            Msg::RecordHint { .. } => "RecordHint",
+        }
+    }
 }
 
 /// Frames one message exactly as [`NetMessage::wire_bytes`] accounts it

@@ -7,6 +7,40 @@
 //! cstruct `val` — plus MDCC's additions: option validation (the "active
 //! decision" of §3.2.1), escrow/demarcation bookkeeping for commutative
 //! updates, and visibility application.
+//!
+//! # The settled watermark
+//!
+//! A committed commutative option stays in the cstruct until its
+//! instance closes, so a hot record's cstruct grows with its history
+//! while only its last few entries are still in play. The acceptor keeps
+//! the position of the first entry without a recorded outcome — the
+//! *settled watermark*, with the digest chain up to it — and the votes
+//! it hands coordinators ([`AcceptorRecord::vote`], what
+//! [`FastPropose::Vote`] and [`ClassicAccept::Vote`] carry) start there.
+//! The invariants:
+//!
+//! * **Only votes to coordinators are trimmed.** The cstruct itself,
+//!   [`AcceptorRecord::export_state`], snapshots, the sync payload,
+//!   Phase1b and [`AcceptorRecord::phase2b`] (recovery's `StatusResp`)
+//!   keep whole instances: leader recovery, anti-entropy and crash
+//!   replay reason about prefixes of what acceptors *hold*.
+//! * **Positions stay positions in the whole cstruct**, so "append-only
+//!   within an epoch" and the chained digest keep their meaning; the
+//!   watermark only ever moves forward within an epoch.
+//! * **What is hidden commutes with what is shown.** Everything before
+//!   the watermark has an outcome that was applied here; while the
+//!   instance holds no accepted physical write or read guard, every
+//!   entry is a commutative or rejected option and they all commute, so
+//!   a learner reaches the same verdict from the tail as from the whole.
+//!   Accepting such a *barrier* behind a settled prefix opens a new
+//!   cstruct epoch and votes ship whole cstructs until it is gone.
+//! * **The watermark is derived state** — recomputed on import like the
+//!   open set, never written to the WAL or a checkpoint.
+//!
+//! A coordinator can therefore no longer read a transaction's status off
+//! a vote once the record knows its outcome; the one that still asks is
+//! retrying a proposal storage-side recovery already resolved, and
+//! [`AcceptorRecord::settled_outcome`] answers it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -15,7 +49,7 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
-use crate::cstruct::{CStruct, Entry};
+use crate::cstruct::{CStruct, Entry, Mark};
 use crate::demarcation::{escrow_accepts, AttrConstraint, EscrowView};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
 
@@ -64,8 +98,10 @@ pub struct Phase2b {
     pub ballot: Ballot,
     /// Instance (record version) the vote belongs to.
     pub version: Version,
-    /// The acceptor's full cstruct `val_a` — learners compute quorum
-    /// glbs over these.
+    /// The acceptor's cstruct `val_a` — learners compute quorum glbs
+    /// over these. Whole in [`AcceptorRecord::phase2b`]; from the settled
+    /// watermark on ([`CStruct::base`] says where) in
+    /// [`AcceptorRecord::vote`], the form coordinators are sent.
     pub cstruct: CStruct,
     /// The acceptor's cstruct epoch: bumped on every wholesale cstruct
     /// replacement or entry removal (instance advance, snapshot/safe
@@ -163,6 +199,20 @@ pub struct AcceptorRecord {
     /// [`Self::replace_cstruct`] — the only places entries or outcomes
     /// of current entries come and go.
     open: Vec<Arc<Entry>>,
+    /// The settled watermark: the position of the first open entry in
+    /// `cstruct` (its end when nothing is open), with the digest chain
+    /// up to there. Everything before it has a recorded outcome that was
+    /// applied here — state, not protocol payload — so votes to
+    /// coordinators start at it ([`Self::vote`]). Moves forward only,
+    /// in [`Self::advance_settled`] (amortised O(1) per entry), except
+    /// where the digest chain itself restarts: [`Self::replace_cstruct`]
+    /// and [`Self::remove_entry`].
+    settled: Mark,
+    /// Accepted entries of `cstruct` that are neither commutative nor
+    /// rejected (physical writes, read guards), open or not. While there
+    /// is one, an entry behind the watermark may not commute with it, so
+    /// votes ship the whole cstruct (see [`Self::vote`]).
+    barriers: usize,
     /// Transaction resolutions this node has heard (Visibility messages);
     /// kept across instances so duplicate or early messages are harmless.
     outcomes: HashMap<TxnId, Resolution>,
@@ -289,6 +339,17 @@ fn open_entries(cstruct: &CStruct, outcomes: &HashMap<TxnId, Resolution>) -> Vec
         .collect()
 }
 
+/// True for an entry later commutative or rejected entries need not
+/// commute with: an accepted physical write or read guard.
+fn is_barrier(entry: &Entry) -> bool {
+    entry.status.is_accepted() && !entry.opt.is_commutative()
+}
+
+/// The barrier count by definition.
+fn barrier_entries(cstruct: &CStruct) -> usize {
+    cstruct.entries().filter(|e| is_barrier(e)).count()
+}
+
 impl AcceptorRecord {
     /// A fresh, non-existent record in the implicit initial fast ballot.
     pub fn new(
@@ -309,6 +370,8 @@ impl AcceptorRecord {
             accepted_ballot: None,
             cstruct: CStruct::new(),
             open: Vec::new(),
+            settled: Mark::START,
+            barriers: 0,
             outcomes: HashMap::new(),
             resolved_entries: HashSet::new(),
             close_on_resolve: false,
@@ -381,17 +444,45 @@ impl AcceptorRecord {
     /// from the new contents.
     fn replace_cstruct(&mut self, cstruct: CStruct) {
         self.open = open_entries(&cstruct, &self.outcomes);
+        self.barriers = barrier_entries(&cstruct);
         self.cstruct = cstruct;
+        self.settled = Mark::START;
+        self.advance_settled();
         self.bump_epoch();
+    }
+
+    /// Moves the settled watermark forward to the first open entry.
+    fn advance_settled(&mut self) {
+        let first_open = self.open.first();
+        let unsettled = &self.cstruct.shared()[self.settled.seq as usize..];
+        for entry in unsettled {
+            if first_open.is_some_and(|open| Arc::ptr_eq(open, entry)) {
+                break;
+            }
+            self.settled = self.settled.after(entry);
+        }
     }
 
     /// Appends ω(opt, status) to the cstruct; the entry is open unless
     /// its transaction's outcome overtook it.
     fn append_decided(&mut self, opt: TxnOption, status: OptionStatus) {
         let entry = Arc::new(Entry { opt, status });
-        if self.cstruct.append_entry(Arc::clone(&entry))
-            && !self.outcomes.contains_key(&entry.opt.txn)
-        {
+        if !self.cstruct.append_entry(Arc::clone(&entry)) {
+            return;
+        }
+        if is_barrier(&entry) {
+            self.barriers += 1;
+            if self.barriers == 1 && self.settled.seq > 0 {
+                // Votes stop starting at the watermark: a new epoch makes
+                // every destination take the whole cstruct instead of
+                // folding this entry onto a tail that hides what it does
+                // not commute with.
+                self.bump_epoch();
+            }
+        }
+        if self.outcomes.contains_key(&entry.opt.txn) {
+            self.advance_settled();
+        } else {
             self.open.push(entry);
         }
     }
@@ -400,13 +491,17 @@ impl AcceptorRecord {
     fn note_outcome(&mut self, txn: TxnId, resolution: Resolution) {
         self.outcomes.insert(txn, resolution);
         self.open.retain(|e| e.opt.txn != txn);
+        self.advance_settled();
     }
 
     /// Removes the entry of `txn`, whose outcome is on record (so the
     /// entry is not open), from the cstruct — a non-append mutation,
     /// hence a new epoch.
     fn remove_entry(&mut self, txn: TxnId) {
-        if self.cstruct.remove(txn).is_some() {
+        if let Some(removed) = self.cstruct.remove(txn) {
+            self.barriers -= usize::from(is_barrier(&removed));
+            self.settled = Mark::START;
+            self.advance_settled();
             self.bump_epoch();
         }
     }
@@ -586,6 +681,12 @@ impl AcceptorRecord {
     /// option iff the record is still in a fast ballot, validating it
     /// against local state ("the active decision", §3.2.1).
     pub fn fast_propose(&mut self, opt: TxnOption) -> FastPropose {
+        if let Some(outcome) = self.settled_outcome(opt.txn) {
+            // A stale retry of a transaction this record is done with: it
+            // must not be decided twice, and it must get an answer — no
+            // vote will ever name it again.
+            return FastPropose::AlreadyResolved(outcome);
+        }
         if !self.promised.is_fast() {
             return FastPropose::NotFast {
                 promised: self.promised,
@@ -593,19 +694,7 @@ impl AcceptorRecord {
         }
         if self.cstruct.status_of(opt.txn).is_some() {
             // Duplicate delivery: re-vote idempotently.
-            return FastPropose::Vote(self.phase2b());
-        }
-        if self.resolved_entries.contains(&opt.txn) {
-            // The transaction was resolved and processed here already; a
-            // retried proposal must not be decided twice. A settled
-            // transaction whose outcome record is gone (snapshot-folded,
-            // or truncated metadata) can only have committed — aborted
-            // options never fold into values.
-            let outcome = self
-                .outcomes
-                .get(&opt.txn)
-                .map_or(TxnOutcome::Committed, |r| r.outcome);
-            return FastPropose::AlreadyResolved(outcome);
+            return FastPropose::Vote(self.vote());
         }
         if self.unresolved_len() >= self.max_instance_options {
             return FastPropose::InstanceFull;
@@ -619,7 +708,7 @@ impl AcceptorRecord {
             self.resolve_entry(txn);
             self.try_advance();
         }
-        FastPropose::Vote(self.phase2b())
+        FastPropose::Vote(self.vote())
     }
 
     /// Classic Phase2a (Algorithm 3, line 72), extended with catch-up and
@@ -677,7 +766,7 @@ impl AcceptorRecord {
             self.resolve_entry(txn);
         }
         self.try_advance();
-        ClassicAccept::Vote(self.phase2b())
+        ClassicAccept::Vote(self.vote())
     }
 
     /// Exports the acceptor's full state for a durable checkpoint.
@@ -720,7 +809,8 @@ impl AcceptorRecord {
         }
         let outcomes: HashMap<TxnId, Resolution> = state.outcomes.into_iter().collect();
         let open = open_entries(&cstruct, &outcomes);
-        Self {
+        let barriers = barrier_entries(&cstruct);
+        let mut record = Self {
             n,
             qf,
             max_instance_options,
@@ -732,6 +822,8 @@ impl AcceptorRecord {
             accepted_ballot: state.accepted_ballot,
             cstruct,
             open,
+            settled: Mark::START,
+            barriers,
             outcomes,
             resolved_entries: state.resolved.into_iter().collect(),
             close_on_resolve: state.close_on_resolve,
@@ -741,26 +833,37 @@ impl AcceptorRecord {
             settle_log: state.settle_log.into_iter().collect(),
             settle_seq: state.settle_seq,
             cstruct_epoch: state.cstruct_epoch,
-        }
+        };
+        record.advance_settled();
+        record
     }
 
-    /// The settled outcome of `txn` if this replica already resolved
-    /// *and processed* it — the answer owed to a stale retried
-    /// proposal, on the classic path as much as the fast one (mirrors
-    /// [`Self::fast_propose`]'s `AlreadyResolved` arm). A settled
-    /// transaction whose outcome record is gone (snapshot-folded or
-    /// truncated metadata) can only have committed — aborted options
-    /// never fold into values.
+    /// The outcome owed to a retried proposal of `txn` when this record
+    /// is done with it — on the classic path as much as the fast one
+    /// ([`Self::fast_propose`] answers `AlreadyResolved` with it):
+    ///
+    /// * **resolved and processed here** — the recorded outcome; if the
+    ///   record is gone (snapshot-folded or truncated metadata) the
+    ///   transaction can only have committed, aborted options never fold
+    ///   into values;
+    /// * **aborted, the option never learned accepted, never seen here**
+    ///   (an abort by dangling recovery behind a failed data center
+    ///   lands as such a bare outcome) — final all the same: the option
+    ///   executes nothing and consumes no version, and re-entering an
+    ///   instance could only append an entry no vote fan-out would name;
+    /// * **anything else this record has not processed** — *not*
+    ///   settled: a committed option still has to be appended and
+    ///   executed on arrival, and an aborted one that was learned
+    ///   accepted still has to consume its instance's version here as
+    ///   it did at the replicas that held it.
     pub fn settled_outcome(&self, txn: TxnId) -> Option<TxnOutcome> {
+        let recorded = self.outcomes.get(&txn);
         if self.resolved_entries.contains(&txn) {
-            Some(
-                self.outcomes
-                    .get(&txn)
-                    .map_or(TxnOutcome::Committed, |r| r.outcome),
-            )
-        } else {
-            None
+            return Some(recorded.map_or(TxnOutcome::Committed, |r| r.outcome));
         }
+        recorded
+            .filter(|r| r.outcome == TxnOutcome::Aborted && !r.learned_accepted)
+            .map(|r| r.outcome)
     }
 
     /// Options of the current instance that are already resolved —
@@ -929,10 +1032,36 @@ impl AcceptorRecord {
         self.version != before
     }
 
-    /// The vote for the current state. Carries the cstruct epoch so
-    /// delta senders and shadow views can position entry suffixes
-    /// against it.
+    /// The vote for the current state with the whole cstruct — what
+    /// recovery queries (`StatusResp`) and whole-cstruct votes
+    /// (`delta_votes = false`) carry. Carries the cstruct epoch so delta
+    /// senders and shadow views can position entry suffixes against it.
     pub fn phase2b(&self) -> Phase2b {
+        self.vote_from(Mark::START)
+    }
+
+    /// The vote coordinators are sent: the cstruct from the settled
+    /// watermark on, at the cost of the entries still in play rather
+    /// than of the instance's history.
+    ///
+    /// What the watermark hides cannot change a learner's verdict.
+    /// Without a barrier entry (accepted physical write or read guard)
+    /// every entry of the cstruct is commutative or rejected, all of
+    /// them commute, so an option is front-movable in the tail exactly
+    /// when it is in the whole cstruct and a quorum's glb over tails
+    /// holds it exactly when the glb over whole cstructs does. With a
+    /// barrier the vote ships everything: the barrier does not commute
+    /// with the committed deltas before it, and a learner may only count
+    /// it as chosen where those are common to the quorum too.
+    pub fn vote(&self) -> Phase2b {
+        self.vote_from(if self.barriers == 0 {
+            self.settled
+        } else {
+            Mark::START
+        })
+    }
+
+    fn vote_from(&self, from: Mark) -> Phase2b {
         debug_assert!(
             self.open
                 .iter()
@@ -942,12 +1071,35 @@ impl AcceptorRecord {
                     .map(Arc::as_ptr)),
             "open set out of step with the cstruct"
         );
+        debug_assert_eq!(
+            (self.settled, self.barriers),
+            self.settled_from_scratch(),
+            "settled watermark out of step with the cstruct"
+        );
         Phase2b {
             ballot: self.accepted_ballot.unwrap_or(self.promised),
             version: self.version,
-            cstruct: self.cstruct.clone(),
+            cstruct: self.cstruct.suffix(from),
             epoch: self.cstruct_epoch,
         }
+    }
+
+    /// The settled watermark and barrier count by definition: the mark
+    /// after the longest prefix of entries with a recorded outcome, and
+    /// the number of accepted physical or guard entries.
+    fn settled_from_scratch(&self) -> (Mark, usize) {
+        let settled = self
+            .cstruct
+            .entries()
+            .take_while(|e| self.outcomes.contains_key(&e.opt.txn))
+            .fold(Mark::START, Mark::after);
+        (settled, barrier_entries(&self.cstruct))
+    }
+
+    /// The settled watermark: where [`Self::vote`] starts unless a
+    /// barrier entry makes it ship the whole cstruct (tests, benches).
+    pub fn settled_watermark(&self) -> Mark {
+        self.settled
     }
 
     /// Coordinators that still have something to learn from this
@@ -1527,6 +1679,62 @@ mod tests {
         a.apply_visibility(txn(1), TxnOutcome::Committed, true);
         a.fast_propose(dec(1, 4));
         assert_eq!(a.value().unwrap().get_int("stock"), Some(6));
+    }
+
+    #[test]
+    fn a_retry_of_a_bare_abort_is_answered_without_entering_the_instance() {
+        let mut a = acceptor_with_stock(10);
+        a.fast_propose(dec(1, 1));
+        // Dangling recovery aborted transaction 7 while its coordinator
+        // was cut off; the option never reached this record, so the
+        // abort is an outcome without an entry.
+        a.apply_visibility(txn(7), TxnOutcome::Aborted, false);
+        let (epoch, len) = (a.cstruct_epoch(), a.cstruct().len());
+        let answered =
+            |r: FastPropose| matches!(r, FastPropose::AlreadyResolved(TxnOutcome::Aborted));
+        // Fast retry.
+        assert!(answered(a.fast_propose(dec(7, 1))));
+        // Classic and mastered retries: the master consults this before
+        // leading, and answers instead.
+        assert_eq!(a.settled_outcome(txn(7)), Some(TxnOutcome::Aborted));
+        // The answer does not depend on the ballot mode...
+        let m = Ballot::classic(1, NodeId(3));
+        a.phase1a(m);
+        assert!(answered(a.fast_propose(dec(7, 1))));
+        // ...and a Phase2a that names the transaction anyway appends
+        // nothing.
+        let r = a.classic_accept(Phase2a {
+            ballot: m,
+            version: a.version(),
+            snapshot: a.snapshot(),
+            safe: None,
+            new_options: vec![dec(7, 1)],
+            close_instance: false,
+            reopen_fast: None,
+        });
+        assert!(matches!(r, ClassicAccept::Vote(_)));
+        assert_eq!((a.cstruct_epoch(), a.cstruct().len()), (epoch, len));
+        assert!(a.cstruct().status_of(txn(7)).is_none());
+        // An abort whose option *was* learned accepted is different: the
+        // replicas that held the option consumed its instance's version,
+        // so here the option still has to arrive and do the same.
+        let mut b = acceptor_with_stock(10);
+        b.apply_visibility(txn(8), TxnOutcome::Aborted, true);
+        assert_eq!(b.settled_outcome(txn(8)), None);
+        assert!(matches!(
+            b.fast_propose(phys_write(8, 1, 3)),
+            FastPropose::Vote(_)
+        ));
+        assert_eq!(b.version(), Version(2), "the abort consumed the version");
+        assert_eq!(b.settled_outcome(txn(8)), Some(TxnOutcome::Aborted));
+        // A committed transaction that executed here is answered too,
+        // ahead of the duplicate-delivery re-vote its entry would get.
+        a.apply_visibility(txn(1), TxnOutcome::Committed, true);
+        assert!(a.cstruct().status_of(txn(1)).is_some());
+        assert!(matches!(
+            a.fast_propose(dec(1, 1)),
+            FastPropose::AlreadyResolved(TxnOutcome::Committed)
+        ));
     }
 
     #[test]

@@ -34,6 +34,15 @@
 //!   and is exactly the kind of change that opens a new cstruct epoch at
 //!   the acceptor, so within one epoch a digest is a pure function of
 //!   the epoch's append history.
+//! * **A cstruct may stand for the tail of a longer one.** A vote ships
+//!   an acceptor's cstruct from its settled watermark on
+//!   ([`CStruct::suffix`]): the entries before the [`Mark`] it starts at
+//!   are elided, the digest chain is not — it resumes from the mark's
+//!   chain value, so the tail's digest *is* the whole cstruct's and
+//!   appending the same entries to both keeps them equal. Positions
+//!   ([`Mark::seq`], [`CStruct::end_seq`]) always count from the start of
+//!   the whole cstruct. The algebra (`⊑`, `⊔`, `⊓`, equality) sees the
+//!   held entries only; a whole cstruct starts at [`Mark::START`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -89,20 +98,47 @@ fn status_rank(s: OptionStatus) -> u8 {
     }
 }
 
+/// A position in a cstruct's recorded order, with the digest chain over
+/// everything recorded before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark {
+    /// Entries recorded before this position.
+    pub seq: u64,
+    /// [`CStruct::digest`] of exactly those entries.
+    pub chain: u64,
+}
+
+impl Mark {
+    /// The start of a cstruct: nothing recorded, the empty digest.
+    pub const START: Mark = Mark {
+        seq: 0,
+        chain: FNV1A64_OFFSET,
+    };
+
+    /// The position one past `entry`, recorded at this one.
+    pub fn after(self, entry: &Entry) -> Mark {
+        Mark {
+            seq: self.seq + 1,
+            chain: chain_over(self.chain, entry),
+        }
+    }
+}
+
 /// A command structure: sequence of decided options modulo commutation.
 #[derive(Debug, Clone)]
 pub struct CStruct {
+    /// Where `entries` starts in the whole cstruct this one stands for
+    /// ([`Mark::START`] unless it is a [`CStruct::suffix`]).
+    base: Mark,
     entries: Vec<Arc<Entry>>,
-    /// FNV-1a chain over the entries' encodings, in recorded order.
+    /// FNV-1a chain over the encodings of everything up to the end of
+    /// `entries`, in recorded order — `base.chain` carried over `entries`.
     chain: u64,
 }
 
 impl Default for CStruct {
     fn default() -> Self {
-        CStruct {
-            entries: Vec::new(),
-            chain: FNV1A64_OFFSET,
-        }
+        CStruct::starting_at(Mark::START)
     }
 }
 
@@ -117,7 +153,40 @@ impl CStruct {
         Self::default()
     }
 
-    /// Number of options.
+    /// An empty tail of a longer cstruct: whatever is appended continues
+    /// that cstruct's positions and digest chain from `base`.
+    pub fn starting_at(base: Mark) -> Self {
+        CStruct {
+            base,
+            entries: Vec::new(),
+            chain: base.chain,
+        }
+    }
+
+    /// This cstruct from `from` on: the entries before it elided, their
+    /// pointers not even copied, positions and digest unchanged. `from`
+    /// must be a mark of this cstruct at or after its own base.
+    pub fn suffix(&self, from: Mark) -> CStruct {
+        let skip = (from.seq - self.base.seq) as usize;
+        CStruct {
+            base: from,
+            entries: self.entries[skip..].to_vec(),
+            chain: self.chain,
+        }
+    }
+
+    /// Where the held entries start in the whole cstruct.
+    pub fn base(&self) -> Mark {
+        self.base
+    }
+
+    /// Position one past the last entry, counted from the start of the
+    /// whole cstruct: `base().seq + len()`.
+    pub fn end_seq(&self) -> u64 {
+        self.base.seq + self.entries.len() as u64
+    }
+
+    /// Number of options held.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -138,7 +207,8 @@ impl CStruct {
         &self.entries
     }
 
-    /// Order-sensitive 64-bit fingerprint of the recorded sequence: the
+    /// Order-sensitive 64-bit fingerprint of the recorded sequence — of
+    /// the whole one, elided prefix included, when this is a suffix: the
     /// digest delta votes carry so receivers can prove their folded
     /// shadow view equals the acceptor's exact structure. O(1) — the
     /// chain is kept current by every mutation.
@@ -207,7 +277,7 @@ impl CStruct {
         self.chain = self
             .entries
             .iter()
-            .fold(FNV1A64_OFFSET, |chain, e| chain_over(chain, e));
+            .fold(self.base.chain, |chain, e| chain_over(chain, e));
         Some(removed)
     }
 

@@ -43,7 +43,7 @@ pub mod wire;
 
 pub use acceptor::{AcceptorRecord, AcceptorState, Phase1b, Phase2b, RecordSnapshot, Resolution};
 pub use ballot::{Ballot, BallotKind};
-pub use cstruct::CStruct;
+pub use cstruct::{CStruct, Mark};
 pub use demarcation::AttrConstraint;
 pub use leader::LeaderRecord;
 pub use learner::{LearnOutcome, Learner};

@@ -19,13 +19,37 @@
 //!
 //! Receivers keep one [`ShadowView`] per acceptor and fold each delta
 //! into it. When the digest of the folded view matches the vote's
-//! digest, the view *is* the acceptor's cstruct and a full
+//! digest, the view *is* the acceptor's cstruct and a
 //! [`Phase2b`] is synthesized for the learner. When it does not —
 //! an epoch was missed (ballot change, instance advance, entry
 //! removal), a delta was lost, or votes were reordered — the receiver
 //! falls back to an explicit read-repair round trip (`CstructPull` /
-//! `CstructFull` in the message schema) that fetches the full cstruct
-//! only for that diverged acceptor.
+//! `CstructFull` in the message schema) that fetches the acceptor's
+//! current vote only for that diverged acceptor.
+//!
+//! # The settled watermark
+//!
+//! A vote an acceptor sends a coordinator starts at the record's settled
+//! watermark ([`crate::AcceptorRecord::vote`]), not at entry 0: committed
+//! commutative options stay in an open instance until it closes, and
+//! re-shipping them with every first-contact vote made wire bytes grow
+//! with the instance's history. So "the acceptor's cstruct" above reads
+//! "the acceptor's cstruct from some mark on" ([`CStruct::suffix`]), and
+//! three invariants keep positions and digests meaningful:
+//!
+//! * **Positions are positions in the whole cstruct.** `from_seq`,
+//!   `full_len` and the cursor's `seq` count from entry 0 whatever the
+//!   vote elides; a shadow is `(base, entries[base.seq..])` and its
+//!   digest chain resumes from `base.chain`, so it equals the acceptor's
+//!   whole-cstruct digest exactly when the held entries match.
+//! * **A delta never skips.** It folds only onto a shadow that reaches
+//!   its `from_seq`; a gap is [`FoldOutcome::Diverged`] whatever the
+//!   sender knows about the skipped entries.
+//! * **Only a vote rebases.** A destination whose cursor is cold, in
+//!   another epoch, or behind the watermark is sent the vote itself — a
+//!   self-contained statement "everything before `base` is settled,
+//!   here is the rest" — which [`ShadowView::observe_full`] installs,
+//!   dropping whatever prefix the shadow still held.
 
 use std::sync::Arc;
 
@@ -52,24 +76,26 @@ pub struct DeltaVote {
     /// The acceptor's full-cstruct digest ([`CStruct::digest`]) at
     /// emission time.
     pub digest: u64,
-    /// Total entries in the full cstruct (cheap pre-check and gap
-    /// detector alongside the digest).
+    /// Total entries in the whole cstruct, elided prefix included
+    /// (cheap pre-check and gap detector alongside the digest).
     pub full_len: u64,
 }
 
 impl DeltaVote {
     /// Extracts the delta representation of an emitted vote: the entry
-    /// suffix past `from_seq` plus the full-structure digest.
+    /// suffix past `from_seq` (a position at or after the vote's base)
+    /// plus the whole-structure digest.
     pub fn extract(vote: &Phase2b, from_seq: u64) -> Self {
         let entries = vote.cstruct.shared();
+        let skip = from_seq.saturating_sub(vote.cstruct.base().seq) as usize;
         DeltaVote {
             ballot: vote.ballot,
             version: vote.version,
             epoch: vote.epoch,
             from_seq,
-            entries: entries[entries.len().min(from_seq as usize)..].to_vec(),
+            entries: entries[entries.len().min(skip)..].to_vec(),
             digest: vote.cstruct.digest(),
-            full_len: entries.len() as u64,
+            full_len: vote.cstruct.end_seq(),
         }
     }
 }
@@ -97,31 +123,25 @@ impl DeltaCursor {
     }
 
     /// Decides what to send for `vote` and advances the cursor:
-    /// `None` means the destination has no shadow yet and must receive
-    /// the full vote; `Some(delta)` is the positioned entry suffix.
+    /// `Some(delta)` is the positioned entry suffix for a destination
+    /// that was sent everything up to it in this epoch; `None` means the
+    /// destination must receive the vote itself — first contact, a new
+    /// instance or epoch, or a last send the vote's base has since
+    /// moved past.
     pub fn extract(&mut self, vote: &Phase2b) -> Option<DeltaVote> {
-        let len = vote.cstruct.len() as u64;
-        let from_seq = if !self.primed {
-            // First contact: prime with the full vote.
-            self.primed = true;
-            self.advance(vote, len);
-            return None;
-        } else if self.version == vote.version && self.epoch == vote.epoch && self.seq <= len {
-            // Same epoch, append-only since the last send: ship the tail.
-            self.seq
-        } else {
-            // New instance or epoch (or an inconsistent cursor): the
-            // receiver rebuilds from an epoch-opening delta.
-            0
+        let end = vote.cstruct.end_seq();
+        let foldable = self.primed
+            && self.version == vote.version
+            && self.epoch == vote.epoch
+            && (vote.cstruct.base().seq..=end).contains(&self.seq);
+        let from_seq = self.seq;
+        *self = DeltaCursor {
+            primed: true,
+            version: vote.version,
+            epoch: vote.epoch,
+            seq: end,
         };
-        self.advance(vote, len);
-        Some(DeltaVote::extract(vote, from_seq))
-    }
-
-    fn advance(&mut self, vote: &Phase2b, len: u64) {
-        self.version = vote.version;
-        self.epoch = vote.epoch;
-        self.seq = len;
+        foldable.then(|| DeltaVote::extract(vote, from_seq))
     }
 }
 
@@ -159,28 +179,31 @@ pub struct ShadowView {
 const PULL_RETRY_EVERY: u32 = 16;
 
 impl ShadowView {
-    /// An empty shadow: folds epoch-opening deltas (`from_seq == 0`)
-    /// directly; anything mid-epoch diverges and triggers a pull.
+    /// An empty shadow: installs votes and folds epoch-opening deltas
+    /// (`from_seq == 0`) directly; anything mid-epoch diverges and
+    /// triggers a pull.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The reconstructed cstruct (tests and diagnostics).
+    /// The reconstructed cstruct, from the shadow's base on (tests and
+    /// diagnostics).
     pub fn cstruct(&self) -> &CStruct {
         &self.cstruct
     }
 
     /// Folds one delta vote. On [`FoldOutcome::Vote`] the shadow equals
-    /// the acceptor's cstruct byte-for-byte (the digest proved it).
+    /// the acceptor's cstruct from the shadow's base on, byte-for-byte
+    /// (the digest proved it).
     pub fn fold(&mut self, dv: &DeltaVote) -> FoldOutcome {
         if (dv.version, dv.epoch) < (self.version, self.epoch) {
             return FoldOutcome::Stale;
         }
         if dv.version != self.version || dv.epoch != self.epoch {
-            // A new instance or epoch. Its append history starts empty,
-            // so an epoch-opening delta (from_seq == 0) rebuilds the
-            // shadow outright; a mid-epoch delta means the opening was
-            // lost and only a pull can resynchronize.
+            // A new instance or epoch. A delta from position zero holds
+            // the whole cstruct and rebuilds the shadow outright; a
+            // mid-epoch delta means the vote that opened the epoch here
+            // was lost and only a pull can resynchronize.
             if dv.from_seq != 0 {
                 return FoldOutcome::Diverged;
             }
@@ -188,7 +211,7 @@ impl ShadowView {
             self.epoch = dv.epoch;
             self.cstruct = CStruct::new();
         }
-        let have = self.cstruct.len() as u64;
+        let have = self.cstruct.end_seq();
         if dv.from_seq > have {
             // Gap: a previous delta of this epoch never arrived.
             return FoldOutcome::Diverged;
@@ -198,7 +221,7 @@ impl ShadowView {
         for entry in dv.entries.iter().skip((have - dv.from_seq) as usize) {
             self.cstruct.append_entry(Arc::clone(entry));
         }
-        if self.cstruct.len() as u64 == dv.full_len && self.cstruct.digest() == dv.digest {
+        if self.cstruct.end_seq() == dv.full_len && self.cstruct.digest() == dv.digest {
             self.diverged_since_pull = 0;
             FoldOutcome::Vote(self.as_vote(dv.ballot))
         } else {
@@ -220,11 +243,11 @@ impl ShadowView {
         }
     }
 
-    /// Installs a full vote (a `CstructFull` repair response),
-    /// resetting the shadow to the acceptor's exact state so subsequent
-    /// deltas fold again. Unconditional: a diverged shadow's contents
-    /// are untrustworthy, so the repair response always wins (a stale
-    /// response merely provokes one more pull).
+    /// Installs a vote (a `CstructFull` repair response), resetting the
+    /// shadow to the acceptor's exact state from the vote's base on so
+    /// subsequent deltas fold again. Unconditional: a diverged shadow's
+    /// contents are untrustworthy, so the repair response always wins (a
+    /// stale response merely provokes one more pull).
     pub fn reset_full(&mut self, vote: &Phase2b) {
         self.version = vote.version;
         self.epoch = vote.epoch;
@@ -232,13 +255,14 @@ impl ShadowView {
         self.diverged_since_pull = 0;
     }
 
-    /// Primes the shadow from an ordinary full vote (first-contact or
-    /// legacy-mode votes) — installs it only when it is at least as new
-    /// as what the shadow tracks, so a reordered old vote cannot regress
-    /// a view that already folded fresher deltas.
+    /// Primes or rebases the shadow from a vote sent as such (first
+    /// contact, a new epoch, a cursor the watermark overtook, or
+    /// whole-cstruct mode) — installs it only when it reaches at least
+    /// as far as what the shadow tracks, so a reordered old vote cannot
+    /// regress a view that already folded fresher deltas.
     pub fn observe_full(&mut self, vote: &Phase2b) {
-        let incoming = (vote.version, vote.epoch, vote.cstruct.len() as u64);
-        let have = (self.version, self.epoch, self.cstruct.len() as u64);
+        let incoming = (vote.version, vote.epoch, vote.cstruct.end_seq());
+        let have = (self.version, self.epoch, self.cstruct.end_seq());
         if incoming >= have {
             self.reset_full(vote);
         }
@@ -291,14 +315,25 @@ mod tests {
         }
     }
 
-    /// Primes a cursor/shadow pair with one full vote (the node's
+    /// Primes a cursor/shadow pair with one vote (the node's
     /// first-contact behaviour).
     fn prime(cursor: &mut DeltaCursor, shadow: &mut ShadowView, vote: &Phase2b) {
         assert!(
             cursor.extract(vote).is_none(),
-            "first contact ships the full vote"
+            "first contact ships the vote itself"
         );
-        shadow.reset_full(vote);
+        shadow.observe_full(vote);
+    }
+
+    /// Ships `vote` the way the node does and asserts the shadow ends up
+    /// equal to the acceptor's cstruct from the shadow's base on.
+    fn ship(cursor: &mut DeltaCursor, shadow: &mut ShadowView, vote: &Phase2b, a: &AcceptorRecord) {
+        match cursor.extract(vote) {
+            None => shadow.observe_full(vote),
+            Some(dv) => assert!(matches!(shadow.fold(&dv), FoldOutcome::Vote(_))),
+        }
+        assert_eq!(shadow.cstruct().digest(), a.cstruct().digest());
+        assert_eq!(shadow.cstruct().end_seq(), a.cstruct().end_seq());
     }
 
     #[test]
@@ -395,18 +430,19 @@ mod tests {
         }
         let epoch_before = a.cstruct_epoch();
         // An abort removes its entry: the epoch bumps and the next vote
-        // re-ships the whole (shrunken) cstruct as an epoch-opening
-        // delta — no pull needed.
+        // is shipped as such (the shrunken cstruct) — no pull needed —
+        // after which deltas fold again.
         a.apply_visibility(txn(2), TxnOutcome::Aborted, false);
         assert!(a.cstruct_epoch() > epoch_before);
         let v4 = vote_of(a.fast_propose(dec(4, 1)));
-        let dv = cursor.extract(&v4).expect("delta");
-        assert_eq!(dv.from_seq, 0, "new epoch opens at position zero");
-        assert_eq!(dv.entries.len(), 3, "survivors plus the new option");
-        match shadow.fold(&dv) {
-            FoldOutcome::Vote(v) => assert_eq!(v.cstruct.digest(), a.cstruct().digest()),
-            other => panic!("epoch-opening fold failed: {other:?}"),
-        }
+        assert!(cursor.extract(&v4).is_none(), "a new epoch ships the vote");
+        assert_eq!(v4.cstruct.len(), 3, "survivors plus the new option");
+        shadow.observe_full(&v4);
+        assert_eq!(shadow.cstruct().digest(), a.cstruct().digest());
+        let v5 = vote_of(a.fast_propose(dec(5, 1)));
+        let dv = cursor.extract(&v5).expect("warm again");
+        assert_eq!(dv.entries.len(), 1);
+        assert!(matches!(shadow.fold(&dv), FoldOutcome::Vote(_)));
     }
 
     #[test]
@@ -419,9 +455,11 @@ mod tests {
             &mut shadow,
             &vote_of(a.fast_propose(dec(1, 1))),
         );
-        // Abort bumps the epoch; the epoch-opening re-vote is lost.
+        // Abort bumps the epoch; the vote that opens it here is lost.
         a.apply_visibility(txn(1), TxnOutcome::Aborted, false);
-        let _lost = cursor.extract(&vote_of(a.fast_propose(dec(2, 1))));
+        assert!(cursor
+            .extract(&vote_of(a.fast_propose(dec(2, 1))))
+            .is_none());
         let v3 = vote_of(a.fast_propose(dec(3, 1)));
         let dv = cursor.extract(&v3).expect("delta");
         assert!(dv.from_seq > 0);
@@ -442,8 +480,8 @@ mod tests {
         let old_dv = cursor.extract(&old).expect("delta");
         a.apply_visibility(txn(1), TxnOutcome::Aborted, false);
         let new = vote_of(a.fast_propose(dec(2, 1)));
-        let new_dv = cursor.extract(&new).expect("delta");
-        assert!(matches!(shadow.fold(&new_dv), FoldOutcome::Vote(_)));
+        assert!(cursor.extract(&new).is_none(), "a new epoch ships the vote");
+        shadow.observe_full(&new);
         // The pre-abort delta arrives late: older epoch, ignored.
         assert!(matches!(shadow.fold(&old_dv), FoldOutcome::Stale));
         assert_eq!(shadow.cstruct().digest(), a.cstruct().digest());
@@ -520,5 +558,112 @@ mod tests {
             FoldOutcome::Vote(v) => assert_eq!(v.cstruct.digest(), a.cstruct().digest()),
             other => panic!("post-restart fold failed: {other:?}"),
         }
+    }
+
+    #[test]
+    fn votes_start_at_the_settled_watermark() {
+        let mut a = acceptor(100);
+        for i in 1..=3 {
+            a.fast_propose(dec(i, 1));
+            a.apply_visibility(txn(i), TxnOutcome::Committed, true);
+        }
+        // Three committed deltas stay in the open instance; a first
+        // contact is sent the one option still in play, positioned
+        // behind them, with the whole cstruct's digest.
+        let vote = vote_of(a.fast_propose(dec(4, 1)));
+        assert_eq!(vote.cstruct.base(), a.settled_watermark());
+        assert_eq!(vote.cstruct.base().seq, 3);
+        assert_eq!(vote.cstruct.len(), 1);
+        assert_eq!(vote.cstruct.digest(), a.cstruct().digest());
+        let mut cursor = DeltaCursor::new();
+        let mut shadow = ShadowView::new();
+        prime(&mut cursor, &mut shadow, &vote);
+        assert_eq!(shadow.cstruct().len(), 1);
+        // Deltas fold onto the tail exactly as onto a whole cstruct.
+        let v5 = vote_of(a.fast_propose(dec(5, 1)));
+        let dv = cursor.extract(&v5).expect("warm cursor ships deltas");
+        assert_eq!((dv.from_seq, dv.entries.len(), dv.full_len), (4, 1, 5));
+        match shadow.fold(&dv) {
+            FoldOutcome::Vote(v) => {
+                assert_eq!(v.cstruct.base().seq, 3);
+                assert_eq!(v.cstruct.len(), 2);
+                assert_eq!(v.cstruct.digest(), a.cstruct().digest());
+            }
+            other => panic!("fold onto a tail failed: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cursor_the_watermark_overtook_is_sent_the_vote() {
+        let mut a = acceptor(100);
+        let mut cursor = DeltaCursor::new();
+        let mut shadow = ShadowView::new();
+        prime(
+            &mut cursor,
+            &mut shadow,
+            &vote_of(a.fast_propose(dec(1, 1))),
+        );
+        // Votes this destination is not a target of: the record moves on
+        // and settles everything the destination was ever sent, and more.
+        a.apply_visibility(txn(1), TxnOutcome::Committed, true);
+        for i in 2..=4 {
+            a.fast_propose(dec(i, 1));
+            a.apply_visibility(txn(i), TxnOutcome::Committed, true);
+        }
+        let vote = vote_of(a.fast_propose(dec(5, 1)));
+        assert_eq!(vote.cstruct.base().seq, 4);
+        assert!(
+            cursor.extract(&vote).is_none(),
+            "position 1 is behind the watermark: the vote rebases"
+        );
+        shadow.observe_full(&vote);
+        assert_eq!(
+            shadow.cstruct().base().seq,
+            4,
+            "the settled prefix is dropped"
+        );
+        assert_eq!(shadow.cstruct().digest(), a.cstruct().digest());
+        // Had that vote been lost, the next delta must not bridge the gap.
+        let mut stale = ShadowView::new();
+        stale.observe_full(&vote_of(acceptor(100).fast_propose(dec(1, 1))));
+        let dv = cursor
+            .extract(&vote_of(a.fast_propose(dec(6, 1))))
+            .expect("warm");
+        assert!(matches!(stale.fold(&dv), FoldOutcome::Diverged));
+        assert!(matches!(shadow.fold(&dv), FoldOutcome::Vote(_)));
+    }
+
+    #[test]
+    fn a_barrier_entry_ships_the_whole_cstruct_in_a_new_epoch() {
+        let row = Row::new().with("stock", 100);
+        let mut a = AcceptorRecord::with_value(Arc::from(Vec::new()), 5, 4, 32, row.clone());
+        let mut cursor = DeltaCursor::new();
+        let mut shadow = ShadowView::new();
+        for i in 1..=2 {
+            let vote = vote_of(a.fast_propose(dec(i, 1)));
+            ship(&mut cursor, &mut shadow, &vote, &a);
+            a.apply_visibility(txn(i), TxnOutcome::Committed, true);
+        }
+        let epoch = a.cstruct_epoch();
+        // A physical write accepted behind two settled deltas does not
+        // commute with them: the vote stops hiding them, and the epoch
+        // change makes the warm destination take it whole.
+        let write = TxnOption::solo(
+            txn(3),
+            Key::new(TableId(0), "item1"),
+            UpdateOp::Physical(mdcc_common::PhysicalUpdate::write(a.version(), row)),
+        );
+        let vote = vote_of(a.fast_propose(write));
+        assert!(vote
+            .cstruct
+            .status_of(txn(3))
+            .expect("present")
+            .is_accepted());
+        assert_eq!(vote.cstruct.base().seq, 0);
+        assert_eq!(vote.cstruct.len(), 3);
+        assert!(a.cstruct_epoch() > epoch);
+        assert!(cursor.extract(&vote).is_none());
+        shadow.observe_full(&vote);
+        assert_eq!(shadow.cstruct().len(), 3);
     }
 }

@@ -14,7 +14,7 @@ use mdcc_common::{Key, TxnId, UpdateOp, Version};
 
 use crate::acceptor::{AcceptorState, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution};
 use crate::ballot::{Ballot, BallotKind};
-use crate::cstruct::{CStruct, Entry};
+use crate::cstruct::{CStruct, Entry, Mark};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
 use crate::shadow::DeltaVote;
 
@@ -134,6 +134,21 @@ impl Wire for Entry {
     }
 }
 
+impl Wire for Mark {
+    fn encode(&self, out: &mut Enc) {
+        out.u64(self.seq);
+        out.u64(self.chain);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(Mark {
+            seq: inp.u64()?,
+            chain: inp.u64()?,
+        })
+    }
+}
+
+/// The held entries only: a whole cstruct everywhere except inside a
+/// [`Phase2b`], whose encoding carries the base alongside.
 impl Wire for CStruct {
     fn encode(&self, out: &mut Enc) {
         out.u32(self.len() as u32);
@@ -142,16 +157,21 @@ impl Wire for CStruct {
         }
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        let n = inp.u32()? as usize;
-        if n > inp.remaining() {
-            return err("cstruct length");
-        }
-        let mut c = CStruct::new();
-        for _ in 0..n {
-            c.append_entry(Arc::new(Entry::decode(inp)?));
-        }
-        Ok(c)
+        decode_cstruct_from(Mark::START, inp)
     }
+}
+
+/// Decodes a cstruct's entries as the tail of one that starts at `base`.
+fn decode_cstruct_from(base: Mark, inp: &mut Dec<'_>) -> WireResult<CStruct> {
+    let n = inp.u32()? as usize;
+    if n > inp.remaining() {
+        return err("cstruct length");
+    }
+    let mut c = CStruct::starting_at(base);
+    for _ in 0..n {
+        c.append_entry(Arc::new(Entry::decode(inp)?));
+    }
+    Ok(c)
 }
 
 impl Wire for RecordSnapshot {
@@ -184,18 +204,25 @@ impl Wire for Phase1b {
     }
 }
 
+/// A vote whose cstruct starts at the settled watermark names the mark
+/// (17 bytes); a whole cstruct costs the one byte that says it is whole.
 impl Wire for Phase2b {
     fn encode(&self, out: &mut Enc) {
         self.ballot.encode(out);
         self.version.encode(out);
+        let base = self.cstruct.base();
+        (base != Mark::START).then_some(base).encode(out);
         self.cstruct.encode(out);
         out.u64(self.epoch);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        let ballot = Ballot::decode(inp)?;
+        let version = Version::decode(inp)?;
+        let base = Option::decode(inp)?.unwrap_or(Mark::START);
         Ok(Phase2b {
-            ballot: Ballot::decode(inp)?,
-            version: Version::decode(inp)?,
-            cstruct: CStruct::decode(inp)?,
+            ballot,
+            version,
+            cstruct: decode_cstruct_from(base, inp)?,
             epoch: inp.u64()?,
         })
     }
@@ -384,6 +411,30 @@ mod tests {
         assert_eq!(back.version, p2b.version);
         assert_eq!(back.cstruct.len(), p2b.cstruct.len());
         assert_eq!(back.epoch, 3);
+
+        // A vote that starts at a settled watermark names the mark and
+        // resumes the digest chain from it; a whole one pays one byte.
+        let mut whole = safe.clone();
+        whole.append(
+            TxnOption::solo(
+                TxnId::new(NodeId(0), 2),
+                Key::new(TableId(0), "x"),
+                UpdateOp::ReadGuard(Version(2)),
+            ),
+            OptionStatus::Accepted,
+        );
+        let base = Mark::START.after(whole.entries().next().expect("two entries"));
+        let tail = Phase2b {
+            cstruct: whole.suffix(base),
+            ..p2b.clone()
+        };
+        let back = round_trip(&tail);
+        assert_eq!(back.cstruct.base(), base);
+        assert_eq!(back.cstruct.len(), 1);
+        assert_eq!(back.cstruct.end_seq(), 2);
+        assert_eq!(back.cstruct.digest(), whole.digest());
+        let header = |vote: &Phase2b| to_bytes(vote).len() - to_bytes(&vote.cstruct).len();
+        assert_eq!(header(&tail), header(&p2b) + 16);
 
         let dv = crate::shadow::DeltaVote {
             ballot: Ballot::fast(1, NodeId(0)),

@@ -276,9 +276,9 @@ fn drive_delta_schedule(
                 Some(dv) => {
                     if let FoldOutcome::Diverged = shadow.fold(dv) {
                         // Read-repair round trip: pull the acceptor's
-                        // current full cstruct (CstructPull/CstructFull).
+                        // current vote (CstructPull/CstructFull).
                         repairs += 1;
-                        shadow.reset_full(&acc.phase2b());
+                        shadow.reset_full(&acc.vote());
                     }
                 }
             }
@@ -317,8 +317,9 @@ proptest! {
 
     /// Under random loss, duplication and crash/restart, the folded
     /// shadow view — after at most one final read-repair — equals the
-    /// acceptor's cstruct **byte for byte**, which is exactly the state
-    /// the full-cstruct vote path would have delivered.
+    /// acceptor's cstruct from the shadow's base on **byte for byte**,
+    /// which is exactly the state shipping whole votes would have
+    /// delivered minus the settled prefix.
     #[test]
     fn delta_votes_reconstruct_the_acceptor_byte_for_byte(
         steps in prop::collection::vec(step_strategy(), 1..40),
@@ -339,13 +340,18 @@ proptest! {
             None => shadow.observe_full(&vote),
             Some(dv) => {
                 if let FoldOutcome::Diverged = shadow.fold(&dv) {
-                    shadow.reset_full(&acc.phase2b());
+                    shadow.reset_full(&acc.vote());
                 }
             }
         }
+        // Votes start at the settled watermark, so "the acceptor's
+        // cstruct" is its tail from the shadow's base on — same end,
+        // same whole-cstruct digest, same bytes.
+        prop_assert_eq!(shadow.cstruct().end_seq(), acc.cstruct().end_seq());
+        prop_assert_eq!(shadow.cstruct().digest(), acc.cstruct().digest());
         prop_assert_eq!(
             to_bytes(shadow.cstruct()),
-            to_bytes(acc.cstruct()),
+            to_bytes(&acc.cstruct().suffix(shadow.cstruct().base())),
             "shadow diverged from the acceptor after repair"
         );
     }
@@ -393,8 +399,8 @@ proptest! {
                     Some(dv) => match shadows[idx].fold(&dv) {
                         FoldOutcome::Vote(v) => v,
                         _ => {
-                            shadows[idx].reset_full(&acceptors[idx].phase2b());
-                            acceptors[idx].phase2b()
+                            shadows[idx].reset_full(&acceptors[idx].vote());
+                            acceptors[idx].vote()
                         }
                     },
                 };

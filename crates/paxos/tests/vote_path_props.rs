@@ -1,7 +1,10 @@
 //! Property tests for the O(Δ) vote path: the learner's glb-free verdict
 //! against the glb oracle it replaced, the append-chained cstruct digest
-//! against a from-scratch recomputation, and entry sharing between an
-//! acceptor and the shadows folded from its deltas.
+//! against a from-scratch recomputation, entry sharing between an
+//! acceptor and the shadows folded from its deltas — and, for votes that
+//! start at the settled watermark, the learner's verdict against the one
+//! whole cstructs give, shadows under loss, duplication and reordering,
+//! and the watermark against its definition.
 
 use std::sync::Arc;
 
@@ -13,8 +16,8 @@ use mdcc_common::{
 use mdcc_paxos::acceptor::{AcceptorRecord, ClassicAccept, FastPropose, Phase2a, Phase2b};
 use mdcc_paxos::quorum::{mask_indices, subsets};
 use mdcc_paxos::{
-    AttrConstraint, Ballot, CStruct, DeltaCursor, FoldOutcome, LearnOutcome, Learner, OptionStatus,
-    RecordSnapshot, ShadowView, TxnOption, TxnOutcome,
+    AttrConstraint, Ballot, CStruct, DeltaCursor, DeltaVote, FoldOutcome, LearnOutcome, Learner,
+    Mark, OptionStatus, RecordSnapshot, ShadowView, TxnOption, TxnOutcome,
 };
 use proptest::prelude::*;
 
@@ -264,61 +267,265 @@ proptest! {
         let mut shadow = ShadowView::new();
         let mut round = 1u32;
         for step in steps {
-            match step {
-                Step::Propose { seq, kind } => {
-                    // NotFast / InstanceFull answers change nothing.
-                    let _ = acc.fast_propose(option(seq, kind));
-                }
-                Step::Resolve { seq, commit, learned } => {
-                    let outcome = if commit { TxnOutcome::Committed } else { TxnOutcome::Aborted };
-                    acc.apply_visibility(txn(seq), outcome, commit || learned);
-                }
-                Step::Close | Step::Safe { .. } => {
-                    round += 2;
-                    let safe = match step {
-                        Step::Safe { seq, kind } => {
-                            let mut c = CStruct::new();
-                            c.append(option(seq, kind), OptionStatus::Accepted);
-                            Some(c)
-                        }
-                        _ => None,
-                    };
-                    let accepted = acc.classic_accept(Phase2a {
-                        ballot: Ballot::classic(round, NodeId(0)),
-                        version: acc.version(),
-                        snapshot: acc.snapshot(),
-                        safe,
-                        new_options: Vec::new(),
-                        close_instance: true,
-                        reopen_fast: Some(Ballot::fast(round + 1, NodeId(0))),
-                    });
-                    prop_assert!(matches!(accepted, ClassicAccept::Vote(_)), "{accepted:?}");
-                }
-                Step::Adopt => {
-                    let snapshot = RecordSnapshot {
-                        version: acc.version().next(),
-                        value: Some(Row::new().with("stock", 1_000)),
-                        folded: Vec::new(),
-                    };
-                    prop_assert!(acc.sync_from_peer(&snapshot, &[]));
-                }
-            }
+            apply(&mut acc, step, &mut round);
             prop_assert_eq!(acc.cstruct().digest(), digest_from_scratch(acc.cstruct()));
             // Ship the acceptor's current vote the way the node does.
-            let vote = acc.phase2b();
+            let vote = acc.vote();
             match cursor.extract(&vote) {
                 None => shadow.observe_full(&vote),
                 Some(delta) => match shadow.fold(&delta) {
                     FoldOutcome::Vote(folded) => {
                         prop_assert_eq!(folded.version, vote.version);
                         prop_assert_eq!(folded.epoch, vote.epoch);
-                        prop_assert_eq!(to_bytes(&folded.cstruct), to_bytes(&vote.cstruct));
                     }
                     other => prop_assert!(false, "lossless delta failed to fold: {other:?}"),
                 },
             }
-            prop_assert_eq!(shadow.cstruct().digest(), acc.cstruct().digest());
-            prop_assert_eq!(shadow.cstruct().digest(), digest_from_scratch(shadow.cstruct()));
+            prop_assert!(shadow_matches(&shadow, acc.cstruct()));
+        }
+    }
+}
+
+/// Applies one history step to `acc`; `round` numbers its classic ballots.
+fn apply(acc: &mut AcceptorRecord, step: Step, round: &mut u32) {
+    match step {
+        Step::Propose { seq, kind } => {
+            // NotFast / InstanceFull answers change nothing.
+            let _ = acc.fast_propose(option(seq, kind));
+        }
+        Step::Resolve {
+            seq,
+            commit,
+            learned,
+        } => {
+            let outcome = if commit {
+                TxnOutcome::Committed
+            } else {
+                TxnOutcome::Aborted
+            };
+            acc.apply_visibility(txn(seq), outcome, commit || learned);
+        }
+        Step::Close | Step::Safe { .. } => {
+            *round += 2;
+            let safe = match step {
+                Step::Safe { seq, kind } => {
+                    let mut c = CStruct::new();
+                    c.append(option(seq, kind), OptionStatus::Accepted);
+                    Some(c)
+                }
+                _ => None,
+            };
+            let accepted = acc.classic_accept(Phase2a {
+                ballot: Ballot::classic(*round, NodeId(0)),
+                version: acc.version(),
+                snapshot: acc.snapshot(),
+                safe,
+                new_options: Vec::new(),
+                close_instance: true,
+                reopen_fast: Some(Ballot::fast(*round + 1, NodeId(0))),
+            });
+            assert!(matches!(accepted, ClassicAccept::Vote(_)), "{accepted:?}");
+        }
+        Step::Adopt => {
+            let snapshot = RecordSnapshot {
+                version: acc.version().next(),
+                value: Some(Row::new().with("stock", 1_000)),
+                folded: Vec::new(),
+            };
+            assert!(acc.sync_from_peer(&snapshot, &[]));
+        }
+    }
+}
+
+/// The mark at position `seq` of the whole cstruct `c`, from scratch.
+fn mark_at(c: &CStruct, seq: u64) -> Mark {
+    c.entries()
+        .take(seq as usize)
+        .fold(Mark::START, Mark::after)
+}
+
+/// True when `held` is `whole` from `held`'s base on: the base is a mark
+/// of `whole`, the ends and whole-cstruct digests agree, and the held
+/// entries are `whole`'s, byte for byte — no gap, nothing stale.
+fn tail_matches(held: &CStruct, whole: &CStruct) -> bool {
+    let base = held.base();
+    base.seq <= whole.end_seq()
+        && base == mark_at(whole, base.seq)
+        && held.end_seq() == whole.end_seq()
+        && held.digest() == whole.digest()
+        && to_bytes(held) == to_bytes(&whole.suffix(base))
+}
+
+fn shadow_matches(shadow: &ShadowView, whole: &CStruct) -> bool {
+    tail_matches(shadow.cstruct(), whole)
+}
+
+// ---------------------------------------------------------------------
+// Votes that start at the settled watermark.
+// ---------------------------------------------------------------------
+
+/// One message of the vote stream from an acceptor to one coordinator,
+/// with the acceptor's whole cstruct when it was sent.
+#[derive(Debug, Clone)]
+struct Sent {
+    vote: Phase2b,
+    delta: Option<DeltaVote>,
+    whole: CStruct,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// Over random mixed histories at five independent acceptors —
+    /// commutative, physical and guard options, rejections, outcomes in
+    /// any order and only at some acceptors, safe and snapshot adoption,
+    /// instance advance — a learner fed votes that start at the settled
+    /// watermark reaches, for every transaction still open, the verdict
+    /// a learner fed whole cstructs reaches. Exactly, whenever the
+    /// option is front-movable in every whole cstruct that holds it (the
+    /// counting path: always, for commutative, guard and rejected options
+    /// of ordinary histories); and where the whole-cstruct learner has
+    /// to compute a glb, the tail-fed one may fail to learn what that one
+    /// learned — never learn anything else.
+    #[test]
+    fn watermark_votes_teach_what_whole_cstructs_teach(
+        steps in prop::collection::vec((step_strategy(), 0u8..32), 1..40),
+    ) {
+        let mut acceptors: Vec<AcceptorRecord> = (0..N).map(|_| acceptor()).collect();
+        let mut rounds = [1u32; N];
+        for (step, reach) in steps {
+            // Each step reaches the acceptors its mask names, so they
+            // see different subsets of the history.
+            for (a, acc) in acceptors.iter_mut().enumerate() {
+                if reach & (1 << a) != 0 || reach == 0 {
+                    apply(acc, step, &mut rounds[a]);
+                }
+            }
+            for seq in 0..10 {
+                if acceptors.iter().any(|acc| acc.outcome_of(txn(seq)).is_some()) {
+                    continue; // resolved somewhere: not an open transaction
+                }
+                let mut whole = Learner::new(N, QC, QF, txn(seq));
+                let mut tails = Learner::new(N, QC, QF, txn(seq));
+                let mut counting = true;
+                for (a, acc) in acceptors.iter().enumerate() {
+                    counting &= acc
+                        .cstruct()
+                        .front_movable(txn(seq))
+                        .is_none_or(|(_, movable)| movable);
+                    let expected = whole.on_vote(a, acc.phase2b());
+                    let got = tails.on_vote(a, acc.vote());
+                    if counting {
+                        prop_assert_eq!(got, expected, "txn {} after acceptor {}", seq, a);
+                    } else {
+                        prop_assert!(
+                            got == expected
+                                || (matches!(expected, LearnOutcome::Learned(_))
+                                    && !matches!(got, LearnOutcome::Learned(_))),
+                            "txn {} after acceptor {}: {:?} where whole cstructs say {:?}",
+                            seq, a, got, expected
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A coordinator's shadow fed the node's vote stream under loss,
+    /// duplication and reordering never holds a silent gap: every vote
+    /// it synthesizes is the acceptor's cstruct — as of the delta that
+    /// completed it — from the shadow's base on, with that cstruct's
+    /// digest; everything else is reported as diverged or stale. One
+    /// reliable vote and at most one repair then bring it level with
+    /// the live acceptor.
+    #[test]
+    fn shadows_never_hold_a_silent_gap(
+        steps in prop::collection::vec(step_strategy(), 1..48),
+        fates in prop::collection::vec(0u8..8, 8..9),
+    ) {
+        let mut acc = acceptor();
+        let mut cursor = DeltaCursor::new();
+        let mut shadow = ShadowView::new();
+        let mut in_flight: Vec<Sent> = Vec::new();
+        let mut round = 1u32;
+        for (i, step) in steps.into_iter().enumerate() {
+            apply(&mut acc, step, &mut round);
+            let vote = acc.vote();
+            // The sender's cursor advances whatever the network does next.
+            let delta = cursor.extract(&vote);
+            in_flight.push(Sent { vote, delta, whole: acc.cstruct().clone() });
+            let arrivals: Vec<Sent> = match fates[i % fates.len()] {
+                // Lost.
+                0 => { in_flight.pop(); Vec::new() }
+                // Held back: arrives behind later votes.
+                1 => Vec::new(),
+                // Duplicated, overtaking whatever is held back.
+                2 => vec![in_flight.pop().expect("just pushed"); 2],
+                // Everything in flight arrives, newest first.
+                3 => in_flight.drain(..).rev().collect(),
+                // Everything in flight arrives in order.
+                _ => std::mem::take(&mut in_flight),
+            };
+            for sent in arrivals {
+                match &sent.delta {
+                    None => shadow.observe_full(&sent.vote),
+                    Some(delta) => if let FoldOutcome::Vote(v) = shadow.fold(delta) {
+                        prop_assert_eq!(v.version, sent.vote.version);
+                        prop_assert_eq!(v.epoch, sent.vote.epoch);
+                        prop_assert!(
+                            tail_matches(&v.cstruct, &sent.whole),
+                            "folded {} onto a gap or a stale tail of {}",
+                            v.cstruct, sent.whole
+                        );
+                    },
+                }
+            }
+        }
+        // Drain: what is still in flight is lost; one more vote arrives
+        // reliably, and a fold that does not complete is repaired.
+        let vote = match acc.fast_propose(option(99, 0)) {
+            FastPropose::Vote(vote) => vote,
+            _ => acc.vote(),
+        };
+        match cursor.extract(&vote) {
+            None => shadow.observe_full(&vote),
+            Some(delta) => if !matches!(shadow.fold(&delta), FoldOutcome::Vote(_)) {
+                shadow.reset_full(&acc.vote());
+            },
+        }
+        prop_assert!(shadow_matches(&shadow, acc.cstruct()));
+    }
+
+    /// The settled watermark is the mark after the longest prefix of
+    /// entries with a recorded outcome — after every operation, across
+    /// export and import — and a vote starts there unless the instance
+    /// holds an accepted physical write or read guard, in which case it
+    /// ships everything. (`AcceptorRecord::vote` re-checks the same
+    /// definition in debug builds, like the open set.)
+    #[test]
+    fn settled_watermark_equals_its_definition(
+        steps in prop::collection::vec(step_strategy(), 1..48),
+    ) {
+        let mut acc = acceptor();
+        let mut round = 1u32;
+        for step in steps {
+            apply(&mut acc, step, &mut round);
+            let settled = acc
+                .cstruct()
+                .entries()
+                .take_while(|e| acc.outcome_of(e.opt.txn).is_some())
+                .count() as u64;
+            let expected = mark_at(acc.cstruct(), settled);
+            prop_assert_eq!(acc.settled_watermark(), expected);
+            let barrier = acc
+                .cstruct()
+                .entries()
+                .any(|e| e.status.is_accepted() && !e.opt.is_commutative());
+            let vote = acc.vote();
+            prop_assert_eq!(vote.cstruct.base(), if barrier { Mark::START } else { expected });
+            prop_assert!(tail_matches(&vote.cstruct, acc.cstruct()));
+            let restored = AcceptorRecord::from_state(constraints(), N, QF, 64, acc.export_state());
+            prop_assert_eq!(restored.settled_watermark(), expected);
         }
     }
 }

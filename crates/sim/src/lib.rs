@@ -35,4 +35,4 @@ pub use event::{Event, EventKey, EventKind, EventQueue, TimerId};
 pub use net::{LinkSpec, NetworkModel, DEFAULT_INTER_DC_BANDWIDTH, DEFAULT_INTRA_DC_BANDWIDTH};
 pub use process::{Ctx, NetMessage, Process, TrafficClass};
 pub use topology::Topology;
-pub use world::{ProfileEntry, TrafficTotals, World, WorldConfig, WorldStats};
+pub use world::{KindProfileEntry, ProfileEntry, TrafficTotals, World, WorldConfig, WorldStats};

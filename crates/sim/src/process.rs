@@ -62,6 +62,14 @@ pub trait NetMessage {
     /// variant explicitly, so new messages cannot silently fall into a
     /// catch-all class and skew per-class byte accounting.
     fn traffic_class(&self) -> TrafficClass;
+
+    /// A short static name for what kind of message this is (an enum
+    /// schema names its variant). Read only by the host profiler
+    /// (`TraceConfig::profile`), which splits each node's handler time
+    /// by it; never by the transport.
+    fn kind(&self) -> &'static str {
+        "message"
+    }
 }
 
 // Plain payloads used by simulator-level tests and benches.

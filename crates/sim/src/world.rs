@@ -228,11 +228,30 @@ pub struct ProfileEntry {
 }
 
 /// Per-node accumulator behind [`ProfileEntry`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct ProfileCell {
     events: u64,
     sim_busy: SimDuration,
     wall: Duration,
+    /// `(kind, events, host wall time)` per [`NetMessage::kind`] handled
+    /// (timer payloads included, `"start"` for `on_start`), in order of
+    /// first appearance. Filled only while host profiling is on.
+    kinds: Vec<(&'static str, u64, Duration)>,
+}
+
+/// One node's handler work on one kind of message: a row of the
+/// profile split by [`NetMessage::kind`]. Only runs that profile host
+/// time (`TraceConfig::profile`) produce any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindProfileEntry {
+    /// The node.
+    pub node: NodeId,
+    /// The message kind (`"start"` for the `on_start` call).
+    pub kind: &'static str,
+    /// Handler invocations for it.
+    pub events: u64,
+    /// Host wall time spent inside them.
+    pub wall: Duration,
 }
 
 /// Anatomy label for a traffic class (trace-span detail).
@@ -367,7 +386,7 @@ struct Shard<M> {
     arrivals: HashMap<(u32, u64), SimTime>,
 }
 
-impl<M: 'static> Shard<M> {
+impl<M: NetMessage + 'static> Shard<M> {
     fn new(dc: DcId, dc_count: usize) -> Self {
         Self {
             dc,
@@ -650,7 +669,13 @@ impl<M: 'static> Shard<M> {
         } else {
             0
         };
-        let wall_start = env.profile_wall.then(std::time::Instant::now);
+        let wall_start = env.profile_wall.then(|| {
+            let label = match &kind {
+                DispatchKind::Start => "start",
+                DispatchKind::Timer(msg) | DispatchKind::Message { msg, .. } => msg.kind(),
+            };
+            (label, std::time::Instant::now())
+        });
         let mut effects = std::mem::take(&mut self.effects_scratch);
         {
             let mut ctx = Ctx::with_disk(
@@ -667,8 +692,17 @@ impl<M: 'static> Shard<M> {
                 DispatchKind::Message { from, msg } => proc_.on_message(from, msg, &mut ctx),
             }
         }
-        if let Some(t0) = wall_start {
-            self.profile[slot].wall += t0.elapsed();
+        if let Some((label, t0)) = wall_start {
+            let spent = t0.elapsed();
+            let cell = &mut self.profile[slot];
+            cell.wall += spent;
+            match cell.kinds.iter_mut().find(|(kind, ..)| *kind == label) {
+                Some((_, events, wall)) => {
+                    *events += 1;
+                    *wall += spent;
+                }
+                None => cell.kinds.push((label, 1, spent)),
+            }
         }
         if watch_wal && self.disks[slot].stats().wal_bytes_written > wal_before {
             if env.group_commit_engaged() {
@@ -1011,7 +1045,7 @@ pub struct World<M> {
     route_scratch: Vec<Event<M>>,
 }
 
-impl<M: Send + 'static> World<M> {
+impl<M: NetMessage + Send + 'static> World<M> {
     /// Creates a world over `net` with the given config.
     pub fn new(net: NetworkModel, config: WorldConfig) -> Self {
         let dc_count = net.dc_count();
@@ -1078,6 +1112,30 @@ impl<M: Send + 'static> World<M> {
         entries.sort_by(|a, b| {
             (b.sim_busy, b.events, a.node.0).cmp(&(a.sim_busy, a.events, b.node.0))
         });
+        entries
+    }
+
+    /// The profile split by message kind: one row per (node, kind) the
+    /// node handled, most host time first. Empty unless the run profiled
+    /// host time (`TraceConfig::profile`).
+    pub fn profile_by_kind(&self) -> Vec<KindProfileEntry> {
+        let mut entries: Vec<KindProfileEntry> = Vec::new();
+        for shard in &self.shards {
+            for (slot, cell) in shard.profile.iter().enumerate() {
+                let node = NodeId(shard.nodes[slot]);
+                entries.extend(
+                    cell.kinds
+                        .iter()
+                        .map(|&(kind, events, wall)| KindProfileEntry {
+                            node,
+                            kind,
+                            events,
+                            wall,
+                        }),
+                );
+            }
+        }
+        entries.sort_by(|a, b| (b.wall, a.node.0, a.kind).cmp(&(a.wall, b.node.0, b.kind)));
         entries
     }
 

@@ -203,11 +203,15 @@ impl RecordStore {
         let key = opt.key.clone();
         let txn = opt.txn;
         let peers = Arc::clone(&opt.peers);
-        let result = self.with_record_mut(&key, |rec| rec.fast_propose(opt));
-        if let FastPropose::Vote(vote) = &result {
-            if let Some(status) = vote.cstruct.status_of(txn) {
-                self.note_decided(now, txn, key, status, peers);
-            }
+        // The decision is read off the record, not the vote: the vote
+        // starts at the settled watermark and may no longer name an
+        // option whose outcome overtook it.
+        let (result, status) = self.with_record_mut(&key, |rec| {
+            let result = rec.fast_propose(opt);
+            (result, rec.cstruct().status_of(txn))
+        });
+        if let (FastPropose::Vote(_), Some(status)) = (&result, status) {
+            self.note_decided(now, txn, key, status, peers);
         }
         result
     }
@@ -219,12 +223,17 @@ impl RecordStore {
             .iter()
             .map(|o| (o.txn, Arc::clone(&o.peers)))
             .collect();
-        let result = self.with_record_mut(key, |rec| rec.classic_accept(p2a));
-        if let ClassicAccept::Vote(vote) = &result {
-            for (txn, peers) in new_txns {
-                if let Some(status) = vote.cstruct.status_of(txn) {
-                    self.note_decided(now, txn, key.clone(), status, peers);
-                }
+        let (result, decided) = self.with_record_mut(key, |rec| {
+            let result = rec.classic_accept(p2a);
+            let decided: Vec<(TxnId, Arc<[Key]>, OptionStatus)> = new_txns
+                .into_iter()
+                .filter_map(|(txn, peers)| Some((txn, peers, rec.cstruct().status_of(txn)?)))
+                .collect();
+            (result, decided)
+        });
+        if let ClassicAccept::Vote(_) = &result {
+            for (txn, peers, status) in decided {
+                self.note_decided(now, txn, key.clone(), status, peers);
             }
         }
         result
@@ -420,11 +429,7 @@ impl RecordStore {
         let keys = self.keys();
         ranges
             .iter()
-            .filter(|r| {
-                let lo = keys.partition_point(|k| k < &r.lo);
-                let hi = keys.partition_point(|k| k <= &r.hi);
-                self.digest_of(&keys[lo..hi]) != r.digest
-            })
+            .filter(|r| self.digest_of(keys_within(&keys, &r.lo, &r.hi)) != r.digest)
             .map(|r| (r.lo.clone(), r.hi.clone()))
             .collect()
     }
@@ -440,7 +445,7 @@ impl RecordStore {
     /// and dangling-recovery machinery owns those leftovers, exactly as
     /// it does for the legacy flood's `sync_relevant` no-ops).
     pub fn sync_digest_in(&self, lo: &Key, hi: &Key) -> u64 {
-        self.digest_of(&self.keys_in(lo, hi))
+        self.digest_of(keys_within(&self.keys(), lo, hi))
     }
 
     /// The committed-projection digest of an already-sorted key slice.
@@ -457,21 +462,26 @@ impl RecordStore {
         mdcc_common::wire::fnv1a64(&enc.finish())
     }
 
-    /// The anti-entropy payloads of every key this store holds in
-    /// `[lo, hi]`, sorted — the batched replacement for a flood of
-    /// per-key `SyncKey` messages.
-    pub fn sync_items_in(&self, lo: &Key, hi: &Key) -> Vec<SyncItem> {
-        self.keys_in(lo, hi)
-            .into_iter()
-            .map(|key| self.sync_item(&key).expect("key listed by keys_in"))
+    /// The anti-entropy payloads of every key this store holds in each
+    /// of the `[lo, hi]` `ranges`, one sorted batch per range — the
+    /// batched replacement for a flood of per-key `SyncKey` messages.
+    /// A single-key range (the targeted pull after a missed commit) is
+    /// one lookup; the sorted key list, which costs a pass over the
+    /// whole store, is built at most once however many ranges ask.
+    pub fn sync_items_in(&self, ranges: &[(Key, Key)]) -> Vec<Vec<SyncItem>> {
+        let mut sorted: Option<Vec<Key>> = None;
+        ranges
+            .iter()
+            .map(|(lo, hi)| {
+                if lo == hi {
+                    return self.sync_item(lo).into_iter().collect();
+                }
+                keys_within(sorted.get_or_insert_with(|| self.keys()), lo, hi)
+                    .iter()
+                    .map(|key| self.sync_item(key).expect("listed key exists"))
+                    .collect()
+            })
             .collect()
-    }
-
-    /// Keys this store holds in `[lo, hi]`, sorted.
-    fn keys_in(&self, lo: &Key, hi: &Key) -> Vec<Key> {
-        let mut keys = self.keys();
-        keys.retain(|k| k >= lo && k <= hi);
-        keys
     }
 
     /// Transactions whose options have been outstanding on this node for
@@ -506,6 +516,13 @@ impl RecordStore {
             });
         }
     }
+}
+
+/// The part of the sorted key list `keys` that lies in `[lo, hi]`.
+fn keys_within<'a>(keys: &'a [Key], lo: &Key, hi: &Key) -> &'a [Key] {
+    let start = keys.partition_point(|k| k < lo);
+    let end = keys.partition_point(|k| k <= hi);
+    &keys[start..end.max(start)]
 }
 
 #[cfg(test)]

@@ -78,8 +78,8 @@ fn batched_sync(local: &mut RecordStore, peer: &RecordStore, chunk: usize) -> us
         );
     }
     let shipped = divergent.len();
-    for (lo, hi) in divergent {
-        for item in peer.sync_items_in(&lo, &hi) {
+    for items in peer.sync_items_in(&divergent) {
+        for item in items {
             if local.sync_relevant(&item.key, &item.snapshot, &item.resolved) {
                 local.sync_from_peer(
                     &item.key,
@@ -135,7 +135,7 @@ proptest! {
         let mut covered = 0usize;
         for r in &ranges {
             prop_assert!(r.lo <= r.hi);
-            covered += peer.sync_items_in(&r.lo, &r.hi).len();
+            covered += peer.sync_items_in(&[(r.lo.clone(), r.hi.clone())])[0].len();
         }
         prop_assert_eq!(covered, KEYS as usize);
         // Ranges tile the sorted key space without overlap.
