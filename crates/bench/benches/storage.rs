@@ -6,8 +6,8 @@
 //! `fsync_latency`) is fig10's story; what these benches pin down is
 //! the *host* cost of the same paths — frame encoding and checksum per
 //! append, transient decode on a cold log-structured read, the
-//! copy-forward compaction rewrite, and the single-key anti-entropy pull
-//! a replica sends after a missed commit.
+//! copy-forward compaction rewrite, the single-key anti-entropy pull a
+//! replica sends after a missed commit, and building a checkpoint blob.
 
 use std::sync::Arc;
 
@@ -289,6 +289,33 @@ fn bench_sync_pull(c: &mut Criterion) {
     group.finish();
 }
 
+/// Building the checkpoint blob of a 30 000-record store
+/// ([`RecordStore::checkpoint_bytes`]), as every `CheckpointTick` does.
+/// On the log-structured store all but the cached records are copied
+/// out of their segments.
+fn bench_checkpoint(c: &mut Criterion) {
+    const STORE_RECORDS: usize = 30_000;
+    let mut group = c.benchmark_group("checkpoint");
+    group.sample_size(20);
+    for (name, storage) in [
+        ("mem", mdcc_common::StorageKind::Mem),
+        ("log", mdcc_common::StorageKind::LogStructured),
+    ] {
+        let cfg = ProtocolConfig {
+            storage,
+            ..ProtocolConfig::default()
+        };
+        let mut store = RecordStore::new(cfg, catalog());
+        for i in 0..STORE_RECORDS {
+            store.load(key(i), Row::new().with("stock", i as i64));
+        }
+        group.bench_function(&format!("encode/{name}/{STORE_RECORDS}"), |bench| {
+            bench.iter(|| store.checkpoint_bytes().len());
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_wal_commit,
@@ -296,6 +323,7 @@ criterion_group!(
     bench_engine_get,
     bench_engine_update,
     bench_engine_compact,
-    bench_sync_pull
+    bench_sync_pull,
+    bench_checkpoint
 );
 criterion_main!(benches);

@@ -7,8 +7,8 @@
 
 use mdcc_bench::{
     all_in_us_west, cdf_rows, export_trace, net_summary, parallel_flag, perf_summary,
-    print_anatomy, print_profile, print_profile_by_kind, save_csv, tpcw_catalog, tpcw_data,
-    tpcw_factory, tpcw_spec, PerfLog, Scale,
+    print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv, tpcw_catalog,
+    tpcw_data, tpcw_factory, tpcw_spec, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, MdccMode, Report};
 
@@ -92,6 +92,7 @@ fn main() {
         print_anatomy("MDCC (TPC-W)", &report);
         print_profile(&report, 5);
         print_profile_by_kind(&report, 8);
+        print_parked(&report);
         if let Some(path) = &trace_out {
             export_trace(&report, path);
         }

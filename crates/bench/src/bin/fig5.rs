@@ -8,7 +8,8 @@
 
 use mdcc_bench::{
     cdf_rows, export_trace, micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag,
-    perf_summary, print_anatomy, print_profile, print_profile_by_kind, save_csv, PerfLog, Scale,
+    perf_summary, print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv,
+    PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_tpc, MdccMode, Report};
 use mdcc_common::SimDuration;
@@ -109,6 +110,7 @@ fn main() {
         print_anatomy("MDCC full (fast path)", &report);
         print_profile(&report, 5);
         print_profile_by_kind(&report, 8);
+        print_parked(&report);
         let path = trace_out
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from("results/fig5_mdcc_trace.json"));

@@ -470,6 +470,27 @@ pub fn print_profile_by_kind(report: &Report, top: usize) {
     }
 }
 
+/// Prints the stale-proposal counters of an MDCC run: how many fast
+/// proposals reached a replica before the version they read and were
+/// parked, how they left the table, and how many are still parked
+/// (zero once a run has drained).
+pub fn print_parked(report: &Report) {
+    let n = &report.nodes;
+    let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+    println!(
+        "# stale proposals: parked={} ({:.1}% of {} versioned, {:.2}% of {} fast proposals) \
+         released={} judged_behind={} parked_left={}",
+        n.proposals_parked,
+        pct(n.proposals_parked, n.versioned_proposals),
+        n.versioned_proposals,
+        pct(n.proposals_parked, n.proposals),
+        n.proposals,
+        n.parked_released,
+        n.parked_judged_behind,
+        report.audit.as_ref().map_or(0, |a| a.parked_left),
+    );
+}
+
 /// Writes a traced run's Chrome-trace JSON (loadable in Perfetto /
 /// `chrome://tracing`) to `path` and echoes what it wrote.
 pub fn export_trace(report: &Report, path: &Path) {

@@ -360,12 +360,11 @@ pub fn run_mdcc(
         // checkpoint still recovers the loaded records.
         for dc_nodes in &matrix {
             for &n in dc_nodes {
-                let state = world
+                let snapshot = world
                     .get::<StorageNodeProcess>(n)
                     .expect("storage node")
                     .store()
-                    .export_state();
-                let snapshot = mdcc_recovery::to_bytes(&state);
+                    .checkpoint_bytes();
                 world.disk_mut(n).install_snapshot(snapshot);
             }
         }
@@ -505,16 +504,8 @@ pub fn run_mdcc(
     for dc_nodes in &matrix {
         for &n in dc_nodes {
             let node = world.get::<StorageNodeProcess>(n).expect("node");
-            let s = node.stats();
-            node_stats.fast_votes += s.fast_votes;
-            node_stats.classic_votes += s.classic_votes;
-            node_stats.not_fast_bounces += s.not_fast_bounces;
-            node_stats.instance_full += s.instance_full;
-            node_stats.recoveries_led += s.recoveries_led;
-            node_stats.dangling_resolved += s.dangling_resolved;
-            audit.dangling_resolved += s.dangling_resolved;
-            audit.sync_adoptions += s.sync_adoptions;
-            audit.checkpoints += s.checkpoints;
+            node_stats += node.stats();
+            audit.parked_left += node.parked_len();
             audit.pending_options += node.store().pending_len();
             let committed = node.store().committed_state();
             audit
@@ -551,6 +542,9 @@ pub fn run_mdcc(
             engine.evictions += e.evictions;
         }
     }
+    audit.dangling_resolved = node_stats.dangling_resolved;
+    audit.sync_adoptions = node_stats.sync_adoptions;
+    audit.checkpoints = node_stats.checkpoints;
     audit.stuck_clients = in_flight;
     audit.attr_minima = minima.into_iter().collect();
     if std::env::var_os("MDCC_DIVERGE_DEBUG").is_some() {
@@ -599,9 +593,10 @@ pub fn run_mdcc(
     }
     if std::env::var_os("MDCC_DEBUG").is_some() {
         eprintln!(
-            "[mdcc-debug] nodes: {node_stats:?}, pending_options={}, \
+            "[mdcc-debug] nodes: {node_stats:?}, pending_options={}, parked_left={}, \
              stuck_client_txns={in_flight}, world={:?}",
             audit.pending_options,
+            audit.parked_left,
             world.stats()
         );
     }
@@ -625,6 +620,7 @@ pub fn run_mdcc(
         }
     });
     report.engine = engine;
+    report.nodes = node_stats;
     report.mastership = ms_stats;
     if let Some(audit) = &lease_audit {
         report.lease_spans = audit.spans();

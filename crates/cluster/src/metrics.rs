@@ -57,6 +57,11 @@ pub struct ClusterAudit {
     pub checkpoints: u64,
     /// WAL bytes written across all nodes (pre-compaction total).
     pub wal_bytes_written: u64,
+    /// Fast proposals still parked across all nodes (held because their
+    /// replica was behind the version they read). Zero once a run has
+    /// drained: a parked proposal leaves when its record catches up or
+    /// its coordinator retries.
+    pub parked_left: usize,
 }
 
 impl ClusterAudit {
@@ -220,6 +225,10 @@ pub struct Report {
     /// Storage-engine counters summed across every node (MDCC runs;
     /// all-zero under the in-memory backend, which has no segments).
     pub engine: mdcc_storage::EngineStats,
+    /// Storage-node counters summed across every node (MDCC runs):
+    /// votes, bounces, recoveries led, and the stale-proposal counters
+    /// (`proposals_parked`, `parked_released`, `parked_judged_behind`).
+    pub nodes: mdcc_core::node::NodeStats,
     /// Dynamic-mastership counters summed across every node (MDCC runs
     /// with `protocol.mastership.enabled`; all-zero otherwise).
     pub mastership: mdcc_mastership::MastershipStats,
@@ -303,6 +312,7 @@ impl Report {
             profile: Vec::new(),
             profile_by_kind: Vec::new(),
             engine: mdcc_storage::EngineStats::default(),
+            nodes: mdcc_core::node::NodeStats::default(),
             mastership: mdcc_mastership::MastershipStats::default(),
             lease_spans: Vec::new(),
         }

@@ -140,6 +140,17 @@ impl UpdateOp {
     pub fn is_guard(&self) -> bool {
         matches!(self, UpdateOp::ReadGuard(_))
     }
+
+    /// The record version the operation was computed against: a physical
+    /// update's or read guard's `vread`. `None` for inserts and
+    /// commutative deltas, which read no version.
+    pub fn read_version(&self) -> Option<Version> {
+        match self {
+            UpdateOp::Physical(p) => p.vread,
+            UpdateOp::ReadGuard(v) => Some(*v),
+            UpdateOp::Commutative(_) => None,
+        }
+    }
 }
 
 /// One update within a transaction's write-set, bound to a record.

@@ -119,6 +119,11 @@ impl Enc {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends already-encoded bytes as they are (no length prefix).
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
     /// Discards the contents but keeps the allocation — the reuse hook
     /// behind the thread-local scratch encoders.
     pub fn clear(&mut self) {

@@ -9,12 +9,15 @@
 //!   (range partitioning per data center, §2);
 //! * [`node::StorageNodeProcess`] — a storage node: per-record acceptors,
 //!   per-record leaders (masters), dangling-transaction recovery;
+//! * [`parked::Parked`] — fast proposals a storage node holds because it
+//!   is behind the version they read, judged once the record catches up;
 //! * [`tm::TransactionManager`] — the stateless "DB library" embedded in
 //!   app servers: optimistic execution, parallel option proposal, the
 //!   learn-then-commit rule, visibility fan-out and reads (§3.2, §4).
 
 pub mod msg;
 pub mod node;
+pub mod parked;
 pub mod tm;
 pub mod wire;
 

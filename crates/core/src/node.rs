@@ -10,6 +10,31 @@
 //! * **recovery coordinator** for dangling transactions (§3.2.3): options
 //!   outstanding past the timeout are reconstructed by quorum-reading
 //!   every key in the option's write-set and resolved deterministically.
+//!
+//! # Stale proposals wait
+//!
+//! The network reorders, so a coordinator's `Propose(N+1)` can reach a
+//! replica before its own `Visibility(N)`. A fast proposal that read a
+//! version this replica has not reached (`RecordStore::behind`) is
+//! parked in [`crate::parked::Parked`] instead of being judged — the
+//! acceptor could only vote "no" for a reason that is this replica's
+//! lag, not the transaction's fault. The invariants:
+//!
+//! * **A parked proposal has touched nothing.** It is held before the
+//!   WAL append and before the acceptor sees it: not logged, not in a
+//!   cstruct, not voted on. The node behaves as if the network had
+//!   delivered it later; a crash forgets it like an in-flight message,
+//!   and WAL replay finds `FastPropose` where it was judged.
+//! * **Every parked proposal reads a version above its record's.** The
+//!   table is drained for a record wherever its version can move —
+//!   `record_moved` (visibility, classic accept, sync adoption) and the
+//!   `Propose` path itself, since a Visibility that overtook a proposal
+//!   closes the instance when the proposal is judged.
+//! * **Release is judgement by the unchanged acceptor**, in arrival
+//!   order per record, through the same path as an arriving `Propose`.
+//! * **Nothing waits longer than before.** The coordinator's retry of a
+//!   transaction (its learn timeout fired) is judged on arrival and
+//!   drops the parked copy; the table is capped; a crash empties it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -21,13 +46,14 @@ use mdcc_mastership::{
 };
 use mdcc_paxos::acceptor::{ClassicAccept, FastPropose, Phase2b};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
-use mdcc_paxos::{LeaderRecord, LearnOutcome, Learner, OptionStatus, TxnOutcome};
+use mdcc_paxos::{LeaderRecord, LearnOutcome, Learner, OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{wal, write_checkpoint, RecoveryInfo, WalRecord};
 use mdcc_sim::{Ctx, Process};
 use mdcc_storage::RecordStore;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::msg::Msg;
+use crate::parked::Parked;
 use crate::placement::Placement;
 
 /// Counters a storage node keeps about itself.
@@ -59,6 +85,41 @@ pub struct NodeStats {
     /// anti-entropy pull so the missed execution is installed from a
     /// peer instead of silently diverging the value.
     pub missed_commit_pulls: u64,
+    /// `Propose` messages received (fast-ballot proposals).
+    pub proposals: u64,
+    /// Those whose option carries a read version (physical updates of
+    /// existing records, read guards) — the only ones that can park.
+    pub versioned_proposals: u64,
+    /// Fast proposals held because they read a version this replica had
+    /// not reached yet (see [`crate::parked`]).
+    pub proposals_parked: u64,
+    /// Parked proposals judged after their record caught up.
+    pub parked_released: u64,
+    /// Parked proposals judged while the record was still behind: the
+    /// coordinator re-proposed the transaction, or the table overflowed.
+    pub parked_judged_behind: u64,
+}
+
+impl std::ops::AddAssign for NodeStats {
+    /// Field-wise sum (cluster-wide totals).
+    fn add_assign(&mut self, o: Self) {
+        self.fast_votes += o.fast_votes;
+        self.classic_votes += o.classic_votes;
+        self.not_fast_bounces += o.not_fast_bounces;
+        self.instance_full += o.instance_full;
+        self.recoveries_led += o.recoveries_led;
+        self.dangling_resolved += o.dangling_resolved;
+        self.checkpoints += o.checkpoints;
+        self.sync_rounds += o.sync_rounds;
+        self.sync_adoptions += o.sync_adoptions;
+        self.repair_served += o.repair_served;
+        self.missed_commit_pulls += o.missed_commit_pulls;
+        self.proposals += o.proposals;
+        self.versioned_proposals += o.versioned_proposals;
+        self.proposals_parked += o.proposals_parked;
+        self.parked_released += o.parked_released;
+        self.parked_judged_behind += o.parked_judged_behind;
+    }
 }
 
 /// One in-flight dangling-transaction reconstruction.
@@ -160,6 +221,10 @@ pub struct StorageNodeProcess {
     /// recovery led elsewhere). Bounded per shard by
     /// `lease_record_overrides`; handed to the successor on migration.
     lease_overrides: HashMap<u32, LeaseTable>,
+    /// Fast proposals that read a version this replica has not reached,
+    /// held until the record catches up. Volatile like an in-flight
+    /// message: nothing in it was logged, appended or voted on.
+    parked: Parked,
 }
 
 /// Bound on the fast-redirect memo: entries normally clear on
@@ -231,6 +296,7 @@ impl StorageNodeProcess {
             lease_audit: None,
             lease_floors: HashMap::new(),
             lease_overrides: HashMap::new(),
+            parked: Parked::new(),
         }
     }
 
@@ -527,7 +593,7 @@ impl StorageNodeProcess {
             self.stats.sync_adoptions += 1;
         }
         if self.store.version_of(&key) != before {
-            self.notify_leader_advance(&key, ctx);
+            self.record_moved(&key, ctx);
         }
     }
 
@@ -889,6 +955,100 @@ impl StorageNodeProcess {
         }
     }
 
+    /// A fast-ballot proposal arrived (`Msg::Propose`).
+    ///
+    /// A proposal that read a version this replica has not reached is
+    /// parked instead of judged — before the WAL append and before the
+    /// acceptor sees it, so to every other participant the network
+    /// merely delivered it later (see [`crate::parked`]). It is judged
+    /// when the record catches up ([`Self::release_parked`]), when the
+    /// coordinator proposes the transaction again (its learn timeout
+    /// fired: it has waited long enough, so the fresh copy is judged as
+    /// it stands and the parked one dropped), or when the table
+    /// overflows (the oldest is judged as it stands).
+    fn on_propose(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
+        self.stats.proposals += 1;
+        self.stats.versioned_proposals += u64::from(opt.op.read_version().is_some());
+        let retried = self.parked.take(opt.txn, &opt.key).is_some();
+        if retried {
+            self.stats.parked_judged_behind += 1;
+        } else if self.store.behind(&opt) {
+            self.stats.proposals_parked += 1;
+            if let Some((from, oldest)) = self.parked.park(from, opt) {
+                self.stats.parked_judged_behind += 1;
+                self.judge_proposal(from, oldest, ctx);
+            }
+            return;
+        }
+        let key = opt.key.clone();
+        self.judge_proposal(from, opt, ctx);
+        // A Visibility that overtook this proposal may just have closed
+        // the instance: whatever waited for that version is due.
+        self.release_parked(&key, ctx);
+    }
+
+    /// Logs one fast proposal, lets the acceptor judge it and answers.
+    fn judge_proposal(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
+        let key = opt.key.clone();
+        let txn = opt.txn;
+        self.wal_append(
+            &WalRecord::FastPropose {
+                at: ctx.now,
+                opt: opt.clone(),
+            },
+            ctx,
+        );
+        match self.store.fast_propose(opt.clone(), ctx.now) {
+            FastPropose::Vote(vote) => {
+                self.stats.fast_votes += 1;
+                self.fan_out_vote(&key, vote, from, ctx);
+            }
+            FastPropose::NotFast { promised } => {
+                self.stats.not_fast_bounces += 1;
+                ctx.send(from, Msg::NotFast { key, opt, promised });
+            }
+            FastPropose::InstanceFull => {
+                self.stats.instance_full += 1;
+                ctx.send(from, Msg::InstanceFull { key, opt });
+            }
+            FastPropose::AlreadyResolved(outcome) => {
+                ctx.send(from, Msg::AlreadyResolved { key, txn, outcome });
+            }
+        }
+    }
+
+    /// Judges, in arrival order, the parked proposals of `key` whose
+    /// read version the record has reached — called wherever the
+    /// record's version may have moved. A judged proposal can itself
+    /// move the version (its Visibility overtook it), hence the loop;
+    /// proposals still ahead stay parked.
+    fn release_parked(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+        while self.parked.waits_on(key) {
+            let due = self.parked.release(key, self.store.version_of(key));
+            if due.is_empty() {
+                return;
+            }
+            for (from, opt) in due {
+                self.stats.parked_released += 1;
+                self.judge_proposal(from, opt, ctx);
+            }
+        }
+    }
+
+    /// Proposals still parked on this node (audits: zero once a run has
+    /// drained).
+    pub fn parked_len(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// The local acceptor's version of `key` moved (visibility, classic
+    /// accept, sync adoption): tell the co-located leader and judge the
+    /// parked proposals that waited for it.
+    fn record_moved(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+        self.notify_leader_advance(key, ctx);
+        self.release_parked(key, ctx);
+    }
+
     /// Notifies the co-located leader (if any) that the local acceptor
     /// advanced past its instance.
     fn notify_leader_advance(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
@@ -1040,7 +1200,7 @@ impl StorageNodeProcess {
             tracer.extend(txn.coordinator, Some(txn), None, Phase::Visibility, ctx.now);
         }
         if advanced {
-            self.notify_leader_advance(&key, ctx);
+            self.record_moved(&key, ctx);
         }
         if missed {
             self.pull_missed_commit(key, txn, 0, ctx);
@@ -1152,34 +1312,7 @@ impl Process<Msg> for StorageNodeProcess {
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
-            Msg::Propose(opt) => {
-                let key = opt.key.clone();
-                let txn = opt.txn;
-                self.wal_append(
-                    &WalRecord::FastPropose {
-                        at: ctx.now,
-                        opt: opt.clone(),
-                    },
-                    ctx,
-                );
-                match self.store.fast_propose(opt.clone(), ctx.now) {
-                    FastPropose::Vote(vote) => {
-                        self.stats.fast_votes += 1;
-                        self.fan_out_vote(&key, vote, from, ctx);
-                    }
-                    FastPropose::NotFast { promised } => {
-                        self.stats.not_fast_bounces += 1;
-                        ctx.send(from, Msg::NotFast { key, opt, promised });
-                    }
-                    FastPropose::InstanceFull => {
-                        self.stats.instance_full += 1;
-                        ctx.send(from, Msg::InstanceFull { key, opt });
-                    }
-                    FastPropose::AlreadyResolved(outcome) => {
-                        ctx.send(from, Msg::AlreadyResolved { key, txn, outcome });
-                    }
-                }
-            }
+            Msg::Propose(opt) => self.on_propose(from, opt, ctx),
             Msg::ProposeToMaster(opt) => {
                 self.lead_classic(from, opt, ctx);
             }
@@ -1371,7 +1504,7 @@ impl Process<Msg> for StorageNodeProcess {
                     }
                 }
                 if self.store.version_of(&key) != before {
-                    self.notify_leader_advance(&key, ctx);
+                    self.record_moved(&key, ctx);
                 }
             }
             Msg::P2aNack { key, promised } => {

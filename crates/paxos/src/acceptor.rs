@@ -41,6 +41,19 @@
 //! a vote once the record knows its outcome; the one that still asks is
 //! retrying a proposal storage-side recovery already resolved, and
 //! [`AcceptorRecord::settled_outcome`] answers it.
+//!
+//! # Judging only what this replica is not behind on
+//!
+//! [`AcceptorRecord::fast_propose`] compares an option's read version
+//! with the record's version *here*. When the option read a later
+//! version ([`AcceptorRecord::behind`]) that comparison says nothing
+//! about the transaction: `vread` came from some replica's committed
+//! state, so this replica is missing a decided instance it will be
+//! sent. The acceptor stays a pure judge — asked, it still answers such
+//! an option `StaleRead`/`PendingOption` — and the storage node asks
+//! only once the record has caught up, or once the coordinator has
+//! waited out its learn timeout (`mdcc_core::parked`). `behind` is the
+//! predicate it uses, kept next to the validation rules it mirrors.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -1192,6 +1205,19 @@ impl AcceptorRecord {
         }
     }
 
+    /// True when `opt` was computed against a version this record has not
+    /// reached yet: its `vread` names a decided instance this replica is
+    /// still missing. [`Self::validate`] could only answer such an option
+    /// with `StaleRead` or `PendingOption` — a "no" about this replica's
+    /// lag, not about the transaction — so the storage node holds the
+    /// proposal until the record catches up instead of judging it (see
+    /// the stale-proposal rule in `mdcc_core::node`). Pure: no state
+    /// changes. Inserts and commutative deltas read no version and are
+    /// never behind.
+    pub fn behind(&self, opt: &TxnOption) -> bool {
+        opt.op.read_version().is_some_and(|v| v > self.version)
+    }
+
     /// Builds the escrow view of one attribute: base `X`, the net of
     /// deltas already committed within this instance, and the sign-split
     /// pending deltas.
@@ -1416,6 +1442,48 @@ mod tests {
         a.apply_visibility(txn(2), TxnOutcome::Committed, true);
         assert_eq!(a.value().unwrap().get_int("stock"), Some(9));
         assert_eq!(a.version(), Version(2));
+    }
+
+    #[test]
+    fn behind_means_the_option_read_a_version_not_reached_here() {
+        let mut a = acceptor_with_stock(5);
+        assert_eq!(a.version(), Version(1));
+        // Physical update: behind only when it read a later version.
+        assert!(!a.behind(&phys_write(1, 0, 9)), "read an older version");
+        assert!(!a.behind(&phys_write(1, 1, 9)), "read this version");
+        assert!(a.behind(&phys_write(1, 2, 9)), "read the next version");
+        // Read guard: same rule.
+        let guard = |v| TxnOption::solo(txn(2), key(), UpdateOp::ReadGuard(Version(v)));
+        assert!(!a.behind(&guard(1)));
+        assert!(a.behind(&guard(3)));
+        // Inserts and commutative deltas read no version.
+        let insert = TxnOption::solo(
+            txn(3),
+            key(),
+            UpdateOp::Physical(PhysicalUpdate::insert(Row::new())),
+        );
+        assert!(!a.behind(&insert));
+        assert!(!a.behind(&dec(4, 1)));
+        // A record that never existed here is at version zero.
+        let absent = AcceptorRecord::new(stock_constraints(), 5, 4, 32);
+        assert!(absent.behind(&phys_write(5, 1, 9)));
+        assert!(!absent.behind(&insert));
+        // A tombstone keeps its version: a write that read the deleted
+        // version is judged (and rejected), one that read past it waits.
+        let delete = TxnOption::solo(
+            txn(6),
+            key(),
+            UpdateOp::Physical(PhysicalUpdate::delete(Version(1))),
+        );
+        assert!(status_of(&a.fast_propose(delete), txn(6)).is_accepted());
+        a.apply_visibility(txn(6), TxnOutcome::Committed, true);
+        assert_eq!((a.version(), a.value()), (Version(2), None));
+        assert!(!a.behind(&phys_write(7, 2, 9)));
+        assert!(a.behind(&phys_write(7, 3, 9)));
+        // Asking changes nothing.
+        let before = format!("{:?}", a.export_state());
+        let _ = a.behind(&phys_write(8, 9, 9));
+        assert_eq!(format!("{:?}", a.export_state()), before);
     }
 
     #[test]

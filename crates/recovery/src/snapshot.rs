@@ -34,7 +34,7 @@ pub struct RecoveryInfo {
 /// Serializes the store into `disk`'s snapshot blob and truncates the
 /// WAL (checkpoint + compaction).
 pub fn write_checkpoint(disk: &mut Disk, store: &RecordStore) {
-    disk.install_snapshot(to_bytes(&store.export_state()));
+    disk.install_snapshot(store.checkpoint_bytes());
 }
 
 /// Parses a checkpoint blob (empty blob ⇒ no checkpoint yet).

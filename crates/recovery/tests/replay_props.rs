@@ -12,6 +12,10 @@
 //!   is idempotent under re-delivery, so a crash *during* recovery (a
 //!   half-replayed WAL replayed again) is harmless;
 //! * the option log's per-transaction trail survives the round trip.
+//!
+//! Logs written by a node that *parks* stale proposals (a `FastPropose`
+//! is logged where it was judged, not where it arrived) are replayed in
+//! `crates/core/tests/parked_props.rs`, which can drive the node itself.
 
 use std::sync::Arc;
 

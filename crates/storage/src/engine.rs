@@ -94,6 +94,14 @@ pub trait Storage: fmt::Debug + Send {
     /// sweeps and checkpoints rely on.
     fn keys_sorted(&self) -> Vec<Key>;
 
+    /// Encodes every record as the checkpoint codec lays out
+    /// `StoreState::records`: a `u32` count, then `(key, state)` per
+    /// record in sorted-key order — byte for byte what encoding
+    /// `(key, export_state())` of each record in `keys_sorted` order
+    /// gives, without materializing records that are already stored in
+    /// that form.
+    fn encode_records(&self, out: &mut Enc);
+
     /// Records currently held materialized in memory (the whole store
     /// for [`MemBackend`]; the cache for [`LogStructuredBackend`]).
     fn materialized(&self) -> usize;
@@ -147,6 +155,16 @@ impl Storage for MemBackend {
         let mut keys: Vec<Key> = self.records.keys().cloned().collect();
         keys.sort();
         keys
+    }
+
+    fn encode_records(&self, out: &mut Enc) {
+        let mut records: Vec<(&Key, &AcceptorRecord)> = self.records.iter().collect();
+        records.sort_unstable_by_key(|(key, _)| *key);
+        out.u32(records.len() as u32);
+        for (key, rec) in records {
+            key.encode(out);
+            rec.export_state().encode(out);
+        }
     }
 
     fn materialized(&self) -> usize {
@@ -520,6 +538,35 @@ impl Storage for LogStructuredBackend {
         );
         keys.sort();
         keys
+    }
+
+    fn encode_records(&self, out: &mut Enc) {
+        // A segment entry *is* `key.encode(); state.encode()` — the
+        // element layout of the checkpoint's record list — so a spilled
+        // record is copied, not decoded and re-encoded. The cache
+        // supersedes the index for keys present in both.
+        let mut records: Vec<(&Key, Option<&EntryRef>)> =
+            self.cache.keys().map(|key| (key, None)).collect();
+        records.extend(
+            self.index
+                .iter()
+                .filter(|(key, _)| !self.cache.contains_key(*key))
+                .map(|(key, entry)| (key, Some(entry))),
+        );
+        records.sort_unstable_by_key(|(key, _)| *key);
+        out.u32(records.len() as u32);
+        for (key, spilled) in records {
+            match spilled {
+                Some(entry) => {
+                    let seg = &self.segments[entry.seg as usize];
+                    out.bytes(&seg[entry.off as usize..(entry.off + entry.len) as usize]);
+                }
+                None => {
+                    key.encode(out);
+                    self.cache[key].rec.export_state().encode(out);
+                }
+            }
+        }
     }
 
     fn materialized(&self) -> usize {

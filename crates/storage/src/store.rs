@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use mdcc_common::wire::{Enc, Wire};
 use mdcc_common::{Key, ProtocolConfig, Row, SimTime, TxnId, Version};
 use mdcc_paxos::acceptor::{ClassicAccept, FastPropose, Phase1b, Phase2a};
 use mdcc_paxos::{
@@ -197,6 +198,17 @@ impl RecordStore {
         self.with_record_mut(key, |rec| rec.raise_promise(ballot))
     }
 
+    /// True when `opt` read a version its record has not reached here yet
+    /// ([`AcceptorRecord::behind`]; a record never touched is at version
+    /// zero). Only options that carry a read version look the record up.
+    pub fn behind(&self, opt: &TxnOption) -> bool {
+        let Some(vread) = opt.op.read_version() else {
+            return false;
+        };
+        self.with_record(&opt.key, |rec| rec.behind(opt))
+            .unwrap_or(vread > Version::ZERO)
+    }
+
     /// Fast-ballot proposal for one record, with logging and pending
     /// tracking.
     pub fn fast_propose(&mut self, opt: TxnOption, now: SimTime) -> FastPropose {
@@ -317,6 +329,26 @@ impl RecordStore {
             log: self.log.iter().cloned().collect(),
             log_truncated: self.log.watermark(),
         }
+    }
+
+    /// The checkpoint blob: exactly `to_bytes(&self.export_state())`,
+    /// built without materializing the store — the backend writes its
+    /// records straight into the buffer ([`Storage::encode_records`]),
+    /// which for the log-structured engine copies spilled records out of
+    /// their segments.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        let mut out = Enc::new();
+        self.records.encode_records(&mut out);
+        out.u32(self.pending.len() as u32);
+        for pending in self.pending.values() {
+            pending.encode(&mut out);
+        }
+        out.u32(self.log.len() as u32);
+        for event in self.log.iter() {
+            event.encode(&mut out);
+        }
+        out.u64(self.log.watermark());
+        out.finish()
     }
 
     /// Rebuilds a store from an exported state (restart path).
@@ -663,6 +695,65 @@ mod tests {
             format!("{:?}", s.export_state()),
             "export ∘ import ∘ export is the identity"
         );
+    }
+
+    /// The checkpoint blob is built without materializing the store,
+    /// and must be the bytes the materializing path produced: on the
+    /// in-memory backend, and on the log-structured one holding cached
+    /// records, spilled ones (copied out of their segments) and
+    /// superseded segment entries (which must not be copied).
+    #[test]
+    fn checkpoint_bytes_equal_the_encoded_export_on_both_backends() {
+        use mdcc_common::StorageKind;
+        for storage in [StorageKind::Mem, StorageKind::LogStructured] {
+            let cfg = ProtocolConfig {
+                storage,
+                log_cache_records: 3,
+                ..ProtocolConfig::default()
+            };
+            let mut s = RecordStore::new(cfg.clone(), catalog());
+            assert_eq!(
+                s.checkpoint_bytes(),
+                mdcc_common::wire::to_bytes(&s.export_state()),
+                "{storage:?}: empty store"
+            );
+            for i in 0..12 {
+                s.load(key(&format!("i{i:02}")), Row::new().with("stock", 50));
+            }
+            // Traffic that revisits records, so spilled ones come back
+            // into the cache and spill again (superseding their entry),
+            // with options left pending and outcomes in the log.
+            for seq in 0..60u64 {
+                let k = key(&format!("i{:02}", (seq * 5) % 12));
+                let now = SimTime::from_millis(seq);
+                s.fast_propose(
+                    TxnOption::solo(
+                        txn(seq),
+                        k.clone(),
+                        UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)),
+                    ),
+                    now,
+                );
+                if seq % 3 != 0 {
+                    s.apply_visibility(&k, txn(seq), TxnOutcome::Committed, true, now);
+                }
+            }
+            if storage == StorageKind::LogStructured {
+                assert!(s.materialized() < s.len(), "some records are spilled");
+                assert!(s.materialized() > 0, "some records are cached");
+                assert!(s.engine_stats().dead_bytes > 0, "some entries superseded");
+            }
+            assert!(s.pending_len() > 0 && !s.log().is_empty());
+            let bytes = s.checkpoint_bytes();
+            assert_eq!(
+                bytes,
+                mdcc_common::wire::to_bytes(&s.export_state()),
+                "{storage:?}: checkpoint bytes differ from the encoded export"
+            );
+            let state: StoreState = mdcc_common::wire::from_bytes(&bytes).expect("decodes");
+            let rebuilt = RecordStore::from_state(cfg, catalog(), state);
+            assert_eq!(rebuilt.committed_state(), s.committed_state());
+        }
     }
 
     #[test]
