@@ -23,23 +23,22 @@
 //! * `MDCC_UNAVAILABILITY_MS_CEILING` — fail if the drill's commit
 //!   outage exceeds this many milliseconds.
 //!
-//! A cold-key drill closes the figure: all clients in one DC, a key
-//! pool large enough that nearly every write is a first touch, and the
-//! same run twice — `lease_phase1` on (the granted lease ballot is the
-//! promise floor, so a cold record's first Phase2a is immediately
-//! valid: one WAN round trip) versus off (explicit Phase1a/Phase1b
-//! first: two). The first-touch latency CDFs land in
-//! `results/fig11_cold_first_touch.csv`, and a third guard makes the
-//! optimization CI-enforceable:
+//! A cold-key drill closes the figure: all clients in one DC and a key
+//! pool large enough that nearly every write is a first touch. The
+//! granted lease ballot is the promise floor, so a cold record's first
+//! Phase2a is immediately valid: one WAN round trip, where an explicit
+//! Phase1a/Phase1b exchange first would make it two. The first-touch
+//! latency CDF lands in `results/fig11_cold_first_touch.csv`, and a
+//! third guard makes the optimization CI-enforceable:
 //!
-//! * `MDCC_COLD_FIRST_COMMIT_RTT_CEILING` — fail if the lease-on run's
-//!   median first-touch commit exceeds this many WAN round trips (half
-//!   an RTT of slack for the propose hop), or if lease coverage stops
-//!   eliminating in-tenure Phase1 rounds (at most a quarter of the off
-//!   baseline's may remain). A fully cold record pays no Phase1 at
-//!   all; the residue is records first touched before the lease
-//!   existed, or contested across the migration, where the warm-record
-//!   guard deliberately falls back to a full Phase1 for safety.
+//! * `MDCC_COLD_FIRST_COMMIT_RTT_CEILING` — fail if the median
+//!   first-touch commit exceeds this many WAN round trips (half an RTT
+//!   of slack for the propose hop), or if the lease stops carrying
+//!   Phase1: at most a quarter of the in-tenure first touches may still
+//!   run a Phase1 round. A fully cold record pays no Phase1 at all; the
+//!   residue is records first touched before the lease existed, or
+//!   contested across the migration, where the warm-record guard
+//!   deliberately falls back to a full Phase1 for safety.
 
 use std::sync::Arc;
 
@@ -260,12 +259,12 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Cold-key drill: lease-carried Phase1, on versus off. All clients
-    // in one DC and a key pool sized so ~90% of writes are first
-    // touches; dynamic mastership migrates the lease to the clients'
-    // DC during warm-up, so the measured window is local-master
-    // first-touch commits: one WAN round trip with the lease ballot as
-    // the implicit Phase1 promise, two with explicit Phase1.
+    // Cold-key drill: lease-carried Phase1. All clients in one DC and a
+    // key pool sized so ~90% of writes are first touches; dynamic
+    // mastership migrates the lease to the clients' DC during warm-up,
+    // so the measured window is local-master first-touch commits: one
+    // WAN round trip, the lease ballot standing in for the Phase1
+    // promise.
     // ------------------------------------------------------------------
     let m = scale.mult();
     let cold_items = 32_000 * m / d;
@@ -278,75 +277,52 @@ fn main() {
     cold.drain = SimDuration::from_secs(8);
     all_in_us_west(&mut cold);
     cold.protocol.mastership = MastershipConfig::enabled();
-    let mut cold_off = cold.clone();
-    cold_off.protocol.mastership = MastershipConfig {
-        lease_phase1: false,
-        ..MastershipConfig::enabled()
-    };
 
-    let on = run(&cold, cold_items, forever);
-    let off = run(&cold_off, cold_items, forever);
-    let bon = on.write_boxplot().expect("cold drill committed (on)");
-    let boff = off.write_boxplot().expect("cold drill committed (off)");
-    for (label, report, b) in [
-        ("cold_lease_on", &on, &bon),
-        ("cold_lease_off", &off, &boff),
-    ] {
-        let ms = &report.mastership;
-        println!(
-            "{label}: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} \
-             phase1_skipped={} phase1_covered={} cold_rtts={}",
-            b.median,
-            b.q3,
-            b.max,
-            report.write_commits(),
-            ms.phase1_skipped,
-            ms.phase1_covered,
-            ms.cold_first_commit_rtts,
-        );
-        println!("#   {}", net_summary(report));
-        perf.record(label, report);
-        rows.push(format!(
-            "{label},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{}",
-            b.min, b.q1, b.median, b.q3, b.max, ms.elections, ms.leases_acquired, ms.handoffs
-        ));
-    }
+    let report = run(&cold, cold_items, forever);
+    let b = report.write_boxplot().expect("cold drill committed");
+    let ms = &report.mastership;
     println!(
-        "# cold first-touch medians: off/on = {:.2}x (>= 1.5x required)",
-        boff.median / bon.median
+        "cold_first_touch: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} \
+         phase1_skipped={} phase1_covered={} cold_rtts={}",
+        b.median,
+        b.q3,
+        b.max,
+        report.write_commits(),
+        ms.phase1_skipped,
+        ms.phase1_covered,
+        ms.cold_first_commit_rtts,
     );
+    println!("#   {}", net_summary(&report));
+    perf.record("cold_first_touch", &report);
+    rows.push(format!(
+        "cold_first_touch,{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{}",
+        b.min, b.q1, b.median, b.q3, b.max, ms.elections, ms.leases_acquired, ms.handoffs
+    ));
     assert!(
-        on.mastership.phase1_skipped > 0,
+        ms.phase1_skipped > 0,
         "lease-carried Phase1 never engaged in the cold drill"
     );
-    assert!(
-        boff.median >= 1.5 * bon.median,
-        "cold first-touch median only improved {:.2}x (off {:.0}ms, on {:.0}ms)",
-        boff.median / bon.median,
-        boff.median,
-        bon.median
-    );
-    let mut cdf = cdf_rows("lease_phase1_on", &on.write_cdf(200));
-    cdf.extend(cdf_rows("lease_phase1_off", &off.write_cdf(200)));
+    let cdf = cdf_rows("cold_first_touch", &report.write_cdf(200));
     save_csv("fig11_cold_first_touch", "config,latency_ms,fraction", &cdf);
     if let Some(ceiling) = env_ceiling("MDCC_COLD_FIRST_COMMIT_RTT_CEILING") {
         // The drill's WAN RTT is the Uniform net's 100 ms; half an RTT
         // of slack covers the client->master propose hop and jitter.
-        let rtts = bon.median / 100.0;
+        let rtts = b.median / 100.0;
         assert!(
             rtts <= ceiling as f64 + 0.5,
             "cold first-touch median {rtts:.2} RTTs exceeds ceiling {ceiling}"
         );
-        let (covered_on, covered_off) =
-            (on.mastership.phase1_covered, off.mastership.phase1_covered);
+        let (skipped, covered) = (ms.phase1_skipped, ms.phase1_covered);
         assert!(
-            covered_on * 4 <= covered_off,
-            "lease coverage left {covered_on} in-tenure Phase1 rounds \
-             (off baseline ran {covered_off})"
+            covered * 4 <= skipped + covered,
+            "the lease carried Phase1 for only {skipped} of {} in-tenure first \
+             touches ({covered} ran a Phase1 round)",
+            skipped + covered
         );
         println!(
             "# cold first-commit guard ok: {rtts:.2} RTTs <= {ceiling} + 0.5, \
-             in-tenure Phase1 rounds {covered_on} vs {covered_off} off"
+             in-tenure Phase1 rounds {covered} of {} first touches",
+            skipped + covered
         );
     }
 

@@ -11,7 +11,7 @@ use mdcc_bench::{
     all_in_us_west, micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag,
     perf_summary, save_csv, PerfLog, Scale,
 };
-use mdcc_cluster::{run_mdcc, MdccMode};
+use mdcc_cluster::{run_mdcc, FaultEvent, FaultPlan, MdccMode};
 use mdcc_common::{DcId, SimDuration};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
 
@@ -25,7 +25,10 @@ fn main() {
     spec.warmup = SimDuration::from_secs(5);
     let total = spec.duration.as_secs_f64() as u64;
     let fail_at = SimDuration::from_secs(5 + total / 2);
-    spec.fail_dcs = vec![(fail_at, DcId(1))]; // US-East.
+    spec.faults = FaultPlan::new().with(FaultEvent::FailDc {
+        at: fail_at,
+        dc: DcId(1), // US-East.
+    });
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let cfg = MicroConfig {

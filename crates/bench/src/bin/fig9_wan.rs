@@ -3,10 +3,9 @@
 //! The byte-accurate transport models link bandwidth and directed-link
 //! FIFO queueing, so vote fan-out can actually *congest* a constrained
 //! WAN instead of teleporting. This driver sweeps inter-DC bandwidth
-//! from a 10 Gbit/s backbone down to a 100 Mbit/s WAN for MDCC full and
-//! Fast, each with delta votes on and off — the scenario where the
-//! Phase2b wire-cost optimization turns into a latency/throughput win,
-//! not just a byte count.
+//! from a 10 Gbit/s backbone down to a 3 Mbit/s WAN for MDCC full and
+//! Fast — how far the links can shrink before a commit's bytes turn
+//! into queueing delay.
 
 use mdcc_bench::{
     micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag, perf_summary, save_csv,
@@ -17,10 +16,8 @@ use mdcc_workloads::micro::{initial_items, MicroConfig};
 
 /// Swept inter-DC bandwidths: `(label, bytes per second)`. The sweep
 /// runs past 100 Mbit/s down into the single-digit megabits because
-/// the quick-scale aggregate load (~8 MB/s of full-vote traffic across
-/// 20 directed links) only starts queueing when a link drops below a
-/// few Mbit/s — which is exactly where full-cstruct votes congest and
-/// delta votes do not.
+/// the quick-scale aggregate load, spread across 20 directed links,
+/// only starts queueing when a link drops below a few Mbit/s.
 const BANDWIDTHS: [(&str, f64); 5] = [
     ("10Gbit", 1_250_000_000.0),
     ("1Gbit", 125_000_000.0),
@@ -37,19 +34,16 @@ fn main() {
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();
     let mut perf = PerfLog::new();
-    println!("# Figure 9 — WAN bandwidth sweep: MDCC full/fast ± delta votes");
+    println!("# Figure 9 — WAN bandwidth sweep: MDCC full/fast");
 
-    let configs: [(&str, MdccMode, bool, bool); 4] = [
-        ("MDCC+delta", MdccMode::Full, true, true),
-        ("MDCC", MdccMode::Full, true, false),
-        ("Fast+delta", MdccMode::Fast, false, true),
-        ("Fast", MdccMode::Fast, false, false),
+    let configs: [(&str, MdccMode, bool); 2] = [
+        ("MDCC", MdccMode::Full, true),
+        ("Fast", MdccMode::Fast, false),
     ];
     for (bw_label, bytes_per_sec) in BANDWIDTHS {
-        for (label, mode, commutative, delta_votes) in configs {
+        for (label, mode, commutative) in configs {
             let mut spec = base_spec.clone();
             spec.inter_dc_bandwidth = Some(bytes_per_sec);
-            spec.protocol.delta_votes = delta_votes;
             let cfg = MicroConfig {
                 items,
                 commutative,

@@ -98,10 +98,8 @@ pub struct ClusterSpec {
     /// transactions resolve and replicas converge (recovery audits need
     /// a quiesced cluster). Zero disables draining.
     pub drain: SimDuration,
-    /// Data-center outages: `(offset from start, dc)`. Kept alongside
-    /// [`ClusterSpec::faults`] for the simple §5.3.4 experiments.
-    pub fail_dcs: Vec<(SimDuration, DcId)>,
-    /// Scripted crash/restart fault schedule (MDCC runs only).
+    /// Scripted fault schedule: storage and client crashes, restarts,
+    /// data-center outages.
     pub faults: FaultPlan,
     /// Write-ahead-log every storage-node input to the simulated disk
     /// and checkpoint periodically. Required for `faults` that restart
@@ -143,7 +141,6 @@ impl Default for ClusterSpec {
             warmup: SimDuration::from_secs(10),
             duration: SimDuration::from_secs(60),
             drain: SimDuration::ZERO,
-            fail_dcs: Vec::new(),
             faults: FaultPlan::new(),
             durability: false,
             wal_fsync: SimDuration::ZERO,
@@ -214,18 +211,21 @@ fn storage_target(matrix: &[Vec<NodeId>], dc: DcId, shard: usize) -> NodeId {
     })
 }
 
-/// The merged, time-sorted fault timeline: the scripted plan plus the
-/// legacy `fail_dcs` outages.
-fn fault_timeline(spec: &ClusterSpec) -> Vec<FaultEvent> {
-    let mut timeline: Vec<FaultEvent> = spec.faults.sorted();
-    for (offset, dc) in &spec.fail_dcs {
-        timeline.push(FaultEvent::FailDc {
-            at: *offset,
-            dc: *dc,
-        });
+/// The simulator settings a spec implies, shared by every protocol's
+/// runner.
+fn world_config(spec: &ClusterSpec) -> WorldConfig {
+    WorldConfig {
+        seed: spec.seed,
+        service_time: spec.service_time,
+        service_ns_per_byte: spec.service_ns_per_byte,
+        coalesce: spec.protocol.coalesce,
+        coalesce_window: spec.protocol.coalesce_window,
+        fsync_latency: spec.wal_fsync,
+        group_commit: spec.protocol.group_commit,
+        group_commit_window: spec.protocol.group_commit_window,
+        group_commit_bytes: spec.protocol.group_commit_bytes,
+        parallel: spec.parallel,
     }
-    timeline.sort_by_key(|e| e.at());
-    timeline
 }
 
 /// Runs a baseline world through the failure schedule and the full
@@ -247,7 +247,7 @@ fn drive<M: mdcc_sim::NetMessage + Send + 'static>(
     matrix: &[Vec<NodeId>],
     client_ids: &[NodeId],
 ) {
-    let timeline = fault_timeline(spec);
+    let timeline = spec.faults.sorted();
     let end = SimTime::ZERO + spec.warmup + spec.duration + spec.drain;
     for event in timeline {
         world.run_until((SimTime::ZERO + event.at()).min(end));
@@ -293,21 +293,7 @@ pub fn run_mdcc(
     mode: MdccMode,
 ) -> (Report, TxnStats) {
     let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_core::Msg> = World::new(
-        network(spec),
-        WorldConfig {
-            seed: spec.seed,
-            service_time: spec.service_time,
-            service_ns_per_byte: spec.service_ns_per_byte,
-            coalesce: spec.protocol.coalesce,
-            coalesce_window: spec.protocol.coalesce_window,
-            fsync_latency: spec.wal_fsync,
-            group_commit: spec.protocol.group_commit,
-            group_commit_window: spec.protocol.group_commit_window,
-            group_commit_bytes: spec.protocol.group_commit_bytes,
-            parallel: spec.parallel,
-        },
-    );
+    let mut world: World<mdcc_core::Msg> = World::new(network(spec), world_config(spec));
     let tracer = TraceHandle::new(spec.trace);
     if spec.trace.enabled {
         world.set_tracer(tracer.clone());
@@ -393,9 +379,8 @@ pub fn run_mdcc(
         client_ids.push(world.spawn(dc, Box::new(client)));
     }
 
-    // Drive through the merged fault timeline: legacy DC outages plus
-    // the scripted crash/restart plan.
-    let timeline = fault_timeline(spec);
+    // Drive through the scripted fault plan in time order.
+    let timeline = spec.faults.sorted();
     let mut recoveries: Vec<NodeRecovery> = Vec::new();
     let mut crash_times: std::collections::HashMap<NodeId, SimTime> =
         std::collections::HashMap::new();
@@ -644,21 +629,7 @@ pub fn run_qw(
     k: usize,
 ) -> Report {
     let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_baselines::qw::QwMsg> = World::new(
-        network(spec),
-        WorldConfig {
-            seed: spec.seed,
-            service_time: spec.service_time,
-            service_ns_per_byte: spec.service_ns_per_byte,
-            coalesce: spec.protocol.coalesce,
-            coalesce_window: spec.protocol.coalesce_window,
-            fsync_latency: spec.wal_fsync,
-            group_commit: spec.protocol.group_commit,
-            group_commit_window: spec.protocol.group_commit_window,
-            group_commit_bytes: spec.protocol.group_commit_bytes,
-            parallel: spec.parallel,
-        },
-    );
+    let mut world: World<mdcc_baselines::qw::QwMsg> = World::new(network(spec), world_config(spec));
     let matrix = storage_matrix(spec);
     let placement = StaticPlacement::new(matrix.clone(), spec.master_policy);
     for dc in 0..spec.dcs {
@@ -725,21 +696,8 @@ pub fn run_tpc(
     workload_factory: &mut WorkloadFactory<'_>,
 ) -> Report {
     let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_baselines::twopc::TpcMsg> = World::new(
-        network(spec),
-        WorldConfig {
-            seed: spec.seed,
-            service_time: spec.service_time,
-            service_ns_per_byte: spec.service_ns_per_byte,
-            coalesce: spec.protocol.coalesce,
-            coalesce_window: spec.protocol.coalesce_window,
-            fsync_latency: spec.wal_fsync,
-            group_commit: spec.protocol.group_commit,
-            group_commit_window: spec.protocol.group_commit_window,
-            group_commit_bytes: spec.protocol.group_commit_bytes,
-            parallel: spec.parallel,
-        },
-    );
+    let mut world: World<mdcc_baselines::twopc::TpcMsg> =
+        World::new(network(spec), world_config(spec));
     let matrix = storage_matrix(spec);
     let placement = StaticPlacement::new(matrix.clone(), spec.master_policy);
     for dc in 0..spec.dcs {
@@ -803,21 +761,8 @@ pub fn run_megastore(
     workload_factory: &mut WorkloadFactory<'_>,
 ) -> (Report, MegaStats) {
     let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_baselines::megastore::MegaMsg> = World::new(
-        network(spec),
-        WorldConfig {
-            seed: spec.seed,
-            service_time: spec.service_time,
-            service_ns_per_byte: spec.service_ns_per_byte,
-            coalesce: spec.protocol.coalesce,
-            coalesce_window: spec.protocol.coalesce_window,
-            fsync_latency: spec.wal_fsync,
-            group_commit: spec.protocol.group_commit,
-            group_commit_window: spec.protocol.group_commit_window,
-            group_commit_bytes: spec.protocol.group_commit_bytes,
-            parallel: spec.parallel,
-        },
-    );
+    let mut world: World<mdcc_baselines::megastore::MegaMsg> =
+        World::new(network(spec), world_config(spec));
     // Replicas for DCs 1..n spawn first (ids 0..n-1), master last — then
     // reads in DC 0 go to the master's authoritative store.
     let replica_ids: Vec<NodeId> = (1..spec.dcs)

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode};
+use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode};
 use mdcc_common::{DcId, SimDuration};
 use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
@@ -103,7 +103,10 @@ fn loss_plus_dc_brownout_still_commits() {
         duration: SimDuration::from_secs(20),
         jitter: 0.25,
         drop_prob: 0.02,
-        fail_dcs: vec![(SimDuration::from_secs(8), DcId(4))],
+        faults: FaultPlan::new().with(FaultEvent::FailDc {
+            at: SimDuration::from_secs(8),
+            dc: DcId(4),
+        }),
         ..ClusterSpec::default()
     };
     let data = initial_items(1_000, 7);

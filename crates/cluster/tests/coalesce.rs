@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultPlan, MdccMode, Report};
+use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, Report};
 use mdcc_common::{DcId, Key, Row, SimDuration};
 use mdcc_core::TxnStats;
 use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
@@ -125,49 +125,6 @@ fn coalescing_preserves_outcomes_with_strictly_fewer_frames() {
         on_mpc * 2.0 <= off_mpc,
         "coalescing must cut protocol frames/commit at least 2x on the \
          fan-out-heavy load: {on_mpc:.1} vs {off_mpc:.1}"
-    );
-}
-
-/// The flood case: a restarted node syncing via the legacy per-key
-/// `SyncKey` flood sends hundreds of same-destination messages from
-/// one handler — the outbox collapses them into a handful of envelopes
-/// (≥ 3x fewer sync frames; in practice orders of magnitude).
-#[test]
-fn coalescing_collapses_the_sync_flood() {
-    let s = SimDuration::from_secs;
-    let base = |coalesce: bool| {
-        let mut spec = hot_spec(58, coalesce);
-        spec.durability = true;
-        spec.drain = s(20);
-        spec.faults = FaultPlan::new().crash_restart(DcId(1), 0, s(5), s(4));
-        // The per-key flood baseline (PR 2) — the worst-case message
-        // storm the transport can be handed.
-        spec.protocol.sync_batching = false;
-        spec
-    };
-    let (on, _) = run_hot(&base(true));
-    let (off, _) = run_hot(&base(false));
-    for (label, report) in [("on", &on), ("off", &off)] {
-        assert_eq!(report.recoveries.len(), 1, "{label}: the restart ran");
-        assert_healthy(label, report);
-        let audit = report.audit.as_ref().expect("audited");
-        let reference = audit.committed_digests[0];
-        for r in &report.recoveries {
-            assert_eq!(
-                audit.committed_digests[r.node.0 as usize], reference,
-                "{label}: restarted node diverged"
-            );
-        }
-    }
-    eprintln!(
-        "sync flood: on {} frames ({} msgs), off {} frames",
-        on.net.sync.msgs, on.net.sync.payloads, off.net.sync.msgs
-    );
-    assert!(
-        on.net.sync.msgs * 3 <= off.net.sync.msgs,
-        "the flood must coalesce at least 3x: {} vs {} sync frames",
-        on.net.sync.msgs,
-        off.net.sync.msgs
     );
 }
 

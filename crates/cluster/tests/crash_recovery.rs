@@ -138,71 +138,51 @@ fn nodes_crash_restart_and_replicas_reconverge_byte_for_byte() {
     }
 }
 
-/// The headline claim of the batched anti-entropy rework: against the
-/// same crash schedule, merkle-style range-digest sync must ship
-/// **strictly fewer sync bytes and strictly fewer sync messages** than
-/// the legacy per-key `SyncKey` flood — while every restarted replica
-/// still reconverges byte-for-byte with the never-crashed reference.
+/// Sync bytes `drill_spec(21)` may ship over its 35 sync rounds (four
+/// restarts, each syncing against rotating peers until a full rotation
+/// stays quiet). The run measured 1 596 877 B in 424 messages when this
+/// was set; shipping every key every round cost 6 662 141 B in 24 166
+/// messages on the same spec (measured at f09ed95, the last commit that
+/// could).
+const DRILL_SYNC_BYTES_CEILING: u64 = 2_000_000;
+
+/// Anti-entropy ships divergence, not the store: merkle-style
+/// range-digest sync stays under its byte ceiling and sends fewer
+/// messages in the whole run than one key-by-key pass over a store
+/// would, while every restarted replica still reconverges byte-for-byte
+/// with the never-crashed reference.
 #[test]
 fn batched_merkle_sync_ships_fewer_bytes_than_per_key_flood() {
-    let batched_spec = drill_spec(21);
-    assert!(
-        batched_spec.protocol.sync_batching,
-        "batched sync is the default"
-    );
-    let mut legacy_spec = drill_spec(21);
-    legacy_spec.protocol.sync_batching = false;
-
-    let (batched, _) = run_drill_spec(&batched_spec);
-    let (legacy, _) = run_drill_spec(&legacy_spec);
-
-    // Both runs must fully reconverge: every restarted node byte-equal
-    // to the never-crashed DC0 replica.
-    for (label, report) in [("batched", &batched), ("legacy", &legacy)] {
-        let audit = report.audit.as_ref().expect("audited");
-        assert_eq!(audit.pending_options, 0, "{label}: dangling options left");
-        let reference = audit.committed_digests[0];
-        for r in &report.recoveries {
-            assert_eq!(
-                audit.committed_digests[r.node.0 as usize], reference,
-                "{label}: node {} diverged",
-                r.node
-            );
-        }
+    let (report, _) = run_drill(21);
+    let audit = report.audit.as_ref().expect("audited");
+    assert_eq!(audit.pending_options, 0, "dangling options left");
+    let reference = audit.committed_digests[0];
+    for r in &report.recoveries {
+        assert_eq!(
+            audit.committed_digests[r.node.0 as usize], reference,
+            "node {} diverged",
+            r.node
+        );
     }
 
-    // The per-key flood ships the whole store per sync round; digests
-    // ship a u64 per range and full state only for divergent ranges.
-    // Compare *payload* messages: envelope coalescing (on by default)
-    // batches the flood's thousands of per-key messages into a handful
-    // of giant frames, but the protocol-level message count — and the
-    // bytes — still tell the anti-entropy story.
-    let b = batched.net.sync;
-    let l = legacy.net.sync;
+    // Compare *payload* messages: envelope coalescing batches them into
+    // fewer frames, but the protocol-level count tells the anti-entropy
+    // story.
+    let sync = report.net.sync;
     eprintln!(
-        "sync traffic: batched {} msgs ({} frames) / {} bytes, \
-         legacy {} msgs ({} frames) / {} bytes",
-        b.payloads, b.msgs, b.bytes, l.payloads, l.msgs, l.bytes
+        "sync traffic: {} msgs ({} frames) / {} bytes",
+        sync.payloads, sync.msgs, sync.bytes
+    );
+    assert!(sync.bytes > 0, "the restarted nodes never synced");
+    assert!(
+        sync.bytes <= DRILL_SYNC_BYTES_CEILING,
+        "sync shipped {} bytes, ceiling {DRILL_SYNC_BYTES_CEILING}",
+        sync.bytes
     );
     assert!(
-        b.bytes < l.bytes,
-        "batched sync must ship fewer bytes: batched {} vs legacy {}",
-        b.bytes,
-        l.bytes
-    );
-    assert!(
-        b.payloads < l.payloads,
-        "batched sync must ship fewer messages: batched {} vs legacy {}",
-        b.payloads,
-        l.payloads
-    );
-    // And not marginally so: the flood re-ships ~800 records per round,
-    // the digest protocol a handful of divergent ranges.
-    assert!(
-        (b.bytes as f64) < 0.5 * l.bytes as f64,
-        "expected at least 2x byte savings, got {} vs {}",
-        b.bytes,
-        l.bytes
+        sync.payloads < ITEMS,
+        "sync sent {} messages, a message per record ({ITEMS}) or more",
+        sync.payloads
     );
 }
 

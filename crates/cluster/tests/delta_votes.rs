@@ -1,15 +1,14 @@
 //! Delta-vote acceptance tests.
 //!
 //! Phase2b votes shipping the full cstruct to every interested
-//! coordinator dominate full MDCC's wire cost under hot commutative
-//! load (EXPERIMENTS.md §fig5). With `ProtocolConfig::delta_votes`
-//! (the default) votes carry only the newly appended options plus a
-//! cstruct digest, and divergence (message loss, missed epochs) is
-//! healed by an explicit `CstructPull`/`CstructFull` read-repair round
-//! trip. These tests check the wire-cost win, that forced divergence
-//! actually exercises the repair protocol, and that the delta path
-//! converges to the same kind of audited, constraint-respecting state
-//! as the legacy full-cstruct path under loss and crash/restart.
+//! coordinator would dominate full MDCC's wire cost under hot
+//! commutative load (EXPERIMENTS.md §fig5), so votes carry only the
+//! newly appended options plus a cstruct digest, and divergence
+//! (message loss, missed epochs) is healed by an explicit
+//! `CstructPull`/`CstructFull` read-repair round trip. These tests
+//! check the wire cost, that forced divergence actually exercises the
+//! repair protocol, and that the cluster converges to an audited,
+//! constraint-respecting state under loss and crash/restart.
 
 use std::sync::Arc;
 
@@ -30,8 +29,8 @@ const ITEMS: u64 = 120;
 
 /// A hot commutative deployment: commutative instances stay open until
 /// the option cap, so each record's cstruct accumulates resolved
-/// options and full votes get fat while the load stays civil enough
-/// for clean end-of-run audits.
+/// options — what a vote must not re-ship — while the load stays civil
+/// enough for clean end-of-run audits.
 fn hot_spec(seed: u64) -> ClusterSpec {
     let s = SimDuration::from_secs;
     ClusterSpec {
@@ -56,7 +55,7 @@ fn run_hot(spec: &ClusterSpec) -> (Report, TxnStats) {
     run_mdcc(spec, catalog(), &data, &mut factory, MdccMode::Full)
 }
 
-/// End-of-run health shared by every mode: nothing dangling, nobody
+/// End-of-run health shared by every test: nothing dangling, nobody
 /// stuck, constraint intact. (Full replica digest equality is only
 /// guaranteed when restart anti-entropy runs — the loss-free fault test
 /// below asserts it for the restarted nodes, mirroring
@@ -69,39 +68,26 @@ fn assert_healthy(label: &str, report: &Report) {
     assert!(min_stock >= 0, "{label}: stock constraint violated");
 }
 
-/// The headline: with delta votes on, the hot-commutative wire cost per
-/// committed transaction drops several-fold versus the full-cstruct
-/// path, while both runs converge and respect the constraint.
+/// Wire bytes per committed transaction `hot_spec(77)` may cost. The
+/// run measured 6 106 B (608 commits) when this was set; votes that
+/// re-ship the whole cstruct cost 70 521 B on the same spec (measured at
+/// f09ed95, the last commit that could send them).
+const HOT_BYTES_PER_COMMIT_CEILING: f64 = 7_000.0;
+
+/// The headline: on hot commutative load a commit costs a few kilobytes
+/// of wire — votes ship what was appended, not what was settled — and
+/// the run converges and respects the constraint.
 #[test]
 fn delta_votes_slash_hot_commutative_wire_cost() {
-    let delta_spec = hot_spec(77);
+    let (report, _) = run_hot(&hot_spec(77));
+    assert_healthy("hot", &report);
+    let bpc = report.bytes_per_commit().expect("run committed");
+    eprintln!("bytes/commit: {bpc:.0}, commits {}", report.write_commits());
+    assert!(report.write_commits() > 100, "run barely committed");
     assert!(
-        delta_spec.protocol.delta_votes,
-        "delta votes are the default"
-    );
-    let mut full_spec = hot_spec(77);
-    full_spec.protocol.delta_votes = false;
-
-    let (delta, _) = run_hot(&delta_spec);
-    let (full, _) = run_hot(&full_spec);
-    assert_healthy("delta", &delta);
-    assert_healthy("full", &full);
-
-    let delta_bpc = delta.bytes_per_commit().expect("delta run committed");
-    let full_bpc = full.bytes_per_commit().expect("full run committed");
-    eprintln!(
-        "bytes/commit: delta {delta_bpc:.0} vs full {full_bpc:.0} ({:.1}x), \
-         commits {} vs {}",
-        full_bpc / delta_bpc,
-        delta.write_commits(),
-        full.write_commits(),
-    );
-    assert!(delta.write_commits() > 100, "delta run barely committed");
-    assert!(full.write_commits() > 100, "full run barely committed");
-    assert!(
-        delta_bpc * 3.0 <= full_bpc,
-        "delta votes must cut bytes/commit at least 3x on hot commutative \
-         load: {delta_bpc:.0} vs {full_bpc:.0}"
+        bpc <= HOT_BYTES_PER_COMMIT_CEILING,
+        "votes are re-shipping settled entries: {bpc:.0} B per commit on hot \
+         commutative load, ceiling {HOT_BYTES_PER_COMMIT_CEILING:.0}"
     );
 }
 
@@ -135,38 +121,29 @@ fn message_loss_forces_digest_mismatch_repairs() {
     assert_healthy("lossy delta", &report);
 }
 
-/// Equivalence under crash/restart: with delta votes on, a node that
-/// crashes mid-run, replays its WAL (restoring the vote watermark and
-/// cstruct epoch) and re-syncs still lands **byte-identical** to a
-/// never-crashed reference replica — exactly like the full-cstruct
-/// path does against the same fault schedule.
+/// Crash/restart: a node that crashes mid-run, replays its WAL
+/// (restoring the vote watermark and cstruct epoch) and re-syncs lands
+/// **byte-identical** to a never-crashed reference replica.
 #[test]
 fn delta_and_full_paths_reconverge_after_restarts() {
     let s = SimDuration::from_secs;
-    let base = |delta_votes: bool| {
-        let mut spec = hot_spec(58);
-        spec.durability = true;
-        spec.drain = s(25);
-        spec.faults = FaultPlan::new()
-            .crash_restart(DcId(1), 0, s(5), s(4))
-            .crash_restart(DcId(3), 0, s(9), s(4));
-        spec.protocol.delta_votes = delta_votes;
-        spec
-    };
-    let (delta, _) = run_hot(&base(true));
-    let (full, _) = run_hot(&base(false));
-    for (label, report) in [("delta", &delta), ("full", &full)] {
-        assert_eq!(report.recoveries.len(), 2, "{label}: both restarts ran");
-        assert!(report.write_commits() > 50, "{label}: run barely committed");
-        assert_healthy(label, report);
-        let audit = report.audit.as_ref().expect("audited");
-        let reference = audit.committed_digests[0];
-        for r in &report.recoveries {
-            assert_eq!(
-                audit.committed_digests[r.node.0 as usize], reference,
-                "{label}: restarted node {} diverged from the reference",
-                r.node
-            );
-        }
+    let mut spec = hot_spec(58);
+    spec.durability = true;
+    spec.drain = s(25);
+    spec.faults = FaultPlan::new()
+        .crash_restart(DcId(1), 0, s(5), s(4))
+        .crash_restart(DcId(3), 0, s(9), s(4));
+    let (report, _) = run_hot(&spec);
+    assert_eq!(report.recoveries.len(), 2, "both restarts ran");
+    assert!(report.write_commits() > 50, "run barely committed");
+    assert_healthy("restarts", &report);
+    let audit = report.audit.as_ref().expect("audited");
+    let reference = audit.committed_digests[0];
+    for r in &report.recoveries {
+        assert_eq!(
+            audit.committed_digests[r.node.0 as usize], reference,
+            "restarted node {} diverged from the reference",
+            r.node
+        );
     }
 }

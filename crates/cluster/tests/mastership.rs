@@ -106,7 +106,6 @@ fn disabled_mastership_knobs_are_byte_inert() {
         migrate_min_rate: 1,
         migrate_window: SimDuration::from_millis(13),
         migrate_rounds: 1,
-        lease_phase1: false,
         lease_record_overrides: 7,
     };
     let (a, _) = run(&base);
@@ -141,63 +140,27 @@ fn leases_cover_writes_and_never_overlap() {
     assert_no_overlapping_leases("mastership-on", &report);
 }
 
-/// Lease-carried Phase1 in action: with `lease_phase1` on (the
-/// default), first-touch mastered commits skip the per-record Phase1
-/// exchange entirely — the granted lease ballot already is the promise
-/// floor — and every replica still converges to byte-equal committed
-/// state. Turning it off restores the two-round-trip first touch
-/// (nothing skipped), and with it off the whole per-record override
-/// knob family is inert: wild values change not a single wire byte.
+/// Lease-carried Phase1 in action: first-touch mastered commits skip
+/// the per-record Phase1 exchange entirely — the granted lease ballot
+/// already is the promise floor — no two nodes ever hold a shard's lease
+/// at once, and every replica still converges to byte-equal committed
+/// state.
 #[test]
 fn lease_phase1_skips_cold_phase1_and_stays_byte_equal() {
-    let mut on = spec(45);
-    on.protocol.mastership = MastershipConfig::enabled();
+    let mut s = spec(45);
+    s.protocol.mastership = MastershipConfig::enabled();
+    let (report, _) = run(&s);
+    assert_healthy("lease-phase1", &report);
+    assert_no_overlapping_leases("lease-phase1", &report);
     assert!(
-        on.protocol.mastership.lease_phase1,
-        "lease_phase1 defaults on"
-    );
-    let (ra, _) = run(&on);
-    assert_healthy("lease-phase1-on", &ra);
-    assert_no_overlapping_leases("lease-phase1-on", &ra);
-    assert!(
-        ra.mastership.phase1_skipped > 0,
+        report.mastership.phase1_skipped > 0,
         "no first-touch mastered commit ever skipped Phase1"
     );
-    let digests = &ra.audit.as_ref().expect("audited").committed_digests;
+    let digests = &report.audit.as_ref().expect("audited").committed_digests;
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "replicas diverged under Phase1-less lease takeover"
     );
-
-    let mut off = spec(45);
-    off.protocol.mastership = MastershipConfig {
-        lease_phase1: false,
-        ..MastershipConfig::enabled()
-    };
-    let (rb, _) = run(&off);
-    assert_healthy("lease-phase1-off", &rb);
-    assert_no_overlapping_leases("lease-phase1-off", &rb);
-    assert_eq!(
-        rb.mastership.phase1_skipped, 0,
-        "Phase1 skipped with the optimization off"
-    );
-    let digests = &rb.audit.as_ref().expect("audited").committed_digests;
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "replicas diverged under classic Phase1"
-    );
-
-    // Off-switch inertness: with lease_phase1 off, the override knob
-    // changes nothing — not a wire byte, not an audit bit.
-    let mut wild = spec(45);
-    wild.protocol.mastership = MastershipConfig {
-        lease_phase1: false,
-        lease_record_overrides: 7,
-        ..MastershipConfig::enabled()
-    };
-    let (rc, _) = run(&wild);
-    assert_eq!(rb.net, rc.net, "override knob altered wire accounting");
-    assert_eq!(rb.audit, rc.audit, "override knob altered the audit");
 }
 
 /// The data center whose storage node wins the initial election under

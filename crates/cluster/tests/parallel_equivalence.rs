@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultPlan, MdccMode, NetKind, Report};
+use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind, Report};
 use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
 use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, MICRO_ITEMS, STOCK};
@@ -163,7 +163,10 @@ fn parallel_matches_sequential_across_crash_and_restart() {
 #[test]
 fn parallel_matches_sequential_across_a_dc_outage() {
     let spec = ClusterSpec {
-        fail_dcs: vec![(SimDuration::from_secs(2), DcId(2))],
+        faults: FaultPlan::new().with(FaultEvent::FailDc {
+            at: SimDuration::from_secs(2),
+            dc: DcId(2),
+        }),
         ..small_spec(13)
     };
     assert_equivalent(&spec, MdccMode::Full, "dc-outage/full");

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use mdcc_cluster::{
-    run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, MdccMode, NetKind,
-    Report,
+    run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, FaultEvent, FaultPlan,
+    MdccMode, NetKind, Report,
 };
 use mdcc_common::{DcId, SimDuration};
 use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
@@ -205,7 +205,10 @@ fn dc_failure_mid_run_does_not_stop_commits() {
     s.warmup = SimDuration::from_secs(5);
     s.duration = SimDuration::from_secs(30);
     // Fail US-East (the closest DC to the clients) 15 s in.
-    s.fail_dcs = vec![(SimDuration::from_secs(15), DcId(1))];
+    s.faults = FaultPlan::new().with(FaultEvent::FailDc {
+        at: SimDuration::from_secs(15),
+        dc: DcId(1),
+    });
     let catalog = micro_catalog();
     let data = initial_items(ITEMS, 99);
     let mut factory = |_i: usize, _dc: DcId, _p: &_| -> Box<dyn mdcc_workloads::Workload> {

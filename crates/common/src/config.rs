@@ -30,6 +30,12 @@ pub enum StorageKind {
 /// heartbeat, omnipaxos-style ballot leader election, and access-driven
 /// master migration.
 ///
+/// A granted lease ballot doubles as the Phase1-promised classic ballot
+/// for every record in the lease's scope (lease-carried Phase1):
+/// granting replicas enforce it as a per-record promise floor, so the
+/// holder's first Phase2a for a cold record is immediately valid — one
+/// WAN round trip instead of a Phase1a/Phase1b exchange plus Phase2.
+///
 /// Disabled by default. With `enabled = false` no mastership timer is
 /// armed, no mastership message is sent and no RNG is consumed — runs
 /// are byte-identical to static placement.
@@ -71,16 +77,6 @@ pub struct MastershipConfig {
     /// consecutive evaluations before the lease is handed off
     /// (hysteresis).
     pub migrate_rounds: u32,
-    /// Lease-carried Phase1 (on by default): a granted lease ballot
-    /// doubles as the Phase1-promised classic ballot for every record
-    /// in the lease's scope. Granting replicas enforce the lease ballot
-    /// as a per-record promise floor, so the holder's first Phase2a for
-    /// a cold record is immediately valid — no per-record
-    /// Phase1a/Phase1b exchange, cutting a cold key's first mastered
-    /// commit from two WAN round trips to one. `false` restores the
-    /// per-record classic Phase1 on first touch, byte-identical to the
-    /// shard-lease baseline.
-    pub lease_phase1: bool,
     /// Bound on the per-shard record-override table (records whose
     /// promise rose above the shard's base lease ballot). Past the cap
     /// the least-recently-touched half is spilled deterministically;
@@ -99,7 +95,6 @@ impl Default for MastershipConfig {
             migrate_min_rate: 20,
             migrate_window: SimDuration::from_millis(400),
             migrate_rounds: 2,
-            lease_phase1: true,
             lease_record_overrides: 64,
         }
     }
@@ -149,23 +144,8 @@ pub struct ProtocolConfig {
     /// round against a peer replica (catch-up for state it missed while
     /// down).
     pub recovery_sync_interval: SimDuration,
-    /// Drive restart anti-entropy with merkle-style range digests and
-    /// batched chunks (`true`, the default): only key ranges whose
-    /// digests diverge ship, in multi-record messages. `false` restores
-    /// the legacy per-key `SyncKey` flood (baseline for byte
-    /// comparisons).
-    pub sync_batching: bool,
     /// Keys per sync digest range and per shipped sync chunk message.
     pub sync_chunk_keys: usize,
-    /// Ship Phase2b votes as per-option deltas plus a cstruct digest
-    /// (`true`, the default): an acceptor sends only the options appended
-    /// since its last vote, and learners fold them into per-acceptor
-    /// shadow views, falling back to an explicit `CstructPull` /
-    /// `CstructFull` read-repair round trip when digests disagree
-    /// (ballot change, reordering, message loss). `false` restores the
-    /// legacy full-cstruct votes (baseline for byte comparisons and
-    /// equivalence testing).
-    pub delta_votes: bool,
     /// Coalesce same-destination, same-traffic-class sends into batched
     /// envelope frames (`true`, the default): every sender's outbox is
     /// flushed as one envelope per (destination, class) — one frame
@@ -206,13 +186,6 @@ pub struct ProtocolConfig {
     /// overflows, the least-recently-touched half is encoded back into
     /// segments and dropped.
     pub log_cache_records: usize,
-    /// Incremental-compaction budget of the log-structured backend:
-    /// once compaction triggers, at most this many bytes are
-    /// copied forward per storage event instead of rewriting the whole
-    /// store inside one event. Zero (the default) keeps the
-    /// stop-the-world behaviour; the final store state is byte-identical
-    /// either way.
-    pub compact_budget_bytes: usize,
     /// Dynamic mastership: shard-granular leases, ballot leader
     /// election, access-driven migration. Off by default (static
     /// placement, byte-identical to earlier revisions).
@@ -231,9 +204,7 @@ impl Default for ProtocolConfig {
             max_instance_options: 32,
             checkpoint_interval: SimDuration::from_millis(10_000),
             recovery_sync_interval: SimDuration::from_millis(2_500),
-            sync_batching: true,
             sync_chunk_keys: 32,
-            delta_votes: true,
             coalesce: true,
             coalesce_window: SimDuration::from_micros(500),
             group_commit: true,
@@ -241,7 +212,6 @@ impl Default for ProtocolConfig {
             group_commit_bytes: 256 * 1024,
             storage: StorageKind::Mem,
             log_cache_records: 4096,
-            compact_budget_bytes: 0,
             mastership: MastershipConfig::default(),
         }
     }

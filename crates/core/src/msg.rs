@@ -7,7 +7,7 @@
 use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
 use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot};
-use mdcc_paxos::{Ballot, DeltaVote, Resolution, TxnOption, TxnOutcome};
+use mdcc_paxos::{Ballot, DeltaVote, TxnOption, TxnOutcome};
 use mdcc_storage::{SyncItem, SyncRange};
 
 /// Everything that travels between MDCC processes (and, via self-timers,
@@ -45,24 +45,20 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Acceptor responses (storage node → learners/TM).
     // ------------------------------------------------------------------
-    /// Phase2b vote (fast or classic) carrying the acceptor's cstruct.
-    /// With delta votes: the cstruct from the record's settled watermark
-    /// on, sent to a destination that has nothing to fold a delta onto
-    /// (first contact, new epoch, or the watermark overtook what it was
-    /// last sent). With `ProtocolConfig::delta_votes = false`: the whole
-    /// cstruct, to the proposer and to the coordinators of every option
-    /// in it.
+    /// Phase2b vote (fast or classic) carrying the acceptor's cstruct
+    /// from the record's settled watermark on, sent to a destination
+    /// that has nothing to fold a delta onto (first contact, new epoch,
+    /// or the watermark overtook what it was last sent).
     Vote {
         /// Record voted on.
         key: Key,
         /// The vote.
         vote: Phase2b,
     },
-    /// Phase2b vote shipped as a per-option delta plus a cstruct digest
-    /// (`ProtocolConfig::delta_votes = true`): only the options appended
-    /// since the acceptor's previous vote travel; receivers fold them
-    /// into per-acceptor shadow views and pull the acceptor's vote only
-    /// on digest mismatch.
+    /// Phase2b vote shipped as a per-option delta plus a cstruct digest:
+    /// only the options appended since the acceptor's previous vote
+    /// travel; receivers fold them into per-acceptor shadow views and
+    /// pull the acceptor's vote only on digest mismatch.
     VoteDelta {
         /// Record voted on.
         key: Key,
@@ -209,24 +205,10 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Crash recovery: restart-time peer sync (storage ↔ storage).
     // ------------------------------------------------------------------
-    /// A restarted storage node asks a peer replica for the committed
-    /// state of everything the peer holds (anti-entropy catch-up for
-    /// updates missed while the node was down, §3.2.3).
-    SyncReq,
-    /// One record of a peer's sync response: its committed snapshot plus
-    /// the already-resolved options of its current instance (each option
-    /// "includes all necessary information to reconstruct the state").
-    SyncKey {
-        /// Record concerned.
-        key: Key,
-        /// The peer's committed state for the record.
-        snapshot: RecordSnapshot,
-        /// Resolved options of the peer's current instance.
-        resolved: Vec<(TxnOption, Resolution)>,
-    },
-    /// A restarted node opens a batched (merkle-style) sync round: the
-    /// peer answers with digests of its key ranges instead of flooding
-    /// full state per key.
+    /// A restarted node opens a merkle-style sync round (anti-entropy
+    /// catch-up for updates missed while it was down, §3.2.3): the peer
+    /// answers with digests of its key ranges; full state ships only
+    /// for ranges that diverge.
     SyncDigestReq,
     /// Range digests of everything the sender holds; the receiver
     /// compares each range against its own state and pulls only the
@@ -240,8 +222,10 @@ pub enum Msg {
         /// `(lo, hi)` inclusive bounds, as advertised in `SyncDigest`.
         ranges: Vec<(Key, Key)>,
     },
-    /// A batched chunk of per-record sync payloads — the bulk carrier
-    /// that replaces a flood of `SyncKey` messages.
+    /// A batched chunk of per-record sync payloads: each item is a
+    /// record's committed snapshot plus the already-resolved options of
+    /// its current instance (each option "includes all necessary
+    /// information to reconstruct the state").
     SyncChunk {
         /// At most `sync_chunk_keys` records' worth of state.
         items: Vec<SyncItem>,

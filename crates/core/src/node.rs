@@ -208,8 +208,8 @@ pub struct StorageNodeProcess {
     /// Shared lease-tenure collector handed to the mastership layer
     /// (consistency audits assert no overlapping tenures).
     lease_audit: Option<LeaseAudit>,
-    /// Lease-carried Phase1 (`lease_phase1`): shard-level promise
-    /// floors installed whenever this node *granted* a lease. The
+    /// Lease-carried Phase1: shard-level promise floors installed
+    /// whenever this node *granted* a lease. The
     /// granted ballot doubles as the Phase1-promised classic ballot for
     /// every record in the shard, enforced lazily on the acceptor right
     /// before it judges a proposal — so the holder's first Phase2a for
@@ -311,18 +311,13 @@ impl StorageNodeProcess {
         self.mastership.as_ref().map(|m| m.stats())
     }
 
-    /// Whether lease-carried Phase1 is in force on this node.
-    fn lease_phase1_on(&self) -> bool {
-        self.cfg.mastership.enabled && self.cfg.mastership.lease_phase1
-    }
-
     /// Installs lease floors and per-record overrides recovered from
     /// the WAL tail (see [`mdcc_recovery::recovered_leases`]) into this
     /// node's *enforcement* tables only. The mastership layer's restart
     /// quarantine is untouched: recovered floors keep fencing deposed
     /// ballots, they never let this node serve.
     pub fn install_recovered_leases(&mut self, leases: mdcc_recovery::RecoveredLeases) {
-        if !self.lease_phase1_on() {
+        if !self.cfg.mastership.enabled {
             return;
         }
         for (shard, (n, pid)) in leases.floors {
@@ -350,7 +345,7 @@ impl StorageNodeProcess {
     /// A raise is mirrored into the WAL as the Phase1a it stands in
     /// for, so crash replay reproduces the exact same Nacks.
     fn enforce_floor(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
-        if !self.lease_phase1_on() {
+        if !self.cfg.mastership.enabled {
             return;
         }
         let shard = self.placement.shard_id(key);
@@ -383,7 +378,7 @@ impl StorageNodeProcess {
         promised: mdcc_paxos::Ballot,
         ctx: &mut Ctx<'_, Msg>,
     ) {
-        if !self.lease_phase1_on() || promised.is_fast() {
+        if !self.cfg.mastership.enabled || promised.is_fast() {
             return;
         }
         if self.cfg.mastership.lease_record_overrides == 0 {
@@ -417,7 +412,7 @@ impl StorageNodeProcess {
     /// from the shard lease this node is serving: the override ballot's
     /// proposer, if it outranks the shard floor and is another node.
     fn record_override_target(&mut self, key: &Key, me: NodeId) -> Option<NodeId> {
-        if !self.lease_phase1_on() {
+        if !self.cfg.mastership.enabled {
             return None;
         }
         let shard = self.placement.shard_id(key);
@@ -435,7 +430,7 @@ impl StorageNodeProcess {
     /// migration so hot-key promises survive the handoff).
     fn install_override_runs(&mut self, shard: u32, runs: &[OverrideRun], ctx: &mut Ctx<'_, Msg>) {
         let cap = self.cfg.mastership.lease_record_overrides;
-        if !self.lease_phase1_on() || cap == 0 {
+        if !self.cfg.mastership.enabled || cap == 0 {
             return;
         }
         let mut raised: Vec<(u64, MsBallot)> = Vec::new();
@@ -543,12 +538,9 @@ impl StorageNodeProcess {
             .collect()
     }
 
-    /// Sends one anti-entropy request to the next peer in rotation.
-    ///
-    /// Batched mode (the default) opens a merkle-style round: the peer
-    /// answers with range digests, this node pulls only divergent
-    /// ranges, and state ships in multi-record chunks. Legacy mode asks
-    /// for the full per-key `SyncKey` flood.
+    /// Opens one merkle-style anti-entropy round with the next peer in
+    /// rotation: the peer answers with range digests, this node pulls
+    /// only divergent ranges, and state ships in multi-record chunks.
     fn run_sync_round(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let peers = self.peer_replicas(ctx);
         if peers.is_empty() {
@@ -557,15 +549,11 @@ impl StorageNodeProcess {
         let target = peers[self.sync_cursor % peers.len()];
         self.sync_cursor += 1;
         self.stats.sync_rounds += 1;
-        if self.cfg.sync_batching {
-            ctx.send(target, Msg::SyncDigestReq);
-        } else {
-            ctx.send(target, Msg::SyncReq);
-        }
+        ctx.send(target, Msg::SyncDigestReq);
     }
 
-    /// Applies one record's worth of peer sync state — shared by the
-    /// legacy `SyncKey` path and the batched `SyncChunk` path.
+    /// Applies one record's worth of peer sync state (one item of a
+    /// `SyncChunk`).
     fn apply_sync_item(
         &mut self,
         key: Key,
@@ -673,8 +661,8 @@ impl StorageNodeProcess {
         }
         // A fresh lease holder starts its classic ballots above the
         // election ballot so its Phase1a outranks the predecessor's —
-        // and, with lease-carried Phase1 on, skips Phase1 entirely for
-        // cold records: the granted lease ballot is already the promise
+        // and skips Phase1 entirely for cold records (lease-carried
+        // Phase1): the granted lease ballot is already the promise
         // floor on a grant quorum of acceptors, so the first Phase2a at
         // that ballot is immediately valid (one WAN round trip).
         let mut skipped_phase1 = false;
@@ -701,8 +689,7 @@ impl StorageNodeProcess {
                             || (r.cstruct().is_empty() && r.promised() <= ballot)
                     })
                     .unwrap_or(true);
-                if self.cfg.mastership.lease_phase1
-                    && ms.is_serving(shard, ctx.now)
+                if ms.is_serving(shard, ctx.now)
                     && locally_cold
                     && self.leader_for(&key, ctx).assume_leadership(ballot)
                 {
@@ -724,16 +711,12 @@ impl StorageNodeProcess {
     /// Emits the mastership layer's queued sends as wrapped messages
     /// and absorbs its host-level effects: lease grants raise this
     /// node's promise floor, migrations ship the override table to the
-    /// successor. Both effects are gated on `lease_phase1` so the off
-    /// switch stays byte-identical to plain shard leases.
+    /// successor.
     fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut Ctx<'_, Msg>) {
         for action in out {
             match action {
                 MsAction::Send { to, msg } => ctx.send(to, Msg::Mastership(msg)),
                 MsAction::FloorRaised { shard, ballot } => {
-                    if !self.lease_phase1_on() {
-                        continue;
-                    }
                     let rose = self
                         .lease_floors
                         .get(&shard)
@@ -751,9 +734,6 @@ impl StorageNodeProcess {
                     }
                 }
                 MsAction::Relinquished { shard, to } => {
-                    if !self.lease_phase1_on() {
-                        continue;
-                    }
                     // Hand the per-record override table to the
                     // successor so hot-key promises survive migration.
                     if let Some(table) = self.lease_overrides.get(&shard) {
@@ -799,9 +779,8 @@ impl StorageNodeProcess {
                     self.stats.recoveries_led += 1;
                     // A per-record Phase1 round run while this node
                     // serves the shard's lease — the two-round-trip
-                    // first-touch cliff `lease_phase1` removes (the
-                    // fig11 cold-key drill asserts this stays zero
-                    // when the optimization is on).
+                    // first touch lease-carried Phase1 exists to avoid
+                    // (the fig11 cold-key drill bounds its share).
                     let shard = self.placement.shard_id(key);
                     if let Some(ms) = self.mastership.as_mut() {
                         if ms.is_serving(shard, ctx.now) {
@@ -868,55 +847,22 @@ impl StorageNodeProcess {
         }
     }
 
-    /// Fans a vote out to the proposer (`also`) and to the coordinator of
-    /// every option in the cstruct, so recovery-adopted options reach
-    /// their transaction managers (learners).
+    /// Fans a vote out to the proposer (`also`) and to every coordinator
+    /// that can still learn something from it, so recovery-adopted
+    /// options reach their transaction managers (learners). Entries this
+    /// node has an outcome for are settled business at their
+    /// coordinator — it produced the Visibility, and stale retries get
+    /// `AlreadyResolved`.
     ///
-    /// With `delta_votes` on (the default) the fan-out narrows to the
-    /// proposer plus coordinators that can still learn something
-    /// (entries this node has an outcome for are settled business at
-    /// their coordinator — it produced the Visibility, and stale retries
-    /// get `AlreadyResolved`). `vote` starts at the record's settled
-    /// watermark ([`mdcc_paxos::AcceptorRecord::vote`]); each
-    /// destination receives only the entry suffix its per-destination
+    /// `vote` starts at the record's settled watermark
+    /// ([`mdcc_paxos::AcceptorRecord::vote`]); each destination
+    /// receives only the entry suffix its per-destination
     /// [`mdcc_paxos::DeltaCursor`] says it is missing, plus a digest of
     /// the whole cstruct, or — on first contact, in a new epoch, or when
     /// the watermark overtook what it was last sent — the vote itself.
     /// Receivers whose shadows cannot fold a delta (loss, reordering)
     /// come back with a `CstructPull`.
-    ///
-    /// Legacy mode (`delta_votes = false`) preserves the PR 2 baseline:
-    /// the whole cstruct to the proposer and every interested
-    /// coordinator.
     fn fan_out_vote(&mut self, key: &Key, vote: Phase2b, also: NodeId, ctx: &mut Ctx<'_, Msg>) {
-        if !self.cfg.delta_votes {
-            let vote = self
-                .store
-                .with_record(key, |rec| rec.phase2b())
-                .unwrap_or(vote);
-            let mut sent = HashSet::new();
-            sent.insert(also);
-            ctx.send(
-                also,
-                Msg::Vote {
-                    key: key.clone(),
-                    vote: vote.clone(),
-                },
-            );
-            for entry in vote.cstruct.entries() {
-                let coord = entry.opt.txn.coordinator;
-                if sent.insert(coord) {
-                    ctx.send(
-                        coord,
-                        Msg::Vote {
-                            key: key.clone(),
-                            vote: vote.clone(),
-                        },
-                    );
-                }
-            }
-            return;
-        }
         if self.vote_cursors.len() > VOTE_CURSORS_CAP {
             evict_lru_half(&mut self.vote_cursors);
         }
@@ -1453,7 +1399,7 @@ impl Process<Msg> for StorageNodeProcess {
                 // cstruct — the first-touch case the optimization
                 // exists for) are unaffected. Nothing is logged or
                 // mutated here, so crash replay cannot diverge.
-                if self.lease_phase1_on()
+                if self.cfg.mastership.enabled
                     && payload.safe.is_none()
                     && self
                         .store
@@ -1527,34 +1473,6 @@ impl Process<Msg> for StorageNodeProcess {
                 learned_accepted,
             } => {
                 self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx);
-            }
-            Msg::SyncReq => {
-                // A restarted peer wants to catch up: ship the committed
-                // snapshot plus the resolved options of the current
-                // instance for every record we hold.
-                for key in self.store.keys() {
-                    let Some((snapshot, resolved)) = self
-                        .store
-                        .with_record(&key, |rec| (rec.snapshot(), rec.sync_payload()))
-                    else {
-                        continue;
-                    };
-                    ctx.send(
-                        from,
-                        Msg::SyncKey {
-                            key,
-                            snapshot,
-                            resolved,
-                        },
-                    );
-                }
-            }
-            Msg::SyncKey {
-                key,
-                snapshot,
-                resolved,
-            } => {
-                self.apply_sync_item(key, snapshot, resolved, ctx);
             }
             Msg::SyncDigestReq => {
                 // A restarted peer opens a merkle round: advertise range

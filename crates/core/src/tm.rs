@@ -489,14 +489,11 @@ impl TransactionManager {
     pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
         match msg {
             Msg::Vote { key, vote } => {
-                // A vote sent as such (whole-cstruct mode, or in delta
-                // mode a destination with nothing to fold onto) doubles
-                // as a shadow reset: subsequent deltas from this
-                // acceptor fold on top of it.
-                if self.cfg.protocol.delta_votes {
-                    if let Some(view) = self.shadow_mut(&key, from) {
-                        view.observe_full(&vote);
-                    }
+                // A vote sent as such (this coordinator had nothing to
+                // fold a delta onto) doubles as a shadow reset:
+                // subsequent deltas from this acceptor fold on top of it.
+                if let Some(view) = self.shadow_mut(&key, from) {
+                    view.observe_full(&vote);
                 }
                 self.on_vote(from, key, vote, ctx)
             }

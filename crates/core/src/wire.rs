@@ -132,17 +132,8 @@ impl Wire for Msg {
                 vote.encode(out);
                 outcome.encode(out);
             }
-            Msg::SyncReq => out.u8(18),
-            Msg::SyncKey {
-                key,
-                snapshot,
-                resolved,
-            } => {
-                out.u8(19);
-                key.encode(out);
-                snapshot.encode(out);
-                resolved.encode(out);
-            }
+            // Tags 18 and 19 (the per-key sync request and reply) are
+            // retired, not reused.
             Msg::SyncDigestReq => out.u8(20),
             Msg::SyncDigest { ranges } => {
                 out.u8(21);
@@ -290,12 +281,6 @@ impl Wire for Msg {
                 vote: Phase2b::decode(inp)?,
                 outcome: Option::decode(inp)?,
             },
-            18 => Msg::SyncReq,
-            19 => Msg::SyncKey {
-                key: Key::decode(inp)?,
-                snapshot: RecordSnapshot::decode(inp)?,
-                resolved: Vec::decode(inp)?,
-            },
             20 => Msg::SyncDigestReq,
             21 => Msg::SyncDigest {
                 ranges: Vec::decode(inp)?,
@@ -364,9 +349,7 @@ impl NetMessage for Msg {
     fn traffic_class(&self) -> TrafficClass {
         match self {
             Msg::ReadReq { .. } | Msg::ReadResp { .. } => TrafficClass::Read,
-            Msg::SyncReq
-            | Msg::SyncKey { .. }
-            | Msg::SyncDigestReq
+            Msg::SyncDigestReq
             | Msg::SyncDigest { .. }
             | Msg::SyncRangePull { .. }
             | Msg::SyncChunk { .. } => TrafficClass::Sync,
@@ -399,8 +382,6 @@ impl NetMessage for Msg {
             Msg::ReadResp { .. } => "ReadResp",
             Msg::QueryStatus { .. } => "QueryStatus",
             Msg::StatusResp { .. } => "StatusResp",
-            Msg::SyncReq => "SyncReq",
-            Msg::SyncKey { .. } => "SyncKey",
             Msg::SyncDigestReq => "SyncDigestReq",
             Msg::SyncDigest { .. } => "SyncDigest",
             Msg::SyncRangePull { .. } => "SyncRangePull",
@@ -581,18 +562,6 @@ mod tests {
                 },
                 outcome: Some(TxnOutcome::Committed),
             },
-            Msg::SyncReq,
-            Msg::SyncKey {
-                key: key("a"),
-                snapshot: snapshot.clone(),
-                resolved: vec![(
-                    opt(12),
-                    Resolution {
-                        outcome: TxnOutcome::Committed,
-                        learned_accepted: true,
-                    },
-                )],
-            },
             Msg::SyncDigestReq,
             Msg::SyncDigest {
                 ranges: vec![SyncRange {
@@ -713,6 +682,18 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_decode_to_an_error() {
+        // 18 and 19 were the per-key sync request and reply; a peer
+        // still sending them gets `Err`, not a panic or another message.
+        for tag in [18u8, 19] {
+            let mut frame = vec![tag];
+            assert!(from_bytes::<Msg>(&frame).is_err(), "bare tag {tag}");
+            frame.extend_from_slice(&to_bytes(&key("a")));
+            assert!(from_bytes::<Msg>(&frame).is_err(), "tag {tag} with payload");
+        }
+    }
+
+    #[test]
     fn wire_bytes_is_framed_encoding_len() {
         for msg in samples() {
             assert_eq!(msg.wire_bytes(), to_bytes(&msg).len() + FRAME_OVERHEAD);
@@ -731,7 +712,6 @@ mod tests {
             TrafficClass::Read
         );
         assert_eq!(Msg::SyncDigestReq.traffic_class(), TrafficClass::Sync);
-        assert_eq!(Msg::SyncReq.traffic_class(), TrafficClass::Sync);
         assert_eq!(Msg::Propose(opt(1)).traffic_class(), TrafficClass::Protocol);
         assert_eq!(
             Msg::CstructPull { key: key("a") }.traffic_class(),

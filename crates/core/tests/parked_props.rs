@@ -29,7 +29,8 @@ use mdcc_common::{
 };
 use mdcc_core::placement::Placement;
 use mdcc_core::{Msg, StorageNodeProcess};
-use mdcc_paxos::{TxnOption, TxnOutcome};
+use mdcc_paxos::cstruct::Entry;
+use mdcc_paxos::{OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{recover_store, wal, WalRecord};
 use mdcc_sim::process::Effect;
 use mdcc_sim::{Ctx, Disk, Process};
@@ -45,16 +46,8 @@ fn key() -> Key {
     Key::new(TABLE, "cart")
 }
 
-fn cfg() -> ProtocolConfig {
-    ProtocolConfig {
-        // Whole-cstruct votes: every emitted vote names its entries.
-        delta_votes: false,
-        ..ProtocolConfig::default()
-    }
-}
-
 fn loaded_store() -> RecordStore {
-    let mut store = RecordStore::new(cfg(), Arc::new(Catalog::new()));
+    let mut store = RecordStore::new(ProtocolConfig::default(), Arc::new(Catalog::new()));
     store.load(key(), Row::new().with("n", 0));
     store
 }
@@ -105,7 +98,8 @@ fn placement() -> Arc<dyn Placement> {
 
 impl Harness {
     fn new() -> Self {
-        let mut node = StorageNodeProcess::new(cfg(), loaded_store(), placement(), true);
+        let mut node =
+            StorageNodeProcess::new(ProtocolConfig::default(), loaded_store(), placement(), true);
         node.enable_durability();
         let mut disk = Disk::new();
         mdcc_recovery::write_checkpoint(&mut disk, node.store());
@@ -143,6 +137,20 @@ fn visibility(i: u64) -> Msg {
         key: key(),
         outcome: TxnOutcome::Committed,
         learned_accepted: true,
+    }
+}
+
+/// The instance and the entries a vote names, whichever form it was
+/// shipped in: a `Vote` carries the cstruct, a `VoteDelta` the entries
+/// appended since the previous vote — between them every entry the node
+/// voted on. `None` for a message that is not a vote.
+fn voted(msg: &Msg) -> Option<(Version, Vec<&Entry>)> {
+    match msg {
+        Msg::Vote { vote, .. } => Some((vote.version, vote.cstruct.entries().collect())),
+        Msg::VoteDelta { delta, .. } => {
+            Some((delta.version, delta.entries.iter().map(|e| &**e).collect()))
+        }
+        _ => None,
     }
 }
 
@@ -211,17 +219,15 @@ proptest! {
         prop_assert_eq!(stats.parked_judged_behind, 0);
 
         // No replica that is merely behind says no.
-        for msg in &node.sent {
-            if let Msg::Vote { vote, .. } = msg {
-                for entry in vote.cstruct.entries() {
-                    prop_assert!(
-                        entry.status.is_accepted(),
-                        "{} rejected at {} in {:?}",
-                        entry.opt.txn,
-                        vote.version,
-                        events
-                    );
-                }
+        for (version, entries) in node.sent.iter().filter_map(voted) {
+            for entry in entries {
+                prop_assert!(
+                    entry.status.is_accepted(),
+                    "{} rejected at {} in {:?}",
+                    entry.opt.txn,
+                    version,
+                    events
+                );
             }
         }
 
@@ -243,7 +249,8 @@ proptest! {
         }
         prop_assert_eq!(fingerprint(&replayed), fingerprint(node.node.store()));
         let (recovered, _) =
-            recover_store(cfg(), Arc::new(Catalog::new()), &node.disk).expect("clean disk");
+            recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &node.disk)
+                .expect("clean disk");
         prop_assert_eq!(fingerprint(&recovered), fingerprint(node.node.store()));
     }
 }
@@ -291,10 +298,11 @@ fn a_retry_is_judged_as_it_stands_and_drops_the_parked_copy() {
         ),
         (1, 1, 0)
     );
-    let rejected = node.sent.iter().any(|msg| match msg {
-        Msg::Vote { vote, .. } => vote.cstruct.entries().any(|e| !e.status.is_accepted()),
-        _ => false,
-    });
+    let rejected = node
+        .sent
+        .iter()
+        .filter_map(voted)
+        .any(|(_, entries)| entries.iter().any(|e| !e.status.is_accepted()));
     assert!(rejected, "judged while behind: the stale-read vote of old");
     // Judged once: the record catching up later finds nothing parked.
     let log = wal::read_all(node.disk.wal()).expect("clean log");
@@ -319,9 +327,16 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
 
     // Crash: the process is gone, the disk stays.
     let Harness { disk, .. } = node;
-    let (store, info) = recover_store(cfg(), Arc::new(Catalog::new()), &disk).expect("clean disk");
+    let (store, info) = recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk)
+        .expect("clean disk");
     assert_eq!(fingerprint(&store), before);
-    let restarted = StorageNodeProcess::from_recovery(cfg(), store, placement(), true, info);
+    let restarted = StorageNodeProcess::from_recovery(
+        ProtocolConfig::default(),
+        store,
+        placement(),
+        true,
+        info,
+    );
     assert_eq!(restarted.parked_len(), 0);
     let mut node = Harness {
         node: restarted,
@@ -334,17 +349,19 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
     // Link 1 resolves; nothing was parked, so nothing else moves.
     node.deliver(at(900), visibility(1));
     assert_eq!(node.node.store().version_of(&key()), Version(2));
-    assert!(node.sent.iter().all(|m| !matches!(m, Msg::Vote { .. })));
+    assert!(node.sent.iter().all(|m| voted(m).is_none()));
     // The coordinator's learn timeout re-proposes link 2: judged at the
     // version it read, accepted, answered.
     node.deliver(at(901), Msg::Propose(link(2)));
-    let accepted = node.sent.iter().any(|msg| match msg {
-        Msg::Vote { vote, .. } => {
-            vote.version == Version(2)
-                && vote.cstruct.status_of(TxnId::new(COORDINATOR, 2))
-                    == Some(mdcc_paxos::OptionStatus::Accepted)
-        }
-        _ => false,
-    });
+    let accepted = node
+        .sent
+        .iter()
+        .filter_map(voted)
+        .any(|(version, entries)| {
+            version == Version(2)
+                && entries.iter().any(|e| {
+                    e.opt.txn == TxnId::new(COORDINATOR, 2) && e.status == OptionStatus::Accepted
+                })
+        });
     assert!(accepted, "the retry was not answered: {:?}", node.sent);
 }

@@ -603,7 +603,8 @@ pub struct MastershipStats {
     /// Phase1 exchange — the lease ballot carried the promise.
     pub phase1_skipped: u64,
     /// Classic Phase1 rounds run for lease-covered records while
-    /// serving (zero when `lease_phase1` is on and working).
+    /// serving (records the lease ballot could not carry: warm under a
+    /// predecessor's ballot, or promised above the lease).
     pub phase1_covered: u64,
     /// WAN round trips spent on cold first-touch mastered commits
     /// (1 per skipped Phase1, 2 per classic establish while serving).
@@ -889,8 +890,8 @@ impl Mastership {
     }
 
     /// Records a classic Phase1 round run for a lease-covered record
-    /// while serving — the latency cliff `lease_phase1` exists to
-    /// remove (two WAN round trips for the first commit).
+    /// while serving — the latency cliff lease-carried Phase1 exists
+    /// to remove (two WAN round trips for the first commit).
     pub fn note_phase1_covered(&mut self) {
         self.stats.phase1_covered += 1;
         self.stats.cold_first_commit_rtts += 2;
@@ -1407,8 +1408,7 @@ impl Mastership {
             MsMsg::Overrides { .. } => {
                 // The host storage node owns the override table and
                 // intercepts this message before it reaches here; a
-                // stray delivery (e.g. `lease_phase1` off at the
-                // receiver) is safely ignored.
+                // stray delivery is safely ignored.
             }
         }
     }

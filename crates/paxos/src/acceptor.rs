@@ -1046,9 +1046,10 @@ impl AcceptorRecord {
     }
 
     /// The vote for the current state with the whole cstruct — what
-    /// recovery queries (`StatusResp`) and whole-cstruct votes
-    /// (`delta_votes = false`) carry. Carries the cstruct epoch so delta
-    /// senders and shadow views can position entry suffixes against it.
+    /// recovery queries (`StatusResp`) carry, and the oracle the
+    /// property tests compare [`Self::vote`] against. Carries the
+    /// cstruct epoch so delta senders and shadow views can position
+    /// entry suffixes against it.
     pub fn phase2b(&self) -> Phase2b {
         self.vote_from(Mark::START)
     }

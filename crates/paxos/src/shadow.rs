@@ -256,10 +256,10 @@ impl ShadowView {
     }
 
     /// Primes or rebases the shadow from a vote sent as such (first
-    /// contact, a new epoch, a cursor the watermark overtook, or
-    /// whole-cstruct mode) — installs it only when it reaches at least
-    /// as far as what the shadow tracks, so a reordered old vote cannot
-    /// regress a view that already folded fresher deltas.
+    /// contact, a new epoch, or a cursor the watermark overtook) —
+    /// installs it only when it reaches at least as far as what the
+    /// shadow tracks, so a reordered old vote cannot regress a view that
+    /// already folded fresher deltas.
     pub fn observe_full(&mut self, vote: &Phase2b) {
         let incoming = (vote.version, vote.epoch, vote.cstruct.end_seq());
         let have = (self.version, self.epoch, self.cstruct.end_seq());

@@ -207,9 +207,6 @@ pub struct LogStructuredBackend {
     max_instance_options: usize,
     catalog: Arc<Catalog>,
     cache_cap: usize,
-    /// Bytes the incremental cleaner may scan per triggering event;
-    /// zero selects the stop-the-world rewrite.
-    compact_budget: usize,
     index: HashMap<Key, EntryRef>,
     segments: Vec<Vec<u8>>,
     cache: HashMap<Key, Cached>,
@@ -218,13 +215,6 @@ pub struct LogStructuredBackend {
     dead_bytes: usize,
     compactions: u64,
     evictions: u64,
-    /// Incremental-cleaner cursor: next sealed segment to scan and the
-    /// offset of the next unscanned entry inside it.
-    clean_seg: usize,
-    clean_off: usize,
-    /// Superseded bytes per segment — lets the cleaner skip all-live
-    /// segments in O(1) instead of churning its own copy-forwards.
-    seg_dead: Vec<usize>,
 }
 
 impl fmt::Debug for LogStructuredBackend {
@@ -248,7 +238,6 @@ impl LogStructuredBackend {
             max_instance_options: cfg.max_instance_options,
             catalog,
             cache_cap: cfg.log_cache_records.max(1),
-            compact_budget: cfg.compact_budget_bytes,
             index: HashMap::new(),
             segments: Vec::new(),
             cache: HashMap::new(),
@@ -257,9 +246,6 @@ impl LogStructuredBackend {
             dead_bytes: 0,
             compactions: 0,
             evictions: 0,
-            clean_seg: 0,
-            clean_off: 0,
-            seg_dead: Vec::new(),
         }
     }
 
@@ -285,22 +271,25 @@ impl LogStructuredBackend {
         ))
     }
 
-    /// Appends pre-encoded entry bytes to the open segment and points
-    /// the index at them, superseding (and dead-marking) any older
-    /// entry for the key. No compaction trigger — callers decide.
-    fn raw_append(&mut self, key: &Key, bytes: &[u8]) {
+    /// Encodes `(key, state)` and appends it to the open segment,
+    /// pointing the index at it and superseding (dead-marking) any
+    /// older entry for the key.
+    fn append_entry(&mut self, key: &Key, rec: &AcceptorRecord) {
+        let mut enc = Enc::new();
+        key.encode(&mut enc);
+        rec.export_state().encode(&mut enc);
+        let bytes = enc.finish();
         if self
             .segments
             .last()
             .is_none_or(|seg| seg.len() >= SEGMENT_BYTES)
         {
             self.segments.push(Vec::new());
-            self.seg_dead.push(0);
         }
         let seg = (self.segments.len() - 1) as u32;
         let open = self.segments.last_mut().expect("open segment exists");
         let off = open.len() as u32;
-        open.extend_from_slice(bytes);
+        open.extend_from_slice(&bytes);
         let entry = EntryRef {
             seg,
             off,
@@ -309,19 +298,8 @@ impl LogStructuredBackend {
         if let Some(old) = self.index.insert(key.clone(), entry) {
             self.live_bytes -= old.len as usize;
             self.dead_bytes += old.len as usize;
-            self.seg_dead[old.seg as usize] += old.len as usize;
         }
         self.live_bytes += bytes.len();
-    }
-
-    /// Encodes `(key, state)` and appends it to the open segment,
-    /// superseding any older entry for the key.
-    fn append_entry(&mut self, key: &Key, rec: &AcceptorRecord) {
-        let mut enc = Enc::new();
-        key.encode(&mut enc);
-        rec.export_state().encode(&mut enc);
-        let bytes = enc.finish();
-        self.raw_append(key, &bytes);
         self.maybe_compact();
     }
 
@@ -344,87 +322,12 @@ impl LogStructuredBackend {
     }
 
     /// Copy-forward compaction: rewrite live entries once dead bytes
-    /// outweigh live ones — all at once, or (with a budget) a bounded
-    /// slice of cleaning work per triggering event.
+    /// outweigh live ones.
     fn maybe_compact(&mut self) {
         if self.dead_bytes <= self.live_bytes || self.dead_bytes < COMPACT_FLOOR_BYTES {
             return;
         }
-        if self.compact_budget > 0 {
-            self.compact_step(self.compact_budget);
-        } else {
-            self.compact();
-        }
-    }
-
-    /// One incremental-cleaner slice: scans up to `budget` bytes of
-    /// sealed segments from the cursor, re-appending still-live entries
-    /// to the open segment and tombstoning each fully-scanned segment
-    /// (its bytes are all dead by then, so its storage is reclaimed).
-    /// At least one entry advances per call, so the cleaner always makes
-    /// progress even under a budget smaller than one entry.
-    pub fn compact_step(&mut self, budget: usize) {
-        // Cursor past the end (all sealed segments visited): wrap so
-        // dead bytes accumulated behind it are reachable again.
-        if self.clean_seg + 1 >= self.segments.len() {
-            self.clean_seg = 0;
-            self.clean_off = 0;
-        }
-        let mut scanned = 0;
-        // The open (last) segment is never cleaned: it still grows, and
-        // the cleaner itself appends into it.
-        while self.clean_seg + 1 < self.segments.len() {
-            let seg_len = self.segments[self.clean_seg].len();
-            // All-live (or tombstoned) segments are skipped outright —
-            // scanning them would churn the cleaner's own copy-forwards
-            // through the open segment forever.
-            if self.clean_off == 0 && self.seg_dead[self.clean_seg] == 0 {
-                self.clean_seg += 1;
-                continue;
-            }
-            if self.clean_off >= seg_len {
-                // Every entry was either re-appended (original now dead)
-                // or already dead: the whole segment is reclaimable.
-                let freed = std::mem::take(&mut self.segments[self.clean_seg]).len();
-                self.dead_bytes -= freed;
-                self.seg_dead[self.clean_seg] = 0;
-                self.clean_seg += 1;
-                self.clean_off = 0;
-                self.compactions += 1;
-                continue;
-            }
-            if scanned >= budget {
-                return;
-            }
-            let (entry, key) = {
-                let seg = &self.segments[self.clean_seg];
-                let tail = &seg[self.clean_off..];
-                let mut dec = Dec::new(tail);
-                let key = Key::decode(&mut dec).expect("segment entry key decodes");
-                AcceptorState::decode(&mut dec).expect("segment entry state decodes");
-                let len = tail.len() - dec.remaining();
-                (
-                    EntryRef {
-                        seg: self.clean_seg as u32,
-                        off: self.clean_off as u32,
-                        len: len as u32,
-                    },
-                    key,
-                )
-            };
-            let live = self
-                .index
-                .get(&key)
-                .is_some_and(|e| e.seg == entry.seg && e.off == entry.off);
-            if live {
-                let bytes = self.segments[entry.seg as usize]
-                    [entry.off as usize..(entry.off + entry.len) as usize]
-                    .to_vec();
-                self.raw_append(&key, &bytes);
-            }
-            scanned += entry.len as usize;
-            self.clean_off += entry.len as usize;
-        }
+        self.compact();
     }
 
     /// Unconditional copy-forward rewrite (tests and benches call this
@@ -457,22 +360,10 @@ impl LogStructuredBackend {
                 },
             );
         }
-        self.seg_dead = vec![0; segments.len()];
         self.segments = segments;
         self.index = index;
         self.dead_bytes = 0;
         self.compactions += 1;
-        // The cleaner's cursor pointed into the replaced segments.
-        self.clean_seg = 0;
-        self.clean_off = 0;
-    }
-
-    /// Drains the incremental cleaner: repeats budgeted slices until no
-    /// sealed segment remains unscanned (tests and shutdown paths).
-    pub fn compact_drain(&mut self) {
-        while self.clean_seg + 1 < self.segments.len() {
-            self.compact_step(usize::MAX);
-        }
     }
 }
 
@@ -577,8 +468,7 @@ impl Storage for LogStructuredBackend {
         EngineStats {
             live_bytes: self.live_bytes,
             dead_bytes: self.dead_bytes,
-            // Tombstoned (reclaimed) segments don't count.
-            segments: self.segments.iter().filter(|s| !s.is_empty()).count(),
+            segments: self.segments.len(),
             compactions: self.compactions,
             evictions: self.evictions,
         }
@@ -754,96 +644,5 @@ mod tests {
             .collect();
         assert_eq!(before, after, "compaction copies entries verbatim");
         assert_eq!(log.engine_stats().compactions, 1);
-    }
-
-    fn budgeted_engine(cap: usize, budget: usize) -> LogStructuredBackend {
-        let cfg = ProtocolConfig {
-            log_cache_records: cap,
-            compact_budget_bytes: budget,
-            ..ProtocolConfig::default()
-        };
-        LogStructuredBackend::new(&cfg, catalog())
-    }
-
-    fn encoded_states(log: &LogStructuredBackend) -> Vec<(Key, Vec<u8>)> {
-        log.keys_sorted()
-            .into_iter()
-            .map(|k| {
-                let mut bytes = Vec::new();
-                log.read(&k, &mut |r| {
-                    bytes = mdcc_common::wire::to_bytes(&r.export_state());
-                });
-                (k, bytes)
-            })
-            .collect()
-    }
-
-    /// The incremental cleaner is a pure scheduling change: an engine
-    /// cleaning a few KiB per event ends with byte-identical record
-    /// state to one rewriting everything stop-the-world, and its
-    /// reclamation actually happens (dead bytes bounded, segments
-    /// tombstoned).
-    #[test]
-    fn budgeted_cleaning_matches_stop_the_world_byte_for_byte() {
-        let mut whole = small_cache_engine(1);
-        let mut sliced = budgeted_engine(1, 4 * 1024);
-        let cat = catalog();
-        // Enough churn through a 1-record cache to trip the dead-byte
-        // trigger many times over in both engines.
-        for round in 0..400 {
-            for i in 0..24 {
-                let k = key(i);
-                whole.insert(k.clone(), record(&cat, &k, round));
-                sliced.insert(k.clone(), record(&cat, &k, round));
-            }
-        }
-        assert!(
-            sliced.engine_stats().compactions > 0,
-            "the budgeted cleaner never reclaimed a segment"
-        );
-        // Finish both: one full rewrite vs draining the cleaner.
-        whole.compact();
-        sliced.compact_drain();
-        assert_eq!(
-            encoded_states(&whole),
-            encoded_states(&sliced),
-            "budgeted cleaning must preserve every record byte-for-byte"
-        );
-        let s = sliced.engine_stats();
-        assert_eq!(
-            s.live_bytes,
-            whole.engine_stats().live_bytes,
-            "same records, same encoded live footprint"
-        );
-        assert!(
-            s.dead_bytes <= SEGMENT_BYTES,
-            "dead bytes past the open segment survived the drain: {}",
-            s.dead_bytes
-        );
-    }
-
-    /// A budget smaller than one encoded entry still terminates and
-    /// still reclaims — the cleaner advances at least one entry per
-    /// triggering event.
-    #[test]
-    fn tiny_budgets_still_make_progress() {
-        let cat = catalog();
-        let mut log = budgeted_engine(1, 1);
-        for round in 0..400 {
-            for i in 0..24 {
-                let k = key(i);
-                log.insert(k.clone(), record(&cat, &k, round));
-            }
-        }
-        log.compact_drain();
-        let stats = log.engine_stats();
-        assert!(stats.compactions > 0, "no segment ever reclaimed");
-        for i in 0..24 {
-            let mut stock = None;
-            assert!(log.read(&key(i), &mut |r| {
-                stock = r.value().and_then(|row| row.get_int("stock"));
-            }));
-            assert_eq!(stock, Some(399), "latest write survived cleaning");
-        }
     }
 }

@@ -32,8 +32,7 @@ pub struct StoreState {
 }
 
 /// One record's worth of anti-entropy payload: its committed snapshot
-/// plus the resolved options a peer would need to catch up — exactly
-/// what the legacy per-key sync shipped as one `SyncKey` message.
+/// plus the resolved options a peer would need to catch up.
 #[derive(Debug, Clone)]
 pub struct SyncItem {
     /// The record.
@@ -475,7 +474,7 @@ impl RecordStore {
     /// shipping it could at most transfer resolution metadata whose
     /// effects are already folded into both values (the pending-option
     /// and dangling-recovery machinery owns those leftovers, exactly as
-    /// it does for the legacy flood's `sync_relevant` no-ops).
+    /// it does for the items `sync_relevant` turns away).
     pub fn sync_digest_in(&self, lo: &Key, hi: &Key) -> u64 {
         self.digest_of(keys_within(&self.keys(), lo, hi))
     }
@@ -495,8 +494,7 @@ impl RecordStore {
     }
 
     /// The anti-entropy payloads of every key this store holds in each
-    /// of the `[lo, hi]` `ranges`, one sorted batch per range — the
-    /// batched replacement for a flood of per-key `SyncKey` messages.
+    /// of the `[lo, hi]` `ranges`, one sorted batch per range.
     /// A single-key range (the targeted pull after a missed commit) is
     /// one lookup; the sorted key list, which costs a pass over the
     /// whole store, is built at most once however many ranges ask.

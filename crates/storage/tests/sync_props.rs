@@ -1,13 +1,13 @@
 //! Property test: batched merkle-range sync reconverges byte-for-byte
-//! identical to the legacy per-key sync on arbitrary divergent stores.
+//! identical to shipping every key on arbitrary divergent stores.
 //!
 //! Two replicas start equal; the peer then applies a random committed
 //! workload of which the "local" replica (simulating a crashed node)
-//! only sees a prefix-interleaved subset. Both sync protocols are then
+//! only sees a prefix-interleaved subset. Both ways of syncing are then
 //! run against the peer:
 //!
 //! * **legacy** — every peer key ships, the receiver filters no-ops via
-//!   `sync_relevant` (what `Msg::SyncReq`/`SyncKey` does);
+//!   `sync_relevant` (the oracle: a sync that can skip nothing);
 //! * **batched** — the peer's range digests are compared against local
 //!   digests and only divergent ranges ship (what `SyncDigestReq` /
 //!   `SyncDigest`/`SyncRangePull`/`SyncChunk` does).

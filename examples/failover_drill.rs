@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use mdcc::cluster::{run_mdcc, ClientPlacement, ClusterSpec, MdccMode};
+use mdcc::cluster::{run_mdcc, ClientPlacement, ClusterSpec, FaultEvent, FaultPlan, MdccMode};
 use mdcc::common::{DcId, SimDuration};
 use mdcc::storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc::workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
@@ -27,7 +27,10 @@ fn main() {
         warmup: SimDuration::from_secs(5),
         duration: SimDuration::from_secs(100),
         // Kill US-East 55 s in (5 s warm-up + 50 s).
-        fail_dcs: vec![(SimDuration::from_secs(55), DcId(1))],
+        faults: FaultPlan::new().with(FaultEvent::FailDc {
+            at: SimDuration::from_secs(55),
+            dc: DcId(1),
+        }),
         ..ClusterSpec::default()
     };
     let catalog = Arc::new(Catalog::new().with(
