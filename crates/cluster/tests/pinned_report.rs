@@ -19,8 +19,10 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode};
-use mdcc_common::{DcId, SimDuration};
+use mdcc_cluster::{
+    run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, MdccMode, Report,
+};
+use mdcc_common::{DcId, Key, Row, SimDuration};
 use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
 use mdcc_workloads::Workload;
@@ -96,3 +98,86 @@ const PINNED_BYTES_SENT: u64 = 3_700_157;
 const PINNED_MSGS_SENT: u64 = 15_946;
 const PINNED_PAYLOAD_MSGS: u64 = 40_174;
 const PINNED_COMMITTED_DIGESTS: [u64; 5] = [9_683_044_410_260_870_793; 5];
+
+// ---------------------------------------------------------------------
+// The baselines through the same harness. One small run each, without a
+// drain, so a change to the closed loop or to the runner scaffold that
+// moves one record, one frame or one byte of a baseline trips here the
+// way `micro_full_report_is_pinned` trips for MDCC.
+// ---------------------------------------------------------------------
+
+/// `(spec, catalog, initial rows)` shared by the three baseline pins.
+fn baseline_inputs(seed: u64) -> (ClusterSpec, Arc<Catalog>, Vec<(Key, Row)>) {
+    let spec = ClusterSpec {
+        seed,
+        clients: 10,
+        shards_per_dc: 1,
+        warmup: SimDuration::from_secs(2),
+        duration: SimDuration::from_secs(8),
+        ..ClusterSpec::default()
+    };
+    let catalog = Arc::new(Catalog::new().with(
+        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
+    ));
+    (spec, catalog, initial_items(ITEMS, 7))
+}
+
+fn micro_factory(
+) -> impl FnMut(usize, DcId, &Arc<mdcc_common::StaticPlacement>) -> Box<dyn Workload> {
+    |_c, _dc, _p| {
+        Box::new(MicroWorkload::new(MicroConfig {
+            items: ITEMS,
+            ..MicroConfig::default()
+        }))
+    }
+}
+
+/// `(records in the window, write commits, write aborts, median write
+/// latency in ms, frames sent, bytes sent)`.
+type BaselinePin = (usize, usize, usize, Option<f64>, u64, u64);
+
+fn baseline_pin(report: &Report) -> BaselinePin {
+    (
+        report.records.len(),
+        report.write_commits(),
+        report.write_aborts(),
+        report.median_write_ms(),
+        report.net.msgs_sent,
+        report.net.bytes_sent,
+    )
+}
+
+#[test]
+fn qw4_report_is_pinned() {
+    let (spec, catalog, data) = baseline_inputs(1907);
+    let report = run_qw(&spec, catalog, &data, &mut micro_factory(), 4);
+    assert_eq!(baseline_pin(&report), PINNED_QW4);
+}
+
+#[test]
+fn tpc_report_is_pinned() {
+    let (spec, catalog, data) = baseline_inputs(1908);
+    let report = run_tpc(&spec, catalog, &data, &mut micro_factory());
+    assert_eq!(baseline_pin(&report), PINNED_TPC);
+}
+
+#[test]
+fn megastore_report_is_pinned() {
+    let (mut spec, catalog, data) = baseline_inputs(1909);
+    // The paper's favourable placement: every client beside the master.
+    spec.client_placement = ClientPlacement::AllIn(DcId(0));
+    let (report, stats) = run_megastore(&spec, catalog, &data, &mut micro_factory());
+    assert_eq!(baseline_pin(&report), PINNED_MEGASTORE);
+    assert_eq!(
+        (stats.committed, stats.aborted),
+        PINNED_MEGASTORE_MASTER,
+        "(master commits, master aborts) over the whole run"
+    );
+}
+
+// Produced by these tests at commit 5ce6974, before the four closed loops
+// and the four runner scaffolds became one.
+const PINNED_QW4: BaselinePin = (413, 413, 0, Some(174.651), 6_235, 715_139);
+const PINNED_TPC: BaselinePin = (165, 109, 56, Some(513.704), 4_564, 506_473);
+const PINNED_MEGASTORE: BaselinePin = (66, 66, 0, Some(1214.927), 1_018, 95_204);
+const PINNED_MEGASTORE_MASTER: (u64, u64) = (82, 0);
