@@ -82,8 +82,6 @@ pub enum MegaMsg {
         /// Value at the replica.
         value: Option<Row>,
     },
-    /// Client pacing timer (harness use).
-    ClientTick,
 }
 
 /// A Megastore* log replica: acks log positions, applies decided

@@ -49,8 +49,6 @@ pub enum QwMsg {
         /// Value at the replica.
         value: Option<Row>,
     },
-    /// Client pacing timer (harness use).
-    ClientTick,
 }
 
 /// A quorum-writes storage replica.

@@ -69,8 +69,6 @@ pub enum TpcMsg {
         /// Value at the replica.
         value: Option<Row>,
     },
-    /// Client pacing timer (harness use).
-    ClientTick,
 }
 
 /// A 2PC storage replica with a no-wait lock table.

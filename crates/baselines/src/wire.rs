@@ -38,7 +38,6 @@ impl NetMessage for TpcMsg {
             TpcMsg::ReadResp { key, value, .. } => {
                 U64_LEN + wire_len(key) + VERSION_LEN + opt_row_len(value)
             }
-            TpcMsg::ClientTick => 0,
         };
         FRAME_OVERHEAD + 1 + body
     }
@@ -60,7 +59,6 @@ impl NetMessage for QwMsg {
             QwMsg::ReadResp { key, value, .. } => {
                 U64_LEN + wire_len(key) + VERSION_LEN + opt_row_len(value)
             }
-            QwMsg::ClientTick => 0,
         };
         FRAME_OVERHEAD + 1 + body
     }
@@ -97,7 +95,6 @@ impl NetMessage for MegaMsg {
             MegaMsg::ReadResp { key, value, .. } => {
                 U64_LEN + wire_len(key) + VERSION_LEN + opt_row_len(value)
             }
-            MegaMsg::ClientTick => 0,
         };
         FRAME_OVERHEAD + 1 + body
     }
@@ -132,10 +129,11 @@ mod tests {
             ),
         };
         assert!(big.wire_bytes() > small.wire_bytes());
+        let ack = MegaMsg::LogAck { pos: 7 };
         assert_eq!(
-            TpcMsg::ClientTick.wire_bytes(),
-            FRAME_OVERHEAD + 1,
-            "empty messages still pay framing"
+            ack.wire_bytes(),
+            FRAME_OVERHEAD + 1 + U64_LEN,
+            "the smallest message still pays framing and its tag"
         );
     }
 
@@ -146,7 +144,11 @@ mod tests {
             key: Key::new(TableId(0), "a"),
         };
         assert_eq!(read.traffic_class(), TrafficClass::Read);
-        assert_eq!(QwMsg::ClientTick.traffic_class(), TrafficClass::Protocol);
+        let ack = QwMsg::PutAck {
+            req: 1,
+            key: Key::new(TableId(0), "a"),
+        };
+        assert_eq!(ack.traffic_class(), TrafficClass::Protocol);
         let mega_read = MegaMsg::ReadReq {
             req: 1,
             key: Key::new(TableId(0), "a"),

@@ -66,8 +66,8 @@ fn base_spec(scale: Scale, seed: u64) -> (ClusterSpec, u64) {
         seed,
         dcs: 5,
         shards_per_dc: SHARDS as usize,
-        // Migration triggers on a rate-over-window (`migrate_min_rate`
-        // per `migrate_window`), so the client pool must stay large
+        // Migration triggers on a rate-over-window (`MIGRATE_MIN_RATE`
+        // per `MIGRATE_WINDOW`), so the client pool must stay large
         // enough at every scale for a dominant DC to clear the rate bar.
         clients: ((50 * m / d) as usize).max(50),
         net: NetKind::Uniform { rtt_ms: 100.0 },
@@ -235,14 +235,13 @@ fn main() {
         (Some(b), Some(a)) => (*a - *b).as_micros() as f64 / 1_000.0,
         _ => f64::NAN,
     };
-    let cfg = &drill.protocol.mastership;
     println!(
         "drill: master (dc {}) crashed at {:.0}ms, recovery window {window_ms:.0}ms \
          (lease {:.0}ms + heartbeat {:.0}ms), elections={}",
         holder.0,
         crash_at.as_micros() as f64 / 1_000.0,
-        cfg.lease_duration.as_micros() as f64 / 1_000.0,
-        cfg.heartbeat_interval.as_micros() as f64 / 1_000.0,
+        mdcc_mastership::LEASE_DURATION.as_micros() as f64 / 1_000.0,
+        mdcc_mastership::HEARTBEAT_INTERVAL.as_micros() as f64 / 1_000.0,
         report.mastership.elections,
     );
     perf.record("drill", &report);

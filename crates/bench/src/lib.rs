@@ -12,11 +12,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+pub use mdcc_cluster::{micro_catalog, tpcw_catalog};
 use mdcc_cluster::{ClientPlacement, ClusterSpec, Report, RunPerf};
 use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc_trace::TraceConfig;
-use mdcc_workloads::micro::{self, MicroConfig, MicroWorkload};
+use mdcc_workloads::micro::{MicroConfig, MicroWorkload};
 use mdcc_workloads::tpcw::{self, TpcwConfig, TpcwWorkload};
 use mdcc_workloads::Workload;
 
@@ -88,35 +88,6 @@ impl Scale {
 /// worker thread per data center, byte-identical results).
 pub fn parallel_flag() -> bool {
     std::env::args().any(|a| a == "--parallel")
-}
-
-/// The TPC-W catalog: eight tables, `stock ≥ 0` on items.
-pub fn tpcw_catalog() -> Arc<Catalog> {
-    use tpcw::tables as t;
-    Arc::new(
-        Catalog::new()
-            .with(
-                TableSchema::new(t::ITEM, "item")
-                    .with_constraint(AttrConstraint::at_least(tpcw::STOCK, 0)),
-            )
-            .with(TableSchema::new(t::CUSTOMER, "customer"))
-            .with(TableSchema::new(t::ORDERS, "orders"))
-            .with(TableSchema::new(t::ORDER_LINE, "order_line"))
-            .with(TableSchema::new(t::CC_XACTS, "cc_xacts"))
-            .with(TableSchema::new(t::CART, "shopping_cart"))
-            .with(TableSchema::new(t::CART_LINE, "shopping_cart_line"))
-            .with(TableSchema::new(t::AUTHOR, "author")),
-    )
-}
-
-/// The micro-benchmark catalog: one item table, `stock ≥ 0`.
-pub fn micro_catalog() -> Arc<Catalog> {
-    Arc::new(
-        Catalog::new().with(
-            TableSchema::new(micro::MICRO_ITEMS, "item")
-                .with_constraint(AttrConstraint::at_least(micro::STOCK, 0)),
-        ),
-    )
 }
 
 /// The paper's TPC-W deployment (§5.2.1): SF 10 000 items, 100 clients,
@@ -597,7 +568,7 @@ mod tests {
         let k = tpcw::item_key(1);
         assert_eq!(c.constraints_for(&k).len(), 1);
         let m = micro_catalog();
-        let k = micro::item_key(1);
+        let k = mdcc_workloads::micro::item_key(1);
         assert_eq!(m.constraints_for(&k).len(), 1);
     }
 

@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 
-use mdcc_baselines::megastore::{MegaMaster, MegaReplica, MegaStats};
+use std::collections::HashMap;
+use std::time::Instant;
+
+use mdcc_baselines::megastore::{MegaClient, MegaMaster, MegaMsg, MegaReplica, MegaStats};
 use mdcc_baselines::qw::{QwStorage, QwWriter};
 use mdcc_baselines::twopc::{TpcCoordinator, TpcStorage};
 use mdcc_baselines::BaselineStore;
@@ -10,16 +13,17 @@ use mdcc_common::placement::MasterPolicy;
 use mdcc_common::{
     DcId, Key, NodeId, Placement, ProtocolConfig, Row, SimDuration, SimTime, StaticPlacement,
 };
-use mdcc_core::{StorageNodeProcess, TmConfig, TransactionManager, TxnStats};
-use mdcc_sim::{presets, NetworkModel, World, WorldConfig};
+use mdcc_core::{Msg, StorageNodeProcess, TmConfig, TransactionManager, TxnStats};
+use mdcc_recovery::{recover_store, recovered_leases, RecoveryInfo};
+use mdcc_sim::{presets, NetMessage, NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore};
 use mdcc_trace::{Phase, Span, TraceConfig, TraceHandle};
 use mdcc_workloads::Workload;
 
-use crate::clients::{MdccClient, MegastoreClient, QwClient, TpcClient};
+use crate::clients::{Baseline, ClosedLoop, Committer};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::{
-    ClusterAudit, KindProfile, NodeRecovery, NodeRole, Report, RunPerf, TxnRecord,
+    ClusterAudit, KindProfile, NetReport, NodeRecovery, NodeRole, Report, RunPerf,
 };
 
 /// Which network model to deploy on.
@@ -93,8 +97,8 @@ pub struct ClusterSpec {
     pub warmup: SimDuration,
     /// Measurement window length.
     pub duration: SimDuration,
-    /// Post-window drain: clients stop issuing at `warmup + duration`
-    /// and the world runs this much longer so in-flight and dangling
+    /// Post-window drain: clients of every protocol stop issuing at
+    /// `warmup + duration` and the world runs this much longer so in-flight and dangling
     /// transactions resolve and replicas converge (recovery audits need
     /// a quiesced cluster). Zero disables draining.
     pub drain: SimDuration,
@@ -195,82 +199,187 @@ fn storage_matrix(spec: &ClusterSpec) -> Vec<Vec<NodeId>> {
 /// Resolves a fault-plan `(dc, shard)` to its node id, with a clear
 /// error for out-of-range plan entries.
 fn storage_target(matrix: &[Vec<NodeId>], dc: DcId, shard: usize) -> NodeId {
-    let dc_nodes = matrix.get(dc.0 as usize).unwrap_or_else(|| {
+    let node = matrix.get(dc.0 as usize).and_then(|nodes| nodes.get(shard));
+    *node.unwrap_or_else(|| {
         panic!(
-            "fault plan names dc{} but the spec has {} DCs",
+            "fault plan names shard {shard} of dc{} but the spec has {} DCs of {} shards",
             dc.0,
-            matrix.len()
-        )
-    });
-    *dc_nodes.get(shard).unwrap_or_else(|| {
-        panic!(
-            "fault plan names shard {shard} in dc{} but the spec has {} shards per DC",
-            dc.0,
-            dc_nodes.len()
+            matrix.len(),
+            matrix[0].len()
         )
     })
 }
 
-/// The simulator settings a spec implies, shared by every protocol's
-/// runner.
-fn world_config(spec: &ClusterSpec) -> WorldConfig {
-    WorldConfig {
-        seed: spec.seed,
-        service_time: spec.service_time,
-        service_ns_per_byte: spec.service_ns_per_byte,
-        coalesce: spec.protocol.coalesce,
-        coalesce_window: spec.protocol.coalesce_window,
-        fsync_latency: spec.wal_fsync,
-        group_commit: spec.protocol.group_commit,
-        group_commit_window: spec.protocol.group_commit_window,
-        group_commit_bytes: spec.protocol.group_commit_bytes,
-        parallel: spec.parallel,
-    }
+/// One deployment being run: the world plus what the steps shared by
+/// every protocol's runner (spawn clients, drive faults, report) need.
+struct Run<'a, M> {
+    spec: &'a ClusterSpec,
+    wall_start: Instant,
+    world: World<M>,
+    /// Storage node ids by `[dc][shard]`.
+    matrix: Vec<Vec<NodeId>>,
+    placement: Arc<StaticPlacement>,
+    clients: Vec<NodeId>,
+    recoveries: Vec<NodeRecovery>,
 }
 
-/// Runs a baseline world through the failure schedule and the full
-/// experiment span (warm-up + window, plus optional drain).
-///
-/// Baselines understand the whole [`FaultPlan`] vocabulary, with one
-/// deliberate difference from MDCC: baseline stores have no durability
-/// subsystem, so `RestartStorage` *revives* the paused process with its
-/// pre-crash memory intact (a generous reading — a real restart would
-/// lose everything). `CrashStorage` still drops all inbound traffic and
-/// `CrashClient` kills a coordinator permanently — which is exactly the
-/// scenario the paper's 2PC comparison hinges on: a dead 2PC
-/// coordinator leaves its prepare locks held forever (the classic
-/// blocking window), while MDCC's storage-side dangling recovery
-/// resolves the orphaned transaction on its own.
-fn drive<M: mdcc_sim::NetMessage + Send + 'static>(
-    world: &mut World<M>,
-    spec: &ClusterSpec,
-    matrix: &[Vec<NodeId>],
-    client_ids: &[NodeId],
-) {
-    let timeline = spec.faults.sorted();
-    let end = SimTime::ZERO + spec.warmup + spec.duration + spec.drain;
-    for event in timeline {
-        world.run_until((SimTime::ZERO + event.at()).min(end));
-        match event {
-            FaultEvent::FailDc { dc, .. } => world.fail_dc(dc),
-            FaultEvent::HealDc { dc, .. } => world.heal_dc(dc),
-            FaultEvent::CrashStorage { dc, shard, .. } => {
-                world.crash_node(storage_target(matrix, dc, shard));
-            }
-            FaultEvent::RestartStorage { dc, shard, .. } => {
-                world.revive_node(storage_target(matrix, dc, shard));
-            }
-            FaultEvent::CrashClient { client, .. } => {
-                assert!(
-                    client < client_ids.len(),
-                    "fault plan crashes client {client} but the spec has {} clients",
-                    client_ids.len()
-                );
-                world.crash_node(client_ids[client]);
+impl<'a, M: NetMessage + Send + 'static> Run<'a, M> {
+    /// An empty world for `spec` whose storage tier will be `matrix`.
+    fn new(spec: &'a ClusterSpec, matrix: Vec<Vec<NodeId>>, masters: MasterPolicy) -> Self {
+        let config = WorldConfig {
+            seed: spec.seed,
+            service_time: spec.service_time,
+            service_ns_per_byte: spec.service_ns_per_byte,
+            coalesce: spec.protocol.coalesce,
+            coalesce_window: spec.protocol.coalesce_window,
+            fsync_latency: spec.wal_fsync,
+            group_commit: spec.protocol.group_commit,
+            group_commit_window: spec.protocol.group_commit_window,
+            group_commit_bytes: spec.protocol.group_commit_bytes,
+            parallel: spec.parallel,
+        };
+        Self {
+            spec,
+            wall_start: Instant::now(),
+            world: World::new(network(spec), config),
+            placement: StaticPlacement::new(matrix.clone(), masters),
+            matrix,
+            clients: Vec::new(),
+            recoveries: Vec::new(),
+        }
+    }
+
+    /// Spawns the sharded storage tier DC-major, so that ids match
+    /// `matrix`. `make` wraps each node's process around the rows of its
+    /// shard, in `data` order — a store is loaded before it is spawned.
+    fn spawn_storage(
+        &mut self,
+        data: &[(Key, Row)],
+        mut make: impl FnMut(DcId, &[&(Key, Row)]) -> Box<dyn Process<M>>,
+    ) {
+        let mut rows = vec![Vec::new(); self.spec.shards_per_dc];
+        for row in data {
+            rows[self.placement.shard_of(&row.0)].push(row);
+        }
+        for (dc, nodes) in self.matrix.iter().enumerate() {
+            for (shard, &expected) in nodes.iter().enumerate() {
+                let dc = DcId(dc as u8);
+                let id = self.world.spawn(dc, make(dc, &rows[shard]));
+                assert_eq!(id, expected);
             }
         }
     }
-    world.run_until(end);
+
+    /// Spawns the spec's closed-loop clients, each committing through
+    /// what `committer` builds for its data center.
+    fn spawn_clients<C: Committer<Msg = M>>(
+        &mut self,
+        workload_factory: &mut WorkloadFactory<'_>,
+        mut committer: impl FnMut(DcId) -> C,
+    ) {
+        let spec = self.spec;
+        let window_end = SimTime::ZERO + spec.warmup + spec.duration;
+        let stop_issuing_at = (spec.drain > SimDuration::ZERO).then_some(window_end);
+        for i in 0..spec.clients {
+            let dc = client_dc(spec, i);
+            let workload = workload_factory(i, dc, &self.placement);
+            let client = ClosedLoop::new(committer(dc), workload, stop_issuing_at);
+            self.clients.push(self.world.spawn(dc, Box::new(client)));
+        }
+    }
+
+    /// Runs the world through the scripted fault plan, in time order,
+    /// and on to the end of the experiment span (warm-up + window, plus
+    /// optional drain). Every protocol understands the whole
+    /// [`FaultPlan`] vocabulary; what differs is `restart`, which brings
+    /// the crashed storage node `(node, dc)` back and says what that
+    /// cost, if it recovered anything.
+    fn drive(
+        &mut self,
+        mut restart: impl FnMut(&mut World<M>, NodeId, DcId) -> Option<RecoveryInfo>,
+    ) {
+        let spec = self.spec;
+        let end = SimTime::ZERO + spec.warmup + spec.duration + spec.drain;
+        let mut crashed_at: HashMap<NodeId, SimTime> = HashMap::new();
+        for event in spec.faults.sorted() {
+            self.world.run_until((SimTime::ZERO + event.at()).min(end));
+            match event {
+                FaultEvent::FailDc { dc, .. } => self.world.fail_dc(dc),
+                FaultEvent::HealDc { dc, .. } => self.world.heal_dc(dc),
+                FaultEvent::CrashStorage { dc, shard, .. } => {
+                    let node = storage_target(&self.matrix, dc, shard);
+                    self.world.crash_node(node);
+                    crashed_at.insert(node, self.world.now());
+                }
+                FaultEvent::RestartStorage { dc, shard, .. } => {
+                    let node = storage_target(&self.matrix, dc, shard);
+                    if let Some(info) = restart(&mut self.world, node, dc) {
+                        self.recoveries.push(NodeRecovery {
+                            node,
+                            dc,
+                            shard,
+                            crashed_at: crashed_at.get(&node).copied().unwrap_or(SimTime::ZERO),
+                            restarted_at: self.world.now(),
+                            info,
+                        });
+                    }
+                }
+                FaultEvent::CrashClient { client, .. } => {
+                    assert!(
+                        client < self.clients.len(),
+                        "fault plan crashes client {client} but the spec has {} clients",
+                        self.clients.len()
+                    );
+                    self.world.crash_node(self.clients[client]);
+                }
+            }
+        }
+        self.world.run_until(end);
+    }
+
+    /// Harvests the clients' records into the report every protocol
+    /// fills the same way: window-filtered records, restarts, wire and
+    /// host totals.
+    fn report<C: Committer<Msg = M>>(&mut self) -> Report {
+        let mut records = Vec::new();
+        for id in &self.clients {
+            let client = self.world.get::<ClosedLoop<C>>(*id).expect("client");
+            records.extend(client.records.iter().copied());
+        }
+        let mut report = Report::new(records, self.spec.warmup, self.spec.duration);
+        report.recoveries = std::mem::take(&mut self.recoveries);
+        report.net = NetReport::from_world(self.world.stats());
+        report.perf = RunPerf {
+            wall: self.wall_start.elapsed(),
+            events: self.world.stats().events_handled,
+            threads: self.world.worker_threads(),
+        };
+        report
+    }
+}
+
+/// A baseline store holding `rows`.
+fn baseline_store(catalog: &Arc<Catalog>, rows: &[&(Key, Row)]) -> BaselineStore {
+    let mut store = BaselineStore::new(Arc::clone(catalog));
+    for (key, row) in rows {
+        store.load(key.clone(), row.clone());
+    }
+    store
+}
+
+/// How a baseline restarts a storage node. Baseline stores have no
+/// durability subsystem, so `RestartStorage` *revives* the paused
+/// process with its pre-crash memory intact (a generous reading — a real
+/// restart would lose everything). A crashed client, by contrast, stays
+/// dead: the 2PC coordinator whose prepare locks are then held forever
+/// is the blocking window `tests/baseline_faults.rs` reproduces.
+fn revive<M: NetMessage + Send + 'static>(
+    world: &mut World<M>,
+    node: NodeId,
+    _dc: DcId,
+) -> Option<RecoveryInfo> {
+    world.revive_node(node);
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -292,182 +401,111 @@ pub fn run_mdcc(
     workload_factory: &mut WorkloadFactory<'_>,
     mode: MdccMode,
 ) -> (Report, TxnStats) {
-    let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_core::Msg> = World::new(network(spec), world_config(spec));
+    let mut run: Run<'_, Msg> = Run::new(spec, storage_matrix(spec), spec.master_policy);
     let tracer = TraceHandle::new(spec.trace);
     if spec.trace.enabled {
-        world.set_tracer(tracer.clone());
+        run.world.set_tracer(tracer.clone());
     }
-    let matrix = storage_matrix(spec);
-    let placement = StaticPlacement::new(matrix.clone(), spec.master_policy);
+    let placement = run.placement.clone() as Arc<dyn Placement>;
+    let cfg = &spec.protocol;
     let allow_fast = !matches!(mode, MdccMode::Multi);
     // One shared lease-tenure collector across every node, restarted
     // ones included — the no-two-masters audit needs the full history.
-    let lease_audit = spec
-        .protocol
+    let lease_audit = cfg
         .mastership
         .enabled
         .then(mdcc_mastership::LeaseAudit::new);
-    for dc in 0..spec.dcs {
-        for &expected in &matrix[dc as usize] {
-            let store = RecordStore::new(spec.protocol.clone(), Arc::clone(&catalog));
-            let mut node = StorageNodeProcess::new(
-                spec.protocol.clone(),
-                store,
-                placement.clone() as Arc<dyn Placement>,
-                allow_fast,
-            );
-            if spec.durability {
-                node.enable_durability();
-            }
-            if spec.trace.enabled {
-                node.set_tracer(tracer.clone(), DcId(dc));
-            }
-            if let Some(audit) = &lease_audit {
-                node.set_lease_audit(audit.clone());
-            }
-            let id = world.spawn(DcId(dc), Box::new(node));
-            assert_eq!(id, expected);
+    // What a node is handed at first boot and again at every restart.
+    let equip = |node: &mut StorageNodeProcess, dc: DcId| {
+        if spec.trace.enabled {
+            node.set_tracer(tracer.clone(), dc);
         }
-    }
-    for (key, row) in data {
-        let shard = placement.shard_of(key);
-        for dc_nodes in &matrix {
-            world
-                .get_mut::<StorageNodeProcess>(dc_nodes[shard])
-                .expect("storage node")
-                .store_mut()
-                .load(key.clone(), row.clone());
+        if let Some(audit) = &lease_audit {
+            node.set_lease_audit(audit.clone());
         }
-    }
-    if spec.durability {
-        // Make the initial data distribution durable: each node starts
-        // from a checkpoint so a crash before its first periodic
-        // checkpoint still recovers the loaded records.
-        for dc_nodes in &matrix {
-            for &n in dc_nodes {
-                let snapshot = world
-                    .get::<StorageNodeProcess>(n)
-                    .expect("storage node")
-                    .store()
-                    .checkpoint_bytes();
-                world.disk_mut(n).install_snapshot(snapshot);
-            }
+    };
+    // Make the initial data distribution durable: each node starts from
+    // a checkpoint so a crash before its first periodic checkpoint still
+    // recovers the loaded records.
+    let mut snapshots = Vec::new();
+    run.spawn_storage(data, |dc, rows| {
+        let mut store = RecordStore::new(cfg.clone(), Arc::clone(&catalog));
+        for (key, row) in rows {
+            store.load(key.clone(), row.clone());
         }
+        let mut node = StorageNodeProcess::new(cfg.clone(), store, placement.clone(), allow_fast);
+        if spec.durability {
+            snapshots.push(node.store().checkpoint_bytes());
+            node.enable_durability();
+        }
+        equip(&mut node, dc);
+        Box::new(node)
+    });
+    for (&node, snapshot) in run.matrix.iter().flatten().zip(snapshots) {
+        run.world.disk_mut(node).install_snapshot(snapshot);
     }
-    let end = SimTime::ZERO + spec.warmup + spec.duration;
-    let stop_issuing_at = (spec.drain > SimDuration::ZERO).then_some(end);
-    let mut client_ids = Vec::with_capacity(spec.clients);
-    for i in 0..spec.clients {
-        let dc = client_dc(spec, i);
-        let tm = TransactionManager::new(
+    run.spawn_clients(workload_factory, |dc| {
+        let mut tm = TransactionManager::new(
             TmConfig {
-                protocol: spec.protocol.clone(),
+                protocol: cfg.clone(),
                 my_dc: dc,
                 assume_classic: matches!(mode, MdccMode::Multi),
             },
-            placement.clone() as Arc<dyn Placement>,
+            placement.clone(),
         );
-        let workload = workload_factory(i, dc, &placement);
-        let mut client = MdccClient::new(tm, workload);
-        if let Some(stop) = stop_issuing_at {
-            client.stop_issuing_at(stop);
-        }
         if spec.trace.enabled {
-            client.set_tracer(tracer.clone());
+            tm.set_tracer(tracer.clone());
         }
-        client_ids.push(world.spawn(dc, Box::new(client)));
-    }
+        tm
+    });
 
-    // Drive through the scripted fault plan in time order.
-    let timeline = spec.faults.sorted();
-    let mut recoveries: Vec<NodeRecovery> = Vec::new();
-    let mut crash_times: std::collections::HashMap<NodeId, SimTime> =
-        std::collections::HashMap::new();
-    let run_end = end + spec.drain;
-    for event in timeline {
-        let at = (SimTime::ZERO + event.at()).min(run_end);
-        world.run_until(at);
-        match event {
-            FaultEvent::CrashStorage { dc, shard, .. } => {
-                let node = storage_target(&matrix, dc, shard);
-                world.crash_node(node);
-                crash_times.insert(node, world.now());
-            }
-            FaultEvent::RestartStorage { dc, shard, .. } => {
-                assert!(spec.durability, "restarting nodes requires durability");
-                let node = storage_target(&matrix, dc, shard);
-                let (store, info) = mdcc_recovery::recover_store(
-                    spec.protocol.clone(),
-                    Arc::clone(&catalog),
-                    world.disk(node),
-                )
-                .expect("disk state parses: the simulated disk is never torn");
-                let mut proc_ = StorageNodeProcess::from_recovery(
-                    spec.protocol.clone(),
-                    store,
-                    placement.clone() as Arc<dyn Placement>,
-                    allow_fast,
-                    info,
-                );
-                if let Some(audit) = &lease_audit {
-                    proc_.set_lease_audit(audit.clone());
-                }
-                // Re-install the lease floors and per-record overrides
-                // persisted in the WAL tail so the restarted node keeps
-                // *fencing* deposed ballots (its own serving rights
-                // stay quarantined inside the mastership layer).
-                let leases = mdcc_recovery::recovered_leases(world.disk(node))
-                    .expect("disk state parses: the simulated disk is never torn");
-                proc_.install_recovered_leases(leases);
-                if spec.trace.enabled {
-                    proc_.set_tracer(tracer.clone(), dc);
-                    // Replay is instantaneous in sim time; the span
-                    // still marks *when* the node recovered and what
-                    // run the replay belonged to.
-                    tracer.span(Span {
-                        node,
-                        dc,
-                        phase: Phase::WalReplay,
-                        start: world.now(),
-                        end: world.now(),
-                        txn: None,
-                        key: None,
-                        class: None,
-                    });
-                }
-                world.restart_node(node, Box::new(proc_));
-                recoveries.push(NodeRecovery {
-                    node,
-                    dc,
-                    shard,
-                    crashed_at: crash_times.get(&node).copied().unwrap_or(SimTime::ZERO),
-                    restarted_at: world.now(),
-                    info,
-                });
-            }
-            FaultEvent::CrashClient { client, .. } => {
-                assert!(
-                    client < client_ids.len(),
-                    "fault plan crashes client {client} but the spec has {} clients",
-                    client_ids.len()
-                );
-                world.crash_node(client_ids[client]);
-            }
-            FaultEvent::FailDc { dc, .. } => world.fail_dc(dc),
-            FaultEvent::HealDc { dc, .. } => world.heal_dc(dc),
+    run.drive(|world, node, dc| {
+        assert!(spec.durability, "restarting nodes requires durability");
+        let recovered = recover_store(cfg.clone(), Arc::clone(&catalog), world.disk(node));
+        let (store, info) = recovered.expect("disk state parses: the simulated disk is never torn");
+        let mut proc_ = StorageNodeProcess::from_recovery(
+            cfg.clone(),
+            store,
+            placement.clone(),
+            allow_fast,
+            info,
+        );
+        // Re-install the lease floors and per-record overrides
+        // persisted in the WAL tail so the restarted node keeps
+        // *fencing* deposed ballots (its own serving rights stay
+        // quarantined inside the mastership layer).
+        let leases = recovered_leases(world.disk(node))
+            .expect("disk state parses: the simulated disk is never torn");
+        proc_.install_recovered_leases(leases);
+        equip(&mut proc_, dc);
+        if spec.trace.enabled {
+            // Replay is instantaneous in sim time; the span still marks
+            // *when* the node recovered and what run the replay
+            // belonged to.
+            tracer.span(Span {
+                node,
+                dc,
+                phase: Phase::WalReplay,
+                start: world.now(),
+                end: world.now(),
+                txn: None,
+                key: None,
+                class: None,
+            });
         }
-    }
-    world.run_until(run_end);
+        world.restart_node(node, Box::new(proc_));
+        Some(info)
+    });
 
     let crashed_clients = spec.faults.crashed_clients();
-    let mut records: Vec<TxnRecord> = Vec::new();
     let mut stats = TxnStats::default();
     let mut in_flight = 0usize;
-    for (i, id) in client_ids.iter().enumerate() {
-        let client = world.get::<MdccClient>(*id).expect("client");
-        records.extend(client.records.iter().copied());
-        let s = client.tm_stats();
+    for (i, id) in run.clients.iter().enumerate() {
+        let client = run
+            .world
+            .get::<ClosedLoop<TransactionManager>>(*id)
+            .expect("client");
+        let s = client.committer.stats();
         stats.committed += s.committed;
         stats.aborted += s.aborted;
         stats.fast_commits += s.fast_commits;
@@ -476,7 +514,9 @@ pub fn run_mdcc(
         stats.classic_redirects += s.classic_redirects;
         stats.repair_pulls += s.repair_pulls;
         if !crashed_clients.contains(&i) {
-            in_flight += client.in_flight();
+            // Should be ≤ 1 per closed-loop client; more indicates a
+            // stuck protocol path.
+            in_flight += client.committer.in_flight();
         }
     }
 
@@ -486,9 +526,10 @@ pub fn run_mdcc(
     let mut ms_stats = mdcc_mastership::MastershipStats::default();
     let mut node_stats = mdcc_core::node::NodeStats::default();
     let mut minima: std::collections::BTreeMap<String, i64> = std::collections::BTreeMap::new();
-    for dc_nodes in &matrix {
+    let storage = |n: NodeId| run.world.get::<StorageNodeProcess>(n).expect("node");
+    for dc_nodes in &run.matrix {
         for &n in dc_nodes {
-            let node = world.get::<StorageNodeProcess>(n).expect("node");
+            let node = storage(n);
             node_stats += node.stats();
             audit.parked_left += node.parked_len();
             audit.pending_options += node.store().pending_len();
@@ -507,7 +548,7 @@ pub fn run_mdcc(
                     }
                 }
             }
-            audit.wal_bytes_written += world.disk(n).stats().wal_bytes_written;
+            audit.wal_bytes_written += run.world.disk(n).stats().wal_bytes_written;
             if let Some(m) = node.mastership_stats() {
                 ms_stats.elections += m.elections;
                 ms_stats.leases_acquired += m.leases_acquired;
@@ -539,32 +580,20 @@ pub fn run_mdcc(
             audit.checkpoints,
             audit.dangling_resolved,
             audit.pending_options,
-            matrix
+            run.matrix
                 .iter()
                 .flatten()
-                .map(|&n| world
-                    .get::<StorageNodeProcess>(n)
-                    .unwrap()
-                    .stats()
-                    .sync_rounds)
+                .map(|&n| storage(n).stats().sync_rounds)
                 .collect::<Vec<_>>()
         );
         // Dump per-key differences between replica 0 of each shard and
         // the others — the microscope for recovery-audit failures.
         for shard in 0..spec.shards_per_dc {
-            let reference = matrix[0][shard];
-            let ref_state = world
-                .get::<StorageNodeProcess>(reference)
-                .expect("node")
-                .store()
-                .committed_state();
-            for dc_nodes in &matrix[1..] {
+            let reference = run.matrix[0][shard];
+            let ref_state = storage(reference).store().committed_state();
+            for dc_nodes in &run.matrix[1..] {
                 let n = dc_nodes[shard];
-                let state = world
-                    .get::<StorageNodeProcess>(n)
-                    .expect("node")
-                    .store()
-                    .committed_state();
+                let state = storage(n).store().committed_state();
                 for (a, b) in ref_state.iter().zip(state.iter()) {
                     if a != b {
                         eprintln!(
@@ -582,22 +611,15 @@ pub fn run_mdcc(
              stuck_client_txns={in_flight}, world={:?}",
             audit.pending_options,
             audit.parked_left,
-            world.stats()
+            run.world.stats()
         );
     }
-    let mut report = Report::new(records, spec.warmup, spec.duration);
-    report.recoveries = recoveries;
+    let mut report = run.report::<TransactionManager>();
     report.audit = Some(audit);
-    report.net = crate::metrics::NetReport::from_world(world.stats());
-    report.perf = RunPerf {
-        wall: wall_start.elapsed(),
-        events: world.stats().events_handled,
-        threads: world.worker_threads(),
-    };
-    report.profile = world.profile();
+    report.profile = run.world.profile();
     // Storage nodes were spawned first, so theirs are the low ids.
     let storage_nodes = spec.dcs as u32 * spec.shards_per_dc as u32;
-    report.profile_by_kind = KindProfile::by_role(&world.profile_by_kind(), |node| {
+    report.profile_by_kind = KindProfile::by_role(&run.world.profile_by_kind(), |node| {
         if node.0 < storage_nodes {
             NodeRole::Storage
         } else {
@@ -617,7 +639,7 @@ pub fn run_mdcc(
 }
 
 // ---------------------------------------------------------------------
-// Quorum writes.
+// The baselines.
 // ---------------------------------------------------------------------
 
 /// Runs a quorum-writes experiment with write quorum `k`.
@@ -628,65 +650,17 @@ pub fn run_qw(
     workload_factory: &mut WorkloadFactory<'_>,
     k: usize,
 ) -> Report {
-    let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_baselines::qw::QwMsg> = World::new(network(spec), world_config(spec));
-    let matrix = storage_matrix(spec);
-    let placement = StaticPlacement::new(matrix.clone(), spec.master_policy);
-    for dc in 0..spec.dcs {
-        for &expected in &matrix[dc as usize] {
-            let store = BaselineStore::new(Arc::clone(&catalog));
-            let id = world.spawn(DcId(dc), Box::new(QwStorage::new(store)));
-            assert_eq!(id, expected);
-        }
-    }
-    for (key, row) in data {
-        let shard = placement.shard_of(key);
-        for dc_nodes in &matrix {
-            world
-                .get_mut::<QwStorage>(dc_nodes[shard])
-                .expect("storage node")
-                .store_mut()
-                .load(key.clone(), row.clone());
-        }
-    }
-    let mut client_ids = Vec::with_capacity(spec.clients);
-    for i in 0..spec.clients {
-        let dc = client_dc(spec, i);
-        let writer = QwWriter::new(placement.clone() as Arc<dyn Placement>, k);
-        let workload = workload_factory(i, dc, &placement);
-        let client = QwClient::new(
-            writer,
-            placement.clone() as Arc<dyn Placement>,
-            dc,
-            workload,
-        );
-        client_ids.push(world.spawn(dc, Box::new(client)));
-    }
-    drive(&mut world, spec, &matrix, &client_ids);
-    let mut records = Vec::new();
-    for id in client_ids {
-        records.extend(
-            world
-                .get::<QwClient>(id)
-                .expect("client")
-                .records
-                .iter()
-                .copied(),
-        );
-    }
-    let mut report = Report::new(records, spec.warmup, spec.duration);
-    report.net = crate::metrics::NetReport::from_world(world.stats());
-    report.perf = RunPerf {
-        wall: wall_start.elapsed(),
-        events: world.stats().events_handled,
-        threads: world.worker_threads(),
-    };
-    report
+    let mut run = Run::new(spec, storage_matrix(spec), spec.master_policy);
+    run.spawn_storage(data, |_, rows| {
+        Box::new(QwStorage::new(baseline_store(&catalog, rows)))
+    });
+    let placement = run.placement.clone() as Arc<dyn Placement>;
+    run.spawn_clients(workload_factory, |dc| {
+        Baseline::new(QwWriter::new(placement.clone(), k), placement.clone(), dc)
+    });
+    run.drive(revive);
+    run.report::<Baseline<QwWriter>>()
 }
-
-// ---------------------------------------------------------------------
-// Two-phase commit.
-// ---------------------------------------------------------------------
 
 /// Runs a 2PC experiment.
 pub fn run_tpc(
@@ -695,61 +669,18 @@ pub fn run_tpc(
     data: &[(Key, Row)],
     workload_factory: &mut WorkloadFactory<'_>,
 ) -> Report {
-    let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_baselines::twopc::TpcMsg> =
-        World::new(network(spec), world_config(spec));
-    let matrix = storage_matrix(spec);
-    let placement = StaticPlacement::new(matrix.clone(), spec.master_policy);
-    for dc in 0..spec.dcs {
-        for &expected in &matrix[dc as usize] {
-            let store = BaselineStore::new(Arc::clone(&catalog));
-            let id = world.spawn(DcId(dc), Box::new(TpcStorage::new(store)));
-            assert_eq!(id, expected);
-        }
-    }
-    for (key, row) in data {
-        let shard = placement.shard_of(key);
-        for dc_nodes in &matrix {
-            world
-                .get_mut::<TpcStorage>(dc_nodes[shard])
-                .expect("storage node")
-                .store_mut()
-                .load(key.clone(), row.clone());
-        }
-    }
-    let mut client_ids = Vec::with_capacity(spec.clients);
-    for i in 0..spec.clients {
-        let dc = client_dc(spec, i);
-        let coord = TpcCoordinator::new(placement.clone() as Arc<dyn Placement>, spec.dcs as usize);
-        let workload = workload_factory(i, dc, &placement);
-        let client = TpcClient::new(coord, placement.clone() as Arc<dyn Placement>, dc, workload);
-        client_ids.push(world.spawn(dc, Box::new(client)));
-    }
-    drive(&mut world, spec, &matrix, &client_ids);
-    let mut records = Vec::new();
-    for id in client_ids {
-        records.extend(
-            world
-                .get::<TpcClient>(id)
-                .expect("client")
-                .records
-                .iter()
-                .copied(),
-        );
-    }
-    let mut report = Report::new(records, spec.warmup, spec.duration);
-    report.net = crate::metrics::NetReport::from_world(world.stats());
-    report.perf = RunPerf {
-        wall: wall_start.elapsed(),
-        events: world.stats().events_handled,
-        threads: world.worker_threads(),
-    };
-    report
+    let mut run = Run::new(spec, storage_matrix(spec), spec.master_policy);
+    run.spawn_storage(data, |_, rows| {
+        Box::new(TpcStorage::new(baseline_store(&catalog, rows)))
+    });
+    let placement = run.placement.clone() as Arc<dyn Placement>;
+    run.spawn_clients(workload_factory, |dc| {
+        let coord = TpcCoordinator::new(placement.clone(), spec.dcs as usize);
+        Baseline::new(coord, placement.clone(), dc)
+    });
+    run.drive(revive);
+    run.report::<Baseline<TpcCoordinator>>()
 }
-
-// ---------------------------------------------------------------------
-// Megastore*.
-// ---------------------------------------------------------------------
 
 /// Runs a Megastore* experiment. The master lives in DC 0 (the paper's
 /// US-West), data is one entity group, and the caller usually also puts
@@ -760,69 +691,33 @@ pub fn run_megastore(
     data: &[(Key, Row)],
     workload_factory: &mut WorkloadFactory<'_>,
 ) -> (Report, MegaStats) {
-    let wall_start = std::time::Instant::now();
-    let mut world: World<mdcc_baselines::megastore::MegaMsg> =
-        World::new(network(spec), world_config(spec));
     // Replicas for DCs 1..n spawn first (ids 0..n-1), master last — then
-    // reads in DC 0 go to the master's authoritative store.
-    let replica_ids: Vec<NodeId> = (1..spec.dcs)
-        .map(|dc| {
-            let mut replica = MegaReplica::new(BaselineStore::new(Arc::clone(&catalog)));
-            for (key, row) in data {
-                replica.store_mut().load(key.clone(), row.clone());
-            }
-            world.spawn(DcId(dc), Box::new(replica))
-        })
+    // reads in DC 0 go to the master's authoritative store. One node per
+    // DC, each holding the whole entity group; the placement built over
+    // them also serves workload factories (e.g. master-locality pools).
+    let replica_ids: Vec<NodeId> = (0..spec.dcs as u32 - 1).map(NodeId).collect();
+    let master = NodeId(spec.dcs as u32 - 1);
+    let matrix = std::iter::once(master)
+        .chain(replica_ids.iter().copied())
+        .map(|n| vec![n])
         .collect();
-    let mut master_store = BaselineStore::new(Arc::clone(&catalog));
-    for (key, row) in data {
-        master_store.load(key.clone(), row.clone());
+    let mut run: Run<'_, MegaMsg> = Run::new(spec, matrix, MasterPolicy::FixedDc(DcId(0)));
+    let rows: Vec<&(Key, Row)> = data.iter().collect();
+    for (dc, &expected) in (1..spec.dcs).zip(&replica_ids) {
+        let replica = MegaReplica::new(baseline_store(&catalog, &rows));
+        assert_eq!(run.world.spawn(DcId(dc), Box::new(replica)), expected);
     }
-    let master = world.spawn(
-        DcId(0),
-        Box::new(MegaMaster::new(
-            master_store,
-            replica_ids.clone(),
-            spec.protocol.classic_quorum,
-        )),
+    let master_proc = MegaMaster::new(
+        baseline_store(&catalog, &rows),
+        replica_ids,
+        spec.protocol.classic_quorum,
     );
-    let mut replicas_by_dc = vec![master];
-    replicas_by_dc.extend(replica_ids.iter().copied());
-    // Placement is only used by workload factories (e.g. master-locality
-    // pools); Megastore* itself is a single entity group.
-    let matrix: Vec<Vec<NodeId>> = replicas_by_dc.iter().map(|n| vec![*n]).collect();
-    let placement = StaticPlacement::new(matrix.clone(), MasterPolicy::FixedDc(DcId(0)));
-    let mut client_ids = Vec::with_capacity(spec.clients);
-    for i in 0..spec.clients {
-        let dc = client_dc(spec, i);
-        let workload = workload_factory(i, dc, &placement);
-        let client = MegastoreClient::new(
-            mdcc_baselines::megastore::MegaClient::new(master),
-            replicas_by_dc.clone(),
-            dc,
-            workload,
-        );
-        client_ids.push(world.spawn(dc, Box::new(client)));
-    }
-    drive(&mut world, spec, &matrix, &client_ids);
-    let mut records = Vec::new();
-    for id in client_ids {
-        records.extend(
-            world
-                .get::<MegastoreClient>(id)
-                .expect("client")
-                .records
-                .iter()
-                .copied(),
-        );
-    }
-    let stats = world.get::<MegaMaster>(master).expect("master").stats();
-    let mut report = Report::new(records, spec.warmup, spec.duration);
-    report.net = crate::metrics::NetReport::from_world(world.stats());
-    report.perf = RunPerf {
-        wall: wall_start.elapsed(),
-        events: world.stats().events_handled,
-        threads: world.worker_threads(),
-    };
-    (report, stats)
+    assert_eq!(run.world.spawn(DcId(0), Box::new(master_proc)), master);
+    let placement = run.placement.clone() as Arc<dyn Placement>;
+    run.spawn_clients(workload_factory, |dc| {
+        Baseline::new(MegaClient::new(master), placement.clone(), dc)
+    });
+    run.drive(revive);
+    let stats = run.world.get::<MegaMaster>(master).expect("master").stats();
+    (run.report::<Baseline<MegaClient>>(), stats)
 }

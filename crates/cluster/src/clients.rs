@@ -1,575 +1,339 @@
-//! Closed-loop workload clients, one flavour per protocol.
+//! The closed-loop workload client, one loop for every protocol.
 //!
-//! Every client embeds the same loop — draw a transaction from the
-//! workload, run its (local) read phase, build the write-set, commit it
-//! through the protocol, record the outcome, repeat — mirroring the
-//! paper's emulated browsers with no think time.
+//! [`ClosedLoop`] is the paper's emulated browser with no think time:
+//! draw a transaction from the workload, run its (local) read phase,
+//! build the write-set, commit it through the protocol, record the
+//! outcome, repeat. What differs per protocol — how a local read and a
+//! commit travel — sits behind [`Committer`], implemented for MDCC's
+//! transaction manager and for the three baselines' coordinators.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mdcc_baselines::megastore::{MegaClient, MegaMsg};
 use mdcc_baselines::qw::{QwMsg, QwWriter};
 use mdcc_baselines::twopc::{TpcCoordinator, TpcMsg};
-use mdcc_common::{DcId, Key, NodeId, Placement, Row, SimTime, TxnId, Version};
-use mdcc_core::{Msg, ReadConsistency, TmEvent, TransactionManager, TxnStats};
+use mdcc_common::{DcId, Key, NodeId, Placement, RecordUpdate, Row, SimTime, Version};
+use mdcc_core::{Msg, ReadConsistency, TmEvent, TransactionManager};
 use mdcc_paxos::TxnOutcome;
-use mdcc_sim::{Ctx, Process};
-use mdcc_trace::TraceHandle;
+use mdcc_sim::{Ctx, NetMessage, Process};
 use mdcc_workloads::{Transaction, TxnAction, Workload};
 
 use crate::metrics::TxnRecord;
 
-/// In-progress read batch: `(request id, responses needed, collected
-/// values)`.
-type ReadWait = Option<(u64, usize, Vec<(Key, Version, Option<Row>)>)>;
+/// One key's read result: committed version and value.
+type ReadValue = (Key, Version, Option<Row>);
 
-// ---------------------------------------------------------------------
-// MDCC client.
-// ---------------------------------------------------------------------
+/// A transaction past its read phase: what it read, what it writes.
+pub struct Decided {
+    /// The read results `decide` was given.
+    pub reads: Vec<ReadValue>,
+    /// The write-set it produced (empty = read-only).
+    pub updates: Vec<RecordUpdate>,
+}
 
-/// An app server running the MDCC DB library plus an emulated browser.
-pub struct MdccClient {
-    tm: TransactionManager,
+/// What a protocol reports back to the loop.
+pub enum Step {
+    /// The read batch with this token finished with these values.
+    ReadDone(u64, Vec<ReadValue>),
+    /// The commit attempt finished; `true` if it committed.
+    Done(bool),
+}
+
+/// How one protocol reads locally and commits. The loop keeps one
+/// transaction in flight, so a handler call ends at most one phase.
+pub trait Committer: Send + 'static {
+    /// The protocol's message schema.
+    type Msg: NetMessage + Send + 'static;
+
+    /// Starts a local read of `keys` (never empty) and returns its
+    /// token; the values arrive later as [`Step::ReadDone`].
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, Self::Msg>) -> u64;
+
+    /// Starts the commit. Returns the outcome when it is known on the
+    /// spot; otherwise it arrives later as [`Step::Done`].
+    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, Self::Msg>) -> Option<bool>;
+
+    /// Feeds a delivered message.
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: Self::Msg,
+        ctx: &mut Ctx<'_, Self::Msg>,
+    ) -> Option<Step>;
+
+    /// Feeds a fired timer (only MDCC's transaction manager arms any).
+    fn on_timer(&mut self, _msg: Self::Msg, _ctx: &mut Ctx<'_, Self::Msg>) -> Option<Step> {
+        None
+    }
+}
+
+/// An app server: the protocol's client library plus an emulated browser.
+pub struct ClosedLoop<C> {
+    /// The protocol side (its counters are harvested by the harness).
+    pub committer: C,
     workload: Box<dyn Workload>,
-    current: Option<Box<dyn Transaction>>,
-    started: SimTime,
+    /// The transaction in flight and when it was issued.
+    current: Option<(SimTime, Box<dyn Transaction>)>,
     pending_read: Option<u64>,
     /// Stop issuing new transactions at this time (drain phase: lets the
     /// cluster quiesce so recovery audits compare converged replicas).
+    /// In-flight ones still run to completion.
     stop_at: Option<SimTime>,
     /// Finished transactions (harvested by the harness).
     pub records: Vec<TxnRecord>,
 }
 
-impl MdccClient {
-    /// Creates a client; the TM must be configured for this client's DC.
-    pub fn new(tm: TransactionManager, workload: Box<dyn Workload>) -> Self {
+impl<C: Committer> ClosedLoop<C> {
+    /// Creates a client committing through `committer`.
+    pub fn new(committer: C, workload: Box<dyn Workload>, stop_at: Option<SimTime>) -> Self {
         Self {
-            tm,
+            committer,
             workload,
             current: None,
-            started: SimTime::ZERO,
             pending_read: None,
-            stop_at: None,
+            stop_at,
             records: Vec::new(),
         }
     }
 
-    /// The closed loop stops issuing new transactions at `stop`
-    /// (in-flight ones still run to completion).
-    pub fn stop_issuing_at(&mut self, stop: SimTime) {
-        self.stop_at = Some(stop);
-    }
-
-    /// Attaches the run's trace collector (forwarded to the embedded
-    /// transaction manager, which owns the per-txn protocol spans).
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tm.set_tracer(tracer);
-    }
-
-    /// Aggregated TM counters.
-    pub fn tm_stats(&self) -> TxnStats {
-        self.tm.stats()
-    }
-
-    /// Commit attempts still unresolved (should be ≤ 1 per closed-loop
-    /// client; more indicates a stuck protocol path).
-    pub fn in_flight(&self) -> usize {
-        self.tm.in_flight()
-    }
-
-    fn issue(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn issue(&mut self, ctx: &mut Ctx<'_, C::Msg>) {
         if self.stop_at.is_some_and(|stop| ctx.now >= stop) {
             return;
         }
         let txn = self.workload.next_txn_at(ctx.now, ctx.rng);
-        self.started = ctx.now;
         let reads = txn.read_set();
-        self.current = Some(txn);
+        self.current = Some((ctx.now, txn));
         if reads.is_empty() {
             self.after_reads(Vec::new(), ctx);
         } else {
-            self.pending_read = Some(self.tm.read(reads, ReadConsistency::Local, ctx));
+            self.pending_read = Some(self.committer.read(reads, ctx));
         }
     }
 
-    fn after_reads(&mut self, values: Vec<(Key, Version, Option<Row>)>, ctx: &mut Ctx<'_, Msg>) {
-        let Some(txn) = self.current.as_mut() else {
+    fn after_reads(&mut self, reads: Vec<ReadValue>, ctx: &mut Ctx<'_, C::Msg>) {
+        let Some((_, txn)) = self.current.as_mut() else {
             return;
         };
-        match txn.decide(&values) {
-            TxnAction::ClientAbort => {
-                self.finish(false, ctx.now);
-                self.issue(ctx);
-            }
-            TxnAction::Commit(updates) if updates.is_empty() => {
-                self.finish(true, ctx.now);
-                self.issue(ctx);
-            }
-            TxnAction::Commit(updates) => {
-                let (_, done) = self.tm.commit(updates, ctx);
-                if let Some(done) = done {
-                    self.finish(done.outcome == TxnOutcome::Committed, ctx.now);
-                    self.issue(ctx);
-                }
-            }
+        let done = match txn.decide(&reads) {
+            TxnAction::ClientAbort => Some(false),
+            TxnAction::Commit(updates) => self.committer.commit(Decided { reads, updates }, ctx),
+        };
+        if let Some(committed) = done {
+            self.finish(committed, ctx);
         }
     }
 
-    fn finish(&mut self, committed: bool, now: SimTime) {
-        let txn = self.current.take().expect("active transaction");
+    fn finish(&mut self, committed: bool, ctx: &mut Ctx<'_, C::Msg>) {
+        let (started, txn) = self.current.take().expect("active transaction");
         self.records.push(TxnRecord {
-            started: self.started,
-            finished: now,
+            started,
+            finished: ctx.now,
             committed,
             is_write: txn.is_write(),
             label: txn.label(),
         });
+        self.issue(ctx);
     }
 
-    fn handle_events(&mut self, events: Vec<TmEvent>, ctx: &mut Ctx<'_, Msg>) {
-        for event in events {
-            match event {
-                TmEvent::Completed(c) => {
-                    self.finish(c.outcome == TxnOutcome::Committed, ctx.now);
-                    self.issue(ctx);
-                }
-                TmEvent::ReadDone { token, values } => {
-                    if self.pending_read == Some(token) {
-                        self.pending_read = None;
-                        self.after_reads(values, ctx);
-                    }
-                }
+    fn handle(&mut self, step: Option<Step>, ctx: &mut Ctx<'_, C::Msg>) {
+        match step {
+            Some(Step::ReadDone(token, values)) if self.pending_read == Some(token) => {
+                self.pending_read = None;
+                self.after_reads(values, ctx);
             }
+            Some(Step::Done(committed)) => self.finish(committed, ctx),
+            _ => {}
         }
     }
 }
 
-impl Process<Msg> for MdccClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+impl<C: Committer> Process<C::Msg> for ClosedLoop<C> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, C::Msg>) {
         self.issue(ctx);
     }
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let events = self.tm.on_message(from, msg, ctx);
-        self.handle_events(events, ctx);
+    fn on_message(&mut self, from: NodeId, msg: C::Msg, ctx: &mut Ctx<'_, C::Msg>) {
+        let step = self.committer.on_message(from, msg, ctx);
+        self.handle(step, ctx);
     }
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let events = self.tm.on_timer(msg, ctx);
-        self.handle_events(events, ctx);
+    fn on_timer(&mut self, msg: C::Msg, ctx: &mut Ctx<'_, C::Msg>) {
+        let step = self.committer.on_timer(msg, ctx);
+        self.handle(step, ctx);
     }
 }
 
-// ---------------------------------------------------------------------
-// Quorum-writes client.
-// ---------------------------------------------------------------------
+/// The TM reports per transaction it runs; under this loop that is one.
+fn tm_step(mut events: Vec<TmEvent>) -> Option<Step> {
+    debug_assert!(events.len() <= 1, "one transaction in flight");
+    Some(match events.pop()? {
+        TmEvent::Completed(c) => Step::Done(c.outcome == TxnOutcome::Committed),
+        TmEvent::ReadDone { token, values } => Step::ReadDone(token, values),
+    })
+}
 
-/// A client of the eventually consistent quorum-writes deployment.
-pub struct QwClient {
-    writer: QwWriter,
+/// MDCC: the DB library's transaction manager is the committer.
+impl Committer for TransactionManager {
+    type Msg = Msg;
+
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, Msg>) -> u64 {
+        TransactionManager::read(self, keys, ReadConsistency::Local, ctx)
+    }
+
+    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, Msg>) -> Option<bool> {
+        // A read-only transaction is answered here and takes no
+        // transaction id: the TM never hears of it.
+        if txn.updates.is_empty() {
+            return Some(true);
+        }
+        let (_, done) = TransactionManager::commit(self, txn.updates, ctx);
+        done.map(|done| done.outcome == TxnOutcome::Committed)
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Option<Step> {
+        tm_step(TransactionManager::on_message(self, from, msg, ctx))
+    }
+
+    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Option<Step> {
+        tm_step(TransactionManager::on_timer(self, msg, ctx))
+    }
+}
+
+/// A baseline coordinator `P` and its client's read phase: one
+/// `ReadReq` per key to the replica in the client's own data center
+/// under a fresh request id, answers collected until all are in.
+pub struct Baseline<P> {
+    coord: P,
     placement: Arc<dyn Placement>,
     my_dc: DcId,
-    workload: Box<dyn Workload>,
-    current: Option<Box<dyn Transaction>>,
-    started: SimTime,
-    next_read: u64,
-    read_wait: ReadWait,
-    write_wait: Option<u64>,
-    /// Finished transactions.
-    pub records: Vec<TxnRecord>,
+    next_req: u64,
+    /// `(request id, responses needed, collected values)`.
+    wait: Option<(u64, usize, Vec<ReadValue>)>,
 }
 
-impl QwClient {
-    /// Creates a client writing through `writer`.
-    pub fn new(
-        writer: QwWriter,
-        placement: Arc<dyn Placement>,
-        my_dc: DcId,
-        workload: Box<dyn Workload>,
-    ) -> Self {
+impl<P> Baseline<P> {
+    /// A client in `my_dc` committing through `coord`.
+    pub fn new(coord: P, placement: Arc<dyn Placement>, my_dc: DcId) -> Self {
         Self {
-            writer,
+            coord,
             placement,
             my_dc,
-            workload,
-            current: None,
-            started: SimTime::ZERO,
-            next_read: 0,
-            read_wait: None,
-            write_wait: None,
-            records: Vec::new(),
+            next_req: 0,
+            wait: None,
         }
     }
 
-    fn issue(&mut self, ctx: &mut Ctx<'_, QwMsg>) {
-        let txn = self.workload.next_txn_at(ctx.now, ctx.rng);
-        self.started = ctx.now;
-        let reads = txn.read_set();
-        self.current = Some(txn);
-        if reads.is_empty() {
-            self.after_reads(Vec::new(), ctx);
-            return;
+    /// Opens a read batch, sending what `request` builds per key.
+    fn read_with<M: NetMessage>(
+        &mut self,
+        keys: Vec<Key>,
+        ctx: &mut Ctx<'_, M>,
+        request: fn(u64, Key) -> M,
+    ) -> u64 {
+        let req = self.next_req;
+        self.next_req += 1;
+        self.wait = Some((req, keys.len(), Vec::new()));
+        for key in keys {
+            let node = self.placement.replica_in(&key, self.my_dc);
+            ctx.send(node, request(req, key));
         }
-        let req = self.next_read;
-        self.next_read += 1;
-        for key in &reads {
-            let node = self.placement.replica_in(key, self.my_dc);
-            ctx.send(
-                node,
-                QwMsg::ReadReq {
-                    req,
-                    key: key.clone(),
-                },
-            );
-        }
-        self.read_wait = Some((req, reads.len(), Vec::new()));
+        req
     }
 
-    fn after_reads(&mut self, values: Vec<(Key, Version, Option<Row>)>, ctx: &mut Ctx<'_, QwMsg>) {
-        let Some(txn) = self.current.as_mut() else {
-            return;
-        };
-        match txn.decide(&values) {
-            TxnAction::ClientAbort => {
-                self.finish(false, ctx.now);
-                self.issue(ctx);
-            }
-            TxnAction::Commit(updates) => {
-                let (req, done) = self.writer.write(updates, ctx);
-                if done.is_some() {
-                    self.finish(true, ctx.now);
-                    self.issue(ctx);
-                } else {
-                    self.write_wait = Some(req);
-                }
-            }
+    /// Takes one response; returns the batch once it is complete.
+    fn collect(&mut self, req: u64, value: ReadValue) -> Option<Step> {
+        let (want, needed, values) = self.wait.as_mut()?;
+        if *want != req {
+            return None;
         }
-    }
-
-    fn finish(&mut self, committed: bool, now: SimTime) {
-        let txn = self.current.take().expect("active transaction");
-        self.records.push(TxnRecord {
-            started: self.started,
-            finished: now,
-            committed,
-            is_write: txn.is_write(),
-            label: txn.label(),
-        });
+        values.push(value);
+        if values.len() < *needed {
+            return None;
+        }
+        let (_, _, values) = self.wait.take().expect("present");
+        Some(Step::ReadDone(req, values))
     }
 }
 
-impl Process<QwMsg> for QwClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, QwMsg>) {
-        self.issue(ctx);
+impl Committer for Baseline<QwWriter> {
+    type Msg = QwMsg;
+
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, QwMsg>) -> u64 {
+        self.read_with(keys, ctx, |req, key| QwMsg::ReadReq { req, key })
     }
-    fn on_message(&mut self, _from: NodeId, msg: QwMsg, ctx: &mut Ctx<'_, QwMsg>) {
+
+    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, QwMsg>) -> Option<bool> {
+        let (_, done) = self.coord.write(txn.updates, ctx);
+        done.map(|_| true)
+    }
+
+    fn on_message(&mut self, _: NodeId, msg: QwMsg, _: &mut Ctx<'_, QwMsg>) -> Option<Step> {
         match msg {
             QwMsg::ReadResp {
                 req,
                 key,
                 version,
                 value,
-            } => {
-                let Some((want, needed, values)) = &mut self.read_wait else {
-                    return;
-                };
-                if *want != req {
-                    return;
-                }
-                values.push((key, version, value));
-                if values.len() == *needed {
-                    let (_, _, values) = self.read_wait.take().expect("present");
-                    self.after_reads(values, ctx);
-                }
-            }
-            QwMsg::PutAck { req, key } => {
-                if self.write_wait == Some(req) {
-                    if self.writer.on_ack(req, key).is_some() {
-                        self.write_wait = None;
-                        self.finish(true, ctx.now);
-                        self.issue(ctx);
-                    }
-                } else {
-                    // Straggler ack for an already-finished batch.
-                    let _ = self.writer.on_ack(req, key);
-                }
-            }
-            _ => {}
+            } => self.collect(req, (key, version, value)),
+            // The ack that completes the quorum ends the batch; later
+            // ones are stragglers the writer no longer knows.
+            QwMsg::PutAck { req, key } => self.coord.on_ack(req, key).map(|_| Step::Done(true)),
+            _ => None,
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Two-phase-commit client.
-// ---------------------------------------------------------------------
+impl Committer for Baseline<TpcCoordinator> {
+    type Msg = TpcMsg;
 
-/// A client running transactions through the 2PC coordinator.
-pub struct TpcClient {
-    coord: TpcCoordinator,
-    placement: Arc<dyn Placement>,
-    my_dc: DcId,
-    workload: Box<dyn Workload>,
-    current: Option<Box<dyn Transaction>>,
-    started: SimTime,
-    next_read: u64,
-    read_wait: ReadWait,
-    /// Finished transactions.
-    pub records: Vec<TxnRecord>,
-}
-
-impl TpcClient {
-    /// Creates a 2PC client.
-    pub fn new(
-        coord: TpcCoordinator,
-        placement: Arc<dyn Placement>,
-        my_dc: DcId,
-        workload: Box<dyn Workload>,
-    ) -> Self {
-        Self {
-            coord,
-            placement,
-            my_dc,
-            workload,
-            current: None,
-            started: SimTime::ZERO,
-            next_read: 0,
-            read_wait: None,
-            records: Vec::new(),
-        }
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, TpcMsg>) -> u64 {
+        self.read_with(keys, ctx, |req, key| TpcMsg::ReadReq { req, key })
     }
 
-    fn issue(&mut self, ctx: &mut Ctx<'_, TpcMsg>) {
-        let txn = self.workload.next_txn_at(ctx.now, ctx.rng);
-        self.started = ctx.now;
-        let reads = txn.read_set();
-        self.current = Some(txn);
-        if reads.is_empty() {
-            self.after_reads(Vec::new(), ctx);
-            return;
-        }
-        let req = self.next_read;
-        self.next_read += 1;
-        for key in &reads {
-            let node = self.placement.replica_in(key, self.my_dc);
-            ctx.send(
-                node,
-                TpcMsg::ReadReq {
-                    req,
-                    key: key.clone(),
-                },
-            );
-        }
-        self.read_wait = Some((req, reads.len(), Vec::new()));
+    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, TpcMsg>) -> Option<bool> {
+        let (_, done) = self.coord.commit(txn.updates, ctx);
+        done.map(|done| done.committed)
     }
 
-    fn after_reads(&mut self, values: Vec<(Key, Version, Option<Row>)>, ctx: &mut Ctx<'_, TpcMsg>) {
-        let Some(txn) = self.current.as_mut() else {
-            return;
-        };
-        match txn.decide(&values) {
-            TxnAction::ClientAbort => {
-                self.finish(false, ctx.now);
-                self.issue(ctx);
-            }
-            TxnAction::Commit(updates) => {
-                let (_, done) = self.coord.commit(updates, ctx);
-                if let Some(done) = done {
-                    self.finish(done.committed, ctx.now);
-                    self.issue(ctx);
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, committed: bool, now: SimTime) {
-        let txn = self.current.take().expect("active transaction");
-        self.records.push(TxnRecord {
-            started: self.started,
-            finished: now,
-            committed,
-            is_write: txn.is_write(),
-            label: txn.label(),
-        });
-    }
-}
-
-impl Process<TpcMsg> for TpcClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, TpcMsg>) {
-        self.issue(ctx);
-    }
-    fn on_message(&mut self, _from: NodeId, msg: TpcMsg, ctx: &mut Ctx<'_, TpcMsg>) {
-        if let TpcMsg::ReadResp {
-            req,
-            key,
-            version,
-            value,
-        } = msg
-        {
-            let Some((want, needed, values)) = &mut self.read_wait else {
-                return;
-            };
-            if *want != req {
-                return;
-            }
-            values.push((key, version, value));
-            if values.len() == *needed {
-                let (_, _, values) = self.read_wait.take().expect("present");
-                self.after_reads(values, ctx);
-            }
-            return;
-        }
-        if let Some(done) = self.coord.on_message(msg, ctx) {
-            self.finish(done.committed, ctx.now);
-            self.issue(ctx);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Megastore* client.
-// ---------------------------------------------------------------------
-
-/// A client of the Megastore* deployment (co-located with the master).
-pub struct MegastoreClient {
-    mega: MegaClient,
-    /// One log replica per DC, indexed by DcId (reads go local).
-    replicas_by_dc: Vec<NodeId>,
-    my_dc: DcId,
-    workload: Box<dyn Workload>,
-    current: Option<Box<dyn Transaction>>,
-    started: SimTime,
-    next_read: u64,
-    read_wait: ReadWait,
-    pending_txn: Option<TxnId>,
-    /// Finished transactions.
-    pub records: Vec<TxnRecord>,
-}
-
-impl MegastoreClient {
-    /// Creates a Megastore* client.
-    pub fn new(
-        mega: MegaClient,
-        replicas_by_dc: Vec<NodeId>,
-        my_dc: DcId,
-        workload: Box<dyn Workload>,
-    ) -> Self {
-        Self {
-            mega,
-            replicas_by_dc,
-            my_dc,
-            workload,
-            current: None,
-            started: SimTime::ZERO,
-            next_read: 0,
-            read_wait: None,
-            pending_txn: None,
-            records: Vec::new(),
-        }
-    }
-
-    fn issue(&mut self, ctx: &mut Ctx<'_, MegaMsg>) {
-        let txn = self.workload.next_txn_at(ctx.now, ctx.rng);
-        self.started = ctx.now;
-        let reads = txn.read_set();
-        self.current = Some(txn);
-        if reads.is_empty() {
-            self.after_reads(Vec::new(), ctx);
-            return;
-        }
-        let req = self.next_read;
-        self.next_read += 1;
-        let node = self.replicas_by_dc[self.my_dc.0 as usize];
-        for key in &reads {
-            ctx.send(
-                node,
-                MegaMsg::ReadReq {
-                    req,
-                    key: key.clone(),
-                },
-            );
-        }
-        self.read_wait = Some((req, reads.len(), Vec::new()));
-    }
-
-    fn after_reads(
-        &mut self,
-        values: Vec<(Key, Version, Option<Row>)>,
-        ctx: &mut Ctx<'_, MegaMsg>,
-    ) {
-        let Some(txn) = self.current.as_mut() else {
-            return;
-        };
-        match txn.decide(&values) {
-            TxnAction::ClientAbort => {
-                self.finish(false, ctx.now);
-                self.issue(ctx);
-            }
-            TxnAction::Commit(updates) => {
-                let read_versions = values.iter().map(|(k, v, _)| (k.clone(), *v)).collect();
-                let (txn_id, done) = self.mega.commit(updates, read_versions, ctx);
-                if let Some(done) = done {
-                    self.finish(done.committed, ctx.now);
-                    self.issue(ctx);
-                } else {
-                    self.pending_txn = Some(txn_id);
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, committed: bool, now: SimTime) {
-        let txn = self.current.take().expect("active transaction");
-        self.records.push(TxnRecord {
-            started: self.started,
-            finished: now,
-            committed,
-            is_write: txn.is_write(),
-            label: txn.label(),
-        });
-    }
-}
-
-impl Process<MegaMsg> for MegastoreClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, MegaMsg>) {
-        self.issue(ctx);
-    }
-    fn on_message(&mut self, _from: NodeId, msg: MegaMsg, ctx: &mut Ctx<'_, MegaMsg>) {
-        if let MegaMsg::ReadResp {
-            req,
-            key,
-            version,
-            value,
-        } = &msg
-        {
-            let Some((want, needed, values)) = &mut self.read_wait else {
-                return;
-            };
-            if want != req {
-                return;
-            }
-            values.push((key.clone(), *version, value.clone()));
-            if values.len() == *needed {
-                let (_, _, values) = self.read_wait.take().expect("present");
-                self.after_reads(values, ctx);
-            }
-            return;
-        }
-        if let Some(done) = self.mega.on_message(&msg) {
-            if self.pending_txn == Some(done.txn) {
-                self.pending_txn = None;
-                self.finish(done.committed, ctx.now);
-                self.issue(ctx);
+    fn on_message(&mut self, _: NodeId, msg: TpcMsg, ctx: &mut Ctx<'_, TpcMsg>) -> Option<Step> {
+        match msg {
+            TpcMsg::ReadResp {
+                req,
+                key,
+                version,
+                value,
+            } => self.collect(req, (key, version, value)),
+            msg => {
+                let done = self.coord.on_message(msg, ctx)?;
+                Some(Step::Done(done.committed))
             }
         }
     }
 }
 
-/// Helper: read results keyed for lookups in tests.
-pub fn reads_as_map(
-    values: &[(Key, Version, Option<Row>)],
-) -> HashMap<Key, (Version, Option<Row>)> {
-    values
-        .iter()
-        .map(|(k, v, r)| (k.clone(), (*v, r.clone())))
-        .collect()
+impl Committer for Baseline<MegaClient> {
+    type Msg = MegaMsg;
+
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, MegaMsg>) -> u64 {
+        self.read_with(keys, ctx, |req, key| MegaMsg::ReadReq { req, key })
+    }
+
+    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, MegaMsg>) -> Option<bool> {
+        let read_versions = txn.reads.into_iter().map(|(k, v, _)| (k, v)).collect();
+        let (_, done) = self.coord.commit(txn.updates, read_versions, ctx);
+        done.map(|done| done.committed)
+    }
+
+    fn on_message(&mut self, _: NodeId, msg: MegaMsg, _: &mut Ctx<'_, MegaMsg>) -> Option<Step> {
+        match msg {
+            MegaMsg::ReadResp {
+                req,
+                key,
+                version,
+                value,
+            } => self.collect(req, (key, version, value)),
+            msg => {
+                let done = self.coord.on_message(&msg)?;
+                Some(Step::Done(done.committed))
+            }
+        }
+    }
 }

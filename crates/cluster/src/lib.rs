@@ -13,6 +13,7 @@ pub mod build;
 pub mod clients;
 pub mod faults;
 pub mod metrics;
+pub mod schema;
 
 pub use build::{
     run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, MdccMode, NetKind,
@@ -22,3 +23,4 @@ pub use metrics::{
     BoxStats, ClusterAudit, KindProfile, NetReport, NodeRecovery, NodeRole, Report, RunPerf,
     TxnRecord,
 };
+pub use schema::{micro_catalog, tpcw_catalog};

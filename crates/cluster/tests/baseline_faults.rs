@@ -18,19 +18,13 @@
 use std::sync::Arc;
 
 use mdcc_cluster::{
-    run_mdcc, run_qw, run_tpc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind,
+    micro_catalog, run_mdcc, run_megastore, run_qw, run_tpc, ClusterSpec, FaultEvent, FaultPlan,
+    MdccMode, NetKind,
 };
 use mdcc_common::Row;
 use mdcc_common::{DcId, ProtocolConfig, SimDuration, SimTime};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, MICRO_ITEMS, STOCK};
+use mdcc_workloads::micro::{initial_items, item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 /// One hot item, single-record transactions: any orphaned lock on it
 /// blocks every writer in the system.
@@ -101,7 +95,7 @@ fn twopc_coordinator_death_blocks_every_later_writer() {
         let mut factory = hot_factory();
         run_tpc(
             &coordinator_death_spec(11, 5_050),
-            catalog(),
+            micro_catalog(),
             &data,
             &mut factory,
         )
@@ -116,7 +110,7 @@ fn twopc_coordinator_death_blocks_every_later_writer() {
         let mut factory = hot_factory();
         run_tpc(
             &coordinator_death_spec(11, 5_150),
-            catalog(),
+            micro_catalog(),
             &data,
             &mut factory,
         )
@@ -138,7 +132,7 @@ fn mdcc_survives_the_same_coordinator_death() {
     let spec = coordinator_death_spec(11, 5_150);
     let data = hot_data();
     let mut factory = hot_factory();
-    let (report, _) = run_mdcc(&spec, catalog(), &data, &mut factory, MdccMode::Full);
+    let (report, _) = run_mdcc(&spec, micro_catalog(), &data, &mut factory, MdccMode::Full);
 
     // Past the 5 s dangling timeout + resolution, commits must flow —
     // under the exact schedule that wedges 2PC forever.
@@ -173,7 +167,7 @@ fn quorum_writes_commit_through_a_storage_crash_restart() {
     };
     let data = hot_data();
     let mut factory = hot_factory();
-    let report = run_qw(&spec, catalog(), &data, &mut factory, 3);
+    let report = run_qw(&spec, micro_catalog(), &data, &mut factory, 3);
 
     let during = report.commits_between(SimTime::from_secs(4), SimTime::from_secs(9));
     assert!(
@@ -186,4 +180,50 @@ fn quorum_writes_commit_through_a_storage_crash_restart() {
         report.net.bytes_sent > 0,
         "baselines ride the sized transport"
     );
+}
+
+/// `ClusterSpec::drain` means the same for every protocol: clients stop
+/// issuing when the window closes, so a drain as long as the window adds
+/// only the frames of the transactions then in flight — not a second
+/// window's worth of traffic. Two clients over a 40 s window keep that
+/// in-flight share (one transaction per client) under the 2 % bound.
+#[test]
+fn baselines_stop_issuing_when_the_drain_begins() {
+    // Frames sent by `[QW-4, 2PC, Megastore*]` with a drain of `drain_s`.
+    let frames = |drain_s: u64| -> [u64; 3] {
+        let spec = ClusterSpec {
+            seed: 23,
+            clients: 2,
+            shards_per_dc: 1,
+            warmup: SimDuration::from_secs(1),
+            duration: SimDuration::from_secs(40),
+            drain: SimDuration::from_secs(drain_s),
+            ..ClusterSpec::default()
+        };
+        let data = initial_items(120, 7);
+        let mut factory = |_c: usize, _dc: DcId, _p: &_| -> Box<dyn Workload> {
+            Box::new(MicroWorkload::new(MicroConfig {
+                items: 120,
+                ..MicroConfig::default()
+            }))
+        };
+        [
+            run_qw(&spec, micro_catalog(), &data, &mut factory, 4),
+            run_tpc(&spec, micro_catalog(), &data, &mut factory),
+            run_megastore(&spec, micro_catalog(), &data, &mut factory).0,
+        ]
+        .map(|report| report.net.msgs_sent)
+    };
+    let (without, with) = (frames(0), frames(40));
+    for (i, name) in ["qw-4", "2pc", "megastore*"].into_iter().enumerate() {
+        let (without, with) = (without[i], with[i]);
+        assert!(
+            without > 500,
+            "{name}: the window carried traffic ({without} frames)"
+        );
+        assert!(
+            with * 100 <= without * 102,
+            "{name}: {with} frames with a drain against {without} without — clients kept issuing"
+        );
+    }
 }

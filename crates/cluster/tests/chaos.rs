@@ -8,19 +8,10 @@
 //! and assert the system keeps committing and never violates its
 //! constraint.
 
-use std::sync::Arc;
-
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode};
+use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode};
 use mdcc_common::{DcId, SimDuration};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
+use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 fn run_with_loss(drop_prob: f64, seed: u64) -> (usize, usize, Option<i64>) {
     let spec = ClusterSpec {
@@ -40,7 +31,7 @@ fn run_with_loss(drop_prob: f64, seed: u64) -> (usize, usize, Option<i64>) {
             ..MicroConfig::default()
         }))
     };
-    let (report, _) = run_mdcc(&spec, catalog(), &data, &mut factory, MdccMode::Full);
+    let (report, _) = run_mdcc(&spec, micro_catalog(), &data, &mut factory, MdccMode::Full);
     let min_stock = report.audit.as_ref().and_then(|a| a.min_of("stock"));
     (report.write_commits(), report.write_aborts(), min_stock)
 }
@@ -116,7 +107,7 @@ fn loss_plus_dc_brownout_still_commits() {
             ..MicroConfig::default()
         }))
     };
-    let (report, _) = run_mdcc(&spec, catalog(), &data, &mut factory, MdccMode::Full);
+    let (report, _) = run_mdcc(&spec, micro_catalog(), &data, &mut factory, MdccMode::Full);
     let commits = report.write_commits();
     assert!(commits > 100, "got {commits}");
 }

@@ -8,20 +8,11 @@
 //! knob off the transport reverts to one frame per message, the PR 3
 //! baseline (`msgs_sent == payload_msgs`, byte-identical accounting).
 
-use std::sync::Arc;
-
-use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, Report};
+use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, MdccMode, Report};
 use mdcc_common::{DcId, Key, Row, SimDuration};
 use mdcc_core::TxnStats;
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, MICRO_ITEMS, STOCK};
+use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 const ITEMS: u64 = 120;
 
@@ -57,7 +48,7 @@ fn run_hot(spec: &ClusterSpec) -> (Report, TxnStats) {
             ..MicroConfig::default()
         }))
     };
-    run_mdcc(spec, catalog(), &data, &mut factory, MdccMode::Full)
+    run_mdcc(spec, micro_catalog(), &data, &mut factory, MdccMode::Full)
 }
 
 fn assert_healthy(label: &str, report: &Report) {

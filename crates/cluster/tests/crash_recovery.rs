@@ -10,19 +10,10 @@
 //! resolve every dangling transaction, and leave each restarted node's
 //! committed state **byte-equal** to a never-crashed reference replica.
 
-use std::sync::Arc;
-
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode};
+use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode};
 use mdcc_common::{DcId, SimDuration, SimTime};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
+use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 const ITEMS: u64 = 800;
 
@@ -63,7 +54,7 @@ fn run_drill_spec(spec: &ClusterSpec) -> (mdcc_cluster::Report, mdcc_core::TxnSt
             ..MicroConfig::default()
         }))
     };
-    run_mdcc(spec, catalog(), &data, &mut factory, MdccMode::Full)
+    run_mdcc(spec, micro_catalog(), &data, &mut factory, MdccMode::Full)
 }
 
 fn run_drill(seed: u64) -> (mdcc_cluster::Report, mdcc_core::TxnStats) {
@@ -191,9 +182,9 @@ fn batched_merkle_sync_ships_fewer_bytes_than_per_key_flood() {
 /// compaction fires mid-protocol. Checkpoints, WAL replay and
 /// anti-entropy sweeps all read records through the engine, so this is
 /// the regression net for compaction interacting with snapshot `folded`
-/// sets and option-log retention: if the copy-forward rewrite perturbed
-/// any record's logical state, the restarted nodes' committed digests
-/// would diverge from the never-crashed reference.
+/// sets: if the copy-forward rewrite perturbed any record's logical
+/// state, the restarted nodes' committed digests would diverge from the
+/// never-crashed reference.
 #[test]
 fn log_structured_backend_survives_the_drill() {
     let mut spec = drill_spec(21);

@@ -12,10 +12,11 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind};
+use mdcc_cluster::{
+    micro_catalog, run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind,
+};
 use mdcc_common::{DcId, Key, MastershipConfig, Placement, Row, SimDuration, StaticPlacement};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{item_key, MICRO_ITEMS, STOCK};
+use mdcc_workloads::micro::{item_key, STOCK};
 use mdcc_workloads::{ShiftingConfig, ShiftingLocalityWorkload, Workload};
 
 const ITEMS: u64 = 400;
@@ -47,9 +48,6 @@ fn run_outage(seed: u64) -> mdcc_cluster::Report {
         ..ClusterSpec::default()
     };
     spec.protocol.mastership = MastershipConfig::enabled();
-    let catalog = Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least(STOCK, 0)),
-    ));
     let data: Vec<(Key, Row)> = (0..ITEMS)
         .map(|i| (item_key(i), Row::new().with(STOCK, 1_000_000)))
         .collect();
@@ -66,7 +64,7 @@ fn run_outage(seed: u64) -> mdcc_cluster::Report {
             phase_len: s(4),
         }))
     };
-    run_mdcc(&spec, catalog, &data, &mut factory, MdccMode::Multi).0
+    run_mdcc(&spec, micro_catalog(), &data, &mut factory, MdccMode::Multi).0
 }
 
 #[test]

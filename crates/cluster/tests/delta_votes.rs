@@ -10,20 +10,11 @@
 //! repair protocol, and that the cluster converges to an audited,
 //! constraint-respecting state under loss and crash/restart.
 
-use std::sync::Arc;
-
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultPlan, MdccMode, Report};
+use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, FaultPlan, MdccMode, Report};
 use mdcc_common::{DcId, SimDuration};
 use mdcc_core::TxnStats;
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
+use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 const ITEMS: u64 = 120;
 
@@ -52,7 +43,7 @@ fn run_hot(spec: &ClusterSpec) -> (Report, TxnStats) {
             ..MicroConfig::default()
         }))
     };
-    run_mdcc(spec, catalog(), &data, &mut factory, MdccMode::Full)
+    run_mdcc(spec, micro_catalog(), &data, &mut factory, MdccMode::Full)
 }
 
 /// End-of-run health shared by every test: nothing dangling, nobody

@@ -1,28 +1,21 @@
 //! Dynamic-mastership acceptance tests.
 //!
 //! The lease layer must be three things at once: *off* when disabled —
-//! byte-identical runs, knob values notwithstanding — *safe* when
+//! no counter moves and no lease is ever granted — *safe* when
 //! enabled — at most one node serves a shard at any virtual instant,
 //! across elections, crashes, partitions and heals — and *live* —
 //! a crashed master's shard resumes committing within a lease expiry
 //! plus an election round, because any replica can still lead
 //! classically while the lease machinery converges.
 
-use std::sync::Arc;
-
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind, Report};
+use mdcc_cluster::{
+    micro_catalog, run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind, Report,
+};
 use mdcc_common::{DcId, Key, MastershipConfig, Row, SimDuration, SimTime};
 use mdcc_core::TxnStats;
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, MICRO_ITEMS, STOCK};
+use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
 use proptest::prelude::*;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 const ITEMS: u64 = 120;
 
@@ -53,7 +46,7 @@ fn run(spec: &ClusterSpec) -> (Report, TxnStats) {
             ..MicroConfig::default()
         }))
     };
-    run_mdcc(spec, catalog(), &data, &mut factory, MdccMode::Multi)
+    run_mdcc(spec, micro_catalog(), &data, &mut factory, MdccMode::Multi)
 }
 
 fn assert_healthy(label: &str, report: &Report) {
@@ -86,9 +79,11 @@ fn assert_no_overlapping_leases(label: &str, report: &Report) {
     }
 }
 
-/// The off-switch contract: with `mastership.enabled = false` the whole
-/// knob family is inert — wild sub-knob values change not a single wire
-/// byte, and no lease state ever materializes.
+/// The off-switch contract: with `mastership.enabled = false` (the
+/// default) no lease state ever materializes — every counter of the
+/// layer stays zero and the lease audit sees no tenure. (The timing and
+/// hysteresis values are constants of `mdcc-mastership`; there is
+/// nothing else to switch.)
 #[test]
 fn disabled_mastership_knobs_are_byte_inert() {
     let base = spec(41);
@@ -96,23 +91,8 @@ fn disabled_mastership_knobs_are_byte_inert() {
         !base.protocol.mastership.enabled,
         "mastership is off by default"
     );
-    let mut wild = spec(41);
-    wild.protocol.mastership = MastershipConfig {
-        enabled: false,
-        heartbeat_interval: SimDuration::from_millis(7),
-        lease_duration: SimDuration::from_millis(33),
-        hb_delay_increment: SimDuration::from_millis(1),
-        migrate_threshold_pct: 101,
-        migrate_min_rate: 1,
-        migrate_window: SimDuration::from_millis(13),
-        migrate_rounds: 1,
-        lease_record_overrides: 7,
-    };
     let (a, _) = run(&base);
-    let (b, _) = run(&wild);
-    assert_healthy("default-knobs", &a);
-    assert_eq!(a.net, b.net, "disabled knobs altered wire accounting");
-    assert_eq!(a.audit, b.audit, "disabled knobs altered the audit");
+    assert_healthy("mastership-off", &a);
     assert_eq!(
         a.mastership,
         Default::default(),
@@ -212,8 +192,9 @@ fn master_crash_resumes_writes_within_a_lease_and_an_election() {
     // by the orphaned lease running out plus one election round plus a
     // WAN round trip of slack (classic fallback keeps serving even
     // sooner; the lease bound is the worst case).
-    let cfg = &sp.protocol.mastership;
-    let bound = cfg.lease_duration + cfg.heartbeat_interval + SimDuration::from_millis(300);
+    let bound = mdcc_mastership::LEASE_DURATION
+        + mdcc_mastership::HEARTBEAT_INTERVAL
+        + SimDuration::from_millis(300);
     let mut commits: Vec<SimTime> = report
         .records
         .iter()

@@ -16,17 +16,12 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind, Report};
+use mdcc_cluster::{
+    micro_catalog, run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind, Report,
+};
 use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, MICRO_ITEMS, STOCK};
+use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 fn data(items: u64) -> Vec<(Key, Row)> {
     (0..items)
@@ -61,7 +56,13 @@ fn small_spec(seed: u64) -> ClusterSpec {
 const ITEMS: u64 = 16;
 
 fn run(spec: &ClusterSpec, mode: MdccMode) -> Report {
-    let (report, _stats) = run_mdcc(spec, catalog(), &data(ITEMS), &mut factory(ITEMS), mode);
+    let (report, _stats) = run_mdcc(
+        spec,
+        micro_catalog(),
+        &data(ITEMS),
+        &mut factory(ITEMS),
+        mode,
+    );
     report
 }
 

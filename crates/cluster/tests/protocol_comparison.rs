@@ -2,21 +2,12 @@
 //! behaviour orderings the paper's evaluation establishes must hold in
 //! the simulated deployment too.
 
-use std::sync::Arc;
-
 use mdcc_cluster::{
-    run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, FaultEvent, FaultPlan,
-    MdccMode, NetKind, Report,
+    micro_catalog, run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec,
+    FaultEvent, FaultPlan, MdccMode, NetKind, Report,
 };
 use mdcc_common::{DcId, SimDuration};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
-
-fn micro_catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
+use mdcc_workloads::micro::{initial_items, MicroConfig, MicroWorkload};
 
 fn spec() -> ClusterSpec {
     ClusterSpec {

@@ -9,7 +9,7 @@
 //! on arrival, that replica — still at the old version, option `N`
 //! pending — answers `PendingOption` / `StaleRead`; with two or more
 //! such replicas the fast quorum is missed, the votes split between two
-//! versions, the learner stays undecided until `learn_timeout`, and the
+//! versions, the learner stays undecided until `LEARN_TIMEOUT`, and the
 //! option goes through master recovery: a false conflict on an
 //! uncontended row. A storage node now parks such a proposal until the
 //! record reaches the version it read, so every one of these commits is

@@ -17,18 +17,11 @@
 
 use std::sync::Arc;
 
-use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, NetKind, NodeRole, Report};
+use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, MdccMode, NetKind, NodeRole, Report};
 use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
-use mdcc_storage::{AttrConstraint, Catalog, TableSchema};
 use mdcc_trace::{Phase, TraceConfig};
-use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, MICRO_ITEMS, STOCK};
+use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
 
 fn data(items: u64) -> Vec<(Key, Row)> {
     (0..items)
@@ -68,7 +61,7 @@ const ITEMS: u64 = 16;
 fn run(spec: &ClusterSpec) -> Report {
     let (report, _stats) = run_mdcc(
         spec,
-        catalog(),
+        micro_catalog(),
         &data(ITEMS),
         &mut factory(ITEMS),
         MdccMode::Full,
@@ -213,7 +206,7 @@ fn classic_rounds_produce_phase1_and_phase2a_spans() {
     };
     let (report, _stats) = run_mdcc(
         &spec,
-        catalog(),
+        micro_catalog(),
         &data(ITEMS),
         &mut factory(ITEMS),
         MdccMode::Multi,

@@ -26,9 +26,35 @@ pub enum StorageKind {
     LogStructured,
 }
 
-/// Dynamic-mastership knobs: shard-granular master leases renewed by
+/// How long a coordinator waits to learn an option before it starts
+/// collision recovery; also the base of its retry back-off and the
+/// storage node's recovery-retry period. More than two of the widest
+/// round trips of the EC2 preset (270 ms).
+pub const LEARN_TIMEOUT: SimDuration = SimDuration::from_millis(600);
+
+/// How long a storage node waits on an outstanding option before it
+/// triggers dangling-transaction recovery (§3.2.3); the node sweeps for
+/// such options at half this period. Seconds, while message delays are
+/// sub-second: the synchrony assumption that lets recovery declare an
+/// option nobody has seen dead.
+pub const DANGLING_TIMEOUT: SimDuration = SimDuration::from_millis(5_000);
+
+/// How often a durable storage node checkpoints its store to disk and
+/// compacts its WAL.
+pub const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_millis(10_000);
+
+/// How often a restarted storage node runs an anti-entropy sync round
+/// against a peer replica (catch-up for state it missed while down).
+pub const RECOVERY_SYNC_INTERVAL: SimDuration = SimDuration::from_millis(2_500);
+
+/// Keys per sync digest range and per shipped sync chunk message.
+pub const SYNC_CHUNK_KEYS: usize = 32;
+
+/// Dynamic mastership: shard-granular master leases renewed by
 /// heartbeat, omnipaxos-style ballot leader election, and access-driven
-/// master migration.
+/// master migration. Its timing and hysteresis are constants of
+/// `mdcc-mastership` (`HEARTBEAT_INTERVAL`, `LEASE_DURATION`, …); the
+/// one thing a deployment chooses is whether the layer runs.
 ///
 /// A granted lease ballot doubles as the Phase1-promised classic ballot
 /// for every record in the lease's scope (lease-carried Phase1):
@@ -39,74 +65,17 @@ pub enum StorageKind {
 /// Disabled by default. With `enabled = false` no mastership timer is
 /// armed, no mastership message is sent and no RNG is consumed — runs
 /// are byte-identical to static placement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MastershipConfig {
     /// Master switch. Off reproduces static per-record placement
     /// byte-identically.
     pub enabled: bool,
-    /// Base interval between heartbeat/lease ticks at every replica.
-    /// Each tick closes the previous heartbeat round, renews any held
-    /// lease, and checks the migration hysteresis.
-    pub heartbeat_interval: SimDuration,
-    /// How long one lease grant is valid. A holder renews every tick,
-    /// so this should be at least 3× the heartbeat interval to ride out
-    /// a lost renewal round; it also bounds the unavailability window
-    /// after a master crash (a successor must wait out the acked
-    /// expiry).
-    pub lease_duration: SimDuration,
-    /// Added to the tick delay after a contested election round
-    /// (omnipaxos-style increasing heartbeat delay), decayed back to
-    /// the base once a lease settles.
-    pub hb_delay_increment: SimDuration,
-    /// Access-driven migration fires when a remote data center's
-    /// mastered-request count reaches this percentage of the holder's
-    /// local count (200 = twice the local traffic).
-    pub migrate_threshold_pct: u32,
-    /// A remote data center must additionally sustain at least this
-    /// many mastered requests *per second* over the observation window.
-    /// Rate-normalized, so the knob means the same thing at
-    /// `--scale=quick`, `paper` and `10x` (a per-tick count would not:
-    /// client pools and tick cadence change with scale).
-    pub migrate_min_rate: u64,
-    /// Observation window for the migration rate. The holder only
-    /// evaluates the hysteresis once a window's worth of traffic has
-    /// accumulated; the window then decays exponentially (counts halve,
-    /// the window start moves halfway forward).
-    pub migrate_window: SimDuration,
-    /// The same remote data center must stay dominant for this many
-    /// consecutive evaluations before the lease is handed off
-    /// (hysteresis).
-    pub migrate_rounds: u32,
-    /// Bound on the per-shard record-override table (records whose
-    /// promise rose above the shard's base lease ballot). Past the cap
-    /// the least-recently-touched half is spilled deterministically;
-    /// a spilled record merely falls back to the base lease floor.
-    pub lease_record_overrides: usize,
-}
-
-impl Default for MastershipConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            heartbeat_interval: SimDuration::from_millis(100),
-            lease_duration: SimDuration::from_millis(400),
-            hb_delay_increment: SimDuration::from_millis(25),
-            migrate_threshold_pct: 200,
-            migrate_min_rate: 20,
-            migrate_window: SimDuration::from_millis(400),
-            migrate_rounds: 2,
-            lease_record_overrides: 64,
-        }
-    }
 }
 
 impl MastershipConfig {
-    /// An enabled config with the defaults above.
+    /// The layer switched on.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
+        Self { enabled: true }
     }
 }
 
@@ -127,25 +96,10 @@ pub struct ProtocolConfig {
     /// Number of instances forced classic after a collision before fast
     /// ballots are retried (the paper's γ).
     pub gamma: u64,
-    /// How long a coordinator waits to learn an option before starting
-    /// collision recovery.
-    pub learn_timeout: SimDuration,
-    /// How long a storage node waits on an outstanding option before
-    /// triggering dangling-transaction recovery (§3.2.3).
-    pub dangling_timeout: SimDuration,
     /// Maximum number of options absorbed into one fast-commutative
     /// instance before the master closes it with a classic round and
     /// re-bases demarcation limits.
     pub max_instance_options: usize,
-    /// How often a durable storage node checkpoints its store to disk
-    /// and compacts its WAL.
-    pub checkpoint_interval: SimDuration,
-    /// How often a restarted storage node runs an anti-entropy sync
-    /// round against a peer replica (catch-up for state it missed while
-    /// down).
-    pub recovery_sync_interval: SimDuration,
-    /// Keys per sync digest range and per shipped sync chunk message.
-    pub sync_chunk_keys: usize,
     /// Coalesce same-destination, same-traffic-class sends into batched
     /// envelope frames (`true`, the default): every sender's outbox is
     /// flushed as one envelope per (destination, class) — one frame
@@ -199,12 +153,7 @@ impl Default for ProtocolConfig {
             classic_quorum: 3,
             fast_quorum: 4,
             gamma: 100,
-            learn_timeout: SimDuration::from_millis(600),
-            dangling_timeout: SimDuration::from_millis(5_000),
             max_instance_options: 32,
-            checkpoint_interval: SimDuration::from_millis(10_000),
-            recovery_sync_interval: SimDuration::from_millis(2_500),
-            sync_chunk_keys: 32,
             coalesce: true,
             coalesce_window: SimDuration::from_micros(500),
             group_commit: true,

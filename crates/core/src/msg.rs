@@ -227,7 +227,7 @@ pub enum Msg {
     /// its current instance (each option "includes all necessary
     /// information to reconstruct the state").
     SyncChunk {
-        /// At most `sync_chunk_keys` records' worth of state.
+        /// At most `SYNC_CHUNK_KEYS` records' worth of state.
         items: Vec<SyncItem>,
     },
 
@@ -299,7 +299,7 @@ pub enum Msg {
     /// Record-granular routing hint: the shard's lease holder tells a
     /// coordinator that *this record's* classic traffic belongs to
     /// `node` (a per-record override diverging from the shard-level
-    /// lease — see `lease_record_overrides`).
+    /// lease — see `mdcc_mastership::LEASE_RECORD_OVERRIDES`).
     RecordHint {
         /// Record concerned.
         key: Key,

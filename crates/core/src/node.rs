@@ -39,10 +39,13 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use mdcc_common::config::{
+    CHECKPOINT_INTERVAL, DANGLING_TIMEOUT, LEARN_TIMEOUT, RECOVERY_SYNC_INTERVAL, SYNC_CHUNK_KEYS,
+};
 use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, TxnId};
 use mdcc_mastership::{
     record_id, Action as MsAction, Ballot as MsBallot, LeaseAudit, LeaseTable, Mastership,
-    MastershipStats, MsMsg, OverrideRun,
+    MastershipStats, MsMsg, OverrideRun, HEARTBEAT_INTERVAL, LEASE_RECORD_OVERRIDES,
 };
 use mdcc_paxos::acceptor::{ClassicAccept, FastPropose, Phase2b};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
@@ -131,7 +134,7 @@ struct RecoveryTask {
     recovering_keys: HashSet<Key>,
     /// Retry sweeps performed; after a few rounds of "nobody has seen the
     /// option at the current instance" the transaction is resolved as
-    /// aborted. Sound because recovery only starts `dangling_timeout`
+    /// aborted. Sound because recovery only starts `DANGLING_TIMEOUT`
     /// (seconds) after acceptance while message delays are sub-second —
     /// the same synchrony assumption the paper's timeout-based recovery
     /// makes (§3.2.3).
@@ -219,7 +222,7 @@ pub struct StorageNodeProcess {
     /// Per-record override ballots for hot keys whose classic ballot
     /// diverged from the shard lease (contested records, collision
     /// recovery led elsewhere). Bounded per shard by
-    /// `lease_record_overrides`; handed to the successor on migration.
+    /// [`LEASE_RECORD_OVERRIDES`]; handed to the successor on migration.
     lease_overrides: HashMap<u32, LeaseTable>,
     /// Fast proposals that read a version this replica has not reached,
     /// held until the record catches up. Volatile like an in-flight
@@ -271,7 +274,7 @@ impl StorageNodeProcess {
         placement: Arc<dyn Placement>,
         allow_fast: bool,
     ) -> Self {
-        let sweep_interval = cfg.dangling_timeout / 2;
+        let sweep_interval = DANGLING_TIMEOUT / 2;
         Self {
             cfg,
             store,
@@ -327,14 +330,10 @@ impl StorageNodeProcess {
                 *e = b;
             }
         }
-        let cap = self.cfg.mastership.lease_record_overrides;
-        if cap == 0 {
-            return;
-        }
         for ((shard, record), (n, pid)) in leases.overrides {
             self.lease_overrides
                 .entry(shard)
-                .or_insert_with(|| LeaseTable::new(cap))
+                .or_insert_with(|| LeaseTable::new(LEASE_RECORD_OVERRIDES))
                 .raise(record, MsBallot::new(n, pid));
         }
     }
@@ -381,20 +380,16 @@ impl StorageNodeProcess {
         if !self.cfg.mastership.enabled || promised.is_fast() {
             return;
         }
-        if self.cfg.mastership.lease_record_overrides == 0 {
-            return;
-        }
         let shard = self.placement.shard_id(key);
         let msb = MsBallot::new(promised.round, promised.proposer.0 as u64);
         if self.lease_floors.get(&shard).is_some_and(|f| msb <= *f) {
             return; // Within the shard lease: no divergence to record.
         }
         let record = record_id(key.pk.as_bytes());
-        let cap = self.cfg.mastership.lease_record_overrides;
         let table = self
             .lease_overrides
             .entry(shard)
-            .or_insert_with(|| LeaseTable::new(cap));
+            .or_insert_with(|| LeaseTable::new(LEASE_RECORD_OVERRIDES));
         if table.raise(record, msb) {
             self.wal_append(
                 &WalRecord::LeaseOverride {
@@ -429,15 +424,14 @@ impl StorageNodeProcess {
     /// Installs a predecessor's per-record override runs (shipped on
     /// migration so hot-key promises survive the handoff).
     fn install_override_runs(&mut self, shard: u32, runs: &[OverrideRun], ctx: &mut Ctx<'_, Msg>) {
-        let cap = self.cfg.mastership.lease_record_overrides;
-        if !self.cfg.mastership.enabled || cap == 0 {
+        if !self.cfg.mastership.enabled {
             return;
         }
         let mut raised: Vec<(u64, MsBallot)> = Vec::new();
         let table = self
             .lease_overrides
             .entry(shard)
-            .or_insert_with(|| LeaseTable::new(cap));
+            .or_insert_with(|| LeaseTable::new(LEASE_RECORD_OVERRIDES));
         for run in runs {
             for i in 0..u64::from(run.len) {
                 let record = run.start.wrapping_add(i);
@@ -487,11 +481,6 @@ impl StorageNodeProcess {
     /// before the node is spawned (the WAL must cover every input).
     pub fn enable_durability(&mut self) {
         self.durable = true;
-    }
-
-    /// What the restart replay cost, if this node was rebuilt from disk.
-    pub fn recovery_info(&self) -> Option<RecoveryInfo> {
-        self.recovered
     }
 
     /// Read access to the underlying store (tests, metrics).
@@ -574,10 +563,7 @@ impl StorageNodeProcess {
             ctx,
         );
         let before = self.store.version_of(&key);
-        if self
-            .store
-            .sync_from_peer(&key, &snapshot, &resolved, ctx.now)
-        {
+        if self.store.sync_from_peer(&key, &snapshot, &resolved) {
             self.stats.sync_adoptions += 1;
         }
         if self.store.version_of(&key) != before {
@@ -1057,7 +1043,7 @@ impl StorageNodeProcess {
                 retries: 0,
             },
         );
-        ctx.set_timer(self.cfg.learn_timeout, Msg::RecoveryRetry { txn });
+        ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
     }
 
     fn finish_recovery(&mut self, txn: TxnId, outcome: TxnOutcome, ctx: &mut Ctx<'_, Msg>) {
@@ -1138,7 +1124,7 @@ impl StorageNodeProcess {
                 .unwrap_or(true);
         let advanced = self
             .store
-            .apply_visibility(&key, txn, outcome, learned_accepted, ctx.now);
+            .apply_visibility(&key, txn, outcome, learned_accepted);
         if let Some(tracer) = &self.tracer {
             // Stretch the coordinator's visibility span to this
             // replica's application time; the harvest closes it
@@ -1177,7 +1163,7 @@ impl StorageNodeProcess {
         );
         if attempt < MISSED_PULL_RETRIES {
             ctx.set_timer(
-                self.cfg.learn_timeout,
+                LEARN_TIMEOUT,
                 Msg::MissedPull {
                     key,
                     txn,
@@ -1210,14 +1196,14 @@ impl Process<Msg> for StorageNodeProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.set_timer(self.sweep_interval, Msg::DanglingSweep);
         if self.durable {
-            ctx.set_timer(self.cfg.checkpoint_interval, Msg::CheckpointTick);
+            ctx.set_timer(CHECKPOINT_INTERVAL, Msg::CheckpointTick);
         }
         if self.recovered.is_some() {
             // Catch up on state missed while down: one round now, then
             // periodic rounds (the final ones, after traffic quiesces,
             // guarantee convergence with never-crashed replicas).
             self.run_sync_round(ctx);
-            ctx.set_timer(self.cfg.recovery_sync_interval, Msg::SyncSweep);
+            ctx.set_timer(RECOVERY_SYNC_INTERVAL, Msg::SyncSweep);
         }
         if self.cfg.mastership.enabled {
             // Host the lease/election layer for every shard this node
@@ -1234,13 +1220,7 @@ impl Process<Msg> for StorageNodeProcess {
             }
             if !shards.is_empty() {
                 let recovered_at = self.recovered.is_some().then_some(ctx.now);
-                let mut ms = Mastership::new(
-                    self.cfg.mastership.clone(),
-                    ctx.self_id,
-                    my_dc,
-                    shards,
-                    recovered_at,
-                );
+                let mut ms = Mastership::new(ctx.self_id, my_dc, shards, recovered_at);
                 if let Some(audit) = &self.lease_audit {
                     ms.set_audit(audit.clone());
                 }
@@ -1248,10 +1228,7 @@ impl Process<Msg> for StorageNodeProcess {
                 // Stagger first ticks by node id so heartbeats across
                 // nodes do not land on the same instants.
                 let stagger = SimDuration::from_micros((ctx.self_id.0 as u64 % 17) * 313);
-                ctx.set_timer(
-                    self.cfg.mastership.heartbeat_interval + stagger,
-                    Msg::MsTick,
-                );
+                ctx.set_timer(HEARTBEAT_INTERVAL + stagger, Msg::MsTick);
             }
         }
     }
@@ -1478,7 +1455,7 @@ impl Process<Msg> for StorageNodeProcess {
                 // A restarted peer opens a merkle round: advertise range
                 // digests of everything we hold; full state only ships
                 // for ranges the peer finds divergent.
-                let ranges = self.store.sync_ranges(self.cfg.sync_chunk_keys);
+                let ranges = self.store.sync_ranges(SYNC_CHUNK_KEYS);
                 if !ranges.is_empty() {
                     ctx.send(from, Msg::SyncDigest { ranges });
                 }
@@ -1493,7 +1470,7 @@ impl Process<Msg> for StorageNodeProcess {
             }
             Msg::SyncRangePull { ranges } => {
                 for items in self.store.sync_items_in(&ranges) {
-                    for chunk in items.chunks(self.cfg.sync_chunk_keys.max(1)) {
+                    for chunk in items.chunks(SYNC_CHUNK_KEYS) {
                         ctx.send(
                             from,
                             Msg::SyncChunk {
@@ -1665,7 +1642,7 @@ impl Process<Msg> for StorageNodeProcess {
                 }
                 self.recovery_check_done(txn, ctx);
                 if self.recoveries.contains_key(&txn) {
-                    ctx.set_timer(self.cfg.learn_timeout, Msg::RecoveryRetry { txn });
+                    ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
                 }
             }
             Msg::MissedPull { key, txn, attempt } => {
@@ -1719,7 +1696,7 @@ impl Process<Msg> for StorageNodeProcess {
                         );
                     }
                 }
-                ctx.set_timer(self.cfg.checkpoint_interval, Msg::CheckpointTick);
+                ctx.set_timer(CHECKPOINT_INTERVAL, Msg::CheckpointTick);
             }
             Msg::MsTick => {
                 let mut out = Vec::new();
@@ -1744,7 +1721,7 @@ impl Process<Msg> for StorageNodeProcess {
                     return;
                 }
                 self.run_sync_round(ctx);
-                ctx.set_timer(self.cfg.recovery_sync_interval, Msg::SyncSweep);
+                ctx.set_timer(RECOVERY_SYNC_INTERVAL, Msg::SyncSweep);
             }
             _ => {}
         }

@@ -6,7 +6,7 @@
 //! *committed* state. Judging it now could only say `StaleRead` or
 //! `PendingOption` — a "no" about this replica's lag that splits the
 //! acceptors' votes across two versions and leaves the coordinator
-//! waiting out `learn_timeout`. The storage node parks such a proposal
+//! waiting out `LEARN_TIMEOUT`. The storage node parks such a proposal
 //! here, before logging or voting, and judges it once the record has
 //! caught up; to every other participant that is indistinguishable from
 //! the network delivering the proposal later.

@@ -17,6 +17,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
+use mdcc_common::config::LEARN_TIMEOUT;
 use mdcc_common::error::AbortReason;
 use mdcc_common::{
     DcId, Key, NodeId, ProtocolConfig, RecordUpdate, Row, SimTime, TxnId, Version, WriteSet,
@@ -242,7 +243,7 @@ impl TransactionManager {
         for key in &keys {
             self.send_read(token, key, consistency, false, ctx);
         }
-        let timer = ctx.set_timer(self.cfg.protocol.learn_timeout, Msg::ReadRetry { token });
+        let timer = ctx.set_timer(LEARN_TIMEOUT, Msg::ReadRetry { token });
         self.reads.insert(
             token,
             ReadTask {
@@ -399,7 +400,7 @@ impl TransactionManager {
         for opt in options.values() {
             self.propose(opt.clone(), ctx);
         }
-        let timer = ctx.set_timer(self.cfg.protocol.learn_timeout, Msg::LearnTimeout { txn });
+        let timer = ctx.set_timer(LEARN_TIMEOUT, Msg::LearnTimeout { txn });
         self.active.insert(
             txn,
             ActiveTxn {
@@ -630,7 +631,7 @@ impl TransactionManager {
         // Exponential backoff: under heavy contention a recovery round can
         // outlast the base timeout, and re-triggering it on every tick
         // turns congestion into livelock.
-        let backoff = self.cfg.protocol.learn_timeout * (1u64 << active.retries.min(4));
+        let backoff = LEARN_TIMEOUT * (1u64 << active.retries.min(4));
         active.timer = ctx.set_timer(backoff, Msg::LearnTimeout { txn });
         let attempt = self.active[&txn].retries;
         for (key, opt) in undecided.into_iter().zip(opts) {
@@ -670,7 +671,7 @@ impl TransactionManager {
             .cloned()
             .collect();
         let consistency = task.consistency;
-        let backoff = self.cfg.protocol.learn_timeout * (1u64 << task.retries.min(4));
+        let backoff = LEARN_TIMEOUT * (1u64 << task.retries.min(4));
         let timer = ctx.set_timer(backoff, Msg::ReadRetry { token });
         self.reads.get_mut(&token).expect("present").timer = timer;
         for key in missing {

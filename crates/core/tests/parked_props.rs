@@ -193,7 +193,6 @@ proptest! {
                         TxnId::new(COORDINATOR, i),
                         TxnOutcome::Committed,
                         true,
-                        now,
                     );
                 }
             }

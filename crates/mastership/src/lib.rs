@@ -34,7 +34,57 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{DcId, MastershipConfig, NodeId, SimDuration, SimTime};
+use mdcc_common::{DcId, NodeId, SimDuration, SimTime};
+
+// ---------------------------------------------------------------------
+// Timing and hysteresis. One value each: no deployment, figure or test
+// runs the layer with another.
+// ---------------------------------------------------------------------
+
+/// Base interval between heartbeat/lease ticks at every replica. Each
+/// tick closes the previous heartbeat round, renews any held lease, and
+/// checks the migration hysteresis.
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// How long one lease grant is valid. A holder renews every tick, so
+/// this is four heartbeat intervals — enough to ride out a lost renewal
+/// round; it also bounds the unavailability window after a master crash
+/// (a successor must wait out the acked expiry).
+pub const LEASE_DURATION: SimDuration = SimDuration::from_millis(400);
+
+/// Added to the tick delay after a contested election round
+/// (omnipaxos-style increasing heartbeat delay), decayed back to the
+/// base once a lease settles.
+pub const HB_DELAY_INCREMENT: SimDuration = SimDuration::from_millis(25);
+
+/// Access-driven migration fires when a remote data center's
+/// mastered-request count reaches this percentage of the holder's local
+/// count (200 = twice the local traffic).
+pub const MIGRATE_THRESHOLD_PCT: u64 = 200;
+
+/// A remote data center must additionally sustain at least this many
+/// mastered requests *per second* over the observation window.
+/// Rate-normalized, so it means the same thing at `--scale=quick`,
+/// `paper` and `10x` (a per-tick count would not: client pools and tick
+/// cadence change with scale).
+pub const MIGRATE_MIN_RATE: u64 = 20;
+
+/// Observation window for the migration rate. The holder only evaluates
+/// the hysteresis once a window's worth of traffic has accumulated; the
+/// window then decays exponentially (counts halve, the window start
+/// moves halfway forward).
+pub const MIGRATE_WINDOW: SimDuration = SimDuration::from_millis(400);
+
+/// The same remote data center must stay dominant for this many
+/// consecutive evaluations before the lease is handed off (hysteresis).
+pub const MIGRATE_ROUNDS: u32 = 2;
+
+/// Bound on a shard's record-override table (records whose promise rose
+/// above the shard's base lease ballot), the `cap` a storage node gives
+/// [`LeaseTable::new`]. Past it the least-recently-touched half is
+/// spilled deterministically; a spilled record merely falls back to the
+/// base lease floor.
+pub const LEASE_RECORD_OVERRIDES: usize = 64;
 
 // ---------------------------------------------------------------------
 // Ballot.
@@ -771,7 +821,6 @@ impl ShardState {
 /// Mastership state of one storage node: election, lease table, holder
 /// and migration state for every shard the node replicates.
 pub struct Mastership {
-    cfg: MastershipConfig,
     me: NodeId,
     my_dc: DcId,
     shards: HashMap<u32, ShardState>,
@@ -795,7 +844,6 @@ impl Mastership {
     /// a post-restart node, which is quarantined from granting for one
     /// lease duration (its volatile grant table died with the crash).
     pub fn new(
-        cfg: MastershipConfig,
         me: NodeId,
         my_dc: DcId,
         shards: Vec<(u32, Vec<NodeId>)>,
@@ -803,13 +851,12 @@ impl Mastership {
     ) -> Self {
         let pid = me.0 as u64;
         let quarantine_until = match recovered_at {
-            Some(at) => at + cfg.lease_duration,
+            Some(at) => at + LEASE_DURATION,
             None => SimTime::ZERO,
         };
         let mut shard_order: Vec<u32> = shards.iter().map(|(s, _)| *s).collect();
         shard_order.sort_unstable();
         Self {
-            cfg,
             me,
             my_dc,
             shards: shards
@@ -913,7 +960,7 @@ impl Mastership {
         } else {
             self.delay_level = self.delay_level.saturating_sub(1);
         }
-        self.cfg.heartbeat_interval + self.cfg.hb_delay_increment * self.delay_level as u64
+        HEARTBEAT_INTERVAL + HB_DELAY_INCREMENT * self.delay_level as u64
     }
 
     fn tick_shard(
@@ -924,7 +971,7 @@ impl Mastership {
         out: &mut Vec<Action>,
     ) -> bool {
         let me = self.me;
-        let lease = self.cfg.lease_duration;
+        let lease = LEASE_DURATION;
         let mut contested = false;
 
         // Migration check first: it may relinquish the lease, in which
@@ -1141,20 +1188,16 @@ impl Mastership {
     }
 
     /// Access-driven migration: if a remote data center's mastered
-    /// traffic sustained at least `migrate_min_rate` req/s *and*
-    /// dominated the holder's local traffic for `migrate_rounds`
+    /// traffic sustained at least [`MIGRATE_MIN_RATE`] req/s *and*
+    /// dominated the holder's local traffic for [`MIGRATE_ROUNDS`]
     /// consecutive window evaluations, hand the lease to its replica.
     ///
     /// Dominance is judged on request *rate over a window*
-    /// (`migrate_window`), not raw per-tick counts, so the knob is
+    /// ([`MIGRATE_WINDOW`]), not raw per-tick counts, so the rule is
     /// scale-free: quick/paper/10x scales shift absolute traffic by an
     /// order of magnitude but leave req/s-per-client untouched.
     fn check_migration(&mut self, shard: u32, now: SimTime, out: &mut Vec<Action>) {
         let my_dc = self.my_dc.0 as usize;
-        let cfg_ratio = self.cfg.migrate_threshold_pct as u64;
-        let cfg_rate = self.cfg.migrate_min_rate;
-        let cfg_window = self.cfg.migrate_window;
-        let cfg_rounds = self.cfg.migrate_rounds;
         let state = self.shards.get_mut(&shard).expect("shard state");
         let serving = state
             .holding
@@ -1171,7 +1214,7 @@ impl Mastership {
         }
         // Evaluate only once a full window of traffic has accumulated.
         let elapsed = now.since(state.window_start);
-        if elapsed < cfg_window {
+        if elapsed < MIGRATE_WINDOW {
             return;
         }
         let local = state.origin_counts.get(my_dc).copied().unwrap_or(0);
@@ -1184,7 +1227,8 @@ impl Mastership {
             .max_by_key(|(dc, c)| (*c, std::cmp::Reverse(*dc)))
             .unwrap_or((my_dc, 0));
         let dom_rate = dom_count * 1_000 / elapsed.as_millis().max(1);
-        let dominant = dom_rate >= cfg_rate && dom_count * 100 >= cfg_ratio * local.max(1);
+        let dominant =
+            dom_rate >= MIGRATE_MIN_RATE && dom_count * 100 >= MIGRATE_THRESHOLD_PCT * local.max(1);
         if dominant && state.last_dominant == Some(dom_dc as u8) {
             state.dominant_streak += 1;
         } else if dominant {
@@ -1200,7 +1244,7 @@ impl Mastership {
             *c /= 2;
         }
         state.window_start += elapsed / 2;
-        if state.dominant_streak < cfg_rounds.max(1) {
+        if state.dominant_streak < MIGRATE_ROUNDS {
             return;
         }
         let holding = state.holding.expect("serving implies holding");
@@ -1221,7 +1265,7 @@ impl Mastership {
         state.hint = Some(HolderHint {
             ballot: next,
             node: target,
-            expiry: now + self.cfg.lease_duration,
+            expiry: now + LEASE_DURATION,
         });
         self.stats.handoffs += 1;
         if let Some(a) = &self.audit {
@@ -1381,7 +1425,7 @@ impl Mastership {
                 state.max_seen = state.max_seen.max(ballot);
                 state.candidacy = state.candidacy.max(ballot);
                 self.stats.elections += 1;
-                let expiry = now + self.cfg.lease_duration;
+                let expiry = now + LEASE_DURATION;
                 state.pending = Some(Pending {
                     ballot,
                     expiry,
@@ -1423,16 +1467,12 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(millis)
     }
 
-    fn cfg() -> MastershipConfig {
-        MastershipConfig::enabled()
-    }
-
     fn group() -> Vec<NodeId> {
         (0..5).map(NodeId).collect()
     }
 
     fn layer(me: u32) -> Mastership {
-        Mastership::new(cfg(), NodeId(me), DcId(me as u8), vec![(0, group())], None)
+        Mastership::new(NodeId(me), DcId(me as u8), vec![(0, group())], None)
     }
 
     #[test]
@@ -1696,13 +1736,7 @@ mod tests {
     /// until one lease duration has passed.
     #[test]
     fn restart_quarantine_blocks_grants() {
-        let mut node = Mastership::new(
-            cfg(),
-            NodeId(1),
-            DcId(1),
-            vec![(0, group())],
-            Some(ms(1000)),
-        );
+        let mut node = Mastership::new(NodeId(1), DcId(1), vec![(0, group())], Some(ms(1000)));
         let mut out = Vec::new();
         node.on_msg(
             NodeId(4),

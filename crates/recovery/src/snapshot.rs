@@ -1,10 +1,10 @@
 //! Checkpoints: full-store snapshots and the recovery entry point.
 //!
 //! A checkpoint serializes the entire [`RecordStore`] (acceptor state,
-//! pending options, option log) into the disk's snapshot blob and
-//! truncates the WAL — the compaction step that bounds replay work. On
-//! restart, [`recover_store`] rebuilds the store from snapshot + WAL
-//! tail and reports how much work that took.
+//! pending options) into the disk's snapshot blob and truncates the WAL
+//! — the compaction step that bounds replay work. On restart,
+//! [`recover_store`] rebuilds the store from snapshot + WAL tail and
+//! reports how much work that took.
 
 use std::sync::Arc;
 
@@ -197,6 +197,21 @@ mod tests {
             Some(15)
         );
         assert_eq!(committed_bytes(&rebuilt), committed_bytes(&store));
+    }
+
+    /// Checkpoints once ended in the learned-option ring (a `u32` entry
+    /// count and a `u64` truncation watermark after the pending set). A
+    /// blob in that format is refused whole, not half-loaded.
+    #[test]
+    fn a_checkpoint_with_the_retired_option_ring_is_an_error() {
+        let mut blob = loaded_store().checkpoint_bytes();
+        assert!(matches!(read_checkpoint(&blob), Ok(Some(_))));
+        let mut ring = crate::codec::Enc::new();
+        ring.u32(0);
+        ring.u64(0);
+        blob.extend_from_slice(&ring.finish());
+        let err = read_checkpoint(&blob).expect_err("old-format blob must not load");
+        assert_eq!(err.context, "trailing bytes");
     }
 
     #[test]

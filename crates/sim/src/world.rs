@@ -444,6 +444,13 @@ impl<M: NetMessage + 'static> Shard<M> {
         debug_assert!(ev.at >= self.now, "time went backwards");
         let target = ev.target;
         let slot = env.slot_of[target.0 as usize] as usize;
+        if let EventKind::Deliver { bytes, .. } | EventKind::DeliverEnvelope { bytes, .. } = ev.kind
+        {
+            match self.admit(ev, slot, bytes, env) {
+                Some(admitted) => ev = admitted,
+                None => return,
+            }
+        }
         match ev.kind {
             EventKind::Start => {
                 self.now = ev.at;
@@ -468,73 +475,11 @@ impl<M: NetMessage + 'static> Shard<M> {
                 self.dispatch(target, slot, DispatchKind::Timer(msg), env);
                 self.flush_after_event(target, slot, env);
             }
-            EventKind::Deliver { from, msg, bytes } => {
-                if !self.alive[slot] || self.down {
-                    self.now = ev.at;
-                    self.stats.dropped += 1;
-                    if env.trace_on {
-                        self.arrivals.remove(&(ev.key.node, ev.key.emit));
-                    }
-                    return;
-                }
-                // Model per-message CPU cost: a busy node defers handling.
-                let busy = self.busy_until[slot];
-                if busy > ev.at {
-                    if env.trace_on {
-                        // Remember when the frame first reached the busy
-                        // node: the receive span starts there, not at
-                        // the deferred handling time.
-                        self.arrivals
-                            .entry((ev.key.node, ev.key.emit))
-                            .or_insert(ev.at);
-                    }
-                    ev.at = busy;
-                    ev.kind = EventKind::Deliver { from, msg, bytes };
-                    self.queue.push_deferred(ev);
-                    return;
-                }
-                self.now = ev.at;
-                let cost = env.service_cost(bytes);
-                self.busy_until[slot] = ev.at + cost;
-                self.profile[slot].sim_busy += cost;
-                self.stats.delivered += 1;
-                if env.trace_on {
-                    self.record_service_span(ev.key, target, ev.at, cost, env);
-                }
+            EventKind::Deliver { from, msg, .. } => {
                 self.dispatch(target, slot, DispatchKind::Message { from, msg }, env);
                 self.flush_after_event(target, slot, env);
             }
-            EventKind::DeliverEnvelope { from, msgs, bytes } => {
-                if !self.alive[slot] || self.down {
-                    self.now = ev.at;
-                    self.stats.dropped += 1;
-                    if env.trace_on {
-                        self.arrivals.remove(&(ev.key.node, ev.key.emit));
-                    }
-                    return;
-                }
-                let busy = self.busy_until[slot];
-                if busy > ev.at {
-                    if env.trace_on {
-                        self.arrivals
-                            .entry((ev.key.node, ev.key.emit))
-                            .or_insert(ev.at);
-                    }
-                    ev.at = busy;
-                    ev.kind = EventKind::DeliverEnvelope { from, msgs, bytes };
-                    self.queue.push_deferred(ev);
-                    return;
-                }
-                self.now = ev.at;
-                // One service floor plus the per-byte cost of the whole
-                // envelope — the amortization coalescing buys.
-                let cost = env.service_cost(bytes);
-                self.busy_until[slot] = ev.at + cost;
-                self.profile[slot].sim_busy += cost;
-                self.stats.delivered += 1;
-                if env.trace_on {
-                    self.record_service_span(ev.key, target, ev.at, cost, env);
-                }
+            EventKind::DeliverEnvelope { from, msgs, .. } => {
                 // Unpack before dispatch: payloads in send order, and
                 // everything the handlers send batches into the reply
                 // flush below.
@@ -576,23 +521,70 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// Fires the covering fsync of `src`'s open group-commit batch: one
-    /// `fsync_latency` charge makes every append since the last sync
-    /// durable, and the sends those appending events held back — their
-    /// acks — are released to the network.
-    fn group_fsync(&mut self, src: NodeId, slot: usize, env: &Env<'_>) {
+    /// Admits an arriving frame of `bytes` (a bare message or an
+    /// envelope) at its target: dropped at a dead node or in a failed
+    /// data center, deferred while the node is busy, otherwise charged
+    /// its service cost and handed back for dispatch.
+    fn admit(
+        &mut self,
+        mut ev: Event<M>,
+        slot: usize,
+        bytes: usize,
+        env: &Env<'_>,
+    ) -> Option<Event<M>> {
+        if !self.alive[slot] || self.down {
+            self.now = ev.at;
+            self.stats.dropped += 1;
+            if env.trace_on {
+                self.arrivals.remove(&(ev.key.node, ev.key.emit));
+            }
+            return None;
+        }
+        // Model per-message CPU cost: a busy node defers handling.
+        let busy = self.busy_until[slot];
+        if busy > ev.at {
+            if env.trace_on {
+                // Remember when the frame first reached the busy node:
+                // the receive span starts there, not at the deferred
+                // handling time.
+                self.arrivals
+                    .entry((ev.key.node, ev.key.emit))
+                    .or_insert(ev.at);
+            }
+            ev.at = busy;
+            self.queue.push_deferred(ev);
+            return None;
+        }
+        self.now = ev.at;
+        // One service floor plus the per-byte cost of the whole frame —
+        // for an envelope, the amortization coalescing buys.
+        let cost = env.service_cost(bytes);
+        self.busy_until[slot] = ev.at + cost;
+        self.profile[slot].sim_busy += cost;
+        self.stats.delivered += 1;
+        if env.trace_on {
+            self.record_service_span(ev.key, ev.target, ev.at, cost, env);
+        }
+        Some(ev)
+    }
+
+    /// Charges `node` one fsync of its WAL on top of whatever the node
+    /// is already busy with. With `fsync_latency` zero nothing is
+    /// charged or counted, but a traced run still gets its (zero-length)
+    /// span: it marks where a durable append happened.
+    fn charge_fsync(&mut self, node: NodeId, slot: usize, env: &Env<'_>) {
         let start = self.busy_until[slot].max(self.now);
         let end = start + env.fsync_latency;
-        self.busy_until[slot] = end;
-        self.profile[slot].sim_busy += env.fsync_latency;
-        self.stats.fsyncs += 1;
-        self.disks[slot].fsync();
+        if env.fsync_latency > SimDuration::ZERO {
+            self.busy_until[slot] = end;
+            self.profile[slot].sim_busy += env.fsync_latency;
+            self.stats.fsyncs += 1;
+            self.disks[slot].fsync();
+        }
         if env.trace_on {
             if let Some(tracer) = env.tracer {
-                // One span covers the whole batch — the amortization is
-                // visible in the anatomy as fewer, not longer, fsyncs.
                 tracer.span(Span {
-                    node: src,
+                    node,
                     dc: self.dc,
                     phase: Phase::WalFsync,
                     start,
@@ -603,6 +595,17 @@ impl<M: NetMessage + 'static> Shard<M> {
                 });
             }
         }
+    }
+
+    /// Fires the covering fsync of `src`'s open group-commit batch: one
+    /// `fsync_latency` charge makes every append since the last sync
+    /// durable, and the sends those appending events held back — their
+    /// acks — are released to the network.
+    fn group_fsync(&mut self, src: NodeId, slot: usize, env: &Env<'_>) {
+        // One charge and one span cover the whole batch — the
+        // amortization is visible in the anatomy as fewer, not longer,
+        // fsyncs.
+        self.charge_fsync(src, slot, env);
         self.release_held(src, slot, env);
     }
 
@@ -726,28 +729,7 @@ impl<M: NetMessage + 'static> Shard<M> {
             } else {
                 // Per-append fsync: charge the synchronous flush on top
                 // of whatever CPU cost the event already cost the node.
-                let start = self.busy_until[slot].max(self.now);
-                let end = start + env.fsync_latency;
-                if env.fsync_latency > SimDuration::ZERO {
-                    self.busy_until[slot] = end;
-                    self.profile[slot].sim_busy += env.fsync_latency;
-                    self.stats.fsyncs += 1;
-                    self.disks[slot].fsync();
-                }
-                if env.trace_on {
-                    if let Some(tracer) = env.tracer {
-                        tracer.span(Span {
-                            node: target,
-                            dc: self.dc,
-                            phase: Phase::WalFsync,
-                            start,
-                            end,
-                            txn: None,
-                            key: None,
-                            class: None,
-                        });
-                    }
-                }
+                self.charge_fsync(target, slot, env);
             }
         }
         self.procs[slot] = Some(proc_);
@@ -946,11 +928,33 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// Ships every pending slot of `src`'s outbox, in first-enqueue
-    /// order: a single buffered message goes out as the same bare frame
-    /// the legacy transport would send; two or more ship as one
-    /// envelope (sized by [`envelope_wire_bytes`], matching the
+    /// Ships one outbox slot: a single buffered message goes out as the
+    /// same bare frame the legacy transport would send; two or more ship
+    /// as one envelope (sized by [`envelope_wire_bytes`], matching the
     /// `mdcc_common::wire::Envelope` codec byte for byte).
+    fn ship_slot(&mut self, src: NodeId, src_slot: usize, mut slot: OutboxSlot<M>, env: &Env<'_>) {
+        if slot.msgs.len() == 1 {
+            let bytes = slot.framed_sizes[0];
+            let kind = EventKind::Deliver {
+                from: src,
+                msg: slot.msgs.pop().expect("one message"),
+                bytes,
+            };
+            self.push_to_network(src, src_slot, slot.to, bytes, slot.class, 1, kind, env);
+        } else {
+            let bytes = envelope_wire_bytes(slot.framed_sizes.iter().copied());
+            let count = slot.msgs.len() as u64;
+            let kind = EventKind::DeliverEnvelope {
+                from: src,
+                msgs: slot.msgs,
+                bytes,
+            };
+            self.push_to_network(src, src_slot, slot.to, bytes, slot.class, count, kind, env);
+        }
+    }
+
+    /// Ships every pending slot of `src`'s outbox, in first-enqueue
+    /// order.
     fn flush_outbox(&mut self, src: NodeId, src_slot: usize, env: &Env<'_>) {
         if self.outbox[src_slot].is_empty() {
             return;
@@ -958,25 +962,8 @@ impl<M: NetMessage + 'static> Shard<M> {
         // Swap the slot list out (keeping its capacity for the next
         // burst) so push_to_network can borrow `self`.
         let mut slots = std::mem::take(&mut self.outbox[src_slot]);
-        for mut slot in slots.drain(..) {
-            if slot.msgs.len() == 1 {
-                let bytes = slot.framed_sizes[0];
-                let kind = EventKind::Deliver {
-                    from: src,
-                    msg: slot.msgs.pop().expect("one message"),
-                    bytes,
-                };
-                self.push_to_network(src, src_slot, slot.to, bytes, slot.class, 1, kind, env);
-            } else {
-                let bytes = envelope_wire_bytes(slot.framed_sizes.iter().copied());
-                let count = slot.msgs.len() as u64;
-                let kind = EventKind::DeliverEnvelope {
-                    from: src,
-                    msgs: slot.msgs,
-                    bytes,
-                };
-                self.push_to_network(src, src_slot, slot.to, bytes, slot.class, count, kind, env);
-            }
+        for slot in slots.drain(..) {
+            self.ship_slot(src, src_slot, slot, env);
         }
         // `slots` is empty but holds its capacity; the field currently
         // holds a fresh empty Vec — give the capacity back unless the
@@ -997,25 +984,8 @@ impl<M: NetMessage + 'static> Shard<M> {
                 i += 1;
                 continue;
             }
-            let mut slot = self.outbox[src_slot].remove(i);
-            if slot.msgs.len() == 1 {
-                let bytes = slot.framed_sizes[0];
-                let kind = EventKind::Deliver {
-                    from: src,
-                    msg: slot.msgs.pop().expect("one message"),
-                    bytes,
-                };
-                self.push_to_network(src, src_slot, slot.to, bytes, slot.class, 1, kind, env);
-            } else {
-                let bytes = envelope_wire_bytes(slot.framed_sizes.iter().copied());
-                let count = slot.msgs.len() as u64;
-                let kind = EventKind::DeliverEnvelope {
-                    from: src,
-                    msgs: slot.msgs,
-                    bytes,
-                };
-                self.push_to_network(src, src_slot, slot.to, bytes, slot.class, count, kind, env);
-            }
+            let slot = self.outbox[src_slot].remove(i);
+            self.ship_slot(src, src_slot, slot, env);
         }
     }
 }
@@ -1284,12 +1254,6 @@ impl<M: NetMessage + Send + 'static> World<M> {
         };
         shard.emit[slot] += 1;
         shard.queue.push_keyed(now, key, node, EventKind::Start);
-    }
-
-    /// True if the node is currently alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        let (shard, slot) = self.loc(node);
-        self.shards[shard].alive[slot]
     }
 
     /// Read access to a node's durable disk.

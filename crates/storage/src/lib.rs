@@ -10,21 +10,16 @@
 //! * [`store::RecordStore`] — key → [`mdcc_paxos::AcceptorRecord`] map
 //!   with committed-read paths, bulk load, and pending-option tracking
 //!   for dangling-transaction detection (§3.2.3);
-//! * [`log::OptionLog`] — the watermark-compacted log of learned
-//!   options each storage node keeps so that "any node can recover the
-//!   transaction";
 //! * [`engine::Storage`] — pluggable engines deciding where record
 //!   bytes live: the in-memory reference map or the log-structured
 //!   segment backend ([`ProtocolConfig::storage`](mdcc_common::ProtocolConfig)).
 
 pub mod engine;
-pub mod log;
 pub mod schema;
 pub mod store;
 pub mod wire;
 
 pub use engine::{EngineStats, LogStructuredBackend, MemBackend, Storage};
-pub use log::{LogEvent, OptionLog, OPTION_LOG_RETENTION};
 pub use mdcc_paxos::AttrConstraint;
 pub use schema::{Catalog, TableSchema};
 pub use store::{PendingTxn, RecordStore, StoreState, SyncItem, SyncRange};

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use mdcc_common::config::DANGLING_TIMEOUT;
 use mdcc_common::wire::{Enc, Wire};
 use mdcc_common::{Key, ProtocolConfig, Row, SimTime, TxnId, Version};
 use mdcc_paxos::acceptor::{ClassicAccept, FastPropose, Phase1b, Phase2a};
@@ -12,7 +13,6 @@ use mdcc_paxos::{
 };
 
 use crate::engine::{backend_for, EngineStats, Storage};
-use crate::log::{LogEvent, OptionLog};
 use crate::schema::Catalog;
 
 /// The full durable state of a [`RecordStore`], exported for checkpoints
@@ -24,11 +24,6 @@ pub struct StoreState {
     pub records: Vec<(Key, AcceptorState)>,
     /// Outstanding (accepted, unresolved) transactions, sorted by id.
     pub pending: Vec<PendingTxn>,
-    /// The learned-option log's retained window, oldest first.
-    pub log: Vec<(SimTime, LogEvent)>,
-    /// Log entries compacted below the retained window (the log's
-    /// truncation watermark; see [`crate::log::OPTION_LOG_RETENTION`]).
-    pub log_truncated: u64,
 }
 
 /// One record's worth of anti-entropy payload: its committed snapshot
@@ -82,7 +77,6 @@ pub struct RecordStore {
     /// `cfg.storage`. Both round-trip logical record state exactly, so
     /// the choice is invisible on the wire and in the WAL.
     records: Box<dyn Storage>,
-    log: OptionLog,
     /// txn → (first-accept time, peers). Ordered so that dangling
     /// sweeps emit recovery traffic deterministically.
     pending: BTreeMap<TxnId, PendingTxn>,
@@ -96,7 +90,6 @@ impl RecordStore {
             cfg,
             catalog,
             records,
-            log: OptionLog::new(),
             pending: BTreeMap::new(),
         }
     }
@@ -123,11 +116,6 @@ impl RecordStore {
     /// True when no record was ever touched.
     pub fn is_empty(&self) -> bool {
         self.records.len() == 0
-    }
-
-    /// The learned-option log.
-    pub fn log(&self) -> &OptionLog {
-        &self.log
     }
 
     /// Committed (read-committed) local read: version and value.
@@ -208,8 +196,7 @@ impl RecordStore {
             .unwrap_or(vread > Version::ZERO)
     }
 
-    /// Fast-ballot proposal for one record, with logging and pending
-    /// tracking.
+    /// Fast-ballot proposal for one record, with pending tracking.
     pub fn fast_propose(&mut self, opt: TxnOption, now: SimTime) -> FastPropose {
         let key = opt.key.clone();
         let txn = opt.txn;
@@ -222,12 +209,12 @@ impl RecordStore {
             (result, rec.cstruct().status_of(txn))
         });
         if let (FastPropose::Vote(_), Some(status)) = (&result, status) {
-            self.note_decided(now, txn, key, status, peers);
+            self.note_decided(now, txn, status, peers);
         }
         result
     }
 
-    /// Classic Phase2a for one record, with logging and pending tracking.
+    /// Classic Phase2a for one record, with pending tracking.
     pub fn classic_accept(&mut self, key: &Key, p2a: Phase2a, now: SimTime) -> ClassicAccept {
         let new_txns: Vec<(TxnId, Arc<[Key]>)> = p2a
             .new_options
@@ -244,7 +231,7 @@ impl RecordStore {
         });
         if let ClassicAccept::Vote(_) = &result {
             for (txn, peers, status) in decided {
-                self.note_decided(now, txn, key.clone(), status, peers);
+                self.note_decided(now, txn, status, peers);
             }
         }
         result
@@ -260,19 +247,10 @@ impl RecordStore {
         txn: TxnId,
         outcome: TxnOutcome,
         learned_accepted: bool,
-        now: SimTime,
     ) -> bool {
         let advanced = self.with_record_mut(key, |rec| {
             rec.apply_visibility(txn, outcome, learned_accepted)
         });
-        self.log.push(
-            now,
-            LogEvent::Outcome {
-                txn,
-                key: key.clone(),
-                outcome,
-            },
-        );
         self.pending.remove(&txn);
         advanced
     }
@@ -325,8 +303,6 @@ impl RecordStore {
         StoreState {
             records,
             pending: self.pending.values().cloned().collect(),
-            log: self.log.iter().cloned().collect(),
-            log_truncated: self.log.watermark(),
         }
     }
 
@@ -342,11 +318,6 @@ impl RecordStore {
         for pending in self.pending.values() {
             pending.encode(&mut out);
         }
-        out.u32(self.log.len() as u32);
-        for event in self.log.iter() {
-            event.encode(&mut out);
-        }
-        out.u64(self.log.watermark());
         out.finish()
     }
 
@@ -366,7 +337,6 @@ impl RecordStore {
         for p in state.pending {
             store.pending.insert(p.txn, p);
         }
-        store.log = OptionLog::from_parts(state.log_truncated, state.log);
         store
     }
 
@@ -392,31 +362,13 @@ impl RecordStore {
         key: &Key,
         snapshot: &RecordSnapshot,
         resolved: &[(TxnOption, Resolution)],
-        now: SimTime,
     ) -> bool {
         if snapshot.version == Version::ZERO && resolved.is_empty() {
             return false;
         }
-        let (newly_resolved, changed) = self.with_record_mut(key, |rec| {
-            let newly: Vec<TxnId> = resolved
-                .iter()
-                .map(|(opt, _)| opt.txn)
-                .filter(|txn| rec.outcome_of(*txn).is_none())
-                .collect();
-            (newly, rec.sync_from_peer(snapshot, resolved))
-        });
+        let changed = self.with_record_mut(key, |rec| rec.sync_from_peer(snapshot, resolved));
         if changed {
-            for (opt, resolution) in resolved {
-                if newly_resolved.contains(&opt.txn) {
-                    self.log.push(
-                        now,
-                        LogEvent::Outcome {
-                            txn: opt.txn,
-                            key: key.clone(),
-                            outcome: resolution.outcome,
-                        },
-                    );
-                }
+            for (opt, _) in resolved {
                 self.pending.remove(&opt.txn);
             }
         }
@@ -519,7 +471,7 @@ impl RecordStore {
     pub fn dangling(&self, now: SimTime) -> Vec<PendingTxn> {
         self.pending
             .values()
-            .filter(|p| now.since(p.since) >= self.cfg.dangling_timeout)
+            .filter(|p| now.since(p.since) >= DANGLING_TIMEOUT)
             .cloned()
             .collect()
     }
@@ -529,15 +481,9 @@ impl RecordStore {
         self.pending.len()
     }
 
-    fn note_decided(
-        &mut self,
-        now: SimTime,
-        txn: TxnId,
-        key: Key,
-        status: OptionStatus,
-        peers: Arc<[Key]>,
-    ) {
-        self.log.push(now, LogEvent::Decided { txn, key, status });
+    /// An option this node accepted stays pending until its outcome
+    /// arrives; a rejected one needs no recovery.
+    fn note_decided(&mut self, now: SimTime, txn: TxnId, status: OptionStatus, peers: Arc<[Key]>) {
         if status.is_accepted() {
             self.pending.entry(txn).or_insert(PendingTxn {
                 txn,
@@ -593,6 +539,9 @@ mod tests {
         assert_eq!(s.version_of(&key("nope")), Version::ZERO);
     }
 
+    /// The log in the name is the node's WAL (`mdcc-recovery`), written
+    /// before the store is called; the store's own share is the pending
+    /// set.
     #[test]
     fn fast_propose_logs_and_tracks_pending() {
         let mut s = store();
@@ -606,17 +555,9 @@ mod tests {
         let r = s.fast_propose(opt, now);
         assert!(matches!(r, FastPropose::Vote(_)));
         assert_eq!(s.pending_len(), 1);
-        assert_eq!(s.log().len(), 1);
-        // Resolution clears the pending set and logs the outcome.
-        s.apply_visibility(
-            &key("i1"),
-            txn(1),
-            TxnOutcome::Committed,
-            true,
-            SimTime::from_millis(20),
-        );
+        // Resolution clears the pending set.
+        s.apply_visibility(&key("i1"), txn(1), TxnOutcome::Committed, true);
         assert_eq!(s.pending_len(), 0);
-        assert_eq!(s.log().outcome_of(txn(1)), Some(TxnOutcome::Committed));
         let (_, row) = s.read_committed(&key("i1")).unwrap();
         assert_eq!(row.get_int("stock"), Some(6));
     }
@@ -633,7 +574,6 @@ mod tests {
         let r = s.fast_propose(opt, SimTime::ZERO);
         assert!(matches!(r, FastPropose::Vote(_)));
         assert_eq!(s.pending_len(), 0);
-        assert_eq!(s.log().len(), 1, "the rejection is still logged");
     }
 
     #[test]
@@ -649,7 +589,7 @@ mod tests {
             )),
         );
         s.fast_propose(opt, SimTime::ZERO);
-        let timeout = ProtocolConfig::default().dangling_timeout;
+        let timeout = DANGLING_TIMEOUT;
         assert!(s
             .dangling(SimTime::ZERO + timeout - SimDuration::from_millis(1))
             .is_empty());
@@ -673,7 +613,7 @@ mod tests {
             ),
             now,
         );
-        s.apply_visibility(&key("i1"), txn(1), TxnOutcome::Committed, true, now);
+        s.apply_visibility(&key("i1"), txn(1), TxnOutcome::Committed, true);
         s.fast_propose(
             TxnOption::solo(
                 txn(2),
@@ -687,7 +627,6 @@ mod tests {
             RecordStore::from_state(ProtocolConfig::default(), catalog(), s.export_state());
         assert_eq!(rebuilt.committed_state(), s.committed_state());
         assert_eq!(rebuilt.pending_len(), s.pending_len());
-        assert_eq!(rebuilt.log().len(), s.log().len());
         assert_eq!(
             format!("{:?}", rebuilt.export_state()),
             format!("{:?}", s.export_state()),
@@ -720,7 +659,7 @@ mod tests {
             }
             // Traffic that revisits records, so spilled ones come back
             // into the cache and spill again (superseding their entry),
-            // with options left pending and outcomes in the log.
+            // with options left pending.
             for seq in 0..60u64 {
                 let k = key(&format!("i{:02}", (seq * 5) % 12));
                 let now = SimTime::from_millis(seq);
@@ -733,7 +672,7 @@ mod tests {
                     now,
                 );
                 if seq % 3 != 0 {
-                    s.apply_visibility(&k, txn(seq), TxnOutcome::Committed, true, now);
+                    s.apply_visibility(&k, txn(seq), TxnOutcome::Committed, true);
                 }
             }
             if storage == StorageKind::LogStructured {
@@ -741,7 +680,7 @@ mod tests {
                 assert!(s.materialized() > 0, "some records are cached");
                 assert!(s.engine_stats().dead_bytes > 0, "some entries superseded");
             }
-            assert!(s.pending_len() > 0 && !s.log().is_empty());
+            assert!(s.pending_len() > 0);
             let bytes = s.checkpoint_bytes();
             assert_eq!(
                 bytes,
@@ -754,6 +693,7 @@ mod tests {
         }
     }
 
+    /// As above: outcomes are logged by the WAL, pending is kept here.
     #[test]
     fn sync_from_peer_clears_pending_and_logs_outcomes() {
         let mut s = store();
@@ -779,14 +719,8 @@ mod tests {
                 learned_accepted: true,
             },
         )];
-        assert!(s.sync_from_peer(
-            &key("i1"),
-            &peer_snapshot,
-            &resolved,
-            SimTime::from_millis(9)
-        ));
+        assert!(s.sync_from_peer(&key("i1"), &peer_snapshot, &resolved));
         assert_eq!(s.pending_len(), 0, "synced resolution clears pending");
-        assert_eq!(s.log().outcome_of(txn(1)), Some(TxnOutcome::Committed));
         let (_, row) = s.read_committed(&key("i1")).unwrap();
         assert_eq!(row.get_int("stock"), Some(7));
     }

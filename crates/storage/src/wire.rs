@@ -1,52 +1,17 @@
 //! [`Wire`] encodings for store state and anti-entropy payloads.
 //!
 //! Completes the shared wire layer of [`mdcc_common::wire`] for the
-//! types this crate owns: the learned-option log, pending-transaction
-//! bookkeeping, exported store state (checkpoints) and the merkle-sync
-//! vocabulary ([`SyncItem`], [`SyncRange`]).
+//! types this crate owns: pending-transaction bookkeeping, exported
+//! store state (checkpoints) and the merkle-sync vocabulary
+//! ([`SyncItem`], [`SyncRange`]).
 
 use std::sync::Arc;
 
 use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
 use mdcc_common::{Key, SimTime, TxnId};
-use mdcc_paxos::{RecordSnapshot, TxnOutcome};
+use mdcc_paxos::RecordSnapshot;
 
-use crate::log::LogEvent;
 use crate::store::{PendingTxn, StoreState, SyncItem, SyncRange};
-
-impl Wire for LogEvent {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            LogEvent::Decided { txn, key, status } => {
-                out.u8(0);
-                txn.encode(out);
-                key.encode(out);
-                status.encode(out);
-            }
-            LogEvent::Outcome { txn, key, outcome } => {
-                out.u8(1);
-                txn.encode(out);
-                key.encode(out);
-                outcome.encode(out);
-            }
-        }
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match inp.u8()? {
-            0 => Ok(LogEvent::Decided {
-                txn: TxnId::decode(inp)?,
-                key: Key::decode(inp)?,
-                status: mdcc_paxos::OptionStatus::decode(inp)?,
-            }),
-            1 => Ok(LogEvent::Outcome {
-                txn: TxnId::decode(inp)?,
-                key: Key::decode(inp)?,
-                outcome: TxnOutcome::decode(inp)?,
-            }),
-            _ => err("log-event tag"),
-        }
-    }
-}
 
 impl Wire for PendingTxn {
     fn encode(&self, out: &mut Enc) {
@@ -80,15 +45,11 @@ impl Wire for StoreState {
     fn encode(&self, out: &mut Enc) {
         self.records.encode(out);
         self.pending.encode(out);
-        self.log.encode(out);
-        self.log_truncated.encode(out);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         Ok(StoreState {
             records: Vec::decode(inp)?,
             pending: Vec::decode(inp)?,
-            log: Vec::decode(inp)?,
-            log_truncated: u64::decode(inp)?,
         })
     }
 }

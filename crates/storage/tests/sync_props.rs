@@ -49,7 +49,7 @@ fn apply_commit(store: &mut RecordStore, seq: u64, key_idx: u64, delta: i64) {
     );
     let now = SimTime::from_millis(seq);
     store.fast_propose(opt, now);
-    store.apply_visibility(&key(key_idx), txn, TxnOutcome::Committed, true, now);
+    store.apply_visibility(&key(key_idx), txn, TxnOutcome::Committed, true);
 }
 
 /// Runs the legacy per-key flood from `peer` into `local`.
@@ -57,7 +57,7 @@ fn legacy_sync(local: &mut RecordStore, peer: &RecordStore) {
     for k in peer.keys() {
         let item = peer.sync_item(&k).expect("peer key");
         if local.sync_relevant(&k, &item.snapshot, &item.resolved) {
-            local.sync_from_peer(&k, &item.snapshot, &item.resolved, SimTime::from_secs(900));
+            local.sync_from_peer(&k, &item.snapshot, &item.resolved);
         }
     }
 }
@@ -81,12 +81,7 @@ fn batched_sync(local: &mut RecordStore, peer: &RecordStore, chunk: usize) -> us
     for items in peer.sync_items_in(&divergent) {
         for item in items {
             if local.sync_relevant(&item.key, &item.snapshot, &item.resolved) {
-                local.sync_from_peer(
-                    &item.key,
-                    &item.snapshot,
-                    &item.resolved,
-                    SimTime::from_secs(900),
-                );
+                local.sync_from_peer(&item.key, &item.snapshot, &item.resolved);
             }
         }
     }

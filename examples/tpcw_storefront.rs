@@ -10,30 +10,11 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use mdcc::cluster::{run_mdcc, run_tpc, ClusterSpec, MdccMode};
+use mdcc::cluster::{run_mdcc, run_tpc, tpcw_catalog, ClusterSpec, MdccMode};
 use mdcc::common::{DcId, SimDuration};
-use mdcc::storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc::workloads::tpcw::{initial_data, tables, TpcwConfig, TpcwWorkload, STOCK};
+use mdcc::workloads::tpcw::{initial_data, TpcwConfig, TpcwWorkload};
 use mdcc::workloads::Workload;
-
-fn tpcw_catalog() -> Arc<Catalog> {
-    Arc::new(
-        Catalog::new()
-            .with(
-                TableSchema::new(tables::ITEM, "item")
-                    .with_constraint(AttrConstraint::at_least(STOCK, 0)),
-            )
-            .with(TableSchema::new(tables::CUSTOMER, "customer"))
-            .with(TableSchema::new(tables::ORDERS, "orders"))
-            .with(TableSchema::new(tables::ORDER_LINE, "order_line"))
-            .with(TableSchema::new(tables::CC_XACTS, "cc_xacts"))
-            .with(TableSchema::new(tables::CART, "shopping_cart"))
-            .with(TableSchema::new(tables::CART_LINE, "shopping_cart_line"))
-            .with(TableSchema::new(tables::AUTHOR, "author")),
-    )
-}
 
 fn main() {
     const ITEMS: u64 = 2_000;

@@ -15,7 +15,7 @@
 //! | [`common`] | ids, simulated time, rows, updates, placement, config |
 //! | [`sim`] | deterministic multi-data-center discrete-event simulator + durable disks |
 //! | [`paxos`] | ballots, options, cstructs, acceptor/leader/learner, demarcation |
-//! | [`storage`] | schema catalog, versioned record store, option log |
+//! | [`storage`] | schema catalog, versioned record store, storage engines |
 //! | [`recovery`] | WAL format, checkpoints, crash-recovery replay |
 //! | [`core`] | the MDCC protocol: storage-node process + transaction manager |
 //! | [`baselines`] | quorum writes, two-phase commit, Megastore* |

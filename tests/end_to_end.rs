@@ -3,37 +3,13 @@
 use std::sync::Arc;
 
 use mdcc::cluster::{
-    run_mdcc, run_megastore, run_qw, run_tpc, ClientPlacement, ClusterSpec, MdccMode, NetKind,
+    micro_catalog, run_mdcc, run_megastore, run_qw, run_tpc, tpcw_catalog, ClientPlacement,
+    ClusterSpec, MdccMode, NetKind,
 };
 use mdcc::common::{DcId, ProtocolConfig, SimDuration};
-use mdcc::storage::{AttrConstraint, Catalog, TableSchema};
-use mdcc::workloads::micro::{initial_items, MicroConfig, MicroWorkload, MICRO_ITEMS};
+use mdcc::workloads::micro::{initial_items, MicroConfig, MicroWorkload};
 use mdcc::workloads::tpcw::{self, TpcwConfig, TpcwWorkload};
 use mdcc::workloads::Workload;
-
-fn micro_catalog() -> Arc<Catalog> {
-    Arc::new(Catalog::new().with(
-        TableSchema::new(MICRO_ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
-    ))
-}
-
-fn tpcw_catalog() -> Arc<Catalog> {
-    use tpcw::tables as t;
-    Arc::new(
-        Catalog::new()
-            .with(
-                TableSchema::new(t::ITEM, "item")
-                    .with_constraint(AttrConstraint::at_least(tpcw::STOCK, 0)),
-            )
-            .with(TableSchema::new(t::CUSTOMER, "customer"))
-            .with(TableSchema::new(t::ORDERS, "orders"))
-            .with(TableSchema::new(t::ORDER_LINE, "order_line"))
-            .with(TableSchema::new(t::CC_XACTS, "cc_xacts"))
-            .with(TableSchema::new(t::CART, "shopping_cart"))
-            .with(TableSchema::new(t::CART_LINE, "shopping_cart_line"))
-            .with(TableSchema::new(t::AUTHOR, "author")),
-    )
-}
 
 fn small_spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
