@@ -8,7 +8,15 @@ use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
 use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot};
 use mdcc_paxos::{Ballot, DeltaVote, TxnOption, TxnOutcome};
+use mdcc_sim::Ctx;
 use mdcc_storage::{SyncItem, SyncRange};
+
+/// Sends one copy of a message to each node of `to`, in order.
+pub(crate) fn send_each(ctx: &mut Ctx<'_, Msg>, to: &[NodeId], msg: impl Fn() -> Msg) {
+    for &node in to {
+        ctx.send(node, msg());
+    }
+}
 
 /// Everything that travels between MDCC processes (and, via self-timers,
 /// within them).

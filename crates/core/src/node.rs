@@ -6,7 +6,8 @@
 //! * **acceptor** for fast proposals, Phase1a/Phase2a and visibility
 //!   messages, delegating to [`mdcc_storage::RecordStore`];
 //! * **master (leader)** for records whose classic ballots it owns,
-//!   delegating to [`mdcc_paxos::LeaderRecord`];
+//!   delegating to [`mdcc_paxos::LeaderRecord`] (the handlers of this
+//!   role are in the child module `master`);
 //! * **recovery coordinator** for dangling transactions (§3.2.3): options
 //!   outstanding past the timeout are reconstructed by quorum-reading
 //!   every key in the option's write-set and resolved deterministically.
@@ -42,22 +43,23 @@ use std::sync::Arc;
 use mdcc_common::config::{
     CHECKPOINT_INTERVAL, DANGLING_TIMEOUT, LEARN_TIMEOUT, RECOVERY_SYNC_INTERVAL, SYNC_CHUNK_KEYS,
 };
-use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, TxnId};
-use mdcc_mastership::{
-    record_id, Action as MsAction, Ballot as MsBallot, LeaseAudit, LeaseTable, Mastership,
-    MastershipStats, MsMsg, OverrideRun, HEARTBEAT_INTERVAL, LEASE_RECORD_OVERRIDES,
-};
-use mdcc_paxos::acceptor::{ClassicAccept, FastPropose, Phase2b};
-use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
-use mdcc_paxos::{LeaderRecord, LearnOutcome, Learner, OptionStatus, TxnOption, TxnOutcome};
+use mdcc_common::error::AbortReason;
+use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, SimTime, TxnId};
+use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats, HEARTBEAT_INTERVAL};
+use mdcc_paxos::acceptor::{FastPropose, Phase2b};
+use mdcc_paxos::{Ballot, LeaderRecord, OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{wal, write_checkpoint, RecoveryInfo, WalRecord};
 use mdcc_sim::{Ctx, Process};
 use mdcc_storage::RecordStore;
 use mdcc_trace::{Phase, TraceHandle};
 
-use crate::msg::Msg;
+use crate::coordination::{recovery_target, Coordination, Progress};
+use crate::fence::LeaseFence;
+use crate::msg::{send_each, Msg};
 use crate::parked::Parked;
 use crate::placement::Placement;
+
+mod master;
 
 /// Counters a storage node keeps about itself.
 #[derive(Debug, Clone, Copy, Default)]
@@ -125,29 +127,21 @@ impl std::ops::AddAssign for NodeStats {
     }
 }
 
-/// One in-flight dangling-transaction reconstruction.
-#[derive(Debug)]
-struct RecoveryTask {
-    keys: Arc<[Key]>,
-    learners: HashMap<Key, Learner>,
-    decided: HashMap<Key, OptionStatus>,
-    recovering_keys: HashSet<Key>,
-    /// Retry sweeps performed; after a few rounds of "nobody has seen the
-    /// option at the current instance" the transaction is resolved as
-    /// aborted. Sound because recovery only starts `DANGLING_TIMEOUT`
-    /// (seconds) after acceptance while message delays are sub-second —
-    /// the same synchrony assumption the paper's timeout-based recovery
-    /// makes (§3.2.3).
-    retries: u32,
-}
+/// How often the store is swept for dangling options: twice per timeout.
+const SWEEP_INTERVAL: SimDuration = SimDuration::from_micros(DANGLING_TIMEOUT.as_micros() / 2);
 
-/// Retry sweeps before an unseen option is declared dead.
+/// Retry sweeps of a dangling-transaction recovery before an option that
+/// nobody has seen at the current instance is declared dead and the
+/// transaction resolved as aborted. Sound because recovery only starts
+/// `DANGLING_TIMEOUT` (seconds) after acceptance while message delays
+/// are sub-second — the same synchrony assumption the paper's
+/// timeout-based recovery makes (§3.2.3).
 const RECOVERY_ABANDON_RETRIES: u32 = 3;
 
 /// The vote an acceptor gives for a record it has never materialized.
 fn absent_vote() -> Phase2b {
     Phase2b {
-        ballot: mdcc_paxos::Ballot::INITIAL_FAST,
+        ballot: Ballot::INITIAL_FAST,
         version: mdcc_common::Version::ZERO,
         cstruct: mdcc_paxos::CStruct::new(),
         epoch: 0,
@@ -163,8 +157,10 @@ pub struct StorageNodeProcess {
     /// `false` reproduces the *Multi* configuration: masters never hand
     /// records back to fast ballots.
     allow_fast: bool,
-    recoveries: HashMap<TxnId, RecoveryTask>,
-    sweep_interval: SimDuration,
+    /// In-flight dangling-transaction reconstructions: the coordinator's
+    /// role, taken over for someone else's transaction, keys in the
+    /// option's `peers` order.
+    recoveries: HashMap<TxnId, Coordination>,
     /// When `true` the node write-ahead-logs every state-changing input
     /// to its simulated disk and checkpoints periodically.
     durable: bool,
@@ -211,19 +207,9 @@ pub struct StorageNodeProcess {
     /// Shared lease-tenure collector handed to the mastership layer
     /// (consistency audits assert no overlapping tenures).
     lease_audit: Option<LeaseAudit>,
-    /// Lease-carried Phase1: shard-level promise floors installed
-    /// whenever this node *granted* a lease. The
-    /// granted ballot doubles as the Phase1-promised classic ballot for
-    /// every record in the shard, enforced lazily on the acceptor right
-    /// before it judges a proposal — so the holder's first Phase2a for
-    /// a cold record is immediately valid and a deposed holder's stale
-    /// ballot Nacks without any per-record Phase1 exchange.
-    lease_floors: HashMap<u32, MsBallot>,
-    /// Per-record override ballots for hot keys whose classic ballot
-    /// diverged from the shard lease (contested records, collision
-    /// recovery led elsewhere). Bounded per shard by
-    /// [`LEASE_RECORD_OVERRIDES`]; handed to the successor on migration.
-    lease_overrides: HashMap<u32, LeaseTable>,
+    /// Lease-carried Phase1: the promise floors of the leases this node
+    /// granted and the per-record overrides above them.
+    fence: LeaseFence,
     /// Fast proposals that read a version this replica has not reached,
     /// held until the record catches up. Volatile like an in-flight
     /// message: nothing in it was logged, appended or voted on.
@@ -274,15 +260,15 @@ impl StorageNodeProcess {
         placement: Arc<dyn Placement>,
         allow_fast: bool,
     ) -> Self {
-        let sweep_interval = DANGLING_TIMEOUT / 2;
+        let fence = LeaseFence::new(cfg.mastership.enabled, Arc::clone(&placement));
         Self {
             cfg,
             store,
             placement,
+            fence,
             leaders: HashMap::new(),
             allow_fast,
             recoveries: HashMap::new(),
-            sweep_interval,
             durable: false,
             recovered: None,
             sync_cursor: 0,
@@ -297,8 +283,6 @@ impl StorageNodeProcess {
             my_dc: DcId(0),
             mastership: None,
             lease_audit: None,
-            lease_floors: HashMap::new(),
-            lease_overrides: HashMap::new(),
             parked: Parked::new(),
         }
     }
@@ -316,141 +300,9 @@ impl StorageNodeProcess {
 
     /// Installs lease floors and per-record overrides recovered from
     /// the WAL tail (see [`mdcc_recovery::recovered_leases`]) into this
-    /// node's *enforcement* tables only. The mastership layer's restart
-    /// quarantine is untouched: recovered floors keep fencing deposed
-    /// ballots, they never let this node serve.
+    /// node's fence — enforcement only, see [`LeaseFence::install_recovered`].
     pub fn install_recovered_leases(&mut self, leases: mdcc_recovery::RecoveredLeases) {
-        if !self.cfg.mastership.enabled {
-            return;
-        }
-        for (shard, (n, pid)) in leases.floors {
-            let b = MsBallot::new(n, pid);
-            let e = self.lease_floors.entry(shard).or_insert(b);
-            if b > *e {
-                *e = b;
-            }
-        }
-        for ((shard, record), (n, pid)) in leases.overrides {
-            self.lease_overrides
-                .entry(shard)
-                .or_insert_with(|| LeaseTable::new(LEASE_RECORD_OVERRIDES))
-                .raise(record, MsBallot::new(n, pid));
-        }
-    }
-
-    /// Lazily enforces the lease-promise floor on one record's acceptor
-    /// state before it judges a proposal: the effective floor is the
-    /// max of the shard-level lease ballot and any per-record override.
-    /// A raise is mirrored into the WAL as the Phase1a it stands in
-    /// for, so crash replay reproduces the exact same Nacks.
-    fn enforce_floor(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
-        if !self.cfg.mastership.enabled {
-            return;
-        }
-        let shard = self.placement.shard_id(key);
-        let mut best = self.lease_floors.get(&shard).copied();
-        if let Some(table) = self.lease_overrides.get_mut(&shard) {
-            if let Some(b) = table.override_of(record_id(key.pk.as_bytes())) {
-                best = Some(best.map_or(b, |f| f.max(b)));
-            }
-        }
-        let Some(msb) = best else { return };
-        let ballot = mdcc_paxos::Ballot::lease(msb.n, msb.node());
-        if self.store.raise_promise(key, ballot) {
-            self.wal_append(
-                &WalRecord::Phase1a {
-                    key: key.clone(),
-                    ballot,
-                },
-                ctx,
-            );
-        }
-    }
-
-    /// Remembers a per-record divergence from the shard lease: a
-    /// classic ballot above the lease floor is in force for this record
-    /// (contested takeover, collision recovery led elsewhere). Future
-    /// routing and promise enforcement honor it record-granularly.
-    fn note_record_override(
-        &mut self,
-        key: &Key,
-        promised: mdcc_paxos::Ballot,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
-        if !self.cfg.mastership.enabled || promised.is_fast() {
-            return;
-        }
-        let shard = self.placement.shard_id(key);
-        let msb = MsBallot::new(promised.round, promised.proposer.0 as u64);
-        if self.lease_floors.get(&shard).is_some_and(|f| msb <= *f) {
-            return; // Within the shard lease: no divergence to record.
-        }
-        let record = record_id(key.pk.as_bytes());
-        let table = self
-            .lease_overrides
-            .entry(shard)
-            .or_insert_with(|| LeaseTable::new(LEASE_RECORD_OVERRIDES));
-        if table.raise(record, msb) {
-            self.wal_append(
-                &WalRecord::LeaseOverride {
-                    shard,
-                    record,
-                    n: msb.n,
-                    pid: msb.pid,
-                },
-                ctx,
-            );
-        }
-    }
-
-    /// Where one record's classic traffic should go when it diverges
-    /// from the shard lease this node is serving: the override ballot's
-    /// proposer, if it outranks the shard floor and is another node.
-    fn record_override_target(&mut self, key: &Key, me: NodeId) -> Option<NodeId> {
-        if !self.cfg.mastership.enabled {
-            return None;
-        }
-        let shard = self.placement.shard_id(key);
-        let over = self
-            .lease_overrides
-            .get_mut(&shard)?
-            .override_of(record_id(key.pk.as_bytes()))?;
-        if self.lease_floors.get(&shard).is_some_and(|f| over <= *f) {
-            return None;
-        }
-        (over.node() != me).then(|| over.node())
-    }
-
-    /// Installs a predecessor's per-record override runs (shipped on
-    /// migration so hot-key promises survive the handoff).
-    fn install_override_runs(&mut self, shard: u32, runs: &[OverrideRun], ctx: &mut Ctx<'_, Msg>) {
-        if !self.cfg.mastership.enabled {
-            return;
-        }
-        let mut raised: Vec<(u64, MsBallot)> = Vec::new();
-        let table = self
-            .lease_overrides
-            .entry(shard)
-            .or_insert_with(|| LeaseTable::new(LEASE_RECORD_OVERRIDES));
-        for run in runs {
-            for i in 0..u64::from(run.len) {
-                let record = run.start.wrapping_add(i);
-                if table.raise(record, run.ballot) {
-                    raised.push((record, run.ballot));
-                }
-            }
-        }
-        for (record, b) in raised {
-            self.wal_append(
-                &WalRecord::LeaseOverride {
-                    shard,
-                    record,
-                    n: b.n,
-                    pid: b.pid,
-                },
-                ctx,
-            );
-        }
+        self.fence.install_recovered(leases);
     }
 
     /// Attaches the run's trace collector. `my_dc` is this node's data
@@ -498,40 +350,36 @@ impl StorageNodeProcess {
         self.stats
     }
 
-    /// Write-ahead-logs one command, if durability is on and the world
-    /// attached a disk.
-    fn wal_append(&mut self, record: &WalRecord, ctx: &mut Ctx<'_, Msg>) {
+    /// Write-ahead-logs commands, if durability is on and the world
+    /// attached a disk. The records are built (from the current time)
+    /// only then: a node without a WAL must not pay for clones of what it
+    /// would drop.
+    fn wal_append<I>(&self, ctx: &mut Ctx<'_, Msg>, records: impl FnOnce(SimTime) -> I)
+    where
+        I: IntoIterator<Item = WalRecord>,
+    {
         if !self.durable {
             return;
         }
+        let now = ctx.now;
         if let Some(disk) = ctx.disk() {
-            wal::append(disk, record);
+            for record in records(now) {
+                wal::append(disk, &record);
+            }
         }
-    }
-
-    /// The peer replicas of this node's shard (every key this store
-    /// holds shares one replica group).
-    fn peer_replicas(&self, ctx: &Ctx<'_, Msg>) -> Vec<NodeId> {
-        let Some(key) = self.store.keys().into_iter().next() else {
-            return Vec::new();
-        };
-        self.peer_replicas_of(&key, ctx)
-    }
-
-    /// The other replicas of one record.
-    fn peer_replicas_of(&self, key: &Key, ctx: &Ctx<'_, Msg>) -> Vec<NodeId> {
-        self.placement
-            .replicas(key)
-            .into_iter()
-            .filter(|r| *r != ctx.self_id)
-            .collect()
     }
 
     /// Opens one merkle-style anti-entropy round with the next peer in
     /// rotation: the peer answers with range digests, this node pulls
     /// only divergent ranges, and state ships in multi-record chunks.
+    /// The peers are the shard's replica group as the placement lists it:
+    /// a store that came back empty has peers to sync from all the same.
     fn run_sync_round(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let peers = self.peer_replicas(ctx);
+        let mut peers = (0..self.placement.shard_count())
+            .map(|shard| self.placement.shard_replicas(shard))
+            .find(|group| group.contains(&ctx.self_id))
+            .unwrap_or_default();
+        peers.retain(|r| *r != ctx.self_id);
         if peers.is_empty() {
             return;
         }
@@ -543,293 +391,25 @@ impl StorageNodeProcess {
 
     /// Applies one record's worth of peer sync state (one item of a
     /// `SyncChunk`).
-    fn apply_sync_item(
-        &mut self,
-        key: Key,
-        snapshot: mdcc_paxos::RecordSnapshot,
-        resolved: Vec<(mdcc_paxos::TxnOption, mdcc_paxos::Resolution)>,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
+    fn apply_sync_item(&mut self, item: mdcc_storage::SyncItem, ctx: &mut Ctx<'_, Msg>) {
+        let (key, snapshot, resolved) = (item.key, item.snapshot, item.resolved);
         if !self.store.sync_relevant(&key, &snapshot, &resolved) {
             return;
         }
-        self.wal_append(
-            &WalRecord::Sync {
-                at: ctx.now,
+        self.wal_append(ctx, |at| {
+            [WalRecord::Sync {
+                at,
                 key: key.clone(),
                 snapshot: snapshot.clone(),
                 resolved: resolved.clone(),
-            },
-            ctx,
-        );
+            }]
+        });
         let before = self.store.version_of(&key);
         if self.store.sync_from_peer(&key, &snapshot, &resolved) {
             self.stats.sync_adoptions += 1;
         }
         if self.store.version_of(&key) != before {
             self.record_moved(&key, ctx);
-        }
-    }
-
-    /// Leader state per record this node masters (debugging/tests):
-    /// `(key, leading, establishing, inflight, queue length)`.
-    pub fn leader_debug(&self) -> Vec<(Key, bool, bool, bool, usize)> {
-        let mut v: Vec<_> = self
-            .leaders
-            .iter()
-            .map(|(k, l)| {
-                (
-                    k.clone(),
-                    l.is_leading(),
-                    l.is_establishing(),
-                    l.is_inflight(),
-                    l.queue_len(),
-                )
-            })
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    /// Leads one classic proposal locally: redirect it back to the fast
-    /// path when the record reopened fast (at most once per txn), else
-    /// enqueue it on this node's leader for the record. Shared by the
-    /// static `ProposeToMaster` path and the lease-holder path.
-    fn lead_classic(&mut self, from: NodeId, opt: mdcc_paxos::TxnOption, ctx: &mut Ctx<'_, Msg>) {
-        let key = opt.key.clone();
-        // Stale retry of a settled transaction: answer with the
-        // recorded outcome, exactly as the fast path does. Once every
-        // replica has resolved the transaction (e.g. storage-side
-        // dangling recovery finished while the coordinator was
-        // partitioned away), re-leading appends nothing new and the
-        // delta-vote fan-out skips its coordinator as settled
-        // business — without this reply the retrying TM never hears
-        // back and the transaction wedges at the coordinator forever.
-        if let Some(outcome) = self
-            .store
-            .with_record(&key, |r| r.settled_outcome(opt.txn))
-            .flatten()
-        {
-            ctx.send(
-                opt.txn.coordinator,
-                Msg::AlreadyResolved {
-                    key,
-                    txn: opt.txn,
-                    outcome,
-                },
-            );
-            return;
-        }
-        // If the record is actually in fast mode and fast ballots
-        // are allowed, redirect the TM back to the fast path —
-        // but at most once per transaction. Under message loss
-        // the replicas' ballot modes can diverge (this record
-        // reopened fast, another replica never heard the reopen
-        // and still bounces NotFast), and honoring the redirect
-        // every time ping-pongs the proposal between fast and
-        // classic forever. The second arrival takes mastership:
-        // the classic round re-synchronizes every replica.
-        let leading = self
-            .leaders
-            .get(&key)
-            .map(|l| l.is_leading())
-            .unwrap_or(false);
-        let record_fast = self
-            .store
-            .with_record(&key, |r| r.promised().is_fast())
-            .unwrap_or(true);
-        if self.redirected_fast.len() > REDIRECTED_FAST_CAP {
-            self.redirected_fast.clear();
-        }
-        if self.allow_fast && !leading && record_fast && self.redirected_fast.insert(opt.txn) {
-            ctx.send(from, Msg::GoFast { key, opt });
-            return;
-        }
-        // A fresh lease holder starts its classic ballots above the
-        // election ballot so its Phase1a outranks the predecessor's —
-        // and skips Phase1 entirely for cold records (lease-carried
-        // Phase1): the granted lease ballot is already the promise
-        // floor on a grant quorum of acceptors, so the first Phase2a at
-        // that ballot is immediately valid (one WAN round trip).
-        let mut skipped_phase1 = false;
-        if let Some(ms) = &self.mastership {
-            let shard = self.placement.shard_id(&key);
-            if let Some(floor) = ms.ballot_floor(shard) {
-                let self_id = ctx.self_id;
-                let ballot = mdcc_paxos::Ballot::lease(floor, self_id);
-                // Only worth attempting when the local replica (this
-                // node is one of the record's acceptors) says a
-                // pipelined append at the lease ballot could actually
-                // land: the record is already in this ballot's stream,
-                // or it is cold AND the lease ballot clears the local
-                // promise. A record warm under a predecessor's ballot
-                // would bounce off the warm-record guard, and one whose
-                // promise is a deposed holder's higher classic ballot
-                // would be Nacked outright — either way the wasted WAN
-                // round trip (and the spurious record override the Nack
-                // would raise) costs more than running Phase1 up front.
-                let locally_cold = self
-                    .store
-                    .with_record(&key, |r| {
-                        r.accepted_ballot() == Some(ballot)
-                            || (r.cstruct().is_empty() && r.promised() <= ballot)
-                    })
-                    .unwrap_or(true);
-                if ms.is_serving(shard, ctx.now)
-                    && locally_cold
-                    && self.leader_for(&key, ctx).assume_leadership(ballot)
-                {
-                    skipped_phase1 = true;
-                } else {
-                    self.leader_for(&key, ctx).observe_ballot(ballot);
-                }
-            }
-        }
-        if skipped_phase1 {
-            if let Some(ms) = self.mastership.as_mut() {
-                ms.note_phase1_skipped();
-            }
-        }
-        let actions = self.leader_for(&key, ctx).enqueue(opt);
-        self.run_leader_actions(&key, actions, ctx);
-    }
-
-    /// Emits the mastership layer's queued sends as wrapped messages
-    /// and absorbs its host-level effects: lease grants raise this
-    /// node's promise floor, migrations ship the override table to the
-    /// successor.
-    fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut Ctx<'_, Msg>) {
-        for action in out {
-            match action {
-                MsAction::Send { to, msg } => ctx.send(to, Msg::Mastership(msg)),
-                MsAction::FloorRaised { shard, ballot } => {
-                    let rose = self
-                        .lease_floors
-                        .get(&shard)
-                        .is_none_or(|cur| ballot > *cur);
-                    if rose {
-                        self.lease_floors.insert(shard, ballot);
-                        self.wal_append(
-                            &WalRecord::LeaseFloor {
-                                shard,
-                                n: ballot.n,
-                                pid: ballot.pid,
-                            },
-                            ctx,
-                        );
-                    }
-                }
-                MsAction::Relinquished { shard, to } => {
-                    // Hand the per-record override table to the
-                    // successor so hot-key promises survive migration.
-                    if let Some(table) = self.lease_overrides.get(&shard) {
-                        let runs = table.runs();
-                        if !runs.is_empty() {
-                            ctx.send(to, Msg::Mastership(MsMsg::Overrides { shard, runs }));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn leader_for(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> &mut LeaderRecord {
-        let snapshot = self
-            .store
-            .with_record(key, |r| r.snapshot())
-            .unwrap_or_else(mdcc_paxos::RecordSnapshot::absent);
-        let cfg = LeaderConfig {
-            n: self.cfg.replication,
-            qc: self.cfg.classic_quorum,
-            qf: self.cfg.fast_quorum,
-            gamma: self.cfg.gamma,
-            allow_fast: self.allow_fast,
-            max_instance_options: self.cfg.max_instance_options,
-        };
-        let self_id = ctx.self_id;
-        self.leaders
-            .entry(key.clone())
-            .or_insert_with(|| LeaderRecord::new(cfg, self_id, snapshot))
-    }
-
-    fn run_leader_actions(
-        &mut self,
-        key: &Key,
-        actions: Vec<LeaderAction>,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
-        let replicas = self.placement.replicas(key);
-        for action in actions {
-            match action {
-                LeaderAction::Phase1a(ballot) => {
-                    self.stats.recoveries_led += 1;
-                    // A per-record Phase1 round run while this node
-                    // serves the shard's lease — the two-round-trip
-                    // first touch lease-carried Phase1 exists to avoid
-                    // (the fig11 cold-key drill bounds its share).
-                    let shard = self.placement.shard_id(key);
-                    if let Some(ms) = self.mastership.as_mut() {
-                        if ms.is_serving(shard, ctx.now) {
-                            ms.note_phase1_covered();
-                        }
-                    }
-                    if let Some(tracer) = &self.tracer {
-                        // Ballot acquisition: closes when a Phase1b
-                        // quorum makes this node the record's leader.
-                        tracer.begin(
-                            ctx.self_id,
-                            self.my_dc,
-                            None,
-                            Some(key.clone()),
-                            Phase::Phase1,
-                            ctx.now,
-                        );
-                    }
-                    for &r in &replicas {
-                        ctx.send(
-                            r,
-                            Msg::P1a {
-                                key: key.clone(),
-                                ballot,
-                            },
-                        );
-                    }
-                }
-                LeaderAction::Phase2a(payload) => {
-                    if let Some(tracer) = &self.tracer {
-                        // Classic instance round: closes when the local
-                        // acceptor observes the instance advance.
-                        tracer.begin(
-                            ctx.self_id,
-                            self.my_dc,
-                            None,
-                            Some(key.clone()),
-                            Phase::Phase2a,
-                            ctx.now,
-                        );
-                    }
-                    for &r in &replicas {
-                        ctx.send(
-                            r,
-                            Msg::P2a {
-                                key: key.clone(),
-                                payload: Box::new(payload.clone()),
-                            },
-                        );
-                    }
-                }
-                LeaderAction::RedirectFast(opt) => {
-                    // The record reopened fast mode while this option was
-                    // queued: hand it back to its coordinator.
-                    ctx.send(
-                        opt.txn.coordinator,
-                        Msg::GoFast {
-                            key: key.clone(),
-                            opt,
-                        },
-                    );
-                }
-            }
         }
     }
 
@@ -868,22 +448,15 @@ impl StorageNodeProcess {
         entry.touched = self.vote_cursor_clock;
         let cursors = &mut entry.by_dest;
         for to in targets {
-            match cursors.entry(to).or_default().extract(&vote) {
-                Some(delta) => ctx.send(
-                    to,
-                    Msg::VoteDelta {
-                        key: key.clone(),
-                        delta,
-                    },
-                ),
-                None => ctx.send(
-                    to,
-                    Msg::Vote {
-                        key: key.clone(),
-                        vote: vote.clone(),
-                    },
-                ),
-            }
+            let key = key.clone();
+            let msg = match cursors.entry(to).or_default().extract(&vote) {
+                Some(delta) => Msg::VoteDelta { key, delta },
+                None => Msg::Vote {
+                    key,
+                    vote: vote.clone(),
+                },
+            };
+            ctx.send(to, msg);
         }
     }
 
@@ -923,13 +496,12 @@ impl StorageNodeProcess {
     fn judge_proposal(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
         let key = opt.key.clone();
         let txn = opt.txn;
-        self.wal_append(
-            &WalRecord::FastPropose {
-                at: ctx.now,
+        self.wal_append(ctx, |at| {
+            [WalRecord::FastPropose {
+                at,
                 opt: opt.clone(),
-            },
-            ctx,
-        );
+            }]
+        });
         match self.store.fast_propose(opt.clone(), ctx.now) {
             FastPropose::Vote(vote) => {
                 self.stats.fast_votes += 1;
@@ -974,34 +546,20 @@ impl StorageNodeProcess {
     }
 
     /// The local acceptor's version of `key` moved (visibility, classic
-    /// accept, sync adoption): tell the co-located leader and judge the
-    /// parked proposals that waited for it.
+    /// accept, sync adoption): tell the co-located leader, if any, that
+    /// the acceptor advanced past its instance, and judge the parked
+    /// proposals that waited for the version.
     fn record_moved(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
-        self.notify_leader_advance(key, ctx);
-        self.release_parked(key, ctx);
-    }
-
-    /// Notifies the co-located leader (if any) that the local acceptor
-    /// advanced past its instance.
-    fn notify_leader_advance(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
-        let Some(snapshot) = self.store.with_record(key, |r| r.snapshot()) else {
-            return;
-        };
-        if let Some(leader) = self.leaders.get_mut(key) {
-            let actions = leader.on_advance(snapshot);
-            self.run_leader_actions(key, actions, ctx);
-            if let Some(tracer) = &self.tracer {
+        if let Some(snapshot) = self.store.with_record(key, |r| r.snapshot()) {
+            self.with_leader(key, |l| l.on_advance(snapshot), ctx);
+            if let (Some(tracer), true) = (&self.tracer, self.leaders.contains_key(key)) {
                 // The acceptor advanced past the instance the 2a round
                 // targeted; a no-op if no phase2a span is open.
-                tracer.end(
-                    ctx.self_id,
-                    None,
-                    Some(key.clone()),
-                    Phase::Phase2a,
-                    ctx.now,
-                );
+                let key = Some(key.clone());
+                tracer.end(ctx.self_id, None, key, Phase::Phase2a, ctx.now);
             }
         }
+        self.release_parked(key, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -1012,73 +570,41 @@ impl StorageNodeProcess {
         if self.recoveries.contains_key(&txn) {
             return;
         }
-        let mut learners = HashMap::new();
-        for key in keys.iter() {
-            learners.insert(
-                key.clone(),
-                Learner::new(
-                    self.cfg.replication,
-                    self.cfg.classic_quorum,
-                    self.cfg.fast_quorum,
-                    txn,
-                ),
-            );
-            for r in self.placement.replicas(key) {
-                ctx.send(
-                    r,
-                    Msg::QueryStatus {
-                        txn,
-                        key: key.clone(),
-                    },
-                );
-            }
+        let coord = Coordination::new(&self.cfg, txn, keys.iter().cloned());
+        for key in coord.undecided() {
+            self.query_status(txn, key, ctx);
         }
-        self.recoveries.insert(
-            txn,
-            RecoveryTask {
-                keys,
-                learners,
-                decided: HashMap::new(),
-                recovering_keys: HashSet::new(),
-                retries: 0,
-            },
-        );
+        self.recoveries.insert(txn, coord);
         ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
     }
 
+    /// Quorum-reads `txn`'s option on `key`: asks every replica.
+    fn query_status(&self, txn: TxnId, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+        send_each(ctx, &self.placement.replicas(key), || Msg::QueryStatus {
+            txn,
+            key: key.clone(),
+        });
+    }
+
     fn finish_recovery(&mut self, txn: TxnId, outcome: TxnOutcome, ctx: &mut Ctx<'_, Msg>) {
-        let Some(task) = self.recoveries.remove(&txn) else {
+        let Some(coord) = self.recoveries.remove(&txn) else {
             return;
         };
         self.stats.dangling_resolved += 1;
-        for key in task.keys.iter() {
-            let learned_accepted = task
-                .decided
-                .get(key)
-                .map(|s| s.is_accepted())
-                .unwrap_or(outcome == TxnOutcome::Committed);
-            // This node applies its own verdict directly: routing the
-            // self-notification through the (lossy) network risks the
-            // one message whose loss leaves the recovery coordinator
-            // itself dangling after everyone else has moved on.
-            for r in self.placement.replicas(key) {
-                if r == ctx.self_id {
-                    continue;
-                }
-                ctx.send(
-                    r,
-                    Msg::Visibility {
-                        txn,
-                        key: key.clone(),
-                        outcome,
-                        learned_accepted,
-                    },
-                );
+        let placement = Arc::clone(&self.placement);
+        let me = ctx.self_id;
+        // This node applies its own verdict directly: routing the
+        // self-notification through the (lossy) network risks the one
+        // message whose loss leaves the recovery coordinator itself
+        // dangling after everyone else has moved on.
+        let emit = |to: NodeId, msg: Msg| {
+            if to == me {
+                self.on_message(me, msg, ctx)
+            } else {
+                ctx.send(to, msg)
             }
-            if self.placement.replicas(key).contains(&ctx.self_id) {
-                self.apply_visibility_local(txn, key.clone(), outcome, learned_accepted, ctx);
-            }
-        }
+        };
+        coord.visibility(outcome, &*placement, Some(me), emit);
     }
 
     /// Applies one transaction outcome to one record on this node —
@@ -1093,16 +619,15 @@ impl StorageNodeProcess {
         learned_accepted: bool,
         ctx: &mut Ctx<'_, Msg>,
     ) {
-        self.wal_append(
-            &WalRecord::Visibility {
-                at: ctx.now,
+        self.wal_append(ctx, |at| {
+            [WalRecord::Visibility {
+                at,
                 key: key.clone(),
                 txn,
                 outcome,
                 learned_accepted,
-            },
-            ctx,
-        );
+            }]
+        });
         // A visibility also settles any recovery we were running.
         if self.recoveries.contains_key(&txn) {
             self.finish_recovery(txn, outcome, ctx);
@@ -1146,7 +671,8 @@ impl StorageNodeProcess {
     /// The timer also covers the race where the pull overtakes the
     /// peer's own Visibility.
     fn pull_missed_commit(&mut self, key: Key, txn: TxnId, attempt: u32, ctx: &mut Ctx<'_, Msg>) {
-        let peers = self.peer_replicas_of(&key, ctx);
+        let mut peers = self.placement.replicas(&key);
+        peers.retain(|r| *r != ctx.self_id);
         if peers.is_empty() {
             return;
         }
@@ -1155,46 +681,170 @@ impl StorageNodeProcess {
             self.stats.missed_commit_pulls += 1;
         }
         let target = peers[(txn.seq as usize + attempt as usize) % peers.len()];
-        ctx.send(
-            target,
-            Msg::SyncRangePull {
-                ranges: vec![(key.clone(), key.clone())],
-            },
-        );
+        let ranges = vec![(key.clone(), key.clone())];
+        ctx.send(target, Msg::SyncRangePull { ranges });
         if attempt < MISSED_PULL_RETRIES {
-            ctx.set_timer(
-                LEARN_TIMEOUT,
-                Msg::MissedPull {
-                    key,
-                    txn,
-                    attempt: attempt + 1,
-                },
-            );
+            let attempt = attempt + 1;
+            ctx.set_timer(LEARN_TIMEOUT, Msg::MissedPull { key, txn, attempt });
         }
     }
 
+    /// Finishes `txn`'s recovery once the commit rule has a verdict.
     fn recovery_check_done(&mut self, txn: TxnId, ctx: &mut Ctx<'_, Msg>) {
-        let Some(task) = self.recoveries.get(&txn) else {
-            return;
-        };
-        if task.decided.len() < task.keys.len() {
+        let verdict = self.recoveries.get(&txn).and_then(|c| c.verdict());
+        if let Some(verdict) = verdict {
+            self.finish_recovery(txn, verdict.outcome, ctx);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Message handlers, one per family (see `Process::on_message`).
+    // ------------------------------------------------------------------
+
+    /// The merkle anti-entropy family: a restarted peer asks for range
+    /// digests, pulls the ranges that differ and applies the chunks.
+    fn on_sync(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        match msg {
+            Msg::SyncDigestReq => {
+                // Advertise range digests of everything we hold; full
+                // state only ships for ranges the peer finds divergent.
+                let ranges = self.store.sync_ranges(SYNC_CHUNK_KEYS);
+                if !ranges.is_empty() {
+                    ctx.send(from, Msg::SyncDigest { ranges });
+                }
+            }
+            Msg::SyncDigest { ranges } => {
+                // Compare the advertised ranges against local state in
+                // one pass and pull only the ones whose digests differ.
+                let divergent = self.store.divergent_ranges(&ranges);
+                if !divergent.is_empty() {
+                    ctx.send(from, Msg::SyncRangePull { ranges: divergent });
+                }
+            }
+            Msg::SyncRangePull { ranges } => {
+                for items in self.store.sync_items_in(&ranges) {
+                    for chunk in items.chunks(SYNC_CHUNK_KEYS) {
+                        let items = chunk.to_vec();
+                        ctx.send(from, Msg::SyncChunk { items });
+                    }
+                }
+            }
+            Msg::SyncChunk { items } => {
+                for item in items {
+                    self.apply_sync_item(item, ctx);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_sync_sweep(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.stats.sync_adoptions == self.last_sync_adoptions {
+            self.sync_idle_rounds += 1;
+        } else {
+            self.last_sync_adoptions = self.stats.sync_adoptions;
+            self.sync_idle_rounds = 0;
+        }
+        // Stop only after strictly more quiet rounds than there are
+        // peers: a full rotation — including at least one live,
+        // never-crashed replica — found nothing to repair.
+        if self.sync_idle_rounds > self.cfg.replication as u32 {
             return;
         }
-        // Deterministic outcome rule — identical to the coordinator's:
-        // commit iff every option was learned accepted.
-        let all_accepted = task.decided.values().all(|s| s.is_accepted());
-        let outcome = if all_accepted {
-            TxnOutcome::Committed
-        } else {
-            TxnOutcome::Aborted
+        self.run_sync_round(ctx);
+        ctx.set_timer(RECOVERY_SYNC_INTERVAL, Msg::SyncSweep);
+    }
+
+    fn on_read(&mut self, from: NodeId, req: u64, key: Key, ctx: &mut Ctx<'_, Msg>) {
+        let (version, value) = match self.store.read_committed(&key) {
+            Some((v, row)) => (v, Some(row)),
+            None => (self.store.version_of(&key), None),
         };
-        self.finish_recovery(txn, outcome, ctx);
+        let resp = Msg::ReadResp {
+            req,
+            key,
+            version,
+            value,
+        };
+        ctx.send(from, resp);
+    }
+
+    fn on_query_status(&mut self, from: NodeId, txn: TxnId, key: Key, ctx: &mut Ctx<'_, Msg>) {
+        let (vote, outcome) = self
+            .store
+            .with_record(&key, |rec| (rec.phase2b(), rec.outcome_of(txn)))
+            .unwrap_or_else(|| (absent_vote(), None));
+        let resp = Msg::StatusResp {
+            txn,
+            key,
+            vote,
+            outcome,
+        };
+        ctx.send(from, resp);
+    }
+
+    fn on_status_resp(
+        &mut self,
+        from: NodeId,
+        txn: TxnId,
+        key: Key,
+        vote: Phase2b,
+        outcome: Option<TxnOutcome>,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        if let Some(outcome) = outcome {
+            // Someone already knows the verdict: just propagate it.
+            return self.finish_recovery(txn, outcome, ctx);
+        }
+        let Some(idx) = self.placement.acceptor_index(&key, from) else {
+            return;
+        };
+        let Some(coord) = self.recoveries.get_mut(&txn) else {
+            return;
+        };
+        match coord.on_vote(&key, idx, vote) {
+            Progress::Learned { .. } => self.recovery_check_done(txn, ctx),
+            Progress::Collision { ask_master: true } => {
+                let master = self.placement.master(&key);
+                ctx.send(master, Msg::StartRecovery { key });
+            }
+            Progress::Collision { ask_master: false } | Progress::Undecided => {}
+        }
+    }
+
+    /// A recovery is still open after `LEARN_TIMEOUT`: re-query the
+    /// undecided keys and re-trigger master recovery for them; after
+    /// [`RECOVERY_ABANDON_RETRIES`] rounds, declare options nobody holds
+    /// dead.
+    fn on_recovery_retry(&mut self, txn: TxnId, ctx: &mut Ctx<'_, Msg>) {
+        let Some(coord) = self.recoveries.get_mut(&txn) else {
+            return;
+        };
+        let attempt = coord.next_attempt();
+        if attempt >= RECOVERY_ABANDON_RETRIES {
+            let dead = coord.undecided().filter(|k| coord.nobody_holds(k));
+            for key in dead.cloned().collect::<Vec<Key>>() {
+                coord.decide(&key, OptionStatus::Rejected(AbortReason::Resolved));
+            }
+        }
+        let undecided: Vec<Key> = coord.undecided().cloned().collect();
+        for key in undecided {
+            self.query_status(txn, &key, ctx);
+            // Rotate the recovery leader in case the default master's
+            // data center is down (§3.2.3).
+            let target = recovery_target(&*self.placement, &key, attempt);
+            ctx.send(target, Msg::StartRecovery { key });
+        }
+        self.recovery_check_done(txn, ctx);
+        if self.recoveries.contains_key(&txn) {
+            ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
+        }
     }
 }
 
 impl Process<Msg> for StorageNodeProcess {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.set_timer(self.sweep_interval, Msg::DanglingSweep);
+        ctx.set_timer(SWEEP_INTERVAL, Msg::DanglingSweep);
         if self.durable {
             ctx.set_timer(CHECKPOINT_INTERVAL, Msg::CheckpointTick);
         }
@@ -1236,344 +886,66 @@ impl Process<Msg> for StorageNodeProcess {
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Propose(opt) => self.on_propose(from, opt, ctx),
-            Msg::ProposeToMaster(opt) => {
-                self.lead_classic(from, opt, ctx);
-            }
+            Msg::ProposeToMaster(opt) => self.lead_classic(from, opt, ctx),
             Msg::ProposeMastered { origin_dc, opt } => {
-                let shard = self.placement.shard_id(&opt.key);
-                let (serving, holder) = match &self.mastership {
-                    Some(ms) => (ms.is_serving(shard, ctx.now), ms.holder(shard, ctx.now)),
-                    None => (false, None),
-                };
-                if serving {
-                    // Record-level override: this record's classic
-                    // traffic belongs elsewhere even though we hold the
-                    // shard lease. Forward and teach the coordinator
-                    // the record-granular route.
-                    if let Some(node) = self.record_override_target(&opt.key, ctx.self_id) {
-                        if self.override_forwarded.len() > REDIRECTED_FAST_CAP {
-                            self.override_forwarded.clear();
-                        }
-                        if self.override_forwarded.insert(opt.txn) {
-                            if let Some(ms) = self.mastership.as_mut() {
-                                ms.note_forwarded();
-                            }
-                            ctx.send(
-                                opt.txn.coordinator,
-                                Msg::RecordHint {
-                                    key: opt.key.clone(),
-                                    node,
-                                },
-                            );
-                            ctx.send(node, Msg::ProposeMastered { origin_dc, opt });
-                            return;
-                        }
-                        // Forwarded once already and the proposal came
-                        // back: the target is deposed, crashed, or not
-                        // serving this record anymore. Retire the
-                        // override (routing only — acceptor promises
-                        // still arbitrate) and lead locally; classic
-                        // ballots outrank any stale promise. Re-teach
-                        // the coordinator so future traffic for this
-                        // record routes here directly.
-                        if let Some(table) = self.lease_overrides.get_mut(&shard) {
-                            table.remove(record_id(opt.key.pk.as_bytes()));
-                        }
-                        ctx.send(
-                            opt.txn.coordinator,
-                            Msg::RecordHint {
-                                key: opt.key.clone(),
-                                node: ctx.self_id,
-                            },
-                        );
-                    }
-                    if let Some(ms) = self.mastership.as_mut() {
-                        ms.note_served(shard, origin_dc);
-                    }
-                    self.lead_classic(from, opt, ctx);
-                } else if let Some(node) = holder.filter(|n| *n != ctx.self_id) {
-                    // Not the holder, but we know who is: forward the
-                    // proposal and teach the coordinator the route.
-                    if let Some(ms) = self.mastership.as_mut() {
-                        ms.note_forwarded();
-                    }
-                    ctx.send(opt.txn.coordinator, Msg::MasterHint { shard, node });
-                    ctx.send(node, Msg::ProposeMastered { origin_dc, opt });
-                } else {
-                    // No live lease this node knows of (election still in
-                    // progress, or mastership disabled here): lead
-                    // classically. Safe regardless of leases — classic
-                    // Paxos ballots arbitrate — and keeps writes
-                    // available through election windows.
-                    self.lead_classic(from, opt, ctx);
-                }
+                self.on_propose_mastered(from, origin_dc, opt, ctx)
             }
-            Msg::MasterHint { .. } | Msg::RecordHint { .. } => {
-                // TM-side routing hints; nothing for a storage node.
-            }
-            Msg::Mastership(inner) => {
-                if let MsMsg::Overrides { shard, runs } = inner {
-                    // Host-level payload: a migrating predecessor ships
-                    // its per-record override table to this successor.
-                    self.install_override_runs(shard, &runs, ctx);
-                    return;
-                }
-                let mut out = Vec::new();
-                if let Some(ms) = self.mastership.as_mut() {
-                    ms.on_msg(from, inner, ctx.now, &mut out);
-                }
-                self.flush_ms_actions(out, ctx);
-            }
+            Msg::Mastership(inner) => self.on_mastership(from, inner, ctx),
             Msg::StartRecovery { key } => {
                 let actions = self.leader_for(&key, ctx).start_recovery();
                 self.run_leader_actions(&key, actions, ctx);
             }
-            Msg::P1a { key, ballot } => {
-                self.enforce_floor(&key, ctx);
-                self.wal_append(
-                    &WalRecord::Phase1a {
-                        key: key.clone(),
-                        ballot,
-                    },
-                    ctx,
-                );
-                let payload = self.store.phase1a(&key, ballot);
-                ctx.send(from, Msg::P1b { key, payload });
-            }
-            Msg::P1b { key, payload } => {
-                let Some(idx) = self.placement.acceptor_index(&key, from) else {
-                    return;
-                };
-                if let Some(leader) = self.leaders.get_mut(&key) {
-                    let actions = leader.on_phase1b(idx, payload);
-                    self.run_leader_actions(&key, actions, ctx);
-                    let leading = self
-                        .leaders
-                        .get(&key)
-                        .map(|l| l.is_leading())
-                        .unwrap_or(false);
-                    if leading {
-                        if let Some(tracer) = &self.tracer {
-                            tracer.end(ctx.self_id, None, Some(key), Phase::Phase1, ctx.now);
-                        }
-                    }
-                }
-            }
-            Msg::P2a { key, payload } => {
-                self.enforce_floor(&key, ctx);
-                // Lease-carried-Phase1 warm guard: a pipelined append
-                // (`safe = None`) from a ballot this record has not
-                // accepted yet, landing on a non-empty current-instance
-                // cstruct, would fork that ballot's serialized stream —
-                // acceptors in the stream hold the leader's entries,
-                // this one would hold strays from a deposed leader, and
-                // the learner's quorum-GLB can never converge across
-                // the fork. Classic Phase1 prevents this by re-basing
-                // every acceptor with a proved-safe cstruct; a lease
-                // holder that skipped Phase1 never sent one, so the
-                // warm record bounces the append and the holder falls
-                // back to a full Phase1 round. Cold records (empty
-                // cstruct — the first-touch case the optimization
-                // exists for) are unaffected. Nothing is logged or
-                // mutated here, so crash replay cannot diverge.
-                if self.cfg.mastership.enabled
-                    && payload.safe.is_none()
-                    && self
-                        .store
-                        .with_record(&key, |r| {
-                            r.accepted_ballot() != Some(payload.ballot) && !r.cstruct().is_empty()
-                        })
-                        .unwrap_or(false)
-                {
-                    let promised = self
-                        .store
-                        .with_record(&key, |r| r.promised())
-                        .unwrap_or(payload.ballot)
-                        .max(payload.ballot);
-                    ctx.send(from, Msg::P2aNack { key, promised });
-                    return;
-                }
-                self.wal_append(
-                    &WalRecord::ClassicAccept {
-                        at: ctx.now,
-                        key: key.clone(),
-                        payload: payload.clone(),
-                    },
-                    ctx,
-                );
-                let before = self.store.version_of(&key);
-                match self.store.classic_accept(&key, *payload, ctx.now) {
-                    ClassicAccept::Vote(vote) => {
-                        self.stats.classic_votes += 1;
-                        self.fan_out_vote(&key, vote, from, ctx);
-                    }
-                    ClassicAccept::Nack { promised } => {
-                        ctx.send(
-                            from,
-                            Msg::P2aNack {
-                                key: key.clone(),
-                                promised,
-                            },
-                        );
-                    }
-                    ClassicAccept::Stale { snapshot } => {
-                        ctx.send(
-                            from,
-                            Msg::P2aStale {
-                                key: key.clone(),
-                                snapshot,
-                            },
-                        );
-                    }
-                }
-                if self.store.version_of(&key) != before {
-                    self.record_moved(&key, ctx);
-                }
-            }
+            Msg::P1a { key, ballot } => self.on_phase1a(from, key, ballot, ctx),
+            Msg::P1b { key, payload } => self.on_phase1b(from, key, payload, ctx),
+            Msg::P2a { key, payload } => self.on_phase2a(from, key, payload, ctx),
             Msg::P2aNack { key, promised } => {
-                self.note_record_override(&key, promised, ctx);
-                if let Some(leader) = self.leaders.get_mut(&key) {
-                    let actions = leader.on_nack(promised);
-                    self.run_leader_actions(&key, actions, ctx);
-                }
+                let raised = self.fence.note_promise(&key, promised);
+                self.wal_append(ctx, |_| raised);
+                self.with_leader(&key, |l| l.on_nack(promised), ctx);
             }
             Msg::P2aStale { key, snapshot } => {
-                if let Some(leader) = self.leaders.get_mut(&key) {
-                    let actions = leader.on_stale(snapshot);
-                    self.run_leader_actions(&key, actions, ctx);
-                }
+                self.with_leader(&key, |l| l.on_stale(snapshot), ctx)
             }
             Msg::Visibility {
                 txn,
                 key,
                 outcome,
                 learned_accepted,
-            } => {
-                self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx);
-            }
-            Msg::SyncDigestReq => {
-                // A restarted peer opens a merkle round: advertise range
-                // digests of everything we hold; full state only ships
-                // for ranges the peer finds divergent.
-                let ranges = self.store.sync_ranges(SYNC_CHUNK_KEYS);
-                if !ranges.is_empty() {
-                    ctx.send(from, Msg::SyncDigest { ranges });
-                }
-            }
-            Msg::SyncDigest { ranges } => {
-                // Compare the advertised ranges against local state in
-                // one pass and pull only the ones whose digests differ.
-                let divergent = self.store.divergent_ranges(&ranges);
-                if !divergent.is_empty() {
-                    ctx.send(from, Msg::SyncRangePull { ranges: divergent });
-                }
-            }
-            Msg::SyncRangePull { ranges } => {
-                for items in self.store.sync_items_in(&ranges) {
-                    for chunk in items.chunks(SYNC_CHUNK_KEYS) {
-                        ctx.send(
-                            from,
-                            Msg::SyncChunk {
-                                items: chunk.to_vec(),
-                            },
-                        );
-                    }
-                }
-            }
-            Msg::SyncChunk { items } => {
-                for item in items {
-                    self.apply_sync_item(item.key, item.snapshot, item.resolved, ctx);
-                }
-            }
-            Msg::ReadReq { req, key } => {
-                let (version, value) = match self.store.read_committed(&key) {
-                    Some((v, row)) => (v, Some(row)),
-                    None => (self.store.version_of(&key), None),
-                };
-                ctx.send(
-                    from,
-                    Msg::ReadResp {
-                        req,
-                        key,
-                        version,
-                        value,
-                    },
-                );
-            }
+            } => self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx),
+            Msg::SyncDigestReq
+            | Msg::SyncDigest { .. }
+            | Msg::SyncRangePull { .. }
+            | Msg::SyncChunk { .. } => self.on_sync(from, msg, ctx),
+            Msg::ReadReq { req, key } => self.on_read(from, req, key, ctx),
             Msg::CstructPull { key } => {
                 // A receiver's shadow view diverged (lost delta, missed
                 // epoch): read-repair with the current vote.
                 self.stats.repair_served += 1;
-                let vote = self
-                    .store
-                    .with_record(&key, |rec| rec.vote())
-                    .unwrap_or_else(absent_vote);
+                let vote = self.store.with_record(&key, |rec| rec.vote());
+                let vote = vote.unwrap_or_else(absent_vote);
                 ctx.send(from, Msg::CstructFull { key, vote });
             }
-            Msg::QueryStatus { txn, key } => {
-                let (vote, outcome) = self
-                    .store
-                    .with_record(&key, |rec| (rec.phase2b(), rec.outcome_of(txn)))
-                    .unwrap_or_else(|| (absent_vote(), None));
-                ctx.send(
-                    from,
-                    Msg::StatusResp {
-                        txn,
-                        key,
-                        vote,
-                        outcome,
-                    },
-                );
-            }
+            Msg::QueryStatus { txn, key } => self.on_query_status(from, txn, key, ctx),
             Msg::StatusResp {
                 txn,
                 key,
                 vote,
                 outcome,
-            } => {
-                if let Some(outcome) = outcome {
-                    // Someone already knows the verdict: just propagate it.
-                    if self.recoveries.contains_key(&txn) {
-                        self.finish_recovery(txn, outcome, ctx);
-                    }
-                    return;
-                }
-                let Some(idx) = self.placement.acceptor_index(&key, from) else {
-                    return;
-                };
-                let Some(task) = self.recoveries.get_mut(&txn) else {
-                    return;
-                };
-                let Some(learner) = task.learners.get_mut(&key) else {
-                    return;
-                };
-                match learner.on_vote(idx, vote) {
-                    LearnOutcome::Learned(status) => {
-                        task.decided.insert(key, status);
-                        self.recovery_check_done(txn, ctx);
-                    }
-                    LearnOutcome::Collision => {
-                        if task.recovering_keys.insert(key.clone()) {
-                            let master = self.placement.master(&key);
-                            ctx.send(master, Msg::StartRecovery { key });
-                        }
-                    }
-                    LearnOutcome::Undecided => {}
-                }
-            }
-            Msg::NotFast { .. }
+            } => self.on_status_resp(from, txn, key, vote, outcome, ctx),
+            // TM-side messages (a storage node can receive them only if
+            // it acted as a recovery coordinator whose task is already
+            // finished) and timer payloads, which arrive via on_timer.
+            Msg::MasterHint { .. }
+            | Msg::RecordHint { .. }
+            | Msg::NotFast { .. }
             | Msg::InstanceFull { .. }
             | Msg::AlreadyResolved { .. }
             | Msg::GoFast { .. }
             | Msg::Vote { .. }
             | Msg::VoteDelta { .. }
             | Msg::CstructFull { .. }
-            | Msg::ReadResp { .. } => {
-                // TM-side messages; a storage node can receive them only
-                // if it acted as a recovery coordinator whose task is
-                // already finished — ignore.
-            }
-            Msg::LearnTimeout { .. }
+            | Msg::ReadResp { .. }
+            | Msg::LearnTimeout { .. }
             | Msg::ReadRetry { .. }
             | Msg::DanglingSweep
             | Msg::RecoveryRetry { .. }
@@ -1581,70 +953,19 @@ impl Process<Msg> for StorageNodeProcess {
             | Msg::CheckpointTick
             | Msg::SyncSweep
             | Msg::ClientTick
-            | Msg::MsTick => {
-                // Timer payloads arrive via on_timer, not as messages.
-            }
+            | Msg::MsTick => {}
         }
     }
 
     fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::DanglingSweep => {
-                let dangling = self.store.dangling(ctx.now);
-                for p in dangling {
+                for p in self.store.dangling(ctx.now) {
                     self.start_dangling_recovery(p.txn, p.peers, ctx);
                 }
-                ctx.set_timer(self.sweep_interval, Msg::DanglingSweep);
+                ctx.set_timer(SWEEP_INTERVAL, Msg::DanglingSweep);
             }
-            Msg::RecoveryRetry { txn } => {
-                let Some(task) = self.recoveries.get_mut(&txn) else {
-                    return;
-                };
-                task.retries += 1;
-                let give_up = task.retries >= RECOVERY_ABANDON_RETRIES;
-                let n = self.cfg.replication;
-                // Re-query undecided keys; re-trigger master recovery for
-                // keys that still cannot be learned; after enough rounds,
-                // declare options nobody holds as dead (see RecoveryTask).
-                let mut undecided: Vec<Key> = Vec::new();
-                for k in task.keys.iter() {
-                    if task.decided.contains_key(k) {
-                        continue;
-                    }
-                    let learner = &task.learners[k];
-                    if give_up && learner.responses() == n && !learner.seen_at_latest() {
-                        task.decided.insert(
-                            k.clone(),
-                            OptionStatus::Rejected(mdcc_common::error::AbortReason::Resolved),
-                        );
-                    } else {
-                        undecided.push(k.clone());
-                    }
-                }
-                let attempt = task.retries;
-                for key in undecided {
-                    for r in self.placement.replicas(&key) {
-                        ctx.send(
-                            r,
-                            Msg::QueryStatus {
-                                txn,
-                                key: key.clone(),
-                            },
-                        );
-                    }
-                    // Rotate the recovery leader in case the default
-                    // master's data center is down (§3.2.3); stay on one
-                    // target for a few sweeps to avoid dueling leaders.
-                    let replicas = self.placement.replicas(&key);
-                    let start = self.placement.master_dc(&key).0 as usize;
-                    let target = replicas[(start + attempt as usize / 3) % replicas.len()];
-                    ctx.send(target, Msg::StartRecovery { key });
-                }
-                self.recovery_check_done(txn, ctx);
-                if self.recoveries.contains_key(&txn) {
-                    ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
-                }
-            }
+            Msg::RecoveryRetry { txn } => self.on_recovery_retry(txn, ctx),
             Msg::MissedPull { key, txn, attempt } => {
                 let still_missing = self
                     .store
@@ -1660,42 +981,9 @@ impl Process<Msg> for StorageNodeProcess {
                     self.stats.checkpoints += 1;
                 }
                 // A checkpoint truncates the WAL; re-append the live
-                // lease floors and overrides in deterministic order so
-                // the tail alone always carries the full lease state
-                // (`mdcc_recovery::recovered_leases` reads only it).
-                let mut floors: Vec<(u32, MsBallot)> =
-                    self.lease_floors.iter().map(|(s, b)| (*s, *b)).collect();
-                floors.sort_unstable_by_key(|(s, _)| *s);
-                for (shard, b) in floors {
-                    self.wal_append(
-                        &WalRecord::LeaseFloor {
-                            shard,
-                            n: b.n,
-                            pid: b.pid,
-                        },
-                        ctx,
-                    );
-                }
-                let mut shards: Vec<u32> = self.lease_overrides.keys().copied().collect();
-                shards.sort_unstable();
-                for shard in shards {
-                    let entries = self
-                        .lease_overrides
-                        .get(&shard)
-                        .map(|t| t.iter_sorted())
-                        .unwrap_or_default();
-                    for (record, b) in entries {
-                        self.wal_append(
-                            &WalRecord::LeaseOverride {
-                                shard,
-                                record,
-                                n: b.n,
-                                pid: b.pid,
-                            },
-                            ctx,
-                        );
-                    }
-                }
+                // lease state so the tail alone always carries it
+                // (`mdcc_recovery::recovered_leases` reads only the tail).
+                self.wal_append(ctx, |_| self.fence.checkpoint_records());
                 ctx.set_timer(CHECKPOINT_INTERVAL, Msg::CheckpointTick);
             }
             Msg::MsTick => {
@@ -1707,22 +995,7 @@ impl Process<Msg> for StorageNodeProcess {
                 self.flush_ms_actions(out, ctx);
                 ctx.set_timer(next, Msg::MsTick);
             }
-            Msg::SyncSweep => {
-                if self.stats.sync_adoptions == self.last_sync_adoptions {
-                    self.sync_idle_rounds += 1;
-                } else {
-                    self.last_sync_adoptions = self.stats.sync_adoptions;
-                    self.sync_idle_rounds = 0;
-                }
-                // Stop only after strictly more quiet rounds than there
-                // are peers: a full rotation — including at least one
-                // live, never-crashed replica — found nothing to repair.
-                if self.sync_idle_rounds > self.cfg.replication as u32 {
-                    return;
-                }
-                self.run_sync_round(ctx);
-                ctx.set_timer(RECOVERY_SYNC_INTERVAL, Msg::SyncSweep);
-            }
+            Msg::SyncSweep => self.on_sync_sweep(ctx),
             _ => {}
         }
     }

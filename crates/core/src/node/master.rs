@@ -1,0 +1,417 @@
+//! The master role of a storage node: leading the classic ballots of the
+//! records it masters (by static placement, on request, or as the
+//! holder of the shard's lease), and that role's acceptor counterpart,
+//! Phase1a/Phase2a behind the lease fence.
+
+use mdcc_common::{DcId, Key, NodeId};
+use mdcc_mastership::{Action as MsAction, MsMsg};
+use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a};
+use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
+use mdcc_paxos::{Ballot, LeaderRecord, TxnOption};
+use mdcc_recovery::WalRecord;
+use mdcc_sim::Ctx;
+use mdcc_trace::Phase;
+
+use super::{StorageNodeProcess, REDIRECTED_FAST_CAP};
+use crate::msg::{send_each, Msg};
+
+impl StorageNodeProcess {
+    /// Lazily enforces the lease-promise floor on one record's acceptor
+    /// state before it judges a proposal. A raise is mirrored into the
+    /// WAL as the Phase1a it stands in for, so crash replay reproduces
+    /// the exact same Nacks.
+    fn enforce_floor(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+        let Some(ballot) = self.fence.floor_for(key) else {
+            return;
+        };
+        if self.store.raise_promise(key, ballot) {
+            self.wal_append(ctx, |_| {
+                [WalRecord::Phase1a {
+                    key: key.clone(),
+                    ballot,
+                }]
+            });
+        }
+    }
+
+    /// Leads one classic proposal locally: redirect it back to the fast
+    /// path when the record reopened fast (at most once per txn), else
+    /// enqueue it on this node's leader for the record. Shared by the
+    /// static `ProposeToMaster` path and the lease-holder path.
+    pub(super) fn lead_classic(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
+        let key = opt.key.clone();
+        // Stale retry of a settled transaction: answer with the
+        // recorded outcome, exactly as the fast path does. Once every
+        // replica has resolved the transaction (e.g. storage-side
+        // dangling recovery finished while the coordinator was
+        // partitioned away), re-leading appends nothing new and the
+        // delta-vote fan-out skips its coordinator as settled
+        // business — without this reply the retrying TM never hears
+        // back and the transaction wedges at the coordinator forever.
+        let txn = opt.txn;
+        let settled = self.store.with_record(&key, |r| r.settled_outcome(txn));
+        if let Some(outcome) = settled.flatten() {
+            return ctx.send(txn.coordinator, Msg::AlreadyResolved { key, txn, outcome });
+        }
+        // If the record is actually in fast mode and fast ballots are
+        // allowed, redirect the TM back to the fast path — but at most once
+        // per transaction. Under message loss the replicas' ballot modes can
+        // diverge (this record reopened fast, another replica never heard
+        // the reopen and still bounces NotFast), and honoring the redirect
+        // every time ping-pongs the proposal between fast and classic
+        // forever. The second arrival takes mastership: the classic round
+        // re-synchronizes every replica.
+        let leading = self.leaders.get(&key).is_some_and(|l| l.is_leading());
+        let record_fast = self
+            .store
+            .with_record(&key, |r| r.promised().is_fast())
+            .unwrap_or(true);
+        if self.redirected_fast.len() > REDIRECTED_FAST_CAP {
+            self.redirected_fast.clear();
+        }
+        if self.allow_fast && !leading && record_fast && self.redirected_fast.insert(txn) {
+            return ctx.send(from, Msg::GoFast { key, opt });
+        }
+        self.claim_lease_ballot(&key, ctx);
+        let actions = self.leader_for(&key, ctx).enqueue(opt);
+        self.run_leader_actions(&key, actions, ctx);
+    }
+
+    /// A fresh lease holder starts its classic ballots above the
+    /// election ballot so its Phase1a outranks the predecessor's — and
+    /// skips Phase1 entirely for cold records (lease-carried Phase1):
+    /// the granted lease ballot is already the promise floor on a grant
+    /// quorum of acceptors, so the first Phase2a at that ballot is
+    /// immediately valid (one WAN round trip).
+    fn claim_lease_ballot(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+        let Some(ms) = &self.mastership else { return };
+        let shard = self.placement.shard_id(key);
+        let Some(floor) = ms.ballot_floor(shard) else {
+            return;
+        };
+        let ballot = Ballot::lease(floor, ctx.self_id);
+        // Only worth attempting when the local replica (this node is one of
+        // the record's acceptors) says a pipelined append at the lease
+        // ballot could actually land: the record is already in this ballot's
+        // stream, or it is cold AND the lease ballot clears the local
+        // promise. A record warm under a predecessor's ballot would bounce
+        // off the warm-record guard, and one whose promise is a deposed
+        // holder's higher classic ballot would be Nacked outright — either
+        // way the wasted WAN round trip (and the spurious record override
+        // the Nack would raise) costs more than running Phase1 up front.
+        let locally_cold = self
+            .store
+            .with_record(key, |r| {
+                r.accepted_ballot() == Some(ballot)
+                    || (r.cstruct().is_empty() && r.promised() <= ballot)
+            })
+            .unwrap_or(true);
+        if ms.is_serving(shard, ctx.now)
+            && locally_cold
+            && self.leader_for(key, ctx).assume_leadership(ballot)
+        {
+            if let Some(ms) = self.mastership.as_mut() {
+                ms.note_phase1_skipped();
+            }
+        } else {
+            self.leader_for(key, ctx).observe_ballot(ballot);
+        }
+    }
+
+    /// Emits the mastership layer's queued sends as wrapped messages
+    /// and absorbs its host-level effects: lease grants raise this
+    /// node's promise floor, migrations ship the override table to the
+    /// successor.
+    pub(super) fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut Ctx<'_, Msg>) {
+        for action in out {
+            match action {
+                MsAction::Send { to, msg } => ctx.send(to, Msg::Mastership(msg)),
+                MsAction::FloorRaised { shard, ballot } => {
+                    let raised = self.fence.raise_floor(shard, ballot);
+                    self.wal_append(ctx, |_| raised);
+                }
+                MsAction::Relinquished { shard, to } => {
+                    // Hand the per-record override table to the
+                    // successor so hot-key promises survive migration.
+                    let runs = self.fence.runs(shard);
+                    if !runs.is_empty() {
+                        ctx.send(to, Msg::Mastership(MsMsg::Overrides { shard, runs }));
+                    }
+                }
+            }
+        }
+    }
+
+    pub(super) fn leader_for(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> &mut LeaderRecord {
+        let snapshot = self
+            .store
+            .with_record(key, |r| r.snapshot())
+            .unwrap_or_else(mdcc_paxos::RecordSnapshot::absent);
+        let cfg = LeaderConfig {
+            n: self.cfg.replication,
+            qc: self.cfg.classic_quorum,
+            qf: self.cfg.fast_quorum,
+            gamma: self.cfg.gamma,
+            allow_fast: self.allow_fast,
+            max_instance_options: self.cfg.max_instance_options,
+        };
+        let self_id = ctx.self_id;
+        self.leaders
+            .entry(key.clone())
+            .or_insert_with(|| LeaderRecord::new(cfg, self_id, snapshot))
+    }
+
+    pub(super) fn run_leader_actions(
+        &mut self,
+        key: &Key,
+        actions: Vec<LeaderAction>,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        let replicas = self.placement.replicas(key);
+        for action in actions {
+            match action {
+                LeaderAction::Phase1a(ballot) => {
+                    self.stats.recoveries_led += 1;
+                    // A per-record Phase1 round run while this node
+                    // serves the shard's lease — the two-round-trip
+                    // first touch lease-carried Phase1 exists to avoid
+                    // (the fig11 cold-key drill bounds its share).
+                    let shard = self.placement.shard_id(key);
+                    if let Some(ms) = self.mastership.as_mut() {
+                        if ms.is_serving(shard, ctx.now) {
+                            ms.note_phase1_covered();
+                        }
+                    }
+                    // Ballot acquisition: closes when a Phase1b quorum
+                    // makes this node the record's leader.
+                    self.trace_begin(key, Phase::Phase1, ctx);
+                    send_each(ctx, &replicas, || Msg::P1a {
+                        key: key.clone(),
+                        ballot,
+                    });
+                }
+                LeaderAction::Phase2a(payload) => {
+                    // Classic instance round: closes when the local
+                    // acceptor observes the instance advance.
+                    self.trace_begin(key, Phase::Phase2a, ctx);
+                    send_each(ctx, &replicas, || Msg::P2a {
+                        key: key.clone(),
+                        payload: Box::new(payload.clone()),
+                    });
+                }
+                LeaderAction::RedirectFast(opt) => {
+                    // The record reopened fast mode while this option was
+                    // queued: hand it back to its coordinator.
+                    let key = key.clone();
+                    ctx.send(opt.txn.coordinator, Msg::GoFast { key, opt });
+                }
+            }
+        }
+    }
+
+    /// Opens a leader-side span on `key` (ballot acquisition, classic
+    /// round), if a tracer is attached.
+    fn trace_begin(&self, key: &Key, phase: Phase, ctx: &Ctx<'_, Msg>) {
+        if let Some(tracer) = &self.tracer {
+            let key = Some(key.clone());
+            tracer.begin(ctx.self_id, self.my_dc, None, key, phase, ctx.now);
+        }
+    }
+
+    /// Feeds the record's leader, if this node has one, and runs what
+    /// it asks for.
+    pub(super) fn with_leader(
+        &mut self,
+        key: &Key,
+        feed: impl FnOnce(&mut LeaderRecord) -> Vec<LeaderAction>,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        if let Some(leader) = self.leaders.get_mut(key) {
+            let actions = feed(leader);
+            self.run_leader_actions(key, actions, ctx);
+        }
+    }
+
+    /// A classic proposal routed by shard lease (`Msg::ProposeMastered`):
+    /// serve it, forward it to whoever should, or lead it regardless.
+    pub(super) fn on_propose_mastered(
+        &mut self,
+        from: NodeId,
+        origin_dc: DcId,
+        opt: TxnOption,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        let shard = self.placement.shard_id(&opt.key);
+        let (serving, holder) = match &self.mastership {
+            Some(ms) => (ms.is_serving(shard, ctx.now), ms.holder(shard, ctx.now)),
+            None => (false, None),
+        };
+        if serving {
+            // Record-level override: this record's classic traffic
+            // belongs elsewhere even though we hold the shard lease.
+            if let Some(node) = self.fence.route(&opt.key, ctx.self_id) {
+                if self.override_forwarded.len() > REDIRECTED_FAST_CAP {
+                    self.override_forwarded.clear();
+                }
+                let key = opt.key.clone();
+                if self.override_forwarded.insert(opt.txn) {
+                    let hint = Msg::RecordHint { key, node };
+                    return self.forward_mastered(hint, node, origin_dc, opt, ctx);
+                }
+                // Forwarded once already and the proposal came back: the
+                // target is deposed, crashed, or not serving this record
+                // anymore. Retire the override (routing only — acceptor
+                // promises still arbitrate) and lead locally; classic
+                // ballots outrank any stale promise. Re-teach the
+                // coordinator so future traffic for this record routes
+                // here directly.
+                self.fence.retire(&key);
+                let node = ctx.self_id;
+                ctx.send(opt.txn.coordinator, Msg::RecordHint { key, node });
+            }
+            if let Some(ms) = self.mastership.as_mut() {
+                ms.note_served(shard, origin_dc);
+            }
+            self.lead_classic(from, opt, ctx);
+        } else if let Some(node) = holder.filter(|n| *n != ctx.self_id) {
+            // Not the holder, but we know who is.
+            let hint = Msg::MasterHint { shard, node };
+            self.forward_mastered(hint, node, origin_dc, opt, ctx);
+        } else {
+            // No live lease this node knows of (election still in progress,
+            // or mastership disabled here): lead classically. Safe
+            // regardless of leases — classic Paxos ballots arbitrate — and
+            // keeps writes available through election windows.
+            self.lead_classic(from, opt, ctx);
+        }
+    }
+
+    /// Forwards a mastered proposal to `to` and teaches its coordinator
+    /// the route with `hint`.
+    fn forward_mastered(
+        &mut self,
+        hint: Msg,
+        to: NodeId,
+        origin_dc: DcId,
+        opt: TxnOption,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        if let Some(ms) = self.mastership.as_mut() {
+            ms.note_forwarded();
+        }
+        ctx.send(opt.txn.coordinator, hint);
+        ctx.send(to, Msg::ProposeMastered { origin_dc, opt });
+    }
+
+    pub(super) fn on_mastership(&mut self, from: NodeId, inner: MsMsg, ctx: &mut Ctx<'_, Msg>) {
+        if let MsMsg::Overrides { shard, runs } = inner {
+            // Host-level payload: a migrating predecessor ships its
+            // per-record override table to this successor.
+            let raised = self.fence.install_runs(shard, &runs);
+            return self.wal_append(ctx, |_| raised);
+        }
+        let mut out = Vec::new();
+        if let Some(ms) = self.mastership.as_mut() {
+            ms.on_msg(from, inner, ctx.now, &mut out);
+        }
+        self.flush_ms_actions(out, ctx);
+    }
+
+    pub(super) fn on_phase1a(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        ballot: Ballot,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        self.enforce_floor(&key, ctx);
+        self.wal_append(ctx, |_| {
+            [WalRecord::Phase1a {
+                key: key.clone(),
+                ballot,
+            }]
+        });
+        let payload = self.store.phase1a(&key, ballot);
+        ctx.send(from, Msg::P1b { key, payload });
+    }
+
+    pub(super) fn on_phase1b(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        payload: Phase1b,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        let Some(idx) = self.placement.acceptor_index(&key, from) else {
+            return;
+        };
+        self.with_leader(&key, |l| l.on_phase1b(idx, payload), ctx);
+        if self.leaders.get(&key).is_some_and(|l| l.is_leading()) {
+            if let Some(tracer) = &self.tracer {
+                tracer.end(ctx.self_id, None, Some(key), Phase::Phase1, ctx.now);
+            }
+        }
+    }
+
+    /// Lease-carried-Phase1 warm guard: a pipelined append (`safe =
+    /// None`) from a ballot this record has not accepted yet, landing on
+    /// a non-empty current-instance cstruct, would fork that ballot's
+    /// serialized stream — acceptors in the stream hold the leader's
+    /// entries, this one would hold strays from a deposed leader, and
+    /// the learner's quorum-GLB can never converge across the fork.
+    /// Classic Phase1 prevents this by re-basing every acceptor with a
+    /// proved-safe cstruct; a lease holder that skipped Phase1 never sent
+    /// one, so the warm record bounces the append (with the promise to
+    /// Nack with) and the holder falls back to a full Phase1 round. Cold
+    /// records (empty cstruct — the first-touch case the optimization
+    /// exists for) are unaffected. Nothing is logged or mutated here, so
+    /// crash replay cannot diverge.
+    fn warm_guard(&self, key: &Key, payload: &Phase2a) -> Option<Ballot> {
+        if !self.cfg.mastership.enabled || payload.safe.is_some() {
+            return None;
+        }
+        let (warm, promised) = self.store.with_record(key, |r| {
+            let warm = r.accepted_ballot() != Some(payload.ballot) && !r.cstruct().is_empty();
+            (warm, r.promised())
+        })?;
+        warm.then(|| promised.max(payload.ballot))
+    }
+
+    pub(super) fn on_phase2a(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        payload: Box<Phase2a>,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        self.enforce_floor(&key, ctx);
+        if let Some(promised) = self.warm_guard(&key, &payload) {
+            return ctx.send(from, Msg::P2aNack { key, promised });
+        }
+        self.wal_append(ctx, |at| {
+            [WalRecord::ClassicAccept {
+                at,
+                key: key.clone(),
+                payload: payload.clone(),
+            }]
+        });
+        let before = self.store.version_of(&key);
+        match self.store.classic_accept(&key, *payload, ctx.now) {
+            ClassicAccept::Vote(vote) => {
+                self.stats.classic_votes += 1;
+                self.fan_out_vote(&key, vote, from, ctx);
+            }
+            ClassicAccept::Nack { promised } => {
+                let key = key.clone();
+                ctx.send(from, Msg::P2aNack { key, promised });
+            }
+            ClassicAccept::Stale { snapshot } => {
+                let key = key.clone();
+                ctx.send(from, Msg::P2aStale { key, snapshot });
+            }
+        }
+        if self.store.version_of(&key) != before {
+            self.record_moved(&key, ctx);
+        }
+    }
+}

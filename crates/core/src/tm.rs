@@ -22,14 +22,14 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{
     DcId, Key, NodeId, ProtocolConfig, RecordUpdate, Row, SimTime, TxnId, Version, WriteSet,
 };
-use mdcc_paxos::{
-    FoldOutcome, LearnOutcome, Learner, OptionStatus, ShadowView, TxnOption, TxnOutcome,
-};
+use mdcc_paxos::acceptor::Phase2b;
+use mdcc_paxos::{DeltaVote, FoldOutcome, OptionStatus, ShadowView, TxnOption, TxnOutcome};
 use mdcc_sim::event::TimerId;
 use mdcc_sim::Ctx;
 use mdcc_trace::{Phase, TraceHandle};
 
-use crate::msg::Msg;
+use crate::coordination::{recovery_target, Coordination, Progress};
+use crate::msg::{send_each, Msg};
 use crate::placement::Placement;
 
 /// Read consistency levels (§4.2).
@@ -106,23 +106,22 @@ pub enum TmEvent {
     },
 }
 
-// Iteration order of these maps drives message emission order, so they
-// must be deterministic (`BTreeMap`) for reproducible simulations.
+// Iteration order drives message emission order, so it must be
+// deterministic for reproducible simulations: `options` is a `BTreeMap`
+// and `coord` is built from its (sorted) keys.
 #[derive(Debug)]
 struct ActiveTxn {
     started: SimTime,
+    /// The options, kept to re-propose them after a learn timeout.
     options: BTreeMap<Key, TxnOption>,
-    learners: BTreeMap<Key, Learner>,
-    decided: BTreeMap<Key, OptionStatus>,
+    /// Learners and decisions, keys in sorted order.
+    coord: Coordination,
     all_fast: bool,
     timer: TimerId,
-    recovery_sent: HashSet<Key>,
-    retries: u32,
 }
 
 #[derive(Debug)]
 struct ReadTask {
-    token: u64,
     consistency: ReadConsistency,
     needed: usize,
     /// Per-key responses, keyed by responder so retry re-broadcasts
@@ -169,9 +168,6 @@ pub struct TransactionManager {
     /// Shared trace collector; spans are recorded only when attached
     /// (and enabled), so the default TM pays one `Option` test.
     tracer: Option<TraceHandle>,
-    /// The `MDCC_TRACE` debug tap (one stderr line per vote fed to a
-    /// learner), read from the environment once at construction.
-    trace_votes: bool,
 }
 
 /// Records whose shadow views this TM retains before the map resets.
@@ -202,7 +198,6 @@ impl TransactionManager {
             shadows: HashMap::new(),
             stats: TxnStats::default(),
             tracer: None,
-            trace_votes: std::env::var_os("MDCC_TRACE").is_some(),
         }
     }
 
@@ -247,7 +242,6 @@ impl TransactionManager {
         self.reads.insert(
             token,
             ReadTask {
-                token,
                 consistency,
                 needed,
                 responses: HashMap::new(),
@@ -271,28 +265,15 @@ impl TransactionManager {
         broadcast: bool,
         ctx: &mut Ctx<'_, Msg>,
     ) {
+        let req = || Msg::ReadReq {
+            req: token,
+            key: key.clone(),
+        };
         match consistency {
             ReadConsistency::Local if !broadcast => {
-                let node = self.placement.replica_in(key, self.cfg.my_dc);
-                ctx.send(
-                    node,
-                    Msg::ReadReq {
-                        req: token,
-                        key: key.clone(),
-                    },
-                );
+                ctx.send(self.placement.replica_in(key, self.cfg.my_dc), req())
             }
-            _ => {
-                for node in self.placement.replicas(key) {
-                    ctx.send(
-                        node,
-                        Msg::ReadReq {
-                            req: token,
-                            key: key.clone(),
-                        },
-                    );
-                }
-            }
+            _ => send_each(ctx, &self.placement.replicas(key), req),
         }
     }
 
@@ -352,7 +333,6 @@ impl TransactionManager {
         }
         let ws = WriteSet::new(txn, updates);
         let mut options = BTreeMap::new();
-        let mut learners = BTreeMap::new();
         for u in &ws.updates {
             let opt = TxnOption {
                 txn,
@@ -360,15 +340,6 @@ impl TransactionManager {
                 op: u.op.clone(),
                 peers: Arc::clone(&ws.keys),
             };
-            learners.insert(
-                u.key.clone(),
-                Learner::new(
-                    self.cfg.protocol.replication,
-                    self.cfg.protocol.classic_quorum,
-                    self.cfg.protocol.fast_quorum,
-                    txn,
-                ),
-            );
             if options.insert(u.key.clone(), opt).is_none() {
                 // One coordinator, increasing sequence numbers: pushing
                 // keeps each list in transaction order.
@@ -378,69 +349,38 @@ impl TransactionManager {
         if let Some(tracer) = &self.tracer {
             // One commit span per attempt, one phase2b span per option:
             // proposal fan-out → the quorum that decides the record.
-            tracer.begin(
-                ctx.self_id,
-                self.cfg.my_dc,
-                Some(txn),
-                None,
-                Phase::Commit,
-                ctx.now,
-            );
+            let (me, dc) = (ctx.self_id, self.cfg.my_dc);
+            tracer.begin(me, dc, Some(txn), None, Phase::Commit, ctx.now);
             for key in options.keys() {
-                tracer.begin(
-                    ctx.self_id,
-                    self.cfg.my_dc,
-                    Some(txn),
-                    Some(key.clone()),
-                    Phase::Phase2b,
-                    ctx.now,
-                );
+                let key = Some(key.clone());
+                tracer.begin(me, dc, Some(txn), key, Phase::Phase2b, ctx.now);
             }
         }
         for opt in options.values() {
-            self.propose(opt.clone(), ctx);
+            self.propose_attempt(opt.clone(), 0, ctx);
         }
         let timer = ctx.set_timer(LEARN_TIMEOUT, Msg::LearnTimeout { txn });
+        let coord = Coordination::new(&self.cfg.protocol, txn, options.keys().cloned());
         self.active.insert(
             txn,
             ActiveTxn {
                 started: ctx.now,
                 options,
-                learners,
-                decided: BTreeMap::new(),
+                coord,
                 all_fast: true,
                 timer,
-                recovery_sent: HashSet::new(),
-                retries: 0,
             },
         );
         (txn, None)
     }
 
-    /// The node to ask for recovery on `attempt` (0 = the default
-    /// master). Master failover, §3.2.3: after *several* timeouts the
-    /// next replica is asked to take over the record's mastership — any
-    /// storage node can lead. Rotating too eagerly creates dueling
-    /// leaders under contention (each stuck coordinator nominating a
-    /// different node), so three attempts go to the same target before
-    /// moving on.
-    fn recovery_target(&self, key: &Key, attempt: u32) -> NodeId {
-        let replicas = self.placement.replicas(key);
-        let start = self.placement.master_dc(key).0 as usize;
-        replicas[(start + attempt as usize / 3) % replicas.len()]
-    }
-
     /// Routes one proposal per the record's believed mode (SENDPROPOSAL,
-    /// Algorithm 1 lines 9–13).
-    fn propose(&mut self, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
-        self.propose_attempt(opt, 0, ctx);
-    }
-
-    /// `propose`, parameterized by the retry attempt. With dynamic
-    /// mastership on, classic proposals go to the shard's believed lease
-    /// holder; retries rotate through the replica group instead, because
-    /// the believed holder may be the crashed node (any replica either
-    /// serves, forwards to the live holder, or leads classically).
+    /// Algorithm 1 lines 9–13); `attempt` counts the learn timeouts so
+    /// far. With dynamic mastership on, classic proposals go to the
+    /// shard's believed lease holder; retries rotate through the replica
+    /// group instead, because the believed holder may be the crashed node
+    /// (any replica either serves, forwards to the live holder, or leads
+    /// classically).
     fn propose_attempt(&mut self, opt: TxnOption, attempt: u32, ctx: &mut Ctx<'_, Msg>) {
         let master = self.classic_cache.get(&opt.key).copied().or_else(|| {
             self.cfg
@@ -474,12 +414,14 @@ impl TransactionManager {
                     ctx.send(m, Msg::ProposeToMaster(opt));
                 }
             }
-            None => {
-                for r in self.placement.replicas(&opt.key) {
-                    ctx.send(r, Msg::Propose(opt.clone()));
-                }
-            }
+            None => self.propose_fast(&opt, ctx),
         }
+    }
+
+    /// Proposes `opt` straight to every acceptor of its record.
+    fn propose_fast(&self, opt: &TxnOption, ctx: &mut Ctx<'_, Msg>) {
+        let replicas = self.placement.replicas(&opt.key);
+        send_each(ctx, &replicas, || Msg::Propose(opt.clone()));
     }
 
     // ------------------------------------------------------------------
@@ -498,34 +440,7 @@ impl TransactionManager {
                 }
                 self.on_vote(from, key, vote, ctx)
             }
-            Msg::VoteDelta { key, delta } => {
-                // Fold the delta into this acceptor's shadow view; on
-                // success the reconstructed vote feeds the learners, on
-                // divergence (lost delta, missed epoch, reordering)
-                // read-repair pulls the acceptor's current vote.
-                let Some(outcome) = self.fold_delta(&key, from, &delta) else {
-                    return Vec::new();
-                };
-                match outcome {
-                    FoldOutcome::Vote(vote) => self.on_vote(from, key, vote, ctx),
-                    FoldOutcome::Diverged => {
-                        // One pull per divergence: every vote arriving
-                        // during the repair round trip re-detects the
-                        // same gap, and re-pulling each time would ship
-                        // the full cstruct once per in-flight vote.
-                        let pull = self
-                            .shadow_mut(&key, from)
-                            .map(|view| view.should_pull())
-                            .unwrap_or(false);
-                        if pull {
-                            self.stats.repair_pulls += 1;
-                            ctx.send(from, Msg::CstructPull { key });
-                        }
-                        Vec::new()
-                    }
-                    FoldOutcome::Stale => Vec::new(),
-                }
-            }
+            Msg::VoteDelta { key, delta } => self.on_vote_delta(from, key, &delta, ctx),
             Msg::CstructFull { key, vote } => {
                 // Read-repair response: reset the diverged shadow to the
                 // acceptor's exact state, then learn from the vote.
@@ -534,6 +449,39 @@ impl TransactionManager {
                 }
                 self.on_vote(from, key, vote, ctx)
             }
+            Msg::AlreadyResolved { key, txn, outcome } => {
+                let status = match outcome {
+                    TxnOutcome::Committed => OptionStatus::Accepted,
+                    TxnOutcome::Aborted => OptionStatus::Rejected(AbortReason::Resolved),
+                };
+                if let Some(active) = self.active.get_mut(&txn) {
+                    active.coord.decide(&key, status);
+                }
+                self.record_decision(txn, key, ctx)
+            }
+            Msg::ReadResp {
+                req,
+                key,
+                version,
+                value,
+            } => self.on_read_resp(from, req, key, version, value, ctx),
+            Msg::NotFast { .. }
+            | Msg::GoFast { .. }
+            | Msg::InstanceFull { .. }
+            | Msg::MasterHint { .. }
+            | Msg::RecordHint { .. } => {
+                self.on_reroute(msg, ctx);
+                Vec::new()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// A storage node says a proposal belongs elsewhere (the record's
+    /// ballot mode changed, its instance is full, its master moved):
+    /// remember the route and send the option there.
+    fn on_reroute(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        match msg {
             Msg::NotFast { key, opt, promised } => {
                 // The record is under a classic ballot: remember the
                 // master and retry through it (§3.3.1 fallback).
@@ -542,18 +490,14 @@ impl TransactionManager {
                     self.classic_cache.insert(key, promised.proposer);
                     ctx.send(promised.proposer, Msg::ProposeToMaster(opt));
                 }
-                Vec::new()
             }
             Msg::GoFast { key, opt } => {
                 // The record reopened fast ballots: drop the cache entry
                 // and propose directly.
                 self.classic_cache.remove(&key);
                 if self.relevant(&opt) {
-                    for r in self.placement.replicas(&key) {
-                        ctx.send(r, Msg::Propose(opt.clone()));
-                    }
+                    self.propose_fast(&opt, ctx);
                 }
-                Vec::new()
             }
             Msg::InstanceFull { key, opt } => {
                 // Ask the master to close + re-base the instance, then
@@ -565,26 +509,11 @@ impl TransactionManager {
                     self.classic_cache.insert(key, master);
                     ctx.send(master, Msg::ProposeToMaster(opt));
                 }
-                Vec::new()
             }
-            Msg::AlreadyResolved { key, txn, outcome } => {
-                let status = match outcome {
-                    TxnOutcome::Committed => OptionStatus::Accepted,
-                    TxnOutcome::Aborted => OptionStatus::Rejected(AbortReason::Resolved),
-                };
-                self.record_decision(txn, key, status, ctx)
-            }
-            Msg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => self.on_read_resp(from, req, key, version, value, ctx),
             Msg::MasterHint { shard, node } => {
                 // A replica redirected us: route this shard's mastered
                 // traffic to the current lease holder.
                 self.lease_cache.insert(shard, node);
-                Vec::new()
             }
             Msg::RecordHint { key, node } => {
                 // The shard holder redirected us record-granularly:
@@ -595,9 +524,8 @@ impl TransactionManager {
                     self.record_cache.clear();
                 }
                 self.record_cache.insert(key, node);
-                Vec::new()
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -614,41 +542,33 @@ impl TransactionManager {
             return Vec::new();
         };
         self.stats.timeouts += 1;
-        active.retries += 1;
-        let undecided: Vec<Key> = active
-            .options
-            .keys()
-            .filter(|k| !active.decided.contains_key(*k))
-            .cloned()
-            .collect();
         // We may *not* abort: options might already be learned by others.
         // Trigger recovery on stuck records and re-propose (acceptors and
         // masters deduplicate).
-        let opts: Vec<TxnOption> = undecided
-            .iter()
-            .map(|k| active.options[k].clone())
-            .collect();
+        let undecided = active.coord.undecided();
+        let opts: Vec<TxnOption> = undecided.map(|k| active.options[k].clone()).collect();
         // Exponential backoff: under heavy contention a recovery round can
         // outlast the base timeout, and re-triggering it on every tick
         // turns congestion into livelock.
-        let backoff = LEARN_TIMEOUT * (1u64 << active.retries.min(4));
+        let attempt = active.coord.next_attempt();
+        let backoff = LEARN_TIMEOUT * (1u64 << attempt.min(4));
         active.timer = ctx.set_timer(backoff, Msg::LearnTimeout { txn });
-        let attempt = self.active[&txn].retries;
-        for (key, opt) in undecided.into_iter().zip(opts) {
+        for opt in opts {
             // Rotate through the replicas: the default master may be in a
             // failed data center (master failover, §3.2.3).
-            let target = self.recovery_target(&key, attempt);
-            ctx.send(target, Msg::StartRecovery { key: key.clone() });
+            let key = opt.key.clone();
+            let target = recovery_target(&*self.placement, &key, attempt);
+            ctx.send(target, Msg::StartRecovery { key });
             if attempt >= 3 {
                 // The believed master may be the dead one; fall back to
                 // fast proposals, which any live node can vote on.
-                self.classic_cache.remove(&key);
+                self.classic_cache.remove(&opt.key);
             }
             if self.cfg.protocol.mastership.enabled {
                 // The believed lease holder may be the crashed node; drop
                 // both routes and let the rotated retry relearn them.
-                self.lease_cache.remove(&self.placement.shard_id(&key));
-                self.record_cache.remove(&key);
+                self.lease_cache.remove(&self.placement.shard_id(&opt.key));
+                self.record_cache.remove(&opt.key);
             }
             self.propose_attempt(opt, attempt, ctx);
         }
@@ -695,30 +615,47 @@ impl TransactionManager {
             .get_mut(idx)
     }
 
-    /// Folds one delta vote into the sender's shadow view. `None` when
-    /// the sender is not an acceptor of the record.
-    fn fold_delta(
+    /// Folds a delta vote into the sender's shadow view; on success the
+    /// reconstructed vote feeds the learners, on divergence (lost delta,
+    /// missed epoch, reordering) read-repair pulls the acceptor's
+    /// current vote. Ignored when the sender is not an acceptor of the
+    /// record.
+    fn on_vote_delta(
         &mut self,
-        key: &Key,
         from: NodeId,
-        delta: &mdcc_paxos::DeltaVote,
-    ) -> Option<FoldOutcome> {
-        let view = self.shadow_mut(key, from)?;
-        Some(view.fold(delta))
+        key: Key,
+        delta: &DeltaVote,
+        ctx: &mut Ctx<'_, Msg>,
+    ) -> Vec<TmEvent> {
+        let Some(view) = self.shadow_mut(&key, from) else {
+            return Vec::new();
+        };
+        match view.fold(delta) {
+            FoldOutcome::Vote(vote) => return self.on_vote(from, key, vote, ctx),
+            // One pull per divergence: every vote arriving during the
+            // repair round trip re-detects the same gap, and re-pulling
+            // each time would ship the full cstruct once per in-flight
+            // vote.
+            FoldOutcome::Diverged if view.should_pull() => {
+                self.stats.repair_pulls += 1;
+                ctx.send(from, Msg::CstructPull { key });
+            }
+            FoldOutcome::Diverged | FoldOutcome::Stale => {}
+        }
+        Vec::new()
     }
 
     fn relevant(&self, opt: &TxnOption) -> bool {
         self.active
             .get(&opt.txn)
-            .map(|a| !a.decided.contains_key(&opt.key))
-            .unwrap_or(false)
+            .is_some_and(|a| !a.coord.is_decided(&opt.key))
     }
 
     fn on_vote(
         &mut self,
         from: NodeId,
         key: Key,
-        vote: mdcc_paxos::acceptor::Phase2b,
+        vote: Phase2b,
         ctx: &mut Ctx<'_, Msg>,
     ) -> Vec<TmEvent> {
         // A vote can decide any of our in-flight transactions still
@@ -741,29 +678,12 @@ impl TransactionManager {
             }
             .expect("taken only by the last candidate");
             let active = self.active.get_mut(&txn).expect("candidate exists");
-            let learner = active.learners.get_mut(&key).expect("learner exists");
-            let shown = self.trace_votes.then(|| {
-                format!(
-                    "v={} b={} cstruct={}",
-                    vote.version.0, vote.ballot, vote.cstruct
-                )
-            });
-            let outcome = learner.on_vote(idx, vote);
-            if let Some(shown) = shown {
-                eprintln!(
-                    "[tm-trace t={}] {txn} {key} vote from a{idx} {shown} -> {outcome:?} ({} resp)",
-                    ctx.now,
-                    learner.responses()
-                );
-            }
-            match outcome {
-                LearnOutcome::Learned(status) => {
-                    if !learner.learned_fast() {
-                        active.all_fast = false;
-                    }
+            let progress = active.coord.on_vote(&key, idx, vote);
+            match progress {
+                Progress::Learned { status, fast } => {
+                    active.all_fast &= fast;
                     let commutative = active.options[&key].is_commutative();
-                    let fast = learner.learned_fast();
-                    events.extend(self.record_decision(txn, key.clone(), status, ctx));
+                    events.extend(self.record_decision(txn, key.clone(), ctx));
                     // Algorithm 1, lines 24–26: a rejected commutative
                     // option in a fast ballot signals a demarcation-limit
                     // hit; the master must re-base.
@@ -772,38 +692,28 @@ impl TransactionManager {
                         ctx.send(master, Msg::StartRecovery { key: key.clone() });
                     }
                 }
-                LearnOutcome::Collision => {
+                Progress::Collision { ask_master } => {
                     self.stats.collisions += 1;
-                    let active = self.active.get_mut(&txn).expect("candidate exists");
-                    if active.recovery_sent.insert(key.clone()) {
+                    if ask_master {
                         let master = self.placement.master(&key);
                         ctx.send(master, Msg::StartRecovery { key: key.clone() });
                     }
                 }
-                LearnOutcome::Undecided => {}
+                Progress::Undecided => {}
             }
         }
         events
     }
 
-    fn record_decision(
-        &mut self,
-        txn: TxnId,
-        key: Key,
-        status: OptionStatus,
-        ctx: &mut Ctx<'_, Msg>,
-    ) -> Vec<TmEvent> {
-        let Some(active) = self.active.get_mut(&txn) else {
+    /// `key`'s option of `txn` now has a status: stop feeding it votes
+    /// and, once every option has one, finish the transaction.
+    fn record_decision(&mut self, txn: TxnId, key: Key, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
+        let Some(active) = self.active.get(&txn) else {
             return Vec::new();
         };
         if let Some(tracer) = &self.tracer {
-            tracer.end(
-                ctx.self_id,
-                Some(txn),
-                Some(key.clone()),
-                Phase::Phase2b,
-                ctx.now,
-            );
+            let key = Some(key.clone());
+            tracer.end(ctx.self_id, Some(txn), key, Phase::Phase2b, ctx.now);
         }
         if let Some(waiting) = self.waiting.get_mut(&key) {
             waiting.retain(|t| *t != txn);
@@ -811,62 +721,32 @@ impl TransactionManager {
                 self.waiting.remove(&key);
             }
         }
-        active.decided.insert(key, status);
-        if active.decided.len() < active.options.len() {
-            return Vec::new();
-        }
         // All options decided: the outcome is now deterministic (§3.2.1).
+        let Some(verdict) = active.coord.verdict() else {
+            return Vec::new();
+        };
         let active = self.active.remove(&txn).expect("present");
         ctx.cancel_timer(active.timer);
-        let mut abort_reason = None;
-        for status in active.decided.values() {
-            if let OptionStatus::Rejected(r) = status {
-                abort_reason = Some(*r);
-                break;
-            }
-        }
-        let outcome = if abort_reason.is_none() {
-            TxnOutcome::Committed
-        } else {
-            TxnOutcome::Aborted
-        };
         let finished = ctx.now;
         if let Some(tracer) = &self.tracer {
             tracer.end(ctx.self_id, Some(txn), None, Phase::Commit, finished);
             // The visibility span opens at the commit point; each replica
             // that applies the outcome extends it (node layer), and the
             // harvest closes it at the last application.
-            tracer.begin(
-                ctx.self_id,
-                self.cfg.my_dc,
-                Some(txn),
-                None,
-                Phase::Visibility,
-                finished,
-            );
+            let (me, dc) = (ctx.self_id, self.cfg.my_dc);
+            tracer.begin(me, dc, Some(txn), None, Phase::Visibility, finished);
         }
         // Visibility fan-out is asynchronous: it happens after the commit
         // point and does not add to transaction latency.
-        for key in active.options.keys() {
-            let learned_accepted = active.decided[key].is_accepted();
-            for r in self.placement.replicas(key) {
-                ctx.send(
-                    r,
-                    Msg::Visibility {
-                        txn,
-                        key: key.clone(),
-                        outcome,
-                        learned_accepted,
-                    },
-                );
-            }
-        }
+        let outcome = verdict.outcome;
+        let send = |to, msg| ctx.send(to, msg);
+        active
+            .coord
+            .visibility(outcome, &*self.placement, None, send);
         match outcome {
             TxnOutcome::Committed => {
                 self.stats.committed += 1;
-                if active.all_fast {
-                    self.stats.fast_commits += 1;
-                }
+                self.stats.fast_commits += u64::from(active.all_fast);
             }
             TxnOutcome::Aborted => self.stats.aborted += 1,
         }
@@ -875,7 +755,7 @@ impl TransactionManager {
             outcome,
             started: active.started,
             finished,
-            abort_reason,
+            abort_reason: verdict.abort_reason,
             fast_path: active.all_fast,
         })]
     }
@@ -922,9 +802,6 @@ impl TransactionManager {
                 (k.clone(), version, value)
             })
             .collect();
-        vec![TmEvent::ReadDone {
-            token: task.token,
-            values,
-        }]
+        vec![TmEvent::ReadDone { token: req, values }]
     }
 }

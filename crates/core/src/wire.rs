@@ -11,7 +11,7 @@
 //! traffic is [`TrafficClass::Sync`], everything else — proposals,
 //! votes, Phase1/2, visibility, recovery — is [`TrafficClass::Protocol`].
 
-use mdcc_common::wire::{err, frame, wire_len, Dec, Enc, Wire, WireResult, FRAME_OVERHEAD};
+use mdcc_common::wire::{err, wire_len, Dec, Enc, Wire, WireResult, FRAME_OVERHEAD};
 use mdcc_common::{Key, TxnId};
 use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot};
 use mdcc_paxos::{Ballot, DeltaVote, TxnOutcome};
@@ -402,16 +402,10 @@ impl NetMessage for Msg {
     }
 }
 
-/// Frames one message exactly as [`NetMessage::wire_bytes`] accounts it
-/// (tests and tooling).
-pub fn frame_msg(msg: &Msg) -> Vec<u8> {
-    frame(msg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdcc_common::wire::{from_bytes, to_bytes};
+    use mdcc_common::wire::{frame, from_bytes, to_bytes};
     use mdcc_common::{CommutativeUpdate, DcId, NodeId, Row, TableId, UpdateOp, Version};
     use mdcc_mastership::{Ballot as MsBallot, HolderHint, MsMsg, OverrideRun};
     use mdcc_paxos::{CStruct, OptionStatus, Resolution, TxnOption};
@@ -697,7 +691,7 @@ mod tests {
     fn wire_bytes_is_framed_encoding_len() {
         for msg in samples() {
             assert_eq!(msg.wire_bytes(), to_bytes(&msg).len() + FRAME_OVERHEAD);
-            assert_eq!(msg.wire_bytes(), frame_msg(&msg).len());
+            assert_eq!(msg.wire_bytes(), frame(&msg).len());
         }
     }
 

@@ -135,16 +135,6 @@ fn multi_mode_contended() {
             cl.tm.stats()
         );
     }
-    for &n in &storage {
-        let node = world.get::<StorageNodeProcess>(n).unwrap();
-        let leaders = node.leader_debug();
-        if !leaders.is_empty() {
-            for (k, leading, establishing, inflight, qlen) in leaders {
-                eprintln!("node {n} leader {k}: leading={leading} establishing={establishing} inflight={inflight} queue={qlen} version={:?} pending={}",
-                    node.store().with_record(&k, |r| r.version()), node.store().pending_len());
-            }
-        }
-    }
     eprintln!("total completions: {total}");
     assert!(total > 400, "only {total} completions in 60s");
 }

@@ -528,13 +528,19 @@ impl LeaseTable {
     }
 
     /// Installs decoded runs (a predecessor's table), raising each
-    /// record's floor to at least the run's ballot.
-    pub fn install_runs(&mut self, runs: &[OverrideRun]) {
+    /// record's floor to at least the run's ballot; returns the records
+    /// whose floor rose, for the caller to log.
+    pub fn install_runs(&mut self, runs: &[OverrideRun]) -> Vec<(u64, Ballot)> {
+        let mut raised = Vec::new();
         for run in runs {
-            for i in 0..run.len as u64 {
-                self.raise(run.start + i, run.ballot);
+            for i in 0..u64::from(run.len) {
+                let record = run.start.wrapping_add(i);
+                if self.raise(record, run.ballot) {
+                    raised.push((record, run.ballot));
+                }
             }
         }
+        raised
     }
 
     /// All `(record id, ballot)` pairs sorted by id — deterministic

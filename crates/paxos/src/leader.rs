@@ -132,22 +132,6 @@ impl LeaderRecord {
         matches!(self.phase, Phase::Leading { .. })
     }
 
-    /// True while Phase 1 is in progress.
-    pub fn is_establishing(&self) -> bool {
-        matches!(self.phase, Phase::Establishing { .. })
-    }
-
-    /// True while a Phase2a close is outstanding for the current
-    /// instance.
-    pub fn is_inflight(&self) -> bool {
-        self.closing
-    }
-
-    /// Number of queued options (introspection for tests/metrics).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Records a ballot observed in the wild so future ballots beat it.
     pub fn observe_ballot(&mut self, b: Ballot) {
         if b > self.max_seen {
@@ -593,7 +577,7 @@ mod tests {
             "recovery adopts the proved-safe cstruct"
         );
         assert!(l.is_leading());
-        assert!(l.is_inflight(), "close outstanding");
+        assert!(l.closing, "close outstanding");
     }
 
     #[test]
@@ -710,7 +694,7 @@ mod tests {
         assert!(p2.close_instance, "cap hit closes the instance");
         // While closing, new proposals queue.
         assert!(l.enqueue(comm_opt(3)).is_empty());
-        assert_eq!(l.queue_len(), 1);
+        assert_eq!(l.queue.len(), 1);
         // The advance drains the queue into the fresh instance.
         let drained = l.on_advance(snapshot());
         assert!(matches!(&drained[0], LeaderAction::Phase2a(p) if p.new_options[0].txn == txn(3)));
@@ -746,7 +730,7 @@ mod tests {
             panic!("expected re-establishment")
         };
         assert!(b2 > foreign);
-        assert_eq!(l.queue_len(), 1, "window option went back to the queue");
+        assert_eq!(l.queue.len(), 1, "window option went back to the queue");
     }
 
     #[test]
