@@ -117,7 +117,7 @@ impl BaselineStore {
             }
             UpdateOp::Commutative(c) => {
                 let mut row = entry.1.take().unwrap_or_default();
-                for (attr, delta) in &c.deltas {
+                for (attr, delta) in c.deltas.iter() {
                     row.apply_delta(attr, *delta);
                 }
                 entry.1 = Some(row);

@@ -9,7 +9,8 @@
 //! classically while the lease machinery converges.
 
 use mdcc_cluster::{
-    micro_catalog, run_mdcc, ClusterSpec, FaultEvent, FaultPlan, MdccMode, NetKind, Report,
+    micro_catalog, run_mdcc, ClientPlacement, ClusterSpec, FaultEvent, FaultPlan, MdccMode,
+    NetKind, Report,
 };
 use mdcc_common::{DcId, Key, MastershipConfig, Row, SimDuration, SimTime};
 use mdcc_core::TxnStats;
@@ -140,6 +141,48 @@ fn lease_phase1_skips_cold_phase1_and_stays_byte_equal() {
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "replicas diverged under Phase1-less lease takeover"
+    );
+}
+
+/// The warm twin: the election is Phase 1 for records the predecessor
+/// wrote, too. Every client sits in one data center, away from the
+/// initial holder, so the records are written under holder A until the
+/// lease migrates to the clients' replica B — and B's first touch of a
+/// record that is warm under A's ballot goes out at B's lease ballot,
+/// naming the cstruct it extends, with no Phase1a round before it. A
+/// few records still pay one (an append of A's was in flight when B
+/// touched them: some replica held a different cstruct and said so);
+/// every replica converges to byte-equal committed state.
+#[test]
+fn lease_phase1_skips_warm_phase1_and_stays_byte_equal() {
+    let away = DcId((initial_holder_dc(46).0 + 1) % 5);
+    let mut s = spec(46);
+    s.client_placement = ClientPlacement::AllIn(away);
+    s.protocol.mastership = MastershipConfig::enabled();
+    let (report, _) = run(&s);
+    assert_healthy("warm-handoff", &report);
+    assert_no_overlapping_leases("warm-handoff", &report);
+    let ms = &report.mastership;
+    assert!(ms.handoffs >= 1, "the lease never followed the clients");
+    let holders: std::collections::HashSet<_> = report.lease_spans.iter().map(|l| l.node).collect();
+    assert!(
+        holders.len() >= 2,
+        "one holder only: nothing was handed off"
+    );
+    let (skipped, covered) = (ms.phase1_skipped, ms.phase1_covered);
+    assert!(
+        skipped > ITEMS / 2,
+        "the successor first-touched only {skipped} of {ITEMS} warm records without Phase 1"
+    );
+    assert!(
+        covered * 4 <= skipped + covered,
+        "{covered} of {} first touches under a lease still ran a Phase 1 round",
+        skipped + covered
+    );
+    let digests = &report.audit.as_ref().expect("audited").committed_digests;
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "replicas diverged under a Phase1-less warm lease takeover"
     );
 }
 

@@ -1,6 +1,7 @@
 //! Identifiers for data centers, nodes, tables, records and transactions.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a geographic data center (the paper deploys five).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,8 +44,10 @@ impl fmt::Display for TableId {
 pub struct Key {
     /// Table this record belongs to.
     pub table: TableId,
-    /// Table-unique primary key.
-    pub pk: String,
+    /// Table-unique primary key. Shared, not owned: a key is immutable
+    /// and every replica-side copy of an option carries it, so a clone
+    /// is a reference count, not an allocation.
+    pub pk: Arc<str>,
 }
 
 impl Key {
@@ -52,7 +55,7 @@ impl Key {
     pub fn new(table: TableId, pk: impl Into<String>) -> Self {
         Self {
             table,
-            pk: pk.into(),
+            pk: pk.into().into(),
         }
     }
 }

@@ -80,31 +80,43 @@ impl PhysicalUpdate {
 }
 
 /// A set of commutative attribute deltas, e.g. `decrement(stock, 1)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CommutativeUpdate {
     /// `(attribute, delta)` pairs; a negative delta is a decrement.
-    pub deltas: Vec<(String, i64)>,
+    /// Immutable once built and shared by every copy of the option that
+    /// carries it: a clone is a reference count.
+    pub deltas: Arc<[(Arc<str>, i64)]>,
+}
+
+impl Default for CommutativeUpdate {
+    fn default() -> Self {
+        Self {
+            deltas: Arc::new([]),
+        }
+    }
 }
 
 impl CommutativeUpdate {
     /// A single-attribute delta.
     pub fn delta(attr: impl Into<String>, delta: i64) -> Self {
         Self {
-            deltas: vec![(attr.into(), delta)],
+            deltas: Arc::new([(attr.into().into(), delta)]),
         }
     }
 
     /// Builder-style extra delta.
-    pub fn and(mut self, attr: impl Into<String>, delta: i64) -> Self {
-        self.deltas.push((attr.into(), delta));
-        self
+    pub fn and(self, attr: impl Into<String>, delta: i64) -> Self {
+        let extra = (attr.into().into(), delta);
+        Self {
+            deltas: self.deltas.iter().cloned().chain([extra]).collect(),
+        }
     }
 
     /// Net delta applied to `attr` by this update.
     pub fn delta_for(&self, attr: &str) -> i64 {
         self.deltas
             .iter()
-            .filter(|(a, _)| a == attr)
+            .filter(|(a, _)| &**a == attr)
             .map(|(_, d)| d)
             .sum()
     }

@@ -3,9 +3,16 @@
 //! A stored record is a [`Row`]: a small ordered map from attribute name to
 //! [`Value`]. Commutative updates (§3.4 of the paper) apply integer deltas
 //! to individual attributes; physical updates replace the whole row.
+//!
+//! Rows are copied far more often than they are built — into every
+//! snapshot a Phase2a carries, every demarcation base, every replica at
+//! load — and most hold a handful of attributes, so a row is one sorted
+//! vector with shared attribute names: a clone is one allocation and a
+//! reference count per attribute, where a tree map paid a node sized for
+//! eleven entries plus a string per name.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute value.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,7 +74,8 @@ impl fmt::Display for Value {
 /// A record body: attribute name → value.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Hash)]
 pub struct Row {
-    attrs: BTreeMap<String, Value>,
+    /// Sorted by attribute name, names unique.
+    attrs: Vec<(Arc<str>, Value)>,
 }
 
 impl Row {
@@ -86,28 +94,40 @@ impl Row {
     /// assert_eq!(row.get_int("stock"), Some(10));
     /// ```
     pub fn with(mut self, attr: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.attrs.insert(attr.into(), value.into());
+        self.set(attr, value);
         self
+    }
+
+    /// Where `attr` is (`Ok`) or belongs (`Err`) in the sorted vector.
+    fn position(&self, attr: &str) -> Result<usize, usize> {
+        self.attrs.binary_search_by(|(name, _)| (**name).cmp(attr))
     }
 
     /// Sets an attribute, returning the previous value if any.
     pub fn set(&mut self, attr: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        self.attrs.insert(attr.into(), value.into())
+        let (attr, value) = (attr.into(), value.into());
+        match self.position(&attr) {
+            Ok(at) => Some(std::mem::replace(&mut self.attrs[at].1, value)),
+            Err(at) => {
+                self.attrs.insert(at, (attr.into(), value));
+                None
+            }
+        }
     }
 
     /// Reads an attribute.
     pub fn get(&self, attr: &str) -> Option<&Value> {
-        self.attrs.get(attr)
+        self.position(attr).ok().map(|at| &self.attrs[at].1)
     }
 
     /// Reads an integer attribute, `None` if absent or non-integer.
     pub fn get_int(&self, attr: &str) -> Option<i64> {
-        self.attrs.get(attr).and_then(Value::as_int)
+        self.get(attr).and_then(Value::as_int)
     }
 
     /// Reads a string attribute, `None` if absent or non-string.
     pub fn get_str(&self, attr: &str) -> Option<&str> {
-        self.attrs.get(attr).and_then(Value::as_str)
+        self.get(attr).and_then(Value::as_str)
     }
 
     /// Adds `delta` to an integer attribute, treating a missing attribute
@@ -117,10 +137,17 @@ impl Row {
     /// runs, the acceptors have already validated the constraint, so the
     /// addition itself is unconditional.
     pub fn apply_delta(&mut self, attr: &str, delta: i64) -> i64 {
-        let cur = self.get_int(attr).unwrap_or(0);
-        let new = cur + delta;
-        self.attrs.insert(attr.to_owned(), Value::Int(new));
-        new
+        match self.position(attr) {
+            Ok(at) => {
+                let new = self.attrs[at].1.as_int().unwrap_or(0) + delta;
+                self.attrs[at].1 = Value::Int(new);
+                new
+            }
+            Err(at) => {
+                self.attrs.insert(at, (attr.into(), Value::Int(delta)));
+                delta
+            }
+        }
     }
 
     /// Number of attributes.
@@ -135,7 +162,7 @@ impl Row {
 
     /// Iterates attributes in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v))
+        self.attrs.iter().map(|(k, v)| (&**k, v))
     }
 }
 
@@ -154,9 +181,11 @@ impl fmt::Display for Row {
 
 impl FromIterator<(String, Value)> for Row {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        Row {
-            attrs: iter.into_iter().collect(),
+        let mut row = Row::new();
+        for (attr, value) in iter {
+            row.set(attr, value);
         }
+        row
     }
 }
 
@@ -180,6 +209,27 @@ mod tests {
         assert_eq!(row.apply_delta("stock", -3), -3);
         assert_eq!(row.apply_delta("stock", 5), 2);
         assert_eq!(row.get_int("stock"), Some(2));
+    }
+
+    #[test]
+    fn attributes_stay_sorted_and_unique_however_they_arrive() {
+        let pairs = [("m", 1), ("a", 2), ("z", 3), ("m", 4), ("b", 5)];
+        let row: Row = pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), Value::Int(*v)))
+            .collect();
+        let names: Vec<&str> = row.iter().map(|(k, _)| k).collect();
+        assert_eq!(names, ["a", "b", "m", "z"]);
+        assert_eq!(row.get_int("m"), Some(4), "the later value wins");
+        let built = Row::new()
+            .with("z", 3)
+            .with("b", 5)
+            .with("m", 4)
+            .with("a", 2);
+        assert_eq!(row, built, "equality does not depend on insertion order");
+        // A clone shares the names.
+        let copy = row.clone();
+        assert!(Arc::ptr_eq(&row.attrs[0].0, &copy.attrs[0].0));
     }
 
     #[test]

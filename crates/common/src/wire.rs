@@ -576,7 +576,7 @@ impl Wire for Key {
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         let table = TableId::decode(inp)?;
-        let pk = inp.str()?;
+        let pk = inp.str()?.into();
         Ok(Key { table, pk })
     }
 }
@@ -683,7 +683,7 @@ impl Wire for PhysicalUpdate {
 impl Wire for CommutativeUpdate {
     fn encode(&self, out: &mut Enc) {
         out.u32(self.deltas.len() as u32);
-        for (attr, delta) in &self.deltas {
+        for (attr, delta) in self.deltas.iter() {
             out.str(attr);
             out.i64(*delta);
         }
@@ -695,9 +695,11 @@ impl Wire for CommutativeUpdate {
         }
         let mut deltas = Vec::with_capacity(n);
         for _ in 0..n {
-            deltas.push((inp.str()?, inp.i64()?));
+            deltas.push((inp.str()?.into(), inp.i64()?));
         }
-        Ok(CommutativeUpdate { deltas })
+        Ok(CommutativeUpdate {
+            deltas: deltas.into(),
+        })
     }
 }
 

@@ -6,9 +6,11 @@
 //! granted ballot doubles as the Phase1-promised classic ballot for every
 //! record in the shard. The floor is enforced lazily — the storage node
 //! asks [`LeaseFence::floor_for`] right before the acceptor judges a
-//! Phase1a or Phase2a — so the holder's first Phase2a for a cold record
-//! is immediately valid and a deposed holder's stale ballot Nacks without
-//! a per-record Phase1 exchange. Hot records whose classic ballot
+//! Phase1a or Phase2a — so the holder's first Phase2a for a record, cold
+//! or warm, is at a ballot the acceptor has promised (lease ballots are
+//! tenure-major: a new tenure's clears anything raised inside the old
+//! one) and a deposed holder's stale ballot Nacks without a per-record
+//! Phase1 exchange. Hot records whose classic ballot
 //! diverged from the shard lease (a contested takeover, collision
 //! recovery led elsewhere) carry a per-record override, bounded per shard
 //! by [`LEASE_RECORD_OVERRIDES`] and handed to the successor on
@@ -124,12 +126,18 @@ impl LeaseFence {
     /// (seen in a Nack): remembers the divergence so routing and
     /// enforcement honor it record by record. Returns the record to log
     /// if the override rose.
+    ///
+    /// Floors and overrides are election ballots, so the promise counts
+    /// as the tenure it was raised in ([`Ballot::tenure`]): the explicit
+    /// Phase 1 rounds a record ran inside a tenure say nothing about who
+    /// holds the shard, and the floor the override enforces is that
+    /// tenure's lease ballot — at or below what the acceptors promised.
     pub fn note_promise(&mut self, key: &Key, promised: Ballot) -> Option<WalRecord> {
         if !self.enabled || promised.is_fast() {
             return None;
         }
         let (shard, record) = self.locate(key);
-        let ballot = MsBallot::new(promised.round, promised.proposer.0 as u64);
+        let ballot = MsBallot::new(promised.tenure(), promised.proposer.0 as u64);
         if self.floors.get(&shard).is_some_and(|f| ballot <= *f) {
             return None; // Within the shard lease: no divergence to record.
         }
@@ -219,7 +227,7 @@ mod tests {
         assert!(fence.raise_floor(0, MsBallot::new(2, 3)).is_some());
         assert!(fence.raise_floor(0, MsBallot::new(2, 1)).is_none(), "lower");
         for i in 0..40 {
-            let promised = Ballot::classic(5 + i % 3, NodeId(i % 5));
+            let promised = Ballot::lease(5 + i % 3, NodeId(i % 5)).next_classic(NodeId(i % 5));
             assert!(fence.note_promise(&key(i), promised).is_some());
         }
         let run = OverrideRun {
@@ -250,7 +258,7 @@ mod tests {
         let k = key(1);
         let shard = placement().shard_id(&k);
         assert!(fence
-            .note_promise(&k, Ballot::classic(6, NodeId(3)))
+            .note_promise(&k, Ballot::lease(6, NodeId(3)))
             .is_some());
         assert_eq!(fence.route(&k, NodeId(0)), Some(NodeId(3)));
         assert_eq!(fence.route(&k, NodeId(3)), None, "the target is this node");
@@ -263,7 +271,7 @@ mod tests {
         assert_eq!(fence.route(&k, NodeId(1)), None, "below the floor");
         assert_eq!(fence.floor_for(&k), Some(Ballot::lease(8, NodeId(0))));
         assert!(fence
-            .note_promise(&k, Ballot::classic(7, NodeId(4)))
+            .note_promise(&k, Ballot::lease(7, NodeId(4)))
             .is_none());
         fence.retire(&k);
         assert_eq!(fence.floor_for(&k), Some(Ballot::lease(8, NodeId(0))));
@@ -273,7 +281,7 @@ mod tests {
     fn with_mastership_off_nothing_raises_it_and_it_answers_nothing() {
         let mut fence = LeaseFence::new(false, placement());
         assert!(fence
-            .note_promise(&key(1), Ballot::classic(6, NodeId(3)))
+            .note_promise(&key(1), Ballot::lease(6, NodeId(3)))
             .is_none());
         assert!(fence.note_promise(&key(1), Ballot::INITIAL_FAST).is_none());
         assert_eq!(fence.floor_for(&key(1)), None);

@@ -891,10 +891,7 @@ impl Process<Msg> for StorageNodeProcess {
                 self.on_propose_mastered(from, origin_dc, opt, ctx)
             }
             Msg::Mastership(inner) => self.on_mastership(from, inner, ctx),
-            Msg::StartRecovery { key } => {
-                let actions = self.leader_for(&key, ctx).start_recovery();
-                self.run_leader_actions(&key, actions, ctx);
-            }
+            Msg::StartRecovery { key } => self.lead_recovery(&key, ctx),
             Msg::P1a { key, ballot } => self.on_phase1a(from, key, ballot, ctx),
             Msg::P1b { key, payload } => self.on_phase1b(from, key, payload, ctx),
             Msg::P2a { key, payload } => self.on_phase2a(from, key, payload, ctx),

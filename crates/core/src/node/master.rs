@@ -2,14 +2,25 @@
 //! records it masters (by static placement, on request, or as the
 //! holder of the shard's lease), and that role's acceptor counterpart,
 //! Phase1a/Phase2a behind the lease fence.
+//!
+//! Under dynamic mastership a lease handoff costs a record nothing. The
+//! new holder's first touch assumes the lease ballot and appends in one
+//! WAN round trip, naming the cstruct it extends
+//! ([`StorageNodeProcess::claim_lease_ballot`]); acceptors compare
+//! before they log ([`StorageNodeProcess::refused_base`]); a leader of
+//! an earlier tenure steps down first and a node that hands a shard on
+//! drops the shard's idle leaders
+//! ([`StorageNodeProcess::current_leader`],
+//! [`StorageNodeProcess::drop_quiescent_leaders`]).
 
 use mdcc_common::{DcId, Key, NodeId};
 use mdcc_mastership::{Action as MsAction, MsMsg};
 use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
-use mdcc_paxos::{Ballot, LeaderRecord, TxnOption};
+use mdcc_paxos::{Ballot, CStruct, LeaderRecord, TxnOption};
 use mdcc_recovery::WalRecord;
 use mdcc_sim::Ctx;
+use mdcc_storage::RecordStore;
 use mdcc_trace::Phase;
 
 use super::{StorageNodeProcess, REDIRECTED_FAST_CAP};
@@ -77,45 +88,86 @@ impl StorageNodeProcess {
         self.run_leader_actions(&key, actions, ctx);
     }
 
-    /// A fresh lease holder starts its classic ballots above the
-    /// election ballot so its Phase1a outranks the predecessor's — and
-    /// skips Phase1 entirely for cold records (lease-carried Phase1):
-    /// the granted lease ballot is already the promise floor on a grant
-    /// quorum of acceptors, so the first Phase2a at that ballot is
-    /// immediately valid (one WAN round trip).
+    /// The lease handoff, record by record and only when a record is
+    /// touched: winning the shard's election *is* Phase 1 for everything
+    /// in the shard. The granted lease ballot is the promise floor on a
+    /// grant quorum of acceptors, and lease ballots are tenure-major, so
+    /// it clears whatever a predecessor raised on the record; the
+    /// holder's first Phase2a therefore goes out at the lease ballot with
+    /// no Phase1a/Phase1b round (one WAN round trip), naming the trace
+    /// digest of the cstruct it extends — the local replica's — so that
+    /// only acceptors holding exactly that join the ballot's stream (see
+    /// [`mdcc_paxos::AcceptorRecord::refuses_base`]; a replica that
+    /// differs Nacks and the leader runs Phase 1 after all). The only
+    /// case left for explicit Phase 1 up front is a local promise above
+    /// the lease ballot: someone re-established the record inside this
+    /// tenure.
     fn claim_lease_ballot(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
         let Some(ms) = &self.mastership else { return };
         let shard = self.placement.shard_id(key);
-        let Some(floor) = ms.ballot_floor(shard) else {
-            return;
-        };
-        let ballot = Ballot::lease(floor, ctx.self_id);
-        // Only worth attempting when the local replica (this node is one of
-        // the record's acceptors) says a pipelined append at the lease
-        // ballot could actually land: the record is already in this ballot's
-        // stream, or it is cold AND the lease ballot clears the local
-        // promise. A record warm under a predecessor's ballot would bounce
-        // off the warm-record guard, and one whose promise is a deposed
-        // holder's higher classic ballot would be Nacked outright — either
-        // way the wasted WAN round trip (and the spurious record override
-        // the Nack would raise) costs more than running Phase1 up front.
-        let locally_cold = self
+        let lease = ms
+            .ballot_floor(shard)
+            .filter(|_| ms.is_serving(shard, ctx.now));
+        let lease = lease.map(|n| Ballot::lease(n, ctx.self_id));
+        if self.current_leader(key, ctx).is_leading() {
+            return; // Every touch but the first after a handoff.
+        }
+        let Some(lease) = lease else { return };
+        let local = self
             .store
-            .with_record(key, |r| {
-                r.accepted_ballot() == Some(ballot)
-                    || (r.cstruct().is_empty() && r.promised() <= ballot)
-            })
-            .unwrap_or(true);
-        if ms.is_serving(shard, ctx.now)
-            && locally_cold
-            && self.leader_for(key, ctx).assume_leadership(ballot)
-        {
+            .with_record(key, |r| (r.promised(), r.cstruct().trace_digest()));
+        let (promised, base) = local.unwrap_or((Ballot::INITIAL_FAST, CStruct::EMPTY_TRACE_DIGEST));
+        let leader = self
+            .leaders
+            .get_mut(key)
+            .expect("current_leader ensured it");
+        if promised <= lease && leader.assume_leadership(lease, base) {
             if let Some(ms) = self.mastership.as_mut() {
                 ms.note_phase1_skipped();
             }
-        } else {
-            self.leader_for(key, ctx).observe_ballot(ballot);
         }
+    }
+
+    /// `key`'s leader, brought up to date with the leases before it is
+    /// asked to do anything. A leader this node still has from an
+    /// *earlier* tenure — left leading a ballot that the tenures in
+    /// between deposed, and never told — steps down: its next Phase2a
+    /// would go out at the dead ballot and come back as five Nacks. And
+    /// whatever it establishes next starts above the highest lease
+    /// ballot this node has granted for the record (its own tenures
+    /// included) and above what the record promised meanwhile, not from
+    /// scratch. With dynamic mastership off there is no floor and this
+    /// is [`Self::leader_for`].
+    fn current_leader(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> &mut LeaderRecord {
+        let floor = self.fence.floor_for(key);
+        self.leader_for(key, ctx);
+        let store = &self.store;
+        let leader = self.leaders.get_mut(key).expect("just ensured");
+        if let Some(floor) = floor {
+            leader.step_down(floor, outcome_known(store, key));
+            let promised = store.with_record(key, |r| r.promised());
+            leader.observe_ballot(promised.map_or(floor, |p| p.max(floor)));
+        }
+        leader
+    }
+
+    /// Someone asked this node to recover `key`'s instance
+    /// (`Msg::StartRecovery`).
+    pub(super) fn lead_recovery(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+        let actions = self.current_leader(key, ctx).start_recovery();
+        self.run_leader_actions(key, actions, ctx);
+    }
+
+    /// This node handed `shard`'s lease on: its leaders for the shard's
+    /// records are deposed. Those with nothing in flight are dropped —
+    /// each holds a `RecordSnapshot` and every option of its open
+    /// instance, and [`Self::leader_for`] rebuilds one from the record
+    /// if the lease ever comes back. The rest finish what they started.
+    fn drop_quiescent_leaders(&mut self, shard: u32) {
+        let (store, placement) = (&self.store, &self.placement);
+        self.leaders.retain(|key, leader| {
+            placement.shard_id(key) != shard || !leader.is_quiescent(outcome_known(store, key))
+        });
     }
 
     /// Emits the mastership layer's queued sends as wrapped messages
@@ -137,16 +189,13 @@ impl StorageNodeProcess {
                     if !runs.is_empty() {
                         ctx.send(to, Msg::Mastership(MsMsg::Overrides { shard, runs }));
                     }
+                    self.drop_quiescent_leaders(shard);
                 }
             }
         }
     }
 
     pub(super) fn leader_for(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> &mut LeaderRecord {
-        let snapshot = self
-            .store
-            .with_record(key, |r| r.snapshot())
-            .unwrap_or_else(mdcc_paxos::RecordSnapshot::absent);
         let cfg = LeaderConfig {
             n: self.cfg.replication,
             qc: self.cfg.classic_quorum,
@@ -154,11 +203,14 @@ impl StorageNodeProcess {
             gamma: self.cfg.gamma,
             allow_fast: self.allow_fast,
             max_instance_options: self.cfg.max_instance_options,
+            name_base: self.cfg.mastership.enabled,
         };
-        let self_id = ctx.self_id;
-        self.leaders
-            .entry(key.clone())
-            .or_insert_with(|| LeaderRecord::new(cfg, self_id, snapshot))
+        let (store, self_id) = (&self.store, ctx.self_id);
+        self.leaders.entry(key.clone()).or_insert_with(|| {
+            let snapshot = store.with_record(key, |r| r.snapshot());
+            let snapshot = snapshot.unwrap_or_else(mdcc_paxos::RecordSnapshot::absent);
+            LeaderRecord::new(cfg, self_id, snapshot)
+        })
     }
 
     pub(super) fn run_leader_actions(
@@ -353,28 +405,18 @@ impl StorageNodeProcess {
         }
     }
 
-    /// Lease-carried-Phase1 warm guard: a pipelined append (`safe =
-    /// None`) from a ballot this record has not accepted yet, landing on
-    /// a non-empty current-instance cstruct, would fork that ballot's
-    /// serialized stream — acceptors in the stream hold the leader's
-    /// entries, this one would hold strays from a deposed leader, and
-    /// the learner's quorum-GLB can never converge across the fork.
-    /// Classic Phase1 prevents this by re-basing every acceptor with a
-    /// proved-safe cstruct; a lease holder that skipped Phase1 never sent
-    /// one, so the warm record bounces the append (with the promise to
-    /// Nack with) and the holder falls back to a full Phase1 round. Cold
-    /// records (empty cstruct — the first-touch case the optimization
-    /// exists for) are unaffected. Nothing is logged or mutated here, so
-    /// crash replay cannot diverge.
-    fn warm_guard(&self, key: &Key, payload: &Phase2a) -> Option<Ballot> {
-        if !self.cfg.mastership.enabled || payload.safe.is_some() {
+    /// The base check, ahead of the WAL: the ballot to Nack `payload`
+    /// with when it names a base this record does not hold
+    /// ([`mdcc_paxos::AcceptorRecord::refuses_base`] is the rule; the
+    /// leader falls back to Phase 1 proper). Nothing is logged or
+    /// mutated here, so crash replay cannot diverge: the WAL holds only
+    /// what the acceptor went on to judge, and the acceptor asks itself
+    /// again. Appends name their base only under dynamic mastership.
+    fn refused_base(&self, key: &Key, payload: &Phase2a) -> Option<Ballot> {
+        if !self.cfg.mastership.enabled {
             return None;
         }
-        let (warm, promised) = self.store.with_record(key, |r| {
-            let warm = r.accepted_ballot() != Some(payload.ballot) && !r.cstruct().is_empty();
-            (warm, r.promised())
-        })?;
-        warm.then(|| promised.max(payload.ballot))
+        self.store.with_record(key, |r| r.refuses_base(payload))?
     }
 
     pub(super) fn on_phase2a(
@@ -385,7 +427,7 @@ impl StorageNodeProcess {
         ctx: &mut Ctx<'_, Msg>,
     ) {
         self.enforce_floor(&key, ctx);
-        if let Some(promised) = self.warm_guard(&key, &payload) {
+        if let Some(promised) = self.refused_base(&key, &payload) {
             return ctx.send(from, Msg::P2aNack { key, promised });
         }
         self.wal_append(ctx, |at| {
@@ -413,5 +455,14 @@ impl StorageNodeProcess {
         if self.store.version_of(&key) != before {
             self.record_moved(&key, ctx);
         }
+    }
+}
+
+/// "Has `key`'s record an outcome for this option?" An option the
+/// record has never seen has none: its Phase2a may still be on the way.
+fn outcome_known<'a>(store: &'a RecordStore, key: &'a Key) -> impl Fn(&TxnOption) -> bool + 'a {
+    move |opt| {
+        let known = store.with_record(key, |r| r.has_outcome(opt.txn));
+        known.unwrap_or(false)
     }
 }

@@ -517,7 +517,7 @@ mod tests {
                     ballot: Ballot::classic(4, NodeId(1)),
                     version: Version(3),
                     snapshot: snapshot.clone(),
-                    safe: Some(cstruct.clone()),
+                    base: mdcc_paxos::acceptor::Base::ProvedSafe(cstruct.clone()),
                     new_options: vec![opt(11)],
                     close_instance: true,
                     reopen_fast: Some(Ballot::fast(5, NodeId(1))),

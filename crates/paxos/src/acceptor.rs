@@ -62,7 +62,7 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
-use crate::cstruct::{CStruct, Entry, Mark};
+use crate::cstruct::{trace_digest_of, CStruct, Entry, Mark};
 use crate::demarcation::{escrow_accepts, AttrConstraint, EscrowView};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
 
@@ -150,9 +150,11 @@ pub enum FastPropose {
 pub enum ClassicAccept {
     /// Accepted; here is the vote.
     Vote(Phase2b),
-    /// The ballot was too old.
+    /// The ballot was too old, or the acceptor cannot join its stream
+    /// ([`AcceptorRecord::refuses_base`]).
     Nack {
-        /// The acceptor's current promise.
+        /// The ballot to outrank: the acceptor's current promise, or the
+        /// first ballot past the Phase2a's own when its base was refused.
         promised: Ballot,
     },
     /// The leader's snapshot is older than this acceptor's committed
@@ -163,20 +165,36 @@ pub enum ClassicAccept {
     },
 }
 
+/// What a [`Phase2a`]'s fresh options are appended to.
+#[derive(Debug, Clone)]
+pub enum Base {
+    /// A pipelined append under a ballot Phase 1 established (its
+    /// recovery round re-based the acceptors): whatever the acceptor
+    /// holds stays in place.
+    Held,
+    /// A recovery round: the proved-safe cstruct, statuses already
+    /// decided, which the acceptor adopts wholesale first.
+    ProvedSafe(CStruct),
+    /// An append of a leader that skipped Phase 1 (it assumed leadership
+    /// at its shard's lease ballot): [`CStruct::trace_digest`] of the
+    /// cstruct the ballot's stream started from in this instance. An
+    /// acceptor joins only if it holds exactly that cstruct — Phase 1
+    /// piggybacked on Phase 2 as a compare-and-append.
+    Digest(u64),
+}
+
 /// Classic Phase2a payload (leader → acceptors).
 #[derive(Debug, Clone)]
 pub struct Phase2a {
-    /// Classic ballot (must have been established by Phase1).
+    /// Classic ballot (established by Phase 1, or a lease ballot whose
+    /// first append names its [`Base::Digest`]).
     pub ballot: Ballot,
     /// Instance this proposal targets.
     pub version: Version,
     /// The leader's committed state; acceptors behind it catch up.
     pub snapshot: RecordSnapshot,
-    /// Proved-safe cstruct whose statuses are already decided. `Some`
-    /// only on recovery rounds (the acceptor adopts it wholesale);
-    /// `None` for pipelined appends, which leave the existing cstruct in
-    /// place.
-    pub safe: Option<CStruct>,
+    /// What `new_options` extend.
+    pub base: Base,
     /// Fresh options for the acceptor to validate and append.
     pub new_options: Vec<TxnOption>,
     /// Close the instance once every accepted option resolves, then
@@ -434,7 +452,7 @@ impl AcceptorRecord {
 
     /// Ballot of the last Phase2a accepted into the current instance, if
     /// any — a record is "in ballot `b`'s stream" exactly when this is
-    /// `Some(b)` (the lease-carried-Phase1 warm guard keys off it).
+    /// `Some(b)` (the base check of [`Self::refuses_base`] keys off it).
     pub fn accepted_ballot(&self) -> Option<Ballot> {
         self.accepted_ballot
     }
@@ -724,6 +742,65 @@ impl AcceptorRecord {
         FastPropose::Vote(self.vote())
     }
 
+    /// The base check — the one rule for who may join the stream of a
+    /// ballot that skipped Phase 1. `Some(nack)` when this acceptor must
+    /// refuse `p`: a base-checked append ([`Base::Digest`]) whose ballot
+    /// it would join from a cstruct other than the one the leader
+    /// extends. Pure — a storage node asks before it logs the payload,
+    /// [`Self::classic_accept`] asks again.
+    ///
+    /// `nack` is what the refusal answers with: the first ballot past
+    /// `p`'s own. The acceptor promised no such thing; it says that no
+    /// ballot up to `p`'s will do here and only one Phase 1 establishes
+    /// can ("you skipped Phase 1"), in the one currency a leader
+    /// compares — so that an ordinary Nack that merely *names* the
+    /// leader's current ballot (a straggler about an older one) reads as
+    /// no news, and this one as news.
+    ///
+    /// Why a match may stand in for Phase 1. Let a classic quorum `Q`
+    /// accept `C + x` at ballot `b′`, every member having held exactly
+    /// `C`. Any value chosen at a lower ballot `k` through a quorum `R`
+    /// was accepted by some `a ∈ Q ∩ R` before `a` promised `b′`; `a`'s
+    /// cstruct only grows within an instance, so that value is a prefix
+    /// of `C`, and `C + x` extends it — which is all Phase 1's
+    /// ProvedSafe would have established. An acceptor holding anything
+    /// else (it missed one of the predecessor's appends, or holds one
+    /// the leader's replica never saw) is no witness for that argument
+    /// and says so with a Nack; the leader then runs Phase 1 proper.
+    /// That includes the acceptor whose cstruct is *empty* while the
+    /// leader's base is not: appending there would fork the ballot's
+    /// stream just the same. "Exactly `C`" is equality of traces, not of
+    /// arrival orders: two replicas of the predecessor's stream that
+    /// received commuting appends in opposite orders hold the same value.
+    ///
+    /// The argument needs the *quorum*: what a minority accepted at an
+    /// assumed ballot proves nothing about what was chosen below it, and
+    /// a later Phase 1 must not take it at its word — see
+    /// [`crate::leader::judged_safe`].
+    pub fn refuses_base(&self, p: &Phase2a) -> Option<Ballot> {
+        let Base::Digest(base) = p.base else {
+            return None;
+        };
+        // Nothing to prove: it accepted at `p.ballot` before (it is in
+        // the stream), or it does not join at all — it promised higher
+        // and Nacks, or is ahead of the leader and answers `Stale`.
+        let in_stream = self.accepted_ballot == Some(p.ballot);
+        if in_stream || p.ballot < self.promised || p.version < self.version {
+            return None;
+        }
+        let held = if p.version == self.version {
+            self.cstruct.trace_digest()
+        } else {
+            // Behind on decided instances: it adopts the leader's
+            // snapshot first and holds what it carries over, its pending
+            // options the snapshot has not folded in.
+            let folded = &p.snapshot.folded;
+            let carried = self.pending().filter(|e| !folded.contains(&e.opt.txn));
+            trace_digest_of(carried.map(|e| &**e))
+        };
+        (held != base).then(|| p.ballot.next_classic(p.ballot.proposer))
+    }
+
     /// Classic Phase2a (Algorithm 3, line 72), extended with catch-up and
     /// instance-close/reopen control.
     pub fn classic_accept(&mut self, p: Phase2a) -> ClassicAccept {
@@ -731,6 +808,10 @@ impl AcceptorRecord {
             return ClassicAccept::Nack {
                 promised: self.promised,
             };
+        }
+        if let Some(promised) = self.refuses_base(&p) {
+            // Nothing is mutated, the promise included.
+            return ClassicAccept::Nack { promised };
         }
         if p.version > self.version {
             // We missed decisions; adopt the leader's committed state.
@@ -750,7 +831,7 @@ impl AcceptorRecord {
         // ballot's Phase2a stream hold identical cstructs — that is why
         // "all storage nodes will always make the same abort or commit
         // decision" (§3.2.1).
-        if let Some(safe) = p.safe {
+        if let Base::ProvedSafe(safe) = p.base {
             self.replace_cstruct(safe);
         }
         for opt in p.new_options {
@@ -1131,6 +1212,14 @@ impl AcceptorRecord {
         v
     }
 
+    /// True once this record knows how `txn` ended, by a Visibility of
+    /// its own or folded into a snapshot it adopted. An option this
+    /// replica has never seen has no outcome here: its Phase2a may still
+    /// be on the way.
+    pub fn has_outcome(&self, txn: TxnId) -> bool {
+        self.outcomes.contains_key(&txn) || self.resolved_entries.contains(&txn)
+    }
+
     /// Options accepted but with unknown transaction outcome.
     fn pending(&self) -> impl Iterator<Item = &Arc<Entry>> {
         self.open.iter().filter(|e| e.status.is_accepted())
@@ -1282,7 +1371,7 @@ impl AcceptorRecord {
                     }
                     UpdateOp::Commutative(c) => {
                         let mut row = self.value.take().unwrap_or_default();
-                        for (attr, delta) in &c.deltas {
+                        for (attr, delta) in c.deltas.iter() {
                             row.apply_delta(attr, *delta);
                         }
                         self.value = Some(row);
@@ -1605,7 +1694,7 @@ mod tests {
             ballot: floor,
             version: Version(1),
             snapshot: a.snapshot(),
-            safe: None,
+            base: Base::Held,
             new_options: vec![dec(1, 1)],
             close_instance: false,
             reopen_fast: None,
@@ -1617,7 +1706,7 @@ mod tests {
             ballot: deposed,
             version: Version(1),
             snapshot: a.snapshot(),
-            safe: None,
+            base: Base::Held,
             new_options: vec![dec(2, 1)],
             close_instance: false,
             reopen_fast: None,
@@ -1651,7 +1740,7 @@ mod tests {
             ballot: m,
             version: Version(1),
             snapshot: a.snapshot(),
-            safe: None,
+            base: Base::Held,
             new_options: vec![dec(1, 2)],
             close_instance: true,
             reopen_fast: Some(Ballot::fast(2, NodeId(3))),
@@ -1680,7 +1769,7 @@ mod tests {
             ballot: low,
             version: Version(1),
             snapshot: a.snapshot(),
-            safe: None,
+            base: Base::Held,
             new_options: vec![],
             close_instance: false,
             reopen_fast: None,
@@ -1704,7 +1793,7 @@ mod tests {
             ballot: m,
             version: Version(4),
             snapshot: newer.clone(),
-            safe: None,
+            base: Base::Held,
             new_options: vec![],
             close_instance: false,
             reopen_fast: None,
@@ -1731,7 +1820,7 @@ mod tests {
                 value: None,
                 folded: Vec::new(),
             },
-            safe: None,
+            base: Base::Held,
             new_options: vec![],
             close_instance: false,
             reopen_fast: None,
@@ -1776,7 +1865,7 @@ mod tests {
             ballot: m,
             version: a.version(),
             snapshot: a.snapshot(),
-            safe: None,
+            base: Base::Held,
             new_options: vec![dec(7, 1)],
             close_instance: false,
             reopen_fast: None,

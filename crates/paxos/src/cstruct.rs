@@ -47,7 +47,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mdcc_common::wire::{fnv1a64_extend, with_scratch_encoding, FNV1A64_OFFSET};
+use mdcc_common::wire::{fnv1a64, fnv1a64_extend, with_scratch_encoding, FNV1A64_OFFSET};
 use mdcc_common::TxnId;
 
 use crate::options::{OptionStatus, TxnOption};
@@ -148,6 +148,9 @@ fn chain_over(chain: u64, entry: &Entry) -> u64 {
 }
 
 impl CStruct {
+    /// [`CStruct::trace_digest`] of the empty cstruct.
+    pub const EMPTY_TRACE_DIGEST: u64 = FNV1A64_OFFSET;
+
     /// The empty cstruct (⊥, the lattice bottom).
     pub fn new() -> Self {
         Self::default()
@@ -214,6 +217,29 @@ impl CStruct {
     /// chain is kept current by every mutation.
     pub fn digest(&self) -> u64 {
         self.chain
+    }
+
+    /// 64-bit fingerprint of the held entries **as a trace**: equal for
+    /// two cstructs exactly when they are [`CStruct::equivalent`] (up to
+    /// hash collisions), whatever order the network delivered commuting
+    /// options in. [`CStruct::digest`] cannot serve here — two replicas
+    /// of one leader's stream that received two pipelined appends in
+    /// opposite orders hold the same value and different chains.
+    ///
+    /// Trace equivalence over this commutation relation has a simple
+    /// normal form. Rejected letters commute with everything: they form
+    /// one multiset. Every accepted letter conflicts with every accepted
+    /// letter outside its own class (commutative deltas, read guards,
+    /// physical writes — the last conflict among themselves too), so the
+    /// sequence of maximal same-class blocks is fixed and only the order
+    /// inside a block of deltas or of guards is free. The fingerprint
+    /// chains one commutative sum of letter hashes per block, then the
+    /// rejected multiset. O(len), no encoding: a letter is `(txn,
+    /// decision)`, as everywhere in the algebra.
+    ///
+    /// The empty cstruct's is [`CStruct::EMPTY_TRACE_DIGEST`].
+    pub fn trace_digest(&self) -> u64 {
+        trace_digest_of(self.entries())
     }
 
     /// The recorded status of `txn`'s option, if present.
@@ -414,6 +440,58 @@ impl CStruct {
             }
         }
         out
+    }
+}
+
+/// [`CStruct::trace_digest`] of the cstruct holding exactly `entries`, in
+/// that order.
+pub fn trace_digest_of<'a>(entries: impl Iterator<Item = &'a Entry>) -> u64 {
+    let fold = |chain: u64, class: u8, sum: u64| {
+        let mut bytes = [class; 9];
+        bytes[1..].copy_from_slice(&sum.to_le_bytes());
+        fnv1a64_extend(chain, &bytes)
+    };
+    let mut chain = FNV1A64_OFFSET;
+    let mut rejected: Option<u64> = None;
+    let mut block: Option<(u8, u64)> = None;
+    for e in entries {
+        let (txn, rank) = e.letter();
+        let mut bytes = [rank; 13];
+        bytes[..4].copy_from_slice(&txn.coordinator.0.to_le_bytes());
+        bytes[4..12].copy_from_slice(&txn.seq.to_le_bytes());
+        // FNV's low bits mix poorly; sums need every bit to count.
+        let hash = fnv1a64(&bytes)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(31);
+        if e.is_neutral() {
+            rejected = Some(rejected.unwrap_or(0).wrapping_add(hash));
+            continue;
+        }
+        let class = if e.opt.is_commutative() {
+            1
+        } else if e.opt.op.is_guard() {
+            2
+        } else {
+            3
+        };
+        block = match block {
+            Some((open, sum)) if open == class && class != 3 => {
+                Some((open, sum.wrapping_add(hash)))
+            }
+            closed => {
+                if let Some((class, sum)) = closed {
+                    chain = fold(chain, class, sum);
+                }
+                Some((class, hash))
+            }
+        };
+    }
+    if let Some((class, sum)) = block {
+        chain = fold(chain, class, sum);
+    }
+    match rejected {
+        Some(sum) => fold(chain, 0, sum),
+        None => chain,
     }
 }
 

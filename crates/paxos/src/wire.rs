@@ -12,7 +12,7 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
 use mdcc_common::{Key, TxnId, UpdateOp, Version};
 
-use crate::acceptor::{AcceptorState, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution};
+use crate::acceptor::{AcceptorState, Base, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution};
 use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
@@ -251,12 +251,39 @@ impl Wire for DeltaVote {
     }
 }
 
+/// Tags 0 and 1 are the `None`/`Some` bytes of the `Option<CStruct>`
+/// this field used to be, so a Phase2a without a base digest encodes to
+/// the bytes it always did; tag 2 is the digest form.
+impl Wire for Base {
+    fn encode(&self, out: &mut Enc) {
+        match self {
+            Base::Held => out.u8(0),
+            Base::ProvedSafe(safe) => {
+                out.u8(1);
+                safe.encode(out);
+            }
+            Base::Digest(digest) => {
+                out.u8(2);
+                out.u64(*digest);
+            }
+        }
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        match inp.u8()? {
+            0 => Ok(Base::Held),
+            1 => Ok(Base::ProvedSafe(CStruct::decode(inp)?)),
+            2 => Ok(Base::Digest(inp.u64()?)),
+            _ => err("phase2a base tag"),
+        }
+    }
+}
+
 impl Wire for Phase2a {
     fn encode(&self, out: &mut Enc) {
         self.ballot.encode(out);
         self.version.encode(out);
         self.snapshot.encode(out);
-        self.safe.encode(out);
+        self.base.encode(out);
         self.new_options.encode(out);
         out.bool(self.close_instance);
         self.reopen_fast.encode(out);
@@ -266,7 +293,7 @@ impl Wire for Phase2a {
             ballot: Ballot::decode(inp)?,
             version: Version::decode(inp)?,
             snapshot: RecordSnapshot::decode(inp)?,
-            safe: Option::decode(inp)?,
+            base: Base::decode(inp)?,
             new_options: Vec::decode(inp)?,
             close_instance: inp.bool()?,
             reopen_fast: Option::decode(inp)?,
@@ -371,7 +398,7 @@ mod tests {
                 value: Some(Row::new().with("stock", 1)),
                 folded: vec![TxnId::new(NodeId(4), 2)],
             },
-            safe: Some(safe.clone()),
+            base: Base::ProvedSafe(safe.clone()),
             new_options: vec![TxnOption::solo(
                 TxnId::new(NodeId(9), 7),
                 Key::new(TableId(0), "x"),
@@ -384,10 +411,42 @@ mod tests {
         assert_eq!(back.ballot, p2a.ballot);
         assert_eq!(back.version, p2a.version);
         assert_eq!(back.snapshot, p2a.snapshot);
-        assert_eq!(back.safe.as_ref().map(|c| c.len()), Some(1));
+        assert!(matches!(&back.base, Base::ProvedSafe(c) if c.len() == 1));
         assert_eq!(back.new_options, p2a.new_options);
         assert!(back.close_instance);
         assert_eq!(back.reopen_fast, p2a.reopen_fast);
+
+        // The three forms of the base: the two that existed keep the
+        // bytes of the `Option<CStruct>` they were, the digest form is a
+        // third tag and eight bytes.
+        let with_base = |base: Base| Phase2a {
+            base,
+            ..p2a.clone()
+        };
+        let (held, proved) = (with_base(Base::Held), with_base(p2a.base.clone()));
+        let as_option = |safe: Option<CStruct>| {
+            let mut out = Enc::default();
+            p2a.ballot.encode(&mut out);
+            p2a.version.encode(&mut out);
+            p2a.snapshot.encode(&mut out);
+            safe.encode(&mut out);
+            p2a.new_options.encode(&mut out);
+            out.bool(p2a.close_instance);
+            p2a.reopen_fast.encode(&mut out);
+            out.finish()
+        };
+        assert_eq!(to_bytes(&held), as_option(None));
+        assert_eq!(to_bytes(&proved), as_option(Some(safe.clone())));
+        assert!(matches!(round_trip(&held).base, Base::Held));
+        let onto = with_base(Base::Digest(safe.digest()));
+        assert!(matches!(round_trip(&onto).base, Base::Digest(d) if d == safe.digest()));
+        assert_eq!(to_bytes(&onto).len(), to_bytes(&held).len() + 8);
+        let mut bad = to_bytes(&held);
+        let after_tag = to_bytes(&held.new_options).len() + 1 + to_bytes(&held.reopen_fast).len();
+        let tag_at = bad.len() - after_tag - 1;
+        assert_eq!(bad[tag_at], 0);
+        bad[tag_at] = 3;
+        assert!(from_bytes::<Phase2a>(&bad).is_err(), "unknown base tag");
 
         let p1b = Phase1b {
             promised: Ballot::classic(2, NodeId(3)),

@@ -90,6 +90,29 @@ fn commuting_shuffle(letters: &[Letter], swaps: &[usize]) -> Vec<Letter> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// The trace digest is a fingerprint of the equivalence class: any
+    /// two orderings of one letter set agree on it exactly when they are
+    /// the same trace — the base check of a lease handoff compares
+    /// nothing else.
+    #[test]
+    fn trace_digest_agrees_exactly_with_equivalence(
+        letters in letters_strategy(8),
+        order in prop::collection::vec(0usize..64, 8..9),
+    ) {
+        let mut permuted = letters.clone();
+        for (i, pick) in order.iter().enumerate().take(permuted.len()) {
+            let j = i + pick % (permuted.len() - i);
+            permuted.swap(i, j);
+        }
+        let (a, b) = (build(&letters), build(&permuted));
+        prop_assert_eq!(
+            a.trace_digest() == b.trace_digest(),
+            a.equivalent(&b),
+            "{} vs {}", a, b
+        );
+        prop_assert_eq!(CStruct::new().trace_digest() == a.trace_digest(), a.is_empty());
+    }
+
     #[test]
     fn prefix_is_reflexive(letters in letters_strategy(8)) {
         let c = build(&letters);
@@ -118,6 +141,7 @@ proptest! {
         let a = build(&letters);
         let b = build(&commuting_shuffle(&letters, &swaps));
         prop_assert!(a.equivalent(&b), "{a} !~ {b}");
+        prop_assert_eq!(a.trace_digest(), b.trace_digest(), "{} ~ {}", a, b);
         prop_assert!(b.equivalent(&a));
     }
 

@@ -13,7 +13,7 @@ use mdcc_common::wire::{fnv1a64, to_bytes};
 use mdcc_common::{
     CommutativeUpdate, Key, NodeId, PhysicalUpdate, Row, TableId, TxnId, UpdateOp, Version,
 };
-use mdcc_paxos::acceptor::{AcceptorRecord, ClassicAccept, FastPropose, Phase2a, Phase2b};
+use mdcc_paxos::acceptor::{AcceptorRecord, Base, ClassicAccept, FastPropose, Phase2a, Phase2b};
 use mdcc_paxos::quorum::{mask_indices, subsets};
 use mdcc_paxos::{
     AttrConstraint, Ballot, CStruct, DeltaCursor, DeltaVote, FoldOutcome, LearnOutcome, Learner,
@@ -307,19 +307,19 @@ fn apply(acc: &mut AcceptorRecord, step: Step, round: &mut u32) {
         }
         Step::Close | Step::Safe { .. } => {
             *round += 2;
-            let safe = match step {
+            let base = match step {
                 Step::Safe { seq, kind } => {
                     let mut c = CStruct::new();
                     c.append(option(seq, kind), OptionStatus::Accepted);
-                    Some(c)
+                    Base::ProvedSafe(c)
                 }
-                _ => None,
+                _ => Base::Held,
             };
             let accepted = acc.classic_accept(Phase2a {
                 ballot: Ballot::classic(*round, NodeId(0)),
                 version: acc.version(),
                 snapshot: acc.snapshot(),
-                safe,
+                base,
                 new_options: Vec::new(),
                 close_instance: true,
                 reopen_fast: Some(Ballot::fast(*round + 1, NodeId(0))),

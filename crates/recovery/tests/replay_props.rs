@@ -12,6 +12,10 @@
 //!   is idempotent under re-delivery, so a crash *during* recovery (a
 //!   half-replayed WAL replayed again) is harmless.
 //!
+//! A deterministic test at the end replays a lease handoff: Phase2a
+//! appends that name the cstruct they extend are accepted or Nacked the
+//! same way live and on replay, and a refused one leaves no trace.
+//!
 //! Logs written by a node that *parks* stale proposals (a `FastPropose`
 //! is logged where it was judged, not where it arrived) are replayed in
 //! `crates/core/tests/parked_props.rs`, which can drive the node itself.
@@ -22,7 +26,8 @@ use mdcc_common::{
     CommutativeUpdate, Key, NodeId, PhysicalUpdate, ProtocolConfig, Row, SimTime, TableId, TxnId,
     UpdateOp,
 };
-use mdcc_paxos::{Ballot, TxnOption, TxnOutcome};
+use mdcc_paxos::acceptor::{Base, ClassicAccept, Phase2a};
+use mdcc_paxos::{Ballot, CStruct, TxnOption, TxnOutcome};
 use mdcc_recovery::{committed_bytes, recover_store, wal, write_checkpoint, WalRecord};
 use mdcc_sim::Disk;
 use mdcc_storage::{AttrConstraint, Catalog, RecordStore, TableSchema};
@@ -215,4 +220,129 @@ proptest! {
         let (b, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
         prop_assert_eq!(state_fingerprint(&a), state_fingerprint(&b));
     }
+}
+
+/// A lease handoff in the log. Holder A leads `k0` and `k1` at tenure 1's
+/// lease ballot; holder B takes over at tenure 2's. B's first append to
+/// `k0` names the cstruct this replica holds and is accepted; its append
+/// to `k1` names a cstruct this replica does not hold (it missed one of
+/// A's appends) and is Nacked; a straggler of A's is Nacked for its
+/// ballot. The storage node keeps refused payloads out of the WAL — but
+/// whichever way a log was written, replay must answer every record as
+/// the live node did and end in the same state, and a refusal must not
+/// have touched anything.
+#[test]
+fn base_checked_appends_replay_to_the_same_accepts_and_nacks() {
+    let (a, b) = (NodeId(3), NodeId(4));
+    let (lease_a, lease_b) = (Ballot::lease(1, a), Ballot::lease(2, b));
+    let dec = |seq: u64, k: u64| {
+        let op = UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1));
+        TxnOption::solo(TxnId::new(NodeId(9), seq), key(k), op)
+    };
+    let mut live = fresh_store();
+    let mut log: Vec<WalRecord> = (0..2)
+        .map(|i| WalRecord::Load {
+            key: key(i),
+            row: Row::new().with("stock", 100),
+        })
+        .collect();
+    wal::replay(&mut live, &log);
+    let append = |store: &RecordStore, ballot: Ballot, base: Base, opt: TxnOption| {
+        let snapshot = store
+            .with_record(&opt.key, |r| r.snapshot())
+            .expect("loaded");
+        Box::new(Phase2a {
+            ballot,
+            version: snapshot.version,
+            snapshot,
+            base,
+            new_options: vec![opt],
+            close_instance: false,
+            reopen_fast: None,
+        })
+    };
+    let held = |store: &RecordStore, k: u64| {
+        let digest = store.with_record(&key(k), |r| r.cstruct().trace_digest());
+        Base::Digest(digest.expect("loaded"))
+    };
+    let kind = |answer: &ClassicAccept| match answer {
+        ClassicAccept::Vote(_) => "vote".to_string(),
+        ClassicAccept::Nack { promised } => format!("nack {promised}"),
+        ClassicAccept::Stale { .. } => "stale".to_string(),
+    };
+    let empty = || Base::Digest(CStruct::EMPTY_TRACE_DIGEST);
+    let mut answers = Vec::new();
+    let mut at = 0;
+    let mut step = |live: &mut RecordStore, payload: Box<Phase2a>| {
+        at += 10;
+        let (at, key) = (SimTime::from_millis(at), payload.new_options[0].key.clone());
+        log.push(WalRecord::ClassicAccept {
+            at,
+            key: key.clone(),
+            payload: payload.clone(),
+        });
+        let before = state_fingerprint(live);
+        let answer = live.classic_accept(&key, *payload, at);
+        if !matches!(answer, ClassicAccept::Vote(_)) {
+            assert_eq!(state_fingerprint(live), before, "a refusal mutated {key}");
+        }
+        answers.push(kind(&answer));
+    };
+    // Tenure 1: A's stream on both keys, cold start.
+    let p = append(&live, lease_a, empty(), dec(1, 0));
+    step(&mut live, p);
+    let p = append(&live, lease_a, empty(), dec(2, 0));
+    step(&mut live, p);
+    let p = append(&live, lease_a, empty(), dec(3, 1));
+    step(&mut live, p);
+    // Tenure 2: B extends exactly what this replica holds on k0 ...
+    let p = append(&live, lease_b, held(&live, 0), dec(4, 0));
+    step(&mut live, p);
+    // ... and something else on k1: B's replica saw an append of A's
+    // (txn 9) that never reached this one.
+    let mut elsewhere = CStruct::new();
+    elsewhere.append(dec(3, 1), mdcc_paxos::OptionStatus::Accepted);
+    elsewhere.append(dec(9, 1), mdcc_paxos::OptionStatus::Accepted);
+    let p = append(
+        &live,
+        lease_b,
+        Base::Digest(elsewhere.trace_digest()),
+        dec(5, 1),
+    );
+    step(&mut live, p);
+    // A's straggler on k0, after this replica joined B's ballot.
+    let p = append(&live, lease_a, empty(), dec(6, 0));
+    step(&mut live, p);
+    // B's next append on k0 is in the stream: the base is not asked.
+    let p = append(&live, lease_b, Base::Digest(0xdead), dec(7, 0));
+    step(&mut live, p);
+    // A refused base names the ballot after the refused one ("you
+    // skipped Phase 1"); the straggler hears the promise it lost to.
+    let refused = format!("nack {}", lease_b.next_classic(lease_b.proposer));
+    let outranked = format!("nack {lease_b}");
+    let expected = ["vote", "vote", "vote", "vote", &refused, &outranked, "vote"];
+    assert_eq!(answers, expected);
+
+    // Replay by hand answers the same, record for record ...
+    let mut again = fresh_store();
+    let mut replayed = Vec::new();
+    for record in &log {
+        match record.clone() {
+            WalRecord::ClassicAccept { at, key, payload } => {
+                replayed.push(kind(&again.classic_accept(&key, *payload, at)));
+            }
+            other => {
+                wal::replay(&mut again, &[other]);
+            }
+        }
+    }
+    assert_eq!(replayed, answers);
+    // ... and recovery from the disk ends where the live node is.
+    let mut disk = Disk::new();
+    for record in &log {
+        wal::append(&mut disk, record);
+    }
+    let (rebuilt, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
+    assert_eq!(state_fingerprint(&rebuilt), state_fingerprint(&live));
+    assert_eq!(state_fingerprint(&again), state_fingerprint(&live));
 }

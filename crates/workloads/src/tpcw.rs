@@ -465,7 +465,7 @@ impl Transaction for TpcwTxn {
                     updates.push(RecordUpdate::new(
                         Key::new(tables::ORDER_LINE, format!("{line_prefix}-{n}")),
                         UpdateOp::Physical(PhysicalUpdate::insert(
-                            Row::new().with("item", item.pk.as_str()).with("qty", *qty),
+                            Row::new().with("item", &*item.pk).with("qty", *qty),
                         )),
                     ));
                 }
