@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use mdcc_baselines::megastore::{MegaClient, MegaMaster, MegaMsg, MegaReplica, MegaStats};
@@ -13,6 +13,7 @@ use mdcc_common::placement::MasterPolicy;
 use mdcc_common::{
     DcId, Key, NodeId, Placement, ProtocolConfig, Row, SimDuration, SimTime, StaticPlacement,
 };
+use mdcc_core::node::NodeStats;
 use mdcc_core::{Msg, StorageNodeProcess, TmConfig, TransactionManager, TxnStats};
 use mdcc_recovery::{recover_store, recovered_leases, RecoveryInfo};
 use mdcc_sim::{presets, NetMessage, NetworkModel, Process, World, WorldConfig};
@@ -386,6 +387,135 @@ fn revive<M: NetMessage + Send + 'static>(
 // MDCC.
 // ---------------------------------------------------------------------
 
+/// Rebuilds a crashed node's process from its disk: the store from
+/// checkpoint + WAL replay, and the lease floors and per-record
+/// overrides persisted in the WAL tail, so the restarted node keeps
+/// *fencing* deposed ballots (its own serving rights stay quarantined
+/// inside the mastership layer).
+fn recover_node(
+    cfg: &ProtocolConfig,
+    catalog: &Arc<Catalog>,
+    placement: &Arc<dyn Placement>,
+    allow_fast: bool,
+    disk: &mdcc_sim::Disk,
+) -> (StorageNodeProcess, RecoveryInfo) {
+    let torn = "disk state parses: the simulated disk is never torn";
+    let (store, info) = recover_store(cfg.clone(), Arc::clone(catalog), disk).expect(torn);
+    let mut node =
+        StorageNodeProcess::from_recovery(cfg.clone(), store, placement.clone(), allow_fast, info);
+    node.install_recovered_leases(recovered_leases(disk).expect(torn));
+    (node, info)
+}
+
+/// Replay is instantaneous in sim time; the span still marks *when* the
+/// node recovered and what run the replay belonged to.
+fn replay_span(node: NodeId, dc: DcId, at: SimTime) -> Span {
+    Span {
+        node,
+        dc,
+        phase: Phase::WalReplay,
+        start: at,
+        end: at,
+        txn: None,
+        key: None,
+        class: None,
+    }
+}
+
+fn storage_node(world: &World<Msg>, n: NodeId) -> &StorageNodeProcess {
+    world.get::<StorageNodeProcess>(n).expect("node")
+}
+
+/// The end-of-run consistency audit across every storage node.
+fn audit_cluster(
+    world: &World<Msg>,
+    matrix: &[Vec<NodeId>],
+    totals: &NodeStats,
+    stuck_clients: usize,
+) -> ClusterAudit {
+    let mut audit = ClusterAudit {
+        dangling_resolved: totals.dangling_resolved,
+        sync_adoptions: totals.sync_adoptions,
+        checkpoints: totals.checkpoints,
+        stuck_clients,
+        ..ClusterAudit::default()
+    };
+    let mut minima: BTreeMap<String, i64> = BTreeMap::new();
+    for &n in matrix.iter().flatten() {
+        let node = storage_node(world, n);
+        audit.parked_left += node.parked_len();
+        audit.pending_options += node.store().pending_len();
+        let committed = node.store().committed_state();
+        audit
+            .committed_digests
+            .push(mdcc_recovery::committed_state_digest(&committed));
+        for (_, _, value) in committed {
+            let Some(row) = value else { continue };
+            for (attr, v) in row.iter() {
+                if let Some(i) = v.as_int() {
+                    minima
+                        .entry(attr.to_owned())
+                        .and_modify(|m| *m = (*m).min(i))
+                        .or_insert(i);
+                }
+            }
+        }
+        audit.wal_bytes_written += world.disk(n).stats().wal_bytes_written;
+    }
+    audit.attr_minima = minima.into_iter().collect();
+    audit
+}
+
+/// The `MDCC_DIVERGE_DEBUG` tap: audit counters, and per-key differences
+/// between replica 0 of each shard and the others — the microscope for
+/// recovery-audit failures.
+fn diverge_debug_tap(world: &World<Msg>, matrix: &[Vec<NodeId>], audit: &ClusterAudit) {
+    if std::env::var_os("MDCC_DIVERGE_DEBUG").is_none() {
+        return;
+    }
+    eprintln!(
+        "[diverge] audit: adoptions={} checkpoints={} dangling={} pending={} rounds={:?}",
+        audit.sync_adoptions,
+        audit.checkpoints,
+        audit.dangling_resolved,
+        audit.pending_options,
+        matrix
+            .iter()
+            .flatten()
+            .map(|&n| storage_node(world, n).stats().sync_rounds)
+            .collect::<Vec<_>>()
+    );
+    for (shard, &reference) in matrix[0].iter().enumerate() {
+        let ref_state = storage_node(world, reference).store().committed_state();
+        for dc_nodes in &matrix[1..] {
+            let n = dc_nodes[shard];
+            let state = storage_node(world, n).store().committed_state();
+            for (a, b) in ref_state.iter().zip(state.iter()) {
+                if a != b {
+                    eprintln!(
+                        "[diverge] shard {shard}: {reference} has {:?} v{} ; {n} has {:?} v{} (key {})",
+                        a.2, a.1 .0, b.2, b.1 .0, a.0
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The `MDCC_DEBUG` tap: node and world counters after the run.
+fn debug_tap(world: &World<Msg>, nodes: &NodeStats, audit: &ClusterAudit) {
+    if std::env::var_os("MDCC_DEBUG").is_some() {
+        eprintln!(
+            "[mdcc-debug] nodes: {nodes:?}, pending_options={}, parked_left={}, \
+             stuck_client_txns={}, world={:?}",
+            audit.pending_options,
+            audit.parked_left,
+            audit.stuck_clients,
+            world.stats()
+        );
+    }
+}
+
 /// Runs an MDCC experiment; returns the report and the summed TM stats.
 ///
 /// MDCC runs understand the full [`FaultPlan`]: storage nodes crash
@@ -461,42 +591,28 @@ pub fn run_mdcc(
 
     run.drive(|world, node, dc| {
         assert!(spec.durability, "restarting nodes requires durability");
-        let recovered = recover_store(cfg.clone(), Arc::clone(&catalog), world.disk(node));
-        let (store, info) = recovered.expect("disk state parses: the simulated disk is never torn");
-        let mut proc_ = StorageNodeProcess::from_recovery(
-            cfg.clone(),
-            store,
-            placement.clone(),
-            allow_fast,
-            info,
-        );
-        // Re-install the lease floors and per-record overrides
-        // persisted in the WAL tail so the restarted node keeps
-        // *fencing* deposed ballots (its own serving rights stay
-        // quarantined inside the mastership layer).
-        let leases = recovered_leases(world.disk(node))
-            .expect("disk state parses: the simulated disk is never torn");
-        proc_.install_recovered_leases(leases);
+        let disk = world.disk(node);
+        let (mut proc_, info) = recover_node(cfg, &catalog, &placement, allow_fast, disk);
         equip(&mut proc_, dc);
         if spec.trace.enabled {
-            // Replay is instantaneous in sim time; the span still marks
-            // *when* the node recovered and what run the replay
-            // belonged to.
-            tracer.span(Span {
-                node,
-                dc,
-                phase: Phase::WalReplay,
-                start: world.now(),
-                end: world.now(),
-                txn: None,
-                key: None,
-                class: None,
-            });
+            tracer.span(replay_span(node, dc, world.now()));
         }
         world.restart_node(node, Box::new(proc_));
         Some(info)
     });
 
+    harvest_mdcc(&mut run, &tracer, lease_audit.as_ref())
+}
+
+/// What a driven MDCC run ends with: the report every protocol fills,
+/// the TMs' summed counters, the storage tier's, and the end-of-run
+/// audit.
+fn harvest_mdcc(
+    run: &mut Run<'_, Msg>,
+    tracer: &TraceHandle,
+    lease_audit: Option<&mdcc_mastership::LeaseAudit>,
+) -> (Report, TxnStats) {
+    let spec = run.spec;
     let crashed_clients = spec.faults.crashed_clients();
     let mut stats = TxnStats::default();
     let mut in_flight = 0usize;
@@ -505,14 +621,7 @@ pub fn run_mdcc(
             .world
             .get::<ClosedLoop<TransactionManager>>(*id)
             .expect("client");
-        let s = client.committer.stats();
-        stats.committed += s.committed;
-        stats.aborted += s.aborted;
-        stats.fast_commits += s.fast_commits;
-        stats.collisions += s.collisions;
-        stats.timeouts += s.timeouts;
-        stats.classic_redirects += s.classic_redirects;
-        stats.repair_pulls += s.repair_pulls;
+        stats += client.committer.stats();
         if !crashed_clients.contains(&i) {
             // Should be ≤ 1 per closed-loop client; more indicates a
             // stuck protocol path.
@@ -520,100 +629,18 @@ pub fn run_mdcc(
         }
     }
 
-    // End-of-run consistency audit across every storage node.
-    let mut audit = ClusterAudit::default();
+    let mut node_stats = NodeStats::default();
     let mut engine = mdcc_storage::EngineStats::default();
     let mut ms_stats = mdcc_mastership::MastershipStats::default();
-    let mut node_stats = mdcc_core::node::NodeStats::default();
-    let mut minima: std::collections::BTreeMap<String, i64> = std::collections::BTreeMap::new();
-    let storage = |n: NodeId| run.world.get::<StorageNodeProcess>(n).expect("node");
-    for dc_nodes in &run.matrix {
-        for &n in dc_nodes {
-            let node = storage(n);
-            node_stats += node.stats();
-            audit.parked_left += node.parked_len();
-            audit.pending_options += node.store().pending_len();
-            let committed = node.store().committed_state();
-            audit
-                .committed_digests
-                .push(mdcc_recovery::committed_state_digest(&committed));
-            for (_, _, value) in committed {
-                let Some(row) = value else { continue };
-                for (attr, v) in row.iter() {
-                    if let Some(i) = v.as_int() {
-                        minima
-                            .entry(attr.to_owned())
-                            .and_modify(|m| *m = (*m).min(i))
-                            .or_insert(i);
-                    }
-                }
-            }
-            audit.wal_bytes_written += run.world.disk(n).stats().wal_bytes_written;
-            if let Some(m) = node.mastership_stats() {
-                ms_stats.elections += m.elections;
-                ms_stats.leases_acquired += m.leases_acquired;
-                ms_stats.renewals += m.renewals;
-                ms_stats.handoffs += m.handoffs;
-                ms_stats.served += m.served;
-                ms_stats.forwarded += m.forwarded;
-                ms_stats.phase1_skipped += m.phase1_skipped;
-                ms_stats.phase1_covered += m.phase1_covered;
-                ms_stats.cold_first_commit_rtts += m.cold_first_commit_rtts;
-            }
-            let e = node.store().engine_stats();
-            engine.live_bytes += e.live_bytes;
-            engine.dead_bytes += e.dead_bytes;
-            engine.segments += e.segments;
-            engine.compactions += e.compactions;
-            engine.evictions += e.evictions;
-        }
+    for &n in run.matrix.iter().flatten() {
+        let node = storage_node(&run.world, n);
+        node_stats += node.stats();
+        engine += node.store().engine_stats();
+        ms_stats += node.mastership_stats().unwrap_or_default();
     }
-    audit.dangling_resolved = node_stats.dangling_resolved;
-    audit.sync_adoptions = node_stats.sync_adoptions;
-    audit.checkpoints = node_stats.checkpoints;
-    audit.stuck_clients = in_flight;
-    audit.attr_minima = minima.into_iter().collect();
-    if std::env::var_os("MDCC_DIVERGE_DEBUG").is_some() {
-        eprintln!(
-            "[diverge] audit: adoptions={} checkpoints={} dangling={} pending={} rounds={:?}",
-            audit.sync_adoptions,
-            audit.checkpoints,
-            audit.dangling_resolved,
-            audit.pending_options,
-            run.matrix
-                .iter()
-                .flatten()
-                .map(|&n| storage(n).stats().sync_rounds)
-                .collect::<Vec<_>>()
-        );
-        // Dump per-key differences between replica 0 of each shard and
-        // the others — the microscope for recovery-audit failures.
-        for shard in 0..spec.shards_per_dc {
-            let reference = run.matrix[0][shard];
-            let ref_state = storage(reference).store().committed_state();
-            for dc_nodes in &run.matrix[1..] {
-                let n = dc_nodes[shard];
-                let state = storage(n).store().committed_state();
-                for (a, b) in ref_state.iter().zip(state.iter()) {
-                    if a != b {
-                        eprintln!(
-                            "[diverge] shard {shard}: {reference} has {:?} v{} ; {n} has {:?} v{} (key {})",
-                            a.2, a.1 .0, b.2, b.1 .0, a.0
-                        );
-                    }
-                }
-            }
-        }
-    }
-    if std::env::var_os("MDCC_DEBUG").is_some() {
-        eprintln!(
-            "[mdcc-debug] nodes: {node_stats:?}, pending_options={}, parked_left={}, \
-             stuck_client_txns={in_flight}, world={:?}",
-            audit.pending_options,
-            audit.parked_left,
-            run.world.stats()
-        );
-    }
+    let audit = audit_cluster(&run.world, &run.matrix, &node_stats, in_flight);
+    diverge_debug_tap(&run.world, &run.matrix, &audit);
+    debug_tap(&run.world, &node_stats, &audit);
     let mut report = run.report::<TransactionManager>();
     report.audit = Some(audit);
     report.profile = run.world.profile();
@@ -629,7 +656,7 @@ pub fn run_mdcc(
     report.engine = engine;
     report.nodes = node_stats;
     report.mastership = ms_stats;
-    if let Some(audit) = &lease_audit {
+    if let Some(audit) = lease_audit {
         report.lease_spans = audit.spans();
     }
     if spec.trace.enabled {

@@ -105,9 +105,7 @@ impl StorageNodeProcess {
     fn claim_lease_ballot(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
         let Some(ms) = &self.mastership else { return };
         let shard = self.placement.shard_id(key);
-        let lease = ms
-            .ballot_floor(shard)
-            .filter(|_| ms.is_serving(shard, ctx.now));
+        let lease = ms.serving_ballot(shard, ctx.now);
         let lease = lease.map(|n| Ballot::lease(n, ctx.self_id));
         if self.current_leader(key, ctx).is_leading() {
             return; // Every touch but the first after a handoff.

@@ -75,6 +75,28 @@ pub struct TxnStats {
     pub repair_pulls: u64,
 }
 
+impl std::ops::AddAssign for TxnStats {
+    fn add_assign(&mut self, o: Self) {
+        // Exhaustive, so the next counter cannot be left out of the sum.
+        let Self {
+            committed,
+            aborted,
+            fast_commits,
+            collisions,
+            timeouts,
+            classic_redirects,
+            repair_pulls,
+        } = o;
+        self.committed += committed;
+        self.aborted += aborted;
+        self.fast_commits += fast_commits;
+        self.collisions += collisions;
+        self.timeouts += timeouts;
+        self.classic_redirects += classic_redirects;
+        self.repair_pulls += repair_pulls;
+    }
+}
+
 /// The result of one finished transaction, handed to the client process.
 #[derive(Debug, Clone)]
 pub struct TxnCompletion {

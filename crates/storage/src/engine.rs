@@ -59,6 +59,24 @@ pub struct EngineStats {
     pub evictions: u64,
 }
 
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, o: Self) {
+        // Exhaustive, so the next counter cannot be left out of the sum.
+        let Self {
+            live_bytes,
+            dead_bytes,
+            segments,
+            compactions,
+            evictions,
+        } = o;
+        self.live_bytes += live_bytes;
+        self.dead_bytes += dead_bytes;
+        self.segments += segments;
+        self.compactions += compactions;
+        self.evictions += evictions;
+    }
+}
+
 /// Where a store's records live. See the module docs for the contract;
 /// in short, a backend must round-trip every record's logical state
 /// exactly, and its iteration order (`keys_sorted`) must be

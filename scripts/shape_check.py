@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Check the shape of `crates/core/src` (ROADMAP item 3).
+"""Check the shape of the protocol crates (ROADMAP item 3).
 
-usage: shape_check.py [CORE_SRC_DIR]
+usage: shape_check.py [SRC_DIR ...]
 
-Fails if a non-test `fn` is longer than MAX_FN_LINES (signature to
-closing brace; the code above a file's `#[cfg(test)]` is what counts),
-or if a file declared sans-IO names the simulator, the tracer, a
-process context or a WAL append. The source is rustfmt's output, so a
-function ends at the first `}` on the indentation of its `fn`.
+Fails if a non-test `fn` under a root is longer than MAX_FN_LINES
+(signature to closing brace; the code above a file's `#[cfg(test)]` is
+what counts), or if a file the root declares sans-IO names the
+simulator, the tracer, a process context or a WAL append — and, where
+the root says so, a lock. The source is rustfmt's output, so a function
+ends at the first `}` on the indentation of its `fn`. Without arguments
+it checks every root it knows.
 """
 import pathlib
 import re
@@ -16,8 +18,18 @@ import sys
 MAX_FN_LINES = 80
 # Flat tables, one arm per `Msg` variant: splitting them would hide that.
 LONG_FN_ALLOWED = {("wire.rs", "encode"), ("wire.rs", "decode")}
-SANS_IO = ["parked.rs", "coordination.rs", "fence.rs"]
-IO_NAMES = re.compile(r"mdcc_sim|mdcc_trace|\bCtx\b|wal::append")
+IO_NAMES = r"mdcc_sim|mdcc_trace|\bCtx\b|wal::append"
+# Per root: the files declared sans-IO (`*` = every file) and what such
+# a file may not name.
+ROOTS = {
+    "crates/core/src": (["parked.rs", "coordination.rs", "fence.rs"], IO_NAMES),
+    "crates/paxos/src": (["*"], IO_NAMES),
+    "crates/mastership/src": (
+        ["election.rs", "lease.rs", "migration.rs", "table.rs"],
+        IO_NAMES + r"|\bMutex\b",
+    ),
+    "crates/cluster/src": ([], IO_NAMES),
+}
 FN = re.compile(r"^(\s*)(?:pub(?:\([a-z]+\))? )?(?:const )?fn (\w+)")
 
 
@@ -50,11 +62,12 @@ def functions(lines):
                 break
 
 
-def main(argv):
-    src = pathlib.Path(argv[0] if argv else "crates/core/src")
+def check(src, sans_io, forbidden):
+    """Returns the failures under root `src` and its longest function."""
     failures = []
     longest = ("", "", 0)
-    for path in sorted(src.rglob("*.rs")):
+    files = sorted(src.rglob("*.rs"))
+    for path in files:
         for name, line, length in functions(product_lines(path)):
             if (path.name, name) in LONG_FN_ALLOWED:
                 continue
@@ -62,16 +75,28 @@ def main(argv):
                 longest = (path.name, name, length)
             if length > MAX_FN_LINES:
                 failures.append(f"{path}:{line}: fn {name} is {length} lines (max {MAX_FN_LINES})")
-    for name in SANS_IO:
-        path = src / name
+    declared = files if sans_io == ["*"] else [src / name for name in sans_io]
+    names = re.compile(forbidden)
+    for path in declared:
         if not path.exists():
             failures.append(f"{path}: declared sans-IO but missing")
             continue
         for number, text in enumerate(path.read_text().splitlines(), 1):
-            found = IO_NAMES.search(text)
+            found = names.search(text)
             if found:
                 failures.append(f"{path}:{number}: sans-IO file names `{found.group()}`")
-    print("longest fn: {} {} ({} lines)".format(*longest))
+    return failures, longest
+
+
+def main(argv):
+    failures = []
+    for root in argv or ROOTS:
+        key = root.rstrip("/")
+        if key not in ROOTS:
+            sys.exit(f"unknown root {root}: add it to ROOTS with its sans-IO list")
+        found, longest = check(pathlib.Path(root), *ROOTS[key])
+        failures += found
+        print("{}: longest fn {} {} ({} lines)".format(key, *longest))
     if failures:
         sys.exit("FAIL:\n" + "\n".join(failures))
 
