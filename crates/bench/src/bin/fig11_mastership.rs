@@ -53,13 +53,14 @@
 use std::sync::Arc;
 
 use mdcc_bench::{
-    all_in_us_west, cdf_rows, micro_catalog, net_summary, parallel_flag, perf_summary, save_csv,
-    PerfLog, Scale,
+    all_in_us_west, cdf_rows, micro_catalog, net_summary, parallel_flag, perf_summary,
+    print_profile_by_kind, save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, FaultPlan, MdccMode, NetKind, Report};
 use mdcc_common::{
     DcId, Key, MastershipConfig, Placement as _, Row, SimDuration, SimTime, StaticPlacement,
 };
+use mdcc_trace::TraceConfig;
 use mdcc_workloads::micro::{item_key, STOCK};
 use mdcc_workloads::{ShiftingConfig, ShiftingLocalityWorkload, Workload};
 
@@ -156,6 +157,17 @@ fn main() {
         if *mastership {
             s.protocol.mastership = MastershipConfig::enabled();
         }
+        // At quick scale the dynamic run also says where its bytes go:
+        // delivered messages and bytes by (role, kind). Profiling does
+        // not move a simulated number; its host cost stays out of the
+        // sizes whose wall time is on record.
+        let by_kind = *label == "dynamic" && scale == Scale::Quick;
+        if by_kind {
+            s.trace = TraceConfig {
+                profile: true,
+                ..TraceConfig::on()
+            };
+        }
         let report = run(&s, items, *phases);
         let b = report.write_boxplot().expect("commits exist");
         medians[i] = b.median;
@@ -181,6 +193,9 @@ fn main() {
             net_summary(&report),
             perf_summary(&report)
         );
+        if by_kind {
+            print_profile_by_kind(&report, usize::MAX);
+        }
         if *label == "dynamic" {
             dynamic = *ms;
         }

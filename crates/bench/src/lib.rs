@@ -408,35 +408,53 @@ pub fn print_profile(report: &Report, top: usize) {
 
 /// Prints the `top` (node role, message kind) rows of the event-loop
 /// profile by host time — which handler the engine's wall-clock went
-/// to. Nothing unless the run profiled host time
-/// (`TraceConfig::profile`).
+/// to — with what each kind delivered: messages and their framed wire
+/// bytes, per write commit when the run committed any (timers and
+/// `on_start` deliver nothing). Nothing unless the run profiled host
+/// time (`TraceConfig::profile`).
 pub fn print_profile_by_kind(report: &Report, top: usize) {
     let rows = &report.profile_by_kind;
     if rows.is_empty() {
         return;
     }
     let total: f64 = rows.iter().map(|r| r.wall.as_secs_f64()).sum();
+    let bytes: u64 = rows.iter().map(|r| r.bytes).sum();
+    let commits = report.write_commits().max(1) as f64;
     println!(
         "# event-loop profile — top {} of {} (role, message kind) rows by host time \
-         ({:.1} ms in handlers):",
+         ({:.1} ms in handlers, {:.0} delivered B per commit):",
         top.min(rows.len()),
         rows.len(),
-        total * 1e3
+        total * 1e3,
+        bytes as f64 / commits
     );
     println!(
-        "#   {:<8} {:<16} {:>10} {:>12} {:>10} {:>7}",
-        "role", "kind", "events", "host ms", "us/event", "share"
+        "#   {:<8} {:<16} {:>10} {:>12} {:>10} {:>7} {:>10} {:>12} {:>9} {:>10}",
+        "role",
+        "kind",
+        "events",
+        "host ms",
+        "us/event",
+        "share",
+        "msgs",
+        "bytes",
+        "B/msg",
+        "B/commit"
     );
     for row in rows.iter().take(top) {
         let wall = row.wall.as_secs_f64();
         println!(
-            "#   {:<8} {:<16} {:>10} {:>12.3} {:>10.2} {:>6.1}%",
+            "#   {:<8} {:<16} {:>10} {:>12.3} {:>10.2} {:>6.1}% {:>10} {:>12} {:>9.1} {:>10.1}",
             format!("{:?}", row.role).to_lowercase(),
             row.kind,
             row.events,
             wall * 1e3,
             wall * 1e6 / row.events.max(1) as f64,
             100.0 * wall / total.max(f64::MIN_POSITIVE),
+            row.msgs,
+            row.bytes,
+            row.bytes as f64 / row.msgs.max(1) as f64,
+            row.bytes as f64 / commits,
         );
     }
 }

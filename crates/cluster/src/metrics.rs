@@ -247,7 +247,8 @@ pub enum NodeRole {
     Client,
 }
 
-/// Host cost of one message kind on all nodes of one role.
+/// Host cost and delivered wire volume of one message kind on all nodes
+/// of one role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindProfile {
     /// The nodes' role.
@@ -259,6 +260,10 @@ pub struct KindProfile {
     pub events: u64,
     /// Host wall time spent inside them.
     pub wall: Duration,
+    /// Network deliveries among the invocations.
+    pub msgs: u64,
+    /// Framed wire size of those messages, each on its own.
+    pub bytes: u64,
 }
 
 impl KindProfile {
@@ -278,12 +283,16 @@ impl KindProfile {
                 Some(row) => {
                     row.events += entry.events;
                     row.wall += entry.wall;
+                    row.msgs += entry.msgs;
+                    row.bytes += entry.bytes;
                 }
                 None => rows.push(KindProfile {
                     role,
                     kind: entry.kind,
                     events: entry.events,
                     wall: entry.wall,
+                    msgs: entry.msgs,
+                    bytes: entry.bytes,
                 }),
             }
         }

@@ -296,6 +296,11 @@ fn partition_then_heal_keeps_exactly_one_master() {
         nodes.len() >= 2,
         "the lease never moved off the partitioned holder"
     );
+    // Every proposal of this run went through a master, the outage and
+    // the handoffs included, and no storage node was sent a message it
+    // drops: a classic vote goes to the coordinators, not to the master.
+    assert!(report.nodes.classic_votes > 1_000);
+    assert_eq!(report.nodes.stray_msgs, 0, "messages sent to be discarded");
 }
 
 proptest! {

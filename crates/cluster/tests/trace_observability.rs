@@ -273,6 +273,18 @@ fn profiler_and_run_perf_account_for_the_event_loop() {
             "no {role:?} row for {kind}: {by_kind:?}"
         );
     }
+    // It also says what each kind delivered: every payload message the
+    // network handed to a handler, timers and `on_start` none, and the
+    // bytes are the messages' own frames (an envelope's shared header is
+    // not apportioned, so the sum sits just above what was sent bare).
+    let delivered: u64 = by_kind.iter().map(|k| k.msgs).sum();
+    assert!(delivered > 0 && delivered <= report.net.payload_msgs);
+    assert!(by_kind.iter().all(|k| k.msgs <= k.events));
+    assert!(by_kind.iter().all(|k| (k.msgs == 0) == (k.bytes == 0)));
+    let timer = |k: &&mdcc_cluster::KindProfile| k.kind == "start" || k.kind == "ClientTick";
+    assert!(by_kind.iter().filter(timer).all(|k| k.msgs == 0));
+    let bytes: u64 = by_kind.iter().map(|k| k.bytes).sum();
+    assert!(bytes > report.net.bytes_sent / 2 && bytes < report.net.bytes_sent * 2);
     // Without host profiling the split is not collected at all.
     assert!(run(&small_spec(3)).profile_by_kind.is_empty());
     assert!(run(&ClusterSpec {

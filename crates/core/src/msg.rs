@@ -57,6 +57,12 @@ pub enum Msg {
     /// from the record's settled watermark on, sent to a destination
     /// that has nothing to fold a delta onto (first contact, new epoch,
     /// or the watermark overtook what it was last sent).
+    ///
+    /// Who receives a vote: the coordinators of the record's options
+    /// that have no outcome here yet — the learners — and, on the fast
+    /// path, the proposer, which is one of them. A classic vote does
+    /// *not* go back to the master that sent the Phase2a: a master is no
+    /// learner, it follows its instance through its local acceptor.
     Vote {
         /// Record voted on.
         key: Key,
@@ -142,12 +148,26 @@ pub enum Msg {
         /// Promise payload.
         payload: Phase1b,
     },
-    /// Phase2a broadcast.
+    /// Phase2a: the broadcast to every acceptor of the record, which
+    /// names the instance it targets and carries no snapshot, or the
+    /// answer to one acceptor's [`Msg::P2aBehind`], which carries the
+    /// instance's whole window and the leader's snapshot.
     P2a {
         /// Record concerned.
         key: Key,
         /// Proposal payload.
         payload: Box<Phase2a>,
+    },
+    /// Phase2a not judged: the acceptor has not reached the instance it
+    /// targets and the broadcast carries no state to catch up from.
+    /// Nothing was logged, promised or mutated; the leader of `ballot`,
+    /// if it still holds that ballot's window, answers this acceptor
+    /// with a `P2a` that carries its snapshot.
+    P2aBehind {
+        /// Record concerned.
+        key: Key,
+        /// Ballot of the Phase2a the acceptor could not use.
+        ballot: Ballot,
     },
     /// Phase2a refused: ballot too old.
     P2aNack {

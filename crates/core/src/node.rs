@@ -103,6 +103,11 @@ pub struct NodeStats {
     /// Parked proposals judged while the record was still behind: the
     /// coordinator re-proposed the transaction, or the table overflowed.
     pub parked_judged_behind: u64,
+    /// Messages delivered here that a storage node has no use for and
+    /// drops (TM-side kinds): each was encoded, framed, queued and
+    /// charged for nothing. Zero unless a sender targets a node that
+    /// cannot use what it sends.
+    pub stray_msgs: u64,
 }
 
 impl std::ops::AddAssign for NodeStats {
@@ -124,6 +129,7 @@ impl std::ops::AddAssign for NodeStats {
         self.proposals_parked += o.proposals_parked;
         self.parked_released += o.parked_released;
         self.parked_judged_behind += o.parked_judged_behind;
+        self.stray_msgs += o.stray_msgs;
     }
 }
 
@@ -413,12 +419,17 @@ impl StorageNodeProcess {
         }
     }
 
-    /// Fans a vote out to the proposer (`also`) and to every coordinator
-    /// that can still learn something from it, so recovery-adopted
-    /// options reach their transaction managers (learners). Entries this
-    /// node has an outcome for are settled business at their
-    /// coordinator — it produced the Visibility, and stale retries get
-    /// `AlreadyResolved`.
+    /// Fans a vote out to every coordinator that can still learn
+    /// something from it, so recovery-adopted options reach their
+    /// transaction managers (learners). Entries this node has an outcome
+    /// for are settled business at their coordinator — it produced the
+    /// Visibility, and stale retries get `AlreadyResolved`.
+    ///
+    /// `also` is the proposer on the fast path, where the proposer *is*
+    /// the learner and must hear back even if the outcome overtook its
+    /// option. On the classic path it is nobody: the Phase2a came from
+    /// the master, which learns that its instance advanced from its
+    /// local acceptor and would drop the vote unread.
     ///
     /// `vote` starts at the record's settled watermark
     /// ([`mdcc_paxos::AcceptorRecord::vote`]); each destination
@@ -428,11 +439,17 @@ impl StorageNodeProcess {
     /// the watermark overtook what it was last sent — the vote itself.
     /// Receivers whose shadows cannot fold a delta (loss, reordering)
     /// come back with a `CstructPull`.
-    fn fan_out_vote(&mut self, key: &Key, vote: Phase2b, also: NodeId, ctx: &mut Ctx<'_, Msg>) {
+    fn fan_out_vote(
+        &mut self,
+        key: &Key,
+        vote: Phase2b,
+        also: Option<NodeId>,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
         if self.vote_cursors.len() > VOTE_CURSORS_CAP {
             evict_lru_half(&mut self.vote_cursors);
         }
-        let mut targets = vec![also];
+        let mut targets: Vec<NodeId> = also.into_iter().collect();
         if let Some(coords) = self
             .store
             .with_record(key, |rec| rec.learning_coordinators())
@@ -505,7 +522,7 @@ impl StorageNodeProcess {
         match self.store.fast_propose(opt.clone(), ctx.now) {
             FastPropose::Vote(vote) => {
                 self.stats.fast_votes += 1;
-                self.fan_out_vote(&key, vote, from, ctx);
+                self.fan_out_vote(&key, vote, Some(from), ctx);
             }
             FastPropose::NotFast { promised } => {
                 self.stats.not_fast_bounces += 1;
@@ -900,6 +917,7 @@ impl Process<Msg> for StorageNodeProcess {
                 self.wal_append(ctx, |_| raised);
                 self.with_leader(&key, |l| l.on_nack(promised), ctx);
             }
+            Msg::P2aBehind { key, ballot } => self.on_behind(from, key, ballot, ctx),
             Msg::P2aStale { key, snapshot } => {
                 self.with_leader(&key, |l| l.on_stale(snapshot), ctx)
             }
@@ -929,9 +947,8 @@ impl Process<Msg> for StorageNodeProcess {
                 vote,
                 outcome,
             } => self.on_status_resp(from, txn, key, vote, outcome, ctx),
-            // TM-side messages (a storage node can receive them only if
-            // it acted as a recovery coordinator whose task is already
-            // finished) and timer payloads, which arrive via on_timer.
+            // TM-side messages: nothing a storage node does asks for
+            // one, so whoever sent it wasted the frame. Counted.
             Msg::MasterHint { .. }
             | Msg::RecordHint { .. }
             | Msg::NotFast { .. }
@@ -941,8 +958,9 @@ impl Process<Msg> for StorageNodeProcess {
             | Msg::Vote { .. }
             | Msg::VoteDelta { .. }
             | Msg::CstructFull { .. }
-            | Msg::ReadResp { .. }
-            | Msg::LearnTimeout { .. }
+            | Msg::ReadResp { .. } => self.stats.stray_msgs += 1,
+            // Timer payloads, which arrive via on_timer.
+            Msg::LearnTimeout { .. }
             | Msg::ReadRetry { .. }
             | Msg::DanglingSweep
             | Msg::RecoveryRetry { .. }

@@ -403,6 +403,29 @@ impl StorageNodeProcess {
         }
     }
 
+    /// An acceptor could not use a Phase2a of `ballot` (`Msg::P2aBehind`):
+    /// if this node's leader still holds that ballot's round, `from`
+    /// alone is sent the instance so far with the snapshot it lacks. If
+    /// not — the leader moved on, or the round is over — `from` is sent
+    /// this replica's committed state for the record, the anti-entropy
+    /// payload for one key: it catches up now, not at the next sweep,
+    /// and takes part in the next round.
+    pub(super) fn on_behind(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        ballot: Ballot,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        let answer = self.leaders.get(&key).and_then(|l| l.on_behind(ballot));
+        if let Some(payload) = answer {
+            let payload = Box::new(payload);
+            ctx.send(from, Msg::P2a { key, payload });
+        } else if let Some(item) = self.store.sync_item(&key) {
+            ctx.send(from, Msg::SyncChunk { items: vec![item] });
+        }
+    }
+
     /// The base check, ahead of the WAL: the ballot to Nack `payload`
     /// with when it names a base this record does not hold
     /// ([`mdcc_paxos::AcceptorRecord::refuses_base`] is the rule; the
@@ -417,6 +440,14 @@ impl StorageNodeProcess {
         self.store.with_record(key, |r| r.refuses_base(payload))?
     }
 
+    /// A Phase2a arrived: the lean broadcast, or the leader's answer to
+    /// this node's `P2aBehind`. Two answers are given ahead of the WAL,
+    /// with nothing logged or mutated: the ask, when the record has not
+    /// reached the instance and the payload carries no snapshot to get
+    /// there from, and the base check's Nack. What is logged is what the
+    /// acceptor went on to judge. The vote goes to the coordinators that
+    /// can still learn from it and not back to `from`: a master is no
+    /// learner.
     pub(super) fn on_phase2a(
         &mut self,
         from: NodeId,
@@ -425,6 +456,10 @@ impl StorageNodeProcess {
         ctx: &mut Ctx<'_, Msg>,
     ) {
         self.enforce_floor(&key, ctx);
+        let ballot = payload.ballot;
+        if self.store.lacks_snapshot(&key, &payload) {
+            return ctx.send(from, Msg::P2aBehind { key, ballot });
+        }
         if let Some(promised) = self.refused_base(&key, &payload) {
             return ctx.send(from, Msg::P2aNack { key, promised });
         }
@@ -439,7 +474,7 @@ impl StorageNodeProcess {
         match self.store.classic_accept(&key, *payload, ctx.now) {
             ClassicAccept::Vote(vote) => {
                 self.stats.classic_votes += 1;
-                self.fan_out_vote(&key, vote, from, ctx);
+                self.fan_out_vote(&key, vote, None, ctx);
             }
             ClassicAccept::Nack { promised } => {
                 let key = key.clone();
@@ -449,6 +484,7 @@ impl StorageNodeProcess {
                 let key = key.clone();
                 ctx.send(from, Msg::P2aStale { key, snapshot });
             }
+            ClassicAccept::Behind => unreachable!("asked ahead of the WAL"),
         }
         if self.store.version_of(&key) != before {
             self.record_moved(&key, ctx);

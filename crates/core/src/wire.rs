@@ -203,6 +203,11 @@ impl Wire for Msg {
                 key.encode(out);
                 node.encode(out);
             }
+            Msg::P2aBehind { key, ballot } => {
+                out.u8(40);
+                key.encode(out);
+                ballot.encode(out);
+            }
         }
     }
 
@@ -332,6 +337,10 @@ impl Wire for Msg {
                 key: Key::decode(inp)?,
                 node: Wire::decode(inp)?,
             },
+            40 => Msg::P2aBehind {
+                key: Key::decode(inp)?,
+                ballot: Ballot::decode(inp)?,
+            },
             _ => return err("msg tag"),
         })
     }
@@ -377,6 +386,7 @@ impl NetMessage for Msg {
             Msg::P1b { .. } => "P1b",
             Msg::P2a { .. } => "P2a",
             Msg::P2aNack { .. } => "P2aNack",
+            Msg::P2aBehind { .. } => "P2aBehind",
             Msg::P2aStale { .. } => "P2aStale",
             Msg::ReadReq { .. } => "ReadReq",
             Msg::ReadResp { .. } => "ReadResp",
@@ -516,12 +526,28 @@ mod tests {
                 payload: Box::new(Phase2a {
                     ballot: Ballot::classic(4, NodeId(1)),
                     version: Version(3),
-                    snapshot: snapshot.clone(),
+                    snapshot: Some(snapshot.clone()),
                     base: mdcc_paxos::acceptor::Base::ProvedSafe(cstruct.clone()),
                     new_options: vec![opt(11)],
                     close_instance: true,
                     reopen_fast: Some(Ballot::fast(5, NodeId(1))),
                 }),
+            },
+            Msg::P2a {
+                key: key("a"),
+                payload: Box::new(Phase2a {
+                    ballot: Ballot::classic(4, NodeId(1)),
+                    version: Version(3),
+                    snapshot: None,
+                    base: mdcc_paxos::acceptor::Base::Digest(cstruct.trace_digest()),
+                    new_options: vec![opt(12)],
+                    close_instance: false,
+                    reopen_fast: None,
+                }),
+            },
+            Msg::P2aBehind {
+                key: key("a"),
+                ballot: Ballot::classic(4, NodeId(1)),
             },
             Msg::P2aNack {
                 key: key("a"),
@@ -672,6 +698,26 @@ mod tests {
                 format!("{msg:?}"),
                 "round trip mismatch"
             );
+        }
+    }
+
+    #[test]
+    fn strict_prefixes_of_the_classic_round_do_not_decode() {
+        // A frame cut short anywhere is an error, never a panic or
+        // another message: the lean and the answering Phase2a, and the
+        // ask between them.
+        let classic = |msg: &Msg| matches!(msg, Msg::P2a { .. } | Msg::P2aBehind { .. });
+        let msgs: Vec<Msg> = samples().into_iter().filter(classic).collect();
+        assert_eq!(msgs.len(), 3);
+        for msg in msgs {
+            let bytes = to_bytes(&msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    from_bytes::<Msg>(&bytes[..cut]).is_err(),
+                    "{} bytes of {msg:?} decoded",
+                    cut
+                );
+            }
         }
     }
 

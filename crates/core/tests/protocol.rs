@@ -12,7 +12,7 @@ use mdcc_core::placement::Placement;
 use mdcc_core::{
     Msg, StaticPlacement, StorageNodeProcess, TmConfig, TmEvent, TransactionManager, TxnCompletion,
 };
-use mdcc_paxos::{AttrConstraint, TxnOutcome};
+use mdcc_paxos::{AttrConstraint, Ballot, TxnOutcome};
 use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore, TableSchema};
 
@@ -262,6 +262,14 @@ fn constraint_never_violated_under_contention() {
     );
     assert_eq!(values[0], 4 - committed as i64);
     assert!(values[0] >= 0, "constraint violated: {values:?}");
+    // The collisions went through a master's classic rounds, and nobody
+    // was sent a message it drops: the votes of those rounds go to the
+    // coordinators, not back to the master.
+    let node_stats = |n: &NodeId| c.world.get::<StorageNodeProcess>(*n).unwrap().stats();
+    let classic_votes: u64 = c.storage.iter().map(|n| node_stats(n).classic_votes).sum();
+    let stray: u64 = c.storage.iter().map(|n| node_stats(n).stray_msgs).sum();
+    assert!(classic_votes > 0, "the run never left the fast path");
+    assert_eq!(stray, 0, "messages sent to storage nodes that drop them");
 }
 
 #[test]
@@ -410,6 +418,34 @@ fn node_restarted_onto_an_empty_store_syncs_from_its_peers() {
     assert_eq!(stock_at(&c.world, lost, &key("i1")), Some(8));
     assert_eq!(committed(lost).len(), 3, "every record arrived");
     assert_eq!(committed(lost), committed(c.storage[0]));
+}
+
+#[test]
+fn an_ask_nobody_can_answer_is_met_with_the_replicas_committed_state() {
+    // Node 0 missed the record altogether and asks node 1 about a
+    // Phase2a of a ballot node 1 never led (its leader moved on, or the
+    // round is over): no window to answer with, so node 1 sends what its
+    // own replica has committed, and node 0 is caught up for the next
+    // round, not at the next anti-entropy sweep.
+    let mut c = build_cluster(5, MasterPolicy::HashedPerRecord);
+    let k = key("i1");
+    for &node in &c.storage[1..] {
+        let replica = c.world.get_mut::<StorageNodeProcess>(node).unwrap();
+        let row = Row::new().with("stock", 10);
+        replica.store_mut().load(k.clone(), row);
+    }
+    assert_eq!(stock_at(&c.world, c.storage[0], &k), None);
+    let ballot = Ballot::classic(7, c.storage[1]);
+    let ask = Msg::P2aBehind {
+        key: k.clone(),
+        ballot,
+    };
+    c.world.inject(c.storage[0], c.storage[1], ask);
+    c.world.run_for(SimDuration::from_secs(1));
+    assert_eq!(stock_at(&c.world, c.storage[0], &k), Some(10));
+    let stats = |n: NodeId| c.world.get::<StorageNodeProcess>(n).unwrap().stats();
+    assert_eq!(stats(c.storage[0]).sync_adoptions, 1);
+    assert_eq!(stats(c.storage[0]).stray_msgs, 0);
 }
 
 #[test]

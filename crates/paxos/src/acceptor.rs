@@ -59,7 +59,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use mdcc_common::error::AbortReason;
-use mdcc_common::{Row, TxnId, UpdateOp, Version};
+use mdcc_common::{CommutativeUpdate, Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
 use crate::cstruct::{trace_digest_of, CStruct, Entry, Mark};
@@ -163,6 +163,11 @@ pub enum ClassicAccept {
         /// The acceptor's newer committed state.
         snapshot: RecordSnapshot,
     },
+    /// The Phase2a targets an instance this acceptor has not reached and
+    /// travels without the leader's snapshot
+    /// ([`AcceptorRecord::lacks_snapshot`]): nothing was mutated, the
+    /// promise included, and the acceptor asks the leader for it.
+    Behind,
 }
 
 /// What a [`Phase2a`]'s fresh options are appended to.
@@ -184,6 +189,13 @@ pub enum Base {
 }
 
 /// Classic Phase2a payload (leader → acceptors).
+///
+/// The broadcast names the instance it targets and nothing of the state
+/// behind it: an acceptor already in that instance — nearly every one,
+/// every time — needs only the position to know so. One that is behind
+/// ([`AcceptorRecord::lacks_snapshot`]) says so, and the leader answers
+/// that acceptor alone with the instance's whole window and its
+/// committed state ([`crate::LeaderRecord::on_behind`]).
 #[derive(Debug, Clone)]
 pub struct Phase2a {
     /// Classic ballot (established by Phase 1, or a lease ballot whose
@@ -191,8 +203,9 @@ pub struct Phase2a {
     pub ballot: Ballot,
     /// Instance this proposal targets.
     pub version: Version,
-    /// The leader's committed state; acceptors behind it catch up.
-    pub snapshot: RecordSnapshot,
+    /// The leader's committed state, for an acceptor behind `version` to
+    /// catch up from: `Some` only on the answer to one that asked.
+    pub snapshot: Option<RecordSnapshot>,
     /// What `new_options` extend.
     pub base: Base,
     /// Fresh options for the acceptor to validate and append.
@@ -571,11 +584,17 @@ impl AcceptorRecord {
     }
 
     /// Adopts a newer committed snapshot: the catch-up step shared by
-    /// classic Phase2a and restart anti-entropy. Accepted-but-unresolved
-    /// options carry over into the new instance — their acceptance may
+    /// classic Phase2a and restart anti-entropy. What this node holds and
+    /// the snapshot does not fold carries over. Accepted-but-unresolved
+    /// options stay pending in the new instance — their acceptance may
     /// already be part of a learned quorum, so dropping them could lose
-    /// an update — *except* those the snapshot already folds in, which
-    /// re-executing would double-apply.
+    /// an update. Committed deltas executed in the instance being left
+    /// are applied again to the adopted value, which lacks them: the
+    /// snapshot's owner closed that instance before they were proposed,
+    /// or before their outcome reached it (an acceptor that had to ask
+    /// for the snapshot hears the outcome first more often than one that
+    /// was sent it). What the snapshot does fold is neither: re-executing
+    /// it would double-apply.
     fn adopt_snapshot(&mut self, snapshot: &RecordSnapshot) {
         let mut carried = CStruct::new();
         for e in self.pending() {
@@ -589,20 +608,29 @@ impl AcceptorRecord {
         // snapshot can later double-execute their options when another
         // replica re-ships them (ring or current-instance payloads).
         // Keep advertising them as inherited.
-        let executed: Vec<TxnId> = self
+        let executed: Vec<Arc<Entry>> = self
             .cstruct
-            .entries()
+            .shared()
+            .iter()
             .filter(|e| self.resolved_entries.contains(&e.opt.txn))
-            .map(|e| e.opt.txn)
+            .cloned()
             .collect();
         self.version = snapshot.version;
         self.value = snapshot.value.clone();
+        for e in &executed {
+            let committed = self.outcome_of(e.opt.txn) == Some(TxnOutcome::Committed);
+            if let UpdateOp::Commutative(c) = &e.opt.op {
+                if committed && !snapshot.folded.contains(&e.opt.txn) {
+                    self.apply_deltas(c);
+                }
+            }
+        }
         self.base = self.value.clone();
         self.replace_cstruct(carried);
         self.accepted_ballot = None;
         self.close_on_resolve = false;
-        for txn in executed {
-            self.note_inherited(txn);
+        for e in executed {
+            self.note_inherited(e.opt.txn);
         }
         for txn in &snapshot.folded {
             if self.resolved_entries.insert(*txn) {
@@ -610,6 +638,15 @@ impl AcceptorRecord {
                 self.note_settled(*txn);
             }
         }
+    }
+
+    /// Executes a committed commutative update on the value.
+    fn apply_deltas(&mut self, update: &CommutativeUpdate) {
+        let mut row = self.value.take().unwrap_or_default();
+        for (attr, delta) in update.deltas.iter() {
+            row.apply_delta(attr, *delta);
+        }
+        self.value = Some(row);
     }
 
     /// Records a transaction settled via adoption (effect arrived inside
@@ -793,12 +830,23 @@ impl AcceptorRecord {
         } else {
             // Behind on decided instances: it adopts the leader's
             // snapshot first and holds what it carries over, its pending
-            // options the snapshot has not folded in.
-            let folded = &p.snapshot.folded;
+            // options the snapshot has not folded in. Without the
+            // snapshot there is nothing to compare yet: it asks first.
+            let folded = &p.snapshot.as_ref()?.folded;
             let carried = self.pending().filter(|e| !folded.contains(&e.opt.txn));
             trace_digest_of(carried.map(|e| &**e))
         };
         (held != base).then(|| p.ballot.next_classic(p.ballot.proposer))
+    }
+
+    /// True when `p` cannot be judged here: it targets an instance this
+    /// acceptor has not reached and travels without the committed state
+    /// to catch up from. Pure — a storage node asks before it logs the
+    /// payload, [`Self::classic_accept`] asks again and answers
+    /// [`ClassicAccept::Behind`]. A ballot below the promise is not the
+    /// acceptor's to join either way and gets its Nack.
+    pub fn lacks_snapshot(&self, p: &Phase2a) -> bool {
+        p.snapshot.is_none() && p.version > self.version && p.ballot >= self.promised
     }
 
     /// Classic Phase2a (Algorithm 3, line 72), extended with catch-up and
@@ -809,13 +857,16 @@ impl AcceptorRecord {
                 promised: self.promised,
             };
         }
+        if self.lacks_snapshot(&p) {
+            return ClassicAccept::Behind;
+        }
         if let Some(promised) = self.refuses_base(&p) {
             // Nothing is mutated, the promise included.
             return ClassicAccept::Nack { promised };
         }
-        if p.version > self.version {
+        if let Some(snapshot) = p.snapshot.as_ref().filter(|_| p.version > self.version) {
             // We missed decisions; adopt the leader's committed state.
-            self.adopt_snapshot(&p.snapshot);
+            self.adopt_snapshot(snapshot);
         } else if p.version < self.version {
             return ClassicAccept::Stale {
                 snapshot: self.snapshot(),
@@ -1369,13 +1420,7 @@ impl AcceptorRecord {
                     UpdateOp::Physical(p) => {
                         self.value = p.value.clone();
                     }
-                    UpdateOp::Commutative(c) => {
-                        let mut row = self.value.take().unwrap_or_default();
-                        for (attr, delta) in c.deltas.iter() {
-                            row.apply_delta(attr, *delta);
-                        }
-                        self.value = Some(row);
-                    }
+                    UpdateOp::Commutative(c) => self.apply_deltas(c),
                     UpdateOp::ReadGuard(_) => {
                         // Guards execute as no-ops; the lock releases.
                         self.remove_entry(txn);
@@ -1441,6 +1486,7 @@ impl AcceptorRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdcc_common::wire::to_bytes;
     use mdcc_common::{CommutativeUpdate, Key, NodeId, PhysicalUpdate, TableId};
 
     fn key() -> Key {
@@ -1693,7 +1739,7 @@ mod tests {
         let r = a.classic_accept(Phase2a {
             ballot: floor,
             version: Version(1),
-            snapshot: a.snapshot(),
+            snapshot: None,
             base: Base::Held,
             new_options: vec![dec(1, 1)],
             close_instance: false,
@@ -1705,7 +1751,7 @@ mod tests {
         match a.classic_accept(Phase2a {
             ballot: deposed,
             version: Version(1),
-            snapshot: a.snapshot(),
+            snapshot: None,
             base: Base::Held,
             new_options: vec![dec(2, 1)],
             close_instance: false,
@@ -1739,7 +1785,7 @@ mod tests {
         let result = a.classic_accept(Phase2a {
             ballot: m,
             version: Version(1),
-            snapshot: a.snapshot(),
+            snapshot: None,
             base: Base::Held,
             new_options: vec![dec(1, 2)],
             close_instance: true,
@@ -1768,7 +1814,7 @@ mod tests {
         match a.classic_accept(Phase2a {
             ballot: low,
             version: Version(1),
-            snapshot: a.snapshot(),
+            snapshot: None,
             base: Base::Held,
             new_options: vec![],
             close_instance: false,
@@ -1789,18 +1835,84 @@ mod tests {
             value: Some(Row::new().with("stock", 1)),
             folded: Vec::new(),
         };
-        let r = behind.classic_accept(Phase2a {
+        let lean = Phase2a {
             ballot: m,
             version: Version(4),
-            snapshot: newer.clone(),
+            snapshot: None,
             base: Base::Held,
-            new_options: vec![],
+            new_options: vec![dec(1, 1)],
             close_instance: false,
             reopen_fast: None,
+        };
+        // The broadcast names the instance only: a behind acceptor
+        // touches nothing and asks.
+        let before = to_bytes(&behind.export_state());
+        assert!(behind.lacks_snapshot(&lean));
+        assert!(matches!(
+            behind.classic_accept(lean.clone()),
+            ClassicAccept::Behind
+        ));
+        assert_eq!(to_bytes(&behind.export_state()), before);
+        // The leader's answer carries the state to catch up from.
+        let r = behind.classic_accept(Phase2a {
+            snapshot: Some(newer.clone()),
+            ..lean.clone()
         });
         assert!(matches!(r, ClassicAccept::Vote(_)));
+        // Caught up, the lean form is an ordinary (duplicate) append.
+        assert!(!behind.lacks_snapshot(&lean));
+        assert!(matches!(
+            behind.classic_accept(lean),
+            ClassicAccept::Vote(_)
+        ));
+        assert_eq!(behind.cstruct().len(), 1);
         assert_eq!(behind.version(), Version(4));
         assert_eq!(behind.value().unwrap().get_int("stock"), Some(1));
+    }
+
+    #[test]
+    fn adoption_keeps_a_committed_delta_the_snapshot_does_not_fold() {
+        // The acceptor took an option in instance 1 and heard its outcome
+        // while it waited for the snapshot of instance 2 it had asked
+        // for. The snapshot's owner closed instance 1 without the option
+        // (the leader proposes it again in instance 2), so its value
+        // lacks the delta this node already executed.
+        let m = Ballot::classic(1, NodeId(3));
+        let round = |version, snapshot| Phase2a {
+            ballot: m,
+            version: Version(version),
+            snapshot,
+            base: Base::Held,
+            new_options: vec![dec(1, 3)],
+            close_instance: false,
+            reopen_fast: None,
+        };
+        let executed = || {
+            let mut a = acceptor_with_stock(10);
+            assert!(matches!(
+                a.classic_accept(round(1, None)),
+                ClassicAccept::Vote(_)
+            ));
+            a.apply_visibility(txn(1), TxnOutcome::Committed, true);
+            assert_eq!(a.value().unwrap().get_int("stock"), Some(7));
+            a
+        };
+        let snapshot = |stock, folded| RecordSnapshot {
+            version: Version(2),
+            value: Some(Row::new().with("stock", stock)),
+            folded,
+        };
+        let mut a = executed();
+        let r = a.classic_accept(round(2, Some(snapshot(10, Vec::new()))));
+        assert!(matches!(r, ClassicAccept::Vote(_)));
+        assert_eq!(a.version(), Version(2));
+        assert_eq!(a.value().unwrap().get_int("stock"), Some(7), "kept");
+        assert!(a.cstruct().is_empty(), "settled, not proposed again");
+        assert!(a.snapshot().folded.contains(&txn(1)));
+        // A snapshot that folds the option already has the delta.
+        let mut b = executed();
+        let _ = b.classic_accept(round(2, Some(snapshot(7, vec![txn(1)]))));
+        assert_eq!(b.value().unwrap().get_int("stock"), Some(7));
     }
 
     #[test]
@@ -1815,11 +1927,7 @@ mod tests {
         match ahead.classic_accept(Phase2a {
             ballot: m,
             version: Version(1),
-            snapshot: RecordSnapshot {
-                version: Version(1),
-                value: None,
-                folded: Vec::new(),
-            },
+            snapshot: None,
             base: Base::Held,
             new_options: vec![],
             close_instance: false,
@@ -1864,7 +1972,7 @@ mod tests {
         let r = a.classic_accept(Phase2a {
             ballot: m,
             version: a.version(),
-            snapshot: a.snapshot(),
+            snapshot: None,
             base: Base::Held,
             new_options: vec![dec(7, 1)],
             close_instance: false,

@@ -40,12 +40,25 @@
 //! only closes (resolving, then re-basing the demarcation limits) on
 //! recovery, on γ expiry, or when it hits the option cap.
 //!
+//! A Phase2a broadcast names the instance it targets and carries none of
+//! the committed state behind it: an acceptor in that instance needs
+//! nothing more, and one that is behind asks. The leader answers that
+//! acceptor alone ([`LeaderRecord::on_behind`]) with the instance so far
+//! — base, window, close and reopen — and its snapshot, for as long as
+//! it leads the ballot and that instance is the one its snapshot names;
+//! an ask that comes later is stale, and the hosting node sends its own
+//! replica's committed state. That is why the window describes the
+//! instance of the last *round* and outlives the leader's own replica
+//! catching up to it ([`LeaderRecord::on_advance`]), and why an
+//! acceptor's `Stale` report ends the close it overtook
+//! ([`LeaderRecord::on_stale`]).
+//!
 //! The struct is sans-IO: methods return [`LeaderAction`]s that the
 //! hosting process turns into messages.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use mdcc_common::NodeId;
+use mdcc_common::{NodeId, Version};
 
 use crate::acceptor::{Base, Phase1b, Phase2a, RecordSnapshot};
 use crate::ballot::Ballot;
@@ -101,9 +114,9 @@ enum Phase {
     },
     /// Ballot established; Phase2a appends flow directly (Multi-Paxos).
     Leading { ballot: Ballot },
-    /// The γ-expiring close was sent; once the instance advances the
-    /// record is fast again and the leader steps aside.
-    Retiring,
+    /// The γ-expiring close was sent at `ballot`; once the instance
+    /// advances the record is fast again and the leader steps aside.
+    Retiring { ballot: Ballot },
 }
 
 /// Per-record leader state machine.
@@ -117,10 +130,20 @@ pub struct LeaderRecord {
     /// close, retirement).
     queue: VecDeque<TxnOption>,
     /// Options appended to the current open instance (replayed on a
-    /// stale-snapshot retry).
+    /// stale-snapshot retry and to an acceptor that was behind).
     window: Vec<TxnOption>,
+    /// The proved-safe cstruct the ballot's recovery round re-based the
+    /// current instance onto, until the instance advances: an acceptor
+    /// that was behind when the round went out joins from it like the
+    /// others did ([`Self::on_behind`]).
+    rebased: Option<CStruct>,
     /// Best known committed state.
     snapshot: RecordSnapshot,
+    /// The instance the last Phase2a broadcast targeted: what `window`,
+    /// `closing` and `rebased` are about. It trails `snapshot` between
+    /// an advance and the next round, and when a `Stale` taught the
+    /// leader a newer instance and there was nothing to replay into it.
+    round_in: Version,
     /// Highest ballot observed anywhere (for picking winning ballots).
     max_seen: Ballot,
     /// Remaining classic options before fast mode reopens.
@@ -150,6 +173,8 @@ impl LeaderRecord {
             phase: Phase::Idle,
             queue: VecDeque::new(),
             window: Vec::new(),
+            rebased: None,
+            round_in: snapshot.version,
             snapshot,
             max_seen: Ballot::INITIAL_FAST,
             gamma_remaining: 0,
@@ -247,7 +272,7 @@ impl LeaderRecord {
             Phase::Establishing { ballot, votes } if votes.len() >= self.cfg.qc => {
                 vec![LeaderAction::Phase1a(*ballot)]
             }
-            Phase::Establishing { .. } | Phase::Retiring => Vec::new(),
+            Phase::Establishing { .. } | Phase::Retiring { .. } => Vec::new(),
             Phase::Leading { ballot } => {
                 // Already coordinating: a close round re-bases without a
                 // new Phase 1.
@@ -256,13 +281,7 @@ impl LeaderRecord {
                 }
                 self.closing = true;
                 let ballot = *ballot;
-                vec![LeaderAction::Phase2a(self.build_phase2a(
-                    ballot,
-                    None,
-                    Vec::new(),
-                    true,
-                    self.reopen_ballot(ballot),
-                ))]
+                self.broadcast(ballot, None, Vec::new(), true, self.reopen_ballot(ballot))
             }
             Phase::Idle => {
                 self.recovery_requested = true;
@@ -286,7 +305,7 @@ impl LeaderRecord {
                 self.queue.push_back(opt);
                 self.drain_queue(ballot)
             }
-            Phase::Leading { .. } | Phase::Establishing { .. } | Phase::Retiring => {
+            Phase::Leading { .. } | Phase::Establishing { .. } | Phase::Retiring { .. } => {
                 self.queue.push_back(opt);
                 Vec::new()
             }
@@ -352,29 +371,35 @@ impl LeaderRecord {
         let reopen = self.reopen_ballot(ballot);
         self.closing = true;
         if reopen.is_some() {
-            self.phase = Phase::Retiring;
+            self.phase = Phase::Retiring { ballot };
         }
-        vec![LeaderAction::Phase2a(self.build_phase2a(
-            ballot,
-            Some(safe),
-            new_options,
-            true,
-            reopen,
-        ))]
+        self.rebased = Some(safe.clone());
+        self.broadcast(ballot, Some(safe), new_options, true, reopen)
     }
 
     /// The local acceptor advanced past the current instance: the close
     /// (if any) completed; drain what queued up meanwhile.
+    ///
+    /// Past the instance of the last round, not up to it: a local
+    /// acceptor that was behind the instance this leader proposes in
+    /// (the leader caught up through a Phase1b or a `Stale`, its replica
+    /// has not yet) moves when it adopts the leader's own snapshot, and
+    /// the round is as open as it was — the window still has to reach
+    /// the acceptors that asked for it, the close is still out.
     pub fn on_advance(&mut self, snapshot: RecordSnapshot) -> Vec<LeaderAction> {
+        if snapshot.version <= self.round_in {
+            return Vec::new();
+        }
         if snapshot.version > self.snapshot.version {
             self.snapshot = snapshot;
         }
         self.window.clear();
+        self.rebased = None;
         self.closing = false;
         // The next instance starts empty everywhere.
         self.extends = self.extends.map(|_| CStruct::EMPTY_TRACE_DIGEST);
         match self.phase {
-            Phase::Retiring => {
+            Phase::Retiring { .. } => {
                 // Fast mode reopened: hand queued options back to their
                 // coordinators for direct proposals.
                 self.phase = Phase::Idle;
@@ -417,7 +442,7 @@ impl LeaderRecord {
         self.observe_ballot(promised);
         let stale = match self.phase {
             Phase::Establishing { ballot, .. } | Phase::Leading { ballot } => promised <= ballot,
-            Phase::Idle | Phase::Retiring => false,
+            Phase::Idle | Phase::Retiring { .. } => false,
         };
         if stale {
             return Vec::new();
@@ -439,31 +464,79 @@ impl LeaderRecord {
             }
         }
         self.phase = Phase::Idle;
+        self.rebased = None;
         self.closing = false;
         self.extends = None;
     }
 
     /// An acceptor reported newer committed state than ours: catch up and
     /// replay the open window against the newer instance.
+    ///
+    /// That acceptor is past the instance the window was proposed in, so
+    /// a close that was out for it has happened: the window goes into
+    /// the newer instance as plain appends, and what queued behind the
+    /// close follows. (Replayed with the close still on, it would close
+    /// the newer instance at the acceptor that reported it — the one
+    /// that holds none of the window pending — which then reports the
+    /// next instance, and so on for as long as the window stands.)
     pub fn on_stale(&mut self, snapshot: RecordSnapshot) -> Vec<LeaderAction> {
-        if snapshot.version > self.snapshot.version {
+        let newer = snapshot.version > self.snapshot.version;
+        if newer {
             self.snapshot = snapshot;
+            self.rebased = None;
             self.extends = self.extends.map(|_| CStruct::EMPTY_TRACE_DIGEST);
         }
         let Phase::Leading { ballot } = self.phase else {
             return Vec::new();
         };
-        if self.window.is_empty() {
-            return Vec::new();
+        if newer {
+            self.closing = false;
         }
-        let window = self.window.clone();
-        vec![LeaderAction::Phase2a(self.build_phase2a(
-            ballot,
-            None,
-            window,
-            self.closing,
-            None,
-        ))]
+        let mut actions = Vec::new();
+        if !self.window.is_empty() {
+            let window = self.window.clone();
+            actions = self.broadcast(ballot, None, window, self.closing, None);
+        }
+        if newer {
+            actions.extend(self.drain_queue(ballot));
+        }
+        actions
+    }
+
+    /// An acceptor could not use a Phase2a of `ballot`: it is behind the
+    /// instance and the broadcast travels without the committed state
+    /// ([`crate::AcceptorRecord::lacks_snapshot`]). While this leader
+    /// still leads that ballot — `Leading`, or `Retiring` with the
+    /// closing round out — the answer for that one acceptor is the
+    /// instance so far as a single Phase2a: the snapshot, the base the
+    /// ballot's stream started from, every option appended since, and
+    /// the close and reopen the acceptor missed with them. It judges
+    /// that as it judged a Phase2a that carried its snapshot along.
+    ///
+    /// `None` — the ask is stale — when this leader does not lead that
+    /// ballot (it moved on, never led it, or retired and stepped aside)
+    /// or holds no round to answer with: the window, the close and the
+    /// base describe the instance of the last broadcast, and the
+    /// snapshot has left it. Either [`Self::on_advance`] cleared them
+    /// (the local acceptor closed the instance before the ask arrived)
+    /// or a `Stale` taught a newer snapshot that nothing was replayed
+    /// into; stamped with that snapshot, the old instance's options and
+    /// close would land in an instance they were never proposed in. The
+    /// hosting node then sends the acceptor its own replica's committed
+    /// state, which is what it was missing.
+    pub fn on_behind(&self, ballot: Ballot) -> Option<Phase2a> {
+        let (Phase::Leading { ballot: led } | Phase::Retiring { ballot: led }) = self.phase else {
+            return None;
+        };
+        if led != ballot || self.snapshot.version != self.round_in {
+            return None;
+        }
+        let reopen = self.closing.then(|| self.reopen_ballot(led)).flatten();
+        let (safe, window) = (self.rebased.clone(), self.window.clone());
+        Some(Phase2a {
+            snapshot: self.snapshot.clone().into(),
+            ..self.build_phase2a(led, safe, window, self.closing, reopen)
+        })
     }
 
     fn establish(&mut self) -> Vec<LeaderAction> {
@@ -490,20 +563,28 @@ impl LeaderRecord {
             self.closing = true;
         }
         if reopen.is_some() {
-            self.phase = Phase::Retiring;
+            self.phase = Phase::Retiring { ballot };
         }
-        vec![LeaderAction::Phase2a(self.build_phase2a(
-            ballot,
-            None,
-            vec![opt],
-            close,
-            reopen,
-        ))]
+        self.broadcast(ballot, None, vec![opt], close, reopen)
     }
 
     /// The fast ballot to reopen with, when γ is exhausted.
     fn reopen_ballot(&self, ballot: Ballot) -> Option<Ballot> {
         (self.cfg.allow_fast && self.gamma_remaining == 0).then(|| ballot.next_fast(self.self_id))
+    }
+
+    /// One Phase2a to every acceptor, in the leader's current instance.
+    fn broadcast(
+        &mut self,
+        ballot: Ballot,
+        safe: Option<CStruct>,
+        new_options: Vec<TxnOption>,
+        close_instance: bool,
+        reopen_fast: Option<Ballot>,
+    ) -> Vec<LeaderAction> {
+        self.round_in = self.snapshot.version;
+        let round = self.build_phase2a(ballot, safe, new_options, close_instance, reopen_fast);
+        vec![LeaderAction::Phase2a(round)]
     }
 
     fn build_phase2a(
@@ -522,7 +603,7 @@ impl LeaderRecord {
         Phase2a {
             ballot,
             version: self.snapshot.version,
-            snapshot: self.snapshot.clone(),
+            snapshot: None,
             base,
             new_options,
             close_instance,
@@ -782,6 +863,20 @@ mod tests {
         }
     }
 
+    /// The local acceptor closed the leader's instance and moved on.
+    fn advance(l: &mut LeaderRecord) -> Vec<LeaderAction> {
+        let next = l.snapshot.version.next();
+        advance_to(l, next)
+    }
+
+    /// The local acceptor reached `version`.
+    fn advance_to(l: &mut LeaderRecord, version: Version) -> Vec<LeaderAction> {
+        l.on_advance(RecordSnapshot {
+            version,
+            ..snapshot()
+        })
+    }
+
     fn p1b(promised: Ballot, accepted: Option<(Ballot, CStruct)>) -> Phase1b {
         Phase1b {
             promised,
@@ -800,7 +895,7 @@ mod tests {
         l.on_phase1b(1, p1b(b, None));
         let actions = l.on_phase1b(2, p1b(b, None));
         assert!(matches!(actions[0], LeaderAction::Phase2a(_)));
-        assert!(l.is_leading() || matches!(l.phase, Phase::Retiring));
+        assert!(l.is_leading() || matches!(l.phase, Phase::Retiring { .. }));
         b
     }
 
@@ -862,7 +957,7 @@ mod tests {
             panic!("expected a second append");
         };
         assert!(matches!(second.base, Base::Digest(d) if d == warm_base()));
-        l.on_advance(snapshot());
+        advance(&mut l);
         let LeaderAction::Phase2a(third) = &l.enqueue(comm_opt(3))[0] else {
             panic!("expected a third append");
         };
@@ -899,7 +994,7 @@ mod tests {
         // promise that ballot already clears and must change nothing.
         let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
         let b = establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         let _ = l.enqueue(comm_opt(1));
         let foreign = Ballot::classic(b.round + 5, NodeId(9));
         let actions = l.on_nack(foreign);
@@ -924,7 +1019,7 @@ mod tests {
         // the one it leads (a straggler from before it re-established).
         let mut led = LeaderRecord::new(cfg(), NodeId(1), snapshot());
         let b = establish(&mut led);
-        led.on_advance(snapshot());
+        advance(&mut led);
         assert!(led
             .on_nack(Ballot::classic(b.round - 1, NodeId(9)))
             .is_empty());
@@ -962,7 +1057,7 @@ mod tests {
         assert!(
             matches!(&actions[0], LeaderAction::Phase2a(p) if matches!(p.base, Base::ProvedSafe(_)))
         );
-        l.on_advance(snapshot());
+        advance(&mut l);
         assert!(
             matches!(&l.enqueue(comm_opt(2))[0], LeaderAction::Phase2a(p) if matches!(p.base, Base::Held))
         );
@@ -992,7 +1087,7 @@ mod tests {
         };
         assert_eq!(replay.new_options[0].txn, txn(5));
         assert!(matches!(replay.base, Base::Digest(d) if d == warm_base()));
-        let _ = l.on_advance(snapshot());
+        let _ = advance(&mut l);
         let LeaderAction::Phase2a(p) = &l.enqueue(comm_opt(1))[0] else {
             panic!("expected an append")
         };
@@ -1052,7 +1147,7 @@ mod tests {
         // Phase2a per option immediately, not serialize on visibility.
         let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot()); // recovery close done
+        advance(&mut l); // recovery close done
         let a1 = l.enqueue(comm_opt(1));
         let a2 = l.enqueue(comm_opt(2));
         let LeaderAction::Phase2a(p1) = &a1[0] else {
@@ -1074,7 +1169,7 @@ mod tests {
     fn gamma_expiry_closes_and_reopens_fast() {
         let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         // γ = 3: the third appended option carries close + reopen.
         let a1 = l.enqueue(comm_opt(1));
         let a2 = l.enqueue(comm_opt(2));
@@ -1090,7 +1185,7 @@ mod tests {
         assert!(p3.close_instance);
         // Retiring: new proposals queue and bounce back on advance.
         assert!(l.enqueue(comm_opt(4)).is_empty());
-        let bounced = l.on_advance(snapshot());
+        let bounced = advance(&mut l);
         assert!(matches!(&bounced[0], LeaderAction::RedirectFast(o) if o.txn == txn(4)));
         assert!(!l.is_leading());
     }
@@ -1101,7 +1196,7 @@ mod tests {
         c.allow_fast = false;
         let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         for seq in 1..10 {
             let actions = l.enqueue(comm_opt(seq));
             let LeaderAction::Phase2a(p) = &actions[0] else {
@@ -1119,7 +1214,7 @@ mod tests {
         c.max_instance_options = 2;
         let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         let _ = l.enqueue(comm_opt(1));
         let a2 = l.enqueue(comm_opt(2));
         let LeaderAction::Phase2a(p2) = &a2[0] else {
@@ -1130,7 +1225,7 @@ mod tests {
         assert!(l.enqueue(comm_opt(3)).is_empty());
         assert_eq!(l.queue.len(), 1);
         // The advance drains the queue into the fresh instance.
-        let drained = l.on_advance(snapshot());
+        let drained = advance(&mut l);
         assert!(matches!(&drained[0], LeaderAction::Phase2a(p) if p.new_options[0].txn == txn(3)));
     }
 
@@ -1140,7 +1235,7 @@ mod tests {
         c.gamma = 1_000;
         let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         let _ = l.enqueue(comm_opt(1));
         let actions = l.start_recovery();
         let LeaderAction::Phase2a(p) = &actions[0] else {
@@ -1156,7 +1251,7 @@ mod tests {
     fn nack_requeues_window_and_re_establishes() {
         let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
         let b = establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         let _ = l.enqueue(comm_opt(1));
         let foreign = Ballot::classic(b.round + 5, NodeId(9));
         let actions = l.on_nack(foreign);
@@ -1173,7 +1268,7 @@ mod tests {
         c.gamma = 1_000;
         let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         let _ = l.enqueue(comm_opt(1));
         let newer = RecordSnapshot {
             version: Version(5),
@@ -1186,6 +1281,226 @@ mod tests {
         };
         assert_eq!(p.version, Version(5));
         assert_eq!(p.new_options.len(), 1);
+    }
+
+    #[test]
+    fn broadcasts_travel_lean_and_a_behind_acceptor_is_answered_while_leading() {
+        let mut c = cfg();
+        c.gamma = 1_000;
+        let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
+        let b = establish(&mut l);
+        // The recovery round is still closing: one that was behind joins
+        // from the proved-safe cstruct like the others.
+        let answer = l.on_behind(b).expect("the closing round is in flight");
+        assert!(matches!(answer.base, Base::ProvedSafe(_)));
+        assert!(answer.close_instance && answer.new_options.is_empty());
+        advance(&mut l);
+        let sent: Vec<Phase2a> = [comm_opt(1), comm_opt(2)]
+            .into_iter()
+            .map(|opt| match &l.enqueue(opt)[0] {
+                LeaderAction::Phase2a(p) => p.clone(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert!(sent.iter().all(|p| p.snapshot.is_none()), "lean broadcast");
+        // The answer is the instance so far in one Phase2a, with the
+        // committed state to catch up from.
+        let answer = l.on_behind(b).expect("leading with a window");
+        assert_eq!(answer.snapshot, Some(l.snapshot.clone()));
+        assert_eq!((answer.ballot, answer.version), (b, sent[1].version));
+        assert_eq!(answer.new_options, [comm_opt(1), comm_opt(2)]);
+        assert!(matches!(answer.base, Base::Held));
+        assert!(!answer.close_instance && answer.reopen_fast.is_none());
+    }
+
+    #[test]
+    fn a_behind_acceptor_is_answered_while_retiring() {
+        // γ = 3: the third append closes and reopens fast; the leader is
+        // Retiring and still holds the window the acceptor missed.
+        let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
+        let b = establish(&mut l);
+        advance(&mut l);
+        for seq in 1..=2 {
+            let _ = l.enqueue(comm_opt(seq));
+        }
+        let LeaderAction::Phase2a(last) = &l.enqueue(comm_opt(3))[0] else {
+            panic!("expected the closing append")
+        };
+        assert!(matches!(l.phase, Phase::Retiring { .. }));
+        let answer = l.on_behind(b).expect("retiring with the close in flight");
+        assert_eq!(answer.snapshot, Some(l.snapshot.clone()));
+        assert_eq!(answer.new_options.len(), 3);
+        assert!(answer.close_instance, "the close it missed");
+        assert_eq!(answer.reopen_fast, last.reopen_fast, "and the reopen");
+        assert!(answer.reopen_fast.is_some());
+    }
+
+    #[test]
+    fn a_local_acceptor_catching_up_is_no_advance() {
+        // The leader learned of instance 5 from a promise; its own
+        // replica is still in instance 1 and moves when it adopts the
+        // leader's snapshot. The recovery round is as open as it was:
+        // the window, the close and the base all still stand.
+        let mut c = cfg();
+        c.gamma = 1_000;
+        let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
+        let LeaderAction::Phase1a(b) = l.enqueue(comm_opt(1))[0] else {
+            panic!("expected phase 1")
+        };
+        let ahead = Phase1b {
+            snapshot: RecordSnapshot {
+                version: Version(5),
+                ..snapshot()
+            },
+            ..p1b(b, None)
+        };
+        l.on_phase1b(0, ahead.clone());
+        l.on_phase1b(1, ahead.clone());
+        let sent = l.on_phase1b(2, ahead.clone());
+        assert!(matches!(&sent[0], LeaderAction::Phase2a(p) if p.version == Version(5)));
+        assert!(l.on_advance(ahead.snapshot.clone()).is_empty());
+        let answer = l.on_behind(b).expect("the round is still out");
+        assert_eq!(answer.new_options, [comm_opt(1)]);
+        assert!(answer.close_instance && matches!(answer.base, Base::ProvedSafe(_)));
+        // The instance after it is an advance: the round is over.
+        advance(&mut l);
+        assert!(l.on_behind(b).is_none());
+    }
+
+    #[test]
+    fn an_advance_is_measured_against_the_round_not_against_what_a_stale_taught() {
+        // γ = 3: the third append retires the leader, in instance 2. An
+        // acceptor far ahead says `Stale`; a retiring leader replays
+        // nothing, so its last round is still the one in instance 2, and
+        // its own replica closing that instance is the advance it waits
+        // for — although the replica has not reached what the leader
+        // now knows of.
+        let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
+        establish(&mut l);
+        advance(&mut l);
+        for seq in 1..=3 {
+            let _ = l.enqueue(comm_opt(seq));
+        }
+        assert!(matches!(l.phase, Phase::Retiring { .. }));
+        assert!(l.enqueue(comm_opt(4)).is_empty(), "queued behind the close");
+        let newer = RecordSnapshot {
+            version: Version(7),
+            ..snapshot()
+        };
+        assert!(l.on_stale(newer).is_empty());
+        let bounced = advance_to(&mut l, Version(3));
+        assert!(matches!(&bounced[..], [LeaderAction::RedirectFast(o)] if o.txn == txn(4)));
+        assert!(matches!(l.phase, Phase::Idle));
+    }
+
+    #[test]
+    fn a_newer_stale_ends_the_close_it_overtook() {
+        // A close is out in instance 1 with an option in the window; an
+        // acceptor past that instance says so. The window is replayed in
+        // its instance as an append — closing there again would close it
+        // at that acceptor alone, which would report the next one, and
+        // so on — and what queued behind the close follows.
+        let mut c = cfg();
+        c.gamma = 1_000;
+        let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
+        establish(&mut l);
+        advance(&mut l);
+        let _ = l.enqueue(comm_opt(1));
+        let _ = l.start_recovery();
+        assert!(l.enqueue(comm_opt(2)).is_empty(), "queued behind the close");
+        let newer = RecordSnapshot {
+            version: Version(5),
+            ..snapshot()
+        };
+        let sent = l.on_stale(newer.clone());
+        let rounds: Vec<&Phase2a> = sent
+            .iter()
+            .map(|action| match action {
+                LeaderAction::Phase2a(p) => p,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(rounds.len(), 2, "the replay, then what was queued");
+        assert!(rounds
+            .iter()
+            .all(|p| p.version == Version(5) && !p.close_instance));
+        assert_eq!(rounds[0].new_options, [comm_opt(1)]);
+        assert_eq!(rounds[1].new_options, [comm_opt(2)]);
+        // The same report again replays the window and nothing else.
+        assert_eq!(l.on_stale(newer).len(), 1);
+    }
+
+    #[test]
+    fn a_stale_ask_is_ignored() {
+        let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
+        assert!(l.on_behind(Ballot::classic(1, NodeId(1))).is_none(), "idle");
+        let b = establish(&mut l);
+        advance(&mut l);
+        let _ = l.enqueue(comm_opt(1));
+        // About a ballot this leader has left behind, or never led.
+        assert!(l
+            .on_behind(Ballot::classic(b.round - 1, NodeId(1)))
+            .is_none());
+        assert!(l.on_behind(Ballot::classic(b.round, NodeId(9))).is_none());
+        assert!(l.on_behind(b).is_some());
+        // γ = 3: the third append retires the leader; once the instance
+        // advanced the record is fast again, the window is gone and the
+        // leader has stepped aside.
+        let _ = l.enqueue(comm_opt(2));
+        let _ = l.enqueue(comm_opt(3));
+        assert!(l.on_behind(b).is_some(), "retiring");
+        advance(&mut l);
+        assert!(l.on_behind(b).is_none(), "retired");
+        // Establishing leads nothing yet.
+        let LeaderAction::Phase1a(b2) = l.enqueue(comm_opt(4))[0] else {
+            panic!("expected phase 1")
+        };
+        assert!(l.on_behind(b).is_none() && l.on_behind(b2).is_none());
+    }
+
+    #[test]
+    fn an_ask_after_the_advance_cleared_the_window_is_ignored() {
+        // The local acceptor closed an empty instance at once and the
+        // leader moved on: there is no round left to answer with (the
+        // hosting node sends the acceptor its replica's state), until
+        // the next broadcast opens one in the new instance.
+        let mut c = cfg();
+        c.gamma = 1_000;
+        let mut l = LeaderRecord::new(c, NodeId(1), snapshot());
+        let b = establish(&mut l);
+        assert!(l.on_behind(b).is_some(), "the closing round is out");
+        advance(&mut l);
+        assert!(l.is_leading() && l.on_behind(b).is_none());
+        let _ = l.enqueue(comm_opt(1));
+        let answer = l.on_behind(b).expect("a round in the new instance");
+        assert_eq!(answer.version, Version(2));
+        assert_eq!(answer.snapshot, Some(l.snapshot.clone()));
+        assert_eq!(answer.new_options, [comm_opt(1)]);
+        assert!(matches!(answer.base, Base::Held) && !answer.close_instance);
+    }
+
+    #[test]
+    fn a_retiring_leader_a_stale_taught_a_newer_snapshot_does_not_answer() {
+        // γ = 3: the third append retires the leader with its window and
+        // close out in instance 2. A `Stale` teaches it instance 7 and a
+        // retiring leader replays nothing, so the window, the close and
+        // the reopen still describe instance 2: stamped with snapshot 7
+        // they would append decided options, close and reopen there.
+        let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
+        let b = establish(&mut l);
+        advance(&mut l);
+        for seq in 1..=3 {
+            let _ = l.enqueue(comm_opt(seq));
+        }
+        assert!(matches!(l.phase, Phase::Retiring { .. }));
+        assert!(l.on_behind(b).is_some_and(|p| p.version == Version(2)));
+        let newer = RecordSnapshot {
+            version: Version(7),
+            ..snapshot()
+        };
+        assert!(l.on_stale(newer).is_empty());
+        assert!(matches!(l.phase, Phase::Retiring { .. }));
+        assert!(l.on_behind(b).is_none());
     }
 
     #[test]
@@ -1207,7 +1522,7 @@ mod tests {
     fn enqueue_dedupes_by_txn() {
         let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
         establish(&mut l);
-        l.on_advance(snapshot());
+        advance(&mut l);
         let a1 = l.enqueue(comm_opt(1));
         assert_eq!(a1.len(), 1);
         let a2 = l.enqueue(comm_opt(1));

@@ -278,6 +278,8 @@ impl Wire for Base {
     }
 }
 
+/// The snapshot is an `Option`: the broadcast pays the one byte that
+/// says it is absent, the answer to a behind acceptor carries it whole.
 impl Wire for Phase2a {
     fn encode(&self, out: &mut Enc) {
         self.ballot.encode(out);
@@ -292,7 +294,7 @@ impl Wire for Phase2a {
         Ok(Phase2a {
             ballot: Ballot::decode(inp)?,
             version: Version::decode(inp)?,
-            snapshot: RecordSnapshot::decode(inp)?,
+            snapshot: Option::decode(inp)?,
             base: Base::decode(inp)?,
             new_options: Vec::decode(inp)?,
             close_instance: inp.bool()?,
@@ -393,11 +395,11 @@ mod tests {
         let p2a = Phase2a {
             ballot: Ballot::classic(2, NodeId(3)),
             version: Version(5),
-            snapshot: RecordSnapshot {
+            snapshot: Some(RecordSnapshot {
                 version: Version(5),
                 value: Some(Row::new().with("stock", 1)),
                 folded: vec![TxnId::new(NodeId(4), 2)],
-            },
+            }),
             base: Base::ProvedSafe(safe.clone()),
             new_options: vec![TxnOption::solo(
                 TxnId::new(NodeId(9), 7),
@@ -415,6 +417,17 @@ mod tests {
         assert_eq!(back.new_options, p2a.new_options);
         assert!(back.close_instance);
         assert_eq!(back.reopen_fast, p2a.reopen_fast);
+
+        // The broadcast form: no snapshot, one byte instead of it.
+        let lean = Phase2a {
+            snapshot: None,
+            ..p2a.clone()
+        };
+        assert_eq!(round_trip(&lean).snapshot, None);
+        assert_eq!(
+            to_bytes(&lean).len() + to_bytes(&p2a.snapshot).len(),
+            to_bytes(&p2a).len() + 1
+        );
 
         // The three forms of the base: the two that existed keep the
         // bytes of the `Option<CStruct>` they were, the digest form is a
@@ -510,5 +523,65 @@ mod tests {
         assert_eq!(back.entries.len(), dv.entries.len());
         assert_eq!(back.digest, dv.digest);
         assert_eq!(back.full_len, 3);
+    }
+
+    /// A Phase2a from generated parts: with or without the snapshot,
+    /// every form of the base, any number of options.
+    fn generated_phase2a(words: &[u32], with_snapshot: bool) -> Phase2a {
+        let word = |i: usize| u64::from(words[i % words.len()]);
+        let opt = |seq: u64| {
+            TxnOption::solo(
+                TxnId::new(NodeId(seq as u32 % 7), seq),
+                Key::new(TableId(1), "k"),
+                UpdateOp::Commutative(CommutativeUpdate::delta("stock", -(seq as i64 % 5))),
+            )
+        };
+        let mut held = CStruct::new();
+        for seq in 0..word(1) % 3 {
+            held.append(opt(seq), OptionStatus::Accepted);
+        }
+        let base = match word(2) % 3 {
+            0 => Base::Held,
+            1 => Base::ProvedSafe(held),
+            _ => Base::Digest(word(3) << 32 | word(4)),
+        };
+        Phase2a {
+            ballot: Ballot::classic(words[0], NodeId(words[0] % 5)),
+            version: Version(word(5)),
+            snapshot: with_snapshot.then(|| RecordSnapshot {
+                version: Version(word(5)),
+                value: (word(6) % 2 == 0).then(|| Row::new().with("stock", word(7) as i64)),
+                folded: (0..word(8) % 14)
+                    .map(|s| TxnId::new(NodeId(2), s))
+                    .collect(),
+            }),
+            base,
+            new_options: (0..word(9) % 4).map(|s| opt(100 + s)).collect(),
+            close_instance: word(10) % 2 == 0,
+            reopen_fast: (word(11) % 2 == 0).then(|| Ballot::fast(words[0] + 1, NodeId(1))),
+        }
+    }
+
+    proptest::proptest! {
+        /// Both shapes of Phase2a round-trip, and a frame cut short
+        /// anywhere is an error, never a panic or another message.
+        #[test]
+        fn phase2a_round_trips_and_its_strict_prefixes_do_not_decode(
+            words in proptest::collection::vec(proptest::any::<u32>(), 12..13),
+            with_snapshot in proptest::any::<bool>(),
+        ) {
+            let p2a = generated_phase2a(&words, with_snapshot);
+            let bytes = to_bytes(&p2a);
+            let back: Phase2a = from_bytes(&bytes).expect("round trip");
+            proptest::prop_assert_eq!(to_bytes(&back), bytes.clone());
+            proptest::prop_assert_eq!(back.snapshot.is_some(), with_snapshot);
+            for cut in 0..bytes.len() {
+                proptest::prop_assert!(
+                    from_bytes::<Phase2a>(&bytes[..cut]).is_err(),
+                    "a {cut}-byte prefix of {} decoded",
+                    bytes.len()
+                );
+            }
+        }
     }
 }

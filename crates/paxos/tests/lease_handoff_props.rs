@@ -22,15 +22,32 @@
 //! 5. an acceptor that missed one of the predecessor's appends Nacks,
 //!    even when what it holds is *nothing*;
 //! 6. and without the digest comparison, (1) fails.
+//!
+//! Every Phase2a is delivered as it is broadcast: without the leader's
+//! snapshot. Some acceptors start an instance *behind* the leaders'
+//! replicas; they ask, and the answers — the instance so far, with the
+//! snapshot — join what is in flight and are delivered in any order,
+//! more than once or never, like everything else. An acceptor may also
+//! catch up by anti-entropy in between. Properties 1–4 hold unchanged,
+//! and:
+//!
+//! 7. a lean Phase2a delivered to an acceptor that is behind changes
+//!    nothing there — not its promise, not what it accepted;
+//! 8. an answer that finds the acceptor already in its instance (it
+//!    caught up by sync, or by an earlier copy of the answer) is judged
+//!    exactly as the same Phase2a without the snapshot: an ordinary
+//!    duplicate.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use mdcc_common::wire::to_bytes;
 use mdcc_common::{
     CommutativeUpdate, Key, NodeId, PhysicalUpdate, Row, TableId, TxnId, UpdateOp, Version,
 };
 use mdcc_paxos::acceptor::{AcceptorRecord, Base, ClassicAccept, Phase2a};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
+use mdcc_paxos::TxnOutcome;
 use mdcc_paxos::{
     AttrConstraint, Ballot, CStruct, LeaderRecord, LearnOutcome, Learner, OptionStatus, TxnOption,
 };
@@ -54,6 +71,11 @@ fn txn(seq: u64) -> TxnId {
 
 /// Stock every acceptor starts from.
 const STOCK: i64 = 1_000;
+
+/// The instance both tenures run in. Instance 1 closed before either:
+/// a write that left the stock where it was committed there, and the
+/// acceptors that start *behind* missed its outcome.
+const INSTANCE: Version = Version(2);
 
 /// A decrement that fits the escrow alone and not next to another one:
 /// the demarcation floor is `STOCK / 5`.
@@ -79,7 +101,7 @@ fn takes(seq: u64) -> i64 {
 fn opt(seq: u64) -> TxnOption {
     let op = match takes(seq) {
         0 => UpdateOp::Physical(PhysicalUpdate::write(
-            Version(1),
+            INSTANCE,
             Row::new().with("stock", STOCK),
         )),
         amount => UpdateOp::Commutative(CommutativeUpdate::delta("stock", -amount)),
@@ -87,12 +109,36 @@ fn opt(seq: u64) -> TxnOption {
     TxnOption::solo(txn(seq), key(), op)
 }
 
-fn acceptors() -> Vec<AcceptorRecord> {
+/// Five acceptors in [`INSTANCE`], except those of `behind`, which never
+/// heard how instance 1 ended — and, if `saw`, still hold its write.
+fn acceptors(behind: &[usize], saw: bool) -> Vec<AcceptorRecord> {
     let constraints: Arc<[AttrConstraint]> = Arc::from(vec![AttrConstraint::at_least("stock", 0)]);
     let row = Row::new().with("stock", STOCK);
+    let first = TxnOption::solo(
+        txn(9_999),
+        key(),
+        UpdateOp::Physical(PhysicalUpdate::write(Version(1), row.clone())),
+    );
     (0..N)
-        .map(|_| AcceptorRecord::with_value(Arc::clone(&constraints), N, QF, 32, row.clone()))
+        .map(|i| {
+            let mut acc =
+                AcceptorRecord::with_value(Arc::clone(&constraints), N, QF, 32, row.clone());
+            let lags = behind.contains(&i);
+            if !lags || saw {
+                acc.fast_propose(first.clone());
+            }
+            if !lags {
+                acc.apply_visibility(first.txn, TxnOutcome::Committed, true);
+                assert_eq!(acc.version(), INSTANCE);
+            }
+            acc
+        })
         .collect()
+}
+
+/// Everything an acceptor is, as bytes.
+fn state_of(acc: &AcceptorRecord) -> Vec<u8> {
+    to_bytes(&acc.export_state())
 }
 
 fn leader(node: NodeId, acc: &AcceptorRecord) -> LeaderRecord {
@@ -143,11 +189,20 @@ struct Handoff {
     learned: BTreeMap<TxnId, bool>,
     /// Simulates the digest comparison reverted to "always accept".
     ignore_base: bool,
+    /// The predecessor still answers acceptors that ask: true during
+    /// its tenure, false once it is succeeded.
+    old_answers: bool,
 }
 
 impl Handoff {
     fn new(home: usize) -> Self {
-        let acc = acceptors();
+        Self::with_behind(home, &[], false)
+    }
+
+    /// The acceptors of `behind` start an instance back (neither
+    /// leader's own replica may).
+    fn with_behind(home: usize, behind: &[usize], saw: bool) -> Self {
+        let acc = acceptors(behind, saw);
         let (old, new) = (leader(OLD, &acc[0]), leader(NEW, &acc[home]));
         Handoff {
             acc,
@@ -158,6 +213,7 @@ impl Handoff {
             following: BTreeMap::new(),
             learned: BTreeMap::new(),
             ignore_base: false,
+            old_answers: true,
         }
     }
 
@@ -270,14 +326,51 @@ impl Handoff {
         Ok(())
     }
 
+    /// Property 8: an answer that finds acceptor `at` already in its
+    /// instance is judged as the same Phase2a without the snapshot.
+    fn an_answer_too_late_is_a_duplicate(&self, at: usize, p: &Phase2a) -> Result<(), String> {
+        if p.snapshot.is_none() || self.acc[at].version() < p.version {
+            return Ok(());
+        }
+        let lean = Phase2a {
+            snapshot: None,
+            ..p.clone()
+        };
+        let (mut with, mut without) = (self.acc[at].clone(), self.acc[at].clone());
+        let answers = (with.classic_accept(p.clone()), without.classic_accept(lean));
+        let same_answer = std::mem::discriminant(&answers.0) == std::mem::discriminant(&answers.1);
+        if same_answer && state_of(&with) == state_of(&without) {
+            Ok(())
+        } else {
+            Err(format!(
+                "acceptor {at} read a snapshot it had no use for: {answers:?}"
+            ))
+        }
+    }
+
     /// Delivers `sent[pick]`. Only the successor reacts to the answer —
     /// the predecessor is gone, which is why it was succeeded — however
     /// late it comes: a Nack about a ballot it has left behind is no
-    /// news to it.
+    /// news to it. An acceptor that is behind asks whoever sent the
+    /// Phase2a, and the answer joins what is in flight.
     fn deliver(&mut self, pick: usize, tape: &mut Tape) -> Result<(), String> {
         let (from_new, at, p) = self.sent[pick].clone();
         let version = self.acc[at].version();
-        let actions = match self.node_accept(at, p) {
+        let ballot = p.ballot;
+        self.an_answer_too_late_is_a_duplicate(at, &p)?;
+        let lean_and_behind = p.snapshot.is_none() && p.version > version;
+        let untouched = lean_and_behind.then(|| state_of(&self.acc[at]));
+        let answer = self.node_accept(at, p);
+        if let Some(before) = untouched {
+            // Property 7: it asks, or Nacks a ballot it promised past.
+            let asks = matches!(answer, ClassicAccept::Behind | ClassicAccept::Nack { .. });
+            if !asks || state_of(&self.acc[at]) != before {
+                return Err(format!(
+                    "a lean Phase2a moved acceptor {at}, behind: {answer:?}"
+                ));
+            }
+        }
+        let actions = match answer {
             ClassicAccept::Vote(_) => {
                 self.observe(at)?;
                 Vec::new()
@@ -285,6 +378,13 @@ impl Handoff {
             ClassicAccept::Nack { promised } if from_new => self.new.on_nack(promised),
             ClassicAccept::Stale { snapshot } if from_new => self.new.on_stale(snapshot),
             ClassicAccept::Nack { .. } | ClassicAccept::Stale { .. } => Vec::new(),
+            ClassicAccept::Behind => {
+                let asked = if from_new { &self.new } else { &self.old };
+                let answers = from_new || self.old_answers;
+                let answer = asked.on_behind(ballot).filter(|_| answers);
+                self.sent.extend(answer.map(|p| (from_new, at, p)));
+                Vec::new()
+            }
         };
         self.run(true, actions, tape)?;
         if at == self.home && self.acc[at].version() != version {
@@ -309,15 +409,24 @@ impl Handoff {
         for seq in 1..=(common + inflight) as u64 {
             self.follow(seq);
             let actions = self.old.enqueue(opt(seq));
-            let first = self.sent.len();
+            let mut pick = self.sent.len();
             self.run(false, actions, tape)?;
-            if seq <= common as u64 {
-                for pick in first..self.sent.len() {
-                    self.deliver(pick, tape)?;
-                }
+            // What reached everyone includes the answers to those that
+            // had to ask.
+            while seq <= common as u64 && pick < self.sent.len() {
+                self.deliver(pick, tape)?;
+                pick += 1;
             }
         }
+        self.old_answers = false;
         Ok(())
+    }
+
+    /// Anti-entropy: acceptor `at` catches up from the successor's
+    /// replica, as a restarted or repaired node would.
+    fn sync(&mut self, at: usize) {
+        let snapshot = self.acc[self.home].snapshot();
+        self.acc[at].sync_from_peer(&snapshot, &[]);
     }
 
     /// The election: a grant quorum (the successor's replica among them)
@@ -394,8 +503,23 @@ fn scenario(
     words: &[u32],
     ignore_base: bool,
 ) -> Result<(), String> {
+    scenario_with_behind(home, 0, common, inflight, words, ignore_base)
+}
+
+/// [`scenario`] with the acceptors of the `lag` bit mask an instance
+/// behind (the leaders' own replicas excepted; bit `N` says whether they
+/// still hold instance 1's write), and anti-entropy among the events.
+fn scenario_with_behind(
+    home: usize,
+    lag: usize,
+    common: usize,
+    inflight: usize,
+    words: &[u32],
+    ignore_base: bool,
+) -> Result<(), String> {
     let mut tape = Tape { words, at: 0 };
-    let mut h = Handoff::new(home);
+    let behind: Vec<usize> = (1..N).filter(|i| *i != home && lag >> i & 1 == 1).collect();
+    let mut h = Handoff::with_behind(home, &behind, lag >> N & 1 == 1);
     h.ignore_base = ignore_base;
     h.predecessor(common, inflight, &mut tape)?;
     // Some of what is in flight lands before the election, some after,
@@ -409,8 +533,14 @@ fn scenario(
     }
     let first = 100 + tape.next(4).unwrap_or(1) as u64;
     h.handoff(first, &mut tape)?;
-    while let Some(pick) = tape.next(h.sent.len()) {
-        h.deliver(pick, &mut tape)?;
+    // With someone behind, one event in `sent.len() + 1` is a sync.
+    let syncs = usize::from(!behind.is_empty());
+    while let Some(pick) = tape.next(h.sent.len() + syncs) {
+        if pick < h.sent.len() {
+            h.deliver(pick, &mut tape)?;
+        } else {
+            h.sync(behind[tape.next(behind.len()).unwrap_or(0)]);
+        }
         h.streams_agree()?;
     }
     // Quiesce: everything the successor sent arrives everywhere, in the
@@ -442,6 +572,61 @@ proptest! {
         let outcome = scenario(home, common, inflight, &words, false);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
+
+    /// The same with acceptors behind: lean deliveries, asks, answers in
+    /// any order, twice or never, syncs in between. Properties 1–4
+    /// unchanged, 7 and 8 on every delivery.
+    #[test]
+    fn behind_acceptors_ask_and_answers_arrive_in_any_order(
+        home in 0usize..N,
+        lag in 2usize..(2 << N),
+        common in 0usize..5,
+        inflight in 0usize..4,
+        words in prop::collection::vec(any::<u32>(), 8..72),
+    ) {
+        let outcome = scenario_with_behind(home, lag, common, inflight, &words, false);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+/// The on-demand path end to end, by hand: a behind acceptor is left
+/// untouched by the broadcast, joins through the answer, and a second
+/// copy of the answer — or one that arrives after a sync — adds nothing.
+#[test]
+fn a_behind_acceptor_joins_through_the_answer_and_only_once() {
+    let mut tape = Tape { words: &[], at: 0 };
+    let mut h = Handoff::with_behind(0, &[3, 4], false);
+    h.predecessor(0, 0, &mut tape).expect("an empty tenure");
+    let lease = h.handoff(101, &mut tape).expect("assumed");
+    assert_eq!(h.sent.len(), N, "one lean broadcast");
+    assert!(h.sent.iter().all(|(_, _, p)| p.snapshot.is_none()));
+    for pick in 0..N {
+        h.deliver(pick, &mut tape).expect("delivered");
+    }
+    // Three joined; the two behind asked, each got an answer of its own.
+    assert_eq!(h.acc[3].version(), Version(1));
+    assert_eq!(h.acc[3].accepted_ballot(), None);
+    assert_eq!(h.sent.len(), N + 2);
+    let (_, at, answer) = h.sent[N].clone();
+    assert_eq!(at, 3);
+    assert_eq!(answer.snapshot, Some(h.acc[0].snapshot()));
+    h.deliver(N, &mut tape).expect("answered");
+    assert_eq!(h.acc[3].version(), INSTANCE);
+    assert_eq!(h.acc[3].accepted_ballot(), Some(lease));
+    let joined = state_of(&h.acc[3]);
+    h.deliver(N, &mut tape).expect("a second copy");
+    assert_eq!(state_of(&h.acc[3]), joined, "the duplicate added nothing");
+    // Acceptor 4 catches up by anti-entropy first; the broadcast it
+    // could not use then finds it in the instance, and the answer it
+    // asked for is one more duplicate.
+    h.sync(4);
+    assert_eq!(h.acc[4].version(), INSTANCE);
+    h.deliver(4, &mut tape).expect("the lean copy again");
+    assert_eq!(h.acc[4].accepted_ballot(), Some(lease));
+    let joined = state_of(&h.acc[4]);
+    h.deliver(N + 1, &mut tape).expect("the late answer");
+    assert_eq!(state_of(&h.acc[4]), joined);
+    h.streams_agree().expect("one stream");
 }
 
 /// Property 5, the case the old `!cstruct.is_empty()` guard let through:

@@ -318,7 +318,7 @@ fn apply(acc: &mut AcceptorRecord, step: Step, round: &mut u32) {
             let accepted = acc.classic_accept(Phase2a {
                 ballot: Ballot::classic(*round, NodeId(0)),
                 version: acc.version(),
-                snapshot: acc.snapshot(),
+                snapshot: None,
                 base,
                 new_options: Vec::new(),
                 close_instance: true,

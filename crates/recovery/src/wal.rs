@@ -52,7 +52,9 @@ pub enum WalRecord {
         at: SimTime,
         /// Record concerned.
         key: Key,
-        /// Full Phase2a payload.
+        /// The payload as it was judged: the lean broadcast, or the
+        /// answer that carried the snapshot the record caught up from
+        /// (a Phase2a the node only asked about is not logged).
         payload: Box<Phase2a>,
     },
     /// A transaction outcome (Visibility) was applied.

@@ -12,9 +12,15 @@
 //!   is idempotent under re-delivery, so a crash *during* recovery (a
 //!   half-replayed WAL replayed again) is harmless.
 //!
+//! Generated logs hold both shapes of `ClassicAccept` payload: the lean
+//! broadcast (no snapshot: judged where the record is in the instance,
+//! a no-op where it is behind) and the answer to a behind acceptor (the
+//! snapshot it adopts).
+//!
 //! A deterministic test at the end replays a lease handoff: Phase2a
 //! appends that name the cstruct they extend are accepted or Nacked the
-//! same way live and on replay, and a refused one leaves no trace.
+//! same way live and on replay, and a refused one leaves no trace — nor
+//! does a lean one this replica was behind on.
 //!
 //! Logs written by a node that *parks* stale proposals (a `FastPropose`
 //! is logged where it was judged, not where it arrived) are replayed in
@@ -26,7 +32,7 @@ use mdcc_common::{
     CommutativeUpdate, Key, NodeId, PhysicalUpdate, ProtocolConfig, Row, SimTime, TableId, TxnId,
     UpdateOp,
 };
-use mdcc_paxos::acceptor::{Base, ClassicAccept, Phase2a};
+use mdcc_paxos::acceptor::{Base, ClassicAccept, Phase2a, RecordSnapshot};
 use mdcc_paxos::{Ballot, CStruct, TxnOption, TxnOutcome};
 use mdcc_recovery::{committed_bytes, recover_store, wal, write_checkpoint, WalRecord};
 use mdcc_sim::Disk;
@@ -60,7 +66,7 @@ struct Step {
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
-    (0u8..8, 0u64..KEYS, 1i64..4, any::<bool>()).prop_map(|(kind, key, amount, commit)| Step {
+    (0u8..10, 0u64..KEYS, 1i64..4, any::<bool>()).prop_map(|(kind, key, amount, commit)| Step {
         kind,
         key,
         amount,
@@ -113,10 +119,40 @@ fn build_log(steps: &[Step]) -> Vec<WalRecord> {
                 }
             }
             // A classic promise lands.
-            _ => {
+            7 => {
                 log.push(WalRecord::Phase1a {
                     key: key(step.key),
                     ballot: Ballot::classic(step.amount as u32, NodeId(step.key as u32)),
+                });
+            }
+            // A classic append, as the node logs it: the lean broadcast
+            // (kind 8; at a version the record may or may not have
+            // reached) or the answer that carries the snapshot a behind
+            // record adopts (kind 9). Ballots rise with the log so most
+            // are judged, and some reopen fast ballots behind them.
+            _ => {
+                let ballot = Ballot::classic(10 + i as u32, NodeId(3));
+                let version = mdcc_common::Version(1 + step.amount as u64 % 3);
+                let snapshot = (step.kind == 9).then(|| RecordSnapshot {
+                    version,
+                    value: Some(Row::new().with("stock", 40 + step.amount)),
+                    folded: open.first().map(|(txn, _)| *txn).into_iter().collect(),
+                });
+                let txn = TxnId::new(NodeId(9), i as u64);
+                let op = UpdateOp::Commutative(CommutativeUpdate::delta("stock", -step.amount));
+                open.push((txn, key(step.key)));
+                log.push(WalRecord::ClassicAccept {
+                    at,
+                    key: key(step.key),
+                    payload: Box::new(Phase2a {
+                        ballot,
+                        version,
+                        snapshot,
+                        base: Base::Held,
+                        new_options: vec![TxnOption::solo(txn, key(step.key), op)],
+                        close_instance: step.commit,
+                        reopen_fast: step.commit.then(|| Ballot::fast(11 + i as u32, NodeId(3))),
+                    }),
                 });
             }
         }
@@ -248,13 +284,10 @@ fn base_checked_appends_replay_to_the_same_accepts_and_nacks() {
         .collect();
     wal::replay(&mut live, &log);
     let append = |store: &RecordStore, ballot: Ballot, base: Base, opt: TxnOption| {
-        let snapshot = store
-            .with_record(&opt.key, |r| r.snapshot())
-            .expect("loaded");
         Box::new(Phase2a {
             ballot,
-            version: snapshot.version,
-            snapshot,
+            version: store.version_of(&opt.key),
+            snapshot: None,
             base,
             new_options: vec![opt],
             close_instance: false,
@@ -269,6 +302,7 @@ fn base_checked_appends_replay_to_the_same_accepts_and_nacks() {
         ClassicAccept::Vote(_) => "vote".to_string(),
         ClassicAccept::Nack { promised } => format!("nack {promised}"),
         ClassicAccept::Stale { .. } => "stale".to_string(),
+        ClassicAccept::Behind => "behind".to_string(),
     };
     let empty = || Base::Digest(CStruct::EMPTY_TRACE_DIGEST);
     let mut answers = Vec::new();
@@ -316,11 +350,29 @@ fn base_checked_appends_replay_to_the_same_accepts_and_nacks() {
     // B's next append on k0 is in the stream: the base is not asked.
     let p = append(&live, lease_b, Base::Digest(0xdead), dec(7, 0));
     step(&mut live, p);
+    // On k1 B's replica has since closed an instance this one missed.
+    // The broadcast names the next instance and nothing else: judged,
+    // it touches nothing. The answer to the ask brings the snapshot,
+    // and what this replica carries over is the base it names.
+    let next = live.version_of(&key(1)).next();
+    let mut lean = append(&live, lease_b, held(&live, 1), dec(8, 1));
+    lean.version = next;
+    let mut answer = lean.clone();
+    answer.snapshot = Some(RecordSnapshot {
+        version: next,
+        value: Some(Row::new().with("stock", 90)),
+        folded: Vec::new(),
+    });
+    step(&mut live, lean);
+    step(&mut live, answer);
+    assert_eq!(live.version_of(&key(1)), next);
     // A refused base names the ballot after the refused one ("you
     // skipped Phase 1"); the straggler hears the promise it lost to.
     let refused = format!("nack {}", lease_b.next_classic(lease_b.proposer));
     let outranked = format!("nack {lease_b}");
-    let expected = ["vote", "vote", "vote", "vote", &refused, &outranked, "vote"];
+    let expected = [
+        "vote", "vote", "vote", "vote", &refused, &outranked, "vote", "behind", "vote",
+    ];
     assert_eq!(answers, expected);
 
     // Replay by hand answers the same, record for record ...

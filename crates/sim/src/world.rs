@@ -233,10 +233,20 @@ struct ProfileCell {
     events: u64,
     sim_busy: SimDuration,
     wall: Duration,
-    /// `(kind, events, host wall time)` per [`NetMessage::kind`] handled
-    /// (timer payloads included, `"start"` for `on_start`), in order of
-    /// first appearance. Filled only while host profiling is on.
-    kinds: Vec<(&'static str, u64, Duration)>,
+    /// Per [`NetMessage::kind`] handled (timer payloads included,
+    /// `"start"` for `on_start`), in order of first appearance. Filled
+    /// only while host profiling is on.
+    kinds: Vec<KindCell>,
+}
+
+/// One kind's share of a [`ProfileCell`].
+#[derive(Debug, Clone, Copy, Default)]
+struct KindCell {
+    kind: &'static str,
+    events: u64,
+    wall: Duration,
+    msgs: u64,
+    bytes: u64,
 }
 
 /// One node's handler work on one kind of message: a row of the
@@ -252,6 +262,12 @@ pub struct KindProfileEntry {
     pub events: u64,
     /// Host wall time spent inside them.
     pub wall: Duration,
+    /// Those of the invocations that were network deliveries (the rest
+    /// are timers firing and `on_start`).
+    pub msgs: u64,
+    /// Framed wire size of the delivered messages, each on its own (the
+    /// header an envelope shares among its payloads is not apportioned).
+    pub bytes: u64,
 }
 
 /// Anatomy label for a traffic class (trace-span detail).
@@ -673,11 +689,12 @@ impl<M: NetMessage + 'static> Shard<M> {
             0
         };
         let wall_start = env.profile_wall.then(|| {
-            let label = match &kind {
-                DispatchKind::Start => "start",
-                DispatchKind::Timer(msg) | DispatchKind::Message { msg, .. } => msg.kind(),
+            let (label, delivered) = match &kind {
+                DispatchKind::Start => ("start", None),
+                DispatchKind::Timer(msg) => (msg.kind(), None),
+                DispatchKind::Message { msg, .. } => (msg.kind(), Some(msg.wire_bytes() as u64)),
             };
-            (label, std::time::Instant::now())
+            (label, delivered, std::time::Instant::now())
         });
         let mut effects = std::mem::take(&mut self.effects_scratch);
         {
@@ -695,17 +712,23 @@ impl<M: NetMessage + 'static> Shard<M> {
                 DispatchKind::Message { from, msg } => proc_.on_message(from, msg, &mut ctx),
             }
         }
-        if let Some((label, t0)) = wall_start {
+        if let Some((label, delivered, t0)) = wall_start {
             let spent = t0.elapsed();
             let cell = &mut self.profile[slot];
             cell.wall += spent;
-            match cell.kinds.iter_mut().find(|(kind, ..)| *kind == label) {
-                Some((_, events, wall)) => {
-                    *events += 1;
-                    *wall += spent;
-                }
-                None => cell.kinds.push((label, 1, spent)),
-            }
+            let at = cell.kinds.iter().position(|k| k.kind == label);
+            let at = at.unwrap_or_else(|| {
+                cell.kinds.push(KindCell {
+                    kind: label,
+                    ..KindCell::default()
+                });
+                cell.kinds.len() - 1
+            });
+            let of_kind = &mut cell.kinds[at];
+            of_kind.events += 1;
+            of_kind.wall += spent;
+            of_kind.msgs += u64::from(delivered.is_some());
+            of_kind.bytes += delivered.unwrap_or(0);
         }
         if watch_wal && self.disks[slot].stats().wal_bytes_written > wal_before {
             if env.group_commit_engaged() {
@@ -1093,16 +1116,14 @@ impl<M: NetMessage + Send + 'static> World<M> {
         for shard in &self.shards {
             for (slot, cell) in shard.profile.iter().enumerate() {
                 let node = NodeId(shard.nodes[slot]);
-                entries.extend(
-                    cell.kinds
-                        .iter()
-                        .map(|&(kind, events, wall)| KindProfileEntry {
-                            node,
-                            kind,
-                            events,
-                            wall,
-                        }),
-                );
+                entries.extend(cell.kinds.iter().map(|k| KindProfileEntry {
+                    node,
+                    kind: k.kind,
+                    events: k.events,
+                    wall: k.wall,
+                    msgs: k.msgs,
+                    bytes: k.bytes,
+                }));
             }
         }
         entries.sort_by(|a, b| (b.wall, a.node.0, a.kind).cmp(&(a.wall, b.node.0, b.kind)));

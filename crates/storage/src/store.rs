@@ -82,6 +82,16 @@ pub struct RecordStore {
     pending: BTreeMap<TxnId, PendingTxn>,
 }
 
+/// The record a key's first mutation starts from.
+fn blank_record(cfg: &ProtocolConfig, catalog: &Catalog, key: &Key) -> AcceptorRecord {
+    AcceptorRecord::new(
+        catalog.constraints_for(key),
+        cfg.replication,
+        cfg.fast_quorum,
+        cfg.max_instance_options,
+    )
+}
+
 impl RecordStore {
     /// An empty store for the given schema and protocol config.
     pub fn new(cfg: ProtocolConfig, catalog: Arc<Catalog>) -> Self {
@@ -153,16 +163,8 @@ impl RecordStore {
     /// Calls `f` with mutable access to the record under `key`,
     /// creating an absent record first.
     fn with_record_mut<R>(&mut self, key: &Key, f: impl FnOnce(&mut AcceptorRecord) -> R) -> R {
-        let cfg = &self.cfg;
-        let catalog = &self.catalog;
-        let mut make = || {
-            AcceptorRecord::new(
-                catalog.constraints_for(key),
-                cfg.replication,
-                cfg.fast_quorum,
-                cfg.max_instance_options,
-            )
-        };
+        let (cfg, catalog) = (&self.cfg, &self.catalog);
+        let mut make = || blank_record(cfg, catalog, key);
         let mut f = Some(f);
         let mut out = None;
         self.records.update(key, &mut make, &mut |rec| {
@@ -212,6 +214,16 @@ impl RecordStore {
             self.note_decided(now, txn, status, peers);
         }
         result
+    }
+
+    /// True when `p2a` targets an instance `key`'s record has not reached
+    /// here and travels without the snapshot to catch up from
+    /// ([`AcceptorRecord::lacks_snapshot`], asked of the blank record
+    /// [`Self::classic_accept`] would create when the key was never
+    /// touched).
+    pub fn lacks_snapshot(&self, key: &Key, p2a: &Phase2a) -> bool {
+        self.with_record(key, |rec| rec.lacks_snapshot(p2a))
+            .unwrap_or_else(|| blank_record(&self.cfg, &self.catalog, key).lacks_snapshot(p2a))
     }
 
     /// Classic Phase2a for one record, with pending tracking.
