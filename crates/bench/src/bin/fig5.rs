@@ -109,7 +109,7 @@ fn main() {
         );
         print_anatomy("MDCC full (fast path)", &report);
         print_profile(&report, 5);
-        print_profile_by_kind(&report, 8);
+        print_profile_by_kind(&report, 16);
         print_parked(&report);
         let path = trace_out
             .clone()

@@ -99,9 +99,9 @@ pub struct NetReport {
     pub read: TrafficTotals,
     /// Anti-entropy / recovery-sync traffic.
     pub sync: TrafficTotals,
-    /// Delta-vote divergence repair (`CstructPull`/`CstructFull`):
-    /// `repair.msgs / 2` approximates the number of read-repair round
-    /// trips the run needed.
+    /// Whole votes pulled (`CstructPull` and the `Vote` that answers
+    /// it): `repair.msgs / 2` approximates the number of round trips
+    /// learners needed because a verdict could not be counted.
     pub repair: TrafficTotals,
     /// WAL fsyncs charged across all nodes. Zero when `fsync_latency`
     /// is zero (appends are free); with group commit on, one covering

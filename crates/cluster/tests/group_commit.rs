@@ -84,44 +84,49 @@ fn group_commit_is_inert_at_zero_fsync_latency() {
 /// fewer fsyncs per committed transaction.
 #[test]
 fn group_commit_amortizes_fsyncs_without_changing_outcomes() {
-    // The seed is a draw, the bound is not: across seeds the ratio below
-    // is 3.07 ± 0.07, and one seed in six falls under 3.0 whichever way
-    // the classic rounds of its two runs happen to be scheduled
-    // (EXPERIMENTS.md "PR 23", sixty seeds at two commits).
-    let fsync = SimDuration::from_millis(1);
-    let (on, _) = run_wal(&wal_spec(96, fsync, true));
-    let (off, _) = run_wal(&wal_spec(96, fsync, false));
-    assert_healthy("gc-on", &on);
-    assert_healthy("gc-off", &off);
-    assert!(on.write_commits() > 100, "on-run barely committed");
-    assert!(off.write_commits() > 100, "off-run barely committed");
-    assert_eq!(on.write_aborts(), 0, "group commit introduced aborts");
-    assert_eq!(off.write_aborts(), 0, "baseline unexpectedly aborted");
-
-    // Per-append: every WAL append is its own fsync, so the rate per
+    // Per-append, every WAL append is its own fsync, so the rate per
     // commit is the workload's append fan-out (3-item transactions
-    // across five replicas — far above the batched rate).
-    let on_fpc = on.fsyncs_per_commit().expect("on-run committed");
-    let off_fpc = off.fsyncs_per_commit().expect("off-run committed");
-    eprintln!(
-        "fsyncs/commit: group {on_fpc:.2} vs per-append {off_fpc:.2} ({:.1}x fewer)",
-        off_fpc / on_fpc
-    );
+    // across five replicas — far above the batched rate). The ratio is
+    // 3.07 ± 0.07 across seeds and one seed in six falls under 3.0
+    // whichever way the classic rounds of its two runs are scheduled
+    // (EXPERIMENTS.md "PR 23", sixty seeds at two commits): the bound is
+    // on the median of five, which no reshuffle of one run moves.
+    let fsync = SimDuration::from_millis(1);
+    let mut ratios = Vec::new();
+    for seed in 96..101 {
+        let (on, _) = run_wal(&wal_spec(seed, fsync, true));
+        let (off, _) = run_wal(&wal_spec(seed, fsync, false));
+        assert_healthy("gc-on", &on);
+        assert_healthy("gc-off", &off);
+        assert!(on.write_commits() > 100, "on-run barely committed");
+        assert!(off.write_commits() > 100, "off-run barely committed");
+        assert_eq!(on.write_aborts(), 0, "group commit introduced aborts");
+        assert_eq!(off.write_aborts(), 0, "baseline unexpectedly aborted");
+        let on_fpc = on.fsyncs_per_commit().expect("on-run committed");
+        let off_fpc = off.fsyncs_per_commit().expect("off-run committed");
+        eprintln!(
+            "seed {seed} fsyncs/commit: group {on_fpc:.2} vs per-append {off_fpc:.2} ({:.2}x fewer)",
+            off_fpc / on_fpc
+        );
+        ratios.push(off_fpc / on_fpc);
+        // Outright counts are only loosely comparable: the group-commit
+        // run also releases read replies early, so its clients cycle
+        // faster and issue more transactions in the same wall of
+        // virtual time. The per-commit ratio is the amortization
+        // guarantee; outright the batched run must still fsync strictly
+        // less.
+        assert!(
+            on.net.fsyncs < off.net.fsyncs,
+            "batched run must fsync strictly less outright: {} vs {}",
+            on.net.fsyncs,
+            off.net.fsyncs
+        );
+    }
+    ratios.sort_by(f64::total_cmp);
     assert!(
-        on_fpc * 3.0 <= off_fpc,
-        "group commit must amortize fsyncs at least 3x per commit: \
-         {on_fpc:.2} vs {off_fpc:.2}"
-    );
-    // Outright counts are only loosely comparable: the group-commit run
-    // also releases read replies early, so its clients cycle faster and
-    // issue more transactions in the same wall of virtual time. The
-    // per-commit ratio above is the amortization guarantee; outright the
-    // batched run must still fsync strictly less.
-    assert!(
-        on.net.fsyncs < off.net.fsyncs,
-        "batched run must fsync strictly less outright: {} vs {}",
-        on.net.fsyncs,
-        off.net.fsyncs
+        ratios[2] >= 3.0,
+        "group commit must amortize fsyncs at least 3x per commit in the \
+         median of five seeds: {ratios:.2?}"
     );
 }
 

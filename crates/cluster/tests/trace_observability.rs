@@ -265,7 +265,7 @@ fn profiler_and_run_perf_account_for_the_event_loop() {
     for (role, kind) in [
         (NodeRole::Storage, "Propose"),
         (NodeRole::Storage, "Visibility"),
-        (NodeRole::Client, "Vote"),
+        (NodeRole::Client, "Verdict"),
         (NodeRole::Client, "start"),
     ] {
         assert!(

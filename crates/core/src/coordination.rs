@@ -17,7 +17,7 @@
 
 use mdcc_common::error::AbortReason;
 use mdcc_common::{Key, NodeId, ProtocolConfig, TxnId};
-use mdcc_paxos::acceptor::Phase2b;
+use mdcc_paxos::acceptor::{Phase2b, VoteVerdict};
 use mdcc_paxos::{LearnOutcome, Learner, OptionStatus, TxnOutcome};
 
 use crate::msg::Msg;
@@ -61,6 +61,25 @@ struct Slot {
     recovery_asked: bool,
 }
 
+impl Slot {
+    /// Records what the learner made of the answer it was just fed.
+    fn progress(&mut self, outcome: LearnOutcome) -> Progress {
+        match outcome {
+            LearnOutcome::Learned(status) => {
+                self.decided = Some(status);
+                Progress::Learned {
+                    status,
+                    fast: self.learner.learned_fast(),
+                }
+            }
+            LearnOutcome::Collision => Progress::Collision {
+                ask_master: !std::mem::replace(&mut self.recovery_asked, true),
+            },
+            LearnOutcome::Undecided => Progress::Undecided,
+        }
+    }
+}
+
 /// One transaction being learned and decided.
 #[derive(Debug)]
 pub struct Coordination {
@@ -100,31 +119,45 @@ impl Coordination {
         self.slots.iter().find(|s| s.key == *key)
     }
 
-    /// Feeds the vote of acceptor `from` (its index in the key's replica
-    /// group) to the key's learner.
-    pub fn on_vote(&mut self, key: &Key, from: usize, vote: Phase2b) -> Progress {
-        let Some(slot) = self.slots.iter_mut().find(|s| s.key == *key) else {
+    fn slot_mut(&mut self, key: &Key) -> Option<&mut Slot> {
+        self.slots.iter_mut().find(|s| s.key == *key)
+    }
+
+    /// Feeds the whole vote of acceptor `from` (its index in the key's
+    /// replica group) to the key's learner: a replica's answer to a
+    /// status query, or the vote a coordinator pulled.
+    pub fn on_vote(&mut self, key: &Key, from: usize, vote: &Phase2b) -> Progress {
+        let Some(slot) = self.slot_mut(key) else {
             return Progress::Undecided;
         };
-        match slot.learner.on_vote(from, vote) {
-            LearnOutcome::Learned(status) => {
-                slot.decided = Some(status);
-                Progress::Learned {
-                    status,
-                    fast: slot.learner.learned_fast(),
-                }
-            }
-            LearnOutcome::Collision => Progress::Collision {
-                ask_master: !std::mem::replace(&mut slot.recovery_asked, true),
-            },
-            LearnOutcome::Undecided => Progress::Undecided,
-        }
+        let outcome = slot.learner.on_vote(from, vote.clone());
+        slot.progress(outcome)
+    }
+
+    /// Feeds what the verdict of acceptor `from` says of this
+    /// transaction's option on `key` to the key's learner.
+    pub fn on_verdict(&mut self, key: &Key, from: usize, verdict: &VoteVerdict) -> Progress {
+        let Some(slot) = self.slot_mut(key) else {
+            return Progress::Undecided;
+        };
+        let outcome = slot.learner.on_verdict(from, verdict);
+        slot.progress(outcome)
+    }
+
+    /// The acceptors of `key` (indexes in its replica group) whose whole
+    /// vote the owner should pull with a `CstructPull`: see
+    /// [`Learner::take_pulls`]. Empty unless the last answer left the
+    /// key undecided.
+    pub fn take_pulls(&mut self, key: &Key) -> Vec<usize> {
+        self.slot_mut(key)
+            .map(|slot| slot.learner.take_pulls())
+            .unwrap_or_default()
     }
 
     /// Records a status learned some other way (a replica answered with
     /// the recorded outcome; the owner gave the option up).
     pub fn decide(&mut self, key: &Key, status: OptionStatus) {
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.key == *key) {
+        if let Some(slot) = self.slot_mut(key) {
             slot.decided = Some(status);
         }
     }

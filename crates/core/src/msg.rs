@@ -6,8 +6,8 @@
 
 use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
-use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot};
-use mdcc_paxos::{Ballot, DeltaVote, TxnOption, TxnOutcome};
+use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
+use mdcc_paxos::{Ballot, TxnOption, TxnOutcome};
 use mdcc_sim::Ctx;
 use mdcc_storage::{SyncItem, SyncRange};
 
@@ -53,44 +53,37 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Acceptor responses (storage node → learners/TM).
     // ------------------------------------------------------------------
-    /// Phase2b vote (fast or classic) carrying the acceptor's cstruct
-    /// from the record's settled watermark on, sent to a destination
-    /// that has nothing to fold a delta onto (first contact, new epoch,
-    /// or the watermark overtook what it was last sent).
+    /// Phase2b vote (fast or classic) as a coordinator needs it: the
+    /// vote's ballot and instance and, for each option of the
+    /// destination still open at the acceptor, its status and whether it
+    /// is front-movable in the acceptor's cstruct — what the
+    /// destination's learners would read off the cstruct, read off it by
+    /// the acceptor.
     ///
-    /// Who receives a vote: the coordinators of the record's options
-    /// that have no outcome here yet — the learners — and, on the fast
-    /// path, the proposer, which is one of them. A classic vote does
-    /// *not* go back to the master that sent the Phase2a: a master is no
-    /// learner, it follows its instance through its local acceptor.
+    /// Who receives one: the coordinators of the record's options that
+    /// have no outcome here yet — the learners — and, on the fast path,
+    /// the proposer, which is one of them. A classic vote does *not* go
+    /// back to the master that sent the Phase2a: a master is no learner,
+    /// it follows its instance through its local acceptor.
+    Verdict {
+        /// Record voted on.
+        key: Key,
+        /// The vote, reduced for its destination.
+        verdict: VoteVerdict,
+    },
+    /// A coordinator's learner met a quorum that holds its option with
+    /// one decision but not front-movable everywhere (interleaved
+    /// physical writes): only the cstructs can tell; ship the current
+    /// whole vote.
+    CstructPull {
+        /// Record whose vote is wanted.
+        key: Key,
+    },
+    /// The whole vote a coordinator pulled: the acceptor's cstruct from
+    /// the record's settled watermark on
+    /// ([`mdcc_paxos::AcceptorRecord::vote`]).
     Vote {
         /// Record voted on.
-        key: Key,
-        /// The vote.
-        vote: Phase2b,
-    },
-    /// Phase2b vote shipped as a per-option delta plus a cstruct digest:
-    /// only the options appended since the acceptor's previous vote
-    /// travel; receivers fold them into per-acceptor shadow views and
-    /// pull the acceptor's vote only on digest mismatch.
-    VoteDelta {
-        /// Record voted on.
-        key: Key,
-        /// The delta vote.
-        delta: DeltaVote,
-    },
-    /// Read-repair request: a receiver's shadow view diverged from this
-    /// acceptor's cstruct (lost delta, missed epoch, reordering); ship
-    /// the current vote.
-    CstructPull {
-        /// Record whose cstruct diverged.
-        key: Key,
-    },
-    /// Read-repair response: the acceptor's current vote (its cstruct
-    /// from the settled watermark on), which resets the requester's
-    /// shadow view.
-    CstructFull {
-        /// Record concerned.
         key: Key,
         /// The vote.
         vote: Phase2b,

@@ -46,7 +46,7 @@ use mdcc_common::config::{
 use mdcc_common::error::AbortReason;
 use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, SimTime, TxnId};
 use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats, HEARTBEAT_INTERVAL};
-use mdcc_paxos::acceptor::{FastPropose, Phase2b};
+use mdcc_paxos::acceptor::{FastPropose, Phase2b, VoteVerdict};
 use mdcc_paxos::{Ballot, LeaderRecord, OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{wal, write_checkpoint, RecoveryInfo, WalRecord};
 use mdcc_sim::{Ctx, Process};
@@ -82,8 +82,8 @@ pub struct NodeStats {
     pub sync_rounds: u64,
     /// Records whose state changed through peer sync.
     pub sync_adoptions: u64,
-    /// `CstructPull` read-repair requests this node answered with its
-    /// current vote (delta-vote divergence repair).
+    /// `CstructPull` requests this node answered with its current whole
+    /// vote.
     pub repair_served: u64,
     /// Committed visibilities that arrived for options this node never
     /// accepted (bare outcomes): each triggers a targeted per-key
@@ -184,16 +184,6 @@ pub struct StorageNodeProcess {
     /// bouncing) retires the override and is led locally instead of
     /// ping-ponging between holder and target forever.
     override_forwarded: HashSet<TxnId>,
-    /// Per-record, per-destination delta cursors: each tracks how much
-    /// of which cstruct epoch that destination has already been sent, so
-    /// every vote ships only the entry suffix the destination is
-    /// missing. Volatile on purpose: losing the cursors after a crash
-    /// just re-sends full votes, which receivers absorb by resetting
-    /// their shadows. Bounded by evicting the least-recently-touched
-    /// half past [`VOTE_CURSORS_CAP`].
-    vote_cursors: HashMap<Key, CursorEntry>,
-    /// Monotone touch clock stamping [`CursorEntry::touched`].
-    vote_cursor_clock: u64,
     /// `stats.sync_adoptions` as of the previous sync sweep, plus the
     /// number of consecutive sweeps that adopted nothing — sweeping
     /// stops once a full peer rotation stays quiet (convergence).
@@ -228,31 +218,6 @@ pub struct StorageNodeProcess {
 /// worst re-allows one redirect per stale transaction).
 const REDIRECTED_FAST_CAP: usize = 4096;
 
-/// Bound on the per-record delta-cursor map. Past the cap the
-/// least-recently-touched half is evicted — records still voting keep
-/// their cursors, so one hot node crossing the cap no longer forces
-/// full-vote re-priming for every record at once (an evicted record
-/// re-sends at worst one full vote per destination).
-const VOTE_CURSORS_CAP: usize = 16384;
-
-/// One record's delta cursors plus its last-touch stamp (LRU eviction).
-#[derive(Debug, Default)]
-struct CursorEntry {
-    touched: u64,
-    by_dest: HashMap<NodeId, mdcc_paxos::DeltaCursor>,
-}
-
-/// Evicts the least-recently-touched half of a cursor map: entries at
-/// or below the median touch stamp go. Stamps are unique (a monotone
-/// clock), so this removes at least half deterministically regardless
-/// of map iteration order.
-fn evict_lru_half(cursors: &mut HashMap<Key, CursorEntry>) {
-    let mut stamps: Vec<u64> = cursors.values().map(|e| e.touched).collect();
-    stamps.sort_unstable();
-    let cutoff = stamps[stamps.len() / 2];
-    cursors.retain(|_, e| e.touched > cutoff);
-}
-
 /// Retries of a missed-commit peer pull (rotating target peers) before
 /// the node gives up and waits for the next instance close to repair
 /// it via snapshot adoption.
@@ -280,8 +245,6 @@ impl StorageNodeProcess {
             sync_cursor: 0,
             redirected_fast: HashSet::new(),
             override_forwarded: HashSet::new(),
-            vote_cursors: HashMap::new(),
-            vote_cursor_clock: 0,
             last_sync_adoptions: 0,
             sync_idle_rounds: 0,
             stats: NodeStats::default(),
@@ -431,49 +394,36 @@ impl StorageNodeProcess {
     /// the master, which learns that its instance advanced from its
     /// local acceptor and would drop the vote unread.
     ///
-    /// `vote` starts at the record's settled watermark
-    /// ([`mdcc_paxos::AcceptorRecord::vote`]); each destination
-    /// receives only the entry suffix its per-destination
-    /// [`mdcc_paxos::DeltaCursor`] says it is missing, plus a digest of
-    /// the whole cstruct, or — on first contact, in a new epoch, or when
-    /// the watermark overtook what it was last sent — the vote itself.
-    /// Receivers whose shadows cannot fold a delta (loss, reordering)
-    /// come back with a `CstructPull`.
+    /// Each destination is sent the vote as a verdict
+    /// ([`mdcc_paxos::AcceptorRecord::verdicts`]): what `vote` — which
+    /// starts at the record's settled watermark — says of the
+    /// destination's own open options. A learner that needs the cstruct
+    /// itself comes back with a `CstructPull`.
     fn fan_out_vote(
         &mut self,
         key: &Key,
-        vote: Phase2b,
+        vote: &Phase2b,
         also: Option<NodeId>,
         ctx: &mut Ctx<'_, Msg>,
     ) {
-        if self.vote_cursors.len() > VOTE_CURSORS_CAP {
-            evict_lru_half(&mut self.vote_cursors);
-        }
-        let mut targets: Vec<NodeId> = also.into_iter().collect();
-        if let Some(coords) = self
-            .store
-            .with_record(key, |rec| rec.learning_coordinators())
-        {
-            for coord in coords {
-                if !targets.contains(&coord) {
-                    targets.push(coord);
-                }
-            }
-        }
-        self.vote_cursor_clock += 1;
-        let entry = self.vote_cursors.entry(key.clone()).or_default();
-        entry.touched = self.vote_cursor_clock;
-        let cursors = &mut entry.by_dest;
-        for to in targets {
-            let key = key.clone();
-            let msg = match cursors.entry(to).or_default().extract(&vote) {
-                Some(delta) => Msg::VoteDelta { key, delta },
-                None => Msg::Vote {
-                    key,
-                    vote: vote.clone(),
+        let verdicts = self.store.with_record(key, |rec| rec.verdicts(vote));
+        let mut verdicts = verdicts.unwrap_or_default();
+        if let Some(proposer) = also {
+            // The proposer first, with nothing to say of its options if
+            // none is open here.
+            let verdict = match verdicts.iter().position(|(to, _)| *to == proposer) {
+                Some(at) => verdicts.remove(at).1,
+                None => VoteVerdict {
+                    ballot: vote.ballot,
+                    version: vote.version,
+                    letters: Vec::new(),
                 },
             };
-            ctx.send(to, msg);
+            verdicts.insert(0, (proposer, verdict));
+        }
+        for (to, verdict) in verdicts {
+            let key = key.clone();
+            ctx.send(to, Msg::Verdict { key, verdict });
         }
     }
 
@@ -522,7 +472,7 @@ impl StorageNodeProcess {
         match self.store.fast_propose(opt.clone(), ctx.now) {
             FastPropose::Vote(vote) => {
                 self.stats.fast_votes += 1;
-                self.fan_out_vote(&key, vote, Some(from), ctx);
+                self.fan_out_vote(&key, &vote, Some(from), ctx);
             }
             FastPropose::NotFast { promised } => {
                 self.stats.not_fast_bounces += 1;
@@ -819,7 +769,7 @@ impl StorageNodeProcess {
         let Some(coord) = self.recoveries.get_mut(&txn) else {
             return;
         };
-        match coord.on_vote(&key, idx, vote) {
+        match coord.on_vote(&key, idx, &vote) {
             Progress::Learned { .. } => self.recovery_check_done(txn, ctx),
             Progress::Collision { ask_master: true } => {
                 let master = self.placement.master(&key);
@@ -933,12 +883,11 @@ impl Process<Msg> for StorageNodeProcess {
             | Msg::SyncChunk { .. } => self.on_sync(from, msg, ctx),
             Msg::ReadReq { req, key } => self.on_read(from, req, key, ctx),
             Msg::CstructPull { key } => {
-                // A receiver's shadow view diverged (lost delta, missed
-                // epoch): read-repair with the current vote.
+                // A learner needs the cstruct behind a verdict.
                 self.stats.repair_served += 1;
                 let vote = self.store.with_record(&key, |rec| rec.vote());
                 let vote = vote.unwrap_or_else(absent_vote);
-                ctx.send(from, Msg::CstructFull { key, vote });
+                ctx.send(from, Msg::Vote { key, vote });
             }
             Msg::QueryStatus { txn, key } => self.on_query_status(from, txn, key, ctx),
             Msg::StatusResp {
@@ -955,9 +904,8 @@ impl Process<Msg> for StorageNodeProcess {
             | Msg::InstanceFull { .. }
             | Msg::AlreadyResolved { .. }
             | Msg::GoFast { .. }
+            | Msg::Verdict { .. }
             | Msg::Vote { .. }
-            | Msg::VoteDelta { .. }
-            | Msg::CstructFull { .. }
             | Msg::ReadResp { .. } => self.stats.stray_msgs += 1,
             // Timer payloads, which arrive via on_timer.
             Msg::LearnTimeout { .. }
@@ -1013,31 +961,5 @@ impl Process<Msg> for StorageNodeProcess {
             Msg::SyncSweep => self.on_sync_sweep(ctx),
             _ => {}
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mdcc_common::TableId;
-
-    #[test]
-    fn cursor_eviction_keeps_the_recently_touched_half() {
-        let mut cursors: HashMap<Key, CursorEntry> = HashMap::new();
-        for i in 0..101u64 {
-            cursors.insert(
-                Key::new(TableId(1), format!("k{i}")),
-                CursorEntry {
-                    touched: i + 1,
-                    by_dest: HashMap::new(),
-                },
-            );
-        }
-        evict_lru_half(&mut cursors);
-        assert_eq!(cursors.len(), 50, "at least half evicted");
-        // Exactly the most recently touched entries survive.
-        assert!(cursors.values().all(|e| e.touched > 51));
-        assert!(cursors.contains_key(&Key::new(TableId(1), "k100")));
-        assert!(!cursors.contains_key(&Key::new(TableId(1), "k0")));
     }
 }

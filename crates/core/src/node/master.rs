@@ -474,7 +474,7 @@ impl StorageNodeProcess {
         match self.store.classic_accept(&key, *payload, ctx.now) {
             ClassicAccept::Vote(vote) => {
                 self.stats.classic_votes += 1;
-                self.fan_out_vote(&key, vote, None, ctx);
+                self.fan_out_vote(&key, &vote, None, ctx);
             }
             ClassicAccept::Nack { promised } => {
                 let key = key.clone();

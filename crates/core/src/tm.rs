@@ -22,8 +22,7 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{
     DcId, Key, NodeId, ProtocolConfig, RecordUpdate, Row, SimTime, TxnId, Version, WriteSet,
 };
-use mdcc_paxos::acceptor::Phase2b;
-use mdcc_paxos::{DeltaVote, FoldOutcome, OptionStatus, ShadowView, TxnOption, TxnOutcome};
+use mdcc_paxos::{OptionStatus, TxnOption, TxnOutcome};
 use mdcc_sim::event::TimerId;
 use mdcc_sim::Ctx;
 use mdcc_trace::{Phase, TraceHandle};
@@ -70,8 +69,8 @@ pub struct TxnStats {
     pub timeouts: u64,
     /// Proposals bounced from fast to classic mode.
     pub classic_redirects: u64,
-    /// Delta-vote divergences repaired: `CstructPull` round trips this
-    /// TM issued because a shadow view's digest mismatched.
+    /// Whole votes pulled (`CstructPull` sent): a learner met a quorum
+    /// that only the acceptors' cstructs can decide.
     pub repair_pulls: u64,
 }
 
@@ -181,22 +180,11 @@ pub struct TransactionManager {
     /// bounded by [`RECORD_ROUTES_CAP`] (a dropped route costs one
     /// forward hop through the shard holder).
     record_cache: HashMap<Key, NodeId>,
-    /// Per-record, per-acceptor shadow views reconstructing each
-    /// acceptor's cstruct from delta votes. Bounded by
-    /// [`SHADOW_KEYS_CAP`]; a dropped shadow merely costs one
-    /// `CstructPull` repair round trip on the record's next delta vote.
-    shadows: HashMap<Key, Vec<ShadowView>>,
     stats: TxnStats,
     /// Shared trace collector; spans are recorded only when attached
     /// (and enabled), so the default TM pays one `Option` test.
     tracer: Option<TraceHandle>,
 }
-
-/// Records whose shadow views this TM retains before the map resets.
-/// Eviction is safe — the next delta vote for an evicted record fails to
-/// fold and read-repairs with a full cstruct — so the cap only trades
-/// repair round trips for memory.
-const SHADOW_KEYS_CAP: usize = 4096;
 
 /// Record-granular route entries this TM retains before the map resets.
 /// Eviction is safe — the shard holder re-forwards and re-teaches the
@@ -217,7 +205,6 @@ impl TransactionManager {
             classic_cache: HashMap::new(),
             lease_cache: HashMap::new(),
             record_cache: HashMap::new(),
-            shadows: HashMap::new(),
             stats: TxnStats::default(),
             tracer: None,
         }
@@ -453,24 +440,13 @@ impl TransactionManager {
     /// Feeds a network message; returns completions/read results to act on.
     pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
         match msg {
-            Msg::Vote { key, vote } => {
-                // A vote sent as such (this coordinator had nothing to
-                // fold a delta onto) doubles as a shadow reset:
-                // subsequent deltas from this acceptor fold on top of it.
-                if let Some(view) = self.shadow_mut(&key, from) {
-                    view.observe_full(&vote);
-                }
-                self.on_vote(from, key, vote, ctx)
-            }
-            Msg::VoteDelta { key, delta } => self.on_vote_delta(from, key, &delta, ctx),
-            Msg::CstructFull { key, vote } => {
-                // Read-repair response: reset the diverged shadow to the
-                // acceptor's exact state, then learn from the vote.
-                if let Some(view) = self.shadow_mut(&key, from) {
-                    view.reset_full(&vote);
-                }
-                self.on_vote(from, key, vote, ctx)
-            }
+            Msg::Verdict { key, verdict } => self.on_answer(from, key, ctx, |coord, key, idx| {
+                coord.on_verdict(key, idx, &verdict)
+            }),
+            // The whole vote one of this TM's learners pulled.
+            Msg::Vote { key, vote } => self.on_answer(from, key, ctx, |coord, key, idx| {
+                coord.on_vote(key, idx, &vote)
+            }),
             Msg::AlreadyResolved { key, txn, outcome } => {
                 let status = match outcome {
                     TxnOutcome::Committed => OptionStatus::Accepted,
@@ -621,67 +597,23 @@ impl TransactionManager {
         }
     }
 
-    /// The shadow view tracking acceptor `from`'s cstruct for `key`,
-    /// materializing the per-record views on first contact.
-    fn shadow_mut(&mut self, key: &Key, from: NodeId) -> Option<&mut ShadowView> {
-        let idx = self.placement.acceptor_index(key, from)?;
-        if self.shadows.len() > SHADOW_KEYS_CAP && !self.shadows.contains_key(key) {
-            // Bounded memory: reset wholesale; evicted records repair
-            // themselves with one CstructPull on their next delta vote.
-            self.shadows.clear();
-        }
-        let n = self.cfg.protocol.replication;
-        self.shadows
-            .entry(key.clone())
-            .or_insert_with(|| vec![ShadowView::new(); n])
-            .get_mut(idx)
-    }
-
-    /// Folds a delta vote into the sender's shadow view; on success the
-    /// reconstructed vote feeds the learners, on divergence (lost delta,
-    /// missed epoch, reordering) read-repair pulls the acceptor's
-    /// current vote. Ignored when the sender is not an acceptor of the
-    /// record.
-    fn on_vote_delta(
-        &mut self,
-        from: NodeId,
-        key: Key,
-        delta: &DeltaVote,
-        ctx: &mut Ctx<'_, Msg>,
-    ) -> Vec<TmEvent> {
-        let Some(view) = self.shadow_mut(&key, from) else {
-            return Vec::new();
-        };
-        match view.fold(delta) {
-            FoldOutcome::Vote(vote) => return self.on_vote(from, key, vote, ctx),
-            // One pull per divergence: every vote arriving during the
-            // repair round trip re-detects the same gap, and re-pulling
-            // each time would ship the full cstruct once per in-flight
-            // vote.
-            FoldOutcome::Diverged if view.should_pull() => {
-                self.stats.repair_pulls += 1;
-                ctx.send(from, Msg::CstructPull { key });
-            }
-            FoldOutcome::Diverged | FoldOutcome::Stale => {}
-        }
-        Vec::new()
-    }
-
     fn relevant(&self, opt: &TxnOption) -> bool {
         self.active
             .get(&opt.txn)
             .is_some_and(|a| !a.coord.is_decided(&opt.key))
     }
 
-    fn on_vote(
+    /// Acceptor `from` answered for `key` — a verdict, or the whole vote
+    /// a learner pulled: `feed` hands the answer to one transaction's
+    /// coordination. It can decide any of our in-flight transactions
+    /// still waiting on the record.
+    fn on_answer(
         &mut self,
         from: NodeId,
         key: Key,
-        vote: Phase2b,
         ctx: &mut Ctx<'_, Msg>,
+        feed: impl Fn(&mut Coordination, &Key, usize) -> Progress,
     ) -> Vec<TmEvent> {
-        // A vote can decide any of our in-flight transactions still
-        // waiting on this record.
         let Some(candidates) = self.waiting.get(&key).cloned() else {
             return Vec::new();
         };
@@ -689,19 +621,11 @@ impl TransactionManager {
             return Vec::new();
         };
         let mut events = Vec::new();
-        let mut vote = Some(vote);
-        for (i, txn) in candidates.iter().copied().enumerate() {
-            // The last learner takes the vote itself; any before it take
-            // a copy that shares its entries.
-            let vote = if i + 1 == candidates.len() {
-                vote.take()
-            } else {
-                vote.clone()
-            }
-            .expect("taken only by the last candidate");
-            let active = self.active.get_mut(&txn).expect("candidate exists");
-            let progress = active.coord.on_vote(&key, idx, vote);
-            match progress {
+        for txn in candidates {
+            let Some(active) = self.active.get_mut(&txn) else {
+                continue;
+            };
+            match feed(&mut active.coord, &key, idx) {
                 Progress::Learned { status, fast } => {
                     active.all_fast &= fast;
                     let commutative = active.options[&key].is_commutative();
@@ -721,7 +645,19 @@ impl TransactionManager {
                         ctx.send(master, Msg::StartRecovery { key: key.clone() });
                     }
                 }
-                Progress::Undecided => {}
+                Progress::Undecided => {
+                    // Same decision at a quorum, not front-movable
+                    // everywhere: the learner needs the cstructs of the
+                    // members that sent a verdict.
+                    let pulls = active.coord.take_pulls(&key);
+                    if !pulls.is_empty() {
+                        let replicas = self.placement.replicas(&key);
+                        for to in pulls.into_iter().filter_map(|member| replicas.get(member)) {
+                            self.stats.repair_pulls += 1;
+                            ctx.send(*to, Msg::CstructPull { key: key.clone() });
+                        }
+                    }
+                }
             }
         }
         events

@@ -8,13 +8,15 @@
 //!
 //! Traffic-class mapping (drives the byte breakdown in experiment
 //! reports): reads are [`TrafficClass::Read`], all anti-entropy sync
-//! traffic is [`TrafficClass::Sync`], everything else — proposals,
-//! votes, Phase1/2, visibility, recovery — is [`TrafficClass::Protocol`].
+//! traffic is [`TrafficClass::Sync`], a pulled whole vote and its
+//! request are [`TrafficClass::Repair`], everything else — proposals,
+//! verdicts, Phase1/2, visibility, recovery — is
+//! [`TrafficClass::Protocol`].
 
 use mdcc_common::wire::{err, wire_len, Dec, Enc, Wire, WireResult, FRAME_OVERHEAD};
 use mdcc_common::{Key, TxnId};
-use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot};
-use mdcc_paxos::{Ballot, DeltaVote, TxnOutcome};
+use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
+use mdcc_paxos::{Ballot, TxnOutcome};
 use mdcc_sim::{NetMessage, TrafficClass};
 
 use crate::msg::Msg;
@@ -163,19 +165,11 @@ impl Wire for Msg {
             Msg::CheckpointTick => out.u8(28),
             Msg::SyncSweep => out.u8(29),
             Msg::ClientTick => out.u8(30),
-            Msg::VoteDelta { key, delta } => {
-                out.u8(31);
-                key.encode(out);
-                delta.encode(out);
-            }
+            // Tags 31 and 33 (the delta vote and the read-repair reply
+            // that is now a `Vote`) are retired, not reused.
             Msg::CstructPull { key } => {
                 out.u8(32);
                 key.encode(out);
-            }
-            Msg::CstructFull { key, vote } => {
-                out.u8(33);
-                key.encode(out);
-                vote.encode(out);
             }
             Msg::MissedPull { key, txn, attempt } => {
                 out.u8(34);
@@ -207,6 +201,11 @@ impl Wire for Msg {
                 out.u8(40);
                 key.encode(out);
                 ballot.encode(out);
+            }
+            Msg::Verdict { key, verdict } => {
+                out.u8(41);
+                key.encode(out);
+                verdict.encode(out);
             }
         }
     }
@@ -307,16 +306,8 @@ impl Wire for Msg {
             28 => Msg::CheckpointTick,
             29 => Msg::SyncSweep,
             30 => Msg::ClientTick,
-            31 => Msg::VoteDelta {
-                key: Key::decode(inp)?,
-                delta: DeltaVote::decode(inp)?,
-            },
             32 => Msg::CstructPull {
                 key: Key::decode(inp)?,
-            },
-            33 => Msg::CstructFull {
-                key: Key::decode(inp)?,
-                vote: Phase2b::decode(inp)?,
             },
             34 => Msg::MissedPull {
                 key: Key::decode(inp)?,
@@ -341,6 +332,10 @@ impl Wire for Msg {
                 key: Key::decode(inp)?,
                 ballot: Ballot::decode(inp)?,
             },
+            41 => Msg::Verdict {
+                key: Key::decode(inp)?,
+                verdict: VoteVerdict::decode(inp)?,
+            },
             _ => return err("msg tag"),
         })
     }
@@ -362,7 +357,7 @@ impl NetMessage for Msg {
             | Msg::SyncDigest { .. }
             | Msg::SyncRangePull { .. }
             | Msg::SyncChunk { .. } => TrafficClass::Sync,
-            Msg::CstructPull { .. } | Msg::CstructFull { .. } => TrafficClass::Repair,
+            Msg::CstructPull { .. } | Msg::Vote { .. } => TrafficClass::Repair,
             _ => TrafficClass::Protocol,
         }
     }
@@ -374,10 +369,9 @@ impl NetMessage for Msg {
             Msg::ProposeMastered { .. } => "ProposeMastered",
             Msg::Visibility { .. } => "Visibility",
             Msg::StartRecovery { .. } => "StartRecovery",
-            Msg::Vote { .. } => "Vote",
-            Msg::VoteDelta { .. } => "VoteDelta",
+            Msg::Verdict { .. } => "Verdict",
             Msg::CstructPull { .. } => "CstructPull",
-            Msg::CstructFull { .. } => "CstructFull",
+            Msg::Vote { .. } => "Vote",
             Msg::NotFast { .. } => "NotFast",
             Msg::InstanceFull { .. } => "InstanceFull",
             Msg::AlreadyResolved { .. } => "AlreadyResolved",
@@ -415,10 +409,11 @@ impl NetMessage for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{frame, from_bytes, to_bytes};
     use mdcc_common::{CommutativeUpdate, DcId, NodeId, Row, TableId, UpdateOp, Version};
     use mdcc_mastership::{Ballot as MsBallot, HolderHint, MsMsg, OverrideRun};
-    use mdcc_paxos::{CStruct, OptionStatus, Resolution, TxnOption};
+    use mdcc_paxos::{CStruct, Letter, OptionStatus, Resolution, TxnOption};
     use mdcc_storage::{SyncItem, SyncRange};
 
     fn full_vote(cstruct: CStruct) -> Phase2b {
@@ -469,28 +464,26 @@ mod tests {
                     epoch: 1,
                 },
             },
-            Msg::VoteDelta {
+            Msg::Verdict {
                 key: key("a"),
-                delta: DeltaVote {
+                verdict: VoteVerdict {
                     ballot: Ballot::INITIAL_FAST,
                     version: Version(2),
-                    epoch: 1,
-                    from_seq: 1,
-                    entries: cstruct.shared().to_vec(),
-                    digest: cstruct.digest(),
-                    full_len: 2,
+                    letters: vec![
+                        Letter {
+                            txn: TxnId::new(NodeId(3), 4),
+                            status: OptionStatus::Accepted,
+                            movable: true,
+                        },
+                        Letter {
+                            txn: TxnId::new(NodeId(3), 5),
+                            status: OptionStatus::Rejected(AbortReason::PendingOption),
+                            movable: false,
+                        },
+                    ],
                 },
             },
             Msg::CstructPull { key: key("a") },
-            Msg::CstructFull {
-                key: key("a"),
-                vote: Phase2b {
-                    ballot: Ballot::INITIAL_FAST,
-                    version: Version(2),
-                    cstruct: cstruct.clone(),
-                    epoch: 4,
-                },
-            },
             Msg::NotFast {
                 key: key("a"),
                 opt: opt(3),
@@ -704,12 +697,9 @@ mod tests {
     #[test]
     fn strict_prefixes_of_the_classic_round_do_not_decode() {
         // A frame cut short anywhere is an error, never a panic or
-        // another message: the lean and the answering Phase2a, and the
-        // ask between them.
-        let classic = |msg: &Msg| matches!(msg, Msg::P2a { .. } | Msg::P2aBehind { .. });
-        let msgs: Vec<Msg> = samples().into_iter().filter(classic).collect();
-        assert_eq!(msgs.len(), 3);
-        for msg in msgs {
+        // another message — for every variant of the schema, the lean
+        // and the answering Phase2a and the ask between them included.
+        for msg in samples() {
             let bytes = to_bytes(&msg);
             for cut in 0..bytes.len() {
                 assert!(
@@ -721,11 +711,76 @@ mod tests {
         }
     }
 
+    /// The system allocator, recording the largest single request made
+    /// by a thread while that thread has armed it.
+    struct LargestRequest;
+
+    thread_local! {
+        static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`, which
+    // upholds the `GlobalAlloc` contract; the bookkeeping touches only
+    // const-initialised thread-locals of `Cell<usize>` / `Cell<bool>`,
+    // which neither allocate nor run destructors.
+    unsafe impl std::alloc::GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            if ARMED.try_with(std::cell::Cell::get).unwrap_or(false) {
+                let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+            }
+            // SAFETY: `layout` is the caller's, passed through.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestRequest = LargestRequest;
+
+    #[test]
+    fn a_flipped_bit_decodes_or_errs_without_panic_or_oversized_reservation() {
+        // Every count a decoder reads is checked against the bytes that
+        // remain before anything is reserved for it, so the largest
+        // request a corrupt frame can cause is one element slot per
+        // input byte. `SLOT` is the largest element any vector of the
+        // schema holds in memory.
+        const SLOT: usize = 256;
+        assert!(std::mem::size_of::<TxnOption>() <= SLOT);
+        assert!(std::mem::size_of::<SyncItem>() <= SLOT);
+        assert!(std::mem::size_of::<(TxnOption, Resolution)>() <= SLOT);
+        for msg in samples() {
+            let mut bytes = to_bytes(&msg);
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                LARGEST.set(0);
+                ARMED.set(true);
+                // `Ok` (another well-formed message) or `Err`: either
+                // way it returns.
+                let decoded = from_bytes::<Msg>(&bytes);
+                ARMED.set(false);
+                drop(decoded);
+                assert!(
+                    LARGEST.get() <= bytes.len() * SLOT,
+                    "bit {bit} of {msg:?}: one request of {} bytes for a {}-byte frame",
+                    LARGEST.get(),
+                    bytes.len()
+                );
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
     #[test]
     fn retired_tags_decode_to_an_error() {
-        // 18 and 19 were the per-key sync request and reply; a peer
-        // still sending them gets `Err`, not a panic or another message.
-        for tag in [18u8, 19] {
+        // 18 and 19 were the per-key sync request and reply, 31 the
+        // delta vote, 33 the read-repair reply that is now a `Vote`; a
+        // peer still sending them gets `Err`, not a panic or another
+        // message.
+        for tag in [18u8, 19, 31, 33] {
             let mut frame = vec![tag];
             assert!(from_bytes::<Msg>(&frame).is_err(), "bare tag {tag}");
             frame.extend_from_slice(&to_bytes(&key("a")));
@@ -758,21 +813,26 @@ mod tests {
             TrafficClass::Repair
         );
         assert_eq!(
-            Msg::CstructFull {
+            Msg::Vote {
                 key: key("a"),
                 vote: full_vote(CStruct::new()),
             }
             .traffic_class(),
-            TrafficClass::Repair
+            TrafficClass::Repair,
+            "a whole vote travels only as the answer to a pull"
         );
         assert_eq!(
-            Msg::VoteDelta {
+            Msg::Verdict {
                 key: key("a"),
-                delta: DeltaVote::extract(&full_vote(CStruct::new()), 0),
+                verdict: VoteVerdict {
+                    ballot: Ballot::INITIAL_FAST,
+                    version: Version(1),
+                    letters: Vec::new(),
+                },
             }
             .traffic_class(),
             TrafficClass::Protocol,
-            "delta votes are commit-protocol traffic, not repair"
+            "verdicts are commit-protocol traffic, not repair"
         );
         assert_eq!(
             Msg::Visibility {
@@ -800,28 +860,38 @@ mod tests {
     }
 
     #[test]
-    fn a_delta_vote_is_much_smaller_than_a_full_vote() {
+    fn a_verdict_does_not_grow_with_the_cstruct() {
         // A hot commutative instance with many concurrent options: the
-        // full vote re-ships every entry, the delta only the newest one.
+        // whole vote ships every entry, the verdict one line for the
+        // destination's own option.
         let mut cstruct = CStruct::new();
         for i in 0..32 {
             cstruct.append(opt(i), OptionStatus::Accepted);
         }
         let vote = full_vote(cstruct);
-        let full = Msg::Vote {
+        let letters = vec![Letter {
+            txn: opt(31).txn,
+            status: OptionStatus::Accepted,
+            movable: true,
+        }];
+        let verdict = Msg::Verdict {
             key: key("a"),
-            vote: vote.clone(),
+            verdict: VoteVerdict {
+                ballot: vote.ballot,
+                version: vote.version,
+                letters,
+            },
         };
-        // All but the newest entry were already sent to this peer.
-        let delta = Msg::VoteDelta {
+        let whole = Msg::Vote {
             key: key("a"),
-            delta: DeltaVote::extract(&vote, 31),
+            vote,
         };
+        assert!(verdict.wire_bytes() <= 60, "{} B", verdict.wire_bytes());
         assert!(
-            delta.wire_bytes() * 10 < full.wire_bytes(),
-            "delta vote must be at least 10x smaller: {} vs {}",
-            delta.wire_bytes(),
-            full.wire_bytes()
+            verdict.wire_bytes() * 10 < whole.wire_bytes(),
+            "a verdict must be at least 10x smaller: {} vs {}",
+            verdict.wire_bytes(),
+            whole.wire_bytes()
         );
     }
 

@@ -1,7 +1,8 @@
 //! Property tests for the shared coordinator machine, without the
 //! simulator: its verdict against the glb oracle the learner is tested
 //! with, the once-per-key recovery request, and the transaction
-//! manager's and the recovery coordinator's use of it against each other.
+//! manager's use of it (fed verdicts, pulling whole votes when asked to)
+//! against the recovery coordinator's (fed whole votes).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -14,7 +15,7 @@ use mdcc_common::{
 };
 use mdcc_core::coordination::{Coordination, Progress};
 use mdcc_core::Msg;
-use mdcc_paxos::acceptor::Phase2b;
+use mdcc_paxos::acceptor::{Letter, Phase2b, VoteVerdict};
 use mdcc_paxos::quorum::{mask_indices, subsets};
 use mdcc_paxos::{Ballot, CStruct, OptionStatus, TxnOption, TxnOutcome};
 use proptest::prelude::*;
@@ -81,6 +82,21 @@ fn vote(cstruct: &CStruct) -> Phase2b {
     }
 }
 
+/// The same vote as its acceptor sends it to the coordinator: every
+/// transaction of the pool is the coordinator's and open.
+fn verdict(cstruct: &CStruct) -> VoteVerdict {
+    let letter = |(entry, movable): (&mdcc_paxos::cstruct::Entry, bool)| Letter {
+        txn: entry.opt.txn,
+        status: entry.status,
+        movable,
+    };
+    VoteVerdict {
+        ballot: Ballot::INITIAL_FAST,
+        version: Version(1),
+        letters: cstruct.letters().map(letter).collect(),
+    }
+}
+
 fn fanout(
     coord: &Coordination,
     outcome: TxnOutcome,
@@ -132,9 +148,11 @@ proptest! {
     /// duplicates and then completely: the machine's verdict is "every
     /// key's glb-learned status is Accepted", a collision asks for
     /// recovery once per key, and the transaction manager's shape
-    /// (sorted keys, sends to every replica) and the recovery
-    /// coordinator's (write-set order, its own copy applied locally)
-    /// reach the same outcome and the same Visibility set.
+    /// (sorted keys, sends to every replica, fed verdicts and the whole
+    /// votes it pulls) and the recovery coordinator's (write-set order,
+    /// its own copy applied locally, fed whole votes) make the same
+    /// progress on every delivery and reach the same outcome and the
+    /// same Visibility set.
     #[test]
     fn both_shapes_agree_with_the_glb_oracle(
         per_key in prop::collection::vec((0u8..2, acceptors_strategy()), 1..4),
@@ -159,8 +177,19 @@ proptest! {
         let mut asked = vec![0usize; keys.len()];
         let mut collided = vec![false; keys.len()];
         for (k, a) in deliveries {
-            let progress = tm_shaped.on_vote(&keys[k], a, vote(&votes[k][a]));
-            prop_assert_eq!(progress, recovery_shaped.on_vote(&keys[k], a, vote(&votes[k][a])));
+            let mut progress = tm_shaped.on_verdict(&keys[k], a, &verdict(&votes[k][a]));
+            loop {
+                let pulls = tm_shaped.take_pulls(&keys[k]);
+                if pulls.is_empty() {
+                    break;
+                }
+                prop_assert_eq!(progress, Progress::Undecided, "pulls with a decision");
+                for member in pulls {
+                    progress = tm_shaped.on_vote(&keys[k], member, &vote(&votes[k][member]));
+                }
+            }
+            prop_assert_eq!(progress, recovery_shaped.on_vote(&keys[k], a, &vote(&votes[k][a])));
+            prop_assert!(recovery_shaped.take_pulls(&keys[k]).is_empty(), "whole votes need no pull");
             if let Progress::Collision { ask_master } = progress {
                 collided[k] = true;
                 asked[k] += usize::from(ask_master);

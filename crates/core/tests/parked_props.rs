@@ -29,7 +29,7 @@ use mdcc_common::{
 };
 use mdcc_core::placement::Placement;
 use mdcc_core::{Msg, StorageNodeProcess};
-use mdcc_paxos::cstruct::Entry;
+use mdcc_paxos::acceptor::Letter;
 use mdcc_paxos::{OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{recover_store, wal, WalRecord};
 use mdcc_sim::process::Effect;
@@ -140,16 +140,12 @@ fn visibility(i: u64) -> Msg {
     }
 }
 
-/// The instance and the entries a vote names, whichever form it was
-/// shipped in: a `Vote` carries the cstruct, a `VoteDelta` the entries
-/// appended since the previous vote — between them every entry the node
-/// voted on. `None` for a message that is not a vote.
-fn voted(msg: &Msg) -> Option<(Version, Vec<&Entry>)> {
+/// The instance and the letters a vote names: the node answers the
+/// coordinator with a verdict, one letter per option of the coordinator
+/// still open at the record. `None` for a message that is not a vote.
+fn voted(msg: &Msg) -> Option<(Version, &[Letter])> {
     match msg {
-        Msg::Vote { vote, .. } => Some((vote.version, vote.cstruct.entries().collect())),
-        Msg::VoteDelta { delta, .. } => {
-            Some((delta.version, delta.entries.iter().map(|e| &**e).collect()))
-        }
+        Msg::Verdict { verdict, .. } => Some((verdict.version, &verdict.letters)),
         _ => None,
     }
 }
@@ -218,12 +214,12 @@ proptest! {
         prop_assert_eq!(stats.parked_judged_behind, 0);
 
         // No replica that is merely behind says no.
-        for (version, entries) in node.sent.iter().filter_map(voted) {
-            for entry in entries {
+        for (version, letters) in node.sent.iter().filter_map(voted) {
+            for letter in letters {
                 prop_assert!(
-                    entry.status.is_accepted(),
+                    letter.status.is_accepted(),
                     "{} rejected at {} in {:?}",
-                    entry.opt.txn,
+                    letter.txn,
                     version,
                     events
                 );
@@ -301,7 +297,7 @@ fn a_retry_is_judged_as_it_stands_and_drops_the_parked_copy() {
         .sent
         .iter()
         .filter_map(voted)
-        .any(|(_, entries)| entries.iter().any(|e| !e.status.is_accepted()));
+        .any(|(_, letters)| letters.iter().any(|l| !l.status.is_accepted()));
     assert!(rejected, "judged while behind: the stale-read vote of old");
     // Judged once: the record catching up later finds nothing parked.
     let log = wal::read_all(node.disk.wal()).expect("clean log");
@@ -356,10 +352,10 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
         .sent
         .iter()
         .filter_map(voted)
-        .any(|(version, entries)| {
+        .any(|(version, letters)| {
             version == Version(2)
-                && entries.iter().any(|e| {
-                    e.opt.txn == TxnId::new(COORDINATOR, 2) && e.status == OptionStatus::Accepted
+                && letters.iter().any(|l| {
+                    l.txn == TxnId::new(COORDINATOR, 2) && l.status == OptionStatus::Accepted
                 })
         });
     assert!(accepted, "the retry was not answered: {:?}", node.sent);

@@ -42,6 +42,17 @@
 //! retrying a proposal storage-side recovery already resolved, and
 //! [`AcceptorRecord::settled_outcome`] answers it.
 //!
+//! # Verdicts
+//!
+//! A learner asks one thing of a vote: the status of its option and
+//! whether everything recorded before it commutes with it
+//! ([`CStruct::front_movable`]). The acceptor answers that itself, on
+//! the cstruct of [`AcceptorRecord::vote`], for every open option of
+//! the coordinator it writes to ([`AcceptorRecord::verdicts`]), and
+//! sends the answer ([`VoteVerdict`]) in place of the cstruct. The vote
+//! itself travels only to a learner that has to compute a glb
+//! ([`crate::learner`]) and to recovery's status queries.
+//!
 //! # Judging only what this replica is not behind on
 //!
 //! [`AcceptorRecord::fast_propose`] compares an option's read version
@@ -59,7 +70,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use mdcc_common::error::AbortReason;
-use mdcc_common::{CommutativeUpdate, Row, TxnId, UpdateOp, Version};
+use mdcc_common::{CommutativeUpdate, NodeId, Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
 use crate::cstruct::{trace_digest_of, CStruct, Entry, Mark};
@@ -119,11 +130,46 @@ pub struct Phase2b {
     /// The acceptor's cstruct epoch: bumped on every wholesale cstruct
     /// replacement or entry removal (instance advance, snapshot/safe
     /// adoption, abort/guard resolution), so that within one epoch the
-    /// cstruct is strictly append-only and delta senders can reference
-    /// positions in it. Restored by WAL replay — a regressed epoch
-    /// after a restart would make receivers discard the node's votes
-    /// as stale.
+    /// cstruct is strictly append-only. Restored by WAL replay. Nothing
+    /// on the verdict path reads it; the checkpoint format and
+    /// [`crate::shadow`] name it.
     pub epoch: u64,
+}
+
+/// One option's line of a [`VoteVerdict`]: what
+/// [`CStruct::front_movable`] says of it in the acceptor's vote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Letter {
+    /// The option's transaction.
+    pub txn: TxnId,
+    /// How the acceptor decided it.
+    pub status: OptionStatus,
+    /// Everything the vote records before it commutes with it.
+    pub movable: bool,
+}
+
+/// A Phase2b vote as one coordinator is sent it: the answer to the only
+/// question its learners ask of the vote's cstruct, instead of the
+/// cstruct. It names the vote's ballot and instance and, for each option
+/// of that coordinator still open at the acceptor, its [`Letter`]; an
+/// option that has not reached the acceptor has none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VoteVerdict {
+    /// Ballot the vote belongs to.
+    pub ballot: Ballot,
+    /// Instance (record version) the vote belongs to.
+    pub version: Version,
+    /// The destination's open options, in recorded order.
+    pub letters: Vec<Letter>,
+}
+
+impl VoteVerdict {
+    /// `txn`'s letter: its status and whether it is front-movable in the
+    /// vote, `None` when the vote does not hold it.
+    pub fn letter(&self, txn: TxnId) -> Option<(OptionStatus, bool)> {
+        let letter = self.letters.iter().find(|l| l.txn == txn)?;
+        Some((letter.status, letter.movable))
+    }
 }
 
 /// Result of a direct (fast-ballot) proposal, Algorithm 3 line 78.
@@ -1179,16 +1225,16 @@ impl AcceptorRecord {
 
     /// The vote for the current state with the whole cstruct — what
     /// recovery queries (`StatusResp`) carry, and the oracle the
-    /// property tests compare [`Self::vote`] against. Carries the
-    /// cstruct epoch so delta senders and shadow views can position
-    /// entry suffixes against it.
+    /// property tests compare [`Self::vote`] against.
     pub fn phase2b(&self) -> Phase2b {
         self.vote_from(Mark::START)
     }
 
-    /// The vote coordinators are sent: the cstruct from the settled
+    /// The vote coordinators learn from: the cstruct from the settled
     /// watermark on, at the cost of the entries still in play rather
-    /// than of the instance's history.
+    /// than of the instance's history. A coordinator is sent what it
+    /// says of the coordinator's own options ([`Self::verdicts`]) and
+    /// the vote itself when it pulls it.
     ///
     /// What the watermark hides cannot change a learner's verdict.
     /// Without a barrier entry (accepted physical write or read guard)
@@ -1248,19 +1294,39 @@ impl AcceptorRecord {
         self.settled
     }
 
-    /// Coordinators that still have something to learn from this
-    /// record's votes: owners of entries whose transaction outcome this
-    /// node has not yet recorded. Coordinators of resolved entries
-    /// already decided (they produced the Visibility, or the retry path
-    /// answers them `AlreadyResolved`), so fanning votes to them is
-    /// pure wire waste — the delta-vote fan-out targets exactly this
-    /// set.
-    pub fn learning_coordinators(&self) -> Vec<mdcc_common::NodeId> {
-        let mut v: Vec<mdcc_common::NodeId> =
-            self.open.iter().map(|e| e.opt.txn.coordinator).collect();
-        v.sort();
-        v.dedup();
-        v
+    /// `vote` — this record's [`Self::vote`] — as each coordinator that
+    /// can still learn from it is sent it, in node order: the owners of
+    /// the entries without a recorded outcome here, each with the
+    /// letters of its own. Coordinators of resolved entries already
+    /// decided (they produced the Visibility, or the retry path answers
+    /// them `AlreadyResolved`), so a vote to them is pure wire waste.
+    /// One pass over the entries the vote holds.
+    pub fn verdicts(&self, vote: &Phase2b) -> Vec<(NodeId, VoteVerdict)> {
+        let mut out: Vec<(NodeId, VoteVerdict)> = Vec::new();
+        for (entry, movable) in vote.cstruct.letters() {
+            let txn = entry.opt.txn;
+            if self.outcomes.contains_key(&txn) {
+                continue;
+            }
+            let at = match out.binary_search_by_key(&txn.coordinator, |(to, _)| *to) {
+                Ok(at) => at,
+                Err(at) => {
+                    let verdict = VoteVerdict {
+                        ballot: vote.ballot,
+                        version: vote.version,
+                        letters: Vec::new(),
+                    };
+                    out.insert(at, (txn.coordinator, verdict));
+                    at
+                }
+            };
+            out[at].1.letters.push(Letter {
+                txn,
+                status: entry.status,
+                movable,
+            });
+        }
+        out
     }
 
     /// True once this record knows how `txn` ended, by a Visibility of

@@ -266,6 +266,28 @@ impl CStruct {
         Some((e.status, movable))
     }
 
+    /// Every held entry with whether it is front-movable here
+    /// ([`CStruct::front_movable`] of each), in recorded order and in one
+    /// pass: what an acceptor reads its verdicts off.
+    pub fn letters(&self) -> impl Iterator<Item = (&Entry, bool)> {
+        // [`Entry::commutes_with`] asks only whether an entry is
+        // rejected and of which kind it is, so the first accepted entry
+        // of each kind stands for every entry recorded so far.
+        let mut kinds: [Option<&Entry>; 3] = [None; 3];
+        self.entries.iter().map(move |e| {
+            let movable = kinds.iter().flatten().all(|k| k.commutes_with(e));
+            if !e.is_neutral() {
+                let kind = match &e.opt.op {
+                    op if op.is_commutative() => 0,
+                    op if op.is_guard() => 1,
+                    _ => 2,
+                };
+                kinds[kind].get_or_insert(e);
+            }
+            (&**e, movable)
+        })
+    }
+
     /// Appends ω(opt, status) — the `val • ω(up,_)` operator of Table 1.
     ///
     /// Returns `false` (and leaves the cstruct unchanged) if `opt`'s

@@ -11,11 +11,33 @@
 //! cstructs of commutative and rejected options) is in a quorum's glb
 //! iff every member holds it with the same decision: front-movable
 //! letters are extractable from the start, and extracting other letters
-//! never disables them. So each vote is reduced once, on arrival, to
-//! "status of my option, and is it front-movable", and a quorum check is
-//! a count over those summaries. Only when some member holds the option
-//! behind a non-commuting predecessor (interleaved physical writes) does
-//! the learner fall back to [`CStruct::glb_many`].
+//! never disables them. So all it keeps of a vote is "status of my
+//! option, and is it front-movable", and a quorum check is a count over
+//! those summaries.
+//!
+//! That summary is what an acceptor sends a coordinator
+//! ([`crate::acceptor::VoteVerdict`], fed through
+//! [`Learner::on_verdict`]): the acceptor reads it off the very cstruct
+//! it votes. A whole vote ([`Learner::on_vote`] — what recovery's status
+//! queries return, and what a coordinator pulls) is reduced to the same
+//! summary on arrival and its cstruct kept beside it.
+//!
+//! Only when a quorum holds the option with one decision but some member
+//! holds it behind a non-commuting predecessor (interleaved physical
+//! writes) does the learner need [`CStruct::glb_many`], and with it the
+//! members' cstructs. For the members that sent none it asks its owner
+//! to pull the whole vote ([`Learner::take_pulls`]), once per acceptor
+//! per (instance, ballot, letter); until they arrive that quorum is
+//! neither learned nor a collision. A pull that is lost costs what a
+//! lost vote costs: the coordinator's learn timeout.
+//!
+//! **One answer per acceptor.** A later answer at a newer (instance,
+//! ballot) replaces everything held of that acceptor. At the same
+//! (instance, ballot) it replaces the letter, as a later whole vote
+//! always did, and a pulled cstruct survives a later verdict only if the
+//! verdict repeats the letter the cstruct shows: the count and the glb
+//! fallback must speak of one vote, not of two. A verdict that changes
+//! the letter drops the cstruct, and the acceptor may be asked again.
 //!
 //! The learner also detects **definite collisions** — situations where no
 //! quorum can possibly agree anymore (e.g. two concurrent physical writes
@@ -24,28 +46,45 @@
 
 use std::collections::BTreeMap;
 
-use mdcc_common::TxnId;
+use mdcc_common::{TxnId, Version};
 
-use crate::acceptor::Phase2b;
+use crate::acceptor::{Phase2b, VoteVerdict};
 use crate::ballot::Ballot;
 use crate::cstruct::CStruct;
 use crate::options::OptionStatus;
 use crate::quorum::{mask_indices, subsets};
 
-/// Phase2b votes grouped by `(instance, ballot round, ballot kind flag,
-/// proposer)` — votes are only comparable within one group.
-type VoteGroups<'a> = BTreeMap<(u64, u32, bool, u32), Vec<&'a Held>>;
+/// Held answers grouped by `(instance, ballot round, ballot kind flag,
+/// proposer)` — votes are only comparable within one group — each with
+/// its acceptor's index.
+type VoteGroups<'a> = BTreeMap<(u64, u32, bool, u32), Vec<(usize, &'a Held)>>;
 
-/// One acceptor's latest vote, reduced on arrival to what this learner
-/// asks of it.
+/// One acceptor's latest answer.
 #[derive(Debug, Clone)]
 struct Held {
-    vote: Phase2b,
-    /// [`CStruct::front_movable`] of the learner's option in
-    /// `vote.cstruct`: its recorded status and whether its letter is
-    /// front-movable there; `None` while the option has not reached
-    /// that acceptor.
+    ballot: Ballot,
+    version: Version,
+    /// [`CStruct::front_movable`] of the learner's option in the vote:
+    /// its recorded status and whether its letter is front-movable
+    /// there; `None` while the option has not reached the acceptor.
     letter: Option<(OptionStatus, bool)>,
+    /// The cstruct `letter` was read off, when the answer was a whole
+    /// vote.
+    cstruct: Option<CStruct>,
+    /// The owner was already asked to pull this acceptor's whole vote
+    /// for this answer.
+    asked: bool,
+}
+
+/// What one quorum says about the option.
+enum Quorum {
+    /// Its glb holds the option with this status.
+    Holds(OptionStatus),
+    /// Its glb does not hold the option.
+    Lacks,
+    /// One decision everywhere but not front-movable everywhere: only
+    /// the members' cstructs can tell, and some are not here.
+    NeedsCstructs,
 }
 
 /// The learner's verdict after each vote.
@@ -67,8 +106,11 @@ pub struct Learner {
     qc: usize,
     qf: usize,
     txn: TxnId,
-    /// Latest vote per acceptor index.
+    /// Latest answer per acceptor index.
     votes: BTreeMap<usize, Held>,
+    /// Acceptors whose whole vote a quorum waits for, not yet handed to
+    /// the owner.
+    pulls: Vec<usize>,
     learned: Option<OptionStatus>,
     learned_fast: bool,
 }
@@ -83,6 +125,7 @@ impl Learner {
             qf,
             txn,
             votes: BTreeMap::new(),
+            pulls: Vec::new(),
             learned: None,
             learned_fast: false,
         }
@@ -110,22 +153,64 @@ impl Learner {
     /// transaction can be resolved as aborted once proposals can no
     /// longer arrive).
     pub fn seen_at_latest(&self) -> bool {
-        let Some(max_version) = self.votes.values().map(|h| h.vote.version).max() else {
+        let Some(max_version) = self.votes.values().map(|h| h.version).max() else {
             return false;
         };
         self.votes
             .values()
-            .any(|h| h.vote.version == max_version && h.letter.is_some())
+            .any(|h| h.version == max_version && h.letter.is_some())
     }
 
-    /// Feeds one Phase2b vote from acceptor `from` and re-evaluates.
+    /// Feeds one whole Phase2b vote from acceptor `from` and re-evaluates.
     pub fn on_vote(&mut self, from: usize, vote: Phase2b) -> LearnOutcome {
+        let letter = vote.cstruct.front_movable(self.txn);
+        self.hold(from, vote.ballot, vote.version, letter, Some(vote.cstruct))
+    }
+
+    /// Feeds what `verdict`, the vote of acceptor `from` as its
+    /// coordinator was sent it, says of this learner's option and
+    /// re-evaluates.
+    pub fn on_verdict(&mut self, from: usize, verdict: &VoteVerdict) -> LearnOutcome {
+        let letter = verdict.letter(self.txn);
+        self.hold(from, verdict.ballot, verdict.version, letter, None)
+    }
+
+    /// The acceptors whose whole vote the owner should pull: members of
+    /// a quorum only cstructs can decide that sent none. Each is named
+    /// once per (instance, ballot, letter) it answered with.
+    pub fn take_pulls(&mut self) -> Vec<usize> {
+        std::mem::take(&mut self.pulls)
+    }
+
+    fn hold(
+        &mut self,
+        from: usize,
+        ballot: Ballot,
+        version: Version,
+        letter: Option<(OptionStatus, bool)>,
+        cstruct: Option<CStruct>,
+    ) -> LearnOutcome {
         debug_assert!(from < self.n, "acceptor index out of range");
-        match self.votes.get(&from) {
-            Some(old) if (old.vote.version, old.vote.ballot) > (vote.version, vote.ballot) => {}
+        match self.votes.get_mut(&from) {
+            Some(old) if (old.version, old.ballot) > (version, ballot) => {}
+            Some(old) if (old.version, old.ballot) == (version, ballot) => {
+                if cstruct.is_some() {
+                    old.cstruct = cstruct;
+                } else if old.letter != letter {
+                    old.cstruct = None;
+                    old.asked = false;
+                }
+                old.letter = letter;
+            }
             _ => {
-                let letter = vote.cstruct.front_movable(self.txn);
-                self.votes.insert(from, Held { vote, letter });
+                let held = Held {
+                    ballot,
+                    version,
+                    letter,
+                    cstruct,
+                    asked: false,
+                };
+                self.votes.insert(from, held);
             }
         }
         self.evaluate()
@@ -137,21 +222,31 @@ impl Learner {
     /// means it is (the glb's representative entry is the first
     /// member's, so its status — rejection reason included — is the one
     /// reported). Anything else needs the real glb.
-    fn quorum_status(&self, chosen: &[&Held]) -> Option<OptionStatus> {
-        let (first, _) = chosen.first()?.letter?;
+    fn quorum_status(&self, chosen: &[(usize, &Held)]) -> Quorum {
+        let Some((first, _)) = chosen.first().and_then(|(_, h)| h.letter) else {
+            return Quorum::Lacks;
+        };
         let mut all_movable = true;
-        for h in chosen {
-            let (status, movable) = h.letter?;
-            if status.is_accepted() != first.is_accepted() {
-                return None;
+        for (_, h) in chosen {
+            match h.letter {
+                Some((status, movable)) if status.is_accepted() == first.is_accepted() => {
+                    all_movable &= movable;
+                }
+                _ => return Quorum::Lacks,
             }
-            all_movable &= movable;
         }
         if all_movable {
-            return Some(first);
+            return Quorum::Holds(first);
         }
-        let cstructs: Vec<&CStruct> = chosen.iter().map(|h| &h.vote.cstruct).collect();
-        CStruct::glb_many(&cstructs).status_of(self.txn)
+        let cstructs: Option<Vec<&CStruct>> =
+            chosen.iter().map(|(_, h)| h.cstruct.as_ref()).collect();
+        match cstructs {
+            None => Quorum::NeedsCstructs,
+            Some(cstructs) => match CStruct::glb_many(&cstructs).status_of(self.txn) {
+                Some(status) => Quorum::Holds(status),
+                None => Quorum::Lacks,
+            },
+        }
     }
 
     fn quorum_for(&self, ballot: Ballot) -> usize {
@@ -175,16 +270,17 @@ impl Learner {
         // instance open at its acceptors, so a quorum at an older version
         // is just as durable as one at the newest.
         let mut groups: VoteGroups<'_> = BTreeMap::new();
-        for held in self.votes.values() {
-            let v = &held.vote;
+        for (&from, held) in &self.votes {
             let key = (
-                v.version.0,
-                v.ballot.round,
-                !v.ballot.is_fast(),
-                v.ballot.proposer.0,
+                held.version.0,
+                held.ballot.round,
+                !held.ballot.is_fast(),
+                held.ballot.proposer.0,
             );
-            groups.entry(key).or_default().push(held);
+            groups.entry(key).or_default().push((from, held));
         }
+        // Members of quorums that wait for cstructs, as a set of indexes.
+        let mut silent: u32 = 0;
         for ((_, round, classic, proposer), members) in groups.iter().rev() {
             let ballot = if *classic {
                 Ballot::classic(*round, mdcc_common::NodeId(*proposer))
@@ -197,13 +293,31 @@ impl Learner {
             }
             // Enumerate q-subsets of this group's members.
             for mask in subsets(members.len(), q) {
-                let chosen: Vec<&Held> = mask_indices(mask).map(|i| members[i]).collect();
-                if let Some(status) = self.quorum_status(&chosen) {
-                    self.learned = Some(status);
-                    self.learned_fast = ballot.is_fast();
-                    return LearnOutcome::Learned(status);
+                let chosen: Vec<(usize, &Held)> = mask_indices(mask).map(|i| members[i]).collect();
+                match self.quorum_status(&chosen) {
+                    Quorum::Holds(status) => {
+                        self.learned = Some(status);
+                        self.learned_fast = ballot.is_fast();
+                        self.pulls.clear();
+                        return LearnOutcome::Learned(status);
+                    }
+                    Quorum::Lacks => {}
+                    Quorum::NeedsCstructs => {
+                        let lacking = chosen.iter().filter(|(_, h)| h.cstruct.is_none());
+                        silent = lacking.fold(silent, |set, (from, _)| set | 1 << from);
+                    }
                 }
             }
+        }
+        if silent != 0 {
+            // A quorum may still hold the option: no collision to
+            // declare while its cstructs are on their way.
+            for (&from, held) in self.votes.iter_mut() {
+                if silent & (1 << from) != 0 && !std::mem::replace(&mut held.asked, true) {
+                    self.pulls.push(from);
+                }
+            }
+            return LearnOutcome::Undecided;
         }
         self.detect_collision(&groups)
     }
@@ -222,7 +336,7 @@ impl Learner {
         // reaches the acceptors (acceptors fan votes out to every entry's
         // coordinator). Until at least one vote carries the option, there
         // is nothing to collide about.
-        if members.iter().all(|h| h.letter.is_none()) {
+        if members.iter().all(|(_, h)| h.letter.is_none()) {
             return LearnOutcome::Undecided;
         }
         if self.votes.len() == self.n {
@@ -235,7 +349,7 @@ impl Learner {
         let mut accepted = 0usize;
         let mut rejected = 0usize;
         let mut absent = 0usize;
-        for h in members {
+        for (_, h) in members {
             match h.letter {
                 Some((s, _)) if s.is_accepted() => accepted += 1,
                 Some(_) => rejected += 1,
@@ -456,6 +570,147 @@ mod tests {
         assert_eq!(
             l.on_vote(4, newer),
             LearnOutcome::Learned(OptionStatus::Accepted)
+        );
+    }
+
+    /// A physical write behind a committed delta: accepted, not
+    /// front-movable.
+    fn behind_a_delta() -> Vec<(TxnOption, OptionStatus)> {
+        vec![
+            (comm(2), OptionStatus::Accepted),
+            (phys(1), OptionStatus::Accepted),
+        ]
+    }
+
+    /// A verdict at `ballot` that holds the learner's option accepted
+    /// and not front-movable, or does not hold it.
+    fn verdict(ballot: Ballot, holds: bool) -> VoteVerdict {
+        let letter = crate::acceptor::Letter {
+            txn: txn(1),
+            status: OptionStatus::Accepted,
+            movable: false,
+        };
+        VoteVerdict {
+            ballot,
+            version: Version(1),
+            letters: holds.then_some(letter).into_iter().collect(),
+        }
+    }
+
+    #[test]
+    fn a_quorum_of_letters_that_are_not_movable_pulls_its_silent_members_once() {
+        let mut l = Learner::new(N, QC, QF, txn(1));
+        let b = Ballot::INITIAL_FAST;
+        for i in 0..3 {
+            l.on_verdict(i, &verdict(b, true));
+            assert!(l.take_pulls().is_empty(), "no quorum, nothing to pull");
+        }
+        assert_eq!(l.on_verdict(3, &verdict(b, true)), LearnOutcome::Undecided);
+        assert_eq!(l.take_pulls(), vec![0, 1, 2, 3]);
+        // The fifth acceptor makes every acceptor heard in one group
+        // with nothing learned — no collision while cstructs are due,
+        // and only the member not asked yet is asked.
+        assert_eq!(l.on_verdict(4, &verdict(b, true)), LearnOutcome::Undecided);
+        assert_eq!(l.take_pulls(), vec![4]);
+        // A repeated verdict asks for nothing again.
+        l.on_verdict(0, &verdict(b, true));
+        assert!(l.take_pulls().is_empty());
+        for i in 0..3 {
+            assert_eq!(
+                l.on_vote(i, vote(b, behind_a_delta())),
+                LearnOutcome::Undecided
+            );
+        }
+        assert_eq!(
+            l.on_vote(3, vote(b, behind_a_delta())),
+            LearnOutcome::Learned(OptionStatus::Accepted)
+        );
+        assert!(l.take_pulls().is_empty());
+    }
+
+    #[test]
+    fn pulled_cstructs_that_disagree_are_a_collision_once_all_are_in() {
+        // Same letters everywhere, opposite orders on two members: the
+        // count alone would say "learned", the glb says no.
+        let mut l = Learner::new(N, QC, QF, txn(1));
+        let b = Ballot::INITIAL_FAST;
+        for i in 0..N {
+            l.on_verdict(i, &verdict(b, true));
+        }
+        assert_eq!(l.take_pulls().len(), N);
+        let other_order = vec![
+            (phys(2), OptionStatus::Accepted),
+            (phys(1), OptionStatus::Accepted),
+        ];
+        let queued = vec![
+            (phys(3), OptionStatus::Accepted),
+            (phys(1), OptionStatus::Accepted),
+        ];
+        let mut outcome = LearnOutcome::Undecided;
+        for i in 0..N {
+            let entries = if i < 2 {
+                other_order.clone()
+            } else {
+                queued.clone()
+            };
+            assert_eq!(outcome, LearnOutcome::Undecided, "cstructs still due");
+            outcome = l.on_vote(i, vote(b, entries));
+        }
+        assert_eq!(outcome, LearnOutcome::Collision);
+    }
+
+    #[test]
+    fn a_later_verdict_keeps_a_pulled_cstruct_only_if_it_repeats_the_letter() {
+        let three = |l: &mut Learner| {
+            for i in 0..3 {
+                l.on_verdict(i, &verdict(Ballot::classic(1, NodeId(0)), true));
+            }
+            assert_eq!(l.take_pulls(), vec![0, 1, 2]);
+        };
+        let b = Ballot::classic(1, NodeId(0));
+
+        // Repeats the letter: the cstruct stays and decides with the
+        // other two.
+        let mut l = Learner::new(N, QC, QF, txn(1));
+        three(&mut l);
+        l.on_vote(0, vote(b, behind_a_delta()));
+        l.on_verdict(0, &verdict(b, true));
+        l.on_vote(1, vote(b, behind_a_delta()));
+        assert_eq!(
+            l.on_vote(2, vote(b, behind_a_delta())),
+            LearnOutcome::Learned(OptionStatus::Accepted)
+        );
+
+        // Changes the letter (a reordered verdict from before the option
+        // arrived): the letter is replaced, the cstruct that shows
+        // another one goes, and when the letter is back the acceptor is
+        // asked again.
+        let mut l = Learner::new(N, QC, QF, txn(1));
+        three(&mut l);
+        l.on_vote(0, vote(b, behind_a_delta()));
+        l.on_verdict(0, &verdict(b, false));
+        l.on_vote(1, vote(b, behind_a_delta()));
+        assert_eq!(
+            l.on_vote(2, vote(b, behind_a_delta())),
+            LearnOutcome::Undecided,
+            "two of three hold the option"
+        );
+        assert_eq!(l.on_verdict(0, &verdict(b, true)), LearnOutcome::Undecided);
+        assert_eq!(l.take_pulls(), vec![0]);
+        assert_eq!(
+            l.on_vote(0, vote(b, behind_a_delta())),
+            LearnOutcome::Learned(OptionStatus::Accepted)
+        );
+
+        // A newer ballot replaces everything held of the acceptor.
+        let mut l = Learner::new(N, QC, QF, txn(1));
+        three(&mut l);
+        l.on_vote(0, vote(b, behind_a_delta()));
+        l.on_verdict(0, &verdict(Ballot::classic(2, NodeId(0)), true));
+        l.on_vote(1, vote(b, behind_a_delta()));
+        assert_eq!(
+            l.on_vote(2, vote(b, behind_a_delta())),
+            LearnOutcome::Undecided
         );
     }
 

@@ -25,10 +25,11 @@
 //! * [`leader`] — per-record master: Phase1a, ProvedSafe, Phase2a,
 //!   the fast⇄classic γ policy (§3.3.2).
 //! * [`learner`] — coordinator-side learning of option statuses from
-//!   Phase2b quorums, including definite-collision detection.
-//! * [`shadow`] — delta votes and per-acceptor shadow views: Phase2b
-//!   fan-out ships only newly appended options plus a cstruct digest,
-//!   with explicit read-repair on digest mismatch.
+//!   Phase2b quorums — from the verdicts acceptors send, or from whole
+//!   votes — including definite-collision detection.
+//! * [`shadow`] — delta votes and per-acceptor shadow views, the vote
+//!   compression verdicts replaced; kept for the benchmark kernels
+//!   that name it, used by nothing else.
 
 pub mod acceptor;
 pub mod ballot;
@@ -41,7 +42,10 @@ pub mod quorum;
 pub mod shadow;
 pub mod wire;
 
-pub use acceptor::{AcceptorRecord, AcceptorState, Phase1b, Phase2b, RecordSnapshot, Resolution};
+pub use acceptor::{
+    AcceptorRecord, AcceptorState, Letter, Phase1b, Phase2b, RecordSnapshot, Resolution,
+    VoteVerdict,
+};
 pub use ballot::{Ballot, BallotKind};
 pub use cstruct::{CStruct, Mark};
 pub use demarcation::AttrConstraint;

@@ -12,7 +12,9 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
 use mdcc_common::{Key, TxnId, UpdateOp, Version};
 
-use crate::acceptor::{AcceptorState, Base, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution};
+use crate::acceptor::{
+    AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution, VoteVerdict,
+};
 use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
@@ -224,6 +226,36 @@ impl Wire for Phase2b {
             version,
             cstruct: decode_cstruct_from(base, inp)?,
             epoch: inp.u64()?,
+        })
+    }
+}
+
+impl Wire for Letter {
+    fn encode(&self, out: &mut Enc) {
+        self.txn.encode(out);
+        self.status.encode(out);
+        out.bool(self.movable);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(Letter {
+            txn: TxnId::decode(inp)?,
+            status: OptionStatus::decode(inp)?,
+            movable: inp.bool()?,
+        })
+    }
+}
+
+impl Wire for VoteVerdict {
+    fn encode(&self, out: &mut Enc) {
+        self.ballot.encode(out);
+        self.version.encode(out);
+        self.letters.encode(out);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(VoteVerdict {
+            ballot: Ballot::decode(inp)?,
+            version: Version::decode(inp)?,
+            letters: Vec::decode(inp)?,
         })
     }
 }
