@@ -460,7 +460,9 @@ fn audit_cluster(
                 }
             }
         }
-        audit.wal_bytes_written += world.disk(n).stats().wal_bytes_written;
+        let disk = world.disk(n).stats();
+        audit.wal_bytes_written += disk.wal_bytes_written;
+        audit.wal_appends += disk.wal_appends;
     }
     audit.attr_minima = minima.into_iter().collect();
     audit

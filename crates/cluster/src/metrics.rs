@@ -57,6 +57,9 @@ pub struct ClusterAudit {
     pub checkpoints: u64,
     /// WAL bytes written across all nodes (pre-compaction total).
     pub wal_bytes_written: u64,
+    /// WAL records appended across all nodes: with `net.fsyncs`, the
+    /// mean number of appends one fsync made durable.
+    pub wal_appends: u64,
     /// Fast proposals still parked across all nodes (held because their
     /// replica was behind the version they read). Zero once a run has
     /// drained: a parked proposal leaves when its record catches up or

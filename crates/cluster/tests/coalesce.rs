@@ -62,7 +62,16 @@ fn assert_healthy(label: &str, report: &Report) {
 /// The acceptance headline: coalescing on versus off produces identical
 /// commit outcomes — every transaction either run attempts commits, the
 /// cluster converges healthy — while the on-run ships strictly fewer
-/// wire frames (and several-fold fewer protocol frames per commit).
+/// wire frames, outright and per commit, because its envelopes carry
+/// several messages where the off-run sends each in a frame of its own.
+///
+/// The ratio is not the contract: it is what the messages a handler
+/// sends to one node number, and that moves with the protocol. It was
+/// 2.53x (23.3 vs 58.9 protocol frames per commit) while the coordinator
+/// sent one `Propose` and one `Visibility` per record per replica, and is
+/// 1.47x (23.3 vs 34.4) since it sends one per storage node — the on-run
+/// did not move; the off-run lost the messages the envelopes used to
+/// batch.
 #[test]
 fn coalescing_preserves_outcomes_with_strictly_fewer_frames() {
     let on_spec = hot_spec(77, true);
@@ -90,17 +99,24 @@ fn coalescing_preserves_outcomes_with_strictly_fewer_frames() {
         "with coalescing off every message is its own frame"
     );
 
-    // On: strictly fewer frames for comparable (closed-loop) work, and
-    // a multi-fold drop in protocol frames per commit.
+    // On: envelopes batch, protocol traffic included, so the run ships
+    // strictly fewer frames — outright, for comparable (closed-loop)
+    // work, and per commit.
+    assert!(
+        on.net.payload_msgs > on.net.msgs_sent,
+        "envelopes must actually batch messages"
+    );
+    assert!(
+        on.net.protocol.payloads > on.net.protocol.msgs,
+        "protocol envelopes must batch messages: {} messages in {} frames",
+        on.net.protocol.payloads,
+        on.net.protocol.msgs
+    );
     assert!(
         on.net.msgs_sent < off.net.msgs_sent,
         "coalescing must ship strictly fewer frames: {} vs {}",
         on.net.msgs_sent,
         off.net.msgs_sent
-    );
-    assert!(
-        on.net.payload_msgs > on.net.msgs_sent,
-        "envelopes must actually batch messages"
     );
     let on_mpc = on.net.protocol.msgs as f64 / on.write_commits() as f64;
     let off_mpc = off.net.protocol.msgs as f64 / off.write_commits() as f64;
@@ -113,9 +129,9 @@ fn coalescing_preserves_outcomes_with_strictly_fewer_frames() {
         on.net.payload_msgs as f64 / on.net.msgs_sent as f64,
     );
     assert!(
-        on_mpc * 2.0 <= off_mpc,
-        "coalescing must cut protocol frames/commit at least 2x on the \
-         fan-out-heavy load: {on_mpc:.1} vs {off_mpc:.1}"
+        on_mpc < off_mpc,
+        "coalescing must ship strictly fewer protocol frames per commit: \
+         {on_mpc:.1} vs {off_mpc:.1}"
     );
 }
 

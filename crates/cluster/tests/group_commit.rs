@@ -80,19 +80,22 @@ fn group_commit_is_inert_at_zero_fsync_latency() {
 }
 
 /// The acceptance headline: with real fsync latency both disciplines
-/// converge healthy with zero aborts, and group commit pays severalfold
-/// fewer fsyncs per committed transaction.
+/// converge healthy with zero aborts, and group commit pays strictly
+/// fewer fsyncs — outright and per committed transaction — because one
+/// covering fsync makes every append of its window durable.
+///
+/// The ratio is not the contract: without group commit a node pays one
+/// fsync per delivered message that appends, and how many records a
+/// message appends is the protocol's business. It was 3.00–3.18x on
+/// these five seeds while a coordinator sent one `Propose` and one
+/// `Visibility` per record per replica, and is 1.02–1.10x since it sends
+/// one per storage node: group commit did not move (~11.6 fsyncs per
+/// commit), the per-message baseline fell from ~36 to ~12.5 because each
+/// of its messages now appends all of a transaction's records on the
+/// node.
 #[test]
 fn group_commit_amortizes_fsyncs_without_changing_outcomes() {
-    // Per-append, every WAL append is its own fsync, so the rate per
-    // commit is the workload's append fan-out (3-item transactions
-    // across five replicas — far above the batched rate). The ratio is
-    // 3.07 ± 0.07 across seeds and one seed in six falls under 3.0
-    // whichever way the classic rounds of its two runs are scheduled
-    // (EXPERIMENTS.md "PR 23", sixty seeds at two commits): the bound is
-    // on the median of five, which no reshuffle of one run moves.
     let fsync = SimDuration::from_millis(1);
-    let mut ratios = Vec::new();
     for seed in 96..101 {
         let (on, _) = run_wal(&wal_spec(seed, fsync, true));
         let (off, _) = run_wal(&wal_spec(seed, fsync, false));
@@ -104,30 +107,42 @@ fn group_commit_amortizes_fsyncs_without_changing_outcomes() {
         assert_eq!(off.write_aborts(), 0, "baseline unexpectedly aborted");
         let on_fpc = on.fsyncs_per_commit().expect("on-run committed");
         let off_fpc = off.fsyncs_per_commit().expect("off-run committed");
+        // Records one fsync made durable, on average: a group-commit
+        // batch, or one message's appends.
+        let appends = |r: &Report| r.audit.as_ref().expect("audited").wal_appends as f64;
+        let (on_batch, off_batch) = (
+            appends(&on) / on.net.fsyncs as f64,
+            appends(&off) / off.net.fsyncs as f64,
+        );
         eprintln!(
-            "seed {seed} fsyncs/commit: group {on_fpc:.2} vs per-append {off_fpc:.2} ({:.2}x fewer)",
+            "seed {seed} fsyncs/commit: group {on_fpc:.2} vs per-message {off_fpc:.2} \
+             ({:.2}x fewer); appends per fsync {on_batch:.2} vs {off_batch:.2}",
             off_fpc / on_fpc
         );
-        ratios.push(off_fpc / on_fpc);
         // Outright counts are only loosely comparable: the group-commit
         // run also releases read replies early, so its clients cycle
         // faster and issue more transactions in the same wall of
-        // virtual time. The per-commit ratio is the amortization
-        // guarantee; outright the batched run must still fsync strictly
-        // less.
+        // virtual time. Outright the batched run must still fsync
+        // strictly less, and per commit too.
         assert!(
             on.net.fsyncs < off.net.fsyncs,
             "batched run must fsync strictly less outright: {} vs {}",
             on.net.fsyncs,
             off.net.fsyncs
         );
+        assert!(
+            on_fpc < off_fpc,
+            "batched run must fsync strictly less per commit: {on_fpc:.2} vs {off_fpc:.2}"
+        );
+        // The batch is a window's appends, not one message's: the
+        // on-run's fsyncs are at most its appends divided by the
+        // per-message batch.
+        assert!(
+            on.net.fsyncs as f64 <= appends(&on) / off_batch,
+            "a covering fsync must serve at least the appends of one message: \
+             {on_batch:.2} vs {off_batch:.2} appends per fsync"
+        );
     }
-    ratios.sort_by(f64::total_cmp);
-    assert!(
-        ratios[2] >= 3.0,
-        "group commit must amortize fsyncs at least 3x per commit in the \
-         median of five seeds: {ratios:.2?}"
-    );
 }
 
 /// The storage backend is wire-invisible: a run on the log-structured

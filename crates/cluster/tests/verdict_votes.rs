@@ -7,16 +7,18 @@
 //! has to be kept in step between sender and receiver. A learner that
 //! needs the cstruct itself (a quorum holds its option with one
 //! decision, behind entries that do not commute with it) pulls the whole
-//! vote with a `CstructPull`. These tests check the wire cost, that loss
-//! costs commutative load no pull at all, that a write forced behind
-//! committed deltas is learned through one pull per quorum member, and
-//! that the cluster converges to an audited, constraint-respecting state
-//! under loss and crash/restart.
+//! vote with a `CstructPull`. These tests check the wire cost, that a
+//! coordinator proposes and resolves a transaction with one message per
+//! storage node, that loss costs commutative load no pull at all, that a
+//! write forced behind committed deltas is learned through one pull per
+//! quorum member, and that the cluster converges to an audited,
+//! constraint-respecting state under loss and crash/restart.
 
-use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, FaultPlan, MdccMode, Report};
+use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, FaultPlan, MdccMode, NodeRole, Report};
 use mdcc_common::{CommutativeUpdate, PhysicalUpdate};
 use mdcc_common::{DcId, Key, RecordUpdate, Row, SimDuration, SimTime, UpdateOp, Version};
 use mdcc_core::TxnStats;
+use mdcc_trace::TraceConfig;
 use mdcc_workloads::micro::{initial_items, item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::{Transaction, TxnAction, Workload};
 use rand::rngs::SmallRng;
@@ -65,11 +67,12 @@ fn assert_healthy(label: &str, report: &Report) {
 }
 
 /// Wire bytes per committed transaction `hot_spec(77)` may cost: the
-/// measured value (3 744 B, 606 commits) plus ten per cent. Votes that carry
-/// the cstruct from the settled watermark cost 6 106 B on the same spec,
-/// votes that re-ship the whole cstruct 70 521 B (measured at 8ec034e
-/// and f09ed95, the last commits that could send them).
-const HOT_BYTES_PER_COMMIT_CEILING: f64 = 4_120.0;
+/// measured value (2 793 B, 610 commits) plus ten per cent. A `Propose`
+/// and a `Visibility` per record per replica cost 3 744 B on the same
+/// spec, votes that carry the cstruct from the settled watermark
+/// 6 106 B, votes that re-ship the whole cstruct 70 521 B (measured at
+/// c51bd49, 8ec034e and f09ed95, the last commits that could send them).
+const HOT_BYTES_PER_COMMIT_CEILING: f64 = 3_075.0;
 
 /// The headline: on hot commutative load a commit costs a few kilobytes
 /// of wire — a vote says what its destination asked, not what the record
@@ -88,6 +91,63 @@ fn verdict_votes_keep_hot_commutative_wire_cost_flat() {
     );
     assert_eq!(stats.repair_pulls, 0, "commuting options are counted");
     assert_eq!(report.nodes.stray_msgs, 0);
+}
+
+/// A transaction's proposal and its outcome travel once per storage node.
+/// With one shard per data center every record of a transaction lives on
+/// the same five nodes, so an attempt sends each node one `Propose` and,
+/// once decided, one `Visibility`, however many records it names; each
+/// node still judges, logs and counts every option on its own.
+#[test]
+fn a_transaction_proposes_and_resolves_once_per_storage_node() {
+    let mut spec = hot_spec(77);
+    // Host profiling is what counts deliveries by kind; tracing observes
+    // and changes nothing simulated.
+    spec.trace = TraceConfig {
+        profile: true,
+        ..TraceConfig::on()
+    };
+    let (report, stats) = run_hot(&spec);
+    assert_healthy("hot", &report);
+    let delivered = |role, kind| -> u64 {
+        let rows = report.profile_by_kind.iter();
+        let rows = rows.filter(|row| row.role == role && row.kind == kind);
+        rows.map(|row| row.msgs).sum()
+    };
+    let proposes = delivered(NodeRole::Storage, "Propose");
+    let visibilities = delivered(NodeRole::Storage, "Visibility");
+    let attempts = stats.committed + stats.aborted + stats.timeouts;
+    let nodes = report.nodes;
+    eprintln!(
+        "{proposes} Propose, {visibilities} Visibility for {attempts} attempts \
+         ({} committed, {} timeouts); {} options judged, stats {nodes:?}",
+        stats.committed, stats.timeouts, nodes.proposals
+    );
+    let replicas = ClusterSpec::default().protocol.replication as u64;
+    assert!(
+        proposes <= attempts * replicas,
+        "{proposes} Propose for {attempts} attempts"
+    );
+    assert!(
+        visibilities <= attempts * replicas,
+        "{visibilities} Visibility for {attempts} attempts"
+    );
+    // The node's per-option path is unchanged: every option a `Propose`
+    // carried was judged and counted once — voted on, bounced, or
+    // answered from a known outcome (an `AlreadyResolved` may also answer
+    // a classic proposal, hence the range).
+    let judged = nodes.fast_votes + nodes.not_fast_bounces + nodes.instance_full;
+    let answered = delivered(NodeRole::Client, "AlreadyResolved");
+    assert!(
+        (judged..=judged + answered).contains(&nodes.proposals),
+        "{} options counted, {judged} judged, {answered} answered",
+        nodes.proposals
+    );
+    assert!(
+        nodes.proposals > proposes,
+        "a Propose carries a transaction's options"
+    );
+    assert_eq!(nodes.stray_msgs, 0);
 }
 
 /// Loss costs commutative load no repair: a verdict stands on its own,

@@ -11,16 +11,17 @@
 //!
 //! The machine is sans-IO: it takes votes and decisions, and answers
 //! with what its owner has to do ([`Progress`], [`Verdict`], the
-//! Visibility list). Its owner keeps what is its own — sends, timers,
-//! retries, routing caches, statistics — and the order of the keys it
-//! was built with is the order everything is emitted in.
+//! Visibility messages, one per storage node). Its owner keeps what is
+//! its own — sends, timers, retries, routing caches, statistics — and the
+//! order of the keys it was built with is the order everything is
+//! emitted in.
 
 use mdcc_common::error::AbortReason;
 use mdcc_common::{Key, NodeId, ProtocolConfig, TxnId};
 use mdcc_paxos::acceptor::{Phase2b, VoteVerdict};
 use mdcc_paxos::{LearnOutcome, Learner, OptionStatus, TxnOutcome};
 
-use crate::msg::Msg;
+use crate::msg::{per_node, Msg};
 use crate::placement::Placement;
 
 /// What one vote did to the transaction's knowledge of one option.
@@ -207,12 +208,14 @@ impl Coordination {
         })
     }
 
-    /// The Visibility fan-out of `outcome`: calls `emit(replica, message)`
-    /// for every replica of every key, key by key. With `me` set (a
-    /// storage node finishing someone else's transaction) that node's own
-    /// copy comes last for each key, for the owner to apply directly
-    /// instead of sending. An option without a status (the outcome became
-    /// known before it was learned) follows the outcome.
+    /// The Visibility fan-out of `outcome`: calls `emit(node, message)`
+    /// once per storage node that replicates a record of the
+    /// transaction, the message naming those records in key order; nodes
+    /// come in the order the keys first name them. With `me` set (a
+    /// storage node finishing someone else's transaction) that node's
+    /// own copy comes last, for the owner to apply directly instead of
+    /// sending. An option without a status (the outcome became known
+    /// before it was learned) follows the outcome.
     pub fn visibility(
         &self,
         outcome: TxnOutcome,
@@ -220,24 +223,28 @@ impl Coordination {
         me: Option<NodeId>,
         mut emit: impl FnMut(NodeId, Msg),
     ) {
-        for slot in &self.slots {
+        let mut groups = per_node(self.slots.iter().map(|slot| {
             let learned_accepted = match slot.decided {
                 Some(status) => status.is_accepted(),
                 None => outcome == TxnOutcome::Committed,
             };
-            let visibility = || Msg::Visibility {
-                txn: self.txn,
-                key: slot.key.clone(),
-                outcome,
-                learned_accepted,
-            };
             let replicas = placement.replicas(&slot.key);
-            for r in replicas.iter().filter(|r| Some(**r) != me) {
-                emit(*r, visibility());
-            }
-            if let Some(me) = me.filter(|me| replicas.contains(me)) {
-                emit(me, visibility());
-            }
+            (replicas, (slot.key.clone(), learned_accepted))
+        }));
+        if let Some(at) = groups.iter().position(|(n, _)| Some(*n) == me) {
+            let own = groups.remove(at);
+            groups.push(own);
+        }
+        for (node, records) in groups {
+            let txn = self.txn;
+            emit(
+                node,
+                Msg::Visibility {
+                    txn,
+                    outcome,
+                    records,
+                },
+            );
         }
     }
 }

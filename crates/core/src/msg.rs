@@ -7,7 +7,7 @@
 use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
 use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
-use mdcc_paxos::{Ballot, TxnOption, TxnOutcome};
+use mdcc_paxos::{Ballot, Proposal, TxnOption, TxnOutcome};
 use mdcc_sim::Ctx;
 use mdcc_storage::{SyncItem, SyncRange};
 
@@ -18,6 +18,24 @@ pub(crate) fn send_each(ctx: &mut Ctx<'_, Msg>, to: &[NodeId], msg: impl Fn() ->
     }
 }
 
+/// Groups items by the nodes each is routed to: one entry per node, in
+/// the order the items first name it, holding every item routed there in
+/// item order — so that a handler sends each node one message.
+pub(crate) fn per_node<T: Clone>(
+    routed: impl IntoIterator<Item = (Vec<NodeId>, T)>,
+) -> Vec<(NodeId, Vec<T>)> {
+    let mut groups: Vec<(NodeId, Vec<T>)> = Vec::new();
+    for (nodes, item) in routed {
+        for node in nodes {
+            match groups.iter_mut().find(|(n, _)| *n == node) {
+                Some((_, items)) => items.push(item.clone()),
+                None => groups.push((node, vec![item.clone()])),
+            }
+        }
+    }
+    groups
+}
+
 /// Everything that travels between MDCC processes (and, via self-timers,
 /// within them).
 #[derive(Debug, Clone)]
@@ -25,23 +43,25 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Proposals (TM → storage nodes).
     // ------------------------------------------------------------------
-    /// Fast-path proposal straight to an acceptor (Algorithm 1, line 13).
-    Propose(TxnOption),
+    /// Fast-path proposal straight to an acceptor (Algorithm 1, line 13):
+    /// every option of one transaction on a record the destination
+    /// replicates, the transaction and its write-set named once.
+    Propose(Proposal),
     /// Classic-path proposal to the record's master (line 11).
     ProposeToMaster(TxnOption),
     /// Outcome fan-out once the coordinator learned all options
-    /// (the Visibility/Learned message of §3.2.1).
+    /// (the Visibility/Learned message of §3.2.1): one per storage node,
+    /// for every record of the transaction the node replicates.
     Visibility {
         /// Resolved transaction.
         txn: TxnId,
-        /// Record this copy of the message is for.
-        key: Key,
         /// Commit or abort.
         outcome: TxnOutcome,
-        /// Whether this record's option was *learned* as accepted — the
-        /// authoritative status that drives version accounting on nodes
-        /// whose local vote was in the minority.
-        learned_accepted: bool,
+        /// Per record, in the coordinator's key order: whether its option
+        /// was *learned* as accepted — the authoritative status that
+        /// drives version accounting on nodes whose local vote was in the
+        /// minority.
+        records: Vec<(Key, bool)>,
     },
     /// Ask the (potential) master to run collision recovery for a record
     /// (Algorithm 1, lines 19 and 26).
@@ -92,8 +112,9 @@ pub enum Msg {
     NotFast {
         /// Record concerned.
         key: Key,
-        /// The option that was bounced.
-        opt: TxnOption,
+        /// Transaction whose option on `key` was bounced (its coordinator
+        /// holds the option).
+        txn: TxnId,
         /// The classic ballot in force — its proposer is the master.
         promised: Ballot,
     },
@@ -102,8 +123,9 @@ pub enum Msg {
     InstanceFull {
         /// Record concerned.
         key: Key,
-        /// The bounced option (re-proposed after recovery).
-        opt: TxnOption,
+        /// Transaction whose option on `key` was bounced (re-proposed
+        /// after recovery).
+        txn: TxnId,
     },
     /// The proposed transaction was already resolved earlier (the
     /// proposal is a stale retry); here is its outcome.
@@ -120,8 +142,8 @@ pub enum Msg {
     GoFast {
         /// Record concerned.
         key: Key,
-        /// The bounced option.
-        opt: TxnOption,
+        /// Transaction whose option on `key` was bounced.
+        txn: TxnId,
     },
 
     // ------------------------------------------------------------------

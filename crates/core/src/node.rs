@@ -90,7 +90,8 @@ pub struct NodeStats {
     /// anti-entropy pull so the missed execution is installed from a
     /// peer instead of silently diverging the value.
     pub missed_commit_pulls: u64,
-    /// `Propose` messages received (fast-ballot proposals).
+    /// Fast-ballot options received, counted per option (a `Propose`
+    /// carries every option of its transaction this node replicates).
     pub proposals: u64,
     /// Those whose option carries a read version (physical updates of
     /// existing records, read guards) — the only ones that can park.
@@ -427,7 +428,8 @@ impl StorageNodeProcess {
         }
     }
 
-    /// A fast-ballot proposal arrived (`Msg::Propose`).
+    /// A fast-ballot option arrived (`Msg::Propose` carries one per record
+    /// of its transaction this node replicates, fed here in order).
     ///
     /// A proposal that read a version this replica has not reached is
     /// parked instead of judged — before the WAL append and before the
@@ -469,18 +471,18 @@ impl StorageNodeProcess {
                 opt: opt.clone(),
             }]
         });
-        match self.store.fast_propose(opt.clone(), ctx.now) {
+        match self.store.fast_propose(opt, ctx.now) {
             FastPropose::Vote(vote) => {
                 self.stats.fast_votes += 1;
                 self.fan_out_vote(&key, &vote, Some(from), ctx);
             }
             FastPropose::NotFast { promised } => {
                 self.stats.not_fast_bounces += 1;
-                ctx.send(from, Msg::NotFast { key, opt, promised });
+                ctx.send(from, Msg::NotFast { key, txn, promised });
             }
             FastPropose::InstanceFull => {
                 self.stats.instance_full += 1;
-                ctx.send(from, Msg::InstanceFull { key, opt });
+                ctx.send(from, Msg::InstanceFull { key, txn });
             }
             FastPropose::AlreadyResolved(outcome) => {
                 ctx.send(from, Msg::AlreadyResolved { key, txn, outcome });
@@ -574,10 +576,8 @@ impl StorageNodeProcess {
         coord.visibility(outcome, &*placement, Some(me), emit);
     }
 
-    /// Applies one transaction outcome to one record on this node —
-    /// the body of the `Visibility` message handler, also invoked
-    /// directly when this node is itself a replica of a record whose
-    /// recovery it just finished.
+    /// Applies one transaction outcome to one record on this node — what
+    /// the `Visibility` message handler does for each record it names.
     fn apply_visibility_local(
         &mut self,
         txn: TxnId,
@@ -852,7 +852,11 @@ impl Process<Msg> for StorageNodeProcess {
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
-            Msg::Propose(opt) => self.on_propose(from, opt, ctx),
+            Msg::Propose(proposal) => {
+                for opt in proposal.options() {
+                    self.on_propose(from, opt, ctx);
+                }
+            }
             Msg::ProposeToMaster(opt) => self.lead_classic(from, opt, ctx),
             Msg::ProposeMastered { origin_dc, opt } => {
                 self.on_propose_mastered(from, origin_dc, opt, ctx)
@@ -873,10 +877,13 @@ impl Process<Msg> for StorageNodeProcess {
             }
             Msg::Visibility {
                 txn,
-                key,
                 outcome,
-                learned_accepted,
-            } => self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx),
+                records,
+            } => {
+                for (key, learned_accepted) in records {
+                    self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx);
+                }
+            }
             Msg::SyncDigestReq
             | Msg::SyncDigest { .. }
             | Msg::SyncRangePull { .. }

@@ -81,7 +81,7 @@ impl StorageNodeProcess {
             self.redirected_fast.clear();
         }
         if self.allow_fast && !leading && record_fast && self.redirected_fast.insert(txn) {
-            return ctx.send(from, Msg::GoFast { key, opt });
+            return ctx.send(from, Msg::GoFast { key, txn });
         }
         self.claim_lease_ballot(&key, ctx);
         let actions = self.leader_for(&key, ctx).enqueue(opt);
@@ -252,8 +252,8 @@ impl StorageNodeProcess {
                 LeaderAction::RedirectFast(opt) => {
                     // The record reopened fast mode while this option was
                     // queued: hand it back to its coordinator.
-                    let key = key.clone();
-                    ctx.send(opt.txn.coordinator, Msg::GoFast { key, opt });
+                    let (key, txn) = (key.clone(), opt.txn);
+                    ctx.send(txn.coordinator, Msg::GoFast { key, txn });
                 }
             }
         }

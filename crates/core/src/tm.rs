@@ -6,7 +6,8 @@
 //! 1. the application executes reads (local read-committed by default,
 //!    up-to-date quorum reads on request, §4.2) and collects a write-set;
 //! 2. at commit, the TM proposes one option per record — directly to the
-//!    acceptors when the record is (believed) fast, via the record's
+//!    acceptors when the record is (believed) fast, one message per
+//!    storage node carrying every option it replicates, via the record's
 //!    master otherwise;
 //! 3. it learns each option from Phase2b quorums; **it may not abort a
 //!    proposed transaction** — on learn failure it can only trigger
@@ -14,6 +15,8 @@
 //! 4. commit iff every option is learned accepted; the outcome fans out
 //!    asynchronously as Visibility messages and does not add latency.
 
+use std::collections::btree_map::Entry;
+use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -22,13 +25,13 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{
     DcId, Key, NodeId, ProtocolConfig, RecordUpdate, Row, SimTime, TxnId, Version, WriteSet,
 };
-use mdcc_paxos::{OptionStatus, TxnOption, TxnOutcome};
+use mdcc_paxos::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use mdcc_sim::event::TimerId;
 use mdcc_sim::Ctx;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
-use crate::msg::{send_each, Msg};
+use crate::msg::{per_node, send_each, Msg};
 use crate::placement::Placement;
 
 /// Read consistency levels (§4.2).
@@ -133,7 +136,8 @@ pub enum TmEvent {
 #[derive(Debug)]
 struct ActiveTxn {
     started: SimTime,
-    /// The options, kept to re-propose them after a learn timeout.
+    /// The options, kept to re-propose them after a learn timeout or a
+    /// bounce (a bounce names the transaction, not the option).
     options: BTreeMap<Key, TxnOption>,
     /// Learners and decisions, keys in sorted order.
     coord: Coordination,
@@ -365,9 +369,7 @@ impl TransactionManager {
                 tracer.begin(me, dc, Some(txn), key, Phase::Phase2b, ctx.now);
             }
         }
-        for opt in options.values() {
-            self.propose_attempt(opt.clone(), 0, ctx);
-        }
+        self.propose_attempt(options.values(), 0, ctx);
         let timer = ctx.set_timer(LEARN_TIMEOUT, Msg::LearnTimeout { txn });
         let coord = Coordination::new(&self.cfg.protocol, txn, options.keys().cloned());
         self.active.insert(
@@ -383,54 +385,72 @@ impl TransactionManager {
         (txn, None)
     }
 
-    /// Routes one proposal per the record's believed mode (SENDPROPOSAL,
-    /// Algorithm 1 lines 9–13); `attempt` counts the learn timeouts so
-    /// far. With dynamic mastership on, classic proposals go to the
-    /// shard's believed lease holder; retries rotate through the replica
-    /// group instead, because the believed holder may be the crashed node
-    /// (any replica either serves, forwards to the live holder, or leads
-    /// classically).
-    fn propose_attempt(&mut self, opt: TxnOption, attempt: u32, ctx: &mut Ctx<'_, Msg>) {
-        let master = self.classic_cache.get(&opt.key).copied().or_else(|| {
-            self.cfg
-                .assume_classic
-                .then(|| self.placement.master(&opt.key))
-        });
-        match master {
-            Some(m) => {
-                if self.cfg.protocol.mastership.enabled {
-                    let shard = self.placement.shard_id(&opt.key);
-                    let target = if attempt == 0 {
-                        // Record-granular routes (per-record lease
-                        // overrides) outrank the shard-level route.
-                        self.record_cache
-                            .get(&opt.key)
-                            .copied()
-                            .or_else(|| self.lease_cache.get(&shard).copied())
-                            .unwrap_or(m)
-                    } else {
-                        let replicas = self.placement.shard_replicas(shard);
-                        replicas[(self.cfg.my_dc.0 as usize + attempt as usize) % replicas.len()]
-                    };
-                    ctx.send(
-                        target,
-                        Msg::ProposeMastered {
-                            origin_dc: self.cfg.my_dc,
-                            opt,
-                        },
-                    );
-                } else {
-                    ctx.send(m, Msg::ProposeToMaster(opt));
+    /// Routes a transaction's proposals per their records' believed mode
+    /// (SENDPROPOSAL, Algorithm 1 lines 9–13); `attempt` counts the learn
+    /// timeouts so far. An option of a record believed classic goes to
+    /// the record's master on its own; the rest go fast, one `Propose`
+    /// per storage node ([`Self::propose_fast`]).
+    fn propose_attempt<'a>(
+        &self,
+        opts: impl IntoIterator<Item = &'a TxnOption>,
+        attempt: u32,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        let mut fast = Vec::new();
+        for opt in opts {
+            let master = self.classic_cache.get(&opt.key).copied().or_else(|| {
+                self.cfg
+                    .assume_classic
+                    .then(|| self.placement.master(&opt.key))
+            });
+            match master {
+                Some(m) if self.cfg.protocol.mastership.enabled => {
+                    let target = self.lease_route(&opt.key, m, attempt);
+                    let (origin_dc, opt) = (self.cfg.my_dc, opt.clone());
+                    ctx.send(target, Msg::ProposeMastered { origin_dc, opt });
                 }
+                Some(m) => ctx.send(m, Msg::ProposeToMaster(opt.clone())),
+                None => fast.push(opt),
             }
-            None => self.propose_fast(&opt, ctx),
+        }
+        self.propose_fast(fast, ctx);
+    }
+
+    /// Where a classic proposal of `key` goes with dynamic mastership on:
+    /// the record's or the shard's believed lease holder, else `master`.
+    /// Retries rotate through the replica group instead, because the
+    /// believed holder may be the crashed node (any replica either
+    /// serves, forwards to the live holder, or leads classically).
+    fn lease_route(&self, key: &Key, master: NodeId, attempt: u32) -> NodeId {
+        let shard = self.placement.shard_id(key);
+        if attempt == 0 {
+            // Record-granular routes (per-record lease overrides) outrank
+            // the shard-level route.
+            self.record_cache
+                .get(key)
+                .or_else(|| self.lease_cache.get(&shard))
+                .copied()
+                .unwrap_or(master)
+        } else {
+            let replicas = self.placement.shard_replicas(shard);
+            replicas[(self.cfg.my_dc.0 as usize + attempt as usize) % replicas.len()]
         }
     }
 
-    /// Proposes `opt` straight to every acceptor of its record.
-    fn propose_fast(&self, opt: &TxnOption, ctx: &mut Ctx<'_, Msg>) {
-        let replicas = self.placement.replicas(&opt.key);
-        send_each(ctx, &replicas, || Msg::Propose(opt.clone()));
+    /// Proposes `opts`, options of one transaction, straight to the
+    /// acceptors of their records: one `Propose` per storage node,
+    /// carrying the options of every record the node replicates in the
+    /// order given (key order) — the transaction and its write-set cross
+    /// the network once per node, not once per record.
+    fn propose_fast(&self, opts: Vec<&TxnOption>, ctx: &mut Ctx<'_, Msg>) {
+        let routed = opts
+            .into_iter()
+            .map(|o| (self.placement.replicas(&o.key), o));
+        for (node, group) in per_node(routed) {
+            if let Some(proposal) = Proposal::of(group) {
+                ctx.send(node, Msg::Propose(proposal));
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -480,29 +500,29 @@ impl TransactionManager {
     /// remember the route and send the option there.
     fn on_reroute(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
-            Msg::NotFast { key, opt, promised } => {
+            Msg::NotFast { key, txn, promised } => {
                 // The record is under a classic ballot: remember the
                 // master and retry through it (§3.3.1 fallback).
                 self.stats.classic_redirects += 1;
-                if self.relevant(&opt) {
+                if let Some(opt) = self.relevant(txn, &key).cloned() {
                     self.classic_cache.insert(key, promised.proposer);
                     ctx.send(promised.proposer, Msg::ProposeToMaster(opt));
                 }
             }
-            Msg::GoFast { key, opt } => {
+            Msg::GoFast { key, txn } => {
                 // The record reopened fast ballots: drop the cache entry
                 // and propose directly.
                 self.classic_cache.remove(&key);
-                if self.relevant(&opt) {
-                    self.propose_fast(&opt, ctx);
+                if let Some(opt) = self.relevant(txn, &key) {
+                    self.propose_fast(vec![opt], ctx);
                 }
             }
-            Msg::InstanceFull { key, opt } => {
+            Msg::InstanceFull { key, txn } => {
                 // Ask the master to close + re-base the instance, then
                 // route the option through it.
                 self.stats.collisions += 1;
                 let master = self.placement.master(&key);
-                if self.relevant(&opt) {
+                if let Some(opt) = self.relevant(txn, &key).cloned() {
                     ctx.send(master, Msg::StartRecovery { key: key.clone() });
                     self.classic_cache.insert(key, master);
                     ctx.send(master, Msg::ProposeToMaster(opt));
@@ -544,14 +564,16 @@ impl TransactionManager {
         // Trigger recovery on stuck records and re-propose (acceptors and
         // masters deduplicate).
         let undecided = active.coord.undecided();
-        let opts: Vec<TxnOption> = undecided.map(|k| active.options[k].clone()).collect();
+        let opts: Vec<TxnOption> = undecided
+            .filter_map(|k| active.options.get(k).cloned())
+            .collect();
         // Exponential backoff: under heavy contention a recovery round can
         // outlast the base timeout, and re-triggering it on every tick
         // turns congestion into livelock.
         let attempt = active.coord.next_attempt();
         let backoff = LEARN_TIMEOUT * (1u64 << attempt.min(4));
         active.timer = ctx.set_timer(backoff, Msg::LearnTimeout { txn });
-        for opt in opts {
+        for opt in &opts {
             // Rotate through the replicas: the default master may be in a
             // failed data center (master failover, §3.2.3).
             let key = opt.key.clone();
@@ -568,8 +590,8 @@ impl TransactionManager {
                 self.lease_cache.remove(&self.placement.shard_id(&opt.key));
                 self.record_cache.remove(&opt.key);
             }
-            self.propose_attempt(opt, attempt, ctx);
         }
+        self.propose_attempt(&opts, attempt, ctx);
         Vec::new()
     }
 
@@ -590,17 +612,19 @@ impl TransactionManager {
             .collect();
         let consistency = task.consistency;
         let backoff = LEARN_TIMEOUT * (1u64 << task.retries.min(4));
-        let timer = ctx.set_timer(backoff, Msg::ReadRetry { token });
-        self.reads.get_mut(&token).expect("present").timer = timer;
+        task.timer = ctx.set_timer(backoff, Msg::ReadRetry { token });
         for key in missing {
             self.send_read(token, &key, consistency, broadcast, ctx);
         }
     }
 
-    fn relevant(&self, opt: &TxnOption) -> bool {
-        self.active
-            .get(&opt.txn)
-            .is_some_and(|a| !a.coord.is_decided(&opt.key))
+    /// `txn`'s option on `key` while the transaction is in flight and the
+    /// option has no status yet: what a storage node that bounced it asks
+    /// this TM to send again.
+    fn relevant(&self, txn: TxnId, key: &Key) -> Option<&TxnOption> {
+        let active = self.active.get(&txn)?;
+        let open = !active.coord.is_decided(key);
+        active.options.get(key).filter(|_| open)
     }
 
     /// Acceptor `from` answered for `key` — a verdict, or the whole vote
@@ -666,7 +690,7 @@ impl TransactionManager {
     /// `key`'s option of `txn` now has a status: stop feeding it votes
     /// and, once every option has one, finish the transaction.
     fn record_decision(&mut self, txn: TxnId, key: Key, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
-        let Some(active) = self.active.get(&txn) else {
+        let Entry::Occupied(entry) = self.active.entry(txn) else {
             return Vec::new();
         };
         if let Some(tracer) = &self.tracer {
@@ -680,10 +704,10 @@ impl TransactionManager {
             }
         }
         // All options decided: the outcome is now deterministic (§3.2.1).
-        let Some(verdict) = active.coord.verdict() else {
+        let Some(verdict) = entry.get().coord.verdict() else {
             return Vec::new();
         };
-        let active = self.active.remove(&txn).expect("present");
+        let active = entry.remove();
         ctx.cancel_timer(active.timer);
         let finished = ctx.now;
         if let Some(tracer) = &self.tracer {
@@ -727,9 +751,10 @@ impl TransactionManager {
         value: Option<Row>,
         ctx: &mut Ctx<'_, Msg>,
     ) -> Vec<TmEvent> {
-        let Some(task) = self.reads.get_mut(&req) else {
+        let HashEntry::Occupied(mut entry) = self.reads.entry(req) else {
             return Vec::new();
         };
+        let task = entry.get_mut();
         let responses = task.responses.entry(key).or_default();
         if responses.iter().any(|(n, _, _)| *n == from) {
             // A duplicate from a replica already counted (retry
@@ -745,7 +770,7 @@ impl TransactionManager {
         if !done {
             return Vec::new();
         }
-        let task = self.reads.remove(&req).expect("present");
+        let task = entry.remove();
         ctx.cancel_timer(task.timer);
         let values = task
             .keys

@@ -24,9 +24,9 @@ use crate::msg::Msg;
 impl Wire for Msg {
     fn encode(&self, out: &mut Enc) {
         match self {
-            Msg::Propose(opt) => {
+            Msg::Propose(proposal) => {
                 out.u8(0);
-                opt.encode(out);
+                proposal.encode(out);
             }
             Msg::ProposeToMaster(opt) => {
                 out.u8(1);
@@ -34,15 +34,13 @@ impl Wire for Msg {
             }
             Msg::Visibility {
                 txn,
-                key,
                 outcome,
-                learned_accepted,
+                records,
             } => {
                 out.u8(2);
                 txn.encode(out);
-                key.encode(out);
                 outcome.encode(out);
-                out.bool(*learned_accepted);
+                records.encode(out);
             }
             Msg::StartRecovery { key } => {
                 out.u8(3);
@@ -53,16 +51,16 @@ impl Wire for Msg {
                 key.encode(out);
                 vote.encode(out);
             }
-            Msg::NotFast { key, opt, promised } => {
+            Msg::NotFast { key, txn, promised } => {
                 out.u8(5);
                 key.encode(out);
-                opt.encode(out);
+                txn.encode(out);
                 promised.encode(out);
             }
-            Msg::InstanceFull { key, opt } => {
+            Msg::InstanceFull { key, txn } => {
                 out.u8(6);
                 key.encode(out);
-                opt.encode(out);
+                txn.encode(out);
             }
             Msg::AlreadyResolved { key, txn, outcome } => {
                 out.u8(7);
@@ -70,10 +68,10 @@ impl Wire for Msg {
                 txn.encode(out);
                 outcome.encode(out);
             }
-            Msg::GoFast { key, opt } => {
+            Msg::GoFast { key, txn } => {
                 out.u8(8);
                 key.encode(out);
-                opt.encode(out);
+                txn.encode(out);
             }
             Msg::P1a { key, ballot } => {
                 out.u8(9);
@@ -216,9 +214,8 @@ impl Wire for Msg {
             1 => Msg::ProposeToMaster(Wire::decode(inp)?),
             2 => Msg::Visibility {
                 txn: TxnId::decode(inp)?,
-                key: Key::decode(inp)?,
                 outcome: TxnOutcome::decode(inp)?,
-                learned_accepted: inp.bool()?,
+                records: Vec::decode(inp)?,
             },
             3 => Msg::StartRecovery {
                 key: Key::decode(inp)?,
@@ -229,12 +226,12 @@ impl Wire for Msg {
             },
             5 => Msg::NotFast {
                 key: Key::decode(inp)?,
-                opt: Wire::decode(inp)?,
+                txn: TxnId::decode(inp)?,
                 promised: Ballot::decode(inp)?,
             },
             6 => Msg::InstanceFull {
                 key: Key::decode(inp)?,
-                opt: Wire::decode(inp)?,
+                txn: TxnId::decode(inp)?,
             },
             7 => Msg::AlreadyResolved {
                 key: Key::decode(inp)?,
@@ -243,7 +240,7 @@ impl Wire for Msg {
             },
             8 => Msg::GoFast {
                 key: Key::decode(inp)?,
-                opt: Wire::decode(inp)?,
+                txn: TxnId::decode(inp)?,
             },
             9 => Msg::P1a {
                 key: Key::decode(inp)?,
@@ -411,9 +408,13 @@ mod tests {
     use super::*;
     use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{frame, from_bytes, to_bytes};
-    use mdcc_common::{CommutativeUpdate, DcId, NodeId, Row, TableId, UpdateOp, Version};
+    use std::sync::Arc;
+
+    use mdcc_common::{
+        CommutativeUpdate, DcId, NodeId, PhysicalUpdate, Row, TableId, UpdateOp, Version,
+    };
     use mdcc_mastership::{Ballot as MsBallot, HolderHint, MsMsg, OverrideRun};
-    use mdcc_paxos::{CStruct, Letter, OptionStatus, Resolution, TxnOption};
+    use mdcc_paxos::{CStruct, Letter, OptionStatus, Proposal, Resolution, TxnOption};
     use mdcc_storage::{SyncItem, SyncRange};
 
     fn full_vote(cstruct: CStruct) -> Phase2b {
@@ -437,6 +438,29 @@ mod tests {
         )
     }
 
+    fn propose(opt: &TxnOption) -> Msg {
+        Msg::Propose(Proposal::of([opt]).expect("an option of one transaction"))
+    }
+
+    /// A three-record transaction's options: a delta, a read guard and a
+    /// physical write.
+    fn three() -> Vec<TxnOption> {
+        let peers: Arc<[Key]> = ["a", "b", "c"].map(key).into_iter().collect();
+        let ops = [
+            UpdateOp::Commutative(CommutativeUpdate::delta("stock", -2)),
+            UpdateOp::ReadGuard(Version(6)),
+            UpdateOp::Physical(PhysicalUpdate::write(Version(2), Row::new().with("n", 1))),
+        ];
+        (peers.iter().zip(ops))
+            .map(|(k, op)| TxnOption {
+                txn: TxnId::new(NodeId(3), 20),
+                key: k.clone(),
+                op,
+                peers: Arc::clone(&peers),
+            })
+            .collect()
+    }
+
     fn samples() -> Vec<Msg> {
         let mut cstruct = CStruct::new();
         cstruct.append(opt(4), OptionStatus::Accepted);
@@ -446,13 +470,18 @@ mod tests {
             folded: vec![TxnId::new(NodeId(1), 9)],
         };
         vec![
-            Msg::Propose(opt(1)),
+            propose(&opt(1)),
+            Msg::Propose(Proposal::of(&three()).expect("one transaction")),
             Msg::ProposeToMaster(opt(2)),
             Msg::Visibility {
                 txn: TxnId::new(NodeId(0), 5),
-                key: key("a"),
                 outcome: TxnOutcome::Committed,
-                learned_accepted: true,
+                records: vec![(key("a"), true)],
+            },
+            Msg::Visibility {
+                txn: TxnId::new(NodeId(0), 6),
+                outcome: TxnOutcome::Aborted,
+                records: vec![(key("a"), true), (key("b"), false), (key("c"), false)],
             },
             Msg::StartRecovery { key: key("b") },
             Msg::Vote {
@@ -486,12 +515,12 @@ mod tests {
             Msg::CstructPull { key: key("a") },
             Msg::NotFast {
                 key: key("a"),
-                opt: opt(3),
+                txn: opt(3).txn,
                 promised: Ballot::classic(1, NodeId(2)),
             },
             Msg::InstanceFull {
                 key: key("a"),
-                opt: opt(9),
+                txn: opt(9).txn,
             },
             Msg::AlreadyResolved {
                 key: key("a"),
@@ -500,7 +529,7 @@ mod tests {
             },
             Msg::GoFast {
                 key: key("a"),
-                opt: opt(8),
+                txn: opt(8).txn,
             },
             Msg::P1a {
                 key: key("a"),
@@ -750,6 +779,8 @@ mod tests {
         // schema holds in memory.
         const SLOT: usize = 256;
         assert!(std::mem::size_of::<TxnOption>() <= SLOT);
+        assert!(std::mem::size_of::<(u32, UpdateOp)>() <= SLOT);
+        assert!(std::mem::size_of::<(Key, bool)>() <= SLOT);
         assert!(std::mem::size_of::<SyncItem>() <= SLOT);
         assert!(std::mem::size_of::<(TxnOption, Resolution)>() <= SLOT);
         for msg in samples() {
@@ -807,7 +838,7 @@ mod tests {
             TrafficClass::Read
         );
         assert_eq!(Msg::SyncDigestReq.traffic_class(), TrafficClass::Sync);
-        assert_eq!(Msg::Propose(opt(1)).traffic_class(), TrafficClass::Protocol);
+        assert_eq!(propose(&opt(1)).traffic_class(), TrafficClass::Protocol);
         assert_eq!(
             Msg::CstructPull { key: key("a") }.traffic_class(),
             TrafficClass::Repair
@@ -837,9 +868,8 @@ mod tests {
         assert_eq!(
             Msg::Visibility {
                 txn: TxnId::new(NodeId(0), 0),
-                key: key("a"),
                 outcome: TxnOutcome::Committed,
-                learned_accepted: true,
+                records: vec![(key("a"), true)],
             }
             .traffic_class(),
             TrafficClass::Protocol
@@ -893,6 +923,28 @@ mod tests {
             verdict.wire_bytes(),
             whole.wire_bytes()
         );
+    }
+
+    #[test]
+    fn one_proposal_of_three_options_saves_two_write_sets() {
+        // Three options to one node: one `Propose` names the transaction
+        // and the write-set once; three single ones name them thrice.
+        let opts = three();
+        let peers = to_bytes(&opts[0].peers.to_vec()).len();
+        let grouped = Msg::Propose(Proposal::of(&opts).expect("one transaction"));
+        let singles: usize = opts.iter().map(|o| propose(o).wire_bytes()).sum();
+        assert!(
+            grouped.wire_bytes() + 2 * peers <= singles,
+            "{} B grouped, {singles} B as three, write-set {peers} B",
+            grouped.wire_bytes()
+        );
+        // What goes in comes out, in order.
+        let Ok(Msg::Propose(back)) = from_bytes::<Msg>(&to_bytes(&grouped)) else {
+            panic!("not a proposal");
+        };
+        let back: Vec<TxnOption> = back.options().collect();
+        assert_eq!(back, opts);
+        assert!(back.iter().zip(&opts).all(|(b, o)| b.op == o.op));
     }
 
     #[test]

@@ -103,18 +103,21 @@ fn fanout(
     me: Option<NodeId>,
 ) -> BTreeSet<(NodeId, Key, bool)> {
     let mut sent = BTreeSet::new();
+    let mut nodes = BTreeSet::new();
     coord.visibility(outcome, &*placement(), me, |to, msg| {
         let Msg::Visibility {
             txn: t,
-            key,
             outcome: o,
-            learned_accepted,
+            records,
         } = msg
         else {
             panic!("not a Visibility: {msg:?}");
         };
         assert_eq!((t, o), (txn(0), outcome));
-        assert!(sent.insert((to, key, learned_accepted)), "sent twice");
+        assert!(nodes.insert(to), "two messages to {to}");
+        for (key, learned_accepted) in records {
+            assert!(sent.insert((to, key, learned_accepted)), "sent twice");
+        }
     });
     sent
 }
@@ -230,7 +233,8 @@ proptest! {
     }
 }
 
-/// The recovery coordinator's own copy comes last for each key, so it can
+/// One Visibility per storage node, naming its records in the machine's
+/// key order; the recovery coordinator's own copy comes last, so it can
 /// apply it after the sends; a key named twice is one option.
 #[test]
 fn own_copy_comes_last_and_a_key_named_twice_counts_once() {
@@ -244,12 +248,14 @@ fn own_copy_comes_last_and_a_key_named_twice_counts_once() {
         &*placement(),
         Some(NodeId(2)),
         |to, msg| {
-            let Msg::Visibility { key, .. } = msg else {
+            let Msg::Visibility { records, .. } = msg else {
                 panic!("not a Visibility: {msg:?}");
             };
-            order.push((key, to.0));
+            let keys: Vec<Key> = records.into_iter().map(|(k, _)| k).collect();
+            order.push((to.0, keys));
         },
     );
-    let per_key = |k: Key| [0, 1, 3, 4, 2].map(|r| (k.clone(), r));
-    assert_eq!(order, [per_key(key(1)), per_key(key(0))].concat());
+    let both = vec![key(1), key(0)];
+    let expected = [0, 1, 3, 4, 2].map(|r| (r, both.clone()));
+    assert_eq!(order, expected);
 }

@@ -30,7 +30,7 @@ use mdcc_common::{
 use mdcc_core::placement::Placement;
 use mdcc_core::{Msg, StorageNodeProcess};
 use mdcc_paxos::acceptor::Letter;
-use mdcc_paxos::{OptionStatus, TxnOption, TxnOutcome};
+use mdcc_paxos::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use mdcc_recovery::{recover_store, wal, WalRecord};
 use mdcc_sim::process::Effect;
 use mdcc_sim::{Ctx, Disk, Process};
@@ -131,12 +131,17 @@ impl Harness {
     }
 }
 
+/// The coordinator's `Propose` of link `i` to this node: a proposal of
+/// one option.
+fn propose(i: u64) -> Msg {
+    Msg::Propose(Proposal::of([&link(i)]).expect("one option"))
+}
+
 fn visibility(i: u64) -> Msg {
     Msg::Visibility {
         txn: TxnId::new(COORDINATOR, i),
-        key: key(),
         outcome: TxnOutcome::Committed,
-        learned_accepted: true,
+        records: vec![(key(), true)],
     }
 }
 
@@ -175,7 +180,7 @@ proptest! {
             let now = SimTime::from_millis(step as u64 + 1);
             match *event {
                 Event::Propose(i) => {
-                    node.deliver(now, Msg::Propose(link(i)));
+                    node.deliver(now, propose(i));
                     if reference.behind(&link(i)) {
                         withheld.push(link(i));
                     } else {
@@ -256,9 +261,9 @@ proptest! {
 fn visibility_overtaking_its_own_proposal_and_its_predecessor() {
     let mut node = Harness::new();
     let at = SimTime::from_millis;
-    node.deliver(at(1), Msg::Propose(link(1)));
+    node.deliver(at(1), propose(1));
     node.deliver(at(2), visibility(2));
-    node.deliver(at(3), Msg::Propose(link(2)));
+    node.deliver(at(3), propose(2));
     assert_eq!(
         node.node.parked_len(),
         1,
@@ -279,10 +284,10 @@ fn visibility_overtaking_its_own_proposal_and_its_predecessor() {
 fn a_retry_is_judged_as_it_stands_and_drops_the_parked_copy() {
     let mut node = Harness::new();
     let at = SimTime::from_millis;
-    node.deliver(at(1), Msg::Propose(link(2)));
+    node.deliver(at(1), propose(2));
     assert_eq!(node.node.parked_len(), 1);
     assert!(node.sent.is_empty(), "a parked proposal is not answered");
-    node.deliver(at(700), Msg::Propose(link(2)));
+    node.deliver(at(700), propose(2));
     assert_eq!(node.node.parked_len(), 0);
     let stats = node.node.stats();
     assert_eq!(
@@ -312,9 +317,9 @@ fn a_retry_is_judged_as_it_stands_and_drops_the_parked_copy() {
 fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
     let mut node = Harness::new();
     let at = SimTime::from_millis;
-    node.deliver(at(1), Msg::Propose(link(1)));
-    node.deliver(at(2), Msg::Propose(link(3)));
-    node.deliver(at(3), Msg::Propose(link(2)));
+    node.deliver(at(1), propose(1));
+    node.deliver(at(2), propose(3));
+    node.deliver(at(3), propose(2));
     assert_eq!(node.node.parked_len(), 2, "links 2 and 3 wait for link 1");
     let before = fingerprint(node.node.store());
     let log = wal::read_all(node.disk.wal()).expect("clean log");
@@ -347,7 +352,7 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
     assert!(node.sent.iter().all(|m| voted(m).is_none()));
     // The coordinator's learn timeout re-proposes link 2: judged at the
     // version it read, accepted, answered.
-    node.deliver(at(901), Msg::Propose(link(2)));
+    node.deliver(at(901), propose(2));
     let accepted = node
         .sent
         .iter()

@@ -12,7 +12,8 @@
 //!   the same round (§3.3.1).
 //! * [`options`] — transaction options ω(up, ✓/✗): the paper's central
 //!   trick of agreeing on *the right to execute an update* rather than the
-//!   update itself (§3.2.1).
+//!   update itself (§3.2.1) — and proposals, one transaction's options
+//!   for one storage node.
 //! * [`cstruct`] — command structures from Generalized Paxos with trace
 //!   semantics: commutative accepted options commute, rejected options are
 //!   neutral, physical accepted options are barriers (§3.4.1).
@@ -51,5 +52,5 @@ pub use cstruct::{CStruct, Mark};
 pub use demarcation::AttrConstraint;
 pub use leader::LeaderRecord;
 pub use learner::{LearnOutcome, Learner};
-pub use options::{OptionStatus, TxnOption, TxnOutcome};
+pub use options::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 pub use shadow::{DeltaCursor, DeltaVote, FoldOutcome, ShadowView};

@@ -95,6 +95,93 @@ impl fmt::Display for TxnOption {
     }
 }
 
+/// One transaction's options for the records one storage node
+/// replicates: the unit a coordinator proposes to a node.
+///
+/// Each option names its record by position in the write-set, so the
+/// transaction id and the write-set — the recovery metadata every option
+/// carries (§3.2.3) — are held, and travel, once per proposal rather
+/// than once per option. [`Proposal::options`] gives back the options,
+/// sharing one write-set.
+#[derive(Debug, Clone)]
+pub struct Proposal {
+    txn: TxnId,
+    peers: Arc<[Key]>,
+    /// `(index into peers, update)`, each index at most once.
+    ops: Vec<(u32, UpdateOp)>,
+}
+
+impl Proposal {
+    /// The proposal of `opts`, in the order given: options of one
+    /// transaction over one write-set (the first option's), each on a
+    /// record of that write-set named once. `None` if `opts` is empty or
+    /// one of them breaks that shape.
+    pub fn of<'a>(opts: impl IntoIterator<Item = &'a TxnOption>) -> Option<Self> {
+        let mut opts = opts.into_iter().peekable();
+        let first = opts.peek()?;
+        let mut proposal = Proposal {
+            txn: first.txn,
+            peers: Arc::clone(&first.peers),
+            ops: Vec::new(),
+        };
+        for opt in opts {
+            let at = proposal.peers.iter().position(|k| *k == opt.key)?;
+            let at = u32::try_from(at).ok()?;
+            if opt.txn != proposal.txn || proposal.ops.iter().any(|(i, _)| *i == at) {
+                return None;
+            }
+            proposal.ops.push((at, opt.op.clone()));
+        }
+        Some(proposal)
+    }
+
+    /// Builds a proposal from decoded parts: every index names a peer and
+    /// none is named twice, else `None`.
+    pub(crate) fn from_parts(
+        txn: TxnId,
+        peers: Arc<[Key]>,
+        ops: Vec<(u32, UpdateOp)>,
+    ) -> Option<Self> {
+        let mut named = vec![false; peers.len()];
+        for (at, _) in &ops {
+            let slot = named.get_mut(*at as usize)?;
+            if std::mem::replace(slot, true) {
+                return None;
+            }
+        }
+        Some(Proposal { txn, peers, ops })
+    }
+
+    /// The proposing transaction.
+    pub(crate) fn txn(&self) -> TxnId {
+        self.txn
+    }
+
+    /// The transaction's whole write-set.
+    pub(crate) fn peers(&self) -> &Arc<[Key]> {
+        &self.peers
+    }
+
+    /// `(index into peers, update)` per option, in proposal order.
+    pub(crate) fn ops(&self) -> &[(u32, UpdateOp)] {
+        &self.ops
+    }
+
+    /// The options, in proposal order, sharing one write-set; the
+    /// proposal is used up.
+    pub fn options(self) -> impl Iterator<Item = TxnOption> {
+        let Proposal { txn, peers, ops } = self;
+        ops.into_iter().filter_map(move |(at, op)| {
+            Some(TxnOption {
+                txn,
+                key: peers.get(at as usize)?.clone(),
+                op,
+                peers: Arc::clone(&peers),
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

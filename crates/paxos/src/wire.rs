@@ -17,7 +17,7 @@ use crate::acceptor::{
 };
 use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
-use crate::options::{OptionStatus, TxnOption, TxnOutcome};
+use crate::options::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use crate::shadow::DeltaVote;
 
 impl Wire for Ballot {
@@ -120,6 +120,32 @@ impl Wire for TxnOption {
             op,
             peers: Arc::from(peers),
         })
+    }
+}
+
+/// The transaction and its write-set once, then each option as the
+/// position of its record in the write-set and its update.
+impl Wire for Proposal {
+    fn encode(&self, out: &mut Enc) {
+        self.txn().encode(out);
+        out.u32(self.peers().len() as u32);
+        for peer in self.peers().iter() {
+            peer.encode(out);
+        }
+        out.u32(self.ops().len() as u32);
+        for (at, op) in self.ops() {
+            out.u32(*at);
+            op.encode(out);
+        }
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        let txn = TxnId::decode(inp)?;
+        let peers: Vec<Key> = Vec::decode(inp)?;
+        let ops = Vec::decode(inp)?;
+        match Proposal::from_parts(txn, Arc::from(peers), ops) {
+            Some(proposal) => Ok(proposal),
+            None => err("proposal index"),
+        }
     }
 }
 
@@ -410,6 +436,100 @@ mod tests {
             OptionStatus::Rejected(AbortReason::DemarcationLimit),
         ] {
             assert_eq!(round_trip(&status), status);
+        }
+    }
+
+    /// A three-record transaction's options on two of its records.
+    fn two_of_three() -> (Proposal, Vec<TxnOption>) {
+        let txn = TxnId::new(NodeId(1), 5);
+        let peers: Arc<[Key]> = ["a", "b", "c"]
+            .map(|pk| Key::new(TableId(0), pk))
+            .into_iter()
+            .collect();
+        let option = |at: usize, op| TxnOption {
+            txn,
+            key: peers[at].clone(),
+            op,
+            peers: Arc::clone(&peers),
+        };
+        let opts = vec![
+            option(2, UpdateOp::ReadGuard(Version(4))),
+            option(
+                0,
+                UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)),
+            ),
+        ];
+        (Proposal::of(&opts).expect("one transaction"), opts)
+    }
+
+    #[test]
+    fn proposals_round_trip_and_give_back_their_options() {
+        let (proposal, opts) = two_of_three();
+        let back = round_trip(&proposal);
+        assert_eq!(to_bytes(&back), to_bytes(&proposal));
+        let options: Vec<TxnOption> = back.options().collect();
+        assert_eq!(options, opts, "same options, same order");
+        for (got, sent) in options.iter().zip(&opts) {
+            assert_eq!(got.op, sent.op);
+            assert_eq!(&*got.peers, &*sent.peers);
+            assert!(Arc::ptr_eq(&got.peers, &options[0].peers), "one write-set");
+        }
+    }
+
+    #[test]
+    fn proposal_of_refuses_what_is_not_one_transaction_over_one_write_set() {
+        let (_, opts) = two_of_three();
+        assert!(Proposal::of(&[]).is_none(), "empty");
+        let twice = [opts[0].clone(), opts[0].clone()];
+        assert!(Proposal::of(&twice).is_none(), "a record named twice");
+        let mut other = opts[1].clone();
+        other.txn = TxnId::new(NodeId(2), 5);
+        assert!(
+            Proposal::of([&opts[0], &other]).is_none(),
+            "two transactions"
+        );
+        let mut outside = opts[1].clone();
+        outside.key = Key::new(TableId(0), "z");
+        assert!(
+            Proposal::of([&opts[0], &outside]).is_none(),
+            "a record off the write-set"
+        );
+    }
+
+    #[test]
+    fn a_proposal_naming_no_peer_or_one_twice_does_not_decode() {
+        let (proposal, _) = two_of_three();
+        let bytes = to_bytes(&proposal);
+        // The last option's index sits right after the first option.
+        let first_end = to_bytes(&proposal.txn()).len()
+            + to_bytes(&proposal.peers().to_vec()).len()
+            + 4
+            + to_bytes(&proposal.ops()[0]).len();
+        let with_last_index = |at: u32| {
+            let mut b = bytes.clone();
+            b[first_end..first_end + 4].copy_from_slice(&at.to_le_bytes());
+            b
+        };
+        assert_eq!(with_last_index(0), bytes, "the index found");
+        assert!(from_bytes::<Proposal>(&with_last_index(1)).is_ok());
+        assert!(
+            from_bytes::<Proposal>(&with_last_index(3)).is_err(),
+            "an index equal to the write-set's length"
+        );
+        assert!(
+            from_bytes::<Proposal>(&with_last_index(2)).is_err(),
+            "the first option's index again"
+        );
+        // A count larger than the input, for the write-set and the options.
+        let peers_at = to_bytes(&proposal.txn()).len();
+        let ops_at = peers_at + to_bytes(&proposal.peers().to_vec()).len();
+        for at in [peers_at, ops_at] {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+            assert!(from_bytes::<Proposal>(&b).is_err(), "count at byte {at}");
+        }
+        for cut in 0..bytes.len() {
+            assert!(from_bytes::<Proposal>(&bytes[..cut]).is_err());
         }
     }
 
