@@ -100,38 +100,34 @@ pub struct ProtocolConfig {
     /// instance before the master closes it with a classic round and
     /// re-bases demarcation limits.
     pub max_instance_options: usize,
-    /// Coalesce same-destination, same-traffic-class sends into batched
-    /// envelope frames (`true`, the default): every sender's outbox is
-    /// flushed as one envelope per (destination, class) — one frame
-    /// header and one per-message service-time floor per envelope
-    /// instead of per message. `false` restores per-message frames,
-    /// byte-identical to the PR 3 transport (the equivalence baseline).
+    /// Coalesce same-destination, same-traffic-class sends into
+    /// envelope frames (`true`, the default): one frame header and one
+    /// service-time floor per (destination, class) slot of the sender's
+    /// outbox instead of per message. `false` ships each send as its own
+    /// frame (the equivalence baseline).
     pub coalesce: bool,
-    /// Nagle-style flush delay for the coalescing outbox. Zero flushes
-    /// at the end of every event handling (messages produced by one
-    /// handler still batch); a positive window holds the outbox up to
-    /// this long so bursts *across* events coalesce too — the knob that
-    /// matters on hot nodes, where back-to-back handlings each fan out
-    /// to the same destinations.
+    /// The window of the outbox batch. The simulator keeps two batches
+    /// per node, the outbox and the WAL, with one deadline-or-size
+    /// mechanism (`mdcc_sim::world`, "Batching"). Zero ships the outbox
+    /// at the end of every event (what one handler sends still
+    /// batches); a positive window holds it that long so bursts *across*
+    /// events share envelopes too.
     pub coalesce_window: SimDuration,
-    /// Batch WAL durability per node (`true`, the default): appends
-    /// accumulate in the disk's write-back cache and one covering fsync
-    /// — triggered by `group_commit_window` or `group_commit_bytes`,
-    /// mirroring the coalescing outbox's Nagle design — makes the whole
-    /// batch durable for a single `fsync_latency` charge, with every
-    /// ack held until its covering fsync fires. `false` restores one
-    /// synchronous fsync per append (the equivalence baseline). Inert
-    /// while `fsync_latency` is zero, where appends are free and
-    /// write-through anyway.
+    /// Group commit (`true`, the default): WAL appends join the node's
+    /// WAL batch, whose one covering fsync makes the whole batch durable
+    /// for a single `fsync_latency` charge; the batch holds the node's
+    /// sends, read replies excepted, until then. `false` charges one
+    /// fsync per appending event (the equivalence baseline). Inert while
+    /// `fsync_latency` is zero.
     pub group_commit: bool,
-    /// How long an unsynced WAL append may wait for its covering group
-    /// fsync. Zero still batches every append made while handling one
-    /// event (an envelope delivering N messages pays one fsync); a
-    /// positive window lets bursts *across* events share a flush.
+    /// The window of the WAL batch. Zero still covers every append made
+    /// while handling one event (an envelope delivering N messages pays
+    /// one fsync); a positive window lets bursts *across* events share a
+    /// flush.
     pub group_commit_window: SimDuration,
-    /// Unsynced-byte threshold that triggers an immediate group fsync
-    /// without waiting out the window (bounds both batch latency and
-    /// the data at risk in the write-back cache).
+    /// The WAL batch's size trigger: this many unsynced bytes close it
+    /// at once, bounding both its latency and the data at risk in the
+    /// write-back cache.
     pub group_commit_bytes: usize,
     /// Storage engine backing each node's record map.
     pub storage: StorageKind,

@@ -71,15 +71,10 @@ pub enum EventKind<M> {
         /// length prefixes + payloads).
         bytes: usize,
     },
-    /// Flush `target`'s coalescing outbox (scheduled when a Nagle-style
-    /// `coalesce_window` holds sends past the end of their event).
-    FlushOutbox,
-    /// Fire the covering fsync of `target`'s open group-commit batch:
-    /// every WAL append since the last sync becomes durable under one
-    /// `fsync_latency` charge and the batch's held acks are released
-    /// (scheduled when group commit holds appends past their event,
-    /// mirroring `FlushOutbox`).
-    GroupFsync,
+    /// Close `target`'s batch of this kind: its deadline, armed when the
+    /// batch opened. A deadline the batch no longer holds (a crash or the
+    /// size trigger disarmed it) fires as a no-op.
+    Deadline(BatchKind),
     /// Fire a timer previously set by `target` itself.
     Timer {
         /// Id returned by `set_timer`, checked against cancellations.
@@ -93,6 +88,28 @@ pub enum EventKind<M> {
     },
     /// Invoke `Process::on_start` for `target` (scheduled at spawn).
     Start,
+}
+
+impl<M> EventKind<M> {
+    /// Wire bytes and payload messages of the frame a delivery carries;
+    /// `(0, 0)` for an event that carries none.
+    pub(crate) fn frame(&self) -> (usize, u64) {
+        match self {
+            EventKind::Deliver { bytes, .. } => (*bytes, 1),
+            EventKind::DeliverEnvelope { bytes, msgs, .. } => (*bytes, msgs.len() as u64),
+            _ => (0, 0),
+        }
+    }
+}
+
+/// The two deadline-or-size batches every simulated node keeps (the
+/// world's module docs describe both).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchKind {
+    /// Sends waiting in the outbox for the Nagle window.
+    Outbox = 0,
+    /// WAL appends waiting for their covering fsync.
+    Wal = 1,
 }
 
 /// A scheduled event.

@@ -31,7 +31,7 @@ pub mod topology;
 pub mod world;
 
 pub use disk::{Disk, DiskStats};
-pub use event::{Event, EventKey, EventKind, EventQueue, TimerId};
+pub use event::{BatchKind, Event, EventKey, EventKind, EventQueue, TimerId};
 pub use net::{LinkSpec, NetworkModel, DEFAULT_INTER_DC_BANDWIDTH, DEFAULT_INTRA_DC_BANDWIDTH};
 pub use process::{Ctx, NetMessage, Process, TrafficClass};
 pub use topology::Topology;

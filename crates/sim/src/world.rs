@@ -4,20 +4,50 @@
 //!
 //! With [`WorldConfig::coalesce`] on (the default), [`Ctx::send`] no
 //! longer hands each message straight to the network: sends accumulate
-//! in a per-(destination, traffic-class) outbox that the world flushes
-//! at the end of the event being handled — or, with a positive
-//! [`WorldConfig::coalesce_window`], after a Nagle-style delay so
-//! bursts across events coalesce too. Each flushed slot ships as one
-//! envelope wire frame: one frame header and one service-time floor
-//! per envelope instead of per message, with per-byte costs and
-//! per-class byte attribution preserved exactly (only same-class
-//! messages share an envelope). Slots flush in first-enqueue order and
-//! payloads dispatch in send order, so per-(src, dst, class) FIFO
-//! delivery holds whenever the jitter-free network would deliver FIFO.
-//! Messages of *different* classes to one destination ride different
-//! envelopes and may reorder relative to each other — the same
-//! reordering a jittered network already inflicts, which every
-//! protocol here must (and does) tolerate.
+//! in a per-(destination, traffic-class) outbox that ships when the
+//! outbox batch closes (see Batching below). Each shipped slot is one
+//! envelope wire frame: one frame header and one service-time floor per
+//! envelope instead of per message, with per-byte costs and per-class
+//! byte attribution preserved exactly (only same-class messages share an
+//! envelope). Slots ship in first-enqueue order and payloads dispatch in
+//! send order, so per-(src, dst, class) FIFO delivery holds whenever the
+//! jitter-free network would deliver FIFO. Messages of *different*
+//! classes to one destination ride different envelopes and may reorder
+//! relative to each other — the same reordering a jittered network
+//! already inflicts, which every protocol here must (and does) tolerate.
+//!
+//! # Batching
+//!
+//! Every node keeps two deadline-or-size batches of one kind, and the
+//! world arms, fires and disarms both the same way:
+//!
+//! * the **outbox** batch. It opens at the end of an event that left
+//!   sends in the outbox and closes [`WorldConfig::coalesce_window`]
+//!   later (Nagle), so bursts across events share envelopes. It has no
+//!   size trigger. A zero window closes it at the end of the event.
+//! * the **WAL** batch, under [`WorldConfig::group_commit`] with a
+//!   non-zero [`WorldConfig::fsync_latency`]. An event that appended to
+//!   the WAL opens it. It closes [`WorldConfig::group_commit_window`]
+//!   later, or at once when [`WorldConfig::group_commit_bytes`] are
+//!   unsynced. Closing charges one covering fsync for every append it
+//!   holds.
+//!
+//! An open batch's deadline is one queued [`EventKind::Deadline`]. Only
+//! the deadline the batch currently holds counts, so one orphaned by a
+//! crash or by the size trigger fires as a no-op.
+//!
+//! Per-append fsync (`group_commit` off) is the degenerate WAL batch: it
+//! closes as the appending handler returns, before that handler's sends
+//! leave, and holds nothing, so it never ships a pending outbox.
+//!
+//! While the WAL batch is open the outbox is its holding pen. An ack
+//! must not outrun the fsync that makes what it acknowledges durable, so
+//! nothing leaves until the WAL batch closes, and then everything does.
+//! Read replies are the exception: they promise no durability, so they
+//! leave at the end of their event instead of queueing behind a
+//! stranger's fsync. Without coalescing, each held send is a slot of its
+//! own and ships as the same bare frame, in the same order, as the
+//! per-message transport would have sent it.
 //!
 //! # A conservative parallel per-DC engine
 //!
@@ -62,7 +92,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::disk::Disk;
-use crate::event::{Event, EventKey, EventKind, EventQueue, TimerId};
+use crate::event::{BatchKind, Event, EventKey, EventKind, EventQueue, TimerId};
 use crate::net::NetworkModel;
 use crate::process::{Ctx, Effect, NetMessage, Process, TrafficClass};
 use crate::topology::Topology;
@@ -88,32 +118,29 @@ pub struct WorldConfig {
     /// (see the module docs). `false` restores the per-message transport
     /// byte for byte — the equivalence baseline.
     pub coalesce: bool,
-    /// How long the outbox may hold sends past the end of their event.
-    /// Zero (the default here) flushes at end-of-event-handling; the
-    /// cluster harness threads `ProtocolConfig::coalesce_window`
-    /// through for Nagle-style cross-event batching.
+    /// The outbox batch's window: how long sends may wait past the end
+    /// of their event. Zero (the default here) ships them at the end of
+    /// the event; the cluster harness threads
+    /// `ProtocolConfig::coalesce_window` through.
     pub coalesce_window: SimDuration,
     /// Synchronous-flush latency charged to a node whenever an event
     /// handler appended WAL bytes: the node stays busy that much longer
     /// (an fsync on the commit path). Zero — the default — charges
     /// nothing, preserving the pre-fsync schedule exactly.
     pub fsync_latency: SimDuration,
-    /// Group commit: WAL appends accumulate in a per-node batch and are
-    /// made durable by one covering fsync (scheduled
-    /// `group_commit_window` after the batch opens, or forced early
-    /// once `group_commit_bytes` accumulate), with every send the
-    /// appending handlers produced held back until that fsync — so N
-    /// transactions pay one `fsync_latency` instead of N, exactly as
-    /// envelope coalescing amortized the per-message service floor.
-    /// Inert unless `fsync_latency` is non-zero; `false` restores the
-    /// per-append fsync schedule byte for byte.
+    /// Group commit: appends join the node's WAL batch, one covering
+    /// fsync makes the whole batch durable, and the batch holds the
+    /// node's sends until then (see the module docs) — so N
+    /// transactions pay one `fsync_latency` instead of N. Inert unless
+    /// `fsync_latency` is non-zero; `false` restores the per-append
+    /// fsync schedule byte for byte.
     pub group_commit: bool,
-    /// How long an open group-commit batch may wait for more appends
-    /// before its covering fsync fires (the Nagle window of the WAL).
-    /// Zero syncs at the end of the appending event — which still
-    /// batches all appends of that event under one fsync.
+    /// The WAL batch's window: how long it may wait for more appends
+    /// before its covering fsync. Zero syncs in an event of its own at
+    /// the same instant — which still covers every append of the
+    /// opening event.
     pub group_commit_window: SimDuration,
-    /// Size trigger: an open batch syncs immediately once this many
+    /// The WAL batch's size trigger: it closes at once when this many
     /// unsynced WAL bytes accumulate, bounding both the held-ack window
     /// and the data lost to a crash mid-batch.
     pub group_commit_bytes: usize,
@@ -207,6 +234,18 @@ impl WorldStats {
             self.by_class[i].payloads += o.by_class[i].payloads;
         }
     }
+
+    /// Counts one frame of `bytes` carrying `payloads` messages of
+    /// `class` handed to the network.
+    fn count_sent(&mut self, class: TrafficClass, bytes: usize, payloads: u64) {
+        self.sent += 1;
+        self.bytes_sent += bytes as u64;
+        self.payload_msgs += payloads;
+        let totals = &mut self.by_class[class.index()];
+        totals.msgs += 1;
+        totals.bytes += bytes as u64;
+        totals.payloads += payloads;
+    }
 }
 
 /// One node's event-loop profile: how much work its handlers did, in
@@ -237,6 +276,30 @@ struct ProfileCell {
     /// `"start"` for `on_start`), in order of first appearance. Filled
     /// only while host profiling is on.
     kinds: Vec<KindCell>,
+}
+
+impl ProfileCell {
+    /// Adds one handler call of `kind` that took `spent` of host time;
+    /// `delivered` is the framed size of the message it handled, if one
+    /// was delivered.
+    fn record(&mut self, kind: &'static str, delivered: Option<u64>, spent: Duration) {
+        self.wall += spent;
+        let at = match self.kinds.iter().position(|k| k.kind == kind) {
+            Some(at) => at,
+            None => {
+                self.kinds.push(KindCell {
+                    kind,
+                    ..KindCell::default()
+                });
+                self.kinds.len() - 1
+            }
+        };
+        let of_kind = &mut self.kinds[at];
+        of_kind.events += 1;
+        of_kind.wall += spent;
+        of_kind.msgs += u64::from(delivered.is_some());
+        of_kind.bytes += delivered.unwrap_or(0);
+    }
 }
 
 /// One kind's share of a [`ProfileCell`].
@@ -289,9 +352,9 @@ fn node_rng_seed(world_seed: u64, node: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One pending envelope: same-destination, same-class messages awaiting
-/// flush, with the framed single-message size of each (captured at send
-/// time) for byte accounting.
+/// One slot of the outbox: messages to one destination in one traffic
+/// class, with the framed single-message size of each (captured at send
+/// time) for byte accounting. Ships as one frame.
 struct OutboxSlot<M> {
     to: NodeId,
     class: TrafficClass,
@@ -299,91 +362,158 @@ struct OutboxSlot<M> {
     framed_sizes: Vec<usize>,
 }
 
-/// The immutable environment shards read while stepping: network and
-/// topology by reference, config scalars by value, the trace handle.
-/// `Sync`, so one instance is shared by every worker thread of an epoch.
-struct Env<'a> {
-    net: &'a NetworkModel,
-    topology: &'a Topology,
-    /// Global node id → slot inside its shard.
-    slot_of: &'a [u32],
-    service_time: SimDuration,
-    service_ns_per_byte: u64,
-    coalesce: bool,
-    coalesce_window: SimDuration,
-    fsync_latency: SimDuration,
-    group_commit: bool,
-    group_commit_window: SimDuration,
-    group_commit_bytes: usize,
-    tracer: Option<&'a TraceHandle>,
-    trace_on: bool,
+/// One of a node's deadline-or-size batches (module docs, Batching):
+/// the deadline it armed when it opened, `None` while it is closed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Batch {
+    deadline: Option<SimTime>,
+}
+
+impl Batch {
+    /// Whether a deadline event firing at `at` closes this batch; if so
+    /// the batch is closed.
+    fn due(&mut self, at: SimTime) -> bool {
+        let due = self.deadline == Some(at);
+        if due {
+            self.deadline = None;
+        }
+        due
+    }
+}
+
+/// Everything the world keeps for one node.
+struct Node<M> {
+    id: NodeId,
+    /// The process; taken out only while its handler runs.
+    proc_: Option<Box<dyn Process<M>>>,
+    busy_until: SimTime,
+    alive: bool,
+    /// Bumped on every `restart_node`; timers armed by an older
+    /// incarnation are dropped when they fire.
+    incarnation: u32,
+    /// Durable storage; survives crash/restart.
+    disk: Disk,
+    /// Protocol randomness and this node's outbound network sampling,
+    /// so randomness is a function of the node's own history —
+    /// identical under either scheduler.
+    rng: SmallRng,
+    /// Monotone emit counter (the third component of every
+    /// [`EventKey`] this node's sends and timers stamp).
+    emit: u64,
+    /// Timer-id counter, based at `node_id << 40` so ids are globally
+    /// unique without any shared state.
+    next_timer: u64,
+    profile: ProfileCell,
+    /// The holding pen, in first-enqueue order: one slot per
+    /// (destination, traffic class) when coalescing, one per held send
+    /// otherwise. Unsent messages die with the process on a crash.
+    outbox: Vec<OutboxSlot<M>>,
+    /// The outbox and WAL batches, indexed by [`BatchKind`].
+    batches: [Batch; 2],
+}
+
+impl<M> Node<M> {
+    fn new(id: NodeId, proc_: Box<dyn Process<M>>, seed: u64) -> Self {
+        Self {
+            id,
+            proc_: Some(proc_),
+            busy_until: SimTime::ZERO,
+            alive: true,
+            incarnation: 0,
+            disk: Disk::new(),
+            rng: SmallRng::seed_from_u64(seed),
+            emit: 0,
+            next_timer: (id.0 as u64) << 40,
+            profile: ProfileCell::default(),
+            outbox: Vec::new(),
+            batches: [Batch::default(); 2],
+        }
+    }
+
+    /// The hold rule: whether an open WAL batch holds this node's
+    /// outbox. Only group commit with a non-zero fsync latency opens one
+    /// (with a free fsync there is nothing to amortize), and it is open
+    /// while appends await their covering fsync.
+    fn holding(&self, config: &WorldConfig) -> bool {
+        config.group_commit && config.fsync_latency > SimDuration::ZERO && self.disk.has_unsynced()
+    }
+
+    /// Puts a send in the pen: into its (destination, class) slot when
+    /// `merge`, else into a slot of its own.
+    fn pen(&mut self, to: NodeId, class: TrafficClass, msg: M, bytes: usize, merge: bool) {
+        if merge {
+            if let Some(slot) = self
+                .outbox
+                .iter_mut()
+                .find(|s| s.to == to && s.class == class)
+            {
+                slot.msgs.push(msg);
+                slot.framed_sizes.push(bytes);
+                return;
+            }
+        }
+        self.outbox.push(OutboxSlot {
+            to,
+            class,
+            msgs: vec![msg],
+            framed_sizes: vec![bytes],
+        });
+    }
+
+    /// Stamps a fresh event key from this node's emit counter at `now`.
+    fn next_key(&mut self, now: SimTime) -> EventKey {
+        let emit = self.emit;
+        self.emit += 1;
+        EventKey {
+            cause: now,
+            node: self.id.0,
+            emit,
+        }
+    }
+}
+
+/// What every shard reads and none writes. The world owns it and lends
+/// it to shards by reference while they step; it is `Sync`, so every
+/// worker thread of an epoch shares the one instance.
+struct Env {
+    net: NetworkModel,
+    topology: Topology,
+    /// Global node id → slot inside its shard (the shard is the node's
+    /// DC, via `topology`).
+    slot_of: Vec<u32>,
+    config: WorldConfig,
+    /// The trace collector, held only while tracing is enabled.
+    tracer: Option<TraceHandle>,
+    /// Whether to time handlers on the host (`TraceConfig::profile`).
     profile_wall: bool,
 }
 
-impl Env<'_> {
+impl Env {
     /// CPU cost of handling one `bytes`-sized message: the fixed floor
     /// plus the per-byte deserialization cost.
     fn service_cost(&self, bytes: usize) -> SimDuration {
-        let per_byte_us = (bytes as u64 * self.service_ns_per_byte + 500) / 1_000;
-        self.service_time + SimDuration::from_micros(per_byte_us)
+        let per_byte_us = (bytes as u64 * self.config.service_ns_per_byte + 500) / 1_000;
+        self.config.service_time + SimDuration::from_micros(per_byte_us)
     }
 
-    /// Whether the group-commit discipline is in force. With a zero
-    /// `fsync_latency` there is nothing to amortize and the knob stays
-    /// inert, so the default schedule is untouched.
-    fn group_commit_engaged(&self) -> bool {
-        self.group_commit && self.fsync_latency > SimDuration::ZERO
+    /// How long a batch of `kind` stays open.
+    fn window(&self, kind: BatchKind) -> SimDuration {
+        match kind {
+            BatchKind::Outbox => self.config.coalesce_window,
+            BatchKind::Wal => self.config.group_commit_window,
+        }
     }
 }
 
-/// One data center's slice of the world: its nodes' state, its event
-/// queue, its outgoing row of the link matrix. Shares nothing mutable
-/// with other shards, so shards step concurrently inside an epoch.
+/// One data center's slice of the world: its nodes, its event queue,
+/// its outgoing row of the link matrix. Shares nothing mutable with
+/// other shards, so shards step concurrently inside an epoch.
 struct Shard<M> {
     dc: DcId,
     now: SimTime,
     queue: EventQueue<M>,
-    /// Global node ids, by slot.
-    nodes: Vec<u32>,
-    procs: Vec<Option<Box<dyn Process<M>>>>,
-    busy_until: Vec<SimTime>,
-    alive: Vec<bool>,
-    /// Bumped on every `restart_node`; timers armed by an older
-    /// incarnation are dropped when they fire.
-    incarnations: Vec<u32>,
-    /// Per-node durable storage; survives crash/restart.
-    disks: Vec<Disk>,
-    /// Per-node RNGs: protocol randomness and this node's outbound
-    /// network sampling, so randomness is a function of the node's own
-    /// history — identical under either scheduler.
-    rngs: Vec<SmallRng>,
-    /// Per-node monotone emit counters (the third component of every
-    /// [`EventKey`] this node's sends and timers stamp).
-    emit: Vec<u64>,
-    /// Per-node timer-id counters, based at `node_id << 40` so ids are
-    /// globally unique without any shared state.
-    next_timer: Vec<u64>,
-    profile: Vec<ProfileCell>,
-    /// Per-node coalescing outboxes: slots in first-enqueue order, one
-    /// per (destination, traffic class). Cleared when the sender
-    /// crashes (unsent messages die with the process).
-    outbox: Vec<Vec<OutboxSlot<M>>>,
-    /// Per-node deadline of the scheduled Nagle flush, if any; a fired
-    /// flush event only counts if its time matches — a crash clears the
-    /// entry, so a stale pre-crash flush event cannot cut short the
-    /// window of sends buffered after a revival.
-    flush_deadline: Vec<Option<SimTime>>,
-    /// Per-node deadline of the scheduled group-commit fsync, if any;
-    /// deadline-matched exactly like `flush_deadline` so crashes orphan
-    /// in-flight fsync events instead of letting them cover a
-    /// post-revival batch.
-    fsync_deadline: Vec<Option<SimTime>>,
-    /// Per-node held sends of the non-coalescing transport while the
-    /// node's WAL has unsynced appends: acks must not outrun the
-    /// covering fsync, and later sends must not overtake held acks.
-    /// (With coalescing on, the outbox itself is the holding pen — it
-    /// simply isn't flushed until the fsync.)
-    held_sends: Vec<Vec<(NodeId, M, usize, TrafficClass)>>,
+    /// This data center's nodes, by slot.
+    nodes: Vec<Node<M>>,
     cancelled: HashSet<TimerId>,
     /// This shard's row of the link FIFO matrix: earliest time a new
     /// transmission can start on the directed link `self.dc → to`.
@@ -409,19 +539,6 @@ impl<M: NetMessage + 'static> Shard<M> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             nodes: Vec::new(),
-            procs: Vec::new(),
-            busy_until: Vec::new(),
-            alive: Vec::new(),
-            incarnations: Vec::new(),
-            disks: Vec::new(),
-            rngs: Vec::new(),
-            emit: Vec::new(),
-            next_timer: Vec::new(),
-            profile: Vec::new(),
-            outbox: Vec::new(),
-            flush_deadline: Vec::new(),
-            fsync_deadline: Vec::new(),
-            held_sends: Vec::new(),
             cancelled: HashSet::new(),
             link_free_at: vec![SimTime::ZERO; dc_count],
             down: false,
@@ -432,20 +549,17 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// Stamps a fresh event key from `slot`'s emit counter at `now`.
-    fn next_key(&mut self, node: NodeId, slot: usize) -> EventKey {
-        let emit = self.emit[slot];
-        self.emit[slot] += 1;
-        EventKey {
-            cause: self.now,
-            node: node.0,
-            emit,
-        }
+    /// Queues `slot`'s `on_start` at `at` (spawn and restart).
+    fn start(&mut self, slot: usize, at: SimTime) {
+        self.now = self.now.max(at);
+        let node = &mut self.nodes[slot];
+        let key = node.next_key(at);
+        self.queue.push_keyed(at, key, node.id, EventKind::Start);
     }
 
     /// Processes every pending event with `at < horizon`, in `(at,
     /// key)` order. The parallel runner's per-epoch worker body.
-    fn run_window(&mut self, horizon: SimTime, env: &Env<'_>) {
+    fn run_window(&mut self, horizon: SimTime, env: &Env) {
         while let Some(t) = self.queue.peek_time() {
             if t >= horizon {
                 break;
@@ -456,10 +570,9 @@ impl<M: NetMessage + 'static> Shard<M> {
     }
 
     /// Executes a single already-popped event.
-    fn step_event(&mut self, mut ev: Event<M>, env: &Env<'_>) {
+    fn step_event(&mut self, mut ev: Event<M>, env: &Env) {
         debug_assert!(ev.at >= self.now, "time went backwards");
-        let target = ev.target;
-        let slot = env.slot_of[target.0 as usize] as usize;
+        let slot = env.slot_of[ev.target.0 as usize] as usize;
         if let EventKind::Deliver { bytes, .. } | EventKind::DeliverEnvelope { bytes, .. } = ev.kind
         {
             match self.admit(ev, slot, bytes, env) {
@@ -470,9 +583,9 @@ impl<M: NetMessage + 'static> Shard<M> {
         match ev.kind {
             EventKind::Start => {
                 self.now = ev.at;
-                if self.alive[slot] {
-                    self.dispatch(target, slot, DispatchKind::Start, env);
-                    self.flush_after_event(target, slot, env);
+                if self.nodes[slot].alive {
+                    self.dispatch(slot, DispatchKind::Start, env);
+                    self.end_event(slot, env);
                 }
             }
             EventKind::Timer {
@@ -481,57 +594,31 @@ impl<M: NetMessage + 'static> Shard<M> {
                 incarnation,
             } => {
                 self.now = ev.at;
-                if self.cancelled.remove(&id)
-                    || !self.alive[slot]
-                    || incarnation != self.incarnations[slot]
-                {
+                let node = &self.nodes[slot];
+                if self.cancelled.remove(&id) || !node.alive || incarnation != node.incarnation {
                     return;
                 }
                 self.stats.timers_fired += 1;
-                self.dispatch(target, slot, DispatchKind::Timer(msg), env);
-                self.flush_after_event(target, slot, env);
+                self.dispatch(slot, DispatchKind::Timer(msg), env);
+                self.end_event(slot, env);
             }
             EventKind::Deliver { from, msg, .. } => {
-                self.dispatch(target, slot, DispatchKind::Message { from, msg }, env);
-                self.flush_after_event(target, slot, env);
+                self.dispatch(slot, DispatchKind::Message { from, msg }, env);
+                self.end_event(slot, env);
             }
             EventKind::DeliverEnvelope { from, msgs, .. } => {
                 // Unpack before dispatch: payloads in send order, and
                 // everything the handlers send batches into the reply
                 // flush below.
                 for msg in msgs {
-                    self.dispatch(target, slot, DispatchKind::Message { from, msg }, env);
+                    self.dispatch(slot, DispatchKind::Message { from, msg }, env);
                 }
-                self.flush_after_event(target, slot, env);
+                self.end_event(slot, env);
             }
-            EventKind::FlushOutbox => {
+            EventKind::Deadline(kind) => {
                 self.now = ev.at;
-                // Only the currently scheduled flush counts; an event
-                // orphaned by a crash (which cleared the deadline) must
-                // not flush a post-revival batch early.
-                if self.flush_deadline[slot] == Some(ev.at) {
-                    self.flush_deadline[slot] = None;
-                    // A Nagle flush must not leak acks of an open
-                    // group-commit batch; the batch's covering fsync
-                    // (always pending while appends are unsynced)
-                    // flushes the outbox when durability lands.
-                    if !(env.group_commit_engaged() && self.disks[slot].has_unsynced()) {
-                        self.flush_outbox(target, slot, env);
-                    } else {
-                        // The batch holds everything except read
-                        // replies, which never wait on durability.
-                        self.flush_outbox_reads(target, slot, env);
-                    }
-                }
-            }
-            EventKind::GroupFsync => {
-                self.now = ev.at;
-                // Deadline-matched exactly like FlushOutbox: a crash
-                // clears the entry, so a stale pre-crash fsync event
-                // cannot cover a post-revival batch.
-                if self.fsync_deadline[slot] == Some(ev.at) {
-                    self.fsync_deadline[slot] = None;
-                    self.group_fsync(target, slot, env);
+                if self.nodes[slot].batches[kind as usize].due(ev.at) {
+                    self.close(slot, kind, env);
                 }
             }
         }
@@ -546,20 +633,21 @@ impl<M: NetMessage + 'static> Shard<M> {
         mut ev: Event<M>,
         slot: usize,
         bytes: usize,
-        env: &Env<'_>,
+        env: &Env,
     ) -> Option<Event<M>> {
-        if !self.alive[slot] || self.down {
+        let tracing = env.tracer.is_some();
+        let node = &mut self.nodes[slot];
+        if !node.alive || self.down {
             self.now = ev.at;
             self.stats.dropped += 1;
-            if env.trace_on {
+            if tracing {
                 self.arrivals.remove(&(ev.key.node, ev.key.emit));
             }
             return None;
         }
         // Model per-message CPU cost: a busy node defers handling.
-        let busy = self.busy_until[slot];
-        if busy > ev.at {
-            if env.trace_on {
+        if node.busy_until > ev.at {
+            if tracing {
                 // Remember when the frame first reached the busy node:
                 // the receive span starts there, not at the deferred
                 // handling time.
@@ -567,7 +655,7 @@ impl<M: NetMessage + 'static> Shard<M> {
                     .entry((ev.key.node, ev.key.emit))
                     .or_insert(ev.at);
             }
-            ev.at = busy;
+            ev.at = node.busy_until;
             self.queue.push_deferred(ev);
             return None;
         }
@@ -575,97 +663,46 @@ impl<M: NetMessage + 'static> Shard<M> {
         // One service floor plus the per-byte cost of the whole frame —
         // for an envelope, the amortization coalescing buys.
         let cost = env.service_cost(bytes);
-        self.busy_until[slot] = ev.at + cost;
-        self.profile[slot].sim_busy += cost;
+        node.busy_until = ev.at + cost;
+        node.profile.sim_busy += cost;
         self.stats.delivered += 1;
-        if env.trace_on {
-            self.record_service_span(ev.key, ev.target, ev.at, cost, env);
+        if let Some(tracer) = &env.tracer {
+            let arrived = self.arrivals.remove(&(ev.key.node, ev.key.emit));
+            tracer.span(Span {
+                node: ev.target,
+                dc: self.dc,
+                phase: Phase::NetService,
+                start: arrived.unwrap_or(ev.at),
+                end: ev.at + cost,
+                txn: None,
+                key: None,
+                class: None,
+            });
         }
         Some(ev)
     }
 
-    /// Charges `node` one fsync of its WAL on top of whatever the node
+    /// Charges `slot` one fsync of its WAL on top of whatever the node
     /// is already busy with. With `fsync_latency` zero nothing is
     /// charged or counted, but a traced run still gets its (zero-length)
     /// span: it marks where a durable append happened.
-    fn charge_fsync(&mut self, node: NodeId, slot: usize, env: &Env<'_>) {
-        let start = self.busy_until[slot].max(self.now);
-        let end = start + env.fsync_latency;
-        if env.fsync_latency > SimDuration::ZERO {
-            self.busy_until[slot] = end;
-            self.profile[slot].sim_busy += env.fsync_latency;
+    fn charge_fsync(&mut self, slot: usize, env: &Env) {
+        let latency = env.config.fsync_latency;
+        let node = &mut self.nodes[slot];
+        let start = node.busy_until.max(self.now);
+        if latency > SimDuration::ZERO {
+            node.busy_until = start + latency;
+            node.profile.sim_busy += latency;
+            node.disk.fsync();
             self.stats.fsyncs += 1;
-            self.disks[slot].fsync();
         }
-        if env.trace_on {
-            if let Some(tracer) = env.tracer {
-                tracer.span(Span {
-                    node,
-                    dc: self.dc,
-                    phase: Phase::WalFsync,
-                    start,
-                    end,
-                    txn: None,
-                    key: None,
-                    class: None,
-                });
-            }
-        }
-    }
-
-    /// Fires the covering fsync of `src`'s open group-commit batch: one
-    /// `fsync_latency` charge makes every append since the last sync
-    /// durable, and the sends those appending events held back — their
-    /// acks — are released to the network.
-    fn group_fsync(&mut self, src: NodeId, slot: usize, env: &Env<'_>) {
-        // One charge and one span cover the whole batch — the
-        // amortization is visible in the anatomy as fewer, not longer,
-        // fsyncs.
-        self.charge_fsync(src, slot, env);
-        self.release_held(src, slot, env);
-    }
-
-    /// Releases everything `src` buffered while its batch was open:
-    /// held per-message sends first (non-coalescing transport, in send
-    /// order), then the coalescing outbox.
-    fn release_held(&mut self, src: NodeId, slot: usize, env: &Env<'_>) {
-        if !self.held_sends[slot].is_empty() {
-            let mut held = std::mem::take(&mut self.held_sends[slot]);
-            for (to, msg, bytes, class) in held.drain(..) {
-                let kind = EventKind::Deliver {
-                    from: src,
-                    msg,
-                    bytes,
-                };
-                self.push_to_network(src, slot, to, bytes, class, 1, kind, env);
-            }
-            // Hand the capacity back for the next batch.
-            if self.held_sends[slot].is_empty() {
-                self.held_sends[slot] = held;
-            }
-        }
-        self.flush_outbox(src, slot, env);
-    }
-
-    /// Records the receive span of a delivered frame: from first arrival
-    /// (the original delivery time if it was deferred at a busy node)
-    /// through the end of its service cost.
-    fn record_service_span(
-        &mut self,
-        key: EventKey,
-        target: NodeId,
-        at: SimTime,
-        cost: SimDuration,
-        env: &Env<'_>,
-    ) {
-        let arrived = self.arrivals.remove(&(key.node, key.emit)).unwrap_or(at);
-        if let Some(tracer) = env.tracer {
+        if let Some(tracer) = &env.tracer {
             tracer.span(Span {
-                node: target,
+                node: node.id,
                 dc: self.dc,
-                phase: Phase::NetService,
-                start: arrived,
-                end: at + cost,
+                phase: Phase::WalFsync,
+                start,
+                end: start + latency,
                 txn: None,
                 key: None,
                 class: None,
@@ -673,96 +710,112 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    fn dispatch(&mut self, target: NodeId, slot: usize, kind: DispatchKind<M>, env: &Env<'_>) {
+    /// `slot`'s batch of `kind` took more: close it now if `close_now`,
+    /// else open it — arm its deadline one window out — unless it is
+    /// open already.
+    fn join(&mut self, slot: usize, kind: BatchKind, close_now: bool, env: &Env) {
+        let node = &mut self.nodes[slot];
+        if close_now {
+            node.batches[kind as usize].deadline = None;
+            self.close(slot, kind, env);
+        } else if node.batches[kind as usize].deadline.is_none() {
+            let deadline = self.now + env.window(kind);
+            node.batches[kind as usize].deadline = Some(deadline);
+            let key = node.next_key(self.now);
+            let kind = EventKind::Deadline(kind);
+            self.queue.push_keyed(deadline, key, node.id, kind);
+        }
+    }
+
+    /// Closes `slot`'s batch of `kind`. Closing the WAL batch charges
+    /// its one covering fsync and so releases the whole pen; closing
+    /// the outbox ships the pen, or only its read replies while the WAL
+    /// batch holds it.
+    fn close(&mut self, slot: usize, kind: BatchKind, env: &Env) {
+        if kind == BatchKind::Wal {
+            self.charge_fsync(slot, env);
+        }
+        let reads_only = self.nodes[slot].holding(&env.config);
+        let mut pen = std::mem::take(&mut self.nodes[slot].outbox);
+        for s in pen.extract_if(.., |s| !reads_only || s.class == TrafficClass::Read) {
+            self.ship(slot, s, env);
+        }
+        // What stays keeps its order, and the pen keeps its capacity.
+        self.nodes[slot].outbox = pen;
+    }
+
+    /// The end of an event at `slot`: while a WAL batch holds the pen
+    /// only read replies leave; otherwise the outbox batch takes what
+    /// the event buffered.
+    fn end_event(&mut self, slot: usize, env: &Env) {
+        let node = &self.nodes[slot];
+        if node.holding(&env.config) {
+            self.close(slot, BatchKind::Outbox, env);
+        } else if env.config.coalesce && !node.outbox.is_empty() {
+            let at_once = env.config.coalesce_window == SimDuration::ZERO;
+            self.join(slot, BatchKind::Outbox, at_once, env);
+        }
+    }
+
+    /// A handler at `slot` appended to the WAL. Under group commit the
+    /// append joins the WAL batch, which closes at once when
+    /// `group_commit_bytes` are unsynced. Otherwise the append pays its
+    /// own fsync here, after its handler and before its effects: the
+    /// degenerate batch, closed at once and holding nothing.
+    fn wal_appended(&mut self, slot: usize, env: &Env) {
+        let node = &self.nodes[slot];
+        if node.holding(&env.config) {
+            let full = node.disk.unsynced_bytes() >= env.config.group_commit_bytes;
+            self.join(slot, BatchKind::Wal, full, env);
+        } else {
+            self.charge_fsync(slot, env);
+        }
+    }
+
+    fn dispatch(&mut self, slot: usize, kind: DispatchKind<M>, env: &Env) {
+        let node = &mut self.nodes[slot];
         // Take the process out so effects application can borrow `self`.
-        let Some(mut proc_) = self.procs[slot].take() else {
+        let Some(mut proc_) = node.proc_.take() else {
             return;
         };
         self.stats.events_handled += 1;
-        self.profile[slot].events += 1;
+        node.profile.events += 1;
         // Detect durable appends by WAL-byte delta: the disk is the one
         // source of truth, so no handler needs an explicit fsync call.
-        let watch_wal = env.fsync_latency > SimDuration::ZERO || env.trace_on;
-        let wal_before = if watch_wal {
-            self.disks[slot].stats().wal_bytes_written
-        } else {
-            0
-        };
-        let wall_start = env.profile_wall.then(|| {
-            let (label, delivered) = match &kind {
-                DispatchKind::Start => ("start", None),
-                DispatchKind::Timer(msg) => (msg.kind(), None),
-                DispatchKind::Message { msg, .. } => (msg.kind(), Some(msg.wire_bytes() as u64)),
-            };
-            (label, delivered, std::time::Instant::now())
-        });
+        let wal_before = node.disk.stats().wal_bytes_written;
+        let wall_start = env
+            .profile_wall
+            .then(|| (kind.label(), std::time::Instant::now()));
         let mut effects = std::mem::take(&mut self.effects_scratch);
-        {
-            let mut ctx = Ctx::with_disk(
-                self.now,
-                target,
-                &mut self.rngs[slot],
-                &mut effects,
-                &mut self.next_timer[slot],
-                &mut self.disks[slot],
-            );
-            match kind {
-                DispatchKind::Start => proc_.on_start(&mut ctx),
-                DispatchKind::Timer(msg) => proc_.on_timer(msg, &mut ctx),
-                DispatchKind::Message { from, msg } => proc_.on_message(from, msg, &mut ctx),
-            }
+        let mut ctx = Ctx::with_disk(
+            self.now,
+            node.id,
+            &mut node.rng,
+            &mut effects,
+            &mut node.next_timer,
+            &mut node.disk,
+        );
+        match kind {
+            DispatchKind::Start => proc_.on_start(&mut ctx),
+            DispatchKind::Timer(msg) => proc_.on_timer(msg, &mut ctx),
+            DispatchKind::Message { from, msg } => proc_.on_message(from, msg, &mut ctx),
         }
-        if let Some((label, delivered, t0)) = wall_start {
-            let spent = t0.elapsed();
-            let cell = &mut self.profile[slot];
-            cell.wall += spent;
-            let at = cell.kinds.iter().position(|k| k.kind == label);
-            let at = at.unwrap_or_else(|| {
-                cell.kinds.push(KindCell {
-                    kind: label,
-                    ..KindCell::default()
-                });
-                cell.kinds.len() - 1
-            });
-            let of_kind = &mut cell.kinds[at];
-            of_kind.events += 1;
-            of_kind.wall += spent;
-            of_kind.msgs += u64::from(delivered.is_some());
-            of_kind.bytes += delivered.unwrap_or(0);
+        if let Some(((label, delivered), t0)) = wall_start {
+            node.profile.record(label, delivered, t0.elapsed());
         }
-        if watch_wal && self.disks[slot].stats().wal_bytes_written > wal_before {
-            if env.group_commit_engaged() {
-                // Group commit: the append joins the node's open batch
-                // instead of paying its own flush. One covering fsync —
-                // at the window deadline, or right now if the batch hit
-                // its size trigger — will charge a single
-                // `fsync_latency` for every append it covers.
-                if self.disks[slot].unsynced_bytes() >= env.group_commit_bytes {
-                    // Orphan any scheduled windowed fsync (its deadline
-                    // no longer matches) and sync at end of this event.
-                    self.fsync_deadline[slot] = None;
-                    self.group_fsync(target, slot, env);
-                } else if self.fsync_deadline[slot].is_none() {
-                    let deadline = self.now + env.group_commit_window;
-                    self.fsync_deadline[slot] = Some(deadline);
-                    let key = self.next_key(target, slot);
-                    self.queue
-                        .push_keyed(deadline, key, target, EventKind::GroupFsync);
-                }
-            } else {
-                // Per-append fsync: charge the synchronous flush on top
-                // of whatever CPU cost the event already cost the node.
-                self.charge_fsync(target, slot, env);
-            }
+        let appended = node.disk.stats().wal_bytes_written > wal_before;
+        node.proc_ = Some(proc_);
+        if appended && (env.config.fsync_latency > SimDuration::ZERO || env.tracer.is_some()) {
+            self.wal_appended(slot, env);
         }
-        self.procs[slot] = Some(proc_);
         for effect in effects.drain(..) {
-            self.apply_effect(target, slot, effect, env);
+            self.apply_effect(slot, effect, env);
         }
         self.effects_scratch = effects;
     }
 
-    fn apply_effect(&mut self, source: NodeId, src_slot: usize, effect: Effect<M>, env: &Env<'_>) {
+    fn apply_effect(&mut self, slot: usize, effect: Effect<M>, env: &Env) {
+        let node = &mut self.nodes[slot];
         match effect {
             Effect::Send {
                 to,
@@ -770,59 +823,25 @@ impl<M: NetMessage + 'static> Shard<M> {
                 bytes,
                 class,
             } => {
-                if env.coalesce {
-                    // Coalescing transport: accumulate in the sender's
-                    // outbox; the flush at end-of-event (or after the
-                    // Nagle window) ships one envelope per slot.
-                    let slots = &mut self.outbox[src_slot];
-                    match slots.iter_mut().find(|s| s.to == to && s.class == class) {
-                        Some(slot) => {
-                            slot.msgs.push(msg);
-                            slot.framed_sizes.push(bytes);
-                        }
-                        None => slots.push(OutboxSlot {
-                            to,
-                            class,
-                            msgs: vec![msg],
-                            framed_sizes: vec![bytes],
-                        }),
-                    }
-                } else if env.group_commit_engaged()
-                    && self.disks[src_slot].has_unsynced()
-                    && class != TrafficClass::Read
-                {
-                    // Legacy transport during an open group-commit
-                    // batch: the send waits with the batch (acks must
-                    // not outrun the covering fsync, and FIFO per
-                    // destination must survive the wait). Read replies
-                    // are exempt: they promise no durability, so they
-                    // ship immediately instead of queueing behind a
-                    // stranger's fsync.
-                    self.held_sends[src_slot].push((to, msg, bytes, class));
+                let coalesce = env.config.coalesce;
+                if coalesce || (class != TrafficClass::Read && node.holding(&env.config)) {
+                    node.pen(to, class, msg, bytes, coalesce);
                 } else {
-                    // Legacy transport: one frame per message, pushed to
-                    // the network immediately (byte-identical baseline).
-                    let kind = EventKind::Deliver {
-                        from: source,
-                        msg,
-                        bytes,
-                    };
-                    self.push_to_network(source, src_slot, to, bytes, class, 1, kind, env);
+                    // The per-message transport: one bare frame, now.
+                    let from = node.id;
+                    let kind = EventKind::Deliver { from, msg, bytes };
+                    self.push_to_network(slot, to, class, kind, env);
                 }
             }
             Effect::SetTimer { id, delay, msg } => {
-                let incarnation = self.incarnations[src_slot];
-                let key = self.next_key(source, src_slot);
-                self.queue.push_keyed(
-                    self.now + delay,
-                    key,
-                    source,
-                    EventKind::Timer {
-                        id,
-                        msg,
-                        incarnation,
-                    },
-                );
+                let incarnation = node.incarnation;
+                let key = node.next_key(self.now);
+                let kind = EventKind::Timer {
+                    id,
+                    msg,
+                    incarnation,
+                };
+                self.queue.push_keyed(self.now + delay, key, node.id, kind);
             }
             Effect::CancelTimer(id) => {
                 self.cancelled.insert(id);
@@ -830,32 +849,40 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// Hands one wire frame (a bare message or an envelope carrying
-    /// `payloads` messages) to the network: accounts it, occupies the
-    /// directed DC-pair link FIFO for its transmission delay, and
-    /// schedules delivery (or drops it, per the loss model). Same-DC
-    /// arrivals go straight onto this shard's queue; cross-DC arrivals
-    /// buffer in `outgoing` for the world to route.
-    #[allow(clippy::too_many_arguments)]
+    /// Ships one outbox slot: a single buffered message goes out as the
+    /// same bare frame the per-message transport would send; two or more
+    /// ship as one envelope (sized by [`envelope_wire_bytes`], matching
+    /// the `mdcc_common::wire::Envelope` codec byte for byte).
+    fn ship(&mut self, slot: usize, mut s: OutboxSlot<M>, env: &Env) {
+        let from = self.nodes[slot].id;
+        let kind = if s.msgs.len() == 1 {
+            let bytes = s.framed_sizes[0];
+            let msg = s.msgs.pop().expect("one message");
+            EventKind::Deliver { from, msg, bytes }
+        } else {
+            let bytes = envelope_wire_bytes(s.framed_sizes.iter().copied());
+            let msgs = s.msgs;
+            EventKind::DeliverEnvelope { from, msgs, bytes }
+        };
+        self.push_to_network(slot, s.to, s.class, kind, env);
+    }
+
+    /// Hands one wire frame (a bare message or an envelope) to the
+    /// network: accounts it, occupies the directed DC-pair link FIFO for
+    /// its transmission delay, and schedules delivery (or drops it, per
+    /// the loss model). Same-DC arrivals go straight onto this shard's
+    /// queue; cross-DC arrivals buffer in `outgoing` for the world to
+    /// route.
     fn push_to_network(
         &mut self,
-        source: NodeId,
-        src_slot: usize,
+        slot: usize,
         to: NodeId,
-        bytes: usize,
         class: TrafficClass,
-        payloads: u64,
         kind: EventKind<M>,
-        env: &Env<'_>,
+        env: &Env,
     ) {
-        self.stats.sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        self.stats.payload_msgs += payloads;
-        let totals = &mut self.stats.by_class[class.index()];
-        totals.msgs += 1;
-        totals.bytes += bytes as u64;
-        totals.payloads += payloads;
-        let from_dc = self.dc;
+        let (bytes, payloads) = kind.frame();
+        self.stats.count_sent(class, bytes, payloads);
         let to_dc = env.topology.dc_of(to);
         // Transmission: the frame occupies the directed DC-pair link
         // for `bytes / bandwidth`, FIFO behind whatever is already on
@@ -863,52 +890,18 @@ impl<M: NetMessage + 'static> Shard<M> {
         // frames occupy the link too: the sender transmits the bytes
         // before the network eats them, so billed bytes and link
         // congestion stay consistent.
-        let tx = env.net.transmission_delay(from_dc, to_dc, bytes);
+        let tx = env.net.transmission_delay(self.dc, to_dc, bytes);
         let link = &mut self.link_free_at[to_dc.0 as usize];
         let start = (*link).max(self.now);
         *link = start + tx;
-        if env.trace_on {
-            if let Some(tracer) = env.tracer {
-                let label = class_label(class);
-                if start > self.now {
-                    // The frame waited for earlier traffic on the link.
-                    tracer.span(Span {
-                        node: source,
-                        dc: from_dc,
-                        phase: Phase::NetQueue,
-                        start: self.now,
-                        end: start,
-                        txn: None,
-                        key: None,
-                        class: Some(label),
-                    });
-                }
-                tracer.span(Span {
-                    node: source,
-                    dc: from_dc,
-                    phase: Phase::NetTransmit,
-                    start,
-                    end: start + tx,
-                    txn: None,
-                    key: None,
-                    class: Some(label),
-                });
-                tracer.counter(CounterSample {
-                    name: "link",
-                    from: from_dc,
-                    to: to_dc,
-                    at: self.now,
-                    backlog_us: ((start + tx) - self.now).as_micros(),
-                });
-            }
+        if let Some(tracer) = &env.tracer {
+            self.trace_transmit(tracer, slot, to_dc, start, start + tx, class);
         }
-        match env
-            .net
-            .sample_delay(from_dc, to_dc, &mut self.rngs[src_slot])
-        {
+        let node = &mut self.nodes[slot];
+        match env.net.sample_delay(self.dc, to_dc, &mut node.rng) {
             Some(propagation) => {
                 let at = start + tx + propagation;
-                let key = self.next_key(source, src_slot);
+                let key = node.next_key(self.now);
                 if to_dc == self.dc {
                     self.queue.push_keyed(at, key, to, kind);
                 } else {
@@ -924,92 +917,39 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// End-of-event hook of the coalescing transport: flush `src`'s
-    /// outbox now (window zero) or make sure a Nagle flush is scheduled.
-    fn flush_after_event(&mut self, src: NodeId, slot: usize, env: &Env<'_>) {
-        if env.group_commit_engaged() && self.disks[slot].has_unsynced() {
-            // The node's WAL has an open group-commit batch: everything
-            // it buffered — the batch's acks included — waits for the
-            // covering fsync (always pending while appends are
-            // unsynced), which flushes the outbox itself. Read replies
-            // promise no durability, so they ship now instead of
-            // queueing behind the batch.
-            self.flush_outbox_reads(src, slot, env);
-            return;
+    /// Records a frame's transmission on the link to `to_dc`, from
+    /// `start` to `end`: its wait behind earlier traffic (if it waited),
+    /// the transmission itself, and the link's backlog.
+    fn trace_transmit(
+        &self,
+        tracer: &TraceHandle,
+        slot: usize,
+        to_dc: DcId,
+        start: SimTime,
+        end: SimTime,
+        class: TrafficClass,
+    ) {
+        let span = |phase, start, end| Span {
+            node: self.nodes[slot].id,
+            dc: self.dc,
+            phase,
+            start,
+            end,
+            txn: None,
+            key: None,
+            class: Some(class_label(class)),
+        };
+        if start > self.now {
+            tracer.span(span(Phase::NetQueue, self.now, start));
         }
-        if !env.coalesce || self.outbox[slot].is_empty() {
-            return;
-        }
-        if env.coalesce_window == SimDuration::ZERO {
-            self.flush_outbox(src, slot, env);
-        } else if self.flush_deadline[slot].is_none() {
-            let deadline = self.now + env.coalesce_window;
-            self.flush_deadline[slot] = Some(deadline);
-            let key = self.next_key(src, slot);
-            self.queue
-                .push_keyed(deadline, key, src, EventKind::FlushOutbox);
-        }
-    }
-
-    /// Ships one outbox slot: a single buffered message goes out as the
-    /// same bare frame the legacy transport would send; two or more ship
-    /// as one envelope (sized by [`envelope_wire_bytes`], matching the
-    /// `mdcc_common::wire::Envelope` codec byte for byte).
-    fn ship_slot(&mut self, src: NodeId, src_slot: usize, mut slot: OutboxSlot<M>, env: &Env<'_>) {
-        if slot.msgs.len() == 1 {
-            let bytes = slot.framed_sizes[0];
-            let kind = EventKind::Deliver {
-                from: src,
-                msg: slot.msgs.pop().expect("one message"),
-                bytes,
-            };
-            self.push_to_network(src, src_slot, slot.to, bytes, slot.class, 1, kind, env);
-        } else {
-            let bytes = envelope_wire_bytes(slot.framed_sizes.iter().copied());
-            let count = slot.msgs.len() as u64;
-            let kind = EventKind::DeliverEnvelope {
-                from: src,
-                msgs: slot.msgs,
-                bytes,
-            };
-            self.push_to_network(src, src_slot, slot.to, bytes, slot.class, count, kind, env);
-        }
-    }
-
-    /// Ships every pending slot of `src`'s outbox, in first-enqueue
-    /// order.
-    fn flush_outbox(&mut self, src: NodeId, src_slot: usize, env: &Env<'_>) {
-        if self.outbox[src_slot].is_empty() {
-            return;
-        }
-        // Swap the slot list out (keeping its capacity for the next
-        // burst) so push_to_network can borrow `self`.
-        let mut slots = std::mem::take(&mut self.outbox[src_slot]);
-        for slot in slots.drain(..) {
-            self.ship_slot(src, src_slot, slot, env);
-        }
-        // `slots` is empty but holds its capacity; the field currently
-        // holds a fresh empty Vec — give the capacity back unless the
-        // handlers above re-buffered (flush during flush can't happen,
-        // but keep it robust).
-        if self.outbox[src_slot].is_empty() {
-            self.outbox[src_slot] = slots;
-        }
-    }
-
-    /// Ships only the [`TrafficClass::Read`] slots of `src`'s outbox,
-    /// leaving everything else buffered for the covering fsync. Stable
-    /// index walk so the surviving slots keep their first-enqueue order.
-    fn flush_outbox_reads(&mut self, src: NodeId, src_slot: usize, env: &Env<'_>) {
-        let mut i = 0;
-        while i < self.outbox[src_slot].len() {
-            if self.outbox[src_slot][i].class != TrafficClass::Read {
-                i += 1;
-                continue;
-            }
-            let slot = self.outbox[src_slot].remove(i);
-            self.ship_slot(src, src_slot, slot, env);
-        }
+        tracer.span(span(Phase::NetTransmit, start, end));
+        tracer.counter(CounterSample {
+            name: "link",
+            from: self.dc,
+            to: to_dc,
+            at: self.now,
+            backlog_us: (end - self.now).as_micros(),
+        });
     }
 }
 
@@ -1017,20 +957,9 @@ impl<M: NetMessage + 'static> Shard<M> {
 pub struct World<M> {
     now: SimTime,
     shards: Vec<Shard<M>>,
-    /// Global node id → slot inside its shard (the shard is the node's
-    /// DC, via `topology`).
-    slot_of: Vec<u32>,
-    topology: Topology,
-    net: NetworkModel,
-    config: WorldConfig,
+    env: Env,
     /// Conservative-parallel lookahead: `net.min_inter_dc_delay()`.
     lookahead: SimDuration,
-    /// Shared trace collector, when the harness attached one.
-    tracer: Option<TraceHandle>,
-    /// Cached `tracer.enabled()` — tested on every event.
-    trace_on: bool,
-    /// Cached `tracer.profile()` — whether to time handlers on the host.
-    profile_wall: bool,
     /// Emit counter for world-level injections (tests), stamped under a
     /// pseudo-node so they never collide with real emit streams.
     inject_emit: u64,
@@ -1048,14 +977,15 @@ impl<M: NetMessage + Send + 'static> World<M> {
             shards: (0..dc_count)
                 .map(|d| Shard::new(DcId(d as u8), dc_count))
                 .collect(),
-            slot_of: Vec::new(),
-            topology: Topology::new(),
-            net,
-            config,
+            env: Env {
+                net,
+                topology: Topology::new(),
+                slot_of: Vec::new(),
+                config,
+                tracer: None,
+                profile_wall: false,
+            },
             lookahead,
-            tracer: None,
-            trace_on: false,
-            profile_wall: false,
             inject_emit: 0,
             route_scratch: Vec::new(),
         }
@@ -1068,14 +998,13 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// the sequential scheduler even when `parallel` is set (which
     /// changes nothing observable — the schedulers are byte-identical).
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.trace_on = tracer.enabled();
-        self.profile_wall = tracer.profile();
-        self.tracer = Some(tracer);
+        self.env.profile_wall = tracer.profile();
+        self.env.tracer = tracer.enabled().then_some(tracer);
     }
 
     /// Whether runs will actually use the parallel epoch scheduler.
     pub fn parallel_active(&self) -> bool {
-        self.config.parallel && self.shards.len() > 1 && !self.trace_on
+        self.env.config.parallel && self.shards.len() > 1 && self.env.tracer.is_none()
     }
 
     /// Number of worker threads a parallel run uses (1 when sequential).
@@ -1092,15 +1021,13 @@ impl<M: NetMessage + Send + 'static> World<M> {
     pub fn profile(&self) -> Vec<ProfileEntry> {
         let mut entries: Vec<ProfileEntry> = Vec::new();
         for shard in &self.shards {
-            for (slot, cell) in shard.profile.iter().enumerate() {
-                entries.push(ProfileEntry {
-                    node: NodeId(shard.nodes[slot]),
-                    dc: shard.dc,
-                    events: cell.events,
-                    sim_busy: cell.sim_busy,
-                    wall: cell.wall,
-                });
-            }
+            entries.extend(shard.nodes.iter().map(|n| ProfileEntry {
+                node: n.id,
+                dc: shard.dc,
+                events: n.profile.events,
+                sim_busy: n.profile.sim_busy,
+                wall: n.profile.wall,
+            }));
         }
         entries.sort_by(|a, b| {
             (b.sim_busy, b.events, a.node.0).cmp(&(a.sim_busy, a.events, b.node.0))
@@ -1113,18 +1040,15 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// host time (`TraceConfig::profile`).
     pub fn profile_by_kind(&self) -> Vec<KindProfileEntry> {
         let mut entries: Vec<KindProfileEntry> = Vec::new();
-        for shard in &self.shards {
-            for (slot, cell) in shard.profile.iter().enumerate() {
-                let node = NodeId(shard.nodes[slot]);
-                entries.extend(cell.kinds.iter().map(|k| KindProfileEntry {
-                    node,
-                    kind: k.kind,
-                    events: k.events,
-                    wall: k.wall,
-                    msgs: k.msgs,
-                    bytes: k.bytes,
-                }));
-            }
+        for n in self.shards.iter().flat_map(|s| &s.nodes) {
+            entries.extend(n.profile.kinds.iter().map(|k| KindProfileEntry {
+                node: n.id,
+                kind: k.kind,
+                events: k.events,
+                wall: k.wall,
+                msgs: k.msgs,
+                bytes: k.bytes,
+            }));
         }
         entries.sort_by(|a, b| (b.wall, a.node.0, a.kind).cmp(&(a.wall, b.node.0, b.kind)));
         entries
@@ -1133,36 +1057,16 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// Spawns a process in `dc`; its `on_start` runs at the current time.
     pub fn spawn(&mut self, dc: DcId, proc_: Box<dyn Process<M>>) -> NodeId {
         assert!(
-            (dc.0 as usize) < self.net.dc_count(),
+            (dc.0 as usize) < self.env.net.dc_count(),
             "dc outside network model"
         );
-        let id = self.topology.add_node(dc);
-        let seed = node_rng_seed(self.config.seed, id.0);
+        let id = self.env.topology.add_node(dc);
+        let seed = node_rng_seed(self.env.config.seed, id.0);
         let shard = &mut self.shards[dc.0 as usize];
         let slot = shard.nodes.len();
-        self.slot_of.push(slot as u32);
-        shard.nodes.push(id.0);
-        shard.procs.push(Some(proc_));
-        shard.busy_until.push(SimTime::ZERO);
-        shard.alive.push(true);
-        shard.incarnations.push(0);
-        shard.disks.push(Disk::new());
-        shard.rngs.push(SmallRng::seed_from_u64(seed));
-        shard.emit.push(0);
-        shard.next_timer.push((id.0 as u64) << 40);
-        shard.profile.push(ProfileCell::default());
-        shard.outbox.push(Vec::new());
-        shard.flush_deadline.push(None);
-        shard.fsync_deadline.push(None);
-        shard.held_sends.push(Vec::new());
-        shard.now = shard.now.max(self.now);
-        let key = EventKey {
-            cause: self.now,
-            node: id.0,
-            emit: shard.emit[slot],
-        };
-        shard.emit[slot] += 1;
-        shard.queue.push_keyed(self.now, key, id, EventKind::Start);
+        self.env.slot_of.push(slot as u32);
+        shard.nodes.push(Node::new(id, proc_, seed));
+        shard.start(slot, self.now);
         id
     }
 
@@ -1173,7 +1077,7 @@ impl<M: NetMessage + Send + 'static> World<M> {
 
     /// The node-to-DC mapping.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.env.topology
     }
 
     /// World-level counters (summed over shards).
@@ -1188,9 +1092,21 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// Shard and slot of a node.
     fn loc(&self, node: NodeId) -> (usize, usize) {
         (
-            self.topology.dc_of(node).0 as usize,
-            self.slot_of[node.0 as usize] as usize,
+            self.env.topology.dc_of(node).0 as usize,
+            self.env.slot_of[node.0 as usize] as usize,
         )
+    }
+
+    /// The world's record of a node.
+    fn node(&self, node: NodeId) -> &Node<M> {
+        let (shard, slot) = self.loc(node);
+        &self.shards[shard].nodes[slot]
+    }
+
+    /// The world's record of a node, mutably.
+    fn node_mut(&mut self, node: NodeId) -> &mut Node<M> {
+        let (shard, slot) = self.loc(node);
+        &mut self.shards[shard].nodes[slot]
     }
 
     /// Injects a message from outside the simulation (tests only; regular
@@ -1216,38 +1132,30 @@ impl<M: NetMessage + Send + 'static> World<M> {
     }
 
     /// Marks a node crashed: inbound messages drop, timers are suppressed,
-    /// the process is no longer invoked, and whatever its coalescing
-    /// outbox still buffered dies unsent.
+    /// the process is no longer invoked, and whatever its outbox still
+    /// buffered dies unsent.
     pub fn crash_node(&mut self, node: NodeId) {
-        let group_commit =
-            self.config.group_commit && self.config.fsync_latency > SimDuration::ZERO;
         let (shard, slot) = self.loc(node);
-        let shard = &mut self.shards[shard];
-        shard.alive[slot] = false;
-        shard.outbox[slot].clear();
-        shard.held_sends[slot].clear();
-        // Orphan any scheduled flush: its deadline no longer matches
-        // the entry, so it fires as a no-op instead of prematurely
-        // flushing whatever a revived incarnation buffers later.
-        shard.flush_deadline[slot] = None;
-        shard.fsync_deadline[slot] = None;
-        if group_commit {
+        let node = &mut self.shards[shard].nodes[slot];
+        if node.holding(&self.env.config) {
             // Power loss mid-batch: the WAL keeps exactly its durable
-            // prefix. The batch's acks were held (cleared above with
-            // the outbox), so no acknowledged transaction dies
-            // un-logged — the crash-consistency contract of group
-            // commit. Without group commit every append was
-            // synchronously durable and there is nothing to discard.
-            shard.disks[slot].discard_unsynced();
+            // prefix. The batch's acks were held in the outbox, which
+            // dies below, so no acknowledged transaction dies un-logged
+            // — the crash-consistency contract of group commit.
+            node.disk.discard_unsynced();
         }
+        node.alive = false;
+        node.outbox.clear();
+        // Orphan both deadlines: they fire as no-ops instead of closing
+        // whatever a revived incarnation batches later.
+        node.batches = [Batch::default(); 2];
     }
 
     /// Revives a crashed node (its state is whatever it was at crash time,
     /// mirroring a process *pause*; see [`World::restart_node`] for a real
     /// restart that loses volatile state).
     pub fn revive_node(&mut self, node: NodeId) {
-        let (shard, slot) = self.loc(node);
-        self.shards[shard].alive[slot] = true;
+        self.node_mut(node).alive = true;
     }
 
     /// Restarts a crashed node as a fresh process: the old incarnation's
@@ -1262,32 +1170,24 @@ impl<M: NetMessage + Send + 'static> World<M> {
         let (shard, slot) = self.loc(node);
         let now = self.now;
         let shard = &mut self.shards[shard];
-        assert!(!shard.alive[slot], "restart of a live node: crash it first");
-        shard.procs[slot] = Some(proc_);
-        shard.alive[slot] = true;
-        shard.incarnations[slot] += 1;
-        shard.busy_until[slot] = now;
-        shard.now = shard.now.max(now);
-        let key = EventKey {
-            cause: now,
-            node: node.0,
-            emit: shard.emit[slot],
-        };
-        shard.emit[slot] += 1;
-        shard.queue.push_keyed(now, key, node, EventKind::Start);
+        let node = &mut shard.nodes[slot];
+        assert!(!node.alive, "restart of a live node: crash it first");
+        node.proc_ = Some(proc_);
+        node.alive = true;
+        node.incarnation += 1;
+        node.busy_until = now;
+        shard.start(slot, now);
     }
 
     /// Read access to a node's durable disk.
     pub fn disk(&self, node: NodeId) -> &Disk {
-        let (shard, slot) = self.loc(node);
-        &self.shards[shard].disks[slot]
+        &self.node(node).disk
     }
 
     /// Write access to a node's durable disk (harness-side setup, e.g.
     /// seeding an initial checkpoint before the simulation starts).
     pub fn disk_mut(&mut self, node: NodeId) -> &mut Disk {
-        let (shard, slot) = self.loc(node);
-        &mut self.shards[shard].disks[slot]
+        &mut self.node_mut(node).disk
     }
 
     /// Simulates a data-center outage the way the paper does (§5.3.4):
@@ -1310,16 +1210,16 @@ impl<M: NetMessage + Send + 'static> World<M> {
 
     /// Immutable access to a process, downcast to its concrete type.
     pub fn get<P: Process<M>>(&self, node: NodeId) -> Option<&P> {
-        let (shard, slot) = self.loc(node);
-        self.shards[shard].procs[slot]
+        self.node(node)
+            .proc_
             .as_deref()
             .and_then(|p| (p as &dyn std::any::Any).downcast_ref())
     }
 
     /// Mutable access to a process, downcast to its concrete type.
     pub fn get_mut<P: Process<M>>(&mut self, node: NodeId) -> Option<&mut P> {
-        let (shard, slot) = self.loc(node);
-        self.shards[shard].procs[slot]
+        self.node_mut(node)
+            .proc_
             .as_deref_mut()
             .and_then(|p| (p as &mut dyn std::any::Any).downcast_mut())
     }
@@ -1341,29 +1241,13 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// Pops and executes shard `i`'s earliest event, then routes any
     /// cross-shard deliveries it produced.
     fn step_shard(&mut self, i: usize) {
-        let env = Env {
-            net: &self.net,
-            topology: &self.topology,
-            slot_of: &self.slot_of,
-            service_time: self.config.service_time,
-            service_ns_per_byte: self.config.service_ns_per_byte,
-            coalesce: self.config.coalesce,
-            coalesce_window: self.config.coalesce_window,
-            fsync_latency: self.config.fsync_latency,
-            group_commit: self.config.group_commit,
-            group_commit_window: self.config.group_commit_window,
-            group_commit_bytes: self.config.group_commit_bytes,
-            tracer: self.tracer.as_ref(),
-            trace_on: self.trace_on,
-            profile_wall: self.profile_wall,
-        };
         let shard = &mut self.shards[i];
         let Some(ev) = shard.queue.pop() else {
             return;
         };
         self.now = self.now.max(ev.at);
-        shard.step_event(ev, &env);
-        if !self.shards[i].outgoing.is_empty() {
+        shard.step_event(ev, &self.env);
+        if !shard.outgoing.is_empty() {
             self.route_from(i, None);
         }
     }
@@ -1383,7 +1267,7 @@ impl<M: NetMessage + Send + 'static> World<M> {
                     min_at
                 );
             }
-            let dest = self.topology.dc_of(ev.target).0 as usize;
+            let dest = self.env.topology.dc_of(ev.target).0 as usize;
             debug_assert_ne!(dest, i, "same-shard event took the cross-shard path");
             self.shards[dest]
                 .queue
@@ -1438,29 +1322,12 @@ impl<M: NetMessage + Send + 'static> World<M> {
             // Events with `at <= until` must run; the window is
             // exclusive at the horizon, hence `until + 1 µs`.
             let horizon = (t0 + self.lookahead).min(until + SimDuration(1));
-            let env = Env {
-                net: &self.net,
-                topology: &self.topology,
-                slot_of: &self.slot_of,
-                service_time: self.config.service_time,
-                service_ns_per_byte: self.config.service_ns_per_byte,
-                coalesce: self.config.coalesce,
-                coalesce_window: self.config.coalesce_window,
-                fsync_latency: self.config.fsync_latency,
-                group_commit: self.config.group_commit,
-                group_commit_window: self.config.group_commit_window,
-                group_commit_bytes: self.config.group_commit_bytes,
-                tracer: self.tracer.as_ref(),
-                trace_on: self.trace_on,
-                profile_wall: self.profile_wall,
-            };
-            let shards = &mut self.shards;
+            let env = &self.env;
             std::thread::scope(|scope| {
-                for shard in shards.iter_mut() {
+                for shard in self.shards.iter_mut() {
                     if shard.queue.peek_time().is_none_or(|t| t >= horizon) {
                         continue;
                     }
-                    let env = &env;
                     scope.spawn(move || shard.run_window(horizon, env));
                 }
             });
@@ -1526,6 +1393,18 @@ enum DispatchKind<M> {
     Start,
     Timer(M),
     Message { from: NodeId, msg: M },
+}
+
+impl<M: NetMessage> DispatchKind<M> {
+    /// The profiler's label for this call, and the framed size of the
+    /// message it delivers, if it delivers one.
+    fn label(&self) -> (&'static str, Option<u64>) {
+        match self {
+            DispatchKind::Start => ("start", None),
+            DispatchKind::Timer(msg) => (msg.kind(), None),
+            DispatchKind::Message { msg, .. } => (msg.kind(), Some(msg.wire_bytes() as u64)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ ROOTS = {
         IO_NAMES + r"|\bMutex\b",
     ),
     "crates/cluster/src": ([], IO_NAMES),
+    "crates/sim/src": ([], IO_NAMES),
 }
 FN = re.compile(r"^(\s*)(?:pub(?:\([a-z]+\))? )?(?:const )?fn (\w+)")
 
