@@ -97,6 +97,12 @@ impl LeaseFence {
         }
     }
 
+    /// The shard floors, in shard order: the highest lease ballot this
+    /// node granted per shard, as far as the fence knows.
+    pub fn floors(&self) -> Vec<(u32, MsBallot)> {
+        self.floors.iter().map(|(s, b)| (*s, *b)).collect()
+    }
+
     /// This node granted a lease on `shard` at `ballot`: raises the
     /// shard's floor, returning the record to log if it rose.
     pub fn raise_floor(&mut self, shard: u32, ballot: MsBallot) -> Option<WalRecord> {

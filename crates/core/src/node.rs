@@ -836,8 +836,11 @@ impl Process<Msg> for StorageNodeProcess {
                 }
             }
             if !shards.is_empty() {
+                // What `install_recovered_leases` put in the fence is
+                // what this node granted before a restart.
                 let recovered_at = self.recovered.is_some().then_some(ctx.now);
-                let mut ms = Mastership::new(ctx.self_id, my_dc, shards, recovered_at);
+                let granted = self.fence.floors();
+                let mut ms = Mastership::new(ctx.self_id, my_dc, shards, recovered_at, &granted);
                 if let Some(audit) = &self.lease_audit {
                     ms.set_audit(audit.clone());
                 }

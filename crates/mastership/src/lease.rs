@@ -113,6 +113,9 @@ pub(crate) struct Lease {
     /// other than `granted`'s: what `granted`'s holder had to wait out,
     /// and must again if it campaigns again.
     earlier: Option<(Ballot, SimTime)>,
+    /// What the grant that set `granted_expiry` reported: a copy of that
+    /// request is answered alike.
+    reported: Option<(Ballot, SimTime)>,
     // --- holder role ---
     holding: Option<Holding>,
     pending: Option<Pending>,
@@ -121,13 +124,17 @@ pub(crate) struct Lease {
 }
 
 impl Lease {
-    pub(crate) fn new(me: NodeId, majority: usize) -> Self {
+    /// `granted` is the highest ballot this replica granted before it
+    /// restarted, recovered from its log (the default ballot on a first
+    /// boot): a restarted grantor refuses everything at or below it.
+    pub(crate) fn new(me: NodeId, majority: usize, granted: Ballot) -> Self {
         Self {
             me,
             majority,
-            granted: Ballot::default(),
+            granted,
             granted_expiry: SimTime::ZERO,
             earlier: None,
+            reported: None,
             holding: None,
             pending: None,
             ceded: Ballot::default(),
@@ -158,11 +165,19 @@ impl Lease {
         now: SimTime,
     ) -> Verdict {
         if ballot == self.granted && ballot.pid == from.0 as u64 {
-            // A renewal. Renewals of one holder may arrive out of order.
-            self.granted_expiry = self.granted_expiry.max(expiry);
+            // The same holder again. A copy of the request that set the
+            // expiry gets the answer that request got: the requester may
+            // count the copy first, and a fresh holder must wait out what
+            // it reports. Anything else is a renewal, and renewals of one
+            // holder may arrive out of order.
+            let prev = (expiry == self.granted_expiry).then_some(self.reported);
+            if expiry > self.granted_expiry {
+                self.granted_expiry = expiry;
+                self.reported = None;
+            }
             return Verdict::Granted {
                 rose: false,
-                prev: None,
+                prev: prev.flatten(),
             };
         }
         if ballot <= self.granted {
@@ -179,9 +194,10 @@ impl Lease {
         self.granted_expiry = expiry;
         // (`last` alone when it is the requester's own: it will not wait
         // for itself, but the message keeps its shape.)
+        self.reported = self.earlier.or(last);
         Verdict::Granted {
             rose: true,
-            prev: self.earlier.or(last),
+            prev: self.reported,
         }
     }
 
@@ -384,8 +400,8 @@ mod tests {
         fn the_grant_rule_does_not_know_who_is_voting(
             requests in prop::collection::vec((0u32..4, 0u32..4, 0u32..4, 1u64..900, 0u32..4), 1..12),
         ) {
-            let mut a = Lease::new(NodeId(1), 3);
-            let mut b = Lease::new(NodeId(3), 3);
+            let mut a = Lease::new(NodeId(1), 3, Ballot::default());
+            let mut b = Lease::new(NodeId(3), 3, Ballot::default());
             for (n, pid, from, at, ceded) in requests {
                 let ballot = Ballot::new(n, u64::from(pid));
                 let relinquished = (ceded > 0).then_some(Ballot::new(ceded, 1));
@@ -406,8 +422,8 @@ mod tests {
     /// leaves in the grant table is what a peer's `Acquire` would.
     #[test]
     fn begin_votes_through_the_grant_rule() {
-        let mut own = Lease::new(NodeId(2), 3);
-        let mut peer = Lease::new(NodeId(0), 3);
+        let mut own = Lease::new(NodeId(2), 3, Ballot::default());
+        let mut peer = Lease::new(NodeId(0), 3, Ballot::default());
         for lease in [&mut own, &mut peer] {
             lease.grant(Ballot::new(1, 4), NodeId(4), ms(500), None, ms(100));
         }
@@ -442,7 +458,7 @@ mod tests {
     /// *another* node, not merely its previous grant.
     #[test]
     fn a_grantor_reports_the_lease_another_node_may_still_serve_under() {
-        let mut x = Lease::new(NodeId(0), 3);
+        let mut x = Lease::new(NodeId(0), 3, Ballot::default());
         let granted = |v| match v {
             Verdict::Granted { prev, .. } => prev,
             Verdict::Refused { max } => panic!("refused, {max:?}"),
@@ -473,18 +489,54 @@ mod tests {
         assert_eq!(granted(next), Some((Ballot::new(3, 4), ms(1_100))));
     }
 
+    /// A copy of the request a grant answered gets the same answer: the
+    /// candidate may count the copy first, and only the first answer
+    /// named the lease it must wait out. (400 000 generated schedules
+    /// found two nodes serving when a copy answered as a renewal would.)
+    #[test]
+    fn a_copy_of_a_granted_request_is_answered_alike() {
+        let mut x = Lease::new(NodeId(0), 3, Ballot::default());
+        x.grant(Ballot::new(2, 4), NodeId(4), ms(886), None, ms(486));
+        let theirs = Some((Ballot::new(2, 4), ms(886)));
+        let first = x.grant(Ballot::new(3, 3), NodeId(3), ms(915), None, ms(515));
+        let copy = x.grant(Ballot::new(3, 3), NodeId(3), ms(915), None, ms(725));
+        assert_eq!(
+            first,
+            Verdict::Granted {
+                rose: true,
+                prev: theirs
+            }
+        );
+        assert_eq!(
+            copy,
+            Verdict::Granted {
+                rose: false,
+                prev: theirs
+            }
+        );
+        // A renewal reports nothing, and neither does a copy of it.
+        let renewed = Verdict::Granted {
+            rose: false,
+            prev: None,
+        };
+        for at in [815, 820] {
+            let verdict = x.grant(Ballot::new(3, 3), NodeId(3), ms(1_215), None, ms(at));
+            assert_eq!(verdict, renewed);
+        }
+    }
+
     /// A relinquished ballot is not waited out — and never served under
     /// again by the node that gave it up.
     #[test]
     fn a_relinquished_ballot_is_gone_for_good() {
-        let mut holder = Lease::new(NodeId(4), 3);
+        let mut holder = Lease::new(NodeId(4), 3, Ballot::default());
         holder.hold(Ballot::new(2, 4), ms(0), ms(900));
         assert!(!holder.has_ceded(Ballot::new(2, 4)));
         assert_eq!(holder.relinquish(), Some(Ballot::new(2, 4)));
         assert_eq!(holder.serving(ms(10)), None);
         assert!(holder.has_ceded(Ballot::new(2, 4)) && holder.has_ceded(Ballot::new(1, 4)));
         assert!(!holder.has_ceded(Ballot::new(3, 4)));
-        let mut x = Lease::new(NodeId(0), 3);
+        let mut x = Lease::new(NodeId(0), 3, Ballot::default());
         x.grant(Ballot::new(2, 4), NodeId(4), ms(900), None, ms(500));
         let handed = x.grant(
             Ballot::new(3, 1),
@@ -505,7 +557,7 @@ mod tests {
     /// Self-deposition: one lease duration past the expiry, not before.
     #[test]
     fn a_holder_gives_up_a_lease_it_cannot_renew() {
-        let mut holder = Lease::new(NodeId(4), 3);
+        let mut holder = Lease::new(NodeId(4), 3, Ballot::default());
         holder.hold(Ballot::new(2, 4), ms(0), ms(900));
         assert_eq!(holder.check(ms(1_300)), Held::Renew(Ballot::new(2, 4)));
         assert_eq!(holder.check(ms(1_301)), Held::Deposed);

@@ -168,22 +168,32 @@ impl Mastership {
     /// Builds the mastership layer for a node replicating `shards`
     /// (`(shard id, replica group in DC order)`). `recovered_at` marks
     /// a post-restart node, which is quarantined from granting for one
-    /// lease duration (its volatile grant table died with the crash).
+    /// lease duration (the expiries it granted died with the crash).
+    /// `granted` holds the lease ballots the node granted before it
+    /// restarted, by shard, as its log recovered them (empty on a first
+    /// boot): it never grants at or below its highest again, so a
+    /// lapsed holder's old ballot cannot rise above a lower one elected
+    /// while the node was down.
     pub fn new(
         me: NodeId,
         my_dc: DcId,
         shards: Vec<(u32, Vec<NodeId>)>,
         recovered_at: Option<SimTime>,
+        granted: &[(u32, Ballot)],
     ) -> Self {
         let quarantine_until = match recovered_at {
             Some(at) => at + LEASE_DURATION,
             None => SimTime::ZERO,
         };
+        let granted_in = |shard| {
+            let of_shard = granted.iter().filter(|(s, _)| *s == shard);
+            of_shard.map(|(_, b)| *b).max().unwrap_or_default()
+        };
         Self {
             me,
             shards: shards
                 .into_iter()
-                .map(|(s, peers)| (s, Shard::new(s, peers, me, my_dc)))
+                .map(|(s, peers)| (s, Shard::new(s, peers, me, my_dc, granted_in(s))))
                 .collect(),
             quarantine_until,
             backoff: Backoff::default(),
@@ -313,7 +323,7 @@ mod tests {
     }
 
     fn layer(me: u32) -> Mastership {
-        Mastership::new(NodeId(me), DcId(me as u8), vec![(0, group())], None)
+        Mastership::new(NodeId(me), DcId(me as u8), vec![(0, group())], None, &[])
     }
 
     #[test]
@@ -577,7 +587,7 @@ mod tests {
     /// until one lease duration has passed.
     #[test]
     fn restart_quarantine_blocks_grants() {
-        let mut node = Mastership::new(NodeId(1), DcId(1), vec![(0, group())], Some(ms(1000)));
+        let mut node = Mastership::new(NodeId(1), DcId(1), vec![(0, group())], Some(ms(1000)), &[]);
         let mut out = Vec::new();
         node.on_msg(
             NodeId(4),

@@ -59,12 +59,20 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(id: u32, peers: Vec<NodeId>, me: NodeId, my_dc: DcId) -> Self {
+    /// `granted`: the highest lease ballot this replica granted for the
+    /// shard before it restarted (see [`Lease::new`]).
+    pub(crate) fn new(
+        id: u32,
+        peers: Vec<NodeId>,
+        me: NodeId,
+        my_dc: DcId,
+        granted: Ballot,
+    ) -> Self {
         let majority = peers.len() / 2 + 1;
         Self {
             id,
             election: Election::new(me, majority),
-            lease: Lease::new(me, majority),
+            lease: Lease::new(me, majority, granted),
             migration: Migration::new(my_dc, peers.len()),
             peers,
         }
@@ -187,10 +195,11 @@ impl Shard {
                 holder,
                 ..
             } => self.election.on_reply(from, round, ballot, holder, now),
-            // A restarted replica's grant table died with its crash:
-            // granting again before every possible pre-crash grant
-            // expired could break the quorum intersection argument. Stay
-            // silent. Nor may it take a handoff.
+            // A restarted replica's grant expiries died with its crash
+            // (only the ballots came back from its log): granting again
+            // before every possible pre-crash grant expired could break
+            // the quorum intersection argument. Stay silent. Nor may it
+            // take a handoff.
             MsMsg::Acquire { .. } | MsMsg::Handoff { .. } if quarantined => {}
             MsMsg::Acquire {
                 ballot,

@@ -5,8 +5,9 @@
 //! messages through a FIFO mailbox driven by a fixed script: the first
 //! election, three renewals, a `Reject` that deposes a holder with a
 //! renewal pending, the re-election after it, an access-driven handoff
-//! (with `Relinquished`), a restart with its quarantine, and a second
-//! handoff whose `Handoff` message is delivered twice. Every [`Action`]
+//! (with `Relinquished`), a restart with its quarantine and the lease
+//! ballots the node granted before it, and a second handoff whose
+//! `Handoff` message is delivered twice. Every [`Action`]
 //! is fingerprinted in emission order — destination and `Wire` bytes of
 //! each send, the fields of `FloorRaised` / `Relinquished` — together
 //! with the tick delays returned, every node's `stats()` and the audit's
@@ -18,7 +19,7 @@ use std::collections::VecDeque;
 
 use mdcc_common::wire::{fnv1a64, Enc, Wire};
 use mdcc_common::{DcId, NodeId, SimDuration, SimTime};
-use mdcc_mastership::{Action, LeaseAudit, Mastership, MastershipStats, MsMsg};
+use mdcc_mastership::{Action, Ballot, LeaseAudit, Mastership, MastershipStats, MsMsg};
 
 const NODES: u32 = 5;
 /// Given out of order on purpose: ticks walk shards in id order.
@@ -40,13 +41,16 @@ struct Script {
     /// Enqueue every `Handoff` twice (the duplicated delivery).
     duplicate_handoffs: bool,
     relinquished: Vec<(NodeId, u32, NodeId)>,
+    /// Per node, the `FloorRaised` ballots it logged: what its WAL would
+    /// give back on a restart.
+    floors: Vec<Vec<(u32, Ballot)>>,
 }
 
 impl Script {
     fn new() -> Self {
         let audit = LeaseAudit::new();
         let nodes = (0..NODES)
-            .map(|i| Self::boot(i, None, &audit))
+            .map(|i| Self::boot(i, None, &[], &audit))
             .collect::<Vec<_>>();
         Self {
             nodes,
@@ -55,12 +59,18 @@ impl Script {
             log: Enc::new(),
             duplicate_handoffs: false,
             relinquished: Vec::new(),
+            floors: vec![Vec::new(); NODES as usize],
         }
     }
 
-    fn boot(i: u32, recovered_at: Option<SimTime>, audit: &LeaseAudit) -> Mastership {
+    fn boot(
+        i: u32,
+        recovered_at: Option<SimTime>,
+        granted: &[(u32, Ballot)],
+        audit: &LeaseAudit,
+    ) -> Mastership {
         let shards = SHARDS.iter().map(|s| (*s, group())).collect();
-        let mut node = Mastership::new(NodeId(i), DcId(i as u8), shards, recovered_at);
+        let mut node = Mastership::new(NodeId(i), DcId(i as u8), shards, recovered_at, granted);
         node.set_audit(audit.clone());
         node
     }
@@ -83,6 +93,7 @@ impl Script {
                     }
                 }
                 Action::FloorRaised { shard, ballot } => {
+                    self.floors[node.0 as usize].push((shard, ballot));
                     self.log.u8(1);
                     self.log.u32(shard);
                     ballot.encode(&mut self.log);
@@ -208,7 +219,7 @@ fn scripted_five_node_scenario_is_pinned() {
     s.tick(4, ms(600));
     let reject = MsMsg::Reject {
         shard: 7,
-        max: mdcc_mastership::Ballot::new(5, 3),
+        max: Ballot::new(5, 3),
     };
     s.on_msg(NodeId(3), NodeId(4), reject, ms(605));
     assert_eq!(s.serving(7, ms(606)), [] as [u32; 0]);
@@ -236,7 +247,7 @@ fn scripted_five_node_scenario_is_pinned() {
     // Node 2 crashes and restarts: silent for one lease duration, then a
     // grantor again.
     let restart = t + 50;
-    s.nodes[2] = Script::boot(2, Some(ms(restart)), &s.audit);
+    s.nodes[2] = Script::boot(2, Some(ms(restart)), &s.floors[2], &s.audit);
     for step in 1..=6 {
         s.step(t + 100 * step);
     }
@@ -275,5 +286,10 @@ fn scripted_five_node_scenario_is_pinned() {
 }
 
 // Produced by this very test at commit f12196b, when the layer was one
-// `lib.rs`.
-const PINNED_FINGERPRINT: u64 = 2_087_105_891_648_170_674;
+// `lib.rs`, and moved once since: node 2 restarts with the lease ballots
+// it granted before (its `LeaseFloor` records). Its heartbeat replies after
+// the restart name them, (2, 1) for shard 3 and (6, 4) for shard 7,
+// instead of (0, 2); and its first grants after the quarantine renew
+// ballots it already granted, so they raise no floor (two `FloorRaised`
+// fewer). Nothing else in the log changed.
+const PINNED_FINGERPRINT: u64 = 8_183_363_735_130_456_600;
