@@ -4,8 +4,6 @@
 //! option, *any* node can reconstruct the state of a dangling
 //! transaction. This crate makes that durable story concrete:
 //!
-//! * [`codec`] — a deterministic, dependency-free binary encoding for
-//!   every protocol type that reaches disk;
 //! * [`wal`] — a framed, checksummed **command log**: each
 //!   state-changing input a storage node handles is appended before the
 //!   in-memory [`mdcc_storage::RecordStore`] applies it, so replay from
@@ -14,16 +12,19 @@
 //!   [`snapshot::recover_store`] restart path, and the committed-state
 //!   digests the recovery audit compares across replicas.
 //!
+//! What reaches disk is encoded by the shared [`mdcc_common::wire`]
+//! layer, so the same bytes define a record on disk and a message on the
+//! simulated network.
+//!
 //! The crate is pure data-plumbing over [`mdcc_sim::Disk`]; the
 //! protocol-side hooks (when to append, when to checkpoint, peer sync
 //! after restart) live in `mdcc-core`, and the fault schedules that
 //! exercise them live in `mdcc-cluster`.
 
-pub mod codec;
 pub mod snapshot;
 pub mod wal;
 
-pub use codec::{from_bytes, to_bytes, Wire, WireError, WireResult};
+pub use mdcc_common::wire::{from_bytes, to_bytes, Wire, WireError, WireResult};
 pub use snapshot::{
     committed_bytes, committed_digest, committed_state_digest, read_checkpoint, recover_store,
     recovered_leases, write_checkpoint, RecoveryInfo,

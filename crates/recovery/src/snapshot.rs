@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
+use mdcc_common::wire::{fnv1a64, from_bytes, to_bytes, Enc, Wire, WireResult};
 use mdcc_common::ProtocolConfig;
 use mdcc_sim::Disk;
 use mdcc_storage::{Catalog, RecordStore, StoreState};
 
-use crate::codec::{from_bytes, to_bytes, WireResult};
 use crate::wal;
 
 /// What one node restart cost, harvested into experiment reports.
@@ -89,8 +89,6 @@ pub fn committed_bytes(store: &RecordStore) -> Vec<u8> {
     to_bytes(&store.committed_state())
 }
 
-use crate::codec::fnv1a64;
-
 /// FNV-1a digest of [`committed_bytes`], cheap to ship around in reports.
 pub fn committed_digest(store: &RecordStore) -> u64 {
     committed_state_digest(&store.committed_state())
@@ -105,9 +103,9 @@ pub fn committed_state_digest(
         Option<mdcc_common::Row>,
     )],
 ) -> u64 {
-    let mut enc = crate::codec::Enc::new();
+    let mut enc = Enc::new();
     for entry in state {
-        crate::codec::Wire::encode(entry, &mut enc);
+        entry.encode(&mut enc);
     }
     fnv1a64(&enc.finish())
 }
@@ -206,7 +204,7 @@ mod tests {
     fn a_checkpoint_with_the_retired_option_ring_is_an_error() {
         let mut blob = loaded_store().checkpoint_bytes();
         assert!(matches!(read_checkpoint(&blob), Ok(Some(_))));
-        let mut ring = crate::codec::Enc::new();
+        let mut ring = Enc::new();
         ring.u32(0);
         ring.u64(0);
         blob.extend_from_slice(&ring.finish());

@@ -13,13 +13,12 @@
 //! FNV-1a checksum over the payload. A torn or corrupt tail fails decode
 //! cleanly rather than poisoning recovery.
 
+use mdcc_common::wire::{read_frames, Dec, Enc, Wire, WireError, WireResult};
 use mdcc_common::{Key, Row, SimTime, TxnId};
 use mdcc_paxos::acceptor::Phase2a;
 use mdcc_paxos::{Ballot, RecordSnapshot, Resolution, TxnOption, TxnOutcome};
 use mdcc_sim::Disk;
 use mdcc_storage::RecordStore;
-
-use crate::codec::{Dec, Enc, Wire, WireError, WireResult};
 
 /// One durable command. Replay applies these through the same
 /// [`RecordStore`] entry points the live node used.
@@ -233,7 +232,7 @@ impl Wire for WalRecord {
 /// Frames one record (`[len][checksum][payload]`) into bytes, using the
 /// shared framing of [`mdcc_common::wire`].
 pub fn frame(record: &WalRecord) -> Vec<u8> {
-    crate::codec::frame(record)
+    mdcc_common::wire::frame(record)
 }
 
 /// Where framed WAL records land. The storage node's live path appends
@@ -291,7 +290,7 @@ pub fn append<L: CommitLog + ?Sized>(log: &mut L, record: &WalRecord) {
 /// Parses every framed record in `wal`, oldest first, verifying
 /// checksums.
 pub fn read_all(wal: &[u8]) -> WireResult<Vec<WalRecord>> {
-    crate::codec::read_frames(wal)
+    read_frames(wal)
 }
 
 /// Counters from one replay pass.
