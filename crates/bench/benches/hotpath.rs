@@ -5,13 +5,12 @@
 //! envelope flush encoding. These are the per-message costs the engine
 //! pays millions of times in a paper-scale run, so a stray allocation —
 //! or work proportional to a record's history — dominates wall time.
-//! The last group keeps the few cold cstruct and lease-table cases that
-//! no `bench_all` kernel times.
+//! The last group keeps the two cold cstruct cases that no `bench_all`
+//! kernel times.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mdcc_common::wire::{to_bytes, with_scratch_encoding, Dec, Enc, Envelope, Wire};
+use mdcc_common::wire::{to_bytes, with_scratch_encoding, Envelope};
 use mdcc_common::{CommutativeUpdate, Key, NodeId, Row, TableId, TxnId, UpdateOp, Version};
-use mdcc_mastership::{Ballot as MsBallot, LeaseTable, OverrideRun};
 use mdcc_paxos::acceptor::{FastPropose, Phase2b};
 use mdcc_paxos::shadow::{DeltaCursor, FoldOutcome, ShadowView};
 use mdcc_paxos::{
@@ -164,13 +163,11 @@ fn bench_envelope_flush(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cases of the retired `engine` and `lease_codec` benches that no
-/// `bench_all` kernel times (the others are `paxos.cstruct_lub_ns`,
-/// `paxos.acceptor_propose_resolve_ns`, `paxos.learner_fast_quorum_ns`,
-/// `paxos.demarcation_check_ns`, `mastership.lease_encode_ns` and
-/// `mastership.lease_lookup_ns`): the cstruct glb and prefix test behind
-/// the learner's fallback and leader recovery, the successor's half of a
-/// lease handoff, and an override lookup that misses.
+/// The cases of the retired `engine` bench that no `bench_all` kernel
+/// times (the others are `paxos.cstruct_lub_ns`,
+/// `paxos.acceptor_propose_resolve_ns`, `paxos.learner_fast_quorum_ns`
+/// and `paxos.demarcation_check_ns`): the cstruct glb and prefix test
+/// behind the learner's fallback and leader recovery.
 fn bench_off_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("cstruct");
     for size in [4u64, 16, 32] {
@@ -182,38 +179,6 @@ fn bench_off_kernel(c: &mut Criterion) {
             bench.iter(|| std::hint::black_box(&a).is_prefix_of(std::hint::black_box(&b)));
         });
     }
-    group.finish();
-
-    // 64 overrides, half one contiguous run, half scattered (the mix
-    // `mastership.lease_encode_ns` encodes).
-    let mut table = LeaseTable::new(64);
-    for i in 0..32u64 {
-        table.raise(1_000 + i, MsBallot::new(7, 3));
-        table.raise(
-            (32 + i).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            MsBallot::new(7, 3),
-        );
-    }
-    let mut enc = Enc::new();
-    for run in &table.runs() {
-        run.encode(&mut enc);
-    }
-    let (bytes, runs) = (enc.finish(), table.runs().len());
-    let mut group = c.benchmark_group("lease");
-    group.bench_function("decode_install/64", |bench| {
-        bench.iter(|| {
-            let mut dec = Dec::new(std::hint::black_box(&bytes));
-            let decoded: Vec<OverrideRun> = (0..runs)
-                .map(|_| OverrideRun::decode(&mut dec).expect("run"))
-                .collect();
-            let mut fresh = LeaseTable::new(64);
-            fresh.install_runs(&decoded);
-            fresh
-        });
-    });
-    group.bench_function("lookup_miss/64", |bench| {
-        bench.iter(|| table.override_of(std::hint::black_box(0xdead_beef)));
-    });
     group.finish();
 }
 

@@ -324,41 +324,45 @@ fn mastership_report_is_pinned() {
 // Produced by this very test at commit f12196b, before `mdcc-mastership`
 // was split into its election, lease and migration machines; re-pinned
 // when the classic round stopped sending nodes what they cannot use,
-// again when votes became verdicts, and again when a transaction's
-// outcome went once per storage node (every proposal of this run goes
-// through a master, per record as before; only `Visibility` is grouped).
-// Every field moves each time, because the schedule does: window commits
-// 585 → 583 → 537 → below; `TxnStats` [702, 0, 0, 13, 36, 0, 22] →
-// [697, 0, 0, 17, 29, 0, 38] → [653, 0, 0, 15, 31, 0, 0] → below (the
-// pulls were shadows out of step; commutative options need none); bytes /
-// frames / payload messages 8 644 509 / 38 380 / 74 320 →
-// 5 963 507 / 35 096 / 64 146 → 4 478 482 / 34 257 / 62 455 → below; the
-// mastership counters [9, 9, 232, 6, 1 925, 308, 374, 73, 520] →
+// again when votes became verdicts, again when a transaction's outcome
+// went once per storage node (every proposal of this run goes through a
+// master, per record as before; only `Visibility` is grouped), and again
+// when the lease holder began leading every record of its shard (no
+// per-record override, no record forwarded off the holder). Every field
+// moves each time, because the schedule does: window commits
+// 585 → 583 → 537 → 538 → below; `TxnStats` [702, 0, 0, 13, 36, 0, 22] →
+// [697, 0, 0, 17, 29, 0, 38] → [653, 0, 0, 15, 31, 0, 0] →
+// [654, 0, 0, 19, 33, 0, 0] → below (the pulls were shadows out of step;
+// commutative options need none); bytes / frames / payload messages
+// 8 644 509 / 38 380 / 74 320 → 5 963 507 / 35 096 / 64 146 →
+// 4 478 482 / 34 257 / 62 455 → 4 128 885 / 33 690 / 54 648 → below;
+// the mastership counters [9, 9, 232, 6, 1 925, 308, 374, 73, 520] →
 // [12, 11, 224, 7, 1 828, 299, 435, 68, 571] →
-// [14, 13, 205, 8, 1 727, 334, 428, 23, 474] → below, the lease spans
-// (9 → 11 → 13 → 8) and their fingerprint, and the ten digests with the
-// schedule.
-const PINNED_MS_WRITE_COMMITS: usize = 538;
-const PINNED_MS_TXN_STATS: [u64; 7] = [654, 0, 0, 19, 33, 0, 0];
-const PINNED_MS_NET: [u64; 3] = [4_128_885, 33_690, 54_648];
-const PINNED_MS_COUNTERS: [u64; 9] = [9, 8, 218, 4, 1_777, 227, 309, 57, 423];
-const PINNED_MS_SPANS: (usize, u64) = (8, 6_567_722_090_456_127_722);
-// Even nodes replicate shard 0, odd nodes shard 1. At the previous pin
-// each shard ended on one digest; here nodes 2 and 3 — the failed data
-// center's — are off theirs, as node 2 was at every pin before that:
-// sixteen records at one version with fewer committed deltas, the ones
-// that committed while the data center was dark (ROADMAP item 1's healed
-// replicas). That is this schedule, not a new cause: `bench_all`
-// `geo_failover` ends with as many replicas off over ten seeds.
+// [14, 13, 205, 8, 1 727, 334, 428, 23, 474] →
+// [9, 8, 218, 4, 1 777, 227, 309, 57, 423] → below, the lease spans
+// (9 → 11 → 13 → 8 → 13) and their fingerprint, and the ten digests
+// with the schedule.
+const PINNED_MS_WRITE_COMMITS: usize = 668;
+const PINNED_MS_TXN_STATS: [u64; 7] = [784, 0, 0, 24, 20, 0, 0];
+const PINNED_MS_NET: [u64; 3] = [4_896_443, 36_721, 61_086];
+const PINNED_MS_COUNTERS: [u64; 9] = [14, 13, 232, 9, 2_143, 322, 465, 66, 597];
+const PINNED_MS_SPANS: (usize, u64) = (13, 10_926_273_567_005_939_796);
+// Even nodes replicate shard 0, odd nodes shard 1. Node 2 — the failed
+// data center's shard-0 replica — is off its shard's digest, as it was
+// at every pin before; node 3 was off shard 1's at the previous pin and
+// is on it here: records that committed while the data center was dark
+// (ROADMAP item 1's healed replicas). That is this schedule, not a new
+// cause: `bench_all` `geo_failover` ends with replicas off over ten
+// seeds.
 const PINNED_MS_COMMITTED_DIGESTS: [u64; 10] = [
-    4_366_466_664_920_887_134,
-    10_003_016_794_919_448_961,
-    13_279_174_467_822_000_194,
-    11_318_337_610_955_847_848,
-    4_366_466_664_920_887_134,
-    10_003_016_794_919_448_961,
-    4_366_466_664_920_887_134,
-    10_003_016_794_919_448_961,
-    4_366_466_664_920_887_134,
-    10_003_016_794_919_448_961,
+    14_030_383_154_239_104_963,
+    8_429_593_032_545_986_596,
+    14_423_663_521_873_069_870,
+    8_429_593_032_545_986_596,
+    14_030_383_154_239_104_963,
+    8_429_593_032_545_986_596,
+    14_030_383_154_239_104_963,
+    8_429_593_032_545_986_596,
+    14_030_383_154_239_104_963,
+    8_429_593_032_545_986_596,
 ];

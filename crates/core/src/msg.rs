@@ -339,14 +339,4 @@ pub enum Msg {
     },
     /// Storage node: mastership heartbeat/lease timer.
     MsTick,
-    /// Record-granular routing hint: the shard's lease holder tells a
-    /// coordinator that *this record's* classic traffic belongs to
-    /// `node` (a per-record override diverging from the shard-level
-    /// lease — see `mdcc_mastership::LEASE_RECORD_OVERRIDES`).
-    RecordHint {
-        /// Record concerned.
-        key: Key,
-        /// Where this record's classic proposals should go.
-        node: NodeId,
-    },
 }

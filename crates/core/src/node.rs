@@ -180,11 +180,6 @@ pub struct StorageNodeProcess {
     /// (GoFast); a re-bounced proposal is accepted for classic leading
     /// instead of ping-ponging. Entries clear on resolution.
     redirected_fast: HashSet<TxnId>,
-    /// Transactions already forwarded once to a record-override target;
-    /// a proposal that comes back (the target is deposed, crashed, or
-    /// bouncing) retires the override and is led locally instead of
-    /// ping-ponging between holder and target forever.
-    override_forwarded: HashSet<TxnId>,
     /// `stats.sync_adoptions` as of the previous sync sweep, plus the
     /// number of consecutive sweeps that adopted nothing — sweeping
     /// stops once a full peer rotation stays quiet (convergence).
@@ -205,7 +200,7 @@ pub struct StorageNodeProcess {
     /// (consistency audits assert no overlapping tenures).
     lease_audit: Option<LeaseAudit>,
     /// Lease-carried Phase1: the promise floors of the leases this node
-    /// granted and the per-record overrides above them.
+    /// granted.
     fence: LeaseFence,
     /// Fast proposals that read a version this replica has not reached,
     /// held until the record catches up. Volatile like an in-flight
@@ -245,7 +240,6 @@ impl StorageNodeProcess {
             recovered: None,
             sync_cursor: 0,
             redirected_fast: HashSet::new(),
-            override_forwarded: HashSet::new(),
             last_sync_adoptions: 0,
             sync_idle_rounds: 0,
             stats: NodeStats::default(),
@@ -268,9 +262,9 @@ impl StorageNodeProcess {
         self.mastership.as_ref().map(|m| m.stats())
     }
 
-    /// Installs lease floors and per-record overrides recovered from
-    /// the WAL tail (see [`mdcc_recovery::recovered_leases`]) into this
-    /// node's fence — enforcement only, see [`LeaseFence::install_recovered`].
+    /// Installs lease floors recovered from the WAL tail (see
+    /// [`mdcc_recovery::recovered_leases`]) into this node's fence —
+    /// enforcement only, see [`LeaseFence::install_recovered`].
     pub fn install_recovered_leases(&mut self, leases: mdcc_recovery::RecoveredLeases) {
         self.fence.install_recovered(leases);
     }
@@ -600,7 +594,6 @@ impl StorageNodeProcess {
             self.finish_recovery(txn, outcome, ctx);
         }
         self.redirected_fast.remove(&txn);
-        self.override_forwarded.remove(&txn);
         // A committed option this node never accepted (bounced
         // proposal, divergent ballot mode) lands as a bare
         // outcome: the update cannot execute here and the value
@@ -869,11 +862,7 @@ impl Process<Msg> for StorageNodeProcess {
             Msg::P1a { key, ballot } => self.on_phase1a(from, key, ballot, ctx),
             Msg::P1b { key, payload } => self.on_phase1b(from, key, payload, ctx),
             Msg::P2a { key, payload } => self.on_phase2a(from, key, payload, ctx),
-            Msg::P2aNack { key, promised } => {
-                let raised = self.fence.note_promise(&key, promised);
-                self.wal_append(ctx, |_| raised);
-                self.with_leader(&key, |l| l.on_nack(promised), ctx);
-            }
+            Msg::P2aNack { key, promised } => self.with_leader(&key, |l| l.on_nack(promised), ctx),
             Msg::P2aBehind { key, ballot } => self.on_behind(from, key, ballot, ctx),
             Msg::P2aStale { key, snapshot } => {
                 self.with_leader(&key, |l| l.on_stale(snapshot), ctx)
@@ -909,7 +898,6 @@ impl Process<Msg> for StorageNodeProcess {
             // TM-side messages: nothing a storage node does asks for
             // one, so whoever sent it wasted the frame. Counted.
             Msg::MasterHint { .. }
-            | Msg::RecordHint { .. }
             | Msg::NotFast { .. }
             | Msg::InstanceFull { .. }
             | Msg::AlreadyResolved { .. }

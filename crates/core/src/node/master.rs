@@ -84,7 +84,8 @@ impl StorageNodeProcess {
             return ctx.send(from, Msg::GoFast { key, txn });
         }
         self.claim_lease_ballot(&key, ctx);
-        let actions = self.leader_for(&key, ctx).enqueue(opt);
+        let (leader, _) = self.leader_for(&key, ctx);
+        let actions = leader.enqueue(opt);
         self.run_leader_actions(&key, actions, ctx);
     }
 
@@ -107,18 +108,13 @@ impl StorageNodeProcess {
         let shard = self.placement.shard_id(key);
         let lease = ms.serving_ballot(shard, ctx.now);
         let lease = lease.map(|n| Ballot::lease(n, ctx.self_id));
-        if self.current_leader(key, ctx).is_leading() {
+        let (leader, store) = self.current_leader(key, ctx);
+        if leader.is_leading() {
             return; // Every touch but the first after a handoff.
         }
         let Some(lease) = lease else { return };
-        let local = self
-            .store
-            .with_record(key, |r| (r.promised(), r.cstruct().trace_digest()));
+        let local = store.with_record(key, |r| (r.promised(), r.cstruct().trace_digest()));
         let (promised, base) = local.unwrap_or((Ballot::INITIAL_FAST, CStruct::EMPTY_TRACE_DIGEST));
-        let leader = self
-            .leaders
-            .get_mut(key)
-            .expect("current_leader ensured it");
         if promised <= lease && leader.assume_leadership(lease, base) {
             if let Some(ms) = self.mastership.as_mut() {
                 ms.note_phase1_skipped();
@@ -136,23 +132,26 @@ impl StorageNodeProcess {
     /// included) and above what the record promised meanwhile, not from
     /// scratch. With dynamic mastership off there is no floor and this
     /// is [`Self::leader_for`].
-    fn current_leader(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> &mut LeaderRecord {
+    fn current_leader(
+        &mut self,
+        key: &Key,
+        ctx: &Ctx<'_, Msg>,
+    ) -> (&mut LeaderRecord, &RecordStore) {
         let floor = self.fence.floor_for(key);
-        self.leader_for(key, ctx);
-        let store = &self.store;
-        let leader = self.leaders.get_mut(key).expect("just ensured");
+        let (leader, store) = self.leader_for(key, ctx);
         if let Some(floor) = floor {
             leader.step_down(floor, outcome_known(store, key));
             let promised = store.with_record(key, |r| r.promised());
             leader.observe_ballot(promised.map_or(floor, |p| p.max(floor)));
         }
-        leader
+        (leader, store)
     }
 
     /// Someone asked this node to recover `key`'s instance
     /// (`Msg::StartRecovery`).
     pub(super) fn lead_recovery(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
-        let actions = self.current_leader(key, ctx).start_recovery();
+        let (leader, _) = self.current_leader(key, ctx);
+        let actions = leader.start_recovery();
         self.run_leader_actions(key, actions, ctx);
     }
 
@@ -170,8 +169,8 @@ impl StorageNodeProcess {
 
     /// Emits the mastership layer's queued sends as wrapped messages
     /// and absorbs its host-level effects: lease grants raise this
-    /// node's promise floor, migrations ship the override table to the
-    /// successor.
+    /// node's promise floor, and a handoff drops the shard's idle
+    /// leaders.
     pub(super) fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut Ctx<'_, Msg>) {
         for action in out {
             match action {
@@ -180,20 +179,14 @@ impl StorageNodeProcess {
                     let raised = self.fence.raise_floor(shard, ballot);
                     self.wal_append(ctx, |_| raised);
                 }
-                MsAction::Relinquished { shard, to } => {
-                    // Hand the per-record override table to the
-                    // successor so hot-key promises survive migration.
-                    let runs = self.fence.runs(shard);
-                    if !runs.is_empty() {
-                        ctx.send(to, Msg::Mastership(MsMsg::Overrides { shard, runs }));
-                    }
-                    self.drop_quiescent_leaders(shard);
-                }
+                MsAction::Relinquished { shard, .. } => self.drop_quiescent_leaders(shard),
             }
         }
     }
 
-    pub(super) fn leader_for(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> &mut LeaderRecord {
+    /// `key`'s leader, built from the record if this node has none, and
+    /// the store beside it: the caller may keep reading the record.
+    fn leader_for(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> (&mut LeaderRecord, &RecordStore) {
         let cfg = LeaderConfig {
             n: self.cfg.replication,
             qc: self.cfg.classic_quorum,
@@ -204,11 +197,12 @@ impl StorageNodeProcess {
             name_base: self.cfg.mastership.enabled,
         };
         let (store, self_id) = (&self.store, ctx.self_id);
-        self.leaders.entry(key.clone()).or_insert_with(|| {
+        let leader = self.leaders.entry(key.clone()).or_insert_with(|| {
             let snapshot = store.with_record(key, |r| r.snapshot());
             let snapshot = snapshot.unwrap_or_else(mdcc_paxos::RecordSnapshot::absent);
             LeaderRecord::new(cfg, self_id, snapshot)
-        })
+        });
+        (leader, store)
     }
 
     pub(super) fn run_leader_actions(
@@ -283,7 +277,11 @@ impl StorageNodeProcess {
     }
 
     /// A classic proposal routed by shard lease (`Msg::ProposeMastered`):
-    /// serve it, forward it to whoever should, or lead it regardless.
+    /// serve it, forward it to the holder, or lead it regardless. The
+    /// holder leads every record of its shard: a record promised above
+    /// the lease inside its tenure Nacks the holder's Phase2a, and the
+    /// holder's own Phase 1 re-establishes it
+    /// ([`StorageNodeProcess::current_leader`]).
     pub(super) fn on_propose_mastered(
         &mut self,
         from: NodeId,
@@ -297,36 +295,18 @@ impl StorageNodeProcess {
             None => (false, None),
         };
         if serving {
-            // Record-level override: this record's classic traffic
-            // belongs elsewhere even though we hold the shard lease.
-            if let Some(node) = self.fence.route(&opt.key, ctx.self_id) {
-                if self.override_forwarded.len() > REDIRECTED_FAST_CAP {
-                    self.override_forwarded.clear();
-                }
-                let key = opt.key.clone();
-                if self.override_forwarded.insert(opt.txn) {
-                    let hint = Msg::RecordHint { key, node };
-                    return self.forward_mastered(hint, node, origin_dc, opt, ctx);
-                }
-                // Forwarded once already and the proposal came back: the
-                // target is deposed, crashed, or not serving this record
-                // anymore. Retire the override (routing only — acceptor
-                // promises still arbitrate) and lead locally; classic
-                // ballots outrank any stale promise. Re-teach the
-                // coordinator so future traffic for this record routes
-                // here directly.
-                self.fence.retire(&key);
-                let node = ctx.self_id;
-                ctx.send(opt.txn.coordinator, Msg::RecordHint { key, node });
-            }
             if let Some(ms) = self.mastership.as_mut() {
                 ms.note_served(shard, origin_dc);
             }
             self.lead_classic(from, opt, ctx);
         } else if let Some(node) = holder.filter(|n| *n != ctx.self_id) {
-            // Not the holder, but we know who is.
-            let hint = Msg::MasterHint { shard, node };
-            self.forward_mastered(hint, node, origin_dc, opt, ctx);
+            // Not the holder, but we know who is: forward the proposal
+            // and teach its coordinator the route.
+            if let Some(ms) = self.mastership.as_mut() {
+                ms.note_forwarded();
+            }
+            ctx.send(opt.txn.coordinator, Msg::MasterHint { shard, node });
+            ctx.send(node, Msg::ProposeMastered { origin_dc, opt });
         } else {
             // No live lease this node knows of (election still in progress,
             // or mastership disabled here): lead classically. Safe
@@ -336,30 +316,7 @@ impl StorageNodeProcess {
         }
     }
 
-    /// Forwards a mastered proposal to `to` and teaches its coordinator
-    /// the route with `hint`.
-    fn forward_mastered(
-        &mut self,
-        hint: Msg,
-        to: NodeId,
-        origin_dc: DcId,
-        opt: TxnOption,
-        ctx: &mut Ctx<'_, Msg>,
-    ) {
-        if let Some(ms) = self.mastership.as_mut() {
-            ms.note_forwarded();
-        }
-        ctx.send(opt.txn.coordinator, hint);
-        ctx.send(to, Msg::ProposeMastered { origin_dc, opt });
-    }
-
     pub(super) fn on_mastership(&mut self, from: NodeId, inner: MsMsg, ctx: &mut Ctx<'_, Msg>) {
-        if let MsMsg::Overrides { shard, runs } = inner {
-            // Host-level payload: a migrating predecessor ships its
-            // per-record override table to this successor.
-            let raised = self.fence.install_runs(shard, &runs);
-            return self.wal_append(ctx, |_| raised);
-        }
         let mut out = Vec::new();
         if let Some(ms) = self.mastership.as_mut() {
             ms.on_msg(from, inner, ctx.now, &mut out);

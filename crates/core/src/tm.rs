@@ -178,22 +178,11 @@ pub struct TransactionManager {
     /// `MasterHint` redirects. Only consulted when
     /// `protocol.mastership.enabled`.
     lease_cache: HashMap<u32, NodeId>,
-    /// Record-granular routes learned from `RecordHint` redirects:
-    /// records whose classic traffic diverges from the shard lease
-    /// (per-record lease overrides). Consulted before `lease_cache`;
-    /// bounded by [`RECORD_ROUTES_CAP`] (a dropped route costs one
-    /// forward hop through the shard holder).
-    record_cache: HashMap<Key, NodeId>,
     stats: TxnStats,
     /// Shared trace collector; spans are recorded only when attached
     /// (and enabled), so the default TM pays one `Option` test.
     tracer: Option<TraceHandle>,
 }
-
-/// Record-granular route entries this TM retains before the map resets.
-/// Eviction is safe — the shard holder re-forwards and re-teaches the
-/// route on the record's next proposal.
-const RECORD_ROUTES_CAP: usize = 4096;
 
 impl TransactionManager {
     /// Creates a TM for the app server in `cfg.my_dc`.
@@ -208,7 +197,6 @@ impl TransactionManager {
             reads: HashMap::new(),
             classic_cache: HashMap::new(),
             lease_cache: HashMap::new(),
-            record_cache: HashMap::new(),
             stats: TxnStats::default(),
             tracer: None,
         }
@@ -417,20 +405,14 @@ impl TransactionManager {
     }
 
     /// Where a classic proposal of `key` goes with dynamic mastership on:
-    /// the record's or the shard's believed lease holder, else `master`.
-    /// Retries rotate through the replica group instead, because the
-    /// believed holder may be the crashed node (any replica either
-    /// serves, forwards to the live holder, or leads classically).
+    /// the shard's believed lease holder, else `master`. Retries rotate
+    /// through the replica group instead, because the believed holder may
+    /// be the crashed node (any replica either serves, forwards to the
+    /// live holder, or leads classically).
     fn lease_route(&self, key: &Key, master: NodeId, attempt: u32) -> NodeId {
         let shard = self.placement.shard_id(key);
         if attempt == 0 {
-            // Record-granular routes (per-record lease overrides) outrank
-            // the shard-level route.
-            self.record_cache
-                .get(key)
-                .or_else(|| self.lease_cache.get(&shard))
-                .copied()
-                .unwrap_or(master)
+            self.lease_cache.get(&shard).copied().unwrap_or(master)
         } else {
             let replicas = self.placement.shard_replicas(shard);
             replicas[(self.cfg.my_dc.0 as usize + attempt as usize) % replicas.len()]
@@ -486,8 +468,7 @@ impl TransactionManager {
             Msg::NotFast { .. }
             | Msg::GoFast { .. }
             | Msg::InstanceFull { .. }
-            | Msg::MasterHint { .. }
-            | Msg::RecordHint { .. } => {
+            | Msg::MasterHint { .. } => {
                 self.on_reroute(msg, ctx);
                 Vec::new()
             }
@@ -533,16 +514,6 @@ impl TransactionManager {
                 // traffic to the current lease holder.
                 self.lease_cache.insert(shard, node);
             }
-            Msg::RecordHint { key, node } => {
-                // The shard holder redirected us record-granularly:
-                // this record's classic ballot lives on `node`.
-                if self.record_cache.len() > RECORD_ROUTES_CAP
-                    && !self.record_cache.contains_key(&key)
-                {
-                    self.record_cache.clear();
-                }
-                self.record_cache.insert(key, node);
-            }
             _ => {}
         }
     }
@@ -586,9 +557,8 @@ impl TransactionManager {
             }
             if self.cfg.protocol.mastership.enabled {
                 // The believed lease holder may be the crashed node; drop
-                // both routes and let the rotated retry relearn them.
+                // the route and let the rotated retry relearn it.
                 self.lease_cache.remove(&self.placement.shard_id(&opt.key));
-                self.record_cache.remove(&opt.key);
             }
         }
         self.propose_attempt(&opts, attempt, ctx);

@@ -190,11 +190,8 @@ impl Wire for Msg {
                 node.encode(out);
             }
             Msg::MsTick => out.u8(38),
-            Msg::RecordHint { key, node } => {
-                out.u8(39);
-                key.encode(out);
-                node.encode(out);
-            }
+            // Tag 39 (the per-record lease override's routing hint) is
+            // retired, not reused.
             Msg::P2aBehind { key, ballot } => {
                 out.u8(40);
                 key.encode(out);
@@ -321,10 +318,6 @@ impl Wire for Msg {
                 node: Wire::decode(inp)?,
             },
             38 => Msg::MsTick,
-            39 => Msg::RecordHint {
-                key: Key::decode(inp)?,
-                node: Wire::decode(inp)?,
-            },
             40 => Msg::P2aBehind {
                 key: Key::decode(inp)?,
                 ballot: Ballot::decode(inp)?,
@@ -398,7 +391,6 @@ impl NetMessage for Msg {
             Msg::Mastership(_) => "Mastership",
             Msg::MasterHint { .. } => "MasterHint",
             Msg::MsTick => "MsTick",
-            Msg::RecordHint { .. } => "RecordHint",
         }
     }
 }
@@ -413,7 +405,7 @@ mod tests {
     use mdcc_common::{
         CommutativeUpdate, DcId, NodeId, PhysicalUpdate, Row, TableId, UpdateOp, Version,
     };
-    use mdcc_mastership::{Ballot as MsBallot, HolderHint, MsMsg, OverrideRun};
+    use mdcc_mastership::{Ballot as MsBallot, HolderHint, MsMsg};
     use mdcc_paxos::{CStruct, Letter, OptionStatus, Proposal, Resolution, TxnOption};
     use mdcc_storage::{SyncItem, SyncRange};
 
@@ -688,25 +680,6 @@ mod tests {
                 node: NodeId(12),
             },
             Msg::MsTick,
-            Msg::Mastership(MsMsg::Overrides {
-                shard: 2,
-                runs: vec![
-                    OverrideRun {
-                        start: 10,
-                        len: 3,
-                        ballot: MsBallot::new(4, 1),
-                    },
-                    OverrideRun {
-                        start: 0xdead_beef_cafe,
-                        len: 1,
-                        ballot: MsBallot::new(5, 2),
-                    },
-                ],
-            }),
-            Msg::RecordHint {
-                key: key("hot"),
-                node: NodeId(9),
-            },
         ]
     }
 
@@ -808,13 +781,15 @@ mod tests {
     #[test]
     fn retired_tags_decode_to_an_error() {
         // 18 and 19 were the per-key sync request and reply, 31 the
-        // delta vote, 33 the read-repair reply that is now a `Vote`; a
-        // peer still sending them gets `Err`, not a panic or another
-        // message.
-        for tag in [18u8, 19, 31, 33] {
+        // delta vote, 33 the read-repair reply that is now a `Vote`, 39
+        // the per-record lease override's routing hint; a peer still
+        // sending them gets `Err`, not a panic or another message. The
+        // payload is a key and a node, what tag 39 carried.
+        for tag in [18u8, 19, 31, 33, 39] {
             let mut frame = vec![tag];
             assert!(from_bytes::<Msg>(&frame).is_err(), "bare tag {tag}");
             frame.extend_from_slice(&to_bytes(&key("a")));
+            frame.extend_from_slice(&to_bytes(&NodeId(9)));
             assert!(from_bytes::<Msg>(&frame).is_err(), "tag {tag} with payload");
         }
     }

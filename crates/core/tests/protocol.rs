@@ -4,14 +4,15 @@
 use std::sync::Arc;
 
 use mdcc_common::{
-    CommutativeUpdate, DcId, Key, NodeId, PhysicalUpdate, ProtocolConfig, RecordUpdate, Row,
-    SimDuration, SimTime, TableId, UpdateOp, Version,
+    CommutativeUpdate, DcId, Key, MastershipConfig, NodeId, PhysicalUpdate, ProtocolConfig,
+    RecordUpdate, Row, SimDuration, SimTime, TableId, UpdateOp, Version,
 };
 use mdcc_core::placement::MasterPolicy;
 use mdcc_core::placement::Placement;
 use mdcc_core::{
     Msg, StaticPlacement, StorageNodeProcess, TmConfig, TmEvent, TransactionManager, TxnCompletion,
 };
+use mdcc_mastership::LeaseAudit;
 use mdcc_paxos::{AttrConstraint, Ballot, TxnOutcome};
 use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore, TableSchema};
@@ -29,7 +30,8 @@ fn catalog() -> Arc<Catalog> {
 }
 
 /// A scripted client: runs its transactions one after another and records
-/// completions.
+/// completions. A `ClientTick` delivered from outside resumes a client
+/// that ran out of plan after the test appended to it.
 struct TestClient {
     tm: TransactionManager,
     plan: Vec<Vec<RecordUpdate>>,
@@ -75,6 +77,9 @@ impl Process<Msg> for TestClient {
         self.issue_next(ctx);
     }
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        if let Msg::ClientTick = msg {
+            return self.issue_next(ctx);
+        }
         let events = self.tm.on_message(from, msg, ctx);
         self.handle(events, ctx);
     }
@@ -93,6 +98,19 @@ struct TestCluster {
 
 fn build_cluster(seed: u64, master_policy: MasterPolicy) -> TestCluster {
     let net = NetworkModel::uniform(5, 100.0, 1.0).with_jitter(0.0);
+    build_cluster_with(seed, master_policy, net, ProtocolConfig::default(), None)
+}
+
+/// [`build_cluster`] over `net` under `protocol`. With a lease `audit`
+/// the nodes run the *Multi* configuration (masters never hand records
+/// back to fast ballots) and report their lease tenures to it.
+fn build_cluster_with(
+    seed: u64,
+    master_policy: MasterPolicy,
+    net: NetworkModel,
+    protocol: ProtocolConfig,
+    audit: Option<&LeaseAudit>,
+) -> TestCluster {
     let mut world = World::new(
         net,
         WorldConfig {
@@ -107,13 +125,16 @@ fn build_cluster(seed: u64, master_policy: MasterPolicy) -> TestCluster {
     let matrix: Vec<Vec<NodeId>> = storage.iter().map(|n| vec![*n]).collect();
     let placement = StaticPlacement::new(matrix, master_policy);
     for dc in 0..5u8 {
-        let store = RecordStore::new(ProtocolConfig::default(), catalog());
-        let node = StorageNodeProcess::new(
-            ProtocolConfig::default(),
+        let store = RecordStore::new(protocol.clone(), catalog());
+        let mut node = StorageNodeProcess::new(
+            protocol.clone(),
             store,
             placement.clone() as Arc<dyn Placement>,
-            true,
+            audit.is_none(),
         );
+        if let Some(audit) = audit {
+            node.set_lease_audit(audit.clone());
+        }
         let id = world.spawn(DcId(dc), Box::new(node));
         assert_eq!(id, storage[dc as usize]);
     }
@@ -494,4 +515,98 @@ fn deterministic_across_identical_runs() {
             .collect()
     };
     assert_eq!(run(42), run(42), "same seed, same execution");
+}
+
+/// A shard's lease holder leads every record of its shard, including one
+/// another replica ran Phase 1 on inside the holder's tenure: the
+/// holder's Phase2a is Nacked, it runs its own Phase 1 above that
+/// promise and commits — no proposal is forwarded to the other replica
+/// and no client is told to route the record anywhere but the holder.
+#[test]
+fn the_lease_holder_leads_a_record_another_replica_established_in_its_tenure() {
+    let protocol = ProtocolConfig {
+        mastership: MastershipConfig::enabled(),
+        ..ProtocolConfig::default()
+    };
+    let audit = LeaseAudit::new();
+    // A lease renewal must come back within a heartbeat interval.
+    let net = NetworkModel::uniform(5, 60.0, 1.0).with_jitter(0.0);
+    let policy = MasterPolicy::FixedDc(DcId(0));
+    let mut c = build_cluster_with(9, policy, net, protocol.clone(), Some(&audit));
+    let k = key("hot");
+    load_everywhere(&mut c, k.clone(), Row::new().with("stock", 100));
+    // With data center 4 dark through the first election, node 3 is the
+    // top connected pid and wins; back in, node 4 finds a live holder
+    // and does not campaign.
+    c.world.fail_dc(DcId(4));
+    c.world.run_until(SimTime::from_millis(1_500));
+    c.world.heal_dc(DcId(4));
+    c.world.run_until(SimTime::from_millis(3_000));
+    let (holder, other) = (c.storage[3], c.storage[4]);
+    let spans = audit.spans();
+    assert!(
+        !spans.is_empty() && spans.iter().all(|span| span.node == holder),
+        "{spans:?}"
+    );
+
+    // A client in the holder's data center learns the route.
+    let cfg = TmConfig {
+        protocol,
+        my_dc: DcId(3),
+        assume_classic: true,
+    };
+    let plan = vec![vec![decrement(k.clone(), 1)]];
+    let client = TestClient::new(cfg, c.placement.clone(), plan);
+    let client = c.world.spawn(DcId(3), Box::new(client));
+    c.world.run_until(SimTime::from_millis(5_000));
+    let forwarded = |c: &TestCluster| -> u64 {
+        let node = |n: &NodeId| c.world.get::<StorageNodeProcess>(*n).unwrap();
+        let stats = c.storage.iter().filter_map(|n| node(n).mastership_stats());
+        stats.map(|s| s.forwarded).sum()
+    };
+    let before = forwarded(&c);
+
+    // Node 4 runs Phase 1 on the record inside node 3's tenure...
+    c.world
+        .inject(other, other, Msg::StartRecovery { key: k.clone() });
+    c.world.run_until(SimTime::from_millis(6_000));
+    let promised = |c: &TestCluster, n: NodeId| {
+        let node = c.world.get::<StorageNodeProcess>(n).unwrap();
+        node.store().with_record(&k, |r| r.promised()).unwrap()
+    };
+    assert_eq!(
+        promised(&c, holder).proposer,
+        other,
+        "node 4 established the record"
+    );
+
+    // ...and then three mastered proposals for it reach the holder.
+    let tester = c.world.get_mut::<TestClient>(client).unwrap();
+    tester
+        .plan
+        .extend((0..3).map(|_| vec![decrement(k.clone(), 1)]));
+    c.world.inject(client, client, Msg::ClientTick);
+    c.world.run_until(SimTime::from_millis(12_000));
+
+    let tester = c.world.get::<TestClient>(client).unwrap();
+    assert_eq!(tester.completions.len(), 4, "a client is stuck");
+    assert_eq!(tester.tm.in_flight(), 0);
+    for done in &tester.completions {
+        assert_eq!(done.outcome, TxnOutcome::Committed);
+    }
+    assert_eq!(
+        forwarded(&c),
+        before,
+        "a proposal was forwarded off the holder"
+    );
+    for &n in &c.storage {
+        assert_eq!(
+            promised(&c, n).proposer,
+            holder,
+            "node {n} promised another leader"
+        );
+        assert_eq!(stock_at(&c.world, n, &k), Some(96), "node {n}");
+    }
+    let spans = audit.spans();
+    assert!(spans.iter().all(|span| span.node == holder), "{spans:?}");
 }

@@ -57,7 +57,7 @@ pub use election::{HB_DELAY_INCREMENT, HEARTBEAT_INTERVAL};
 pub use lease::LEASE_DURATION;
 pub use migration::{MIGRATE_MIN_RATE, MIGRATE_ROUNDS, MIGRATE_THRESHOLD_PCT, MIGRATE_WINDOW};
 pub use msg::{HolderHint, MsMsg};
-pub use table::{record_id, LeaseTable, OverrideRun, LEASE_RECORD_OVERRIDES};
+pub use table::{LeaseTable, OverrideRun};
 
 use election::Backoff;
 use shard::{Effects, Shard};
@@ -137,10 +137,9 @@ pub enum Action {
         /// The new lease ballot, now the shard-wide promise floor.
         ballot: Ballot,
     },
-    /// This node voluntarily handed the lease for `shard` to `to`: the
-    /// host should ship its per-record override table (as
-    /// [`MsMsg::Overrides`]) so the successor inherits record-granular
-    /// coverage.
+    /// This node voluntarily handed the lease for `shard` to `to`: it
+    /// no longer leads the shard's records, so the host may drop its
+    /// leaders for them that have nothing in flight.
     Relinquished {
         /// Shard concerned.
         shard: u32,
@@ -367,21 +366,6 @@ mod tests {
                 shard: 2,
                 ballot: Ballot::new(8, 3),
                 relinquished: Ballot::new(7, 1),
-            },
-            MsMsg::Overrides {
-                shard: 2,
-                runs: vec![
-                    OverrideRun {
-                        start: 10,
-                        len: 3,
-                        ballot: Ballot::new(9, 3),
-                    },
-                    OverrideRun {
-                        start: 0xdead_beef_cafe,
-                        len: 1,
-                        ballot: Ballot::new(11, 0),
-                    },
-                ],
             },
         ];
         for msg in samples {
@@ -629,8 +613,7 @@ mod tests {
 
     /// The migration hysteresis: remote-dominant traffic sustained at
     /// a sufficient *rate* over the window hands the lease off; the
-    /// holder stops serving at once and tells the host to ship its
-    /// override table.
+    /// holder stops serving at once and tells the host it relinquished.
     #[test]
     fn remote_traffic_triggers_handoff() {
         let mut holder = layer(4);
@@ -664,7 +647,7 @@ mod tests {
         assert!(
             out.iter()
                 .any(|a| matches!(a, Action::Relinquished { shard: 0, to } if *to == NodeId(1))),
-            "host is told to ship overrides: {out:?}"
+            "host is told it relinquished: {out:?}"
         );
         assert!(!holder.is_serving(0, ms(1001)), "relinquished immediately");
         assert_eq!(holder.holder(0, ms(1001)), Some(NodeId(1)));
@@ -801,14 +784,13 @@ mod tests {
     #[test]
     fn lease_table_raises_and_looks_up() {
         let mut table = LeaseTable::new(8);
-        assert!(table.is_empty());
+        assert!(table.runs().is_empty());
         assert!(table.raise(7, Ballot::new(2, 4)));
         assert!(!table.raise(7, Ballot::new(1, 9)), "lower ballot ignored");
         assert!(table.raise(7, Ballot::new(3, 1)));
         assert_eq!(table.override_of(7), Some(Ballot::new(3, 1)));
         assert_eq!(table.override_of(8), None);
-        assert_eq!(table.peek(7), Some(Ballot::new(3, 1)));
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.runs().len(), 1);
     }
 
     #[test]
@@ -823,19 +805,19 @@ mod tests {
         // The fifth insert overflows: everything at or below the
         // median touch stamp spills, keeping only the freshest (3, 4).
         table.raise(4, Ballot::new(1, 0));
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.peek(0), None);
-        assert_eq!(table.peek(1), None);
-        assert_eq!(table.peek(2), None);
-        assert_eq!(table.peek(3), Some(Ballot::new(1, 0)));
-        assert_eq!(table.peek(4), Some(Ballot::new(1, 0)));
+        let kept = OverrideRun {
+            start: 3,
+            len: 2,
+            ballot: Ballot::new(1, 0),
+        };
+        assert_eq!(table.runs(), vec![kept]);
     }
 
     #[test]
     fn lease_table_zero_cap_is_inert() {
         let mut table = LeaseTable::new(0);
         assert!(!table.raise(1, Ballot::new(5, 5)));
-        assert!(table.is_empty());
+        assert!(table.runs().is_empty());
         assert_eq!(table.override_of(1), None);
     }
 
@@ -874,14 +856,9 @@ mod tests {
                 },
             ]
         );
-        // Wire round trip and re-install reproduce the table.
-        let bytes = to_bytes(&MsMsg::Overrides { shard: 0, runs });
-        let back: MsMsg = from_bytes(&bytes).expect("decode");
-        let MsMsg::Overrides { runs: decoded, .. } = back else {
-            panic!("wrong variant");
-        };
-        let mut fresh = LeaseTable::new(64);
-        fresh.install_runs(&decoded);
-        assert_eq!(fresh.iter_sorted(), table.iter_sorted());
+        for run in runs {
+            let back: OverrideRun = from_bytes(&to_bytes(&run)).expect("decode");
+            assert_eq!(back, run);
+        }
     }
 }

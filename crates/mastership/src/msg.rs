@@ -4,7 +4,6 @@ use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
 use mdcc_common::{NodeId, SimTime};
 
 use crate::ballot::Ballot;
-use crate::table::OverrideRun;
 
 /// A gossiped routing hint: the highest-ballot lease a node knows of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,16 +98,6 @@ pub enum MsMsg {
         /// The relinquished (old holder's) ballot.
         relinquished: Ballot,
     },
-    /// The per-record override table a relinquishing holder ships to
-    /// its handoff target, range-run encoded, so record-granular
-    /// promise floors survive migration. Handled by the host storage
-    /// node (which owns the table), not by this layer.
-    Overrides {
-        /// Shard concerned.
-        shard: u32,
-        /// Override runs, sorted by starting record id.
-        runs: Vec<OverrideRun>,
-    },
 }
 
 impl MsMsg {
@@ -120,8 +109,7 @@ impl MsMsg {
             | MsMsg::Acquire { shard, .. }
             | MsMsg::Grant { shard, .. }
             | MsMsg::Reject { shard, .. }
-            | MsMsg::Handoff { shard, .. }
-            | MsMsg::Overrides { shard, .. } => *shard,
+            | MsMsg::Handoff { shard, .. } => *shard,
         }
     }
 }
@@ -184,12 +172,8 @@ impl Wire for MsMsg {
                 out.u32(*shard);
                 ballot.encode(out);
                 relinquished.encode(out);
-            }
-            MsMsg::Overrides { shard, runs } => {
-                out.u8(6);
-                out.u32(*shard);
-                runs.encode(out);
-            }
+            } // Tag 6 (the per-record override table a relinquishing
+              // holder shipped to its successor) is retired, not reused.
         }
     }
 
@@ -226,11 +210,23 @@ impl Wire for MsMsg {
                 ballot: Ballot::decode(inp)?,
                 relinquished: Ballot::decode(inp)?,
             },
-            6 => MsMsg::Overrides {
-                shard: inp.u32()?,
-                runs: Vec::decode(inp)?,
-            },
             _ => return err("mastership msg tag"),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdcc_common::wire::from_bytes;
+
+    #[test]
+    fn retired_tags_decode_to_an_error() {
+        // 6 was the per-record override table; a peer still sending it
+        // gets `Err`, not a panic or another message.
+        let mut bytes = vec![6];
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        assert!(from_bytes::<MsMsg>(&bytes).is_err());
     }
 }

@@ -232,10 +232,6 @@ impl Shard {
                     self.acquire(ballot, Some(relinquished), false, now, fx);
                 }
             }
-            // The host storage node owns the override table and
-            // intercepts this message before it reaches here; a stray
-            // delivery is safely ignored.
-            MsMsg::Overrides { .. } => {}
         }
     }
 

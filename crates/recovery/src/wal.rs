@@ -94,18 +94,6 @@ pub enum WalRecord {
         /// Lease holder's pid.
         pid: u64,
     },
-    /// A per-record override raised one record's floor past the shard
-    /// base (a contested classic round, or state inherited on handoff).
-    LeaseOverride {
-        /// Shard concerned.
-        shard: u32,
-        /// Record id (FNV-1a of the key's wire bytes).
-        record: u64,
-        /// Override ballot number.
-        n: u32,
-        /// Override holder's pid.
-        pid: u64,
-    },
 }
 
 impl Wire for WalRecord {
@@ -163,19 +151,8 @@ impl Wire for WalRecord {
                 shard.encode(out);
                 n.encode(out);
                 pid.encode(out);
-            }
-            WalRecord::LeaseOverride {
-                shard,
-                record,
-                n,
-                pid,
-            } => {
-                7u64.encode(out);
-                shard.encode(out);
-                record.encode(out);
-                n.encode(out);
-                pid.encode(out);
-            }
+            } // Tag 7 (a per-record lease override) is retired, not
+              // reused.
         }
     }
 
@@ -213,12 +190,6 @@ impl Wire for WalRecord {
             }),
             6 => Ok(WalRecord::LeaseFloor {
                 shard: u32::decode(inp)?,
-                n: u32::decode(inp)?,
-                pid: u64::decode(inp)?,
-            }),
-            7 => Ok(WalRecord::LeaseOverride {
-                shard: u32::decode(inp)?,
-                record: u64::decode(inp)?,
                 n: u32::decode(inp)?,
                 pid: u64::decode(inp)?,
             }),
@@ -337,7 +308,7 @@ pub fn replay(store: &mut RecordStore, records: &[WalRecord]) -> ReplayStats {
             // Lease floors are not record-store state: they live in the
             // node's enforcement table and re-apply lazily per record.
             // `recovered_lease_state` folds them out of the log.
-            WalRecord::LeaseFloor { .. } | WalRecord::LeaseOverride { .. } => {}
+            WalRecord::LeaseFloor { .. } => {}
         }
         stats.applied += 1;
     }
@@ -345,44 +316,27 @@ pub fn replay(store: &mut RecordStore, records: &[WalRecord]) -> ReplayStats {
 }
 
 /// Lease-floor state folded out of a WAL: the maximum `(n, pid)` floor
-/// per shard plus the maximum override per `(shard, record)`, exactly
-/// what the restarting node must re-enforce so a deposed predecessor's
+/// per shard, exactly what the restarting node must re-enforce so a deposed predecessor's
 /// ballots stay fenced across its crash (the mastership lease table
 /// itself stays quarantined — this is acceptor-side state only).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveredLeases {
     /// Per-shard base floors `(shard, (n, pid))`, sorted by shard.
     pub floors: Vec<(u32, (u32, u64))>,
-    /// Per-record overrides `((shard, record), (n, pid))`, sorted.
-    pub overrides: Vec<((u32, u64), (u32, u64))>,
 }
 
 /// Extracts [`RecoveredLeases`] from replayed WAL records.
 pub fn recovered_lease_state(records: &[WalRecord]) -> RecoveredLeases {
     use std::collections::BTreeMap;
     let mut floors: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
-    let mut overrides: BTreeMap<(u32, u64), (u32, u64)> = BTreeMap::new();
     for record in records {
-        match *record {
-            WalRecord::LeaseFloor { shard, n, pid } => {
-                let slot = floors.entry(shard).or_default();
-                *slot = (*slot).max((n, pid));
-            }
-            WalRecord::LeaseOverride {
-                shard,
-                record,
-                n,
-                pid,
-            } => {
-                let slot = overrides.entry((shard, record)).or_default();
-                *slot = (*slot).max((n, pid));
-            }
-            _ => {}
+        if let WalRecord::LeaseFloor { shard, n, pid } = *record {
+            let slot = floors.entry(shard).or_default();
+            *slot = (*slot).max((n, pid));
         }
     }
     RecoveredLeases {
         floors: floors.into_iter().collect(),
-        overrides: overrides.into_iter().collect(),
     }
 }
 
@@ -535,23 +489,21 @@ mod tests {
                 n: 3,
                 pid: 14,
             },
-            WalRecord::LeaseOverride {
-                shard: 2,
-                record: 0xfeed,
-                n: 5,
-                pid: 14,
-            },
-            // A later, higher floor and a lower (stale) override.
+            // A later, higher floor, a lower (stale) one, another shard's.
             WalRecord::LeaseFloor {
                 shard: 2,
                 n: 7,
                 pid: 9,
             },
-            WalRecord::LeaseOverride {
+            WalRecord::LeaseFloor {
                 shard: 2,
-                record: 0xfeed,
-                n: 4,
+                n: 5,
                 pid: 99,
+            },
+            WalRecord::LeaseFloor {
+                shard: 0,
+                n: 1,
+                pid: 3,
             },
         ];
         for r in &records {
@@ -565,10 +517,23 @@ mod tests {
         let stats = replay(&mut store, &back);
         assert_eq!(stats.applied, 4);
         assert!(store.keys().is_empty());
-        // ...while the fold keeps the per-shard / per-record maxima.
+        // ...while the fold keeps the per-shard maxima.
         let leases = recovered_lease_state(&back);
-        assert_eq!(leases.floors, vec![(2, (7, 9))]);
-        assert_eq!(leases.overrides, vec![((2, 0xfeed), (5, 14))]);
+        assert_eq!(leases.floors, vec![(0, (1, 3)), (2, (7, 9))]);
+    }
+
+    #[test]
+    fn retired_tags_decode_to_an_error() {
+        // 7 was a per-record lease override; a log still holding one
+        // gets `Err`, not a panic or another record.
+        let mut bytes = Enc::new();
+        7u64.encode(&mut bytes);
+        2u32.encode(&mut bytes); // shard
+        0xfeed_u64.encode(&mut bytes); // record id
+        5u32.encode(&mut bytes); // ballot number
+        14u64.encode(&mut bytes); // pid
+        let bytes = bytes.finish();
+        assert!(mdcc_common::wire::from_bytes::<WalRecord>(&bytes).is_err());
     }
 
     #[test]

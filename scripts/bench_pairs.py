@@ -6,11 +6,13 @@ usage: bench_pairs.py DIR TAG SEED...
 DIR holds `TAG_parent_<workload>_<seed>.json` and
 `TAG_change_<workload>_<seed>.json`, one pair per workload and seed (the
 files `bench_all --workload W --seed S --out F` writes on two commits).
+A workload with no file for the first seed is left out.
 Prints, per workload, the end-to-end table EXPERIMENTS.md carries —
 medians, quartiles, ratio, pairs won, verdict against the metric's
 bound — and a per-layer table of medians with [min, max].
 """
 import json
+import os
 import statistics
 import sys
 
@@ -60,10 +62,12 @@ def main(argv):
     if len(argv) < 3:
         sys.exit(__doc__)
     directory, tag, seeds = argv[0], argv[1], argv[2:]
+    path = lambda side, w, s: f"{directory}/{tag}_{side}_{w}_{s}.json"
+    workloads = [w for w in WORKLOADS if os.path.exists(path("parent", w, seeds[0]))]
     runs = {
-        (side, w, s): load(f"{directory}/{tag}_{side}_{w}_{s}.json")
+        (side, w, s): load(path(side, w, s))
         for side in ("parent", "change")
-        for w in WORKLOADS
+        for w in workloads
         for s in seeds
     }
     column = lambda side, w, m: [
@@ -72,7 +76,7 @@ def main(argv):
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
           "| change ÷ parent | pairs won | verdict (bound) |")
     print("|---|---|---:|---:|---:|---:|---|")
-    for w in WORKLOADS:
+    for w in workloads:
         first = runs["parent", w, seeds[0]]
         for (_, m), row in first.items():
             if "bound" not in row or row.get("bound_kind") != "rel" or "." in m:
@@ -98,7 +102,7 @@ def main(argv):
             print(f"| `{w}` | `{m}` | {fmt(pm)} [{fmt(pq1)}, {fmt(pq3)}] | "
                   f"{fmt(cm)} [{fmt(cq1)}, {fmt(cq3)}] | {ratio:.3f} | {won}/{len(p)} | "
                   f"{verdict} ({row['bound'] * 100:.0f} %) |")
-    for w in WORKLOADS:
+    for w in workloads:
         print()
         print(f"| metric (`{w}`, median [min, max]) | parent | change |")
         print("|---|---:|---:|")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the shape of the protocol crates (ROADMAP item 3).
+"""Check the shape of the product crates (ROADMAP item 3).
 
 usage: shape_check.py [SRC_DIR ...]
 
@@ -30,6 +30,11 @@ ROOTS = {
     ),
     "crates/cluster/src": ([], IO_NAMES),
     "crates/sim/src": ([], IO_NAMES),
+    "crates/recovery/src": ([], IO_NAMES),
+    "crates/storage/src": ([], IO_NAMES),
+    "crates/common/src": ([], IO_NAMES),
+    "crates/baselines/src": ([], IO_NAMES),
+    "crates/trace/src": ([], IO_NAMES),
 }
 FN = re.compile(r"^(\s*)(?:pub(?:\([a-z]+\))? )?(?:const )?fn (\w+)")
 
