@@ -12,7 +12,7 @@
 //!   workload.
 
 use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, parallel_flag, perf_summary, save_csv, PerfLog, Scale,
+    micro_catalog, micro_factory, micro_spec, perf_summary, save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, NetKind};
 use mdcc_common::{ProtocolConfig, SimDuration};
@@ -27,8 +27,7 @@ fn main() {
     // γ sweep under a hot-spot workload (collisions happen).
     // ------------------------------------------------------------------
     println!("# Ablation 1 — γ (classic window after a collision)");
-    let (mut spec, items) = micro_spec(scale, 3001);
-    spec.parallel = parallel_flag();
+    let (spec, items) = micro_spec(scale, 3001);
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     for gamma in [5u64, 25, 100, 400] {
@@ -81,7 +80,6 @@ fn main() {
             warmup: SimDuration::from_secs(20 / d),
             duration: SimDuration::from_secs(60 / d),
             protocol: protocol.clone(),
-            parallel: parallel_flag(),
             ..ClusterSpec::default()
         };
         let cfg = MicroConfig {

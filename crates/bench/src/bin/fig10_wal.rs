@@ -14,8 +14,7 @@
 //! backend keeping the materialized working set bounded.
 
 use mdcc_bench::{
-    export_trace, micro_catalog, net_summary, parallel_flag, perf_summary, print_anatomy, save_csv,
-    PerfLog, Scale,
+    export_trace, micro_catalog, net_summary, perf_summary, print_anatomy, save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, Report};
 use mdcc_common::{DcId, Key, ProtocolConfig, Row, SimDuration, StorageKind};
@@ -122,7 +121,6 @@ fn log_structured_demo(records: u64) {
 fn main() {
     let scale = Scale::from_args();
     let (trace_cfg, trace_out) = mdcc_bench::trace_flags();
-    let parallel = parallel_flag();
     let us = SimDuration::from_micros;
     let mut rows: Vec<String> = Vec::new();
     let mut perf = PerfLog::new();
@@ -132,8 +130,7 @@ fn main() {
     // The no-durability-cost anchor: at zero fsync latency both
     // disciplines are the same machine (group commit is inert).
     {
-        let mut spec = wal_spec(scale, 1010, SimDuration::ZERO, true);
-        spec.parallel = parallel;
+        let spec = wal_spec(scale, 1010, SimDuration::ZERO, true);
         let report = run_wal(&spec);
         println!("{}", summarize("fsync=0 (free durability)", &report));
         perf.record("fsync0", &report);
@@ -148,7 +145,6 @@ fn main() {
         let mut tps = [0.0f64; 2];
         for (i, group_commit) in [false, true].into_iter().enumerate() {
             let mut spec = wal_spec(scale, 1010, us(fsync_us), group_commit);
-            spec.parallel = parallel;
             let traced = group_commit && fsync_us == 1_000;
             if traced && (trace_cfg.enabled || scale == Scale::Quick) {
                 spec.trace = mdcc_trace::TraceConfig::on();

@@ -53,8 +53,8 @@
 use std::sync::Arc;
 
 use mdcc_bench::{
-    all_in_us_west, cdf_rows, micro_catalog, net_summary, parallel_flag, perf_summary,
-    print_profile_by_kind, save_csv, PerfLog, Scale,
+    all_in_us_west, cdf_rows, micro_catalog, net_summary, perf_summary, print_profile_by_kind,
+    save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, FaultPlan, MdccMode, NetKind, Report};
 use mdcc_common::{
@@ -136,8 +136,7 @@ fn env_ceiling(name: &str) -> Option<u64> {
 
 fn main() {
     let scale = Scale::from_args();
-    let (mut spec, items) = base_spec(scale, 1011);
-    spec.parallel = parallel_flag();
+    let (spec, items) = base_spec(scale, 1011);
     let phase_len = SimDuration::from_secs(4);
     let forever = SimDuration::from_secs(100_000);
     let mut rows: Vec<String> = Vec::new();

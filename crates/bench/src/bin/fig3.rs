@@ -6,9 +6,9 @@
 //! (100 clients, SF 10 000, 1 min warm-up + 2 min measurement).
 
 use mdcc_bench::{
-    all_in_us_west, cdf_rows, export_trace, net_summary, parallel_flag, perf_summary,
-    print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv, tpcw_catalog,
-    tpcw_data, tpcw_factory, tpcw_spec, PerfLog, Scale,
+    all_in_us_west, cdf_rows, export_trace, net_summary, perf_summary, print_anatomy, print_parked,
+    print_profile, print_profile_by_kind, save_csv, tpcw_catalog, tpcw_data, tpcw_factory,
+    tpcw_spec, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, MdccMode, Report};
 
@@ -49,8 +49,7 @@ fn summarize(label: &str, report: &Report) -> String {
 fn main() {
     let scale = Scale::from_args();
     let (trace_cfg, trace_out) = mdcc_bench::trace_flags();
-    let (mut spec, items) = tpcw_spec(scale, 1003);
-    spec.parallel = parallel_flag();
+    let (spec, items) = tpcw_spec(scale, 1003);
     let catalog = tpcw_catalog();
     let data = tpcw_data(items, 7);
     let mut rows: Vec<String> = Vec::new();

@@ -7,8 +7,8 @@
 //! (low and flat).
 
 use mdcc_bench::{
-    all_in_us_west, net_summary, parallel_flag, perf_summary, save_csv, tpcw_catalog, tpcw_data,
-    tpcw_factory, PerfLog, Scale,
+    all_in_us_west, net_summary, perf_summary, save_csv, tpcw_catalog, tpcw_data, tpcw_factory,
+    PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, ClusterSpec, MdccMode};
 use mdcc_common::SimDuration;
@@ -17,7 +17,6 @@ fn main() {
     let scale = Scale::from_args();
     let d = scale.div();
     let m = scale.mult();
-    let parallel = parallel_flag();
     let mut rows: Vec<String> = Vec::new();
     let mut perf = PerfLog::new();
     println!("# Figure 4 — TPC-W transactions per second vs concurrent clients");
@@ -34,7 +33,6 @@ fn main() {
             shards_per_dc: shards,
             warmup: SimDuration::from_secs(30 / d),
             duration: SimDuration::from_secs(90 / d),
-            parallel,
             ..ClusterSpec::default()
         };
         let catalog = tpcw_catalog();

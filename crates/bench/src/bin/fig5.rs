@@ -7,9 +7,8 @@
 //! 276, 388 and 543 ms.
 
 use mdcc_bench::{
-    cdf_rows, export_trace, micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag,
-    perf_summary, print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv,
-    PerfLog, Scale,
+    cdf_rows, export_trace, micro_catalog, micro_factory, micro_spec, net_summary, perf_summary,
+    print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_tpc, MdccMode, Report};
 use mdcc_common::SimDuration;
@@ -30,8 +29,7 @@ fn summarize(label: &str, report: &Report) -> String {
 fn main() {
     let scale = Scale::from_args();
     let (_, trace_out) = mdcc_bench::trace_flags();
-    let (mut spec, items) = micro_spec(scale, 1005);
-    spec.parallel = parallel_flag();
+    let (spec, items) = micro_spec(scale, 1005);
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();

@@ -9,16 +9,14 @@
 //! compared to Multi.
 
 use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag, perf_summary, save_csv,
-    PerfLog, Scale,
+    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_tpc, MdccMode};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
 
 fn main() {
     let scale = Scale::from_args();
-    let (mut spec, items) = micro_spec(scale, 1006);
-    spec.parallel = parallel_flag();
+    let (spec, items) = micro_spec(scale, 1006);
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();

@@ -8,8 +8,8 @@
 //! farther region.
 
 use mdcc_bench::{
-    all_in_us_west, micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag,
-    perf_summary, save_csv, PerfLog, Scale,
+    all_in_us_west, micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv,
+    PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, FaultEvent, FaultPlan, MdccMode};
 use mdcc_common::{DcId, SimDuration};
@@ -18,7 +18,6 @@ use mdcc_workloads::micro::{initial_items, MicroConfig};
 fn main() {
     let scale = Scale::from_args();
     let (mut spec, items) = micro_spec(scale, 1008);
-    spec.parallel = parallel_flag();
     all_in_us_west(&mut spec);
     // Measure from t=0 (short warm-up) so the pre-failure baseline is
     // long; the failure lands mid-window.

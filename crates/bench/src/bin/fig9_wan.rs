@@ -8,8 +8,7 @@
 //! into queueing delay.
 
 use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, net_summary, parallel_flag, perf_summary, save_csv,
-    PerfLog, Scale,
+    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, MdccMode};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -28,8 +27,7 @@ const BANDWIDTHS: [(&str, f64); 5] = [
 
 fn main() {
     let scale = Scale::from_args();
-    let (mut base_spec, items) = micro_spec(scale, 1009);
-    base_spec.parallel = parallel_flag();
+    let (base_spec, items) = micro_spec(scale, 1009);
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();

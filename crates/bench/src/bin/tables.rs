@@ -6,8 +6,8 @@
 //! Multi 388 ms, 2PC 543 ms.
 
 use mdcc_bench::{
-    all_in_us_west, micro_catalog, micro_factory, micro_spec, parallel_flag, perf_summary,
-    save_csv, tpcw_catalog, tpcw_data, tpcw_factory, tpcw_spec, PerfLog, Scale,
+    all_in_us_west, micro_catalog, micro_factory, micro_spec, perf_summary, save_csv, tpcw_catalog,
+    tpcw_data, tpcw_factory, tpcw_spec, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, MdccMode, Report};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -23,8 +23,7 @@ fn main() {
     );
 
     // ---------------- TPC-W ----------------
-    let (mut spec, items) = tpcw_spec(scale, 2001);
-    spec.parallel = parallel_flag();
+    let (spec, items) = tpcw_spec(scale, 2001);
     let catalog = tpcw_catalog();
     let data = tpcw_data(items, 7);
     let table =
@@ -68,8 +67,7 @@ fn main() {
     }
 
     // ---------------- Micro ----------------
-    let (mut spec, items) = micro_spec(scale, 2002);
-    spec.parallel = parallel_flag();
+    let (spec, items) = micro_spec(scale, 2002);
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let micro_cfgs: [(&str, MdccMode, bool, f64); 3] = [

@@ -28,7 +28,7 @@ pub enum Scale {
     /// Minutes-long runs matching the paper's setup sizes.
     Paper,
     /// Ten times the paper's client and data sizes at paper durations —
-    /// the headroom demonstration for the parallel engine.
+    /// the engine's headroom demonstration.
     X10,
 }
 
@@ -81,13 +81,6 @@ impl Scale {
             Scale::X10 => 10,
         }
     }
-}
-
-/// Parses the `--parallel` flag from the process arguments: run every
-/// experiment world on the conservative parallel per-DC engine (one
-/// worker thread per data center, byte-identical results).
-pub fn parallel_flag() -> bool {
-    std::env::args().any(|a| a == "--parallel")
 }
 
 /// The paper's TPC-W deployment (§5.2.1): SF 10 000 items, 100 clients,
@@ -224,18 +217,16 @@ pub fn trace_flags() -> (TraceConfig, Option<PathBuf>) {
     (cfg, out)
 }
 
-/// One-line host-cost summary of a run: wall-clock runtime, event rate
-/// and engine width — printed by every driver so harness-level perf
-/// regressions show up in the logs, not just sim-time results.
+/// One-line host-cost summary of a run: wall-clock runtime and event
+/// rate — printed by every driver so harness-level perf regressions
+/// show up in the logs, not just sim-time results.
 pub fn perf_summary(report: &Report) -> String {
     let p = report.perf;
     format!(
-        "host: {:.2}s wall, {} events, {:.0} events/sec, {} thread{}",
+        "host: {:.2}s wall, {} events, {:.0} events/sec",
         p.wall.as_secs_f64(),
         p.events,
         p.events_per_sec(),
-        p.threads.max(1),
-        if p.threads > 1 { "s" } else { "" }
     )
 }
 
@@ -283,13 +274,11 @@ impl PerfLog {
             };
             out.push_str(&format!(
                 "    {{\"label\": {}, \"wall_secs\": {:.6}, \"events\": {}, \
-                 \"events_per_sec\": {:.1}, \"threads\": {}, \
-                 \"fsyncs_per_commit\": {}}}{}\n",
+                 \"events_per_sec\": {:.1}, \"fsyncs_per_commit\": {}}}{}\n",
                 json_str(label),
                 p.wall.as_secs_f64(),
                 p.events,
                 p.events_per_sec(),
-                p.threads.max(1),
                 fsyncs,
                 if i + 1 < self.runs.len() { "," } else { "" }
             ));
@@ -312,7 +301,7 @@ impl PerfLog {
 }
 
 /// The run-metadata JSON fragment stamped into every `perf_<fig>.json`:
-/// scale, the parallel-engine flag, the repository's `git describe`
+/// scale, the repository's `git describe`
 /// (`"unknown"` when git is unavailable), the driver's own argument
 /// list, and every `MDCC_*` environment knob in effect — enough to
 /// reproduce the exact invocation behind any recorded sample.
@@ -320,7 +309,6 @@ fn meta_json(scale: Scale) -> String {
     let mut out = String::new();
     out.push_str("  \"meta\": {\n");
     out.push_str(&format!("    \"scale\": \"{}\",\n", scale.name()));
-    out.push_str(&format!("    \"parallel\": {},\n", parallel_flag()));
     out.push_str(&format!("    \"git\": {},\n", json_str(&git_describe())));
     let args: Vec<String> = std::env::args().skip(1).map(|a| json_str(&a)).collect();
     out.push_str(&format!("    \"args\": [{}],\n", args.join(", ")));
@@ -559,10 +547,9 @@ mod tests {
     }
 
     #[test]
-    fn perf_meta_stamps_scale_parallel_and_git() {
+    fn perf_meta_stamps_scale_and_git() {
         let meta = meta_json(Scale::Quick);
         assert!(meta.contains("\"scale\": \"quick\""));
-        assert!(meta.contains("\"parallel\": "));
         assert!(meta.contains("\"git\": \""));
         assert!(meta.contains("\"args\": ["));
         assert!(meta.contains("\"env\": {"));

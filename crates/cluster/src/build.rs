@@ -119,10 +119,7 @@ pub struct ClusterSpec {
     /// profiling. Off by default; a disabled tracer records nothing and
     /// changes no outcome or wire byte.
     pub trace: TraceConfig,
-    /// Run the simulation on the conservative parallel per-DC engine
-    /// (one worker thread per data center). Guaranteed byte-identical
-    /// to the sequential scheduler for any seed; traced runs always
-    /// fall back to sequential.
+    /// Ignored; deleted once `bench_all` stops naming it (ROADMAP 0(a)).
     pub parallel: bool,
     /// Protocol parameters (quorums, timeouts, γ).
     pub protocol: ProtocolConfig,
@@ -224,7 +221,7 @@ struct Run<'a, M> {
     recoveries: Vec<NodeRecovery>,
 }
 
-impl<'a, M: NetMessage + Send + 'static> Run<'a, M> {
+impl<'a, M: NetMessage + 'static> Run<'a, M> {
     /// An empty world for `spec` whose storage tier will be `matrix`.
     fn new(spec: &'a ClusterSpec, matrix: Vec<Vec<NodeId>>, masters: MasterPolicy) -> Self {
         let config = WorldConfig {
@@ -237,7 +234,7 @@ impl<'a, M: NetMessage + Send + 'static> Run<'a, M> {
             group_commit: spec.protocol.group_commit,
             group_commit_window: spec.protocol.group_commit_window,
             group_commit_bytes: spec.protocol.group_commit_bytes,
-            parallel: spec.parallel,
+            ..WorldConfig::default()
         };
         Self {
             spec,
@@ -353,7 +350,6 @@ impl<'a, M: NetMessage + Send + 'static> Run<'a, M> {
         report.perf = RunPerf {
             wall: self.wall_start.elapsed(),
             events: self.world.stats().events_handled,
-            threads: self.world.worker_threads(),
         };
         report
     }
@@ -374,7 +370,7 @@ fn baseline_store(catalog: &Arc<Catalog>, rows: &[&(Key, Row)]) -> BaselineStore
 /// restart would lose everything). A crashed client, by contrast, stays
 /// dead: the 2PC coordinator whose prepare locks are then held forever
 /// is the blocking window `tests/baseline_faults.rs` reproduces.
-fn revive<M: NetMessage + Send + 'static>(
+fn revive<M: NetMessage + 'static>(
     world: &mut World<M>,
     node: NodeId,
     _dc: DcId,

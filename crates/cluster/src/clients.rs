@@ -41,9 +41,9 @@ pub enum Step {
 
 /// How one protocol reads locally and commits. The loop keeps one
 /// transaction in flight, so a handler call ends at most one phase.
-pub trait Committer: Send + 'static {
+pub trait Committer: 'static {
     /// The protocol's message schema.
-    type Msg: NetMessage + Send + 'static;
+    type Msg: NetMessage + 'static;
 
     /// Starts a local read of `keys` (never empty) and returns its
     /// token; the values arrive later as [`Step::ReadDone`].

@@ -141,9 +141,6 @@ pub struct RunPerf {
     pub wall: Duration,
     /// Handler invocations the event loop dispatched.
     pub events: u64,
-    /// Worker threads the engine ran on (1 = sequential merge; >1 =
-    /// the conservative parallel per-DC engine, one thread per DC).
-    pub threads: usize,
 }
 
 impl RunPerf {
@@ -682,7 +679,6 @@ mod tests {
         let perf = RunPerf {
             wall: Duration::from_millis(500),
             events: 1_000,
-            threads: 1,
         };
         assert!((perf.events_per_sec() - 2_000.0).abs() < 1e-9);
         assert_eq!(RunPerf::default().events_per_sec(), 0.0);

@@ -43,8 +43,8 @@ impl LeaseAudit {
         Self::default()
     }
 
-    /// The one place the lock is taken; poisoned only if a thread of the
-    /// parallel engine panicked while recording, and then the run is lost.
+    /// The one place the lock is taken; poisoned only if a recording
+    /// panicked, and then the run is lost.
     fn with<R>(&self, f: impl FnOnce(&mut Spans) -> R) -> R {
         f(&mut self.inner.lock().expect("audit lock"))
     }
@@ -79,8 +79,8 @@ impl LeaseAudit {
         });
     }
 
-    /// All recorded tenures, sorted by `(shard, from, ballot)` —
-    /// deterministic regardless of engine parallelism.
+    /// All recorded tenures, sorted by `(shard, from, ballot)` so the
+    /// order never depends on the map's.
     pub fn spans(&self) -> Vec<LeaseSpan> {
         let mut spans: Vec<LeaseSpan> = self.with(|spans| spans.values().copied().collect());
         spans.sort_by_key(|s| (s.shard, s.from, s.ballot));

@@ -24,8 +24,7 @@
 //!   `Arc<Entry>`s and never hands out a mutable one, so cloning a
 //!   cstruct — into a vote, a delta, a shadow view, a learner — copies
 //!   pointers, and one decided option lives once per process however
-//!   many structures reference it. (`Arc`, not `Rc`: votes ride in
-//!   messages that the per-DC parallel engine moves across threads.)
+//!   many structures reference it.
 //! * **The digest is an append chain.** [`CStruct::digest`] is the
 //!   streaming FNV-1a of the entries' canonical encodings in recorded
 //!   order, carried forward on every append, so reading it is O(1) and

@@ -9,9 +9,8 @@
 //! was emitted, the node that emitted it, and that node's private
 //! monotone emit counter. The comparator `(at, cause, node, emit)` is a
 //! total order over events that is a pure function of the simulation's
-//! history, so per-DC shard queues and a single global queue pop events
-//! for any one node in exactly the same order — the property the
-//! parallel runner's byte-identity guarantee rests on.
+//! history, so the pop order does not depend on the order in which the
+//! world happened to push events.
 //!
 //! # Slab storage
 //!
@@ -240,12 +239,6 @@ impl<M> EventQueue<M> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Time and key of the earliest pending event; the k-way shard
-    /// merge compares these pairs to reproduce the global pop order.
-    pub fn peek_rank(&self) -> Option<(SimTime, EventKey)> {
-        self.heap.peek().map(|e| (e.at, e.key))
-    }
-
     /// Target of the earliest pending event.
     pub fn peek_target(&self) -> Option<NodeId> {
         self.heap
@@ -347,9 +340,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert_eq!(q.peek_target(), Some(NodeId(0)));
-        let (t, k) = q.peek_rank().unwrap();
-        assert_eq!(t, SimTime::from_millis(4));
-        assert_eq!(k.node, 0);
     }
 
     #[test]

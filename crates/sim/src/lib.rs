@@ -14,13 +14,10 @@
 //!   experiment.
 //!
 //! Determinism: given the same seed and the same sequence of API calls, a
-//! `World` produces byte-identical traces. Ties in the event queue are
-//! broken by intrinsic event keys (cause time, emitting node, per-node
-//! emit counter), and all randomness flows from per-node
-//! [`rand::rngs::SmallRng`]s derived from the world seed — properties
-//! that hold whether the world runs its sequential k-way merge or the
-//! conservative parallel per-DC engine (`WorldConfig::parallel`), which
-//! is guaranteed byte-identical to sequential execution.
+//! `World` produces byte-identical traces. Its one event loop pops events
+//! in `(time, key)` order, where the key is intrinsic (cause time,
+//! emitting node, per-node emit counter), and all randomness flows from
+//! per-node [`rand::rngs::SmallRng`]s derived from the world seed.
 
 pub mod disk;
 pub mod event;

@@ -196,35 +196,6 @@ impl NetworkModel {
         };
         Some(SimDuration::from_millis_f64((half_rtt * jitter).max(0.01)))
     }
-
-    /// A guaranteed lower bound on every *inter*-DC one-way delay the
-    /// model can ever sample: the smallest half-RTT scaled by the worst
-    /// jitter multiplier (`exp(-3σ)` — [`lognormal_multiplier`] truncates
-    /// z at ±3σ), clamped to the same 0.01 ms floor `sample_delay` uses.
-    ///
-    /// This is the conservative-parallel runner's *lookahead*: an event
-    /// processed at time `t` can only schedule work on another data
-    /// center at `t + min_inter_dc_delay()` or later, so shards may run
-    /// independently inside any window shorter than this bound.
-    /// `SimDuration::from_millis_f64` rounds to the nearest µs, which is
-    /// monotone, so the rounded bound never exceeds a rounded sample.
-    pub fn min_inter_dc_delay(&self) -> SimDuration {
-        let n = self.rtt_ms.len();
-        let mut min_ms = f64::MAX;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    min_ms = min_ms.min(self.rtt_ms[a][b]);
-                }
-            }
-        }
-        if min_ms == f64::MAX {
-            // Single-DC model: no inter-DC edge exists, any bound works.
-            return SimDuration::from_millis(1);
-        }
-        let worst_jitter = (-3.0 * self.jitter_sigma).exp();
-        SimDuration::from_millis_f64(((min_ms / 2.0) * worst_jitter).max(0.01))
-    }
 }
 
 /// Samples `exp(sigma * z)` with `z` standard normal (Box–Muller),
@@ -336,28 +307,6 @@ mod tests {
             .filter(|_| net.sample_delay(DcId(0), DcId(1), &mut rng).is_none())
             .count();
         assert!((4_000..6_000).contains(&lost), "got {lost} losses");
-    }
-
-    #[test]
-    fn min_inter_dc_delay_lower_bounds_samples() {
-        let net = NetworkModel::from_links(
-            3,
-            &[LinkSpec::new(0, 1, 80.0), LinkSpec::new(0, 2, 200.0)],
-            1.0,
-        )
-        .with_jitter(0.3);
-        let bound = net.min_inter_dc_delay();
-        assert!(bound > SimDuration::ZERO);
-        let mut rng = SmallRng::seed_from_u64(11);
-        for _ in 0..5_000 {
-            for (a, b) in [(0u8, 1u8), (1, 0), (0, 2), (1, 2)] {
-                let d = net.sample_delay(DcId(a), DcId(b), &mut rng).unwrap();
-                assert!(d >= bound, "sampled {d:?} under lookahead bound {bound:?}");
-            }
-        }
-        // Jitter-free: the bound is exactly the smallest half-RTT.
-        let flat = NetworkModel::uniform(2, 100.0, 1.0).with_jitter(0.0);
-        assert_eq!(flat.min_inter_dc_delay(), SimDuration::from_millis(50));
     }
 
     #[test]

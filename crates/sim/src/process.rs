@@ -237,10 +237,8 @@ impl<'a, M> Ctx<'a, M> {
 /// A simulated node: storage node, app server or workload client.
 ///
 /// The `Any` supertrait lets the harness downcast processes back to their
-/// concrete type after a run to harvest metrics; `Send` lets the parallel
-/// per-DC runner move whole shards (and the processes in them) across
-/// worker threads at epoch barriers.
-pub trait Process<M>: Any + Send {
+/// concrete type after a run to harvest metrics.
+pub trait Process<M>: Any {
     /// Invoked once when the node is spawned.
     fn on_start(&mut self, _ctx: &mut Ctx<'_, M>) {}
 

@@ -49,38 +49,17 @@
 //! own and ships as the same bare frame, in the same order, as the
 //! per-message transport would have sent it.
 //!
-//! # A conservative parallel per-DC engine
+//! # One event loop
 //!
-//! The world is partitioned into one [`Shard`] per data center. Each
-//! shard owns its nodes' state (processes, RNGs, disks, outboxes), its
-//! own event queue, and its own row of the link-FIFO matrix, so shards
-//! share nothing mutable. Every event carries an intrinsic
-//! [`EventKey`] — `(cause time, emitting node, that node's emit
-//! counter)` — and queues order by `(at, key)`, a total order that is a
-//! pure function of the simulation's history rather than of scheduler
-//! insertion order. Two schedulers run over the same shards:
-//!
-//! * **sequential** (the default and the off-switch): a k-way merge
-//!   that pops the globally smallest `(at, key)` across shards — one
-//!   totally ordered event loop, exactly as before;
-//! * **parallel** ([`WorldConfig::parallel`]): barrier-epoch
-//!   conservative parallel DES. The only cross-shard events are
-//!   inter-DC deliveries, whose one-way delay is bounded below by
-//!   [`NetworkModel::min_inter_dc_delay`] (the *lookahead* Δ). Each
-//!   epoch picks `T` = the earliest pending event anywhere and runs
-//!   every shard independently — on its own worker thread — through
-//!   the window `[T, T + Δ)`; an event at `t` in the window can only
-//!   reach another DC at `t + Δ ≥ T + Δ`, so nothing a peer shard does
-//!   in this window can affect it. Cross-DC arrivals buffer in the
-//!   sending shard and route at the epoch barrier.
-//!
-//! Because both schedulers process each shard's events in the same
-//! `(at, key)` order, and keys are intrinsic, the parallel runner is
-//! **byte-identical** to the sequential one for any seed: same commit
-//! outcomes, same wire bytes, same stats. Traced runs always take the
-//! sequential path (spans record into one shared collector), which is
-//! sound precisely because the two schedulers produce the same
-//! execution.
+//! The world keeps one event queue and one clock, and pops one event at
+//! a time. Every event carries an intrinsic [`EventKey`] — `(cause
+//! time, emitting node, that node's emit counter)` — and the queue
+//! orders by `(at, key)`, a total order that is a pure function of the
+//! simulation's history rather than of the order events were pushed in.
+//! Each node draws its randomness from its own RNG, seeded from the
+//! world seed and its id. A run is therefore a function of its seed and
+//! of the calls made on the world, and running to the end in pieces
+//! ([`World::run_until`] at any split points) equals one run.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -144,10 +123,7 @@ pub struct WorldConfig {
     /// unsynced WAL bytes accumulate, bounding both the held-ack window
     /// and the data lost to a crash mid-batch.
     pub group_commit_bytes: usize,
-    /// Run the per-DC shards on worker threads (conservative parallel
-    /// discrete-event simulation; see the module docs). Byte-identical
-    /// to the sequential scheduler for any seed — `false`, the default,
-    /// is the off-switch. Traced runs fall back to sequential.
+    /// Ignored; deleted once `bench_all` stops naming it (ROADMAP 0(a)).
     pub parallel: bool,
 }
 
@@ -216,25 +192,6 @@ impl WorldStats {
         self.by_class[class.index()]
     }
 
-    /// Adds another stats block into this one (shard roll-up; every
-    /// field is a commutative counter, so the sum over shards equals
-    /// what a single global loop would have counted).
-    fn accumulate(&mut self, o: &WorldStats) {
-        self.sent += o.sent;
-        self.delivered += o.delivered;
-        self.dropped += o.dropped;
-        self.timers_fired += o.timers_fired;
-        self.bytes_sent += o.bytes_sent;
-        self.payload_msgs += o.payload_msgs;
-        self.events_handled += o.events_handled;
-        self.fsyncs += o.fsyncs;
-        for i in 0..TrafficClass::COUNT {
-            self.by_class[i].msgs += o.by_class[i].msgs;
-            self.by_class[i].bytes += o.by_class[i].bytes;
-            self.by_class[i].payloads += o.by_class[i].payloads;
-        }
-    }
-
     /// Counts one frame of `bytes` carrying `payloads` messages of
     /// `class` handed to the network.
     fn count_sent(&mut self, class: TrafficClass, bytes: usize, payloads: u64) {
@@ -250,7 +207,7 @@ impl WorldStats {
 
 /// One node's event-loop profile: how much work its handlers did, in
 /// events, virtual busy time, and (when host profiling is on) host wall
-/// time. The direct input to "which processes to parallelize first".
+/// time. The direct input to "which handlers to make cheaper first".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileEntry {
     /// The node.
@@ -384,6 +341,7 @@ impl Batch {
 /// Everything the world keeps for one node.
 struct Node<M> {
     id: NodeId,
+    dc: DcId,
     /// The process; taken out only while its handler runs.
     proc_: Option<Box<dyn Process<M>>>,
     busy_until: SimTime,
@@ -394,14 +352,13 @@ struct Node<M> {
     /// Durable storage; survives crash/restart.
     disk: Disk,
     /// Protocol randomness and this node's outbound network sampling,
-    /// so randomness is a function of the node's own history —
-    /// identical under either scheduler.
+    /// so randomness is a function of the node's own history.
     rng: SmallRng,
     /// Monotone emit counter (the third component of every
     /// [`EventKey`] this node's sends and timers stamp).
     emit: u64,
-    /// Timer-id counter, based at `node_id << 40` so ids are globally
-    /// unique without any shared state.
+    /// Timer-id counter, based at `node_id << 40` so ids are unique
+    /// across nodes.
     next_timer: u64,
     profile: ProfileCell,
     /// The holding pen, in first-enqueue order: one slot per
@@ -413,9 +370,10 @@ struct Node<M> {
 }
 
 impl<M> Node<M> {
-    fn new(id: NodeId, proc_: Box<dyn Process<M>>, seed: u64) -> Self {
+    fn new(id: NodeId, dc: DcId, proc_: Box<dyn Process<M>>, seed: u64) -> Self {
         Self {
             id,
+            dc,
             proc_: Some(proc_),
             busy_until: SimTime::ZERO,
             alive: true,
@@ -472,120 +430,101 @@ impl<M> Node<M> {
     }
 }
 
-/// What every shard reads and none writes. The world owns it and lends
-/// it to shards by reference while they step; it is `Sync`, so every
-/// worker thread of an epoch shares the one instance.
-struct Env {
-    net: NetworkModel,
-    topology: Topology,
-    /// Global node id → slot inside its shard (the shard is the node's
-    /// DC, via `topology`).
-    slot_of: Vec<u32>,
-    config: WorldConfig,
-    /// The trace collector, held only while tracing is enabled.
-    tracer: Option<TraceHandle>,
-    /// Whether to time handlers on the host (`TraceConfig::profile`).
-    profile_wall: bool,
-}
-
-impl Env {
+impl WorldConfig {
     /// CPU cost of handling one `bytes`-sized message: the fixed floor
     /// plus the per-byte deserialization cost.
     fn service_cost(&self, bytes: usize) -> SimDuration {
-        let per_byte_us = (bytes as u64 * self.config.service_ns_per_byte + 500) / 1_000;
-        self.config.service_time + SimDuration::from_micros(per_byte_us)
+        let per_byte_us = (bytes as u64 * self.service_ns_per_byte + 500) / 1_000;
+        self.service_time + SimDuration::from_micros(per_byte_us)
     }
 
     /// How long a batch of `kind` stays open.
     fn window(&self, kind: BatchKind) -> SimDuration {
         match kind {
-            BatchKind::Outbox => self.config.coalesce_window,
-            BatchKind::Wal => self.config.group_commit_window,
+            BatchKind::Outbox => self.coalesce_window,
+            BatchKind::Wal => self.group_commit_window,
         }
     }
 }
 
-/// One data center's slice of the world: its nodes, its event queue,
-/// its outgoing row of the link matrix. Shares nothing mutable with
-/// other shards, so shards step concurrently inside an epoch.
-struct Shard<M> {
-    dc: DcId,
+/// A deterministic discrete-event simulation of one deployment.
+pub struct World<M> {
     now: SimTime,
+    net: NetworkModel,
+    topology: Topology,
+    config: WorldConfig,
+    /// The trace collector, held only while tracing is enabled.
+    tracer: Option<TraceHandle>,
+    /// Whether to time handlers on the host (`TraceConfig::profile`).
+    profile_wall: bool,
     queue: EventQueue<M>,
-    /// This data center's nodes, by slot.
+    /// Every node, indexed by id: ids are dense spawn order.
     nodes: Vec<Node<M>>,
     cancelled: HashSet<TimerId>,
-    /// This shard's row of the link FIFO matrix: earliest time a new
-    /// transmission can start on the directed link `self.dc → to`.
-    link_free_at: Vec<SimTime>,
-    /// True while this data center is failed (inbound messages drop).
-    down: bool,
+    /// The link FIFO matrix, by `[from DC][to DC]`: earliest time a new
+    /// transmission can start on that directed link.
+    link_free_at: Vec<Vec<SimTime>>,
+    /// Per data center: true while it is failed (inbound messages drop).
+    down: Vec<bool>,
     stats: WorldStats,
     effects_scratch: Vec<Effect<M>>,
-    /// Cross-shard deliveries produced this step/epoch; routed by the
-    /// world after the step (sequential) or at the barrier (parallel).
-    outgoing: Vec<Event<M>>,
     /// First-arrival times of deferred deliveries, keyed by the event
     /// key's (node, emit) — which survives deferral; populated only
     /// while tracing, so the receive span can start when the frame
     /// reached the busy node.
     arrivals: HashMap<(u32, u64), SimTime>,
+    /// Emit counter for world-level injections (tests), stamped under a
+    /// pseudo-node so they never collide with real emit streams.
+    inject_emit: u64,
 }
 
-impl<M: NetMessage + 'static> Shard<M> {
-    fn new(dc: DcId, dc_count: usize) -> Self {
+impl<M: NetMessage + 'static> World<M> {
+    /// Creates a world over `net` with the given config.
+    pub fn new(net: NetworkModel, config: WorldConfig) -> Self {
+        let dc_count = net.dc_count();
         Self {
-            dc,
             now: SimTime::ZERO,
+            net,
+            topology: Topology::new(),
+            config,
+            tracer: None,
+            profile_wall: false,
             queue: EventQueue::new(),
             nodes: Vec::new(),
             cancelled: HashSet::new(),
-            link_free_at: vec![SimTime::ZERO; dc_count],
-            down: false,
+            link_free_at: vec![vec![SimTime::ZERO; dc_count]; dc_count],
+            down: vec![false; dc_count],
             stats: WorldStats::default(),
             effects_scratch: Vec::new(),
-            outgoing: Vec::new(),
             arrivals: HashMap::new(),
+            inject_emit: 0,
         }
     }
 
-    /// Queues `slot`'s `on_start` at `at` (spawn and restart).
-    fn start(&mut self, slot: usize, at: SimTime) {
-        self.now = self.now.max(at);
-        let node = &mut self.nodes[slot];
-        let key = node.next_key(at);
-        self.queue.push_keyed(at, key, node.id, EventKind::Start);
+    /// Queues node `i`'s `on_start` now (spawn and restart).
+    fn start(&mut self, i: usize) {
+        let node = &mut self.nodes[i];
+        let key = node.next_key(self.now);
+        self.queue
+            .push_keyed(self.now, key, node.id, EventKind::Start);
     }
 
-    /// Processes every pending event with `at < horizon`, in `(at,
-    /// key)` order. The parallel runner's per-epoch worker body.
-    fn run_window(&mut self, horizon: SimTime, env: &Env) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event");
-            self.step_event(ev, env);
-        }
-    }
-
-    /// Executes a single already-popped event.
-    fn step_event(&mut self, mut ev: Event<M>, env: &Env) {
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        let slot = env.slot_of[ev.target.0 as usize] as usize;
+    /// Executes a single already-popped event, whose time the clock
+    /// already reads.
+    fn step_event(&mut self, mut ev: Event<M>) {
+        let i = ev.target.0 as usize;
         if let EventKind::Deliver { bytes, .. } | EventKind::DeliverEnvelope { bytes, .. } = ev.kind
         {
-            match self.admit(ev, slot, bytes, env) {
+            match self.admit(ev, bytes) {
                 Some(admitted) => ev = admitted,
                 None => return,
             }
         }
         match ev.kind {
             EventKind::Start => {
-                self.now = ev.at;
-                if self.nodes[slot].alive {
-                    self.dispatch(slot, DispatchKind::Start, env);
-                    self.end_event(slot, env);
+                if self.nodes[i].alive {
+                    self.dispatch(i, DispatchKind::Start);
+                    self.end_event(i);
                 }
             }
             EventKind::Timer {
@@ -593,32 +532,30 @@ impl<M: NetMessage + 'static> Shard<M> {
                 msg,
                 incarnation,
             } => {
-                self.now = ev.at;
-                let node = &self.nodes[slot];
+                let node = &self.nodes[i];
                 if self.cancelled.remove(&id) || !node.alive || incarnation != node.incarnation {
                     return;
                 }
                 self.stats.timers_fired += 1;
-                self.dispatch(slot, DispatchKind::Timer(msg), env);
-                self.end_event(slot, env);
+                self.dispatch(i, DispatchKind::Timer(msg));
+                self.end_event(i);
             }
             EventKind::Deliver { from, msg, .. } => {
-                self.dispatch(slot, DispatchKind::Message { from, msg }, env);
-                self.end_event(slot, env);
+                self.dispatch(i, DispatchKind::Message { from, msg });
+                self.end_event(i);
             }
             EventKind::DeliverEnvelope { from, msgs, .. } => {
                 // Unpack before dispatch: payloads in send order, and
                 // everything the handlers send batches into the reply
                 // flush below.
                 for msg in msgs {
-                    self.dispatch(slot, DispatchKind::Message { from, msg }, env);
+                    self.dispatch(i, DispatchKind::Message { from, msg });
                 }
-                self.end_event(slot, env);
+                self.end_event(i);
             }
             EventKind::Deadline(kind) => {
-                self.now = ev.at;
-                if self.nodes[slot].batches[kind as usize].due(ev.at) {
-                    self.close(slot, kind, env);
+                if self.nodes[i].batches[kind as usize].due(ev.at) {
+                    self.close(i, kind);
                 }
             }
         }
@@ -628,17 +565,10 @@ impl<M: NetMessage + 'static> Shard<M> {
     /// envelope) at its target: dropped at a dead node or in a failed
     /// data center, deferred while the node is busy, otherwise charged
     /// its service cost and handed back for dispatch.
-    fn admit(
-        &mut self,
-        mut ev: Event<M>,
-        slot: usize,
-        bytes: usize,
-        env: &Env,
-    ) -> Option<Event<M>> {
-        let tracing = env.tracer.is_some();
-        let node = &mut self.nodes[slot];
-        if !node.alive || self.down {
-            self.now = ev.at;
+    fn admit(&mut self, mut ev: Event<M>, bytes: usize) -> Option<Event<M>> {
+        let tracing = self.tracer.is_some();
+        let node = &mut self.nodes[ev.target.0 as usize];
+        if !node.alive || self.down[node.dc.0 as usize] {
             self.stats.dropped += 1;
             if tracing {
                 self.arrivals.remove(&(ev.key.node, ev.key.emit));
@@ -659,18 +589,17 @@ impl<M: NetMessage + 'static> Shard<M> {
             self.queue.push_deferred(ev);
             return None;
         }
-        self.now = ev.at;
         // One service floor plus the per-byte cost of the whole frame —
         // for an envelope, the amortization coalescing buys.
-        let cost = env.service_cost(bytes);
+        let cost = self.config.service_cost(bytes);
         node.busy_until = ev.at + cost;
         node.profile.sim_busy += cost;
         self.stats.delivered += 1;
-        if let Some(tracer) = &env.tracer {
+        if let Some(tracer) = &self.tracer {
             let arrived = self.arrivals.remove(&(ev.key.node, ev.key.emit));
             tracer.span(Span {
                 node: ev.target,
-                dc: self.dc,
+                dc: node.dc,
                 phase: Phase::NetService,
                 start: arrived.unwrap_or(ev.at),
                 end: ev.at + cost,
@@ -682,13 +611,13 @@ impl<M: NetMessage + 'static> Shard<M> {
         Some(ev)
     }
 
-    /// Charges `slot` one fsync of its WAL on top of whatever the node
+    /// Charges node `i` one fsync of its WAL on top of whatever the node
     /// is already busy with. With `fsync_latency` zero nothing is
     /// charged or counted, but a traced run still gets its (zero-length)
     /// span: it marks where a durable append happened.
-    fn charge_fsync(&mut self, slot: usize, env: &Env) {
-        let latency = env.config.fsync_latency;
-        let node = &mut self.nodes[slot];
+    fn charge_fsync(&mut self, i: usize) {
+        let latency = self.config.fsync_latency;
+        let node = &mut self.nodes[i];
         let start = node.busy_until.max(self.now);
         if latency > SimDuration::ZERO {
             node.busy_until = start + latency;
@@ -696,10 +625,10 @@ impl<M: NetMessage + 'static> Shard<M> {
             node.disk.fsync();
             self.stats.fsyncs += 1;
         }
-        if let Some(tracer) = &env.tracer {
+        if let Some(tracer) = &self.tracer {
             tracer.span(Span {
                 node: node.id,
-                dc: self.dc,
+                dc: node.dc,
                 phase: Phase::WalFsync,
                 start,
                 end: start + latency,
@@ -710,16 +639,16 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// `slot`'s batch of `kind` took more: close it now if `close_now`,
-    /// else open it — arm its deadline one window out — unless it is
-    /// open already.
-    fn join(&mut self, slot: usize, kind: BatchKind, close_now: bool, env: &Env) {
-        let node = &mut self.nodes[slot];
+    /// Node `i`'s batch of `kind` took more: close it now if
+    /// `close_now`, else open it — arm its deadline one window out —
+    /// unless it is open already.
+    fn join(&mut self, i: usize, kind: BatchKind, close_now: bool) {
+        let node = &mut self.nodes[i];
         if close_now {
             node.batches[kind as usize].deadline = None;
-            self.close(slot, kind, env);
+            self.close(i, kind);
         } else if node.batches[kind as usize].deadline.is_none() {
-            let deadline = self.now + env.window(kind);
+            let deadline = self.now + self.config.window(kind);
             node.batches[kind as usize].deadline = Some(deadline);
             let key = node.next_key(self.now);
             let kind = EventKind::Deadline(kind);
@@ -727,53 +656,55 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
     }
 
-    /// Closes `slot`'s batch of `kind`. Closing the WAL batch charges
+    /// Closes node `i`'s batch of `kind`. Closing the WAL batch charges
     /// its one covering fsync and so releases the whole pen; closing
     /// the outbox ships the pen, or only its read replies while the WAL
     /// batch holds it.
-    fn close(&mut self, slot: usize, kind: BatchKind, env: &Env) {
+    fn close(&mut self, i: usize, kind: BatchKind) {
         if kind == BatchKind::Wal {
-            self.charge_fsync(slot, env);
+            self.charge_fsync(i);
         }
-        let reads_only = self.nodes[slot].holding(&env.config);
-        let mut pen = std::mem::take(&mut self.nodes[slot].outbox);
+        let reads_only = self.nodes[i].holding(&self.config);
+        let mut pen = std::mem::take(&mut self.nodes[i].outbox);
         for s in pen.extract_if(.., |s| !reads_only || s.class == TrafficClass::Read) {
-            self.ship(slot, s, env);
+            self.ship(i, s);
         }
         // What stays keeps its order, and the pen keeps its capacity.
-        self.nodes[slot].outbox = pen;
+        self.nodes[i].outbox = pen;
     }
 
-    /// The end of an event at `slot`: while a WAL batch holds the pen
+    /// The end of an event at node `i`: while a WAL batch holds the pen
     /// only read replies leave; otherwise the outbox batch takes what
     /// the event buffered.
-    fn end_event(&mut self, slot: usize, env: &Env) {
-        let node = &self.nodes[slot];
-        if node.holding(&env.config) {
-            self.close(slot, BatchKind::Outbox, env);
-        } else if env.config.coalesce && !node.outbox.is_empty() {
-            let at_once = env.config.coalesce_window == SimDuration::ZERO;
-            self.join(slot, BatchKind::Outbox, at_once, env);
+    fn end_event(&mut self, i: usize) {
+        let config = &self.config;
+        let node = &self.nodes[i];
+        if node.holding(config) {
+            self.close(i, BatchKind::Outbox);
+        } else if config.coalesce && !node.outbox.is_empty() {
+            let at_once = config.coalesce_window == SimDuration::ZERO;
+            self.join(i, BatchKind::Outbox, at_once);
         }
     }
 
-    /// A handler at `slot` appended to the WAL. Under group commit the
+    /// A handler at node `i` appended to the WAL. Under group commit the
     /// append joins the WAL batch, which closes at once when
     /// `group_commit_bytes` are unsynced. Otherwise the append pays its
     /// own fsync here, after its handler and before its effects: the
     /// degenerate batch, closed at once and holding nothing.
-    fn wal_appended(&mut self, slot: usize, env: &Env) {
-        let node = &self.nodes[slot];
-        if node.holding(&env.config) {
-            let full = node.disk.unsynced_bytes() >= env.config.group_commit_bytes;
-            self.join(slot, BatchKind::Wal, full, env);
+    fn wal_appended(&mut self, i: usize) {
+        let config = &self.config;
+        let node = &self.nodes[i];
+        if node.holding(config) {
+            let full = node.disk.unsynced_bytes() >= config.group_commit_bytes;
+            self.join(i, BatchKind::Wal, full);
         } else {
-            self.charge_fsync(slot, env);
+            self.charge_fsync(i);
         }
     }
 
-    fn dispatch(&mut self, slot: usize, kind: DispatchKind<M>, env: &Env) {
-        let node = &mut self.nodes[slot];
+    fn dispatch(&mut self, i: usize, kind: DispatchKind<M>) {
+        let node = &mut self.nodes[i];
         // Take the process out so effects application can borrow `self`.
         let Some(mut proc_) = node.proc_.take() else {
             return;
@@ -783,7 +714,7 @@ impl<M: NetMessage + 'static> Shard<M> {
         // Detect durable appends by WAL-byte delta: the disk is the one
         // source of truth, so no handler needs an explicit fsync call.
         let wal_before = node.disk.stats().wal_bytes_written;
-        let wall_start = env
+        let wall_start = self
             .profile_wall
             .then(|| (kind.label(), std::time::Instant::now()));
         let mut effects = std::mem::take(&mut self.effects_scratch);
@@ -805,17 +736,17 @@ impl<M: NetMessage + 'static> Shard<M> {
         }
         let appended = node.disk.stats().wal_bytes_written > wal_before;
         node.proc_ = Some(proc_);
-        if appended && (env.config.fsync_latency > SimDuration::ZERO || env.tracer.is_some()) {
-            self.wal_appended(slot, env);
+        if appended && (self.config.fsync_latency > SimDuration::ZERO || self.tracer.is_some()) {
+            self.wal_appended(i);
         }
         for effect in effects.drain(..) {
-            self.apply_effect(slot, effect, env);
+            self.apply_effect(i, effect);
         }
         self.effects_scratch = effects;
     }
 
-    fn apply_effect(&mut self, slot: usize, effect: Effect<M>, env: &Env) {
-        let node = &mut self.nodes[slot];
+    fn apply_effect(&mut self, i: usize, effect: Effect<M>) {
+        let node = &mut self.nodes[i];
         match effect {
             Effect::Send {
                 to,
@@ -823,14 +754,14 @@ impl<M: NetMessage + 'static> Shard<M> {
                 bytes,
                 class,
             } => {
-                let coalesce = env.config.coalesce;
-                if coalesce || (class != TrafficClass::Read && node.holding(&env.config)) {
-                    node.pen(to, class, msg, bytes, coalesce);
+                let config = &self.config;
+                if config.coalesce || (class != TrafficClass::Read && node.holding(config)) {
+                    node.pen(to, class, msg, bytes, config.coalesce);
                 } else {
                     // The per-message transport: one bare frame, now.
                     let from = node.id;
                     let kind = EventKind::Deliver { from, msg, bytes };
-                    self.push_to_network(slot, to, class, kind, env);
+                    self.push_to_network(i, to, class, kind);
                 }
             }
             Effect::SetTimer { id, delay, msg } => {
@@ -853,8 +784,8 @@ impl<M: NetMessage + 'static> Shard<M> {
     /// same bare frame the per-message transport would send; two or more
     /// ship as one envelope (sized by [`envelope_wire_bytes`], matching
     /// the `mdcc_common::wire::Envelope` codec byte for byte).
-    fn ship(&mut self, slot: usize, mut s: OutboxSlot<M>, env: &Env) {
-        let from = self.nodes[slot].id;
+    fn ship(&mut self, i: usize, mut s: OutboxSlot<M>) {
+        let from = self.nodes[i].id;
         let kind = if s.msgs.len() == 1 {
             let bytes = s.framed_sizes[0];
             let msg = s.msgs.pop().expect("one message");
@@ -864,74 +795,58 @@ impl<M: NetMessage + 'static> Shard<M> {
             let msgs = s.msgs;
             EventKind::DeliverEnvelope { from, msgs, bytes }
         };
-        self.push_to_network(slot, s.to, s.class, kind, env);
+        self.push_to_network(i, s.to, s.class, kind);
     }
 
-    /// Hands one wire frame (a bare message or an envelope) to the
-    /// network: accounts it, occupies the directed DC-pair link FIFO for
-    /// its transmission delay, and schedules delivery (or drops it, per
-    /// the loss model). Same-DC arrivals go straight onto this shard's
-    /// queue; cross-DC arrivals buffer in `outgoing` for the world to
-    /// route.
-    fn push_to_network(
-        &mut self,
-        slot: usize,
-        to: NodeId,
-        class: TrafficClass,
-        kind: EventKind<M>,
-        env: &Env,
-    ) {
+    /// Hands one wire frame (a bare message or an envelope) from node
+    /// `i` to the network: accounts it, occupies the directed DC-pair
+    /// link FIFO for its transmission delay, and schedules delivery (or
+    /// drops it, per the loss model).
+    fn push_to_network(&mut self, i: usize, to: NodeId, class: TrafficClass, kind: EventKind<M>) {
         let (bytes, payloads) = kind.frame();
         self.stats.count_sent(class, bytes, payloads);
-        let to_dc = env.topology.dc_of(to);
+        let from_dc = self.nodes[i].dc;
+        let to_dc = self.topology.dc_of(to);
         // Transmission: the frame occupies the directed DC-pair link
         // for `bytes / bandwidth`, FIFO behind whatever is already on
         // it — a burst congests the link instead of teleporting. Lost
         // frames occupy the link too: the sender transmits the bytes
         // before the network eats them, so billed bytes and link
         // congestion stay consistent.
-        let tx = env.net.transmission_delay(self.dc, to_dc, bytes);
-        let link = &mut self.link_free_at[to_dc.0 as usize];
+        let tx = self.net.transmission_delay(from_dc, to_dc, bytes);
+        let link = &mut self.link_free_at[from_dc.0 as usize][to_dc.0 as usize];
         let start = (*link).max(self.now);
         *link = start + tx;
-        if let Some(tracer) = &env.tracer {
-            self.trace_transmit(tracer, slot, to_dc, start, start + tx, class);
+        if let Some(tracer) = &self.tracer {
+            self.trace_transmit(tracer, i, to_dc, start, start + tx, class);
         }
-        let node = &mut self.nodes[slot];
-        match env.net.sample_delay(self.dc, to_dc, &mut node.rng) {
+        let node = &mut self.nodes[i];
+        match self.net.sample_delay(from_dc, to_dc, &mut node.rng) {
             Some(propagation) => {
-                let at = start + tx + propagation;
                 let key = node.next_key(self.now);
-                if to_dc == self.dc {
-                    self.queue.push_keyed(at, key, to, kind);
-                } else {
-                    self.outgoing.push(Event {
-                        at,
-                        key,
-                        target: to,
-                        kind,
-                    });
-                }
+                self.queue
+                    .push_keyed(start + tx + propagation, key, to, kind);
             }
             None => self.stats.dropped += 1,
         }
     }
 
-    /// Records a frame's transmission on the link to `to_dc`, from
-    /// `start` to `end`: its wait behind earlier traffic (if it waited),
-    /// the transmission itself, and the link's backlog.
+    /// Records a frame's transmission from node `i` on the link to
+    /// `to_dc`, from `start` to `end`: its wait behind earlier traffic
+    /// (if it waited), the transmission itself, and the link's backlog.
     fn trace_transmit(
         &self,
         tracer: &TraceHandle,
-        slot: usize,
+        i: usize,
         to_dc: DcId,
         start: SimTime,
         end: SimTime,
         class: TrafficClass,
     ) {
+        let from = &self.nodes[i];
         let span = |phase, start, end| Span {
-            node: self.nodes[slot].id,
-            dc: self.dc,
+            node: from.id,
+            dc: from.dc,
             phase,
             start,
             end,
@@ -945,90 +860,36 @@ impl<M: NetMessage + 'static> Shard<M> {
         tracer.span(span(Phase::NetTransmit, start, end));
         tracer.counter(CounterSample {
             name: "link",
-            from: self.dc,
+            from: from.dc,
             to: to_dc,
             at: self.now,
             backlog_us: (end - self.now).as_micros(),
         });
     }
-}
-
-/// A deterministic discrete-event simulation of one deployment.
-pub struct World<M> {
-    now: SimTime,
-    shards: Vec<Shard<M>>,
-    env: Env,
-    /// Conservative-parallel lookahead: `net.min_inter_dc_delay()`.
-    lookahead: SimDuration,
-    /// Emit counter for world-level injections (tests), stamped under a
-    /// pseudo-node so they never collide with real emit streams.
-    inject_emit: u64,
-    /// Reusable buffer for routing cross-shard events.
-    route_scratch: Vec<Event<M>>,
-}
-
-impl<M: NetMessage + Send + 'static> World<M> {
-    /// Creates a world over `net` with the given config.
-    pub fn new(net: NetworkModel, config: WorldConfig) -> Self {
-        let dc_count = net.dc_count();
-        let lookahead = net.min_inter_dc_delay();
-        Self {
-            now: SimTime::ZERO,
-            shards: (0..dc_count)
-                .map(|d| Shard::new(DcId(d as u8), dc_count))
-                .collect(),
-            env: Env {
-                net,
-                topology: Topology::new(),
-                slot_of: Vec::new(),
-                config,
-                tracer: None,
-                profile_wall: false,
-            },
-            lookahead,
-            inject_emit: 0,
-            route_scratch: Vec::new(),
-        }
-    }
 
     /// Attaches a trace collector; the transport and the fsync model
     /// record spans into it from now on. Tracing is observational only —
     /// it never consumes randomness or reschedules an event, so a traced
-    /// run's execution is identical to an untraced one. Traced runs use
-    /// the sequential scheduler even when `parallel` is set (which
-    /// changes nothing observable — the schedulers are byte-identical).
+    /// run's execution is identical to an untraced one.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.env.profile_wall = tracer.profile();
-        self.env.tracer = tracer.enabled().then_some(tracer);
-    }
-
-    /// Whether runs will actually use the parallel epoch scheduler.
-    pub fn parallel_active(&self) -> bool {
-        self.env.config.parallel && self.shards.len() > 1 && self.env.tracer.is_none()
-    }
-
-    /// Number of worker threads a parallel run uses (1 when sequential).
-    pub fn worker_threads(&self) -> usize {
-        if self.parallel_active() {
-            self.shards.len()
-        } else {
-            1
-        }
+        self.profile_wall = tracer.profile();
+        self.tracer = tracer.enabled().then_some(tracer);
     }
 
     /// Per-node event-loop profile, hottest (by virtual busy time,
     /// events as tie-break) first.
     pub fn profile(&self) -> Vec<ProfileEntry> {
-        let mut entries: Vec<ProfileEntry> = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.nodes.iter().map(|n| ProfileEntry {
+        let mut entries: Vec<ProfileEntry> = self
+            .nodes
+            .iter()
+            .map(|n| ProfileEntry {
                 node: n.id,
-                dc: shard.dc,
+                dc: n.dc,
                 events: n.profile.events,
                 sim_busy: n.profile.sim_busy,
                 wall: n.profile.wall,
-            }));
-        }
+            })
+            .collect();
         entries.sort_by(|a, b| {
             (b.sim_busy, b.events, a.node.0).cmp(&(a.sim_busy, a.events, b.node.0))
         });
@@ -1040,7 +901,7 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// host time (`TraceConfig::profile`).
     pub fn profile_by_kind(&self) -> Vec<KindProfileEntry> {
         let mut entries: Vec<KindProfileEntry> = Vec::new();
-        for n in self.shards.iter().flat_map(|s| &s.nodes) {
+        for n in &self.nodes {
             entries.extend(n.profile.kinds.iter().map(|k| KindProfileEntry {
                 node: n.id,
                 kind: k.kind,
@@ -1057,16 +918,13 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// Spawns a process in `dc`; its `on_start` runs at the current time.
     pub fn spawn(&mut self, dc: DcId, proc_: Box<dyn Process<M>>) -> NodeId {
         assert!(
-            (dc.0 as usize) < self.env.net.dc_count(),
+            (dc.0 as usize) < self.net.dc_count(),
             "dc outside network model"
         );
-        let id = self.env.topology.add_node(dc);
-        let seed = node_rng_seed(self.env.config.seed, id.0);
-        let shard = &mut self.shards[dc.0 as usize];
-        let slot = shard.nodes.len();
-        self.env.slot_of.push(slot as u32);
-        shard.nodes.push(Node::new(id, proc_, seed));
-        shard.start(slot, self.now);
+        let id = self.topology.add_node(dc);
+        let seed = node_rng_seed(self.config.seed, id.0);
+        self.nodes.push(Node::new(id, dc, proc_, seed));
+        self.start(id.0 as usize);
         id
     }
 
@@ -1077,36 +935,22 @@ impl<M: NetMessage + Send + 'static> World<M> {
 
     /// The node-to-DC mapping.
     pub fn topology(&self) -> &Topology {
-        &self.env.topology
+        &self.topology
     }
 
-    /// World-level counters (summed over shards).
+    /// World-level counters.
     pub fn stats(&self) -> WorldStats {
-        let mut total = WorldStats::default();
-        for shard in &self.shards {
-            total.accumulate(&shard.stats);
-        }
-        total
-    }
-
-    /// Shard and slot of a node.
-    fn loc(&self, node: NodeId) -> (usize, usize) {
-        (
-            self.env.topology.dc_of(node).0 as usize,
-            self.env.slot_of[node.0 as usize] as usize,
-        )
+        self.stats
     }
 
     /// The world's record of a node.
     fn node(&self, node: NodeId) -> &Node<M> {
-        let (shard, slot) = self.loc(node);
-        &self.shards[shard].nodes[slot]
+        &self.nodes[node.0 as usize]
     }
 
     /// The world's record of a node, mutably.
     fn node_mut(&mut self, node: NodeId) -> &mut Node<M> {
-        let (shard, slot) = self.loc(node);
-        &mut self.shards[shard].nodes[slot]
+        &mut self.nodes[node.0 as usize]
     }
 
     /// Injects a message from outside the simulation (tests only; regular
@@ -1122,22 +966,16 @@ impl<M: NetMessage + Send + 'static> World<M> {
             emit: self.inject_emit,
         };
         self.inject_emit += 1;
-        let (shard, _) = self.loc(to);
-        self.shards[shard].queue.push_keyed(
-            self.now,
-            key,
-            to,
-            EventKind::Deliver { from, msg, bytes },
-        );
+        let kind = EventKind::Deliver { from, msg, bytes };
+        self.queue.push_keyed(self.now, key, to, kind);
     }
 
     /// Marks a node crashed: inbound messages drop, timers are suppressed,
     /// the process is no longer invoked, and whatever its outbox still
     /// buffered dies unsent.
     pub fn crash_node(&mut self, node: NodeId) {
-        let (shard, slot) = self.loc(node);
-        let node = &mut self.shards[shard].nodes[slot];
-        if node.holding(&self.env.config) {
+        let node = &mut self.nodes[node.0 as usize];
+        if node.holding(&self.config) {
             // Power loss mid-batch: the WAL keeps exactly its durable
             // prefix. The batch's acks were held in the outbox, which
             // dies below, so no acknowledged transaction dies un-logged
@@ -1167,16 +1005,14 @@ impl<M: NetMessage + Send + 'static> World<M> {
     ///
     /// Panics if the node is still alive; crash it first.
     pub fn restart_node(&mut self, node: NodeId, proc_: Box<dyn Process<M>>) {
-        let (shard, slot) = self.loc(node);
         let now = self.now;
-        let shard = &mut self.shards[shard];
-        let node = &mut shard.nodes[slot];
-        assert!(!node.alive, "restart of a live node: crash it first");
-        node.proc_ = Some(proc_);
-        node.alive = true;
-        node.incarnation += 1;
-        node.busy_until = now;
-        shard.start(slot, now);
+        let n = self.node_mut(node);
+        assert!(!n.alive, "restart of a live node: crash it first");
+        n.proc_ = Some(proc_);
+        n.alive = true;
+        n.incarnation += 1;
+        n.busy_until = now;
+        self.start(node.0 as usize);
     }
 
     /// Read access to a node's durable disk.
@@ -1195,17 +1031,17 @@ impl<M: NetMessage + Send + 'static> World<M> {
     /// so coordinators inside the failed DC keep timing out — which is the
     /// externally observable behaviour of an unreachable region.
     pub fn fail_dc(&mut self, dc: DcId) {
-        self.shards[dc.0 as usize].down = true;
+        self.down[dc.0 as usize] = true;
     }
 
     /// Ends a data-center outage.
     pub fn heal_dc(&mut self, dc: DcId) {
-        self.shards[dc.0 as usize].down = false;
+        self.down[dc.0 as usize] = false;
     }
 
     /// True while `dc` is failed.
     pub fn is_dc_down(&self, dc: DcId) -> bool {
-        self.shards[dc.0 as usize].down
+        self.down[dc.0 as usize]
     }
 
     /// Immutable access to a process, downcast to its concrete type.
@@ -1224,119 +1060,25 @@ impl<M: NetMessage + Send + 'static> World<M> {
             .and_then(|p| (p as &mut dyn std::any::Any).downcast_mut())
     }
 
-    /// The shard holding the globally earliest pending event, with that
-    /// event's rank. `None` when every queue is empty.
-    fn peek_min(&self) -> Option<(SimTime, EventKey, usize)> {
-        let mut best: Option<(SimTime, EventKey, usize)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Some((t, k)) = shard.queue.peek_rank() {
-                if best.is_none_or(|(bt, bk, _)| (t, k) < (bt, bk)) {
-                    best = Some((t, k, i));
-                }
-            }
-        }
-        best
-    }
-
-    /// Pops and executes shard `i`'s earliest event, then routes any
-    /// cross-shard deliveries it produced.
-    fn step_shard(&mut self, i: usize) {
-        let shard = &mut self.shards[i];
-        let Some(ev) = shard.queue.pop() else {
-            return;
-        };
-        self.now = self.now.max(ev.at);
-        shard.step_event(ev, &self.env);
-        if !shard.outgoing.is_empty() {
-            self.route_from(i, None);
-        }
-    }
-
-    /// Routes shard `i`'s buffered cross-shard events to their
-    /// destination shards' queues. `min_at` (the epoch horizon in
-    /// parallel mode) asserts the lookahead contract.
-    fn route_from(&mut self, i: usize, min_at: Option<SimTime>) {
-        let mut buf = std::mem::take(&mut self.route_scratch);
-        std::mem::swap(&mut buf, &mut self.shards[i].outgoing);
-        for ev in buf.drain(..) {
-            if let Some(min_at) = min_at {
-                debug_assert!(
-                    ev.at >= min_at,
-                    "cross-shard event at {:?} violates lookahead horizon {:?}",
-                    ev.at,
-                    min_at
-                );
-            }
-            let dest = self.env.topology.dc_of(ev.target).0 as usize;
-            debug_assert_ne!(dest, i, "same-shard event took the cross-shard path");
-            self.shards[dest]
-                .queue
-                .push_keyed(ev.at, ev.key, ev.target, ev.kind);
-        }
-        std::mem::swap(&mut buf, &mut self.shards[i].outgoing);
-        self.route_scratch = buf;
-    }
-
-    /// Executes a single event (the globally earliest across shards).
-    /// Returns `false` when every queue is empty.
+    /// Executes the earliest pending event, after moving the clock to
+    /// its time. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.peek_min() {
-            Some((_, _, i)) => {
-                self.step_shard(i);
-                true
-            }
-            None => false,
-        }
+        let Some(ev) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(ev.at >= self.now, "time went backwards");
+        self.now = ev.at;
+        self.step_event(ev);
+        true
     }
 
     /// Runs all events up to and including time `until`, then sets the
-    /// clock to `until`. Uses the parallel epoch scheduler when
-    /// [`WorldConfig::parallel`] is set (and the run is untraced);
-    /// results are byte-identical either way.
+    /// clock to `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.parallel_active() {
-            self.run_epochs(until);
-        } else {
-            while let Some((t, _, i)) = self.peek_min() {
-                if t > until {
-                    break;
-                }
-                self.step_shard(i);
-            }
+        while self.queue.peek_time().is_some_and(|t| t <= until) {
+            self.step();
         }
         self.now = self.now.max(until);
-        for shard in &mut self.shards {
-            shard.now = shard.now.max(until);
-        }
-    }
-
-    /// The conservative parallel loop: repeatedly pick the earliest
-    /// pending event time `T`, run every shard through `[T, T + Δ)` on
-    /// its own thread (Δ = the inter-DC lookahead), and exchange
-    /// cross-DC arrivals at the barrier.
-    fn run_epochs(&mut self, until: SimTime) {
-        while let Some(t0) = self.shards.iter().filter_map(|s| s.queue.peek_time()).min() {
-            if t0 > until {
-                break;
-            }
-            // Events with `at <= until` must run; the window is
-            // exclusive at the horizon, hence `until + 1 µs`.
-            let horizon = (t0 + self.lookahead).min(until + SimDuration(1));
-            let env = &self.env;
-            std::thread::scope(|scope| {
-                for shard in self.shards.iter_mut() {
-                    if shard.queue.peek_time().is_none_or(|t| t >= horizon) {
-                        continue;
-                    }
-                    scope.spawn(move || shard.run_window(horizon, env));
-                }
-            });
-            for i in 0..self.shards.len() {
-                if !self.shards[i].outgoing.is_empty() {
-                    self.route_from(i, Some(horizon));
-                }
-            }
-        }
     }
 
     /// Runs for `d` of virtual time from now.
@@ -1347,7 +1089,6 @@ impl<M: NetMessage + Send + 'static> World<M> {
 
     /// Drains the queue completely (tests; real experiments use
     /// [`World::run_until`] because closed-loop clients never go idle).
-    /// Always sequential: quiescence detection needs the global view.
     pub fn run_to_quiescence(&mut self) {
         while self.step() {}
     }
@@ -1366,8 +1107,7 @@ impl<M: NetMessage + Send + 'static> World<M> {
     pub fn run_to_quiescence_bounded(&mut self, max_steps: u64) {
         let mut steps = 0u64;
         let mut handled: HashMap<u32, u64> = HashMap::new();
-        while let Some((_, _, i)) = self.peek_min() {
-            let next = self.shards[i].queue.peek_target().expect("peeked event");
+        while let Some(next) = self.queue.peek_target() {
             if steps >= max_steps {
                 let (&hottest, &count) = handled
                     .iter()
@@ -1384,7 +1124,7 @@ impl<M: NetMessage + Send + 'static> World<M> {
             }
             *handled.entry(next.0).or_default() += 1;
             steps += 1;
-            self.step_shard(i);
+            self.step();
         }
     }
 }
@@ -2088,104 +1828,6 @@ mod tests {
         let (mut w, a, _) = two_node_world(3);
         w.run_to_quiescence_bounded(10_000);
         assert_eq!(w.get::<Pinger>(a).unwrap().log.len(), 11);
-    }
-
-    // -----------------------------------------------------------------
-    // The conservative parallel per-DC engine.
-    // -----------------------------------------------------------------
-
-    /// Full fingerprint of a jittered three-DC run with crash/revive
-    /// faults: world stats plus every pinger's receive log.
-    fn fingerprint(parallel: bool, seed: u64) -> (WorldStats, Vec<Vec<(SimTime, u32)>>) {
-        // Default 0.08 jitter ON: propagation delays draw from the
-        // per-node RNGs, so any scheduler divergence would cascade.
-        let net = NetworkModel::uniform(3, 80.0, 1.0);
-        let mut w = World::new(
-            net,
-            WorldConfig {
-                seed,
-                parallel,
-                ..WorldConfig::default()
-            },
-        );
-        let a = w.spawn(
-            DcId(0),
-            Box::new(Pinger {
-                peer: NodeId(1),
-                rounds: 500,
-                log: vec![],
-            }),
-        );
-        let b = w.spawn(
-            DcId(1),
-            Box::new(Pinger {
-                peer: NodeId(0),
-                rounds: 500,
-                log: vec![],
-            }),
-        );
-        let c = w.spawn(
-            DcId(2),
-            Box::new(Pinger {
-                peer: NodeId(0),
-                rounds: 500,
-                log: vec![],
-            }),
-        );
-        w.run_until(SimTime::from_secs(3));
-        w.crash_node(c);
-        w.run_until(SimTime::from_secs(4));
-        w.revive_node(c);
-        w.run_until(SimTime::from_secs(12));
-        let logs = [a, b, c]
-            .iter()
-            .map(|&n| w.get::<Pinger>(n).unwrap().log.clone())
-            .collect();
-        (w.stats(), logs)
-    }
-
-    #[test]
-    fn parallel_engine_is_byte_identical_to_sequential() {
-        for seed in [1u64, 7, 0xC0FFEE] {
-            let seq = fingerprint(false, seed);
-            let par = fingerprint(true, seed);
-            assert_eq!(seq.0, par.0, "stats diverged for seed {seed}");
-            assert_eq!(seq.1, par.1, "receive logs diverged for seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_run_reports_worker_threads() {
-        let net = NetworkModel::uniform(3, 80.0, 1.0);
-        let w: World<u32> = World::new(
-            net.clone(),
-            WorldConfig {
-                parallel: true,
-                ..WorldConfig::default()
-            },
-        );
-        assert!(w.parallel_active());
-        assert_eq!(w.worker_threads(), 3);
-        let w_seq: World<u32> = World::new(net, WorldConfig::default());
-        assert!(!w_seq.parallel_active());
-        assert_eq!(w_seq.worker_threads(), 1);
-    }
-
-    #[test]
-    fn traced_runs_fall_back_to_the_sequential_scheduler() {
-        let net = NetworkModel::uniform(3, 80.0, 1.0);
-        let mut w: World<u32> = World::new(
-            net,
-            WorldConfig {
-                parallel: true,
-                ..WorldConfig::default()
-            },
-        );
-        w.set_tracer(mdcc_trace::TraceHandle::new(mdcc_trace::TraceConfig::on()));
-        assert!(
-            !w.parallel_active(),
-            "tracing must force the sequential merge path"
-        );
     }
 
     /// A payload tagged with its traffic class, for the group-commit

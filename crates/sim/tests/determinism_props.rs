@@ -1,6 +1,7 @@
 //! Property tests of the simulator's reproducibility guarantee: same
 //! seed, same configuration ⇒ byte-identical executions, across random
-//! topologies, jitter levels and loss rates.
+//! topologies, jitter levels and loss rates — and however the run is
+//! split into `run_until` calls.
 
 use mdcc_common::{DcId, NodeId, SimDuration, SimTime};
 use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
@@ -36,6 +37,11 @@ impl Process<u32> for Gossip {
 /// trace of one run.
 type Trace = (Vec<Vec<(SimTime, NodeId, u32)>>, mdcc_sim::WorldStats);
 
+/// Simulated length of every run.
+const RUN: SimDuration = SimDuration::from_secs(2);
+
+/// Runs one gossip world to `RUN`, stopping first at each of `splits`
+/// (µs, in the order given).
 #[allow(clippy::too_many_arguments)]
 fn run(
     seed: u64,
@@ -46,6 +52,7 @@ fn run(
     drop: f64,
     service_us: u64,
     coalesce_window_us: u64,
+    splits: &[u64],
 ) -> Trace {
     let net = NetworkModel::uniform(dcs, rtt, 1.0)
         .with_jitter(jitter)
@@ -69,7 +76,10 @@ fn run(
         };
         world.spawn(DcId((i % dcs) as u8), Box::new(g));
     }
-    world.run_for(SimDuration::from_secs(2));
+    for &at in splits {
+        world.run_until(SimTime(at));
+    }
+    world.run_until(SimTime::ZERO + RUN);
     let logs = peers
         .iter()
         .map(|&p| world.get::<Gossip>(p).unwrap().log.clone())
@@ -90,9 +100,15 @@ proptest! {
         drop in 0.0f64..0.2,
         service_us in 0u64..500,
         coalesce_window_us in 0u64..5_000,
+        splits in proptest::collection::vec(0u64..2_000_000, 0..5),
     ) {
-        let a = run(seed, dcs, nodes_per_dc, rtt, jitter, drop, service_us, coalesce_window_us);
-        let b = run(seed, dcs, nodes_per_dc, rtt, jitter, drop, service_us, coalesce_window_us);
+        // One run to the end against one stopped at the split points:
+        // a clock that moved differently across a `run_until` boundary
+        // would show here.
+        let mut splits = splits;
+        splits.sort_unstable();
+        let a = run(seed, dcs, nodes_per_dc, rtt, jitter, drop, service_us, coalesce_window_us, &[]);
+        let b = run(seed, dcs, nodes_per_dc, rtt, jitter, drop, service_us, coalesce_window_us, &splits);
         prop_assert_eq!(a.1, b.1, "world stats diverged");
         prop_assert_eq!(a.0, b.0, "message logs diverged");
     }
@@ -104,8 +120,8 @@ proptest! {
     ) {
         // With jitter on, two different seeds should essentially never
         // produce identical delivery timestamps.
-        let a = run(seed, 3, 2, rtt, 0.2, 0.0, 50, 0);
-        let b = run(seed.wrapping_add(1), 3, 2, rtt, 0.2, 0.0, 50, 0);
+        let a = run(seed, 3, 2, rtt, 0.2, 0.0, 50, 0, &[]);
+        let b = run(seed.wrapping_add(1), 3, 2, rtt, 0.2, 0.0, 50, 0, &[]);
         prop_assert_ne!(a.0, b.0);
     }
 }

@@ -225,10 +225,9 @@ struct Collector {
 /// Shared, cloneable handle to one run's trace collector.
 ///
 /// The world, every TM and every storage node hold clones of the same
-/// handle and append to one span stream. The collector sits behind an
-/// `Arc<Mutex<…>>` so the handle is `Send` — the parallel per-DC runner
-/// moves worlds across worker threads — but traced runs always use the
-/// sequential scheduler, so the lock is never contended in practice.
+/// handle and append to one span stream, which sits behind an
+/// `Arc<Mutex<…>>`. The simulator runs on one thread, so the lock is
+/// never contended.
 #[derive(Debug, Clone)]
 pub struct TraceHandle(Arc<Mutex<Collector>>);
 

@@ -27,7 +27,7 @@ pub enum TxnAction {
 }
 
 /// One transaction: a read phase followed by a write-set.
-pub trait Transaction: Send {
+pub trait Transaction {
     /// Keys to read (one parallel batch of local reads).
     fn read_set(&self) -> Vec<Key>;
 
@@ -44,7 +44,7 @@ pub trait Transaction: Send {
 }
 
 /// An endless stream of transactions for one client.
-pub trait Workload: Send {
+pub trait Workload {
     /// Produces the client's next transaction.
     fn next_txn(&mut self, rng: &mut SmallRng) -> Box<dyn Transaction>;
 
