@@ -7,15 +7,18 @@
 //! the *host* cost of the same paths — frame encoding and checksum per
 //! append, transient decode on a cold log-structured read, the
 //! copy-forward compaction rewrite, the single-key anti-entropy pull a
-//! replica sends after a missed commit, and building a checkpoint blob.
+//! replica sends after a missed commit, the range digests of a sync
+//! round, and building a checkpoint blob.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use mdcc_common::config::SYNC_CHUNK_KEYS;
 use mdcc_common::{
     CommutativeUpdate, Key, NodeId, ProtocolConfig, Row, SimTime, TableId, TxnId, UpdateOp,
 };
-use mdcc_paxos::{AcceptorRecord, AttrConstraint, TxnOption};
+use mdcc_paxos::{AcceptorRecord, AttrConstraint, Ballot, TxnOption, TxnOutcome};
 use mdcc_recovery::wal::{self, WalRecord};
 use mdcc_sim::Disk;
 use mdcc_storage::{Catalog, LogStructuredBackend, MemBackend, RecordStore, Storage, TableSchema};
@@ -263,7 +266,6 @@ fn bench_engine_compact(c: &mut Criterion) {
 /// row is the pass over every key of the store that each such pull used
 /// to cost.
 fn bench_sync_pull(c: &mut Criterion) {
-    const STORE_RECORDS: usize = 30_000;
     let cfg = ProtocolConfig {
         storage: mdcc_common::StorageKind::LogStructured,
         ..ProtocolConfig::default()
@@ -289,12 +291,98 @@ fn bench_sync_pull(c: &mut Criterion) {
     group.finish();
 }
 
+/// Records of the anti-entropy and checkpoint benches: about two
+/// storage nodes' worth of a `tpcw_durable` catalog.
+const STORE_RECORDS: usize = 30_000;
+
+/// Records the warm store's traffic touches, and the committed
+/// transactions each gets.
+const WARM_RECORDS: usize = 4_096;
+const WARM_TXNS: u64 = 8;
+
+/// A 30 000-record store whose last-touched `WARM_RECORDS` records carry
+/// real acceptor state — outcomes, settled and executed sets, a cstruct
+/// of committed options — as the cached records of a running node do.
+/// Under the log-structured backend (default cache of 4 096 records)
+/// the warm records are mostly cached and the rest spilled.
+fn warm_store(storage: mdcc_common::StorageKind) -> RecordStore {
+    let cfg = ProtocolConfig {
+        storage,
+        ..ProtocolConfig::default()
+    };
+    let mut store = RecordStore::new(cfg, catalog());
+    for i in 0..STORE_RECORDS {
+        store.load(key(i), Row::new().with("stock", 1_000_000));
+    }
+    let mut seq = 0;
+    for round in 0..WARM_TXNS {
+        for i in 0..WARM_RECORDS {
+            let k = key(i * (STORE_RECORDS / WARM_RECORDS));
+            seq += 1;
+            let txn = TxnId::new(NodeId(round as u32), seq);
+            let opt = TxnOption::solo(
+                txn,
+                k.clone(),
+                UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)),
+            );
+            store.fast_propose(opt, SimTime::from_millis(seq));
+            store.apply_visibility(&k, txn, TxnOutcome::Committed, true);
+        }
+    }
+    store
+}
+
+/// Touches every warm record without changing it, as traffic between
+/// two sync rounds would.
+fn touch_warm(store: &mut RecordStore) {
+    for i in 0..WARM_RECORDS {
+        store.raise_promise(
+            &key(i * (STORE_RECORDS / WARM_RECORDS)),
+            Ballot::INITIAL_FAST,
+        );
+    }
+}
+
+/// The two halves of a sync round on a 30 000-record log-structured
+/// store with a warm cache: the peer advertising its range digests
+/// (`SyncDigestReq` → `sync_ranges`) and the restarted node comparing
+/// them against its own (`SyncDigest` → `divergent_ranges`; here every
+/// range agrees, so nothing is pulled and the row is pure digesting).
+/// Before each timed call every warm record is touched, so each cached
+/// one is digested afresh; the `untouched` row repeats the round with
+/// nothing touched in between.
+fn bench_sync_digest(c: &mut Criterion) {
+    let store = RefCell::new(warm_store(mdcc_common::StorageKind::LogStructured));
+    let ranges = store.borrow().sync_ranges(SYNC_CHUNK_KEYS);
+    let mut group = c.benchmark_group("sync_digest");
+    group.sample_size(20);
+    group.bench_function(&format!("sync_ranges/{STORE_RECORDS}"), |bench| {
+        bench.iter_batched(
+            || touch_warm(&mut store.borrow_mut()),
+            |()| store.borrow().sync_ranges(SYNC_CHUNK_KEYS).len(),
+            BatchSize::SmallInput,
+        );
+    });
+    group.bench_function(&format!("divergent_ranges/{STORE_RECORDS}"), |bench| {
+        bench.iter_batched(
+            || touch_warm(&mut store.borrow_mut()),
+            |()| store.borrow().divergent_ranges(&ranges).len(),
+            BatchSize::SmallInput,
+        );
+    });
+    group.bench_function(&format!("sync_ranges_untouched/{STORE_RECORDS}"), |bench| {
+        bench.iter(|| store.borrow().sync_ranges(SYNC_CHUNK_KEYS).len());
+    });
+    group.finish();
+}
+
 /// Building the checkpoint blob of a 30 000-record store
 /// ([`RecordStore::checkpoint_bytes`]), as every `CheckpointTick` does.
 /// On the log-structured store all but the cached records are copied
-/// out of their segments.
+/// out of their segments. The `loaded` rows hold freshly loaded rows
+/// only; the `warm` rows add the acceptor state of `warm_store`, whose
+/// encoding dominates a running node's checkpoints.
 fn bench_checkpoint(c: &mut Criterion) {
-    const STORE_RECORDS: usize = 30_000;
     let mut group = c.benchmark_group("checkpoint");
     group.sample_size(20);
     for (name, storage) in [
@@ -312,6 +400,10 @@ fn bench_checkpoint(c: &mut Criterion) {
         group.bench_function(&format!("encode/{name}/{STORE_RECORDS}"), |bench| {
             bench.iter(|| store.checkpoint_bytes().len());
         });
+        let warm = warm_store(storage);
+        group.bench_function(&format!("encode_warm/{name}/{STORE_RECORDS}"), |bench| {
+            bench.iter(|| warm.checkpoint_bytes().len());
+        });
     }
     group.finish();
 }
@@ -324,6 +416,7 @@ criterion_group!(
     bench_engine_update,
     bench_engine_compact,
     bench_sync_pull,
+    bench_sync_digest,
     bench_checkpoint
 );
 criterion_main!(benches);

@@ -14,7 +14,8 @@
 //! backend keeping the materialized working set bounded.
 
 use mdcc_bench::{
-    export_trace, micro_catalog, net_summary, perf_summary, print_anatomy, save_csv, PerfLog, Scale,
+    export_trace, micro_catalog, net_summary, perf_summary, print_anatomy, print_profile_by_kind,
+    save_csv, PerfLog, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, Report};
 use mdcc_common::{DcId, Key, ProtocolConfig, Row, SimDuration, StorageKind};
@@ -147,7 +148,10 @@ fn main() {
             let mut spec = wal_spec(scale, 1010, us(fsync_us), group_commit);
             let traced = group_commit && fsync_us == 1_000;
             if traced && (trace_cfg.enabled || scale == Scale::Quick) {
-                spec.trace = mdcc_trace::TraceConfig::on();
+                spec.trace = mdcc_trace::TraceConfig {
+                    profile: true,
+                    ..mdcc_trace::TraceConfig::on()
+                };
             }
             let mode = if group_commit { "group" } else { "per-append" };
             let label = format!("fsync={:.1}ms {mode}", fsync_us as f64 / 1e3);
@@ -163,6 +167,9 @@ fn main() {
             ));
             if traced {
                 print_anatomy("group commit @1ms", &report);
+                // Where a durable run's host time goes, checkpoints and
+                // anti-entropy included (nothing unless profiled).
+                print_profile_by_kind(&report, 12);
                 if let Some(path) = &trace_out {
                     export_trace(&report, path);
                 }

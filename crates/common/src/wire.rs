@@ -485,12 +485,24 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// Encodes a sequence exactly as a `Vec<T>` of the same items: a `u32`
+/// count, then each item. Borrowed forms (a slice, a ring buffer's two
+/// halves, a sorted copy) write through here without building the
+/// `Vec`.
+pub fn encode_seq<'a, T: Wire + 'a>(
+    len: usize,
+    items: impl IntoIterator<Item = &'a T>,
+    out: &mut Enc,
+) {
+    out.u32(len as u32);
+    for v in items {
+        v.encode(out);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Enc) {
-        out.u32(self.len() as u32);
-        for v in self {
-            v.encode(out);
-        }
+        encode_seq(self.len(), self, out);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         let n = inp.u32()? as usize;

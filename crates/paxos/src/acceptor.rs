@@ -70,12 +70,14 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use mdcc_common::error::AbortReason;
+use mdcc_common::wire::Enc;
 use mdcc_common::{CommutativeUpdate, NodeId, Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
 use crate::cstruct::{trace_digest_of, CStruct, Entry, Mark};
 use crate::demarcation::{escrow_accepts, AttrConstraint, EscrowView};
 use crate::options::{OptionStatus, TxnOption, TxnOutcome};
+use crate::wire::{encode_committed, StateView};
 
 /// Committed record state, shipped in Phase1b/Phase2a for catch-up.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -960,13 +962,24 @@ impl AcceptorRecord {
         ClassicAccept::Vote(self.vote())
     }
 
-    /// Exports the acceptor's full state for a durable checkpoint.
-    pub fn export_state(&self) -> AcceptorState {
+    /// Known resolutions sorted by transaction, as the state exports them.
+    fn sorted_outcomes(&self) -> Vec<(TxnId, Resolution)> {
         let mut outcomes: Vec<(TxnId, Resolution)> =
             self.outcomes.iter().map(|(t, r)| (*t, *r)).collect();
-        outcomes.sort_by_key(|(t, _)| *t);
+        outcomes.sort_unstable_by_key(|(t, _)| *t);
+        outcomes
+    }
+
+    /// Executed resolutions sorted by transaction, as the state exports
+    /// them.
+    fn sorted_resolved(&self) -> Vec<TxnId> {
         let mut resolved: Vec<TxnId> = self.resolved_entries.iter().copied().collect();
-        resolved.sort();
+        resolved.sort_unstable();
+        resolved
+    }
+
+    /// Exports the acceptor's full state for a durable checkpoint.
+    pub fn export_state(&self) -> AcceptorState {
         AcceptorState {
             version: self.version,
             value: self.value.clone(),
@@ -974,8 +987,8 @@ impl AcceptorRecord {
             promised: self.promised,
             accepted_ballot: self.accepted_ballot,
             entries: self.cstruct.shared().to_vec(),
-            outcomes,
-            resolved,
+            outcomes: self.sorted_outcomes(),
+            resolved: self.sorted_resolved(),
             close_on_resolve: self.close_on_resolve,
             reopen_fast_after: self.reopen_fast_after,
             closed_resolved: self.closed_resolved.clone(),
@@ -984,6 +997,45 @@ impl AcceptorRecord {
             settle_seq: self.settle_seq,
             cstruct_epoch: self.cstruct_epoch,
         }
+    }
+
+    /// Appends exactly the bytes of `export_state().encode()` without
+    /// building the export: nothing is cloned, and only the two hashed
+    /// sets are copied to be sorted. Checkpoints and the log-structured
+    /// engine's segment entries are written through here.
+    ///
+    /// Returns `out.len()` where the committed projection ends: the bytes
+    /// [`Self::encode_committed`] would write are the state's prefix, so
+    /// a caller that recorded where the state began can digest them
+    /// without encoding again.
+    pub fn encode_state(&self, out: &mut Enc) -> usize {
+        let (outcomes, resolved) = (self.sorted_outcomes(), self.sorted_resolved());
+        let (front, back) = self.settle_log.as_slices();
+        StateView {
+            version: self.version,
+            value: &self.value,
+            base: &self.base,
+            promised: self.promised,
+            accepted_ballot: self.accepted_ballot,
+            entries: self.cstruct.shared(),
+            outcomes: &outcomes,
+            resolved: &resolved,
+            close_on_resolve: self.close_on_resolve,
+            reopen_fast_after: self.reopen_fast_after,
+            closed_resolved: &self.closed_resolved,
+            inherited_folded: &self.inherited_folded,
+            settle_log: (front, back),
+            settle_seq: self.settle_seq,
+            cstruct_epoch: self.cstruct_epoch,
+        }
+        .encode(out)
+    }
+
+    /// Appends the committed projection `(version, value)` — the prefix
+    /// of [`Self::encode_state`] that replicas compare and anti-entropy
+    /// digests.
+    pub fn encode_committed(&self, out: &mut Enc) {
+        encode_committed(self.version, &self.value, out);
     }
 
     /// Rebuilds an acceptor from an exported state (restart path).

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use mdcc_common::error::AbortReason;
-use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{Key, TxnId, UpdateOp, Version};
+use mdcc_common::wire::{encode_seq, err, Dec, Enc, Wire, WireResult};
+use mdcc_common::{Key, Row, TxnId, UpdateOp, Version};
 
 use crate::acceptor::{
     AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution, VoteVerdict,
@@ -361,23 +361,85 @@ impl Wire for Phase2a {
     }
 }
 
-impl Wire for AcceptorState {
-    fn encode(&self, out: &mut Enc) {
-        self.version.encode(out);
-        self.value.encode(out);
+/// A borrowed view of one acceptor's durable state — the one definition
+/// of its checkpoint layout. [`AcceptorState`]'s `Wire::encode` and
+/// [`crate::AcceptorRecord::encode_state`] both write through it, so the
+/// exported and the in-place encodings cannot drift apart. Fields mirror
+/// [`AcceptorState`]; `settle_log` is the two halves of a ring buffer.
+pub(crate) struct StateView<'a> {
+    pub version: Version,
+    pub value: &'a Option<Row>,
+    pub base: &'a Option<Row>,
+    pub promised: Ballot,
+    pub accepted_ballot: Option<Ballot>,
+    pub entries: &'a [Arc<Entry>],
+    pub outcomes: &'a [(TxnId, Resolution)],
+    pub resolved: &'a [TxnId],
+    pub close_on_resolve: bool,
+    pub reopen_fast_after: Option<Ballot>,
+    pub closed_resolved: &'a [(TxnOption, Resolution)],
+    pub inherited_folded: &'a [TxnId],
+    pub settle_log: (&'a [TxnId], &'a [TxnId]),
+    pub settle_seq: u64,
+    pub cstruct_epoch: u64,
+}
+
+/// The committed projection `(version, value)`: the first two fields of
+/// an acceptor's encoded state.
+pub(crate) fn encode_committed(version: Version, value: &Option<Row>, out: &mut Enc) {
+    version.encode(out);
+    value.encode(out);
+}
+
+fn encode_slice<T: Wire>(items: &[T], out: &mut Enc) {
+    encode_seq(items.len(), items, out);
+}
+
+impl StateView<'_> {
+    /// Appends the state to `out`. Returns `out.len()` where the
+    /// committed projection ends: `out[start..end]` is what
+    /// [`encode_committed`] writes for this state.
+    pub(crate) fn encode(&self, out: &mut Enc) -> usize {
+        encode_committed(self.version, self.value, out);
+        let committed_end = out.len();
         self.base.encode(out);
         self.promised.encode(out);
         self.accepted_ballot.encode(out);
-        self.entries.encode(out);
-        self.outcomes.encode(out);
-        self.resolved.encode(out);
+        encode_slice(self.entries, out);
+        encode_slice(self.outcomes, out);
+        encode_slice(self.resolved, out);
         out.bool(self.close_on_resolve);
         self.reopen_fast_after.encode(out);
-        self.closed_resolved.encode(out);
-        self.inherited_folded.encode(out);
-        self.settle_log.encode(out);
+        encode_slice(self.closed_resolved, out);
+        encode_slice(self.inherited_folded, out);
+        let (front, back) = self.settle_log;
+        encode_seq(front.len() + back.len(), front.iter().chain(back), out);
         self.settle_seq.encode(out);
         self.cstruct_epoch.encode(out);
+        committed_end
+    }
+}
+
+impl Wire for AcceptorState {
+    fn encode(&self, out: &mut Enc) {
+        StateView {
+            version: self.version,
+            value: &self.value,
+            base: &self.base,
+            promised: self.promised,
+            accepted_ballot: self.accepted_ballot,
+            entries: &self.entries,
+            outcomes: &self.outcomes,
+            resolved: &self.resolved,
+            close_on_resolve: self.close_on_resolve,
+            reopen_fast_after: self.reopen_fast_after,
+            closed_resolved: &self.closed_resolved,
+            inherited_folded: &self.inherited_folded,
+            settle_log: (&self.settle_log[..], &[]),
+            settle_seq: self.settle_seq,
+            cstruct_epoch: self.cstruct_epoch,
+        }
+        .encode(out);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         Ok(AcceptorState {

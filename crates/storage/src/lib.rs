@@ -19,7 +19,7 @@ pub mod schema;
 pub mod store;
 pub mod wire;
 
-pub use engine::{EngineStats, LogStructuredBackend, MemBackend, Storage};
+pub use engine::{EngineStats, KeyRange, LogStructuredBackend, MemBackend, Storage};
 pub use mdcc_paxos::AttrConstraint;
 pub use schema::{Catalog, TableSchema};
 pub use store::{PendingTxn, RecordStore, StoreState, SyncItem, SyncRange};

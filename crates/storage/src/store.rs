@@ -12,7 +12,7 @@ use mdcc_paxos::{
     TxnOutcome,
 };
 
-use crate::engine::{backend_for, EngineStats, Storage};
+use crate::engine::{backend_for, EngineStats, KeyRange, Storage};
 use crate::schema::Catalog;
 
 /// The full durable state of a [`RecordStore`], exported for checkpoints
@@ -48,10 +48,12 @@ pub struct SyncRange {
     pub lo: Key,
     /// Largest key in the range (inclusive).
     pub hi: Key,
-    /// FNV-1a digest of the **committed projection** `(key, version,
-    /// value)` of every key the sender holds in `[lo, hi]` — see
-    /// [`RecordStore::sync_digest_in`] for why the digest deliberately
-    /// excludes resolution metadata.
+    /// Digest of the **committed projection** `(key, version, value)` of
+    /// every key the sender holds in `[lo, hi]`: the wrapping sum of one
+    /// per-record digest each, so equal record sets give equal digests
+    /// whatever order they are added in. See
+    /// [`RecordStore::sync_digest_in`] for why that is safe and why the
+    /// digest deliberately excludes resolution metadata.
     pub digest: u64,
 }
 
@@ -289,29 +291,19 @@ impl RecordStore {
     /// sorted by key. This is the paper-visible state of a storage node:
     /// the recovery audit compares it byte-for-byte across replicas.
     pub fn committed_state(&self) -> Vec<(Key, Version, Option<Row>)> {
-        self.keys()
-            .into_iter()
-            .map(|k| {
-                let (version, value) = self
-                    .with_record(&k, |r| (r.version(), r.value().cloned()))
-                    .expect("listed key exists");
-                (k, version, value)
-            })
-            .collect()
+        let mut state = Vec::with_capacity(self.len());
+        self.records.for_each_in(KeyRange::All, &mut |key, rec| {
+            state.push((key.clone(), rec.version(), rec.value().cloned()));
+        });
+        state
     }
 
     /// Exports the store's full durable state for a checkpoint.
     pub fn export_state(&self) -> StoreState {
-        let records: Vec<(Key, AcceptorState)> = self
-            .keys()
-            .into_iter()
-            .map(|k| {
-                let state = self
-                    .with_record(&k, |r| r.export_state())
-                    .expect("listed key exists");
-                (k, state)
-            })
-            .collect();
+        let mut records: Vec<(Key, AcceptorState)> = Vec::with_capacity(self.len());
+        self.records.for_each_in(KeyRange::All, &mut |key, rec| {
+            records.push((key.clone(), rec.export_state()));
+        });
         StoreState {
             records,
             pending: self.pending.values().cloned().collect(),
@@ -393,46 +385,53 @@ impl RecordStore {
 
     /// The anti-entropy payload for one record this store holds.
     pub fn sync_item(&self, key: &Key) -> Option<SyncItem> {
-        self.with_record(key, |rec| SyncItem {
-            key: key.clone(),
-            snapshot: rec.snapshot(),
-            resolved: rec.sync_payload(),
-        })
+        self.with_record(key, |rec| sync_item_of(key, rec))
     }
 
     /// Partitions this store's keys into chunks of at most `chunk_keys`
-    /// and digests each chunk's committed projection, in one pass over
-    /// the sorted key list. A peer comparing these digests against its
-    /// own (via [`RecordStore::divergent_ranges`]) learns exactly which
-    /// ranges diverge — everything else never touches the wire.
+    /// and digests each chunk's committed projection, in one ordered
+    /// walk. A peer comparing these digests against its own (via
+    /// [`RecordStore::divergent_ranges`]) learns exactly which ranges
+    /// diverge — everything else never touches the wire.
     pub fn sync_ranges(&self, chunk_keys: usize) -> Vec<SyncRange> {
-        let keys = self.keys();
-        keys.chunks(chunk_keys.max(1))
-            .map(|ks| SyncRange {
-                digest: self.digest_of(ks),
-                lo: ks.first().expect("chunks are non-empty").clone(),
-                hi: ks.last().expect("chunks are non-empty").clone(),
-            })
-            .collect()
+        let mut digests = self.records.digests_in(KeyRange::All);
+        let mut ranges = Vec::new();
+        while let Some((lo, mut digest)) = digests.next() {
+            let mut hi = lo;
+            for (key, h) in digests.by_ref().take(chunk_keys.max(1) - 1) {
+                hi = key;
+                digest = digest.wrapping_add(h);
+            }
+            ranges.push(SyncRange {
+                lo: lo.clone(),
+                hi: hi.clone(),
+                digest,
+            });
+        }
+        ranges
     }
 
-    /// Compares a peer's advertised range digests against local state in
-    /// one pass (sorted keys once, binary-searched per range) and
-    /// returns the `(lo, hi)` bounds whose committed projections differ
-    /// — the ranges worth pulling.
+    /// Compares a peer's advertised range digests against local state
+    /// (one ordered walk of each range) and returns the `(lo, hi)`
+    /// bounds whose committed projections differ — the ranges worth
+    /// pulling.
     pub fn divergent_ranges(&self, ranges: &[SyncRange]) -> Vec<(Key, Key)> {
-        let keys = self.keys();
         ranges
             .iter()
-            .filter(|r| self.digest_of(keys_within(&keys, &r.lo, &r.hi)) != r.digest)
+            .filter(|r| self.sync_digest_in(&r.lo, &r.hi) != r.digest)
             .map(|r| (r.lo.clone(), r.hi.clone()))
             .collect()
     }
 
-    /// FNV-1a digest of the **committed projection** `(key, version,
-    /// value)` of every key this store holds in `[lo, hi]` (sorted) —
-    /// the same canonical bytes the recovery audit compares across
-    /// replicas, so two converged replicas always digest equal.
+    /// Digest of the **committed projection** `(key, version, value)` of
+    /// every key this store holds in `[lo, hi]`: the wrapping sum of one
+    /// [`crate::engine::record_digest`] per record, over the same
+    /// canonical bytes the recovery audit compares across replicas.
+    /// Equal sets of records
+    /// give equal sums, so two converged replicas always digest equal;
+    /// the sum ignores order, which is safe because both sides digest
+    /// exactly the records a range holds, and it lets a range's digest
+    /// be added up from per-record values cached when records spill.
     ///
     /// Equal digests mean the range's committed states already agree;
     /// shipping it could at most transfer resolution metadata whose
@@ -440,40 +439,28 @@ impl RecordStore {
     /// and dangling-recovery machinery owns those leftovers, exactly as
     /// it does for the items `sync_relevant` turns away).
     pub fn sync_digest_in(&self, lo: &Key, hi: &Key) -> u64 {
-        self.digest_of(keys_within(&self.keys(), lo, hi))
-    }
-
-    /// The committed-projection digest of an already-sorted key slice.
-    fn digest_of(&self, keys: &[Key]) -> u64 {
-        let mut enc = mdcc_common::wire::Enc::new();
-        for key in keys {
-            self.with_record(key, |rec| {
-                mdcc_common::wire::Wire::encode(key, &mut enc);
-                mdcc_common::wire::Wire::encode(&rec.version(), &mut enc);
-                mdcc_common::wire::Wire::encode(&rec.value().cloned(), &mut enc);
-            })
-            .expect("digested key exists");
-        }
-        mdcc_common::wire::fnv1a64(&enc.finish())
+        self.records
+            .digests_in(KeyRange::Within(lo, hi))
+            .fold(0, |sum, (_, h)| sum.wrapping_add(h))
     }
 
     /// The anti-entropy payloads of every key this store holds in each
     /// of the `[lo, hi]` `ranges`, one sorted batch per range.
     /// A single-key range (the targeted pull after a missed commit) is
-    /// one lookup; the sorted key list, which costs a pass over the
-    /// whole store, is built at most once however many ranges ask.
+    /// one lookup; any other walks just the keys it covers.
     pub fn sync_items_in(&self, ranges: &[(Key, Key)]) -> Vec<Vec<SyncItem>> {
-        let mut sorted: Option<Vec<Key>> = None;
         ranges
             .iter()
             .map(|(lo, hi)| {
                 if lo == hi {
                     return self.sync_item(lo).into_iter().collect();
                 }
-                keys_within(sorted.get_or_insert_with(|| self.keys()), lo, hi)
-                    .iter()
-                    .map(|key| self.sync_item(key).expect("listed key exists"))
-                    .collect()
+                let mut items = Vec::new();
+                self.records
+                    .for_each_in(KeyRange::Within(lo, hi), &mut |key, rec| {
+                        items.push(sync_item_of(key, rec));
+                    });
+                items
             })
             .collect()
     }
@@ -506,11 +493,13 @@ impl RecordStore {
     }
 }
 
-/// The part of the sorted key list `keys` that lies in `[lo, hi]`.
-fn keys_within<'a>(keys: &'a [Key], lo: &Key, hi: &Key) -> &'a [Key] {
-    let start = keys.partition_point(|k| k < lo);
-    let end = keys.partition_point(|k| k <= hi);
-    &keys[start..end.max(start)]
+/// One record's anti-entropy payload.
+fn sync_item_of(key: &Key, rec: &AcceptorRecord) -> SyncItem {
+    SyncItem {
+        key: key.clone(),
+        snapshot: rec.snapshot(),
+        resolved: rec.sync_payload(),
+    }
 }
 
 #[cfg(test)]

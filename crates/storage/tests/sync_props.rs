@@ -1,5 +1,4 @@
-//! Property test: batched merkle-range sync reconverges byte-for-byte
-//! identical to shipping every key on arbitrary divergent stores.
+//! Property tests of merkle-range anti-entropy, on both storage backends.
 //!
 //! Two replicas start equal; the peer then applies a random committed
 //! workload of which the "local" replica (simulating a crashed node)
@@ -14,11 +13,18 @@
 //!
 //! Both must land on identical committed state — equal to the peer's —
 //! and a second batched round must find zero divergent ranges.
+//!
+//! Every store runs with a four-record cache, so under the
+//! log-structured backend a range mixes cached records (digested on
+//! demand) with spilled ones (digested when their entry was written).
+//! A third property pins what a range digest means: two stores digest a
+//! range equal exactly when their committed states agree on it.
 
 use std::sync::Arc;
 
 use mdcc_common::{
-    CommutativeUpdate, Key, NodeId, ProtocolConfig, Row, SimTime, TableId, TxnId, UpdateOp,
+    CommutativeUpdate, Key, NodeId, ProtocolConfig, Row, SimTime, StorageKind, TableId, TxnId,
+    UpdateOp, Version,
 };
 use mdcc_paxos::{TxnOption, TxnOutcome};
 use mdcc_storage::{Catalog, RecordStore};
@@ -26,12 +32,19 @@ use proptest::prelude::*;
 
 const KEYS: u64 = 24;
 
+const BACKENDS: [StorageKind; 2] = [StorageKind::Mem, StorageKind::LogStructured];
+
 fn key(i: u64) -> Key {
     Key::new(TableId(1), format!("k{i:02}"))
 }
 
-fn loaded_store() -> RecordStore {
-    let mut s = RecordStore::new(ProtocolConfig::default(), Arc::new(Catalog::new()));
+fn loaded_store(storage: StorageKind) -> RecordStore {
+    let cfg = ProtocolConfig {
+        storage,
+        log_cache_records: 4,
+        ..ProtocolConfig::default()
+    };
+    let mut s = RecordStore::new(cfg, Arc::new(Catalog::new()));
     for i in 0..KEYS {
         s.load(key(i), Row::new().with("stock", 1_000_000));
     }
@@ -68,8 +81,10 @@ fn legacy_sync(local: &mut RecordStore, peer: &RecordStore) {
 fn batched_sync(local: &mut RecordStore, peer: &RecordStore, chunk: usize) -> usize {
     let ranges = peer.sync_ranges(chunk);
     let divergent = local.divergent_ranges(&ranges);
-    // The one-pass comparison must agree with the per-range digest API.
+    // The one-pass comparison must agree with the per-range digest API,
+    // and the advertised digest with the peer's own.
     for r in &ranges {
+        assert_eq!(peer.sync_digest_in(&r.lo, &r.hi), r.digest);
         let diverges = divergent.iter().any(|(lo, _)| lo == &r.lo);
         assert_eq!(
             local.sync_digest_in(&r.lo, &r.hi) != r.digest,
@@ -88,6 +103,25 @@ fn batched_sync(local: &mut RecordStore, peer: &RecordStore, chunk: usize) -> us
     shipped
 }
 
+/// The committed state of `store` restricted to `[lo, hi]`.
+fn committed_within(store: &RecordStore, lo: &Key, hi: &Key) -> Vec<(Key, Version, Option<Row>)> {
+    store
+        .committed_state()
+        .into_iter()
+        .filter(|(k, _, _)| lo <= k && k <= hi)
+        .collect()
+}
+
+/// One step of a history: a committed delta on a loaded key, or the
+/// bulk load of a key outside the loaded range.
+fn apply_step(store: &mut RecordStore, seq: u64, (k, amount, fresh): (u64, i64, bool)) {
+    if fresh {
+        store.load(key(KEYS + k % 6), Row::new().with("stock", amount));
+    } else {
+        apply_commit(store, seq, k, amount);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -96,46 +130,86 @@ proptest! {
         ops in prop::collection::vec((0u64..KEYS, 1i64..4, any::<bool>()), 1..120),
         chunk in 1usize..9,
     ) {
-        // The peer sees every committed transaction; the local replica
-        // (down for part of the run) only the ones flagged `true`.
-        let mut peer = loaded_store();
-        let mut local_legacy = loaded_store();
-        let mut local_batched = loaded_store();
-        for (seq, (k, d, seen_locally)) in ops.iter().enumerate() {
-            apply_commit(&mut peer, seq as u64, *k, *d);
-            if *seen_locally {
-                apply_commit(&mut local_legacy, seq as u64, *k, *d);
-                apply_commit(&mut local_batched, seq as u64, *k, *d);
+        for storage in BACKENDS {
+            // The peer sees every committed transaction; the local
+            // replica (down for part of the run) only the ones flagged
+            // `true`.
+            let mut peer = loaded_store(storage);
+            let mut local_legacy = loaded_store(storage);
+            let mut local_batched = loaded_store(storage);
+            for (seq, (k, d, seen_locally)) in ops.iter().enumerate() {
+                apply_commit(&mut peer, seq as u64, *k, *d);
+                if *seen_locally {
+                    apply_commit(&mut local_legacy, seq as u64, *k, *d);
+                    apply_commit(&mut local_batched, seq as u64, *k, *d);
+                }
             }
+
+            legacy_sync(&mut local_legacy, &peer);
+            batched_sync(&mut local_batched, &peer, chunk);
+
+            // Byte-for-byte equal committed state, and equal to the peer's.
+            prop_assert_eq!(local_batched.committed_state(), local_legacy.committed_state());
+            prop_assert_eq!(local_batched.committed_state(), peer.committed_state());
+
+            // Convergence: a second batched round finds nothing to ship.
+            let shipped = batched_sync(&mut local_batched, &peer, chunk);
+            prop_assert_eq!(shipped, 0, "{:?}: second round must be digest-clean", storage);
         }
-
-        legacy_sync(&mut local_legacy, &peer);
-        batched_sync(&mut local_batched, &peer, chunk);
-
-        // Byte-for-byte equal committed state, and equal to the peer's.
-        prop_assert_eq!(local_batched.committed_state(), local_legacy.committed_state());
-        prop_assert_eq!(local_batched.committed_state(), peer.committed_state());
-
-        // Convergence: a second batched round finds nothing to ship.
-        let shipped = batched_sync(&mut local_batched, &peer, chunk);
-        prop_assert_eq!(shipped, 0, "second round must be digest-clean");
     }
 
     #[test]
     fn digest_ranges_cover_every_key_once(
         chunk in 1usize..9,
     ) {
-        let peer = loaded_store();
-        let ranges = peer.sync_ranges(chunk);
-        let mut covered = 0usize;
-        for r in &ranges {
-            prop_assert!(r.lo <= r.hi);
-            covered += peer.sync_items_in(&[(r.lo.clone(), r.hi.clone())])[0].len();
+        for storage in BACKENDS {
+            let peer = loaded_store(storage);
+            let ranges = peer.sync_ranges(chunk);
+            let mut covered = 0usize;
+            for r in &ranges {
+                prop_assert!(r.lo <= r.hi);
+                covered += peer.sync_items_in(&[(r.lo.clone(), r.hi.clone())])[0].len();
+            }
+            prop_assert_eq!(covered, KEYS as usize);
+            // Ranges tile the sorted key space without overlap.
+            for w in ranges.windows(2) {
+                prop_assert!(w[0].hi < w[1].lo);
+            }
         }
-        prop_assert_eq!(covered, KEYS as usize);
-        // Ranges tile the sorted key space without overlap.
-        for w in ranges.windows(2) {
-            prop_assert!(w[0].hi < w[1].lo);
+    }
+
+    /// Two stores with independent random histories — sharing most of
+    /// their steps, so that ranges often agree — digest a range equal
+    /// if and only if their committed states restricted to it are
+    /// equal. One store is in memory and the other log-structured, so
+    /// the two backends must also agree on every record's digest.
+    #[test]
+    fn range_digests_agree_iff_committed_states_agree(
+        steps in prop::collection::vec((0u64..KEYS, 1i64..4, any::<bool>(), 0u8..4), 0..40),
+        bounds in prop::collection::vec((0u64..KEYS + 6, 0u64..KEYS + 6), 8..9),
+    ) {
+        let mut a = loaded_store(StorageKind::Mem);
+        let mut b = loaded_store(StorageKind::LogStructured);
+        for (seq, (k, amount, fresh, to)) in steps.into_iter().enumerate() {
+            // 0: both stores, 1: only `a`, 2: only `b`, 3: both.
+            if to != 2 {
+                apply_step(&mut a, seq as u64, (k, amount, fresh));
+            }
+            if to != 1 {
+                apply_step(&mut b, seq as u64, (k, amount, fresh));
+            }
         }
+        for (lo, hi) in bounds {
+            let (lo, hi) = (key(lo.min(hi)), key(lo.max(hi)));
+            let states_agree = committed_within(&a, &lo, &hi) == committed_within(&b, &lo, &hi);
+            let digests_agree = a.sync_digest_in(&lo, &hi) == b.sync_digest_in(&lo, &hi);
+            prop_assert_eq!(digests_agree, states_agree, "range [{:?}, {:?}]", lo, hi);
+        }
+        // The whole key space, and an inverted range (empty on both).
+        prop_assert_eq!(
+            a.sync_digest_in(&key(0), &key(99)) == b.sync_digest_in(&key(0), &key(99)),
+            a.committed_state() == b.committed_state()
+        );
+        prop_assert_eq!(a.sync_digest_in(&key(9), &key(3)), 0);
     }
 }
