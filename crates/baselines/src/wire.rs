@@ -1,10 +1,11 @@
 //! Wire sizes for the baseline protocols' messages.
 //!
 //! The baselines ride the same sized transport as MDCC: every message
-//! reports its byte-accurate encoded size (computed with the shared
-//! codec of [`mdcc_common::wire`]) so transmission delay, link queueing
-//! and per-byte service cost apply to 2PC, quorum writes and Megastore*
-//! exactly as they do to MDCC — a fair fight on the same network.
+//! reports its byte-accurate encoded size, each field sized through the
+//! shared codec of [`mdcc_common::wire`] (varint ids and versions
+//! included), so transmission delay, link queueing and per-byte service
+//! cost apply to 2PC, quorum writes and Megastore* exactly as they do to
+//! MDCC — a fair fight on the same network.
 
 use mdcc_common::wire::{wire_len, FRAME_OVERHEAD};
 use mdcc_sim::{NetMessage, TrafficClass};
@@ -13,33 +14,26 @@ use crate::megastore::MegaMsg;
 use crate::qw::QwMsg;
 use crate::twopc::TpcMsg;
 
-/// Encoded size of a `TxnId` (coordinator u32 + seq u64).
-const TXN_LEN: usize = 12;
-/// Encoded size of a `u64` request id / log position.
-const U64_LEN: usize = 8;
-/// Encoded size of a `Version`.
-const VERSION_LEN: usize = 8;
-/// Encoded size of a bool / tag byte.
-const BOOL_LEN: usize = 1;
-
-/// Encoded size of an `Option<Row>` (tag byte + row if present).
-fn opt_row_len(value: &Option<mdcc_common::Row>) -> usize {
-    BOOL_LEN + value.as_ref().map_or(0, wire_len)
-}
+/// What every message pays besides its fields: the frame header and a
+/// one-byte message tag.
+const HEADER_LEN: usize = FRAME_OVERHEAD + 1;
 
 impl NetMessage for TpcMsg {
     fn wire_bytes(&self) -> usize {
         let body = match self {
-            TpcMsg::Prepare { update, .. } => TXN_LEN + wire_len(update),
-            TpcMsg::PrepareVote { key, .. } => TXN_LEN + wire_len(key) + BOOL_LEN,
-            TpcMsg::Decide { key, .. } => TXN_LEN + wire_len(key) + BOOL_LEN,
-            TpcMsg::DecideAck { key, .. } => TXN_LEN + wire_len(key),
-            TpcMsg::ReadReq { key, .. } => U64_LEN + wire_len(key),
-            TpcMsg::ReadResp { key, value, .. } => {
-                U64_LEN + wire_len(key) + VERSION_LEN + opt_row_len(value)
-            }
+            TpcMsg::Prepare { txn, update } => wire_len(txn) + wire_len(update),
+            TpcMsg::PrepareVote { txn, key, ok } => wire_len(txn) + wire_len(key) + wire_len(ok),
+            TpcMsg::Decide { txn, key, commit } => wire_len(txn) + wire_len(key) + wire_len(commit),
+            TpcMsg::DecideAck { txn, key } => wire_len(txn) + wire_len(key),
+            TpcMsg::ReadReq { req, key } => wire_len(req) + wire_len(key),
+            TpcMsg::ReadResp {
+                req,
+                key,
+                version,
+                value,
+            } => wire_len(req) + wire_len(key) + wire_len(version) + wire_len(value),
         };
-        FRAME_OVERHEAD + 1 + body
+        HEADER_LEN + body
     }
 
     fn traffic_class(&self) -> TrafficClass {
@@ -53,14 +47,18 @@ impl NetMessage for TpcMsg {
 impl NetMessage for QwMsg {
     fn wire_bytes(&self) -> usize {
         let body = match self {
-            QwMsg::Put { update, .. } => U64_LEN + wire_len(update),
-            QwMsg::PutAck { key, .. } => U64_LEN + wire_len(key),
-            QwMsg::ReadReq { key, .. } => U64_LEN + wire_len(key),
-            QwMsg::ReadResp { key, value, .. } => {
-                U64_LEN + wire_len(key) + VERSION_LEN + opt_row_len(value)
+            QwMsg::Put { req, update } => wire_len(req) + wire_len(update),
+            QwMsg::PutAck { req, key } | QwMsg::ReadReq { req, key } => {
+                wire_len(req) + wire_len(key)
             }
+            QwMsg::ReadResp {
+                req,
+                key,
+                version,
+                value,
+            } => wire_len(req) + wire_len(key) + wire_len(version) + wire_len(value),
         };
-        FRAME_OVERHEAD + 1 + body
+        HEADER_LEN + body
     }
 
     fn traffic_class(&self) -> TrafficClass {
@@ -75,28 +73,23 @@ impl NetMessage for MegaMsg {
     fn wire_bytes(&self) -> usize {
         let body = match self {
             MegaMsg::CommitReq {
+                txn,
                 updates,
                 read_versions,
-                ..
-            } => {
-                TXN_LEN
-                    + wire_len(updates)
-                    + 4
-                    + read_versions
-                        .iter()
-                        .map(|(k, _)| wire_len(k) + VERSION_LEN)
-                        .sum::<usize>()
-            }
-            MegaMsg::CommitResp { .. } => TXN_LEN + BOOL_LEN,
-            MegaMsg::LogAccept { .. } => U64_LEN + TXN_LEN,
-            MegaMsg::LogAck { .. } => U64_LEN,
-            MegaMsg::Apply { updates, .. } => U64_LEN + wire_len(updates),
-            MegaMsg::ReadReq { key, .. } => U64_LEN + wire_len(key),
-            MegaMsg::ReadResp { key, value, .. } => {
-                U64_LEN + wire_len(key) + VERSION_LEN + opt_row_len(value)
-            }
+            } => wire_len(txn) + wire_len(updates) + wire_len(read_versions),
+            MegaMsg::CommitResp { txn, committed } => wire_len(txn) + wire_len(committed),
+            MegaMsg::LogAccept { pos, txn } => wire_len(pos) + wire_len(txn),
+            MegaMsg::LogAck { pos } => wire_len(pos),
+            MegaMsg::Apply { pos, updates } => wire_len(pos) + wire_len(updates),
+            MegaMsg::ReadReq { req, key } => wire_len(req) + wire_len(key),
+            MegaMsg::ReadResp {
+                req,
+                key,
+                version,
+                value,
+            } => wire_len(req) + wire_len(key) + wire_len(version) + wire_len(value),
         };
-        FRAME_OVERHEAD + 1 + body
+        HEADER_LEN + body
     }
 
     fn traffic_class(&self) -> TrafficClass {
@@ -110,7 +103,9 @@ impl NetMessage for MegaMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdcc_common::{CommutativeUpdate, Key, NodeId, RecordUpdate, TableId, TxnId, UpdateOp};
+    use mdcc_common::{
+        CommutativeUpdate, Key, NodeId, RecordUpdate, Row, TableId, TxnId, UpdateOp, Version,
+    };
 
     #[test]
     fn sizes_scale_with_payload() {
@@ -132,8 +127,38 @@ mod tests {
         let ack = MegaMsg::LogAck { pos: 7 };
         assert_eq!(
             ack.wire_bytes(),
-            FRAME_OVERHEAD + 1 + U64_LEN,
+            HEADER_LEN + 1,
             "the smallest message still pays framing and its tag"
+        );
+    }
+
+    #[test]
+    fn integers_cost_what_the_codec_writes() {
+        // Ids, positions and versions pay their varint length, as MDCC's
+        // do: the largest costs ten bytes where the smallest costs one.
+        let read_resp = |n: u64| QwMsg::ReadResp {
+            req: n,
+            key: Key::new(TableId(0), "a"),
+            version: Version(n),
+            value: Some(Row::new().with("stock", 5)),
+        };
+        assert_eq!(
+            read_resp(u64::MAX).wire_bytes() - read_resp(1).wire_bytes(),
+            2 * (10 - 1)
+        );
+        let txn = TxnId::new(NodeId(2), 9);
+        let read_versions = vec![(Key::new(TableId(0), "a"), Version(300))];
+        let commit = MegaMsg::CommitReq {
+            txn,
+            updates: Vec::new(),
+            read_versions: read_versions.clone(),
+        };
+        assert_eq!(
+            commit.wire_bytes(),
+            HEADER_LEN
+                + wire_len(&txn)
+                + wire_len(&Vec::<RecordUpdate>::new())
+                + wire_len(&read_versions)
         );
     }
 

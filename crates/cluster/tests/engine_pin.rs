@@ -106,25 +106,34 @@ fn assert_pinned(cases: &[(ClusterSpec, MdccMode, &str, u64)]) {
     assert!(moved.is_empty(), "pins moved:\n{}", moved.join("\n"));
 }
 
+// Re-pinned once: every integer of the codec became a varint (hashes
+// excepted), so every message and WAL record is smaller, its transmit
+// and service time shorter, and every schedule shifts. The parent's pins
+// were, in order: 0x7a02_06ee_04e3_cec5, 0xd368_9672_477b_0147,
+// 0xd7bb_220c_955c_5815, 0x11b5_18c4_475c_3e82 (uniform);
+// 0xfcd3_4878_23b4_9b7f, 0x56b0_b5f6_7305_f114 (EC2);
+// 0xd2d4_7774_4b61_7f99 (Multi); 0xaddb_c92c_d548_3266,
+// 0x7264_b847_2b08_54e7 (crash-restart); 0x3ba4_483a_b6d2_294a (outage).
+
 /// `(seed, pin)` of the uniform three-DC runs.
 const UNIFORM: [(u64, u64); 4] = [
-    (1, 0x7a02_06ee_04e3_cec5),
-    (7, 0xd368_9672_477b_0147),
-    (42, 0xd7bb_220c_955c_5815),
-    (4242, 0x11b5_18c4_475c_3e82),
+    (1, 0x0929_897f_8983_7767),
+    (7, 0x78bd_a465_9861_0342),
+    (42, 0x8a75_8cb7_5e0b_6618),
+    (4242, 0x987c_6942_09ca_d127),
 ];
 
 /// `(seed, pin)` of the five-region EC2 runs with two shards per DC.
-const EC2: [(u64, u64); 2] = [(3, 0xfcd3_4878_23b4_9b7f), (11, 0x56b0_b5f6_7305_f114)];
+const EC2: [(u64, u64); 2] = [(3, 0xccd3_af25_d60f_cb29), (11, 0xbcf8_b647_8b15_df12)];
 
 /// `(seed, pin)` of the Multi-Paxos run.
-const MULTI: (u64, u64) = (5, 0xd2d4_7774_4b61_7f99);
+const MULTI: (u64, u64) = (5, 0x98fa_fded_130f_3d14);
 
 /// `(seed, pin)` of the durable crash-and-restart runs.
-const CRASH_RESTART: [(u64, u64); 2] = [(9, 0xaddb_c92c_d548_3266), (21, 0x7264_b847_2b08_54e7)];
+const CRASH_RESTART: [(u64, u64); 2] = [(9, 0x6d0d_9161_e491_a21e), (21, 0xeb7e_077a_38d5_e2de)];
 
 /// `(seed, pin)` of the data-center outage run.
-const DC_OUTAGE: (u64, u64) = (13, 0x3ba4_483a_b6d2_294a);
+const DC_OUTAGE: (u64, u64) = (13, 0xfd55_3987_ced9_4830);
 
 #[test]
 fn uniform_runs_are_pinned_across_seeds() {

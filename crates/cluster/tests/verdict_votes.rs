@@ -67,12 +67,14 @@ fn assert_healthy(label: &str, report: &Report) {
 }
 
 /// Wire bytes per committed transaction `hot_spec(77)` may cost: the
-/// measured value (2 793 B, 610 commits) plus ten per cent. A `Propose`
-/// and a `Visibility` per record per replica cost 3 744 B on the same
-/// spec, votes that carry the cstruct from the settled watermark
-/// 6 106 B, votes that re-ship the whole cstruct 70 521 B (measured at
-/// c51bd49, 8ec034e and f09ed95, the last commits that could send them).
-const HOT_BYTES_PER_COMMIT_CEILING: f64 = 3_075.0;
+/// measured value (1 186 B, 610 commits) plus ten per cent. Before the
+/// codec's integers became varints it was 2 793 B; a `Propose` and a
+/// `Visibility` per record per replica cost 3 744 B on the same spec,
+/// votes that carry the cstruct from the settled watermark 6 106 B, votes
+/// that re-ship the whole cstruct 70 521 B (measured at c51bd49, 8ec034e
+/// and f09ed95, the last commits that could send them, all with
+/// fixed-width integers).
+const HOT_BYTES_PER_COMMIT_CEILING: f64 = 1_305.0;
 
 /// The headline: on hot commutative load a commit costs a few kilobytes
 /// of wire — a vote says what its destination asked, not what the record

@@ -5,7 +5,7 @@
 //! cost on the simulated wire and its cost on the simulated disk are the
 //! same deterministic function of its value. The workspace has no serde
 //! (the build environment is offline), so the encoding is a hand-rolled
-//! length-prefixed little-endian format.
+//! length-prefixed varint format.
 //!
 //! Two properties matter:
 //!
@@ -17,9 +17,35 @@
 //!   it for the types it owns (`mdcc-paxos` for ballots and cstructs,
 //!   `mdcc-storage` for store state, `mdcc-core` for protocol messages).
 //!
-//! The framing helpers ([`frame`], [`FRAME_OVERHEAD`]) are shared by the
-//! WAL (`mdcc-recovery`) and by network-size accounting: a framed payload
-//! is `[len: u32][fnv1a checksum: u32][payload]`.
+//! # The integer rule
+//!
+//! Every unsigned integer ([`Enc::u16`], [`Enc::u32`], [`Enc::u64`]) —
+//! so every length, count, id, sequence number, version, ballot round
+//! and timestamp — is an LEB128 varint: seven bits per byte, least
+//! significant group first, the high bit set on every byte but the last
+//! ([`varint_len`] gives the size). Signed integers ([`Enc::i64`]:
+//! attribute values, commutative deltas) are zigzag-mapped first (0, −1,
+//! 1, −2, … ↦ 0, 1, 2, 3, …), so small magnitudes of either sign stay
+//! short. Tags and bools are one byte.
+//!
+//! The decoder is strict. It refuses a truncated varint, an overlong one
+//! (a last group of zero after the first byte, as in `0x80 0x00`), one
+//! longer than ten bytes and a value beyond the type being read. Every
+//! value therefore has exactly one encoding, and digests taken over
+//! encodings stay well defined.
+//!
+//! Two things stay fixed-width, each for a reason:
+//!
+//! * the frame header `[len: u32][fnv1a checksum: u32]` ([`frame`],
+//!   [`FRAME_OVERHEAD`]), shared by the WAL (`mdcc-recovery`) and by
+//!   network-size accounting: WAL torn-tail detection reads it before it
+//!   decodes anything;
+//! * uniformly distributed 64-bit hashes, written with [`Enc::fixed64`]:
+//!   a cstruct's digest chain (`Mark::chain`), a Phase2a's base digest
+//!   (`Base::Digest`), a sync range's digest (`SyncRange::digest`) and a
+//!   delta vote's digest (`DeltaVote::digest`). Their top bits are set
+//!   as often as not, so as varints they would take nine or ten bytes
+//!   instead of eight.
 
 use crate::error::AbortReason;
 use crate::ids::{DcId, Key, NodeId, TableId, TxnId};
@@ -48,6 +74,26 @@ pub type WireResult<T> = Result<T, WireError>;
 /// Shorthand for building a decode error.
 pub fn err<T>(context: &'static str) -> WireResult<T> {
     Err(WireError { context })
+}
+
+/// The longest varint: ten seven-bit groups cover 64 bits.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Bytes the varint encoding of `v` takes: one per started group of
+/// seven significant bits, and one for zero.
+pub fn varint_len(v: u64) -> usize {
+    let bits = u64::BITS - (v | 1).leading_zeros();
+    bits.div_ceil(7) as usize
+}
+
+/// Zigzag: 0, −1, 1, −2, … ↦ 0, 1, 2, 3, …
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
 /// Byte-buffer encoder.
@@ -82,23 +128,38 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Writes a little-endian `u16`.
+    /// Writes `v` as an LEB128 varint.
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Writes a `u16` as a varint.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(u64::from(v));
     }
 
-    /// Writes a little-endian `u32`.
+    /// Writes a `u32` as a varint.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(u64::from(v));
     }
 
-    /// Writes a little-endian `u64`.
+    /// Writes a `u64` as a varint.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.varint(v);
     }
 
-    /// Writes a little-endian `i64`.
+    /// Writes an `i64` as a zigzag varint.
     pub fn i64(&mut self, v: i64) {
+        self.varint(zigzag(v));
+    }
+
+    /// Writes a `u64` as eight little-endian bytes: for uniformly
+    /// distributed hashes only (see the module doc).
+    pub fn fixed64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -168,29 +229,60 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
+    /// Reads an LEB128 varint no larger than `max`, refusing every
+    /// encoding but the one [`Enc`] writes: truncated, overlong (a last
+    /// group of zero after the first byte), over ten bytes, or over
+    /// `max`.
+    fn varint(&mut self, max: u64, context: &'static str) -> WireResult<u64> {
+        let rest: &'a [u8] = &self.buf[self.pos..];
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().take(MAX_VARINT_LEN).enumerate() {
+            // The tenth group holds bit 63 alone, and ends the varint.
+            if i == MAX_VARINT_LEN - 1 && b > 1 {
+                return err(context);
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if (b == 0 && i > 0) || v > max {
+                    return err(context);
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        err(context)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> WireResult<u8> {
         Ok(self.take(1, "u8")?[0])
     }
 
-    /// Reads a little-endian `u16`.
+    /// Reads a varint `u16`.
     pub fn u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2, "u16")?.try_into().unwrap()))
+        Ok(self.varint(u16::MAX.into(), "u16")? as u16)
     }
 
-    /// Reads a little-endian `u32`.
+    /// Reads a varint `u32`.
     pub fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
+        Ok(self.varint(u32::MAX.into(), "u32")? as u32)
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a varint `u64`.
     pub fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
+        self.varint(u64::MAX, "u64")
     }
 
-    /// Reads a little-endian `i64`.
+    /// Reads a zigzag varint `i64`.
     pub fn i64(&mut self) -> WireResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8, "i64")?.try_into().unwrap()))
+        Ok(unzigzag(self.varint(u64::MAX, "i64")?))
+    }
+
+    /// Reads a `u64` written by [`Enc::fixed64`].
+    pub fn fixed64(&mut self) -> WireResult<u64> {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(self.take(8, "fixed64")?);
+        Ok(u64::from_le_bytes(le))
     }
 
     /// Reads a bool.
@@ -281,7 +373,7 @@ pub fn with_scratch_encoding<T: Wire, R>(value: &T, f: impl FnOnce(&[u8]) -> R) 
 // ---------------------------------------------------------------------
 
 /// Bytes a frame header adds on top of its payload: `[len: u32]` plus
-/// `[checksum: u32]`.
+/// `[checksum: u32]`, both fixed-width.
 pub const FRAME_OVERHEAD: usize = 8;
 
 /// FNV-1a over `bytes`, 32-bit (frame checksums).
@@ -333,16 +425,6 @@ pub fn frame<T: Wire>(value: &T) -> Vec<u8> {
 // Destination-coalesced envelopes.
 // ---------------------------------------------------------------------
 
-/// Fixed wire overhead of one envelope: the outer frame header
-/// ([`FRAME_OVERHEAD`]) plus a one-byte traffic-class tag and a `u32`
-/// message count.
-pub const ENVELOPE_BASE_OVERHEAD: usize = FRAME_OVERHEAD + 1 + 4;
-
-/// Per-message overhead inside an envelope: each payload rides behind a
-/// `u32` length prefix instead of its own full frame header — coalescing
-/// trades one [`FRAME_OVERHEAD`] per message for one length prefix.
-pub const ENVELOPE_PER_MSG_OVERHEAD: usize = 4;
-
 /// Several same-class message payloads coalesced into one wire frame.
 ///
 /// The transport's outbox batches messages bound for the same
@@ -385,21 +467,22 @@ impl Wire for Envelope {
 }
 
 /// Framed wire size of an envelope over payloads of the given *framed*
-/// single-message sizes (what [`ENVELOPE_BASE_OVERHEAD`]'s frame-header
-/// amortization buys): each message sheds its own frame header and
-/// gains a length prefix, and the envelope adds one fixed header.
+/// single-message sizes: exactly `frame(&envelope).len()`. The envelope
+/// pays one frame header, its class byte and a varint count; each
+/// message sheds its own frame header and rides behind a varint length
+/// prefix instead.
 ///
 /// Sizes below [`FRAME_OVERHEAD`] (possible only for unframed test
-/// payloads, whose whole size saturates away) still pay the
-/// [`ENVELOPE_PER_MSG_OVERHEAD`] length prefix each — so coalescing
-/// sub-frame-sized toy payloads can bill *more* bytes than bare
-/// frames; real protocol messages always report framed sizes.
+/// payloads) count as empty payloads, which still pay their one-byte
+/// prefix.
 pub fn envelope_wire_bytes(framed_sizes: impl IntoIterator<Item = usize>) -> usize {
-    framed_sizes
+    let (count, body) = framed_sizes
         .into_iter()
-        .fold(ENVELOPE_BASE_OVERHEAD, |acc, framed| {
-            acc + framed.saturating_sub(FRAME_OVERHEAD) + ENVELOPE_PER_MSG_OVERHEAD
-        })
+        .fold((0u64, 0usize), |(count, body), framed| {
+            let payload = framed.saturating_sub(FRAME_OVERHEAD);
+            (count + 1, body + varint_len(payload as u64) + payload)
+        });
+    FRAME_OVERHEAD + 1 + varint_len(count) + body
 }
 
 /// Parses every framed value in `buf`, oldest first, verifying checksums.
@@ -448,6 +531,15 @@ impl Wire for u32 {
     }
 }
 
+impl Wire for i64 {
+    fn encode(&self, out: &mut Enc) {
+        out.i64(*self);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        inp.i64()
+    }
+}
+
 impl Wire for bool {
     fn encode(&self, out: &mut Enc) {
         out.bool(*self);
@@ -485,7 +577,7 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// Encodes a sequence exactly as a `Vec<T>` of the same items: a `u32`
+/// Encodes a sequence exactly as a `Vec<T>` of the same items: a varint
 /// count, then each item. Borrowed forms (a slice, a ring buffer's two
 /// halves, a sorted copy) write through here without building the
 /// `Vec`.
@@ -802,6 +894,7 @@ mod tests {
         assert_eq!(round_trip(&Option::<Version>::None), None);
         assert_eq!(round_trip(&DcId(4)), DcId(4));
         assert_eq!(round_trip(&7u32), 7u32);
+        assert_eq!(round_trip(&TableId(u16::MAX)), TableId(u16::MAX));
         assert_eq!(
             round_trip(&SimDuration::from_millis(3)),
             SimDuration::from_millis(3)
@@ -812,7 +905,99 @@ mod tests {
     fn wire_len_matches_encoding() {
         let row = Row::new().with("stock", 42);
         assert_eq!(wire_len(&row), to_bytes(&row).len());
-        assert_eq!(wire_len(&Version(1)), 8);
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX] {
+            assert_eq!(wire_len(&Version(v)), varint_len(v), "{v}");
+            assert_eq!(wire_len(&Version(v)), to_bytes(&Version(v)).len());
+        }
+    }
+
+    #[test]
+    fn varint_lengths_step_at_every_seventh_bit() {
+        assert_eq!(to_bytes(&0u64), [0]);
+        assert_eq!(to_bytes(&300u64), [0xAC, 0x02]);
+        assert_eq!(to_bytes(&-1i64), [1], "zigzag: -1 is 1");
+        assert_eq!(to_bytes(&1i64), [2]);
+        assert_eq!(to_bytes(&i64::MIN).len(), MAX_VARINT_LEN);
+        for groups in 1..MAX_VARINT_LEN as u32 {
+            let top = (1u64 << (7 * groups)) - 1;
+            assert_eq!(varint_len(top), groups as usize, "{top}");
+            assert_eq!(varint_len(top + 1), groups as usize + 1, "{}", top + 1);
+        }
+        assert_eq!(varint_len(u64::MAX), MAX_VARINT_LEN);
+    }
+
+    #[test]
+    fn hostile_varints_are_errors_not_panics() {
+        let as_u64 = |b: &[u8]| from_bytes::<u64>(b);
+        assert!(as_u64(&[]).is_err(), "empty");
+        assert!(as_u64(&[0x80]).is_err(), "truncated");
+        assert!(as_u64(&[0xFF, 0xFF]).is_err(), "truncated after two bytes");
+        assert!(as_u64(&[0x80, 0x00]).is_err(), "overlong zero");
+        assert!(as_u64(&[0xFF, 0x00]).is_err(), "overlong 127");
+        let mut max = vec![0xFF; MAX_VARINT_LEN - 1];
+        max.push(0x01);
+        assert_eq!(as_u64(&max), Ok(u64::MAX), "ten bytes, bit 63 set");
+        let mut overflow = max.clone();
+        overflow[MAX_VARINT_LEN - 1] = 0x02;
+        assert!(as_u64(&overflow).is_err(), "overflow in the tenth byte");
+        let mut eleven = vec![0x80; MAX_VARINT_LEN];
+        eleven.push(0x01);
+        assert!(as_u64(&eleven).is_err(), "eleven bytes");
+        assert!(as_u64(&[0x80; 11]).is_err(), "eleven continuation bytes");
+        let past_u32 = to_bytes(&(u64::from(u32::MAX) + 1));
+        assert!(from_bytes::<u32>(&past_u32).is_err(), "u32 overflow");
+        let u32_max = to_bytes(&u64::from(u32::MAX));
+        assert_eq!(from_bytes::<u32>(&u32_max), Ok(u32::MAX));
+        let past_u16 = to_bytes(&(u32::from(u16::MAX) + 1));
+        assert!(from_bytes::<TableId>(&past_u16).is_err(), "u16 overflow");
+        // A length prefix pointing past the input.
+        let mut long_str = to_bytes(&1_000u32);
+        long_str.extend_from_slice(b"abc");
+        assert!(from_bytes::<String>(&long_str).is_err(), "str length");
+    }
+
+    /// splitmix64: a deterministic stream of well-mixed words.
+    fn words(mut seed: u64) -> impl Iterator<Item = u64> {
+        std::iter::repeat_with(move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+    }
+
+    #[test]
+    fn random_integers_round_trip_at_their_formula_length() {
+        // Shifted right by a random amount, so every length from one to
+        // ten bytes is drawn often.
+        for w in words(7).take(20_000) {
+            let v = w >> (w % 64);
+            let bytes = to_bytes(&v);
+            assert_eq!(bytes.len(), varint_len(v), "{v}");
+            assert_eq!(from_bytes::<u64>(&bytes), Ok(v));
+            let i = v as i64;
+            let bytes = to_bytes(&i);
+            assert_eq!(bytes.len(), varint_len(zigzag(i)), "{i}");
+            assert_eq!(from_bytes::<i64>(&bytes), Ok(i));
+            let neg = i.wrapping_neg();
+            assert_eq!(from_bytes::<i64>(&to_bytes(&neg)), Ok(neg));
+        }
+        for i in [0, 1, -1, i64::MAX, i64::MIN, i64::MIN + 1] {
+            assert_eq!(round_trip(&i), i);
+        }
+    }
+
+    #[test]
+    fn fixed64_is_eight_bytes_whatever_the_value() {
+        for v in [0, 1, u64::MAX] {
+            let mut out = Enc::new();
+            out.fixed64(v);
+            assert_eq!(out.len(), 8);
+            let bytes = out.finish();
+            assert_eq!(Dec::new(&bytes).fixed64(), Ok(v));
+            assert!(Dec::new(&bytes[..7]).fixed64().is_err());
+        }
     }
 
     #[test]
@@ -900,20 +1085,21 @@ mod tests {
 
     #[test]
     fn envelope_wire_bytes_matches_framed_encoding() {
-        // Three payloads whose framed single-message sizes would be
-        // payload + FRAME_OVERHEAD each; the helper must agree with the
-        // actual framed envelope encoding byte for byte.
-        let payloads = vec![vec![7u8; 40], vec![9u8; 1], vec![3u8; 250]];
-        let framed_sizes: Vec<usize> = payloads.iter().map(|p| p.len() + FRAME_OVERHEAD).collect();
-        let env = Envelope { class: 0, payloads };
-        let on_wire = frame_payload(&to_bytes(&env)).len();
-        assert_eq!(envelope_wire_bytes(framed_sizes), on_wire);
+        // Payloads on both sides of every length-prefix step (one byte
+        // below 128, two below 16 384, three above) and counts on both
+        // sides of 128: the helper must agree with the framed envelope
+        // encoding byte for byte.
+        let sizes = [40, 1, 127, 128, 250, 16_383, 16_384, 20_000];
+        for n in [0, 1, 3, sizes.len(), 127, 128, 130] {
+            let payloads: Vec<Vec<u8>> = (0..n).map(|i| vec![7; sizes[i % sizes.len()]]).collect();
+            let framed: Vec<usize> = payloads.iter().map(|p| p.len() + FRAME_OVERHEAD).collect();
+            let env = Envelope { class: 0, payloads };
+            assert_eq!(envelope_wire_bytes(framed), frame(&env).len(), "{n}");
+        }
         // Amortization: each coalesced message trades its frame header
-        // for a length prefix (saving FRAME_OVERHEAD −
-        // ENVELOPE_PER_MSG_OVERHEAD bytes), so the fixed envelope
-        // header pays for itself from four messages up.
-        let four = envelope_wire_bytes([100; 4]);
-        assert!(four < 400, "coalescing four 100-byte frames saves bytes");
+        // for a one- to three-byte length prefix, so the envelope's own
+        // header pays for itself from two messages up.
+        assert!(envelope_wire_bytes([100; 2]) < 200);
     }
 
     #[test]

@@ -224,9 +224,10 @@ mod tests {
     fn retired_tags_decode_to_an_error() {
         // 6 was the per-record override table; a peer still sending it
         // gets `Err`, not a panic or another message.
-        let mut bytes = vec![6];
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        assert!(from_bytes::<MsMsg>(&bytes).is_err());
+        let mut bytes = Enc::new();
+        bytes.u8(6);
+        bytes.u32(2);
+        bytes.u32(0);
+        assert!(from_bytes::<MsMsg>(bytes.as_slice()).is_err());
     }
 }

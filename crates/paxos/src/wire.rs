@@ -162,15 +162,16 @@ impl Wire for Entry {
     }
 }
 
+/// The chain is a hash: fixed-width.
 impl Wire for Mark {
     fn encode(&self, out: &mut Enc) {
         out.u64(self.seq);
-        out.u64(self.chain);
+        out.fixed64(self.chain);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         Ok(Mark {
             seq: inp.u64()?,
-            chain: inp.u64()?,
+            chain: inp.fixed64()?,
         })
     }
 }
@@ -233,7 +234,8 @@ impl Wire for Phase1b {
 }
 
 /// A vote whose cstruct starts at the settled watermark names the mark
-/// (17 bytes); a whole cstruct costs the one byte that says it is whole.
+/// (a tag byte, the sequence number and the eight-byte chain); a whole
+/// cstruct costs the one byte that says it is whole.
 impl Wire for Phase2b {
     fn encode(&self, out: &mut Enc) {
         self.ballot.encode(out);
@@ -293,7 +295,7 @@ impl Wire for DeltaVote {
         out.u64(self.epoch);
         out.u64(self.from_seq);
         self.entries.encode(out);
-        out.u64(self.digest);
+        out.fixed64(self.digest);
         out.u64(self.full_len);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
@@ -303,7 +305,7 @@ impl Wire for DeltaVote {
             epoch: inp.u64()?,
             from_seq: inp.u64()?,
             entries: Vec::decode(inp)?,
-            digest: inp.u64()?,
+            digest: inp.fixed64()?,
             full_len: inp.u64()?,
         })
     }
@@ -322,7 +324,7 @@ impl Wire for Base {
             }
             Base::Digest(digest) => {
                 out.u8(2);
-                out.u64(*digest);
+                out.fixed64(*digest);
             }
         }
     }
@@ -330,7 +332,7 @@ impl Wire for Base {
         match inp.u8()? {
             0 => Ok(Base::Held),
             1 => Ok(Base::ProvedSafe(CStruct::decode(inp)?)),
-            2 => Ok(Base::Digest(inp.u64()?)),
+            2 => Ok(Base::Digest(inp.fixed64()?)),
             _ => err("phase2a base tag"),
         }
     }
@@ -562,16 +564,21 @@ mod tests {
     fn a_proposal_naming_no_peer_or_one_twice_does_not_decode() {
         let (proposal, _) = two_of_three();
         let bytes = to_bytes(&proposal);
+        // `bytes` with the varint at `at` replaced by the encoding of `v`.
+        let with_varint = |at: usize, v: u32| {
+            let mut rest = Dec::new(&bytes[at..]);
+            rest.u32().expect("a varint");
+            let mut b = bytes[..at].to_vec();
+            b.extend_from_slice(&to_bytes(&v));
+            b.extend_from_slice(&bytes[bytes.len() - rest.remaining()..]);
+            b
+        };
         // The last option's index sits right after the first option.
         let first_end = to_bytes(&proposal.txn()).len()
             + to_bytes(&proposal.peers().to_vec()).len()
-            + 4
+            + to_bytes(&(proposal.ops().len() as u32)).len()
             + to_bytes(&proposal.ops()[0]).len();
-        let with_last_index = |at: u32| {
-            let mut b = bytes.clone();
-            b[first_end..first_end + 4].copy_from_slice(&at.to_le_bytes());
-            b
-        };
+        let with_last_index = |at: u32| with_varint(first_end, at);
         assert_eq!(with_last_index(0), bytes, "the index found");
         assert!(from_bytes::<Proposal>(&with_last_index(1)).is_ok());
         assert!(
@@ -586,8 +593,7 @@ mod tests {
         let peers_at = to_bytes(&proposal.txn()).len();
         let ops_at = peers_at + to_bytes(&proposal.peers().to_vec()).len();
         for at in [peers_at, ops_at] {
-            let mut b = bytes.clone();
-            b[at..at + 4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+            let b = with_varint(at, bytes.len() as u32);
             assert!(from_bytes::<Proposal>(&b).is_err(), "count at byte {at}");
         }
         for cut in 0..bytes.len() {
@@ -720,7 +726,7 @@ mod tests {
         assert_eq!(back.cstruct.end_seq(), 2);
         assert_eq!(back.cstruct.digest(), whole.digest());
         let header = |vote: &Phase2b| to_bytes(vote).len() - to_bytes(&vote.cstruct).len();
-        assert_eq!(header(&tail), header(&p2b) + 16);
+        assert_eq!(header(&tail), header(&p2b) + to_bytes(&base).len());
 
         let dv = crate::shadow::DeltaVote {
             ballot: Ballot::fast(1, NodeId(0)),

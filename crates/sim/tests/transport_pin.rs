@@ -299,6 +299,14 @@ fn pin(coalesce: bool, group_commit: bool, window_us: u64, fsync_us: u64) -> Str
 
 /// `(coalesce, group_commit, coalesce_window µs, fsync_latency µs)` and
 /// the pin of its run.
+///
+/// Moved once since they were taken: an envelope's message count and
+/// payload length prefixes became varints, so an envelope of this
+/// script's messages is three bytes smaller, plus two or three per
+/// message it carries (the messages' own sizes are synthetic and did
+/// not change). The five rows that ship
+/// envelopes moved (their frames leave sooner, and the schedule shifts
+/// with them); the eleven whose slots never hold two messages did not.
 #[rustfmt::skip]
 const PINS: [(bool, bool, u64, u64, &str); 16] = [
     (false, false, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
@@ -311,12 +319,12 @@ const PINS: [(bool, bool, u64, u64, &str); 16] = [
     (false, true, 500, 1000, "sent=678 delivered=646 dropped=32 timers=170 bytes=84770 payloads=678 events=823 fsyncs=119 classes=424/38140/424,220/18350/220,18/27000/18,16/1280/16 wal=96844,0,5160,0,5790 end=152480 logs=11d9421b1ffd8df9,f04aa250bbfb229d,618b5d3f200ee67f,0d62661f93f2346e,710fe638d7a1cd18,6b399fa63169ef20,de821c9ceec9db7c"),
     (true, false, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
     (true, false, 0, 1000, "sent=692 delivered=658 dropped=34 timers=170 bytes=87042 payloads=692 events=835 fsyncs=247 classes=438/39152/438,216/17870/216,19/28500/19,19/1520/19 wal=86097,0,5400,0,5880 end=149345 logs=fa1ae6a6c8a2c43e,5e943843f6e45cc1,fd7faa289ccd0be9,142cfe7f5ba60ab3,daae192c78c94b1b,6094777f991fdb21,679a77484bdace4b"),
-    (true, false, 500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=83418 payloads=678 events=821 fsyncs=0 classes=317/38276/425,205/18282/219,17/25500/17,17/1360/17 wal=85168,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,add379bd7600d7ae,752ec0fac183bde9,de40e72a595daaf7,e5afd368b23813e8,4508c672ecdfdd2b,f28ef6da6f935b4c"),
-    (true, false, 500, 1000, "sent=534 delivered=495 dropped=39 timers=170 bytes=92844 payloads=672 events=809 fsyncs=262 classes=315/37558/413,172/17446/212,24/36000/24,23/1840/23 wal=81644,0,5390,0,5840 end=163540 logs=adbcc5e77b72d56d,541d50a957377f05,8c2038ac1fb583bb,ed35c942436b2db1,0c5b60cb5c1aa790,0cad339c5f3468ca,4922a67960e54a92"),
+    (true, false, 500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=82535 payloads=678 events=821 fsyncs=0 classes=317/37507/425,205/18168/219,17/25500/17,17/1360/17 wal=85645,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,732c02b856f27c96,77d4596b086ad036,de40e72a595daaf7,3a896c87495498ae,b8d9a248f84f4f3d,75260596b069d017"),
+    (true, false, 500, 1000, "sent=517 delivered=479 dropped=38 timers=170 bytes=95050 payloads=676 events=814 fsyncs=259 classes=296/36879/413,170/17171/212,26/39000/26,25/2000/25 wal=87265,0,5350,0,5970 end=157416 logs=adbcc5e77b72d56d,541d50a957377f05,258f4766ebb61838,ed35c942436b2db1,f6ba6b69b1213b1d,31be8005b5e652c0,4d4bafe1ee2dd9a9"),
     (true, true, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (true, true, 0, 1000, "sent=448 delivered=425 dropped=23 timers=170 bytes=79026 payloads=677 events=822 fsyncs=126 classes=201/38636/430,220/18350/220,14/21000/14,13/1040/13 wal=91400,0,5180,0,6070 end=154648 logs=10928731441b5b75,5151edd979d24864,3cd197aacafe6bc9,e30b276ddcbdc820,083b510f90e459e8,09bb9e9dcc95c003,d72c41c5d9163edb"),
-    (true, true, 500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=83418 payloads=678 events=821 fsyncs=0 classes=317/38276/425,205/18282/219,17/25500/17,17/1360/17 wal=85168,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,add379bd7600d7ae,752ec0fac183bde9,de40e72a595daaf7,e5afd368b23813e8,4508c672ecdfdd2b,f28ef6da6f935b4c"),
-    (true, true, 500, 1000, "sent=444 delivered=418 dropped=26 timers=170 bytes=80443 payloads=683 events=827 fsyncs=132 classes=200/38515/434,214/18228/219,15/22500/15,15/1200/15 wal=81900,0,5500,0,5660 end=154535 logs=4f98e80fb224da8a,67994f25b690757b,bbe395babc382c8e,04807be6bd9492f3,b729d9c6df51f844,d2cdff4f1d1e2aed,44bffe94048f5550"),
+    (true, true, 0, 1000, "sent=452 delivered=429 dropped=23 timers=170 bytes=79370 payloads=679 events=824 fsyncs=123 classes=203/37400/430,220/18350/220,15/22500/15,14/1120/14 wal=91717,0,5180,0,6070 end=153596 logs=10928731441b5b75,5151edd979d24864,be4dc0914f8999d5,e30b276ddcbdc820,80e36d1306066258,9443a5ecd3dafbf6,fa00e425911090c1"),
+    (true, true, 500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=82535 payloads=678 events=821 fsyncs=0 classes=317/37507/425,205/18168/219,17/25500/17,17/1360/17 wal=85645,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,732c02b856f27c96,77d4596b086ad036,de40e72a595daaf7,3a896c87495498ae,b8d9a248f84f4f3d,75260596b069d017"),
+    (true, true, 500, 1000, "sent=444 delivered=418 dropped=26 timers=170 bytes=79114 payloads=683 events=827 fsyncs=132 classes=200/37213/434,214/18201/219,15/22500/15,15/1200/15 wal=81900,0,5500,0,5660 end=154516 logs=4f98e80fb224da8a,67994f25b690757b,3143c85da2c11119,04807be6bd9492f3,68e5aeb3b00fffa7,5580962c6eea4d4b,bf72b402bc518fca"),
 ];
 
 #[test]

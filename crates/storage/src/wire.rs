@@ -73,13 +73,13 @@ impl Wire for SyncRange {
     fn encode(&self, out: &mut Enc) {
         self.lo.encode(out);
         self.hi.encode(out);
-        out.u64(self.digest);
+        out.fixed64(self.digest);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         Ok(SyncRange {
             lo: Key::decode(inp)?,
             hi: Key::decode(inp)?,
-            digest: inp.u64()?,
+            digest: inp.fixed64()?,
         })
     }
 }
