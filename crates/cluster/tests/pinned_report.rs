@@ -360,7 +360,7 @@ fn mastership_report_is_pinned() {
 // [14, 13, 232, 9, 2 143, 322, 465, 66, 597] → below; spans 13 → 11.
 // These window commits are this one schedule's, not a rate: `bench_all`
 // `geo_failover` (the same layer, a 40 s window) reads `commit_tps` 389 →
-// 385 at seed 11 (EXPERIMENTS.md, "PR 30", has ten more seeds).
+// 385 at seed 11 and 391 → 392 as the median of ten more seeds.
 const PINNED_MS_WRITE_COMMITS: usize = 530;
 const PINNED_MS_TXN_STATS: [u64; 7] = [646, 0, 0, 10, 34, 0, 0];
 const PINNED_MS_NET: [u64; 3] = [2_024_450, 33_970, 55_121];

@@ -531,15 +531,6 @@ impl Wire for u32 {
     }
 }
 
-impl Wire for i64 {
-    fn encode(&self, out: &mut Enc) {
-        out.i64(*self);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        inp.i64()
-    }
-}
-
 impl Wire for bool {
     fn encode(&self, out: &mut Enc) {
         out.bool(*self);
@@ -915,9 +906,10 @@ mod tests {
     fn varint_lengths_step_at_every_seventh_bit() {
         assert_eq!(to_bytes(&0u64), [0]);
         assert_eq!(to_bytes(&300u64), [0xAC, 0x02]);
-        assert_eq!(to_bytes(&-1i64), [1], "zigzag: -1 is 1");
-        assert_eq!(to_bytes(&1i64), [2]);
-        assert_eq!(to_bytes(&i64::MIN).len(), MAX_VARINT_LEN);
+        // A `Value::Int` is its tag byte, then the zigzag varint.
+        assert_eq!(to_bytes(&Value::Int(-1)), [1, 1], "zigzag: -1 is 1");
+        assert_eq!(to_bytes(&Value::Int(1)), [1, 2]);
+        assert_eq!(to_bytes(&Value::Int(i64::MIN)).len(), 1 + MAX_VARINT_LEN);
         for groups in 1..MAX_VARINT_LEN as u32 {
             let top = (1u64 << (7 * groups)) - 1;
             assert_eq!(varint_len(top), groups as usize, "{top}");
@@ -976,15 +968,14 @@ mod tests {
             let bytes = to_bytes(&v);
             assert_eq!(bytes.len(), varint_len(v), "{v}");
             assert_eq!(from_bytes::<u64>(&bytes), Ok(v));
-            let i = v as i64;
-            let bytes = to_bytes(&i);
-            assert_eq!(bytes.len(), varint_len(zigzag(i)), "{i}");
-            assert_eq!(from_bytes::<i64>(&bytes), Ok(i));
-            let neg = i.wrapping_neg();
-            assert_eq!(from_bytes::<i64>(&to_bytes(&neg)), Ok(neg));
+            for i in [v as i64, (v as i64).wrapping_neg()] {
+                let bytes = to_bytes(&Value::Int(i));
+                assert_eq!(bytes.len(), 1 + varint_len(zigzag(i)), "{i}");
+                assert_eq!(from_bytes::<Value>(&bytes), Ok(Value::Int(i)));
+            }
         }
         for i in [0, 1, -1, i64::MAX, i64::MIN, i64::MIN + 1] {
-            assert_eq!(round_trip(&i), i);
+            assert_eq!(round_trip(&Value::Int(i)), Value::Int(i));
         }
     }
 
