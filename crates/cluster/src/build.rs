@@ -14,9 +14,9 @@ use mdcc_common::{
     DcId, Key, NodeId, Placement, ProtocolConfig, Row, SimDuration, SimTime, StaticPlacement,
 };
 use mdcc_core::node::NodeStats;
-use mdcc_core::{Msg, StorageNodeProcess, TmConfig, TransactionManager, TxnStats};
+use mdcc_core::{Msg, StorageNodeProcess, Tick, TmConfig, TransactionManager, TxnStats};
 use mdcc_recovery::{recover_store, recovered_leases, RecoveryInfo};
-use mdcc_sim::{presets, NetMessage, NetworkModel, Process, World, WorldConfig};
+use mdcc_sim::{presets, NetMessage, NetworkModel, Process, TimerPayload, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore};
 use mdcc_trace::{Phase, Span, TraceConfig, TraceHandle};
 use mdcc_workloads::Workload;
@@ -210,10 +210,11 @@ fn storage_target(matrix: &[Vec<NodeId>], dc: DcId, shard: usize) -> NodeId {
 
 /// One deployment being run: the world plus what the steps shared by
 /// every protocol's runner (spawn clients, drive faults, report) need.
-struct Run<'a, M> {
+/// `T` is what the world's processes arm timers with.
+struct Run<'a, M, T = M> {
     spec: &'a ClusterSpec,
     wall_start: Instant,
-    world: World<M>,
+    world: World<M, T>,
     /// Storage node ids by `[dc][shard]`.
     matrix: Vec<Vec<NodeId>>,
     placement: Arc<StaticPlacement>,
@@ -221,7 +222,7 @@ struct Run<'a, M> {
     recoveries: Vec<NodeRecovery>,
 }
 
-impl<'a, M: NetMessage + 'static> Run<'a, M> {
+impl<'a, M: NetMessage + 'static, T: TimerPayload + 'static> Run<'a, M, T> {
     /// An empty world for `spec` whose storage tier will be `matrix`.
     fn new(spec: &'a ClusterSpec, matrix: Vec<Vec<NodeId>>, masters: MasterPolicy) -> Self {
         let config = WorldConfig {
@@ -253,7 +254,7 @@ impl<'a, M: NetMessage + 'static> Run<'a, M> {
     fn spawn_storage(
         &mut self,
         data: &[(Key, Row)],
-        mut make: impl FnMut(DcId, &[&(Key, Row)]) -> Box<dyn Process<M>>,
+        mut make: impl FnMut(DcId, &[&(Key, Row)]) -> Box<dyn Process<M, T>>,
     ) {
         let mut rows = vec![Vec::new(); self.spec.shards_per_dc];
         for row in data {
@@ -270,7 +271,7 @@ impl<'a, M: NetMessage + 'static> Run<'a, M> {
 
     /// Spawns the spec's closed-loop clients, each committing through
     /// what `committer` builds for its data center.
-    fn spawn_clients<C: Committer<Msg = M>>(
+    fn spawn_clients<C: Committer<Msg = M, Tick = T>>(
         &mut self,
         workload_factory: &mut WorkloadFactory<'_>,
         mut committer: impl FnMut(DcId) -> C,
@@ -294,7 +295,7 @@ impl<'a, M: NetMessage + 'static> Run<'a, M> {
     /// cost, if it recovered anything.
     fn drive(
         &mut self,
-        mut restart: impl FnMut(&mut World<M>, NodeId, DcId) -> Option<RecoveryInfo>,
+        mut restart: impl FnMut(&mut World<M, T>, NodeId, DcId) -> Option<RecoveryInfo>,
     ) {
         let spec = self.spec;
         let end = SimTime::ZERO + spec.warmup + spec.duration + spec.drain;
@@ -338,7 +339,7 @@ impl<'a, M: NetMessage + 'static> Run<'a, M> {
     /// Harvests the clients' records into the report every protocol
     /// fills the same way: window-filtered records, restarts, wire and
     /// host totals.
-    fn report<C: Committer<Msg = M>>(&mut self) -> Report {
+    fn report<C: Committer<Msg = M, Tick = T>>(&mut self) -> Report {
         let mut records = Vec::new();
         for id in &self.clients {
             let client = self.world.get::<ClosedLoop<C>>(*id).expect("client");
@@ -418,13 +419,13 @@ fn replay_span(node: NodeId, dc: DcId, at: SimTime) -> Span {
     }
 }
 
-fn storage_node(world: &World<Msg>, n: NodeId) -> &StorageNodeProcess {
+fn storage_node(world: &World<Msg, Tick>, n: NodeId) -> &StorageNodeProcess {
     world.get::<StorageNodeProcess>(n).expect("node")
 }
 
 /// The end-of-run consistency audit across every storage node.
 fn audit_cluster(
-    world: &World<Msg>,
+    world: &World<Msg, Tick>,
     matrix: &[Vec<NodeId>],
     totals: &NodeStats,
     stuck_clients: usize,
@@ -467,7 +468,7 @@ fn audit_cluster(
 /// The `MDCC_DIVERGE_DEBUG` tap: audit counters, and per-key differences
 /// between replica 0 of each shard and the others — the microscope for
 /// recovery-audit failures.
-fn diverge_debug_tap(world: &World<Msg>, matrix: &[Vec<NodeId>], audit: &ClusterAudit) {
+fn diverge_debug_tap(world: &World<Msg, Tick>, matrix: &[Vec<NodeId>], audit: &ClusterAudit) {
     if std::env::var_os("MDCC_DIVERGE_DEBUG").is_none() {
         return;
     }
@@ -501,7 +502,7 @@ fn diverge_debug_tap(world: &World<Msg>, matrix: &[Vec<NodeId>], audit: &Cluster
 }
 
 /// The `MDCC_DEBUG` tap: node and world counters after the run.
-fn debug_tap(world: &World<Msg>, nodes: &NodeStats, audit: &ClusterAudit) {
+fn debug_tap(world: &World<Msg, Tick>, nodes: &NodeStats, audit: &ClusterAudit) {
     if std::env::var_os("MDCC_DEBUG").is_some() {
         eprintln!(
             "[mdcc-debug] nodes: {nodes:?}, pending_options={}, parked_left={}, \
@@ -529,7 +530,7 @@ pub fn run_mdcc(
     workload_factory: &mut WorkloadFactory<'_>,
     mode: MdccMode,
 ) -> (Report, TxnStats) {
-    let mut run: Run<'_, Msg> = Run::new(spec, storage_matrix(spec), spec.master_policy);
+    let mut run: Run<'_, Msg, Tick> = Run::new(spec, storage_matrix(spec), spec.master_policy);
     let tracer = TraceHandle::new(spec.trace);
     if spec.trace.enabled {
         run.world.set_tracer(tracer.clone());
@@ -606,7 +607,7 @@ pub fn run_mdcc(
 /// the TMs' summed counters, the storage tier's, and the end-of-run
 /// audit.
 fn harvest_mdcc(
-    run: &mut Run<'_, Msg>,
+    run: &mut Run<'_, Msg, Tick>,
     tracer: &TraceHandle,
     lease_audit: Option<&mdcc_mastership::LeaseAudit>,
 ) -> (Report, TxnStats) {

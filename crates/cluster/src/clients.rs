@@ -13,9 +13,9 @@ use mdcc_baselines::megastore::{MegaClient, MegaMsg};
 use mdcc_baselines::qw::{QwMsg, QwWriter};
 use mdcc_baselines::twopc::{TpcCoordinator, TpcMsg};
 use mdcc_common::{DcId, Key, NodeId, Placement, RecordUpdate, Row, SimTime, Version};
-use mdcc_core::{Msg, ReadConsistency, TmEvent, TransactionManager};
+use mdcc_core::{MdccCtx, Msg, ReadConsistency, Tick, TmEvent, TransactionManager};
 use mdcc_paxos::TxnOutcome;
-use mdcc_sim::{Ctx, NetMessage, Process};
+use mdcc_sim::{Ctx, NetMessage, Process, TimerPayload};
 use mdcc_workloads::{Transaction, TxnAction, Workload};
 
 use crate::metrics::TxnRecord;
@@ -39,32 +39,37 @@ pub enum Step {
     Done(bool),
 }
 
+/// The context a committer's handlers run with.
+type CtxOf<'a, C> = Ctx<'a, <C as Committer>::Msg, <C as Committer>::Tick>;
+
 /// How one protocol reads locally and commits. The loop keeps one
 /// transaction in flight, so a handler call ends at most one phase.
 pub trait Committer: 'static {
     /// The protocol's message schema.
     type Msg: NetMessage + 'static;
 
+    /// What it arms timers with: MDCC's transaction manager arms
+    /// [`Tick`]s; a baseline arms none and names its world's default.
+    type Tick: TimerPayload + 'static;
+
     /// Starts a local read of `keys` (never empty) and returns its
     /// token; the values arrive later as [`Step::ReadDone`].
-    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, Self::Msg>) -> u64;
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut CtxOf<'_, Self>) -> u64;
 
     /// Starts the commit. Returns the outcome when it is known on the
     /// spot; otherwise it arrives later as [`Step::Done`].
-    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, Self::Msg>) -> Option<bool>;
+    fn commit(&mut self, txn: Decided, ctx: &mut CtxOf<'_, Self>) -> Option<bool>;
 
     /// Feeds a delivered message.
     fn on_message(
         &mut self,
         from: NodeId,
         msg: Self::Msg,
-        ctx: &mut Ctx<'_, Self::Msg>,
+        ctx: &mut CtxOf<'_, Self>,
     ) -> Option<Step>;
 
-    /// Feeds a fired timer (only MDCC's transaction manager arms any).
-    fn on_timer(&mut self, _msg: Self::Msg, _ctx: &mut Ctx<'_, Self::Msg>) -> Option<Step> {
-        None
-    }
+    /// Feeds a fired timer; a timer never ends a phase.
+    fn on_timer(&mut self, _tick: Self::Tick, _ctx: &mut CtxOf<'_, Self>) {}
 }
 
 /// An app server: the protocol's client library plus an emulated browser.
@@ -96,7 +101,7 @@ impl<C: Committer> ClosedLoop<C> {
         }
     }
 
-    fn issue(&mut self, ctx: &mut Ctx<'_, C::Msg>) {
+    fn issue(&mut self, ctx: &mut CtxOf<'_, C>) {
         if self.stop_at.is_some_and(|stop| ctx.now >= stop) {
             return;
         }
@@ -110,7 +115,7 @@ impl<C: Committer> ClosedLoop<C> {
         }
     }
 
-    fn after_reads(&mut self, reads: Vec<ReadValue>, ctx: &mut Ctx<'_, C::Msg>) {
+    fn after_reads(&mut self, reads: Vec<ReadValue>, ctx: &mut CtxOf<'_, C>) {
         let Some((_, txn)) = self.current.as_mut() else {
             return;
         };
@@ -123,8 +128,10 @@ impl<C: Committer> ClosedLoop<C> {
         }
     }
 
-    fn finish(&mut self, committed: bool, ctx: &mut Ctx<'_, C::Msg>) {
-        let (started, txn) = self.current.take().expect("active transaction");
+    fn finish(&mut self, committed: bool, ctx: &mut CtxOf<'_, C>) {
+        let Some((started, txn)) = self.current.take() else {
+            return;
+        };
         self.records.push(TxnRecord {
             started,
             finished: ctx.now,
@@ -135,7 +142,7 @@ impl<C: Committer> ClosedLoop<C> {
         self.issue(ctx);
     }
 
-    fn handle(&mut self, step: Option<Step>, ctx: &mut Ctx<'_, C::Msg>) {
+    fn handle(&mut self, step: Option<Step>, ctx: &mut CtxOf<'_, C>) {
         match step {
             Some(Step::ReadDone(token, values)) if self.pending_read == Some(token) => {
                 self.pending_read = None;
@@ -147,38 +154,29 @@ impl<C: Committer> ClosedLoop<C> {
     }
 }
 
-impl<C: Committer> Process<C::Msg> for ClosedLoop<C> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, C::Msg>) {
+impl<C: Committer> Process<C::Msg, C::Tick> for ClosedLoop<C> {
+    fn on_start(&mut self, ctx: &mut CtxOf<'_, C>) {
         self.issue(ctx);
     }
-    fn on_message(&mut self, from: NodeId, msg: C::Msg, ctx: &mut Ctx<'_, C::Msg>) {
+    fn on_message(&mut self, from: NodeId, msg: C::Msg, ctx: &mut CtxOf<'_, C>) {
         let step = self.committer.on_message(from, msg, ctx);
         self.handle(step, ctx);
     }
-    fn on_timer(&mut self, msg: C::Msg, ctx: &mut Ctx<'_, C::Msg>) {
-        let step = self.committer.on_timer(msg, ctx);
-        self.handle(step, ctx);
+    fn on_timer(&mut self, tick: C::Tick, ctx: &mut CtxOf<'_, C>) {
+        self.committer.on_timer(tick, ctx);
     }
-}
-
-/// The TM reports per transaction it runs; under this loop that is one.
-fn tm_step(mut events: Vec<TmEvent>) -> Option<Step> {
-    debug_assert!(events.len() <= 1, "one transaction in flight");
-    Some(match events.pop()? {
-        TmEvent::Completed(c) => Step::Done(c.outcome == TxnOutcome::Committed),
-        TmEvent::ReadDone { token, values } => Step::ReadDone(token, values),
-    })
 }
 
 /// MDCC: the DB library's transaction manager is the committer.
 impl Committer for TransactionManager {
     type Msg = Msg;
+    type Tick = Tick;
 
-    fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, Msg>) -> u64 {
+    fn read(&mut self, keys: Vec<Key>, ctx: &mut MdccCtx<'_>) -> u64 {
         TransactionManager::read(self, keys, ReadConsistency::Local, ctx)
     }
 
-    fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, Msg>) -> Option<bool> {
+    fn commit(&mut self, txn: Decided, ctx: &mut MdccCtx<'_>) -> Option<bool> {
         // A read-only transaction is answered here and takes no
         // transaction id: the TM never hears of it.
         if txn.updates.is_empty() {
@@ -188,12 +186,18 @@ impl Committer for TransactionManager {
         done.map(|done| done.outcome == TxnOutcome::Committed)
     }
 
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Option<Step> {
-        tm_step(TransactionManager::on_message(self, from, msg, ctx))
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) -> Option<Step> {
+        // The TM reports per transaction it runs; under this loop that is one.
+        let mut events = TransactionManager::on_message(self, from, msg, ctx);
+        debug_assert!(events.len() <= 1, "one transaction in flight");
+        Some(match events.pop()? {
+            TmEvent::Completed(c) => Step::Done(c.outcome == TxnOutcome::Committed),
+            TmEvent::ReadDone { token, values } => Step::ReadDone(token, values),
+        })
     }
 
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Option<Step> {
-        tm_step(TransactionManager::on_timer(self, msg, ctx))
+    fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        TransactionManager::on_timer(self, tick, ctx);
     }
 }
 
@@ -248,13 +252,14 @@ impl<P> Baseline<P> {
         if values.len() < *needed {
             return None;
         }
-        let (_, _, values) = self.wait.take().expect("present");
+        let (_, _, values) = self.wait.take()?;
         Some(Step::ReadDone(req, values))
     }
 }
 
 impl Committer for Baseline<QwWriter> {
     type Msg = QwMsg;
+    type Tick = QwMsg;
 
     fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, QwMsg>) -> u64 {
         self.read_with(keys, ctx, |req, key| QwMsg::ReadReq { req, key })
@@ -283,6 +288,7 @@ impl Committer for Baseline<QwWriter> {
 
 impl Committer for Baseline<TpcCoordinator> {
     type Msg = TpcMsg;
+    type Tick = TpcMsg;
 
     fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, TpcMsg>) -> u64 {
         self.read_with(keys, ctx, |req, key| TpcMsg::ReadReq { req, key })
@@ -311,6 +317,7 @@ impl Committer for Baseline<TpcCoordinator> {
 
 impl Committer for Baseline<MegaClient> {
     type Msg = MegaMsg;
+    type Tick = MegaMsg;
 
     fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, MegaMsg>) -> u64 {
         self.read_with(keys, ctx, |req, key| MegaMsg::ReadReq { req, key })

@@ -253,8 +253,8 @@ pub enum NodeRole {
 pub struct KindProfile {
     /// The nodes' role.
     pub role: NodeRole,
-    /// The message kind (`mdcc_sim::NetMessage::kind`; timer payloads
-    /// count under theirs, `"start"` is the `on_start` call).
+    /// The message or tick kind (`mdcc_sim::NetMessage::kind`,
+    /// `mdcc_sim::TimerPayload::kind`; `"start"` is the `on_start` call).
     pub kind: &'static str,
     /// Handler invocations.
     pub events: u64,

@@ -18,7 +18,9 @@
 use std::sync::Arc;
 
 use mdcc_cluster::{micro_catalog, run_mdcc, ClusterSpec, MdccMode, NetKind, NodeRole, Report};
-use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
+use mdcc_common::{DcId, Key, NodeId, Row, SimDuration, StaticPlacement, TxnId};
+use mdcc_core::Tick;
+use mdcc_sim::TimerPayload;
 use mdcc_trace::{Phase, TraceConfig};
 use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
@@ -281,8 +283,17 @@ fn profiler_and_run_perf_account_for_the_event_loop() {
     assert!(delivered > 0 && delivered <= report.net.payload_msgs);
     assert!(by_kind.iter().all(|k| k.msgs <= k.events));
     assert!(by_kind.iter().all(|k| (k.msgs == 0) == (k.bytes == 0)));
-    let timer = |k: &&mdcc_cluster::KindProfile| k.kind == "start" || k.kind == "ClientTick";
-    assert!(by_kind.iter().filter(timer).all(|k| k.msgs == 0));
+    let ticks = every_tick_kind();
+    let tick = |k: &&mdcc_cluster::KindProfile| ticks.contains(&k.kind);
+    assert!(
+        by_kind
+            .iter()
+            .filter(tick)
+            .any(|k| k.role == NodeRole::Storage),
+        "no storage tick row (every storage node sweeps for dangling transactions): {by_kind:?}"
+    );
+    let local = |k: &&mdcc_cluster::KindProfile| k.kind == "start" || tick(k);
+    assert!(by_kind.iter().filter(local).all(|k| k.msgs == 0));
     let bytes: u64 = by_kind.iter().map(|k| k.bytes).sum();
     assert!(bytes > report.net.bytes_sent / 2 && bytes < report.net.bytes_sent * 2);
     // Without host profiling the split is not collected at all.
@@ -293,4 +304,39 @@ fn profiler_and_run_perf_account_for_the_event_loop() {
     })
     .profile_by_kind
     .is_empty());
+}
+
+/// The kind of every `Tick`. The match fails to compile when `Tick`
+/// gains a variant, so the list cannot silently fall behind.
+fn every_tick_kind() -> Vec<&'static str> {
+    let txn = TxnId::new(NodeId(0), 0);
+    let ticks = [
+        Tick::LearnTimeout { txn },
+        Tick::ReadRetry { token: 0 },
+        Tick::DanglingSweep,
+        Tick::RecoveryRetry { txn },
+        Tick::MissedPull {
+            key: item_key(0),
+            txn,
+            attempt: 0,
+        },
+        Tick::CheckpointTick,
+        Tick::SyncSweep,
+        Tick::ClientTick,
+        Tick::MsTick,
+    ];
+    for tick in &ticks {
+        match tick {
+            Tick::LearnTimeout { .. }
+            | Tick::ReadRetry { .. }
+            | Tick::DanglingSweep
+            | Tick::RecoveryRetry { .. }
+            | Tick::MissedPull { .. }
+            | Tick::CheckpointTick
+            | Tick::SyncSweep
+            | Tick::ClientTick
+            | Tick::MsTick => {}
+        }
+    }
+    ticks.iter().map(TimerPayload::kind).collect()
 }

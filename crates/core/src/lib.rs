@@ -4,7 +4,7 @@
 //! processes and adds the transaction layer of the paper:
 //!
 //! * [`msg::Msg`] — every message exchanged between app servers and
-//!   storage nodes;
+//!   storage nodes, and [`msg::Tick`] — every timer one arms for itself;
 //! * [`placement::Placement`] — record → replica group / master mapping
 //!   (range partitioning per data center, §2);
 //! * [`coordination::Coordination`] — the coordinator's role as a sans-IO
@@ -35,7 +35,7 @@ pub mod wire;
 /// Re-export of the placement layer (now in `mdcc-common`).
 pub use mdcc_common::placement;
 
-pub use msg::Msg;
+pub use msg::{MdccCtx, Msg, Tick};
 pub use node::StorageNodeProcess;
 pub use placement::{Placement, StaticPlacement};
 pub use tm::{ReadConsistency, TmConfig, TmEvent, TransactionManager, TxnCompletion, TxnStats};

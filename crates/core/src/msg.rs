@@ -1,18 +1,23 @@
-//! Protocol messages between app servers (TMs) and storage nodes.
+//! Protocol messages between app servers (TMs) and storage nodes, and
+//! the timers each process arms for itself.
 //!
-//! Every variant has a byte-accurate wire encoding (see
+//! Every [`Msg`] variant has a byte-accurate wire encoding (see
 //! [`crate::wire`]); the simulator charges transmission delay, link
-//! queueing and per-byte service cost for exactly those bytes.
+//! queueing and per-byte service cost for exactly those bytes. A
+//! [`Tick`] never leaves its process and has no encoding.
 
 use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
 use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
 use mdcc_paxos::{Ballot, Proposal, TxnOption, TxnOutcome};
-use mdcc_sim::Ctx;
+use mdcc_sim::{Ctx, TimerPayload};
 use mdcc_storage::{SyncItem, SyncRange};
 
+/// The context of every MDCC handler: it sends [`Msg`]s, arms [`Tick`]s.
+pub type MdccCtx<'a> = Ctx<'a, Msg, Tick>;
+
 /// Sends one copy of a message to each node of `to`, in order.
-pub(crate) fn send_each(ctx: &mut Ctx<'_, Msg>, to: &[NodeId], msg: impl Fn() -> Msg) {
+pub(crate) fn send_each(ctx: &mut MdccCtx<'_>, to: &[NodeId], msg: impl Fn() -> Msg) {
     for &node in to {
         ctx.send(node, msg());
     }
@@ -36,8 +41,8 @@ pub(crate) fn per_node<T: Clone>(
     groups
 }
 
-/// Everything that travels between MDCC processes (and, via self-timers,
-/// within them).
+/// Everything that travels between MDCC processes: every variant crosses
+/// the wire. What a process arms for itself is a [`Tick`].
 #[derive(Debug, Clone)]
 pub enum Msg {
     // ------------------------------------------------------------------
@@ -275,8 +280,33 @@ pub enum Msg {
     },
 
     // ------------------------------------------------------------------
-    // Self-timers.
+    // Dynamic mastership (lease/election plane + mastered proposals).
     // ------------------------------------------------------------------
+    /// Lease/election-plane message between the replicas of one shard
+    /// (heartbeats, acquires, grants, handoffs — see `mdcc_mastership`).
+    Mastership(MsMsg),
+    /// Classic-path proposal routed to the shard's *lease holder* instead
+    /// of the static per-record master. Carries the requesting data
+    /// center so the holder can observe access locality and migrate.
+    ProposeMastered {
+        /// Data center the issuing TM lives in.
+        origin_dc: DcId,
+        /// The proposal itself.
+        opt: TxnOption,
+    },
+    /// A node that is not (or no longer) the lease holder redirects the
+    /// proposer: route this shard's classic traffic to `node`.
+    MasterHint {
+        /// Shard concerned.
+        shard: u32,
+        /// Current lease holder as far as the sender knows.
+        node: NodeId,
+    },
+}
+
+/// A timer an MDCC process arms for itself; it never crosses the wire.
+#[derive(Debug)]
+pub enum Tick {
     /// TM: the learn timeout of a transaction fired.
     LearnTimeout {
         /// Transaction still unresolved.
@@ -310,33 +340,68 @@ pub enum Msg {
     CheckpointTick,
     /// Storage node: periodic anti-entropy round after a restart.
     SyncSweep,
-    /// Client processes: issue the next transaction (used by harness
-    /// clients; carried here so every process shares one message type).
+    /// Client processes: issue the next transaction (armed by clients
+    /// that pace themselves; carried here so every process shares one
+    /// tick type).
     ClientTick,
-
-    // ------------------------------------------------------------------
-    // Dynamic mastership (lease/election plane + mastered proposals).
-    // ------------------------------------------------------------------
-    /// Lease/election-plane message between the replicas of one shard
-    /// (heartbeats, acquires, grants, handoffs — see `mdcc_mastership`).
-    Mastership(MsMsg),
-    /// Classic-path proposal routed to the shard's *lease holder* instead
-    /// of the static per-record master. Carries the requesting data
-    /// center so the holder can observe access locality and migrate.
-    ProposeMastered {
-        /// Data center the issuing TM lives in.
-        origin_dc: DcId,
-        /// The proposal itself.
-        opt: TxnOption,
-    },
-    /// A node that is not (or no longer) the lease holder redirects the
-    /// proposer: route this shard's classic traffic to `node`.
-    MasterHint {
-        /// Shard concerned.
-        shard: u32,
-        /// Current lease holder as far as the sender knows.
-        node: NodeId,
-    },
     /// Storage node: mastership heartbeat/lease timer.
     MsTick,
+}
+
+impl TimerPayload for Tick {
+    fn kind(&self) -> &'static str {
+        match self {
+            Tick::LearnTimeout { .. } => "LearnTimeout",
+            Tick::ReadRetry { .. } => "ReadRetry",
+            Tick::DanglingSweep => "DanglingSweep",
+            Tick::RecoveryRetry { .. } => "RecoveryRetry",
+            Tick::MissedPull { .. } => "MissedPull",
+            Tick::CheckpointTick => "CheckpointTick",
+            Tick::SyncSweep => "SyncSweep",
+            Tick::ClientTick => "ClientTick",
+            Tick::MsTick => "MsTick",
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use mdcc_common::TableId;
+
+    /// One tick of every kind. The match fails to compile when `Tick`
+    /// gains a variant, so the list cannot silently fall behind.
+    pub(crate) fn every_tick() -> Vec<Tick> {
+        let txn = TxnId::new(NodeId(0), 3);
+        let key = Key::new(TableId(1), "a");
+        let ticks = vec![
+            Tick::LearnTimeout { txn },
+            Tick::ReadRetry { token: 42 },
+            Tick::DanglingSweep,
+            Tick::RecoveryRetry { txn },
+            Tick::MissedPull {
+                key,
+                txn,
+                attempt: 2,
+            },
+            Tick::CheckpointTick,
+            Tick::SyncSweep,
+            Tick::ClientTick,
+            Tick::MsTick,
+        ];
+        for tick in &ticks {
+            match tick {
+                Tick::LearnTimeout { .. }
+                | Tick::ReadRetry { .. }
+                | Tick::DanglingSweep
+                | Tick::RecoveryRetry { .. }
+                | Tick::MissedPull { .. }
+                | Tick::CheckpointTick
+                | Tick::SyncSweep
+                | Tick::ClientTick
+                | Tick::MsTick => {}
+            }
+        }
+        ticks
+    }
 }

@@ -49,13 +49,13 @@ use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats, HEARTBEAT_INTERVA
 use mdcc_paxos::acceptor::{FastPropose, Phase2b, VoteVerdict};
 use mdcc_paxos::{Ballot, LeaderRecord, OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{wal, write_checkpoint, RecoveryInfo, WalRecord};
-use mdcc_sim::{Ctx, Process};
+use mdcc_sim::Process;
 use mdcc_storage::RecordStore;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
 use crate::fence::LeaseFence;
-use crate::msg::{send_each, Msg};
+use crate::msg::{send_each, MdccCtx, Msg, Tick};
 use crate::parked::Parked;
 use crate::placement::Placement;
 
@@ -318,7 +318,7 @@ impl StorageNodeProcess {
     /// attached a disk. The records are built (from the current time)
     /// only then: a node without a WAL must not pay for clones of what it
     /// would drop.
-    fn wal_append<I>(&self, ctx: &mut Ctx<'_, Msg>, records: impl FnOnce(SimTime) -> I)
+    fn wal_append<I>(&self, ctx: &mut MdccCtx<'_>, records: impl FnOnce(SimTime) -> I)
     where
         I: IntoIterator<Item = WalRecord>,
     {
@@ -338,7 +338,7 @@ impl StorageNodeProcess {
     /// only divergent ranges, and state ships in multi-record chunks.
     /// The peers are the shard's replica group as the placement lists it:
     /// a store that came back empty has peers to sync from all the same.
-    fn run_sync_round(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn run_sync_round(&mut self, ctx: &mut MdccCtx<'_>) {
         let mut peers = (0..self.placement.shard_count())
             .map(|shard| self.placement.shard_replicas(shard))
             .find(|group| group.contains(&ctx.self_id))
@@ -355,7 +355,7 @@ impl StorageNodeProcess {
 
     /// Applies one record's worth of peer sync state (one item of a
     /// `SyncChunk`).
-    fn apply_sync_item(&mut self, item: mdcc_storage::SyncItem, ctx: &mut Ctx<'_, Msg>) {
+    fn apply_sync_item(&mut self, item: mdcc_storage::SyncItem, ctx: &mut MdccCtx<'_>) {
         let (key, snapshot, resolved) = (item.key, item.snapshot, item.resolved);
         if !self.store.sync_relevant(&key, &snapshot, &resolved) {
             return;
@@ -399,7 +399,7 @@ impl StorageNodeProcess {
         key: &Key,
         vote: &Phase2b,
         also: Option<NodeId>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let verdicts = self.store.with_record(key, |rec| rec.verdicts(vote));
         let mut verdicts = verdicts.unwrap_or_default();
@@ -434,7 +434,7 @@ impl StorageNodeProcess {
     /// fired: it has waited long enough, so the fresh copy is judged as
     /// it stands and the parked one dropped), or when the table
     /// overflows (the oldest is judged as it stands).
-    fn on_propose(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
+    fn on_propose(&mut self, from: NodeId, opt: TxnOption, ctx: &mut MdccCtx<'_>) {
         self.stats.proposals += 1;
         self.stats.versioned_proposals += u64::from(opt.op.read_version().is_some());
         let retried = self.parked.take(opt.txn, &opt.key).is_some();
@@ -456,7 +456,7 @@ impl StorageNodeProcess {
     }
 
     /// Logs one fast proposal, lets the acceptor judge it and answers.
-    fn judge_proposal(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
+    fn judge_proposal(&mut self, from: NodeId, opt: TxnOption, ctx: &mut MdccCtx<'_>) {
         let key = opt.key.clone();
         let txn = opt.txn;
         self.wal_append(ctx, |at| {
@@ -489,7 +489,7 @@ impl StorageNodeProcess {
     /// record's version may have moved. A judged proposal can itself
     /// move the version (its Visibility overtook it), hence the loop;
     /// proposals still ahead stay parked.
-    fn release_parked(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+    fn release_parked(&mut self, key: &Key, ctx: &mut MdccCtx<'_>) {
         while self.parked.waits_on(key) {
             let due = self.parked.release(key, self.store.version_of(key));
             if due.is_empty() {
@@ -512,7 +512,7 @@ impl StorageNodeProcess {
     /// accept, sync adoption): tell the co-located leader, if any, that
     /// the acceptor advanced past its instance, and judge the parked
     /// proposals that waited for the version.
-    fn record_moved(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+    fn record_moved(&mut self, key: &Key, ctx: &mut MdccCtx<'_>) {
         if let Some(snapshot) = self.store.with_record(key, |r| r.snapshot()) {
             self.with_leader(key, |l| l.on_advance(snapshot), ctx);
             if let (Some(tracer), true) = (&self.tracer, self.leaders.contains_key(key)) {
@@ -529,7 +529,7 @@ impl StorageNodeProcess {
     // Dangling-transaction recovery.
     // ------------------------------------------------------------------
 
-    fn start_dangling_recovery(&mut self, txn: TxnId, keys: Arc<[Key]>, ctx: &mut Ctx<'_, Msg>) {
+    fn start_dangling_recovery(&mut self, txn: TxnId, keys: Arc<[Key]>, ctx: &mut MdccCtx<'_>) {
         if self.recoveries.contains_key(&txn) {
             return;
         }
@@ -538,18 +538,18 @@ impl StorageNodeProcess {
             self.query_status(txn, key, ctx);
         }
         self.recoveries.insert(txn, coord);
-        ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
+        ctx.set_timer(LEARN_TIMEOUT, Tick::RecoveryRetry { txn });
     }
 
     /// Quorum-reads `txn`'s option on `key`: asks every replica.
-    fn query_status(&self, txn: TxnId, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+    fn query_status(&self, txn: TxnId, key: &Key, ctx: &mut MdccCtx<'_>) {
         send_each(ctx, &self.placement.replicas(key), || Msg::QueryStatus {
             txn,
             key: key.clone(),
         });
     }
 
-    fn finish_recovery(&mut self, txn: TxnId, outcome: TxnOutcome, ctx: &mut Ctx<'_, Msg>) {
+    fn finish_recovery(&mut self, txn: TxnId, outcome: TxnOutcome, ctx: &mut MdccCtx<'_>) {
         let Some(coord) = self.recoveries.remove(&txn) else {
             return;
         };
@@ -578,7 +578,7 @@ impl StorageNodeProcess {
         key: Key,
         outcome: TxnOutcome,
         learned_accepted: bool,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         self.wal_append(ctx, |at| {
             [WalRecord::Visibility {
@@ -630,7 +630,7 @@ impl StorageNodeProcess {
     /// peers, until the execution is installed or the attempts run out.
     /// The timer also covers the race where the pull overtakes the
     /// peer's own Visibility.
-    fn pull_missed_commit(&mut self, key: Key, txn: TxnId, attempt: u32, ctx: &mut Ctx<'_, Msg>) {
+    fn pull_missed_commit(&mut self, key: Key, txn: TxnId, attempt: u32, ctx: &mut MdccCtx<'_>) {
         let mut peers = self.placement.replicas(&key);
         peers.retain(|r| *r != ctx.self_id);
         if peers.is_empty() {
@@ -645,12 +645,12 @@ impl StorageNodeProcess {
         ctx.send(target, Msg::SyncRangePull { ranges });
         if attempt < MISSED_PULL_RETRIES {
             let attempt = attempt + 1;
-            ctx.set_timer(LEARN_TIMEOUT, Msg::MissedPull { key, txn, attempt });
+            ctx.set_timer(LEARN_TIMEOUT, Tick::MissedPull { key, txn, attempt });
         }
     }
 
     /// Finishes `txn`'s recovery once the commit rule has a verdict.
-    fn recovery_check_done(&mut self, txn: TxnId, ctx: &mut Ctx<'_, Msg>) {
+    fn recovery_check_done(&mut self, txn: TxnId, ctx: &mut MdccCtx<'_>) {
         let verdict = self.recoveries.get(&txn).and_then(|c| c.verdict());
         if let Some(verdict) = verdict {
             self.finish_recovery(txn, verdict.outcome, ctx);
@@ -663,7 +663,7 @@ impl StorageNodeProcess {
 
     /// The merkle anti-entropy family: a restarted peer asks for range
     /// digests, pulls the ranges that differ and applies the chunks.
-    fn on_sync(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_sync(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
         match msg {
             Msg::SyncDigestReq => {
                 // Advertise range digests of everything we hold; full
@@ -698,7 +698,7 @@ impl StorageNodeProcess {
         }
     }
 
-    fn on_sync_sweep(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn on_sync_sweep(&mut self, ctx: &mut MdccCtx<'_>) {
         if self.stats.sync_adoptions == self.last_sync_adoptions {
             self.sync_idle_rounds += 1;
         } else {
@@ -712,10 +712,10 @@ impl StorageNodeProcess {
             return;
         }
         self.run_sync_round(ctx);
-        ctx.set_timer(RECOVERY_SYNC_INTERVAL, Msg::SyncSweep);
+        ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
     }
 
-    fn on_read(&mut self, from: NodeId, req: u64, key: Key, ctx: &mut Ctx<'_, Msg>) {
+    fn on_read(&mut self, from: NodeId, req: u64, key: Key, ctx: &mut MdccCtx<'_>) {
         let (version, value) = match self.store.read_committed(&key) {
             Some((v, row)) => (v, Some(row)),
             None => (self.store.version_of(&key), None),
@@ -729,7 +729,7 @@ impl StorageNodeProcess {
         ctx.send(from, resp);
     }
 
-    fn on_query_status(&mut self, from: NodeId, txn: TxnId, key: Key, ctx: &mut Ctx<'_, Msg>) {
+    fn on_query_status(&mut self, from: NodeId, txn: TxnId, key: Key, ctx: &mut MdccCtx<'_>) {
         let (vote, outcome) = self
             .store
             .with_record(&key, |rec| (rec.phase2b(), rec.outcome_of(txn)))
@@ -750,7 +750,7 @@ impl StorageNodeProcess {
         key: Key,
         vote: Phase2b,
         outcome: Option<TxnOutcome>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         if let Some(outcome) = outcome {
             // Someone already knows the verdict: just propagate it.
@@ -776,7 +776,7 @@ impl StorageNodeProcess {
     /// undecided keys and re-trigger master recovery for them; after
     /// [`RECOVERY_ABANDON_RETRIES`] rounds, declare options nobody holds
     /// dead.
-    fn on_recovery_retry(&mut self, txn: TxnId, ctx: &mut Ctx<'_, Msg>) {
+    fn on_recovery_retry(&mut self, txn: TxnId, ctx: &mut MdccCtx<'_>) {
         let Some(coord) = self.recoveries.get_mut(&txn) else {
             return;
         };
@@ -797,23 +797,23 @@ impl StorageNodeProcess {
         }
         self.recovery_check_done(txn, ctx);
         if self.recoveries.contains_key(&txn) {
-            ctx.set_timer(LEARN_TIMEOUT, Msg::RecoveryRetry { txn });
+            ctx.set_timer(LEARN_TIMEOUT, Tick::RecoveryRetry { txn });
         }
     }
 }
 
-impl Process<Msg> for StorageNodeProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.set_timer(SWEEP_INTERVAL, Msg::DanglingSweep);
+impl Process<Msg, Tick> for StorageNodeProcess {
+    fn on_start(&mut self, ctx: &mut MdccCtx<'_>) {
+        ctx.set_timer(SWEEP_INTERVAL, Tick::DanglingSweep);
         if self.durable {
-            ctx.set_timer(CHECKPOINT_INTERVAL, Msg::CheckpointTick);
+            ctx.set_timer(CHECKPOINT_INTERVAL, Tick::CheckpointTick);
         }
         if self.recovered.is_some() {
             // Catch up on state missed while down: one round now, then
             // periodic rounds (the final ones, after traffic quiesces,
             // guarantee convergence with never-crashed replicas).
             self.run_sync_round(ctx);
-            ctx.set_timer(RECOVERY_SYNC_INTERVAL, Msg::SyncSweep);
+            ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
         }
         if self.cfg.mastership.enabled {
             // Host the lease/election layer for every shard this node
@@ -841,12 +841,12 @@ impl Process<Msg> for StorageNodeProcess {
                 // Stagger first ticks by node id so heartbeats across
                 // nodes do not land on the same instants.
                 let stagger = SimDuration::from_micros((ctx.self_id.0 as u64 % 17) * 313);
-                ctx.set_timer(HEARTBEAT_INTERVAL + stagger, Msg::MsTick);
+                ctx.set_timer(HEARTBEAT_INTERVAL + stagger, Tick::MsTick);
             }
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
         match msg {
             Msg::Propose(proposal) => {
                 for opt in proposal.options() {
@@ -905,29 +905,19 @@ impl Process<Msg> for StorageNodeProcess {
             | Msg::Verdict { .. }
             | Msg::Vote { .. }
             | Msg::ReadResp { .. } => self.stats.stray_msgs += 1,
-            // Timer payloads, which arrive via on_timer.
-            Msg::LearnTimeout { .. }
-            | Msg::ReadRetry { .. }
-            | Msg::DanglingSweep
-            | Msg::RecoveryRetry { .. }
-            | Msg::MissedPull { .. }
-            | Msg::CheckpointTick
-            | Msg::SyncSweep
-            | Msg::ClientTick
-            | Msg::MsTick => {}
         }
     }
 
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match msg {
-            Msg::DanglingSweep => {
+    fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        match tick {
+            Tick::DanglingSweep => {
                 for p in self.store.dangling(ctx.now) {
                     self.start_dangling_recovery(p.txn, p.peers, ctx);
                 }
-                ctx.set_timer(SWEEP_INTERVAL, Msg::DanglingSweep);
+                ctx.set_timer(SWEEP_INTERVAL, Tick::DanglingSweep);
             }
-            Msg::RecoveryRetry { txn } => self.on_recovery_retry(txn, ctx),
-            Msg::MissedPull { key, txn, attempt } => {
+            Tick::RecoveryRetry { txn } => self.on_recovery_retry(txn, ctx),
+            Tick::MissedPull { key, txn, attempt } => {
                 let still_missing = self
                     .store
                     .with_record(&key, |r| r.missing_execution(txn))
@@ -936,7 +926,9 @@ impl Process<Msg> for StorageNodeProcess {
                     self.pull_missed_commit(key, txn, attempt, ctx);
                 }
             }
-            Msg::CheckpointTick if self.durable => {
+            // Only a durable node arms one; a volatile one has no disk.
+            Tick::CheckpointTick if !self.durable => {}
+            Tick::CheckpointTick => {
                 if let Some(disk) = ctx.disk() {
                     write_checkpoint(disk, &self.store);
                     self.stats.checkpoints += 1;
@@ -945,19 +937,20 @@ impl Process<Msg> for StorageNodeProcess {
                 // lease state so the tail alone always carries it
                 // (`mdcc_recovery::recovered_leases` reads only the tail).
                 self.wal_append(ctx, |_| self.fence.checkpoint_records());
-                ctx.set_timer(CHECKPOINT_INTERVAL, Msg::CheckpointTick);
+                ctx.set_timer(CHECKPOINT_INTERVAL, Tick::CheckpointTick);
             }
-            Msg::MsTick => {
+            Tick::MsTick => {
                 let mut out = Vec::new();
                 let Some(ms) = self.mastership.as_mut() else {
                     return;
                 };
                 let next = ms.on_tick(ctx.now, &mut out);
                 self.flush_ms_actions(out, ctx);
-                ctx.set_timer(next, Msg::MsTick);
+                ctx.set_timer(next, Tick::MsTick);
             }
-            Msg::SyncSweep => self.on_sync_sweep(ctx),
-            _ => {}
+            Tick::SyncSweep => self.on_sync_sweep(ctx),
+            // The TM's and clients' ticks: a storage node arms none.
+            Tick::LearnTimeout { .. } | Tick::ReadRetry { .. } | Tick::ClientTick => {}
         }
     }
 }

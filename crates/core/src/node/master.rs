@@ -19,19 +19,18 @@ use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
 use mdcc_paxos::{Ballot, CStruct, LeaderRecord, TxnOption};
 use mdcc_recovery::WalRecord;
-use mdcc_sim::Ctx;
 use mdcc_storage::RecordStore;
 use mdcc_trace::Phase;
 
 use super::{StorageNodeProcess, REDIRECTED_FAST_CAP};
-use crate::msg::{send_each, Msg};
+use crate::msg::{send_each, MdccCtx, Msg};
 
 impl StorageNodeProcess {
     /// Lazily enforces the lease-promise floor on one record's acceptor
     /// state before it judges a proposal. A raise is mirrored into the
     /// WAL as the Phase1a it stands in for, so crash replay reproduces
     /// the exact same Nacks.
-    fn enforce_floor(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+    fn enforce_floor(&mut self, key: &Key, ctx: &mut MdccCtx<'_>) {
         let Some(ballot) = self.fence.floor_for(key) else {
             return;
         };
@@ -49,7 +48,7 @@ impl StorageNodeProcess {
     /// path when the record reopened fast (at most once per txn), else
     /// enqueue it on this node's leader for the record. Shared by the
     /// static `ProposeToMaster` path and the lease-holder path.
-    pub(super) fn lead_classic(&mut self, from: NodeId, opt: TxnOption, ctx: &mut Ctx<'_, Msg>) {
+    pub(super) fn lead_classic(&mut self, from: NodeId, opt: TxnOption, ctx: &mut MdccCtx<'_>) {
         let key = opt.key.clone();
         // Stale retry of a settled transaction: answer with the
         // recorded outcome, exactly as the fast path does. Once every
@@ -103,7 +102,7 @@ impl StorageNodeProcess {
     /// case left for explicit Phase 1 up front is a local promise above
     /// the lease ballot: someone re-established the record inside this
     /// tenure.
-    fn claim_lease_ballot(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+    fn claim_lease_ballot(&mut self, key: &Key, ctx: &mut MdccCtx<'_>) {
         let Some(ms) = &self.mastership else { return };
         let shard = self.placement.shard_id(key);
         let lease = ms.serving_ballot(shard, ctx.now);
@@ -135,7 +134,7 @@ impl StorageNodeProcess {
     fn current_leader(
         &mut self,
         key: &Key,
-        ctx: &Ctx<'_, Msg>,
+        ctx: &MdccCtx<'_>,
     ) -> (&mut LeaderRecord, &RecordStore) {
         let floor = self.fence.floor_for(key);
         let (leader, store) = self.leader_for(key, ctx);
@@ -149,7 +148,7 @@ impl StorageNodeProcess {
 
     /// Someone asked this node to recover `key`'s instance
     /// (`Msg::StartRecovery`).
-    pub(super) fn lead_recovery(&mut self, key: &Key, ctx: &mut Ctx<'_, Msg>) {
+    pub(super) fn lead_recovery(&mut self, key: &Key, ctx: &mut MdccCtx<'_>) {
         let (leader, _) = self.current_leader(key, ctx);
         let actions = leader.start_recovery();
         self.run_leader_actions(key, actions, ctx);
@@ -171,7 +170,7 @@ impl StorageNodeProcess {
     /// and absorbs its host-level effects: lease grants raise this
     /// node's promise floor, and a handoff drops the shard's idle
     /// leaders.
-    pub(super) fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut Ctx<'_, Msg>) {
+    pub(super) fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut MdccCtx<'_>) {
         for action in out {
             match action {
                 MsAction::Send { to, msg } => ctx.send(to, Msg::Mastership(msg)),
@@ -186,7 +185,7 @@ impl StorageNodeProcess {
 
     /// `key`'s leader, built from the record if this node has none, and
     /// the store beside it: the caller may keep reading the record.
-    fn leader_for(&mut self, key: &Key, ctx: &Ctx<'_, Msg>) -> (&mut LeaderRecord, &RecordStore) {
+    fn leader_for(&mut self, key: &Key, ctx: &MdccCtx<'_>) -> (&mut LeaderRecord, &RecordStore) {
         let cfg = LeaderConfig {
             n: self.cfg.replication,
             qc: self.cfg.classic_quorum,
@@ -209,7 +208,7 @@ impl StorageNodeProcess {
         &mut self,
         key: &Key,
         actions: Vec<LeaderAction>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let replicas = self.placement.replicas(key);
         for action in actions {
@@ -255,7 +254,7 @@ impl StorageNodeProcess {
 
     /// Opens a leader-side span on `key` (ballot acquisition, classic
     /// round), if a tracer is attached.
-    fn trace_begin(&self, key: &Key, phase: Phase, ctx: &Ctx<'_, Msg>) {
+    fn trace_begin(&self, key: &Key, phase: Phase, ctx: &MdccCtx<'_>) {
         if let Some(tracer) = &self.tracer {
             let key = Some(key.clone());
             tracer.begin(ctx.self_id, self.my_dc, None, key, phase, ctx.now);
@@ -268,7 +267,7 @@ impl StorageNodeProcess {
         &mut self,
         key: &Key,
         feed: impl FnOnce(&mut LeaderRecord) -> Vec<LeaderAction>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         if let Some(leader) = self.leaders.get_mut(key) {
             let actions = feed(leader);
@@ -287,7 +286,7 @@ impl StorageNodeProcess {
         from: NodeId,
         origin_dc: DcId,
         opt: TxnOption,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let shard = self.placement.shard_id(&opt.key);
         let (serving, holder) = match &self.mastership {
@@ -316,7 +315,7 @@ impl StorageNodeProcess {
         }
     }
 
-    pub(super) fn on_mastership(&mut self, from: NodeId, inner: MsMsg, ctx: &mut Ctx<'_, Msg>) {
+    pub(super) fn on_mastership(&mut self, from: NodeId, inner: MsMsg, ctx: &mut MdccCtx<'_>) {
         let mut out = Vec::new();
         if let Some(ms) = self.mastership.as_mut() {
             ms.on_msg(from, inner, ctx.now, &mut out);
@@ -329,7 +328,7 @@ impl StorageNodeProcess {
         from: NodeId,
         key: Key,
         ballot: Ballot,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         self.enforce_floor(&key, ctx);
         self.wal_append(ctx, |_| {
@@ -347,7 +346,7 @@ impl StorageNodeProcess {
         from: NodeId,
         key: Key,
         payload: Phase1b,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let Some(idx) = self.placement.acceptor_index(&key, from) else {
             return;
@@ -372,7 +371,7 @@ impl StorageNodeProcess {
         from: NodeId,
         key: Key,
         ballot: Ballot,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let answer = self.leaders.get(&key).and_then(|l| l.on_behind(ballot));
         if let Some(payload) = answer {
@@ -410,7 +409,7 @@ impl StorageNodeProcess {
         from: NodeId,
         key: Key,
         payload: Box<Phase2a>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         self.enforce_floor(&key, ctx);
         let ballot = payload.ballot;

@@ -27,11 +27,10 @@ use mdcc_common::{
 };
 use mdcc_paxos::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use mdcc_sim::event::TimerId;
-use mdcc_sim::Ctx;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
-use crate::msg::{per_node, send_each, Msg};
+use crate::msg::{per_node, send_each, MdccCtx, Msg, Tick};
 use crate::placement::Placement;
 
 /// Read consistency levels (§4.2).
@@ -228,7 +227,7 @@ impl TransactionManager {
         &mut self,
         keys: Vec<Key>,
         consistency: ReadConsistency,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) -> u64 {
         let token = self.next_read;
         self.next_read += 1;
@@ -239,7 +238,7 @@ impl TransactionManager {
         for key in &keys {
             self.send_read(token, key, consistency, false, ctx);
         }
-        let timer = ctx.set_timer(LEARN_TIMEOUT, Msg::ReadRetry { token });
+        let timer = ctx.set_timer(LEARN_TIMEOUT, Tick::ReadRetry { token });
         self.reads.insert(
             token,
             ReadTask {
@@ -264,7 +263,7 @@ impl TransactionManager {
         key: &Key,
         consistency: ReadConsistency,
         broadcast: bool,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let req = || Msg::ReadReq {
             req: token,
@@ -294,7 +293,7 @@ impl TransactionManager {
         &mut self,
         mut updates: Vec<RecordUpdate>,
         read_set: Vec<(Key, Version)>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) -> (TxnId, Option<TxnCompletion>) {
         let written: HashSet<Key> = updates.iter().map(|u| u.key.clone()).collect();
         for (key, version) in read_set {
@@ -315,7 +314,7 @@ impl TransactionManager {
     pub fn commit(
         &mut self,
         updates: Vec<RecordUpdate>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) -> (TxnId, Option<TxnCompletion>) {
         let txn = TxnId::new(ctx.self_id, self.next_seq);
         self.next_seq += 1;
@@ -358,7 +357,7 @@ impl TransactionManager {
             }
         }
         self.propose_attempt(options.values(), 0, ctx);
-        let timer = ctx.set_timer(LEARN_TIMEOUT, Msg::LearnTimeout { txn });
+        let timer = ctx.set_timer(LEARN_TIMEOUT, Tick::LearnTimeout { txn });
         let coord = Coordination::new(&self.cfg.protocol, txn, options.keys().cloned());
         self.active.insert(
             txn,
@@ -382,7 +381,7 @@ impl TransactionManager {
         &self,
         opts: impl IntoIterator<Item = &'a TxnOption>,
         attempt: u32,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) {
         let mut fast = Vec::new();
         for opt in opts {
@@ -424,7 +423,7 @@ impl TransactionManager {
     /// carrying the options of every record the node replicates in the
     /// order given (key order) — the transaction and its write-set cross
     /// the network once per node, not once per record.
-    fn propose_fast(&self, opts: Vec<&TxnOption>, ctx: &mut Ctx<'_, Msg>) {
+    fn propose_fast(&self, opts: Vec<&TxnOption>, ctx: &mut MdccCtx<'_>) {
         let routed = opts
             .into_iter()
             .map(|o| (self.placement.replicas(&o.key), o));
@@ -440,7 +439,7 @@ impl TransactionManager {
     // ------------------------------------------------------------------
 
     /// Feeds a network message; returns completions/read results to act on.
-    pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
+    pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) -> Vec<TmEvent> {
         match msg {
             Msg::Verdict { key, verdict } => self.on_answer(from, key, ctx, |coord, key, idx| {
                 coord.on_verdict(key, idx, &verdict)
@@ -479,7 +478,7 @@ impl TransactionManager {
     /// A storage node says a proposal belongs elsewhere (the record's
     /// ballot mode changed, its instance is full, its master moved):
     /// remember the route and send the option there.
-    fn on_reroute(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_reroute(&mut self, msg: Msg, ctx: &mut MdccCtx<'_>) {
         match msg {
             Msg::NotFast { key, txn, promised } => {
                 // The record is under a classic ballot: remember the
@@ -518,17 +517,27 @@ impl TransactionManager {
         }
     }
 
-    /// Handles a fired timer; same contract as [`Self::on_message`].
-    pub fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
-        if let Msg::ReadRetry { token } = msg {
-            self.retry_read(token, ctx);
-            return Vec::new();
+    /// Handles a fired timer. Nothing it does finishes a transaction or a
+    /// read: a learn timeout re-proposes, a read retry re-reads.
+    pub fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        match tick {
+            Tick::LearnTimeout { txn } => self.on_learn_timeout(txn, ctx),
+            Tick::ReadRetry { token } => self.retry_read(token, ctx),
+            // A storage node's and a client's own ticks: the TM arms none.
+            Tick::DanglingSweep
+            | Tick::RecoveryRetry { .. }
+            | Tick::MissedPull { .. }
+            | Tick::CheckpointTick
+            | Tick::SyncSweep
+            | Tick::ClientTick
+            | Tick::MsTick => {}
         }
-        let Msg::LearnTimeout { txn } = msg else {
-            return Vec::new();
-        };
+    }
+
+    /// `txn` is still unresolved a learn timeout after its proposals.
+    fn on_learn_timeout(&mut self, txn: TxnId, ctx: &mut MdccCtx<'_>) {
         let Some(active) = self.active.get_mut(&txn) else {
-            return Vec::new();
+            return;
         };
         self.stats.timeouts += 1;
         // We may *not* abort: options might already be learned by others.
@@ -543,7 +552,7 @@ impl TransactionManager {
         // turns congestion into livelock.
         let attempt = active.coord.next_attempt();
         let backoff = LEARN_TIMEOUT * (1u64 << attempt.min(4));
-        active.timer = ctx.set_timer(backoff, Msg::LearnTimeout { txn });
+        active.timer = ctx.set_timer(backoff, Tick::LearnTimeout { txn });
         for opt in &opts {
             // Rotate through the replicas: the default master may be in a
             // failed data center (master failover, §3.2.3).
@@ -562,13 +571,12 @@ impl TransactionManager {
             }
         }
         self.propose_attempt(&opts, attempt, ctx);
-        Vec::new()
     }
 
     /// Re-issues the still-missing reads of a stalled batch. After a
     /// couple of attempts the local replica is presumed dead and the
     /// read fans out to every replica (the first response wins).
-    fn retry_read(&mut self, token: u64, ctx: &mut Ctx<'_, Msg>) {
+    fn retry_read(&mut self, token: u64, ctx: &mut MdccCtx<'_>) {
         let Some(task) = self.reads.get_mut(&token) else {
             return;
         };
@@ -582,7 +590,7 @@ impl TransactionManager {
             .collect();
         let consistency = task.consistency;
         let backoff = LEARN_TIMEOUT * (1u64 << task.retries.min(4));
-        task.timer = ctx.set_timer(backoff, Msg::ReadRetry { token });
+        task.timer = ctx.set_timer(backoff, Tick::ReadRetry { token });
         for key in missing {
             self.send_read(token, &key, consistency, broadcast, ctx);
         }
@@ -605,7 +613,7 @@ impl TransactionManager {
         &mut self,
         from: NodeId,
         key: Key,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
         feed: impl Fn(&mut Coordination, &Key, usize) -> Progress,
     ) -> Vec<TmEvent> {
         let Some(candidates) = self.waiting.get(&key).cloned() else {
@@ -659,7 +667,7 @@ impl TransactionManager {
 
     /// `key`'s option of `txn` now has a status: stop feeding it votes
     /// and, once every option has one, finish the transaction.
-    fn record_decision(&mut self, txn: TxnId, key: Key, ctx: &mut Ctx<'_, Msg>) -> Vec<TmEvent> {
+    fn record_decision(&mut self, txn: TxnId, key: Key, ctx: &mut MdccCtx<'_>) -> Vec<TmEvent> {
         let Entry::Occupied(entry) = self.active.entry(txn) else {
             return Vec::new();
         };
@@ -719,7 +727,7 @@ impl TransactionManager {
         key: Key,
         version: Version,
         value: Option<Row>,
-        ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut MdccCtx<'_>,
     ) -> Vec<TmEvent> {
         let HashEntry::Occupied(mut entry) = self.reads.entry(req) else {
             return Vec::new();

@@ -147,33 +147,13 @@ impl Wire for Msg {
                 out.u8(23);
                 items.encode(out);
             }
-            Msg::LearnTimeout { txn } => {
-                out.u8(24);
-                txn.encode(out);
-            }
-            Msg::ReadRetry { token } => {
-                out.u8(25);
-                out.u64(*token);
-            }
-            Msg::DanglingSweep => out.u8(26),
-            Msg::RecoveryRetry { txn } => {
-                out.u8(27);
-                txn.encode(out);
-            }
-            Msg::CheckpointTick => out.u8(28),
-            Msg::SyncSweep => out.u8(29),
-            Msg::ClientTick => out.u8(30),
-            // Tags 31 and 33 (the delta vote and the read-repair reply
-            // that is now a `Vote`) are retired, not reused.
+            // Tags 24 to 30, 34 and 38 (local timers, which never
+            // crossed the wire) and 31 and 33 (the delta vote and the
+            // read-repair reply that is now a `Vote`) are retired, not
+            // reused.
             Msg::CstructPull { key } => {
                 out.u8(32);
                 key.encode(out);
-            }
-            Msg::MissedPull { key, txn, attempt } => {
-                out.u8(34);
-                key.encode(out);
-                txn.encode(out);
-                out.u32(*attempt);
             }
             Msg::Mastership(inner) => {
                 out.u8(35);
@@ -189,7 +169,6 @@ impl Wire for Msg {
                 out.u32(*shard);
                 node.encode(out);
             }
-            Msg::MsTick => out.u8(38),
             // Tag 39 (the per-record lease override's routing hint) is
             // retired, not reused.
             Msg::P2aBehind { key, ballot } => {
@@ -289,24 +268,8 @@ impl Wire for Msg {
             23 => Msg::SyncChunk {
                 items: Vec::decode(inp)?,
             },
-            24 => Msg::LearnTimeout {
-                txn: TxnId::decode(inp)?,
-            },
-            25 => Msg::ReadRetry { token: inp.u64()? },
-            26 => Msg::DanglingSweep,
-            27 => Msg::RecoveryRetry {
-                txn: TxnId::decode(inp)?,
-            },
-            28 => Msg::CheckpointTick,
-            29 => Msg::SyncSweep,
-            30 => Msg::ClientTick,
             32 => Msg::CstructPull {
                 key: Key::decode(inp)?,
-            },
-            34 => Msg::MissedPull {
-                key: Key::decode(inp)?,
-                txn: TxnId::decode(inp)?,
-                attempt: inp.u32()?,
             },
             35 => Msg::Mastership(Wire::decode(inp)?),
             36 => Msg::ProposeMastered {
@@ -317,7 +280,6 @@ impl Wire for Msg {
                 shard: inp.u32()?,
                 node: Wire::decode(inp)?,
             },
-            38 => Msg::MsTick,
             40 => Msg::P2aBehind {
                 key: Key::decode(inp)?,
                 ballot: Ballot::decode(inp)?,
@@ -380,17 +342,8 @@ impl NetMessage for Msg {
             Msg::SyncDigest { .. } => "SyncDigest",
             Msg::SyncRangePull { .. } => "SyncRangePull",
             Msg::SyncChunk { .. } => "SyncChunk",
-            Msg::LearnTimeout { .. } => "LearnTimeout",
-            Msg::ReadRetry { .. } => "ReadRetry",
-            Msg::DanglingSweep => "DanglingSweep",
-            Msg::RecoveryRetry { .. } => "RecoveryRetry",
-            Msg::MissedPull { .. } => "MissedPull",
-            Msg::CheckpointTick => "CheckpointTick",
-            Msg::SyncSweep => "SyncSweep",
-            Msg::ClientTick => "ClientTick",
             Msg::Mastership(_) => "Mastership",
             Msg::MasterHint { .. } => "MasterHint",
-            Msg::MsTick => "MsTick",
         }
     }
 }
@@ -398,8 +351,10 @@ impl NetMessage for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::tests::every_tick;
     use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{frame, from_bytes, to_bytes};
+    use mdcc_sim::TimerPayload;
     use std::sync::Arc;
 
     use mdcc_common::{
@@ -620,22 +575,6 @@ mod tests {
                     )],
                 }],
             },
-            Msg::LearnTimeout {
-                txn: TxnId::new(NodeId(0), 3),
-            },
-            Msg::MissedPull {
-                key: key("a"),
-                txn: TxnId::new(NodeId(0), 6),
-                attempt: 2,
-            },
-            Msg::ReadRetry { token: 42 },
-            Msg::DanglingSweep,
-            Msg::RecoveryRetry {
-                txn: TxnId::new(NodeId(0), 3),
-            },
-            Msg::CheckpointTick,
-            Msg::SyncSweep,
-            Msg::ClientTick,
             Msg::Mastership(MsMsg::HbReq { shard: 3, round: 7 }),
             Msg::Mastership(MsMsg::HbReply {
                 shard: 3,
@@ -679,7 +618,6 @@ mod tests {
                 shard: 4,
                 node: NodeId(12),
             },
-            Msg::MsTick,
         ]
     }
 
@@ -782,16 +720,55 @@ mod tests {
     fn retired_tags_decode_to_an_error() {
         // 18 and 19 were the per-key sync request and reply, 31 the
         // delta vote, 33 the read-repair reply that is now a `Vote`, 39
-        // the per-record lease override's routing hint; a peer still
-        // sending them gets `Err`, not a panic or another message. The
-        // payload is a key and a node, what tag 39 carried.
-        for tag in [18u8, 19, 31, 33, 39] {
-            let mut frame = vec![tag];
-            assert!(from_bytes::<Msg>(&frame).is_err(), "bare tag {tag}");
-            frame.extend_from_slice(&to_bytes(&key("a")));
-            frame.extend_from_slice(&to_bytes(&NodeId(9)));
+        // the per-record lease override's routing hint (a key and a
+        // node). 24 to 30, 34 and 38 were the local timers
+        // `LearnTimeout` (a txn), `ReadRetry` (a token), `DanglingSweep`,
+        // `RecoveryRetry` (a txn), `CheckpointTick`, `SyncSweep`,
+        // `ClientTick`, `MissedPull` (a key, a txn and an attempt) and
+        // `MsTick`. A peer still sending any of them gets `Err`, not a
+        // panic or another message: bare and with what it carried.
+        let txn = to_bytes(&TxnId::new(NodeId(0), 3));
+        let key_node = [to_bytes(&key("a")), to_bytes(&NodeId(9))].concat();
+        let missed = [to_bytes(&key("a")), txn.clone(), to_bytes(&2u32)].concat();
+        let payloads: [(u8, &[u8]); 14] = [
+            (18, &key_node),
+            (19, &key_node),
+            (24, &txn),
+            (25, &to_bytes(&42u64)),
+            (26, &[]),
+            (27, &txn),
+            (28, &[]),
+            (29, &[]),
+            (30, &[]),
+            (31, &key_node),
+            (33, &key_node),
+            (34, &missed),
+            (38, &[]),
+            (39, &key_node),
+        ];
+        for (tag, payload) in payloads {
+            assert!(from_bytes::<Msg>(&[tag]).is_err(), "bare tag {tag}");
+            let frame = [&[tag], payload].concat();
             assert!(from_bytes::<Msg>(&frame).is_err(), "tag {tag} with payload");
         }
+    }
+
+    #[test]
+    fn kind_names_do_not_collide() {
+        // The by-kind profile files message kinds, tick kinds and
+        // `on_start` side by side, keyed by name: a name two of them
+        // shared would merge their rows.
+        let mut variants = std::collections::HashSet::new();
+        let mut kinds: Vec<&str> = samples()
+            .iter()
+            .filter(|m| variants.insert(std::mem::discriminant(*m)))
+            .map(NetMessage::kind)
+            .collect();
+        assert_eq!(kinds.len(), 28, "samples() has every variant: {kinds:?}");
+        kinds.extend(every_tick().iter().map(TimerPayload::kind));
+        kinds.push("start");
+        let distinct: std::collections::HashSet<&str> = kinds.iter().copied().collect();
+        assert_eq!(distinct.len(), kinds.len(), "{kinds:?}");
     }
 
     #[test]

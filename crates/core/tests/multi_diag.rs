@@ -5,9 +5,11 @@ use mdcc_common::{
     StaticPlacement, TableId, UpdateOp,
 };
 use mdcc_core::placement::Placement;
-use mdcc_core::{Msg, StorageNodeProcess, TmConfig, TmEvent, TransactionManager, TxnCompletion};
+use mdcc_core::{
+    MdccCtx, Msg, StorageNodeProcess, Tick, TmConfig, TmEvent, TransactionManager, TxnCompletion,
+};
 use mdcc_paxos::AttrConstraint;
-use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
+use mdcc_sim::{NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore, TableSchema};
 use rand::Rng;
 use std::sync::Arc;
@@ -23,7 +25,7 @@ struct LoopClient {
     pub completions: Vec<TxnCompletion>,
 }
 impl LoopClient {
-    fn issue(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn issue(&mut self, ctx: &mut MdccCtx<'_>) {
         let mut items = vec![];
         while items.len() < 3 {
             let i = ctx.rng.gen_range(0..self.pool);
@@ -44,11 +46,11 @@ impl LoopClient {
         assert!(done.is_none());
     }
 }
-impl Process<Msg> for LoopClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+impl Process<Msg, Tick> for LoopClient {
+    fn on_start(&mut self, ctx: &mut MdccCtx<'_>) {
         self.issue(ctx);
     }
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
         for e in self.tm.on_message(from, msg, ctx) {
             if let TmEvent::Completed(c) = e {
                 self.completions.push(c);
@@ -56,13 +58,8 @@ impl Process<Msg> for LoopClient {
             }
         }
     }
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        for e in self.tm.on_timer(msg, ctx) {
-            if let TmEvent::Completed(c) = e {
-                self.completions.push(c);
-                self.issue(ctx);
-            }
-        }
+    fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        self.tm.on_timer(tick, ctx);
     }
 }
 

@@ -10,11 +10,12 @@ use mdcc_common::{
 use mdcc_core::placement::MasterPolicy;
 use mdcc_core::placement::Placement;
 use mdcc_core::{
-    Msg, StaticPlacement, StorageNodeProcess, TmConfig, TmEvent, TransactionManager, TxnCompletion,
+    MdccCtx, Msg, StaticPlacement, StorageNodeProcess, Tick, TmConfig, TmEvent, TransactionManager,
+    TxnCompletion,
 };
 use mdcc_mastership::LeaseAudit;
 use mdcc_paxos::{AttrConstraint, Ballot, TxnOutcome};
-use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
+use mdcc_sim::{NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore, TableSchema};
 
 const ITEMS: TableId = TableId(1);
@@ -30,12 +31,13 @@ fn catalog() -> Arc<Catalog> {
 }
 
 /// A scripted client: runs its transactions one after another and records
-/// completions. A `ClientTick` delivered from outside resumes a client
-/// that ran out of plan after the test appended to it.
+/// completions. With a `pause`, it holds the plan's transaction at that
+/// index until the given time, on a `ClientTick`.
 struct TestClient {
     tm: TransactionManager,
     plan: Vec<Vec<RecordUpdate>>,
     next: usize,
+    pause: Option<(usize, SimTime)>,
     completions: Vec<TxnCompletion>,
 }
 
@@ -45,13 +47,21 @@ impl TestClient {
             tm: TransactionManager::new(cfg, placement),
             plan,
             next: 0,
+            pause: None,
             completions: Vec::new(),
         }
     }
 
-    fn issue_next(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn issue_next(&mut self, ctx: &mut MdccCtx<'_>) {
         if self.next >= self.plan.len() {
             return;
+        }
+        if let Some((at, until)) = self.pause {
+            if at == self.next && ctx.now < until {
+                self.pause = None;
+                ctx.set_timer(until - ctx.now, Tick::ClientTick);
+                return;
+            }
         }
         let updates = self.plan[self.next].clone();
         self.next += 1;
@@ -62,7 +72,7 @@ impl TestClient {
         }
     }
 
-    fn handle(&mut self, events: Vec<TmEvent>, ctx: &mut Ctx<'_, Msg>) {
+    fn handle(&mut self, events: Vec<TmEvent>, ctx: &mut MdccCtx<'_>) {
         for e in events {
             if let TmEvent::Completed(c) = e {
                 self.completions.push(c);
@@ -72,26 +82,25 @@ impl TestClient {
     }
 }
 
-impl Process<Msg> for TestClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+impl Process<Msg, Tick> for TestClient {
+    fn on_start(&mut self, ctx: &mut MdccCtx<'_>) {
         self.issue_next(ctx);
     }
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        if let Msg::ClientTick = msg {
-            return self.issue_next(ctx);
-        }
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
         let events = self.tm.on_message(from, msg, ctx);
         self.handle(events, ctx);
     }
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let events = self.tm.on_timer(msg, ctx);
-        self.handle(events, ctx);
+    fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        if let Tick::ClientTick = tick {
+            return self.issue_next(ctx);
+        }
+        self.tm.on_timer(tick, ctx);
     }
 }
 
 /// Five DCs, one storage node each, uniform 100 ms inter-DC RTT.
 struct TestCluster {
-    world: World<Msg>,
+    world: World<Msg, Tick>,
     storage: Vec<NodeId>,
     placement: Arc<StaticPlacement>,
 }
@@ -166,7 +175,7 @@ fn spawn_client(cluster: &mut TestCluster, dc: u8, plan: Vec<Vec<RecordUpdate>>)
     cluster.world.spawn(DcId(dc), Box::new(client))
 }
 
-fn stock_at(cluster: &World<Msg>, node: NodeId, key: &Key) -> Option<i64> {
+fn stock_at(cluster: &World<Msg, Tick>, node: NodeId, key: &Key) -> Option<i64> {
     cluster
         .get::<StorageNodeProcess>(node)
         .unwrap()
@@ -555,8 +564,11 @@ fn the_lease_holder_leads_a_record_another_replica_established_in_its_tenure() {
         my_dc: DcId(3),
         assume_classic: true,
     };
-    let plan = vec![vec![decrement(k.clone(), 1)]];
-    let client = TestClient::new(cfg, c.placement.clone(), plan);
+    // Its first transaction runs now, the other three once node 4 has
+    // run Phase 1 on the record.
+    let plan = vec![vec![decrement(k.clone(), 1)]; 4];
+    let mut client = TestClient::new(cfg, c.placement.clone(), plan);
+    client.pause = Some((1, SimTime::from_millis(6_000)));
     let client = c.world.spawn(DcId(3), Box::new(client));
     c.world.run_until(SimTime::from_millis(5_000));
     let forwarded = |c: &TestCluster| -> u64 {
@@ -581,11 +593,6 @@ fn the_lease_holder_leads_a_record_another_replica_established_in_its_tenure() {
     );
 
     // ...and then three mastered proposals for it reach the holder.
-    let tester = c.world.get_mut::<TestClient>(client).unwrap();
-    tester
-        .plan
-        .extend((0..3).map(|_| vec![decrement(k.clone(), 1)]));
-    c.world.inject(client, client, Msg::ClientTick);
     c.world.run_until(SimTime::from_millis(12_000));
 
     let tester = c.world.get::<TestClient>(client).unwrap();

@@ -9,9 +9,11 @@ use mdcc_common::{
     StaticPlacement, TableId, UpdateOp, Version,
 };
 use mdcc_core::placement::Placement;
-use mdcc_core::{Msg, ReadConsistency, StorageNodeProcess, TmConfig, TmEvent, TransactionManager};
+use mdcc_core::{
+    MdccCtx, Msg, ReadConsistency, StorageNodeProcess, Tick, TmConfig, TmEvent, TransactionManager,
+};
 use mdcc_paxos::AttrConstraint;
-use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
+use mdcc_sim::{NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore, TableSchema};
 
 const ITEMS: TableId = TableId(1);
@@ -37,8 +39,8 @@ enum State {
     Reading,
 }
 
-impl Process<Msg> for WriteThenRead {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+impl Process<Msg, Tick> for WriteThenRead {
+    fn on_start(&mut self, ctx: &mut MdccCtx<'_>) {
         let update = RecordUpdate::new(
             key("x"),
             UpdateOp::Commutative(CommutativeUpdate::delta("stock", -5)),
@@ -47,14 +49,14 @@ impl Process<Msg> for WriteThenRead {
         assert!(done.is_none());
         self.state = State::Wrote;
     }
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
         for e in self.tm.on_message(from, msg, ctx) {
             match e {
                 TmEvent::Completed(_) => {
                     if matches!(self.state, State::Wrote) {
                         self.state = State::Reading;
                         // Delay the read via a self-timer (ClientTick).
-                        ctx.set_timer(self.read_delay, Msg::ClientTick);
+                        ctx.set_timer(self.read_delay, Tick::ClientTick);
                     }
                 }
                 TmEvent::ReadDone { values, .. } => {
@@ -64,21 +66,16 @@ impl Process<Msg> for WriteThenRead {
             }
         }
     }
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        if matches!(msg, Msg::ClientTick) {
+    fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        if matches!(tick, Tick::ClientTick) {
             self.tm.read(vec![key("x")], self.consistency, ctx);
             return;
         }
-        for e in self.tm.on_timer(msg, ctx) {
-            if let TmEvent::ReadDone { values, .. } = e {
-                let (_, version, row) = &values[0];
-                self.observed = Some((*version, row.as_ref().and_then(|r| r.get_int("stock"))));
-            }
-        }
+        self.tm.on_timer(tick, ctx);
     }
 }
 
-fn build(consistency: ReadConsistency, read_delay: SimDuration) -> (World<Msg>, NodeId) {
+fn build(consistency: ReadConsistency, read_delay: SimDuration) -> (World<Msg, Tick>, NodeId) {
     let catalog = Arc::new(Catalog::new().with(
         TableSchema::new(ITEMS, "item").with_constraint(AttrConstraint::at_least("stock", 0)),
     ));

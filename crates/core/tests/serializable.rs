@@ -15,9 +15,11 @@ use mdcc_common::{
     StaticPlacement, TableId, UpdateOp, Version,
 };
 use mdcc_core::placement::Placement;
-use mdcc_core::{Msg, StorageNodeProcess, TmConfig, TmEvent, TransactionManager, TxnCompletion};
+use mdcc_core::{
+    MdccCtx, Msg, StorageNodeProcess, Tick, TmConfig, TmEvent, TransactionManager, TxnCompletion,
+};
 use mdcc_paxos::TxnOutcome;
-use mdcc_sim::{Ctx, NetworkModel, Process, World, WorldConfig};
+use mdcc_sim::{NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore};
 
 const T: TableId = TableId(1);
@@ -35,31 +37,27 @@ struct SerClient {
     pub completions: Vec<TxnCompletion>,
 }
 
-impl Process<Msg> for SerClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+impl Process<Msg, Tick> for SerClient {
+    fn on_start(&mut self, ctx: &mut MdccCtx<'_>) {
         let (_, done) = self
             .tm
             .commit_serializable(self.writes.clone(), self.reads.clone(), ctx);
         assert!(done.is_none());
     }
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
         for e in self.tm.on_message(from, msg, ctx) {
             if let TmEvent::Completed(c) = e {
                 self.completions.push(c);
             }
         }
     }
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        for e in self.tm.on_timer(msg, ctx) {
-            if let TmEvent::Completed(c) = e {
-                self.completions.push(c);
-            }
-        }
+    fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
+        self.tm.on_timer(tick, ctx);
     }
 }
 
 struct Cluster {
-    world: World<Msg>,
+    world: World<Msg, Tick>,
     storage: Vec<NodeId>,
     placement: Arc<StaticPlacement>,
 }
@@ -138,7 +136,7 @@ fn write(k: &str, v: i64) -> RecordUpdate {
     )
 }
 
-fn value_at(c: &World<Msg>, n: NodeId, k: &str) -> Option<i64> {
+fn value_at(c: &World<Msg, Tick>, n: NodeId, k: &str) -> Option<i64> {
     c.get::<StorageNodeProcess>(n)
         .unwrap()
         .store()

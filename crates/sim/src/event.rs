@@ -46,7 +46,7 @@ pub struct EventKey {
 
 /// What a popped event asks the world to do.
 #[derive(Debug, Clone)]
-pub enum EventKind<M> {
+pub enum EventKind<M, T = M> {
     /// Deliver a network message to `target`.
     Deliver {
         /// Sender of the message.
@@ -79,7 +79,7 @@ pub enum EventKind<M> {
         /// Id returned by `set_timer`, checked against cancellations.
         id: TimerId,
         /// Payload the process attached to the timer.
-        msg: M,
+        msg: T,
         /// Incarnation of `target` at the time the timer was set. A timer
         /// armed by a crashed incarnation must not fire into its restarted
         /// successor, so the world drops timers whose incarnation lags.
@@ -89,7 +89,7 @@ pub enum EventKind<M> {
     Start,
 }
 
-impl<M> EventKind<M> {
+impl<M, T> EventKind<M, T> {
     /// Wire bytes and payload messages of the frame a delivery carries;
     /// `(0, 0)` for an event that carries none.
     pub(crate) fn frame(&self) -> (usize, u64) {
@@ -113,7 +113,7 @@ pub enum BatchKind {
 
 /// A scheduled event.
 #[derive(Debug, Clone)]
-pub struct Event<M> {
+pub struct Event<M, T = M> {
     /// Virtual time at which the event fires.
     pub at: SimTime,
     /// Intrinsic identity; breaks delivery-time ties deterministically.
@@ -121,7 +121,7 @@ pub struct Event<M> {
     /// Node the event is addressed to.
     pub target: NodeId,
     /// Payload.
-    pub kind: EventKind<M>,
+    pub kind: EventKind<M, T>,
 }
 
 /// Fixed-size heap entry: the payload stays in the slab.
@@ -151,54 +151,37 @@ impl Ord for HeapEntry {
 
 /// Min-heap of events ordered by `(time, key)`.
 #[derive(Debug)]
-pub struct EventQueue<M> {
+pub struct EventQueue<M, T = M> {
     heap: BinaryHeap<HeapEntry>,
-    slots: Vec<Option<(NodeId, EventKind<M>)>>,
+    slots: Vec<Option<(NodeId, EventKind<M, T>)>>,
     free: Vec<u32>,
-    /// Emit counter for events pushed without an explicit key
-    /// (tests, benches, world-external injection).
-    auto_emit: u64,
 }
 
-impl<M> Default for EventQueue<M> {
+impl<M, T> Default for EventQueue<M, T> {
     fn default() -> Self {
         Self {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            auto_emit: 0,
         }
     }
 }
 
-impl<M> EventQueue<M> {
+impl<M, T> EventQueue<M, T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Schedules `kind` for `target` at time `at` with an automatically
-    /// derived key (`cause = at`, `node = target`, queue-local emit
-    /// counter). Ties at equal time pop in push order, matching the old
-    /// insertion-sequence semantics for single-queue callers.
-    pub fn push(&mut self, at: SimTime, target: NodeId, kind: EventKind<M>) {
-        let emit = self.auto_emit;
-        self.auto_emit += 1;
-        self.push_keyed(
-            at,
-            EventKey {
-                cause: at,
-                node: target.0,
-                emit,
-            },
-            target,
-            kind,
-        );
-    }
-
     /// Schedules `kind` for `target` at `at` under an explicit intrinsic
     /// key (the world derives keys from the emitting node).
-    pub fn push_keyed(&mut self, at: SimTime, key: EventKey, target: NodeId, kind: EventKind<M>) {
+    pub fn push_keyed(
+        &mut self,
+        at: SimTime,
+        key: EventKey,
+        target: NodeId,
+        kind: EventKind<M, T>,
+    ) {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some((target, kind));
@@ -215,12 +198,12 @@ impl<M> EventQueue<M> {
     /// Re-inserts an already-keyed event (used when a busy node defers
     /// handling); the original key keeps FIFO order among deferred
     /// events racing newly emitted ones at the same time.
-    pub fn push_deferred(&mut self, event: Event<M>) {
+    pub fn push_deferred(&mut self, event: Event<M, T>) {
         self.push_keyed(event.at, event.key, event.target, event.kind);
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event<M>> {
+    pub fn pop(&mut self) -> Option<Event<M, T>> {
         let entry = self.heap.pop()?;
         let (target, kind) = self.slots[entry.slot as usize]
             .take()
@@ -260,6 +243,27 @@ impl<M> EventQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<M> EventQueue<M> {
+        /// Schedules `kind` for `target` at `at` under a key of its own
+        /// (`cause = at`, `node = target`, a per-thread emit counter), so
+        /// ties at equal time pop in push order.
+        fn push(&mut self, at: SimTime, target: NodeId, kind: EventKind<M>) {
+            thread_local!(static EMIT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+            let emit = EMIT.with(|e| e.replace(e.get() + 1));
+            let node = target.0;
+            self.push_keyed(
+                at,
+                EventKey {
+                    cause: at,
+                    node,
+                    emit,
+                },
+                target,
+                kind,
+            );
+        }
+    }
 
     fn deliver(n: u32) -> EventKind<&'static str> {
         EventKind::Deliver {

@@ -30,6 +30,6 @@ pub mod world;
 pub use disk::{Disk, DiskStats};
 pub use event::{BatchKind, Event, EventKey, EventKind, EventQueue, TimerId};
 pub use net::{LinkSpec, NetworkModel, DEFAULT_INTER_DC_BANDWIDTH, DEFAULT_INTRA_DC_BANDWIDTH};
-pub use process::{Ctx, NetMessage, Process, TrafficClass};
+pub use process::{Ctx, NetMessage, Process, TimerPayload, TrafficClass};
 pub use topology::Topology;
 pub use world::{KindProfileEntry, ProfileEntry, TrafficTotals, World, WorldConfig, WorldStats};

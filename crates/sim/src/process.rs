@@ -1,10 +1,11 @@
 //! The sans-IO process interface.
 //!
 //! A [`Process`] is a deterministic state machine: the world hands it a
-//! message or timer plus a [`Ctx`], and the process responds by recording
-//! *effects* (sends, timers) on the context. Effects are applied by the
-//! world after the handler returns, so handlers never touch the event
-//! queue directly and protocol code contains no runtime dependencies.
+//! message `M` or a fired timer `T` (by default `M` too) plus a [`Ctx`],
+//! and the process responds by recording *effects* (sends, timers) on the
+//! context. Effects are applied by the world after the handler returns,
+//! so handlers never touch the event queue directly and protocol code
+//! contains no runtime dependencies.
 
 use std::any::Any;
 
@@ -72,6 +73,20 @@ pub trait NetMessage {
     }
 }
 
+/// What a process arms a timer with. It never crosses the network, so
+/// it has no wire size, only a kind for the host profiler, distinct from
+/// every message kind of its world. A message type is its own.
+pub trait TimerPayload {
+    /// A short static name for what kind of timer this is.
+    fn kind(&self) -> &'static str;
+}
+
+impl<M: NetMessage> TimerPayload for M {
+    fn kind(&self) -> &'static str {
+        NetMessage::kind(self)
+    }
+}
+
 // Plain payloads used by simulator-level tests and benches.
 impl NetMessage for u32 {
     fn wire_bytes(&self) -> usize {
@@ -91,18 +106,9 @@ impl NetMessage for u64 {
     }
 }
 
-impl NetMessage for &'static str {
-    fn wire_bytes(&self) -> usize {
-        self.len()
-    }
-    fn traffic_class(&self) -> TrafficClass {
-        TrafficClass::Protocol
-    }
-}
-
 /// An action a process asked the world to perform.
 #[derive(Debug)]
-pub enum Effect<M> {
+pub enum Effect<M, T = M> {
     /// Send `msg` to `to` over the simulated network.
     Send {
         /// Destination node.
@@ -121,26 +127,26 @@ pub enum Effect<M> {
         /// Delay from now.
         delay: SimDuration,
         /// Payload passed to `on_timer`.
-        msg: M,
+        msg: T,
     },
     /// Suppress a previously set timer.
     CancelTimer(TimerId),
 }
 
 /// Handler context: the process's window onto the world for one event.
-pub struct Ctx<'a, M> {
+pub struct Ctx<'a, M, T = M> {
     /// Current virtual time.
     pub now: SimTime,
     /// The id of the process being invoked.
     pub self_id: NodeId,
     /// Seeded RNG for protocol-level randomness (backoff jitter etc.).
     pub rng: &'a mut SmallRng,
-    effects: &'a mut Vec<Effect<M>>,
+    effects: &'a mut Vec<Effect<M, T>>,
     next_timer: &'a mut u64,
     disk: Option<&'a mut Disk>,
 }
 
-impl<'a, M> Ctx<'a, M> {
+impl<'a, M, T> Ctx<'a, M, T> {
     /// Creates a context with no durable disk attached; used by tests
     /// that drive a process by hand. The world itself always attaches the
     /// process's disk via [`Ctx::with_disk`].
@@ -148,7 +154,7 @@ impl<'a, M> Ctx<'a, M> {
         now: SimTime,
         self_id: NodeId,
         rng: &'a mut SmallRng,
-        effects: &'a mut Vec<Effect<M>>,
+        effects: &'a mut Vec<Effect<M, T>>,
         next_timer: &'a mut u64,
     ) -> Self {
         Self {
@@ -166,7 +172,7 @@ impl<'a, M> Ctx<'a, M> {
         now: SimTime,
         self_id: NodeId,
         rng: &'a mut SmallRng,
-        effects: &'a mut Vec<Effect<M>>,
+        effects: &'a mut Vec<Effect<M, T>>,
         next_timer: &'a mut u64,
         disk: &'a mut Disk,
     ) -> Self {
@@ -220,7 +226,7 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Schedules `msg` to be delivered to `on_timer` after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, msg: M) -> TimerId {
+    pub fn set_timer(&mut self, delay: SimDuration, msg: T) -> TimerId {
         let id = TimerId(*self.next_timer);
         *self.next_timer += 1;
         self.effects.push(Effect::SetTimer { id, delay, msg });
@@ -238,15 +244,15 @@ impl<'a, M> Ctx<'a, M> {
 ///
 /// The `Any` supertrait lets the harness downcast processes back to their
 /// concrete type after a run to harvest metrics.
-pub trait Process<M>: Any {
+pub trait Process<M, T = M>: Any {
     /// Invoked once when the node is spawned.
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, M>) {}
+    fn on_start(&mut self, _ctx: &mut Ctx<'_, M, T>) {}
 
     /// Invoked for every delivered network message.
-    fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Ctx<'_, M>);
+    fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Ctx<'_, M, T>);
 
     /// Invoked when a timer set via [`Ctx::set_timer`] fires.
-    fn on_timer(&mut self, _msg: M, _ctx: &mut Ctx<'_, M>) {}
+    fn on_timer(&mut self, _tick: T, _ctx: &mut Ctx<'_, M, T>) {}
 }
 
 #[cfg(test)]
@@ -299,7 +305,8 @@ mod tests {
 
     #[test]
     fn timer_ids_are_unique() {
-        let mut effects = Vec::new();
+        // Nothing is sent, so only the annotation names the message type.
+        let mut effects: Vec<Effect<u32>> = Vec::new();
         let mut next_timer = 0;
         let mut rng = SmallRng::seed_from_u64(0);
         let mut ctx = Ctx::new(

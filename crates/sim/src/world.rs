@@ -73,7 +73,7 @@ use rand::SeedableRng;
 use crate::disk::Disk;
 use crate::event::{BatchKind, Event, EventKey, EventKind, EventQueue, TimerId};
 use crate::net::NetworkModel;
-use crate::process::{Ctx, Effect, NetMessage, Process, TrafficClass};
+use crate::process::{Ctx, Effect, NetMessage, Process, TimerPayload, TrafficClass};
 use crate::topology::Topology;
 
 /// World-level knobs.
@@ -229,8 +229,8 @@ struct ProfileCell {
     events: u64,
     sim_busy: SimDuration,
     wall: Duration,
-    /// Per [`NetMessage::kind`] handled (timer payloads included,
-    /// `"start"` for `on_start`), in order of first appearance. Filled
+    /// Per [`NetMessage::kind`] and [`TimerPayload::kind`] handled
+    /// (`"start"` for `on_start`), in order of first appearance. Filled
     /// only while host profiling is on.
     kinds: Vec<KindCell>,
 }
@@ -269,14 +269,14 @@ struct KindCell {
     bytes: u64,
 }
 
-/// One node's handler work on one kind of message: a row of the
-/// profile split by [`NetMessage::kind`]. Only runs that profile host
-/// time (`TraceConfig::profile`) produce any.
+/// One node's handler work on one kind of message or timer: a row of
+/// the profile split by [`NetMessage::kind`] and [`TimerPayload::kind`].
+/// Only runs that profile host time (`TraceConfig::profile`) produce any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KindProfileEntry {
     /// The node.
     pub node: NodeId,
-    /// The message kind (`"start"` for the `on_start` call).
+    /// The message or timer kind (`"start"` for the `on_start` call).
     pub kind: &'static str,
     /// Handler invocations for it.
     pub events: u64,
@@ -339,11 +339,11 @@ impl Batch {
 }
 
 /// Everything the world keeps for one node.
-struct Node<M> {
+struct Node<M, T> {
     id: NodeId,
     dc: DcId,
     /// The process; taken out only while its handler runs.
-    proc_: Option<Box<dyn Process<M>>>,
+    proc_: Option<Box<dyn Process<M, T>>>,
     busy_until: SimTime,
     alive: bool,
     /// Bumped on every `restart_node`; timers armed by an older
@@ -369,8 +369,8 @@ struct Node<M> {
     batches: [Batch; 2],
 }
 
-impl<M> Node<M> {
-    fn new(id: NodeId, dc: DcId, proc_: Box<dyn Process<M>>, seed: u64) -> Self {
+impl<M, T> Node<M, T> {
+    fn new(id: NodeId, dc: DcId, proc_: Box<dyn Process<M, T>>, seed: u64) -> Self {
         Self {
             id,
             dc,
@@ -447,8 +447,9 @@ impl WorldConfig {
     }
 }
 
-/// A deterministic discrete-event simulation of one deployment.
-pub struct World<M> {
+/// A deterministic discrete-event simulation of one deployment: `M` is
+/// what its processes send each other, `T` what they arm timers with.
+pub struct World<M, T = M> {
     now: SimTime,
     net: NetworkModel,
     topology: Topology,
@@ -457,9 +458,9 @@ pub struct World<M> {
     tracer: Option<TraceHandle>,
     /// Whether to time handlers on the host (`TraceConfig::profile`).
     profile_wall: bool,
-    queue: EventQueue<M>,
+    queue: EventQueue<M, T>,
     /// Every node, indexed by id: ids are dense spawn order.
-    nodes: Vec<Node<M>>,
+    nodes: Vec<Node<M, T>>,
     cancelled: HashSet<TimerId>,
     /// The link FIFO matrix, by `[from DC][to DC]`: earliest time a new
     /// transmission can start on that directed link.
@@ -467,7 +468,7 @@ pub struct World<M> {
     /// Per data center: true while it is failed (inbound messages drop).
     down: Vec<bool>,
     stats: WorldStats,
-    effects_scratch: Vec<Effect<M>>,
+    effects_scratch: Vec<Effect<M, T>>,
     /// First-arrival times of deferred deliveries, keyed by the event
     /// key's (node, emit) — which survives deferral; populated only
     /// while tracing, so the receive span can start when the frame
@@ -478,7 +479,7 @@ pub struct World<M> {
     inject_emit: u64,
 }
 
-impl<M: NetMessage + 'static> World<M> {
+impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
     /// Creates a world over `net` with the given config.
     pub fn new(net: NetworkModel, config: WorldConfig) -> Self {
         let dc_count = net.dc_count();
@@ -511,7 +512,7 @@ impl<M: NetMessage + 'static> World<M> {
 
     /// Executes a single already-popped event, whose time the clock
     /// already reads.
-    fn step_event(&mut self, mut ev: Event<M>) {
+    fn step_event(&mut self, mut ev: Event<M, T>) {
         let i = ev.target.0 as usize;
         if let EventKind::Deliver { bytes, .. } | EventKind::DeliverEnvelope { bytes, .. } = ev.kind
         {
@@ -565,7 +566,7 @@ impl<M: NetMessage + 'static> World<M> {
     /// envelope) at its target: dropped at a dead node or in a failed
     /// data center, deferred while the node is busy, otherwise charged
     /// its service cost and handed back for dispatch.
-    fn admit(&mut self, mut ev: Event<M>, bytes: usize) -> Option<Event<M>> {
+    fn admit(&mut self, mut ev: Event<M, T>, bytes: usize) -> Option<Event<M, T>> {
         let tracing = self.tracer.is_some();
         let node = &mut self.nodes[ev.target.0 as usize];
         if !node.alive || self.down[node.dc.0 as usize] {
@@ -703,7 +704,7 @@ impl<M: NetMessage + 'static> World<M> {
         }
     }
 
-    fn dispatch(&mut self, i: usize, kind: DispatchKind<M>) {
+    fn dispatch(&mut self, i: usize, kind: DispatchKind<M, T>) {
         let node = &mut self.nodes[i];
         // Take the process out so effects application can borrow `self`.
         let Some(mut proc_) = node.proc_.take() else {
@@ -745,7 +746,7 @@ impl<M: NetMessage + 'static> World<M> {
         self.effects_scratch = effects;
     }
 
-    fn apply_effect(&mut self, i: usize, effect: Effect<M>) {
+    fn apply_effect(&mut self, i: usize, effect: Effect<M, T>) {
         let node = &mut self.nodes[i];
         match effect {
             Effect::Send {
@@ -802,7 +803,13 @@ impl<M: NetMessage + 'static> World<M> {
     /// `i` to the network: accounts it, occupies the directed DC-pair
     /// link FIFO for its transmission delay, and schedules delivery (or
     /// drops it, per the loss model).
-    fn push_to_network(&mut self, i: usize, to: NodeId, class: TrafficClass, kind: EventKind<M>) {
+    fn push_to_network(
+        &mut self,
+        i: usize,
+        to: NodeId,
+        class: TrafficClass,
+        kind: EventKind<M, T>,
+    ) {
         let (bytes, payloads) = kind.frame();
         self.stats.count_sent(class, bytes, payloads);
         let from_dc = self.nodes[i].dc;
@@ -896,9 +903,9 @@ impl<M: NetMessage + 'static> World<M> {
         entries
     }
 
-    /// The profile split by message kind: one row per (node, kind) the
-    /// node handled, most host time first. Empty unless the run profiled
-    /// host time (`TraceConfig::profile`).
+    /// The profile split by message and timer kind: one row per (node,
+    /// kind) the node handled, most host time first. Empty unless the
+    /// run profiled host time (`TraceConfig::profile`).
     pub fn profile_by_kind(&self) -> Vec<KindProfileEntry> {
         let mut entries: Vec<KindProfileEntry> = Vec::new();
         for n in &self.nodes {
@@ -916,7 +923,7 @@ impl<M: NetMessage + 'static> World<M> {
     }
 
     /// Spawns a process in `dc`; its `on_start` runs at the current time.
-    pub fn spawn(&mut self, dc: DcId, proc_: Box<dyn Process<M>>) -> NodeId {
+    pub fn spawn(&mut self, dc: DcId, proc_: Box<dyn Process<M, T>>) -> NodeId {
         assert!(
             (dc.0 as usize) < self.net.dc_count(),
             "dc outside network model"
@@ -944,21 +951,18 @@ impl<M: NetMessage + 'static> World<M> {
     }
 
     /// The world's record of a node.
-    fn node(&self, node: NodeId) -> &Node<M> {
+    fn node(&self, node: NodeId) -> &Node<M, T> {
         &self.nodes[node.0 as usize]
     }
 
     /// The world's record of a node, mutably.
-    fn node_mut(&mut self, node: NodeId) -> &mut Node<M> {
+    fn node_mut(&mut self, node: NodeId) -> &mut Node<M, T> {
         &mut self.nodes[node.0 as usize]
     }
 
     /// Injects a message from outside the simulation (tests only; regular
     /// traffic should originate in processes).
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M)
-    where
-        M: NetMessage,
-    {
+    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
         let bytes = msg.wire_bytes();
         let key = EventKey {
             cause: self.now,
@@ -1004,7 +1008,7 @@ impl<M: NetMessage + 'static> World<M> {
     /// # Panics
     ///
     /// Panics if the node is still alive; crash it first.
-    pub fn restart_node(&mut self, node: NodeId, proc_: Box<dyn Process<M>>) {
+    pub fn restart_node(&mut self, node: NodeId, proc_: Box<dyn Process<M, T>>) {
         let now = self.now;
         let n = self.node_mut(node);
         assert!(!n.alive, "restart of a live node: crash it first");
@@ -1045,7 +1049,7 @@ impl<M: NetMessage + 'static> World<M> {
     }
 
     /// Immutable access to a process, downcast to its concrete type.
-    pub fn get<P: Process<M>>(&self, node: NodeId) -> Option<&P> {
+    pub fn get<P: Process<M, T>>(&self, node: NodeId) -> Option<&P> {
         self.node(node)
             .proc_
             .as_deref()
@@ -1053,7 +1057,7 @@ impl<M: NetMessage + 'static> World<M> {
     }
 
     /// Mutable access to a process, downcast to its concrete type.
-    pub fn get_mut<P: Process<M>>(&mut self, node: NodeId) -> Option<&mut P> {
+    pub fn get_mut<P: Process<M, T>>(&mut self, node: NodeId) -> Option<&mut P> {
         self.node_mut(node)
             .proc_
             .as_deref_mut()
@@ -1129,20 +1133,22 @@ impl<M: NetMessage + 'static> World<M> {
     }
 }
 
-enum DispatchKind<M> {
+enum DispatchKind<M, T> {
     Start,
-    Timer(M),
+    Timer(T),
     Message { from: NodeId, msg: M },
 }
 
-impl<M: NetMessage> DispatchKind<M> {
+impl<M: NetMessage, T: TimerPayload> DispatchKind<M, T> {
     /// The profiler's label for this call, and the framed size of the
     /// message it delivers, if it delivers one.
     fn label(&self) -> (&'static str, Option<u64>) {
         match self {
             DispatchKind::Start => ("start", None),
-            DispatchKind::Timer(msg) => (msg.kind(), None),
-            DispatchKind::Message { msg, .. } => (msg.kind(), Some(msg.wire_bytes() as u64)),
+            DispatchKind::Timer(tick) => (TimerPayload::kind(tick), None),
+            DispatchKind::Message { msg, .. } => {
+                (NetMessage::kind(msg), Some(msg.wire_bytes() as u64))
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the shape of the product crates (ROADMAP item 3).
+"""Check the shape of the product crates (ROADMAP items 3 and 4(d)).
 
 usage: shape_check.py [SRC_DIR ...]
 
@@ -10,6 +10,12 @@ simulator, the tracer, a process context or a WAL append — and, where
 the root says so, a lock. The source is rustfmt's output, so a function
 ends at the first `}` on the indentation of its `fn`. Without arguments
 it checks every root it knows.
+
+Whatever the arguments, it also fails if a crate under `crates/` has
+more panic sites than its ceiling in PANIC_CEILINGS (zero for a crate
+not listed): `.unwrap()`, `.expect(` and `panic!(` on the non-comment
+lines above each file's `#[cfg(test)]` under its `src/` (for `bench`,
+`src/lib.rs` only; its binaries are drivers).
 """
 import pathlib
 import re
@@ -37,6 +43,21 @@ ROOTS = {
     "crates/trace/src": ([], IO_NAMES),
 }
 FN = re.compile(r"^(\s*)(?:pub(?:\([a-z]+\))? )?(?:const )?fn (\w+)")
+# Panic sites per crate as of the last change that removed one: lower a
+# ceiling when a site goes, never raise one to let a new site in.
+PANIC_CEILINGS = {
+    "baselines": 3,
+    "bench": 6,
+    "cluster": 10,
+    "common": 2,
+    "mastership": 1,
+    "paxos": 3,
+    "sim": 5,
+    "storage": 2,
+    "trace": 10,
+}
+PANIC = re.compile(r"\.unwrap\(\)|\.expect\(|\bpanic!\(")
+CRATES = pathlib.Path(__file__).resolve().parent.parent / "crates"
 
 
 def product_lines(path):
@@ -94,8 +115,29 @@ def check(src, sans_io, forbidden):
     return failures, longest
 
 
-def main(argv):
+def panic_sites(crate):
+    """Counts the panic sites in the product code of `crate`'s dir."""
+    src = crate / "src"
+    files = [src / "lib.rs"] if crate.name == "bench" else sorted(src.rglob("*.rs"))
+    lines = [line for path in files for line in product_lines(path)]
+    return sum(len(PANIC.findall(line)) for line in lines if not line.lstrip().startswith("//"))
+
+
+def check_panics():
+    """Returns a failure per crate over its panic-site ceiling."""
     failures = []
+    counts = []
+    for crate in sorted(p for p in CRATES.iterdir() if (p / "src").is_dir()):
+        found, ceiling = panic_sites(crate), PANIC_CEILINGS.get(crate.name, 0)
+        counts.append(f"{crate.name} {found}")
+        if found > ceiling:
+            failures.append(f"crates/{crate.name}: {found} panic sites (ceiling {ceiling})")
+    print("panic sites: " + ", ".join(counts))
+    return failures
+
+
+def main(argv):
+    failures = check_panics()
     for root in argv or ROOTS:
         key = root.rstrip("/")
         if key not in ROOTS:
