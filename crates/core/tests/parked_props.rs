@@ -155,8 +155,8 @@ fn voted(msg: &Msg) -> Option<(Version, &[Letter])> {
     }
 }
 
-fn fingerprint(store: &RecordStore) -> String {
-    format!("{:?}", store.export_state())
+fn fingerprint(store: &RecordStore) -> Vec<u8> {
+    store.checkpoint_bytes()
 }
 
 proptest! {

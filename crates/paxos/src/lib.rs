@@ -23,8 +23,10 @@
 //!   (§3.4.2, Figure 2).
 //! * [`acceptor`] — per-record storage-node state: Phase1b, Phase2b
 //!   classic/fast, option validation, visibility application.
-//! * [`leader`] — per-record master: Phase1a, ProvedSafe, Phase2a,
-//!   the fast⇄classic γ policy (§3.3.2).
+//! * [`leader`] — per-record master: Phase1a, Phase2a, the fast⇄classic
+//!   γ policy (§3.3.2).
+//! * [`safe`] — ProvedSafe: what a leader must propose after Phase 1,
+//!   and when promises at lease-assumed ballots can be judged.
 //! * [`learner`] — coordinator-side learning of option statuses from
 //!   Phase2b quorums — from the verdicts acceptors send, or from whole
 //!   votes — including definite-collision detection.
@@ -40,6 +42,7 @@ pub mod leader;
 pub mod learner;
 pub mod options;
 pub mod quorum;
+pub mod safe;
 pub mod shadow;
 pub mod wire;
 

@@ -1,9 +1,10 @@
 //! Delta votes and per-acceptor shadow views.
 //!
 //! Nothing in `mdcc-core` uses this module since acceptors answer
-//! coordinators with verdicts ([`crate::acceptor::VoteVerdict`]): it
-//! stays, with its codec and `tests/vote_path_props.rs`, only because
-//! the `bench_all` kernels name it (ROADMAP item 0(a)).
+//! coordinators with verdicts ([`crate::acceptor::VoteVerdict`]), and
+//! nothing encodes a delta vote: it stays, with
+//! `tests/vote_path_props.rs`, only because the `bench_all` kernels
+//! name it (ROADMAP item 0(a)).
 //!
 //! Full MDCC's dominant wire cost is Phase2b vote fan-out: every vote
 //! ships the record's entire cstruct to the proposer and to every

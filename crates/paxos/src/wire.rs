@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use mdcc_common::error::AbortReason;
 use mdcc_common::wire::{encode_seq, err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{Key, Row, TxnId, UpdateOp, Version};
+use mdcc_common::{Key, TxnId, UpdateOp, Version};
 
 use crate::acceptor::{
     AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution, VoteVerdict,
@@ -18,7 +18,6 @@ use crate::acceptor::{
 use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
 use crate::options::{OptionStatus, Proposal, TxnOption, TxnOutcome};
-use crate::shadow::DeltaVote;
 
 impl Wire for Ballot {
     fn encode(&self, out: &mut Enc) {
@@ -288,29 +287,6 @@ impl Wire for VoteVerdict {
     }
 }
 
-impl Wire for DeltaVote {
-    fn encode(&self, out: &mut Enc) {
-        self.ballot.encode(out);
-        self.version.encode(out);
-        out.u64(self.epoch);
-        out.u64(self.from_seq);
-        self.entries.encode(out);
-        out.fixed64(self.digest);
-        out.u64(self.full_len);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(DeltaVote {
-            ballot: Ballot::decode(inp)?,
-            version: Version::decode(inp)?,
-            epoch: inp.u64()?,
-            from_seq: inp.u64()?,
-            entries: Vec::decode(inp)?,
-            digest: inp.fixed64()?,
-            full_len: inp.u64()?,
-        })
-    }
-}
-
 /// Tags 0 and 1 are the `None`/`Some` bytes of the `Option<CStruct>`
 /// this field used to be, so a Phase2a without a base digest encodes to
 /// the bytes it always did; tag 2 is the digest form.
@@ -363,85 +339,61 @@ impl Wire for Phase2a {
     }
 }
 
-/// A borrowed view of one acceptor's durable state — the one definition
-/// of its checkpoint layout. [`AcceptorState`]'s `Wire::encode` and
-/// [`crate::AcceptorRecord::encode_state`] both write through it, so the
-/// exported and the in-place encodings cannot drift apart. Fields mirror
-/// [`AcceptorState`]; `settle_log` is the two halves of a ring buffer.
-pub(crate) struct StateView<'a> {
-    pub version: Version,
-    pub value: &'a Option<Row>,
-    pub base: &'a Option<Row>,
-    pub promised: Ballot,
-    pub accepted_ballot: Option<Ballot>,
-    pub entries: &'a [Arc<Entry>],
-    pub outcomes: &'a [(TxnId, Resolution)],
-    pub resolved: &'a [TxnId],
-    pub close_on_resolve: bool,
-    pub reopen_fast_after: Option<Ballot>,
-    pub closed_resolved: &'a [(TxnOption, Resolution)],
-    pub inherited_folded: &'a [TxnId],
-    pub settle_log: (&'a [TxnId], &'a [TxnId]),
-    pub settle_seq: u64,
-    pub cstruct_epoch: u64,
-}
-
-/// The committed projection `(version, value)`: the first two fields of
-/// an acceptor's encoded state.
-pub(crate) fn encode_committed(version: Version, value: &Option<Row>, out: &mut Enc) {
-    version.encode(out);
-    value.encode(out);
-}
-
-fn encode_slice<T: Wire>(items: &[T], out: &mut Enc) {
-    encode_seq(items.len(), items, out);
-}
-
-impl StateView<'_> {
-    /// Appends the state to `out`. Returns `out.len()` where the
-    /// committed projection ends: `out[start..end]` is what
-    /// [`encode_committed`] writes for this state.
-    pub(crate) fn encode(&self, out: &mut Enc) -> usize {
-        encode_committed(self.version, self.value, out);
+impl AcceptorState {
+    /// Appends the state to `out`: the checkpoint layout, written in
+    /// place with the two hashed sets sorted by transaction. Returns
+    /// `out.len()` where the committed projection ends: `out[start..end]`
+    /// is what [`AcceptorState::encode_committed`] writes.
+    pub(crate) fn encode_with_committed_end(&self, out: &mut Enc) -> usize {
+        self.encode_committed(out);
         let committed_end = out.len();
         self.base.encode(out);
         self.promised.encode(out);
         self.accepted_ballot.encode(out);
-        encode_slice(self.entries, out);
-        encode_slice(self.outcomes, out);
-        encode_slice(self.resolved, out);
+        let entries = self.cstruct.shared();
+        encode_seq(entries.len(), entries, out);
+        let mut outcomes: Vec<(TxnId, Resolution)> =
+            self.outcomes.iter().map(|(t, r)| (*t, *r)).collect();
+        outcomes.sort_unstable_by_key(|(t, _)| *t);
+        outcomes.encode(out);
+        let mut resolved: Vec<TxnId> = self.resolved.iter().copied().collect();
+        resolved.sort_unstable();
+        resolved.encode(out);
         out.bool(self.close_on_resolve);
         self.reopen_fast_after.encode(out);
-        encode_slice(self.closed_resolved, out);
-        encode_slice(self.inherited_folded, out);
-        let (front, back) = self.settle_log;
-        encode_seq(front.len() + back.len(), front.iter().chain(back), out);
+        self.closed_resolved.encode(out);
+        self.inherited_folded.encode(out);
+        encode_seq(self.settle_log.len(), &self.settle_log, out);
         self.settle_seq.encode(out);
         self.cstruct_epoch.encode(out);
         committed_end
     }
+
+    /// Appends the committed projection `(version, value)`: the first two
+    /// fields of the encoded state.
+    pub(crate) fn encode_committed(&self, out: &mut Enc) {
+        self.version.encode(out);
+        self.value.encode(out);
+    }
+}
+
+/// Decodes a list written strictly ascending by transaction, the one
+/// order a hashed set is encoded in: a repeat or a list out of order is
+/// refused, so that each state has one encoding.
+fn decode_ascending<T: Wire, C: FromIterator<T>>(
+    inp: &mut Dec<'_>,
+    txn: fn(&T) -> TxnId,
+) -> WireResult<C> {
+    let items: Vec<T> = Vec::decode(inp)?;
+    if !items.windows(2).all(|w| txn(&w[0]) < txn(&w[1])) {
+        return err("acceptor-state set order");
+    }
+    Ok(items.into_iter().collect())
 }
 
 impl Wire for AcceptorState {
     fn encode(&self, out: &mut Enc) {
-        StateView {
-            version: self.version,
-            value: &self.value,
-            base: &self.base,
-            promised: self.promised,
-            accepted_ballot: self.accepted_ballot,
-            entries: &self.entries,
-            outcomes: &self.outcomes,
-            resolved: &self.resolved,
-            close_on_resolve: self.close_on_resolve,
-            reopen_fast_after: self.reopen_fast_after,
-            closed_resolved: &self.closed_resolved,
-            inherited_folded: &self.inherited_folded,
-            settle_log: (&self.settle_log[..], &[]),
-            settle_seq: self.settle_seq,
-            cstruct_epoch: self.cstruct_epoch,
-        }
-        .encode(out);
+        self.encode_with_committed_end(out);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         Ok(AcceptorState {
@@ -450,14 +402,20 @@ impl Wire for AcceptorState {
             base: Option::decode(inp)?,
             promised: Ballot::decode(inp)?,
             accepted_ballot: Option::decode(inp)?,
-            entries: Vec::decode(inp)?,
-            outcomes: Vec::decode(inp)?,
-            resolved: Vec::decode(inp)?,
+            cstruct: Vec::<Arc<Entry>>::decode(inp)?.into_iter().fold(
+                CStruct::new(),
+                |mut cstruct, entry| {
+                    cstruct.append_entry(entry);
+                    cstruct
+                },
+            ),
+            outcomes: decode_ascending(inp, |(txn, _)| *txn)?,
+            resolved: decode_ascending(inp, |txn| *txn)?,
             close_on_resolve: inp.bool()?,
             reopen_fast_after: Option::decode(inp)?,
             closed_resolved: Vec::decode(inp)?,
             inherited_folded: Vec::decode(inp)?,
-            settle_log: Vec::decode(inp)?,
+            settle_log: Vec::decode(inp)?.into(),
             settle_seq: u64::decode(inp)?,
             cstruct_epoch: u64::decode(inp)?,
         })
@@ -727,22 +685,6 @@ mod tests {
         assert_eq!(back.cstruct.digest(), whole.digest());
         let header = |vote: &Phase2b| to_bytes(vote).len() - to_bytes(&vote.cstruct).len();
         assert_eq!(header(&tail), header(&p2b) + to_bytes(&base).len());
-
-        let dv = crate::shadow::DeltaVote {
-            ballot: Ballot::fast(1, NodeId(0)),
-            version: Version(9),
-            epoch: 3,
-            from_seq: 2,
-            entries: safe.shared().to_vec(),
-            digest: safe.digest(),
-            full_len: 3,
-        };
-        let back = round_trip(&dv);
-        assert_eq!(back.ballot, dv.ballot);
-        assert_eq!(back.from_seq, 2);
-        assert_eq!(back.entries.len(), dv.entries.len());
-        assert_eq!(back.digest, dv.digest);
-        assert_eq!(back.full_len, 3);
     }
 
     /// A Phase2a from generated parts: with or without the snapshot,

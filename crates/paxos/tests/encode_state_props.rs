@@ -1,22 +1,29 @@
-//! Property test: [`AcceptorRecord::encode_state`] writes exactly the
-//! bytes of encoding [`AcceptorRecord::export_state`], and the offset it
-//! returns ends the committed projection [`AcceptorRecord::encode_committed`]
-//! writes.
+//! Property test: [`AcceptorRecord::encode_state`] writes the encoded
+//! export, the one a restart reads back — decoded as an `AcceptorState`
+//! and rebuilt by [`AcceptorRecord::from_state`], it is a record that
+//! encodes to the same bytes — and the offset it returns ends the
+//! committed projection [`AcceptorRecord::encode_committed`] writes.
 //!
 //! Checkpoints and the log-structured engine's segment entries are
-//! written through `encode_state`, and read back as an `AcceptorState`;
-//! any difference would change a checkpoint's bytes or corrupt a
-//! spilled record. Every history starts with a fixed prefix that fills
-//! each collection of the state — outcomes, settled and executed sets,
-//! the closed-instance ring, the inherited-folded ring — and continues
-//! with random proposals, resolutions, physical writes and snapshot
-//! adoptions; the encodings are compared after every step.
+//! written through `encode_state` and read back through `from_state`;
+//! a field lost or reordered on the way would change a restarted
+//! replica's state or corrupt a spilled record. Every history starts
+//! with a fixed prefix that fills each collection of the state —
+//! outcomes, settled and executed sets, the closed-instance ring, the
+//! inherited-folded ring — and continues with random proposals,
+//! resolutions, physical writes and snapshot adoptions; the round trip
+//! is checked after every step.
 
 use std::sync::Arc;
 
-use mdcc_common::wire::{to_bytes, Enc};
-use mdcc_common::{CommutativeUpdate, Key, NodeId, PhysicalUpdate, Row, TableId, TxnId, UpdateOp};
-use mdcc_paxos::{AcceptorRecord, AttrConstraint, RecordSnapshot, TxnOption, TxnOutcome};
+use mdcc_common::wire::{from_bytes, to_bytes, Enc, Wire};
+use mdcc_common::{
+    CommutativeUpdate, Key, NodeId, PhysicalUpdate, Row, TableId, TxnId, UpdateOp, Version,
+};
+use mdcc_paxos::{
+    AcceptorRecord, AcceptorState, AttrConstraint, Ballot, RecordSnapshot, Resolution, TxnOption,
+    TxnOutcome,
+};
 use proptest::prelude::*;
 
 fn key() -> Key {
@@ -58,11 +65,20 @@ fn adopt_newer(acc: &mut AcceptorRecord, stock: i64, folded: Vec<TxnId>) {
     acc.sync_from_peer(&snapshot, &[]);
 }
 
-fn assert_encodings_agree(acc: &AcceptorRecord) {
+fn constraints() -> Arc<[AttrConstraint]> {
+    Arc::from(vec![AttrConstraint::at_least("stock", 0)])
+}
+
+fn assert_round_trip(acc: &AcceptorRecord) {
     let mut out = Enc::new();
     out.u8(0xA5); // a prefix, so the returned offset is absolute
     let committed_end = acc.encode_state(&mut out);
-    assert_eq!(&out.as_slice()[1..], &to_bytes(&acc.export_state())[..]);
+    let state: AcceptorState = from_bytes(&out.as_slice()[1..]).expect("own encoding decodes");
+    let rebuilt = AcceptorRecord::from_state(constraints(), 5, 4, 32, state);
+    let mut again = Enc::new();
+    again.u8(0xA5);
+    assert_eq!(rebuilt.encode_state(&mut again), committed_end);
+    assert_eq!(again.as_slice(), out.as_slice());
     let mut committed = Enc::new();
     acc.encode_committed(&mut committed);
     assert_eq!(&out.as_slice()[1..committed_end], committed.as_slice());
@@ -70,9 +86,8 @@ fn assert_encodings_agree(acc: &AcceptorRecord) {
 
 /// Fills every collection of the state.
 fn prefixed_acceptor() -> AcceptorRecord {
-    let constraints: Arc<[AttrConstraint]> = Arc::from(vec![AttrConstraint::at_least("stock", 0)]);
     let mut acc =
-        AcceptorRecord::with_value(constraints, 5, 4, 32, Row::new().with("stock", 1_000));
+        AcceptorRecord::with_value(constraints(), 5, 4, 32, Row::new().with("stock", 1_000));
     for seq in 1..=3 {
         acc.fast_propose(delta(seq, 1));
         acc.apply_visibility(txn(seq), TxnOutcome::Committed, true);
@@ -87,14 +102,75 @@ fn prefixed_acceptor() -> AcceptorRecord {
     // Adopting a newer snapshot that folds a transaction never seen here.
     adopt_newer(&mut acc, 700, vec![txn(900), txn(5)]);
     acc.fast_propose(delta(6, 1));
-    let state = acc.export_state();
-    assert!(!state.outcomes.is_empty());
-    assert!(!state.resolved.is_empty());
-    assert!(!state.settle_log.is_empty());
-    assert!(!state.closed_resolved.is_empty());
-    assert!(!state.inherited_folded.is_empty());
-    assert!(!state.entries.is_empty());
+    assert!(acc.outcome_of(txn(1)).is_some(), "an outcome");
+    // Executed here without an outcome on record: in the executed set,
+    // hence settled too (nothing is truncated this early).
+    assert_eq!(acc.settled_outcome(txn(900)), Some(TxnOutcome::Committed));
+    let in_ring = acc.sync_payload().iter().any(|(opt, _)| opt.txn == txn(1));
+    assert!(in_ring, "a closed instance's delta");
+    assert!(
+        acc.snapshot().folded.contains(&txn(900)),
+        "an inherited txn"
+    );
+    assert!(!acc.cstruct().is_empty());
     acc
+}
+
+/// A state's bytes, laid out field by field, with the given outcome and
+/// executed transaction lists written as they are.
+fn state_bytes(outcomes: &[u64], resolved: &[u64]) -> Vec<u8> {
+    let committed = Resolution {
+        outcome: TxnOutcome::Committed,
+        learned_accepted: true,
+    };
+    let nothing: Vec<TxnId> = Vec::new();
+    let mut out = Enc::new();
+    Version(3).encode(&mut out);
+    Some(Row::new().with("stock", 5)).encode(&mut out);
+    None::<Row>.encode(&mut out);
+    Ballot::INITIAL_FAST.encode(&mut out);
+    None::<Ballot>.encode(&mut out);
+    nothing.encode(&mut out); // cstruct entries
+    let outcomes: Vec<(TxnId, Resolution)> =
+        outcomes.iter().map(|s| (txn(*s), committed)).collect();
+    outcomes.encode(&mut out);
+    let resolved: Vec<TxnId> = resolved.iter().map(|s| txn(*s)).collect();
+    resolved.encode(&mut out);
+    false.encode(&mut out); // close on resolve
+    None::<Ballot>.encode(&mut out);
+    nothing.encode(&mut out); // closed-instance ring
+    nothing.encode(&mut out); // inherited-folded ring
+    nothing.encode(&mut out); // settle log
+    0u64.encode(&mut out); // settle sequence
+    0u64.encode(&mut out); // cstruct epoch
+    out.finish()
+}
+
+/// Each state has one encoding: the outcome and executed lists are
+/// written strictly ascending by transaction, and a list with a repeat
+/// or out of order — which would load to the same state as some other
+/// blob — does not decode.
+#[test]
+fn a_state_decodes_only_from_its_one_encoding() {
+    let canonical = state_bytes(&[1, 2], &[1, 2]);
+    let state: AcceptorState = from_bytes(&canonical).expect("canonical state decodes");
+    assert_eq!(
+        to_bytes(&state),
+        canonical,
+        "the layout above is the state's"
+    );
+    for (outcomes, resolved) in [
+        (&[1, 1][..], &[1, 2][..]),
+        (&[2, 1], &[1, 2]),
+        (&[1, 2], &[2, 2]),
+        (&[1, 2], &[2, 1]),
+    ] {
+        let bytes = state_bytes(outcomes, resolved);
+        assert!(
+            from_bytes::<AcceptorState>(&bytes).is_err(),
+            "outcomes {outcomes:?} and executed {resolved:?} decoded"
+        );
+    }
 }
 
 proptest! {
@@ -105,7 +181,7 @@ proptest! {
         steps in prop::collection::vec((0u8..6, 1i64..4, any::<bool>()), 0..48),
     ) {
         let mut acc = prefixed_acceptor();
-        assert_encodings_agree(&acc);
+        assert_round_trip(&acc);
         for (i, (kind, amount, flag)) in steps.into_iter().enumerate() {
             let seq = 10 + i as u64;
             match kind {
@@ -128,7 +204,7 @@ proptest! {
                 }
                 _ => adopt_newer(&mut acc, 50 * amount, vec![txn(seq - 1), txn(10_000 + seq)]),
             }
-            assert_encodings_agree(&acc);
+            assert_round_trip(&acc);
         }
     }
 }

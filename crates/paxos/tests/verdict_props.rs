@@ -17,8 +17,8 @@ use mdcc_common::{
 use mdcc_paxos::acceptor::{
     AcceptorRecord, Base, ClassicAccept, FastPropose, Phase1b, Phase2a, Phase2b, VoteVerdict,
 };
-use mdcc_paxos::leader::proved_safe;
 use mdcc_paxos::quorum::{mask_indices, subsets};
+use mdcc_paxos::safe::proved_safe;
 use mdcc_paxos::{
     AttrConstraint, Ballot, CStruct, LearnOutcome, Learner, OptionStatus, TxnOption, TxnOutcome,
 };

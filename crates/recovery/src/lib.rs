@@ -29,4 +29,4 @@ pub use snapshot::{
     committed_bytes, committed_digest, committed_state_digest, read_checkpoint, recover_store,
     recovered_leases, write_checkpoint, RecoveryInfo,
 };
-pub use wal::{recovered_lease_state, CommitLog, MemLog, RecoveredLeases, ReplayStats, WalRecord};
+pub use wal::{recovered_lease_state, RecoveredLeases, ReplayStats, WalRecord};

@@ -13,7 +13,7 @@
 //! FNV-1a checksum over the payload. A torn or corrupt tail fails decode
 //! cleanly rather than poisoning recovery.
 
-use mdcc_common::wire::{read_frames, Dec, Enc, Wire, WireError, WireResult};
+use mdcc_common::wire::{frame, read_frames, Dec, Enc, Wire, WireError, WireResult};
 use mdcc_common::{Key, Row, SimTime, TxnId};
 use mdcc_paxos::acceptor::Phase2a;
 use mdcc_paxos::{Ballot, RecordSnapshot, Resolution, TxnOption, TxnOutcome};
@@ -200,62 +200,12 @@ impl Wire for WalRecord {
     }
 }
 
-/// Frames one record (`[len][checksum][payload]`) into bytes, using the
-/// shared framing of [`mdcc_common::wire`].
-pub fn frame(record: &WalRecord) -> Vec<u8> {
-    mdcc_common::wire::frame(record)
-}
-
-/// Where framed WAL records land. The storage node's live path appends
-/// to its simulated [`Disk`]; tests and benches can use a [`MemLog`]
-/// without standing up a world. The trait deliberately says nothing
-/// about durability timing — whether an appended frame is synchronously
-/// durable or awaits a covering group fsync is the simulator's
-/// write-back model ([`Disk::fsync`]), not the log's.
-pub trait CommitLog {
-    /// Appends one already-framed record.
-    fn append_frame(&mut self, frame: &[u8]);
-    /// Every appended byte, oldest first.
-    fn frames(&self) -> &[u8];
-}
-
-impl CommitLog for Disk {
-    fn append_frame(&mut self, frame: &[u8]) {
-        self.append_wal(frame);
-    }
-
-    fn frames(&self) -> &[u8] {
-        self.wal()
-    }
-}
-
-/// An in-memory commit log: a plain byte buffer (tests, benches).
-#[derive(Debug, Clone, Default)]
-pub struct MemLog {
-    bytes: Vec<u8>,
-}
-
-impl MemLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl CommitLog for MemLog {
-    fn append_frame(&mut self, frame: &[u8]) {
-        self.bytes.extend_from_slice(frame);
-    }
-
-    fn frames(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-/// Appends one framed record to `log` (usually a node's [`Disk`] WAL
-/// area).
-pub fn append<L: CommitLog + ?Sized>(log: &mut L, record: &WalRecord) {
-    log.append_frame(&frame(record));
+/// Frames one record (`[len][checksum][payload]`, the shared framing of
+/// [`mdcc_common::wire`]) and appends it to `disk`'s WAL area. Whether
+/// the frame is durable at once or awaits a covering group fsync is the
+/// simulator's write-back model ([`Disk::fsync`]), not the log's.
+pub fn append(disk: &mut Disk, record: &WalRecord) {
+    disk.append_wal(&frame(record));
 }
 
 /// Parses every framed record in `wal`, oldest first, verifying

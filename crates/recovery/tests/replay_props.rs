@@ -160,10 +160,10 @@ fn build_log(steps: &[Step]) -> Vec<WalRecord> {
     log
 }
 
-fn state_fingerprint(store: &RecordStore) -> (Vec<u8>, String, usize) {
+fn state_fingerprint(store: &RecordStore) -> (Vec<u8>, Vec<u8>, usize) {
     (
         committed_bytes(store),
-        format!("{:?}", store.export_state()),
+        store.checkpoint_bytes(),
         store.pending_len(),
     )
 }

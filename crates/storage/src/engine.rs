@@ -14,10 +14,11 @@
 //!
 //! The two are interchangeable at the protocol level: everything a node
 //! says on the wire or persists in its WAL is a pure function of the
-//! records' logical state, and [`mdcc_paxos::AcceptorRecord`] round-trips
-//! that state exactly through `encode_state`/`from_state` (the checkpoint
-//! codec, which the log-structured engine reuses for its segment
-//! entries). Cluster runs under either backend are byte-identical.
+//! records' logical state. A record holds that state as one
+//! [`mdcc_paxos::AcceptorState`], and its encoding — the checkpoint
+//! codec, which the log-structured engine reuses for its segment entries
+//! — rebuilds the record exactly ([`AcceptorRecord::from_state`]).
+//! Cluster runs under either backend are byte-identical.
 //!
 //! # Ordered walks and record digests
 //!
@@ -195,9 +196,9 @@ pub trait Storage: fmt::Debug + Send {
 
     /// Encodes every record as the checkpoint codec lays out
     /// `StoreState::records`: a `u32` count, then `(key, state)` per
-    /// record in key order — byte for byte what encoding
-    /// `(key, export_state())` of each record gives, without
-    /// materializing records that are already stored in that form.
+    /// record in key order — each record's `(key, AcceptorState)` in
+    /// the one encoding of its state, without materializing records that
+    /// are already stored in that form.
     fn encode_records(&self, out: &mut Enc);
 
     /// Records currently held materialized in memory (the whole store
@@ -748,6 +749,7 @@ pub fn backend_for(cfg: &ProtocolConfig, catalog: &Arc<Catalog>) -> Box<dyn Stor
 mod tests {
     use super::*;
     use crate::schema::TableSchema;
+    use mdcc_common::wire::to_bytes;
     use mdcc_common::{Row, TableId};
     use mdcc_paxos::AttrConstraint;
 
@@ -801,8 +803,8 @@ mod tests {
             let k = key(i);
             let mut a = None;
             let mut b = None;
-            assert!(mem.read(&k, &mut |r| a = Some(format!("{:?}", r.export_state()))));
-            assert!(log.read(&k, &mut |r| b = Some(format!("{:?}", r.export_state()))));
+            assert!(mem.read(&k, &mut |r| a = Some(to_bytes(&r.export_state()))));
+            assert!(log.read(&k, &mut |r| b = Some(to_bytes(&r.export_state()))));
             assert_eq!(a, b, "evicted record round-trips exactly");
         }
     }
@@ -946,22 +948,22 @@ mod tests {
                 log.insert(k.clone(), record(&cat, &k, round));
             }
         }
-        let before: Vec<String> = log
+        let before: Vec<Vec<u8>> = log
             .keys_sorted()
             .iter()
             .map(|k| {
-                let mut s = String::new();
-                log.read(k, &mut |r| s = format!("{:?}", r.export_state()));
+                let mut s = Vec::new();
+                log.read(k, &mut |r| s = to_bytes(&r.export_state()));
                 s
             })
             .collect();
         log.compact();
-        let after: Vec<String> = log
+        let after: Vec<Vec<u8>> = log
             .keys_sorted()
             .iter()
             .map(|k| {
-                let mut s = String::new();
-                log.read(k, &mut |r| s = format!("{:?}", r.export_state()));
+                let mut s = Vec::new();
+                log.read(k, &mut |r| s = to_bytes(&r.export_state()));
                 s
             })
             .collect();

@@ -629,8 +629,8 @@ mod tests {
         assert_eq!(rebuilt.committed_state(), s.committed_state());
         assert_eq!(rebuilt.pending_len(), s.pending_len());
         assert_eq!(
-            format!("{:?}", rebuilt.export_state()),
-            format!("{:?}", s.export_state()),
+            rebuilt.checkpoint_bytes(),
+            s.checkpoint_bytes(),
             "export ∘ import ∘ export is the identity"
         );
     }
