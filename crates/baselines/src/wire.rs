@@ -162,6 +162,115 @@ mod tests {
         );
     }
 
+    fn key(pk: &str) -> Key {
+        Key::new(TableId(0), pk)
+    }
+
+    fn update(pk: &str) -> RecordUpdate {
+        RecordUpdate::new(
+            key(pk),
+            UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)),
+        )
+    }
+
+    /// One message of every 2PC variant.
+    fn tpc_samples() -> Vec<TpcMsg> {
+        let txn = TxnId::new(NodeId(3), 200);
+        vec![
+            TpcMsg::Prepare {
+                txn,
+                update: update("a"),
+            },
+            TpcMsg::PrepareVote {
+                txn,
+                key: key("a"),
+                ok: true,
+            },
+            TpcMsg::Decide {
+                txn,
+                key: key("a"),
+                commit: false,
+            },
+            TpcMsg::DecideAck { txn, key: key("a") },
+            TpcMsg::ReadReq {
+                req: 9,
+                key: key("b"),
+            },
+            TpcMsg::ReadResp {
+                req: 9,
+                key: key("b"),
+                version: Version(300),
+                value: Some(Row::new().with("stock", 5)),
+            },
+        ]
+    }
+
+    /// One message of every quorum-write variant.
+    fn qw_samples() -> Vec<QwMsg> {
+        vec![
+            QwMsg::Put {
+                req: 130,
+                update: update("a"),
+            },
+            QwMsg::PutAck {
+                req: 130,
+                key: key("a"),
+            },
+            QwMsg::ReadReq {
+                req: 1,
+                key: key("b"),
+            },
+            QwMsg::ReadResp {
+                req: 1,
+                key: key("b"),
+                version: Version(2),
+                value: None,
+            },
+        ]
+    }
+
+    /// One message of every Megastore* variant.
+    fn mega_samples() -> Vec<MegaMsg> {
+        let txn = TxnId::new(NodeId(2), 9);
+        vec![
+            MegaMsg::CommitReq {
+                txn,
+                updates: vec![update("a"), update("b")],
+                read_versions: vec![(key("a"), Version(300))],
+            },
+            MegaMsg::CommitResp {
+                txn,
+                committed: true,
+            },
+            MegaMsg::LogAccept { pos: 128, txn },
+            MegaMsg::LogAck { pos: 128 },
+            MegaMsg::Apply {
+                pos: 128,
+                updates: vec![update("a")],
+            },
+            MegaMsg::ReadReq {
+                req: 4,
+                key: key("c"),
+            },
+            MegaMsg::ReadResp {
+                req: 4,
+                key: key("c"),
+                version: Version(1),
+                value: Some(Row::new().with("title", "widget")),
+            },
+        ]
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let tpc: Vec<usize> = tpc_samples().iter().map(|m| m.wire_bytes()).collect();
+        let qw: Vec<usize> = qw_samples().iter().map(|m| m.wire_bytes()).collect();
+        let mega: Vec<usize> = mega_samples().iter().map(|m| m.wire_bytes()).collect();
+        assert_eq!(tpc, [24, 16, 16, 15, 13, 25], "2PC");
+        assert_eq!(qw, [23, 14, 13, 15], "quorum writes");
+        assert_eq!(mega, [42, 12, 13, 11, 24, 13, 30], "Megastore*");
+    }
+
     #[test]
     fn reads_are_classified_as_read_traffic() {
         let read = QwMsg::ReadReq {

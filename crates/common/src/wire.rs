@@ -1092,6 +1092,48 @@ mod tests {
         assert!(envelope_wire_bytes([100; 2]) < 200);
     }
 
+    /// The bytes of one value of each field-list type, every tag of
+    /// each such enum included, as one FNV-1a/64 digest: a layout that
+    /// moves by a byte changes it.
+    #[test]
+    fn field_list_layouts_are_pinned() {
+        let key = Key::new(TableId(2), "i7");
+        let ops = [
+            UpdateOp::Physical(PhysicalUpdate::write(Version(3), Row::new().with("n", 1))),
+            UpdateOp::Physical(PhysicalUpdate::delete(Version(300))),
+            UpdateOp::Commutative(CommutativeUpdate::delta("stock", -2)),
+            UpdateOp::ReadGuard(Version(9)),
+        ];
+        let reasons = [
+            AbortReason::StaleRead,
+            AbortReason::PendingOption,
+            AbortReason::AlreadyExists,
+            AbortReason::DemarcationLimit,
+            AbortReason::ConstraintViolation,
+            AbortReason::Resolved,
+        ];
+        let values = [Value::Null, Value::Int(-70), Value::Str("widget".into())];
+        let mut bytes = [
+            to_bytes(&NodeId(300)),
+            to_bytes(&DcId(4)),
+            to_bytes(&TableId(513)),
+            to_bytes(&TxnId::new(NodeId(7), 1 << 40)),
+            to_bytes(&Version(129)),
+            to_bytes(&SimTime::from_millis(5)),
+            to_bytes(&SimDuration::from_millis(3)),
+            to_bytes(&PhysicalUpdate::insert(Row::new().with("t", "x"))),
+        ]
+        .concat();
+        bytes.extend(values.iter().flat_map(to_bytes));
+        bytes.extend(ops.iter().flat_map(to_bytes));
+        bytes.extend(
+            ops.map(|op| to_bytes(&RecordUpdate::new(key.clone(), op)))
+                .concat(),
+        );
+        bytes.extend(reasons.iter().flat_map(to_bytes));
+        assert_eq!(fnv1a64(&bytes), 0x91b6_68e5_b1a6_a28d);
+    }
+
     #[test]
     fn corrupt_envelope_fails_cleanly() {
         let env = Envelope {

@@ -635,6 +635,16 @@ mod tests {
     }
 
     #[test]
+    fn sample_bytes_are_pinned() {
+        // Every variant's layout, as one FNV-1a/64 digest of the
+        // samples' encodings back to back: a field moved, added or
+        // resized anywhere in the schema changes it.
+        let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
+        let digest = mdcc_common::wire::fnv1a64(&bytes);
+        assert_eq!(digest, 0x6d7f_3258_2a39_ef8a, "{digest:#018x}");
+    }
+
+    #[test]
     fn strict_prefixes_of_the_classic_round_do_not_decode() {
         // A frame cut short anywhere is an error, never a panic or
         // another message — for every variant of the schema, the lean

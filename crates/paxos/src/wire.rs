@@ -687,6 +687,75 @@ mod tests {
         assert_eq!(header(&tail), header(&p2b) + to_bytes(&base).len());
     }
 
+    #[test]
+    fn field_list_layouts_are_pinned() {
+        // One value of each type whose layout is a list of fields, every
+        // tag of each such enum, as one FNV-1a/64 digest of their
+        // encodings back to back.
+        let (_, opts) = two_of_three();
+        let entry = Entry {
+            opt: opts[1].clone(),
+            status: OptionStatus::Rejected(AbortReason::DemarcationLimit),
+        };
+        let mut held = CStruct::new();
+        held.append(opts[0].clone(), OptionStatus::Accepted);
+        let snapshot = RecordSnapshot {
+            version: Version(200),
+            value: Some(Row::new().with("stock", -3)),
+            folded: vec![TxnId::new(NodeId(4), 2), TxnId::new(NodeId(5), 1)],
+        };
+        let letters = vec![
+            Letter {
+                txn: TxnId::new(NodeId(3), 4),
+                status: OptionStatus::Accepted,
+                movable: true,
+            },
+            Letter {
+                txn: TxnId::new(NodeId(3), 5),
+                status: OptionStatus::Rejected(AbortReason::PendingOption),
+                movable: false,
+            },
+        ];
+        let bytes = [
+            to_bytes(&Ballot::fast(300, NodeId(2))),
+            to_bytes(&Ballot::classic(1, NodeId(7))),
+            to_bytes(&OptionStatus::Accepted),
+            to_bytes(&OptionStatus::Rejected(AbortReason::Resolved)),
+            to_bytes(&TxnOutcome::Committed),
+            to_bytes(&TxnOutcome::Aborted),
+            to_bytes(&Resolution {
+                outcome: TxnOutcome::Aborted,
+                learned_accepted: true,
+            }),
+            to_bytes(&opts[0]),
+            to_bytes(&entry),
+            to_bytes(&snapshot),
+            to_bytes(&Phase1b {
+                promised: Ballot::classic(2, NodeId(3)),
+                accepted: Some((Ballot::fast(1, NodeId(0)), held.clone())),
+                snapshot: snapshot.clone(),
+            }),
+            to_bytes(&letters[1]),
+            to_bytes(&VoteVerdict {
+                ballot: Ballot::INITIAL_FAST,
+                version: Version(2),
+                letters,
+            }),
+            to_bytes(&Phase2a {
+                ballot: Ballot::classic(2, NodeId(3)),
+                version: Version(5),
+                snapshot: Some(snapshot),
+                base: Base::ProvedSafe(held),
+                new_options: opts,
+                close_instance: true,
+                reopen_fast: Some(Ballot::fast(3, NodeId(3))),
+            }),
+        ]
+        .concat();
+        let digest = mdcc_common::wire::fnv1a64(&bytes);
+        assert_eq!(digest, 0xf27a_6cc8_1525_5d98, "{digest:#018x}");
+    }
+
     /// A Phase2a from generated parts: with or without the snapshot,
     /// every form of the base, any number of options.
     fn generated_phase2a(words: &[u32], with_snapshot: bool) -> Phase2a {

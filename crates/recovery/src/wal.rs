@@ -473,6 +473,65 @@ mod tests {
     }
 
     #[test]
+    fn record_bytes_are_pinned() {
+        // The samples and one record of each other variant, as one
+        // FNV-1a/64 digest of their encodings back to back.
+        let opt = TxnOption::solo(
+            TxnId::new(NodeId(2), 8),
+            key("b"),
+            UpdateOp::ReadGuard(mdcc_common::Version(3)),
+        );
+        let snapshot = RecordSnapshot {
+            version: mdcc_common::Version(3),
+            value: Some(Row::new().with("stock", 2)),
+            folded: vec![TxnId::new(NodeId(1), 1)],
+        };
+        let mut records = sample_records();
+        records.extend([
+            WalRecord::Phase1a {
+                key: key("b"),
+                ballot: Ballot::classic(3, NodeId(1)),
+            },
+            WalRecord::ClassicAccept {
+                at: SimTime::from_millis(40),
+                key: key("b"),
+                payload: Box::new(Phase2a {
+                    ballot: Ballot::classic(3, NodeId(1)),
+                    version: mdcc_common::Version(3),
+                    snapshot: Some(snapshot.clone()),
+                    base: mdcc_paxos::acceptor::Base::Held,
+                    new_options: vec![opt.clone()],
+                    close_instance: true,
+                    reopen_fast: Some(Ballot::fast(4, NodeId(1))),
+                }),
+            },
+            WalRecord::Sync {
+                at: SimTime::from_millis(700),
+                key: key("b"),
+                snapshot,
+                resolved: vec![(
+                    opt,
+                    Resolution {
+                        outcome: TxnOutcome::Aborted,
+                        learned_accepted: false,
+                    },
+                )],
+            },
+            WalRecord::LeaseFloor {
+                shard: 2,
+                n: 200,
+                pid: 14,
+            },
+        ]);
+        let bytes: Vec<u8> = records
+            .iter()
+            .flat_map(mdcc_common::wire::to_bytes)
+            .collect();
+        let digest = mdcc_common::wire::fnv1a64(&bytes);
+        assert_eq!(digest, 0x013a_51f5_73bf_4f94, "{digest:#018x}");
+    }
+
+    #[test]
     fn retired_tags_decode_to_an_error() {
         // 7 was a per-record lease override; a log still holding one
         // gets `Err`, not a panic or another record.
