@@ -1,12 +1,13 @@
-//! Wire sizes for the baseline protocols' messages.
+//! Wire encodings of the baseline protocols' messages.
 //!
 //! The baselines ride the same sized transport as MDCC: every message
-//! reports its byte-accurate encoded size, each field sized through the
-//! shared codec of [`mdcc_common::wire`] (varint ids and versions
-//! included), so transmission delay, link queueing and per-byte service
-//! cost apply to 2PC, quorum writes and Megastore* exactly as they do to
-//! MDCC — a fair fight on the same network.
+//! is a listing of the shared codec of [`mdcc_common::wire`] (varint ids
+//! and versions included) and reports its framed encoded size, exactly
+//! as MDCC's `Msg` does, so transmission delay, link queueing and
+//! per-byte service cost apply to 2PC, quorum writes and Megastore* as
+//! they do to MDCC — a fair fight on the same network.
 
+use mdcc_common::wire;
 use mdcc_common::wire::{wire_len, FRAME_OVERHEAD};
 use mdcc_sim::{NetMessage, TrafficClass};
 
@@ -14,26 +15,35 @@ use crate::megastore::MegaMsg;
 use crate::qw::QwMsg;
 use crate::twopc::TpcMsg;
 
-/// What every message pays besides its fields: the frame header and a
-/// one-byte message tag.
-const HEADER_LEN: usize = FRAME_OVERHEAD + 1;
+wire!(enum TpcMsg, "2pc msg tag" {
+    0 => Prepare { txn, update },
+    1 => PrepareVote { txn, key, ok },
+    2 => Decide { txn, key, commit },
+    3 => DecideAck { txn, key },
+    4 => ReadReq { req, key },
+    5 => ReadResp { req, key, version, value },
+});
+
+wire!(enum QwMsg, "quorum-write msg tag" {
+    0 => Put { req, update },
+    1 => PutAck { req, key },
+    2 => ReadReq { req, key },
+    3 => ReadResp { req, key, version, value },
+});
+
+wire!(enum MegaMsg, "megastore msg tag" {
+    0 => CommitReq { txn, updates, read_versions },
+    1 => CommitResp { txn, committed },
+    2 => LogAccept { pos, txn },
+    3 => LogAck { pos },
+    4 => Apply { pos, updates },
+    5 => ReadReq { req, key },
+    6 => ReadResp { req, key, version, value },
+});
 
 impl NetMessage for TpcMsg {
     fn wire_bytes(&self) -> usize {
-        let body = match self {
-            TpcMsg::Prepare { txn, update } => wire_len(txn) + wire_len(update),
-            TpcMsg::PrepareVote { txn, key, ok } => wire_len(txn) + wire_len(key) + wire_len(ok),
-            TpcMsg::Decide { txn, key, commit } => wire_len(txn) + wire_len(key) + wire_len(commit),
-            TpcMsg::DecideAck { txn, key } => wire_len(txn) + wire_len(key),
-            TpcMsg::ReadReq { req, key } => wire_len(req) + wire_len(key),
-            TpcMsg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => wire_len(req) + wire_len(key) + wire_len(version) + wire_len(value),
-        };
-        HEADER_LEN + body
+        wire_len(self) + FRAME_OVERHEAD
     }
 
     fn traffic_class(&self) -> TrafficClass {
@@ -46,19 +56,7 @@ impl NetMessage for TpcMsg {
 
 impl NetMessage for QwMsg {
     fn wire_bytes(&self) -> usize {
-        let body = match self {
-            QwMsg::Put { req, update } => wire_len(req) + wire_len(update),
-            QwMsg::PutAck { req, key } | QwMsg::ReadReq { req, key } => {
-                wire_len(req) + wire_len(key)
-            }
-            QwMsg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => wire_len(req) + wire_len(key) + wire_len(version) + wire_len(value),
-        };
-        HEADER_LEN + body
+        wire_len(self) + FRAME_OVERHEAD
     }
 
     fn traffic_class(&self) -> TrafficClass {
@@ -71,25 +69,7 @@ impl NetMessage for QwMsg {
 
 impl NetMessage for MegaMsg {
     fn wire_bytes(&self) -> usize {
-        let body = match self {
-            MegaMsg::CommitReq {
-                txn,
-                updates,
-                read_versions,
-            } => wire_len(txn) + wire_len(updates) + wire_len(read_versions),
-            MegaMsg::CommitResp { txn, committed } => wire_len(txn) + wire_len(committed),
-            MegaMsg::LogAccept { pos, txn } => wire_len(pos) + wire_len(txn),
-            MegaMsg::LogAck { pos } => wire_len(pos),
-            MegaMsg::Apply { pos, updates } => wire_len(pos) + wire_len(updates),
-            MegaMsg::ReadReq { req, key } => wire_len(req) + wire_len(key),
-            MegaMsg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => wire_len(req) + wire_len(key) + wire_len(version) + wire_len(value),
-        };
-        HEADER_LEN + body
+        wire_len(self) + FRAME_OVERHEAD
     }
 
     fn traffic_class(&self) -> TrafficClass {
@@ -103,6 +83,7 @@ impl NetMessage for MegaMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdcc_common::wire::{frame, from_bytes, to_bytes, Wire};
     use mdcc_common::{
         CommutativeUpdate, Key, NodeId, RecordUpdate, Row, TableId, TxnId, UpdateOp, Version,
     };
@@ -127,7 +108,7 @@ mod tests {
         let ack = MegaMsg::LogAck { pos: 7 };
         assert_eq!(
             ack.wire_bytes(),
-            HEADER_LEN + 1,
+            FRAME_OVERHEAD + 1 + 1,
             "the smallest message still pays framing and its tag"
         );
     }
@@ -155,7 +136,8 @@ mod tests {
         };
         assert_eq!(
             commit.wire_bytes(),
-            HEADER_LEN
+            FRAME_OVERHEAD
+                + 1
                 + wire_len(&txn)
                 + wire_len(&Vec::<RecordUpdate>::new())
                 + wire_len(&read_versions)
@@ -259,6 +241,22 @@ mod tests {
                 value: Some(Row::new().with("title", "widget")),
             },
         ]
+    }
+
+    /// Every sample decodes to itself and is sized as its frame.
+    fn check_codec<M: Wire + NetMessage + std::fmt::Debug>(samples: Vec<M>) {
+        for msg in samples {
+            let back: M = from_bytes(&to_bytes(&msg)).expect("decode");
+            assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+            assert_eq!(msg.wire_bytes(), frame(&msg).len(), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn every_variant_round_trips_and_is_sized_as_its_frame() {
+        check_codec(tpc_samples());
+        check_codec(qw_samples());
+        check_codec(mega_samples());
     }
 
     #[test]

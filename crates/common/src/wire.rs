@@ -45,6 +45,19 @@
 //!   (`Base::Digest`) and a sync range's digest (`SyncRange::digest`).
 //!   Their top bits are set as often as not, so as varints they would
 //!   take nine or ten bytes instead of eight.
+//!
+//! # Layouts are listings
+//!
+//! A type whose layout is a plain sequence of [`Wire`] values states it
+//! once, as a [`wire!`](crate::wire!) listing that generates both
+//! `encode` and `decode`: a struct's fields, or an enum's variants each
+//! behind a one-byte tag with its fields. The order of a listing is the
+//! order on the wire. A tag that goes out of use is retired — kept in
+//! the listing as a comment — and never reused, so that an old frame,
+//! log or checkpoint holding it decodes to an error and not to another
+//! value.
+
+use std::sync::Arc;
 
 use crate::error::AbortReason;
 use crate::ids::{DcId, Key, NodeId, TableId, TxnId};
@@ -487,57 +500,95 @@ pub fn envelope_wire_bytes(framed_sizes: impl IntoIterator<Item = usize>) -> usi
 /// Parses every framed value in `buf`, oldest first, verifying checksums.
 pub fn read_frames<T: Wire>(buf: &[u8]) -> WireResult<Vec<T>> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        if buf.len() - pos < FRAME_OVERHEAD {
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let Some((header, body)) = rest.split_first_chunk::<FRAME_OVERHEAD>() else {
             return err("frame header");
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let checksum = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        pos += FRAME_OVERHEAD;
-        if buf.len() - pos < len {
+        };
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        if body.len() < len {
             return err("frame body");
         }
-        let payload = &buf[pos..pos + len];
-        if fnv1a32(payload) != checksum {
+        let (payload, tail) = body.split_at(len);
+        if fnv1a32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
             return err("frame checksum");
         }
         out.push(from_bytes::<T>(payload)?);
-        pos += len;
+        rest = tail;
     }
     Ok(out)
 }
 
 // ---------------------------------------------------------------------
-// Primitive and container impls.
+// Listings, primitives and containers.
 // ---------------------------------------------------------------------
 
-impl Wire for u64 {
-    fn encode(&self, out: &mut Enc) {
-        out.u64(*self);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        inp.u64()
-    }
+/// Implements [`Wire`] for a type from one ordered listing of what it
+/// carries, generating `encode` and `decode` both (see the module doc):
+/// `wire!(struct Name { field, .. })`, `{ 0 }` for a tuple struct, or
+/// `wire!(enum Name, "decode-error context" { 0 => Unit, 1 =>
+/// Tuple(x), 2 => Named { a, b }, .. })`. Reusing a tag does not compile.
+#[macro_export]
+macro_rules! wire {
+    ($(#[$doc:meta])* struct $ty:ident { $($field:tt),* $(,)? }) => {
+        $(#[$doc])*
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut $crate::wire::Enc) {
+                $($crate::wire::Wire::encode(&self.$field, out);)*
+            }
+            fn decode(inp: &mut $crate::wire::Dec<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(Self { $($field: $crate::wire::Wire::decode(inp)?),* })
+            }
+        }
+    };
+    ($(#[$doc:meta])* enum $ty:ident, $context:literal {
+        $($tag:literal => $variant:ident
+            $(($($pos:ident),*))?
+            $({ $($named:ident),* })?),* $(,)?
+    }) => {
+        $(#[$doc])*
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut $crate::wire::Enc) {
+                match self {
+                    $(Self::$variant $(($($pos),*))? $({ $($named),* })? => {
+                        out.u8($tag);
+                        $($($crate::wire::Wire::encode($pos, out);)*)?
+                        $($($crate::wire::Wire::encode($named, out);)*)?
+                    })*
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(inp: &mut $crate::wire::Dec<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(match inp.u8()? {
+                    $($tag => {
+                        $($(let $pos = $crate::wire::Wire::decode(inp)?;)*)?
+                        $($(let $named = $crate::wire::Wire::decode(inp)?;)*)?
+                        Self::$variant $(($($pos),*))? $({ $($named),* })?
+                    })*
+                    _ => return $crate::wire::err($context),
+                })
+            }
+        }
+    };
 }
 
-impl Wire for u32 {
-    fn encode(&self, out: &mut Enc) {
-        out.u32(*self);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        inp.u32()
-    }
+/// Integers and bools travel as the [`Enc`] / [`Dec`] method of the
+/// same name writes and reads them.
+macro_rules! primitive {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut Enc) {
+                out.$ty(*self);
+            }
+            fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+                inp.$ty()
+            }
+        }
+    )*};
 }
 
-impl Wire for bool {
-    fn encode(&self, out: &mut Enc) {
-        out.bool(*self);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        inp.bool()
-    }
-}
+primitive!(u8, u16, u32, u64, i64, bool);
 
 impl Wire for String {
     fn encode(&self, out: &mut Enc) {
@@ -600,14 +651,34 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A shared slice travels as the `Vec` of its items.
+impl<T: Wire> Wire for Arc<[T]> {
+    fn encode(&self, out: &mut Enc) {
+        encode_seq(self.len(), self.iter(), out);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(Vec::decode(inp)?.into())
+    }
+}
+
 /// A shared value travels as the value itself: sharing is a property of
 /// the process holding it, not of the wire format.
-impl<T: Wire> Wire for std::sync::Arc<T> {
+impl<T: Wire> Wire for Arc<T> {
     fn encode(&self, out: &mut Enc) {
         (**self).encode(out);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(std::sync::Arc::new(T::decode(inp)?))
+        Ok(Arc::new(T::decode(inp)?))
+    }
+}
+
+/// So does a boxed one.
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Enc) {
+        (**self).encode(out);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(Box::new(T::decode(inp)?))
     }
 }
 
@@ -636,32 +707,36 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 // mdcc-common types.
 // ---------------------------------------------------------------------
 
-impl Wire for NodeId {
-    fn encode(&self, out: &mut Enc) {
-        out.u32(self.0);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(NodeId(inp.u32()?))
-    }
-}
+wire!(struct NodeId { 0 });
+wire!(struct DcId { 0 });
+wire!(struct TableId { 0 });
+wire!(struct TxnId { coordinator, seq });
+wire!(struct Version { 0 });
+wire!(struct SimTime { 0 });
+wire!(struct SimDuration { 0 });
+wire!(struct PhysicalUpdate { vread, value });
+wire!(struct RecordUpdate { key, op });
 
-impl Wire for DcId {
-    fn encode(&self, out: &mut Enc) {
-        out.u8(self.0);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(DcId(inp.u8()?))
-    }
-}
+wire!(enum Value, "value tag" {
+    0 => Null,
+    1 => Int(v),
+    2 => Str(s),
+});
 
-impl Wire for TableId {
-    fn encode(&self, out: &mut Enc) {
-        out.u16(self.0);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(TableId(inp.u16()?))
-    }
-}
+wire!(enum UpdateOp, "update-op tag" {
+    0 => Physical(p),
+    1 => Commutative(c),
+    2 => ReadGuard(v),
+});
+
+wire!(enum AbortReason, "abort-reason tag" {
+    0 => StaleRead,
+    1 => PendingOption,
+    2 => AlreadyExists,
+    3 => DemarcationLimit,
+    4 => ConstraintViolation,
+    5 => Resolved,
+});
 
 impl Wire for Key {
     fn encode(&self, out: &mut Enc) {
@@ -672,70 +747,6 @@ impl Wire for Key {
         let table = TableId::decode(inp)?;
         let pk = inp.str()?.into();
         Ok(Key { table, pk })
-    }
-}
-
-impl Wire for TxnId {
-    fn encode(&self, out: &mut Enc) {
-        self.coordinator.encode(out);
-        out.u64(self.seq);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(TxnId {
-            coordinator: NodeId::decode(inp)?,
-            seq: inp.u64()?,
-        })
-    }
-}
-
-impl Wire for Version {
-    fn encode(&self, out: &mut Enc) {
-        out.u64(self.0);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Version(inp.u64()?))
-    }
-}
-
-impl Wire for SimTime {
-    fn encode(&self, out: &mut Enc) {
-        out.u64(self.0);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(SimTime(inp.u64()?))
-    }
-}
-
-impl Wire for SimDuration {
-    fn encode(&self, out: &mut Enc) {
-        out.u64(self.0);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(SimDuration(inp.u64()?))
-    }
-}
-
-impl Wire for Value {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            Value::Null => out.u8(0),
-            Value::Int(i) => {
-                out.u8(1);
-                out.i64(*i);
-            }
-            Value::Str(s) => {
-                out.u8(2);
-                out.str(s);
-            }
-        }
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match inp.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(inp.i64()?)),
-            2 => Ok(Value::Str(inp.str()?)),
-            _ => err("value tag"),
-        }
     }
 }
 
@@ -761,19 +772,6 @@ impl Wire for Row {
     }
 }
 
-impl Wire for PhysicalUpdate {
-    fn encode(&self, out: &mut Enc) {
-        self.vread.encode(out);
-        self.value.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(PhysicalUpdate {
-            vread: Option::decode(inp)?,
-            value: Option::decode(inp)?,
-        })
-    }
-}
-
 impl Wire for CommutativeUpdate {
     fn encode(&self, out: &mut Enc) {
         out.u32(self.deltas.len() as u32);
@@ -794,71 +792,6 @@ impl Wire for CommutativeUpdate {
         Ok(CommutativeUpdate {
             deltas: deltas.into(),
         })
-    }
-}
-
-impl Wire for UpdateOp {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            UpdateOp::Physical(p) => {
-                out.u8(0);
-                p.encode(out);
-            }
-            UpdateOp::Commutative(c) => {
-                out.u8(1);
-                c.encode(out);
-            }
-            UpdateOp::ReadGuard(v) => {
-                out.u8(2);
-                v.encode(out);
-            }
-        }
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match inp.u8()? {
-            0 => Ok(UpdateOp::Physical(PhysicalUpdate::decode(inp)?)),
-            1 => Ok(UpdateOp::Commutative(CommutativeUpdate::decode(inp)?)),
-            2 => Ok(UpdateOp::ReadGuard(Version::decode(inp)?)),
-            _ => err("update-op tag"),
-        }
-    }
-}
-
-impl Wire for RecordUpdate {
-    fn encode(&self, out: &mut Enc) {
-        self.key.encode(out);
-        self.op.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(RecordUpdate {
-            key: Key::decode(inp)?,
-            op: UpdateOp::decode(inp)?,
-        })
-    }
-}
-
-impl Wire for AbortReason {
-    fn encode(&self, out: &mut Enc) {
-        let tag = match self {
-            AbortReason::StaleRead => 0,
-            AbortReason::PendingOption => 1,
-            AbortReason::AlreadyExists => 2,
-            AbortReason::DemarcationLimit => 3,
-            AbortReason::ConstraintViolation => 4,
-            AbortReason::Resolved => 5,
-        };
-        out.u8(tag);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match inp.u8()? {
-            0 => Ok(AbortReason::StaleRead),
-            1 => Ok(AbortReason::PendingOption),
-            2 => Ok(AbortReason::AlreadyExists),
-            3 => Ok(AbortReason::DemarcationLimit),
-            4 => Ok(AbortReason::ConstraintViolation),
-            5 => Ok(AbortReason::Resolved),
-            _ => err("abort-reason tag"),
-        }
     }
 }
 
@@ -1090,6 +1023,55 @@ mod tests {
         // for a one- to three-byte length prefix, so the envelope's own
         // header pays for itself from two messages up.
         assert!(envelope_wire_bytes([100; 2]) < 200);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Seen(u64);
+    wire!(struct Seen { 0 });
+
+    #[derive(Debug, PartialEq)]
+    enum Note {
+        Ping,
+        Seen(Seen),
+        Moved { from: u32, to: Box<Seen> },
+    }
+    wire!(enum Note, "note tag" {
+        0 => Ping,
+        // Tag 1 is retired, not reused.
+        2 => Seen(seen),
+        3 => Moved { from, to },
+    });
+
+    #[test]
+    fn a_listing_writes_and_reads_its_fields_in_order() {
+        let moved = Note::Moved {
+            from: 1,
+            to: Box::new(Seen(300)),
+        };
+        assert_eq!(to_bytes(&moved), [3, 1, 0xAC, 0x02]);
+        assert_eq!(to_bytes(&Note::Seen(Seen(0))), [2, 0]);
+        assert_eq!(to_bytes(&Note::Ping), [0]);
+        for note in [moved, Note::Seen(Seen(u64::MAX)), Note::Ping] {
+            assert_eq!(round_trip(&note), note);
+        }
+        assert_eq!(from_bytes::<Note>(&[1, 0]), err("note tag"), "retired");
+        assert_eq!(from_bytes::<Note>(&[4]), err("note tag"), "never listed");
+        assert!(from_bytes::<Note>(&[3, 1]).is_err(), "a field short");
+    }
+
+    #[test]
+    fn shared_slices_and_boxes_travel_as_their_contents() {
+        let keys = vec![Key::new(TableId(1), "a"), Key::new(TableId(1), "b")];
+        let shared: Arc<[Key]> = keys.clone().into();
+        assert_eq!(to_bytes(&shared), to_bytes(&keys));
+        assert_eq!(*round_trip(&shared), *keys);
+        assert_eq!(to_bytes(&Box::new(Version(9))), to_bytes(&Version(9)));
+        // The same count guard as a `Vec`: a count past the input.
+        let mut long = to_bytes(&1_000u32);
+        long.extend(to_bytes(&keys[0]));
+        assert!(from_bytes::<Arc<[Key]>>(&long).is_err());
+        assert_eq!(to_bytes(&300u16), to_bytes(&300u64));
+        assert_eq!(to_bytes(&7u8), [7]);
     }
 
     /// The bytes of one value of each field-list type, every tag of

@@ -13,285 +13,49 @@
 //! verdicts, Phase1/2, visibility, recovery — is
 //! [`TrafficClass::Protocol`].
 
-use mdcc_common::wire::{err, wire_len, Dec, Enc, Wire, WireResult, FRAME_OVERHEAD};
-use mdcc_common::{Key, TxnId};
-use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
-use mdcc_paxos::{Ballot, TxnOutcome};
+use mdcc_common::wire;
+use mdcc_common::wire::{wire_len, FRAME_OVERHEAD};
 use mdcc_sim::{NetMessage, TrafficClass};
 
 use crate::msg::Msg;
 
-impl Wire for Msg {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            Msg::Propose(proposal) => {
-                out.u8(0);
-                proposal.encode(out);
-            }
-            Msg::ProposeToMaster(opt) => {
-                out.u8(1);
-                opt.encode(out);
-            }
-            Msg::Visibility {
-                txn,
-                outcome,
-                records,
-            } => {
-                out.u8(2);
-                txn.encode(out);
-                outcome.encode(out);
-                records.encode(out);
-            }
-            Msg::StartRecovery { key } => {
-                out.u8(3);
-                key.encode(out);
-            }
-            Msg::Vote { key, vote } => {
-                out.u8(4);
-                key.encode(out);
-                vote.encode(out);
-            }
-            Msg::NotFast { key, txn, promised } => {
-                out.u8(5);
-                key.encode(out);
-                txn.encode(out);
-                promised.encode(out);
-            }
-            Msg::InstanceFull { key, txn } => {
-                out.u8(6);
-                key.encode(out);
-                txn.encode(out);
-            }
-            Msg::AlreadyResolved { key, txn, outcome } => {
-                out.u8(7);
-                key.encode(out);
-                txn.encode(out);
-                outcome.encode(out);
-            }
-            Msg::GoFast { key, txn } => {
-                out.u8(8);
-                key.encode(out);
-                txn.encode(out);
-            }
-            Msg::P1a { key, ballot } => {
-                out.u8(9);
-                key.encode(out);
-                ballot.encode(out);
-            }
-            Msg::P1b { key, payload } => {
-                out.u8(10);
-                key.encode(out);
-                payload.encode(out);
-            }
-            Msg::P2a { key, payload } => {
-                out.u8(11);
-                key.encode(out);
-                payload.as_ref().encode(out);
-            }
-            Msg::P2aNack { key, promised } => {
-                out.u8(12);
-                key.encode(out);
-                promised.encode(out);
-            }
-            Msg::P2aStale { key, snapshot } => {
-                out.u8(13);
-                key.encode(out);
-                snapshot.encode(out);
-            }
-            Msg::ReadReq { req, key } => {
-                out.u8(14);
-                out.u64(*req);
-                key.encode(out);
-            }
-            Msg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => {
-                out.u8(15);
-                out.u64(*req);
-                key.encode(out);
-                version.encode(out);
-                value.encode(out);
-            }
-            Msg::QueryStatus { txn, key } => {
-                out.u8(16);
-                txn.encode(out);
-                key.encode(out);
-            }
-            Msg::StatusResp {
-                txn,
-                key,
-                vote,
-                outcome,
-            } => {
-                out.u8(17);
-                txn.encode(out);
-                key.encode(out);
-                vote.encode(out);
-                outcome.encode(out);
-            }
-            // Tags 18 and 19 (the per-key sync request and reply) are
-            // retired, not reused.
-            Msg::SyncDigestReq => out.u8(20),
-            Msg::SyncDigest { ranges } => {
-                out.u8(21);
-                ranges.encode(out);
-            }
-            Msg::SyncRangePull { ranges } => {
-                out.u8(22);
-                ranges.encode(out);
-            }
-            Msg::SyncChunk { items } => {
-                out.u8(23);
-                items.encode(out);
-            }
-            // Tags 24 to 30, 34 and 38 (local timers, which never
-            // crossed the wire) and 31 and 33 (the delta vote and the
-            // read-repair reply that is now a `Vote`) are retired, not
-            // reused.
-            Msg::CstructPull { key } => {
-                out.u8(32);
-                key.encode(out);
-            }
-            Msg::Mastership(inner) => {
-                out.u8(35);
-                inner.encode(out);
-            }
-            Msg::ProposeMastered { origin_dc, opt } => {
-                out.u8(36);
-                origin_dc.encode(out);
-                opt.encode(out);
-            }
-            Msg::MasterHint { shard, node } => {
-                out.u8(37);
-                out.u32(*shard);
-                node.encode(out);
-            }
-            // Tag 39 (the per-record lease override's routing hint) is
-            // retired, not reused.
-            Msg::P2aBehind { key, ballot } => {
-                out.u8(40);
-                key.encode(out);
-                ballot.encode(out);
-            }
-            Msg::Verdict { key, verdict } => {
-                out.u8(41);
-                key.encode(out);
-                verdict.encode(out);
-            }
-        }
-    }
-
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(match inp.u8()? {
-            0 => Msg::Propose(Wire::decode(inp)?),
-            1 => Msg::ProposeToMaster(Wire::decode(inp)?),
-            2 => Msg::Visibility {
-                txn: TxnId::decode(inp)?,
-                outcome: TxnOutcome::decode(inp)?,
-                records: Vec::decode(inp)?,
-            },
-            3 => Msg::StartRecovery {
-                key: Key::decode(inp)?,
-            },
-            4 => Msg::Vote {
-                key: Key::decode(inp)?,
-                vote: Phase2b::decode(inp)?,
-            },
-            5 => Msg::NotFast {
-                key: Key::decode(inp)?,
-                txn: TxnId::decode(inp)?,
-                promised: Ballot::decode(inp)?,
-            },
-            6 => Msg::InstanceFull {
-                key: Key::decode(inp)?,
-                txn: TxnId::decode(inp)?,
-            },
-            7 => Msg::AlreadyResolved {
-                key: Key::decode(inp)?,
-                txn: TxnId::decode(inp)?,
-                outcome: TxnOutcome::decode(inp)?,
-            },
-            8 => Msg::GoFast {
-                key: Key::decode(inp)?,
-                txn: TxnId::decode(inp)?,
-            },
-            9 => Msg::P1a {
-                key: Key::decode(inp)?,
-                ballot: Ballot::decode(inp)?,
-            },
-            10 => Msg::P1b {
-                key: Key::decode(inp)?,
-                payload: Phase1b::decode(inp)?,
-            },
-            11 => Msg::P2a {
-                key: Key::decode(inp)?,
-                payload: Box::new(Phase2a::decode(inp)?),
-            },
-            12 => Msg::P2aNack {
-                key: Key::decode(inp)?,
-                promised: Ballot::decode(inp)?,
-            },
-            13 => Msg::P2aStale {
-                key: Key::decode(inp)?,
-                snapshot: RecordSnapshot::decode(inp)?,
-            },
-            14 => Msg::ReadReq {
-                req: inp.u64()?,
-                key: Key::decode(inp)?,
-            },
-            15 => Msg::ReadResp {
-                req: inp.u64()?,
-                key: Key::decode(inp)?,
-                version: Wire::decode(inp)?,
-                value: Option::decode(inp)?,
-            },
-            16 => Msg::QueryStatus {
-                txn: TxnId::decode(inp)?,
-                key: Key::decode(inp)?,
-            },
-            17 => Msg::StatusResp {
-                txn: TxnId::decode(inp)?,
-                key: Key::decode(inp)?,
-                vote: Phase2b::decode(inp)?,
-                outcome: Option::decode(inp)?,
-            },
-            20 => Msg::SyncDigestReq,
-            21 => Msg::SyncDigest {
-                ranges: Vec::decode(inp)?,
-            },
-            22 => Msg::SyncRangePull {
-                ranges: Vec::decode(inp)?,
-            },
-            23 => Msg::SyncChunk {
-                items: Vec::decode(inp)?,
-            },
-            32 => Msg::CstructPull {
-                key: Key::decode(inp)?,
-            },
-            35 => Msg::Mastership(Wire::decode(inp)?),
-            36 => Msg::ProposeMastered {
-                origin_dc: Wire::decode(inp)?,
-                opt: Wire::decode(inp)?,
-            },
-            37 => Msg::MasterHint {
-                shard: inp.u32()?,
-                node: Wire::decode(inp)?,
-            },
-            40 => Msg::P2aBehind {
-                key: Key::decode(inp)?,
-                ballot: Ballot::decode(inp)?,
-            },
-            41 => Msg::Verdict {
-                key: Key::decode(inp)?,
-                verdict: VoteVerdict::decode(inp)?,
-            },
-            _ => return err("msg tag"),
-        })
-    }
-}
+wire!(enum Msg, "msg tag" {
+    0 => Propose(proposal),
+    1 => ProposeToMaster(opt),
+    2 => Visibility { txn, outcome, records },
+    3 => StartRecovery { key },
+    4 => Vote { key, vote },
+    5 => NotFast { key, txn, promised },
+    6 => InstanceFull { key, txn },
+    7 => AlreadyResolved { key, txn, outcome },
+    8 => GoFast { key, txn },
+    9 => P1a { key, ballot },
+    10 => P1b { key, payload },
+    11 => P2a { key, payload },
+    12 => P2aNack { key, promised },
+    13 => P2aStale { key, snapshot },
+    14 => ReadReq { req, key },
+    15 => ReadResp { req, key, version, value },
+    16 => QueryStatus { txn, key },
+    17 => StatusResp { txn, key, vote, outcome },
+    // Tags 18 and 19 (the per-key sync request and reply) are retired,
+    // not reused.
+    20 => SyncDigestReq,
+    21 => SyncDigest { ranges },
+    22 => SyncRangePull { ranges },
+    23 => SyncChunk { items },
+    // Tags 24 to 30, 34 and 38 (local timers, which never crossed the
+    // wire) and 31 and 33 (the delta vote and the read-repair reply that
+    // is now a `Vote`) are retired, not reused.
+    32 => CstructPull { key },
+    35 => Mastership(inner),
+    36 => ProposeMastered { origin_dc, opt },
+    37 => MasterHint { shard, node },
+    // Tag 39 (the per-record lease override's routing hint) is retired,
+    // not reused.
+    40 => P2aBehind { key, ballot },
+    41 => Verdict { key, verdict },
+});
 
 impl NetMessage for Msg {
     /// Framed size of the message's canonical encoding — what the
@@ -354,6 +118,9 @@ mod tests {
     use crate::msg::tests::every_tick;
     use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{frame, from_bytes, to_bytes};
+    use mdcc_common::{Key, TxnId};
+    use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
+    use mdcc_paxos::{Ballot, TxnOutcome};
     use mdcc_sim::TimerPayload;
     use std::sync::Arc;
 

@@ -1,7 +1,6 @@
 //! The election/lease ballot.
 
-use mdcc_common::wire::{Dec, Enc, Wire, WireResult};
-use mdcc_common::NodeId;
+use mdcc_common::{wire, NodeId};
 
 /// An election/lease ballot, totally ordered by `(n, pid)` — the
 /// omnipaxos `Ballot` (SNIPPETS.md snippet 1). `pid` is the node id and
@@ -26,15 +25,4 @@ impl Ballot {
     }
 }
 
-impl Wire for Ballot {
-    fn encode(&self, out: &mut Enc) {
-        out.u32(self.n);
-        out.u64(self.pid);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Self {
-            n: inp.u32()?,
-            pid: inp.u64()?,
-        })
-    }
-}
+wire!(struct Ballot { n, pid });

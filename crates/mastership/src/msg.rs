@@ -1,7 +1,6 @@
 //! The wire messages of the mastership protocols and their codecs.
 
-use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{NodeId, SimTime};
+use mdcc_common::{wire, NodeId, SimTime};
 
 use crate::ballot::Ballot;
 
@@ -16,20 +15,7 @@ pub struct HolderHint {
     pub expiry: SimTime,
 }
 
-impl Wire for HolderHint {
-    fn encode(&self, out: &mut Enc) {
-        self.ballot.encode(out);
-        self.node.encode(out);
-        self.expiry.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Self {
-            ballot: Ballot::decode(inp)?,
-            node: NodeId::decode(inp)?,
-            expiry: SimTime::decode(inp)?,
-        })
-    }
-}
+wire!(struct HolderHint { ballot, node, expiry });
 
 /// Mastership protocol messages, exchanged among a shard's replica
 /// group (the host wraps them in its own message enum for transport).
@@ -114,111 +100,21 @@ impl MsMsg {
     }
 }
 
-impl Wire for MsMsg {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            MsMsg::HbReq { shard, round } => {
-                out.u8(0);
-                out.u32(*shard);
-                out.u32(*round);
-            }
-            MsMsg::HbReply {
-                shard,
-                round,
-                ballot,
-                holder,
-            } => {
-                out.u8(1);
-                out.u32(*shard);
-                out.u32(*round);
-                ballot.encode(out);
-                holder.encode(out);
-            }
-            MsMsg::Acquire {
-                shard,
-                ballot,
-                expiry,
-                relinquished,
-            } => {
-                out.u8(2);
-                out.u32(*shard);
-                ballot.encode(out);
-                expiry.encode(out);
-                relinquished.encode(out);
-            }
-            MsMsg::Grant {
-                shard,
-                ballot,
-                expiry,
-                prev,
-            } => {
-                out.u8(3);
-                out.u32(*shard);
-                ballot.encode(out);
-                expiry.encode(out);
-                prev.encode(out);
-            }
-            MsMsg::Reject { shard, max } => {
-                out.u8(4);
-                out.u32(*shard);
-                max.encode(out);
-            }
-            MsMsg::Handoff {
-                shard,
-                ballot,
-                relinquished,
-            } => {
-                out.u8(5);
-                out.u32(*shard);
-                ballot.encode(out);
-                relinquished.encode(out);
-            } // Tag 6 (the per-record override table a relinquishing
-              // holder shipped to its successor) is retired, not reused.
-        }
-    }
-
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(match inp.u8()? {
-            0 => MsMsg::HbReq {
-                shard: inp.u32()?,
-                round: inp.u32()?,
-            },
-            1 => MsMsg::HbReply {
-                shard: inp.u32()?,
-                round: inp.u32()?,
-                ballot: Ballot::decode(inp)?,
-                holder: Option::decode(inp)?,
-            },
-            2 => MsMsg::Acquire {
-                shard: inp.u32()?,
-                ballot: Ballot::decode(inp)?,
-                expiry: SimTime::decode(inp)?,
-                relinquished: Option::decode(inp)?,
-            },
-            3 => MsMsg::Grant {
-                shard: inp.u32()?,
-                ballot: Ballot::decode(inp)?,
-                expiry: SimTime::decode(inp)?,
-                prev: Option::decode(inp)?,
-            },
-            4 => MsMsg::Reject {
-                shard: inp.u32()?,
-                max: Ballot::decode(inp)?,
-            },
-            5 => MsMsg::Handoff {
-                shard: inp.u32()?,
-                ballot: Ballot::decode(inp)?,
-                relinquished: Ballot::decode(inp)?,
-            },
-            _ => return err("mastership msg tag"),
-        })
-    }
-}
+wire!(enum MsMsg, "mastership msg tag" {
+    0 => HbReq { shard, round },
+    1 => HbReply { shard, round, ballot, holder },
+    2 => Acquire { shard, ballot, expiry, relinquished },
+    3 => Grant { shard, ballot, expiry, prev },
+    4 => Reject { shard, max },
+    5 => Handoff { shard, ballot, relinquished },
+    // Tag 6 (the per-record override table a relinquishing holder
+    // shipped to its successor) is retired, not reused.
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdcc_common::wire::{fnv1a64, from_bytes, to_bytes};
+    use mdcc_common::wire::{fnv1a64, from_bytes, to_bytes, Enc};
     use mdcc_common::SimDuration;
 
     fn at(ms: u64) -> SimTime {

@@ -8,9 +8,8 @@
 
 use std::sync::Arc;
 
-use mdcc_common::error::AbortReason;
 use mdcc_common::wire::{encode_seq, err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{Key, TxnId, UpdateOp, Version};
+use mdcc_common::{wire, TxnId, Version};
 
 use crate::acceptor::{
     AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution, VoteVerdict,
@@ -19,145 +18,47 @@ use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
 use crate::options::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 
-impl Wire for Ballot {
-    fn encode(&self, out: &mut Enc) {
-        out.u32(self.round);
-        out.u8(match self.kind {
-            BallotKind::Fast => 0,
-            BallotKind::Classic => 1,
-        });
-        self.proposer.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        let round = inp.u32()?;
-        let kind = match inp.u8()? {
-            0 => BallotKind::Fast,
-            1 => BallotKind::Classic,
-            _ => return err("ballot kind"),
-        };
-        Ok(Ballot {
-            round,
-            kind,
-            proposer: mdcc_common::NodeId::decode(inp)?,
-        })
-    }
-}
+wire!(struct Ballot { round, kind, proposer });
+wire!(enum BallotKind, "ballot kind" { 0 => Fast, 1 => Classic });
 
-impl Wire for OptionStatus {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            OptionStatus::Accepted => out.u8(0),
-            OptionStatus::Rejected(reason) => {
-                out.u8(1);
-                reason.encode(out);
-            }
-        }
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match inp.u8()? {
-            0 => Ok(OptionStatus::Accepted),
-            1 => Ok(OptionStatus::Rejected(AbortReason::decode(inp)?)),
-            _ => err("option-status tag"),
-        }
-    }
-}
+wire!(enum OptionStatus, "option-status tag" {
+    0 => Accepted,
+    1 => Rejected(reason),
+});
 
-impl Wire for TxnOutcome {
-    fn encode(&self, out: &mut Enc) {
-        out.u8(match self {
-            TxnOutcome::Committed => 0,
-            TxnOutcome::Aborted => 1,
-        });
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match inp.u8()? {
-            0 => Ok(TxnOutcome::Committed),
-            1 => Ok(TxnOutcome::Aborted),
-            _ => err("txn-outcome tag"),
-        }
-    }
-}
+wire!(enum TxnOutcome, "txn-outcome tag" { 0 => Committed, 1 => Aborted });
 
-impl Wire for Resolution {
-    fn encode(&self, out: &mut Enc) {
-        self.outcome.encode(out);
-        out.bool(self.learned_accepted);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Resolution {
-            outcome: TxnOutcome::decode(inp)?,
-            learned_accepted: inp.bool()?,
-        })
-    }
-}
+wire!(struct Resolution { outcome, learned_accepted });
+wire!(struct TxnOption { txn, key, op, peers });
+wire!(struct Entry { opt, status });
+wire!(struct RecordSnapshot { version, value, folded });
+wire!(struct Phase1b { promised, accepted, snapshot });
+wire!(struct Letter { txn, status, movable });
+wire!(struct VoteVerdict { ballot, version, letters });
 
-impl Wire for TxnOption {
-    fn encode(&self, out: &mut Enc) {
-        self.txn.encode(out);
-        self.key.encode(out);
-        self.op.encode(out);
-        out.u32(self.peers.len() as u32);
-        for peer in self.peers.iter() {
-            peer.encode(out);
-        }
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        let txn = TxnId::decode(inp)?;
-        let key = Key::decode(inp)?;
-        let op = UpdateOp::decode(inp)?;
-        let n = inp.u32()? as usize;
-        if n > inp.remaining() {
-            return err("peers length");
-        }
-        let mut peers = Vec::with_capacity(n);
-        for _ in 0..n {
-            peers.push(Key::decode(inp)?);
-        }
-        Ok(TxnOption {
-            txn,
-            key,
-            op,
-            peers: Arc::from(peers),
-        })
-    }
-}
+wire!(
+    /// The snapshot is an `Option`: the broadcast pays the one byte that
+    /// says it is absent, the answer to a behind acceptor carries it
+    /// whole.
+    struct Phase2a { ballot, version, snapshot, base, new_options, close_instance, reopen_fast }
+);
 
 /// The transaction and its write-set once, then each option as the
 /// position of its record in the write-set and its update.
 impl Wire for Proposal {
     fn encode(&self, out: &mut Enc) {
         self.txn().encode(out);
-        out.u32(self.peers().len() as u32);
-        for peer in self.peers().iter() {
-            peer.encode(out);
-        }
-        out.u32(self.ops().len() as u32);
-        for (at, op) in self.ops() {
-            out.u32(*at);
-            op.encode(out);
-        }
+        self.peers().encode(out);
+        encode_seq(self.ops().len(), self.ops(), out);
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
         let txn = TxnId::decode(inp)?;
-        let peers: Vec<Key> = Vec::decode(inp)?;
+        let peers = Arc::decode(inp)?;
         let ops = Vec::decode(inp)?;
-        match Proposal::from_parts(txn, Arc::from(peers), ops) {
+        match Proposal::from_parts(txn, peers, ops) {
             Some(proposal) => Ok(proposal),
             None => err("proposal index"),
         }
-    }
-}
-
-impl Wire for Entry {
-    fn encode(&self, out: &mut Enc) {
-        self.opt.encode(out);
-        self.status.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Entry {
-            opt: TxnOption::decode(inp)?,
-            status: OptionStatus::decode(inp)?,
-        })
     }
 }
 
@@ -202,36 +103,6 @@ fn decode_cstruct_from(base: Mark, inp: &mut Dec<'_>) -> WireResult<CStruct> {
     Ok(c)
 }
 
-impl Wire for RecordSnapshot {
-    fn encode(&self, out: &mut Enc) {
-        self.version.encode(out);
-        self.value.encode(out);
-        self.folded.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(RecordSnapshot {
-            version: Version::decode(inp)?,
-            value: Option::decode(inp)?,
-            folded: Vec::decode(inp)?,
-        })
-    }
-}
-
-impl Wire for Phase1b {
-    fn encode(&self, out: &mut Enc) {
-        self.promised.encode(out);
-        self.accepted.encode(out);
-        self.snapshot.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Phase1b {
-            promised: Ballot::decode(inp)?,
-            accepted: Option::decode(inp)?,
-            snapshot: RecordSnapshot::decode(inp)?,
-        })
-    }
-}
-
 /// A vote whose cstruct starts at the settled watermark names the mark
 /// (a tag byte, the sequence number and the eight-byte chain); a whole
 /// cstruct costs the one byte that says it is whole.
@@ -253,36 +124,6 @@ impl Wire for Phase2b {
             version,
             cstruct: decode_cstruct_from(base, inp)?,
             epoch: inp.u64()?,
-        })
-    }
-}
-
-impl Wire for Letter {
-    fn encode(&self, out: &mut Enc) {
-        self.txn.encode(out);
-        self.status.encode(out);
-        out.bool(self.movable);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Letter {
-            txn: TxnId::decode(inp)?,
-            status: OptionStatus::decode(inp)?,
-            movable: inp.bool()?,
-        })
-    }
-}
-
-impl Wire for VoteVerdict {
-    fn encode(&self, out: &mut Enc) {
-        self.ballot.encode(out);
-        self.version.encode(out);
-        self.letters.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(VoteVerdict {
-            ballot: Ballot::decode(inp)?,
-            version: Version::decode(inp)?,
-            letters: Vec::decode(inp)?,
         })
     }
 }
@@ -311,31 +152,6 @@ impl Wire for Base {
             2 => Ok(Base::Digest(inp.fixed64()?)),
             _ => err("phase2a base tag"),
         }
-    }
-}
-
-/// The snapshot is an `Option`: the broadcast pays the one byte that
-/// says it is absent, the answer to a behind acceptor carries it whole.
-impl Wire for Phase2a {
-    fn encode(&self, out: &mut Enc) {
-        self.ballot.encode(out);
-        self.version.encode(out);
-        self.snapshot.encode(out);
-        self.base.encode(out);
-        self.new_options.encode(out);
-        out.bool(self.close_instance);
-        self.reopen_fast.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(Phase2a {
-            ballot: Ballot::decode(inp)?,
-            version: Version::decode(inp)?,
-            snapshot: Option::decode(inp)?,
-            base: Base::decode(inp)?,
-            new_options: Vec::decode(inp)?,
-            close_instance: inp.bool()?,
-            reopen_fast: Option::decode(inp)?,
-        })
     }
 }
 
@@ -425,8 +241,9 @@ impl Wire for AcceptorState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{from_bytes, to_bytes};
-    use mdcc_common::{CommutativeUpdate, NodeId, PhysicalUpdate, Row, TableId};
+    use mdcc_common::{CommutativeUpdate, Key, NodeId, PhysicalUpdate, Row, TableId, UpdateOp};
 
     fn round_trip<T: Wire + std::fmt::Debug>(v: &T) -> T {
         let bytes = to_bytes(v);

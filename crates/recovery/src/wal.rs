@@ -13,8 +13,8 @@
 //! FNV-1a checksum over the payload. A torn or corrupt tail fails decode
 //! cleanly rather than poisoning recovery.
 
-use mdcc_common::wire::{frame, read_frames, Dec, Enc, Wire, WireError, WireResult};
-use mdcc_common::{Key, Row, SimTime, TxnId};
+use mdcc_common::wire::{frame, read_frames, WireResult};
+use mdcc_common::{wire, Key, Row, SimTime, TxnId};
 use mdcc_paxos::acceptor::Phase2a;
 use mdcc_paxos::{Ballot, RecordSnapshot, Resolution, TxnOption, TxnOutcome};
 use mdcc_sim::Disk;
@@ -96,109 +96,16 @@ pub enum WalRecord {
     },
 }
 
-impl Wire for WalRecord {
-    fn encode(&self, out: &mut Enc) {
-        match self {
-            WalRecord::Load { key, row } => {
-                0u64.encode(out);
-                key.encode(out);
-                row.encode(out);
-            }
-            WalRecord::Phase1a { key, ballot } => {
-                1u64.encode(out);
-                key.encode(out);
-                ballot.encode(out);
-            }
-            WalRecord::FastPropose { at, opt } => {
-                2u64.encode(out);
-                at.encode(out);
-                opt.encode(out);
-            }
-            WalRecord::ClassicAccept { at, key, payload } => {
-                3u64.encode(out);
-                at.encode(out);
-                key.encode(out);
-                payload.as_ref().encode(out);
-            }
-            WalRecord::Visibility {
-                at,
-                key,
-                txn,
-                outcome,
-                learned_accepted,
-            } => {
-                4u64.encode(out);
-                at.encode(out);
-                key.encode(out);
-                txn.encode(out);
-                outcome.encode(out);
-                learned_accepted.encode(out);
-            }
-            WalRecord::Sync {
-                at,
-                key,
-                snapshot,
-                resolved,
-            } => {
-                5u64.encode(out);
-                at.encode(out);
-                key.encode(out);
-                snapshot.encode(out);
-                resolved.encode(out);
-            }
-            WalRecord::LeaseFloor { shard, n, pid } => {
-                6u64.encode(out);
-                shard.encode(out);
-                n.encode(out);
-                pid.encode(out);
-            } // Tag 7 (a per-record lease override) is retired, not
-              // reused.
-        }
-    }
-
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        match u64::decode(inp)? {
-            0 => Ok(WalRecord::Load {
-                key: Key::decode(inp)?,
-                row: Row::decode(inp)?,
-            }),
-            1 => Ok(WalRecord::Phase1a {
-                key: Key::decode(inp)?,
-                ballot: Ballot::decode(inp)?,
-            }),
-            2 => Ok(WalRecord::FastPropose {
-                at: SimTime::decode(inp)?,
-                opt: TxnOption::decode(inp)?,
-            }),
-            3 => Ok(WalRecord::ClassicAccept {
-                at: SimTime::decode(inp)?,
-                key: Key::decode(inp)?,
-                payload: Box::new(Phase2a::decode(inp)?),
-            }),
-            4 => Ok(WalRecord::Visibility {
-                at: SimTime::decode(inp)?,
-                key: Key::decode(inp)?,
-                txn: TxnId::decode(inp)?,
-                outcome: TxnOutcome::decode(inp)?,
-                learned_accepted: bool::decode(inp)?,
-            }),
-            5 => Ok(WalRecord::Sync {
-                at: SimTime::decode(inp)?,
-                key: Key::decode(inp)?,
-                snapshot: RecordSnapshot::decode(inp)?,
-                resolved: Vec::decode(inp)?,
-            }),
-            6 => Ok(WalRecord::LeaseFloor {
-                shard: u32::decode(inp)?,
-                n: u32::decode(inp)?,
-                pid: u64::decode(inp)?,
-            }),
-            _ => Err(WireError {
-                context: "wal-record tag",
-            }),
-        }
-    }
-}
+wire!(enum WalRecord, "wal-record tag" {
+    0 => Load { key, row },
+    1 => Phase1a { key, ballot },
+    2 => FastPropose { at, opt },
+    3 => ClassicAccept { at, key, payload },
+    4 => Visibility { at, key, txn, outcome, learned_accepted },
+    5 => Sync { at, key, snapshot, resolved },
+    6 => LeaseFloor { shard, n, pid },
+    // Tag 7 (a per-record lease override) is retired, not reused.
+});
 
 /// Frames one record (`[len][checksum][payload]`, the shared framing of
 /// [`mdcc_common::wire`]) and appends it to `disk`'s WAL area. Whether
@@ -293,6 +200,7 @@ pub fn recovered_lease_state(records: &[WalRecord]) -> RecoveredLeases {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdcc_common::wire::{Enc, Wire};
     use mdcc_common::{CommutativeUpdate, NodeId, ProtocolConfig, TableId, UpdateOp};
     use mdcc_storage::Catalog;
     use std::sync::Arc;

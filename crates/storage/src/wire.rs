@@ -5,69 +5,15 @@
 //! store state (checkpoints) and the merkle-sync vocabulary
 //! ([`SyncItem`], [`SyncRange`]).
 
-use std::sync::Arc;
-
-use mdcc_common::wire::{err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{Key, SimTime, TxnId};
-use mdcc_paxos::RecordSnapshot;
+use mdcc_common::wire;
+use mdcc_common::wire::{Dec, Enc, Wire, WireResult};
+use mdcc_common::Key;
 
 use crate::store::{PendingTxn, StoreState, SyncItem, SyncRange};
 
-impl Wire for PendingTxn {
-    fn encode(&self, out: &mut Enc) {
-        self.txn.encode(out);
-        self.since.encode(out);
-        out.u32(self.peers.len() as u32);
-        for peer in self.peers.iter() {
-            peer.encode(out);
-        }
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        let txn = TxnId::decode(inp)?;
-        let since = SimTime::decode(inp)?;
-        let n = inp.u32()? as usize;
-        if n > inp.remaining() {
-            return err("pending peers length");
-        }
-        let mut peers = Vec::with_capacity(n);
-        for _ in 0..n {
-            peers.push(Key::decode(inp)?);
-        }
-        Ok(PendingTxn {
-            txn,
-            since,
-            peers: Arc::from(peers),
-        })
-    }
-}
-
-impl Wire for StoreState {
-    fn encode(&self, out: &mut Enc) {
-        self.records.encode(out);
-        self.pending.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(StoreState {
-            records: Vec::decode(inp)?,
-            pending: Vec::decode(inp)?,
-        })
-    }
-}
-
-impl Wire for SyncItem {
-    fn encode(&self, out: &mut Enc) {
-        self.key.encode(out);
-        self.snapshot.encode(out);
-        self.resolved.encode(out);
-    }
-    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
-        Ok(SyncItem {
-            key: Key::decode(inp)?,
-            snapshot: RecordSnapshot::decode(inp)?,
-            resolved: Vec::decode(inp)?,
-        })
-    }
-}
+wire!(struct PendingTxn { txn, since, peers });
+wire!(struct StoreState { records, pending });
+wire!(struct SyncItem { key, snapshot, resolved });
 
 impl Wire for SyncRange {
     fn encode(&self, out: &mut Enc) {
@@ -86,10 +32,14 @@ impl Wire for SyncRange {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use mdcc_common::wire::{fnv1a64, to_bytes};
-    use mdcc_common::{CommutativeUpdate, NodeId, ProtocolConfig, Row, TableId, UpdateOp, Version};
-    use mdcc_paxos::{Resolution, TxnOption, TxnOutcome};
+    use mdcc_common::{
+        CommutativeUpdate, NodeId, ProtocolConfig, Row, SimTime, TableId, TxnId, UpdateOp, Version,
+    };
+    use mdcc_paxos::{RecordSnapshot, Resolution, TxnOption, TxnOutcome};
 
     use crate::{Catalog, RecordStore};
 
