@@ -8,14 +8,20 @@
 //! plus an election round, because any replica can still lead
 //! classically while the lease machinery converges.
 
+use std::sync::Arc;
+
 use mdcc_cluster::{
     micro_catalog, run_mdcc, ClientPlacement, ClusterSpec, FaultEvent, FaultPlan, MdccMode,
-    NetKind, Report,
+    NetKind, NodeRole, Report,
 };
-use mdcc_common::{DcId, Key, MastershipConfig, Row, SimDuration, SimTime};
+use mdcc_common::{
+    DcId, Key, MasterPolicy, MastershipConfig, Placement, Row, SimDuration, SimTime,
+    StaticPlacement,
+};
 use mdcc_core::TxnStats;
+use mdcc_trace::TraceConfig;
 use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
-use mdcc_workloads::Workload;
+use mdcc_workloads::{ShiftingConfig, ShiftingLocalityWorkload, Workload};
 use proptest::prelude::*;
 
 const ITEMS: u64 = 120;
@@ -184,6 +190,93 @@ fn lease_phase1_skips_warm_phase1_and_stays_byte_equal() {
         digests.windows(2).all(|w| w[0] == w[1]),
         "replicas diverged under a Phase1-less warm lease takeover"
     );
+}
+
+/// The classic path travels once per (transaction, node), as the fast
+/// path does. Shifting locality over one shard: each transaction's three
+/// records live on the same five nodes, so an attempt sends the believed
+/// holder one `ProposeMastered` naming all three, a forward passes them
+/// on as one, and a holder that leads them sends each replica one `P2a`
+/// with the three rounds. The lease layer still counts options: each
+/// one routed is served or forwarded once per hop.
+#[test]
+fn a_mastered_transaction_reaches_each_node_once() {
+    let mut sp = spec(47);
+    sp.protocol.mastership = MastershipConfig::enabled();
+    // Until a coordinator learns the holder, it sends each option to
+    // its record's static master: one data center masters every record,
+    // so that is one node per attempt too.
+    sp.master_policy = MasterPolicy::FixedDc(DcId(0));
+    // Host profiling is what counts deliveries by kind; tracing observes
+    // and changes nothing simulated.
+    sp.trace = TraceConfig {
+        profile: true,
+        ..TraceConfig::on()
+    };
+    let data: Vec<(Key, Row)> = (0..ITEMS)
+        .map(|i| (item_key(i), Row::new().with(STOCK, 1_000_000)))
+        .collect();
+    let mut factory = |_c: usize, dc: DcId, placement: &Arc<StaticPlacement>| {
+        let p = Arc::clone(placement);
+        let shards = p.shard_count();
+        Box::new(ShiftingLocalityWorkload::new(ShiftingConfig {
+            items: ITEMS,
+            items_per_txn: 3,
+            max_decrement: 3,
+            commutative: true,
+            my_dc: dc.0,
+            shard_of: Arc::new(move |key: &Key| p.shard_id(key)),
+            shards,
+            phase_len: SimDuration::from_secs(3),
+        })) as Box<dyn Workload>
+    };
+    let (report, stats) = run_mdcc(&sp, micro_catalog(), &data, &mut factory, MdccMode::Multi);
+    assert_healthy("mastered-once", &report);
+    assert!(report.write_commits() > 100, "cluster barely committed");
+    let delivered = |role, kind| -> u64 {
+        let rows = report.profile_by_kind.iter();
+        let rows = rows.filter(|row| row.role == role && row.kind == kind);
+        rows.map(|row| row.msgs).sum()
+    };
+    let proposals = delivered(NodeRole::Storage, "ProposeMastered");
+    let hints = delivered(NodeRole::Client, "MasterHint");
+    let p2a = delivered(NodeRole::Storage, "P2a");
+    let attempts = stats.committed + stats.aborted + stats.timeouts;
+    let (nodes, ms) = (report.nodes, report.mastership);
+    eprintln!(
+        "{proposals} ProposeMastered for {attempts} attempts and {hints} forwards; \
+         {p2a} P2a for {} rounds voted; {} options routed ({} with no lease known), \
+         {} served, {} forwarded",
+        nodes.classic_votes,
+        nodes.mastered_options,
+        nodes.unleased_options,
+        ms.served,
+        ms.forwarded
+    );
+    // One proposal per attempt, and one more per forward (each forward
+    // also teaches the coordinator the route with one hint).
+    assert!(
+        proposals <= attempts + hints,
+        "{proposals} ProposeMastered for {attempts} attempts and {hints} forwards"
+    );
+    assert!(
+        p2a < nodes.classic_votes,
+        "{p2a} P2a for {} rounds voted: a P2a carries the rounds of a handler",
+        nodes.classic_votes
+    );
+    // Every option that arrived under a known lease was served or
+    // forwarded, and counted once; the rest arrived in an election
+    // window and were led regardless.
+    assert_eq!(
+        ms.served + ms.forwarded,
+        nodes.mastered_options - nodes.unleased_options,
+        "served and forwarded count options"
+    );
+    assert!(
+        nodes.mastered_options > proposals,
+        "a proposal carries options"
+    );
+    assert_eq!(nodes.stray_msgs, 0);
 }
 
 /// The data center whose storage node wins the initial election under

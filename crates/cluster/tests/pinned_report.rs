@@ -117,6 +117,11 @@ fn micro_full_report_is_pinned() {
 // fewer each; window commits, committed, aborted, fast commits and pulls
 // did not move. The digests are FNV-1a over the committed state's
 // encoding, so they change with it; all five replicas still end on one.
+// The sixth: a `P2a` carries every round its sender's leaders emit in one
+// handler for the destination, each write-set once and no option key,
+// and a proposal to a master is a `Proposal`. Only bytes moved (the
+// run's collision recoveries send smaller rounds): every other field,
+// frames and payload messages included, is as it was.
 const PINNED_WRITE_COMMITS: usize = 611;
 const PINNED_COMMITTED: u64 = 720;
 const PINNED_ABORTED: u64 = 1;
@@ -125,8 +130,9 @@ const PINNED_COLLISIONS: u64 = 21;
 const PINNED_REPAIR_PULLS: u64 = 0;
 // 7 291 205 until votes started at the settled watermark, 3 704 865
 // until they became verdicts, 2 290 924 until proposals and outcomes
-// went once per storage node, 1 753 955 until integers became varints.
-const PINNED_BYTES_SENT: u64 = 745_881;
+// went once per storage node, 1 753 955 until integers became varints,
+// 745 881 until a `P2a` named each write-set once.
+const PINNED_BYTES_SENT: u64 = 744_247;
 const PINNED_MSGS_SENT: u64 = 15_911;
 const PINNED_PAYLOAD_MSGS: u64 = 25_895;
 const PINNED_COMMITTED_DIGESTS: [u64; 5] = [18_260_069_163_046_148_303; 5];
@@ -334,8 +340,9 @@ fn mastership_report_is_pinned() {
 // was split into its election, lease and migration machines; re-pinned
 // when the classic round stopped sending nodes what they cannot use,
 // again when votes became verdicts, again when a transaction's outcome
-// went once per storage node (every proposal of this run goes through a
-// master, per record as before; only `Visibility` is grouped), and again
+// went once per storage node (only `Visibility` was grouped then: every
+// proposal of this run goes through a master, and those went per
+// record until the classic path was grouped too, below), and again
 // when the lease holder began leading every record of its shard (no
 // per-record override, no record forwarded off the holder). Every field
 // moves each time, because the schedule does: window commits
@@ -361,29 +368,42 @@ fn mastership_report_is_pinned() {
 // These window commits are this one schedule's, not a rate: `bench_all`
 // `geo_failover` (the same layer, a 40 s window) reads `commit_tps` 389 →
 // 385 at seed 11 and 391 → 392 as the median of ten more seeds.
-const PINNED_MS_WRITE_COMMITS: usize = 530;
-const PINNED_MS_TXN_STATS: [u64; 7] = [646, 0, 0, 10, 34, 0, 0];
-const PINNED_MS_NET: [u64; 3] = [2_024_450, 33_970, 55_121];
-const PINNED_MS_COUNTERS: [u64; 9] = [12, 11, 232, 8, 1_764, 335, 430, 44, 518];
-const PINNED_MS_SPANS: (usize, u64) = (11, 4_248_629_722_228_771_592);
-// Even nodes replicate shard 0, odd nodes shard 1. At the previous pin
-// node 2 — the failed data center's shard-0 replica — was off its
-// shard's digest, as at every pin before; at this one node 3, the failed
-// data center's shard-1 replica, is off its shard's and node 2 on its
-// own: records that committed while the data center was dark (ROADMAP
-// item 1's healed replicas). That is this schedule, not a new cause:
-// `bench_all` `geo_failover` ends with replicas off over ten seeds. The
-// digests are FNV-1a over the committed state's encoding, so they change
-// with the codec.
+//
+// Re-pinned when the classic path began to travel once per
+// (transaction, node): a coordinator sends each node it routes options
+// to (the believed holder, else each record's static master) one
+// `ProposeMastered` for all of them, a forward passes a shard's options
+// on as one, and a `P2a` carries every round a node's leaders emit in
+// one handler for the destination, each write-set once and no option
+// key. Window commits 530 → below; `TxnStats` [646, 0, 0, 10, 34, 0, 0]
+// → below; bytes / frames / payload messages 2 024 450 / 33 970 /
+// 55 121 → below (bytes per window commit −22 %); counters
+// [12, 11, 232, 8, 1 764, 335, 430, 44, 518] → below (served and
+// forwarded still count options, not messages); spans 11 → 9. As
+// before, these window commits are this schedule's, not a rate: on
+// `bench_all` `geo_failover` `commit_tps` moved +1 % at seed 11.
+const PINNED_MS_WRITE_COMMITS: usize = 680;
+const PINNED_MS_TXN_STATS: [u64; 7] = [796, 0, 0, 38, 20, 0, 0];
+const PINNED_MS_NET: [u64; 3] = [2_019_014, 37_083, 52_347];
+const PINNED_MS_COUNTERS: [u64; 9] = [10, 9, 233, 7, 2_127, 270, 410, 62, 534];
+const PINNED_MS_SPANS: (usize, u64) = (9, 12_182_474_318_540_683_430);
+// Even nodes replicate shard 0, odd nodes shard 1. At this pin nodes 2
+// and 3 — the failed data center's replicas of shard 0 and shard 1 —
+// are each off their shard's digest; at the pin before only node 3 was,
+// at every pin before that only node 2: records that committed while
+// the data center was dark (ROADMAP item 1's healed replicas). That is
+// this schedule, not a new cause: `bench_all` `geo_failover` ends with
+// replicas off over ten seeds. The digests are FNV-1a over the committed
+// state's encoding, so they change with the codec.
 const PINNED_MS_COMMITTED_DIGESTS: [u64; 10] = [
-    16_892_570_469_261_029_922,
-    10_528_140_084_227_356_705,
-    16_892_570_469_261_029_922,
-    7_995_264_507_331_946_997,
-    16_892_570_469_261_029_922,
-    10_528_140_084_227_356_705,
-    16_892_570_469_261_029_922,
-    10_528_140_084_227_356_705,
-    16_892_570_469_261_029_922,
-    10_528_140_084_227_356_705,
+    15_446_017_429_670_460_488,
+    7_342_080_173_436_677_440,
+    11_707_956_885_991_958_126,
+    11_098_498_771_227_911_710,
+    15_446_017_429_670_460_488,
+    7_342_080_173_436_677_440,
+    15_446_017_429_670_460_488,
+    7_342_080_173_436_677_440,
+    15_446_017_429_670_460_488,
+    7_342_080_173_436_677_440,
 ];

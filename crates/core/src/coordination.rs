@@ -21,7 +21,7 @@ use mdcc_common::{Key, NodeId, ProtocolConfig, TxnId};
 use mdcc_paxos::acceptor::{Phase2b, VoteVerdict};
 use mdcc_paxos::{LearnOutcome, Learner, OptionStatus, TxnOutcome};
 
-use crate::msg::{per_node, Msg};
+use crate::msg::{grouped, Msg};
 use crate::placement::Placement;
 
 /// What one vote did to the transaction's knowledge of one option.
@@ -223,7 +223,7 @@ impl Coordination {
         me: Option<NodeId>,
         mut emit: impl FnMut(NodeId, Msg),
     ) {
-        let mut groups = per_node(self.slots.iter().map(|slot| {
+        let mut groups = grouped(self.slots.iter().map(|slot| {
             let learned_accepted = match slot.decided {
                 Some(status) => status.is_accepted(),
                 None => outcome == TxnOutcome::Committed,

@@ -8,8 +8,8 @@
 
 use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
-use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
-use mdcc_paxos::{Ballot, Proposal, TxnOption, TxnOutcome};
+use mdcc_paxos::acceptor::{Phase1b, Phase2aRounds, Phase2b, RecordSnapshot, VoteVerdict};
+use mdcc_paxos::{Ballot, Proposal, TxnOutcome};
 use mdcc_sim::{Ctx, TimerPayload};
 use mdcc_storage::{SyncItem, SyncRange};
 
@@ -23,18 +23,19 @@ pub(crate) fn send_each(ctx: &mut MdccCtx<'_>, to: &[NodeId], msg: impl Fn() -> 
     }
 }
 
-/// Groups items by the nodes each is routed to: one entry per node, in
-/// the order the items first name it, holding every item routed there in
-/// item order — so that a handler sends each node one message.
-pub(crate) fn per_node<T: Clone>(
-    routed: impl IntoIterator<Item = (Vec<NodeId>, T)>,
-) -> Vec<(NodeId, Vec<T>)> {
-    let mut groups: Vec<(NodeId, Vec<T>)> = Vec::new();
-    for (nodes, item) in routed {
-        for node in nodes {
-            match groups.iter_mut().find(|(n, _)| *n == node) {
+/// Groups items by the targets (nodes, shards) each is routed to: one
+/// entry per target, in the order the items first name it, holding every
+/// item routed there in item order — so that a handler sends each node
+/// one message.
+pub(crate) fn grouped<K: Copy + PartialEq, T: Clone>(
+    routed: impl IntoIterator<Item = (Vec<K>, T)>,
+) -> Vec<(K, Vec<T>)> {
+    let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+    for (targets, item) in routed {
+        for target in targets {
+            match groups.iter_mut().find(|(t, _)| *t == target) {
                 Some((_, items)) => items.push(item.clone()),
-                None => groups.push((node, vec![item.clone()])),
+                None => groups.push((target, vec![item.clone()])),
             }
         }
     }
@@ -52,8 +53,10 @@ pub enum Msg {
     /// every option of one transaction on a record the destination
     /// replicates, the transaction and its write-set named once.
     Propose(Proposal),
-    /// Classic-path proposal to the record's master (line 11).
-    ProposeToMaster(TxnOption),
+    /// Classic-path proposal to the master (line 11): every option of one
+    /// transaction on a record the destination masters, shaped as a
+    /// [`Msg::Propose`].
+    ProposeToMaster(Proposal),
     /// Outcome fan-out once the coordinator learned all options
     /// (the Visibility/Learned message of §3.2.1): one per storage node,
     /// for every record of the transaction the node replicates.
@@ -168,15 +171,14 @@ pub enum Msg {
         /// Promise payload.
         payload: Phase1b,
     },
-    /// Phase2a: the broadcast to every acceptor of the record, which
-    /// names the instance it targets and carries no snapshot, or the
-    /// answer to one acceptor's [`Msg::P2aBehind`], which carries the
+    /// Phase2a: every round the sender's leaders broadcast in one
+    /// handler to the records the destination replicates, each naming
+    /// the instance it targets and carrying no snapshot; or the answer to
+    /// one acceptor's [`Msg::P2aBehind`], one round that carries the
     /// instance's whole window and the leader's snapshot.
     P2a {
-        /// Record concerned.
-        key: Key,
-        /// Proposal payload.
-        payload: Box<Phase2a>,
+        /// The rounds, each with its record, in the order they were led.
+        rounds: Phase2aRounds,
     },
     /// Phase2a not judged: the acceptor has not reached the instance it
     /// targets and the broadcast carries no state to catch up from.
@@ -285,14 +287,16 @@ pub enum Msg {
     /// Lease/election-plane message between the replicas of one shard
     /// (heartbeats, acquires, grants, handoffs — see `mdcc_mastership`).
     Mastership(MsMsg),
-    /// Classic-path proposal routed to the shard's *lease holder* instead
-    /// of the static per-record master. Carries the requesting data
-    /// center so the holder can observe access locality and migrate.
+    /// Classic-path proposal routed to the shards' *lease holder*
+    /// instead of the static per-record master: every option of one
+    /// transaction the destination is believed to master. Carries the
+    /// requesting data center so the holder can observe access locality
+    /// and migrate.
     ProposeMastered {
         /// Data center the issuing TM lives in.
         origin_dc: DcId,
         /// The proposal itself.
-        opt: TxnOption,
+        proposal: Proposal,
     },
     /// A node that is not (or no longer) the lease holder redirects the
     /// proposer: route this shard's classic traffic to `node`.

@@ -45,8 +45,8 @@ use mdcc_common::config::{
 };
 use mdcc_common::error::AbortReason;
 use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, SimTime, TxnId};
-use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats, HEARTBEAT_INTERVAL};
-use mdcc_paxos::acceptor::{FastPropose, Phase2b, VoteVerdict};
+use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats};
+use mdcc_paxos::acceptor::{FastPropose, Phase2a, Phase2b, VoteVerdict};
 use mdcc_paxos::{Ballot, LeaderRecord, OptionStatus, TxnOption, TxnOutcome};
 use mdcc_recovery::{wal, write_checkpoint, RecoveryInfo, WalRecord};
 use mdcc_sim::Process;
@@ -93,6 +93,12 @@ pub struct NodeStats {
     /// Fast-ballot options received, counted per option (a `Propose`
     /// carries every option of its transaction this node replicates).
     pub proposals: u64,
+    /// Classic options that arrived in `ProposeMastered`, counted per
+    /// option (one carries every option its coordinator routed here).
+    pub mastered_options: u64,
+    /// Those led here while this node knew of no live lease for their
+    /// shard; the rest were served or forwarded under a lease.
+    pub unleased_options: u64,
     /// Those whose option carries a read version (physical updates of
     /// existing records, read guards) — the only ones that can park.
     pub versioned_proposals: u64,
@@ -126,6 +132,8 @@ impl std::ops::AddAssign for NodeStats {
         self.repair_served += o.repair_served;
         self.missed_commit_pulls += o.missed_commit_pulls;
         self.proposals += o.proposals;
+        self.mastered_options += o.mastered_options;
+        self.unleased_options += o.unleased_options;
         self.versioned_proposals += o.versioned_proposals;
         self.proposals_parked += o.proposals_parked;
         self.parked_released += o.parked_released;
@@ -206,6 +214,9 @@ pub struct StorageNodeProcess {
     /// held until the record catches up. Volatile like an in-flight
     /// message: nothing in it was logged, appended or voted on.
     parked: Parked,
+    /// Phase2a rounds this node's leaders emitted in the handler under
+    /// way, sent when it ends ([`Self::send_rounds`]).
+    rounds: Vec<(Key, Phase2a)>,
 }
 
 /// Bound on the fast-redirect memo: entries normally clear on
@@ -248,6 +259,7 @@ impl StorageNodeProcess {
             mastership: None,
             lease_audit: None,
             parked: Parked::new(),
+            rounds: Vec::new(),
         }
     }
 
@@ -816,33 +828,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
             ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
         }
         if self.cfg.mastership.enabled {
-            // Host the lease/election layer for every shard this node
-            // replicates. The node's DC is its acceptor position in the
-            // replica group (one replica per DC, in DcId order).
-            let mut shards = Vec::new();
-            let mut my_dc = DcId(0);
-            for shard in 0..self.placement.shard_count() {
-                let replicas = self.placement.shard_replicas(shard);
-                if let Some(idx) = replicas.iter().position(|n| *n == ctx.self_id) {
-                    my_dc = DcId(idx as u8);
-                    shards.push((shard, replicas));
-                }
-            }
-            if !shards.is_empty() {
-                // What `install_recovered_leases` put in the fence is
-                // what this node granted before a restart.
-                let recovered_at = self.recovered.is_some().then_some(ctx.now);
-                let granted = self.fence.floors();
-                let mut ms = Mastership::new(ctx.self_id, my_dc, shards, recovered_at, &granted);
-                if let Some(audit) = &self.lease_audit {
-                    ms.set_audit(audit.clone());
-                }
-                self.mastership = Some(ms);
-                // Stagger first ticks by node id so heartbeats across
-                // nodes do not land on the same instants.
-                let stagger = SimDuration::from_micros((ctx.self_id.0 as u64 % 17) * 313);
-                ctx.set_timer(HEARTBEAT_INTERVAL + stagger, Tick::MsTick);
-            }
+            self.start_mastership(ctx);
         }
     }
 
@@ -853,15 +839,24 @@ impl Process<Msg, Tick> for StorageNodeProcess {
                     self.on_propose(from, opt, ctx);
                 }
             }
-            Msg::ProposeToMaster(opt) => self.lead_classic(from, opt, ctx),
-            Msg::ProposeMastered { origin_dc, opt } => {
-                self.on_propose_mastered(from, origin_dc, opt, ctx)
+            Msg::ProposeToMaster(proposal) => {
+                for opt in proposal.options() {
+                    self.lead_classic(from, opt, ctx);
+                }
             }
+            Msg::ProposeMastered {
+                origin_dc,
+                proposal,
+            } => self.on_propose_mastered(from, origin_dc, proposal, ctx),
             Msg::Mastership(inner) => self.on_mastership(from, inner, ctx),
             Msg::StartRecovery { key } => self.lead_recovery(&key, ctx),
             Msg::P1a { key, ballot } => self.on_phase1a(from, key, ballot, ctx),
             Msg::P1b { key, payload } => self.on_phase1b(from, key, payload, ctx),
-            Msg::P2a { key, payload } => self.on_phase2a(from, key, payload, ctx),
+            Msg::P2a { rounds } => {
+                for (key, round) in rounds.0 {
+                    self.on_phase2a(from, key, round, ctx);
+                }
+            }
             Msg::P2aNack { key, promised } => self.with_leader(&key, |l| l.on_nack(promised), ctx),
             Msg::P2aBehind { key, ballot } => self.on_behind(from, key, ballot, ctx),
             Msg::P2aStale { key, snapshot } => {
@@ -906,6 +901,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
             | Msg::Vote { .. }
             | Msg::ReadResp { .. } => self.stats.stray_msgs += 1,
         }
+        self.send_rounds(ctx);
     }
 
     fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
@@ -952,5 +948,6 @@ impl Process<Msg, Tick> for StorageNodeProcess {
             // The TM's and clients' ticks: a storage node arms none.
             Tick::LearnTimeout { .. } | Tick::ReadRetry { .. } | Tick::ClientTick => {}
         }
+        self.send_rounds(ctx);
     }
 }

@@ -12,18 +12,23 @@
 //! drops the shard's idle leaders
 //! ([`StorageNodeProcess::current_leader`],
 //! [`StorageNodeProcess::drop_quiescent_leaders`]).
+//!
+//! The classic path travels once per (transaction, node): a proposal
+//! carries every option its coordinator routed to this node, and the
+//! Phase2a rounds a handler's leaders emit leave together, one `P2a` per
+//! replica node ([`StorageNodeProcess::send_rounds`]).
 
-use mdcc_common::{DcId, Key, NodeId};
-use mdcc_mastership::{Action as MsAction, MsMsg};
-use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a};
+use mdcc_common::{DcId, Key, NodeId, SimDuration};
+use mdcc_mastership::{Action as MsAction, Mastership, MsMsg, HEARTBEAT_INTERVAL};
+use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a, Phase2aRounds};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
-use mdcc_paxos::{Ballot, CStruct, LeaderRecord, TxnOption};
+use mdcc_paxos::{Ballot, CStruct, LeaderRecord, Proposal, TxnOption};
 use mdcc_recovery::WalRecord;
 use mdcc_storage::RecordStore;
 use mdcc_trace::Phase;
 
 use super::{StorageNodeProcess, REDIRECTED_FAST_CAP};
-use crate::msg::{send_each, MdccCtx, Msg};
+use crate::msg::{grouped, send_each, MdccCtx, Msg, Tick};
 
 impl StorageNodeProcess {
     /// Lazily enforces the lease-promise floor on one record's acceptor
@@ -166,6 +171,38 @@ impl StorageNodeProcess {
         });
     }
 
+    /// Hosts the lease/election layer for every shard this node
+    /// replicates (`on_start`, with dynamic mastership on). The node's DC
+    /// is its acceptor position in the replica group (one replica per
+    /// DC, in DcId order).
+    pub(super) fn start_mastership(&mut self, ctx: &mut MdccCtx<'_>) {
+        let mut shards = Vec::new();
+        let mut my_dc = DcId(0);
+        for shard in 0..self.placement.shard_count() {
+            let replicas = self.placement.shard_replicas(shard);
+            if let Some(idx) = replicas.iter().position(|n| *n == ctx.self_id) {
+                my_dc = DcId(idx as u8);
+                shards.push((shard, replicas));
+            }
+        }
+        if shards.is_empty() {
+            return;
+        }
+        // What `install_recovered_leases` put in the fence is what this
+        // node granted before a restart.
+        let recovered_at = self.recovered.is_some().then_some(ctx.now);
+        let granted = self.fence.floors();
+        let mut ms = Mastership::new(ctx.self_id, my_dc, shards, recovered_at, &granted);
+        if let Some(audit) = &self.lease_audit {
+            ms.set_audit(audit.clone());
+        }
+        self.mastership = Some(ms);
+        // Stagger first ticks by node id so heartbeats across nodes do
+        // not land on the same instants.
+        let stagger = SimDuration::from_micros((ctx.self_id.0 as u64 % 17) * 313);
+        ctx.set_timer(HEARTBEAT_INTERVAL + stagger, Tick::MsTick);
+    }
+
     /// Emits the mastership layer's queued sends as wrapped messages
     /// and absorbs its host-level effects: lease grants raise this
     /// node's promise floor, and a handoff drops the shard's idle
@@ -233,14 +270,12 @@ impl StorageNodeProcess {
                         ballot,
                     });
                 }
-                LeaderAction::Phase2a(payload) => {
+                LeaderAction::Phase2a(round) => {
                     // Classic instance round: closes when the local
-                    // acceptor observes the instance advance.
+                    // acceptor observes the instance advance. It leaves
+                    // with the handler's other rounds.
                     self.trace_begin(key, Phase::Phase2a, ctx);
-                    send_each(ctx, &replicas, || Msg::P2a {
-                        key: key.clone(),
-                        payload: Box::new(payload.clone()),
-                    });
+                    self.rounds.push((key.clone(), round));
                 }
                 LeaderAction::RedirectFast(opt) => {
                     // The record reopened fast mode while this option was
@@ -249,6 +284,19 @@ impl StorageNodeProcess {
                     ctx.send(txn.coordinator, Msg::GoFast { key, txn });
                 }
             }
+        }
+    }
+
+    /// Sends the Phase2a rounds this node's leaders emitted in the handler
+    /// now ending: each replica node one `P2a` holding every round of a
+    /// record it replicates, in the order they were led.
+    pub(super) fn send_rounds(&mut self, ctx: &mut MdccCtx<'_>) {
+        let rounds = std::mem::take(&mut self.rounds);
+        let placement = &self.placement;
+        let routed = rounds.into_iter().map(|r| (placement.replicas(&r.0), r));
+        for (node, rounds) in grouped(routed) {
+            let rounds = Phase2aRounds(rounds);
+            ctx.send(node, Msg::P2a { rounds });
         }
     }
 
@@ -276,42 +324,69 @@ impl StorageNodeProcess {
     }
 
     /// A classic proposal routed by shard lease (`Msg::ProposeMastered`):
-    /// serve it, forward it to the holder, or lead it regardless. The
-    /// holder leads every record of its shard: a record promised above
-    /// the lease inside its tenure Nacks the holder's Phase2a, and the
-    /// holder's own Phase 1 re-establishes it
+    /// for each shard it names, serve the shard's options, forward them to
+    /// the holder as one proposal, or lead them regardless; then lead
+    /// what stays here, in proposal order. Served and forwarded count
+    /// options. The holder leads every record of its shard: a record
+    /// promised above the lease inside its tenure Nacks the holder's
+    /// Phase2a, and the holder's own Phase 1 re-establishes it
     /// ([`StorageNodeProcess::current_leader`]).
     pub(super) fn on_propose_mastered(
         &mut self,
         from: NodeId,
         origin_dc: DcId,
-        opt: TxnOption,
+        proposal: Proposal,
         ctx: &mut MdccCtx<'_>,
     ) {
-        let shard = self.placement.shard_id(&opt.key);
-        let (serving, holder) = match &self.mastership {
-            Some(ms) => (ms.is_serving(shard, ctx.now), ms.holder(shard, ctx.now)),
-            None => (false, None),
-        };
-        if serving {
-            if let Some(ms) = self.mastership.as_mut() {
-                ms.note_served(shard, origin_dc);
+        let opts: Vec<TxnOption> = proposal.options().collect();
+        self.stats.mastered_options += opts.len() as u64;
+        let placement = &self.placement;
+        let shards = grouped(opts.iter().map(|o| (vec![placement.shard_id(&o.key)], o)));
+        let mut led_here = Vec::new();
+        for (shard, group) in shards {
+            let (serving, holder) = match &self.mastership {
+                Some(ms) => (ms.is_serving(shard, ctx.now), ms.holder(shard, ctx.now)),
+                None => (false, None),
+            };
+            let options = group.len();
+            let forward = holder.filter(|n| *n != ctx.self_id);
+            if serving {
+                if let Some(ms) = self.mastership.as_mut() {
+                    for _ in 0..options {
+                        ms.note_served(shard, origin_dc);
+                    }
+                }
+                led_here.push(shard);
+            } else if let (Some(node), Some(proposal)) = (forward, Proposal::of(group)) {
+                // Not the holder, but we know who is: forward the shard's
+                // options and teach their coordinator the route.
+                if let Some(ms) = self.mastership.as_mut() {
+                    for _ in 0..options {
+                        ms.note_forwarded();
+                    }
+                }
+                ctx.send(opts[0].txn.coordinator, Msg::MasterHint { shard, node });
+                ctx.send(
+                    node,
+                    Msg::ProposeMastered {
+                        origin_dc,
+                        proposal,
+                    },
+                );
+            } else {
+                // No live lease this node knows of (election still in
+                // progress, or mastership disabled here): lead
+                // classically. Safe regardless of leases — classic Paxos
+                // ballots arbitrate — and keeps writes available through
+                // election windows.
+                self.stats.unleased_options += options as u64;
+                led_here.push(shard);
             }
-            self.lead_classic(from, opt, ctx);
-        } else if let Some(node) = holder.filter(|n| *n != ctx.self_id) {
-            // Not the holder, but we know who is: forward the proposal
-            // and teach its coordinator the route.
-            if let Some(ms) = self.mastership.as_mut() {
-                ms.note_forwarded();
+        }
+        for opt in opts {
+            if led_here.contains(&self.placement.shard_id(&opt.key)) {
+                self.lead_classic(from, opt, ctx);
             }
-            ctx.send(opt.txn.coordinator, Msg::MasterHint { shard, node });
-            ctx.send(node, Msg::ProposeMastered { origin_dc, opt });
-        } else {
-            // No live lease this node knows of (election still in progress,
-            // or mastership disabled here): lead classically. Safe
-            // regardless of leases — classic Paxos ballots arbitrate — and
-            // keeps writes available through election windows.
-            self.lead_classic(from, opt, ctx);
         }
     }
 
@@ -374,9 +449,9 @@ impl StorageNodeProcess {
         ctx: &mut MdccCtx<'_>,
     ) {
         let answer = self.leaders.get(&key).and_then(|l| l.on_behind(ballot));
-        if let Some(payload) = answer {
-            let payload = Box::new(payload);
-            ctx.send(from, Msg::P2a { key, payload });
+        if let Some(round) = answer {
+            let rounds = Phase2aRounds(vec![(key, round)]);
+            ctx.send(from, Msg::P2a { rounds });
         } else if let Some(item) = self.store.sync_item(&key) {
             ctx.send(from, Msg::SyncChunk { items: vec![item] });
         }
@@ -408,7 +483,7 @@ impl StorageNodeProcess {
         &mut self,
         from: NodeId,
         key: Key,
-        payload: Box<Phase2a>,
+        payload: Phase2a,
         ctx: &mut MdccCtx<'_>,
     ) {
         self.enforce_floor(&key, ctx);
@@ -423,11 +498,11 @@ impl StorageNodeProcess {
             [WalRecord::ClassicAccept {
                 at,
                 key: key.clone(),
-                payload: payload.clone(),
+                payload: Box::new(payload.clone()),
             }]
         });
         let before = self.store.version_of(&key);
-        match self.store.classic_accept(&key, *payload, ctx.now) {
+        match self.store.classic_accept(&key, payload, ctx.now) {
             ClassicAccept::Vote(vote) => {
                 self.stats.classic_votes += 1;
                 self.fan_out_vote(&key, &vote, None, ctx);

@@ -30,7 +30,7 @@ use mdcc_sim::event::TimerId;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
-use crate::msg::{per_node, send_each, MdccCtx, Msg, Tick};
+use crate::msg::{grouped, send_each, MdccCtx, Msg, Tick};
 use crate::placement::Placement;
 
 /// Read consistency levels (§4.2).
@@ -374,16 +374,17 @@ impl TransactionManager {
 
     /// Routes a transaction's proposals per their records' believed mode
     /// (SENDPROPOSAL, Algorithm 1 lines 9–13); `attempt` counts the learn
-    /// timeouts so far. An option of a record believed classic goes to
-    /// the record's master on its own; the rest go fast, one `Propose`
-    /// per storage node ([`Self::propose_fast`]).
+    /// timeouts so far. The options of records believed classic go to
+    /// their masters, one proposal per master; the rest go fast, one
+    /// `Propose` per storage node ([`Self::propose_fast`]).
     fn propose_attempt<'a>(
         &self,
         opts: impl IntoIterator<Item = &'a TxnOption>,
         attempt: u32,
         ctx: &mut MdccCtx<'_>,
     ) {
-        let mut fast = Vec::new();
+        let mastered = self.cfg.protocol.mastership.enabled;
+        let (mut classic, mut fast) = (Vec::new(), Vec::new());
         for opt in opts {
             let master = self.classic_cache.get(&opt.key).copied().or_else(|| {
                 self.cfg
@@ -391,14 +392,27 @@ impl TransactionManager {
                     .then(|| self.placement.master(&opt.key))
             });
             match master {
-                Some(m) if self.cfg.protocol.mastership.enabled => {
-                    let target = self.lease_route(&opt.key, m, attempt);
-                    let (origin_dc, opt) = (self.cfg.my_dc, opt.clone());
-                    ctx.send(target, Msg::ProposeMastered { origin_dc, opt });
+                Some(m) if mastered => {
+                    classic.push((vec![self.lease_route(&opt.key, m, attempt)], opt));
                 }
-                Some(m) => ctx.send(m, Msg::ProposeToMaster(opt.clone())),
+                Some(m) => classic.push((vec![m], opt)),
                 None => fast.push(opt),
             }
+        }
+        let origin_dc = self.cfg.my_dc;
+        for (node, group) in grouped(classic) {
+            let Some(proposal) = Proposal::of(group) else {
+                continue;
+            };
+            let msg = if mastered {
+                Msg::ProposeMastered {
+                    origin_dc,
+                    proposal,
+                }
+            } else {
+                Msg::ProposeToMaster(proposal)
+            };
+            ctx.send(node, msg);
         }
         self.propose_fast(fast, ctx);
     }
@@ -427,7 +441,7 @@ impl TransactionManager {
         let routed = opts
             .into_iter()
             .map(|o| (self.placement.replicas(&o.key), o));
-        for (node, group) in per_node(routed) {
+        for (node, group) in grouped(routed) {
             if let Some(proposal) = Proposal::of(group) {
                 ctx.send(node, Msg::Propose(proposal));
             }
@@ -484,9 +498,9 @@ impl TransactionManager {
                 // The record is under a classic ballot: remember the
                 // master and retry through it (§3.3.1 fallback).
                 self.stats.classic_redirects += 1;
-                if let Some(opt) = self.relevant(txn, &key).cloned() {
+                if let Some(proposal) = self.relevant_proposal(txn, &key) {
                     self.classic_cache.insert(key, promised.proposer);
-                    ctx.send(promised.proposer, Msg::ProposeToMaster(opt));
+                    ctx.send(promised.proposer, Msg::ProposeToMaster(proposal));
                 }
             }
             Msg::GoFast { key, txn } => {
@@ -502,10 +516,10 @@ impl TransactionManager {
                 // route the option through it.
                 self.stats.collisions += 1;
                 let master = self.placement.master(&key);
-                if let Some(opt) = self.relevant(txn, &key).cloned() {
+                if let Some(proposal) = self.relevant_proposal(txn, &key) {
                     ctx.send(master, Msg::StartRecovery { key: key.clone() });
                     self.classic_cache.insert(key, master);
-                    ctx.send(master, Msg::ProposeToMaster(opt));
+                    ctx.send(master, Msg::ProposeToMaster(proposal));
                 }
             }
             Msg::MasterHint { shard, node } => {
@@ -603,6 +617,11 @@ impl TransactionManager {
         let active = self.active.get(&txn)?;
         let open = !active.coord.is_decided(key);
         active.options.get(key).filter(|_| open)
+    }
+
+    /// [`Self::relevant`] as a proposal of its own, for the master.
+    fn relevant_proposal(&self, txn: TxnId, key: &Key) -> Option<Proposal> {
+        Proposal::of([self.relevant(txn, key)?])
     }
 
     /// Acceptor `from` answered for `key` — a verdict, or the whole vote

@@ -21,7 +21,7 @@ use crate::msg::Msg;
 
 wire!(enum Msg, "msg tag" {
     0 => Propose(proposal),
-    1 => ProposeToMaster(opt),
+    1 => ProposeToMaster(proposal),
     2 => Visibility { txn, outcome, records },
     3 => StartRecovery { key },
     4 => Vote { key, vote },
@@ -31,7 +31,7 @@ wire!(enum Msg, "msg tag" {
     8 => GoFast { key, txn },
     9 => P1a { key, ballot },
     10 => P1b { key, payload },
-    11 => P2a { key, payload },
+    11 => P2a { rounds },
     12 => P2aNack { key, promised },
     13 => P2aStale { key, snapshot },
     14 => ReadReq { req, key },
@@ -49,7 +49,7 @@ wire!(enum Msg, "msg tag" {
     // is now a `Vote`) are retired, not reused.
     32 => CstructPull { key },
     35 => Mastership(inner),
-    36 => ProposeMastered { origin_dc, opt },
+    36 => ProposeMastered { origin_dc, proposal },
     37 => MasterHint { shard, node },
     // Tag 39 (the per-record lease override's routing hint) is retired,
     // not reused.
@@ -119,7 +119,9 @@ mod tests {
     use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{frame, from_bytes, to_bytes};
     use mdcc_common::{Key, TxnId};
-    use mdcc_paxos::acceptor::{Phase1b, Phase2a, Phase2b, RecordSnapshot, VoteVerdict};
+    use mdcc_paxos::acceptor::{
+        Base, Phase1b, Phase2a, Phase2aRounds, Phase2b, RecordSnapshot, VoteVerdict,
+    };
     use mdcc_paxos::{Ballot, TxnOutcome};
     use mdcc_sim::TimerPayload;
     use std::sync::Arc;
@@ -175,6 +177,24 @@ mod tests {
             .collect()
     }
 
+    /// A pipelined append of `options` at instance 3 of a classic ballot.
+    fn append(options: Vec<TxnOption>) -> Phase2a {
+        Phase2a {
+            ballot: Ballot::classic(4, NodeId(1)),
+            version: Version(3),
+            snapshot: None,
+            base: Base::Held,
+            new_options: options,
+            close_instance: false,
+            reopen_fast: None,
+        }
+    }
+
+    fn p2a(rounds: Vec<(Key, Phase2a)>) -> Msg {
+        let rounds = Phase2aRounds(rounds);
+        Msg::P2a { rounds }
+    }
+
     fn samples() -> Vec<Msg> {
         let mut cstruct = CStruct::new();
         cstruct.append(opt(4), OptionStatus::Accepted);
@@ -186,7 +206,8 @@ mod tests {
         vec![
             propose(&opt(1)),
             Msg::Propose(Proposal::of(&three()).expect("one transaction")),
-            Msg::ProposeToMaster(opt(2)),
+            Msg::ProposeToMaster(Proposal::of([&opt(2)]).expect("one option")),
+            Msg::ProposeToMaster(Proposal::of(&three()).expect("one transaction")),
             Msg::Visibility {
                 txn: TxnId::new(NodeId(0), 5),
                 outcome: TxnOutcome::Committed,
@@ -257,30 +278,36 @@ mod tests {
                     snapshot: snapshot.clone(),
                 },
             },
-            Msg::P2a {
-                key: key("a"),
-                payload: Box::new(Phase2a {
-                    ballot: Ballot::classic(4, NodeId(1)),
-                    version: Version(3),
+            p2a(vec![(
+                key("a"),
+                Phase2a {
                     snapshot: Some(snapshot.clone()),
-                    base: mdcc_paxos::acceptor::Base::ProvedSafe(cstruct.clone()),
-                    new_options: vec![opt(11)],
+                    base: Base::ProvedSafe(cstruct.clone()),
                     close_instance: true,
                     reopen_fast: Some(Ballot::fast(5, NodeId(1))),
-                }),
-            },
-            Msg::P2a {
-                key: key("a"),
-                payload: Box::new(Phase2a {
-                    ballot: Ballot::classic(4, NodeId(1)),
-                    version: Version(3),
-                    snapshot: None,
-                    base: mdcc_paxos::acceptor::Base::Digest(cstruct.trace_digest()),
-                    new_options: vec![opt(12)],
-                    close_instance: false,
-                    reopen_fast: None,
-                }),
-            },
+                    ..append(vec![opt(11)])
+                },
+            )]),
+            p2a(vec![(
+                key("a"),
+                Phase2a {
+                    base: Base::Digest(cstruct.trace_digest()),
+                    ..append(vec![opt(12)])
+                },
+            )]),
+            p2a(three()
+                .into_iter()
+                .map(|o| (o.key.clone(), append(vec![o])))
+                .collect()),
+            p2a(vec![(
+                key("a"),
+                Phase2a {
+                    base: Base::ProvedSafe(cstruct.clone()),
+                    close_instance: true,
+                    ..append(Vec::new())
+                },
+            )]),
+            p2a(vec![(key("a"), append(vec![opt(15), opt(16)]))]),
             Msg::P2aBehind {
                 key: key("a"),
                 ballot: Ballot::classic(4, NodeId(1)),
@@ -379,7 +406,11 @@ mod tests {
             }),
             Msg::ProposeMastered {
                 origin_dc: DcId(2),
-                opt: opt(14),
+                proposal: Proposal::of([&opt(14)]).expect("one option"),
+            },
+            Msg::ProposeMastered {
+                origin_dc: DcId(2),
+                proposal: Proposal::of(&three()).expect("one transaction"),
             },
             Msg::MasterHint {
                 shard: 4,
@@ -405,10 +436,14 @@ mod tests {
     fn sample_bytes_are_pinned() {
         // Every variant's layout, as one FNV-1a/64 digest of the
         // samples' encodings back to back: a field moved, added or
-        // resized anywhere in the schema changes it.
+        // resized anywhere in the schema changes it. Re-pinned from
+        // 0x6d7f_3258_2a39_ef8a when `ProposeToMaster` and
+        // `ProposeMastered` began to carry a `Proposal` and `P2a` its
+        // rounds (each write-set once, no option key), with the samples
+        // of those shapes added.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0x6d7f_3258_2a39_ef8a, "{digest:#018x}");
+        assert_eq!(digest, 0x193b_44ea_31c7_80b4, "{digest:#018x}");
     }
 
     #[test]
@@ -471,6 +506,8 @@ mod tests {
         assert!(std::mem::size_of::<(Key, bool)>() <= SLOT);
         assert!(std::mem::size_of::<SyncItem>() <= SLOT);
         assert!(std::mem::size_of::<(TxnOption, Resolution)>() <= SLOT);
+        assert!(std::mem::size_of::<(Key, Phase2a)>() <= SLOT);
+        assert!(std::mem::size_of::<(TxnId, Arc<[Key]>)>() <= SLOT);
         for msg in samples() {
             let mut bytes = to_bytes(&msg);
             for bit in 0..bytes.len() * 8 {
@@ -611,7 +648,7 @@ mod tests {
         assert_eq!(
             Msg::ProposeMastered {
                 origin_dc: DcId(0),
-                opt: opt(1),
+                proposal: Proposal::of([&opt(1)]).expect("one option"),
             }
             .traffic_class(),
             TrafficClass::Protocol

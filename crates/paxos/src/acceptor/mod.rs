@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use mdcc_common::{Row, TxnId, UpdateOp, Version};
+use mdcc_common::{Key, Row, TxnId, UpdateOp, Version};
 
 use crate::ballot::Ballot;
 use crate::cstruct::{trace_digest_of, CStruct, Entry, Mark};
@@ -158,6 +158,15 @@ pub struct Phase2a {
     /// (γ policy, §3.3.2).
     pub reopen_fast: Option<Ballot>,
 }
+
+/// The Phase2a rounds one node's leaders emitted in one handler for the
+/// records one acceptor node replicates, each with its record, in the
+/// order emitted: what one Phase2a message carries. Every option of a
+/// round is on the round's record, so on the wire each (transaction,
+/// write-set) its options name travels once, and no option names its
+/// record.
+#[derive(Debug, Clone)]
+pub struct Phase2aRounds(pub Vec<(Key, Phase2a)>);
 
 /// Per-record acceptor: the record's configuration, its durable
 /// [`AcceptorState`], and three fields derived from that state —

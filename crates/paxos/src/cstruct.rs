@@ -449,11 +449,11 @@ impl CStruct {
             let Some(letter) = best else {
                 break;
             };
+            // Extractable from every sequence, so each holds it.
             for (i, rem) in rems.iter_mut().enumerate() {
-                let pos = rem
-                    .iter()
-                    .position(|e| e.letter() == letter)
-                    .expect("extractable letter present");
+                let Some(pos) = rem.iter().position(|e| e.letter() == letter) else {
+                    continue;
+                };
                 let e = rem.remove(pos);
                 if i == 0 {
                     out.push(Arc::clone(e));

@@ -331,7 +331,9 @@ impl Learner {
         if groups.len() != 1 {
             return LearnOutcome::Undecided;
         }
-        let ((_, _, classic, _), members) = groups.iter().next().expect("one group");
+        let Some(((_, _, classic, _), members)) = groups.iter().next() else {
+            return LearnOutcome::Undecided;
+        };
         // A vote can reach this coordinator before its own proposal
         // reaches the acceptors (acceptors fan votes out to every entry's
         // coordinator). Until at least one vote carries the option, there

@@ -47,8 +47,8 @@ pub mod shadow;
 pub mod wire;
 
 pub use acceptor::{
-    AcceptorRecord, AcceptorState, Letter, Phase1b, Phase2b, RecordSnapshot, Resolution,
-    VoteVerdict,
+    AcceptorRecord, AcceptorState, Letter, Phase1b, Phase2aRounds, Phase2b, RecordSnapshot,
+    Resolution, VoteVerdict,
 };
 pub use ballot::{Ballot, BallotKind};
 pub use cstruct::{CStruct, Mark};

@@ -9,10 +9,11 @@
 use std::sync::Arc;
 
 use mdcc_common::wire::{encode_seq, err, Dec, Enc, Wire, WireResult};
-use mdcc_common::{wire, TxnId, Version};
+use mdcc_common::{wire, Key, TxnId, UpdateOp, Version};
 
 use crate::acceptor::{
-    AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2b, RecordSnapshot, Resolution, VoteVerdict,
+    AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2aRounds, Phase2b, RecordSnapshot,
+    Resolution, VoteVerdict,
 };
 use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
@@ -62,6 +63,102 @@ impl Wire for Proposal {
     }
 }
 
+/// First each distinct (transaction, write-set) the rounds' options name,
+/// once; then each round: its record, then the [`Phase2a`] fields in
+/// their own order, with each option written as the index of its
+/// (transaction, write-set) and its update. An option's record is its
+/// round's, so it is not written; the decoded options of one
+/// (transaction, write-set) share one write-set.
+impl Wire for Phase2aRounds {
+    fn encode(&self, out: &mut Enc) {
+        let options = self.0.iter().flat_map(|(_, round)| &round.new_options);
+        let mut sets: Vec<&TxnOption> = Vec::new();
+        let mut at = Vec::new();
+        for opt in options {
+            let same = |s: &&TxnOption| s.txn == opt.txn && s.peers == opt.peers;
+            at.push(sets.iter().position(same).unwrap_or_else(|| {
+                sets.push(opt);
+                sets.len() - 1
+            }) as u32);
+        }
+        out.u32(sets.len() as u32);
+        for set in &sets {
+            set.txn.encode(out);
+            set.peers.encode(out);
+        }
+        let mut at = at.into_iter();
+        out.u32(self.0.len() as u32);
+        for (key, round) in &self.0 {
+            key.encode(out);
+            round.ballot.encode(out);
+            round.version.encode(out);
+            round.snapshot.encode(out);
+            round.base.encode(out);
+            out.u32(round.new_options.len() as u32);
+            for (opt, at) in round.new_options.iter().zip(&mut at) {
+                debug_assert_eq!(&opt.key, key, "an option of a round is on its record");
+                out.u32(at);
+                opt.op.encode(out);
+            }
+            out.bool(round.close_instance);
+            round.reopen_fast.encode(out);
+        }
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        let n = count(inp, "p2a write-set count")?;
+        let mut sets = Vec::with_capacity(n);
+        for _ in 0..n {
+            sets.push((TxnId::decode(inp)?, Arc::<[Key]>::decode(inp)?));
+        }
+        let n = count(inp, "p2a round count")?;
+        let mut rounds = Vec::with_capacity(n);
+        for _ in 0..n {
+            let key = Key::decode(inp)?;
+            let ballot = Ballot::decode(inp)?;
+            let version = Version::decode(inp)?;
+            let snapshot = Option::decode(inp)?;
+            let base = Base::decode(inp)?;
+            let n = count(inp, "p2a option count")?;
+            let mut new_options = Vec::with_capacity(n);
+            for _ in 0..n {
+                let Some((txn, peers)) = sets.get(inp.u32()? as usize) else {
+                    return err("p2a write-set index");
+                };
+                if !peers.contains(&key) {
+                    return err("p2a option outside its write-set");
+                }
+                new_options.push(TxnOption {
+                    txn: *txn,
+                    key: key.clone(),
+                    op: UpdateOp::decode(inp)?,
+                    peers: Arc::clone(peers),
+                });
+            }
+            let round = Phase2a {
+                ballot,
+                version,
+                snapshot,
+                base,
+                new_options,
+                close_instance: inp.bool()?,
+                reopen_fast: Option::decode(inp)?,
+            };
+            rounds.push((key, round));
+        }
+        Ok(Phase2aRounds(rounds))
+    }
+}
+
+/// A count of items still to decode: refused when it exceeds the bytes
+/// left, before anything is reserved for it.
+fn count(inp: &mut Dec<'_>, context: &'static str) -> WireResult<usize> {
+    let n = inp.u32()? as usize;
+    if n > inp.remaining() {
+        return err(context);
+    }
+    Ok(n)
+}
+
 /// The chain is a hash: fixed-width.
 impl Wire for Mark {
     fn encode(&self, out: &mut Enc) {
@@ -92,10 +189,7 @@ impl Wire for CStruct {
 
 /// Decodes a cstruct's entries as the tail of one that starts at `base`.
 fn decode_cstruct_from(base: Mark, inp: &mut Dec<'_>) -> WireResult<CStruct> {
-    let n = inp.u32()? as usize;
-    if n > inp.remaining() {
-        return err("cstruct length");
-    }
+    let n = count(inp, "cstruct length")?;
     let mut c = CStruct::starting_at(base);
     for _ in 0..n {
         c.append_entry(Arc::new(Entry::decode(inp)?));
@@ -243,7 +337,7 @@ mod tests {
     use super::*;
     use mdcc_common::error::AbortReason;
     use mdcc_common::wire::{from_bytes, to_bytes};
-    use mdcc_common::{CommutativeUpdate, Key, NodeId, PhysicalUpdate, Row, TableId, UpdateOp};
+    use mdcc_common::{CommutativeUpdate, NodeId, PhysicalUpdate, Row, TableId};
 
     fn round_trip<T: Wire + std::fmt::Debug>(v: &T) -> T {
         let bytes = to_bytes(v);
@@ -504,6 +598,179 @@ mod tests {
         assert_eq!(header(&tail), header(&p2b) + to_bytes(&base).len());
     }
 
+    fn key(pk: &str) -> Key {
+        Key::new(TableId(0), pk)
+    }
+
+    /// A round on `pk` at instance 5 of a classic ballot, with `options`.
+    fn round(pk: &str, options: Vec<TxnOption>) -> (Key, Phase2a) {
+        let p2a = Phase2a {
+            ballot: Ballot::classic(2, NodeId(3)),
+            version: Version(5),
+            snapshot: None,
+            base: Base::Digest(0xfeed),
+            new_options: options,
+            close_instance: false,
+            reopen_fast: None,
+        };
+        (key(pk), p2a)
+    }
+
+    /// The options of one three-record transaction, one per record.
+    fn one_transaction(seq: u64) -> Vec<TxnOption> {
+        let peers: Arc<[Key]> = ["a", "b", "c"].map(key).into_iter().collect();
+        (peers.iter())
+            .map(|k| TxnOption {
+                txn: TxnId::new(NodeId(1), seq),
+                key: k.clone(),
+                op: UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)),
+                peers: Arc::clone(&peers),
+            })
+            .collect()
+    }
+
+    /// Every shape one message of rounds takes: one round; the three
+    /// rounds of one transaction's records; a close that appends nothing
+    /// over a proved-safe base; a window replay on one record holding
+    /// the options of two transactions.
+    fn shapes() -> Vec<Phase2aRounds> {
+        let (t1, t2) = (one_transaction(5), one_transaction(6));
+        let mut safe = CStruct::new();
+        safe.append(t1[0].clone(), OptionStatus::Accepted);
+        let (k, mut close) = round("a", Vec::new());
+        close.base = Base::ProvedSafe(safe);
+        close.close_instance = true;
+        close.reopen_fast = Some(Ballot::fast(3, NodeId(3)));
+        vec![
+            Phase2aRounds(vec![round("a", vec![t1[0].clone()])]),
+            Phase2aRounds(
+                t1.iter()
+                    .map(|o| round(&o.key.pk, vec![o.clone()]))
+                    .collect(),
+            ),
+            Phase2aRounds(vec![(k, close)]),
+            Phase2aRounds(vec![round("b", vec![t1[1].clone(), t2[1].clone()])]),
+        ]
+    }
+
+    #[test]
+    fn phase2a_rounds_round_trip_and_share_each_write_set() {
+        for rounds in shapes() {
+            let bytes = to_bytes(&rounds);
+            let back: Phase2aRounds = from_bytes(&bytes).expect("round trip");
+            assert_eq!(to_bytes(&back), bytes);
+            assert_eq!(back.0.len(), rounds.0.len());
+            for ((key, got), (sent_key, sent)) in back.0.iter().zip(&rounds.0) {
+                assert_eq!(key, sent_key);
+                assert_eq!(
+                    got.new_options, sent.new_options,
+                    "same options, same order"
+                );
+                for (g, s) in got.new_options.iter().zip(&sent.new_options) {
+                    assert_eq!((&g.op, &*g.peers), (&s.op, &*s.peers));
+                }
+            }
+            let options: Vec<&TxnOption> =
+                back.0.iter().flat_map(|(_, r)| &r.new_options).collect();
+            for (a, b) in options
+                .iter()
+                .flat_map(|a| options.iter().map(move |b| (a, b)))
+            {
+                assert_eq!(
+                    a.txn == b.txn,
+                    Arc::ptr_eq(&a.peers, &b.peers),
+                    "one write-set"
+                );
+            }
+            for cut in 0..bytes.len() {
+                assert!(from_bytes::<Phase2aRounds>(&bytes[..cut]).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn three_rounds_of_one_transaction_name_its_write_set_once_and_no_record_twice() {
+        let opts = one_transaction(5);
+        let write_set = to_bytes(&opts[0].txn).len() + to_bytes(&opts[0].peers).len();
+        let rounds: Vec<(Key, Phase2a)> = opts
+            .iter()
+            .map(|o| round(&o.key.pk, vec![o.clone()]))
+            .collect();
+        let alone: Vec<usize> = (rounds.iter())
+            .map(|r| to_bytes(&Phase2aRounds(vec![r.clone()])).len())
+            .collect();
+        let together = to_bytes(&Phase2aRounds(rounds.clone())).len();
+        // Two write-sets and two of the three counts of the rounds
+        // message are saved.
+        assert_eq!(together + 2 * write_set + 4, alone.iter().sum::<usize>());
+        // One round costs its record once: the option's key is the
+        // round's; the two counts and the index cost a byte each.
+        let (key, p2a) = &rounds[0];
+        let option_key = to_bytes(key).len();
+        let keyed = to_bytes(key).len() + to_bytes(p2a).len();
+        assert_eq!(alone[0] + option_key, keyed + 3);
+    }
+
+    /// One round on "a" written field by field: `sets` (transaction,
+    /// write-set) entries announced, one written over `peers`; `rounds`
+    /// rounds announced, one written, with `options` options announced
+    /// and one written at write-set `index`.
+    fn one_round_frame(
+        sets: u32,
+        rounds: u32,
+        options: u32,
+        index: u32,
+        peers: &[&str],
+    ) -> Vec<u8> {
+        let mut out = Enc::default();
+        out.u32(sets);
+        TxnId::new(NodeId(1), 5).encode(&mut out);
+        peers
+            .iter()
+            .map(|pk| key(pk))
+            .collect::<Vec<Key>>()
+            .encode(&mut out);
+        out.u32(rounds);
+        key("a").encode(&mut out);
+        Ballot::classic(2, NodeId(3)).encode(&mut out);
+        Version(5).encode(&mut out);
+        None::<RecordSnapshot>.encode(&mut out);
+        Base::Digest(0xfeed).encode(&mut out);
+        out.u32(options);
+        out.u32(index);
+        UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)).encode(&mut out);
+        out.bool(false);
+        None::<Ballot>.encode(&mut out);
+        out.finish()
+    }
+
+    #[test]
+    fn rounds_naming_no_write_set_or_counting_past_their_bytes_do_not_decode() {
+        let good = one_round_frame(1, 1, 1, 0, &["a", "b", "c"]);
+        let opt = one_transaction(5).swap_remove(0);
+        assert_eq!(
+            good,
+            to_bytes(&Phase2aRounds(vec![round("a", vec![opt])])),
+            "the layout"
+        );
+        assert!(from_bytes::<Phase2aRounds>(&good).is_ok());
+        let refused = |frame: Vec<u8>, what: &str| {
+            assert!(from_bytes::<Phase2aRounds>(&frame).is_err(), "{what}");
+        };
+        refused(
+            one_round_frame(1, 1, 1, 1, &["a", "b", "c"]),
+            "an index past the write-sets",
+        );
+        refused(
+            one_round_frame(1, 1, 1, 0, &["b", "c"]),
+            "a write-set without the record",
+        );
+        let big = good.len() as u32;
+        refused(one_round_frame(big, 1, 1, 0, &["a"]), "a write-set count");
+        refused(one_round_frame(1, big, 1, 0, &["a"]), "a round count");
+        refused(one_round_frame(1, 1, big, 0, &["a"]), "an option count");
+    }
+
     #[test]
     fn field_list_layouts_are_pinned() {
         // One value of each type whose layout is a list of fields, every
@@ -629,6 +896,23 @@ mod tests {
                     "a {cut}-byte prefix of {} decoded",
                     bytes.len()
                 );
+            }
+        }
+
+        /// So do they as rounds: one round, or the same round twice.
+        #[test]
+        fn phase2a_rounds_round_trip_and_their_strict_prefixes_do_not_decode(
+            words in proptest::collection::vec(proptest::any::<u32>(), 12..13),
+            with_snapshot in proptest::any::<bool>(),
+            twice in proptest::any::<bool>(),
+        ) {
+            let round = (Key::new(TableId(1), "k"), generated_phase2a(&words, with_snapshot));
+            let rounds = Phase2aRounds(vec![round; 1 + usize::from(twice)]);
+            let bytes = to_bytes(&rounds);
+            let back: Phase2aRounds = from_bytes(&bytes).expect("round trip");
+            proptest::prop_assert_eq!(to_bytes(&back), bytes.clone());
+            for cut in 0..bytes.len() {
+                proptest::prop_assert!(from_bytes::<Phase2aRounds>(&bytes[..cut]).is_err());
             }
         }
     }

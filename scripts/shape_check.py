@@ -51,7 +51,6 @@ PANIC_CEILINGS = {
     "bench": 6,
     "cluster": 10,
     "mastership": 1,
-    "paxos": 2,
     "sim": 5,
     "storage": 2,
     "trace": 10,
@@ -62,7 +61,7 @@ MAX_FILE_LINES = 800
 # lines go, never raise one; drop the entry once the file is split.
 FILE_LINE_CEILINGS = {
     "sim/src/world.rs": 1155,  # items 2 and 3
-    "core/src/node.rs": 956,  # items 3 and 1(c)
+    "core/src/node.rs": 953,  # items 3 and 1(c)
 }
 PANIC = re.compile(r"\.unwrap\(\)|\.expect\(|\bpanic!\(")
 CRATES = pathlib.Path(__file__).resolve().parent.parent / "crates"
