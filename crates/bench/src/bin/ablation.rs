@@ -110,26 +110,12 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Envelope coalescing: outbox on/off × Nagle flush window.
+    // Envelope coalescing: the Nagle flush window.
     // ------------------------------------------------------------------
-    println!("# Ablation 4 — envelope coalescing (on/off x flush window)");
-    let windows_us: [Option<u64>; 6] = [
-        None,
-        Some(0),
-        Some(500),
-        Some(2_000),
-        Some(5_000),
-        Some(10_000),
-    ];
-    for window in windows_us {
+    println!("# Ablation 4 — envelope coalescing (flush window)");
+    for us in [0u64, 500, 2_000, 5_000, 10_000] {
         let mut run_spec = spec.clone();
-        match window {
-            None => run_spec.protocol.coalesce = false,
-            Some(us) => {
-                run_spec.protocol.coalesce = true;
-                run_spec.protocol.coalesce_window = SimDuration::from_micros(us);
-            }
-        }
+        run_spec.protocol.coalesce_window = SimDuration::from_micros(us);
         let cfg = MicroConfig {
             items,
             ..MicroConfig::default()
@@ -142,10 +128,7 @@ fn main() {
             &mut factory,
             MdccMode::Full,
         );
-        let label = match window {
-            None => "off".to_owned(),
-            Some(us) => format!("{us}us"),
-        };
+        let label = format!("{us}us");
         let median = report.median_write_ms().unwrap_or(f64::NAN);
         let commits = report.write_commits();
         let mpc = report.msgs_per_commit().unwrap_or(f64::NAN);
@@ -154,14 +137,14 @@ fn main() {
         let proto_mpc = n.protocol.msgs as f64 / commits.max(1) as f64;
         let factor = n.payload_msgs as f64 / n.msgs_sent.max(1) as f64;
         println!(
-            "coalesce={label}: median={median:.0}ms commits={commits} \
+            "coalesce_window={label}: median={median:.0}ms commits={commits} \
              msgs/commit={mpc:.1} (protocol {proto_mpc:.1}) bytes/commit={bpc:.0} \
-             coalesce-factor={factor:.2}x"
+             coalesce_factor={factor:.2}x"
         );
         println!("#   {}", perf_summary(&report));
-        perf.record(format!("coalesce {label}"), &report);
+        perf.record(format!("coalesce_window {label}"), &report);
         rows.push(format!(
-            "coalesce,{label},{median:.1},{mpc:.1},{proto_mpc:.1},{bpc:.0}"
+            "coalesce_window,{label},{median:.1},{mpc:.1},{proto_mpc:.1},{bpc:.0}"
         ));
     }
 

@@ -2,16 +2,15 @@
 //!
 //! The commit path of a durable deployment is fsync-bound: every
 //! storage-node state change WAL-appends, and each append charges the
-//! node `fsync_latency` of busy time. Group commit
-//! (`ProtocolConfig::group_commit`, the default) batches all appends a
-//! node accumulates within `group_commit_window` under one covering
+//! node `fsync_latency` of busy time. Group commit batches all appends
+//! a node accumulates within `group_commit_window` under one covering
 //! fsync, with acks held until that fsync fires — N transactions pay
 //! one latency instead of N, exactly as envelope coalescing amortized
 //! the per-message service floor. This driver sweeps `fsync_latency`
-//! with group commit on and off and reports commits/sec, fsyncs per
-//! committed transaction, and the speedup; at paper scale it closes
-//! with a million-record bulk load showing the log-structured storage
-//! backend keeping the materialized working set bounded.
+//! and reports commits/sec and fsyncs per committed transaction; at
+//! paper scale it closes with a million-record bulk load showing the
+//! log-structured storage backend keeping the materialized working set
+//! bounded.
 
 use mdcc_bench::{
     export_trace, micro_catalog, net_summary, perf_summary, print_anatomy, print_profile_by_kind,
@@ -24,13 +23,12 @@ use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::Workload;
 
 /// Regression guard on the group-commit run at 1 ms fsync latency in
-/// the CI (`--scale=quick`) configuration. Per-append fsync measures
-/// one fsync per WAL append — ~38 fsyncs per committed transaction on
-/// this workload (3-item transactions, five replicas). Group commit
-/// measures ~6.4. The run is deterministic at this seed, so the
-/// ceiling sits between the two: losing the commit buffer (or a
-/// regression that splinters batches) fails the smoke run while
-/// ordinary drift does not.
+/// the CI (`--scale=quick`) configuration, which measures ~6.4 fsyncs
+/// per committed transaction on this workload (3-item transactions,
+/// five replicas). The run is deterministic at this seed, so the
+/// ceiling leaves room for ordinary drift while a regression that
+/// splinters batches — or loses the commit buffer — fails the smoke
+/// run.
 const MDCC_FSYNCS_PER_COMMIT_CEILING: f64 = 8.0;
 
 const ITEMS: u64 = 500;
@@ -38,14 +36,14 @@ const ITEMS: u64 = 500;
 /// The durability-bound deployment: one storage shard per DC puts
 /// every replica of every record on the same five nodes, so each
 /// node's WAL sees every transaction — the load the per-node commit
-/// buffer exists for. Stock is effectively infinite: only the
-/// durability discipline differs between runs, so commit outcomes are
-/// comparable point to point.
-fn wal_spec(scale: Scale, seed: u64, fsync: SimDuration, group_commit: bool) -> ClusterSpec {
+/// buffer exists for. Stock is effectively infinite: only the fsync
+/// latency differs between runs, so commit outcomes are comparable
+/// point to point.
+fn wal_spec(scale: Scale, seed: u64, fsync: SimDuration) -> ClusterSpec {
     let d = scale.div();
     let m = scale.mult();
     let s = SimDuration::from_secs;
-    let mut spec = ClusterSpec {
+    ClusterSpec {
         seed,
         clients: (100 * m) as usize,
         shards_per_dc: 1,
@@ -55,9 +53,7 @@ fn wal_spec(scale: Scale, seed: u64, fsync: SimDuration, group_commit: bool) -> 
         durability: true,
         wal_fsync: fsync,
         ..ClusterSpec::default()
-    };
-    spec.protocol.group_commit = group_commit;
-    spec
+    }
 }
 
 fn run_wal(spec: &ClusterSpec) -> Report {
@@ -126,12 +122,12 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
     let mut perf = PerfLog::new();
     println!("# Figure 10 — WAL group commit: commits/sec vs fsync latency");
-    println!("# per-append fsync pays one latency per WAL append; group commit pays one per batch");
+    println!("# group commit pays one fsync latency per batch of WAL appends");
 
-    // The no-durability-cost anchor: at zero fsync latency both
-    // disciplines are the same machine (group commit is inert).
+    // The no-durability-cost anchor: at zero fsync latency group commit
+    // is inert.
     {
-        let spec = wal_spec(scale, 1010, SimDuration::ZERO, true);
+        let spec = wal_spec(scale, 1010, SimDuration::ZERO);
         let report = run_wal(&spec);
         println!("{}", summarize("fsync=0 (free durability)", &report));
         perf.record("fsync0", &report);
@@ -143,60 +139,48 @@ fn main() {
     }
 
     for fsync_us in [500u64, 1_000, 2_000, 5_000] {
-        let mut tps = [0.0f64; 2];
-        for (i, group_commit) in [false, true].into_iter().enumerate() {
-            let mut spec = wal_spec(scale, 1010, us(fsync_us), group_commit);
-            let traced = group_commit && fsync_us == 1_000;
-            if traced && (trace_cfg.enabled || scale == Scale::Quick) {
-                spec.trace = mdcc_trace::TraceConfig {
-                    profile: true,
-                    ..mdcc_trace::TraceConfig::on()
-                };
-            }
-            let mode = if group_commit { "group" } else { "per-append" };
-            let label = format!("fsync={:.1}ms {mode}", fsync_us as f64 / 1e3);
-            let report = run_wal(&spec);
-            println!("{}", summarize(&label, &report));
-            perf.record(&label, &report);
-            tps[i] = report.throughput_tps();
-            rows.push(format!(
-                "{:.1},{mode},{:.1},{:.4}",
-                fsync_us as f64 / 1e3,
-                report.throughput_tps(),
-                report.fsyncs_per_commit().unwrap_or(0.0)
-            ));
-            if traced {
-                print_anatomy("group commit @1ms", &report);
-                // Where a durable run's host time goes, checkpoints and
-                // anti-entropy included (nothing unless profiled).
-                print_profile_by_kind(&report, 12);
-                if let Some(path) = &trace_out {
-                    export_trace(&report, path);
-                }
-            }
-            if traced && scale == Scale::Quick {
-                let fpc = report.fsyncs_per_commit().unwrap_or(f64::INFINITY);
-                if fpc > MDCC_FSYNCS_PER_COMMIT_CEILING {
-                    eprintln!(
-                        "REGRESSION: group-commit fsyncs/commit {fpc:.1} exceeds the \
-                         checked-in ceiling {MDCC_FSYNCS_PER_COMMIT_CEILING:.1} — \
-                         commit buffer lost or batches splintered?"
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "# fsyncs/commit guard: {fpc:.1} <= ceiling \
-                     {MDCC_FSYNCS_PER_COMMIT_CEILING:.1}"
-                );
+        let mut spec = wal_spec(scale, 1010, us(fsync_us));
+        let traced = fsync_us == 1_000;
+        if traced && (trace_cfg.enabled || scale == Scale::Quick) {
+            spec.trace = mdcc_trace::TraceConfig {
+                profile: true,
+                ..mdcc_trace::TraceConfig::on()
+            };
+        }
+        let label = format!("fsync={:.1}ms group", fsync_us as f64 / 1e3);
+        let report = run_wal(&spec);
+        println!("{}", summarize(&label, &report));
+        perf.record(&label, &report);
+        rows.push(format!(
+            "{:.1},group,{:.1},{:.4}",
+            fsync_us as f64 / 1e3,
+            report.throughput_tps(),
+            report.fsyncs_per_commit().unwrap_or(0.0)
+        ));
+        if traced {
+            print_anatomy("group commit @1ms", &report);
+            // Where a durable run's host time goes, checkpoints and
+            // anti-entropy included (nothing unless profiled).
+            print_profile_by_kind(&report, 12);
+            if let Some(path) = &trace_out {
+                export_trace(&report, path);
             }
         }
-        println!(
-            "# fsync={:.1}ms speedup: group commit {:.2}x over per-append ({:.0} vs {:.0} tps)",
-            fsync_us as f64 / 1e3,
-            tps[1] / tps[0].max(1e-9),
-            tps[1],
-            tps[0],
-        );
+        if traced && scale == Scale::Quick {
+            let fpc = report.fsyncs_per_commit().unwrap_or(f64::INFINITY);
+            if fpc > MDCC_FSYNCS_PER_COMMIT_CEILING {
+                eprintln!(
+                    "REGRESSION: group-commit fsyncs/commit {fpc:.1} exceeds the \
+                     checked-in ceiling {MDCC_FSYNCS_PER_COMMIT_CEILING:.1} — \
+                     commit buffer lost or batches splintered?"
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "# fsyncs/commit guard: {fpc:.1} <= ceiling \
+                 {MDCC_FSYNCS_PER_COMMIT_CEILING:.1}"
+            );
+        }
     }
 
     // The storage-engine half of the story: a record count that would

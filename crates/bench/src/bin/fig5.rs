@@ -62,25 +62,6 @@ fn main() {
     }
 
     {
-        // The envelope-coalescing baseline: full MDCC on per-message
-        // frames (ProtocolConfig::coalesce = false), the PR 3 transport.
-        // The msgs/commit gap against "MDCC" above is the outbox win.
-        let mut uncoalesced_spec = spec.clone();
-        uncoalesced_spec.protocol.coalesce = false;
-        let mut factory = micro_factory(base.clone(), None);
-        let (report, _) = run_mdcc(
-            &uncoalesced_spec,
-            catalog.clone(),
-            &data,
-            &mut factory,
-            MdccMode::Full,
-        );
-        println!("{}", summarize("MDCC (no coalesce)", &report));
-        perf.record("MDCC-nocoalesce", &report);
-        rows.extend(cdf_rows("MDCC-nocoalesce", &report.write_cdf(200)));
-    }
-
-    {
         // Latency-anatomy runs: full MDCC and the Multi (all-classic)
         // ablation, durable with a 1 ms fsync, fully traced — the fast
         // path versus classic breakdown tabulated in EXPERIMENTS.md.

@@ -229,10 +229,8 @@ impl<'a, M: NetMessage + 'static, T: TimerPayload + 'static> Run<'a, M, T> {
             seed: spec.seed,
             service_time: spec.service_time,
             service_ns_per_byte: spec.service_ns_per_byte,
-            coalesce: spec.protocol.coalesce,
             coalesce_window: spec.protocol.coalesce_window,
             fsync_latency: spec.wal_fsync,
-            group_commit: spec.protocol.group_commit,
             group_commit_window: spec.protocol.group_commit_window,
             group_commit_bytes: spec.protocol.group_commit_bytes,
             ..WorldConfig::default()

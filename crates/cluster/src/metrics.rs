@@ -82,13 +82,11 @@ impl ClusterAudit {
 /// paper motivates (wide-area bytes are the scarce resource).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetReport {
-    /// Wire frames handed to the network. With envelope coalescing on
-    /// (`ProtocolConfig::coalesce`, the default) a batched envelope
-    /// counts once; `payload_msgs / msgs_sent` is the amortization
-    /// factor the outbox achieved.
+    /// Wire frames handed to the network. A batched envelope counts
+    /// once; `payload_msgs / msgs_sent` is the amortization factor the
+    /// outbox achieved.
     pub msgs_sent: u64,
-    /// Process-level messages carried by those frames (equals
-    /// `msgs_sent` when coalescing is off).
+    /// Process-level messages carried by those frames.
     pub payload_msgs: u64,
     /// Wire bytes handed to the network.
     pub bytes_sent: u64,

@@ -1,11 +1,10 @@
 //! Group-commit WAL and storage-backend acceptance tests.
 //!
-//! The per-node commit buffer (`ProtocolConfig::group_commit`, on by
-//! default) must be a pure durability-layer optimization: with fsync
-//! latency zero it is inert — byte-identical to the per-append
-//! discipline — and with real fsync latency it preserves every commit
-//! guarantee while paying several-fold fewer fsyncs per committed
-//! transaction. The storage backend knob (`ProtocolConfig::storage`)
+//! The per-node commit buffer (the simulator's WAL batch) must be a pure
+//! durability-layer optimization: with fsync latency zero it is inert —
+//! its window and size trigger change nothing — and with real fsync
+//! latency it preserves every commit guarantee while one covering fsync
+//! serves several appends. The storage backend knob (`ProtocolConfig::storage`)
 //! must be invisible one layer further down: cluster runs under the
 //! in-memory and log-structured engines are byte-identical, wire
 //! accounting included.
@@ -20,9 +19,9 @@ const ITEMS: u64 = 120;
 
 /// A durable deployment: every storage-node state change WAL-appends,
 /// so the fsync discipline is on the critical path of every commit.
-fn wal_spec(seed: u64, fsync: SimDuration, group_commit: bool) -> ClusterSpec {
+fn wal_spec(seed: u64, fsync: SimDuration) -> ClusterSpec {
     let s = SimDuration::from_secs;
-    let mut spec = ClusterSpec {
+    ClusterSpec {
         seed,
         clients: 10,
         shards_per_dc: 1,
@@ -32,15 +31,13 @@ fn wal_spec(seed: u64, fsync: SimDuration, group_commit: bool) -> ClusterSpec {
         durability: true,
         wal_fsync: fsync,
         ..ClusterSpec::default()
-    };
-    spec.protocol.group_commit = group_commit;
-    spec
+    }
 }
 
 fn run_wal(spec: &ClusterSpec) -> (Report, TxnStats) {
-    // Effectively infinite stock: only the durability discipline (or
-    // the storage backend) differs between runs, so commit outcomes are
-    // comparable point to point — constraint exhaustion never decides.
+    // Effectively infinite stock: only the batch knobs (or the storage
+    // backend) differ between runs, so commit outcomes are comparable
+    // point to point — constraint exhaustion never decides.
     let data: Vec<(Key, Row)> = (0..ITEMS)
         .map(|i| (item_key(i), Row::new().with(STOCK, 1_000_000)))
         .collect();
@@ -61,86 +58,65 @@ fn assert_healthy(label: &str, report: &Report) {
     assert!(min_stock >= 0, "{label}: stock constraint violated");
 }
 
-/// The off-switch contract: at zero fsync latency the commit buffer is
-/// inert, so toggling `group_commit` changes nothing — byte-identical
+/// The zero-latency contract: with fsync latency zero no WAL batch
+/// opens, so its window and size trigger change nothing — byte-identical
 /// wire accounting and audits, the seed behavior exactly.
 #[test]
 fn group_commit_is_inert_at_zero_fsync_latency() {
-    assert!(
-        ClusterSpec::default().protocol.group_commit,
-        "group commit is the default"
-    );
-    let (on, _) = run_wal(&wal_spec(91, SimDuration::ZERO, true));
-    let (off, _) = run_wal(&wal_spec(91, SimDuration::ZERO, false));
-    assert_healthy("gc-on", &on);
-    assert_healthy("gc-off", &off);
-    assert_eq!(on.net, off.net, "identical machines at fsync=0");
-    assert_eq!(on.audit, off.audit, "byte-identical audits at fsync=0");
-    assert_eq!(on.net.fsyncs, 0, "no explicit fsyncs at zero latency");
+    let base = wal_spec(91, SimDuration::ZERO);
+    let mut knobs = base.clone();
+    knobs.protocol.group_commit_window = SimDuration::from_millis(5);
+    knobs.protocol.group_commit_bytes = 1;
+    let (a, _) = run_wal(&base);
+    let (b, _) = run_wal(&knobs);
+    assert_healthy("default batch", &a);
+    assert_healthy("5ms/1B batch", &b);
+    assert_eq!(a.net, b.net, "identical machines at fsync=0");
+    assert_eq!(a.audit, b.audit, "byte-identical audits at fsync=0");
+    assert_eq!(a.net.fsyncs, 0, "no explicit fsyncs at zero latency");
 }
 
-/// The acceptance headline: with real fsync latency both disciplines
-/// converge healthy with zero aborts, and group commit pays strictly
-/// fewer fsyncs — outright and per committed transaction — because one
-/// covering fsync makes every append of its window durable.
+/// Most fsyncs one commit may cost on the 1 ms `wal_spec`, per seed: the
+/// values these runs measured when group commit became the only fsync
+/// rule. One fsync per appending message cost 12.3–12.8 here.
+const FSYNCS_PER_COMMIT_CEILINGS: [(u64, f64); 5] = [
+    (96, 11.187),
+    (97, 12.189),
+    (98, 11.964),
+    (99, 11.644),
+    (100, 11.718),
+];
+
+/// The acceptance headline: with real fsync latency every run converges
+/// healthy with zero aborts, one covering fsync makes several appends
+/// durable, and fsyncs per committed transaction hold their measured
+/// values.
 ///
-/// The ratio is not the contract: without group commit a node pays one
-/// fsync per delivered message that appends, and how many records a
-/// message appends is the protocol's business. It was 3.00–3.18x on
-/// these five seeds while a coordinator sent one `Propose` and one
-/// `Visibility` per record per replica, and is 1.02–1.10x since it sends
-/// one per storage node: group commit did not move (~11.6 fsyncs per
-/// commit), the per-message baseline fell from ~36 to ~12.5 because each
-/// of its messages now appends all of a transaction's records on the
-/// node.
+/// The values are not the contract: how many records a message
+/// appends, and so how many appends a window gathers, is the protocol's
+/// business. A change that splinters batches breaks the ceilings; a
+/// protocol change that appends differently may move the values, and
+/// then restates them.
 #[test]
 fn group_commit_amortizes_fsyncs_without_changing_outcomes() {
     let fsync = SimDuration::from_millis(1);
-    for seed in 96..101 {
-        let (on, _) = run_wal(&wal_spec(seed, fsync, true));
-        let (off, _) = run_wal(&wal_spec(seed, fsync, false));
-        assert_healthy("gc-on", &on);
-        assert_healthy("gc-off", &off);
-        assert!(on.write_commits() > 100, "on-run barely committed");
-        assert!(off.write_commits() > 100, "off-run barely committed");
-        assert_eq!(on.write_aborts(), 0, "group commit introduced aborts");
-        assert_eq!(off.write_aborts(), 0, "baseline unexpectedly aborted");
-        let on_fpc = on.fsyncs_per_commit().expect("on-run committed");
-        let off_fpc = off.fsyncs_per_commit().expect("off-run committed");
-        // Records one fsync made durable, on average: a group-commit
-        // batch, or one message's appends.
-        let appends = |r: &Report| r.audit.as_ref().expect("audited").wal_appends as f64;
-        let (on_batch, off_batch) = (
-            appends(&on) / on.net.fsyncs as f64,
-            appends(&off) / off.net.fsyncs as f64,
-        );
-        eprintln!(
-            "seed {seed} fsyncs/commit: group {on_fpc:.2} vs per-message {off_fpc:.2} \
-             ({:.2}x fewer); appends per fsync {on_batch:.2} vs {off_batch:.2}",
-            off_fpc / on_fpc
-        );
-        // Outright counts are only loosely comparable: the group-commit
-        // run also releases read replies early, so its clients cycle
-        // faster and issue more transactions in the same wall of
-        // virtual time. Outright the batched run must still fsync
-        // strictly less, and per commit too.
+    for (seed, ceiling) in FSYNCS_PER_COMMIT_CEILINGS {
+        let (report, _) = run_wal(&wal_spec(seed, fsync));
+        assert_healthy("group commit", &report);
+        assert!(report.write_commits() > 100, "the run barely committed");
+        assert_eq!(report.write_aborts(), 0, "group commit introduced aborts");
+        let fpc = report.fsyncs_per_commit().expect("the run committed");
+        // Records one fsync made durable, on average.
+        let appends = report.audit.as_ref().expect("audited").wal_appends as f64;
+        let per_fsync = appends / report.net.fsyncs as f64;
+        eprintln!("seed {seed} fsyncs/commit {fpc:.4}; appends per fsync {per_fsync:.4}");
         assert!(
-            on.net.fsyncs < off.net.fsyncs,
-            "batched run must fsync strictly less outright: {} vs {}",
-            on.net.fsyncs,
-            off.net.fsyncs
+            per_fsync > 1.0,
+            "a covering fsync must serve several appends: {per_fsync:.2}"
         );
         assert!(
-            on_fpc < off_fpc,
-            "batched run must fsync strictly less per commit: {on_fpc:.2} vs {off_fpc:.2}"
-        );
-        // The batch is a window's appends, not one message's: the
-        // on-run's fsyncs are at most its appends divided by the
-        // per-message batch.
-        assert!(
-            on.net.fsyncs as f64 <= appends(&on) / off_batch,
-            "a covering fsync must serve at least the appends of one message: \
-             {on_batch:.2} vs {off_batch:.2} appends per fsync"
+            fpc <= ceiling,
+            "seed {seed}: fsyncs per commit {fpc:.4} over {ceiling}"
         );
     }
 }
@@ -152,13 +128,13 @@ fn group_commit_amortizes_fsyncs_without_changing_outcomes() {
 #[test]
 fn log_structured_backend_is_byte_identical_to_mem() {
     let fsync = SimDuration::from_millis(1);
-    let mem_spec = wal_spec(93, fsync, true);
+    let mem_spec = wal_spec(93, fsync);
     assert_eq!(
         mem_spec.protocol.storage,
         StorageKind::Mem,
         "the in-memory map is the default backend"
     );
-    let mut log_spec = wal_spec(93, fsync, true);
+    let mut log_spec = wal_spec(93, fsync);
     log_spec.protocol.storage = StorageKind::LogStructured;
     // ITEMS records per node through a 32-record cache: every node
     // evicts and re-materializes constantly.
@@ -185,7 +161,7 @@ fn log_structured_backend_is_byte_identical_to_mem() {
 #[test]
 fn crash_mid_batch_loses_no_acked_commit() {
     let s = SimDuration::from_secs;
-    let mut spec = wal_spec(94, SimDuration::from_millis(1), true);
+    let mut spec = wal_spec(94, SimDuration::from_millis(1));
     spec.drain = s(20);
     spec.faults = FaultPlan::new().crash_restart(DcId(1), 0, s(5), s(4));
     let (report, _) = run_wal(&spec);
@@ -206,7 +182,7 @@ fn crash_mid_batch_loses_no_acked_commit() {
 /// stays deterministic: same seed, same spec ⇒ byte-identical audits.
 #[test]
 fn group_commit_runs_are_deterministic() {
-    let spec = wal_spec(95, SimDuration::from_millis(1), true);
+    let spec = wal_spec(95, SimDuration::from_millis(1));
     let (a, _) = run_wal(&spec);
     let (b, _) = run_wal(&spec);
     assert_eq!(a.write_commits(), b.write_commits());

@@ -100,27 +100,25 @@ pub struct ProtocolConfig {
     /// instance before the master closes it with a classic round and
     /// re-bases demarcation limits.
     pub max_instance_options: usize,
-    /// Coalesce same-destination, same-traffic-class sends into
-    /// envelope frames (`true`, the default): one frame header and one
-    /// service-time floor per (destination, class) slot of the sender's
-    /// outbox instead of per message. `false` ships each send as its own
-    /// frame (the equivalence baseline).
+    /// Ignored; deleted once `bench_all` stops naming it (ROADMAP 0(a)).
     pub coalesce: bool,
-    /// The window of the outbox batch. The simulator keeps two batches
-    /// per node, the outbox and the WAL, with one deadline-or-size
-    /// mechanism (`mdcc_sim::world`, "Batching"). Zero ships the outbox
-    /// at the end of every event (what one handler sends still
-    /// batches); a positive window holds it that long so bursts *across*
-    /// events share envelopes too.
+    /// The window of the outbox batch. The simulator coalesces
+    /// same-destination, same-traffic-class sends into envelope frames:
+    /// one frame header and one service-time floor per (destination,
+    /// class) slot of the sender's outbox instead of per message. It
+    /// keeps two batches per node, the outbox and the WAL, with one
+    /// deadline-or-size mechanism (`mdcc_sim::world`, "Batching"). Zero
+    /// ships the outbox at the end of every event (what one handler
+    /// sends still batches); a positive window holds it that long so
+    /// bursts *across* events share envelopes too.
     pub coalesce_window: SimDuration,
-    /// Group commit (`true`, the default): WAL appends join the node's
-    /// WAL batch, whose one covering fsync makes the whole batch durable
-    /// for a single `fsync_latency` charge; the batch holds the node's
-    /// sends, read replies excepted, until then. `false` charges one
-    /// fsync per appending event (the equivalence baseline). Inert while
-    /// `fsync_latency` is zero.
+    /// Ignored; deleted once `bench_all` stops naming it (ROADMAP 0(a)).
     pub group_commit: bool,
-    /// The window of the WAL batch. Zero still covers every append made
+    /// The window of the WAL batch (group commit): WAL appends join the
+    /// node's WAL batch, whose one covering fsync makes the whole batch
+    /// durable for a single `fsync_latency` charge; the batch holds the
+    /// node's sends, read replies excepted, until then. Inert while
+    /// `fsync_latency` is zero. Zero still covers every append made
     /// while handling one event (an envelope delivering N messages pays
     /// one fsync); a positive window lets bursts *across* events share a
     /// flush.

@@ -205,9 +205,8 @@ impl<M, T> EventQueue<M, T> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event<M, T>> {
         let entry = self.heap.pop()?;
-        let (target, kind) = self.slots[entry.slot as usize]
-            .take()
-            .expect("heap entry has a live slot");
+        // Every heap entry owns a live slot until it pops.
+        let (target, kind) = self.slots[entry.slot as usize].take()?;
         self.free.push(entry.slot);
         Some(Event {
             at: entry.at,
@@ -226,7 +225,8 @@ impl<M, T> EventQueue<M, T> {
     pub fn peek_target(&self) -> Option<NodeId> {
         self.heap
             .peek()
-            .map(|e| self.slots[e.slot as usize].as_ref().expect("live slot").0)
+            .and_then(|e| self.slots[e.slot as usize].as_ref())
+            .map(|(target, _)| *target)
     }
 
     /// Number of pending events.

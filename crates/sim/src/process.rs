@@ -196,14 +196,12 @@ impl<'a, M, T> Ctx<'a, M, T> {
     /// model's call. The message's wire size is captured here so the
     /// transport can charge transmission delay and queueing for it.
     ///
-    /// With the coalescing transport (`WorldConfig::coalesce`, the
-    /// default) the send lands in the world's per-(destination,
-    /// traffic-class) outbox and ships — possibly batched with other
-    /// same-slot sends into one envelope frame — when the world flushes
-    /// at the end of this event (or after the configured Nagle window).
-    /// Per-(src, dst, class) send order is preserved either way;
-    /// same-destination sends of different classes may reorder, exactly
-    /// as network jitter already can.
+    /// The send lands in the world's per-(destination, traffic-class)
+    /// outbox and ships — batched with other same-slot sends into one
+    /// envelope frame — when the world flushes at the end of this event
+    /// (or after the configured Nagle window). Per-(src, dst, class)
+    /// send order is preserved; same-destination sends of different
+    /// classes may reorder, exactly as network jitter already can.
     pub fn send(&mut self, to: NodeId, msg: M)
     where
         M: NetMessage,

@@ -2,13 +2,13 @@
 //!
 //! # Destination-coalesced envelopes
 //!
-//! With [`WorldConfig::coalesce`] on (the default), [`Ctx::send`] no
-//! longer hands each message straight to the network: sends accumulate
-//! in a per-(destination, traffic-class) outbox that ships when the
-//! outbox batch closes (see Batching below). Each shipped slot is one
-//! envelope wire frame: one frame header and one service-time floor per
-//! envelope instead of per message, with per-byte costs and per-class
-//! byte attribution preserved exactly (only same-class messages share an
+//! [`Ctx::send`] does not hand a message straight to the network: sends
+//! accumulate in a per-(destination, traffic-class) outbox that ships
+//! when the outbox batch closes (see Batching below). Each shipped slot
+//! is one wire frame — a lone message as a bare frame, two or more as an
+//! envelope: one frame header and one service-time floor per slot
+//! instead of per message, with per-byte costs and per-class byte
+//! attribution preserved exactly (only same-class messages share an
 //! envelope). Slots ship in first-enqueue order and payloads dispatch in
 //! send order, so per-(src, dst, class) FIFO delivery holds whenever the
 //! jitter-free network would deliver FIFO. Messages of *different*
@@ -19,35 +19,28 @@
 //! # Batching
 //!
 //! Every node keeps two deadline-or-size batches of one kind, and the
-//! world arms, fires and disarms both the same way:
+//! world arms, fires and disarms both the same way (`batch.rs`):
 //!
 //! * the **outbox** batch. It opens at the end of an event that left
 //!   sends in the outbox and closes [`WorldConfig::coalesce_window`]
 //!   later (Nagle), so bursts across events share envelopes. It has no
 //!   size trigger. A zero window closes it at the end of the event.
-//! * the **WAL** batch, under [`WorldConfig::group_commit`] with a
-//!   non-zero [`WorldConfig::fsync_latency`]. An event that appended to
-//!   the WAL opens it. It closes [`WorldConfig::group_commit_window`]
-//!   later, or at once when [`WorldConfig::group_commit_bytes`] are
-//!   unsynced. Closing charges one covering fsync for every append it
-//!   holds.
+//! * the **WAL** batch (group commit), under a non-zero
+//!   [`WorldConfig::fsync_latency`]. An event that appended to the WAL
+//!   opens it. It closes [`WorldConfig::group_commit_window`] later, or
+//!   at once when [`WorldConfig::group_commit_bytes`] are unsynced.
+//!   Closing charges one covering fsync for every append it holds.
 //!
 //! An open batch's deadline is one queued [`EventKind::Deadline`]. Only
 //! the deadline the batch currently holds counts, so one orphaned by a
 //! crash or by the size trigger fires as a no-op.
-//!
-//! Per-append fsync (`group_commit` off) is the degenerate WAL batch: it
-//! closes as the appending handler returns, before that handler's sends
-//! leave, and holds nothing, so it never ships a pending outbox.
 //!
 //! While the WAL batch is open the outbox is its holding pen. An ack
 //! must not outrun the fsync that makes what it acknowledges durable, so
 //! nothing leaves until the WAL batch closes, and then everything does.
 //! Read replies are the exception: they promise no durability, so they
 //! leave at the end of their event instead of queueing behind a
-//! stranger's fsync. Without coalescing, each held send is a slot of its
-//! own and ships as the same bare frame, in the same order, as the
-//! per-message transport would have sent it.
+//! stranger's fsync.
 //!
 //! # One event loop
 //!
@@ -60,21 +53,29 @@
 //! world seed and its id. A run is therefore a function of its seed and
 //! of the calls made on the world, and running to the end in pieces
 //! ([`World::run_until`] at any split points) equals one run.
+//!
+//! Failure injection lives in `faults.rs`, the world's counters and
+//! profile in `stats.rs`.
+
+mod batch;
+mod faults;
+mod stats;
 
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
 
-use mdcc_common::wire::envelope_wire_bytes;
 use mdcc_common::{DcId, NodeId, SimDuration, SimTime};
-use mdcc_trace::{CounterSample, Phase, Span, TraceHandle};
+use mdcc_trace::{Phase, Span, TraceHandle};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::disk::Disk;
-use crate::event::{BatchKind, Event, EventKey, EventKind, EventQueue, TimerId};
+use crate::event::{Event, EventKey, EventKind, EventQueue, TimerId};
 use crate::net::NetworkModel;
-use crate::process::{Ctx, Effect, NetMessage, Process, TimerPayload, TrafficClass};
+use crate::process::{Ctx, Effect, NetMessage, Process, TimerPayload};
 use crate::topology::Topology;
+use batch::{Batch, OutboxSlot};
+use stats::ProfileCell;
+pub use stats::{KindProfileEntry, ProfileEntry, TrafficTotals, WorldStats};
 
 /// World-level knobs.
 #[derive(Debug, Clone)]
@@ -93,26 +94,21 @@ pub struct WorldConfig {
     /// handling) puts a typical ~250-byte protocol message at the 50 µs
     /// the old flat model charged.
     pub service_ns_per_byte: u64,
-    /// Coalesce same-destination, same-class sends into envelope frames
-    /// (see the module docs). `false` restores the per-message transport
-    /// byte for byte — the equivalence baseline.
+    /// Ignored; deleted once `bench_all` stops naming it (ROADMAP 0(a)).
     pub coalesce: bool,
     /// The outbox batch's window: how long sends may wait past the end
     /// of their event. Zero (the default here) ships them at the end of
     /// the event; the cluster harness threads
     /// `ProtocolConfig::coalesce_window` through.
     pub coalesce_window: SimDuration,
-    /// Synchronous-flush latency charged to a node whenever an event
-    /// handler appended WAL bytes: the node stays busy that much longer
-    /// (an fsync on the commit path). Zero — the default — charges
-    /// nothing, preserving the pre-fsync schedule exactly.
+    /// Synchronous-flush latency charged to a node for each WAL batch:
+    /// one covering fsync makes the whole batch durable, and the batch
+    /// holds the node's sends until then (see the module docs) — so N
+    /// transactions pay one `fsync_latency` instead of N. Zero — the
+    /// default — opens no batch and charges nothing, preserving the
+    /// pre-fsync schedule exactly.
     pub fsync_latency: SimDuration,
-    /// Group commit: appends join the node's WAL batch, one covering
-    /// fsync makes the whole batch durable, and the batch holds the
-    /// node's sends until then (see the module docs) — so N
-    /// transactions pay one `fsync_latency` instead of N. Inert unless
-    /// `fsync_latency` is non-zero; `false` restores the per-append
-    /// fsync schedule byte for byte.
+    /// Ignored; deleted once `bench_all` stops naming it (ROADMAP 0(a)).
     pub group_commit: bool,
     /// The WAL batch's window: how long it may wait for more appends
     /// before its covering fsync. Zero syncs in an event of its own at
@@ -144,159 +140,12 @@ impl Default for WorldConfig {
     }
 }
 
-/// Per-traffic-class message/byte counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrafficTotals {
-    /// Wire frames handed to the network (envelopes count once).
-    pub msgs: u64,
-    /// Wire bytes handed to the network.
-    pub bytes: u64,
-    /// Process-level messages carried by those frames; equals `msgs`
-    /// when coalescing is off, and `msgs / payloads` is the coalescing
-    /// (amortization) factor when it is on.
-    pub payloads: u64,
-}
-
-/// Counters the world maintains about itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorldStats {
-    /// Wire frames handed to the network (a coalesced envelope counts
-    /// once — it pays one frame header and one service floor).
-    pub sent: u64,
-    /// Frames delivered to a live process.
-    pub delivered: u64,
-    /// Frames lost (network loss, dead node, failed DC).
-    pub dropped: u64,
-    /// Timers that fired (excludes cancelled).
-    pub timers_fired: u64,
-    /// Wire bytes handed to the network.
-    pub bytes_sent: u64,
-    /// Process-level messages carried by all sent frames.
-    pub payload_msgs: u64,
-    /// Handler invocations dispatched (start/timer/message); divided by
-    /// host wall time this is the engine's events/sec throughput.
-    pub events_handled: u64,
-    /// Synchronous WAL flushes charged (`fsync_latency` each): one per
-    /// appending event without group commit, one per batch with it.
-    /// Zero when `fsync_latency` is zero — durability then costs
-    /// nothing and nothing is counted.
-    pub fsyncs: u64,
-    /// Sent frames/bytes broken out by [`TrafficClass`] (indexed with
-    /// [`TrafficClass::index`]).
-    pub by_class: [TrafficTotals; TrafficClass::COUNT],
-}
-
-impl WorldStats {
-    /// Totals for one traffic class.
-    pub fn class(&self, class: TrafficClass) -> TrafficTotals {
-        self.by_class[class.index()]
-    }
-
-    /// Counts one frame of `bytes` carrying `payloads` messages of
-    /// `class` handed to the network.
-    fn count_sent(&mut self, class: TrafficClass, bytes: usize, payloads: u64) {
-        self.sent += 1;
-        self.bytes_sent += bytes as u64;
-        self.payload_msgs += payloads;
-        let totals = &mut self.by_class[class.index()];
-        totals.msgs += 1;
-        totals.bytes += bytes as u64;
-        totals.payloads += payloads;
-    }
-}
-
-/// One node's event-loop profile: how much work its handlers did, in
-/// events, virtual busy time, and (when host profiling is on) host wall
-/// time. The direct input to "which handlers to make cheaper first".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfileEntry {
-    /// The node.
-    pub node: NodeId,
-    /// Its data center.
-    pub dc: DcId,
-    /// Handler invocations dispatched to it.
-    pub events: u64,
-    /// Virtual CPU time its handlers were charged (service + fsync).
-    pub sim_busy: SimDuration,
-    /// Host wall time spent inside its handlers; zero unless the run
-    /// profiled wall time (`TraceConfig::profile`).
-    pub wall: Duration,
-}
-
-/// Per-node accumulator behind [`ProfileEntry`].
-#[derive(Debug, Clone, Default)]
-struct ProfileCell {
-    events: u64,
-    sim_busy: SimDuration,
-    wall: Duration,
-    /// Per [`NetMessage::kind`] and [`TimerPayload::kind`] handled
-    /// (`"start"` for `on_start`), in order of first appearance. Filled
-    /// only while host profiling is on.
-    kinds: Vec<KindCell>,
-}
-
-impl ProfileCell {
-    /// Adds one handler call of `kind` that took `spent` of host time;
-    /// `delivered` is the framed size of the message it handled, if one
-    /// was delivered.
-    fn record(&mut self, kind: &'static str, delivered: Option<u64>, spent: Duration) {
-        self.wall += spent;
-        let at = match self.kinds.iter().position(|k| k.kind == kind) {
-            Some(at) => at,
-            None => {
-                self.kinds.push(KindCell {
-                    kind,
-                    ..KindCell::default()
-                });
-                self.kinds.len() - 1
-            }
-        };
-        let of_kind = &mut self.kinds[at];
-        of_kind.events += 1;
-        of_kind.wall += spent;
-        of_kind.msgs += u64::from(delivered.is_some());
-        of_kind.bytes += delivered.unwrap_or(0);
-    }
-}
-
-/// One kind's share of a [`ProfileCell`].
-#[derive(Debug, Clone, Copy, Default)]
-struct KindCell {
-    kind: &'static str,
-    events: u64,
-    wall: Duration,
-    msgs: u64,
-    bytes: u64,
-}
-
-/// One node's handler work on one kind of message or timer: a row of
-/// the profile split by [`NetMessage::kind`] and [`TimerPayload::kind`].
-/// Only runs that profile host time (`TraceConfig::profile`) produce any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KindProfileEntry {
-    /// The node.
-    pub node: NodeId,
-    /// The message or timer kind (`"start"` for the `on_start` call).
-    pub kind: &'static str,
-    /// Handler invocations for it.
-    pub events: u64,
-    /// Host wall time spent inside them.
-    pub wall: Duration,
-    /// Those of the invocations that were network deliveries (the rest
-    /// are timers firing and `on_start`).
-    pub msgs: u64,
-    /// Framed wire size of the delivered messages, each on its own (the
-    /// header an envelope shares among its payloads is not apportioned).
-    pub bytes: u64,
-}
-
-/// Anatomy label for a traffic class (trace-span detail).
-fn class_label(class: TrafficClass) -> &'static str {
-    match class {
-        TrafficClass::Protocol => "protocol",
-        TrafficClass::Read => "read",
-        TrafficClass::Sync => "sync",
-        TrafficClass::Repair => "repair",
+impl WorldConfig {
+    /// CPU cost of handling one `bytes`-sized message: the fixed floor
+    /// plus the per-byte deserialization cost.
+    fn service_cost(&self, bytes: usize) -> SimDuration {
+        let per_byte_us = (bytes as u64 * self.service_ns_per_byte + 500) / 1_000;
+        self.service_time + SimDuration::from_micros(per_byte_us)
     }
 }
 
@@ -307,35 +156,6 @@ fn node_rng_seed(world_seed: u64, node: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// One slot of the outbox: messages to one destination in one traffic
-/// class, with the framed single-message size of each (captured at send
-/// time) for byte accounting. Ships as one frame.
-struct OutboxSlot<M> {
-    to: NodeId,
-    class: TrafficClass,
-    msgs: Vec<M>,
-    framed_sizes: Vec<usize>,
-}
-
-/// One of a node's deadline-or-size batches (module docs, Batching):
-/// the deadline it armed when it opened, `None` while it is closed.
-#[derive(Debug, Clone, Copy, Default)]
-struct Batch {
-    deadline: Option<SimTime>,
-}
-
-impl Batch {
-    /// Whether a deadline event firing at `at` closes this batch; if so
-    /// the batch is closed.
-    fn due(&mut self, at: SimTime) -> bool {
-        let due = self.deadline == Some(at);
-        if due {
-            self.deadline = None;
-        }
-        due
-    }
 }
 
 /// Everything the world keeps for one node.
@@ -362,10 +182,10 @@ struct Node<M, T> {
     next_timer: u64,
     profile: ProfileCell,
     /// The holding pen, in first-enqueue order: one slot per
-    /// (destination, traffic class) when coalescing, one per held send
-    /// otherwise. Unsent messages die with the process on a crash.
+    /// (destination, traffic class). Unsent messages die with the
+    /// process on a crash.
     outbox: Vec<OutboxSlot<M>>,
-    /// The outbox and WAL batches, indexed by [`BatchKind`].
+    /// The outbox and WAL batches, indexed by [`BatchKind`](crate::event::BatchKind).
     batches: [Batch; 2],
 }
 
@@ -388,36 +208,6 @@ impl<M, T> Node<M, T> {
         }
     }
 
-    /// The hold rule: whether an open WAL batch holds this node's
-    /// outbox. Only group commit with a non-zero fsync latency opens one
-    /// (with a free fsync there is nothing to amortize), and it is open
-    /// while appends await their covering fsync.
-    fn holding(&self, config: &WorldConfig) -> bool {
-        config.group_commit && config.fsync_latency > SimDuration::ZERO && self.disk.has_unsynced()
-    }
-
-    /// Puts a send in the pen: into its (destination, class) slot when
-    /// `merge`, else into a slot of its own.
-    fn pen(&mut self, to: NodeId, class: TrafficClass, msg: M, bytes: usize, merge: bool) {
-        if merge {
-            if let Some(slot) = self
-                .outbox
-                .iter_mut()
-                .find(|s| s.to == to && s.class == class)
-            {
-                slot.msgs.push(msg);
-                slot.framed_sizes.push(bytes);
-                return;
-            }
-        }
-        self.outbox.push(OutboxSlot {
-            to,
-            class,
-            msgs: vec![msg],
-            framed_sizes: vec![bytes],
-        });
-    }
-
     /// Stamps a fresh event key from this node's emit counter at `now`.
     fn next_key(&mut self, now: SimTime) -> EventKey {
         let emit = self.emit;
@@ -426,23 +216,6 @@ impl<M, T> Node<M, T> {
             cause: now,
             node: self.id.0,
             emit,
-        }
-    }
-}
-
-impl WorldConfig {
-    /// CPU cost of handling one `bytes`-sized message: the fixed floor
-    /// plus the per-byte deserialization cost.
-    fn service_cost(&self, bytes: usize) -> SimDuration {
-        let per_byte_us = (bytes as u64 * self.service_ns_per_byte + 500) / 1_000;
-        self.service_time + SimDuration::from_micros(per_byte_us)
-    }
-
-    /// How long a batch of `kind` stays open.
-    fn window(&self, kind: BatchKind) -> SimDuration {
-        match kind {
-            BatchKind::Outbox => self.coalesce_window,
-            BatchKind::Wal => self.group_commit_window,
         }
     }
 }
@@ -612,98 +385,6 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
         Some(ev)
     }
 
-    /// Charges node `i` one fsync of its WAL on top of whatever the node
-    /// is already busy with. With `fsync_latency` zero nothing is
-    /// charged or counted, but a traced run still gets its (zero-length)
-    /// span: it marks where a durable append happened.
-    fn charge_fsync(&mut self, i: usize) {
-        let latency = self.config.fsync_latency;
-        let node = &mut self.nodes[i];
-        let start = node.busy_until.max(self.now);
-        if latency > SimDuration::ZERO {
-            node.busy_until = start + latency;
-            node.profile.sim_busy += latency;
-            node.disk.fsync();
-            self.stats.fsyncs += 1;
-        }
-        if let Some(tracer) = &self.tracer {
-            tracer.span(Span {
-                node: node.id,
-                dc: node.dc,
-                phase: Phase::WalFsync,
-                start,
-                end: start + latency,
-                txn: None,
-                key: None,
-                class: None,
-            });
-        }
-    }
-
-    /// Node `i`'s batch of `kind` took more: close it now if
-    /// `close_now`, else open it — arm its deadline one window out —
-    /// unless it is open already.
-    fn join(&mut self, i: usize, kind: BatchKind, close_now: bool) {
-        let node = &mut self.nodes[i];
-        if close_now {
-            node.batches[kind as usize].deadline = None;
-            self.close(i, kind);
-        } else if node.batches[kind as usize].deadline.is_none() {
-            let deadline = self.now + self.config.window(kind);
-            node.batches[kind as usize].deadline = Some(deadline);
-            let key = node.next_key(self.now);
-            let kind = EventKind::Deadline(kind);
-            self.queue.push_keyed(deadline, key, node.id, kind);
-        }
-    }
-
-    /// Closes node `i`'s batch of `kind`. Closing the WAL batch charges
-    /// its one covering fsync and so releases the whole pen; closing
-    /// the outbox ships the pen, or only its read replies while the WAL
-    /// batch holds it.
-    fn close(&mut self, i: usize, kind: BatchKind) {
-        if kind == BatchKind::Wal {
-            self.charge_fsync(i);
-        }
-        let reads_only = self.nodes[i].holding(&self.config);
-        let mut pen = std::mem::take(&mut self.nodes[i].outbox);
-        for s in pen.extract_if(.., |s| !reads_only || s.class == TrafficClass::Read) {
-            self.ship(i, s);
-        }
-        // What stays keeps its order, and the pen keeps its capacity.
-        self.nodes[i].outbox = pen;
-    }
-
-    /// The end of an event at node `i`: while a WAL batch holds the pen
-    /// only read replies leave; otherwise the outbox batch takes what
-    /// the event buffered.
-    fn end_event(&mut self, i: usize) {
-        let config = &self.config;
-        let node = &self.nodes[i];
-        if node.holding(config) {
-            self.close(i, BatchKind::Outbox);
-        } else if config.coalesce && !node.outbox.is_empty() {
-            let at_once = config.coalesce_window == SimDuration::ZERO;
-            self.join(i, BatchKind::Outbox, at_once);
-        }
-    }
-
-    /// A handler at node `i` appended to the WAL. Under group commit the
-    /// append joins the WAL batch, which closes at once when
-    /// `group_commit_bytes` are unsynced. Otherwise the append pays its
-    /// own fsync here, after its handler and before its effects: the
-    /// degenerate batch, closed at once and holding nothing.
-    fn wal_appended(&mut self, i: usize) {
-        let config = &self.config;
-        let node = &self.nodes[i];
-        if node.holding(config) {
-            let full = node.disk.unsynced_bytes() >= config.group_commit_bytes;
-            self.join(i, BatchKind::Wal, full);
-        } else {
-            self.charge_fsync(i);
-        }
-    }
-
     fn dispatch(&mut self, i: usize, kind: DispatchKind<M, T>) {
         let node = &mut self.nodes[i];
         // Take the process out so effects application can borrow `self`.
@@ -754,17 +435,7 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
                 msg,
                 bytes,
                 class,
-            } => {
-                let config = &self.config;
-                if config.coalesce || (class != TrafficClass::Read && node.holding(config)) {
-                    node.pen(to, class, msg, bytes, config.coalesce);
-                } else {
-                    // The per-message transport: one bare frame, now.
-                    let from = node.id;
-                    let kind = EventKind::Deliver { from, msg, bytes };
-                    self.push_to_network(i, to, class, kind);
-                }
-            }
+            } => node.pen(to, class, msg, bytes),
             Effect::SetTimer { id, delay, msg } => {
                 let incarnation = node.incarnation;
                 let key = node.next_key(self.now);
@@ -781,99 +452,6 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
         }
     }
 
-    /// Ships one outbox slot: a single buffered message goes out as the
-    /// same bare frame the per-message transport would send; two or more
-    /// ship as one envelope (sized by [`envelope_wire_bytes`], matching
-    /// the `mdcc_common::wire::Envelope` codec byte for byte).
-    fn ship(&mut self, i: usize, mut s: OutboxSlot<M>) {
-        let from = self.nodes[i].id;
-        let kind = if s.msgs.len() == 1 {
-            let bytes = s.framed_sizes[0];
-            let msg = s.msgs.pop().expect("one message");
-            EventKind::Deliver { from, msg, bytes }
-        } else {
-            let bytes = envelope_wire_bytes(s.framed_sizes.iter().copied());
-            let msgs = s.msgs;
-            EventKind::DeliverEnvelope { from, msgs, bytes }
-        };
-        self.push_to_network(i, s.to, s.class, kind);
-    }
-
-    /// Hands one wire frame (a bare message or an envelope) from node
-    /// `i` to the network: accounts it, occupies the directed DC-pair
-    /// link FIFO for its transmission delay, and schedules delivery (or
-    /// drops it, per the loss model).
-    fn push_to_network(
-        &mut self,
-        i: usize,
-        to: NodeId,
-        class: TrafficClass,
-        kind: EventKind<M, T>,
-    ) {
-        let (bytes, payloads) = kind.frame();
-        self.stats.count_sent(class, bytes, payloads);
-        let from_dc = self.nodes[i].dc;
-        let to_dc = self.topology.dc_of(to);
-        // Transmission: the frame occupies the directed DC-pair link
-        // for `bytes / bandwidth`, FIFO behind whatever is already on
-        // it — a burst congests the link instead of teleporting. Lost
-        // frames occupy the link too: the sender transmits the bytes
-        // before the network eats them, so billed bytes and link
-        // congestion stay consistent.
-        let tx = self.net.transmission_delay(from_dc, to_dc, bytes);
-        let link = &mut self.link_free_at[from_dc.0 as usize][to_dc.0 as usize];
-        let start = (*link).max(self.now);
-        *link = start + tx;
-        if let Some(tracer) = &self.tracer {
-            self.trace_transmit(tracer, i, to_dc, start, start + tx, class);
-        }
-        let node = &mut self.nodes[i];
-        match self.net.sample_delay(from_dc, to_dc, &mut node.rng) {
-            Some(propagation) => {
-                let key = node.next_key(self.now);
-                self.queue
-                    .push_keyed(start + tx + propagation, key, to, kind);
-            }
-            None => self.stats.dropped += 1,
-        }
-    }
-
-    /// Records a frame's transmission from node `i` on the link to
-    /// `to_dc`, from `start` to `end`: its wait behind earlier traffic
-    /// (if it waited), the transmission itself, and the link's backlog.
-    fn trace_transmit(
-        &self,
-        tracer: &TraceHandle,
-        i: usize,
-        to_dc: DcId,
-        start: SimTime,
-        end: SimTime,
-        class: TrafficClass,
-    ) {
-        let from = &self.nodes[i];
-        let span = |phase, start, end| Span {
-            node: from.id,
-            dc: from.dc,
-            phase,
-            start,
-            end,
-            txn: None,
-            key: None,
-            class: Some(class_label(class)),
-        };
-        if start > self.now {
-            tracer.span(span(Phase::NetQueue, self.now, start));
-        }
-        tracer.span(span(Phase::NetTransmit, start, end));
-        tracer.counter(CounterSample {
-            name: "link",
-            from: from.dc,
-            to: to_dc,
-            at: self.now,
-            backlog_us: (end - self.now).as_micros(),
-        });
-    }
-
     /// Attaches a trace collector; the transport and the fsync model
     /// record spans into it from now on. Tracing is observational only —
     /// it never consumes randomness or reschedules an event, so a traced
@@ -881,45 +459,6 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.profile_wall = tracer.profile();
         self.tracer = tracer.enabled().then_some(tracer);
-    }
-
-    /// Per-node event-loop profile, hottest (by virtual busy time,
-    /// events as tie-break) first.
-    pub fn profile(&self) -> Vec<ProfileEntry> {
-        let mut entries: Vec<ProfileEntry> = self
-            .nodes
-            .iter()
-            .map(|n| ProfileEntry {
-                node: n.id,
-                dc: n.dc,
-                events: n.profile.events,
-                sim_busy: n.profile.sim_busy,
-                wall: n.profile.wall,
-            })
-            .collect();
-        entries.sort_by(|a, b| {
-            (b.sim_busy, b.events, a.node.0).cmp(&(a.sim_busy, a.events, b.node.0))
-        });
-        entries
-    }
-
-    /// The profile split by message and timer kind: one row per (node,
-    /// kind) the node handled, most host time first. Empty unless the
-    /// run profiled host time (`TraceConfig::profile`).
-    pub fn profile_by_kind(&self) -> Vec<KindProfileEntry> {
-        let mut entries: Vec<KindProfileEntry> = Vec::new();
-        for n in &self.nodes {
-            entries.extend(n.profile.kinds.iter().map(|k| KindProfileEntry {
-                node: n.id,
-                kind: k.kind,
-                events: k.events,
-                wall: k.wall,
-                msgs: k.msgs,
-                bytes: k.bytes,
-            }));
-        }
-        entries.sort_by(|a, b| (b.wall, a.node.0, a.kind).cmp(&(a.wall, b.node.0, b.kind)));
-        entries
     }
 
     /// Spawns a process in `dc`; its `on_start` runs at the current time.
@@ -940,16 +479,6 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
         self.now
     }
 
-    /// The node-to-DC mapping.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// World-level counters.
-    pub fn stats(&self) -> WorldStats {
-        self.stats
-    }
-
     /// The world's record of a node.
     fn node(&self, node: NodeId) -> &Node<M, T> {
         &self.nodes[node.0 as usize]
@@ -958,65 +487,6 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
     /// The world's record of a node, mutably.
     fn node_mut(&mut self, node: NodeId) -> &mut Node<M, T> {
         &mut self.nodes[node.0 as usize]
-    }
-
-    /// Injects a message from outside the simulation (tests only; regular
-    /// traffic should originate in processes).
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let bytes = msg.wire_bytes();
-        let key = EventKey {
-            cause: self.now,
-            node: u32::MAX,
-            emit: self.inject_emit,
-        };
-        self.inject_emit += 1;
-        let kind = EventKind::Deliver { from, msg, bytes };
-        self.queue.push_keyed(self.now, key, to, kind);
-    }
-
-    /// Marks a node crashed: inbound messages drop, timers are suppressed,
-    /// the process is no longer invoked, and whatever its outbox still
-    /// buffered dies unsent.
-    pub fn crash_node(&mut self, node: NodeId) {
-        let node = &mut self.nodes[node.0 as usize];
-        if node.holding(&self.config) {
-            // Power loss mid-batch: the WAL keeps exactly its durable
-            // prefix. The batch's acks were held in the outbox, which
-            // dies below, so no acknowledged transaction dies un-logged
-            // — the crash-consistency contract of group commit.
-            node.disk.discard_unsynced();
-        }
-        node.alive = false;
-        node.outbox.clear();
-        // Orphan both deadlines: they fire as no-ops instead of closing
-        // whatever a revived incarnation batches later.
-        node.batches = [Batch::default(); 2];
-    }
-
-    /// Revives a crashed node (its state is whatever it was at crash time,
-    /// mirroring a process *pause*; see [`World::restart_node`] for a real
-    /// restart that loses volatile state).
-    pub fn revive_node(&mut self, node: NodeId) {
-        self.node_mut(node).alive = true;
-    }
-
-    /// Restarts a crashed node as a fresh process: the old incarnation's
-    /// volatile state (including its pending timers) is gone, its disk is
-    /// preserved, and `proc_` — typically rebuilt from that disk — runs
-    /// `on_start` at the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is still alive; crash it first.
-    pub fn restart_node(&mut self, node: NodeId, proc_: Box<dyn Process<M, T>>) {
-        let now = self.now;
-        let n = self.node_mut(node);
-        assert!(!n.alive, "restart of a live node: crash it first");
-        n.proc_ = Some(proc_);
-        n.alive = true;
-        n.incarnation += 1;
-        n.busy_until = now;
-        self.start(node.0 as usize);
     }
 
     /// Read access to a node's durable disk.
@@ -1028,24 +498,6 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
     /// seeding an initial checkpoint before the simulation starts).
     pub fn disk_mut(&mut self, node: NodeId) -> &mut Disk {
         &mut self.node_mut(node).disk
-    }
-
-    /// Simulates a data-center outage the way the paper does (§5.3.4):
-    /// nodes in `dc` stop *receiving* messages. Their timers still fire,
-    /// so coordinators inside the failed DC keep timing out — which is the
-    /// externally observable behaviour of an unreachable region.
-    pub fn fail_dc(&mut self, dc: DcId) {
-        self.down[dc.0 as usize] = true;
-    }
-
-    /// Ends a data-center outage.
-    pub fn heal_dc(&mut self, dc: DcId) {
-        self.down[dc.0 as usize] = false;
-    }
-
-    /// True while `dc` is failed.
-    pub fn is_dc_down(&self, dc: DcId) -> bool {
-        self.down[dc.0 as usize]
     }
 
     /// Immutable access to a process, downcast to its concrete type.
@@ -1092,18 +544,12 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
     }
 
     /// Drains the queue completely (tests; real experiments use
-    /// [`World::run_until`] because closed-loop clients never go idle).
-    pub fn run_to_quiescence(&mut self) {
-        while self.step() {}
-    }
-
-    /// Drains the queue like [`World::run_to_quiescence`], but panics
-    /// after `max_steps` events instead of livelocking on a
+    /// [`World::run_until`] because closed-loop clients never go idle),
+    /// but panics after `max_steps` events instead of livelocking on a
     /// self-perpetuating timer/message loop. The panic names the process
     /// that handled the most events (the likely offender) and the next
-    /// pending event's target. Prefer this in tests: a buggy process
-    /// that re-arms itself forever turns into a diagnosable failure
-    /// instead of a hung run.
+    /// pending event's target, so a buggy process that re-arms itself
+    /// forever turns into a diagnosable failure instead of a hung run.
     ///
     /// # Panics
     ///
@@ -1113,12 +559,12 @@ impl<M: NetMessage + 'static, T: TimerPayload + 'static> World<M, T> {
         let mut handled: HashMap<u32, u64> = HashMap::new();
         while let Some(next) = self.queue.peek_target() {
             if steps >= max_steps {
-                let (&hottest, &count) = handled
+                let (hottest, count) = handled
                     .iter()
                     // Max count; ties break toward the smallest id so
                     // the panic message is deterministic.
                     .max_by_key(|(id, c)| (**c, std::cmp::Reverse(**id)))
-                    .expect("at least one event was handled");
+                    .map_or((next.0, 0), |(&id, &c)| (id, c));
                 panic!(
                     "run_to_quiescence_bounded: no quiescence after {max_steps} steps; \
                      process {} handled {count} of them (next event targets {})",
@@ -1157,6 +603,7 @@ impl<M: NetMessage, T: TimerPayload> DispatchKind<M, T> {
 mod tests {
     use super::*;
     use crate::net::NetworkModel;
+    use crate::process::TrafficClass;
     use mdcc_common::SimDuration;
 
     /// Ping-pong pair recording receive times; used to verify latency and
@@ -1258,6 +705,25 @@ mod tests {
         assert!(!w.is_dc_down(DcId(1)));
     }
 
+    /// Sends each of its messages to `target` in an event of its own (a
+    /// zero-delay timer apiece), so no two share an outbox slot: every
+    /// message leaves at t=0 as a bare frame.
+    struct OnePerEvent<M> {
+        target: NodeId,
+        msgs: Vec<M>,
+    }
+    impl<M: NetMessage + 'static> Process<M> for OnePerEvent<M> {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+            for msg in self.msgs.drain(..) {
+                ctx.set_timer(SimDuration::ZERO, msg);
+            }
+        }
+        fn on_message(&mut self, _f: NodeId, _m: M, _ctx: &mut Ctx<'_, M>) {}
+        fn on_timer(&mut self, msg: M, ctx: &mut Ctx<'_, M>) {
+            ctx.send(self.target, msg);
+        }
+    }
+
     #[test]
     fn service_time_serializes_a_hot_node() {
         struct Sink {
@@ -1268,17 +734,6 @@ mod tests {
                 self.handled.push(ctx.now);
             }
         }
-        struct Blast {
-            target: NodeId,
-        }
-        impl Process<u32> for Blast {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                for i in 0..4 {
-                    ctx.send(self.target, i);
-                }
-            }
-            fn on_message(&mut self, _f: NodeId, _m: u32, _ctx: &mut Ctx<'_, u32>) {}
-        }
         let net = NetworkModel::uniform(1, 0.0, 10.0).with_jitter(0.0);
         let mut w = World::new(
             net,
@@ -1286,14 +741,17 @@ mod tests {
                 seed: 0,
                 service_time: SimDuration::from_millis(2),
                 service_ns_per_byte: 0,
-                // Per-message service accounting is what this test pins
-                // down; coalescing would batch the blast into one frame.
-                coalesce: false,
                 ..WorldConfig::default()
             },
         );
         let sink = w.spawn(DcId(0), Box::new(Sink { handled: vec![] }));
-        let _ = w.spawn(DcId(0), Box::new(Blast { target: sink }));
+        // Per-frame service accounting is what this test pins down: one
+        // send per event keeps the four messages in four frames.
+        let blast = OnePerEvent {
+            target: sink,
+            msgs: (0..4).collect(),
+        };
+        let _ = w.spawn(DcId(0), Box::new(blast));
         w.run_to_quiescence_bounded(100_000);
         let times: Vec<u64> = w
             .get::<Sink>(sink)
@@ -1341,6 +799,9 @@ mod tests {
         fn on_message(&mut self, _f: NodeId, _m: Blob, _ctx: &mut Ctx<'_, Blob>) {}
     }
 
+    /// Sends one blob per event, so each rides a frame of its own: these
+    /// tests measure per-frame transmission and link queueing; the
+    /// coalescing tests below cover envelopes.
     fn blob_world(sizes: Vec<usize>) -> (World<Blob>, NodeId) {
         // 1 MB/s inter-DC, 100 ms RTT, no jitter: transmission delay is
         // 1 ms per KB on top of the 50 ms propagation delay.
@@ -1353,20 +814,12 @@ mod tests {
                 seed: 1,
                 service_time: SimDuration::ZERO,
                 service_ns_per_byte: 0,
-                // These tests measure per-message transmission and link
-                // queueing; the coalescing tests below cover envelopes.
-                coalesce: false,
                 ..WorldConfig::default()
             },
         );
         let sink = w.spawn(DcId(1), Box::new(BlobSink { arrived: vec![] }));
-        let _ = w.spawn(
-            DcId(0),
-            Box::new(BlobBlast {
-                target: sink,
-                sizes,
-            }),
-        );
+        let msgs = sizes.into_iter().map(Blob).collect();
+        let _ = w.spawn(DcId(0), Box::new(OnePerEvent { target: sink, msgs }));
         (w, sink)
     }
 
@@ -1421,10 +874,7 @@ mod tests {
         let stats = w.stats();
         assert_eq!(stats.sent, 2);
         assert_eq!(stats.bytes_sent, 100_200);
-        assert_eq!(
-            stats.payload_msgs, 2,
-            "frames == messages without coalescing"
-        );
+        assert_eq!(stats.payload_msgs, 2, "one frame per event");
         assert_eq!(stats.class(TrafficClass::Sync).msgs, 2);
         assert_eq!(stats.class(TrafficClass::Sync).bytes, 100_200);
         assert_eq!(stats.class(TrafficClass::Sync).payloads, 2);
@@ -1441,17 +891,6 @@ mod tests {
                 self.handled.push(ctx.now);
             }
         }
-        struct Blast {
-            target: NodeId,
-        }
-        impl Process<Blob> for Blast {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Blob>) {
-                // One large then one tiny message, same instant.
-                ctx.send(self.target, Blob(100_000));
-                ctx.send(self.target, Blob(1));
-            }
-            fn on_message(&mut self, _f: NodeId, _m: Blob, _ctx: &mut Ctx<'_, Blob>) {}
-        }
         let net = NetworkModel::uniform(1, 0.0, 10.0).with_jitter(0.0);
         let mut w = World::new(
             net,
@@ -1459,12 +898,17 @@ mod tests {
                 seed: 0,
                 service_time: SimDuration::from_millis(1),
                 service_ns_per_byte: 1_000, // 1 µs per byte
-                coalesce: false,
                 ..WorldConfig::default()
             },
         );
         let sink = w.spawn(DcId(0), Box::new(Sink { handled: vec![] }));
-        let _ = w.spawn(DcId(0), Box::new(Blast { target: sink }));
+        // One large then one tiny message, same instant, in frames of
+        // their own.
+        let blast = OnePerEvent {
+            target: sink,
+            msgs: vec![Blob(100_000), Blob(1)],
+        };
+        let _ = w.spawn(DcId(0), Box::new(blast));
         w.run_to_quiescence_bounded(100_000);
         let times: Vec<u64> = w
             .get::<Sink>(sink)
@@ -1654,16 +1098,18 @@ mod tests {
     }
 
     #[test]
-    fn singleton_flush_is_byte_identical_to_legacy() {
-        let (mut w_on, _) = coalesced_blob_world(vec![100_000]);
-        let (mut w_off, _) = blob_world(vec![100_000]);
-        w_on.run_to_quiescence_bounded(100);
-        w_off.run_to_quiescence_bounded(100);
+    fn singleton_flush_ships_a_bare_frame() {
+        let (mut w, sink) = coalesced_blob_world(vec![100_000]);
+        w.run_to_quiescence_bounded(100);
+        let stats = w.stats();
+        assert_eq!((stats.sent, stats.payload_msgs), (1, 1));
         assert_eq!(
-            w_on.stats(),
-            w_off.stats(),
+            stats.bytes_sent, 100_000,
             "a lone message never pays envelope overhead"
         );
+        // 100 KB at 1 MB/s = 100 ms transmission + 50 ms propagation.
+        let arrived = &w.get::<BlobSink>(sink).unwrap().arrived;
+        assert_eq!(arrived, &[SimTime::from_millis(150)]);
     }
 
     /// One u32 per timer tick — cross-event traffic for the Nagle tests.
@@ -1703,7 +1149,6 @@ mod tests {
                 seed: 9,
                 service_time: SimDuration::ZERO,
                 service_ns_per_byte: 0,
-                coalesce: true,
                 coalesce_window: SimDuration::from_millis(5),
                 ..WorldConfig::default()
             },
@@ -1738,7 +1183,6 @@ mod tests {
                 seed: 9,
                 service_time: SimDuration::ZERO,
                 service_ns_per_byte: 0,
-                coalesce: true,
                 coalesce_window: SimDuration::from_millis(50),
                 ..WorldConfig::default()
             },
@@ -1785,7 +1229,6 @@ mod tests {
                 seed: 9,
                 service_time: SimDuration::ZERO,
                 service_ns_per_byte: 0,
-                coalesce: true,
                 coalesce_window: SimDuration::from_millis(50),
                 ..WorldConfig::default()
             },
@@ -1876,42 +1319,38 @@ mod tests {
 
     /// Read replies escape an open group-commit batch immediately;
     /// protocol traffic (the acks whose durability the batch covers)
-    /// waits for the covering fsync — on both transports.
+    /// waits for the covering fsync.
     #[test]
     fn group_commit_releases_reads_before_the_covering_fsync() {
         use crate::process::TrafficClass;
-        for coalesce in [false, true] {
-            let net = NetworkModel::uniform(2, 100.0, 1.0).with_jitter(0.0);
-            let mut w = World::new(
-                net,
-                WorldConfig {
-                    seed: 3,
-                    service_time: SimDuration::ZERO,
-                    service_ns_per_byte: 0,
-                    coalesce,
-                    fsync_latency: SimDuration::from_millis(5),
-                    group_commit: true,
-                    group_commit_window: SimDuration::from_millis(20),
-                    ..WorldConfig::default()
-                },
-            );
-            let sink = w.spawn(DcId(1), Box::new(ClassSink { arrived: vec![] }));
-            let _ = w.spawn(DcId(0), Box::new(BatchedWriter { target: sink }));
-            w.run_to_quiescence_bounded(100_000);
-            let arrived = &w.get::<ClassSink>(sink).unwrap().arrived;
-            assert_eq!(arrived.len(), 2, "coalesce={coalesce}");
-            let at = |class: TrafficClass| {
-                arrived
-                    .iter()
-                    .find(|(c, _)| *c == class)
-                    .map(|(_, t)| t.as_millis())
-                    .unwrap()
-            };
-            // One-way latency is 50 ms: the read ships at t=0 and lands
-            // at 50 ms; the protocol message waits for the 20 ms window
-            // deadline and lands at 70 ms.
-            assert_eq!(at(TrafficClass::Read), 50, "coalesce={coalesce}");
-            assert_eq!(at(TrafficClass::Protocol), 70, "coalesce={coalesce}");
-        }
+        let net = NetworkModel::uniform(2, 100.0, 1.0).with_jitter(0.0);
+        let mut w = World::new(
+            net,
+            WorldConfig {
+                seed: 3,
+                service_time: SimDuration::ZERO,
+                service_ns_per_byte: 0,
+                fsync_latency: SimDuration::from_millis(5),
+                group_commit_window: SimDuration::from_millis(20),
+                ..WorldConfig::default()
+            },
+        );
+        let sink = w.spawn(DcId(1), Box::new(ClassSink { arrived: vec![] }));
+        let _ = w.spawn(DcId(0), Box::new(BatchedWriter { target: sink }));
+        w.run_to_quiescence_bounded(100_000);
+        let arrived = &w.get::<ClassSink>(sink).unwrap().arrived;
+        assert_eq!(arrived.len(), 2);
+        let at = |class: TrafficClass| {
+            arrived
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map(|(_, t)| t.as_millis())
+                .unwrap()
+        };
+        // One-way latency is 50 ms: the read ships at t=0 and lands at
+        // 50 ms; the protocol message waits for the 20 ms window deadline
+        // and lands at 70 ms.
+        assert_eq!(at(TrafficClass::Read), 50);
+        assert_eq!(at(TrafficClass::Protocol), 70);
     }
 }

@@ -4,11 +4,10 @@
 //! sends interleave:
 //!
 //! * **per-(src, dst) FIFO** — on a jitter-free network, a receiver
-//!   sees every sender's messages in exactly send order, coalesced or
-//!   not, for any flush window;
-//! * **payload conservation** — coalescing changes framing only: the
-//!   same messages arrive whether the outbox batches them or the
-//!   legacy transport ships them one frame each;
+//!   sees every sender's messages in exactly send order, for any flush
+//!   window;
+//! * **payload conservation** — coalescing changes framing only: every
+//!   message the send schedule emits arrives, once;
 //! * **codec agreement** — the bytes the simulator bills for an
 //!   envelope equal the framed size of the shared
 //!   [`mdcc_common::wire::Envelope`] codec encoding, and that encoding
@@ -63,12 +62,7 @@ impl Process<u32> for Sink {
 }
 
 /// Runs one schedule; returns the sink's receive log.
-fn run_schedule(
-    schedules: &[Vec<u64>],
-    coalesce: bool,
-    window_us: u64,
-    service_us: u64,
-) -> Vec<(NodeId, u32)> {
+fn run_schedule(schedules: &[Vec<u64>], window_us: u64, service_us: u64) -> Vec<(NodeId, u32)> {
     let net = NetworkModel::uniform(2, 80.0, 1.0).with_jitter(0.0);
     let mut w = World::new(
         net,
@@ -76,7 +70,6 @@ fn run_schedule(
             seed: 7,
             service_time: SimDuration::from_micros(service_us),
             service_ns_per_byte: 10,
-            coalesce,
             coalesce_window: SimDuration::from_micros(window_us),
             ..WorldConfig::default()
         },
@@ -180,12 +173,10 @@ proptest! {
         window_us in 0u64..8_000,
         service_us in 0u64..200,
     ) {
-        let coalesced = run_schedule(&schedules, true, window_us, service_us);
-        let legacy = run_schedule(&schedules, false, 0, service_us);
+        let coalesced = run_schedule(&schedules, window_us, service_us);
 
         let total: usize = schedules.iter().map(Vec::len).sum();
         prop_assert_eq!(coalesced.len(), total, "coalescing lost or duplicated messages");
-        prop_assert_eq!(legacy.len(), total);
 
         for (i, gaps) in schedules.iter().enumerate() {
             // Senders spawned after the sink: ids 1, 2, ...
@@ -195,10 +186,9 @@ proptest! {
                 (0..gaps.len() as u32).map(|s| (tag << 16) | s).collect();
             prop_assert_eq!(
                 per_sender(&coalesced, sender),
-                expected.clone(),
+                expected,
                 "per-(src,dst) FIFO order broke under coalescing"
             );
-            prop_assert_eq!(per_sender(&legacy, sender), expected);
         }
     }
 

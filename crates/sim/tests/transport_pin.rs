@@ -1,9 +1,8 @@
 //! Pins of the simulator's transport and WAL batching, under every
-//! combination of the four knobs that shape them: `coalesce` ×
-//! `group_commit` × `coalesce_window` ∈ {0, 500 µs} × `fsync_latency`
-//! ∈ {0, 1 ms}.
+//! combination of the two knobs that shape them: `coalesce_window` ∈
+//! {0, 500 µs} × `fsync_latency` ∈ {0, 1 ms}.
 //!
-//! One scripted three-DC world runs under each of the sixteen. A hot
+//! One scripted three-DC world runs under each of the four. A hot
 //! writer appends to its WAL on every tick and fans proposals out to two
 //! followers in other data centers; the followers append and acknowledge;
 //! two readers ask the writer for reads, which it answers — sometimes in
@@ -222,7 +221,7 @@ fn reader(period_us: u64) -> Box<Node> {
 }
 
 /// Runs the script under one combination and renders its pin.
-fn pin(coalesce: bool, group_commit: bool, window_us: u64, fsync_us: u64) -> String {
+fn pin(window_us: u64, fsync_us: u64) -> String {
     let net = NetworkModel::uniform(3, 20.0, 1.0)
         .with_drop_prob(0.01)
         .with_inter_dc_bandwidth(2_000_000.0);
@@ -232,13 +231,11 @@ fn pin(coalesce: bool, group_commit: bool, window_us: u64, fsync_us: u64) -> Str
             seed: 26,
             service_time: SimDuration::from_micros(40),
             service_ns_per_byte: 40,
-            coalesce,
             coalesce_window: SimDuration::from_micros(window_us),
             fsync_latency: SimDuration::from_micros(fsync_us),
-            group_commit,
             group_commit_window: SimDuration::from_millis(2),
             group_commit_bytes: 2_048,
-            parallel: false,
+            ..WorldConfig::default()
         },
     );
     assert_eq!(w.spawn(DcId(0), writer(0)), NodeId(0));
@@ -297,45 +294,30 @@ fn pin(coalesce: bool, group_commit: bool, window_us: u64, fsync_us: u64) -> Str
     )
 }
 
-/// `(coalesce, group_commit, coalesce_window µs, fsync_latency µs)` and
-/// the pin of its run.
+/// `(coalesce_window µs, fsync_latency µs)` and the pin of its run.
 ///
 /// Moved once since they were taken: an envelope's message count and
 /// payload length prefixes became varints, so an envelope of this
 /// script's messages is three bytes smaller, plus two or three per
 /// message it carries (the messages' own sizes are synthetic and did
-/// not change). The five rows that ship
-/// envelopes moved (their frames leave sooner, and the schedule shifts
-/// with them); the eleven whose slots never hold two messages did not.
+/// not change). The three rows that ship envelopes moved (their frames
+/// leave sooner, and the schedule shifts with them); the one whose
+/// slots never hold two messages did not.
 #[rustfmt::skip]
-const PINS: [(bool, bool, u64, u64, &str); 16] = [
-    (false, false, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (false, false, 0, 1000, "sent=692 delivered=658 dropped=34 timers=170 bytes=87042 payloads=692 events=835 fsyncs=247 classes=438/39152/438,216/17870/216,19/28500/19,19/1520/19 wal=86097,0,5400,0,5880 end=149345 logs=fa1ae6a6c8a2c43e,5e943843f6e45cc1,fd7faa289ccd0be9,142cfe7f5ba60ab3,daae192c78c94b1b,6094777f991fdb21,679a77484bdace4b"),
-    (false, false, 500, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (false, false, 500, 1000, "sent=692 delivered=658 dropped=34 timers=170 bytes=87042 payloads=692 events=835 fsyncs=247 classes=438/39152/438,216/17870/216,19/28500/19,19/1520/19 wal=86097,0,5400,0,5880 end=149345 logs=fa1ae6a6c8a2c43e,5e943843f6e45cc1,fd7faa289ccd0be9,142cfe7f5ba60ab3,daae192c78c94b1b,6094777f991fdb21,679a77484bdace4b"),
-    (false, true, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (false, true, 0, 1000, "sent=678 delivered=646 dropped=32 timers=170 bytes=84770 payloads=678 events=823 fsyncs=119 classes=424/38140/424,220/18350/220,18/27000/18,16/1280/16 wal=96844,0,5160,0,5790 end=152480 logs=11d9421b1ffd8df9,f04aa250bbfb229d,618b5d3f200ee67f,0d62661f93f2346e,710fe638d7a1cd18,6b399fa63169ef20,de821c9ceec9db7c"),
-    (false, true, 500, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (false, true, 500, 1000, "sent=678 delivered=646 dropped=32 timers=170 bytes=84770 payloads=678 events=823 fsyncs=119 classes=424/38140/424,220/18350/220,18/27000/18,16/1280/16 wal=96844,0,5160,0,5790 end=152480 logs=11d9421b1ffd8df9,f04aa250bbfb229d,618b5d3f200ee67f,0d62661f93f2346e,710fe638d7a1cd18,6b399fa63169ef20,de821c9ceec9db7c"),
-    (true, false, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (true, false, 0, 1000, "sent=692 delivered=658 dropped=34 timers=170 bytes=87042 payloads=692 events=835 fsyncs=247 classes=438/39152/438,216/17870/216,19/28500/19,19/1520/19 wal=86097,0,5400,0,5880 end=149345 logs=fa1ae6a6c8a2c43e,5e943843f6e45cc1,fd7faa289ccd0be9,142cfe7f5ba60ab3,daae192c78c94b1b,6094777f991fdb21,679a77484bdace4b"),
-    (true, false, 500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=82535 payloads=678 events=821 fsyncs=0 classes=317/37507/425,205/18168/219,17/25500/17,17/1360/17 wal=85645,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,732c02b856f27c96,77d4596b086ad036,de40e72a595daaf7,3a896c87495498ae,b8d9a248f84f4f3d,75260596b069d017"),
-    (true, false, 500, 1000, "sent=517 delivered=479 dropped=38 timers=170 bytes=95050 payloads=676 events=814 fsyncs=259 classes=296/36879/413,170/17171/212,26/39000/26,25/2000/25 wal=87265,0,5350,0,5970 end=157416 logs=adbcc5e77b72d56d,541d50a957377f05,258f4766ebb61838,ed35c942436b2db1,f6ba6b69b1213b1d,31be8005b5e652c0,4d4bafe1ee2dd9a9"),
-    (true, true, 0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
-    (true, true, 0, 1000, "sent=452 delivered=429 dropped=23 timers=170 bytes=79370 payloads=679 events=824 fsyncs=123 classes=203/37400/430,220/18350/220,15/22500/15,14/1120/14 wal=91717,0,5180,0,6070 end=153596 logs=10928731441b5b75,5151edd979d24864,be4dc0914f8999d5,e30b276ddcbdc820,80e36d1306066258,9443a5ecd3dafbf6,fa00e425911090c1"),
-    (true, true, 500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=82535 payloads=678 events=821 fsyncs=0 classes=317/37507/425,205/18168/219,17/25500/17,17/1360/17 wal=85645,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,732c02b856f27c96,77d4596b086ad036,de40e72a595daaf7,3a896c87495498ae,b8d9a248f84f4f3d,75260596b069d017"),
-    (true, true, 500, 1000, "sent=444 delivered=418 dropped=26 timers=170 bytes=79114 payloads=683 events=827 fsyncs=132 classes=200/37213/434,214/18201/219,15/22500/15,15/1200/15 wal=81900,0,5500,0,5660 end=154516 logs=4f98e80fb224da8a,67994f25b690757b,3143c85da2c11119,04807be6bd9492f3,68e5aeb3b00fffa7,5580962c6eea4d4b,bf72b402bc518fca"),
+const PINS: [(u64, u64, &str); 4] = [
+    (0, 0, "sent=682 delivered=652 dropped=30 timers=170 bytes=83670 payloads=682 events=829 fsyncs=0 classes=429/38540/429,220/18350/220,17/25500/17,16/1280/16 wal=95448,0,5480,0,6010 end=149910 logs=3e1df64a8de9fb96,fd9f34bbf40e1c90,c64ff1f6f750f7dc,b022c572d6838e20,f809f8241151b608,03d67dfcf3ab4a2e,657b75129de420c8"),
+    (0, 1000, "sent=452 delivered=429 dropped=23 timers=170 bytes=79370 payloads=679 events=824 fsyncs=123 classes=203/37400/430,220/18350/220,15/22500/15,14/1120/14 wal=91717,0,5180,0,6070 end=153596 logs=10928731441b5b75,5151edd979d24864,be4dc0914f8999d5,e30b276ddcbdc820,80e36d1306066258,9443a5ecd3dafbf6,fa00e425911090c1"),
+    (500, 0, "sent=556 delivered=527 dropped=29 timers=170 bytes=82535 payloads=678 events=821 fsyncs=0 classes=317/37507/425,205/18168/219,17/25500/17,17/1360/17 wal=85645,0,5380,0,6000 end=152769 logs=c0e0782f40ab3f78,732c02b856f27c96,77d4596b086ad036,de40e72a595daaf7,3a896c87495498ae,b8d9a248f84f4f3d,75260596b069d017"),
+    (500, 1000, "sent=444 delivered=418 dropped=26 timers=170 bytes=79114 payloads=683 events=827 fsyncs=132 classes=200/37213/434,214/18201/219,15/22500/15,15/1200/15 wal=81900,0,5500,0,5660 end=154516 logs=4f98e80fb224da8a,67994f25b690757b,3143c85da2c11119,04807be6bd9492f3,68e5aeb3b00fffa7,5580962c6eea4d4b,bf72b402bc518fca"),
 ];
 
 #[test]
 fn every_batching_configuration_is_pinned() {
     let mut mismatches = Vec::new();
-    for (coalesce, group_commit, window_us, fsync_us, expected) in PINS {
-        let got = pin(coalesce, group_commit, window_us, fsync_us);
+    for (window_us, fsync_us, expected) in PINS {
+        let got = pin(window_us, fsync_us);
         if got != expected {
-            mismatches.push(format!(
-                "    ({coalesce}, {group_commit}, {window_us}, {fsync_us}, \"{got}\"),"
-            ));
+            mismatches.push(format!("    ({window_us}, {fsync_us}, \"{got}\"),"));
         }
     }
     assert!(
