@@ -64,23 +64,21 @@ pub enum MegaMsg {
         /// The write-set to apply.
         updates: Vec<RecordUpdate>,
     },
-    /// Local committed read.
+    /// Local committed read of every key the client reads at this
+    /// replica.
     ReadReq {
         /// Request id.
         req: u64,
-        /// Key to read.
-        key: Key,
+        /// Keys to read.
+        keys: Vec<Key>,
     },
-    /// Read response.
+    /// Read response: per requested key, in request order, the version
+    /// and value at the replica.
     ReadResp {
         /// Echoed request id.
         req: u64,
-        /// Key read.
-        key: Key,
-        /// Version at the replica.
-        version: Version,
-        /// Value at the replica.
-        value: Option<Row>,
+        /// One `(version, value)` per requested key.
+        rows: Vec<(Version, Option<Row>)>,
     },
 }
 
@@ -127,20 +125,9 @@ impl Process<MegaMsg> for MegaReplica {
                 }
                 self.applied = self.applied.max(pos);
             }
-            MegaMsg::ReadReq { req, key } => {
-                let (version, value) = match self.store.read(&key) {
-                    Some((v, row)) => (v, Some(row)),
-                    None => (self.store.version_of(&key), None),
-                };
-                ctx.send(
-                    from,
-                    MegaMsg::ReadResp {
-                        req,
-                        key,
-                        version,
-                        value,
-                    },
-                );
+            MegaMsg::ReadReq { req, keys } => {
+                let rows = self.store.read_rows(&keys);
+                ctx.send(from, MegaMsg::ReadResp { req, rows });
             }
             _ => {}
         }
@@ -310,20 +297,9 @@ impl Process<MegaMsg> for MegaMaster {
                 );
                 self.pump(ctx);
             }
-            MegaMsg::ReadReq { req, key } => {
-                let (version, value) = match self.store.read(&key) {
-                    Some((v, row)) => (v, Some(row)),
-                    None => (self.store.version_of(&key), None),
-                };
-                ctx.send(
-                    from,
-                    MegaMsg::ReadResp {
-                        req,
-                        key,
-                        version,
-                        value,
-                    },
-                );
+            MegaMsg::ReadReq { req, keys } => {
+                let rows = self.store.read_rows(&keys);
+                ctx.send(from, MegaMsg::ReadResp { req, rows });
             }
             _ => {}
         }

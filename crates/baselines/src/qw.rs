@@ -31,23 +31,21 @@ pub enum QwMsg {
         /// Key the ack is for.
         key: Key,
     },
-    /// Local committed read.
+    /// Local committed read of every key the client reads at this
+    /// replica.
     ReadReq {
         /// Request id.
         req: u64,
-        /// Key to read.
-        key: Key,
+        /// Keys to read.
+        keys: Vec<Key>,
     },
-    /// Read response.
+    /// Read response: per requested key, in request order, the version
+    /// and value at the replica.
     ReadResp {
         /// Echoed request id.
         req: u64,
-        /// Key read.
-        key: Key,
-        /// Version at the replica.
-        version: Version,
-        /// Value at the replica.
-        value: Option<Row>,
+        /// One `(version, value)` per requested key.
+        rows: Vec<(Version, Option<Row>)>,
     },
 }
 
@@ -81,20 +79,9 @@ impl Process<QwMsg> for QwStorage {
                 self.store.apply(&update);
                 ctx.send(from, QwMsg::PutAck { req, key });
             }
-            QwMsg::ReadReq { req, key } => {
-                let (version, value) = match self.store.read(&key) {
-                    Some((v, row)) => (v, Some(row)),
-                    None => (self.store.version_of(&key), None),
-                };
-                ctx.send(
-                    from,
-                    QwMsg::ReadResp {
-                        req,
-                        key,
-                        version,
-                        value,
-                    },
-                );
+            QwMsg::ReadReq { req, keys } => {
+                let rows = self.store.read_rows(&keys);
+                ctx.send(from, QwMsg::ReadResp { req, rows });
             }
             _ => {}
         }

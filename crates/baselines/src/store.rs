@@ -48,6 +48,16 @@ impl BaselineStore {
         }
     }
 
+    /// The answer to a read of `keys`: per key, in order, its version
+    /// (zero if never written) and its committed value, if any.
+    pub fn read_rows(&self, keys: &[Key]) -> Vec<(Version, Option<Row>)> {
+        let row = |key| match self.read(key) {
+            Some((v, row)) => (v, Some(row)),
+            None => (self.version_of(key), None),
+        };
+        keys.iter().map(row).collect()
+    }
+
     /// The version of a key (zero if never written).
     pub fn version_of(&self, key: &Key) -> Version {
         self.records

@@ -397,9 +397,14 @@ pub fn print_profile(report: &Report, top: usize) {
 /// Prints the `top` (node role, message kind) rows of the event-loop
 /// profile by host time — which handler the engine's wall-clock went
 /// to — with what each kind delivered: messages and their framed wire
-/// bytes, per write commit when the run committed any (timers and
-/// `on_start` deliver nothing). Nothing unless the run profiled host
-/// time (`TraceConfig::profile`).
+/// bytes (timers and `on_start` deliver nothing). The profile covers
+/// the whole run, warm-up and drain included, while the report counts
+/// write commits in its window only, so the per-commit column divides
+/// whole-run bytes by window commits and reads high — by the ratio of
+/// the run's commits to the window's (1.67× on `bench_all`'s traced
+/// quarter pass). Compare its rows with each other, not with
+/// `bytes_per_commit`. Nothing unless the run profiled host time
+/// (`TraceConfig::profile`).
 pub fn print_profile_by_kind(report: &Report, top: usize) {
     let rows = &report.profile_by_kind;
     if rows.is_empty() {
@@ -410,7 +415,8 @@ pub fn print_profile_by_kind(report: &Report, top: usize) {
     let commits = report.write_commits().max(1) as f64;
     println!(
         "# event-loop profile — top {} of {} (role, message kind) rows by host time \
-         ({:.1} ms in handlers, {:.0} delivered B per commit):",
+         ({:.1} ms in handlers; {:.0} B delivered over the whole run, warm-up and drain \
+         included, per window commit):",
         top.min(rows.len()),
         rows.len(),
         total * 1e3,
@@ -427,7 +433,7 @@ pub fn print_profile_by_kind(report: &Report, top: usize) {
         "msgs",
         "bytes",
         "B/msg",
-        "B/commit"
+        "runB/wcmt"
     );
     for row in rows.iter().take(top) {
         let wall = row.wall.as_secs_f64();

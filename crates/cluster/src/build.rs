@@ -499,11 +499,11 @@ fn diverge_debug_tap(world: &World<Msg, Tick>, matrix: &[Vec<NodeId>], audit: &C
     }
 }
 
-/// The `MDCC_DEBUG` tap: node and world counters after the run.
-fn debug_tap(world: &World<Msg, Tick>, nodes: &NodeStats, audit: &ClusterAudit) {
+/// The `MDCC_DEBUG` tap: node, TM and world counters after the run.
+fn debug_tap(world: &World<Msg, Tick>, nodes: &NodeStats, tms: &TxnStats, audit: &ClusterAudit) {
     if std::env::var_os("MDCC_DEBUG").is_some() {
         eprintln!(
-            "[mdcc-debug] nodes: {nodes:?}, pending_options={}, parked_left={}, \
+            "[mdcc-debug] nodes: {nodes:?}, tms: {tms:?}, pending_options={}, parked_left={}, \
              stuck_client_txns={}, world={:?}",
             audit.pending_options,
             audit.parked_left,
@@ -637,7 +637,7 @@ fn harvest_mdcc(
     }
     let audit = audit_cluster(&run.world, &run.matrix, &node_stats, in_flight);
     diverge_debug_tap(&run.world, &run.matrix, &audit);
-    debug_tap(&run.world, &node_stats, &audit);
+    debug_tap(&run.world, &node_stats, &stats, &audit);
     let mut report = run.report::<TransactionManager>();
     report.audit = Some(audit);
     report.profile = run.world.profile();

@@ -13,6 +13,7 @@ use mdcc_baselines::megastore::{MegaClient, MegaMsg};
 use mdcc_baselines::qw::{QwMsg, QwWriter};
 use mdcc_baselines::twopc::{TpcCoordinator, TpcMsg};
 use mdcc_common::{DcId, Key, NodeId, Placement, RecordUpdate, Row, SimTime, Version};
+use mdcc_core::msg::grouped;
 use mdcc_core::{MdccCtx, Msg, ReadConsistency, Tick, TmEvent, TransactionManager};
 use mdcc_paxos::TxnOutcome;
 use mdcc_sim::{Ctx, NetMessage, Process, TimerPayload};
@@ -202,15 +203,25 @@ impl Committer for TransactionManager {
 }
 
 /// A baseline coordinator `P` and its client's read phase: one
-/// `ReadReq` per key to the replica in the client's own data center
-/// under a fresh request id, answers collected until all are in.
+/// `ReadReq` per replica in the client's own data center, naming every
+/// key read there under a fresh request id, answers collected until all
+/// are in. The same read rule as MDCC's transaction manager, so the
+/// protocols are compared on equal read paths.
 pub struct Baseline<P> {
     coord: P,
     placement: Arc<dyn Placement>,
     my_dc: DcId,
     next_req: u64,
-    /// `(request id, responses needed, collected values)`.
-    wait: Option<(u64, usize, Vec<ReadValue>)>,
+    /// The read batch in flight.
+    wait: Option<ReadBatch>,
+}
+
+/// A baseline client's read batch: its token, the keys of each request
+/// still unanswered, and the values collected so far.
+struct ReadBatch {
+    token: u64,
+    requests: Vec<(u64, Vec<Key>)>,
+    values: Vec<ReadValue>,
 }
 
 impl<P> Baseline<P> {
@@ -225,35 +236,60 @@ impl<P> Baseline<P> {
         }
     }
 
-    /// Opens a read batch, sending what `request` builds per key.
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.next_req;
+        self.next_req += 1;
+        id
+    }
+
+    /// Opens a read batch, sending each local replica what `request`
+    /// builds for the keys it holds.
     fn read_with<M: NetMessage>(
         &mut self,
         keys: Vec<Key>,
         ctx: &mut Ctx<'_, M>,
-        request: fn(u64, Key) -> M,
+        request: fn(u64, Vec<Key>) -> M,
     ) -> u64 {
-        let req = self.next_req;
-        self.next_req += 1;
-        self.wait = Some((req, keys.len(), Vec::new()));
-        for key in keys {
-            let node = self.placement.replica_in(&key, self.my_dc);
-            ctx.send(node, request(req, key));
+        let token = self.fresh_id();
+        let placement = &self.placement;
+        let routed = keys.into_iter().map(|key| {
+            let node = placement.replica_in(&key, self.my_dc);
+            ([node], key)
+        });
+        let mut requests = Vec::new();
+        for (node, keys) in grouped(routed) {
+            let req = self.fresh_id();
+            ctx.send(node, request(req, keys.clone()));
+            requests.push((req, keys));
         }
-        req
+        let values = Vec::new();
+        self.wait = Some(ReadBatch {
+            token,
+            requests,
+            values,
+        });
+        token
     }
 
-    /// Takes one response; returns the batch once it is complete.
-    fn collect(&mut self, req: u64, value: ReadValue) -> Option<Step> {
-        let (want, needed, values) = self.wait.as_mut()?;
-        if *want != req {
+    /// Takes one response, its rows paired with its request's keys (a
+    /// response of the wrong length is dropped); returns the batch once
+    /// every request is answered.
+    fn collect(&mut self, req: u64, rows: Vec<(Version, Option<Row>)>) -> Option<Step> {
+        let batch = self.wait.as_mut()?;
+        let at = batch.requests.iter().position(|(id, _)| *id == req)?;
+        if batch.requests[at].1.len() != rows.len() {
             return None;
         }
-        values.push(value);
-        if values.len() < *needed {
+        let (_, keys) = batch.requests.remove(at);
+        let read = keys.into_iter().zip(rows);
+        batch
+            .values
+            .extend(read.map(|(key, (version, value))| (key, version, value)));
+        if !batch.requests.is_empty() {
             return None;
         }
-        let (_, _, values) = self.wait.take()?;
-        Some(Step::ReadDone(req, values))
+        let ReadBatch { token, values, .. } = self.wait.take()?;
+        Some(Step::ReadDone(token, values))
     }
 }
 
@@ -262,7 +298,7 @@ impl Committer for Baseline<QwWriter> {
     type Tick = QwMsg;
 
     fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, QwMsg>) -> u64 {
-        self.read_with(keys, ctx, |req, key| QwMsg::ReadReq { req, key })
+        self.read_with(keys, ctx, |req, keys| QwMsg::ReadReq { req, keys })
     }
 
     fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, QwMsg>) -> Option<bool> {
@@ -272,12 +308,7 @@ impl Committer for Baseline<QwWriter> {
 
     fn on_message(&mut self, _: NodeId, msg: QwMsg, _: &mut Ctx<'_, QwMsg>) -> Option<Step> {
         match msg {
-            QwMsg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => self.collect(req, (key, version, value)),
+            QwMsg::ReadResp { req, rows } => self.collect(req, rows),
             // The ack that completes the quorum ends the batch; later
             // ones are stragglers the writer no longer knows.
             QwMsg::PutAck { req, key } => self.coord.on_ack(req, key).map(|_| Step::Done(true)),
@@ -291,7 +322,7 @@ impl Committer for Baseline<TpcCoordinator> {
     type Tick = TpcMsg;
 
     fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, TpcMsg>) -> u64 {
-        self.read_with(keys, ctx, |req, key| TpcMsg::ReadReq { req, key })
+        self.read_with(keys, ctx, |req, keys| TpcMsg::ReadReq { req, keys })
     }
 
     fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, TpcMsg>) -> Option<bool> {
@@ -301,12 +332,7 @@ impl Committer for Baseline<TpcCoordinator> {
 
     fn on_message(&mut self, _: NodeId, msg: TpcMsg, ctx: &mut Ctx<'_, TpcMsg>) -> Option<Step> {
         match msg {
-            TpcMsg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => self.collect(req, (key, version, value)),
+            TpcMsg::ReadResp { req, rows } => self.collect(req, rows),
             msg => {
                 let done = self.coord.on_message(msg, ctx)?;
                 Some(Step::Done(done.committed))
@@ -320,7 +346,7 @@ impl Committer for Baseline<MegaClient> {
     type Tick = MegaMsg;
 
     fn read(&mut self, keys: Vec<Key>, ctx: &mut Ctx<'_, MegaMsg>) -> u64 {
-        self.read_with(keys, ctx, |req, key| MegaMsg::ReadReq { req, key })
+        self.read_with(keys, ctx, |req, keys| MegaMsg::ReadReq { req, keys })
     }
 
     fn commit(&mut self, txn: Decided, ctx: &mut Ctx<'_, MegaMsg>) -> Option<bool> {
@@ -331,12 +357,7 @@ impl Committer for Baseline<MegaClient> {
 
     fn on_message(&mut self, _: NodeId, msg: MegaMsg, _: &mut Ctx<'_, MegaMsg>) -> Option<Step> {
         match msg {
-            MegaMsg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => self.collect(req, (key, version, value)),
+            MegaMsg::ReadResp { req, rows } => self.collect(req, rows),
             msg => {
                 let done = self.coord.on_message(&msg)?;
                 Some(Step::Done(done.committed))

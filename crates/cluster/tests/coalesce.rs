@@ -57,11 +57,14 @@ fn assert_healthy(label: &str, report: &Report) {
 
 /// Most protocol frames one commit may cost on `hot_spec(77)`, and the
 /// fewest messages a frame must carry on average there: the values this
-/// run measured when the outbox became the only transport (23.3426 and
-/// 1.6374). One frame per message cost 34.4 protocol frames per commit
-/// there, at a factor of 1.
-const PROTOCOL_FRAMES_PER_COMMIT_CEILING: f64 = 23.343;
-const COALESCE_FACTOR_FLOOR: f64 = 1.637;
+/// run measured once a node's verdicts on one transaction's records
+/// travelled as one `Verdict` (21.371 and 1.0009). When the outbox
+/// became the only transport they were 23.3426 and 1.6374 — most of the
+/// batching was then three verdicts to one coordinator that are now one
+/// message — and one frame per message cost 34.4 protocol frames per
+/// commit, at a factor of 1.
+const PROTOCOL_FRAMES_PER_COMMIT_CEILING: f64 = 21.372;
+const COALESCE_FACTOR_FLOOR: f64 = 1.0008;
 
 /// The acceptance headline: the coalescing transport commits every
 /// transaction it attempts and leaves the cluster healthy, while its

@@ -8,8 +8,8 @@
 //! needs the cstruct itself (a quorum holds its option with one
 //! decision, behind entries that do not commute with it) pulls the whole
 //! vote with a `CstructPull`. These tests check the wire cost, that a
-//! coordinator proposes and resolves a transaction with one message per
-//! storage node, that loss costs commutative load no pull at all, that a
+//! coordinator proposes and resolves a transaction, and is answered,
+//! with one message per storage node, that loss costs commutative load no pull at all, that a
 //! write forced behind committed deltas is learned through one pull per
 //! quorum member, and that the cluster converges to an audited,
 //! constraint-respecting state under loss and crash/restart.
@@ -67,14 +67,16 @@ fn assert_healthy(label: &str, report: &Report) {
 }
 
 /// Wire bytes per committed transaction `hot_spec(77)` may cost: the
-/// measured value (1 186 B, 610 commits) plus ten per cent. Before the
+/// measured value (943 B, 618 commits) plus ten per cent. Before a
+/// node's verdicts on a transaction's records travelled as one `Verdict`
+/// and a read as one request per node it was 1 186 B; before the
 /// codec's integers became varints it was 2 793 B; a `Propose` and a
 /// `Visibility` per record per replica cost 3 744 B on the same spec,
 /// votes that carry the cstruct from the settled watermark 6 106 B, votes
 /// that re-ship the whole cstruct 70 521 B (measured at c51bd49, 8ec034e
 /// and f09ed95, the last commits that could send them, all with
 /// fixed-width integers).
-const HOT_BYTES_PER_COMMIT_CEILING: f64 = 1_305.0;
+const HOT_BYTES_PER_COMMIT_CEILING: f64 = 1_037.0;
 
 /// The headline: on hot commutative load a commit costs a few kilobytes
 /// of wire — a vote says what its destination asked, not what the record
@@ -95,11 +97,12 @@ fn verdict_votes_keep_hot_commutative_wire_cost_flat() {
     assert_eq!(report.nodes.stray_msgs, 0);
 }
 
-/// A transaction's proposal and its outcome travel once per storage node.
-/// With one shard per data center every record of a transaction lives on
-/// the same five nodes, so an attempt sends each node one `Propose` and,
-/// once decided, one `Visibility`, however many records it names; each
-/// node still judges, logs and counts every option on its own.
+/// A transaction's proposal, its answers and its outcome travel once per
+/// storage node. With one shard per data center every record of a
+/// transaction lives on the same five nodes, so an attempt sends each
+/// node one `Propose` and, once decided, one `Visibility`, however many
+/// records it names, and each node answers with one `Verdict`; each node
+/// still judges, logs and counts every option on its own.
 #[test]
 fn a_transaction_proposes_and_resolves_once_per_storage_node() {
     let mut spec = hot_spec(77);
@@ -148,6 +151,15 @@ fn a_transaction_proposes_and_resolves_once_per_storage_node() {
     assert!(
         nodes.proposals > proposes,
         "a Propose carries a transaction's options"
+    );
+    // The answers come back the same way: a node's verdicts on one
+    // transaction's records travel to its coordinator as one `Verdict`,
+    // so judged options outnumber the verdicts delivered.
+    let verdicts = delivered(NodeRole::Client, "Verdict");
+    assert!(
+        verdicts < nodes.fast_votes,
+        "{verdicts} Verdict for {} fast votes",
+        nodes.fast_votes
     );
     assert_eq!(nodes.stray_msgs, 0);
 }

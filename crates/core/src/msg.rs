@@ -26,20 +26,40 @@ pub(crate) fn send_each(ctx: &mut MdccCtx<'_>, to: &[NodeId], msg: impl Fn() -> 
 /// Groups items by the targets (nodes, shards) each is routed to: one
 /// entry per target, in the order the items first name it, holding every
 /// item routed there in item order — so that a handler sends each node
-/// one message.
-pub(crate) fn grouped<K: Copy + PartialEq, T: Clone>(
-    routed: impl IntoIterator<Item = (Vec<K>, T)>,
-) -> Vec<(K, Vec<T>)> {
+/// one message. An item is cloned for every target but its last.
+pub fn grouped<K, T, I>(routed: impl IntoIterator<Item = (I, T)>) -> Vec<(K, Vec<T>)>
+where
+    K: Copy + PartialEq,
+    T: Clone,
+    I: IntoIterator<Item = K>,
+{
     let mut groups: Vec<(K, Vec<T>)> = Vec::new();
     for (targets, item) in routed {
-        for target in targets {
+        let mut targets = targets.into_iter().peekable();
+        let mut item = Some(item);
+        while let Some(target) = targets.next() {
+            let copy = match targets.peek() {
+                Some(_) => item.clone(),
+                None => item.take(),
+            };
+            let Some(copy) = copy else { break };
             match groups.iter_mut().find(|(t, _)| *t == target) {
-                Some((_, items)) => items.push(item.clone()),
-                None => groups.push((target, vec![item.clone()])),
+                Some((_, items)) => items.push(copy),
+                None => groups.push((target, vec![copy])),
             }
         }
     }
     groups
+}
+
+/// How an entry of a [`Msg::Verdict`] names its record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecordName {
+    /// Position in the write-set (`TxnOption::peers`) of the message's
+    /// transaction.
+    At(u32),
+    /// The record's key, for a vote no single transaction anchors.
+    Key(Key),
 }
 
 /// Everything that travels between MDCC processes: every variant crosses
@@ -81,23 +101,42 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Acceptor responses (storage node → learners/TM).
     // ------------------------------------------------------------------
-    /// Phase2b vote (fast or classic) as a coordinator needs it: the
-    /// vote's ballot and instance and, for each option of the
-    /// destination still open at the acceptor, its status and whether it
-    /// is front-movable in the acceptor's cstruct — what the
-    /// destination's learners would read off the cstruct, read off it by
-    /// the acceptor.
+    /// Phase2b votes (fast or classic) as a coordinator needs them: every
+    /// vote one handler of the sender gave for records with an option of
+    /// the coordinator's, grouped by the transaction that names them.
+    /// Each entry is one record's vote: its ballot and instance and, for
+    /// each option of the destination still open at the acceptor, its
+    /// status and whether it is front-movable in the acceptor's cstruct —
+    /// what the destination's learners would read off the cstruct, read
+    /// off it by the acceptor.
     ///
     /// Who receives one: the coordinators of the record's options that
     /// have no outcome here yet — the learners — and, on the fast path,
     /// the proposer, which is one of them. A classic vote does *not* go
     /// back to the master that sent the Phase2a: a master is no learner,
     /// it follows its instance through its local acceptor.
+    ///
+    /// An entry names its record by position in the write-set of `txn`
+    /// ([`RecordName::At`]) when `txn` anchors it: the vote holds one
+    /// letter, of `txn`, or none and `txn` is the fast-path proposer's
+    /// transaction. A vote with two or more letters names its key
+    /// ([`RecordName::Key`]). The coordinator maps a position back
+    /// through the write-set it keeps for `txn` while `txn` runs.
+    ///
+    /// An entry whose anchor the coordinator no longer runs is dropped
+    /// unread, and that is safe. Its only letter (if any) is of `txn`,
+    /// which is resolved, so what it could still tell is that this
+    /// acceptor does not hold some *other* transaction's option on the
+    /// record — yet. That transaction's own proposal gets its own answer
+    /// from this acceptor, one that holds its letter, so the dropped entry
+    /// is worth no more than a delayed message, which the protocol
+    /// tolerates anyway.
     Verdict {
-        /// Record voted on.
-        key: Key,
-        /// The vote, reduced for its destination.
-        verdict: VoteVerdict,
+        /// The transaction whose write-set positional entries index.
+        txn: TxnId,
+        /// Per record, in the order the sender judged them: its name and
+        /// the vote, reduced for its destination.
+        records: Vec<(RecordName, VoteVerdict)>,
     },
     /// A coordinator's learner met a quorum that holds its option with
     /// one decision but not front-movable everywhere (interleaved
@@ -209,23 +248,23 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Reads.
     // ------------------------------------------------------------------
-    /// Read the committed value of a record.
+    /// Read the committed values of records, all replicated by the
+    /// destination: one request per (read, node).
     ReadReq {
-        /// Request id, echoed in the response.
+        /// Request id, echoed in the response; fresh for every request
+        /// sent, retries included.
         req: u64,
-        /// Record to read.
-        key: Key,
+        /// Records to read.
+        keys: Vec<Key>,
     },
-    /// Read response.
+    /// Read response: one row per requested key, in request order and
+    /// without the keys — the requester pairs them with its request.
     ReadResp {
         /// Echoed request id.
         req: u64,
-        /// Record read.
-        key: Key,
-        /// Committed version (zero for never-written records).
-        version: Version,
-        /// Committed value, if the record exists.
-        value: Option<Row>,
+        /// Per key, the committed version (zero for never-written
+        /// records) and value, if the record exists.
+        rows: Vec<(Version, Option<Row>)>,
     },
 
     // ------------------------------------------------------------------

@@ -55,10 +55,11 @@ use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
 use crate::fence::LeaseFence;
-use crate::msg::{send_each, MdccCtx, Msg, Tick};
+use crate::msg::{send_each, MdccCtx, Msg, RecordName, Tick};
 use crate::parked::Parked;
 use crate::placement::Placement;
 
+mod answers;
 mod master;
 
 /// Counters a storage node keeps about itself.
@@ -217,6 +218,10 @@ pub struct StorageNodeProcess {
     /// Phase2a rounds this node's leaders emitted in the handler under
     /// way, sent when it ends ([`Self::send_rounds`]).
     rounds: Vec<(Key, Phase2a)>,
+    /// Verdicts this node's acceptors gave in the handler under way, with
+    /// their destination and anchoring transaction, sent when it ends
+    /// ([`Self::send_answers`]).
+    answers: Vec<(NodeId, TxnId, RecordName, VoteVerdict)>,
 }
 
 /// Bound on the fast-redirect memo: entries normally clear on
@@ -260,6 +265,7 @@ impl StorageNodeProcess {
             lease_audit: None,
             parked: Parked::new(),
             rounds: Vec::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -389,51 +395,6 @@ impl StorageNodeProcess {
         }
     }
 
-    /// Fans a vote out to every coordinator that can still learn
-    /// something from it, so recovery-adopted options reach their
-    /// transaction managers (learners). Entries this node has an outcome
-    /// for are settled business at their coordinator — it produced the
-    /// Visibility, and stale retries get `AlreadyResolved`.
-    ///
-    /// `also` is the proposer on the fast path, where the proposer *is*
-    /// the learner and must hear back even if the outcome overtook its
-    /// option. On the classic path it is nobody: the Phase2a came from
-    /// the master, which learns that its instance advanced from its
-    /// local acceptor and would drop the vote unread.
-    ///
-    /// Each destination is sent the vote as a verdict
-    /// ([`mdcc_paxos::AcceptorRecord::verdicts`]): what `vote` — which
-    /// starts at the record's settled watermark — says of the
-    /// destination's own open options. A learner that needs the cstruct
-    /// itself comes back with a `CstructPull`.
-    fn fan_out_vote(
-        &mut self,
-        key: &Key,
-        vote: &Phase2b,
-        also: Option<NodeId>,
-        ctx: &mut MdccCtx<'_>,
-    ) {
-        let verdicts = self.store.with_record(key, |rec| rec.verdicts(vote));
-        let mut verdicts = verdicts.unwrap_or_default();
-        if let Some(proposer) = also {
-            // The proposer first, with nothing to say of its options if
-            // none is open here.
-            let verdict = match verdicts.iter().position(|(to, _)| *to == proposer) {
-                Some(at) => verdicts.remove(at).1,
-                None => VoteVerdict {
-                    ballot: vote.ballot,
-                    version: vote.version,
-                    letters: Vec::new(),
-                },
-            };
-            verdicts.insert(0, (proposer, verdict));
-        }
-        for (to, verdict) in verdicts {
-            let key = key.clone();
-            ctx.send(to, Msg::Verdict { key, verdict });
-        }
-    }
-
     /// A fast-ballot option arrived (`Msg::Propose` carries one per record
     /// of its transaction this node replicates, fed here in order).
     ///
@@ -471,6 +432,7 @@ impl StorageNodeProcess {
     fn judge_proposal(&mut self, from: NodeId, opt: TxnOption, ctx: &mut MdccCtx<'_>) {
         let key = opt.key.clone();
         let txn = opt.txn;
+        let peers = Arc::clone(&opt.peers);
         self.wal_append(ctx, |at| {
             [WalRecord::FastPropose {
                 at,
@@ -480,7 +442,7 @@ impl StorageNodeProcess {
         match self.store.fast_propose(opt, ctx.now) {
             FastPropose::Vote(vote) => {
                 self.stats.fast_votes += 1;
-                self.fan_out_vote(&key, &vote, Some(from), ctx);
+                self.fan_out_vote(&key, &vote, Some((from, txn, &peers)));
             }
             FastPropose::NotFast { promised } => {
                 self.stats.not_fast_bounces += 1;
@@ -727,18 +689,16 @@ impl StorageNodeProcess {
         ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
     }
 
-    fn on_read(&mut self, from: NodeId, req: u64, key: Key, ctx: &mut MdccCtx<'_>) {
-        let (version, value) = match self.store.read_committed(&key) {
-            Some((v, row)) => (v, Some(row)),
-            None => (self.store.version_of(&key), None),
-        };
-        let resp = Msg::ReadResp {
-            req,
-            key,
-            version,
-            value,
-        };
-        ctx.send(from, resp);
+    /// Answers a read with one row per key, in request order.
+    fn on_read(&mut self, from: NodeId, req: u64, keys: Vec<Key>, ctx: &mut MdccCtx<'_>) {
+        let rows = keys
+            .iter()
+            .map(|key| match self.store.read_committed(key) {
+                Some((v, row)) => (v, Some(row)),
+                None => (self.store.version_of(key), None),
+            })
+            .collect();
+        ctx.send(from, Msg::ReadResp { req, rows });
     }
 
     fn on_query_status(&mut self, from: NodeId, txn: TxnId, key: Key, ctx: &mut MdccCtx<'_>) {
@@ -830,6 +790,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
         if self.cfg.mastership.enabled {
             self.start_mastership(ctx);
         }
+        self.flush(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) {
@@ -875,7 +836,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
             | Msg::SyncDigest { .. }
             | Msg::SyncRangePull { .. }
             | Msg::SyncChunk { .. } => self.on_sync(from, msg, ctx),
-            Msg::ReadReq { req, key } => self.on_read(from, req, key, ctx),
+            Msg::ReadReq { req, keys } => self.on_read(from, req, keys, ctx),
             Msg::CstructPull { key } => {
                 // A learner needs the cstruct behind a verdict.
                 self.stats.repair_served += 1;
@@ -901,7 +862,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
             | Msg::Vote { .. }
             | Msg::ReadResp { .. } => self.stats.stray_msgs += 1,
         }
-        self.send_rounds(ctx);
+        self.flush(ctx);
     }
 
     fn on_timer(&mut self, tick: Tick, ctx: &mut MdccCtx<'_>) {
@@ -936,18 +897,17 @@ impl Process<Msg, Tick> for StorageNodeProcess {
                 ctx.set_timer(CHECKPOINT_INTERVAL, Tick::CheckpointTick);
             }
             Tick::MsTick => {
-                let mut out = Vec::new();
-                let Some(ms) = self.mastership.as_mut() else {
-                    return;
-                };
-                let next = ms.on_tick(ctx.now, &mut out);
-                self.flush_ms_actions(out, ctx);
-                ctx.set_timer(next, Tick::MsTick);
+                if let Some(ms) = self.mastership.as_mut() {
+                    let mut out = Vec::new();
+                    let next = ms.on_tick(ctx.now, &mut out);
+                    self.flush_ms_actions(out, ctx);
+                    ctx.set_timer(next, Tick::MsTick);
+                }
             }
             Tick::SyncSweep => self.on_sync_sweep(ctx),
             // The TM's and clients' ticks: a storage node arms none.
             Tick::LearnTimeout { .. } | Tick::ReadRetry { .. } | Tick::ClientTick => {}
         }
-        self.send_rounds(ctx);
+        self.flush(ctx);
     }
 }

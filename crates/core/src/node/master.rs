@@ -16,7 +16,8 @@
 //! The classic path travels once per (transaction, node): a proposal
 //! carries every option its coordinator routed to this node, and the
 //! Phase2a rounds a handler's leaders emit leave together, one `P2a` per
-//! replica node ([`StorageNodeProcess::send_rounds`]).
+//! replica node ([`StorageNodeProcess::send_rounds`], run by the
+//! handler's one flush with the verdicts its acceptors gave).
 
 use mdcc_common::{DcId, Key, NodeId, SimDuration};
 use mdcc_mastership::{Action as MsAction, Mastership, MsMsg, HEARTBEAT_INTERVAL};
@@ -341,7 +342,7 @@ impl StorageNodeProcess {
         let opts: Vec<TxnOption> = proposal.options().collect();
         self.stats.mastered_options += opts.len() as u64;
         let placement = &self.placement;
-        let shards = grouped(opts.iter().map(|o| (vec![placement.shard_id(&o.key)], o)));
+        let shards = grouped(opts.iter().map(|o| ([placement.shard_id(&o.key)], o)));
         let mut led_here = Vec::new();
         for (shard, group) in shards {
             let (serving, holder) = match &self.mastership {
@@ -505,7 +506,7 @@ impl StorageNodeProcess {
         match self.store.classic_accept(&key, payload, ctx.now) {
             ClassicAccept::Vote(vote) => {
                 self.stats.classic_votes += 1;
-                self.fan_out_vote(&key, &vote, None, ctx);
+                self.fan_out_vote(&key, &vote, None);
             }
             ClassicAccept::Nack { promised } => {
                 let key = key.clone();

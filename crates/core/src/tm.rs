@@ -16,7 +16,6 @@
 //!    asynchronously as Visibility messages and does not add latency.
 
 use std::collections::btree_map::Entry;
-use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -25,13 +24,18 @@ use mdcc_common::error::AbortReason;
 use mdcc_common::{
     DcId, Key, NodeId, ProtocolConfig, RecordUpdate, Row, SimTime, TxnId, Version, WriteSet,
 };
+use mdcc_paxos::acceptor::VoteVerdict;
 use mdcc_paxos::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use mdcc_sim::event::TimerId;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
-use crate::msg::{grouped, send_each, MdccCtx, Msg, Tick};
+use crate::msg::{grouped, MdccCtx, Msg, RecordName, Tick};
 use crate::placement::Placement;
+
+mod reads;
+
+use reads::Reads;
 
 /// Read consistency levels (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +78,14 @@ pub struct TxnStats {
     /// Whole votes pulled (`CstructPull` sent): a learner met a quorum
     /// that only the acceptors' cstructs can decide.
     pub repair_pulls: u64,
+    /// `Verdict` entries dropped unread because the transaction whose
+    /// write-set names their record no longer runs here (see
+    /// [`Msg::Verdict`] for why that is safe).
+    pub unanchored_verdicts: u64,
+    /// Replies dropped as malformed: a `ReadResp` whose row count is not
+    /// its request's key count, or a `Verdict` entry whose position falls
+    /// outside its transaction's write-set.
+    pub malformed_replies: u64,
 }
 
 impl std::ops::AddAssign for TxnStats {
@@ -87,6 +99,8 @@ impl std::ops::AddAssign for TxnStats {
             timeouts,
             classic_redirects,
             repair_pulls,
+            unanchored_verdicts,
+            malformed_replies,
         } = o;
         self.committed += committed;
         self.aborted += aborted;
@@ -95,6 +109,8 @@ impl std::ops::AddAssign for TxnStats {
         self.timeouts += timeouts;
         self.classic_redirects += classic_redirects;
         self.repair_pulls += repair_pulls;
+        self.unanchored_verdicts += unanchored_verdicts;
+        self.malformed_replies += malformed_replies;
     }
 }
 
@@ -138,24 +154,13 @@ struct ActiveTxn {
     /// The options, kept to re-propose them after a learn timeout or a
     /// bounce (a bounce names the transaction, not the option).
     options: BTreeMap<Key, TxnOption>,
+    /// The write-set, in update order: a verdict names a record by its
+    /// position here.
+    peers: Arc<[Key]>,
     /// Learners and decisions, keys in sorted order.
     coord: Coordination,
     all_fast: bool,
     timer: TimerId,
-}
-
-#[derive(Debug)]
-struct ReadTask {
-    consistency: ReadConsistency,
-    needed: usize,
-    /// Per-key responses, keyed by responder so retry re-broadcasts
-    /// cannot count one replica twice toward an up-to-date quorum.
-    responses: HashMap<Key, Vec<(NodeId, Version, Option<Row>)>>,
-    keys: Vec<Key>,
-    /// Re-issue timer: a read request or response lost to the network
-    /// (or to a crashed replica) must not stall the client forever.
-    timer: TimerId,
-    retries: u32,
 }
 
 /// The per-app-server transaction manager.
@@ -163,14 +168,13 @@ pub struct TransactionManager {
     cfg: TmConfig,
     placement: Arc<dyn Placement>,
     next_seq: u64,
-    next_read: u64,
     active: BTreeMap<TxnId, ActiveTxn>,
     /// Per record, the active transactions still waiting to learn their
     /// option on it, in transaction order — the learners a vote for that
     /// record feeds. Entries come with `commit` and go with
     /// `record_decision`.
     waiting: HashMap<Key, Vec<TxnId>>,
-    reads: HashMap<u64, ReadTask>,
+    reads: Reads,
     /// Records believed to be under a classic ballot, with their master.
     classic_cache: HashMap<Key, NodeId>,
     /// Dynamic mastership: believed lease holder per shard, learned from
@@ -190,10 +194,9 @@ impl TransactionManager {
             cfg,
             placement,
             next_seq: 0,
-            next_read: 0,
             active: BTreeMap::new(),
             waiting: HashMap::new(),
-            reads: HashMap::new(),
+            reads: Reads::default(),
             classic_cache: HashMap::new(),
             lease_cache: HashMap::new(),
             stats: TxnStats::default(),
@@ -215,66 +218,6 @@ impl TransactionManager {
     /// Number of unfinished commit attempts.
     pub fn in_flight(&self) -> usize {
         self.active.len()
-    }
-
-    // ------------------------------------------------------------------
-    // Reads.
-    // ------------------------------------------------------------------
-
-    /// Issues a read of `keys`; the result arrives later as
-    /// [`TmEvent::ReadDone`] carrying the returned token.
-    pub fn read(
-        &mut self,
-        keys: Vec<Key>,
-        consistency: ReadConsistency,
-        ctx: &mut MdccCtx<'_>,
-    ) -> u64 {
-        let token = self.next_read;
-        self.next_read += 1;
-        let needed = match consistency {
-            ReadConsistency::Local => 1,
-            ReadConsistency::UpToDate => self.cfg.protocol.classic_quorum,
-        };
-        for key in &keys {
-            self.send_read(token, key, consistency, false, ctx);
-        }
-        let timer = ctx.set_timer(LEARN_TIMEOUT, Tick::ReadRetry { token });
-        self.reads.insert(
-            token,
-            ReadTask {
-                consistency,
-                needed,
-                responses: HashMap::new(),
-                keys,
-                timer,
-                retries: 0,
-            },
-        );
-        token
-    }
-
-    /// Sends the read requests for one key. `broadcast` widens a local
-    /// read to every replica — the fallback when the local replica looks
-    /// dead (crashed node, §3.2.3's "any storage node" principle applies
-    /// to reads too).
-    fn send_read(
-        &self,
-        token: u64,
-        key: &Key,
-        consistency: ReadConsistency,
-        broadcast: bool,
-        ctx: &mut MdccCtx<'_>,
-    ) {
-        let req = || Msg::ReadReq {
-            req: token,
-            key: key.clone(),
-        };
-        match consistency {
-            ReadConsistency::Local if !broadcast => {
-                ctx.send(self.placement.replica_in(key, self.cfg.my_dc), req())
-            }
-            _ => send_each(ctx, &self.placement.replicas(key), req),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -364,6 +307,7 @@ impl TransactionManager {
             ActiveTxn {
                 started: ctx.now,
                 options,
+                peers: ws.keys,
                 coord,
                 all_fast: true,
                 timer,
@@ -455,9 +399,7 @@ impl TransactionManager {
     /// Feeds a network message; returns completions/read results to act on.
     pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) -> Vec<TmEvent> {
         match msg {
-            Msg::Verdict { key, verdict } => self.on_answer(from, key, ctx, |coord, key, idx| {
-                coord.on_verdict(key, idx, &verdict)
-            }),
+            Msg::Verdict { txn, records } => self.on_verdicts(from, txn, records, ctx),
             // The whole vote one of this TM's learners pulled.
             Msg::Vote { key, vote } => self.on_answer(from, key, ctx, |coord, key, idx| {
                 coord.on_vote(key, idx, &vote)
@@ -472,12 +414,7 @@ impl TransactionManager {
                 }
                 self.record_decision(txn, key, ctx)
             }
-            Msg::ReadResp {
-                req,
-                key,
-                version,
-                value,
-            } => self.on_read_resp(from, req, key, version, value, ctx),
+            Msg::ReadResp { req, rows } => self.on_read_resp(from, req, rows, ctx),
             Msg::NotFast { .. }
             | Msg::GoFast { .. }
             | Msg::InstanceFull { .. }
@@ -587,29 +524,6 @@ impl TransactionManager {
         self.propose_attempt(&opts, attempt, ctx);
     }
 
-    /// Re-issues the still-missing reads of a stalled batch. After a
-    /// couple of attempts the local replica is presumed dead and the
-    /// read fans out to every replica (the first response wins).
-    fn retry_read(&mut self, token: u64, ctx: &mut MdccCtx<'_>) {
-        let Some(task) = self.reads.get_mut(&token) else {
-            return;
-        };
-        task.retries += 1;
-        let broadcast = task.retries >= 2;
-        let missing: Vec<Key> = task
-            .keys
-            .iter()
-            .filter(|k| task.responses.get(*k).map(|v| v.len()).unwrap_or(0) < task.needed)
-            .cloned()
-            .collect();
-        let consistency = task.consistency;
-        let backoff = LEARN_TIMEOUT * (1u64 << task.retries.min(4));
-        task.timer = ctx.set_timer(backoff, Tick::ReadRetry { token });
-        for key in missing {
-            self.send_read(token, &key, consistency, broadcast, ctx);
-        }
-    }
-
     /// `txn`'s option on `key` while the transaction is in flight and the
     /// option has no status yet: what a storage node that bounced it asks
     /// this TM to send again.
@@ -622,6 +536,46 @@ impl TransactionManager {
     /// [`Self::relevant`] as a proposal of its own, for the master.
     fn relevant_proposal(&self, txn: TxnId, key: &Key) -> Option<Proposal> {
         Proposal::of([self.relevant(txn, key)?])
+    }
+
+    /// Acceptor `from`'s verdicts, one per record. Every record is named
+    /// before any verdict is fed — feeding one can finish `txn` and drop
+    /// the write-set the rest are named by. A position is read through
+    /// `txn`'s write-set: dropped if `txn` no longer runs here (see
+    /// [`Msg::Verdict`]), and as malformed if it falls outside it.
+    fn on_verdicts(
+        &mut self,
+        from: NodeId,
+        txn: TxnId,
+        records: Vec<(RecordName, VoteVerdict)>,
+        ctx: &mut MdccCtx<'_>,
+    ) -> Vec<TmEvent> {
+        let peers = self.active.get(&txn).map(|a| Arc::clone(&a.peers));
+        let mut named = Vec::with_capacity(records.len());
+        for (name, verdict) in records {
+            let key = match (name, &peers) {
+                (RecordName::Key(key), _) => key,
+                (RecordName::At(_), None) => {
+                    self.stats.unanchored_verdicts += 1;
+                    continue;
+                }
+                (RecordName::At(at), Some(peers)) => match peers.get(at as usize) {
+                    Some(key) => key.clone(),
+                    None => {
+                        self.stats.malformed_replies += 1;
+                        continue;
+                    }
+                },
+            };
+            named.push((key, verdict));
+        }
+        let mut events = Vec::new();
+        for (key, verdict) in named {
+            events.extend(self.on_answer(from, key, ctx, |coord, key, idx| {
+                coord.on_verdict(key, idx, &verdict)
+            }));
+        }
+        events
     }
 
     /// Acceptor `from` answered for `key` — a verdict, or the whole vote
@@ -737,51 +691,5 @@ impl TransactionManager {
             abort_reason: verdict.abort_reason,
             fast_path: active.all_fast,
         })]
-    }
-
-    fn on_read_resp(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        key: Key,
-        version: Version,
-        value: Option<Row>,
-        ctx: &mut MdccCtx<'_>,
-    ) -> Vec<TmEvent> {
-        let HashEntry::Occupied(mut entry) = self.reads.entry(req) else {
-            return Vec::new();
-        };
-        let task = entry.get_mut();
-        let responses = task.responses.entry(key).or_default();
-        if responses.iter().any(|(n, _, _)| *n == from) {
-            // A duplicate from a replica already counted (retry
-            // re-broadcast): an up-to-date quorum must be distinct
-            // replicas or it no longer intersects write quorums.
-            return Vec::new();
-        }
-        responses.push((from, version, value));
-        let done = task
-            .keys
-            .iter()
-            .all(|k| task.responses.get(k).map(|v| v.len()).unwrap_or(0) >= task.needed);
-        if !done {
-            return Vec::new();
-        }
-        let task = entry.remove();
-        ctx.cancel_timer(task.timer);
-        let values = task
-            .keys
-            .iter()
-            .map(|k| {
-                let responses = &task.responses[k];
-                let best = match task.consistency {
-                    ReadConsistency::Local => responses.first(),
-                    ReadConsistency::UpToDate => responses.iter().max_by_key(|(_, v, _)| *v),
-                };
-                let (_, version, value) = best.cloned().unwrap_or((NodeId(0), Version::ZERO, None));
-                (k.clone(), version, value)
-            })
-            .collect();
-        vec![TmEvent::ReadDone { token: req, values }]
     }
 }

@@ -14,10 +14,11 @@
 //! [`TrafficClass::Protocol`].
 
 use mdcc_common::wire;
-use mdcc_common::wire::{wire_len, FRAME_OVERHEAD};
+use mdcc_common::wire::{err, wire_len, Dec, Enc, Wire, WireResult, FRAME_OVERHEAD};
+use mdcc_common::Key;
 use mdcc_sim::{NetMessage, TrafficClass};
 
-use crate::msg::Msg;
+use crate::msg::{Msg, RecordName};
 
 wire!(enum Msg, "msg tag" {
     0 => Propose(proposal),
@@ -34,8 +35,8 @@ wire!(enum Msg, "msg tag" {
     11 => P2a { rounds },
     12 => P2aNack { key, promised },
     13 => P2aStale { key, snapshot },
-    14 => ReadReq { req, key },
-    15 => ReadResp { req, key, version, value },
+    14 => ReadReq { req, keys },
+    15 => ReadResp { req, rows },
     16 => QueryStatus { txn, key },
     17 => StatusResp { txn, key, vote, outcome },
     // Tags 18 and 19 (the per-key sync request and reply) are retired,
@@ -54,8 +55,31 @@ wire!(enum Msg, "msg tag" {
     // Tag 39 (the per-record lease override's routing hint) is retired,
     // not reused.
     40 => P2aBehind { key, ballot },
-    41 => Verdict { key, verdict },
+    41 => Verdict { txn, records },
 });
+
+/// A position travels as one varint, position + 1; a 0 says a key
+/// follows instead.
+impl Wire for RecordName {
+    fn encode(&self, out: &mut Enc) {
+        match self {
+            RecordName::At(at) => out.u64(u64::from(*at) + 1),
+            RecordName::Key(key) => {
+                out.u64(0);
+                key.encode(out);
+            }
+        }
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        match inp.u64()? {
+            0 => Ok(RecordName::Key(Key::decode(inp)?)),
+            at => match u32::try_from(at - 1) {
+                Ok(at) => Ok(RecordName::At(at)),
+                Err(_) => err("record position"),
+            },
+        }
+    }
+}
 
 impl NetMessage for Msg {
     /// Framed size of the message's canonical encoding — what the
@@ -229,23 +253,73 @@ mod tests {
                 },
             },
             Msg::Verdict {
-                key: key("a"),
-                verdict: VoteVerdict {
-                    ballot: Ballot::INITIAL_FAST,
-                    version: Version(2),
-                    letters: vec![
-                        Letter {
-                            txn: TxnId::new(NodeId(3), 4),
-                            status: OptionStatus::Accepted,
-                            movable: true,
+                txn: TxnId::new(NodeId(3), 5),
+                records: vec![(
+                    RecordName::Key(key("a")),
+                    VoteVerdict {
+                        ballot: Ballot::INITIAL_FAST,
+                        version: Version(2),
+                        letters: vec![
+                            Letter {
+                                txn: TxnId::new(NodeId(3), 4),
+                                status: OptionStatus::Accepted,
+                                movable: true,
+                            },
+                            Letter {
+                                txn: TxnId::new(NodeId(3), 5),
+                                status: OptionStatus::Rejected(AbortReason::PendingOption),
+                                movable: false,
+                            },
+                        ],
+                    },
+                )],
+            },
+            // A node's verdicts on three records of one transaction: two
+            // named by write-set position (one letter; none, to the
+            // proposer), one by key.
+            Msg::Verdict {
+                txn: TxnId::new(NodeId(3), 20),
+                records: vec![
+                    (
+                        RecordName::At(0),
+                        VoteVerdict {
+                            ballot: Ballot::INITIAL_FAST,
+                            version: Version(4),
+                            letters: vec![Letter {
+                                txn: TxnId::new(NodeId(3), 20),
+                                status: OptionStatus::Accepted,
+                                movable: true,
+                            }],
                         },
-                        Letter {
-                            txn: TxnId::new(NodeId(3), 5),
-                            status: OptionStatus::Rejected(AbortReason::PendingOption),
-                            movable: false,
+                    ),
+                    (
+                        RecordName::At(2),
+                        VoteVerdict {
+                            ballot: Ballot::classic(4, NodeId(1)),
+                            version: Version(3),
+                            letters: Vec::new(),
                         },
-                    ],
-                },
+                    ),
+                    (
+                        RecordName::Key(key("b")),
+                        VoteVerdict {
+                            ballot: Ballot::INITIAL_FAST,
+                            version: Version(6),
+                            letters: vec![
+                                Letter {
+                                    txn: TxnId::new(NodeId(3), 19),
+                                    status: OptionStatus::Accepted,
+                                    movable: true,
+                                },
+                                Letter {
+                                    txn: TxnId::new(NodeId(3), 20),
+                                    status: OptionStatus::Accepted,
+                                    movable: true,
+                                },
+                            ],
+                        },
+                    ),
+                ],
             },
             Msg::CstructPull { key: key("a") },
             Msg::NotFast {
@@ -322,13 +396,24 @@ mod tests {
             },
             Msg::ReadReq {
                 req: 7,
-                key: key("c"),
+                keys: vec![key("c")],
             },
             Msg::ReadResp {
                 req: 7,
-                key: key("c"),
-                version: Version(1),
-                value: Some(Row::new().with("stock", 4)),
+                rows: vec![(Version(1), Some(Row::new().with("stock", 4)))],
+            },
+            // One node's answer to a read of three keys, one never written.
+            Msg::ReadReq {
+                req: 8,
+                keys: ["a", "b", "c"].map(key).to_vec(),
+            },
+            Msg::ReadResp {
+                req: 8,
+                rows: vec![
+                    (Version(2), Some(Row::new().with("stock", 4))),
+                    (Version::ZERO, None),
+                    (Version(7), Some(Row::new().with("title", "widget"))),
+                ],
             },
             Msg::QueryStatus {
                 txn: TxnId::new(NodeId(2), 2),
@@ -440,10 +525,14 @@ mod tests {
         // 0x6d7f_3258_2a39_ef8a when `ProposeToMaster` and
         // `ProposeMastered` began to carry a `Proposal` and `P2a` its
         // rounds (each write-set once, no option key), with the samples
-        // of those shapes added.
+        // of those shapes added; and from 0x193b_44ea_31c7_80b4 when a
+        // `Verdict` began to carry a node's votes on one transaction's
+        // records, each named by write-set position or key, and a
+        // `ReadReq` / `ReadResp` a list of keys / of keyless rows, with
+        // the samples of those shapes added.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0x193b_44ea_31c7_80b4, "{digest:#018x}");
+        assert_eq!(digest, 0xb265_884c_06db_d1d3, "{digest:#018x}");
     }
 
     #[test]
@@ -508,6 +597,8 @@ mod tests {
         assert!(std::mem::size_of::<(TxnOption, Resolution)>() <= SLOT);
         assert!(std::mem::size_of::<(Key, Phase2a)>() <= SLOT);
         assert!(std::mem::size_of::<(TxnId, Arc<[Key]>)>() <= SLOT);
+        assert!(std::mem::size_of::<(RecordName, VoteVerdict)>() <= SLOT);
+        assert!(std::mem::size_of::<(Version, Option<Row>)>() <= SLOT);
         for msg in samples() {
             let mut bytes = to_bytes(&msg);
             for bit in 0..bytes.len() * 8 {
@@ -598,7 +689,7 @@ mod tests {
         assert_eq!(
             Msg::ReadReq {
                 req: 0,
-                key: key("a")
+                keys: vec![key("a")],
             }
             .traffic_class(),
             TrafficClass::Read
@@ -620,12 +711,15 @@ mod tests {
         );
         assert_eq!(
             Msg::Verdict {
-                key: key("a"),
-                verdict: VoteVerdict {
-                    ballot: Ballot::INITIAL_FAST,
-                    version: Version(1),
-                    letters: Vec::new(),
-                },
+                txn: TxnId::new(NodeId(0), 0),
+                records: vec![(
+                    RecordName::At(0),
+                    VoteVerdict {
+                        ballot: Ballot::INITIAL_FAST,
+                        version: Version(1),
+                        letters: Vec::new(),
+                    },
+                )],
             }
             .traffic_class(),
             TrafficClass::Protocol,
@@ -671,12 +765,15 @@ mod tests {
             movable: true,
         }];
         let verdict = Msg::Verdict {
-            key: key("a"),
-            verdict: VoteVerdict {
-                ballot: vote.ballot,
-                version: vote.version,
-                letters,
-            },
+            txn: opt(31).txn,
+            records: vec![(
+                RecordName::At(0),
+                VoteVerdict {
+                    ballot: vote.ballot,
+                    version: vote.version,
+                    letters,
+                },
+            )],
         };
         let whole = Msg::Vote {
             key: key("a"),

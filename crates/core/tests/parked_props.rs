@@ -145,13 +145,17 @@ fn visibility(i: u64) -> Msg {
     }
 }
 
-/// The instance and the letters a vote names: the node answers the
-/// coordinator with a verdict, one letter per option of the coordinator
-/// still open at the record. `None` for a message that is not a vote.
-fn voted(msg: &Msg) -> Option<(Version, &[Letter])> {
+/// The instance and the letters of each vote a message carries: the
+/// node answers the coordinator with verdicts, one letter per option of
+/// the coordinator still open at the record. Empty for a message that is
+/// not a vote.
+fn voted(msg: &Msg) -> Vec<(Version, &[Letter])> {
     match msg {
-        Msg::Verdict { verdict, .. } => Some((verdict.version, &verdict.letters)),
-        _ => None,
+        Msg::Verdict { records, .. } => records
+            .iter()
+            .map(|(_, verdict)| (verdict.version, verdict.letters.as_slice()))
+            .collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -219,7 +223,7 @@ proptest! {
         prop_assert_eq!(stats.parked_judged_behind, 0);
 
         // No replica that is merely behind says no.
-        for (version, letters) in node.sent.iter().filter_map(voted) {
+        for (version, letters) in node.sent.iter().flat_map(voted) {
             for letter in letters {
                 prop_assert!(
                     letter.status.is_accepted(),
@@ -301,7 +305,7 @@ fn a_retry_is_judged_as_it_stands_and_drops_the_parked_copy() {
     let rejected = node
         .sent
         .iter()
-        .filter_map(voted)
+        .flat_map(voted)
         .any(|(_, letters)| letters.iter().any(|l| !l.status.is_accepted()));
     assert!(rejected, "judged while behind: the stale-read vote of old");
     // Judged once: the record catching up later finds nothing parked.
@@ -349,19 +353,15 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
     // Link 1 resolves; nothing was parked, so nothing else moves.
     node.deliver(at(900), visibility(1));
     assert_eq!(node.node.store().version_of(&key()), Version(2));
-    assert!(node.sent.iter().all(|m| voted(m).is_none()));
+    assert!(node.sent.iter().all(|m| voted(m).is_empty()));
     // The coordinator's learn timeout re-proposes link 2: judged at the
     // version it read, accepted, answered.
     node.deliver(at(901), propose(2));
-    let accepted = node
-        .sent
-        .iter()
-        .filter_map(voted)
-        .any(|(version, letters)| {
-            version == Version(2)
-                && letters.iter().any(|l| {
-                    l.txn == TxnId::new(COORDINATOR, 2) && l.status == OptionStatus::Accepted
-                })
-        });
+    let accepted = node.sent.iter().flat_map(voted).any(|(version, letters)| {
+        version == Version(2)
+            && letters
+                .iter()
+                .any(|l| l.txn == TxnId::new(COORDINATOR, 2) && l.status == OptionStatus::Accepted)
+    });
     assert!(accepted, "the retry was not answered: {:?}", node.sent);
 }

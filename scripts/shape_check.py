@@ -60,7 +60,7 @@ MAX_FILE_LINES = 800
 # in, each with the ROADMAP item that retires it: lower a ceiling when
 # lines go, never raise one; drop the entry once the file is split.
 FILE_LINE_CEILINGS = {
-    "core/src/node.rs": 953,  # items 3 and 1(c)
+    "core/src/node.rs": 913,  # items 3 and 1(c)
 }
 PANIC = re.compile(r"\.unwrap\(\)|\.expect\(|\bpanic!\(")
 CRATES = pathlib.Path(__file__).resolve().parent.parent / "crates"
