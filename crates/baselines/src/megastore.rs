@@ -195,11 +195,6 @@ impl MegaMaster {
         self.stats
     }
 
-    /// Current queue length.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Serialization point: validate against the entity group's committed
     /// state. Non-conflicting transactions proceed to a log position
     /// (Paxos-CP); conflicting ones abort immediately. Physical updates

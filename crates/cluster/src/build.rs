@@ -252,7 +252,7 @@ impl<'a, M: NetMessage + 'static, T: TimerPayload + 'static> Run<'a, M, T> {
     fn spawn_storage(
         &mut self,
         data: &[(Key, Row)],
-        mut make: impl FnMut(DcId, &[&(Key, Row)]) -> Box<dyn Process<M, T>>,
+        mut make: impl FnMut(&[&(Key, Row)]) -> Box<dyn Process<M, T>>,
     ) {
         let mut rows = vec![Vec::new(); self.spec.shards_per_dc];
         for row in data {
@@ -261,7 +261,7 @@ impl<'a, M: NetMessage + 'static, T: TimerPayload + 'static> Run<'a, M, T> {
         for (dc, nodes) in self.matrix.iter().enumerate() {
             for (shard, &expected) in nodes.iter().enumerate() {
                 let dc = DcId(dc as u8);
-                let id = self.world.spawn(dc, make(dc, &rows[shard]));
+                let id = self.world.spawn(dc, make(&rows[shard]));
                 assert_eq!(id, expected);
             }
         }
@@ -397,7 +397,7 @@ fn recover_node(
     let torn = "disk state parses: the simulated disk is never torn";
     let (store, info) = recover_store(cfg.clone(), Arc::clone(catalog), disk).expect(torn);
     let mut node =
-        StorageNodeProcess::from_recovery(cfg.clone(), store, placement.clone(), allow_fast, info);
+        StorageNodeProcess::from_recovery(cfg.clone(), store, placement.clone(), allow_fast);
     node.install_recovered_leases(recovered_leases(disk).expect(torn));
     (node, info)
 }
@@ -543,9 +543,9 @@ pub fn run_mdcc(
         .enabled
         .then(mdcc_mastership::LeaseAudit::new);
     // What a node is handed at first boot and again at every restart.
-    let equip = |node: &mut StorageNodeProcess, dc: DcId| {
+    let equip = |node: &mut StorageNodeProcess| {
         if spec.trace.enabled {
-            node.set_tracer(tracer.clone(), dc);
+            node.set_tracer(tracer.clone());
         }
         if let Some(audit) = &lease_audit {
             node.set_lease_audit(audit.clone());
@@ -555,7 +555,7 @@ pub fn run_mdcc(
     // a checkpoint so a crash before its first periodic checkpoint still
     // recovers the loaded records.
     let mut snapshots = Vec::new();
-    run.spawn_storage(data, |dc, rows| {
+    run.spawn_storage(data, |rows| {
         let mut store = RecordStore::new(cfg.clone(), Arc::clone(&catalog));
         for (key, row) in rows {
             store.load(key.clone(), row.clone());
@@ -565,7 +565,7 @@ pub fn run_mdcc(
             snapshots.push(node.store().checkpoint_bytes());
             node.enable_durability();
         }
-        equip(&mut node, dc);
+        equip(&mut node);
         Box::new(node)
     });
     for (&node, snapshot) in run.matrix.iter().flatten().zip(snapshots) {
@@ -590,7 +590,7 @@ pub fn run_mdcc(
         assert!(spec.durability, "restarting nodes requires durability");
         let disk = world.disk(node);
         let (mut proc_, info) = recover_node(cfg, &catalog, &placement, allow_fast, disk);
-        equip(&mut proc_, dc);
+        equip(&mut proc_);
         if spec.trace.enabled {
             tracer.span(replay_span(node, dc, world.now()));
         }
@@ -675,7 +675,7 @@ pub fn run_qw(
     k: usize,
 ) -> Report {
     let mut run = Run::new(spec, storage_matrix(spec), spec.master_policy);
-    run.spawn_storage(data, |_, rows| {
+    run.spawn_storage(data, |rows| {
         Box::new(QwStorage::new(baseline_store(&catalog, rows)))
     });
     let placement = run.placement.clone() as Arc<dyn Placement>;
@@ -694,7 +694,7 @@ pub fn run_tpc(
     workload_factory: &mut WorkloadFactory<'_>,
 ) -> Report {
     let mut run = Run::new(spec, storage_matrix(spec), spec.master_policy);
-    run.spawn_storage(data, |_, rows| {
+    run.spawn_storage(data, |rows| {
         Box::new(TpcStorage::new(baseline_store(&catalog, rows)))
     });
     let placement = run.placement.clone() as Arc<dyn Placement>;

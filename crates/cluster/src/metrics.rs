@@ -190,7 +190,7 @@ pub struct BoxStats {
 }
 
 /// The reduced result of one experiment run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// All transaction records inside the measurement window, from every
     /// client, sorted by finish time.
@@ -311,17 +311,7 @@ impl Report {
             records,
             window_start,
             window_end,
-            recoveries: Vec::new(),
-            audit: None,
-            net: NetReport::default(),
-            trace: None,
-            perf: RunPerf::default(),
-            profile: Vec::new(),
-            profile_by_kind: Vec::new(),
-            engine: mdcc_storage::EngineStats::default(),
-            nodes: mdcc_core::node::NodeStats::default(),
-            mastership: mdcc_mastership::MastershipStats::default(),
-            lease_spans: Vec::new(),
+            ..Self::default()
         }
     }
 

@@ -570,6 +570,7 @@ macro_rules! wire {
                 })
             }
         }
+        $crate::variant_names!($ty { $($variant),* });
     };
 }
 

@@ -16,13 +16,6 @@ use mdcc_storage::{SyncItem, SyncRange};
 /// The context of every MDCC handler: it sends [`Msg`]s, arms [`Tick`]s.
 pub type MdccCtx<'a> = Ctx<'a, Msg, Tick>;
 
-/// Sends one copy of a message to each node of `to`, in order.
-pub(crate) fn send_each(ctx: &mut MdccCtx<'_>, to: &[NodeId], msg: impl Fn() -> Msg) {
-    for &node in to {
-        ctx.send(node, msg());
-    }
-}
-
 /// Groups items by the targets (nodes, shards) each is routed to: one
 /// entry per target, in the order the items first name it, holding every
 /// item routed there in item order — so that a handler sends each node

@@ -1,41 +1,18 @@
-//! The storage-node process: acceptors, masters and dangling recovery.
+//! The storage-node process: one `StorageNodeProcess` serves every
+//! record of its shard within its data center, routing each message
+//! family and timer to the role that owns it:
 //!
-//! One `StorageNodeProcess` serves every record of its shard within its
-//! data center. It plays three roles:
-//!
-//! * **acceptor** for fast proposals, Phase1a/Phase2a and visibility
-//!   messages, delegating to [`mdcc_storage::RecordStore`];
-//! * **master (leader)** for records whose classic ballots it owns,
-//!   delegating to [`mdcc_paxos::LeaderRecord`] (the handlers of this
-//!   role are in the child module `master`);
-//! * **recovery coordinator** for dangling transactions (§3.2.3): options
-//!   outstanding past the timeout are reconstructed by quorum-reading
-//!   every key in the option's write-set and resolved deterministically.
-//!
-//! # Stale proposals wait
-//!
-//! The network reorders, so a coordinator's `Propose(N+1)` can reach a
-//! replica before its own `Visibility(N)`. A fast proposal that read a
-//! version this replica has not reached (`RecordStore::behind`) is
-//! parked in [`crate::parked::Parked`] instead of being judged — the
-//! acceptor could only vote "no" for a reason that is this replica's
-//! lag, not the transaction's fault. The invariants:
-//!
-//! * **A parked proposal has touched nothing.** It is held before the
-//!   WAL append and before the acceptor sees it: not logged, not in a
-//!   cstruct, not voted on. The node behaves as if the network had
-//!   delivered it later; a crash forgets it like an in-flight message,
-//!   and WAL replay finds `FastPropose` where it was judged.
-//! * **Every parked proposal reads a version above its record's.** The
-//!   table is drained for a record wherever its version can move —
-//!   `record_moved` (visibility, classic accept, sync adoption) and the
-//!   `Propose` path itself, since a Visibility that overtook a proposal
-//!   closes the instance when the proposal is judged.
-//! * **Release is judgement by the unchanged acceptor**, in arrival
-//!   order per record, through the same path as an arriving `Propose`.
-//! * **Nothing waits longer than before.** The coordinator's retry of a
-//!   transaction (its learn timeout fired) is judged on arrival and
-//!   drops the parked copy; the table is capped; a crash empties it.
+//! * **acceptor** — proposals, Phase2a, visibility, reads, status
+//!   queries and the anti-entropy responder, here, over
+//!   [`mdcc_storage::RecordStore`]; proposals this replica is behind on
+//!   wait in [`crate::parked`]; verdicts leave once per (transaction,
+//!   coordinator) (`node/answers.rs`);
+//! * **master** — classic ballots and Phase1a/Phase2a behind the lease
+//!   fence (`node/master.rs`, over [`mdcc_paxos::LeaderRecord`]);
+//! * **recovery coordinator** for dangling transactions (§3.2.3), a
+//!   sans-IO machine (`node/dangling.rs`);
+//! * **repair initiator** — a restarted node's anti-entropy rounds and
+//!   missed-commit pulls, a sans-IO machine (`node/repair.rs`).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -43,116 +20,87 @@ use std::sync::Arc;
 use mdcc_common::config::{
     CHECKPOINT_INTERVAL, DANGLING_TIMEOUT, LEARN_TIMEOUT, RECOVERY_SYNC_INTERVAL, SYNC_CHUNK_KEYS,
 };
-use mdcc_common::error::AbortReason;
 use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, SimTime, TxnId};
 use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats};
 use mdcc_paxos::acceptor::{FastPropose, Phase2a, Phase2b, VoteVerdict};
-use mdcc_paxos::{Ballot, LeaderRecord, OptionStatus, TxnOption, TxnOutcome};
-use mdcc_recovery::{wal, write_checkpoint, RecoveryInfo, WalRecord};
+use mdcc_paxos::{Ballot, LeaderRecord, TxnOption, TxnOutcome};
+use mdcc_recovery::{wal, write_checkpoint, WalRecord};
 use mdcc_sim::Process;
 use mdcc_storage::RecordStore;
 use mdcc_trace::{Phase, TraceHandle};
 
-use crate::coordination::{recovery_target, Coordination, Progress};
 use crate::fence::LeaseFence;
-use crate::msg::{send_each, MdccCtx, Msg, RecordName, Tick};
+use crate::msg::{MdccCtx, Msg, RecordName, Tick};
 use crate::parked::Parked;
 use crate::placement::Placement;
+use dangling::Dangling;
+use repair::Repair;
 
 mod answers;
+mod dangling;
 mod master;
+mod repair;
 
-/// Counters a storage node keeps about itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NodeStats {
-    /// Fast proposals voted on.
-    pub fast_votes: u64,
-    /// Classic Phase2a proposals voted on.
-    pub classic_votes: u64,
-    /// Fast proposals bounced because a classic ballot was in force.
-    pub not_fast_bounces: u64,
-    /// Instance-full bounces.
-    pub instance_full: u64,
-    /// Collision/limit recoveries this node led.
-    pub recoveries_led: u64,
-    /// Dangling transactions this node resolved.
-    pub dangling_resolved: u64,
-    /// Durable checkpoints written (snapshot + WAL compaction).
-    pub checkpoints: u64,
-    /// Anti-entropy sync rounds initiated after a restart.
-    pub sync_rounds: u64,
-    /// Records whose state changed through peer sync.
-    pub sync_adoptions: u64,
-    /// `CstructPull` requests this node answered with its current whole
-    /// vote.
-    pub repair_served: u64,
-    /// Committed visibilities that arrived for options this node never
-    /// accepted (bare outcomes): each triggers a targeted per-key
-    /// anti-entropy pull so the missed execution is installed from a
-    /// peer instead of silently diverging the value.
-    pub missed_commit_pulls: u64,
-    /// Fast-ballot options received, counted per option (a `Propose`
-    /// carries every option of its transaction this node replicates).
-    pub proposals: u64,
-    /// Classic options that arrived in `ProposeMastered`, counted per
-    /// option (one carries every option its coordinator routed here).
-    pub mastered_options: u64,
-    /// Those led here while this node knew of no live lease for their
-    /// shard; the rest were served or forwarded under a lease.
-    pub unleased_options: u64,
-    /// Those whose option carries a read version (physical updates of
-    /// existing records, read guards) — the only ones that can park.
-    pub versioned_proposals: u64,
-    /// Fast proposals held because they read a version this replica had
-    /// not reached yet (see [`crate::parked`]).
-    pub proposals_parked: u64,
-    /// Parked proposals judged after their record caught up.
-    pub parked_released: u64,
-    /// Parked proposals judged while the record was still behind: the
-    /// coordinator re-proposed the transaction, or the table overflowed.
-    pub parked_judged_behind: u64,
-    /// Messages delivered here that a storage node has no use for and
-    /// drops (TM-side kinds): each was encoded, framed, queued and
-    /// charged for nothing. Zero unless a sender targets a node that
-    /// cannot use what it sends.
-    pub stray_msgs: u64,
-}
-
-impl std::ops::AddAssign for NodeStats {
-    /// Field-wise sum (cluster-wide totals).
-    fn add_assign(&mut self, o: Self) {
-        self.fast_votes += o.fast_votes;
-        self.classic_votes += o.classic_votes;
-        self.not_fast_bounces += o.not_fast_bounces;
-        self.instance_full += o.instance_full;
-        self.recoveries_led += o.recoveries_led;
-        self.dangling_resolved += o.dangling_resolved;
-        self.checkpoints += o.checkpoints;
-        self.sync_rounds += o.sync_rounds;
-        self.sync_adoptions += o.sync_adoptions;
-        self.repair_served += o.repair_served;
-        self.missed_commit_pulls += o.missed_commit_pulls;
-        self.proposals += o.proposals;
-        self.mastered_options += o.mastered_options;
-        self.unleased_options += o.unleased_options;
-        self.versioned_proposals += o.versioned_proposals;
-        self.proposals_parked += o.proposals_parked;
-        self.parked_released += o.parked_released;
-        self.parked_judged_behind += o.parked_judged_behind;
-        self.stray_msgs += o.stray_msgs;
+mdcc_common::counters! {
+    /// Counters a storage node keeps about itself.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct NodeStats {
+        /// Fast proposals voted on.
+        pub fast_votes: u64,
+        /// Classic Phase2a proposals voted on.
+        pub classic_votes: u64,
+        /// Fast proposals bounced because a classic ballot was in force.
+        pub not_fast_bounces: u64,
+        /// Instance-full bounces.
+        pub instance_full: u64,
+        /// Collision/limit recoveries this node led.
+        pub recoveries_led: u64,
+        /// Dangling transactions this node resolved.
+        pub dangling_resolved: u64,
+        /// Durable checkpoints written (snapshot + WAL compaction).
+        pub checkpoints: u64,
+        /// Anti-entropy sync rounds initiated after a restart.
+        pub sync_rounds: u64,
+        /// Records whose state changed through peer sync.
+        pub sync_adoptions: u64,
+        /// `CstructPull` requests this node answered with its current whole
+        /// vote.
+        pub repair_served: u64,
+        /// Committed visibilities that arrived for options this node never
+        /// accepted (bare outcomes): each triggers a targeted per-key
+        /// anti-entropy pull so the missed execution is installed from a
+        /// peer instead of silently diverging the value.
+        pub missed_commit_pulls: u64,
+        /// Fast-ballot options received, counted per option (a `Propose`
+        /// carries every option of its transaction this node replicates).
+        pub proposals: u64,
+        /// Classic options that arrived in `ProposeMastered`, counted per
+        /// option (one carries every option its coordinator routed here).
+        pub mastered_options: u64,
+        /// Those led here while this node knew of no live lease for their
+        /// shard; the rest were served or forwarded under a lease.
+        pub unleased_options: u64,
+        /// Those whose option carries a read version (physical updates of
+        /// existing records, read guards) — the only ones that can park.
+        pub versioned_proposals: u64,
+        /// Fast proposals held because they read a version this replica had
+        /// not reached yet (see [`crate::parked`]).
+        pub proposals_parked: u64,
+        /// Parked proposals judged after their record caught up.
+        pub parked_released: u64,
+        /// Parked proposals judged while the record was still behind: the
+        /// coordinator re-proposed the transaction, or the table overflowed.
+        pub parked_judged_behind: u64,
+        /// Messages delivered here that a storage node has no use for and
+        /// drops (TM-side kinds): each was encoded, framed, queued and
+        /// charged for nothing. Zero unless a sender targets a node that
+        /// cannot use what it sends.
+        pub stray_msgs: u64,
     }
 }
 
 /// How often the store is swept for dangling options: twice per timeout.
 const SWEEP_INTERVAL: SimDuration = SimDuration::from_micros(DANGLING_TIMEOUT.as_micros() / 2);
-
-/// Retry sweeps of a dangling-transaction recovery before an option that
-/// nobody has seen at the current instance is declared dead and the
-/// transaction resolved as aborted. Sound because recovery only starts
-/// `DANGLING_TIMEOUT` (seconds) after acceptance while message delays
-/// are sub-second — the same synchrony assumption the paper's
-/// timeout-based recovery makes (§3.2.3).
-const RECOVERY_ABANDON_RETRIES: u32 = 3;
 
 /// The vote an acceptor gives for a record it has never materialized.
 fn absent_vote() -> Phase2b {
@@ -173,32 +121,23 @@ pub struct StorageNodeProcess {
     /// `false` reproduces the *Multi* configuration: masters never hand
     /// records back to fast ballots.
     allow_fast: bool,
-    /// In-flight dangling-transaction reconstructions: the coordinator's
-    /// role, taken over for someone else's transaction, keys in the
-    /// option's `peers` order.
-    recoveries: HashMap<TxnId, Coordination>,
+    /// Dangling transactions this node took over (§3.2.3).
+    dangling: Dangling,
     /// When `true` the node write-ahead-logs every state-changing input
     /// to its simulated disk and checkpoints periodically.
     durable: bool,
-    /// Set when this process was rebuilt from disk after a crash; such
-    /// nodes run periodic anti-entropy rounds against peer replicas.
-    recovered: Option<RecoveryInfo>,
-    /// Rotating index into the peer-replica list for sync rounds.
-    sync_cursor: usize,
+    /// The anti-entropy rounds of a node rebuilt from disk after a
+    /// crash, and the pulls of missed commits.
+    repair: Repair,
     /// Transactions already redirected back to the fast path once
     /// (GoFast); a re-bounced proposal is accepted for classic leading
     /// instead of ping-ponging. Entries clear on resolution.
     redirected_fast: HashSet<TxnId>,
-    /// `stats.sync_adoptions` as of the previous sync sweep, plus the
-    /// number of consecutive sweeps that adopted nothing — sweeping
-    /// stops once a full peer rotation stays quiet (convergence).
-    last_sync_adoptions: u64,
-    sync_idle_rounds: u32,
     stats: NodeStats,
     /// Shared trace collector for leader-ballot and visibility spans.
     tracer: Option<TraceHandle>,
-    /// This node's data center, for span attribution (set with the
-    /// tracer; protocol logic never reads it).
+    /// This node's data center, for span attribution (set in
+    /// `on_start`; protocol logic never reads it).
     my_dc: DcId,
     /// Dynamic-mastership layer (leases + ballot leader election),
     /// constructed in `on_start` when `cfg.mastership.enabled`. `None`
@@ -230,11 +169,6 @@ pub struct StorageNodeProcess {
 /// worst re-allows one redirect per stale transaction).
 const REDIRECTED_FAST_CAP: usize = 4096;
 
-/// Retries of a missed-commit peer pull (rotating target peers) before
-/// the node gives up and waits for the next instance close to repair
-/// it via snapshot adoption.
-const MISSED_PULL_RETRIES: u32 = 3;
-
 impl StorageNodeProcess {
     /// Creates a storage node over `store`.
     pub fn new(
@@ -245,19 +179,16 @@ impl StorageNodeProcess {
     ) -> Self {
         let fence = LeaseFence::new(cfg.mastership.enabled, Arc::clone(&placement));
         Self {
+            dangling: Dangling::new(Arc::clone(&placement)),
+            repair: Repair::default(),
             cfg,
             store,
             placement,
             fence,
             leaders: HashMap::new(),
             allow_fast,
-            recoveries: HashMap::new(),
             durable: false,
-            recovered: None,
-            sync_cursor: 0,
             redirected_fast: HashSet::new(),
-            last_sync_adoptions: 0,
-            sync_idle_rounds: 0,
             stats: NodeStats::default(),
             tracer: None,
             my_dc: DcId(0),
@@ -287,11 +218,9 @@ impl StorageNodeProcess {
         self.fence.install_recovered(leases);
     }
 
-    /// Attaches the run's trace collector. `my_dc` is this node's data
-    /// center (spans carry it; the world is not reachable from here).
-    pub fn set_tracer(&mut self, tracer: TraceHandle, my_dc: DcId) {
+    /// Attaches the run's trace collector.
+    pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
-        self.my_dc = my_dc;
     }
 
     /// Creates a storage node whose store was rebuilt from its disk
@@ -303,11 +232,10 @@ impl StorageNodeProcess {
         store: RecordStore,
         placement: Arc<dyn Placement>,
         allow_fast: bool,
-        info: RecoveryInfo,
     ) -> Self {
         let mut node = Self::new(cfg, store, placement, allow_fast);
         node.durable = true;
-        node.recovered = Some(info);
+        node.repair = Repair::restarted_node();
         node
     }
 
@@ -349,26 +277,6 @@ impl StorageNodeProcess {
                 wal::append(disk, &record);
             }
         }
-    }
-
-    /// Opens one merkle-style anti-entropy round with the next peer in
-    /// rotation: the peer answers with range digests, this node pulls
-    /// only divergent ranges, and state ships in multi-record chunks.
-    /// The peers are the shard's replica group as the placement lists it:
-    /// a store that came back empty has peers to sync from all the same.
-    fn run_sync_round(&mut self, ctx: &mut MdccCtx<'_>) {
-        let mut peers = (0..self.placement.shard_count())
-            .map(|shard| self.placement.shard_replicas(shard))
-            .find(|group| group.contains(&ctx.self_id))
-            .unwrap_or_default();
-        peers.retain(|r| *r != ctx.self_id);
-        if peers.is_empty() {
-            return;
-        }
-        let target = peers[self.sync_cursor % peers.len()];
-        self.sync_cursor += 1;
-        self.stats.sync_rounds += 1;
-        ctx.send(target, Msg::SyncDigestReq);
     }
 
     /// Applies one record's worth of peer sync state (one item of a
@@ -499,49 +407,34 @@ impl StorageNodeProcess {
         self.release_parked(key, ctx);
     }
 
-    // ------------------------------------------------------------------
-    // Dangling-transaction recovery.
-    // ------------------------------------------------------------------
-
-    fn start_dangling_recovery(&mut self, txn: TxnId, keys: Arc<[Key]>, ctx: &mut MdccCtx<'_>) {
-        if self.recoveries.contains_key(&txn) {
-            return;
-        }
-        let coord = Coordination::new(&self.cfg, txn, keys.iter().cloned());
-        for key in coord.undecided() {
-            self.query_status(txn, key, ctx);
-        }
-        self.recoveries.insert(txn, coord);
-        ctx.set_timer(LEARN_TIMEOUT, Tick::RecoveryRetry { txn });
-    }
-
-    /// Quorum-reads `txn`'s option on `key`: asks every replica.
-    fn query_status(&self, txn: TxnId, key: &Key, ctx: &mut MdccCtx<'_>) {
-        send_each(ctx, &self.placement.replicas(key), || Msg::QueryStatus {
-            txn,
-            key: key.clone(),
-        });
-    }
-
-    fn finish_recovery(&mut self, txn: TxnId, outcome: TxnOutcome, ctx: &mut MdccCtx<'_>) {
-        let Some(coord) = self.recoveries.remove(&txn) else {
-            return;
-        };
-        self.stats.dangling_resolved += 1;
-        let placement = Arc::clone(&self.placement);
-        let me = ctx.self_id;
-        // This node applies its own verdict directly: routing the
-        // self-notification through the (lossy) network risks the one
-        // message whose loss leaves the recovery coordinator itself
-        // dangling after everyone else has moved on.
-        let emit = |to: NodeId, msg: Msg| {
-            if to == me {
-                self.on_message(me, msg, ctx)
-            } else {
-                ctx.send(to, msg)
+    /// Runs what the dangling-transaction machine asked for, in order. A
+    /// resolution's own copy is applied here, not sent: losing it would
+    /// leave this node dangling after everyone else has moved on.
+    fn run_dangling(
+        &mut self,
+        actions: impl IntoIterator<Item = dangling::Action>,
+        ctx: &mut MdccCtx<'_>,
+    ) {
+        for action in actions {
+            match action {
+                dangling::Action::Send(to, msg) => ctx.send(to, msg),
+                dangling::Action::ArmRetry(txn) => {
+                    ctx.set_timer(LEARN_TIMEOUT, Tick::RecoveryRetry { txn });
+                }
+                dangling::Action::Resolved(coord, outcome) => {
+                    self.stats.dangling_resolved += 1;
+                    let placement = Arc::clone(&self.placement);
+                    let me = ctx.self_id;
+                    coord.visibility(outcome, &*placement, Some(me), |to, msg| {
+                        if to == me {
+                            self.on_message(me, msg, ctx)
+                        } else {
+                            ctx.send(to, msg)
+                        }
+                    });
+                }
             }
-        };
-        coord.visibility(outcome, &*placement, Some(me), emit);
+        }
     }
 
     /// Applies one transaction outcome to one record on this node — what
@@ -564,9 +457,8 @@ impl StorageNodeProcess {
             }]
         });
         // A visibility also settles any recovery we were running.
-        if self.recoveries.contains_key(&txn) {
-            self.finish_recovery(txn, outcome, ctx);
-        }
+        let resolved = self.dangling.on_outcome(txn, outcome);
+        self.run_dangling(resolved, ctx);
         self.redirected_fast.remove(&txn);
         // A committed option this node never accepted (bounced
         // proposal, divergent ballot mode) lands as a bare
@@ -605,35 +497,31 @@ impl StorageNodeProcess {
     /// The timer also covers the race where the pull overtakes the
     /// peer's own Visibility.
     fn pull_missed_commit(&mut self, key: Key, txn: TxnId, attempt: u32, ctx: &mut MdccCtx<'_>) {
-        let mut peers = self.placement.replicas(&key);
-        peers.retain(|r| *r != ctx.self_id);
-        if peers.is_empty() {
+        let replicas = self.placement.replicas(&key);
+        let Some((peer, next)) = repair::missed_pull(&replicas, ctx.self_id, txn, attempt) else {
             return;
-        }
+        };
         if attempt == 0 {
             // Count divergence events, not retry attempts.
             self.stats.missed_commit_pulls += 1;
         }
-        let target = peers[(txn.seq as usize + attempt as usize) % peers.len()];
         let ranges = vec![(key.clone(), key.clone())];
-        ctx.send(target, Msg::SyncRangePull { ranges });
-        if attempt < MISSED_PULL_RETRIES {
-            let attempt = attempt + 1;
+        ctx.send(peer, Msg::SyncRangePull { ranges });
+        if let Some(attempt) = next {
             ctx.set_timer(LEARN_TIMEOUT, Tick::MissedPull { key, txn, attempt });
         }
     }
 
-    /// Finishes `txn`'s recovery once the commit rule has a verdict.
-    fn recovery_check_done(&mut self, txn: TxnId, ctx: &mut MdccCtx<'_>) {
-        let verdict = self.recoveries.get(&txn).and_then(|c| c.verdict());
-        if let Some(verdict) = verdict {
-            self.finish_recovery(txn, verdict.outcome, ctx);
+    /// Runs the sweep step the repair machine asks for, if any: a round
+    /// with its peer (`on_sync` answers) and the next sweep's timer.
+    fn sweep(&mut self, sweep: Option<repair::Sweep>, ctx: &mut MdccCtx<'_>) {
+        let Some(sweep) = sweep else { return };
+        if let Some(peer) = sweep.peer {
+            self.stats.sync_rounds += 1;
+            ctx.send(peer, Msg::SyncDigestReq);
         }
+        ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
     }
-
-    // ------------------------------------------------------------------
-    // Message handlers, one per family (see `Process::on_message`).
-    // ------------------------------------------------------------------
 
     /// The merkle anti-entropy family: a restarted peer asks for range
     /// digests, pulls the ranges that differ and applies the chunks.
@@ -672,23 +560,6 @@ impl StorageNodeProcess {
         }
     }
 
-    fn on_sync_sweep(&mut self, ctx: &mut MdccCtx<'_>) {
-        if self.stats.sync_adoptions == self.last_sync_adoptions {
-            self.sync_idle_rounds += 1;
-        } else {
-            self.last_sync_adoptions = self.stats.sync_adoptions;
-            self.sync_idle_rounds = 0;
-        }
-        // Stop only after strictly more quiet rounds than there are
-        // peers: a full rotation — including at least one live,
-        // never-crashed replica — found nothing to repair.
-        if self.sync_idle_rounds > self.cfg.replication as u32 {
-            return;
-        }
-        self.run_sync_round(ctx);
-        ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
-    }
-
     /// Answers a read with one row per key, in request order.
     fn on_read(&mut self, from: NodeId, req: u64, keys: Vec<Key>, ctx: &mut MdccCtx<'_>) {
         let rows = keys
@@ -714,64 +585,6 @@ impl StorageNodeProcess {
         };
         ctx.send(from, resp);
     }
-
-    fn on_status_resp(
-        &mut self,
-        from: NodeId,
-        txn: TxnId,
-        key: Key,
-        vote: Phase2b,
-        outcome: Option<TxnOutcome>,
-        ctx: &mut MdccCtx<'_>,
-    ) {
-        if let Some(outcome) = outcome {
-            // Someone already knows the verdict: just propagate it.
-            return self.finish_recovery(txn, outcome, ctx);
-        }
-        let Some(idx) = self.placement.acceptor_index(&key, from) else {
-            return;
-        };
-        let Some(coord) = self.recoveries.get_mut(&txn) else {
-            return;
-        };
-        match coord.on_vote(&key, idx, &vote) {
-            Progress::Learned { .. } => self.recovery_check_done(txn, ctx),
-            Progress::Collision { ask_master: true } => {
-                let master = self.placement.master(&key);
-                ctx.send(master, Msg::StartRecovery { key });
-            }
-            Progress::Collision { ask_master: false } | Progress::Undecided => {}
-        }
-    }
-
-    /// A recovery is still open after `LEARN_TIMEOUT`: re-query the
-    /// undecided keys and re-trigger master recovery for them; after
-    /// [`RECOVERY_ABANDON_RETRIES`] rounds, declare options nobody holds
-    /// dead.
-    fn on_recovery_retry(&mut self, txn: TxnId, ctx: &mut MdccCtx<'_>) {
-        let Some(coord) = self.recoveries.get_mut(&txn) else {
-            return;
-        };
-        let attempt = coord.next_attempt();
-        if attempt >= RECOVERY_ABANDON_RETRIES {
-            let dead = coord.undecided().filter(|k| coord.nobody_holds(k));
-            for key in dead.cloned().collect::<Vec<Key>>() {
-                coord.decide(&key, OptionStatus::Rejected(AbortReason::Resolved));
-            }
-        }
-        let undecided: Vec<Key> = coord.undecided().cloned().collect();
-        for key in undecided {
-            self.query_status(txn, &key, ctx);
-            // Rotate the recovery leader in case the default master's
-            // data center is down (§3.2.3).
-            let target = recovery_target(&*self.placement, &key, attempt);
-            ctx.send(target, Msg::StartRecovery { key });
-        }
-        self.recovery_check_done(txn, ctx);
-        if self.recoveries.contains_key(&txn) {
-            ctx.set_timer(LEARN_TIMEOUT, Tick::RecoveryRetry { txn });
-        }
-    }
 }
 
 impl Process<Msg, Tick> for StorageNodeProcess {
@@ -780,15 +593,22 @@ impl Process<Msg, Tick> for StorageNodeProcess {
         if self.durable {
             ctx.set_timer(CHECKPOINT_INTERVAL, Tick::CheckpointTick);
         }
-        if self.recovered.is_some() {
-            // Catch up on state missed while down: one round now, then
-            // periodic rounds (the final ones, after traffic quiesces,
-            // guarantee convergence with never-crashed replicas).
-            self.run_sync_round(ctx);
-            ctx.set_timer(RECOVERY_SYNC_INTERVAL, Tick::SyncSweep);
-        }
+        // The shards this node replicates, with their replica groups. A
+        // group holds one replica per data center, in `DcId` order.
+        let me = ctx.self_id;
+        let groups: Vec<(u32, Vec<NodeId>)> = (0..self.placement.shard_count())
+            .map(|shard| (shard, self.placement.shard_replicas(shard)))
+            .filter(|(_, replicas)| replicas.contains(&me))
+            .collect();
+        let group = groups.first().map_or(&[][..], |(_, replicas)| replicas);
+        self.my_dc = DcId(group.iter().position(|n| *n == me).unwrap_or(0) as u8);
+        // A restarted node catches up on what it missed while down, from
+        // its group as the placement lists it (so even an empty store has
+        // peers); the final rounds, after traffic quiesces, converge it.
+        let sweep = self.repair.on_start(me, group);
+        self.sweep(sweep, ctx);
         if self.cfg.mastership.enabled {
-            self.start_mastership(ctx);
+            self.start_mastership(groups, ctx);
         }
         self.flush(ctx);
     }
@@ -850,7 +670,10 @@ impl Process<Msg, Tick> for StorageNodeProcess {
                 key,
                 vote,
                 outcome,
-            } => self.on_status_resp(from, txn, key, vote, outcome, ctx),
+            } => {
+                let actions = self.dangling.on_status(from, txn, key, &vote, outcome);
+                self.run_dangling(actions, ctx);
+            }
             // TM-side messages: nothing a storage node does asks for
             // one, so whoever sent it wasted the frame. Counted.
             Msg::MasterHint { .. }
@@ -869,11 +692,15 @@ impl Process<Msg, Tick> for StorageNodeProcess {
         match tick {
             Tick::DanglingSweep => {
                 for p in self.store.dangling(ctx.now) {
-                    self.start_dangling_recovery(p.txn, p.peers, ctx);
+                    let actions = self.dangling.start(&self.cfg, p.txn, &p.peers);
+                    self.run_dangling(actions, ctx);
                 }
                 ctx.set_timer(SWEEP_INTERVAL, Tick::DanglingSweep);
             }
-            Tick::RecoveryRetry { txn } => self.on_recovery_retry(txn, ctx),
+            Tick::RecoveryRetry { txn } => {
+                let actions = self.dangling.on_retry(txn);
+                self.run_dangling(actions, ctx);
+            }
             Tick::MissedPull { key, txn, attempt } => {
                 let still_missing = self
                     .store
@@ -904,7 +731,11 @@ impl Process<Msg, Tick> for StorageNodeProcess {
                     ctx.set_timer(next, Tick::MsTick);
                 }
             }
-            Tick::SyncSweep => self.on_sync_sweep(ctx),
+            Tick::SyncSweep => {
+                let adoptions = self.stats.sync_adoptions;
+                let sweep = self.repair.on_sweep(adoptions, self.cfg.replication);
+                self.sweep(sweep, ctx);
+            }
             // The TM's and clients' ticks: a storage node arms none.
             Tick::LearnTimeout { .. } | Tick::ReadRetry { .. } | Tick::ClientTick => {}
         }

@@ -29,7 +29,7 @@ use mdcc_storage::RecordStore;
 use mdcc_trace::Phase;
 
 use super::{StorageNodeProcess, REDIRECTED_FAST_CAP};
-use crate::msg::{grouped, send_each, MdccCtx, Msg, Tick};
+use crate::msg::{grouped, MdccCtx, Msg, Tick};
 
 impl StorageNodeProcess {
     /// Lazily enforces the lease-promise floor on one record's acceptor
@@ -172,28 +172,21 @@ impl StorageNodeProcess {
         });
     }
 
-    /// Hosts the lease/election layer for every shard this node
-    /// replicates (`on_start`, with dynamic mastership on). The node's DC
-    /// is its acceptor position in the replica group (one replica per
-    /// DC, in DcId order).
-    pub(super) fn start_mastership(&mut self, ctx: &mut MdccCtx<'_>) {
-        let mut shards = Vec::new();
-        let mut my_dc = DcId(0);
-        for shard in 0..self.placement.shard_count() {
-            let replicas = self.placement.shard_replicas(shard);
-            if let Some(idx) = replicas.iter().position(|n| *n == ctx.self_id) {
-                my_dc = DcId(idx as u8);
-                shards.push((shard, replicas));
-            }
-        }
+    /// Hosts the lease/election layer for `shards`, the (shard, replica
+    /// group) pairs this node is in (`on_start`, mastership on).
+    pub(super) fn start_mastership(
+        &mut self,
+        shards: Vec<(u32, Vec<NodeId>)>,
+        ctx: &mut MdccCtx<'_>,
+    ) {
         if shards.is_empty() {
             return;
         }
         // What `install_recovered_leases` put in the fence is what this
         // node granted before a restart.
-        let recovered_at = self.recovered.is_some().then_some(ctx.now);
+        let recovered_at = self.repair.restarted().then_some(ctx.now);
         let granted = self.fence.floors();
-        let mut ms = Mastership::new(ctx.self_id, my_dc, shards, recovered_at, &granted);
+        let mut ms = Mastership::new(ctx.self_id, self.my_dc, shards, recovered_at, &granted);
         if let Some(audit) = &self.lease_audit {
             ms.set_audit(audit.clone());
         }
@@ -266,10 +259,10 @@ impl StorageNodeProcess {
                     // Ballot acquisition: closes when a Phase1b quorum
                     // makes this node the record's leader.
                     self.trace_begin(key, Phase::Phase1, ctx);
-                    send_each(ctx, &replicas, || Msg::P1a {
-                        key: key.clone(),
-                        ballot,
-                    });
+                    for &node in &replicas {
+                        let key = key.clone();
+                        ctx.send(node, Msg::P1a { key, ballot });
+                    }
                 }
                 LeaderAction::Phase2a(round) => {
                     // Classic instance round: closes when the local
@@ -516,7 +509,11 @@ impl StorageNodeProcess {
                 let key = key.clone();
                 ctx.send(from, Msg::P2aStale { key, snapshot });
             }
-            ClassicAccept::Behind => unreachable!("asked ahead of the WAL"),
+            ClassicAccept::Behind => {
+                // The pre-check above asks first; answer the same way.
+                let key = key.clone();
+                ctx.send(from, Msg::P2aBehind { key, ballot });
+            }
         }
         if self.store.version_of(&key) != before {
             self.record_moved(&key, ctx);

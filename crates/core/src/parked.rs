@@ -15,9 +15,17 @@
 //! hands them back. It never grows past [`PARKED_CAP`] and it forgets
 //! everything at a crash, like any in-flight message.
 //!
-//! Invariant kept by the owner ([`crate::node::StorageNodeProcess`]):
-//! every parked proposal reads a version *above* its record's current
-//! one — [`Parked::release`] is called whenever a record's version moves.
+//! Invariants kept by the owner ([`crate::node::StorageNodeProcess`]):
+//!
+//! * every parked proposal reads a version *above* its record's current
+//!   one — [`Parked::release`] is called whenever a record's version
+//!   moves, the `Propose` path included (a Visibility that overtook the
+//!   proposal closes the instance when it is judged);
+//! * release is judgement by the unchanged acceptor, in arrival order
+//!   per record, through the same path as an arriving `Propose`;
+//! * the coordinator's retry of a transaction (its learn timeout fired)
+//!   is judged on arrival and drops the parked copy ([`Parked::take`]),
+//!   so nothing waits longer than it would have without the table.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -60,57 +60,33 @@ pub struct TmConfig {
     pub assume_classic: bool,
 }
 
-/// Aggregate TM counters (the ingredients of Figures 5–7).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TxnStats {
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted transactions.
-    pub aborted: u64,
-    /// Transactions whose every option was learned from fast quorums.
-    pub fast_commits: u64,
-    /// Collisions observed (recovery requests sent).
-    pub collisions: u64,
-    /// Learn timeouts fired.
-    pub timeouts: u64,
-    /// Proposals bounced from fast to classic mode.
-    pub classic_redirects: u64,
-    /// Whole votes pulled (`CstructPull` sent): a learner met a quorum
-    /// that only the acceptors' cstructs can decide.
-    pub repair_pulls: u64,
-    /// `Verdict` entries dropped unread because the transaction whose
-    /// write-set names their record no longer runs here (see
-    /// [`Msg::Verdict`] for why that is safe).
-    pub unanchored_verdicts: u64,
-    /// Replies dropped as malformed: a `ReadResp` whose row count is not
-    /// its request's key count, or a `Verdict` entry whose position falls
-    /// outside its transaction's write-set.
-    pub malformed_replies: u64,
-}
-
-impl std::ops::AddAssign for TxnStats {
-    fn add_assign(&mut self, o: Self) {
-        // Exhaustive, so the next counter cannot be left out of the sum.
-        let Self {
-            committed,
-            aborted,
-            fast_commits,
-            collisions,
-            timeouts,
-            classic_redirects,
-            repair_pulls,
-            unanchored_verdicts,
-            malformed_replies,
-        } = o;
-        self.committed += committed;
-        self.aborted += aborted;
-        self.fast_commits += fast_commits;
-        self.collisions += collisions;
-        self.timeouts += timeouts;
-        self.classic_redirects += classic_redirects;
-        self.repair_pulls += repair_pulls;
-        self.unanchored_verdicts += unanchored_verdicts;
-        self.malformed_replies += malformed_replies;
+mdcc_common::counters! {
+    /// Aggregate TM counters (the ingredients of Figures 5–7).
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct TxnStats {
+        /// Committed transactions.
+        pub committed: u64,
+        /// Aborted transactions.
+        pub aborted: u64,
+        /// Transactions whose every option was learned from fast quorums.
+        pub fast_commits: u64,
+        /// Collisions observed (recovery requests sent).
+        pub collisions: u64,
+        /// Learn timeouts fired.
+        pub timeouts: u64,
+        /// Proposals bounced from fast to classic mode.
+        pub classic_redirects: u64,
+        /// Whole votes pulled (`CstructPull` sent): a learner met a quorum
+        /// that only the acceptors' cstructs can decide.
+        pub repair_pulls: u64,
+        /// `Verdict` entries dropped unread because the transaction whose
+        /// write-set names their record no longer runs here (see
+        /// [`Msg::Verdict`] for why that is safe).
+        pub unanchored_verdicts: u64,
+        /// Replies dropped as malformed: a `ReadResp` whose row count is not
+        /// its request's key count, or a `Verdict` entry whose position falls
+        /// outside its transaction's write-set.
+        pub malformed_replies: u64,
     }
 }
 

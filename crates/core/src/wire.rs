@@ -103,36 +103,7 @@ impl NetMessage for Msg {
     }
 
     fn kind(&self) -> &'static str {
-        match self {
-            Msg::Propose(_) => "Propose",
-            Msg::ProposeToMaster(_) => "ProposeToMaster",
-            Msg::ProposeMastered { .. } => "ProposeMastered",
-            Msg::Visibility { .. } => "Visibility",
-            Msg::StartRecovery { .. } => "StartRecovery",
-            Msg::Verdict { .. } => "Verdict",
-            Msg::CstructPull { .. } => "CstructPull",
-            Msg::Vote { .. } => "Vote",
-            Msg::NotFast { .. } => "NotFast",
-            Msg::InstanceFull { .. } => "InstanceFull",
-            Msg::AlreadyResolved { .. } => "AlreadyResolved",
-            Msg::GoFast { .. } => "GoFast",
-            Msg::P1a { .. } => "P1a",
-            Msg::P1b { .. } => "P1b",
-            Msg::P2a { .. } => "P2a",
-            Msg::P2aNack { .. } => "P2aNack",
-            Msg::P2aBehind { .. } => "P2aBehind",
-            Msg::P2aStale { .. } => "P2aStale",
-            Msg::ReadReq { .. } => "ReadReq",
-            Msg::ReadResp { .. } => "ReadResp",
-            Msg::QueryStatus { .. } => "QueryStatus",
-            Msg::StatusResp { .. } => "StatusResp",
-            Msg::SyncDigestReq => "SyncDigestReq",
-            Msg::SyncDigest { .. } => "SyncDigest",
-            Msg::SyncRangePull { .. } => "SyncRangePull",
-            Msg::SyncChunk { .. } => "SyncChunk",
-            Msg::Mastership(_) => "Mastership",
-            Msg::MasterHint { .. } => "MasterHint",
-        }
+        self.variant_name()
     }
 }
 

@@ -331,16 +331,11 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
 
     // Crash: the process is gone, the disk stays.
     let Harness { disk, .. } = node;
-    let (store, info) = recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk)
+    let (store, _) = recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk)
         .expect("clean disk");
     assert_eq!(fingerprint(&store), before);
-    let restarted = StorageNodeProcess::from_recovery(
-        ProtocolConfig::default(),
-        store,
-        placement(),
-        true,
-        info,
-    );
+    let restarted =
+        StorageNodeProcess::from_recovery(ProtocolConfig::default(), store, placement(), true);
     assert_eq!(restarted.parked_len(), 0);
     let mut node = Harness {
         node: restarted,

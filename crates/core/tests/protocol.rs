@@ -425,7 +425,6 @@ fn node_restarted_onto_an_empty_store_syncs_from_its_peers() {
         RecordStore::new(ProtocolConfig::default(), catalog()),
         c.placement.clone() as Arc<dyn Placement>,
         true,
-        mdcc_recovery::RecoveryInfo::default(),
     );
     c.world.restart_node(lost, Box::new(node));
     c.world.run_for(SimDuration::from_secs(30));

@@ -62,57 +62,33 @@ pub use table::{LeaseTable, OverrideRun};
 use election::Backoff;
 use shard::{Effects, Shard};
 
-/// Counters of mastership activity at one node (aggregated into the
-/// cluster report).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MastershipStats {
-    /// Election rounds this node started (candidacy bumps).
-    pub elections: u64,
-    /// Fresh leases acquired (majority-granted).
-    pub leases_acquired: u64,
-    /// Successful lease renewals.
-    pub renewals: u64,
-    /// Voluntary handoffs sent (migration).
-    pub handoffs: u64,
-    /// Mastered requests served while holding the lease.
-    pub served: u64,
-    /// Mastered requests forwarded to the believed holder.
-    pub forwarded: u64,
-    /// Cold first-touch mastered commits served without a per-record
-    /// Phase1 exchange — the lease ballot carried the promise.
-    pub phase1_skipped: u64,
-    /// Classic Phase1 rounds run for lease-covered records while
-    /// serving (records the lease ballot could not carry: warm under a
-    /// predecessor's ballot, or promised above the lease).
-    pub phase1_covered: u64,
-    /// WAN round trips spent on cold first-touch mastered commits
-    /// (1 per skipped Phase1, 2 per classic establish while serving).
-    pub cold_first_commit_rtts: u64,
-}
-
-impl std::ops::AddAssign for MastershipStats {
-    fn add_assign(&mut self, o: Self) {
-        // Exhaustive, so the next counter cannot be left out of the sum.
-        let Self {
-            elections,
-            leases_acquired,
-            renewals,
-            handoffs,
-            served,
-            forwarded,
-            phase1_skipped,
-            phase1_covered,
-            cold_first_commit_rtts,
-        } = o;
-        self.elections += elections;
-        self.leases_acquired += leases_acquired;
-        self.renewals += renewals;
-        self.handoffs += handoffs;
-        self.served += served;
-        self.forwarded += forwarded;
-        self.phase1_skipped += phase1_skipped;
-        self.phase1_covered += phase1_covered;
-        self.cold_first_commit_rtts += cold_first_commit_rtts;
+mdcc_common::counters! {
+    /// Counters of mastership activity at one node (aggregated into the
+    /// cluster report).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MastershipStats {
+        /// Election rounds this node started (candidacy bumps).
+        pub elections: u64,
+        /// Fresh leases acquired (majority-granted).
+        pub leases_acquired: u64,
+        /// Successful lease renewals.
+        pub renewals: u64,
+        /// Voluntary handoffs sent (migration).
+        pub handoffs: u64,
+        /// Mastered requests served while holding the lease.
+        pub served: u64,
+        /// Mastered requests forwarded to the believed holder.
+        pub forwarded: u64,
+        /// Cold first-touch mastered commits served without a per-record
+        /// Phase1 exchange — the lease ballot carried the promise.
+        pub phase1_skipped: u64,
+        /// Classic Phase1 rounds run for lease-covered records while
+        /// serving (records the lease ballot could not carry: warm under a
+        /// predecessor's ballot, or promised above the lease).
+        pub phase1_covered: u64,
+        /// WAN round trips spent on cold first-touch mastered commits
+        /// (1 per skipped Phase1, 2 per classic establish while serving).
+        pub cold_first_commit_rtts: u64,
     }
 }
 

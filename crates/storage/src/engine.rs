@@ -117,37 +117,21 @@ impl<'a> KeyRange<'a> {
     }
 }
 
-/// Observable counters of a storage engine (reports, tests, benches).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Bytes of segment entries still referenced by the index.
-    pub live_bytes: usize,
-    /// Bytes of superseded segment entries awaiting compaction.
-    pub dead_bytes: usize,
-    /// Open segments.
-    pub segments: usize,
-    /// Copy-forward compactions performed.
-    pub compactions: u64,
-    /// Materialized records written back to segments under cache
-    /// pressure.
-    pub evictions: u64,
-}
-
-impl std::ops::AddAssign for EngineStats {
-    fn add_assign(&mut self, o: Self) {
-        // Exhaustive, so the next counter cannot be left out of the sum.
-        let Self {
-            live_bytes,
-            dead_bytes,
-            segments,
-            compactions,
-            evictions,
-        } = o;
-        self.live_bytes += live_bytes;
-        self.dead_bytes += dead_bytes;
-        self.segments += segments;
-        self.compactions += compactions;
-        self.evictions += evictions;
+mdcc_common::counters! {
+    /// Observable counters of a storage engine (reports, tests, benches).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineStats {
+        /// Bytes of segment entries still referenced by the index.
+        pub live_bytes: usize,
+        /// Bytes of superseded segment entries awaiting compaction.
+        pub dead_bytes: usize,
+        /// Open segments.
+        pub segments: usize,
+        /// Copy-forward compactions performed.
+        pub compactions: u64,
+        /// Materialized records written back to segments under cache
+        /// pressure.
+        pub evictions: u64,
     }
 }
 
