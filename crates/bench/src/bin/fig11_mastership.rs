@@ -13,6 +13,12 @@
 //!   the dominant-origin DC within a few heartbeat rounds and latency
 //!   returns to the floor.
 //!
+//! The shifting runs are repeated on the paper's five-region topology
+//! (`Ec2Five`), static and dynamic, printing renewals and leases
+//! acquired: there a grant majority is up to 190 ms away, longer than a
+//! heartbeat tick, and a lease that could not renew across ticks would
+//! be acquired again and again.
+//!
 //! A master-crash drill follows: the initial lease holder of a
 //! single-shard deployment is killed mid-tenure and the commit outage
 //! (the recovery window) is measured. Two environment guards make the
@@ -23,7 +29,9 @@
 //!   its median is above the static run's (dynamic mastership must
 //!   never cost more than having none), or if the lease stopped
 //!   carrying Phase1 across handoffs: at most a quarter of the dynamic
-//!   run's in-tenure first touches may still run a Phase1 round.
+//!   run's in-tenure first touches may still run a Phase1 round. Past
+//!   `--shifting-only` it also fails if, on the `Ec2Five` pair below,
+//!   dynamic mastership commits less than static placement.
 //! * `MDCC_UNAVAILABILITY_MS_CEILING` — fail if the drill's commit
 //!   outage exceeds this many milliseconds.
 //!
@@ -243,6 +251,54 @@ fn main() {
             &rows,
         );
         return;
+    }
+
+    // ------------------------------------------------------------------
+    // The paper's five-region topology: the shifting runs again without
+    // dynamic mastership and with it. Its farthest grant majorities are
+    // 120–190 ms away, more than a heartbeat tick, so this pair is where
+    // a renewal outlasting the tick shows.
+    // ------------------------------------------------------------------
+    let mut ec2_commits = [0usize; 2];
+    for (i, mastership) in [false, true].into_iter().enumerate() {
+        let mut s = spec.clone();
+        s.seed = spec.seed + 300 + i as u64;
+        s.net = NetKind::Ec2Five;
+        if mastership {
+            s.protocol.mastership = MastershipConfig::enabled();
+        }
+        let report = run(&s, items, phase_len);
+        let b = report.write_boxplot().expect("commits exist");
+        let ms = &report.mastership;
+        let label = ["ec2five_static", "ec2five_dynamic"][i];
+        ec2_commits[i] = report.write_commits();
+        println!(
+            "{label}: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} elections={} leases={} \
+             renewals={} handoffs={} served={} forwarded={}",
+            b.median,
+            b.q3,
+            b.max,
+            ec2_commits[i],
+            ms.elections,
+            ms.leases_acquired,
+            ms.renewals,
+            ms.handoffs,
+            ms.served,
+            ms.forwarded,
+        );
+        perf.record(label, &report);
+        rows.push(format!(
+            "{label},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{}",
+            b.min, b.q1, b.median, b.q3, b.max, ms.elections, ms.leases_acquired, ms.handoffs
+        ));
+    }
+    if env_ceiling("MDCC_ELECTION_ROUNDS_CEILING").is_some() {
+        let [fixed, dynamic] = ec2_commits;
+        assert!(
+            dynamic >= fixed,
+            "on Ec2Five dynamic mastership committed {dynamic}, static placement {fixed}"
+        );
+        println!("# Ec2Five guard ok: dynamic commits {dynamic} >= static {fixed}");
     }
 
     // ------------------------------------------------------------------

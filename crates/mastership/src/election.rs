@@ -1,5 +1,7 @@
 //! Ballot leader election for one shard, omnipaxos style: heartbeat
-//! rounds, who answered, the highest ballot seen, and the rule that
+//! rounds (probed only while no live lease is known, see
+//! [`HEARTBEAT_INTERVAL`]), who answered, the highest ballot seen, and
+//! the rule that
 //! turns them into "campaign with ballot *b*" or nothing. It also keeps
 //! the one thing an election is for — the highest-ballot live holder this
 //! node knows of — because a known live holder is what suppresses a
@@ -12,8 +14,10 @@ use crate::ballot::Ballot;
 use crate::msg::HolderHint;
 
 /// Base interval between heartbeat/lease ticks at every replica. Each
-/// tick closes the previous heartbeat round, renews any held lease, and
-/// checks the migration hysteresis.
+/// tick checks the migration hysteresis, renews a held lease or runs
+/// the election rule, and opens the next heartbeat round — which it
+/// probes only while it knows of no lease that outlives two more ticks:
+/// a held lease's renewal is the shard's heartbeat.
 pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// Added to the tick delay after a contested election round
@@ -156,19 +160,15 @@ impl Election {
 
     /// The best routing hint this replica can gossip: what its lease
     /// roles know (`own`: its unexpired holding, its grant table) or
-    /// what it heard from peers — whichever carries the highest ballot.
+    /// what it heard from peers — whichever carries the highest ballot,
+    /// and of those the latest expiry.
     pub(crate) fn best_hint(
         &self,
         own: impl IntoIterator<Item = HolderHint>,
         now: SimTime,
     ) -> Option<HolderHint> {
-        let mut best: Option<HolderHint> = None;
-        for h in own.into_iter().chain(self.hint) {
-            if h.expiry > now && best.is_none_or(|b| h.ballot > b.ballot) {
-                best = Some(h);
-            }
-        }
-        best
+        let live = own.into_iter().chain(self.hint).filter(|h| h.expiry > now);
+        live.max_by_key(|h| (h.ballot, h.expiry))
     }
 }
 

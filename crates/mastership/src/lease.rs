@@ -1,28 +1,57 @@
 //! The lease protocol of one shard, both roles. As a *grantor* a replica
 //! keeps the highest lease ballot it granted and until when; as a
-//! *holder* (or a candidate) it collects grants for one ballot and
-//! serves once a majority acked. A candidate is one of the shard's
-//! replicas and votes for itself, so both roles go through the same
-//! [`Lease::grant`]. Pure: inputs are ballots, grants and the clock; the
-//! outputs are return values ([`Verdict`], [`Begun`], [`Tenure`],
-//! [`Held`]).
+//! *holder* (or a candidate) it collects grants for one ballot, serves
+//! once a majority acked, and then serves until the latest expiry a
+//! majority acked, whichever renewal each grant answered. A candidate is
+//! one of the shard's replicas and votes for itself, so both roles go
+//! through the same [`Lease::grant`]. Pure: inputs are ballots, grants
+//! and the clock; the outputs are return values ([`Verdict`], [`Begun`],
+//! [`Tenure`], [`Held`]).
 
 use mdcc_common::{NodeId, SimDuration, SimTime};
 
 use crate::ballot::Ballot;
 use crate::msg::HolderHint;
 
-/// How long one lease grant is valid. A holder renews every tick, so
-/// this is four heartbeat intervals — enough to ride out a lost renewal
-/// round; it also bounds the unavailability window after a master crash
-/// (a successor must wait out the acked expiry).
+/// How long one lease grant is valid: four heartbeat intervals. A holder
+/// asks for a renewal every tick and every grant counts, whichever
+/// renewal it answers, so a renewal needs one majority round trip under
+/// this, not under a tick; the lease also bounds the unavailability
+/// window after a master crash (a successor must wait out the acked
+/// expiry).
 pub const LEASE_DURATION: SimDuration = SimDuration::from_millis(400);
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Holding {
     ballot: Ballot,
     serve_from: SimTime,
+    /// The majority-th latest of `acks`: until when a majority of the
+    /// group granted `ballot`.
     expiry: SimTime,
+    /// The latest expiry each grantor acked for `ballot`, this node's
+    /// own vote included.
+    acks: Vec<(NodeId, SimTime)>,
+}
+
+impl Holding {
+    /// Folds one grant of the held ballot in; returns the new expiry if
+    /// the majority-th latest ack rose. A grantor's granted expiry only
+    /// grows while it grants this ballot and is reported to whoever it
+    /// grants a higher one, so a majority acking at least `expiry` is
+    /// all a successor's wait needs — whichever renewal each ack answered.
+    fn ack(&mut self, from: NodeId, expiry: SimTime, majority: usize) -> Option<SimTime> {
+        match self.acks.iter_mut().find(|(n, _)| *n == from) {
+            Some((_, acked)) => *acked = (*acked).max(expiry),
+            None => self.acks.push((from, expiry)),
+        }
+        let mut acked: Vec<SimTime> = self.acks.iter().map(|(_, e)| *e).collect();
+        acked.sort_unstable_by(|a, b| b.cmp(a));
+        let until = *acked.get(majority - 1)?;
+        (until > self.expiry).then(|| {
+            self.expiry = until;
+            until
+        })
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -34,7 +63,6 @@ struct Pending {
     /// Max predecessor expiry reported by grantors (what a fresh holder
     /// must wait out).
     floor: SimTime,
-    renewal: bool,
 }
 
 /// A grantor's answer to one request.
@@ -206,26 +234,28 @@ impl Lease {
         self.granted
     }
 
-    /// Opens an acquisition of `ballot` until `now + LEASE_DURATION` —
-    /// a renewal, a campaign or a handoff (`relinquished` is then the
-    /// predecessor's ballot, whose expiry need not be waited out) — and
-    /// casts this node's own vote. The caller asks the peers.
+    /// Asks for `ballot` until `now + LEASE_DURATION` — a renewal of the
+    /// held ballot, or an acquisition: a campaign or a handoff
+    /// (`relinquished` is then the predecessor's ballot, whose expiry
+    /// need not be waited out) — and casts this node's own vote. The
+    /// caller asks the peers. An acquisition replaces the one pending; a
+    /// renewal opens nothing, its grants extend the held tenure.
     pub(crate) fn begin(
         &mut self,
         ballot: Ballot,
         relinquished: Option<Ballot>,
-        renewal: bool,
         now: SimTime,
     ) -> Begun {
         let expiry = now + LEASE_DURATION;
-        self.pending = Some(Pending {
-            ballot,
-            expiry,
-            relinquished,
-            grants: Vec::new(),
-            floor: SimTime::ZERO,
-            renewal,
-        });
+        if self.held() != Some(ballot) {
+            self.pending = Some(Pending {
+                ballot,
+                expiry,
+                relinquished,
+                grants: Vec::new(),
+                floor: SimTime::ZERO,
+            });
+        }
         let (rose, tenure) = match self.grant(ballot, self.me, expiry, relinquished, now) {
             Verdict::Granted { rose, prev } => {
                 (rose, self.on_grant(self.me, ballot, expiry, prev, now))
@@ -239,8 +269,9 @@ impl Lease {
         }
     }
 
-    /// Folds one grant (own or a peer's) into the matching pending
-    /// acquisition, promoting to holder at majority.
+    /// Folds one grant (own or a peer's) into the held tenure if it is
+    /// for the held ballot, else into the matching pending acquisition,
+    /// promoting to holder at majority.
     pub(crate) fn on_grant(
         &mut self,
         from: NodeId,
@@ -249,6 +280,10 @@ impl Lease {
         prev: Option<(Ballot, SimTime)>,
         now: SimTime,
     ) -> Option<Tenure> {
+        if let Some(h) = self.holding.as_mut().filter(|h| h.ballot == ballot) {
+            let until = h.ack(from, expiry, self.majority)?;
+            return Some(Tenure::Renewed { ballot, until });
+        }
         let pending = self.pending.as_mut()?;
         if pending.ballot != ballot || pending.expiry != expiry || pending.grants.contains(&from) {
             return None;
@@ -266,20 +301,13 @@ impl Lease {
             return None;
         }
         let pending = self.pending.take()?;
-        if pending.renewal {
-            // A renewal is only ever pending under the tenure it renews.
-            let h = self.holding.as_mut()?;
-            h.expiry = pending.expiry;
-            return Some(Tenure::Renewed {
-                ballot: h.ballot,
-                until: h.expiry,
-            });
-        }
         let serve_from = now.max(pending.floor);
+        let acks = pending.grants.iter().map(|n| (*n, pending.expiry));
         self.holding = Some(Holding {
             ballot: pending.ballot,
             serve_from,
             expiry: pending.expiry,
+            acks: acks.collect(),
         });
         Some(Tenure::Acquired {
             ballot: pending.ballot,
@@ -289,12 +317,13 @@ impl Lease {
     }
 
     /// A grantor refused with `max`. If that outranks what this node is
-    /// acquiring or renewing, someone outranked its lease: it stops
-    /// serving at once (their serve floor already covers its acked
-    /// expiry, so this only tightens).
+    /// acquiring, the acquisition is over; if it outranks the lease this
+    /// node holds, someone outranked that: it stops serving at once
+    /// (their serve floor already covers its acked expiry, so this only
+    /// tightens).
     pub(crate) fn on_reject(&mut self, max: Ballot) -> Option<Tenure> {
-        self.pending.take_if(|p| max > p.ballot)?;
-        let ballot = self.holding.take()?.ballot;
+        self.pending.take_if(|p| max > p.ballot);
+        let ballot = self.holding.take_if(|h| max > h.ballot)?.ballot;
         Some(Tenure::Ended { ballot })
     }
 
@@ -311,15 +340,15 @@ impl Lease {
     /// unchallenged lease: replicas treat the same ballot from the same
     /// holder as a renewal).
     pub(crate) fn check(&mut self, now: SimTime) -> Held {
-        let Some(holding) = self.holding else {
+        let Some(Holding { ballot, expiry, .. }) = self.holding else {
             return Held::No;
         };
-        if now.since(holding.expiry) > LEASE_DURATION {
+        if now.since(expiry) > LEASE_DURATION {
             self.holding = None;
             self.pending = None;
             return Held::Deposed;
         }
-        Held::Renew(holding.ballot)
+        Held::Renew(ballot)
     }
 
     /// Gives the lease up voluntarily (a handoff): this node stops
@@ -344,19 +373,20 @@ impl Lease {
     /// majority-acked serving window — the one definition of "serving".
     pub(crate) fn serving(&self, now: SimTime) -> Option<Ballot> {
         self.holding
+            .as_ref()
             .filter(|h| h.serve_from <= now && now < h.expiry)
             .map(|h| h.ballot)
     }
 
     /// The ballot of the lease this node holds, serving or not.
     pub(crate) fn held(&self) -> Option<Ballot> {
-        self.holding.map(|h| h.ballot)
+        self.holding.as_ref().map(|h| h.ballot)
     }
 
     /// The leases this replica knows of first hand: its own holding and
     /// the one in its grant table.
     pub(crate) fn hints(&self) -> impl Iterator<Item = HolderHint> {
-        let own = self.holding.map(|h| HolderHint {
+        let own = self.holding.as_ref().map(|h| HolderHint {
             ballot: h.ballot,
             node: self.me,
             expiry: h.expiry,
@@ -386,6 +416,7 @@ mod tests {
                 ballot,
                 serve_from,
                 expiry,
+                acks: Vec::new(),
             });
         }
     }
@@ -427,7 +458,7 @@ mod tests {
         for lease in [&mut own, &mut peer] {
             lease.grant(Ballot::new(1, 4), NodeId(4), ms(500), None, ms(100));
         }
-        let begun = own.begin(Ballot::new(2, 2), None, false, ms(200));
+        let begun = own.begin(Ballot::new(2, 2), None, ms(200));
         let asked = peer.grant(Ballot::new(2, 2), NodeId(2), begun.expiry, None, ms(200));
         let prev = Some((Ballot::new(1, 4), ms(500)));
         assert_eq!(asked, Verdict::Granted { rose: true, prev });
@@ -552,6 +583,79 @@ mod tests {
                 prev: None
             }
         );
+    }
+
+    /// Every grant of the held ballot counts, whichever renewal it
+    /// answers: the tenure runs to the latest expiry a majority acked,
+    /// so renewals whose grants take longer than a tick still extend it,
+    /// and a late grant never shortens it.
+    #[test]
+    fn a_holder_counts_every_grant_of_its_ballot() {
+        let (mut holder, b) = (
+            Lease::new(NodeId(4), 3, Ballot::default()),
+            Ballot::new(1, 4),
+        );
+        let begun = holder.begin(b, None, ms(0));
+        assert_eq!(
+            holder.on_grant(NodeId(0), b, begun.expiry, None, ms(60)),
+            None
+        );
+        let acquired = holder.on_grant(NodeId(1), b, begun.expiry, None, ms(60));
+        let (from, until) = (ms(60), ms(400));
+        assert_eq!(
+            acquired,
+            Some(Tenure::Acquired {
+                ballot: b,
+                from,
+                until
+            })
+        );
+        // Two renewals go out before either is answered.
+        for at in [100, 200] {
+            assert!(holder.begin(b, None, ms(at)).tenure.is_none());
+        }
+        // Node 0 answers the first, node 2 the second: with this node's
+        // own votes a majority acked 500 at least.
+        assert_eq!(holder.on_grant(NodeId(0), b, ms(500), None, ms(250)), None);
+        let renewed = holder.on_grant(NodeId(2), b, ms(600), None, ms(260));
+        assert_eq!(
+            renewed,
+            Some(Tenure::Renewed {
+                ballot: b,
+                until: ms(500)
+            })
+        );
+        // An older grant changes nothing; the majority's latest does.
+        assert_eq!(holder.on_grant(NodeId(3), b, ms(400), None, ms(270)), None);
+        let renewed = holder.on_grant(NodeId(1), b, ms(600), None, ms(280));
+        assert_eq!(
+            renewed,
+            Some(Tenure::Renewed {
+                ballot: b,
+                until: ms(600)
+            })
+        );
+        assert_eq!(holder.on_grant(NodeId(0), b, ms(500), None, ms(290)), None);
+        assert_eq!(holder.serving(ms(599)), Some(b));
+        assert_eq!(holder.serving(ms(600)), None);
+    }
+
+    /// A `Reject` that outranks the held ballot ends the tenure whether
+    /// or not an acquisition is pending; one that does not, leaves it.
+    #[test]
+    fn an_outranking_reject_ends_the_tenure() {
+        let mut holder = Lease::new(NodeId(4), 3, Ballot::default());
+        holder.hold(Ballot::new(2, 4), ms(0), ms(900));
+        assert_eq!(holder.on_reject(Ballot::new(2, 4)), None);
+        assert_eq!(holder.on_reject(Ballot::new(1, 9)), None);
+        let ended = holder.on_reject(Ballot::new(3, 1));
+        assert_eq!(
+            ended,
+            Some(Tenure::Ended {
+                ballot: Ballot::new(2, 4)
+            })
+        );
+        assert_eq!(holder.held(), None);
     }
 
     /// Self-deposition: one lease duration past the expiry, not before.

@@ -6,8 +6,11 @@
 //! makes mastership a runtime property:
 //!
 //! - **Leases.** Each shard (replica group, one node per data center)
-//!   has at most one *lease holder* at a time. The holder renews its
-//!   lease every heartbeat tick; replicas grant a lease ballot only if
+//!   has at most one *lease holder* at a time. The holder asks for a
+//!   renewal every heartbeat tick and counts every grant of its ballot,
+//!   whichever renewal it answers: its tenure runs to the latest expiry
+//!   a majority acked, so a renewal needs a majority round trip under
+//!   the lease, not under a tick. Replicas grant a lease ballot only if
 //!   it outranks everything they already granted, so two holders can
 //!   never have overlapping majority-acked windows (the grant quorum of
 //!   a new ballot intersects the renewal quorum of the old one, and the
@@ -17,7 +20,12 @@
 //!   total order in the omnipaxos style: heartbeat rounds with
 //!   increasing delay under contention, majority-connected gating, and
 //!   a deterministic top-connected-pid tiebreak so a crashed master is
-//!   replaced without waiting for classic-ballot timeouts.
+//!   replaced without waiting for classic-ballot timeouts. Raft's rule
+//!   decides when a round is probed: a held lease's renewal is the
+//!   shard's heartbeat, so a replica sends `HbReq`s only while it knows
+//!   of no lease that outlives its next two ticks — from two ticks
+//!   before the lease it knows of lapses, in time to campaign when it
+//!   does.
 //! - **Migration.** The holder counts the origin data center of every
 //!   mastered request it serves; once a remote data center dominates
 //!   past a hysteresis threshold for several consecutive ticks, the
@@ -200,13 +208,15 @@ impl Mastership {
     }
 
     /// Where mastered traffic for `shard` should go right now: self
-    /// when serving, else the highest-ballot unexpired lease holder
-    /// this node knows of.
+    /// when serving, else the highest-ballot unexpired lease this node
+    /// knows of — the hint it would gossip, its own grant table
+    /// included, so a candidate that outranked the lease it heard of
+    /// does not route back to that lease's holder.
     pub fn holder(&self, shard: u32, now: SimTime) -> Option<NodeId> {
         if self.is_serving(shard, now) {
             return Some(self.me);
         }
-        self.shards.get(&shard)?.election.leader(now)
+        Some(self.shards.get(&shard)?.best_lease(now)?.node)
     }
 
     /// Election ballot number of the lease this node holds for `shard`
@@ -486,6 +496,31 @@ mod tests {
         assert!(candidate.is_serving(0, ms(651)));
     }
 
+    /// A handoff target still collecting grants routes the shard to
+    /// itself, not to the predecessor it heard renew: that node, which
+    /// nominated it, would route the options straight back.
+    #[test]
+    fn an_acquiring_target_does_not_route_back_to_its_predecessor() {
+        let mut target = layer(2);
+        let old = Ballot::new(1, 4);
+        let renew = MsMsg::Acquire {
+            shard: 0,
+            ballot: old,
+            expiry: ms(500),
+            relinquished: None,
+        };
+        target.on_msg(NodeId(4), renew, ms(100), &mut Vec::new());
+        assert_eq!(target.holder(0, ms(110)), Some(NodeId(4)));
+        let handoff = MsMsg::Handoff {
+            shard: 0,
+            ballot: Ballot::new(2, 2),
+            relinquished: old,
+        };
+        target.on_msg(NodeId(4), handoff, ms(150), &mut Vec::new());
+        assert!(!target.is_serving(0, ms(160)));
+        assert_eq!(target.holder(0, ms(160)), Some(NodeId(2)));
+    }
+
     /// Handoff: the target may serve immediately (the predecessor
     /// relinquished), and grants echoing the relinquished ballot do not
     /// raise the serve floor.
@@ -587,6 +622,42 @@ mod tests {
         );
     }
 
+    /// Raft's rule for heartbeats: a replica that knows of a lease
+    /// outliving its next two ticks sends no `HbReq` — the holder's
+    /// renewal is the heartbeat — and probes again from two ticks before
+    /// that lease lapses. The holder never probes: its `Acquire` does.
+    #[test]
+    fn only_a_replica_without_a_live_lease_probes() {
+        let sent = |out: &[Action], hb: bool| {
+            let is = |m: &MsMsg| matches!(m, MsMsg::HbReq { .. }) == hb;
+            out.iter()
+                .filter(|a| matches!(a, Action::Send { msg, .. } if is(msg)))
+                .count()
+        };
+        let mut grantor = layer(1);
+        let mut out = Vec::new();
+        grantor.on_tick(ms(100), &mut out);
+        assert_eq!(sent(&out, true), 4, "no lease known");
+        let acquire = MsMsg::Acquire {
+            shard: 0,
+            ballot: Ballot::new(1, 4),
+            expiry: ms(560),
+            relinquished: None,
+        };
+        grantor.on_msg(NodeId(4), acquire, ms(160), &mut Vec::new());
+        for (at, probes) in [(200, 0), (359, 0), (360, 4)] {
+            let mut out = Vec::new();
+            grantor.on_tick(ms(at), &mut out);
+            assert_eq!(sent(&out, true), probes, "at {at} ms");
+        }
+        let mut holder = layer(4);
+        let state = holder.shards.get_mut(&0).unwrap();
+        state.lease.hold(Ballot::new(1, 4), ms(0), ms(150));
+        let mut out = Vec::new();
+        holder.on_tick(ms(100), &mut out);
+        assert_eq!((sent(&out, true), sent(&out, false)), (0, 4));
+    }
+
     /// The migration hysteresis: remote-dominant traffic sustained at
     /// a sufficient *rate* over the window hands the lease off; the
     /// holder stops serving at once and tells the host it relinquished.
@@ -668,7 +739,7 @@ mod tests {
         let mut out = Vec::new();
         let (shards, mut fx) = a.effects(&mut out);
         let state = shards.get_mut(&0).unwrap();
-        state.acquire(Ballot::new(1, 4), None, false, ms(0), &mut fx);
+        state.acquire(Ballot::new(1, 4), None, ms(0), &mut fx);
         for peer in [0u32, 1] {
             a.on_msg(
                 NodeId(peer),

@@ -21,7 +21,9 @@ wire!(struct HolderHint { ballot, node, expiry });
 /// group (the host wraps them in its own message enum for transport).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MsMsg {
-    /// Heartbeat round probe.
+    /// Heartbeat round probe. Sent only by a replica that knows of no
+    /// lease outliving its next two ticks — while a holder renews, its
+    /// `Acquire` is the heartbeat — and always answered.
     HbReq {
         /// Shard concerned.
         shard: u32,
@@ -29,8 +31,8 @@ pub enum MsMsg {
         round: u32,
     },
     /// Heartbeat reply: the replier's top ballot plus a lease-routing
-    /// hint (how non-holders and late joiners learn the current
-    /// master).
+    /// hint (how a restarted replica, or one whose lease is running out,
+    /// learns the current master).
     HbReply {
         /// Shard concerned.
         shard: u32,
@@ -42,7 +44,8 @@ pub enum MsMsg {
         holder: Option<HolderHint>,
     },
     /// Acquire (fresh election or handoff) or renew (same ballot as
-    /// already granted) a lease until `expiry`.
+    /// already granted) a lease until `expiry`. A renewal is also the
+    /// holder's heartbeat: grantors that receive it do not probe.
     Acquire {
         /// Shard concerned.
         shard: u32,
@@ -60,7 +63,8 @@ pub enum MsMsg {
         shard: u32,
         /// Echoed ballot.
         ballot: Ballot,
-        /// Echoed expiry (distinguishes renewal generations).
+        /// Echoed expiry: the grantor acked the ballot until then (a
+        /// holder counts each grantor's latest).
         expiry: SimTime,
         /// The grantor's previous grant `(ballot, expiry)` — the
         /// safety-critical datum: a fresh holder must not serve before

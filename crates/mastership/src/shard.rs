@@ -7,7 +7,7 @@ use mdcc_common::{DcId, NodeId, SimTime};
 
 use crate::audit::LeaseAudit;
 use crate::ballot::Ballot;
-use crate::election::Election;
+use crate::election::{Election, HEARTBEAT_INTERVAL};
 use crate::lease::{Held, Lease, Tenure, Verdict, LEASE_DURATION};
 use crate::migration::Migration;
 use crate::msg::{HolderHint, MsMsg};
@@ -79,6 +79,13 @@ impl Shard {
     }
 
     /// One heartbeat tick; returns whether this node campaigned.
+    ///
+    /// The heartbeat round it opens is probed only if this replica knows
+    /// of no lease that outlives its next two ticks — the two rounds the
+    /// campaign rule counts replies to. A holder's `Acquire` is its
+    /// heartbeat and the `Grant`s are the replies, so while renewals
+    /// arrive nobody probes; a grantor starts again two ticks before the
+    /// lease it knows of lapses, in time to campaign the tick it does.
     pub(crate) fn tick(&mut self, now: SimTime, quarantined: bool, fx: &mut Effects<'_>) -> bool {
         // Migration check first: it may relinquish the lease, in which
         // case this tick neither renews nor campaigns.
@@ -89,33 +96,43 @@ impl Shard {
         let mut contested = false;
         match self.lease.check(now) {
             Held::Deposed => return false,
-            Held::Renew(ballot) => self.acquire(ballot, None, true, now, fx),
+            Held::Renew(ballot) => self.acquire(ballot, None, now, fx),
             Held::No if quarantined => {}
             Held::No => {
                 if let Some(ballot) = self.election.campaign(now) {
                     fx.stats.elections += 1;
                     contested = true;
-                    self.acquire(ballot, None, false, now, fx);
+                    self.acquire(ballot, None, now, fx);
                 }
             }
         }
         let (shard, round) = (self.id, self.election.open_round());
-        fx.broadcast(&self.peers, MsMsg::HbReq { shard, round });
+        let horizon = now + HEARTBEAT_INTERVAL * 2;
+        if self.best_lease(now).is_none_or(|h| h.expiry <= horizon) {
+            fx.broadcast(&self.peers, MsMsg::HbReq { shard, round });
+        }
         contested
     }
 
-    /// Starts acquiring (or renewing) the lease with `ballot`: this
-    /// node's own vote, then an `Acquire` to every peer.
+    /// The best lease this replica knows of: what its own lease roles
+    /// know or what it heard (see [`Election::best_hint`]). It is what
+    /// the replica gossips, where it routes, and whether it probes.
+    pub(crate) fn best_lease(&self, now: SimTime) -> Option<HolderHint> {
+        self.election.best_hint(self.lease.hints(), now)
+    }
+
+    /// Starts acquiring (or renewing, if it is the held ballot) the
+    /// lease with `ballot`: this node's own vote, then an `Acquire` to
+    /// every peer.
     pub(crate) fn acquire(
         &mut self,
         ballot: Ballot,
         relinquished: Option<Ballot>,
-        renewal: bool,
         now: SimTime,
         fx: &mut Effects<'_>,
     ) {
         let shard = self.id;
-        let begun = self.lease.begin(ballot, relinquished, renewal, now);
+        let begun = self.lease.begin(ballot, relinquished, now);
         if begun.rose {
             fx.out.push(Action::FloorRaised { shard, ballot });
         }
@@ -140,8 +157,8 @@ impl Shard {
     }
 
     /// Hands the lease to data center `dc`'s replica: relinquish, mint
-    /// the next ballot for the target, tell it, and let the host ship
-    /// its per-record override table after the handoff message.
+    /// the next ballot for the target, tell it, and tell the host it no
+    /// longer leads the shard.
     fn hand_off(&mut self, dc: usize, now: SimTime, fx: &mut Effects<'_>) {
         let (Some(&target), Some(relinquished)) = (self.peers.get(dc), self.lease.relinquish())
         else {
@@ -180,7 +197,7 @@ impl Shard {
         match msg {
             MsMsg::HbReq { shard, round } => {
                 let ballot = self.election.top_ballot(self.lease.granted());
-                let holder = self.election.best_hint(self.lease.hints(), now);
+                let holder = self.best_lease(now);
                 let msg = MsMsg::HbReply {
                     shard,
                     round,
@@ -229,7 +246,7 @@ impl Shard {
                 if ballot.pid == fx.me.0 as u64 && !self.lease.has_ceded(ballot) {
                     self.election.adopt(ballot);
                     fx.stats.elections += 1;
-                    self.acquire(ballot, Some(relinquished), false, now, fx);
+                    self.acquire(ballot, Some(relinquished), now, fx);
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! Lease safety under any delivery order, without the simulator.
+//! Lease safety under any delivery order, and lease liveness on a steady
+//! network, without the simulator.
 //!
 //! Five [`Mastership`] layers replicate one shard. A generated schedule
 //! ticks them one at a time on a shared clock, delivers what is in
@@ -13,9 +14,20 @@
 //! a node emitted are strictly increasing across its incarnations: a
 //! restarted node is rebuilt with the floors it raised before, as its
 //! WAL's `LeaseFloor` records would give them back.
+//!
+//! Liveness runs the same five layers on a network without faults and
+//! with one fixed one-way delay, each node ticking on its own clock: the
+//! first holder keeps the lease whatever the round trip under the lease
+//! duration, nobody probes while it renews, and a crashed holder's
+//! successor serves as soon as it did when renewals were lost to the
+//! tick.
+
+use std::collections::BTreeMap;
 
 use mdcc_common::{DcId, NodeId, SimDuration, SimTime};
-use mdcc_mastership::{Action, Ballot, LeaseAudit, Mastership, MsMsg};
+use mdcc_mastership::{
+    Action, Ballot, LeaseAudit, Mastership, MsMsg, HEARTBEAT_INTERVAL, LEASE_DURATION,
+};
 use proptest::prelude::*;
 
 const NODES: u32 = 5;
@@ -501,3 +513,170 @@ const REVIVAL: [Op; 57] = {
         Flush { count: 20 },
     ]
 };
+
+/// What happens on the steady network: a node's heartbeat tick, or a
+/// message arriving.
+enum Event {
+    Tick(u32),
+    Deliver(NodeId, NodeId, MsMsg),
+}
+
+/// Five layers, one shard, every message arriving `delay` after it was
+/// sent, every node ticking when its last tick said to — the first ones
+/// staggered by node id as storage nodes stagger them.
+struct Steady {
+    nodes: Vec<Mastership>,
+    alive: Vec<bool>,
+    delay: SimDuration,
+    now: SimTime,
+    /// Pending events by `(when, scheduling order)`.
+    queue: BTreeMap<(SimTime, u64), Event>,
+    scheduled: u64,
+    audit: LeaseAudit,
+    /// When each `HbReq` was sent.
+    probes: Vec<SimTime>,
+    /// When the first renewal completed.
+    settled: Option<SimTime>,
+}
+
+impl Steady {
+    fn new(rtt_ms: u64) -> Self {
+        let audit = LeaseAudit::new();
+        let mut steady = Self {
+            nodes: (0..NODES).map(|i| boot(i, None, &[], &audit)).collect(),
+            alive: vec![true; NODES as usize],
+            delay: SimDuration::from_millis(rtt_ms) / 2,
+            now: SimTime::ZERO,
+            queue: BTreeMap::new(),
+            scheduled: 0,
+            audit,
+            probes: Vec::new(),
+            settled: None,
+        };
+        for i in 0..NODES {
+            let stagger = SimDuration::from_micros(u64::from(i) * 313);
+            steady.schedule(HEARTBEAT_INTERVAL + stagger, Event::Tick(i));
+        }
+        steady
+    }
+
+    fn schedule(&mut self, after: SimDuration, event: Event) {
+        self.scheduled += 1;
+        self.queue.insert((self.now + after, self.scheduled), event);
+    }
+
+    /// Runs every event up to `until`; ticks stop after `ticks_until`,
+    /// so what is in flight then still arrives.
+    fn run(&mut self, until: SimTime, ticks_until: SimTime) {
+        while let Some(entry) = self.queue.first_entry() {
+            if entry.key().0 > until {
+                break;
+            }
+            let ((at, _), event) = entry.remove_entry();
+            self.now = at;
+            let mut out = Vec::new();
+            let (node, next_tick) = match event {
+                Event::Tick(i) if self.alive[i as usize] && at <= ticks_until => {
+                    (i, Some(self.nodes[i as usize].on_tick(at, &mut out)))
+                }
+                Event::Deliver(from, to, msg) if self.alive[to.0 as usize] => {
+                    self.nodes[to.0 as usize].on_msg(from, msg, at, &mut out);
+                    (to.0, None)
+                }
+                _ => continue,
+            };
+            // Sends first, then the next tick, as a storage node does.
+            for action in out {
+                if let Action::Send { to, msg } = action {
+                    if matches!(msg, MsMsg::HbReq { .. }) {
+                        self.probes.push(at);
+                    }
+                    self.schedule(self.delay, Event::Deliver(NodeId(node), to, msg));
+                }
+            }
+            if let Some(next) = next_tick {
+                self.schedule(next, Event::Tick(node));
+            }
+            if self.settled.is_none() && self.sum(|s| s.renewals) > 0 {
+                self.settled = Some(at);
+            }
+        }
+        self.now = until;
+    }
+
+    fn sum(&self, counter: impl Fn(mdcc_mastership::MastershipStats) -> u64) -> u64 {
+        self.nodes.iter().map(|n| counter(n.stats())).sum()
+    }
+}
+
+fn at_ms(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(ms)
+}
+
+/// Round trips the lease duration leaves room for: from 60 ms, where
+/// renewals always came back within a tick, to 200 ms, past the 190 ms
+/// of the farthest `Ec2Five` grant majority.
+const STEADY_RTTS_MS: [u64; 4] = [60, 100, 140, 200];
+
+/// On a steady network the first holder keeps the lease for the whole
+/// run: one acquisition, a renewal every tick, and — once the first
+/// renewal is back — not one heartbeat probe. A renewal that was still
+/// in flight at the next tick used to be replaced by that tick's, so at
+/// a round trip of a tick or more the lease lapsed and was acquired
+/// again.
+#[test]
+fn the_first_holder_keeps_the_lease_at_any_round_trip_under_the_lease() {
+    let (run_ms, tick_ms) = (20_000, HEARTBEAT_INTERVAL.as_millis());
+    assert!(STEADY_RTTS_MS
+        .iter()
+        .all(|rtt| *rtt < LEASE_DURATION.as_millis() - tick_ms));
+    for rtt in STEADY_RTTS_MS {
+        let mut steady = Steady::new(rtt);
+        let end = at_ms(run_ms);
+        steady.run(end + LEASE_DURATION, end);
+        let spans = steady.audit.spans();
+        let acquired = steady.sum(|s| s.leases_acquired);
+        assert_eq!((acquired, spans.len()), (1, 1), "{rtt} ms: {spans:?}");
+        let tenure = end.since(spans[0].from).as_millis();
+        let renewals = steady.sum(|s| s.renewals);
+        assert!(
+            renewals + 2 >= tenure / tick_ms,
+            "{rtt} ms: {renewals} renewals in a {tenure} ms tenure"
+        );
+        let settled = steady.settled.expect("renewed");
+        let late = steady.probes.iter().filter(|at| **at >= settled).count();
+        assert_eq!(
+            late, 0,
+            "{rtt} ms: probes after the tenure settled at {settled}"
+        );
+    }
+}
+
+/// After the holder crashes, a successor serves no later than it did
+/// when a tick replaced the renewal in flight and every replica probed
+/// every tick: `SUCCESSOR_WITHIN_MS` is what this harness measured then,
+/// per round trip.
+#[test]
+fn a_crashed_holders_successor_serves_as_soon_as_it_did() {
+    const SUCCESSOR_WITHIN_MS: [u64; 4] = [460, 500, 665, 725];
+    let crash = at_ms(6_000);
+    for (rtt, within) in STEADY_RTTS_MS.into_iter().zip(SUCCESSOR_WITHIN_MS) {
+        let mut steady = Steady::new(rtt);
+        steady.run(crash, crash);
+        let holder = steady.audit.spans().last().expect("a holder").node;
+        steady.alive[holder.0 as usize] = false;
+        let end = crash + SimDuration::from_secs(4);
+        steady.run(end, end);
+        let spans = steady.audit.spans().into_iter();
+        let successor = spans.filter(|s| s.from > crash).find(|s| s.node != holder);
+        let serves = successor
+            .expect("a successor")
+            .from
+            .since(crash)
+            .as_millis();
+        assert!(
+            serves <= within,
+            "{rtt} ms: {serves} ms after the crash, was {within}"
+        );
+    }
+}
