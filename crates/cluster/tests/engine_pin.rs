@@ -140,26 +140,40 @@ fn assert_pinned(cases: &[(ClusterSpec, MdccMode, &str, u64)]) {
 // 0xe284_cf39_0e6b_cfc4 (EC2); 0x83d7_d768_9988_ca9b (Multi);
 // 0xac89_a327_6aa6_ac2a, 0x4756_8cec_d892_8f19 (crash-restart);
 // 0xfb93_9c9b_45b4_eacd (outage).
+//
+// Re-pinned again when a `Visibility` began to name a node's records by
+// write-set position where the coordinator holds an accepted letter from
+// it, and a positional `Verdict` entry whose only letter is of its
+// message's transaction began to write that letter without the
+// transaction. Bytes are the only cause: with the same change's store
+// rules (pending entries for options a proved-safe base brings, kept
+// through a partial sync) and election rule on the old layouts, every pin
+// below held. The pins before, in order:
+// 0x48fc_cc20_49fa_bd94, 0xf7af_4bb2_63bc_64ab, 0x38e4_4eb2_0005_ed20,
+// 0xbcb6_e4cd_8a89_3e5a (uniform); 0x372c_6b15_b18e_2991,
+// 0x463c_9781_332f_813c (EC2); 0x2ae2_84a4_6ac8_45eb (Multi);
+// 0x1689_de20_ada3_be82, 0xf245_4bbb_8df1_dd1a (crash-restart);
+// 0x90d9_9b62_ec86_d778 (outage).
 
 /// `(seed, pin)` of the uniform three-DC runs.
 const UNIFORM: [(u64, u64); 4] = [
-    (1, 0x48fc_cc20_49fa_bd94),
-    (7, 0xf7af_4bb2_63bc_64ab),
-    (42, 0x38e4_4eb2_0005_ed20),
-    (4242, 0xbcb6_e4cd_8a89_3e5a),
+    (1, 0x02f6_5a67_116c_2efe),
+    (7, 0x6bb3_ce53_f4b8_952d),
+    (42, 0xba67_06a2_c6ce_0d38),
+    (4242, 0xfb4d_52dd_4412_c2b5),
 ];
 
 /// `(seed, pin)` of the five-region EC2 runs with two shards per DC.
-const EC2: [(u64, u64); 2] = [(3, 0x372c_6b15_b18e_2991), (11, 0x463c_9781_332f_813c)];
+const EC2: [(u64, u64); 2] = [(3, 0x23c7_97ee_945c_0e0c), (11, 0xf3e7_e2de_a008_ade5)];
 
 /// `(seed, pin)` of the Multi-Paxos run.
-const MULTI: (u64, u64) = (5, 0x2ae2_84a4_6ac8_45eb);
+const MULTI: (u64, u64) = (5, 0x7ad9_8662_f324_a493);
 
 /// `(seed, pin)` of the durable crash-and-restart runs.
-const CRASH_RESTART: [(u64, u64); 2] = [(9, 0x1689_de20_ada3_be82), (21, 0xf245_4bbb_8df1_dd1a)];
+const CRASH_RESTART: [(u64, u64); 2] = [(9, 0x2268_41ee_859c_3ee2), (21, 0xfb7b_50ff_62a7_0388)];
 
 /// `(seed, pin)` of the data-center outage run.
-const DC_OUTAGE: (u64, u64) = (13, 0x90d9_9b62_ec86_d778);
+const DC_OUTAGE: (u64, u64) = (13, 0xca32_f810_d593_8a40);
 
 #[test]
 fn uniform_runs_are_pinned_across_seeds() {

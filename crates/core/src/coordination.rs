@@ -11,17 +11,18 @@
 //!
 //! The machine is sans-IO: it takes votes and decisions, and answers
 //! with what its owner has to do ([`Progress`], [`Verdict`], the
-//! Visibility messages, one per storage node). Its owner keeps what is
-//! its own — sends, timers, retries, routing caches, statistics — and the
-//! order of the keys it was built with is the order everything is
-//! emitted in.
+//! Visibility messages, one per storage node, each naming its records by
+//! write-set position where the node holds the write-set). Its owner
+//! keeps what is its own — sends, timers, retries, routing caches,
+//! statistics — and the order of the keys it was built with is the order
+//! everything is emitted in.
 
 use mdcc_common::error::AbortReason;
 use mdcc_common::{Key, NodeId, ProtocolConfig, TxnId};
 use mdcc_paxos::acceptor::{Phase2b, VoteVerdict};
 use mdcc_paxos::{LearnOutcome, Learner, OptionStatus, TxnOutcome};
 
-use crate::msg::{grouped, Msg};
+use crate::msg::{grouped, Msg, RecordName};
 use crate::placement::Placement;
 
 /// What one vote did to the transaction's knowledge of one option.
@@ -57,12 +58,43 @@ pub struct Verdict {
 #[derive(Debug)]
 struct Slot {
     key: Key,
+    /// Position of `key` in the transaction's write-set.
+    at: Option<u32>,
     learner: Learner,
     decided: Option<OptionStatus>,
     recovery_asked: bool,
+    /// The acceptors (bit = index in the key's replica group) that
+    /// answered with the transaction's option as accepted: each keeps the
+    /// transaction pending, write-set included, until it applies the
+    /// outcome.
+    accepted_by: u64,
 }
 
 impl Slot {
+    /// Notes that acceptor `from` holds the option accepted.
+    fn accepted_at(&mut self, from: usize, accepted: bool) {
+        if accepted && from < 64 {
+            self.accepted_by |= 1 << from;
+        }
+    }
+
+    /// True when `node`, an acceptor of `group` (the key's replica
+    /// group), answered with the option accepted.
+    fn held_by(&self, group: &[NodeId], node: NodeId) -> bool {
+        let from = group.iter().position(|n| *n == node);
+        from.is_some_and(|from| from < 64 && self.accepted_by & (1 << from) != 0)
+    }
+
+    /// The status the Visibility tells this option's replicas: the
+    /// learned one, or, for an option without a status (the outcome
+    /// became known before it was learned), the outcome's.
+    fn learned_accepted(&self, outcome: TxnOutcome) -> bool {
+        match self.decided {
+            Some(status) => status.is_accepted(),
+            None => outcome == TxnOutcome::Committed,
+        }
+    }
+
     /// Records what the learner made of the answer it was just fed.
     fn progress(&mut self, outcome: LearnOutcome) -> Progress {
         match outcome {
@@ -95,16 +127,26 @@ impl Coordination {
     /// Starts learning `txn`'s options on `keys`; their order is the
     /// order of [`Self::undecided`] and [`Self::visibility`]. A key named
     /// twice counts once: a transaction has one option per record.
-    pub fn new(cfg: &ProtocolConfig, txn: TxnId, keys: impl IntoIterator<Item = Key>) -> Self {
+    /// `write_set` is `txn`'s (its options' `peers`): a Visibility names
+    /// a record by its first position there.
+    pub fn new(
+        cfg: &ProtocolConfig,
+        txn: TxnId,
+        keys: impl IntoIterator<Item = Key>,
+        write_set: &[Key],
+    ) -> Self {
         let (n, qc, qf) = (cfg.replication, cfg.classic_quorum, cfg.fast_quorum);
         let mut slots: Vec<Slot> = Vec::new();
         for key in keys {
             if slots.iter().all(|s| s.key != key) {
+                let at = write_set.iter().position(|k| *k == key);
                 slots.push(Slot {
                     key,
+                    at: at.and_then(|at| u32::try_from(at).ok()),
                     learner: Learner::new(n, qc, qf, txn),
                     decided: None,
                     recovery_asked: false,
+                    accepted_by: 0,
                 });
             }
         }
@@ -128,9 +170,12 @@ impl Coordination {
     /// replica group) to the key's learner: a replica's answer to a
     /// status query, or the vote a coordinator pulled.
     pub fn on_vote(&mut self, key: &Key, from: usize, vote: &Phase2b) -> Progress {
+        let txn = self.txn;
         let Some(slot) = self.slot_mut(key) else {
             return Progress::Undecided;
         };
+        let status = vote.cstruct.status_of(txn);
+        slot.accepted_at(from, status.is_some_and(|s| s.is_accepted()));
         let outcome = slot.learner.on_vote(from, vote.clone());
         slot.progress(outcome)
     }
@@ -138,9 +183,12 @@ impl Coordination {
     /// Feeds what the verdict of acceptor `from` says of this
     /// transaction's option on `key` to the key's learner.
     pub fn on_verdict(&mut self, key: &Key, from: usize, verdict: &VoteVerdict) -> Progress {
+        let txn = self.txn;
         let Some(slot) = self.slot_mut(key) else {
             return Progress::Undecided;
         };
+        let letter = verdict.letter(txn);
+        slot.accepted_at(from, letter.is_some_and(|(s, _)| s.is_accepted()));
         let outcome = slot.learner.on_verdict(from, verdict);
         slot.progress(outcome)
     }
@@ -216,6 +264,10 @@ impl Coordination {
     /// own copy comes last, for the owner to apply directly instead of
     /// sending. An option without a status (the outcome became known
     /// before it was learned) follows the outcome.
+    ///
+    /// A node some answer showed holding an option of the transaction
+    /// accepted gets its records named by write-set position, any other
+    /// by key (see [`Msg::Visibility`]).
     pub fn visibility(
         &self,
         outcome: TxnOutcome,
@@ -223,19 +275,28 @@ impl Coordination {
         me: Option<NodeId>,
         mut emit: impl FnMut(NodeId, Msg),
     ) {
-        let mut groups = grouped(self.slots.iter().map(|slot| {
-            let learned_accepted = match slot.decided {
-                Some(status) => status.is_accepted(),
-                None => outcome == TxnOutcome::Committed,
-            };
-            let replicas = placement.replicas(&slot.key);
-            (replicas, (slot.key.clone(), learned_accepted))
-        }));
-        if let Some(at) = groups.iter().position(|(n, _)| Some(*n) == me) {
-            let own = groups.remove(at);
-            groups.push(own);
+        let groups: Vec<Vec<NodeId>> = (self.slots.iter())
+            .map(|s| placement.replicas(&s.key))
+            .collect();
+        let routed = (groups.iter().zip(&self.slots))
+            .map(|(group, s)| (group.iter().copied(), (s, group.as_slice())));
+        let mut by_node = grouped(routed);
+        if let Some(at) = by_node.iter().position(|(n, _)| Some(*n) == me) {
+            let own = by_node.remove(at);
+            by_node.push(own);
         }
-        for (node, records) in groups {
+        for (node, slots) in by_node {
+            let holds = (slots.iter()).any(|(s, group)| s.held_by(group, node));
+            let records = slots
+                .iter()
+                .map(|(s, _)| {
+                    let name = match s.at.filter(|_| holds) {
+                        Some(at) => RecordName::At(at),
+                        None => RecordName::Key(s.key.clone()),
+                    };
+                    (name, s.learned_accepted(outcome))
+                })
+                .collect();
             let txn = self.txn;
             emit(
                 node,

@@ -35,7 +35,7 @@ pub mod wire;
 /// Re-export of the placement layer (now in `mdcc-common`).
 pub use mdcc_common::placement;
 
-pub use msg::{MdccCtx, Msg, RecordName, Tick};
+pub use msg::{MdccCtx, Msg, RecordName, Tick, Verdicts};
 pub use node::StorageNodeProcess;
 pub use placement::{Placement, StaticPlacement};
 pub use tm::{ReadConsistency, TmConfig, TmEvent, TransactionManager, TxnCompletion, TxnStats};

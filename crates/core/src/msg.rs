@@ -45,14 +45,27 @@ where
     groups
 }
 
-/// How an entry of a [`Msg::Verdict`] names its record.
+/// How an entry of a [`Msg::Verdict`] or a [`Msg::Visibility`] names
+/// its record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordName {
     /// Position in the write-set (`TxnOption::peers`) of the message's
     /// transaction.
     At(u32),
-    /// The record's key, for a vote no single transaction anchors.
+    /// The record's key: for a vote no single transaction anchors, or an
+    /// outcome for a node that may not hold the write-set.
     Key(Key),
+}
+
+/// What a [`Msg::Verdict`] carries: one node's verdicts on records, in
+/// the order the sender judged them, each with its name and the vote
+/// reduced for its destination.
+#[derive(Debug, Clone)]
+pub struct Verdicts {
+    /// The transaction whose write-set positional entries index.
+    pub txn: TxnId,
+    /// Per record, its name and its verdict.
+    pub records: Vec<(RecordName, VoteVerdict)>,
 }
 
 /// Everything that travels between MDCC processes: every variant crosses
@@ -73,16 +86,33 @@ pub enum Msg {
     /// Outcome fan-out once the coordinator learned all options
     /// (the Visibility/Learned message of §3.2.1): one per storage node,
     /// for every record of the transaction the node replicates.
+    ///
+    /// The records are named by position in `txn`'s write-set
+    /// ([`RecordName::At`]) when the coordinator holds a letter of `txn`
+    /// from the destination that says *accepted*: a node that accepted
+    /// an option of `txn` keeps `txn` pending, with its write-set, and
+    /// reads each position back through it. To any other node (it has
+    /// not answered, or only rejected) they are named by key.
+    ///
+    /// The node names every record before it applies any, because
+    /// applying the first drops the pending entry. A positional
+    /// Visibility that finds no pending entry is dropped unread, and
+    /// that is safe. The entry goes only when this node applied an
+    /// outcome of `txn`, which settled every record of `txn` it holds
+    /// (one Visibility names them all), or when sync has settled every
+    /// record here that held an option of `txn` (a peer's payload
+    /// carries the outcome and the execution). Either way no record here
+    /// still waits for what the dropped message says.
     Visibility {
         /// Resolved transaction.
         txn: TxnId,
         /// Commit or abort.
         outcome: TxnOutcome,
-        /// Per record, in the coordinator's key order: whether its option
-        /// was *learned* as accepted — the authoritative status that
-        /// drives version accounting on nodes whose local vote was in the
-        /// minority.
-        records: Vec<(Key, bool)>,
+        /// Per record, in the coordinator's key order: its name and
+        /// whether its option was *learned* as accepted — the
+        /// authoritative status that drives version accounting on nodes
+        /// whose local vote was in the minority.
+        records: Vec<(RecordName, bool)>,
     },
     /// Ask the (potential) master to run collision recovery for a record
     /// (Algorithm 1, lines 19 and 26).
@@ -124,13 +154,10 @@ pub enum Msg {
     /// from this acceptor, one that holds its letter, so the dropped entry
     /// is worth no more than a delayed message, which the protocol
     /// tolerates anyway.
-    Verdict {
-        /// The transaction whose write-set positional entries index.
-        txn: TxnId,
-        /// Per record, in the order the sender judged them: its name and
-        /// the vote, reduced for its destination.
-        records: Vec<(RecordName, VoteVerdict)>,
-    },
+    ///
+    /// A positional entry whose only letter is of `txn` travels without
+    /// the letter's transaction (`crate::wire`): the message names it.
+    Verdict(Verdicts),
     /// A coordinator's learner met a quorum that holds its option with
     /// one decision but not front-movable everywhere (interleaved
     /// physical writes): only the cstructs can tell; ship the current

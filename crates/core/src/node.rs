@@ -91,6 +91,12 @@ mdcc_common::counters! {
         /// Parked proposals judged while the record was still behind: the
         /// coordinator re-proposed the transaction, or the table overflowed.
         pub parked_judged_behind: u64,
+        /// `Visibility` messages dropped unread because they name a record
+        /// by write-set position and this node holds no pending entry for
+        /// their transaction (it applied the outcome already, or sync
+        /// settled every record of it here; see [`Msg::Visibility`]), or
+        /// the position falls outside the write-set.
+        pub unresolved_visibilities: u64,
         /// Messages delivered here that a storage node has no use for and
         /// drops (TM-side kinds): each was encoded, framed, queued and
         /// charged for nothing. Zero unless a sender targets a node that
@@ -437,6 +443,35 @@ impl StorageNodeProcess {
         }
     }
 
+    /// Applies `txn`'s outcome to every record a Visibility names. Each
+    /// name is read before any record is applied: a position goes
+    /// through the write-set `txn` has pending here, and the first
+    /// application drops that entry. A Visibility with a position this
+    /// node cannot read is dropped whole and counted (see
+    /// [`Msg::Visibility`] for why that is safe).
+    fn on_visibility(
+        &mut self,
+        txn: TxnId,
+        outcome: TxnOutcome,
+        records: Vec<(RecordName, bool)>,
+        ctx: &mut MdccCtx<'_>,
+    ) {
+        let peers = self.store.pending_peers(txn);
+        let named: Option<Vec<(Key, bool)>> = (records.into_iter())
+            .map(|(name, learned_accepted)| match name {
+                RecordName::Key(key) => Some((key, learned_accepted)),
+                RecordName::At(at) => Some((peers?.get(at as usize)?.clone(), learned_accepted)),
+            })
+            .collect();
+        let Some(named) = named else {
+            self.stats.unresolved_visibilities += 1;
+            return;
+        };
+        for (key, learned_accepted) in named {
+            self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx);
+        }
+    }
+
     /// Applies one transaction outcome to one record on this node — what
     /// the `Visibility` message handler does for each record it names.
     fn apply_visibility_local(
@@ -647,11 +682,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
                 txn,
                 outcome,
                 records,
-            } => {
-                for (key, learned_accepted) in records {
-                    self.apply_visibility_local(txn, key, outcome, learned_accepted, ctx);
-                }
-            }
+            } => self.on_visibility(txn, outcome, records, ctx),
             Msg::SyncDigestReq
             | Msg::SyncDigest { .. }
             | Msg::SyncRangePull { .. }

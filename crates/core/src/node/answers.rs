@@ -13,7 +13,7 @@ use mdcc_common::{Key, NodeId, TxnId};
 use mdcc_paxos::acceptor::{Phase2b, VoteVerdict};
 
 use super::StorageNodeProcess;
-use crate::msg::{grouped, MdccCtx, Msg, RecordName};
+use crate::msg::{grouped, MdccCtx, Msg, RecordName, Verdicts};
 
 impl StorageNodeProcess {
     /// Fans a vote out to every coordinator that can still learn
@@ -72,7 +72,7 @@ impl StorageNodeProcess {
         let answers = self.answers.drain(..);
         let routed = answers.map(|(to, txn, name, verdict)| ([(to, txn)], (name, verdict)));
         for ((to, txn), records) in grouped(routed) {
-            ctx.send(to, Msg::Verdict { txn, records });
+            ctx.send(to, Msg::Verdict(Verdicts { txn, records }));
         }
     }
 

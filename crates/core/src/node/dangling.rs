@@ -58,7 +58,7 @@ impl Dangling {
         if self.open.contains_key(&txn) {
             return Vec::new();
         }
-        let coord = Coordination::new(cfg, txn, keys.iter().cloned());
+        let coord = Coordination::new(cfg, txn, keys.iter().cloned(), keys);
         let mut out = Vec::new();
         for key in coord.undecided() {
             query(&*self.placement, txn, key, &mut out);

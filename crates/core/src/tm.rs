@@ -30,7 +30,7 @@ use mdcc_sim::event::TimerId;
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::{recovery_target, Coordination, Progress};
-use crate::msg::{grouped, MdccCtx, Msg, RecordName, Tick};
+use crate::msg::{grouped, MdccCtx, Msg, RecordName, Tick, Verdicts};
 use crate::placement::Placement;
 
 mod reads;
@@ -277,7 +277,8 @@ impl TransactionManager {
         }
         self.propose_attempt(options.values(), 0, ctx);
         let timer = ctx.set_timer(LEARN_TIMEOUT, Tick::LearnTimeout { txn });
-        let coord = Coordination::new(&self.cfg.protocol, txn, options.keys().cloned());
+        let keys = options.keys().cloned();
+        let coord = Coordination::new(&self.cfg.protocol, txn, keys, &ws.keys);
         self.active.insert(
             txn,
             ActiveTxn {
@@ -375,7 +376,7 @@ impl TransactionManager {
     /// Feeds a network message; returns completions/read results to act on.
     pub fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut MdccCtx<'_>) -> Vec<TmEvent> {
         match msg {
-            Msg::Verdict { txn, records } => self.on_verdicts(from, txn, records, ctx),
+            Msg::Verdict(Verdicts { txn, records }) => self.on_verdicts(from, txn, records, ctx),
             // The whole vote one of this TM's learners pulled.
             Msg::Vote { key, vote } => self.on_answer(from, key, ctx, |coord, key, idx| {
                 coord.on_vote(key, idx, &vote)

@@ -15,10 +15,12 @@
 
 use mdcc_common::wire;
 use mdcc_common::wire::{err, wire_len, Dec, Enc, Wire, WireResult, FRAME_OVERHEAD};
-use mdcc_common::Key;
+use mdcc_common::{Key, TxnId, Version};
+use mdcc_paxos::acceptor::{Letter, VoteVerdict};
+use mdcc_paxos::{Ballot, OptionStatus};
 use mdcc_sim::{NetMessage, TrafficClass};
 
-use crate::msg::{Msg, RecordName};
+use crate::msg::{Msg, RecordName, Verdicts};
 
 wire!(enum Msg, "msg tag" {
     0 => Propose(proposal),
@@ -55,11 +57,12 @@ wire!(enum Msg, "msg tag" {
     // Tag 39 (the per-record lease override's routing hint) is retired,
     // not reused.
     40 => P2aBehind { key, ballot },
-    41 => Verdict { txn, records },
+    41 => Verdict(verdicts),
 });
 
 /// A position travels as one varint, position + 1; a 0 says a key
-/// follows instead.
+/// follows instead. (A `Verdict` entry folds its anchor flag into the
+/// same varint: see [`Verdicts`].)
 impl Wire for RecordName {
     fn encode(&self, out: &mut Enc) {
         match self {
@@ -78,6 +81,83 @@ impl Wire for RecordName {
                 Err(_) => err("record position"),
             },
         }
+    }
+}
+
+/// The transaction once, then each entry: a varint head, the record's
+/// key if the head names none, the vote's ballot and version, and its
+/// letters. The head is twice the name's code (a position plus one, or
+/// 0 for a key) plus an anchor flag. The flag marks a positional entry
+/// whose only letter is of the message's transaction: that letter is
+/// written as its status and movability alone. A key-named entry with
+/// the flag does not decode.
+impl Wire for Verdicts {
+    fn encode(&self, out: &mut Enc) {
+        self.txn.encode(out);
+        out.u32(self.records.len() as u32);
+        for (name, verdict) in &self.records {
+            let (code, key) = match name {
+                RecordName::At(at) => (u64::from(*at) + 1, None),
+                RecordName::Key(key) => (0, Some(key)),
+            };
+            let anchor = match verdict.letters.as_slice() {
+                [only] if only.txn == self.txn && key.is_none() => Some(only),
+                _ => None,
+            };
+            out.u64(code * 2 + u64::from(anchor.is_some()));
+            if let Some(key) = key {
+                key.encode(out);
+            }
+            verdict.ballot.encode(out);
+            verdict.version.encode(out);
+            match anchor {
+                Some(letter) => {
+                    letter.status.encode(out);
+                    out.bool(letter.movable);
+                }
+                None => verdict.letters.encode(out),
+            }
+        }
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        let txn = TxnId::decode(inp)?;
+        let n = inp.u32()? as usize;
+        if n > inp.remaining() {
+            return err("verdict count");
+        }
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            let head = inp.u64()?;
+            let anchored = head & 1 == 1;
+            let name = match head >> 1 {
+                0 if anchored => return err("anchor on a key-named verdict"),
+                0 => RecordName::Key(Key::decode(inp)?),
+                at => match u32::try_from(at - 1) {
+                    Ok(at) => RecordName::At(at),
+                    Err(_) => return err("record position"),
+                },
+            };
+            let ballot = Ballot::decode(inp)?;
+            let version = Version::decode(inp)?;
+            let letters = if anchored {
+                let status = OptionStatus::decode(inp)?;
+                let movable = inp.bool()?;
+                vec![Letter {
+                    txn,
+                    status,
+                    movable,
+                }]
+            } else {
+                Vec::decode(inp)?
+            };
+            let verdict = VoteVerdict {
+                ballot,
+                version,
+                letters,
+            };
+            records.push((name, verdict));
+        }
+        Ok(Verdicts { txn, records })
     }
 }
 
@@ -206,12 +286,22 @@ mod tests {
             Msg::Visibility {
                 txn: TxnId::new(NodeId(0), 5),
                 outcome: TxnOutcome::Committed,
-                records: vec![(key("a"), true)],
+                records: vec![(RecordName::Key(key("a")), true)],
             },
             Msg::Visibility {
                 txn: TxnId::new(NodeId(0), 6),
                 outcome: TxnOutcome::Aborted,
-                records: vec![(key("a"), true), (key("b"), false), (key("c"), false)],
+                records: ["a", "b", "c"]
+                    .into_iter()
+                    .zip([true, false, false])
+                    .map(|(k, accepted)| (RecordName::Key(key(k)), accepted))
+                    .collect(),
+            },
+            // To a node that holds the write-set: by position.
+            Msg::Visibility {
+                txn: TxnId::new(NodeId(0), 7),
+                outcome: TxnOutcome::Committed,
+                records: vec![(RecordName::At(0), true), (RecordName::At(2), false)],
             },
             Msg::StartRecovery { key: key("b") },
             Msg::Vote {
@@ -223,7 +313,7 @@ mod tests {
                     epoch: 1,
                 },
             },
-            Msg::Verdict {
+            Msg::Verdict(Verdicts {
                 txn: TxnId::new(NodeId(3), 5),
                 records: vec![(
                     RecordName::Key(key("a")),
@@ -244,11 +334,12 @@ mod tests {
                         ],
                     },
                 )],
-            },
+            }),
             // A node's verdicts on three records of one transaction: two
-            // named by write-set position (one letter; none, to the
-            // proposer), one by key.
-            Msg::Verdict {
+            // named by write-set position (one letter, the anchor's,
+            // written without its transaction; none, to the proposer),
+            // one by key.
+            Msg::Verdict(Verdicts {
                 txn: TxnId::new(NodeId(3), 20),
                 records: vec![
                     (
@@ -291,7 +382,39 @@ mod tests {
                         },
                     ),
                 ],
-            },
+            }),
+            // Anchored letters that are not the common accepted-movable
+            // one, and a positional entry whose only letter is another
+            // transaction's: it keeps its letter whole.
+            Msg::Verdict(Verdicts {
+                txn: TxnId::new(NodeId(2), 300),
+                records: vec![
+                    (
+                        RecordName::At(70),
+                        VoteVerdict {
+                            ballot: Ballot::classic(2, NodeId(4)),
+                            version: Version(200),
+                            letters: vec![Letter {
+                                txn: TxnId::new(NodeId(2), 300),
+                                status: OptionStatus::Rejected(AbortReason::StaleRead),
+                                movable: false,
+                            }],
+                        },
+                    ),
+                    (
+                        RecordName::At(1),
+                        VoteVerdict {
+                            ballot: Ballot::INITIAL_FAST,
+                            version: Version(9),
+                            letters: vec![Letter {
+                                txn: TxnId::new(NodeId(2), 299),
+                                status: OptionStatus::Accepted,
+                                movable: true,
+                            }],
+                        },
+                    ),
+                ],
+            }),
             Msg::CstructPull { key: key("a") },
             Msg::NotFast {
                 key: key("a"),
@@ -500,10 +623,56 @@ mod tests {
         // `Verdict` began to carry a node's votes on one transaction's
         // records, each named by write-set position or key, and a
         // `ReadReq` / `ReadResp` a list of keys / of keyless rows, with
-        // the samples of those shapes added.
+        // the samples of those shapes added; and from 0xb265_884c_06db_d1d3
+        // when a `Visibility` began to name its records by write-set
+        // position or key and a positional `Verdict` entry whose only
+        // letter is its message's transaction began to write that letter
+        // without the transaction, with a positional Visibility and two
+        // such entries added.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0xb265_884c_06db_d1d3, "{digest:#018x}");
+        assert_eq!(digest, 0xfe7e_855d_46fe_69b0, "{digest:#018x}");
+    }
+
+    #[test]
+    fn an_anchor_letter_drops_its_transaction_and_only_a_position_carries_one() {
+        let txn = TxnId::new(NodeId(3), 20_000);
+        let letter = Letter {
+            txn,
+            status: OptionStatus::Accepted,
+            movable: true,
+        };
+        let verdict = |name: RecordName, letter: Letter| {
+            Msg::Verdict(Verdicts {
+                txn,
+                records: vec![(
+                    name,
+                    VoteVerdict {
+                        ballot: Ballot::INITIAL_FAST,
+                        version: Version(4),
+                        letters: vec![letter],
+                    },
+                )],
+            })
+        };
+        let other = Letter {
+            txn: TxnId::new(NodeId(3), 19_999),
+            ..letter
+        };
+        let anchored = verdict(RecordName::At(0), letter).wire_bytes();
+        let spelled = verdict(RecordName::At(0), other).wire_bytes();
+        let txn_bytes = to_bytes(&txn).len();
+        // The spelled-out letter pays the transaction and the letter count.
+        assert_eq!(anchored + txn_bytes + 1, spelled);
+        // A key-named entry spells its letter out, and one that carries
+        // the anchor flag (head 1: key, flagged) is refused.
+        let by_key = to_bytes(&verdict(RecordName::Key(key("a")), letter));
+        let head = 1 + to_bytes(&txn).len() + 1;
+        assert_eq!(by_key[head], 0, "a key-named entry's head");
+        let mut flagged = by_key.clone();
+        flagged[head] = 1;
+        assert!(from_bytes::<Msg>(&by_key).is_ok());
+        assert!(from_bytes::<Msg>(&flagged).is_err());
     }
 
     #[test]
@@ -563,7 +732,7 @@ mod tests {
         const SLOT: usize = 256;
         assert!(std::mem::size_of::<TxnOption>() <= SLOT);
         assert!(std::mem::size_of::<(u32, UpdateOp)>() <= SLOT);
-        assert!(std::mem::size_of::<(Key, bool)>() <= SLOT);
+        assert!(std::mem::size_of::<(RecordName, bool)>() <= SLOT);
         assert!(std::mem::size_of::<SyncItem>() <= SLOT);
         assert!(std::mem::size_of::<(TxnOption, Resolution)>() <= SLOT);
         assert!(std::mem::size_of::<(Key, Phase2a)>() <= SLOT);
@@ -681,7 +850,7 @@ mod tests {
             "a whole vote travels only as the answer to a pull"
         );
         assert_eq!(
-            Msg::Verdict {
+            Msg::Verdict(Verdicts {
                 txn: TxnId::new(NodeId(0), 0),
                 records: vec![(
                     RecordName::At(0),
@@ -691,7 +860,7 @@ mod tests {
                         letters: Vec::new(),
                     },
                 )],
-            }
+            })
             .traffic_class(),
             TrafficClass::Protocol,
             "verdicts are commit-protocol traffic, not repair"
@@ -700,7 +869,7 @@ mod tests {
             Msg::Visibility {
                 txn: TxnId::new(NodeId(0), 0),
                 outcome: TxnOutcome::Committed,
-                records: vec![(key("a"), true)],
+                records: vec![(RecordName::At(0), true)],
             }
             .traffic_class(),
             TrafficClass::Protocol
@@ -735,7 +904,7 @@ mod tests {
             status: OptionStatus::Accepted,
             movable: true,
         }];
-        let verdict = Msg::Verdict {
+        let verdict = Msg::Verdict(Verdicts {
             txn: opt(31).txn,
             records: vec![(
                 RecordName::At(0),
@@ -745,7 +914,7 @@ mod tests {
                     letters,
                 },
             )],
-        };
+        });
         let whole = Msg::Vote {
             key: key("a"),
             vote,

@@ -4,6 +4,10 @@
 //! transaction manager's read asks each node once and pairs the rows of
 //! a reply with the keys of the request it answers.
 //!
+//! The outcome travels the same way back: a Visibility names a node's
+//! records by write-set position when the coordinator holds an accepted
+//! letter of the transaction from that node, and by key otherwise.
+//!
 //! The tests drive real [`StorageNodeProcess`]es and a real
 //! [`TransactionManager`] by hand — no simulator — and inspect what each
 //! sends; the last ones hand-build malformed replies.
@@ -18,12 +22,13 @@ use mdcc_common::{
 use mdcc_core::placement::Placement;
 use mdcc_core::{
     MdccCtx, Msg, ReadConsistency, RecordName, StorageNodeProcess, Tick, TmConfig, TmEvent,
-    TransactionManager,
+    TransactionManager, Verdicts,
 };
 use mdcc_paxos::acceptor::VoteVerdict;
 use mdcc_paxos::{Ballot, TxnOutcome};
+use mdcc_recovery::{recover_store, write_checkpoint};
 use mdcc_sim::process::Effect;
-use mdcc_sim::{Ctx, Process};
+use mdcc_sim::{Ctx, Disk, Process};
 use mdcc_storage::{Catalog, RecordStore};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -46,9 +51,22 @@ fn placement(shards: u32) -> Arc<StaticPlacement> {
 
 /// Runs `f` as one handler of process `me` at `now`; returns what it sent.
 fn handler(me: NodeId, now: u64, f: impl FnOnce(&mut MdccCtx<'_>)) -> Vec<(NodeId, Msg)> {
+    handler_on(me, now, None, f)
+}
+
+/// [`handler`] with `disk` attached, if any: a durable node logs to it.
+fn handler_on(
+    me: NodeId,
+    now: u64,
+    disk: Option<&mut Disk>,
+    f: impl FnOnce(&mut MdccCtx<'_>),
+) -> Vec<(NodeId, Msg)> {
     let (mut rng, mut effects, mut next_timer) = (SmallRng::seed_from_u64(5), Vec::new(), 0);
     let now = SimTime::from_millis(now);
-    let mut ctx = Ctx::new(now, me, &mut rng, &mut effects, &mut next_timer);
+    let mut ctx = match disk {
+        Some(disk) => Ctx::with_disk(now, me, &mut rng, &mut effects, &mut next_timer, disk),
+        None => Ctx::new(now, me, &mut rng, &mut effects, &mut next_timer),
+    };
     f(&mut ctx);
     effects
         .into_iter()
@@ -111,10 +129,10 @@ fn a_node_answers_a_three_record_proposal_with_one_verdict() {
         assert_eq!(answers.len(), 1, "node {to:?} answered {answers:?}");
         let (dest, verdict) = answers.into_iter().next().expect("one answer");
         assert_eq!(dest, TM);
-        let Msg::Verdict {
+        let Msg::Verdict(Verdicts {
             txn: named,
             records,
-        } = &verdict
+        }) = &verdict
         else {
             panic!("not a verdict: {verdict:?}");
         };
@@ -318,7 +336,7 @@ fn a_verdict_position_outside_the_write_set_is_dropped_and_counted() {
         (RecordName::At(3), empty_verdict()),
         (RecordName::At(u32::MAX), empty_verdict()),
     ];
-    let verdict = Msg::Verdict { txn, records };
+    let verdict = Msg::Verdict(Verdicts { txn, records });
     let sent = handler(TM, 2, |ctx| {
         assert!(tm.on_message(NodeId(0), verdict, ctx).is_empty());
     });
@@ -328,13 +346,174 @@ fn a_verdict_position_outside_the_write_set_is_dropped_and_counted() {
     // A position of a transaction this TM does not run is not malformed:
     // its anchor is gone, and the entry is dropped as a late message.
     let gone = TxnId::new(TM, 77);
-    let verdict = Msg::Verdict {
+    let verdict = Msg::Verdict(Verdicts {
         txn: gone,
         records: vec![(RecordName::At(0), empty_verdict())],
-    };
+    });
     handler(TM, 3, |ctx| {
         assert!(tm.on_message(NodeId(0), verdict, ctx).is_empty());
     });
     assert_eq!(tm.stats().malformed_replies, 2);
     assert_eq!(tm.stats().unanchored_verdicts, 1);
+}
+
+/// The names of the records a Visibility carries.
+fn names(msg: &Msg) -> Vec<RecordName> {
+    let Msg::Visibility { records, .. } = msg else {
+        panic!("not a visibility: {msg:?}");
+    };
+    records.iter().map(|(name, _)| name.clone()).collect()
+}
+
+/// The first message of `sent` to `node` that `is` picks.
+fn sent_to(sent: &[(NodeId, Msg)], node: NodeId, is: impl Fn(&Msg) -> bool) -> Msg {
+    let to_node = sent.iter().find(|(to, m)| *to == node && is(m));
+    to_node.expect("a message to the node").1.clone()
+}
+
+/// The Visibility `sent` carries to `node`.
+fn visibility_to(sent: &[(NodeId, Msg)], node: NodeId) -> Msg {
+    sent_to(sent, node, |m| matches!(m, Msg::Visibility { .. }))
+}
+
+fn by_position() -> Vec<RecordName> {
+    [0, 1, 2].map(RecordName::At).to_vec()
+}
+
+fn by_key(keys: &[Key]) -> Vec<RecordName> {
+    keys.iter().cloned().map(RecordName::Key).collect()
+}
+
+#[test]
+fn a_positional_visibility_resolves_after_a_restart_between_vote_and_outcome() {
+    let keys = three_keys();
+    let (mut tm, _, proposes) = committed(&keys);
+    // Node 0 logs its vote, then crashes; the outcome reaches the node
+    // rebuilt from its checkpoint and log.
+    let mut disk = Disk::new();
+    let mut fan_out = Vec::new();
+    for (to, propose) in proposes {
+        let mut node = node(placement(1), &keys);
+        let answers = if to == NodeId(0) {
+            write_checkpoint(&mut disk, node.store());
+            node.enable_durability();
+            handler_on(to, 2, Some(&mut disk), |ctx| {
+                node.on_message(TM, propose, ctx)
+            })
+        } else {
+            handler(to, 2, |ctx| node.on_message(TM, propose, ctx))
+        };
+        for (_, verdict) in answers {
+            fan_out.extend(handler(TM, 3, |ctx| {
+                tm.on_message(to, verdict, ctx);
+            }));
+        }
+        if !fan_out.is_empty() {
+            break;
+        }
+    }
+    assert_eq!(tm.in_flight(), 0, "four accepting nodes decide it");
+    // Nodes 0 to 3 answered accepted: by position. Node 4 never answered.
+    for node in 0..4 {
+        assert_eq!(names(&visibility_to(&fan_out, NodeId(node))), by_position());
+    }
+    assert_eq!(names(&visibility_to(&fan_out, NodeId(4))), by_key(&keys));
+    let cfg = ProtocolConfig::default();
+    let (store, _) = recover_store(cfg.clone(), Arc::new(Catalog::new()), &disk).expect("clean");
+    assert_eq!(store.pending_len(), 1, "the vote's pending entry survives");
+    let mut node = StorageNodeProcess::from_recovery(cfg, store, placement(1), true);
+    let visibility = visibility_to(&fan_out, NodeId(0));
+    handler_on(NodeId(0), 4, Some(&mut disk), |ctx| {
+        node.on_message(TM, visibility, ctx)
+    });
+    assert_eq!(node.stats().unresolved_visibilities, 0);
+    assert_eq!(node.store().pending_len(), 0);
+    for key in &keys {
+        let (version, row) = node.store().read_committed(key).expect("a value");
+        assert_eq!(
+            (version, row.get_int("n")),
+            (Version(2), Some(7)),
+            "{key:?}"
+        );
+    }
+}
+
+#[test]
+fn a_node_that_only_rejected_gets_key_names() {
+    let keys = three_keys();
+    // Another coordinator's writes hold node 4's records first, so node
+    // 4 rejects every option of the transaction under test.
+    let mut other = tm(placement(1));
+    let held = handler(NodeId(98), 1, |ctx| {
+        other.commit(keys.iter().map(write).collect(), ctx);
+    });
+    let (mut tm, txn, proposes) = committed(&keys);
+    let mut fan_out = Vec::new();
+    for (to, propose) in proposes.into_iter().rev() {
+        let mut node = node(placement(1), &keys);
+        if to == NodeId(4) {
+            let first = sent_to(&held, to, |m| matches!(m, Msg::Propose(_)));
+            handler(to, 2, |ctx| node.on_message(NodeId(98), first, ctx));
+        }
+        for (dest, verdict) in handler(to, 3, |ctx| node.on_message(TM, propose, ctx)) {
+            if dest != TM {
+                continue;
+            }
+            if to == NodeId(4) {
+                let Msg::Verdict(Verdicts { records, .. }) = &verdict else {
+                    panic!("not a verdict: {verdict:?}");
+                };
+                for (_, v) in records {
+                    let (status, _) = v.letter(txn).expect("judged");
+                    assert!(!status.is_accepted(), "node 4 rejects");
+                }
+            }
+            fan_out.extend(handler(TM, 4, |ctx| {
+                tm.on_message(to, verdict, ctx);
+            }));
+        }
+        if !fan_out.is_empty() {
+            break;
+        }
+    }
+    assert_eq!(tm.in_flight(), 0, "every node answered; 0 to 3 accepted");
+    assert_eq!(names(&visibility_to(&fan_out, NodeId(4))), by_key(&keys));
+    for node in 0..4 {
+        assert_eq!(names(&visibility_to(&fan_out, NodeId(node))), by_position());
+    }
+}
+
+#[test]
+fn an_unresolvable_positional_visibility_is_dropped_and_counted() {
+    let keys = three_keys();
+    let (_, txn, proposes) = committed(&keys);
+    let visibility = |records: Vec<(RecordName, bool)>| Msg::Visibility {
+        txn,
+        outcome: TxnOutcome::Committed,
+        records,
+    };
+    // A node that holds nothing of the transaction.
+    let mut empty = node(placement(1), &keys);
+    let sent = handler(NodeId(0), 2, |ctx| {
+        empty.on_message(TM, visibility(vec![(RecordName::At(0), true)]), ctx)
+    });
+    assert!(sent.is_empty(), "{sent:?}");
+    assert_eq!(empty.stats().unresolved_visibilities, 1);
+    // A node that holds it pending, sent a position past its write-set:
+    // nothing applies, the entry stays for the well-formed copy.
+    let (to, propose) = proposes.into_iter().next().expect("a proposal");
+    let mut node = node(placement(1), &keys);
+    handler(to, 2, |ctx| node.on_message(TM, propose, ctx));
+    let past = vec![(RecordName::At(0), true), (RecordName::At(3), true)];
+    handler(to, 3, |ctx| node.on_message(TM, visibility(past), ctx));
+    assert_eq!(node.stats().unresolved_visibilities, 1);
+    assert_eq!(node.store().pending_len(), 1);
+    assert_eq!(node.store().version_of(&keys[0]), Version(1));
+    let all = by_position().into_iter().map(|name| (name, true)).collect();
+    handler(to, 4, |ctx| node.on_message(TM, visibility(all), ctx));
+    assert_eq!(node.stats().unresolved_visibilities, 1);
+    assert_eq!(node.store().pending_len(), 0);
+    assert!(keys
+        .iter()
+        .all(|k| node.store().version_of(k) == Version(2)));
 }

@@ -14,7 +14,7 @@ use mdcc_common::{
     TableId, TxnId, UpdateOp, Version,
 };
 use mdcc_core::coordination::{Coordination, Progress};
-use mdcc_core::Msg;
+use mdcc_core::{Msg, RecordName};
 use mdcc_paxos::acceptor::{Letter, Phase2b, VoteVerdict};
 use mdcc_paxos::quorum::{mask_indices, subsets};
 use mdcc_paxos::{Ballot, CStruct, OptionStatus, TxnOption, TxnOutcome};
@@ -97,11 +97,15 @@ fn verdict(cstruct: &CStruct) -> VoteVerdict {
     }
 }
 
+/// Each record a Visibility fan-out names: its node, its key, whether it
+/// was named by position in `write_set` (read back through it), and its
+/// learned status.
 fn fanout(
     coord: &Coordination,
     outcome: TxnOutcome,
     me: Option<NodeId>,
-) -> BTreeSet<(NodeId, Key, bool)> {
+    write_set: &[Key],
+) -> BTreeSet<(NodeId, Key, bool, bool)> {
     let mut sent = BTreeSet::new();
     let mut nodes = BTreeSet::new();
     coord.visibility(outcome, &*placement(), me, |to, msg| {
@@ -115,8 +119,15 @@ fn fanout(
         };
         assert_eq!((t, o), (txn(0), outcome));
         assert!(nodes.insert(to), "two messages to {to}");
-        for (key, learned_accepted) in records {
-            assert!(sent.insert((to, key, learned_accepted)), "sent twice");
+        for (name, learned_accepted) in records {
+            let (key, positional) = match name {
+                RecordName::At(at) => (write_set[at as usize].clone(), true),
+                RecordName::Key(key) => (key, false),
+            };
+            assert!(
+                sent.insert((to, key, positional, learned_accepted)),
+                "sent twice"
+            );
         }
     });
     sent
@@ -155,7 +166,8 @@ proptest! {
     /// votes it pulls) and the recovery coordinator's (write-set order,
     /// its own copy applied locally, fed whole votes) make the same
     /// progress on every delivery and reach the same outcome and the
-    /// same Visibility set.
+    /// same Visibility set. A node's records are named by write-set
+    /// position exactly when one of its answers held the option accepted.
     #[test]
     fn both_shapes_agree_with_the_glb_oracle(
         per_key in prop::collection::vec((0u8..2, acceptors_strategy()), 1..4),
@@ -172,8 +184,9 @@ proptest! {
             })
             .collect();
         let me = NodeId(me);
-        let mut tm_shaped = Coordination::new(&cfg, txn(0), keys.iter().cloned());
-        let mut recovery_shaped = Coordination::new(&cfg, txn(0), keys.iter().rev().cloned());
+        let mut tm_shaped = Coordination::new(&cfg, txn(0), keys.iter().cloned(), &keys);
+        let rev = keys.iter().rev().cloned();
+        let mut recovery_shaped = Coordination::new(&cfg, txn(0), rev, &keys);
 
         let all = (0..keys.len()).flat_map(|k| (0..N).map(move |a| (k, a)));
         let deliveries = early.into_iter().filter(|(k, _)| *k < keys.len()).chain(all);
@@ -219,14 +232,18 @@ proptest! {
 
         // With a verdict, or with an outcome someone else knew first.
         let outcome = expected.unwrap_or(TxnOutcome::Aborted);
-        let sent = fanout(&tm_shaped, outcome, None);
-        prop_assert_eq!(&sent, &fanout(&recovery_shaped, outcome, Some(me)));
-        let expected_sent: BTreeSet<(NodeId, Key, bool)> = keys
+        let sent = fanout(&tm_shaped, outcome, None, &keys);
+        prop_assert_eq!(&sent, &fanout(&recovery_shaped, outcome, Some(me), &keys));
+        let holds: Vec<bool> = (0..N)
+            .map(|r| per_key.iter().any(|(_, acceptors)| acceptors[r].contains(&(0, true))))
+            .collect();
+        let expected_sent: BTreeSet<(NodeId, Key, bool, bool)> = keys
             .iter()
             .zip(&learned)
             .flat_map(|(k, l)| {
                 let accepted = l.map_or(outcome == TxnOutcome::Committed, |s| s.is_accepted());
-                (0..N as u32).map(move |r| (NodeId(r), k.clone(), accepted))
+                let holds = &holds;
+                (0..N).map(move |r| (NodeId(r as u32), k.clone(), holds[r], accepted))
             })
             .collect();
         prop_assert_eq!(sent, expected_sent);
@@ -240,7 +257,7 @@ proptest! {
 fn own_copy_comes_last_and_a_key_named_twice_counts_once() {
     let cfg = ProtocolConfig::default();
     let keys = [key(1), key(0), key(1)];
-    let coord = Coordination::new(&cfg, txn(0), keys.iter().cloned());
+    let coord = Coordination::new(&cfg, txn(0), keys.iter().cloned(), &keys);
     assert_eq!(coord.undecided().collect::<Vec<_>>(), [&key(1), &key(0)]);
     let mut order = Vec::new();
     coord.visibility(
@@ -251,7 +268,12 @@ fn own_copy_comes_last_and_a_key_named_twice_counts_once() {
             let Msg::Visibility { records, .. } = msg else {
                 panic!("not a Visibility: {msg:?}");
             };
-            let keys: Vec<Key> = records.into_iter().map(|(k, _)| k).collect();
+            let keys: Vec<Key> = (records.into_iter())
+                .map(|(name, _)| match name {
+                    RecordName::Key(key) => key,
+                    RecordName::At(at) => panic!("no node answered, yet position {at}"),
+                })
+                .collect();
             order.push((to.0, keys));
         },
     );

@@ -28,7 +28,7 @@ use mdcc_common::{
     UpdateOp, Version,
 };
 use mdcc_core::placement::Placement;
-use mdcc_core::{Msg, StorageNodeProcess};
+use mdcc_core::{Msg, RecordName, StorageNodeProcess, Verdicts};
 use mdcc_paxos::acceptor::Letter;
 use mdcc_paxos::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use mdcc_recovery::{recover_store, wal, WalRecord};
@@ -141,7 +141,7 @@ fn visibility(i: u64) -> Msg {
     Msg::Visibility {
         txn: TxnId::new(COORDINATOR, i),
         outcome: TxnOutcome::Committed,
-        records: vec![(key(), true)],
+        records: vec![(RecordName::Key(key()), true)],
     }
 }
 
@@ -151,7 +151,7 @@ fn visibility(i: u64) -> Msg {
 /// not a vote.
 fn voted(msg: &Msg) -> Vec<(Version, &[Letter])> {
     match msg {
-        Msg::Verdict { records, .. } => records
+        Msg::Verdict(Verdicts { records, .. }) => records
             .iter()
             .map(|(_, verdict)| (verdict.version, verdict.letters.as_slice()))
             .collect(),

@@ -316,6 +316,12 @@ impl Lease {
         })
     }
 
+    /// An acquisition is pending whose grants could still make this node
+    /// the holder before the lease it asked for ends.
+    pub(crate) fn acquiring(&self, now: SimTime) -> bool {
+        self.pending.as_ref().is_some_and(|p| p.expiry > now)
+    }
+
     /// A grantor refused with `max`. If that outranks what this node is
     /// acquiring, the acquisition is over; if it outranks the lease this
     /// node holds, someone outranked that: it stops serving at once

@@ -622,6 +622,51 @@ mod tests {
         );
     }
 
+    /// A candidate waits for the grants of its own acquisition: it does
+    /// not campaign again, replacing the ballot they answer, until that
+    /// acquisition can no longer complete (its lease would have ended).
+    #[test]
+    fn a_candidate_does_not_campaign_over_its_own_acquisition() {
+        let mut candidate = layer(4);
+        // Tick `at` opens heartbeat round `at / 100`; two lower pids
+        // answer it.
+        let campaigns = |candidate: &mut Mastership, at: u64| {
+            let mut out = Vec::new();
+            candidate.on_tick(ms(at), &mut out);
+            let round = (at / 100) as u32;
+            for peer in [0u32, 1] {
+                let reply = MsMsg::HbReply {
+                    shard: 0,
+                    round,
+                    ballot: Ballot::default(),
+                    holder: None,
+                };
+                candidate.on_msg(NodeId(peer), reply, ms(at + 10), &mut Vec::new());
+            }
+            let acquires = out.iter().filter_map(|a| match a {
+                Action::Send {
+                    msg: MsMsg::Acquire { ballot, .. },
+                    ..
+                } => Some(*ballot),
+                _ => None,
+            });
+            acquires.collect::<std::collections::BTreeSet<_>>()
+        };
+        assert!(campaigns(&mut candidate, 100).is_empty(), "no replies yet");
+        let first = campaigns(&mut candidate, 200);
+        assert_eq!(first.len(), 1, "campaigns once a majority answers");
+        // Its grants are a round trip away: ticks inside its lease wait.
+        for at in [300, 400, 500] {
+            assert!(campaigns(&mut candidate, at).is_empty(), "at {at} ms");
+        }
+        assert_eq!(candidate.stats().elections, 1);
+        // Past the lease it asked for (200 + 400 ms) it campaigns again.
+        let again = campaigns(&mut candidate, 600);
+        assert_eq!(again.len(), 1);
+        assert!(again.first() > first.first());
+        assert_eq!(candidate.stats().elections, 2);
+    }
+
     /// Raft's rule for heartbeats: a replica that knows of a lease
     /// outliving its next two ticks sends no `HbReq` — the holder's
     /// renewal is the heartbeat — and probes again from two ticks before

@@ -97,7 +97,10 @@ impl Shard {
         match self.lease.check(now) {
             Held::Deposed => return false,
             Held::Renew(ballot) => self.acquire(ballot, None, now, fx),
-            Held::No if quarantined => {}
+            // A candidate whose acquisition can still complete waits
+            // for its grants: campaigning again would replace it and
+            // waste every grant in flight.
+            Held::No if quarantined || self.lease.acquiring(now) => {}
             Held::No => {
                 if let Some(ballot) = self.election.campaign(now) {
                     fx.stats.elections += 1;

@@ -619,7 +619,7 @@ fn at_ms(ms: u64) -> SimTime {
 const STEADY_RTTS_MS: [u64; 4] = [60, 100, 140, 200];
 
 /// On a steady network the first holder keeps the lease for the whole
-/// run: one acquisition, a renewal every tick, and — once the first
+/// run: one election, one acquisition, a renewal every tick, and — once the first
 /// renewal is back — not one heartbeat probe. A renewal that was still
 /// in flight at the next tick used to be replaced by that tick's, so at
 /// a round trip of a tick or more the lease lapsed and was acquired
@@ -637,6 +637,10 @@ fn the_first_holder_keeps_the_lease_at_any_round_trip_under_the_lease() {
         let spans = steady.audit.spans();
         let acquired = steady.sum(|s| s.leases_acquired);
         assert_eq!((acquired, spans.len()), (1, 1), "{rtt} ms: {spans:?}");
+        // One campaign per acquisition: a candidate waits for its own
+        // grants instead of campaigning again over them.
+        let elections = steady.sum(|s| s.elections);
+        assert_eq!(elections, acquired, "{rtt} ms: {elections} elections");
         let tenure = end.since(spans[0].from).as_millis();
         let renewals = steady.sum(|s| s.renewals);
         assert!(

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use mdcc_common::config::DANGLING_TIMEOUT;
 use mdcc_common::wire::{Enc, Wire};
 use mdcc_common::{Key, ProtocolConfig, Row, SimTime, TxnId, Version};
-use mdcc_paxos::acceptor::{ClassicAccept, FastPropose, Phase1b, Phase2a};
+use mdcc_paxos::acceptor::{Base, ClassicAccept, FastPropose, Phase1b, Phase2a};
 use mdcc_paxos::{
     AcceptorRecord, AcceptorState, Ballot, OptionStatus, RecordSnapshot, Resolution, TxnOption,
     TxnOutcome,
@@ -228,17 +228,23 @@ impl RecordStore {
             .unwrap_or_else(|| blank_record(&self.cfg, &self.catalog, key).lacks_snapshot(p2a))
     }
 
-    /// Classic Phase2a for one record, with pending tracking.
+    /// Classic Phase2a for one record, with pending tracking: the options
+    /// the round leaves open here, its new ones and, on a recovery round,
+    /// those of the proved-safe cstruct it adopts, are tracked as a fast
+    /// proposal's are.
     pub fn classic_accept(&mut self, key: &Key, p2a: Phase2a, now: SimTime) -> ClassicAccept {
-        let new_txns: Vec<(TxnId, Arc<[Key]>)> = p2a
-            .new_options
-            .iter()
+        let adopted = match &p2a.base {
+            Base::ProvedSafe(safe) => safe.entries().map(|e| &e.opt).collect(),
+            _ => Vec::new(),
+        };
+        let offered: Vec<(TxnId, Arc<[Key]>)> = (p2a.new_options.iter().chain(adopted))
             .map(|o| (o.txn, Arc::clone(&o.peers)))
             .collect();
         let (result, decided) = self.with_record_mut(key, |rec| {
             let result = rec.classic_accept(p2a);
-            let decided: Vec<(TxnId, Arc<[Key]>, OptionStatus)> = new_txns
-                .into_iter()
+            let open = |txn| rec.outcome_of(txn).is_none();
+            let decided: Vec<(TxnId, Arc<[Key]>, OptionStatus)> = (offered.into_iter())
+                .filter(|(txn, _)| open(*txn))
                 .filter_map(|(txn, peers)| Some((txn, peers, rec.cstruct().status_of(txn)?)))
                 .collect();
             (result, decided)
@@ -373,10 +379,27 @@ impl RecordStore {
         let changed = self.with_record_mut(key, |rec| rec.sync_from_peer(snapshot, resolved));
         if changed {
             for (opt, _) in resolved {
-                self.pending.remove(&opt.txn);
+                self.settle_pending(opt.txn);
             }
         }
         changed
+    }
+
+    /// Drops `txn`'s pending entry once no record of its write-set here
+    /// holds its option open: a sync settles one record at a time, and a
+    /// record it has not reached still needs the outcome, which a
+    /// Visibility may name by write-set position.
+    fn settle_pending(&mut self, txn: TxnId) {
+        let Some(pending) = self.pending.get(&txn) else {
+            return;
+        };
+        let open = |rec: &AcceptorRecord| {
+            rec.outcome_of(txn).is_none() && rec.cstruct().status_of(txn).is_some()
+        };
+        let held = (pending.peers.iter()).any(|key| self.with_record(key, open) == Some(true));
+        if !held {
+            self.pending.remove(&txn);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -473,6 +496,14 @@ impl RecordStore {
             .filter(|p| now.since(p.since) >= DANGLING_TIMEOUT)
             .cloned()
             .collect()
+    }
+
+    /// The write-set of `txn` while `txn` is pending here: from the
+    /// first option of `txn` this node accepted until it applies an
+    /// outcome of `txn`, or sync has settled every record here that held
+    /// an option of `txn`.
+    pub fn pending_peers(&self, txn: TxnId) -> Option<&Arc<[Key]>> {
+        self.pending.get(&txn).map(|p| &p.peers)
     }
 
     /// All currently pending transactions (metrics/tests).
