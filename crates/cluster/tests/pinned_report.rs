@@ -441,14 +441,29 @@ fn mastership_report_is_pinned() {
 // counter did not. The layouts alone move only bytes: 1 403 733 → below.
 // (A candidate that no longer campaigns over its own pending acquisition,
 // from the same change, moves nothing here.)
-const PINNED_MS_WRITE_COMMITS: usize = 595;
-const PINNED_MS_TXN_STATS: [u64; 7] = [710, 0, 0, 0, 28, 0, 0];
-const PINNED_MS_NET: [u64; 3] = [1_343_741, 21_524, 23_185];
-const PINNED_MS_COUNTERS: [u64; 9] = [13, 12, 389, 8, 2_032, 251, 431, 49, 529];
-const PINNED_MS_SPANS: (usize, u64) = (12, 8_568_249_884_278_304_334);
-// Even nodes replicate shard 0, odd nodes shard 1. At this pin every
-// replica is on its shard's digest. At the pin before node 2, the failed
-// data center's replica of shard 0, was off its shard's digest.
+//
+// Re-pinned when every classic send of a transaction manager and of a
+// dangling recovery began to follow one route rule
+// (`mdcc_core::coordination::classic_target`): with mastership on, a
+// `StartRecovery` after a collision or a full instance and a re-routed
+// option go to the lease holder the sender believes in (they went to the
+// static master, or to a `NotFast` ballot's proposer as a
+// `ProposeToMaster`), and a learn timeout's `StartRecovery` goes where
+// its retried proposal goes. The schedule moves with them: window commits
+// 595 → below; `TxnStats` [710, 0, 0, 0, 28, 0, 0] → below; bytes /
+// frames / payload messages 1 343 741 / 21 524 / 23 185 → below;
+// counters [13, 12, 389, 8, 2 032, 251, 431, 49, 529] → below; the lease
+// spans' fingerprint and the digests moved, every replica still on its
+// shard's digest.
+const PINNED_MS_WRITE_COMMITS: usize = 634;
+const PINNED_MS_TXN_STATS: [u64; 7] = [749, 0, 0, 0, 25, 0, 0];
+const PINNED_MS_NET: [u64; 3] = [1_478_679, 21_855, 24_536];
+const PINNED_MS_COUNTERS: [u64; 9] = [13, 12, 388, 8, 2_128, 279, 466, 54, 574];
+const PINNED_MS_SPANS: (usize, u64) = (12, 16_982_552_147_985_469_161);
+// Even nodes replicate shard 0, odd nodes shard 1. At this pin and the
+// one before every replica is on its shard's digest. At the pin before
+// that node 2, the failed data center's replica of shard 0, was off its
+// shard's digest.
 // At the pin before that every replica was on its shard's digest; at the one
 // before that nodes 2 and 3 — the failed data center's replicas of shard
 // 0 and shard 1 — were each off their shard's digest; at the one before
@@ -460,14 +475,14 @@ const PINNED_MS_SPANS: (usize, u64) = (12, 8_568_249_884_278_304_334);
 // FNV-1a over the committed state's encoding, so they change with the
 // codec.
 const PINNED_MS_COMMITTED_DIGESTS: [u64; 10] = [
-    1_742_046_896_095_181_066,
-    17_059_893_934_362_699_953,
-    1_742_046_896_095_181_066,
-    17_059_893_934_362_699_953,
-    1_742_046_896_095_181_066,
-    17_059_893_934_362_699_953,
-    1_742_046_896_095_181_066,
-    17_059_893_934_362_699_953,
-    1_742_046_896_095_181_066,
-    17_059_893_934_362_699_953,
+    14_417_766_347_625_012_774,
+    16_942_180_072_502_584_881,
+    14_417_766_347_625_012_774,
+    16_942_180_072_502_584_881,
+    14_417_766_347_625_012_774,
+    16_942_180_072_502_584_881,
+    14_417_766_347_625_012_774,
+    16_942_180_072_502_584_881,
+    14_417_766_347_625_012_774,
+    16_942_180_072_502_584_881,
 ];

@@ -18,7 +18,7 @@
 //! everything is emitted in.
 
 use mdcc_common::error::AbortReason;
-use mdcc_common::{Key, NodeId, ProtocolConfig, TxnId};
+use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, TxnId};
 use mdcc_paxos::acceptor::{Phase2b, VoteVerdict};
 use mdcc_paxos::{LearnOutcome, Learner, OptionStatus, TxnOutcome};
 
@@ -119,7 +119,7 @@ pub struct Coordination {
     txn: TxnId,
     replication: usize,
     slots: Vec<Slot>,
-    /// Learn timeouts so far; the `attempt` of [`recovery_target`].
+    /// Learn timeouts so far; the `attempt` of [`classic_target`].
     attempts: u32,
 }
 
@@ -310,14 +310,30 @@ impl Coordination {
     }
 }
 
-/// The node to ask for recovery of `key` on `attempt` (0 = the default
-/// master). Master failover, §3.2.3: after *several* timeouts the next
-/// replica is asked to take over the record's mastership — any storage
-/// node can lead. Rotating too eagerly creates dueling leaders under
-/// contention (each stuck coordinator nominating a different node), so
-/// three attempts go to the same target before moving on.
-pub fn recovery_target(placement: &dyn Placement, key: &Key, attempt: u32) -> NodeId {
+/// The route rule: the node that gets `key`'s classic work (a proposal,
+/// a `StartRecovery`, a re-route) on `attempt`, 0 being the first try.
+/// With dynamic mastership on, `leased` is the sender's belief — the
+/// shard's lease holder, if known, and its own data center: attempt 0
+/// goes to the holder, else the static master, and each retry to the
+/// `attempt`-th replica after the sender's data center. A lease names one
+/// master at a time, so a retry duels nobody, and the believed holder may
+/// have crashed, so every retry tries the next replica. With it off
+/// (§3.2.3), three attempts go to the static master before the next
+/// replica is asked: rotating that eagerly there would make dueling
+/// leaders under contention, each stuck coordinator naming its own.
+pub fn classic_target(
+    placement: &dyn Placement,
+    key: &Key,
+    attempt: u32,
+    leased: Option<(Option<NodeId>, DcId)>,
+) -> NodeId {
+    let at = match leased {
+        Some((holder, _)) if attempt == 0 => {
+            return holder.unwrap_or_else(|| placement.master(key))
+        }
+        Some((_, from)) => from.0 as usize + attempt as usize,
+        None => placement.master_dc(key).0 as usize + attempt as usize / 3,
+    };
     let replicas = placement.replicas(key);
-    let start = placement.master_dc(key).0 as usize;
-    replicas[(start + attempt as usize / 3) % replicas.len()]
+    replicas[at % replicas.len()]
 }

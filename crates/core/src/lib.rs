@@ -9,8 +9,8 @@
 //!   (range partitioning per data center, §2);
 //! * [`coordination::Coordination`] — the coordinator's role as a sans-IO
 //!   machine: one learner per option, the rule *commit iff every option
-//!   was learned accepted*, the Visibility fan-out and the recovery-leader
-//!   rotation — driven by the transaction manager for its own
+//!   was learned accepted*, the Visibility fan-out and the route rule
+//!   for classic work — driven by the transaction manager for its own
 //!   transactions and by a storage node for dangling ones;
 //! * [`node::StorageNodeProcess`] — a storage node: a router from each
 //!   message family to per-record acceptors, per-record leaders (masters)

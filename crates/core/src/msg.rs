@@ -79,9 +79,9 @@ pub enum Msg {
     /// every option of one transaction on a record the destination
     /// replicates, the transaction and its write-set named once.
     Propose(Proposal),
-    /// Classic-path proposal to the master (line 11): every option of one
-    /// transaction on a record the destination masters, shaped as a
-    /// [`Msg::Propose`].
+    /// Classic-path proposal to the master (line 11), sent with dynamic
+    /// mastership off only: every option of one transaction on a record
+    /// the destination masters, shaped as a [`Msg::Propose`].
     ProposeToMaster(Proposal),
     /// Outcome fan-out once the coordinator learned all options
     /// (the Visibility/Learned message of §3.2.1): one per storage node,
@@ -114,8 +114,8 @@ pub enum Msg {
         /// whose local vote was in the minority.
         records: Vec<(RecordName, bool)>,
     },
-    /// Ask the (potential) master to run collision recovery for a record
-    /// (Algorithm 1, lines 19 and 26).
+    /// Ask the node the route rule names (`coordination::classic_target`)
+    /// to run collision recovery for a record (Algorithm 1, lines 19, 26).
     StartRecovery {
         /// Record to recover.
         key: Key,

@@ -29,6 +29,7 @@ use mdcc_sim::Process;
 use mdcc_storage::RecordStore;
 use mdcc_trace::{Phase, TraceHandle};
 
+use crate::coordination::classic_target;
 use crate::fence::LeaseFence;
 use crate::msg::{MdccCtx, Msg, RecordName, Tick};
 use crate::parked::Parked;
@@ -142,8 +143,8 @@ pub struct StorageNodeProcess {
     stats: NodeStats,
     /// Shared trace collector for leader-ballot and visibility spans.
     tracer: Option<TraceHandle>,
-    /// This node's data center, for span attribution (set in
-    /// `on_start`; protocol logic never reads it).
+    /// This node's data center (set in `on_start`): span attribution, and
+    /// where a dangling recovery's retries start rotating under leases.
     my_dc: DcId,
     /// Dynamic-mastership layer (leases + ballot leader election),
     /// constructed in `on_start` when `cfg.mastership.enabled`. `None`
@@ -424,6 +425,14 @@ impl StorageNodeProcess {
         for action in actions {
             match action {
                 dangling::Action::Send(to, msg) => ctx.send(to, msg),
+                dangling::Action::Recover(key, attempt) => {
+                    // The route rule, by this node's lease belief.
+                    let (shard, now) = (self.placement.shard_id(&key), ctx.now);
+                    let leased =
+                        (self.mastership.as_ref()).map(|ms| (ms.holder(shard, now), self.my_dc));
+                    let to = classic_target(&*self.placement, &key, attempt, leased);
+                    ctx.send(to, Msg::StartRecovery { key });
+                }
                 dangling::Action::ArmRetry(txn) => {
                     ctx.set_timer(LEARN_TIMEOUT, Tick::RecoveryRetry { txn });
                 }

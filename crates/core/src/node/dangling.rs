@@ -1,8 +1,8 @@
 //! Dangling-transaction recovery (§3.2.3): "any node can finish a
 //! dangling transaction by doing what its coordinator would have done".
 //! A storage node that finds an option outstanding past
-//! `DANGLING_TIMEOUT` quorum-reads every key of its write-set, asks a
-//! master to recover what collided and retries on a timer, until the
+//! `DANGLING_TIMEOUT` quorum-reads every key of its write-set, asks for
+//! recovery of what collided and retries on a timer, until the
 //! commit rule gives a verdict or a replica or Visibility names the
 //! outcome. The machine is sans-IO: each input answers with the
 //! [`Action`]s its owner runs, in order.
@@ -15,7 +15,7 @@ use mdcc_common::{Key, NodeId, ProtocolConfig, TxnId};
 use mdcc_paxos::acceptor::Phase2b;
 use mdcc_paxos::{OptionStatus, TxnOutcome};
 
-use crate::coordination::{recovery_target, Coordination, Progress};
+use crate::coordination::{Coordination, Progress};
 use crate::msg::Msg;
 use crate::placement::Placement;
 
@@ -30,8 +30,11 @@ pub const RECOVERY_ABANDON_RETRIES: u32 = 3;
 /// What the owner of a [`Dangling`] does, in order.
 #[derive(Debug)]
 pub enum Action {
-    /// Send `Msg::QueryStatus` or `Msg::StartRecovery`.
+    /// Send `Msg::QueryStatus`.
     Send(NodeId, Msg),
+    /// Send `Msg::StartRecovery` for the key where the route rule
+    /// ([`crate::coordination::classic_target`]) sends this attempt.
+    Recover(Key, u32),
     /// Arm `Tick::RecoveryRetry` for the transaction.
     ArmRetry(TxnId),
     /// Resolved with this outcome: tell every replica.
@@ -89,18 +92,15 @@ impl Dangling {
         };
         match coord.on_vote(&key, idx, vote) {
             Progress::Learned { .. } => self.check_done(txn).into_iter().collect(),
-            Progress::Collision { ask_master: true } => {
-                let master = self.placement.master(&key);
-                vec![Action::Send(master, Msg::StartRecovery { key })]
-            }
+            Progress::Collision { ask_master: true } => vec![Action::Recover(key, 0)],
             Progress::Collision { ask_master: false } | Progress::Undecided => Vec::new(),
         }
     }
 
     /// `txn`'s retry timer fired. From round [`RECOVERY_ABANDON_RETRIES`]
     /// on, options nobody holds are dead; each undecided key is queried
-    /// again and its recovery target (rotating, in case the master's data
-    /// center is down) asked to lead it. Re-arms while `txn` is open.
+    /// again and recovered at this attempt (the route rule rotates, in
+    /// case the master's data center is down). Re-arms while `txn` is open.
     pub fn on_retry(&mut self, txn: TxnId) -> Vec<Action> {
         let Some(coord) = self.open.get_mut(&txn) else {
             return Vec::new();
@@ -115,9 +115,7 @@ impl Dangling {
         let mut out = Vec::new();
         for key in coord.undecided() {
             query(&*self.placement, txn, key, &mut out);
-            let target = recovery_target(&*self.placement, key, attempt);
-            let key = key.clone();
-            out.push(Action::Send(target, Msg::StartRecovery { key }));
+            out.push(Action::Recover(key.clone(), attempt));
         }
         out.push(self.check_done(txn).unwrap_or(Action::ArmRetry(txn)));
         out
@@ -149,10 +147,10 @@ fn query(placement: &dyn Placement, txn: TxnId, key: &Key, out: &mut Vec<Action>
 mod tests {
     use super::*;
     use mdcc_common::placement::{MasterPolicy, StaticPlacement};
-    use mdcc_common::{DcId, TableId, Version};
-    use mdcc_paxos::{Ballot, CStruct};
+    use mdcc_common::{DcId, PhysicalUpdate, Row, TableId, UpdateOp, Version};
+    use mdcc_paxos::{Ballot, CStruct, TxnOption};
 
-    use crate::coordination::Verdict;
+    use crate::coordination::{classic_target, Verdict};
 
     fn key(pk: &str) -> Key {
         Key::new(TableId(1), pk)
@@ -179,6 +177,24 @@ mod tests {
         }
     }
 
+    /// Feeds `txn()`'s option on "a" a split no fast quorum can decide:
+    /// two replicas accepted it, three rejected it.
+    fn collide(dangling: &mut Dangling) -> Vec<Action> {
+        let write = PhysicalUpdate::write(Version(1), Row::new());
+        let opt = TxnOption::solo(txn(), key("a"), UpdateOp::Physical(write));
+        let mut out = Vec::new();
+        for n in 0..5 {
+            let status = match n {
+                0 | 1 => OptionStatus::Accepted,
+                _ => OptionStatus::Rejected(AbortReason::PendingOption),
+            };
+            let mut vote = not_held();
+            vote.cstruct.append(opt.clone(), status);
+            out.extend(dangling.on_status(NodeId(n), txn(), key("a"), &vote, None));
+        }
+        out
+    }
+
     /// Takes over `txn()`, whose write-set is the records `pks`.
     fn start(dangling: &mut Dangling, pks: &[&str]) -> Vec<Action> {
         let keys: Vec<Key> = pks.iter().map(|pk| key(pk)).collect();
@@ -189,7 +205,7 @@ mod tests {
     fn lines(actions: &[Action]) -> Vec<String> {
         let line = |action: &Action| match action {
             Action::Send(to, Msg::QueryStatus { key, .. }) => format!("query {} {}", key.pk, to.0),
-            Action::Send(to, Msg::StartRecovery { key }) => format!("recover {} {}", key.pk, to.0),
+            Action::Recover(key, attempt) => format!("recover {} {attempt}", key.pk),
             Action::Send(to, msg) => format!("{msg:?} {}", to.0),
             Action::ArmRetry(_) => "arm".to_string(),
             Action::Resolved(_, outcome) => format!("resolved {outcome:?}"),
@@ -249,27 +265,38 @@ mod tests {
         assert_eq!(verdict, Some(aborted), "the option is Rejected(Resolved)");
     }
 
+    /// Where the route rule sends the `StartRecovery`s of attempts 0 (a
+    /// collision) to 6 (retries), per lease belief: with mastership off
+    /// (`None`) the master (node 1) three times, then the next replica
+    /// for three; with it on, the believed holder (else the master), then
+    /// a rotation from the node's own data center.
     #[test]
-    fn start_recovery_targets_rotate_after_three_attempts() {
-        let mut dangling = machine();
-        start(&mut dangling, &["a"]);
-        let master = dangling.placement.master(&key("a"));
-        assert_eq!(master, NodeId(1));
-        assert_eq!(recovery_target(&*dangling.placement, &key("a"), 0), master);
-        let recover = |actions: Vec<Action>| {
-            let lines = lines(&actions);
-            lines.into_iter().find(|l| l.starts_with("recover"))
-        };
-        for _ in 1..=2 {
-            assert_eq!(
-                recover(dangling.on_retry(txn())).as_deref(),
-                Some("recover a 1")
-            );
+    fn start_recovery_targets_follow_the_route_rule() {
+        let leased = |holder, from| Some((holder, DcId(from)));
+        let table = [
+            (None, [1, 1, 1, 2, 2, 2, 3]),
+            (leased(Some(NodeId(4)), 2), [4, 3, 4, 0, 1, 2, 3]),
+            (leased(None, 0), [1, 1, 2, 3, 4, 0, 1]),
+        ];
+        for (belief, targets) in table {
+            let mut dangling = machine();
+            start(&mut dangling, &["a"]);
+            let mut got = Vec::new();
+            for attempt in 0..targets.len() as u32 {
+                let actions = match attempt {
+                    0 => collide(&mut dangling),
+                    _ => dangling.on_retry(txn()),
+                };
+                let recover = actions.iter().find_map(|a| match a {
+                    Action::Recover(key, at) => Some((key.clone(), *at)),
+                    _ => None,
+                });
+                let (key, at) = recover.expect("a StartRecovery");
+                assert_eq!(at, attempt);
+                got.push(classic_target(&*dangling.placement, &key, at, belief).0);
+            }
+            assert_eq!(got, targets, "{belief:?}");
         }
-        assert_eq!(
-            recover(dangling.on_retry(txn())).as_deref(),
-            Some("recover a 2")
-        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! 2. at commit, the TM proposes one option per record — directly to the
 //!    acceptors when the record is (believed) fast, one message per
 //!    storage node carrying every option it replicates, via the record's
-//!    master otherwise;
+//!    master otherwise — every classic send goes where one route rule
+//!    names ([`crate::coordination::classic_target`]);
 //! 3. it learns each option from Phase2b quorums; **it may not abort a
 //!    proposed transaction** — on learn failure it can only trigger
 //!    recovery and keep waiting (the key difference from 2PC, §3.2.1);
@@ -29,7 +30,7 @@ use mdcc_paxos::{OptionStatus, Proposal, TxnOption, TxnOutcome};
 use mdcc_sim::event::TimerId;
 use mdcc_trace::{Phase, TraceHandle};
 
-use crate::coordination::{recovery_target, Coordination, Progress};
+use crate::coordination::{classic_target, Coordination, Progress};
 use crate::msg::{grouped, MdccCtx, Msg, RecordName, Tick, Verdicts};
 use crate::placement::Placement;
 
@@ -295,9 +296,10 @@ impl TransactionManager {
 
     /// Routes a transaction's proposals per their records' believed mode
     /// (SENDPROPOSAL, Algorithm 1 lines 9–13); `attempt` counts the learn
-    /// timeouts so far. The options of records believed classic go to
-    /// their masters, one proposal per master; the rest go fast, one
-    /// `Propose` per storage node ([`Self::propose_fast`]).
+    /// timeouts so far. Classic records' options go one proposal per
+    /// master: with mastership on, where the route rule sends them; off,
+    /// to the master a bounce named, else the static one. The rest go
+    /// fast, one `Propose` per storage node.
     fn propose_attempt<'a>(
         &self,
         opts: impl IntoIterator<Item = &'a TxnOption>,
@@ -307,15 +309,9 @@ impl TransactionManager {
         let mastered = self.cfg.protocol.mastership.enabled;
         let (mut classic, mut fast) = (Vec::new(), Vec::new());
         for opt in opts {
-            let master = self.classic_cache.get(&opt.key).copied().or_else(|| {
-                self.cfg
-                    .assume_classic
-                    .then(|| self.placement.master(&opt.key))
-            });
-            match master {
-                Some(m) if mastered => {
-                    classic.push((vec![self.lease_route(&opt.key, m, attempt)], opt));
-                }
+            let cached = self.classic_cache.get(&opt.key).copied();
+            match cached.or_else(|| self.cfg.assume_classic.then(|| self.target(&opt.key, 0))) {
+                Some(_) if mastered => classic.push((vec![self.target(&opt.key, attempt)], opt)),
                 Some(m) => classic.push((vec![m], opt)),
                 None => fast.push(opt),
             }
@@ -338,19 +334,12 @@ impl TransactionManager {
         self.propose_fast(fast, ctx);
     }
 
-    /// Where a classic proposal of `key` goes with dynamic mastership on:
-    /// the shard's believed lease holder, else `master`. Retries rotate
-    /// through the replica group instead, because the believed holder may
-    /// be the crashed node (any replica either serves, forwards to the
-    /// live holder, or leads classically).
-    fn lease_route(&self, key: &Key, master: NodeId, attempt: u32) -> NodeId {
-        let shard = self.placement.shard_id(key);
-        if attempt == 0 {
-            self.lease_cache.get(&shard).copied().unwrap_or(master)
-        } else {
-            let replicas = self.placement.shard_replicas(shard);
-            replicas[(self.cfg.my_dc.0 as usize + attempt as usize) % replicas.len()]
-        }
+    /// Where `key`'s classic work goes on `attempt`: the route rule, by
+    /// the lease holder `MasterHint`s named when mastership is on.
+    fn target(&self, key: &Key, attempt: u32) -> NodeId {
+        let holder = || self.lease_cache.get(&self.placement.shard_id(key)).copied();
+        let leased = (self.cfg.protocol.mastership.enabled).then(|| (holder(), self.cfg.my_dc));
+        classic_target(&*self.placement, key, attempt, leased)
     }
 
     /// Proposes `opts`, options of one transaction, straight to the
@@ -412,9 +401,9 @@ impl TransactionManager {
                 // The record is under a classic ballot: remember the
                 // master and retry through it (§3.3.1 fallback).
                 self.stats.classic_redirects += 1;
-                if let Some(proposal) = self.relevant_proposal(txn, &key) {
+                if let Some(opt) = self.relevant(txn, &key).cloned() {
                     self.classic_cache.insert(key, promised.proposer);
-                    ctx.send(promised.proposer, Msg::ProposeToMaster(proposal));
+                    self.propose_attempt([&opt], 0, ctx);
                 }
             }
             Msg::GoFast { key, txn } => {
@@ -429,11 +418,11 @@ impl TransactionManager {
                 // Ask the master to close + re-base the instance, then
                 // route the option through it.
                 self.stats.collisions += 1;
-                let master = self.placement.master(&key);
-                if let Some(proposal) = self.relevant_proposal(txn, &key) {
+                let master = self.target(&key, 0);
+                if let Some(opt) = self.relevant(txn, &key).cloned() {
                     ctx.send(master, Msg::StartRecovery { key: key.clone() });
                     self.classic_cache.insert(key, master);
-                    ctx.send(master, Msg::ProposeToMaster(proposal));
+                    self.propose_attempt([&opt], 0, ctx);
                 }
             }
             Msg::MasterHint { shard, node } => {
@@ -485,8 +474,7 @@ impl TransactionManager {
             // Rotate through the replicas: the default master may be in a
             // failed data center (master failover, §3.2.3).
             let key = opt.key.clone();
-            let target = recovery_target(&*self.placement, &key, attempt);
-            ctx.send(target, Msg::StartRecovery { key });
+            ctx.send(self.target(&key, attempt), Msg::StartRecovery { key });
             if attempt >= 3 {
                 // The believed master may be the dead one; fall back to
                 // fast proposals, which any live node can vote on.
@@ -508,11 +496,6 @@ impl TransactionManager {
         let active = self.active.get(&txn)?;
         let open = !active.coord.is_decided(key);
         active.options.get(key).filter(|_| open)
-    }
-
-    /// [`Self::relevant`] as a proposal of its own, for the master.
-    fn relevant_proposal(&self, txn: TxnId, key: &Key) -> Option<Proposal> {
-        Proposal::of([self.relevant(txn, key)?])
     }
 
     /// Acceptor `from`'s verdicts, one per record. Every record is named
@@ -586,15 +569,19 @@ impl TransactionManager {
                     // option in a fast ballot signals a demarcation-limit
                     // hit; the master must re-base.
                     if commutative && fast && !status.is_accepted() {
-                        let master = self.placement.master(&key);
-                        ctx.send(master, Msg::StartRecovery { key: key.clone() });
+                        ctx.send(
+                            self.target(&key, 0),
+                            Msg::StartRecovery { key: key.clone() },
+                        );
                     }
                 }
                 Progress::Collision { ask_master } => {
                     self.stats.collisions += 1;
                     if ask_master {
-                        let master = self.placement.master(&key);
-                        ctx.send(master, Msg::StartRecovery { key: key.clone() });
+                        ctx.send(
+                            self.target(&key, 0),
+                            Msg::StartRecovery { key: key.clone() },
+                        );
                     }
                 }
                 Progress::Undecided => {
