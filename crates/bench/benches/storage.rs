@@ -7,7 +7,8 @@
 //! the *host* cost of the same paths — frame encoding and checksum per
 //! append, transient decode on a cold log-structured read, the
 //! copy-forward compaction rewrite, the single-key anti-entropy pull a
-//! replica sends after a missed commit, the range digests of a sync
+//! replica sends after a missed commit, a sync round's range pull with
+//! and without the puller's held digests, the range digests of a sync
 //! round, and building a checkpoint blob.
 
 use std::cell::RefCell;
@@ -21,7 +22,10 @@ use mdcc_common::{
 use mdcc_paxos::{AcceptorRecord, AttrConstraint, Ballot, TxnOption, TxnOutcome};
 use mdcc_recovery::wal::{self, WalRecord};
 use mdcc_sim::Disk;
-use mdcc_storage::{Catalog, LogStructuredBackend, MemBackend, RecordStore, Storage, TableSchema};
+use mdcc_storage::{
+    Catalog, LogStructuredBackend, MemBackend, RangePull, RecordStore, Storage, SyncRange,
+    TableSchema,
+};
 
 fn key(n: usize) -> Key {
     Key::new(TableId(1), format!("k{n:05}"))
@@ -260,11 +264,14 @@ fn bench_engine_compact(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serving `SyncRangePull { ranges: [(key, key)] }` — what a replica
-/// sends after a commit it could not execute — from a log-structured
-/// store of 30 000 records. A point range is one lookup; the full-range
+/// Serving `SyncRangePull` from a log-structured store of 30 000
+/// records. The single-key pull naming nothing held is what a replica
+/// sends after a commit it could not execute: one lookup; the full-range
 /// row is the pass over every key of the store that each such pull used
-/// to cost.
+/// to cost. The `range_32` rows serve one sync round's pull of a
+/// `SYNC_CHUNK_KEYS` range: `filtered` names the puller's digests, of
+/// which one record's differs, so one record ships; `unfiltered` names
+/// nothing held and ships all of them.
 fn bench_sync_pull(c: &mut Criterion) {
     let cfg = ProtocolConfig {
         storage: mdcc_common::StorageKind::LogStructured,
@@ -275,8 +282,19 @@ fn bench_sync_pull(c: &mut Criterion) {
         store.load(key(i), Row::new().with("stock", i as i64));
     }
     let hot = key(STORE_RECORDS / 2);
-    let point = [(hot.clone(), hot)];
-    let everything = [(key(0), key(STORE_RECORDS - 1))];
+    let point = [RangePull::all(hot.clone(), hot)];
+    let everything = [RangePull::all(key(0), key(STORE_RECORDS - 1))];
+    let (lo, hi) = (
+        key(STORE_RECORDS / 2),
+        key(STORE_RECORDS / 2 + SYNC_CHUNK_KEYS - 1),
+    );
+    let mut filtered = store.divergent_ranges(&[SyncRange {
+        lo: lo.clone(),
+        hi: hi.clone(),
+        digest: 0,
+    }]);
+    filtered[0].held[SYNC_CHUNK_KEYS / 2] ^= 1;
+    let unfiltered = [RangePull::all(lo, hi)];
     let mut group = c.benchmark_group("sync_pull");
     group.sample_size(20);
     group.bench_function("single_key/30000", |bench| {
@@ -287,6 +305,12 @@ fn bench_sync_pull(c: &mut Criterion) {
     });
     group.bench_function("whole_store/30000", |bench| {
         bench.iter(|| store.sync_items_in(std::hint::black_box(&everything))[0].len());
+    });
+    group.bench_function("range_32_filtered/30000", |bench| {
+        bench.iter(|| store.sync_items_in(std::hint::black_box(&filtered))[0].len());
+    });
+    group.bench_function("range_32_unfiltered/30000", |bench| {
+        bench.iter(|| store.sync_items_in(std::hint::black_box(&unfiltered))[0].len());
     });
     group.finish();
 }

@@ -431,6 +431,7 @@ fn audit_cluster(
     let mut audit = ClusterAudit {
         dangling_resolved: totals.dangling_resolved,
         sync_adoptions: totals.sync_adoptions,
+        sync_items_received: totals.sync_items_received,
         checkpoints: totals.checkpoints,
         stuck_clients,
         ..ClusterAudit::default()
@@ -471,8 +472,9 @@ fn diverge_debug_tap(world: &World<Msg, Tick>, matrix: &[Vec<NodeId>], audit: &C
         return;
     }
     eprintln!(
-        "[diverge] audit: adoptions={} checkpoints={} dangling={} pending={} rounds={:?}",
+        "[diverge] audit: adoptions={} received={} checkpoints={} dangling={} pending={} rounds={:?}",
         audit.sync_adoptions,
+        audit.sync_items_received,
         audit.checkpoints,
         audit.dangling_resolved,
         audit.pending_options,

@@ -53,6 +53,9 @@ pub struct ClusterAudit {
     pub dangling_resolved: u64,
     /// Records whose state changed through post-restart peer sync.
     pub sync_adoptions: u64,
+    /// Records received through peer sync, adopted or not: against
+    /// `sync_adoptions`, what sync shipped that the receiver held.
+    pub sync_items_received: u64,
     /// Durable checkpoints written across all nodes.
     pub checkpoints: u64,
     /// WAL bytes written across all nodes (pre-compaction total).

@@ -455,9 +455,14 @@ fn mastership_report_is_pinned() {
 // counters [13, 12, 389, 8, 2 032, 251, 431, 49, 529] → below; the lease
 // spans' fingerprint and the digests moved, every replica still on its
 // shard's digest.
+//
+// Re-pinned when a `SyncRangePull` range began to name the puller's held
+// record digests: a missed-commit pull names none, and the empty list's
+// count is one byte, so bytes 1 478 679 → below (36 pulls); nothing else
+// moved.
 const PINNED_MS_WRITE_COMMITS: usize = 634;
 const PINNED_MS_TXN_STATS: [u64; 7] = [749, 0, 0, 0, 25, 0, 0];
-const PINNED_MS_NET: [u64; 3] = [1_478_679, 21_855, 24_536];
+const PINNED_MS_NET: [u64; 3] = [1_478_715, 21_855, 24_536];
 const PINNED_MS_COUNTERS: [u64; 9] = [13, 12, 388, 8, 2_128, 279, 466, 54, 574];
 const PINNED_MS_SPANS: (usize, u64) = (12, 16_982_552_147_985_469_161);
 // Even nodes replicate shard 0, odd nodes shard 1. At this pin and the

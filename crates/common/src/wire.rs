@@ -42,9 +42,9 @@
 //!   decodes anything;
 //! * uniformly distributed 64-bit hashes, written with [`Enc::fixed64`]:
 //!   a cstruct's digest chain (`Mark::chain`), a Phase2a's base digest
-//!   (`Base::Digest`) and a sync range's digest (`SyncRange::digest`).
-//!   Their top bits are set as often as not, so as varints they would
-//!   take nine or ten bytes instead of eight.
+//!   (`Base::Digest`), a sync range's digest (`SyncRange::digest`) and
+//!   a range pull's record digests (`RangePull::held`). Their top bits
+//!   are set as often as not, so a varint would take nine or ten bytes.
 //!
 //! # Layouts are listings
 //!

@@ -11,7 +11,7 @@ use mdcc_mastership::MsMsg;
 use mdcc_paxos::acceptor::{Phase1b, Phase2aRounds, Phase2b, RecordSnapshot, VoteVerdict};
 use mdcc_paxos::{Ballot, Proposal, TxnOutcome};
 use mdcc_sim::{Ctx, TimerPayload};
-use mdcc_storage::{SyncItem, SyncRange};
+use mdcc_storage::{RangePull, SyncItem, SyncRange};
 
 /// The context of every MDCC handler: it sends [`Msg`]s, arms [`Tick`]s.
 pub type MdccCtx<'a> = Ctx<'a, Msg, Tick>;
@@ -326,10 +326,16 @@ pub enum Msg {
         /// One digest per chunk of the sender's sorted key space.
         ranges: Vec<SyncRange>,
     },
-    /// Ship full sync payloads for these divergent key ranges.
+    /// Ship sync payloads for these divergent key ranges, except the
+    /// records the puller already holds: each range names the puller's
+    /// per-record digests there (the terms its range digest sums), and
+    /// the peer ships only records whose digest is not among them. The
+    /// missed-commit pull names one key and nothing held, so it ships
+    /// that record whatever its state.
     SyncRangePull {
-        /// `(lo, hi)` inclusive bounds, as advertised in `SyncDigest`.
-        ranges: Vec<(Key, Key)>,
+        /// Inclusive bounds as advertised in `SyncDigest`, each with the
+        /// puller's held digests.
+        ranges: Vec<RangePull>,
     },
     /// A batched chunk of per-record sync payloads: each item is a
     /// record's committed snapshot plus the already-resolved options of

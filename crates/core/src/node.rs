@@ -26,7 +26,7 @@ use mdcc_paxos::acceptor::{FastPropose, Phase2a, Phase2b, VoteVerdict};
 use mdcc_paxos::{Ballot, LeaderRecord, TxnOption, TxnOutcome};
 use mdcc_recovery::{wal, write_checkpoint, WalRecord};
 use mdcc_sim::Process;
-use mdcc_storage::RecordStore;
+use mdcc_storage::{RangePull, RecordStore};
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::classic_target;
@@ -64,6 +64,8 @@ mdcc_common::counters! {
         pub sync_rounds: u64,
         /// Records whose state changed through peer sync.
         pub sync_adoptions: u64,
+        /// Records received in `SyncChunk`s, adopted or not.
+        pub sync_items_received: u64,
         /// `CstructPull` requests this node answered with its current whole
         /// vote.
         pub repair_served: u64,
@@ -549,7 +551,7 @@ impl StorageNodeProcess {
             // Count divergence events, not retry attempts.
             self.stats.missed_commit_pulls += 1;
         }
-        let ranges = vec![(key.clone(), key.clone())];
+        let ranges = vec![RangePull::all(key.clone(), key.clone())];
         ctx.send(peer, Msg::SyncRangePull { ranges });
         if let Some(attempt) = next {
             ctx.set_timer(LEARN_TIMEOUT, Tick::MissedPull { key, txn, attempt });
@@ -581,7 +583,8 @@ impl StorageNodeProcess {
             }
             Msg::SyncDigest { ranges } => {
                 // Compare the advertised ranges against local state in
-                // one pass and pull only the ones whose digests differ.
+                // one pass and pull only the ones whose digests differ,
+                // naming the records held there.
                 let divergent = self.store.divergent_ranges(&ranges);
                 if !divergent.is_empty() {
                     ctx.send(from, Msg::SyncRangePull { ranges: divergent });
@@ -596,6 +599,7 @@ impl StorageNodeProcess {
                 }
             }
             Msg::SyncChunk { items } => {
+                self.stats.sync_items_received += items.len() as u64;
                 for item in items {
                     self.apply_sync_item(item, ctx);
                 }

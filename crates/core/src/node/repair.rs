@@ -4,6 +4,13 @@
 //! The machine is sans-IO: it names the peer to ask and whether to
 //! re-arm; the node sends `SyncDigestReq` / `SyncRangePull` and arms
 //! `Tick::SyncSweep` / `Tick::MissedPull`.
+//!
+//! A round's pull names, for each range whose digest differs, the
+//! per-record digests the node holds there, and the peer ships only the
+//! records whose digest is not among them: under traffic a range differs
+//! by a record or two in flight, and the rest the node already holds. A
+//! missed-commit pull names one key and nothing held, so that record
+//! ships whatever its state.
 
 use mdcc_common::{NodeId, TxnId};
 

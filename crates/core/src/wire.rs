@@ -206,7 +206,7 @@ mod tests {
     };
     use mdcc_mastership::{Ballot as MsBallot, HolderHint, MsMsg};
     use mdcc_paxos::{CStruct, Letter, OptionStatus, Proposal, Resolution, TxnOption};
-    use mdcc_storage::{SyncItem, SyncRange};
+    use mdcc_storage::{RangePull, SyncItem, SyncRange};
 
     fn full_vote(cstruct: CStruct) -> Phase2b {
         Phase2b {
@@ -533,7 +533,14 @@ mod tests {
                 }],
             },
             Msg::SyncRangePull {
-                ranges: vec![(key("a"), key("m"))],
+                ranges: vec![
+                    RangePull::all(key("a"), key("a")),
+                    RangePull {
+                        lo: key("b"),
+                        hi: key("m"),
+                        held: vec![0xDEAD_BEEF, u64::MAX],
+                    },
+                ],
             },
             Msg::SyncChunk {
                 items: vec![SyncItem {
@@ -628,10 +635,13 @@ mod tests {
         // position or key and a positional `Verdict` entry whose only
         // letter is its message's transaction began to write that letter
         // without the transaction, with a positional Visibility and two
-        // such entries added.
+        // such entries added; and from 0xfe7e_855d_46fe_69b0 when a
+        // `SyncRangePull` range began to carry the puller's held record
+        // digests, with a pull naming nothing held and one naming two
+        // digests as its sample.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0xfe7e_855d_46fe_69b0, "{digest:#018x}");
+        assert_eq!(digest, 0xd5c1_8987_f0c1_5dde, "{digest:#018x}");
     }
 
     #[test]

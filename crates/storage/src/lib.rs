@@ -22,4 +22,4 @@ pub mod wire;
 pub use engine::{EngineStats, KeyRange, LogStructuredBackend, MemBackend, Storage};
 pub use mdcc_paxos::AttrConstraint;
 pub use schema::{Catalog, TableSchema};
-pub use store::{PendingTxn, RecordStore, StoreState, SyncItem, SyncRange};
+pub use store::{PendingTxn, RangePull, RecordStore, StoreState, SyncItem, SyncRange};

@@ -57,6 +57,32 @@ pub struct SyncRange {
     pub digest: u64,
 }
 
+/// One range a puller asks a peer to ship, naming what it already holds
+/// there: the [`crate::engine::record_digest`] of each of its records in
+/// `[lo, hi]`, the terms its range digest is the sum of. The peer ships
+/// only records whose digest is not in `held`, so an empty `held` ships
+/// every record of the range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RangePull {
+    /// Smallest key in the range (inclusive).
+    pub lo: Key,
+    /// Largest key in the range (inclusive).
+    pub hi: Key,
+    /// The puller's per-record digests in `[lo, hi]`, in key order.
+    pub held: Vec<u64>,
+}
+
+impl RangePull {
+    /// A pull of every record in `[lo, hi]`, naming nothing held.
+    pub fn all(lo: Key, hi: Key) -> Self {
+        Self {
+            lo,
+            hi,
+            held: Vec::new(),
+        }
+    }
+}
+
 /// A transaction with an outstanding (accepted, unresolved) option on this
 /// node — the raw material of dangling-transaction detection (§3.2.3).
 #[derive(Debug, Clone)]
@@ -435,15 +461,26 @@ impl RecordStore {
     }
 
     /// Compares a peer's advertised range digests against local state
-    /// (one ordered walk of each range) and returns the `(lo, hi)`
-    /// bounds whose committed projections differ — the ranges worth
-    /// pulling.
-    pub fn divergent_ranges(&self, ranges: &[SyncRange]) -> Vec<(Key, Key)> {
-        ranges
-            .iter()
-            .filter(|r| self.sync_digest_in(&r.lo, &r.hi) != r.digest)
-            .map(|r| (r.lo.clone(), r.hi.clone()))
-            .collect()
+    /// (one ordered walk of each range) and returns the ranges whose
+    /// committed projections differ — the ranges worth pulling — each
+    /// with the per-record digests the same walk summed, so the peer
+    /// ships only the records that differ.
+    pub fn divergent_ranges(&self, ranges: &[SyncRange]) -> Vec<RangePull> {
+        let mut held = Vec::new();
+        let mut pulls = Vec::new();
+        for r in ranges {
+            held.clear();
+            let walk = self.records.digests_in(KeyRange::Within(&r.lo, &r.hi));
+            held.extend(walk.map(|(_, h)| h));
+            if held.iter().fold(0u64, |sum, h| sum.wrapping_add(*h)) != r.digest {
+                pulls.push(RangePull {
+                    lo: r.lo.clone(),
+                    hi: r.hi.clone(),
+                    held: held.clone(),
+                });
+            }
+        }
+        pulls
     }
 
     /// Digest of the **committed projection** `(key, version, value)` of
@@ -460,30 +497,37 @@ impl RecordStore {
     /// shipping it could at most transfer resolution metadata whose
     /// effects are already folded into both values (the pending-option
     /// and dangling-recovery machinery owns those leftovers, exactly as
-    /// it does for the items `sync_relevant` turns away).
+    /// it does for the items `sync_relevant` turns away). A divergent
+    /// range applies the same rule one record at a time: its pull names
+    /// the puller's per-record digests ([`RangePull::held`]), and
+    /// [`RecordStore::sync_items_in`] skips every record whose digest
+    /// the puller holds.
     pub fn sync_digest_in(&self, lo: &Key, hi: &Key) -> u64 {
         self.records
             .digests_in(KeyRange::Within(lo, hi))
             .fold(0, |sum, (_, h)| sum.wrapping_add(h))
     }
 
-    /// The anti-entropy payloads of every key this store holds in each
-    /// of the `[lo, hi]` `ranges`, one sorted batch per range.
-    /// A single-key range (the targeted pull after a missed commit) is
-    /// one lookup; any other walks just the keys it covers.
-    pub fn sync_items_in(&self, ranges: &[(Key, Key)]) -> Vec<Vec<SyncItem>> {
-        ranges
+    /// The anti-entropy payloads of the keys this store holds in each
+    /// pull's `[lo, hi]` whose [`crate::engine::record_digest`] is not
+    /// in the pull's `held`, one sorted batch per pull. A skipped record
+    /// is one whose committed projection the puller already holds.
+    /// A single-key pull naming nothing held (the targeted pull after a
+    /// missed commit) is one lookup; any other walks the digests of the
+    /// records it covers and looks up only the ones that ship.
+    pub fn sync_items_in(&self, pulls: &[RangePull]) -> Vec<Vec<SyncItem>> {
+        pulls
             .iter()
-            .map(|(lo, hi)| {
-                if lo == hi {
+            .map(|RangePull { lo, hi, held }| {
+                if lo == hi && held.is_empty() {
                     return self.sync_item(lo).into_iter().collect();
                 }
-                let mut items = Vec::new();
-                self.records
-                    .for_each_in(KeyRange::Within(lo, hi), &mut |key, rec| {
-                        items.push(sync_item_of(key, rec));
-                    });
-                items
+                let mut held = held.clone();
+                held.sort_unstable();
+                (self.records.digests_in(KeyRange::Within(lo, hi)))
+                    .filter(|(_, h)| held.binary_search(h).is_err())
+                    .filter_map(|(key, _)| self.sync_item(key))
+                    .collect()
             })
             .collect()
     }

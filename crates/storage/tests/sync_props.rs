@@ -8,26 +8,31 @@
 //! * **legacy** — every peer key ships, the receiver filters no-ops via
 //!   `sync_relevant` (the oracle: a sync that can skip nothing);
 //! * **batched** — the peer's range digests are compared against local
-//!   digests and only divergent ranges ship (what `SyncDigestReq` /
-//!   `SyncDigest`/`SyncRangePull`/`SyncChunk` does).
+//!   digests and only divergent ranges ship, and of those only the
+//!   records whose digest the local replica does not hold (what
+//!   `SyncDigestReq` / `SyncDigest`/`SyncRangePull`/`SyncChunk` does).
 //!
 //! Both must land on identical committed state — equal to the peer's —
-//! and a second batched round must find zero divergent ranges.
+//! and a second batched round must find zero divergent ranges. Another
+//! property pins the record-level filter against the same pull naming
+//! nothing held: the same committed state and the same pending set, and
+//! every record it drops is one whose digest the puller named.
 //!
 //! Every store runs with a four-record cache, so under the
 //! log-structured backend a range mixes cached records (digested on
 //! demand) with spilled ones (digested when their entry was written).
-//! A third property pins what a range digest means: two stores digest a
+//! A last property pins what a range digest means: two stores digest a
 //! range equal exactly when their committed states agree on it.
 
 use std::sync::Arc;
 
+use mdcc_common::wire::to_bytes;
 use mdcc_common::{
     CommutativeUpdate, Key, NodeId, ProtocolConfig, Row, SimTime, StorageKind, TableId, TxnId,
     UpdateOp, Version,
 };
 use mdcc_paxos::{TxnOption, TxnOutcome};
-use mdcc_storage::{Catalog, RecordStore};
+use mdcc_storage::{Catalog, RangePull, RecordStore, SyncItem};
 use proptest::prelude::*;
 
 const KEYS: u64 = 24;
@@ -85,7 +90,7 @@ fn batched_sync(local: &mut RecordStore, peer: &RecordStore, chunk: usize) -> us
     // and the advertised digest with the peer's own.
     for r in &ranges {
         assert_eq!(peer.sync_digest_in(&r.lo, &r.hi), r.digest);
-        let diverges = divergent.iter().any(|(lo, _)| lo == &r.lo);
+        let diverges = divergent.iter().any(|p| p.lo == r.lo);
         assert_eq!(
             local.sync_digest_in(&r.lo, &r.hi) != r.digest,
             diverges,
@@ -93,14 +98,42 @@ fn batched_sync(local: &mut RecordStore, peer: &RecordStore, chunk: usize) -> us
         );
     }
     let shipped = divergent.len();
-    for items in peer.sync_items_in(&divergent) {
-        for item in items {
-            if local.sync_relevant(&item.key, &item.snapshot, &item.resolved) {
-                local.sync_from_peer(&item.key, &item.snapshot, &item.resolved);
-            }
+    apply_items(local, peer.sync_items_in(&divergent));
+    shipped
+}
+
+/// Applies shipped sync items the way a `SyncChunk` does.
+fn apply_items(local: &mut RecordStore, batches: Vec<Vec<SyncItem>>) {
+    for item in batches.into_iter().flatten() {
+        if local.sync_relevant(&item.key, &item.snapshot, &item.resolved) {
+            local.sync_from_peer(&item.key, &item.snapshot, &item.resolved);
         }
     }
-    shipped
+}
+
+/// The transactions pending in `store`, sorted.
+fn pending_txns(store: &RecordStore) -> Vec<TxnId> {
+    store.export_state().pending.iter().map(|p| p.txn).collect()
+}
+
+/// The per-record pull of `[lo, hi]` before it named held digests:
+/// every record the peer holds there, in key order.
+fn every_item_in(peer: &RecordStore, lo: &Key, hi: &Key) -> Vec<SyncItem> {
+    let keys = peer.keys().into_iter().filter(|k| lo <= k && k <= hi);
+    keys.map(|k| peer.sync_item(&k).expect("peer key"))
+        .collect()
+}
+
+/// Fast-proposes a one-record delta; returns its transaction.
+fn propose(store: &mut RecordStore, seq: u64, key_idx: u64, delta: i64) -> TxnId {
+    let txn = TxnId::new(NodeId(8), seq);
+    let opt = TxnOption::solo(
+        txn,
+        key(key_idx),
+        UpdateOp::Commutative(CommutativeUpdate::delta("stock", -delta)),
+    );
+    store.fast_propose(opt, SimTime::from_millis(seq));
+    txn
 }
 
 /// The committed state of `store` restricted to `[lo, hi]`.
@@ -158,6 +191,83 @@ proptest! {
         }
     }
 
+    /// The peer saw every step. The local replica missed some commits,
+    /// and accepted some options whose outcome it never learned: the
+    /// peer committed or aborted them (kinds 0–3 below). One divergent
+    /// pull is served twice — naming the local replica's held digests,
+    /// and naming nothing held — into two copies of the local replica.
+    #[test]
+    fn a_filtered_pull_lands_where_an_unfiltered_one_does(
+        ops in prop::collection::vec((0u64..KEYS, 1i64..4, 0u8..4), 1..120),
+        chunk in 1usize..9,
+    ) {
+        for storage in BACKENDS {
+            let mut peer = loaded_store(storage);
+            let mut local = loaded_store(storage);
+            let mut twin = loaded_store(storage);
+            for (seq, &(k, d, kind)) in ops.iter().enumerate() {
+                let seq = seq as u64;
+                match kind {
+                    // Committed, and seen by both / by the peer only.
+                    0 | 1 => {
+                        apply_commit(&mut peer, seq, k, d);
+                        if kind == 0 {
+                            apply_commit(&mut local, seq, k, d);
+                            apply_commit(&mut twin, seq, k, d);
+                        }
+                    }
+                    // Accepted by both; only the peer learns that it
+                    // committed (2) or aborted (3).
+                    _ => {
+                        let txn = propose(&mut peer, seq, k, d);
+                        propose(&mut local, seq, k, d);
+                        propose(&mut twin, seq, k, d);
+                        let outcome = if kind == 2 {
+                            TxnOutcome::Committed
+                        } else {
+                            TxnOutcome::Aborted
+                        };
+                        peer.apply_visibility(&key(k), txn, outcome, true);
+                    }
+                }
+            }
+            let pulls = local.divergent_ranges(&peer.sync_ranges(chunk));
+            let bare: Vec<RangePull> = (pulls.iter())
+                .map(|p| RangePull::all(p.lo.clone(), p.hi.clone()))
+                .collect();
+            let filtered = peer.sync_items_in(&pulls);
+            let unfiltered = peer.sync_items_in(&bare);
+            for ((pull, kept), all) in pulls.iter().zip(&filtered).zip(&unfiltered) {
+                // Naming nothing held ships what the pull always shipped.
+                let every = every_item_in(&peer, &pull.lo, &pull.hi);
+                let bytes = |items: &[SyncItem]| items.iter().map(to_bytes).collect::<Vec<_>>();
+                prop_assert_eq!(bytes(all), bytes(&every));
+                // The filter drops items and changes none, and each item
+                // it drops has a digest the puller named.
+                let mut kept = kept.iter().peekable();
+                for item in all {
+                    if kept.peek().is_some_and(|k| k.key == item.key) {
+                        prop_assert_eq!(to_bytes(kept.next().unwrap()), to_bytes(item));
+                    } else {
+                        let digest = peer.sync_digest_in(&item.key, &item.key);
+                        prop_assert!(pull.held.contains(&digest), "{:?} dropped", item.key);
+                    }
+                }
+                prop_assert!(kept.next().is_none(), "an item the bare pull lacks");
+            }
+
+            let (mut by_filter, mut by_bare) = (local, twin);
+            apply_items(&mut by_filter, filtered);
+            apply_items(&mut by_bare, unfiltered);
+            prop_assert_eq!(by_filter.committed_state(), by_bare.committed_state());
+            prop_assert_eq!(by_filter.committed_state(), peer.committed_state());
+            // An option the peer aborted leaves its record's committed
+            // state as it was and ships in neither pull, so it stays
+            // pending either way, for dangling recovery.
+            prop_assert_eq!(pending_txns(&by_filter), pending_txns(&by_bare));
+        }
+    }
+
     #[test]
     fn digest_ranges_cover_every_key_once(
         chunk in 1usize..9,
@@ -168,7 +278,8 @@ proptest! {
             let mut covered = 0usize;
             for r in &ranges {
                 prop_assert!(r.lo <= r.hi);
-                covered += peer.sync_items_in(&[(r.lo.clone(), r.hi.clone())])[0].len();
+                let pull = RangePull::all(r.lo.clone(), r.hi.clone());
+                covered += peer.sync_items_in(&[pull])[0].len();
             }
             prop_assert_eq!(covered, KEYS as usize);
             // Ranges tile the sorted key space without overlap.
