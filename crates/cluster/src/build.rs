@@ -15,7 +15,7 @@ use mdcc_common::{
 };
 use mdcc_core::node::NodeStats;
 use mdcc_core::{Msg, StorageNodeProcess, Tick, TmConfig, TransactionManager, TxnStats};
-use mdcc_recovery::{recover_store, recovered_leases, RecoveryInfo};
+use mdcc_recovery::{recover_store, RecoveryInfo};
 use mdcc_sim::{presets, NetMessage, NetworkModel, Process, TimerPayload, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore};
 use mdcc_trace::{Phase, Span, TraceConfig, TraceHandle};
@@ -383,10 +383,9 @@ fn revive<M: NetMessage + 'static>(
 // ---------------------------------------------------------------------
 
 /// Rebuilds a crashed node's process from its disk: the store from
-/// checkpoint + WAL replay, and the lease floors and per-record
-/// overrides persisted in the WAL tail, so the restarted node keeps
-/// *fencing* deposed ballots (its own serving rights stay quarantined
-/// inside the mastership layer).
+/// checkpoint + WAL replay, and the lease floors persisted in the same
+/// WAL tail, so the restarted node keeps *fencing* deposed ballots (its
+/// own serving rights stay quarantined inside the mastership layer).
 fn recover_node(
     cfg: &ProtocolConfig,
     catalog: &Arc<Catalog>,
@@ -395,10 +394,14 @@ fn recover_node(
     disk: &mdcc_sim::Disk,
 ) -> (StorageNodeProcess, RecoveryInfo) {
     let torn = "disk state parses: the simulated disk is never torn";
-    let (store, info) = recover_store(cfg.clone(), Arc::clone(catalog), disk).expect(torn);
-    let mut node =
-        StorageNodeProcess::from_recovery(cfg.clone(), store, placement.clone(), allow_fast);
-    node.install_recovered_leases(recovered_leases(disk).expect(torn));
+    let (store, info, leases) = recover_store(cfg.clone(), Arc::clone(catalog), disk).expect(torn);
+    let node = StorageNodeProcess::from_recovery(
+        cfg.clone(),
+        store,
+        leases,
+        placement.clone(),
+        allow_fast,
+    );
     (node, info)
 }
 

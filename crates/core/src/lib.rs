@@ -13,11 +13,9 @@
 //!   for classic work — driven by the transaction manager for its own
 //!   transactions and by a storage node for dangling ones;
 //! * [`node::StorageNodeProcess`] — a storage node: a router from each
-//!   message family to per-record acceptors, per-record leaders (masters)
-//!   and dangling-transaction recovery;
-//! * [`fence::LeaseFence`] — lease-carried Phase1 as sans-IO state: the
-//!   promise floors of granted shard leases, per-record overrides, and
-//!   the WAL records that rebuild them;
+//!   message family to per-record acceptors, per-record leaders (masters,
+//!   behind the lease floors its `mdcc_mastership` layer keeps) and
+//!   dangling-transaction recovery;
 //! * [`parked::Parked`] — fast proposals a storage node holds because it
 //!   is behind the version they read, judged once the record catches up;
 //! * [`tm::TransactionManager`] — the stateless "DB library" embedded in
@@ -25,7 +23,6 @@
 //!   learn-then-commit rule, visibility fan-out and reads (§3.2, §4).
 
 pub mod coordination;
-pub mod fence;
 pub mod msg;
 pub mod node;
 pub mod parked;

@@ -8,7 +8,8 @@
 //!   wait in [`crate::parked`]; verdicts leave once per (transaction,
 //!   coordinator) (`node/answers.rs`);
 //! * **master** — classic ballots and Phase1a/Phase2a behind the lease
-//!   fence (`node/master.rs`, over [`mdcc_paxos::LeaderRecord`]);
+//!   floors the mastership layer keeps (`node/master.rs`, over
+//!   [`mdcc_paxos::LeaderRecord`]);
 //! * **recovery coordinator** for dangling transactions (§3.2.3), a
 //!   sans-IO machine (`node/dangling.rs`);
 //! * **repair initiator** — a restarted node's anti-entropy rounds and
@@ -21,20 +22,20 @@ use mdcc_common::config::{
     CHECKPOINT_INTERVAL, DANGLING_TIMEOUT, LEARN_TIMEOUT, RECOVERY_SYNC_INTERVAL, SYNC_CHUNK_KEYS,
 };
 use mdcc_common::{DcId, Key, NodeId, ProtocolConfig, SimDuration, SimTime, TxnId};
-use mdcc_mastership::{LeaseAudit, Mastership, MastershipStats};
+use mdcc_mastership::{Ballot as MsBallot, LeaseAudit, Mastership, MastershipStats};
 use mdcc_paxos::acceptor::{FastPropose, Phase2a, Phase2b, VoteVerdict};
 use mdcc_paxos::{Ballot, LeaderRecord, TxnOption, TxnOutcome};
-use mdcc_recovery::{wal, write_checkpoint, WalRecord};
+use mdcc_recovery::{wal, write_checkpoint, RecoveredLeases, WalRecord};
 use mdcc_sim::Process;
 use mdcc_storage::{RangePull, RecordStore};
 use mdcc_trace::{Phase, TraceHandle};
 
 use crate::coordination::classic_target;
-use crate::fence::LeaseFence;
 use crate::msg::{MdccCtx, Msg, RecordName, Tick};
 use crate::parked::Parked;
 use crate::placement::Placement;
 use dangling::Dangling;
+use master::{floor_records, recovered_floors};
 use repair::Repair;
 
 mod answers;
@@ -156,9 +157,10 @@ pub struct StorageNodeProcess {
     /// Shared lease-tenure collector handed to the mastership layer
     /// (consistency audits assert no overlapping tenures).
     lease_audit: Option<LeaseAudit>,
-    /// Lease-carried Phase1: the promise floors of the leases this node
-    /// granted.
-    fence: LeaseFence,
+    /// The lease floors a restarted node's WAL tail carried, until
+    /// `on_start` seeds the mastership layer with them (empty on a first
+    /// boot, and unused with mastership off).
+    recovered_floors: Vec<(u32, MsBallot)>,
     /// Fast proposals that read a version this replica has not reached,
     /// held until the record catches up. Volatile like an in-flight
     /// message: nothing in it was logged, appended or voted on.
@@ -186,14 +188,13 @@ impl StorageNodeProcess {
         placement: Arc<dyn Placement>,
         allow_fast: bool,
     ) -> Self {
-        let fence = LeaseFence::new(cfg.mastership.enabled, Arc::clone(&placement));
         Self {
             dangling: Dangling::new(Arc::clone(&placement)),
             repair: Repair::default(),
             cfg,
             store,
             placement,
-            fence,
+            recovered_floors: Vec::new(),
             leaders: HashMap::new(),
             allow_fast,
             durable: false,
@@ -220,31 +221,29 @@ impl StorageNodeProcess {
         self.mastership.as_ref().map(|m| m.stats())
     }
 
-    /// Installs lease floors recovered from the WAL tail (see
-    /// [`mdcc_recovery::recovered_leases`]) into this node's fence —
-    /// enforcement only, see [`LeaseFence::install_recovered`].
-    pub fn install_recovered_leases(&mut self, leases: mdcc_recovery::RecoveredLeases) {
-        self.fence.install_recovered(leases);
-    }
-
     /// Attaches the run's trace collector.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
     }
 
-    /// Creates a storage node whose store was rebuilt from its disk
-    /// (checkpoint + WAL replay). The node is durable, and `on_start`
-    /// additionally kicks off anti-entropy sync rounds so the node
-    /// catches up on whatever committed while it was down.
+    /// Creates a storage node whose store and lease floors were rebuilt
+    /// from its disk ([`mdcc_recovery::recover_store`]). The node is
+    /// durable, `on_start` seeds its mastership layer with `leases` (the
+    /// node never grants at or below them again, so a deposed holder's
+    /// ballots stay fenced), and it additionally kicks off anti-entropy
+    /// sync rounds so the node catches up on whatever committed while it
+    /// was down.
     pub fn from_recovery(
         cfg: ProtocolConfig,
         store: RecordStore,
+        leases: RecoveredLeases,
         placement: Arc<dyn Placement>,
         allow_fast: bool,
     ) -> Self {
         let mut node = Self::new(cfg, store, placement, allow_fast);
         node.durable = true;
         node.repair = Repair::restarted_node();
+        node.recovered_floors = recovered_floors(leases);
         node
     }
 
@@ -762,9 +761,9 @@ impl Process<Msg, Tick> for StorageNodeProcess {
                     self.stats.checkpoints += 1;
                 }
                 // A checkpoint truncates the WAL; re-append the live
-                // lease state so the tail alone always carries it
-                // (`mdcc_recovery::recovered_leases` reads only the tail).
-                self.wal_append(ctx, |_| self.fence.checkpoint_records());
+                // lease floors so the tail alone always carries them
+                // (`mdcc_recovery::recover_store` folds only the tail).
+                self.wal_append(ctx, |_| floor_records(self.mastership.as_ref()));
                 ctx.set_timer(CHECKPOINT_INTERVAL, Tick::CheckpointTick);
             }
             Tick::MsTick => {

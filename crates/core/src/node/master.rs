@@ -1,7 +1,18 @@
 //! The master role of a storage node: leading the classic ballots of the
 //! records it masters (by static placement, on request, or as the
 //! holder of the shard's lease), and that role's acceptor counterpart,
-//! Phase1a/Phase2a behind the lease fence.
+//! Phase1a/Phase2a behind the lease floors.
+//!
+//! Lease-carried Phase1: when this node *grants* a shard lease, the
+//! granted ballot doubles as the Phase1-promised classic ballot for every
+//! record in the shard. The mastership layer owns that floor, the highest
+//! lease ballot this node granted per shard ([`Mastership::floor`]); the
+//! node enforces it lazily, right before an acceptor judges a Phase1a or
+//! Phase2a ([`lease_floor`]), so a deposed holder's stale ballot Nacks
+//! without a per-record Phase1 exchange. Each rise is logged, and the
+//! floors are re-logged after every checkpoint ([`floor_records`]), so
+//! the WAL tail alone rebuilds them. With dynamic mastership off there is
+//! no mastership layer and no floor.
 //!
 //! Under dynamic mastership a lease handoff costs a record nothing. The
 //! new holder's first touch assumes the lease ballot and appends in one
@@ -20,16 +31,52 @@
 //! handler's one flush with the verdicts its acceptors gave).
 
 use mdcc_common::{DcId, Key, NodeId, SimDuration};
-use mdcc_mastership::{Action as MsAction, Mastership, MsMsg, HEARTBEAT_INTERVAL};
+use mdcc_mastership::{
+    Action as MsAction, Ballot as MsBallot, Mastership, MsMsg, HEARTBEAT_INTERVAL,
+};
 use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a, Phase2aRounds};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
 use mdcc_paxos::{Ballot, CStruct, LeaderRecord, Proposal, TxnOption};
-use mdcc_recovery::WalRecord;
+use mdcc_recovery::{RecoveredLeases, WalRecord};
 use mdcc_storage::RecordStore;
 use mdcc_trace::Phase;
 
 use super::{StorageNodeProcess, REDIRECTED_FAST_CAP};
 use crate::msg::{grouped, MdccCtx, Msg, Tick};
+use crate::placement::Placement;
+
+/// The classic ballot `key`'s acceptor must have promised before it
+/// judges a proposal: the lease ballot this node granted for `key`'s
+/// shard, as the classic lease ballot of its holder. `None` with
+/// mastership off, or before this node granted the shard any lease.
+fn lease_floor(ms: Option<&Mastership>, placement: &dyn Placement, key: &Key) -> Option<Ballot> {
+    let floor = ms?.floor(placement.shard_id(key))?;
+    Some(Ballot::lease(floor.n, floor.node()))
+}
+
+fn floor_record(shard: u32, b: MsBallot) -> WalRecord {
+    WalRecord::LeaseFloor {
+        shard,
+        n: b.n,
+        pid: b.pid,
+    }
+}
+
+/// Every shard's floor as log records, in shard order: a checkpoint
+/// truncates the WAL, and the tail alone must keep carrying the floors.
+pub(super) fn floor_records(ms: Option<&Mastership>) -> Vec<WalRecord> {
+    let floors = ms.into_iter().flat_map(Mastership::floors);
+    floors.map(|(s, b)| floor_record(s, b)).collect()
+}
+
+/// The floors [`floor_records`] logged, as a restart folded them out of
+/// the WAL tail: what [`Mastership::new`] is seeded with.
+pub(super) fn recovered_floors(leases: RecoveredLeases) -> Vec<(u32, MsBallot)> {
+    let floors = leases.floors.into_iter();
+    floors
+        .map(|(s, (n, pid))| (s, MsBallot::new(n, pid)))
+        .collect()
+}
 
 impl StorageNodeProcess {
     /// Lazily enforces the lease-promise floor on one record's acceptor
@@ -37,7 +84,7 @@ impl StorageNodeProcess {
     /// WAL as the Phase1a it stands in for, so crash replay reproduces
     /// the exact same Nacks.
     fn enforce_floor(&mut self, key: &Key, ctx: &mut MdccCtx<'_>) {
-        let Some(ballot) = self.fence.floor_for(key) else {
+        let Some(ballot) = lease_floor(self.mastership.as_ref(), &*self.placement, key) else {
             return;
         };
         if self.store.raise_promise(key, ballot) {
@@ -142,7 +189,7 @@ impl StorageNodeProcess {
         key: &Key,
         ctx: &MdccCtx<'_>,
     ) -> (&mut LeaderRecord, &RecordStore) {
-        let floor = self.fence.floor_for(key);
+        let floor = lease_floor(self.mastership.as_ref(), &*self.placement, key);
         let (leader, store) = self.leader_for(key, ctx);
         if let Some(floor) = floor {
             leader.step_down(floor, outcome_known(store, key));
@@ -182,10 +229,10 @@ impl StorageNodeProcess {
         if shards.is_empty() {
             return;
         }
-        // What `install_recovered_leases` put in the fence is what this
-        // node granted before a restart.
+        // The floors a restart recovered are what this node granted
+        // before it crashed.
         let recovered_at = self.repair.restarted().then_some(ctx.now);
-        let granted = self.fence.floors();
+        let granted = std::mem::take(&mut self.recovered_floors);
         let mut ms = Mastership::new(ctx.self_id, self.my_dc, shards, recovered_at, &granted);
         if let Some(audit) = &self.lease_audit {
             ms.set_audit(audit.clone());
@@ -198,16 +245,14 @@ impl StorageNodeProcess {
     }
 
     /// Emits the mastership layer's queued sends as wrapped messages
-    /// and absorbs its host-level effects: lease grants raise this
-    /// node's promise floor, and a handoff drops the shard's idle
-    /// leaders.
+    /// and absorbs its host-level effects: a raised floor is logged, and
+    /// a handoff drops the shard's idle leaders.
     pub(super) fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut MdccCtx<'_>) {
         for action in out {
             match action {
                 MsAction::Send { to, msg } => ctx.send(to, Msg::Mastership(msg)),
                 MsAction::FloorRaised { shard, ballot } => {
-                    let raised = self.fence.raise_floor(shard, ballot);
-                    self.wal_append(ctx, |_| raised);
+                    self.wal_append(ctx, |_| [floor_record(shard, ballot)]);
                 }
                 MsAction::Relinquished { shard, .. } => self.drop_quiescent_leaders(shard),
             }
@@ -527,5 +572,97 @@ fn outcome_known<'a>(store: &'a RecordStore, key: &'a Key) -> impl Fn(&TxnOption
     move |opt| {
         let known = store.with_record(key, |r| r.has_outcome(opt.txn));
         known.unwrap_or(false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdcc_common::placement::MasterPolicy;
+    use mdcc_common::{SimTime, StaticPlacement, TableId};
+    use mdcc_recovery::recovered_lease_state;
+
+    /// Five data centers, two shards: nodes 0–4 hold shard 0, 5–9 shard 1.
+    fn placement() -> std::sync::Arc<StaticPlacement> {
+        let matrix = (0..5).map(|dc| vec![NodeId(dc), NodeId(5 + dc)]).collect();
+        StaticPlacement::new(matrix, MasterPolicy::FixedDc(DcId(0)))
+    }
+
+    fn key(i: u32) -> Key {
+        Key::new(TableId(0), format!("r{i}"))
+    }
+
+    /// Node 0's mastership layer, granting for both shards (`granted`:
+    /// the floors a restart recovered).
+    fn layer(granted: &[(u32, MsBallot)]) -> Mastership {
+        let groups = vec![
+            (0, (0..5).map(NodeId).collect()),
+            (1, vec![NodeId(0), NodeId(6)]),
+        ];
+        Mastership::new(NodeId(0), DcId(0), groups, None, granted)
+    }
+
+    /// A peer asks node 0 for `shard`'s lease at `ballot`.
+    fn acquire(ms: &mut Mastership, shard: u32, ballot: MsBallot) {
+        let expiry = SimTime::from_millis(400);
+        let msg = MsMsg::Acquire {
+            shard,
+            ballot,
+            expiry,
+            relinquished: None,
+        };
+        ms.on_msg(
+            ballot.node(),
+            msg,
+            SimTime::from_millis(10),
+            &mut Vec::new(),
+        );
+    }
+
+    #[test]
+    fn a_records_floor_follows_its_shards_grants_alone() {
+        let placement = placement();
+        let mut ms = layer(&[]);
+        let k = key(1);
+        let shard = placement.shard_id(&k);
+        let floor = |ms: &Mastership| lease_floor(Some(ms), &*placement, &k);
+        assert_eq!(floor(&ms), None, "no lease granted yet");
+        acquire(&mut ms, shard, MsBallot::new(6, 3));
+        assert_eq!(floor(&ms), Some(Ballot::lease(6, NodeId(3))));
+        acquire(&mut ms, shard, MsBallot::new(8, 1));
+        assert_eq!(floor(&ms), Some(Ballot::lease(8, NodeId(1))));
+        acquire(&mut ms, shard, MsBallot::new(7, 4));
+        assert_eq!(floor(&ms), Some(Ballot::lease(8, NodeId(1))), "refused");
+        acquire(&mut ms, 1 - shard, MsBallot::new(9, 6));
+        assert_eq!(floor(&ms), Some(Ballot::lease(8, NodeId(1))));
+    }
+
+    #[test]
+    fn checkpointed_floors_fold_and_reseed_to_the_same_floors() {
+        let placement = placement();
+        let mut ms = layer(&[]);
+        acquire(&mut ms, 1, MsBallot::new(4, 6));
+        acquire(&mut ms, 0, MsBallot::new(2, 3));
+        acquire(&mut ms, 0, MsBallot::new(2, 1));
+
+        let records = floor_records(Some(&ms));
+        assert_eq!(records.len(), 2);
+        let fresh = layer(&recovered_floors(recovered_lease_state(&records)));
+        let again = floor_records(Some(&fresh));
+        assert_eq!(format!("{again:?}"), format!("{records:?}"));
+        for i in 0..40 {
+            let floor = |ms| lease_floor(Some(ms), &*placement, &key(i));
+            assert!(floor(&ms).is_some());
+            assert_eq!(floor(&fresh), floor(&ms));
+        }
+    }
+
+    #[test]
+    fn with_mastership_off_there_is_no_floor_and_nothing_to_relog() {
+        let placement = placement();
+        for i in 0..40 {
+            assert_eq!(lease_floor(None, &*placement, &key(i)), None);
+        }
+        assert!(floor_records(None).is_empty());
     }
 }

@@ -419,9 +419,10 @@ fn a_positional_visibility_resolves_after_a_restart_between_vote_and_outcome() {
     }
     assert_eq!(names(&visibility_to(&fan_out, NodeId(4))), by_key(&keys));
     let cfg = ProtocolConfig::default();
-    let (store, _) = recover_store(cfg.clone(), Arc::new(Catalog::new()), &disk).expect("clean");
+    let (store, _, leases) =
+        recover_store(cfg.clone(), Arc::new(Catalog::new()), &disk).expect("clean");
     assert_eq!(store.pending_len(), 1, "the vote's pending entry survives");
-    let mut node = StorageNodeProcess::from_recovery(cfg, store, placement(1), true);
+    let mut node = StorageNodeProcess::from_recovery(cfg, store, leases, placement(1), true);
     let visibility = visibility_to(&fan_out, NodeId(0));
     handler_on(NodeId(0), 4, Some(&mut disk), |ctx| {
         node.on_message(TM, visibility, ctx)

@@ -252,7 +252,7 @@ proptest! {
             wal::replay(&mut replayed, std::slice::from_ref(record));
         }
         prop_assert_eq!(fingerprint(&replayed), fingerprint(node.node.store()));
-        let (recovered, _) =
+        let (recovered, _, _) =
             recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &node.disk)
                 .expect("clean disk");
         prop_assert_eq!(fingerprint(&recovered), fingerprint(node.node.store()));
@@ -331,11 +331,17 @@ fn a_crash_forgets_parked_proposals_and_the_retry_is_answered() {
 
     // Crash: the process is gone, the disk stays.
     let Harness { disk, .. } = node;
-    let (store, _) = recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk)
-        .expect("clean disk");
+    let (store, _, leases) =
+        recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk)
+            .expect("clean disk");
     assert_eq!(fingerprint(&store), before);
-    let restarted =
-        StorageNodeProcess::from_recovery(ProtocolConfig::default(), store, placement(), true);
+    let restarted = StorageNodeProcess::from_recovery(
+        ProtocolConfig::default(),
+        store,
+        leases,
+        placement(),
+        true,
+    );
     assert_eq!(restarted.parked_len(), 0);
     let mut node = Harness {
         node: restarted,

@@ -190,7 +190,7 @@ impl World {
             // Crash and restart: the process is gone, the disk stays.
             _ => {
                 let cfg = ProtocolConfig::default();
-                let (store, _) = recover_store(cfg, catalog(), &self.disk).expect("clean disk");
+                let (store, _, _) = recover_store(cfg, catalog(), &self.disk).expect("clean disk");
                 self.store = store;
             }
         }

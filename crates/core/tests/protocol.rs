@@ -15,6 +15,7 @@ use mdcc_core::{
 };
 use mdcc_mastership::LeaseAudit;
 use mdcc_paxos::{AttrConstraint, Ballot, TxnOutcome};
+use mdcc_recovery::RecoveredLeases;
 use mdcc_sim::{NetworkModel, Process, World, WorldConfig};
 use mdcc_storage::{Catalog, RecordStore, TableSchema};
 
@@ -423,6 +424,7 @@ fn node_restarted_onto_an_empty_store_syncs_from_its_peers() {
     let node = StorageNodeProcess::from_recovery(
         ProtocolConfig::default(),
         RecordStore::new(ProtocolConfig::default(), catalog()),
+        RecoveredLeases::default(),
         c.placement.clone() as Arc<dyn Placement>,
         true,
     );

@@ -45,6 +45,12 @@
 //! shard's machines, turns what they return into [`Action`]s, counts
 //! ([`MastershipStats`]), reports tenures to the [`LeaseAudit`], and
 //! keeps a restarted node quiet until its lost grants have expired.
+//!
+//! It is also the one owner of a replica's lease floors: the highest
+//! lease ballot it granted per shard ([`Mastership::floor`]). The host
+//! enforces a shard's floor as the Phase1 promise of every record in the
+//! shard (lease-carried Phase1), logs it on each rise, and hands the
+//! floors its log recovered back to [`Mastership::new`] on a restart.
 
 use std::collections::BTreeMap;
 
@@ -224,6 +230,21 @@ impl Mastership {
     /// Phase1a immediately outranks its predecessor's ballots.
     pub fn ballot_floor(&self, shard: u32) -> Option<u32> {
         Some(self.shards.get(&shard)?.lease.held()?.n)
+    }
+
+    /// `shard`'s promise floor: the highest lease ballot this replica
+    /// granted for it, holders of its own tenures included, if it granted
+    /// any. It rises exactly when [`Action::FloorRaised`] is emitted.
+    pub fn floor(&self, shard: u32) -> Option<Ballot> {
+        let granted = self.shards.get(&shard)?.lease.granted();
+        (granted != Ballot::default()).then_some(granted)
+    }
+
+    /// Every shard's [`Self::floor`], in shard order.
+    pub fn floors(&self) -> impl Iterator<Item = (u32, Ballot)> + '_ {
+        self.shards
+            .keys()
+            .filter_map(|&s| Some((s, self.floor(s)?)))
     }
 
     /// Records one mastered request served while holding the lease

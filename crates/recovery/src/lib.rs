@@ -27,6 +27,6 @@ pub mod wal;
 pub use mdcc_common::wire::{from_bytes, to_bytes, Wire, WireError, WireResult};
 pub use snapshot::{
     committed_bytes, committed_digest, committed_state_digest, read_checkpoint, recover_store,
-    recovered_leases, write_checkpoint, RecoveryInfo,
+    write_checkpoint, RecoveryInfo,
 };
 pub use wal::{recovered_lease_state, RecoveredLeases, ReplayStats, WalRecord};

@@ -3,8 +3,9 @@
 //! A checkpoint serializes the entire [`RecordStore`] (acceptor state,
 //! pending options) into the disk's snapshot blob and truncates the WAL
 //! — the compaction step that bounds replay work. On restart,
-//! [`recover_store`] rebuilds the store from snapshot + WAL tail and
-//! reports how much work that took.
+//! [`recover_store`] rebuilds the store from snapshot + WAL tail, folds
+//! the lease floors out of the same tail, and reports how much work that
+//! took.
 
 use std::sync::Arc;
 
@@ -48,12 +49,15 @@ pub fn read_checkpoint(bytes: &[u8]) -> WireResult<Option<StoreState>> {
 /// Rebuilds a storage node's record store from its disk: checkpoint
 /// first, then WAL replay. The WAL is a command log, so replay invokes
 /// the same deterministic entry points the pre-crash node used and lands
-/// on the exact pre-crash state.
+/// on the exact pre-crash state. The lease floors the node granted come
+/// from the same decoded tail ([`wal::recovered_lease_state`]): a
+/// checkpoint truncates the WAL, but the node re-appends its live floors
+/// right after each checkpoint, so the tail alone always carries them.
 pub fn recover_store(
     cfg: ProtocolConfig,
     catalog: Arc<Catalog>,
     disk: &Disk,
-) -> WireResult<(RecordStore, RecoveryInfo)> {
+) -> WireResult<(RecordStore, RecoveryInfo, wal::RecoveredLeases)> {
     let mut info = RecoveryInfo {
         snapshot_bytes: disk.snapshot().len() as u64,
         wal_bytes: disk.wal_len() as u64,
@@ -70,16 +74,7 @@ pub fn recover_store(
     let stats = wal::replay(&mut store, &records);
     info.wal_records_replayed = stats.applied;
     info.pending_restored = store.pending_len() as u64;
-    Ok((store, info))
-}
-
-/// Lease-floor state a restarting node must re-enforce (see
-/// [`wal::recovered_lease_state`]). Read from the WAL tail alone: a
-/// checkpoint truncates the WAL, but the node re-appends its live
-/// floors and overrides right after each checkpoint, so the tail is
-/// always complete.
-pub fn recovered_leases(disk: &Disk) -> WireResult<wal::RecoveredLeases> {
-    Ok(wal::recovered_lease_state(&wal::read_all(disk.wal())?))
+    Ok((store, info, wal::recovered_lease_state(&records)))
 }
 
 /// The committed state of a store as canonical bytes: `(key, version,
@@ -143,7 +138,7 @@ mod tests {
         write_checkpoint(&mut disk, &store);
         assert_eq!(disk.wal_len(), 0, "checkpoint compacts the WAL");
 
-        let (rebuilt, info) =
+        let (rebuilt, info, _) =
             recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk).unwrap();
         assert_eq!(info.snapshot_records, 2);
         assert_eq!(info.wal_records_replayed, 0);
@@ -183,7 +178,7 @@ mod tests {
         }
         wal::replay(&mut store, &tail);
 
-        let (rebuilt, info) =
+        let (rebuilt, info, _) =
             recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk).unwrap();
         assert_eq!(info.wal_records_replayed, 2);
         assert_eq!(
@@ -215,10 +210,35 @@ mod tests {
     #[test]
     fn empty_disk_recovers_to_an_empty_store() {
         let disk = Disk::new();
-        let (store, info) =
+        let (store, info, leases) =
             recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk).unwrap();
         assert!(store.is_empty());
         assert_eq!(info, RecoveryInfo::default());
+        assert_eq!(leases, wal::RecoveredLeases::default());
+    }
+
+    /// The floors come from the tail `recover_store` replays: the highest
+    /// `(n, pid)` per shard, and nothing a checkpoint truncated.
+    #[test]
+    fn recovery_returns_the_floors_the_wal_tail_carries() {
+        let floor = |shard, n, pid| WalRecord::LeaseFloor { shard, n, pid };
+        let mut disk = Disk::new();
+        wal::append(&mut disk, &floor(2, 9, 9));
+        write_checkpoint(&mut disk, &loaded_store());
+        let tail = [
+            floor(0, 2, 3),
+            floor(1, 4, 7),
+            floor(0, 5, 1),
+            floor(0, 5, 0),
+            floor(1, 3, 9),
+        ];
+        for r in &tail {
+            wal::append(&mut disk, r);
+        }
+        let (_, info, leases) =
+            recover_store(ProtocolConfig::default(), Arc::new(Catalog::new()), &disk).unwrap();
+        assert_eq!(info.wal_records_replayed, 5);
+        assert_eq!(leases.floors, vec![(0, (5, 1)), (1, (4, 7))]);
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn replay(store: &mut RecordStore, records: &[WalRecord]) -> ReplayStats {
                 let _ = store.sync_from_peer(&key, &snapshot, &resolved);
             }
             // Lease floors are not record-store state: they live in the
-            // node's enforcement table and re-apply lazily per record.
+            // node's mastership layer and re-apply lazily per record.
             // `recovered_lease_state` folds them out of the log.
             WalRecord::LeaseFloor { .. } => {}
         }
@@ -173,9 +173,10 @@ pub fn replay(store: &mut RecordStore, records: &[WalRecord]) -> ReplayStats {
 }
 
 /// Lease-floor state folded out of a WAL: the maximum `(n, pid)` floor
-/// per shard, exactly what the restarting node must re-enforce so a deposed predecessor's
-/// ballots stay fenced across its crash (the mastership lease table
-/// itself stays quarantined — this is acceptor-side state only).
+/// per shard, the highest lease ballot the node granted. The restarting
+/// node seeds its mastership layer with it, so it never grants at or
+/// below it again and a deposed predecessor's ballots stay fenced across
+/// its crash (its own serving rights stay quarantined for a lease).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveredLeases {
     /// Per-shard base floors `(shard, (n, pid))`, sorted by shard.

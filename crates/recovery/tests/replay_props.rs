@@ -182,7 +182,7 @@ proptest! {
         }
         wal::replay(&mut live, &log);
         // Crashed node: rebuilds purely from the disk.
-        let (rebuilt, info) =
+        let (rebuilt, info, _) =
             recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean disk");
         prop_assert_eq!(info.wal_records_replayed, log.len() as u64);
         prop_assert_eq!(state_fingerprint(&rebuilt), state_fingerprint(&live));
@@ -206,7 +206,7 @@ proptest! {
         for record in &log[cut..] {
             wal::append(&mut disk, record);
         }
-        let (rebuilt, info) =
+        let (rebuilt, info, _) =
             recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean disk");
         prop_assert_eq!(info.wal_records_replayed, (log.len() - cut) as u64);
         prop_assert_eq!(
@@ -252,8 +252,8 @@ proptest! {
         for record in &log {
             wal::append(&mut disk, record);
         }
-        let (a, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
-        let (b, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
+        let (a, _, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
+        let (b, _, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
         prop_assert_eq!(state_fingerprint(&a), state_fingerprint(&b));
     }
 }
@@ -394,7 +394,8 @@ fn base_checked_appends_replay_to_the_same_accepts_and_nacks() {
     for record in &log {
         wal::append(&mut disk, record);
     }
-    let (rebuilt, _) = recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
+    let (rebuilt, _, _) =
+        recover_store(ProtocolConfig::default(), catalog(), &disk).expect("clean");
     assert_eq!(state_fingerprint(&rebuilt), state_fingerprint(&live));
     assert_eq!(state_fingerprint(&again), state_fingerprint(&live));
 }
