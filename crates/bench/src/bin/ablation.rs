@@ -11,9 +11,7 @@
 //!   versus full serializability (read guards, §4.4) on the same
 //!   workload.
 
-use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, perf_summary, save_csv, PerfLog, Scale,
-};
+use mdcc_bench::{micro_catalog, micro_factory, micro_spec, perf_summary, save_csv, Scale};
 use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, NetKind};
 use mdcc_common::{ProtocolConfig, SimDuration};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -21,7 +19,6 @@ use mdcc_workloads::micro::{initial_items, MicroConfig};
 fn main() {
     let scale = Scale::from_args();
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
 
     // ------------------------------------------------------------------
     // γ sweep under a hot-spot workload (collisions happen).
@@ -54,7 +51,6 @@ fn main() {
             stats.classic_redirects
         );
         println!("#   {}", perf_summary(&report));
-        perf.record(format!("gamma {gamma}"), &report);
         rows.push(format!(
             "gamma,{gamma},{median:.1},{},{},{}",
             report.write_commits(),
@@ -102,7 +98,6 @@ fn main() {
             report.write_commits()
         );
         println!("#   {}", perf_summary(&report));
-        perf.record(format!("replication N{dcs}"), &report);
         rows.push(format!(
             "replication,{dcs},{median:.1},{},{}",
             protocol.classic_quorum, protocol.fast_quorum
@@ -142,7 +137,6 @@ fn main() {
              coalesce_factor={factor:.2}x"
         );
         println!("#   {}", perf_summary(&report));
-        perf.record(format!("coalesce_window {label}"), &report);
         rows.push(format!(
             "coalesce_window,{label},{median:.1},{mpc:.1},{proto_mpc:.1},{bpc:.0}"
         ));
@@ -173,7 +167,6 @@ fn main() {
             stats.fast_commits
         );
         println!("#   {}", perf_summary(&report));
-        perf.record(format!("isolation {label}"), &report);
         rows.push(format!(
             "isolation,{label},{median:.1},{},{}",
             report.write_commits(),
@@ -182,5 +175,4 @@ fn main() {
     }
 
     save_csv("ablations", "study,x,median_ms,a,b,c", &rows);
-    perf.save("ablation", scale);
 }

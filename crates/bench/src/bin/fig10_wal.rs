@@ -14,7 +14,7 @@
 
 use mdcc_bench::{
     export_trace, micro_catalog, net_summary, perf_summary, print_anatomy, print_profile_by_kind,
-    save_csv, PerfLog, Scale,
+    save_csv, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, MdccMode, Report};
 use mdcc_common::{DcId, Key, ProtocolConfig, Row, SimDuration, StorageKind};
@@ -120,7 +120,6 @@ fn main() {
     let (trace_cfg, trace_out) = mdcc_bench::trace_flags();
     let us = SimDuration::from_micros;
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 10 — WAL group commit: commits/sec vs fsync latency");
     println!("# group commit pays one fsync latency per batch of WAL appends");
 
@@ -130,7 +129,6 @@ fn main() {
         let spec = wal_spec(scale, 1010, SimDuration::ZERO);
         let report = run_wal(&spec);
         println!("{}", summarize("fsync=0 (free durability)", &report));
-        perf.record("fsync0", &report);
         rows.push(format!(
             "0,free,{:.1},{:.4}",
             report.throughput_tps(),
@@ -150,7 +148,6 @@ fn main() {
         let label = format!("fsync={:.1}ms group", fsync_us as f64 / 1e3);
         let report = run_wal(&spec);
         println!("{}", summarize(&label, &report));
-        perf.record(&label, &report);
         rows.push(format!(
             "{:.1},group,{:.1},{:.4}",
             fsync_us as f64 / 1e3,
@@ -195,5 +192,4 @@ fn main() {
     log_structured_demo(records);
 
     save_csv("fig10_wal", "fsync_ms,mode,tps,fsyncs_per_commit", &rows);
-    perf.save("fig10", scale);
 }

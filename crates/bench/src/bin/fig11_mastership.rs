@@ -62,7 +62,7 @@ use std::sync::Arc;
 
 use mdcc_bench::{
     all_in_us_west, cdf_rows, micro_catalog, net_summary, perf_summary, print_profile_by_kind,
-    save_csv, PerfLog, Scale,
+    save_csv, Scale,
 };
 use mdcc_cluster::{run_mdcc, ClusterSpec, FaultPlan, MdccMode, NetKind, Report};
 use mdcc_common::{
@@ -148,7 +148,6 @@ fn main() {
     let phase_len = SimDuration::from_secs(4);
     let forever = SimDuration::from_secs(100_000);
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 11 — dynamic mastership vs shifting locality");
 
     let mut medians = [0.0f64; 3];
@@ -206,7 +205,6 @@ fn main() {
         if *label == "dynamic" {
             dynamic = *ms;
         }
-        perf.record(*label, &report);
         rows.push(format!(
             "{label},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{}",
             b.min, b.q1, b.median, b.q3, b.max, ms.elections, ms.leases_acquired, ms.handoffs
@@ -286,7 +284,6 @@ fn main() {
             ms.served,
             ms.forwarded,
         );
-        perf.record(label, &report);
         rows.push(format!(
             "{label},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{}",
             b.min, b.q1, b.median, b.q3, b.max, ms.elections, ms.leases_acquired, ms.handoffs
@@ -352,7 +349,6 @@ fn main() {
         mdcc_mastership::HEARTBEAT_INTERVAL.as_micros() as f64 / 1_000.0,
         report.mastership.elections,
     );
-    perf.record("drill", &report);
     rows.push(format!(
         "drill,,,{window_ms:.1},,,{},{},{}",
         report.mastership.elections, report.mastership.leases_acquired, report.mastership.handoffs
@@ -400,7 +396,6 @@ fn main() {
         ms.cold_first_commit_rtts,
     );
     println!("#   {}", net_summary(&report));
-    perf.record("cold_first_touch", &report);
     rows.push(format!(
         "cold_first_touch,{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{}",
         b.min, b.q1, b.median, b.q3, b.max, ms.elections, ms.leases_acquired, ms.handoffs
@@ -438,5 +433,4 @@ fn main() {
         "config,min_ms,q1_ms,median_ms,q3_ms,max_ms,elections,leases,handoffs",
         &rows,
     );
-    perf.save("fig11", scale);
 }

@@ -8,7 +8,7 @@
 use mdcc_bench::{
     all_in_us_west, cdf_rows, export_trace, net_summary, perf_summary, print_anatomy, print_parked,
     print_profile, print_profile_by_kind, save_csv, tpcw_catalog, tpcw_data, tpcw_factory,
-    tpcw_spec, PerfLog, Scale,
+    tpcw_spec, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, MdccMode, Report};
 
@@ -59,7 +59,6 @@ fn main() {
     let catalog = tpcw_catalog();
     let data = tpcw_data(items, 7);
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 3 — TPC-W write transaction response times (CDF)");
     println!(
         "# paper medians: QW-3 188ms < QW-4 260ms < MDCC 278ms < 2PC 668ms << Megastore* 17810ms"
@@ -70,7 +69,6 @@ fn main() {
         let report = run_qw(&spec, catalog.clone(), &data, &mut factory, k);
         let label = format!("QW-{k}");
         println!("{}", summarize(&label, &report));
-        perf.record(&label, &report);
         rows.extend(cdf_rows(&label, &report.write_cdf(200)));
     }
 
@@ -96,7 +94,6 @@ fn main() {
             MdccMode::Full,
         );
         println!("{}", summarize("MDCC", &report));
-        perf.record("MDCC", &report);
         print_anatomy("MDCC (TPC-W)", &report);
         print_profile(&report, 5);
         print_profile_by_kind(&report, 16);
@@ -141,7 +138,6 @@ fn main() {
         let mut factory = tpcw_factory(items, true);
         let report = run_tpc(&spec, catalog.clone(), &data, &mut factory);
         println!("{}", summarize("2PC", &report));
-        perf.record("2PC", &report);
         rows.extend(cdf_rows("2PC", &report.write_cdf(200)));
     }
 
@@ -153,7 +149,6 @@ fn main() {
         let mut factory = tpcw_factory(items, true);
         let (report, stats) = run_megastore(&mega_spec, catalog, &data, &mut factory);
         println!("{}", summarize("Megastore*", &report));
-        perf.record("Megastore*", &report);
         println!(
             "# Megastore* internals: committed={} aborted={} max_queue={}",
             stats.committed, stats.aborted, stats.max_queue
@@ -162,5 +157,4 @@ fn main() {
     }
 
     save_csv("fig3_tpcw_cdf", "protocol,latency_ms,fraction", &rows);
-    perf.save("fig3", scale);
 }

@@ -8,7 +8,7 @@
 
 use mdcc_bench::{
     all_in_us_west, net_summary, perf_summary, save_csv, tpcw_catalog, tpcw_data, tpcw_factory,
-    PerfLog, Scale,
+    Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, ClusterSpec, MdccMode};
 use mdcc_common::SimDuration;
@@ -18,7 +18,6 @@ fn main() {
     let d = scale.div();
     let m = scale.mult();
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 4 — TPC-W transactions per second vs concurrent clients");
     for (clients, items, shards) in [
         (50u64, 5_000u64, 2usize),
@@ -48,7 +47,6 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("QW-{k} c{clients}"), &report);
             rows.push(format!("QW-{k},{clients},{tps:.1}"));
         }
         {
@@ -61,7 +59,6 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("MDCC c{clients}"), &report);
             rows.push(format!("MDCC,{clients},{tps:.1}"));
         }
         {
@@ -74,7 +71,6 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("2PC c{clients}"), &report);
             rows.push(format!("2PC,{clients},{tps:.1}"));
         }
         {
@@ -89,10 +85,8 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("Megastore* c{clients}"), &report);
             rows.push(format!("Megastore*,{clients},{tps:.1}"));
         }
     }
     save_csv("fig4_tpcw_scaling", "protocol,clients,tps", &rows);
-    perf.save("fig4", scale);
 }

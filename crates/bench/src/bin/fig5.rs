@@ -8,7 +8,7 @@
 
 use mdcc_bench::{
     cdf_rows, export_trace, micro_catalog, micro_factory, micro_spec, net_summary, perf_summary,
-    print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv, PerfLog, Scale,
+    print_anatomy, print_parked, print_profile, print_profile_by_kind, save_csv, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_tpc, MdccMode, Report};
 use mdcc_common::SimDuration;
@@ -33,7 +33,6 @@ fn main() {
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 5 — micro-benchmark response-time CDFs");
     println!("# paper medians: MDCC 245ms < Fast 276ms < Multi 388ms < 2PC 543ms");
 
@@ -53,7 +52,6 @@ fn main() {
         let mut factory = micro_factory(cfg, None);
         let (report, stats) = run_mdcc(&spec, catalog.clone(), &data, &mut factory, mode);
         println!("{}", summarize(label, &report));
-        perf.record(label, &report);
         println!(
             "#   internals: fast_commits={} collisions={} redirects={} timeouts={}",
             stats.fast_commits, stats.collisions, stats.classic_redirects, stats.timeouts
@@ -110,10 +108,8 @@ fn main() {
         let mut factory = micro_factory(base, None);
         let report = run_tpc(&spec, catalog, &data, &mut factory);
         println!("{}", summarize("2PC", &report));
-        perf.record("2PC", &report);
         rows.extend(cdf_rows("2PC", &report.write_cdf(200)));
     }
 
     save_csv("fig5_micro_cdf", "config,latency_ms,fraction", &rows);
-    perf.save("fig5", scale);
 }

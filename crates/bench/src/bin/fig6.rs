@@ -9,7 +9,7 @@
 //! compared to Multi.
 
 use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, PerfLog, Scale,
+    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_tpc, MdccMode};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -20,7 +20,6 @@ fn main() {
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 6 — commits/aborts for varying hot-spot sizes");
     for hot_pct in [2.0f64, 5.0, 10.0, 20.0, 50.0, 90.0] {
         let base = MicroConfig {
@@ -52,7 +51,6 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("{label} hot{hot_pct}%"), &report);
             rows.push(format!("{hot_pct},{label},{commits},{aborts}"));
         }
     }
@@ -61,5 +59,4 @@ fn main() {
         "hotspot_pct,config,commits,aborts",
         &rows,
     );
-    perf.save("fig6", scale);
 }

@@ -8,7 +8,7 @@
 //! serialized instances).
 
 use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, PerfLog, Scale,
+    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, Scale,
 };
 use mdcc_cluster::{run_mdcc, MdccMode};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -19,7 +19,6 @@ fn main() {
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 7 — response-time box plots vs master locality");
     for local_pct in [100.0f64, 80.0, 60.0, 40.0, 20.0] {
         // 20 % locality == uniform choice over five DCs; the knob is the
@@ -48,7 +47,6 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("{label} loc{local_pct}%"), &report);
             rows.push(format!(
                 "{local_pct},{label},{:.1},{:.1},{:.1},{:.1},{:.1}",
                 b.min, b.q1, b.median, b.q3, b.max
@@ -60,5 +58,4 @@ fn main() {
         "locality_pct,config,min_ms,q1_ms,median_ms,q3_ms,max_ms",
         &rows,
     );
-    perf.save("fig7", scale);
 }

@@ -9,7 +9,7 @@
 
 use mdcc_bench::{
     all_in_us_west, micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv,
-    PerfLog, Scale,
+    Scale,
 };
 use mdcc_cluster::{run_mdcc, FaultEvent, FaultPlan, MdccMode};
 use mdcc_common::{DcId, SimDuration};
@@ -67,7 +67,4 @@ fn main() {
     );
     println!("# {}\n# {}", net_summary(&report), perf_summary(&report));
     save_csv("fig8_dc_failure", "t_secs,avg_latency_ms,commits", &rows);
-    let mut perf = PerfLog::new();
-    perf.record("MDCC outage", &report);
-    perf.save("fig8", scale);
 }

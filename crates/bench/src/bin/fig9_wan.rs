@@ -8,7 +8,7 @@
 //! into queueing delay.
 
 use mdcc_bench::{
-    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, PerfLog, Scale,
+    micro_catalog, micro_factory, micro_spec, net_summary, perf_summary, save_csv, Scale,
 };
 use mdcc_cluster::{run_mdcc, MdccMode};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -31,7 +31,6 @@ fn main() {
     let catalog = micro_catalog();
     let data = initial_items(items, 7);
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Figure 9 — WAN bandwidth sweep: MDCC full/fast");
 
     let configs: [(&str, MdccMode, bool); 2] = [
@@ -60,7 +59,6 @@ fn main() {
                 net_summary(&report),
                 perf_summary(&report)
             );
-            perf.record(format!("{label} {bw_label}"), &report);
             rows.push(format!(
                 "{label},{bw_label},{median:.1},{p90:.1},{commits},{bpc:.0},{},{}",
                 stats.repair_pulls,
@@ -73,5 +71,4 @@ fn main() {
         "config,bandwidth,median_ms,p90_ms,commits,bytes_per_commit,repair_pulls,repair_rounds",
         &rows,
     );
-    perf.save("fig9_wan", scale);
 }

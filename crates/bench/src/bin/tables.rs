@@ -7,7 +7,7 @@
 
 use mdcc_bench::{
     all_in_us_west, micro_catalog, micro_factory, micro_spec, perf_summary, save_csv, tpcw_catalog,
-    tpcw_data, tpcw_factory, tpcw_spec, PerfLog, Scale,
+    tpcw_data, tpcw_factory, tpcw_spec, Scale,
 };
 use mdcc_cluster::{run_mdcc, run_megastore, run_qw, run_tpc, MdccMode, Report};
 use mdcc_workloads::micro::{initial_items, MicroConfig};
@@ -15,7 +15,6 @@ use mdcc_workloads::micro::{initial_items, MicroConfig};
 fn main() {
     let scale = Scale::from_args();
     let mut rows: Vec<String> = Vec::new();
-    let mut perf = PerfLog::new();
     println!("# Medians table (paper §5.2.1 and §5.3.1)");
     println!(
         "{:<22} {:>12} {:>12}",
@@ -26,44 +25,36 @@ fn main() {
     let (spec, items) = tpcw_spec(scale, 2001);
     let catalog = tpcw_catalog();
     let data = tpcw_data(items, 7);
-    let table =
-        |name: &str, report: &Report, paper: f64, rows: &mut Vec<String>, perf: &mut PerfLog| {
-            let median = report.median_write_ms().unwrap_or(f64::NAN);
-            println!(
-                "{name:<22} {median:>12.0} {paper:>12.0}   # {}",
-                perf_summary(report)
-            );
-            perf.record(name, report);
-            rows.push(format!("{name},{median:.1},{paper}"));
-        };
+    let table = |name: &str, report: &Report, paper: f64, rows: &mut Vec<String>| {
+        let median = report.median_write_ms().unwrap_or(f64::NAN);
+        println!(
+            "{name:<22} {median:>12.0} {paper:>12.0}   # {}",
+            perf_summary(report)
+        );
+        rows.push(format!("{name},{median:.1},{paper}"));
+    };
 
     for (k, paper) in [(3usize, 188.0), (4usize, 260.0)] {
         let mut f = tpcw_factory(items, true);
         let report = run_qw(&spec, catalog.clone(), &data, &mut f, k);
-        table(
-            &format!("tpcw/QW-{k}"),
-            &report,
-            paper,
-            &mut rows,
-            &mut perf,
-        );
+        table(&format!("tpcw/QW-{k}"), &report, paper, &mut rows);
     }
     {
         let mut f = tpcw_factory(items, true);
         let (report, _) = run_mdcc(&spec, catalog.clone(), &data, &mut f, MdccMode::Full);
-        table("tpcw/MDCC", &report, 278.0, &mut rows, &mut perf);
+        table("tpcw/MDCC", &report, 278.0, &mut rows);
     }
     {
         let mut f = tpcw_factory(items, true);
         let report = run_tpc(&spec, catalog.clone(), &data, &mut f);
-        table("tpcw/2PC", &report, 668.0, &mut rows, &mut perf);
+        table("tpcw/2PC", &report, 668.0, &mut rows);
     }
     {
         let mut mega_spec = spec.clone();
         all_in_us_west(&mut mega_spec);
         let mut f = tpcw_factory(items, true);
         let (report, _) = run_megastore(&mega_spec, catalog, &data, &mut f);
-        table("tpcw/Megastore*", &report, 17_810.0, &mut rows, &mut perf);
+        table("tpcw/Megastore*", &report, 17_810.0, &mut rows);
     }
 
     // ---------------- Micro ----------------
@@ -83,7 +74,7 @@ fn main() {
         };
         let mut f = micro_factory(cfg, None);
         let (report, _) = run_mdcc(&spec, catalog.clone(), &data, &mut f, mode);
-        table(name, &report, paper, &mut rows, &mut perf);
+        table(name, &report, paper, &mut rows);
     }
     {
         let cfg = MicroConfig {
@@ -92,9 +83,8 @@ fn main() {
         };
         let mut f = micro_factory(cfg, None);
         let report = run_tpc(&spec, catalog, &data, &mut f);
-        table("micro/2PC", &report, 543.0, &mut rows, &mut perf);
+        table("micro/2PC", &report, 543.0, &mut rows);
     }
 
     save_csv("tables_medians", "configuration,median_ms,paper_ms", &rows);
-    perf.save("tables", scale);
 }

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 pub use mdcc_cluster::{micro_catalog, tpcw_catalog};
-use mdcc_cluster::{ClientPlacement, ClusterSpec, Report, RunPerf};
+use mdcc_cluster::{ClientPlacement, ClusterSpec, Report};
 use mdcc_common::{DcId, Key, Row, SimDuration, StaticPlacement};
 use mdcc_trace::TraceConfig;
 use mdcc_workloads::micro::{MicroConfig, MicroWorkload};
@@ -230,134 +230,6 @@ pub fn perf_summary(report: &Report) -> String {
     )
 }
 
-/// Collects each run's host-cost sample over one driver invocation and
-/// writes them as machine-readable JSON under `results/perf_<fig>.json`
-/// — record-only output for tracking engine throughput across commits;
-/// nothing reads it back.
-#[derive(Debug, Default)]
-pub struct PerfLog {
-    runs: Vec<(String, RunPerf, Option<f64>)>,
-}
-
-impl PerfLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one finished run under `label` (host cost plus the run's
-    /// fsyncs/commit, the group-commit figure-of-merit).
-    pub fn record(&mut self, label: impl Into<String>, report: &Report) {
-        self.runs
-            .push((label.into(), report.perf, report.fsyncs_per_commit()));
-    }
-
-    /// Writes the collected samples to `results/perf_<fig>.json`
-    /// (hand-rolled JSON — the workspace has no serde) and echoes the
-    /// path.
-    pub fn save(&self, fig: &str, scale: Scale) {
-        let dir = PathBuf::from("results");
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join(format!("perf_{fig}.json"));
-        let total_wall: f64 = self.runs.iter().map(|(_, p, _)| p.wall.as_secs_f64()).sum();
-        let total_events: u64 = self.runs.iter().map(|(_, p, _)| p.events).sum();
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"fig\": {},\n", json_str(fig)));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name()));
-        out.push_str(&meta_json(scale));
-        out.push_str("  \"runs\": [\n");
-        for (i, (label, p, fsyncs)) in self.runs.iter().enumerate() {
-            let fsyncs = match fsyncs {
-                Some(f) => format!("{f:.4}"),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"label\": {}, \"wall_secs\": {:.6}, \"events\": {}, \
-                 \"events_per_sec\": {:.1}, \"fsyncs_per_commit\": {}}}{}\n",
-                json_str(label),
-                p.wall.as_secs_f64(),
-                p.events,
-                p.events_per_sec(),
-                fsyncs,
-                if i + 1 < self.runs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"total_wall_secs\": {total_wall:.6},\n"));
-        out.push_str(&format!("  \"total_events\": {total_events},\n"));
-        out.push_str(&format!(
-            "  \"total_events_per_sec\": {:.1}\n",
-            if total_wall > 0.0 {
-                total_events as f64 / total_wall
-            } else {
-                0.0
-            }
-        ));
-        out.push_str("}\n");
-        fs::write(&path, out).expect("write perf json");
-        println!("# wrote {}", path.display());
-    }
-}
-
-/// The run-metadata JSON fragment stamped into every `perf_<fig>.json`:
-/// scale, the repository's `git describe`
-/// (`"unknown"` when git is unavailable), the driver's own argument
-/// list, and every `MDCC_*` environment knob in effect — enough to
-/// reproduce the exact invocation behind any recorded sample.
-fn meta_json(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"scale\": \"{}\",\n", scale.name()));
-    out.push_str(&format!("    \"git\": {},\n", json_str(&git_describe())));
-    let args: Vec<String> = std::env::args().skip(1).map(|a| json_str(&a)).collect();
-    out.push_str(&format!("    \"args\": [{}],\n", args.join(", ")));
-    let mut knobs: Vec<(String, String)> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("MDCC_"))
-        .collect();
-    knobs.sort();
-    let knobs: Vec<String> = knobs
-        .iter()
-        .map(|(k, v)| format!("{}: {}", json_str(k), json_str(v)))
-        .collect();
-    out.push_str(&format!("    \"env\": {{{}}}\n", knobs.join(", ")));
-    out.push_str("  },\n");
-    out
-}
-
-/// `git describe --always --dirty --tags` of the working tree, or
-/// `"unknown"` when git (or the repository) is unavailable — results
-/// directories travel, so the stamp must never fail the driver.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Minimal JSON string quoting (labels are ASCII identifiers; quote and
-/// backslash escapes keep the output valid regardless).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Prints the per-phase latency anatomy of a traced run; quiet for
 /// untraced reports (every driver calls this unconditionally).
 pub fn print_anatomy(label: &str, report: &Report) {
@@ -543,23 +415,6 @@ mod tests {
         assert_eq!(mspec.clients, 1_000);
         assert_eq!(mitems, 100_000);
         assert_eq!(mspec.duration, SimDuration::from_secs(180));
-    }
-
-    #[test]
-    fn perf_json_strings_are_escaped() {
-        assert_eq!(json_str("mdcc"), "\"mdcc\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
-    }
-
-    #[test]
-    fn perf_meta_stamps_scale_and_git() {
-        let meta = meta_json(Scale::Quick);
-        assert!(meta.contains("\"scale\": \"quick\""));
-        assert!(meta.contains("\"git\": \""));
-        assert!(meta.contains("\"args\": ["));
-        assert!(meta.contains("\"env\": {"));
-        assert!(!git_describe().is_empty(), "describe always yields a stamp");
     }
 
     #[test]

@@ -78,12 +78,6 @@ mdcc_common::counters! {
         /// Fast-ballot options received, counted per option (a `Propose`
         /// carries every option of its transaction this node replicates).
         pub proposals: u64,
-        /// Classic options that arrived in `ProposeMastered`, counted per
-        /// option (one carries every option its coordinator routed here).
-        pub mastered_options: u64,
-        /// Those led here while this node knew of no live lease for their
-        /// shard; the rest were served or forwarded under a lease.
-        pub unleased_options: u64,
         /// Those whose option carries a read version (physical updates of
         /// existing records, read guards) — the only ones that can park.
         pub versioned_proposals: u64,

@@ -365,11 +365,11 @@ impl StorageNodeProcess {
     /// A classic proposal routed by shard lease (`Msg::ProposeMastered`):
     /// for each shard it names, serve the shard's options, forward them to
     /// the holder as one proposal, or lead them regardless; then lead
-    /// what stays here, in proposal order. Served and forwarded count
-    /// options. The holder leads every record of its shard: a record
-    /// promised above the lease inside its tenure Nacks the holder's
-    /// Phase2a, and the holder's own Phase 1 re-establishes it
-    /// ([`StorageNodeProcess::current_leader`]).
+    /// what stays here, in proposal order. Served, forwarded and unleased
+    /// ([`mdcc_mastership::MastershipStats`]) count options. The holder
+    /// leads every record of its shard: a record promised above the lease
+    /// inside its tenure Nacks the holder's Phase2a, and the holder's own
+    /// Phase 1 re-establishes it ([`StorageNodeProcess::current_leader`]).
     pub(super) fn on_propose_mastered(
         &mut self,
         from: NodeId,
@@ -378,7 +378,6 @@ impl StorageNodeProcess {
         ctx: &mut MdccCtx<'_>,
     ) {
         let opts: Vec<TxnOption> = proposal.options().collect();
-        self.stats.mastered_options += opts.len() as u64;
         let placement = &self.placement;
         let shards = grouped(opts.iter().map(|o| ([placement.shard_id(&o.key)], o)));
         let mut led_here = Vec::new();
@@ -418,7 +417,11 @@ impl StorageNodeProcess {
                 // classically. Safe regardless of leases — classic Paxos
                 // ballots arbitrate — and keeps writes available through
                 // election windows.
-                self.stats.unleased_options += options as u64;
+                if let Some(ms) = self.mastership.as_mut() {
+                    for _ in 0..options {
+                        ms.note_unleased();
+                    }
+                }
                 led_here.push(shard);
             }
         }

@@ -93,6 +93,10 @@ mdcc_common::counters! {
         pub served: u64,
         /// Mastered requests forwarded to the believed holder.
         pub forwarded: u64,
+        /// Mastered requests led here while this node knew of no live
+        /// lease for their shard (an election window): with `served` and
+        /// `forwarded`, every option that arrived in a `ProposeMastered`.
+        pub unleased: u64,
         /// Cold first-touch mastered commits served without a per-record
         /// Phase1 exchange — the lease ballot carried the promise.
         pub phase1_skipped: u64,
@@ -117,10 +121,11 @@ pub enum Action {
         msg: MsMsg,
     },
     /// This replica's granted lease ballot for `shard` strictly rose:
-    /// the host must enforce `ballot` as the Phase1 promise floor for
-    /// every record acceptor in the shard (lease-carried Phase1), so a
-    /// deposed holder's stale ballots are fenced without per-record
-    /// Phase1a/Phase1b exchanges.
+    /// `ballot` is the shard's new [`Mastership::floor`], which the host
+    /// enforces as the Phase1 promise of every record acceptor in the
+    /// shard (lease-carried Phase1), so a deposed holder's stale ballots
+    /// are fenced without per-record Phase1a/Phase1b exchanges. The host
+    /// logs it, so that a restart can hand it back to [`Mastership::new`].
     FloorRaised {
         /// Shard concerned.
         shard: u32,
@@ -233,8 +238,8 @@ impl Mastership {
     }
 
     /// `shard`'s promise floor: the highest lease ballot this replica
-    /// granted for it, holders of its own tenures included, if it granted
-    /// any. It rises exactly when [`Action::FloorRaised`] is emitted.
+    /// granted for it (its own tenures included), if it granted any. It
+    /// rises exactly when [`Action::FloorRaised`] is emitted.
     pub fn floor(&self, shard: u32) -> Option<Ballot> {
         let granted = self.shards.get(&shard)?.lease.granted();
         (granted != Ballot::default()).then_some(granted)
@@ -259,6 +264,11 @@ impl Mastership {
     /// Records one mastered request forwarded to the believed holder.
     pub fn note_forwarded(&mut self) {
         self.stats.forwarded += 1;
+    }
+
+    /// Records one mastered request led here with no live lease known.
+    pub fn note_unleased(&mut self) {
+        self.stats.unleased += 1;
     }
 
     /// Records a cold first-touch mastered commit that skipped the

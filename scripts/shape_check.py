@@ -60,7 +60,7 @@ FN = re.compile(r"^(\s*)(?:pub(?:\([a-z]+\))? )?(?:const )?fn (\w+)")
 # ceiling when a site goes, never raise one to let a new site in.
 PANIC_CEILINGS = {
     "baselines": 3,
-    "bench": 6,
+    "bench": 5,
     "cluster": 9,
     "mastership": 1,
     "sim": 1,
