@@ -17,7 +17,9 @@
 //! (`Ec2Five`), static and dynamic, printing renewals and leases
 //! acquired: there a grant majority is up to 190 ms away, longer than a
 //! heartbeat tick, and a lease that could not renew across ticks would
-//! be acquired again and again.
+//! be acquired again and again. Each dynamic run also prints `awaited`:
+//! the mastered options a node held for the lease it was making, most
+//! of them at a handoff target whose grants were still out.
 //!
 //! A master-crash drill follows: the initial lease holder of a
 //! single-shard deployment is killed mid-tenure and the commit outage
@@ -180,7 +182,7 @@ fn main() {
         let ms = &report.mastership;
         println!(
             "{label}: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} \
-             elections={} leases={} handoffs={} served={} forwarded={} \
+             elections={} leases={} awaited={} handoffs={} served={} forwarded={} \
              p1_skipped={} p1_covered={}",
             b.median,
             b.q3,
@@ -188,6 +190,7 @@ fn main() {
             report.write_commits(),
             ms.elections,
             ms.leases_acquired,
+            ms.awaited,
             ms.handoffs,
             ms.served,
             ms.forwarded,
@@ -272,7 +275,7 @@ fn main() {
         ec2_commits[i] = report.write_commits();
         println!(
             "{label}: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} elections={} leases={} \
-             renewals={} handoffs={} served={} forwarded={}",
+             renewals={} awaited={} handoffs={} served={} forwarded={}",
             b.median,
             b.q3,
             b.max,
@@ -280,6 +283,7 @@ fn main() {
             ms.elections,
             ms.leases_acquired,
             ms.renewals,
+            ms.awaited,
             ms.handoffs,
             ms.served,
             ms.forwarded,

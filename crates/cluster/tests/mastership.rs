@@ -198,7 +198,8 @@ fn lease_phase1_skips_warm_phase1_and_stays_byte_equal() {
 /// holder one `ProposeMastered` naming all three, a forward passes them
 /// on as one, and a holder that leads them sends each replica one `P2a`
 /// with the three rounds. The lease layer still counts options: each
-/// one routed is served, forwarded or led unleased once per hop.
+/// one routed is served, forwarded or led unleased once per hop, and one
+/// held for the lease a node is making is counted as awaited too.
 #[test]
 fn a_mastered_transaction_reaches_each_node_once() {
     let mut sp = spec(47);
@@ -247,8 +248,8 @@ fn a_mastered_transaction_reaches_each_node_once() {
     eprintln!(
         "{proposals} ProposeMastered for {attempts} attempts and {hints} forwards; \
          {p2a} P2a for {} rounds voted; {routed} options routed: {} served, \
-         {} forwarded, {} with no lease known",
-        nodes.classic_votes, ms.served, ms.forwarded, ms.unleased
+         {} forwarded, {} with no lease known; {} held for a lease",
+        nodes.classic_votes, ms.served, ms.forwarded, ms.unleased, ms.awaited
     );
     // One proposal per attempt, and one more per forward (each forward
     // also teaches the coordinator the route with one hint).
@@ -263,10 +264,17 @@ fn a_mastered_transaction_reaches_each_node_once() {
     );
     // Every option that arrived was served, forwarded or (in an election
     // window) led with no lease known, and counted once per option: more
-    // options than proposals, as a proposal carries several.
+    // options than proposals, as a proposal carries several. An option
+    // held for a lease is released as one of the three, so it is counted
+    // there as well.
     assert!(
         routed > proposals,
         "{routed} options counted for {proposals} proposals: a proposal carries options"
+    );
+    assert!(
+        ms.awaited > 0 && ms.awaited < routed,
+        "{} options held for a lease of {routed} routed: handoff targets hold some",
+        ms.awaited
     );
     assert_eq!(nodes.stray_msgs, 0);
 }

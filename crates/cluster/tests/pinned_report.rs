@@ -333,6 +333,7 @@ fn mastership_report_is_pinned() {
             ms.handoffs,
             ms.served,
             ms.forwarded,
+            ms.awaited,
             ms.phase1_skipped,
             ms.phase1_covered,
             ms.cold_first_commit_rtts,
@@ -352,8 +353,8 @@ fn mastership_report_is_pinned() {
         observed, pinned,
         "(window commits, [committed, aborted, fast commits, collisions, timeouts, classic \
          redirects, repair pulls], [bytes, frames, payload msgs], [elections, leases acquired, \
-         renewals, handoffs, served, forwarded, phase1 skipped, phase1 covered, cold first-commit \
-         rtts], (lease spans, their fingerprint), per-node committed-state digests)"
+         renewals, handoffs, served, forwarded, awaited, phase1 skipped, phase1 covered, cold \
+         first-commit rtts], (lease spans, their fingerprint), per-node committed-state digests)"
     );
 }
 
@@ -460,13 +461,30 @@ fn mastership_report_is_pinned() {
 // record digests: a missed-commit pull names none, and the empty list's
 // count is one byte, so bytes 1 478 679 → below (36 pulls); nothing else
 // moved.
-const PINNED_MS_WRITE_COMMITS: usize = 634;
-const PINNED_MS_TXN_STATS: [u64; 7] = [749, 0, 0, 0, 25, 0, 0];
-const PINNED_MS_NET: [u64; 3] = [1_478_715, 21_855, 24_536];
-const PINNED_MS_COUNTERS: [u64; 9] = [13, 12, 388, 8, 2_128, 279, 466, 54, 574];
-const PINNED_MS_SPANS: (usize, u64) = (12, 16_982_552_147_985_469_161);
+//
+// Re-pinned when a node making a shard's lease began to hold the mastered
+// options it gets for the shard, held for the lease, until it serves
+// (then they go out at the lease ballot with no Phase 1), instead of
+// leading them unleased with a Phase 1 of their own. The counters gain
+// `awaited` (78 options held): of the 128 options led unleased, 47 are
+// left, and a held option counts again as served, forwarded or unleased
+// when it is released. The schedule moves with it: window commits 634 →
+// below; `TxnStats` [749, 0, 0, 0, 25, 0, 0] → below; bytes / frames /
+// payload messages 1 478 715 / 21 855 / 24 536 → below; counters [13,
+// 12, 388, 8, 2 128, 279, 466, 54, 574] → below (without `awaited`);
+// spans 12 → 10, the fingerprint and the digests moved, every replica
+// still on its shard's digest. Most of the bytes are dangling-recovery
+// status queries after the outage (`StatusResp` 120 → 1 065 messages,
+// 47 696 → 285 174 B): this short run swings that way either way from
+// seed to seed (at seeds 1–5 of this configuration bytes per window
+// commit rose at two and fell at three).
+const PINNED_MS_WRITE_COMMITS: usize = 662;
+const PINNED_MS_TXN_STATS: [u64; 7] = [785, 0, 0, 0, 29, 0, 0];
+const PINNED_MS_NET: [u64; 3] = [1_794_215, 22_417, 26_812];
+const PINNED_MS_COUNTERS: [u64; 10] = [11, 10, 401, 7, 2_346, 277, 78, 478, 90, 658];
+const PINNED_MS_SPANS: (usize, u64) = (10, 9_436_991_536_984_340_629);
 // Even nodes replicate shard 0, odd nodes shard 1. At this pin and the
-// one before every replica is on its shard's digest. At the pin before
+// two before every replica is on its shard's digest. At the pin before
 // that node 2, the failed data center's replica of shard 0, was off its
 // shard's digest.
 // At the pin before that every replica was on its shard's digest; at the one
@@ -480,14 +498,14 @@ const PINNED_MS_SPANS: (usize, u64) = (12, 16_982_552_147_985_469_161);
 // FNV-1a over the committed state's encoding, so they change with the
 // codec.
 const PINNED_MS_COMMITTED_DIGESTS: [u64; 10] = [
-    14_417_766_347_625_012_774,
-    16_942_180_072_502_584_881,
-    14_417_766_347_625_012_774,
-    16_942_180_072_502_584_881,
-    14_417_766_347_625_012_774,
-    16_942_180_072_502_584_881,
-    14_417_766_347_625_012_774,
-    16_942_180_072_502_584_881,
-    14_417_766_347_625_012_774,
-    16_942_180_072_502_584_881,
+    7_626_161_491_168_895_133,
+    10_180_399_418_460_921_130,
+    7_626_161_491_168_895_133,
+    10_180_399_418_460_921_130,
+    7_626_161_491_168_895_133,
+    10_180_399_418_460_921_130,
+    7_626_161_491_168_895_133,
+    10_180_399_418_460_921_130,
+    7_626_161_491_168_895_133,
+    10_180_399_418_460_921_130,
 ];

@@ -15,7 +15,7 @@
 //! * **repair initiator** — a restarted node's anti-entropy rounds and
 //!   missed-commit pulls, a sans-IO machine (`node/repair.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use mdcc_common::config::{
@@ -155,6 +155,9 @@ pub struct StorageNodeProcess {
     /// `on_start` seeds the mastership layer with them (empty on a first
     /// boot, and unused with mastership off).
     recovered_floors: Vec<(u32, MsBallot)>,
+    /// Mastered options held, by shard, for the lease this node is
+    /// making (`node/master.rs`); volatile like `parked`.
+    awaited: BTreeMap<u32, master::Awaited>,
     /// Fast proposals that read a version this replica has not reached,
     /// held until the record catches up. Volatile like an in-flight
     /// message: nothing in it was logged, appended or voted on.
@@ -189,6 +192,7 @@ impl StorageNodeProcess {
             store,
             placement,
             recovered_floors: Vec::new(),
+            awaited: BTreeMap::new(),
             leaders: HashMap::new(),
             allow_fast,
             durable: false,

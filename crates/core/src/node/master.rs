@@ -24,6 +24,16 @@
 //! ([`StorageNodeProcess::current_leader`],
 //! [`StorageNodeProcess::drop_quiescent_leaders`]).
 //!
+//! A mastered proposal goes where the shard's lease says
+//! ([`StorageNodeProcess::lease_route`]): served here, forwarded to the
+//! holder, or led with no lease — or held while this node is making the
+//! lease itself, its acquisition out or a predecessor's window still
+//! being waited out. Held options are led at the lease ballot with no
+//! Phase 1 once the node serves, or with a Phase 1 of their own once
+//! that lease is refused or lapses ([`StorageNodeProcess::release_awaited`],
+//! after each mastership input). At a handoff this is where the options
+//! the old holder forwards land while the target's grants are out.
+//!
 //! The classic path travels once per (transaction, node): a proposal
 //! carries every option its coordinator routed to this node, and the
 //! Phase2a rounds a handler's leaders emit leave together, one `P2a` per
@@ -76,6 +86,32 @@ pub(super) fn recovered_floors(leases: RecoveredLeases) -> Vec<(u32, MsBallot)> 
     floors
         .map(|(s, (n, pid))| (s, MsBallot::new(n, pid)))
         .collect()
+}
+
+/// Mastered options held for one shard's lease while this node makes
+/// it, and the lease ballot they wait for. Volatile like an in-flight
+/// message: a crash forgets it, and the coordinators' retries stand in
+/// for what it held. It lasts no longer than the lease it waits for
+/// takes to serve or to fail.
+pub(super) struct Awaited {
+    ballot: MsBallot,
+    /// Each `ProposeMastered`'s options of the shard, with its sender and
+    /// origin data center, in arrival order.
+    held: Vec<(NodeId, DcId, Vec<TxnOption>)>,
+}
+
+/// Where a shard's mastered options go at this node now.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// This node serves the shard's lease: lead them under it.
+    Serve,
+    /// Another node holds it, as far as this one knows: forward them.
+    Forward(NodeId),
+    /// This node is making the lease with this ballot: hold them until
+    /// it serves, or until it cannot.
+    Await(MsBallot),
+    /// No lease is known or being made here: lead them regardless.
+    Unleased,
 }
 
 impl StorageNodeProcess {
@@ -246,7 +282,8 @@ impl StorageNodeProcess {
 
     /// Emits the mastership layer's queued sends as wrapped messages
     /// and absorbs its host-level effects: a raised floor is logged, and
-    /// a handoff drops the shard's idle leaders.
+    /// a handoff drops the shard's idle leaders. Then the options held
+    /// for a lease are looked at again: the input may have made it.
     pub(super) fn flush_ms_actions(&mut self, out: Vec<MsAction>, ctx: &mut MdccCtx<'_>) {
         for action in out {
             match action {
@@ -257,6 +294,7 @@ impl StorageNodeProcess {
                 MsAction::Relinquished { shard, .. } => self.drop_quiescent_leaders(shard),
             }
         }
+        self.release_awaited(ctx);
     }
 
     /// `key`'s leader, built from the record if this node has none, and
@@ -363,13 +401,18 @@ impl StorageNodeProcess {
     }
 
     /// A classic proposal routed by shard lease (`Msg::ProposeMastered`):
-    /// for each shard it names, serve the shard's options, forward them to
-    /// the holder as one proposal, or lead them regardless; then lead
-    /// what stays here, in proposal order. Served, forwarded and unleased
-    /// ([`mdcc_mastership::MastershipStats`]) count options. The holder
-    /// leads every record of its shard: a record promised above the lease
-    /// inside its tenure Nacks the holder's Phase2a, and the holder's own
-    /// Phase 1 re-establishes it ([`StorageNodeProcess::current_leader`]).
+    /// for each shard it names, [`Self::lease_route`] decides where the
+    /// shard's options go — served here, forwarded to the holder as one
+    /// proposal, held for the lease this node is making, or led
+    /// regardless — and [`Self::settle`] sends them there; then what stays
+    /// here is led, in proposal order. Options held earlier go first: the
+    /// same decision is re-made for them after each mastership input
+    /// ([`Self::release_awaited`]). Served, forwarded, awaited and
+    /// unleased ([`mdcc_mastership::MastershipStats`]) count options. The
+    /// holder leads every record of its shard: a record promised above
+    /// the lease inside its tenure Nacks the holder's Phase2a, and the
+    /// holder's own Phase 1 re-establishes it
+    /// ([`StorageNodeProcess::current_leader`]).
     pub(super) fn on_propose_mastered(
         &mut self,
         from: NodeId,
@@ -377,57 +420,128 @@ impl StorageNodeProcess {
         proposal: Proposal,
         ctx: &mut MdccCtx<'_>,
     ) {
+        self.release_awaited(ctx);
         let opts: Vec<TxnOption> = proposal.options().collect();
         let placement = &self.placement;
         let shards = grouped(opts.iter().map(|o| ([placement.shard_id(&o.key)], o)));
         let mut led_here = Vec::new();
         for (shard, group) in shards {
-            let (serving, holder) = match &self.mastership {
-                Some(ms) => (ms.is_serving(shard, ctx.now), ms.holder(shard, ctx.now)),
-                None => (false, None),
-            };
-            let options = group.len();
-            let forward = holder.filter(|n| *n != ctx.self_id);
-            if serving {
-                if let Some(ms) = self.mastership.as_mut() {
-                    for _ in 0..options {
-                        ms.note_served(shard, origin_dc);
-                    }
-                }
-                led_here.push(shard);
-            } else if let (Some(node), Some(proposal)) = (forward, Proposal::of(group)) {
-                // Not the holder, but we know who is: forward the shard's
-                // options and teach their coordinator the route.
-                if let Some(ms) = self.mastership.as_mut() {
-                    for _ in 0..options {
-                        ms.note_forwarded();
-                    }
-                }
-                ctx.send(opts[0].txn.coordinator, Msg::MasterHint { shard, node });
-                ctx.send(
-                    node,
-                    Msg::ProposeMastered {
-                        origin_dc,
-                        proposal,
-                    },
-                );
-            } else {
-                // No live lease this node knows of (election still in
-                // progress, or mastership disabled here): lead
-                // classically. Safe regardless of leases — classic Paxos
-                // ballots arbitrate — and keeps writes available through
-                // election windows.
-                if let Some(ms) = self.mastership.as_mut() {
-                    for _ in 0..options {
-                        ms.note_unleased();
-                    }
-                }
+            let route = self.lease_route(shard, ctx);
+            if self.settle(route, shard, (from, origin_dc), group, ctx) {
                 led_here.push(shard);
             }
         }
         for opt in opts {
             if led_here.contains(&self.placement.shard_id(&opt.key)) {
                 self.lead_classic(from, opt, ctx);
+            }
+        }
+    }
+
+    /// Where `shard`'s mastered options go at this node now — the one
+    /// decision for an option that arrives and for one held here. A node
+    /// that is making the lease ([`Mastership::awaiting`]) holds them
+    /// until it serves, then leads them at the lease ballot with no
+    /// Phase 1: leading them now would run a Phase 1 that competes with
+    /// the lease about to carry it. They wait for one lease ballot: once
+    /// that acquisition is refused or lapses, they are led as a node with
+    /// no lease leads them, even if the node is already making another.
+    fn lease_route(&self, shard: u32, ctx: &MdccCtx<'_>) -> Route {
+        let Some(ms) = &self.mastership else {
+            return Route::Unleased;
+        };
+        let now = ctx.now;
+        if ms.is_serving(shard, now) {
+            return Route::Serve;
+        }
+        if let Some(node) = ms.holder(shard, now).filter(|n| *n != ctx.self_id) {
+            return Route::Forward(node);
+        }
+        let held = self.awaited.get(&shard).map(|w| w.ballot);
+        match ms.awaiting(shard, now) {
+            Some(ballot) if held.is_none_or(|b| b == ballot) => Route::Await(ballot),
+            // No live lease this node knows of or is making (election
+            // still in progress), or the one it was making did not come:
+            // lead classically. Safe regardless of leases — classic
+            // Paxos ballots arbitrate — and keeps writes available
+            // through election windows.
+            _ => Route::Unleased,
+        }
+    }
+
+    /// Sends one `ProposeMastered`'s options of `shard` where `route`
+    /// says, counting each; returns whether they are to be led here.
+    fn settle(
+        &mut self,
+        route: Route,
+        shard: u32,
+        (from, origin_dc): (NodeId, DcId),
+        options: Vec<&TxnOption>,
+        ctx: &mut MdccCtx<'_>,
+    ) -> bool {
+        let Some(ms) = self.mastership.as_mut() else {
+            return true;
+        };
+        for _ in &options {
+            match route {
+                Route::Serve => ms.note_served(shard, origin_dc),
+                Route::Forward(_) => ms.note_forwarded(),
+                Route::Await(_) => ms.note_awaited(),
+                Route::Unleased => ms.note_unleased(),
+            }
+        }
+        match route {
+            Route::Serve | Route::Unleased => return true,
+            Route::Forward(node) => {
+                // Not the holder, but we know who is: forward the shard's
+                // options and teach their coordinator the route.
+                // (Options of one proposal always make one: the `else`
+                // leads them rather than drop them.)
+                let coordinator = options.first().map(|o| o.txn.coordinator);
+                let (Some(coordinator), Some(proposal)) = (coordinator, Proposal::of(options))
+                else {
+                    return true;
+                };
+                ctx.send(coordinator, Msg::MasterHint { shard, node });
+                let msg = Msg::ProposeMastered {
+                    origin_dc,
+                    proposal,
+                };
+                ctx.send(node, msg);
+            }
+            Route::Await(ballot) => {
+                let held = (from, origin_dc, options.into_iter().cloned().collect());
+                let awaited = self.awaited.entry(shard).or_insert_with(|| Awaited {
+                    ballot,
+                    held: Vec::new(),
+                });
+                awaited.held.push(held);
+            }
+        }
+        false
+    }
+
+    /// Re-makes the decision for the options held for a lease, after each
+    /// mastership input and before a new proposal: a shard whose route
+    /// is no longer to wait has its options settled as they arrived,
+    /// shard by shard in id order and in arrival order within one.
+    fn release_awaited(&mut self, ctx: &mut MdccCtx<'_>) {
+        let shards: Vec<u32> = self.awaited.keys().copied().collect();
+        for shard in shards {
+            let route = self.lease_route(shard, ctx);
+            if matches!(route, Route::Await(_)) {
+                continue;
+            }
+            let Some(awaited) = self.awaited.remove(&shard) else {
+                continue;
+            };
+            for (from, origin_dc, options) in awaited.held {
+                let held = options.iter().collect();
+                if self.settle(route, shard, (from, origin_dc), held, ctx) {
+                    for opt in options {
+                        self.lead_classic(from, opt, ctx);
+                    }
+                }
             }
         }
     }

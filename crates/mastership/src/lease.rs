@@ -384,6 +384,24 @@ impl Lease {
             .map(|h| h.ballot)
     }
 
+    /// The ballot of the lease this node is making, while it can still
+    /// come to serve under it: the lease it holds but may not serve under
+    /// yet, until that lease ends, else the one its pending acquisition
+    /// asks for, until the end asked for. `None` while it serves.
+    pub(crate) fn awaiting(&self, now: SimTime) -> Option<Ballot> {
+        if self.serving(now).is_some() {
+            return None;
+        }
+        let unserved = self.holding.as_ref().filter(|h| now < h.serve_from);
+        let unserved = unserved.map(|h| (h.ballot, h.expiry));
+        let pending = self.pending.as_ref().map(|p| (p.ballot, p.expiry));
+        let making = [unserved, pending].into_iter().flatten();
+        making
+            .filter(|(_, until)| now < *until)
+            .map(|(b, _)| b)
+            .next()
+    }
+
     /// The ballot of the lease this node holds, serving or not.
     pub(crate) fn held(&self) -> Option<Ballot> {
         self.holding.as_ref().map(|h| h.ballot)
@@ -662,6 +680,36 @@ mod tests {
             })
         );
         assert_eq!(holder.held(), None);
+    }
+
+    /// A node is making the lease from its acquisition until it serves:
+    /// while the grants are out, and while a predecessor's acked window
+    /// is waited out, as long as the lease it makes has not ended.
+    #[test]
+    fn a_lease_is_awaited_until_it_serves_or_cannot() {
+        let mut candidate = Lease::new(NodeId(2), 3, Ballot::default());
+        let b = Ballot::new(2, 2);
+        assert_eq!(candidate.awaiting(ms(0)), None, "making no lease");
+        let begun = candidate.begin(b, None, ms(100));
+        assert_eq!(candidate.awaiting(ms(100)), Some(b));
+        assert_eq!(candidate.awaiting(begun.expiry), None, "lapsed");
+        let prev = Some((Ballot::new(1, 4), ms(700)));
+        candidate.on_grant(NodeId(0), b, begun.expiry, prev, ms(150));
+        candidate.on_grant(NodeId(1), b, begun.expiry, None, ms(160));
+        assert_eq!(candidate.serving(ms(499)), None);
+        assert_eq!(candidate.awaiting(ms(499)), Some(b));
+        assert_eq!(candidate.awaiting(begun.expiry), None, "ended unserved");
+        // Renewals while it waits extend the lease it is making.
+        candidate.begin(b, None, ms(400));
+        candidate.on_grant(NodeId(0), b, ms(800), None, ms(450));
+        candidate.on_grant(NodeId(1), b, ms(800), None, ms(460));
+        assert_eq!(candidate.awaiting(ms(699)), Some(b));
+        assert_eq!(candidate.awaiting(ms(700)), None, "serving");
+        // A refusal ends the acquisition, and with it the wait.
+        let mut refused = Lease::new(NodeId(2), 3, Ballot::default());
+        refused.begin(b, None, ms(100));
+        refused.on_reject(Ballot::new(3, 4));
+        assert_eq!(refused.awaiting(ms(110)), None);
     }
 
     /// Self-deposition: one lease duration past the expiry, not before.

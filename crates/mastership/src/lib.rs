@@ -94,9 +94,16 @@ mdcc_common::counters! {
         /// Mastered requests forwarded to the believed holder.
         pub forwarded: u64,
         /// Mastered requests led here while this node knew of no live
-        /// lease for their shard (an election window): with `served` and
-        /// `forwarded`, every option that arrived in a `ProposeMastered`.
+        /// lease for their shard and was making none itself (an election
+        /// window), or past the deadline of the lease it held them for:
+        /// with `served` and `forwarded`, every option that arrived in a
+        /// `ProposeMastered`, each counted once.
         pub unleased: u64,
+        /// Mastered requests held for the lease this node was making
+        /// ([`Mastership::awaiting`]) instead of led with a Phase 1 of
+        /// their own. Each is counted again, once, as `served`,
+        /// `forwarded` or `unleased` when it is released.
+        pub awaited: u64,
         /// Cold first-touch mastered commits served without a per-record
         /// Phase1 exchange — the lease ballot carried the promise.
         pub phase1_skipped: u64,
@@ -230,11 +237,16 @@ impl Mastership {
         Some(self.shards.get(&shard)?.best_lease(now)?.node)
     }
 
-    /// Election ballot number of the lease this node holds for `shard`
-    /// — seeds the classic-paxos ballot floor so a fresh master's
-    /// Phase1a immediately outranks its predecessor's ballots.
-    pub fn ballot_floor(&self, shard: u32) -> Option<u32> {
-        Some(self.shards.get(&shard)?.lease.held()?.n)
+    /// The lease ballot this node is making for `shard`, while it can
+    /// still come to serve under it: its own acquisition of that ballot is
+    /// pending, until the end of the lease asked for, or it holds the
+    /// lease but may not serve under it yet (a predecessor's acked window
+    /// is still being waited out), until the lease ends. `None` while it
+    /// serves and while it makes no lease. Mastered work that arrives
+    /// meanwhile can wait for the lease instead of running a Phase 1 that
+    /// competes with it.
+    pub fn awaiting(&self, shard: u32, now: SimTime) -> Option<Ballot> {
+        self.shards.get(&shard)?.lease.awaiting(now)
     }
 
     /// `shard`'s promise floor: the highest lease ballot this replica
@@ -269,6 +281,12 @@ impl Mastership {
     /// Records one mastered request led here with no live lease known.
     pub fn note_unleased(&mut self) {
         self.stats.unleased += 1;
+    }
+
+    /// Records one mastered request held for the lease this node is
+    /// making.
+    pub fn note_awaited(&mut self) {
+        self.stats.awaited += 1;
     }
 
     /// Records a cold first-touch mastered commit that skipped the
@@ -431,7 +449,7 @@ mod tests {
             assert!(!n.is_serving(0, t), "{:?} must not serve", n.me);
             assert_eq!(n.holder(0, t), Some(NodeId(4)));
         }
-        assert_eq!(nodes[4].ballot_floor(0), Some(1));
+        assert_eq!(nodes[4].serving_ballot(0, t), Some(1));
     }
 
     /// A replica that granted an old lease reports its expiry; a new

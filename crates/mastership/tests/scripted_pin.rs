@@ -203,7 +203,7 @@ fn scripted_five_node_scenario_is_pinned() {
     s.step(200);
     for shard in SHARDS {
         assert_eq!(s.serving(shard, ms(211)), [4]);
-        assert_eq!(s.nodes[4].ballot_floor(shard), Some(1));
+        assert_eq!(s.nodes[4].serving_ballot(shard, ms(211)), Some(1));
         assert_eq!(s.nodes[0].holder(shard, ms(211)), Some(NodeId(4)));
     }
     assert_eq!(s.stats(4).elections, 2);
@@ -235,7 +235,7 @@ fn scripted_five_node_scenario_is_pinned() {
         s.step(t);
     }
     assert_eq!(s.serving(7, ms(1_011)), [4]);
-    assert_eq!(s.nodes[4].ballot_floor(7), Some(6));
+    assert_eq!(s.nodes[4].serving_ballot(7, ms(1_011)), Some(6));
 
     // Access-driven handoff: data center 1 dominates shard 3's traffic.
     let t = s.migrate(4, 3, 1, 1_100);
