@@ -101,7 +101,7 @@ pub(super) struct Awaited {
 }
 
 /// Where a shard's mastered options go at this node now.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Route {
     /// This node serves the shard's lease: lead them under it.
     Serve,
