@@ -260,7 +260,7 @@ fn a_handoff_target_leads_what_it_held_at_the_lease_ballot() {
 fn a_held_option_is_led_as_before_once_the_lease_cannot_come() {
     for refused in [true, false] {
         let mut cluster = Cluster::new();
-        let acquires = cluster.hand_off(10);
+        cluster.hand_off(10);
         let (_, propose) = cluster.commit(20);
         assert!(cluster.deliver(propose, 30).is_empty());
         let sent = if refused {
@@ -293,7 +293,6 @@ fn a_held_option_is_led_as_before_once_the_lease_cannot_come() {
             led.extend(cluster.deliver(mail, 520));
         }
         assert_eq!(p2a(&led), [ballots[0]; 5], "refused={refused}: {led:?}");
-        drop(acquires);
     }
 }
 
@@ -305,7 +304,8 @@ fn a_crash_forgets_the_held_options_and_the_retry_commits() {
     let mut cluster = Cluster::new();
     let acquires = cluster.hand_off(10);
     let (txn, propose) = cluster.commit(20);
-    let _held = cluster.deliver(propose, 30);
+    // (It holds the option; a node without the wait has led it.)
+    cluster.deliver(propose, 30);
     // Crash and restart from the checkpoint and the log.
     let (store, _, leases) =
         recover_store(protocol(), Arc::new(Catalog::new()), &cluster.disks[2]).expect("clean");
