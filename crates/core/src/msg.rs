@@ -8,7 +8,7 @@
 
 use mdcc_common::{DcId, Key, NodeId, Row, TxnId, Version};
 use mdcc_mastership::MsMsg;
-use mdcc_paxos::acceptor::{Phase1b, Phase2aRounds, Phase2b, RecordSnapshot, VoteVerdict};
+use mdcc_paxos::acceptor::{Phase1a, Phase2aRounds, Phase2b, Promise, RecordSnapshot, VoteVerdict};
 use mdcc_paxos::{Ballot, Proposal, TxnOutcome};
 use mdcc_sim::{Ctx, TimerPayload};
 use mdcc_storage::{RangePull, SyncItem, SyncRange};
@@ -216,19 +216,20 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Leader ↔ acceptors (classic ballots).
     // ------------------------------------------------------------------
-    /// Phase1a broadcast.
+    /// Phase1a broadcast: the new classic ballot, and the instance and
+    /// cstruct digest the leader holds, which promises leave out.
     P1a {
         /// Record concerned.
         key: Key,
-        /// New classic ballot.
-        ballot: Ballot,
+        /// Ballot and what the leader holds.
+        payload: Phase1a,
     },
-    /// Phase1b response.
+    /// Phase1b response, without what the Phase1a named.
     P1b {
         /// Record concerned.
         key: Key,
         /// Promise payload.
-        payload: Phase1b,
+        payload: Promise,
     },
     /// Phase2a: every round the sender's leaders broadcast in one
     /// handler to the records the destination replicates, each naming

@@ -95,6 +95,10 @@ mdcc_common::counters! {
         /// settled every record of it here; see [`Msg::Visibility`]), or
         /// the position falls outside the write-set.
         pub unresolved_visibilities: u64,
+        /// Recovery rounds in the record's instance and promise whose
+        /// base, named by digest, matched neither its cstruct nor the
+        /// copy its promise reported: each was asked for whole.
+        pub unresolved_bases: u64,
         /// Messages delivered here that a storage node has no use for and
         /// drops (TM-side kinds): each was encoded, framed, queued and
         /// charged for nothing. Zero unless a sender targets a node that
@@ -162,6 +166,10 @@ pub struct StorageNodeProcess {
     /// held until the record catches up. Volatile like an in-flight
     /// message: nothing in it was logged, appended or voted on.
     parked: Parked,
+    /// The cstruct each record's open promise reported, with the promised
+    /// ballot, until a round at that ballot or above arrives: a recovery
+    /// round may name it by digest (`node/master.rs`). Volatile.
+    reported: HashMap<Key, (Ballot, mdcc_paxos::CStruct)>,
     /// Phase2a rounds this node's leaders emitted in the handler under
     /// way, sent when it ends ([`Self::send_rounds`]).
     rounds: Vec<(Key, Phase2a)>,
@@ -203,6 +211,7 @@ impl StorageNodeProcess {
             mastership: None,
             lease_audit: None,
             parked: Parked::new(),
+            reported: HashMap::new(),
             rounds: Vec::new(),
             answers: Vec::new(),
         }
@@ -676,7 +685,7 @@ impl Process<Msg, Tick> for StorageNodeProcess {
             } => self.on_propose_mastered(from, origin_dc, proposal, ctx),
             Msg::Mastership(inner) => self.on_mastership(from, inner, ctx),
             Msg::StartRecovery { key } => self.lead_recovery(&key, ctx),
-            Msg::P1a { key, ballot } => self.on_phase1a(from, key, ballot, ctx),
+            Msg::P1a { key, payload } => self.on_phase1a(from, key, payload, ctx),
             Msg::P1b { key, payload } => self.on_phase1b(from, key, payload, ctx),
             Msg::P2a { rounds } => {
                 for (key, round) in rounds.0 {

@@ -39,12 +39,22 @@
 //! Phase2a rounds a handler's leaders emit leave together, one `P2a` per
 //! replica node ([`StorageNodeProcess::send_rounds`], run by the
 //! handler's one flush with the verdicts its acceptors gave).
+//!
+//! Phase 1 ships a cstruct only to or from a replica that lacks it. A
+//! Phase1a names the instance and cstruct digest of this node's replica
+//! and a promise leaves out what that names
+//! ([`StorageNodeProcess::on_phase1a`]); the recovery round names its
+//! proved-safe base by digest to each promiser that reported exactly it
+//! ([`StorageNodeProcess::send_rounds`]). Such an acceptor holds that
+//! cstruct as its own or as the copy its promise reported, kept here
+//! while the promise is open, and puts it back before the WAL sees the
+//! round ([`StorageNodeProcess::resolve_base`]).
 
 use mdcc_common::{DcId, Key, NodeId, SimDuration};
 use mdcc_mastership::{
     Action as MsAction, Ballot as MsBallot, Mastership, MsMsg, HEARTBEAT_INTERVAL,
 };
-use mdcc_paxos::acceptor::{ClassicAccept, Phase1b, Phase2a, Phase2aRounds};
+use mdcc_paxos::acceptor::{Base, ClassicAccept, Phase1a, Phase2a, Phase2aRounds, Promise};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
 use mdcc_paxos::{Ballot, CStruct, LeaderRecord, Proposal, TxnOption};
 use mdcc_recovery::{RecoveredLeases, WalRecord};
@@ -342,9 +352,16 @@ impl StorageNodeProcess {
                     // Ballot acquisition: closes when a Phase1b quorum
                     // makes this node the record's leader.
                     self.trace_begin(key, Phase::Phase1, ctx);
+                    let local = self
+                        .store
+                        .with_record(key, |r| (r.version(), r.cstruct().clone()));
+                    let Some(leader) = self.leaders.get_mut(key) else {
+                        continue;
+                    };
+                    let payload = leader.phase1a(ballot, local);
                     for &node in &replicas {
                         let key = key.clone();
-                        ctx.send(node, Msg::P1a { key, ballot });
+                        ctx.send(node, Msg::P1a { key, payload });
                     }
                 }
                 LeaderAction::Phase2a(round) => {
@@ -366,12 +383,25 @@ impl StorageNodeProcess {
 
     /// Sends the Phase2a rounds this node's leaders emitted in the handler
     /// now ending: each replica node one `P2a` holding every round of a
-    /// record it replicates, in the order they were led.
+    /// record it replicates, in the order they were led. A recovery round
+    /// names its proved-safe base by digest to a node whose promise
+    /// reported exactly that cstruct ([`LeaderRecord::names_base_to`]).
     pub(super) fn send_rounds(&mut self, ctx: &mut MdccCtx<'_>) {
         let rounds = std::mem::take(&mut self.rounds);
         let placement = &self.placement;
         let routed = rounds.into_iter().map(|r| (placement.replicas(&r.0), r));
-        for (node, rounds) in grouped(routed) {
+        for (node, mut rounds) in grouped(routed) {
+            for (key, round) in &mut rounds {
+                let Base::ProvedSafe(safe) = &round.base else {
+                    continue;
+                };
+                let at = self.placement.acceptor_index(key, node);
+                let leader = self.leaders.get(key);
+                let named = at.and_then(|at| leader?.names_base_to(at));
+                if named == Some(safe.digest()) {
+                    round.base = Base::NamedSafe(safe.digest());
+                }
+            }
             let rounds = Phase2aRounds(rounds);
             ctx.send(node, Msg::P2a { rounds });
         }
@@ -554,21 +584,32 @@ impl StorageNodeProcess {
         self.flush_ms_actions(out, ctx);
     }
 
+    /// A Phase1a: the promise is logged as the ballot alone and answered
+    /// without what the Phase1a names ([`mdcc_paxos::Phase1b::leave_out`]).
+    /// The cstruct it reports is kept while the promise is open: the
+    /// recovery round may name it by digest although an outcome changed
+    /// the record since.
     pub(super) fn on_phase1a(
         &mut self,
         from: NodeId,
         key: Key,
-        ballot: Ballot,
+        named: Phase1a,
         ctx: &mut MdccCtx<'_>,
     ) {
         self.enforce_floor(&key, ctx);
+        let ballot = named.ballot;
         self.wal_append(ctx, |_| {
             [WalRecord::Phase1a {
                 key: key.clone(),
                 ballot,
             }]
         });
-        let payload = self.store.phase1a(&key, ballot);
+        let promise = self.store.phase1a(&key, ballot);
+        if let Some((_, held)) = (promise.accepted.as_ref()).filter(|_| promise.promised == ballot)
+        {
+            self.reported.insert(key.clone(), (ballot, held.clone()));
+        }
+        let payload = promise.leave_out(&named);
         ctx.send(from, Msg::P1b { key, payload });
     }
 
@@ -576,7 +617,7 @@ impl StorageNodeProcess {
         &mut self,
         from: NodeId,
         key: Key,
-        payload: Phase1b,
+        payload: Promise,
         ctx: &mut MdccCtx<'_>,
     ) {
         let Some(idx) = self.placement.acceptor_index(&key, from) else {
@@ -627,19 +668,42 @@ impl StorageNodeProcess {
         self.store.with_record(key, |r| r.refuses_base(payload))?
     }
 
+    /// Puts back the proved-safe cstruct a recovery round names by digest
+    /// from the record's cstruct or the copy its promise reported
+    /// ([`mdcc_paxos::AcceptorRecord::resolve_base`], whose error is the
+    /// answer when neither has it). A round at the promise's ballot or
+    /// above closes the promise and drops the copy.
+    fn resolve_base(&mut self, key: &Key, payload: &mut Phase2a) -> Result<(), ClassicAccept> {
+        let open = self.reported.get(key).map(|(b, _)| *b);
+        let copy = match open {
+            Some(b) if payload.ballot >= b => self.reported.remove(key).map(|(_, c)| c),
+            _ => None,
+        };
+        let copy = copy.as_ref();
+        if !matches!(payload.base, Base::NamedSafe(_)) {
+            return Ok(());
+        }
+        let resolved = self
+            .store
+            .with_record(key, |r| r.resolve_base(payload, copy));
+        resolved.unwrap_or(Err(ClassicAccept::Behind))
+    }
+
     /// A Phase2a arrived: the lean broadcast, or the leader's answer to
-    /// this node's `P2aBehind`. Two answers are given ahead of the WAL,
+    /// this node's `P2aBehind`. Some answers are given ahead of the WAL,
     /// with nothing logged or mutated: the ask, when the record has not
     /// reached the instance and the payload carries no snapshot to get
-    /// there from, and the base check's Nack. What is logged is what the
-    /// acceptor went on to judge. The vote goes to the coordinators that
-    /// can still learn from it and not back to `from`: a master is no
-    /// learner.
+    /// there from; the base check's Nack; and whatever a recovery round
+    /// whose named base this node cannot put back gets (an ask, or the
+    /// Nack or `Stale` it would get whole). What is logged is what the
+    /// acceptor went on to judge, with a named base put back. The vote
+    /// goes to the coordinators that can still learn from it and not back
+    /// to `from`: a master is no learner.
     pub(super) fn on_phase2a(
         &mut self,
         from: NodeId,
         key: Key,
-        payload: Phase2a,
+        mut payload: Phase2a,
         ctx: &mut MdccCtx<'_>,
     ) {
         self.enforce_floor(&key, ctx);
@@ -650,15 +714,27 @@ impl StorageNodeProcess {
         if let Some(promised) = self.refused_base(&key, &payload) {
             return ctx.send(from, Msg::P2aNack { key, promised });
         }
-        self.wal_append(ctx, |at| {
-            [WalRecord::ClassicAccept {
-                at,
-                key: key.clone(),
-                payload: Box::new(payload.clone()),
-            }]
-        });
         let before = self.store.version_of(&key);
-        match self.store.classic_accept(&key, payload, ctx.now) {
+        let judged = match self.resolve_base(&key, &mut payload) {
+            // A named base this node cannot put back: answered with
+            // nothing logged, as an ask or a refused base is.
+            Err(answer) => {
+                let asks = matches!(answer, ClassicAccept::Behind);
+                self.stats.unresolved_bases += u64::from(asks);
+                answer
+            }
+            Ok(()) => {
+                self.wal_append(ctx, |at| {
+                    [WalRecord::ClassicAccept {
+                        at,
+                        key: key.clone(),
+                        payload: Box::new(payload.clone()),
+                    }]
+                });
+                self.store.classic_accept(&key, payload, ctx.now)
+            }
+        };
+        match judged {
             ClassicAccept::Vote(vote) => {
                 self.stats.classic_votes += 1;
                 self.fan_out_vote(&key, &vote, None);
@@ -672,7 +748,8 @@ impl StorageNodeProcess {
                 ctx.send(from, Msg::P2aStale { key, snapshot });
             }
             ClassicAccept::Behind => {
-                // The pre-check above asks first; answer the same way.
+                // The named base's ask; the record's being behind is
+                // asked about above, before anything else.
                 let key = key.clone();
                 ctx.send(from, Msg::P2aBehind { key, ballot });
             }

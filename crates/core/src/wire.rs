@@ -32,7 +32,7 @@ wire!(enum Msg, "msg tag" {
     6 => InstanceFull { key, txn },
     7 => AlreadyResolved { key, txn, outcome },
     8 => GoFast { key, txn },
-    9 => P1a { key, ballot },
+    9 => P1a { key, payload },
     10 => P1b { key, payload },
     11 => P2a { rounds },
     12 => P2aNack { key, promised },
@@ -195,7 +195,8 @@ mod tests {
     use mdcc_common::wire::{frame, from_bytes, to_bytes};
     use mdcc_common::{Key, TxnId};
     use mdcc_paxos::acceptor::{
-        Base, Phase1b, Phase2a, Phase2aRounds, Phase2b, RecordSnapshot, VoteVerdict,
+        Base, Committed, Phase1a, Phase1b, Phase2a, Phase2aRounds, Phase2b, Promise,
+        RecordSnapshot, VoteVerdict,
     };
     use mdcc_paxos::{Ballot, TxnOutcome};
     use mdcc_sim::TimerPayload;
@@ -265,12 +266,33 @@ mod tests {
         }
     }
 
+    /// The Phase1a of a leader that holds `cstruct` in `snapshot`'s
+    /// instance.
+    fn phase1a(cstruct: &CStruct, snapshot: &RecordSnapshot) -> Phase1a {
+        Phase1a {
+            ballot: Ballot::classic(4, NodeId(1)),
+            version: snapshot.version,
+            digest: cstruct.digest(),
+        }
+    }
+
+    /// The whole promise of an acceptor that accepted `cstruct` in
+    /// `snapshot`'s instance.
+    fn promise(cstruct: &CStruct, snapshot: &RecordSnapshot) -> Phase1b {
+        Phase1b {
+            promised: Ballot::classic(4, NodeId(1)),
+            accepted: Some((Ballot::fast(1, NodeId(0)), cstruct.clone())),
+            snapshot: snapshot.clone(),
+        }
+    }
+
     fn p2a(rounds: Vec<(Key, Phase2a)>) -> Msg {
         let rounds = Phase2aRounds(rounds);
         Msg::P2a { rounds }
     }
 
-    fn samples() -> Vec<Msg> {
+    /// The cstruct and snapshot the samples carry.
+    fn sample_state() -> (CStruct, RecordSnapshot) {
         let mut cstruct = CStruct::new();
         cstruct.append(opt(4), OptionStatus::Accepted);
         let snapshot = RecordSnapshot {
@@ -278,6 +300,11 @@ mod tests {
             value: Some(Row::new().with("stock", 7)),
             folded: vec![TxnId::new(NodeId(1), 9)],
         };
+        (cstruct, snapshot)
+    }
+
+    fn samples() -> Vec<Msg> {
+        let (cstruct, snapshot) = sample_state();
         vec![
             propose(&opt(1)),
             Msg::Propose(Proposal::of(&three()).expect("one transaction")),
@@ -436,15 +463,18 @@ mod tests {
             },
             Msg::P1a {
                 key: key("a"),
-                ballot: Ballot::classic(4, NodeId(1)),
+                payload: phase1a(&cstruct, &snapshot),
             },
             Msg::P1b {
                 key: key("a"),
-                payload: Phase1b {
-                    promised: Ballot::classic(4, NodeId(1)),
-                    accepted: Some((Ballot::fast(1, NodeId(0)), cstruct.clone())),
-                    snapshot: snapshot.clone(),
-                },
+                payload: promise(&cstruct, &snapshot).into(),
+            },
+            // The promise to the leader that named that very cstruct, in
+            // that very instance: the cstruct and the committed value are
+            // left out.
+            Msg::P1b {
+                key: key("a"),
+                payload: promise(&cstruct, &snapshot).leave_out(&phase1a(&cstruct, &snapshot)),
             },
             p2a(vec![(
                 key("a"),
@@ -476,6 +506,14 @@ mod tests {
                 },
             )]),
             p2a(vec![(key("a"), append(vec![opt(15), opt(16)]))]),
+            p2a(vec![(
+                key("a"),
+                Phase2a {
+                    base: Base::NamedSafe(cstruct.digest()),
+                    close_instance: true,
+                    ..append(Vec::new())
+                },
+            )]),
             Msg::P2aBehind {
                 key: key("a"),
                 ballot: Ballot::classic(4, NodeId(1)),
@@ -638,10 +676,13 @@ mod tests {
         // such entries added; and from 0xfe7e_855d_46fe_69b0 when a
         // `SyncRangePull` range began to carry the puller's held record
         // digests, with a pull naming nothing held and one naming two
-        // digests as its sample.
+        // digests as its sample; and from 0xd5c1_8987_f0c1_5dde when a
+        // `P1a` began to name the leader's instance and cstruct digest, a
+        // `P1b` to leave out what that names and a recovery round's base
+        // to be named by digest, with a lean `P1b` and a named base added.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0xd5c1_8987_f0c1_5dde, "{digest:#018x}");
+        assert_eq!(digest, 0x08b6_48ca_c638_9da6, "{digest:#018x}");
     }
 
     #[test]
@@ -683,6 +724,58 @@ mod tests {
         flagged[head] = 1;
         assert!(from_bytes::<Msg>(&by_key).is_ok());
         assert!(from_bytes::<Msg>(&flagged).is_err());
+    }
+
+    #[test]
+    fn phase_one_leaves_out_what_the_receiver_holds_and_refuses_unknown_tags() {
+        let (cstruct, snapshot) = sample_state();
+        let (p1a, whole) = (phase1a(&cstruct, &snapshot), promise(&cstruct, &snapshot));
+        let frame = |payload: Promise| {
+            to_bytes(&Msg::P1b {
+                key: key("a"),
+                payload,
+            })
+        };
+        let lean = frame(whole.clone().leave_out(&p1a));
+        let full = frame(whole.clone().into());
+        // The cstruct and the value give way to a digest; the version
+        // stays.
+        let saved = to_bytes(&cstruct).len() + to_bytes(&snapshot).len();
+        let kept = 8 + to_bytes(&snapshot.version).len();
+        assert_eq!(full.len() - lean.len(), saved - kept);
+        // The tag of the accepted pair sits right after the promised
+        // ballot: 3 is no tag.
+        let at = to_bytes(&Msg::P1b {
+            key: key("a"),
+            payload: Promise {
+                accepted: None,
+                ..whole.into()
+            },
+        })
+        .len()
+            - to_bytes(&Committed::Snapshot(snapshot.clone())).len()
+            - 1;
+        assert_eq!(lean[at], 2, "the named form");
+        let mut bad = lean.clone();
+        bad[at] = 3;
+        assert!(from_bytes::<Msg>(&bad).is_err(), "unknown accepted tag");
+        // A recovery round's base named by digest is tag 3; 4 is no tag.
+        let named = to_bytes(&p2a(vec![(
+            key("a"),
+            Phase2a {
+                base: Base::NamedSafe(cstruct.digest()),
+                ..append(Vec::new())
+            },
+        )]));
+        let held = to_bytes(&p2a(vec![(key("a"), append(Vec::new()))]));
+        assert_eq!(named.len(), held.len() + 8);
+        let at = (0..held.len())
+            .find(|i| held[*i] != named[*i])
+            .expect("a tag");
+        assert_eq!((held[at], named[at]), (0, 3));
+        let mut bad = named;
+        bad[at] = 4;
+        assert!(from_bytes::<Msg>(&bad).is_err(), "unknown base tag");
     }
 
     #[test]

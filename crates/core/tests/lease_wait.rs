@@ -203,7 +203,7 @@ fn run(
 /// The ballots of the `P1a`s in `sent`.
 fn p1a(sent: &[Mail]) -> Vec<Ballot> {
     let ballots = sent.iter().filter_map(|(_, _, m)| match m {
-        Msg::P1a { ballot, .. } => Some(*ballot),
+        Msg::P1a { payload, .. } => Some(payload.ballot),
         _ => None,
     });
     ballots.collect()

@@ -11,7 +11,9 @@
 //! Here: the payload types and Algorithm 3's entry points. The durable
 //! [`AcceptorState`] with its rings, adoption and peer sync is in
 //! `state.rs`, votes and verdicts in `vote.rs`, the active decision in
-//! `validate.rs`.
+//! `validate.rs`, and Phase 1 as it travels — promises that leave out
+//! what the leader named, recovery bases named by digest — in
+//! `promise.rs`.
 
 use std::sync::Arc;
 
@@ -22,10 +24,12 @@ use crate::cstruct::{trace_digest_of, CStruct, Entry, Mark};
 use crate::demarcation::AttrConstraint;
 use crate::options::{TxnOption, TxnOutcome};
 
+mod promise;
 mod state;
 mod validate;
 mod vote;
 
+pub use promise::{Committed, Phase1a, Promise, Reported};
 pub use state::{AcceptorState, Resolution};
 pub use vote::{Letter, Phase2b, VoteVerdict};
 
@@ -55,7 +59,8 @@ impl RecordSnapshot {
     }
 }
 
-/// Phase1b response payload.
+/// Phase1b response payload, whole: what the leader judges. It travels
+/// as a [`Promise`] that leaves out what the Phase1a named.
 #[derive(Debug, Clone)]
 pub struct Phase1b {
     /// The acceptor's promise after processing the Phase1a — equals the
@@ -106,8 +111,10 @@ pub enum ClassicAccept {
     },
     /// The Phase2a targets an instance this acceptor has not reached and
     /// travels without the leader's snapshot
-    /// ([`AcceptorRecord::lacks_snapshot`]): nothing was mutated, the
-    /// promise included, and the acceptor asks the leader for it.
+    /// ([`AcceptorRecord::lacks_snapshot`]), or names a proved-safe base
+    /// this acceptor could not put back ([`AcceptorRecord::resolve_base`]):
+    /// nothing was mutated, the promise included, and the acceptor asks
+    /// the leader for the round whole.
     Behind,
 }
 
@@ -127,6 +134,12 @@ pub enum Base {
     /// acceptor joins only if it holds exactly that cstruct — Phase 1
     /// piggybacked on Phase 2 as a compare-and-append.
     Digest(u64),
+    /// A recovery round's proved-safe cstruct named by its
+    /// [`CStruct::digest`], to an acceptor whose promise reported exactly
+    /// that cstruct: it holds it already, and adopts it as if it had
+    /// travelled ([`AcceptorRecord::resolve_base`]). Never logged: the
+    /// hosting node puts the cstruct back before the WAL sees the round.
+    NamedSafe(u64),
 }
 
 /// Classic Phase2a payload (leader → acceptors).
@@ -401,7 +414,7 @@ impl AcceptorRecord {
 
     /// Classic Phase2a (Algorithm 3, line 72), extended with catch-up and
     /// instance-close/reopen control.
-    pub fn classic_accept(&mut self, p: Phase2a) -> ClassicAccept {
+    pub fn classic_accept(&mut self, mut p: Phase2a) -> ClassicAccept {
         if p.ballot < self.state.promised {
             return ClassicAccept::Nack {
                 promised: self.state.promised,
@@ -409,6 +422,9 @@ impl AcceptorRecord {
         }
         if self.lacks_snapshot(&p) {
             return ClassicAccept::Behind;
+        }
+        if let Err(answer) = self.resolve_base(&mut p, None) {
+            return answer;
         }
         if let Some(promised) = self.refuses_base(&p) {
             // Nothing is mutated, the promise included.

@@ -16,7 +16,14 @@
 //!
 //! A leader gets its ballot in one of two ways. Phase 1 *establishes*
 //! one: promises from a classic quorum, then a recovery round that
-//! re-bases every acceptor onto the proved-safe cstruct. Or the holder
+//! re-bases every acceptor onto the proved-safe cstruct. Both cost only
+//! what the receiver lacks: the Phase1a names the cstruct the leader
+//! holds ([`LeaderRecord::phase1a`]), promises that hold exactly that
+//! leave it out and the leader puts it back before it judges them
+//! ([`LeaderRecord::on_phase1b`]), and the recovery round names its base
+//! by digest to each promiser that reported exactly that base
+//! ([`LeaderRecord::names_base_to`]; `crate::acceptor`'s `promise.rs`
+//! has the whole exchange). Or the holder
 //! of the shard's mastership lease *assumes* the lease ballot
 //! ([`LeaderRecord::assume_leadership`]): the election was Phase 1's
 //! promise for every record of the shard at once, and what Phase 1b
@@ -60,7 +67,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use mdcc_common::{NodeId, Version};
 
-use crate::acceptor::{Base, Phase1b, Phase2a, RecordSnapshot};
+use crate::acceptor::{Base, Phase1a, Phase1b, Phase2a, Promise, RecordSnapshot};
 use crate::ballot::Ballot;
 use crate::cstruct::CStruct;
 use crate::options::TxnOption;
@@ -107,10 +114,13 @@ pub struct LeaderConfig {
 enum Phase {
     /// Not currently leading; fast ballots are running (or nothing is).
     Idle,
-    /// Phase 1 in flight: collecting promises.
+    /// Phase 1 in flight: collecting promises, and keeping the instance
+    /// and cstruct the Phase1a named to put back into those that leave
+    /// it out.
     Establishing {
         ballot: Ballot,
         votes: BTreeMap<usize, Phase1b>,
+        named: Option<(Version, CStruct)>,
     },
     /// Ballot established; Phase2a appends flow directly (Multi-Paxos).
     Leading { ballot: Ballot },
@@ -137,6 +147,10 @@ pub struct LeaderRecord {
     /// that was behind when the round went out joins from it like the
     /// others did ([`Self::on_behind`]).
     rebased: Option<CStruct>,
+    /// The promisers, by acceptor index, whose promise reported exactly
+    /// `rebased` in its instance: the recovery round names its base to
+    /// them by digest ([`Self::names_base_to`]).
+    holders: Vec<usize>,
     /// Best known committed state.
     snapshot: RecordSnapshot,
     /// The instance the last Phase2a broadcast targeted: what `window`,
@@ -174,6 +188,7 @@ impl LeaderRecord {
             queue: VecDeque::new(),
             window: Vec::new(),
             rebased: None,
+            holders: Vec::new(),
             round_in: snapshot.version,
             snapshot,
             max_seen: Ballot::INITIAL_FAST,
@@ -269,7 +284,7 @@ impl LeaderRecord {
             // some accepted at an assumed ballot awaits judgement
             // (`judged_safe`). The promise it lacks may have been
             // lost; ask again, at the same ballot.
-            Phase::Establishing { ballot, votes } if votes.len() >= self.cfg.qc => {
+            Phase::Establishing { ballot, votes, .. } if votes.len() >= self.cfg.qc => {
                 vec![LeaderAction::Phase1a(*ballot)]
             }
             Phase::Establishing { .. } | Phase::Retiring { .. } => Vec::new(),
@@ -316,21 +331,58 @@ impl LeaderRecord {
         }
     }
 
-    /// Handles one Phase1b promise.
-    pub fn on_phase1b(&mut self, from: usize, p1b: Phase1b) -> Vec<LeaderAction> {
-        self.observe_ballot(p1b.promised);
-        let Phase::Establishing { ballot, votes } = &mut self.phase else {
+    /// The Phase1a that asks for `ballot`. It names the newest instance
+    /// this leader knows of and the cstruct it holds there — `local`, its
+    /// own replica's instance and cstruct, if that is the one, else the
+    /// empty one — so that promises holding exactly that leave it out
+    /// ([`Phase1b::leave_out`]). While `ballot` is being established the
+    /// leader keeps what it named, to put back into them
+    /// ([`Self::on_phase1b`]).
+    pub fn phase1a(&mut self, ballot: Ballot, local: Option<(Version, CStruct)>) -> Phase1a {
+        let version = self.snapshot.version;
+        let held = local.filter(|(v, _)| *v == version).map(|(_, c)| c);
+        let held = held.unwrap_or_default();
+        let digest = held.digest();
+        if let Phase::Establishing {
+            ballot: b, named, ..
+        } = &mut self.phase
+        {
+            if *b == ballot {
+                *named = Some((version, held));
+            }
+        }
+        Phase1a {
+            ballot,
+            version,
+            digest,
+        }
+    }
+
+    /// Handles one promise, with what it left out put back first
+    /// ([`Promise::restore`]): a promise that leaves out what this leader
+    /// did not name is dropped.
+    pub fn on_phase1b(&mut self, from: usize, promise: Promise) -> Vec<LeaderAction> {
+        self.observe_ballot(promise.promised);
+        let Phase::Establishing {
+            ballot,
+            votes,
+            named,
+        } = &mut self.phase
+        else {
             return Vec::new();
         };
         let ballot = *ballot;
-        if p1b.promised > ballot {
+        if promise.promised > ballot {
             // Someone outran us; retry with a higher ballot.
             self.phase = Phase::Idle;
             return self.establish();
         }
-        if p1b.promised != ballot {
+        if promise.promised != ballot {
             return Vec::new();
         }
+        let Some(p1b) = promise.restore(named.as_ref().map(|(v, c)| (*v, c))) else {
+            return Vec::new();
+        };
         if p1b.snapshot.version > self.snapshot.version {
             self.snapshot = p1b.snapshot.clone();
         }
@@ -356,6 +408,8 @@ impl LeaderRecord {
         let Some(safe) = judged_safe(&relevant, elsewhere, n, qc, qf) else {
             return Vec::new();
         };
+        let (safe, holders) = carried(safe, &relevant);
+        self.holders = holders;
         self.phase = Phase::Leading { ballot };
         self.recovery_requested = false;
         self.gamma_remaining = self.cfg.gamma;
@@ -375,6 +429,17 @@ impl LeaderRecord {
         }
         self.rebased = Some(safe.clone());
         self.broadcast(ballot, Some(safe), new_options, true, reopen)
+    }
+
+    /// The digest a recovery round still out may name its proved-safe
+    /// base by to acceptor `acceptor` ([`Base::NamedSafe`]): `Some` when
+    /// that acceptor's promise reported exactly that cstruct, which it
+    /// therefore holds — as its own, or as the copy its promise reported.
+    /// The hosting process picks each destination's base with this; every
+    /// other destination, and every later answer, gets the base whole.
+    pub fn names_base_to(&self, acceptor: usize) -> Option<u64> {
+        let safe = self.rebased.as_ref()?;
+        self.holders.contains(&acceptor).then(|| safe.digest())
     }
 
     /// The local acceptor advanced past the current instance: the close
@@ -545,6 +610,7 @@ impl LeaderRecord {
         self.phase = Phase::Establishing {
             ballot,
             votes: BTreeMap::new(),
+            named: None,
         };
         self.closing = false;
         vec![LeaderAction::Phase1a(ballot)]
@@ -612,9 +678,35 @@ impl LeaderRecord {
     }
 }
 
+/// The representative of `safe` a recovery round carries, and the
+/// promisers of `relevant` that reported exactly it: of the non-empty
+/// cstructs they reported with `safe`'s trace, the one most of them hold,
+/// so that the round can name it to them by digest ([`Base::NamedSafe`]).
+/// A cstruct is a trace and any representative of it is as safe as
+/// another; ProvedSafe's own comes out in canonical order, which no
+/// acceptor holds. `safe` as judged, held by nobody, when none reported
+/// its trace — and when it is empty, which costs less whole than named.
+fn carried(safe: CStruct, relevant: &[(usize, &Phase1b)]) -> (CStruct, Vec<usize>) {
+    let reported: Vec<(usize, &CStruct)> = (relevant.iter())
+        .filter_map(|(i, v)| Some((*i, &v.accepted.as_ref()?.1)))
+        .filter(|(_, c)| !c.is_empty())
+        .collect();
+    let holders = |c: &CStruct| -> Vec<usize> {
+        let same = reported.iter().filter(|(_, r)| r.digest() == c.digest());
+        same.map(|(i, _)| *i).collect()
+    };
+    let candidates = reported.iter().map(|(_, c)| *c);
+    let best = (candidates.filter(|c| c.equivalent(&safe))).max_by_key(|c| holders(c).len());
+    match best {
+        Some(c) => (c.clone(), holders(c)),
+        None => (safe, Vec::new()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acceptor::{Committed, Reported};
     use crate::options::{OptionStatus, TxnOption};
     use crate::safe::tests::minority_at_an_assumed_ballot;
     use mdcc_common::{CommutativeUpdate, Key, Row, TableId, TxnId, UpdateOp, Version};
@@ -683,9 +775,9 @@ mod tests {
         let LeaderAction::Phase1a(b) = actions[0] else {
             panic!("expected phase1a");
         };
-        l.on_phase1b(0, p1b(b, None));
-        l.on_phase1b(1, p1b(b, None));
-        let actions = l.on_phase1b(2, p1b(b, None));
+        l.on_phase1b(0, p1b(b, None).into());
+        l.on_phase1b(1, p1b(b, None).into());
+        let actions = l.on_phase1b(2, p1b(b, None).into());
         assert!(matches!(actions[0], LeaderAction::Phase2a(_)));
         assert!(l.is_leading() || matches!(l.phase, Phase::Retiring { .. }));
         b
@@ -699,9 +791,9 @@ mod tests {
             panic!("expected phase1a");
         };
         assert!(!b.is_fast());
-        assert!(l.on_phase1b(0, p1b(*b, None)).is_empty());
-        assert!(l.on_phase1b(1, p1b(*b, None)).is_empty());
-        let actions = l.on_phase1b(2, p1b(*b, None));
+        assert!(l.on_phase1b(0, p1b(*b, None).into()).is_empty());
+        assert!(l.on_phase1b(1, p1b(*b, None).into()).is_empty());
+        let actions = l.on_phase1b(2, p1b(*b, None).into());
         let LeaderAction::Phase2a(p2a) = &actions[0] else {
             panic!("expected phase2a");
         };
@@ -794,13 +886,13 @@ mod tests {
             panic!("expected re-establishment")
         };
         assert!(b2 > foreign);
-        l.on_phase1b(0, p1b(b2, None));
+        l.on_phase1b(0, p1b(b2, None).into());
         for _ in 0..4 {
             assert!(l.on_nack(foreign).is_empty(), "stale nack must be ignored");
             assert!(l.on_nack(b2).is_empty(), "our own ballot is no news");
         }
         assert!(
-            matches!(&l.phase, Phase::Establishing { ballot, votes } if *ballot == b2 && votes.len() == 1),
+            matches!(&l.phase, Phase::Establishing { ballot, votes, .. } if *ballot == b2 && votes.len() == 1),
             "the Phase 1 in flight survives, promises included: {:?}",
             l.phase
         );
@@ -843,9 +935,9 @@ mod tests {
         assert!(l.on_nack(refusal).is_empty(), "once per lost ballot");
         // The ballot Phase 1 establishes re-bases every acceptor: no
         // base digest any more.
-        l.on_phase1b(0, p1b(b, None));
-        l.on_phase1b(1, p1b(b, None));
-        let actions = l.on_phase1b(2, p1b(b, None));
+        l.on_phase1b(0, p1b(b, None).into());
+        l.on_phase1b(1, p1b(b, None).into());
+        let actions = l.on_phase1b(2, p1b(b, None).into());
         assert!(
             matches!(&actions[0], LeaderAction::Phase2a(p) if matches!(p.base, Base::ProvedSafe(_)))
         );
@@ -866,9 +958,9 @@ mod tests {
         let mut held = CStruct::new();
         held.append(comm_opt(90), OptionStatus::Accepted);
         let old = Ballot::classic(b.round - 1, NodeId(9));
-        l.on_phase1b(0, p1b(b, Some((old, held.clone()))));
-        l.on_phase1b(1, p1b(b, Some((old, held))));
-        let recovery = l.on_phase1b(2, p1b(b, None));
+        l.on_phase1b(0, p1b(b, Some((old, held.clone()))).into());
+        l.on_phase1b(1, p1b(b, Some((old, held))).into());
+        let recovery = l.on_phase1b(2, p1b(b, None).into());
         assert!(
             matches!(&recovery[0], LeaderAction::Phase2a(p) if matches!(p.base, Base::ProvedSafe(_)))
         );
@@ -1146,9 +1238,9 @@ mod tests {
             },
             ..p1b(b, None)
         };
-        l.on_phase1b(0, ahead.clone());
-        l.on_phase1b(1, ahead.clone());
-        let sent = l.on_phase1b(2, ahead.clone());
+        l.on_phase1b(0, ahead.clone().into());
+        l.on_phase1b(1, ahead.clone().into());
+        let sent = l.on_phase1b(2, ahead.clone().into());
         assert!(matches!(&sent[0], LeaderAction::Phase2a(p) if p.version == Version(5)));
         assert!(l.on_advance(ahead.snapshot.clone()).is_empty());
         let answer = l.on_behind(b).expect("the round is still out");
@@ -1303,7 +1395,7 @@ mod tests {
             panic!()
         };
         let foreign = Ballot::classic(b1.round + 3, NodeId(9));
-        let actions = l.on_phase1b(0, p1b(foreign, None));
+        let actions = l.on_phase1b(0, p1b(foreign, None).into());
         let LeaderAction::Phase1a(b2) = actions[0] else {
             panic!("expected a retry")
         };
@@ -1333,14 +1425,17 @@ mod tests {
             promised: b,
             ..v.clone()
         };
-        assert!(l.on_phase1b(0, at(&a)).is_empty());
-        assert!(l.on_phase1b(2, at(&r)).is_empty());
-        assert!(l.on_phase1b(3, at(&r)).is_empty(), "a quorum, unjudged");
+        assert!(l.on_phase1b(0, at(&a).into()).is_empty());
+        assert!(l.on_phase1b(2, at(&r).into()).is_empty());
+        assert!(
+            l.on_phase1b(3, at(&r).into()).is_empty(),
+            "a quorum, unjudged"
+        );
         assert!(!l.is_leading());
         // Whoever asks meanwhile makes the leader ask again, at the same
         // ballot: the promise it lacks may have been lost.
         assert!(matches!(l.start_recovery()[..], [LeaderAction::Phase1a(again)] if again == b));
-        let actions = l.on_phase1b(4, at(&r));
+        let actions = l.on_phase1b(4, at(&r).into());
         let LeaderAction::Phase2a(p) = &actions[0] else {
             panic!("expected the recovery round, got {actions:?}")
         };
@@ -1349,5 +1444,93 @@ mod tests {
         };
         assert_eq!(safe.status_of(txn(5)), Some(OptionStatus::Accepted));
         assert_eq!(safe.status_of(txn(6)), None);
+    }
+
+    /// Accepted decrements `seqs`, in that order.
+    fn decs(seqs: &[u64]) -> CStruct {
+        let mut c = CStruct::new();
+        for seq in seqs {
+            c.append(comm_opt(*seq), OptionStatus::Accepted);
+        }
+        c
+    }
+
+    #[test]
+    fn promises_leave_out_the_named_cstruct_and_the_round_names_it_back() {
+        // The leader's replica holds 2 then 1; so do two promisers. The
+        // third holds the same value in the other order.
+        let (held, reordered) = (decs(&[2, 1]), decs(&[1, 2]));
+        let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
+        let LeaderAction::Phase1a(b) = l.start_recovery()[0] else {
+            panic!("expected phase1a")
+        };
+        let named = l.phase1a(b, Some((Version(1), held.clone())));
+        assert_eq!((named.ballot, named.version), (b, Version(1)));
+        assert_eq!(named.digest, held.digest());
+        // A replica in another instance names nothing but the empty one.
+        let mut other = l.clone();
+        let elsewhere = other.phase1a(b, Some((Version(2), held.clone())));
+        assert_eq!(elsewhere.digest, CStruct::EMPTY_TRACE_DIGEST);
+        let old = Ballot::classic(b.round - 1, NodeId(9));
+        let promise = |c: &CStruct| p1b(b, Some((old, c.clone()))).leave_out(&named);
+        let lean = promise(&held);
+        assert!(matches!(lean.accepted, Some((_, Reported::Named(d))) if d == held.digest()));
+        assert!(matches!(lean.committed, Committed::Version(Version(1))));
+        assert!(matches!(
+            promise(&reordered).accepted,
+            Some((_, Reported::Whole(_)))
+        ));
+        assert!(l.on_phase1b(0, promise(&held)).is_empty());
+        assert!(l.on_phase1b(2, promise(&reordered)).is_empty());
+        let LeaderAction::Phase2a(round) = &l.on_phase1b(3, promise(&held))[0] else {
+            panic!("expected the recovery round")
+        };
+        // ProvedSafe's own representative is canonical (1 then 2); the
+        // round carries the one two promisers hold, named to them.
+        let Base::ProvedSafe(safe) = &round.base else {
+            panic!("expected a proved-safe base")
+        };
+        assert!(safe.equivalent(&reordered));
+        assert_eq!(safe.digest(), held.digest());
+        let names: Vec<Option<u64>> = (0..5).map(|i| l.names_base_to(i)).collect();
+        let d = Some(held.digest());
+        assert_eq!(names, [d, None, None, d, None]);
+        // Later answers and rounds carry it whole; once the instance
+        // advances nothing is named.
+        advance(&mut l);
+        assert_eq!(l.names_base_to(0), None);
+    }
+
+    #[test]
+    fn a_promise_that_leaves_out_what_was_not_named_is_dropped() {
+        let held = decs(&[2, 1]);
+        let mut l = LeaderRecord::new(cfg(), NodeId(1), snapshot());
+        let LeaderAction::Phase1a(b) = l.start_recovery()[0] else {
+            panic!("expected phase1a")
+        };
+        let named = l.phase1a(b, Some((Version(1), held.clone())));
+        let old = Ballot::classic(b.round - 1, NodeId(9));
+        let other = Phase1a {
+            digest: decs(&[3]).digest(),
+            ..named
+        };
+        let stray = p1b(b, Some((old, decs(&[3])))).leave_out(&other);
+        for i in 0..3 {
+            assert!(l.on_phase1b(i, stray.clone()).is_empty(), "dropped");
+        }
+        assert!(!l.is_leading());
+        // Committed state newer than the named instance must travel.
+        let mut newer = p1b(b, None).leave_out(&named);
+        newer.committed = Committed::Version(Version(2));
+        assert!(l.on_phase1b(0, newer).is_empty());
+        // Whole promises still establish the ballot.
+        for i in 0..2 {
+            assert!(l.on_phase1b(i, p1b(b, None).into()).is_empty());
+        }
+        assert!(matches!(
+            l.on_phase1b(2, p1b(b, None).into())[0],
+            LeaderAction::Phase2a(_)
+        ));
+        assert_eq!(l.names_base_to(0), None, "an empty base goes whole");
     }
 }

@@ -12,8 +12,8 @@ use mdcc_common::wire::{encode_seq, err, Dec, Enc, Wire, WireResult};
 use mdcc_common::{wire, Key, TxnId, UpdateOp, Version};
 
 use crate::acceptor::{
-    AcceptorState, Base, Letter, Phase1b, Phase2a, Phase2aRounds, Phase2b, RecordSnapshot,
-    Resolution, VoteVerdict,
+    AcceptorState, Base, Committed, Letter, Phase1a, Phase2a, Phase2aRounds, Phase2b, Promise,
+    RecordSnapshot, Reported, Resolution, VoteVerdict,
 };
 use crate::ballot::{Ballot, BallotKind};
 use crate::cstruct::{CStruct, Entry, Mark};
@@ -33,7 +33,7 @@ wire!(struct Resolution { outcome, learned_accepted });
 wire!(struct TxnOption { txn, key, op, peers });
 wire!(struct Entry { opt, status });
 wire!(struct RecordSnapshot { version, value, folded });
-wire!(struct Phase1b { promised, accepted, snapshot });
+wire!(enum Committed, "committed-state tag" { 0 => Version(version), 1 => Snapshot(snapshot) });
 wire!(struct Letter { txn, status, movable });
 wire!(struct VoteVerdict { ballot, version, letters });
 
@@ -60,6 +60,60 @@ impl Wire for Proposal {
             Some(proposal) => Ok(proposal),
             None => err("proposal index"),
         }
+    }
+}
+
+/// The digest is a hash: fixed-width.
+impl Wire for Phase1a {
+    fn encode(&self, out: &mut Enc) {
+        self.ballot.encode(out);
+        self.version.encode(out);
+        out.fixed64(self.digest);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        Ok(Phase1a {
+            ballot: Ballot::decode(inp)?,
+            version: Version::decode(inp)?,
+            digest: inp.fixed64()?,
+        })
+    }
+}
+
+/// The accepted pair is one tag: 0 nothing accepted, 1 the ballot and
+/// the whole cstruct (the bytes of the `Option` it was), 2 the ballot
+/// and the echoed digest, fixed-width.
+impl Wire for Promise {
+    fn encode(&self, out: &mut Enc) {
+        self.promised.encode(out);
+        match &self.accepted {
+            None => out.u8(0),
+            Some((ballot, reported)) => {
+                out.u8(match reported {
+                    Reported::Whole(_) => 1,
+                    Reported::Named(_) => 2,
+                });
+                ballot.encode(out);
+                match reported {
+                    Reported::Whole(cstruct) => cstruct.encode(out),
+                    Reported::Named(digest) => out.fixed64(*digest),
+                }
+            }
+        }
+        self.committed.encode(out);
+    }
+    fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
+        let promised = Ballot::decode(inp)?;
+        let accepted = match inp.u8()? {
+            0 => None,
+            1 => Some((Ballot::decode(inp)?, Reported::Whole(CStruct::decode(inp)?))),
+            2 => Some((Ballot::decode(inp)?, Reported::Named(inp.fixed64()?))),
+            _ => return err("promise accepted tag"),
+        };
+        Ok(Promise {
+            promised,
+            accepted,
+            committed: Committed::decode(inp)?,
+        })
     }
 }
 
@@ -224,7 +278,8 @@ impl Wire for Phase2b {
 
 /// Tags 0 and 1 are the `None`/`Some` bytes of the `Option<CStruct>`
 /// this field used to be, so a Phase2a without a base digest encodes to
-/// the bytes it always did; tag 2 is the digest form.
+/// the bytes it always did; tag 2 is the digest form and tag 3 the
+/// proved-safe cstruct named by its digest, both fixed-width.
 impl Wire for Base {
     fn encode(&self, out: &mut Enc) {
         match self {
@@ -237,6 +292,10 @@ impl Wire for Base {
                 out.u8(2);
                 out.fixed64(*digest);
             }
+            Base::NamedSafe(digest) => {
+                out.u8(3);
+                out.fixed64(*digest);
+            }
         }
     }
     fn decode(inp: &mut Dec<'_>) -> WireResult<Self> {
@@ -244,6 +303,7 @@ impl Wire for Base {
             0 => Ok(Base::Held),
             1 => Ok(Base::ProvedSafe(CStruct::decode(inp)?)),
             2 => Ok(Base::Digest(inp.fixed64()?)),
+            3 => Ok(Base::NamedSafe(inp.fixed64()?)),
             _ => err("phase2a base tag"),
         }
     }
@@ -518,9 +578,9 @@ mod tests {
             to_bytes(&p2a).len() + 1
         );
 
-        // The three forms of the base: the two that existed keep the
-        // bytes of the `Option<CStruct>` they were, the digest form is a
-        // third tag and eight bytes.
+        // The four forms of the base: the two that existed keep the
+        // bytes of the `Option<CStruct>` they were, the digest form and
+        // the proved-safe base named by digest are a tag and eight bytes.
         let with_base = |base: Base| Phase2a {
             base,
             ..p2a.clone()
@@ -543,23 +603,19 @@ mod tests {
         let onto = with_base(Base::Digest(safe.digest()));
         assert!(matches!(round_trip(&onto).base, Base::Digest(d) if d == safe.digest()));
         assert_eq!(to_bytes(&onto).len(), to_bytes(&held).len() + 8);
+        let named = with_base(Base::NamedSafe(safe.digest()));
+        assert!(matches!(round_trip(&named).base, Base::NamedSafe(d) if d == safe.digest()));
+        assert_eq!(to_bytes(&named).len(), to_bytes(&held).len() + 8);
+        let named_bytes = to_bytes(&named);
+        for cut in 0..named_bytes.len() {
+            assert!(from_bytes::<Phase2a>(&named_bytes[..cut]).is_err());
+        }
         let mut bad = to_bytes(&held);
         let after_tag = to_bytes(&held.new_options).len() + 1 + to_bytes(&held.reopen_fast).len();
         let tag_at = bad.len() - after_tag - 1;
         assert_eq!(bad[tag_at], 0);
-        bad[tag_at] = 3;
+        bad[tag_at] = 4;
         assert!(from_bytes::<Phase2a>(&bad).is_err(), "unknown base tag");
-
-        let p1b = Phase1b {
-            promised: Ballot::classic(2, NodeId(3)),
-            accepted: Some((Ballot::fast(1, NodeId(0)), safe.clone())),
-            snapshot: RecordSnapshot::absent(),
-        };
-        let back = round_trip(&p1b);
-        assert_eq!(back.promised, p1b.promised);
-        assert_eq!(back.accepted.as_ref().map(|(b, c)| (*b, c.len())), {
-            p1b.accepted.as_ref().map(|(b, c)| (*b, c.len()))
-        });
 
         let p2b = Phase2b {
             ballot: Ballot::fast(1, NodeId(0)),
@@ -596,6 +652,119 @@ mod tests {
         assert_eq!(back.cstruct.digest(), whole.digest());
         let header = |vote: &Phase2b| to_bytes(vote).len() - to_bytes(&vote.cstruct).len();
         assert_eq!(header(&tail), header(&p2b) + to_bytes(&base).len());
+    }
+
+    /// A non-empty cstruct and a snapshot, for the Phase 1 payloads.
+    fn phase1_parts() -> (CStruct, RecordSnapshot) {
+        let mut held = CStruct::new();
+        held.append(
+            TxnOption::solo(
+                TxnId::new(NodeId(0), 1),
+                key("x"),
+                UpdateOp::ReadGuard(Version(2)),
+            ),
+            OptionStatus::Rejected(AbortReason::StaleRead),
+        );
+        let snapshot = RecordSnapshot {
+            version: Version(5),
+            value: Some(Row::new().with("stock", 1)),
+            folded: vec![TxnId::new(NodeId(4), 2)],
+        };
+        (held, snapshot)
+    }
+
+    /// Every form a promise takes: nothing accepted, the cstruct whole or
+    /// named, the committed state whole or its version alone.
+    fn promises() -> Vec<Promise> {
+        let (held, snapshot) = phase1_parts();
+        let promised = Ballot::classic(2, NodeId(3));
+        let accepted = [
+            None,
+            Some((Ballot::fast(1, NodeId(0)), Reported::Whole(held.clone()))),
+            Some((
+                Ballot::classic(1, NodeId(2)),
+                Reported::Named(held.digest()),
+            )),
+        ];
+        let committed = [
+            Committed::Version(Version(5)),
+            Committed::Snapshot(snapshot),
+        ];
+        (accepted.iter())
+            .flat_map(|a| committed.iter().map(move |c| (a.clone(), c.clone())))
+            .map(|(accepted, committed)| Promise {
+                promised,
+                accepted,
+                committed,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn phase1_payloads_round_trip_and_their_strict_prefixes_do_not_decode() {
+        let (held, _) = phase1_parts();
+        let p1a = Phase1a {
+            ballot: Ballot::classic(2, NodeId(3)),
+            version: Version(5),
+            digest: held.digest(),
+        };
+        let bytes = to_bytes(&p1a);
+        assert_eq!(from_bytes::<Phase1a>(&bytes).expect("round trip"), p1a);
+        assert_eq!(bytes.len(), to_bytes(&(p1a.ballot, p1a.version)).len() + 8);
+        for cut in 0..bytes.len() {
+            assert!(from_bytes::<Phase1a>(&bytes[..cut]).is_err());
+        }
+        for promise in promises() {
+            let bytes = to_bytes(&promise);
+            let back: Promise = from_bytes(&bytes).expect("round trip");
+            assert_eq!(to_bytes(&back), bytes);
+            assert_eq!(back.committed, promise.committed);
+            let form = |p: &Promise| match &p.accepted {
+                None => None,
+                Some((b, Reported::Whole(c))) => Some((*b, c.digest(), true)),
+                Some((b, Reported::Named(d))) => Some((*b, *d, false)),
+            };
+            assert_eq!(form(&back), form(&promise));
+            for cut in 0..bytes.len() {
+                assert!(from_bytes::<Promise>(&bytes[..cut]).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn a_named_promise_costs_a_digest_and_unknown_tags_are_refused() {
+        let forms = promises();
+        let (nothing, whole, named) = (&forms[0], &forms[2], &forms[4]);
+        let (held, snapshot) = phase1_parts();
+        // The whole cstruct travels as the `Option` it was; the named one
+        // as a third tag, the ballot and eight bytes.
+        assert_eq!(
+            to_bytes(whole).len(),
+            to_bytes(nothing).len()
+                + to_bytes(&Ballot::fast(1, NodeId(0))).len()
+                + to_bytes(&held).len()
+        );
+        assert_eq!(
+            to_bytes(named).len(),
+            to_bytes(nothing).len() + to_bytes(&Ballot::classic(1, NodeId(2))).len() + 8
+        );
+        // Committed state left out costs its version and a tag.
+        assert_eq!(
+            to_bytes(&forms[1]).len() - to_bytes(nothing).len(),
+            to_bytes(&snapshot).len() - to_bytes(&snapshot.version).len()
+        );
+        let promised = to_bytes(&nothing.promised).len();
+        let mut bad = to_bytes(nothing);
+        assert_eq!(bad[promised], 0, "the accepted tag");
+        bad[promised] = 3;
+        assert!(from_bytes::<Promise>(&bad).is_err(), "unknown accepted tag");
+        let mut bad = to_bytes(nothing);
+        assert_eq!(bad[promised + 1], 0, "the committed tag");
+        bad[promised + 1] = 2;
+        assert!(
+            from_bytes::<Promise>(&bad).is_err(),
+            "unknown committed tag"
+        );
     }
 
     fn key(pk: &str) -> Key {
@@ -814,10 +983,20 @@ mod tests {
             to_bytes(&opts[0]),
             to_bytes(&entry),
             to_bytes(&snapshot),
-            to_bytes(&Phase1b {
+            to_bytes(&Phase1a {
+                ballot: Ballot::classic(2, NodeId(3)),
+                version: Version(200),
+                digest: held.digest(),
+            }),
+            to_bytes(&Promise {
                 promised: Ballot::classic(2, NodeId(3)),
-                accepted: Some((Ballot::fast(1, NodeId(0)), held.clone())),
-                snapshot: snapshot.clone(),
+                accepted: Some((Ballot::fast(1, NodeId(0)), Reported::Whole(held.clone()))),
+                committed: Committed::Snapshot(snapshot.clone()),
+            }),
+            to_bytes(&Promise {
+                promised: Ballot::classic(2, NodeId(3)),
+                accepted: Some((Ballot::fast(1, NodeId(0)), Reported::Named(held.digest()))),
+                committed: Committed::Version(Version(200)),
             }),
             to_bytes(&letters[1]),
             to_bytes(&VoteVerdict {
@@ -836,8 +1015,12 @@ mod tests {
             }),
         ]
         .concat();
+        // Re-pinned from 0xf27a_6cc8_1525_5d98 when a Phase1b stopped
+        // travelling as itself: a Phase1a names the leader's instance and
+        // cstruct digest, and a promise leaves out what that names, with
+        // a Phase1a and a whole and a lean promise in place of the Phase1b.
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0xf27a_6cc8_1525_5d98, "{digest:#018x}");
+        assert_eq!(digest, 0x0c62_c5c6_d5ee_3016, "{digest:#018x}");
     }
 
     /// A Phase2a from generated parts: with or without the snapshot,

@@ -305,13 +305,16 @@ impl Handoff {
                     let order = (0..N)
                         .filter(in_quorum)
                         .chain((0..N).filter(|i| !in_quorum(i)));
-                    let leader = if from_new {
-                        &mut self.new
+                    let (leader, local) = if from_new {
+                        (&mut self.new, &self.acc[self.home])
                     } else {
-                        &mut self.old
+                        (&mut self.old, &self.acc[0])
                     };
+                    // Promises leave out what the Phase1a names.
+                    let local = (local.version(), local.cstruct().clone());
+                    let named = leader.phase1a(ballot, Some(local));
                     for i in order {
-                        let p1b = self.acc[i].phase1a(ballot);
+                        let p1b = self.acc[i].phase1a(ballot).leave_out(&named);
                         let next = leader.on_phase1b(i, p1b);
                         let decided = matches!(next[..], [LeaderAction::Phase2a(_)]);
                         todo.extend(next);
