@@ -19,7 +19,8 @@
 //! heartbeat tick, and a lease that could not renew across ticks would
 //! be acquired again and again. Each dynamic run also prints `awaited`:
 //! the mastered options a node held for the lease it was making, most
-//! of them at a handoff target whose grants were still out.
+//! of them at a handoff target whose grants were still out; and
+//! `held_ms`, how long such an option was held on average.
 //!
 //! A master-crash drill follows: the initial lease holder of a
 //! single-shard deployment is killed mid-tenure and the commit outage
@@ -137,6 +138,11 @@ fn run(spec: &ClusterSpec, items: u64, phase_len: SimDuration) -> Report {
     report
 }
 
+/// How long an awaited option was held, on average (0 with none held).
+fn mean_hold_ms(ms: &mdcc_mastership::MastershipStats) -> f64 {
+    ms.awaited_ms as f64 / ms.awaited.max(1) as f64
+}
+
 fn env_ceiling(name: &str) -> Option<u64> {
     std::env::var(name).ok().map(|v| {
         v.parse()
@@ -182,8 +188,8 @@ fn main() {
         let ms = &report.mastership;
         println!(
             "{label}: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} \
-             elections={} leases={} awaited={} handoffs={} served={} forwarded={} \
-             p1_skipped={} p1_covered={}",
+             elections={} leases={} awaited={} held_ms={:.1} handoffs={} served={} \
+             forwarded={} p1_skipped={} p1_covered={}",
             b.median,
             b.q3,
             b.max,
@@ -191,6 +197,7 @@ fn main() {
             ms.elections,
             ms.leases_acquired,
             ms.awaited,
+            mean_hold_ms(ms),
             ms.handoffs,
             ms.served,
             ms.forwarded,
@@ -275,7 +282,7 @@ fn main() {
         ec2_commits[i] = report.write_commits();
         println!(
             "{label}: med={:.0}ms q3={:.0}ms max={:.0}ms commits={} elections={} leases={} \
-             renewals={} awaited={} handoffs={} served={} forwarded={}",
+             renewals={} awaited={} held_ms={:.1} handoffs={} served={} forwarded={}",
             b.median,
             b.q3,
             b.max,
@@ -284,6 +291,7 @@ fn main() {
             ms.leases_acquired,
             ms.renewals,
             ms.awaited,
+            mean_hold_ms(ms),
             ms.handoffs,
             ms.served,
             ms.forwarded,

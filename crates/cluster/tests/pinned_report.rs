@@ -497,13 +497,25 @@ fn mastership_report_is_pinned() {
 // round when a named base it could not put back arrived below the
 // promise, instead of Nacking it as it would be Nacked whole; that one
 // extra round trip at 8.96 s moved every field.)
-const PINNED_MS_WRITE_COMMITS: usize = 662;
-const PINNED_MS_TXN_STATS: [u64; 7] = [785, 0, 0, 0, 29, 0, 0];
-const PINNED_MS_NET: [u64; 3] = [1_621_404, 22_417, 26_812];
-const PINNED_MS_COUNTERS: [u64; 10] = [11, 10, 401, 7, 2_346, 277, 78, 478, 90, 658];
-const PINNED_MS_SPANS: (usize, u64) = (10, 9_436_991_536_984_340_629);
+//
+// Re-pinned when a relinquishing holder began running its successor's
+// acquisition: it grants the target's ballot itself and sends every
+// replica a `Handoff` carrying the target's lease end, which each answers
+// to the target as it would the target's own `Acquire`, so the grants
+// reach a handoff target half a round trip sooner. The schedule moves
+// with it: window commits 662 → below; `TxnStats` [785, 0, 0, 0, 29, 0,
+// 0] → below; bytes / frames / payload messages 1 621 404 / 22 417 /
+// 26 812 → below; counters [11, 10, 401, 7, 2 346, 277, 78, 478, 90,
+// 658] → below (48 options held instead of 78, 51 Phase 1s under a
+// lease instead of 90); spans 10 → 12, the fingerprint and the digests
+// moved, every replica still on its shard's digest.
+const PINNED_MS_WRITE_COMMITS: usize = 677;
+const PINNED_MS_TXN_STATS: [u64; 7] = [801, 0, 0, 0, 23, 0, 0];
+const PINNED_MS_NET: [u64; 3] = [1_226_368, 22_259, 24_187];
+const PINNED_MS_COUNTERS: [u64; 10] = [13, 12, 393, 8, 2_363, 269, 48, 550, 51, 652];
+const PINNED_MS_SPANS: (usize, u64) = (12, 18_198_420_877_371_007_757);
 // Even nodes replicate shard 0, odd nodes shard 1. At this pin and the
-// three before every replica is on its shard's digest. At the pin before
+// four before every replica is on its shard's digest. At the pin before
 // that node 2, the failed data center's replica of shard 0, was off its
 // shard's digest.
 // At the pin before that every replica was on its shard's digest; at the one
@@ -517,14 +529,14 @@ const PINNED_MS_SPANS: (usize, u64) = (10, 9_436_991_536_984_340_629);
 // FNV-1a over the committed state's encoding, so they change with the
 // codec.
 const PINNED_MS_COMMITTED_DIGESTS: [u64; 10] = [
-    7_626_161_491_168_895_133,
-    10_180_399_418_460_921_130,
-    7_626_161_491_168_895_133,
-    10_180_399_418_460_921_130,
-    7_626_161_491_168_895_133,
-    10_180_399_418_460_921_130,
-    7_626_161_491_168_895_133,
-    10_180_399_418_460_921_130,
-    7_626_161_491_168_895_133,
-    10_180_399_418_460_921_130,
+    7_123_452_051_164_577_252,
+    13_943_509_991_945_150_413,
+    7_123_452_051_164_577_252,
+    13_943_509_991_945_150_413,
+    7_123_452_051_164_577_252,
+    13_943_509_991_945_150_413,
+    7_123_452_051_164_577_252,
+    13_943_509_991_945_150_413,
+    7_123_452_051_164_577_252,
+    13_943_509_991_945_150_413,
 ];

@@ -50,7 +50,7 @@
 //! while the promise is open, and puts it back before the WAL sees the
 //! round ([`StorageNodeProcess::resolve_base`]).
 
-use mdcc_common::{DcId, Key, NodeId, SimDuration};
+use mdcc_common::{DcId, Key, NodeId, SimDuration, SimTime};
 use mdcc_mastership::{
     Action as MsAction, Ballot as MsBallot, Mastership, MsMsg, HEARTBEAT_INTERVAL,
 };
@@ -105,9 +105,9 @@ pub(super) fn recovered_floors(leases: RecoveredLeases) -> Vec<(u32, MsBallot)> 
 /// takes to serve or to fail.
 pub(super) struct Awaited {
     ballot: MsBallot,
-    /// Each `ProposeMastered`'s options of the shard, with its sender and
-    /// origin data center, in arrival order.
-    held: Vec<(NodeId, DcId, Vec<TxnOption>)>,
+    /// Each `ProposeMastered`'s options of the shard, with its sender,
+    /// origin data center and arrival time, in arrival order.
+    held: Vec<(NodeId, DcId, SimTime, Vec<TxnOption>)>,
 }
 
 /// Where a shard's mastered options go at this node now.
@@ -540,7 +540,8 @@ impl StorageNodeProcess {
                 ctx.send(node, msg);
             }
             Route::Await(ballot) => {
-                let held = (from, origin_dc, options.into_iter().cloned().collect());
+                let options = options.into_iter().cloned().collect();
+                let held = (from, origin_dc, ctx.now, options);
                 let awaited = self.awaited.entry(shard).or_insert_with(|| Awaited {
                     ballot,
                     held: Vec::new(),
@@ -565,7 +566,10 @@ impl StorageNodeProcess {
             let Some(awaited) = self.awaited.remove(&shard) else {
                 continue;
             };
-            for (from, origin_dc, options) in awaited.held {
+            for (from, origin_dc, arrived, options) in awaited.held {
+                if let Some(ms) = self.mastership.as_mut() {
+                    ms.note_released(options.len(), ctx.now.since(arrived));
+                }
                 let held = options.iter().collect();
                 if self.settle(route, shard, (from, origin_dc), held, ctx) {
                     for opt in options {
@@ -773,7 +777,7 @@ fn outcome_known<'a>(store: &'a RecordStore, key: &'a Key) -> impl Fn(&TxnOption
 mod tests {
     use super::*;
     use mdcc_common::placement::MasterPolicy;
-    use mdcc_common::{SimTime, StaticPlacement, TableId};
+    use mdcc_common::{StaticPlacement, TableId};
     use mdcc_recovery::recovered_lease_state;
 
     /// Five data centers, two shards: nodes 0–4 hold shard 0, 5–9 shard 1.

@@ -627,6 +627,7 @@ mod tests {
                 shard: 2,
                 ballot: MsBallot::new(4, 1),
                 relinquished: MsBallot::new(3, 0),
+                expiry: mdcc_common::SimTime::ZERO + mdcc_common::SimDuration::from_millis(1_300),
             }),
             Msg::ProposeMastered {
                 origin_dc: DcId(2),
@@ -679,10 +680,13 @@ mod tests {
         // digests as its sample; and from 0xd5c1_8987_f0c1_5dde when a
         // `P1a` began to name the leader's instance and cstruct digest, a
         // `P1b` to leave out what that names and a recovery round's base
-        // to be named by digest, with a lean `P1b` and a named base added.
+        // to be named by digest, with a lean `P1b` and a named base added;
+        // and from 0x08b6_48ca_c638_9da6 when the mastership `Handoff`
+        // began to carry the target's lease end (`expiry`), which every
+        // replica it reaches grants on the target's behalf.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
         let digest = mdcc_common::wire::fnv1a64(&bytes);
-        assert_eq!(digest, 0x08b6_48ca_c638_9da6, "{digest:#018x}");
+        assert_eq!(digest, 0x5cba_c87a_9937_9dcf, "{digest:#018x}");
     }
 
     #[test]

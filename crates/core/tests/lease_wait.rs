@@ -135,17 +135,22 @@ impl Cluster {
         (txn.expect("a transaction"), propose)
     }
 
-    /// The old holder hands the lease to [`TARGET`]: what the target
-    /// sends, its `Acquire`s, is returned undelivered.
+    /// The old holder hands the lease to [`TARGET`], asking for a lease
+    /// to `now + 400` ms: the target gets its `Handoff` and begins the
+    /// acquisition (its own `Acquire`s, copies the grantors would answer
+    /// alike, are dropped); the copies for the other replicas are
+    /// returned undelivered.
     fn hand_off(&mut self, now: u64) -> Vec<Mail> {
         let handoff = Msg::Mastership(MsMsg::Handoff {
             shard: 0,
             ballot: LEASE,
             relinquished: MsBallot::new(1, u64::from(OLD.0)),
+            expiry: SimTime::from_millis(now + 400),
         });
-        let acquires = self.deliver((OLD, TARGET, handoff), now);
+        let acquires = self.deliver((OLD, TARGET, handoff.clone()), now);
         assert_eq!(acquires.len(), 4, "{acquires:?}");
-        acquires
+        let peers = [0, 1, 3].map(|n| (OLD, NodeId(n), handoff.clone()));
+        peers.into()
     }
 
     /// Delivers one message at `now` ms; returns what its handler sent.
@@ -219,28 +224,31 @@ fn p2a(sent: &[Mail]) -> Vec<Ballot> {
     rounds.map(|(_, round)| round.ballot).collect()
 }
 
-/// The `Acquire`s `acquires` delivered to `peers`: their grants.
-fn grants(cluster: &mut Cluster, acquires: &[Mail], peers: &[u32], now: u64) -> Vec<Mail> {
-    let to_peers = acquires.iter().filter(|(_, to, _)| peers.contains(&to.0));
+/// The `Handoff`s `handoffs` delivered to `peers`: their grants, each
+/// addressed to the target.
+fn grants(cluster: &mut Cluster, handoffs: &[Mail], peers: &[u32], now: u64) -> Vec<Mail> {
+    let to_peers = handoffs.iter().filter(|(_, to, _)| peers.contains(&to.0));
     let mut grants = Vec::new();
     for mail in to_peers.cloned().collect::<Vec<_>>() {
         grants.extend(cluster.deliver(mail, now));
     }
     assert_eq!(grants.len(), peers.len(), "{grants:?}");
+    assert!(grants.iter().all(|(_, to, _)| *to == TARGET), "{grants:?}");
     grants
 }
 
-/// (a) The hand-off target gets the option while its `Acquire` is out:
-/// it sends no `P1a`. Its grants make it serve, and the option leaves
-/// as a `P2a` at the lease ballot: one round trip, not two.
+/// (a) The hand-off target gets the option while the grantors are still
+/// answering the old holder's `Handoff`: it sends no `P1a`. Their grants
+/// make it serve, and the option leaves as a `P2a` at the lease ballot:
+/// one round trip, not two.
 #[test]
 fn a_handoff_target_leads_what_it_held_at_the_lease_ballot() {
     let mut cluster = Cluster::new();
-    let acquires = cluster.hand_off(10);
+    let handoffs = cluster.hand_off(10);
     let (_, propose) = cluster.commit(20);
     let sent = cluster.deliver(propose, 30);
     assert!(sent.is_empty(), "the option waits for the lease: {sent:?}");
-    let grants = grants(&mut cluster, &acquires, &[0, 1], 60);
+    let grants = grants(&mut cluster, &handoffs, &[0, 1], 60);
     let first = cluster.deliver(grants[0].clone(), 110);
     assert!(first.is_empty(), "one grant is no majority: {first:?}");
     let sent = cluster.deliver(grants[1].clone(), 110);
@@ -302,7 +310,7 @@ fn a_held_option_is_led_as_before_once_the_lease_cannot_come() {
 #[test]
 fn a_crash_forgets_the_held_options_and_the_retry_commits() {
     let mut cluster = Cluster::new();
-    let acquires = cluster.hand_off(10);
+    let handoffs = cluster.hand_off(10);
     let (txn, propose) = cluster.commit(20);
     // (It holds the option; a node without the wait has led it.)
     cluster.deliver(propose, 30);
@@ -312,7 +320,7 @@ fn a_crash_forgets_the_held_options_and_the_retry_commits() {
     cluster.nodes[2] =
         StorageNodeProcess::from_recovery(protocol(), store, leases, placement(), false);
     let restart = cluster.at(TARGET, 40, |node, ctx| node.on_start(ctx));
-    let grants = grants(&mut cluster, &acquires, &[0, 1, 3], 60);
+    let grants = grants(&mut cluster, &handoffs, &[0, 1, 3], 60);
     let mut sent = Vec::new();
     for grant in grants {
         sent.extend(cluster.deliver(grant, 110));

@@ -119,13 +119,6 @@ impl Election {
         self.candidacy = self.candidacy.max(ballot);
     }
 
-    /// This node, the holder, nominated `hint.node` with `hint.ballot`:
-    /// route to it optimistically while it acquires.
-    pub(crate) fn nominate(&mut self, hint: HolderHint) {
-        self.saw(hint.ballot);
-        self.hint = Some(hint);
-    }
-
     /// A grant majority made this node the holder until `expiry`.
     pub(crate) fn elected(&mut self, ballot: Ballot, expiry: SimTime) {
         self.hint = Some(HolderHint {

@@ -234,19 +234,20 @@ impl Lease {
         self.granted
     }
 
-    /// Asks for `ballot` until `now + LEASE_DURATION` — a renewal of the
-    /// held ballot, or an acquisition: a campaign or a handoff
-    /// (`relinquished` is then the predecessor's ballot, whose expiry
-    /// need not be waited out) — and casts this node's own vote. The
-    /// caller asks the peers. An acquisition replaces the one pending; a
-    /// renewal opens nothing, its grants extend the held tenure.
+    /// Asks for `ballot` until `expiry` — a renewal of the held ballot,
+    /// or an acquisition: a campaign or a handoff (`relinquished` is then
+    /// the predecessor's ballot, whose expiry need not be waited out, and
+    /// `expiry` the one the predecessor asked the grantors for on this
+    /// node's behalf) — and casts this node's own vote. The caller asks
+    /// the peers. An acquisition replaces the one pending; a renewal
+    /// opens nothing, its grants extend the held tenure.
     pub(crate) fn begin(
         &mut self,
         ballot: Ballot,
         relinquished: Option<Ballot>,
+        expiry: SimTime,
         now: SimTime,
     ) -> Begun {
-        let expiry = now + LEASE_DURATION;
         if self.held() != Some(ballot) {
             self.pending = Some(Pending {
                 ballot,
@@ -482,7 +483,7 @@ mod tests {
         for lease in [&mut own, &mut peer] {
             lease.grant(Ballot::new(1, 4), NodeId(4), ms(500), None, ms(100));
         }
-        let begun = own.begin(Ballot::new(2, 2), None, ms(200));
+        let begun = own.begin(Ballot::new(2, 2), None, ms(600), ms(200));
         let asked = peer.grant(Ballot::new(2, 2), NodeId(2), begun.expiry, None, ms(200));
         let prev = Some((Ballot::new(1, 4), ms(500)));
         assert_eq!(asked, Verdict::Granted { rose: true, prev });
@@ -619,7 +620,7 @@ mod tests {
             Lease::new(NodeId(4), 3, Ballot::default()),
             Ballot::new(1, 4),
         );
-        let begun = holder.begin(b, None, ms(0));
+        let begun = holder.begin(b, None, ms(400), ms(0));
         assert_eq!(
             holder.on_grant(NodeId(0), b, begun.expiry, None, ms(60)),
             None
@@ -636,7 +637,7 @@ mod tests {
         );
         // Two renewals go out before either is answered.
         for at in [100, 200] {
-            assert!(holder.begin(b, None, ms(at)).tenure.is_none());
+            assert!(holder.begin(b, None, ms(at + 400), ms(at)).tenure.is_none());
         }
         // Node 0 answers the first, node 2 the second: with this node's
         // own votes a majority acked 500 at least.
@@ -690,7 +691,7 @@ mod tests {
         let mut candidate = Lease::new(NodeId(2), 3, Ballot::default());
         let b = Ballot::new(2, 2);
         assert_eq!(candidate.awaiting(ms(0)), None, "making no lease");
-        let begun = candidate.begin(b, None, ms(100));
+        let begun = candidate.begin(b, None, ms(500), ms(100));
         assert_eq!(candidate.awaiting(ms(100)), Some(b));
         assert_eq!(candidate.awaiting(begun.expiry), None, "lapsed");
         let prev = Some((Ballot::new(1, 4), ms(700)));
@@ -700,14 +701,14 @@ mod tests {
         assert_eq!(candidate.awaiting(ms(499)), Some(b));
         assert_eq!(candidate.awaiting(begun.expiry), None, "ended unserved");
         // Renewals while it waits extend the lease it is making.
-        candidate.begin(b, None, ms(400));
+        candidate.begin(b, None, ms(800), ms(400));
         candidate.on_grant(NodeId(0), b, ms(800), None, ms(450));
         candidate.on_grant(NodeId(1), b, ms(800), None, ms(460));
         assert_eq!(candidate.awaiting(ms(699)), Some(b));
         assert_eq!(candidate.awaiting(ms(700)), None, "serving");
         // A refusal ends the acquisition, and with it the wait.
         let mut refused = Lease::new(NodeId(2), 3, Ballot::default());
-        refused.begin(b, None, ms(100));
+        refused.begin(b, None, ms(500), ms(100));
         refused.on_reject(Ballot::new(3, 4));
         assert_eq!(refused.awaiting(ms(110)), None);
     }

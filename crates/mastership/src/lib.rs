@@ -30,7 +30,12 @@
 //!   mastered request it serves; once a remote data center dominates
 //!   past a hysteresis threshold for several consecutive ticks, the
 //!   holder hands the lease to that data center's replica (a voluntary
-//!   relinquish, so the successor needs no expiry wait).
+//!   relinquish, so the successor needs no expiry wait) and runs the
+//!   successor's acquisition: it grants the successor's ballot itself
+//!   and asks every replica for it with a `Handoff`, whose grants go to
+//!   the successor. The successor serves one round trip after the
+//!   relinquish — no sooner is possible, since a grantor's floor fences
+//!   the old holder the moment it grants the successor.
 //!
 //! The crate is transport-free: [`Mastership::on_tick`] /
 //! [`Mastership::on_msg`] mutate pure state and emit [`Action`]s the
@@ -104,6 +109,11 @@ mdcc_common::counters! {
         /// their own. Each is counted again, once, as `served`,
         /// `forwarded` or `unleased` when it is released.
         pub awaited: u64,
+        /// Simulated milliseconds the `awaited` options spent held, summed
+        /// over options (each from its arrival to its release): the mean
+        /// hold is `awaited_ms / awaited`. A crash forgets what it held,
+        /// and those options are not counted.
+        pub awaited_ms: u64,
         /// Cold first-touch mastered commits served without a per-record
         /// Phase1 exchange — the lease ballot carried the promise.
         pub phase1_skipped: u64,
@@ -289,6 +299,13 @@ impl Mastership {
         self.stats.awaited += 1;
     }
 
+    /// Records `options` held options released after being held for
+    /// `held` (rounded to the millisecond).
+    pub fn note_released(&mut self, options: usize, held: SimDuration) {
+        let ms = (held.as_micros() + 500) / 1_000;
+        self.stats.awaited_ms += options as u64 * ms;
+    }
+
     /// Records a cold first-touch mastered commit that skipped the
     /// per-record Phase1 exchange because the lease ballot already
     /// carried the promise (one WAN round trip instead of two).
@@ -401,6 +418,7 @@ mod tests {
                 shard: 2,
                 ballot: Ballot::new(8, 3),
                 relinquished: Ballot::new(7, 1),
+                expiry: ms(900),
             },
         ];
         for msg in samples {
@@ -564,67 +582,123 @@ mod tests {
             shard: 0,
             ballot: Ballot::new(2, 2),
             relinquished: old,
+            expiry: ms(550),
         };
         target.on_msg(NodeId(4), handoff, ms(150), &mut Vec::new());
         assert!(!target.is_serving(0, ms(160)));
         assert_eq!(target.holder(0, ms(160)), Some(NodeId(2)));
     }
 
-    /// Handoff: the target may serve immediately (the predecessor
-    /// relinquished), and grants echoing the relinquished ballot do not
-    /// raise the serve floor.
+    /// Handoff: the target asks for the lease end its predecessor
+    /// minted, and serves as soon as a majority holds it — the old
+    /// holder's grant counts — without waiting out the relinquished
+    /// predecessor's expiry, even where a grantor names it.
     #[test]
     fn handoff_serves_without_waiting() {
         let mut target = layer(2);
-        let mut out = Vec::new();
-        let old = Ballot::new(3, 4);
-        target.on_msg(
-            NodeId(4),
-            MsMsg::Handoff {
-                shard: 0,
-                ballot: Ballot::new(4, 2),
-                relinquished: old,
-            },
-            ms(1000),
-            &mut out,
-        );
-        let expiry = match out
-            .iter()
-            .find(|a| {
-                matches!(
-                    a,
-                    Action::Send {
-                        msg: MsMsg::Acquire { .. },
-                        ..
-                    }
-                )
-            })
-            .expect("acquires on handoff")
-        {
-            Action::Send {
-                msg: MsMsg::Acquire { expiry, .. },
-                ..
-            } => *expiry,
-            _ => unreachable!(),
+        let (old, ballot, expiry) = (Ballot::new(3, 4), Ballot::new(4, 2), ms(1_400));
+        let handoff = MsMsg::Handoff {
+            shard: 0,
+            ballot,
+            relinquished: old,
+            expiry,
         };
         let mut out = Vec::new();
-        for peer in [0u32, 1] {
-            target.on_msg(
-                NodeId(peer),
-                MsMsg::Grant {
-                    shard: 0,
-                    ballot: Ballot::new(4, 2),
-                    expiry,
-                    prev: Some((old, ms(1500))),
-                },
-                ms(1010),
-                &mut out,
-            );
-        }
+        target.on_msg(NodeId(4), handoff, ms(1_050), &mut out);
+        let acquires: Vec<_> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    msg: MsMsg::Acquire { expiry, .. },
+                    ..
+                } => Some(*expiry),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acquires, [expiry; 4], "the minted end, not its own");
+        let grant = |prev| MsMsg::Grant {
+            shard: 0,
+            ballot,
+            expiry,
+            prev,
+        };
+        target.on_msg(NodeId(4), grant(None), ms(1_050), &mut Vec::new());
+        assert!(!target.is_serving(0, ms(1_050)), "two of five hold it");
+        let named = Some((old, ms(1_500)));
+        target.on_msg(NodeId(0), grant(named), ms(1_100), &mut Vec::new());
         assert!(
-            target.is_serving(0, ms(1011)),
+            target.is_serving(0, ms(1_100)),
             "relinquished predecessor's expiry is waived"
         );
+        assert_eq!(target.serving_ballot(0, ms(1_399)), Some(4));
+        assert!(!target.is_serving(0, expiry));
+    }
+
+    /// A grantor answers a `Handoff` as it would the target's own
+    /// `Acquire`, and to the target: a grant that raises its floor and
+    /// names no relinquished predecessor.
+    #[test]
+    fn a_grantor_answers_a_handoff_to_the_target() {
+        let mut grantor = layer(0);
+        let old = Ballot::new(3, 4);
+        let renew = MsMsg::Acquire {
+            shard: 0,
+            ballot: old,
+            expiry: ms(1_500),
+            relinquished: None,
+        };
+        grantor.on_msg(NodeId(4), renew, ms(1_000), &mut Vec::new());
+        let handoff = MsMsg::Handoff {
+            shard: 0,
+            ballot: Ballot::new(4, 2),
+            relinquished: old,
+            expiry: ms(1_450),
+        };
+        let mut out = Vec::new();
+        grantor.on_msg(NodeId(4), handoff, ms(1_100), &mut out);
+        let grant = MsMsg::Grant {
+            shard: 0,
+            ballot: Ballot::new(4, 2),
+            expiry: ms(1_450),
+            prev: None,
+        };
+        let raised = Action::FloorRaised {
+            shard: 0,
+            ballot: Ballot::new(4, 2),
+        };
+        let to = NodeId(2);
+        assert_eq!(out, [raised, Action::Send { to, msg: grant }]);
+        assert_eq!(grantor.holder(0, ms(1_100)), Some(NodeId(2)));
+    }
+
+    /// A copy of a `Handoff` that arrives after the grantor granted a
+    /// higher ballot is refused, and the `Reject` goes to the target: it
+    /// ends the acquisition there.
+    #[test]
+    fn a_late_handoff_copy_is_refused_to_the_target() {
+        let mut grantor = layer(0);
+        let higher = MsMsg::Acquire {
+            shard: 0,
+            ballot: Ballot::new(5, 3),
+            expiry: ms(1_600),
+            relinquished: None,
+        };
+        grantor.on_msg(NodeId(3), higher, ms(1_200), &mut Vec::new());
+        let late = MsMsg::Handoff {
+            shard: 0,
+            ballot: Ballot::new(4, 2),
+            relinquished: Ballot::new(3, 4),
+            expiry: ms(1_450),
+        };
+        let mut out = Vec::new();
+        grantor.on_msg(NodeId(4), late, ms(1_250), &mut out);
+        let reject = MsMsg::Reject {
+            shard: 0,
+            max: Ballot::new(5, 3),
+        };
+        let to = NodeId(2);
+        assert_eq!(out, [Action::Send { to, msg: reject }]);
+        assert_eq!(grantor.floor(0), Some(Ballot::new(5, 3)));
     }
 
     /// A quarantined (restarted) replica neither grants nor campaigns
@@ -752,13 +826,10 @@ mod tests {
         assert_eq!((sent(&out, true), sent(&out, false)), (0, 4));
     }
 
-    /// The migration hysteresis: remote-dominant traffic sustained at
-    /// a sufficient *rate* over the window hands the lease off; the
-    /// holder stops serving at once and tells the host it relinquished.
-    #[test]
-    fn remote_traffic_triggers_handoff() {
-        let mut holder = layer(4);
-        // Install a held lease directly (window starts at t=0).
+    /// Node 4 holds ballot (2, 4) from 0 ms; 40 remote requests from data
+    /// center 1 before each of its ticks at 500 and 1 000 ms hand the
+    /// lease to node 1 at the second. Returns what that tick emitted.
+    fn handed_off(holder: &mut Mastership) -> Vec<Action> {
         let state = holder.shards.get_mut(&0).unwrap();
         state.lease.hold(Ballot::new(2, 4), ms(0), ms(10_000));
         // 40 remote requests over the first 500 ms window = 80 req/s,
@@ -777,11 +848,21 @@ mod tests {
         }
         let mut out = Vec::new();
         holder.on_tick(ms(1000), &mut out); // streak 2 → handoff
+        out
+    }
+
+    /// The migration hysteresis: remote-dominant traffic sustained at
+    /// a sufficient *rate* over the window hands the lease off; the
+    /// holder stops serving at once and tells the host it relinquished.
+    #[test]
+    fn remote_traffic_triggers_handoff() {
+        let mut holder = layer(4);
+        let out = handed_off(&mut holder);
         let handoff = out.iter().find_map(|a| match a {
             Action::Send {
                 to,
                 msg: MsMsg::Handoff { ballot, .. },
-            } => Some((*to, *ballot)),
+            } if *to == ballot.node() => Some((*to, *ballot)),
             _ => None,
         });
         assert_eq!(handoff, Some((NodeId(1), Ballot::new(3, 1))));
@@ -793,6 +874,46 @@ mod tests {
         assert!(!holder.is_serving(0, ms(1001)), "relinquished immediately");
         assert_eq!(holder.holder(0, ms(1001)), Some(NodeId(1)));
         assert_eq!(holder.stats().handoffs, 1);
+    }
+
+    /// The relinquishing holder runs its successor's acquisition: it
+    /// grants the target's ballot itself (its floor rises at once, its
+    /// `Grant` goes to the target) and asks every other replica for it
+    /// with a `Handoff`, all for one lease end.
+    #[test]
+    fn a_relinquishing_holder_grants_its_successor_and_asks_for_it() {
+        let mut holder = layer(4);
+        let out = handed_off(&mut holder);
+        let (ballot, expiry) = (Ballot::new(3, 1), ms(1_400));
+        let handoff = MsMsg::Handoff {
+            shard: 0,
+            ballot,
+            relinquished: Ballot::new(2, 4),
+            expiry,
+        };
+        let grant = MsMsg::Grant {
+            shard: 0,
+            ballot,
+            expiry,
+            prev: None,
+        };
+        let mut expected: Vec<Action> = (0..4)
+            .map(|to| Action::Send {
+                to: NodeId(to),
+                msg: handoff.clone(),
+            })
+            .collect();
+        expected.push(Action::FloorRaised { shard: 0, ballot });
+        expected.push(Action::Send {
+            to: NodeId(1),
+            msg: grant,
+        });
+        expected.push(Action::Relinquished {
+            shard: 0,
+            to: NodeId(1),
+        });
+        assert_eq!(out, expected);
+        assert_eq!(holder.floor(0), Some(ballot));
     }
 
     /// Sparse traffic never migrates, no matter how lopsided: the
@@ -833,7 +954,7 @@ mod tests {
         let mut out = Vec::new();
         let (shards, mut fx) = a.effects(&mut out);
         let state = shards.get_mut(&0).unwrap();
-        state.acquire(Ballot::new(1, 4), None, ms(0), &mut fx);
+        state.acquire(Ballot::new(1, 4), None, ms(400), ms(0), &mut fx);
         for peer in [0u32, 1] {
             a.on_msg(
                 NodeId(peer),

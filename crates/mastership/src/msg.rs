@@ -78,8 +78,12 @@ pub enum MsMsg {
         /// The grantor's top ballot.
         max: Ballot,
     },
-    /// Voluntary migration: the holder relinquishes and nominates the
-    /// target (ballot's pid) with the next ballot number.
+    /// Voluntary migration: the holder relinquishes, nominates the
+    /// target (ballot's pid) with the next ballot number, and asks every
+    /// replica for the target's lease. The target begins its acquisition
+    /// with `expiry`; any other replica answers as it would the target's
+    /// `Acquire { ballot, expiry, relinquished }`, to the target. The
+    /// holder has granted it already.
     Handoff {
         /// Shard concerned.
         shard: u32,
@@ -87,6 +91,8 @@ pub enum MsMsg {
         ballot: Ballot,
         /// The relinquished (old holder's) ballot.
         relinquished: Ballot,
+        /// The target's lease end, as the holder minted it.
+        expiry: SimTime,
     },
 }
 
@@ -110,7 +116,7 @@ wire!(enum MsMsg, "mastership msg tag" {
     2 => Acquire { shard, ballot, expiry, relinquished },
     3 => Grant { shard, ballot, expiry, prev },
     4 => Reject { shard, max },
-    5 => Handoff { shard, ballot, relinquished },
+    5 => Handoff { shard, ballot, relinquished, expiry },
     // Tag 6 (the per-record override table a relinquishing holder
     // shipped to its successor) is retired, not reused.
 });
@@ -178,6 +184,7 @@ mod tests {
                 shard: 2,
                 ballot: Ballot::new(4, 1),
                 relinquished: Ballot::new(3, 0),
+                expiry: at(1_300),
             },
         ]
     }
@@ -192,8 +199,10 @@ mod tests {
     #[test]
     fn sample_bytes_are_pinned() {
         // One FNV-1a/64 digest of the samples' encodings back to back.
+        // Re-pinned (0x6293_f0f7_6d35_cc10 before) when `Handoff` gained
+        // `expiry`, the target's lease end its predecessor mints.
         let bytes: Vec<u8> = samples().iter().flat_map(to_bytes).collect();
-        assert_eq!(fnv1a64(&bytes), 0x6293_f0f7_6d35_cc10);
+        assert_eq!(fnv1a64(&bytes), 0xabed_c65f_c8c6_9841);
     }
 
     #[test]

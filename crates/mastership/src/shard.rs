@@ -96,7 +96,7 @@ impl Shard {
         let mut contested = false;
         match self.lease.check(now) {
             Held::Deposed => return false,
-            Held::Renew(ballot) => self.acquire(ballot, None, now, fx),
+            Held::Renew(ballot) => self.acquire(ballot, None, now + LEASE_DURATION, now, fx),
             // A candidate whose acquisition can still complete waits
             // for its grants: campaigning again would replace it and
             // waste every grant in flight.
@@ -105,7 +105,7 @@ impl Shard {
                 if let Some(ballot) = self.election.campaign(now) {
                     fx.stats.elections += 1;
                     contested = true;
-                    self.acquire(ballot, None, now, fx);
+                    self.acquire(ballot, None, now + LEASE_DURATION, now, fx);
                 }
             }
         }
@@ -125,17 +125,18 @@ impl Shard {
     }
 
     /// Starts acquiring (or renewing, if it is the held ballot) the
-    /// lease with `ballot`: this node's own vote, then an `Acquire` to
-    /// every peer.
+    /// lease with `ballot` until `expiry`: this node's own vote, then an
+    /// `Acquire` to every peer.
     pub(crate) fn acquire(
         &mut self,
         ballot: Ballot,
         relinquished: Option<Ballot>,
+        expiry: SimTime,
         now: SimTime,
         fx: &mut Effects<'_>,
     ) {
         let shard = self.id;
-        let begun = self.lease.begin(ballot, relinquished, now);
+        let begun = self.lease.begin(ballot, relinquished, expiry, now);
         if begun.rose {
             fx.out.push(Action::FloorRaised { shard, ballot });
         }
@@ -159,9 +160,18 @@ impl Shard {
         fx.tenure(self.id, tenure, now);
     }
 
-    /// Hands the lease to data center `dc`'s replica: relinquish, mint
-    /// the next ballot for the target, tell it, and tell the host it no
-    /// longer leads the shard.
+    /// Hands the lease to data center `dc`'s replica and runs its
+    /// acquisition: relinquish, mint the next ballot and a lease end for
+    /// the target, and ask every replica to grant it — the target begins
+    /// its acquisition with them, the others answer it as they would the
+    /// target's `Acquire`. This node grants it itself, at once, so its
+    /// own floor fences its leftover rounds before any peer's does. Then
+    /// tell the host it no longer leads the shard.
+    ///
+    /// The grants reach the target one round trip after the relinquish,
+    /// not one and a half: the shortest gap there can be, since a
+    /// grantor's floor fences the old holder the moment it grants the
+    /// successor.
     fn hand_off(&mut self, dc: usize, now: SimTime, fx: &mut Effects<'_>) {
         let (Some(&target), Some(relinquished)) = (self.peers.get(dc), self.lease.relinquish())
         else {
@@ -169,22 +179,22 @@ impl Shard {
         };
         let shard = self.id;
         let ballot = Ballot::new(relinquished.n + 1, target.0 as u64);
-        self.election.nominate(HolderHint {
-            ballot,
-            node: target,
-            expiry: now + LEASE_DURATION,
-        });
+        let expiry = now + LEASE_DURATION;
         fx.stats.handoffs += 1;
         let ended = Tenure::Ended {
             ballot: relinquished,
         };
         fx.tenure(shard, ended, now);
+        // The `Handoff` goes first: links are FIFO, so the target has
+        // begun its acquisition when this node's grant arrives.
         let msg = MsMsg::Handoff {
             shard,
             ballot,
             relinquished,
+            expiry,
         };
-        fx.send(target, msg);
+        fx.broadcast(&self.peers, msg);
+        self.on_acquire(target, ballot, expiry, Some(relinquished), now, fx);
         fx.out.push(Action::Relinquished { shard, to: target });
     }
 
@@ -244,14 +254,23 @@ impl Shard {
             MsMsg::Handoff {
                 ballot,
                 relinquished,
+                expiry,
                 ..
-            } => {
-                if ballot.pid == fx.me.0 as u64 && !self.lease.has_ceded(ballot) {
+            } if ballot.node() == fx.me => {
+                if !self.lease.has_ceded(ballot) {
                     self.election.adopt(ballot);
                     fx.stats.elections += 1;
-                    self.acquire(ballot, Some(relinquished), now, fx);
+                    self.acquire(ballot, Some(relinquished), expiry, now, fx);
                 }
             }
+            // The holder asks on the target's behalf: the answer goes to
+            // the target, as if it had asked itself.
+            MsMsg::Handoff {
+                ballot,
+                relinquished,
+                expiry,
+                ..
+            } => self.on_acquire(ballot.node(), ballot, expiry, Some(relinquished), now, fx),
         }
     }
 

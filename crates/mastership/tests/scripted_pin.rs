@@ -7,7 +7,9 @@
 //! renewal pending, the re-election after it, an access-driven handoff
 //! (with `Relinquished`), a restart with its quarantine and the lease
 //! ballots the node granted before it, and a second handoff whose
-//! `Handoff` message is delivered twice. Every [`Action`]
+//! `Handoff` messages (one to each replica: the relinquishing holder
+//! asks them all for its successor's lease) are delivered twice. Every
+//! [`Action`]
 //! is fingerprinted in emission order — destination and `Wire` bytes of
 //! each send, the fields of `FloorRaised` / `Relinquished` — together
 //! with the tick delays returned, every node's `stats()` and the audit's
@@ -299,5 +301,11 @@ fn scripted_five_node_scenario_is_pinned() {
 // probing while it knew of a lease outliving its next two ticks
 // (13 290 420 141 509 925 431 before): the script's 1 080 `HbReq`s, and
 // as many `HbReply`s, fell to 152 each; every other send, every counter
-// and every audit span is as it was.
-const PINNED_FINGERPRINT: u64 = 13_085_791_064_198_278_280;
+// and every audit span is as it was. Re-pinned when a relinquishing holder
+// began running its successor's acquisition (13 085 791 064 198 278 280
+// before): it grants the target's ballot itself and sends a `Handoff`
+// carrying the target's lease end to every replica, each of which answers
+// the target. `Handoff`s 2 → 8 and `Grant`s 192 → 203 (the two holders'
+// own, three per delivered `Handoff` copy at the other replicas); every
+// counter and every audit span is as it was.
+const PINNED_FINGERPRINT: u64 = 13_779_944_973_799_700_628;

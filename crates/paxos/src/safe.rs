@@ -63,23 +63,31 @@ pub fn judged_safe(
     qc: usize,
     qf: usize,
 ) -> Option<CStruct> {
-    let judged = judge(responses, elsewhere, n, qc, qf);
+    let judged = judge(responses, elsewhere, n, qc, qf, false);
     if judged.is_none() && responses.len() + elsewhere == n {
         return held_by_a_quorum(responses, n, qc);
     }
     judged
 }
 
+/// `nested`: `live` are the promisers that did not report at a higher
+/// assumed ballot, perhaps fewer than a classic quorum. Their Γ may then
+/// not join — reports of a fast ballot that reached different subsets
+/// can conflict — and that is "not judged yet", not a broken invariant.
 fn judge(
     live: &[(usize, &Phase1b)],
     elsewhere: usize,
     n: usize,
     qc: usize,
     qf: usize,
+    nested: bool,
 ) -> Option<CStruct> {
     let accepted_at = |r: &Phase1b| r.accepted.as_ref().map(|(b, _)| *b);
     let top = live.iter().filter_map(|(_, r)| accepted_at(r)).max();
     let Some(k) = top.filter(Ballot::is_lease) else {
+        if nested {
+            return possibly_chosen(live, n, qc, qf).ok();
+        }
         return Some(proved_safe(live, n, qc, qf));
     };
     let (at_k, others): (Vec<_>, Vec<_>) = live
@@ -92,7 +100,7 @@ fn judge(
     if at_k.len() >= qc {
         return trusting_k();
     }
-    let without_k = judge(&others, elsewhere, n, qc, qf);
+    let without_k = judge(&others, elsewhere, n, qc, qf, true);
     if others.len() + elsewhere + qc > n {
         return without_k;
     }
@@ -405,7 +413,7 @@ pub(crate) mod tests {
         };
         let (t1, t2, t3) = (at(1, &[7, 9]), at(2, &[7, 8]), at(3, &[7, 9, 10]));
         let all = [(0, &t3), (1, &t1), (2, &t2), (3, &t2), (4, &t3)];
-        assert!(judge(&all, 0, 5, 3, 4).is_none());
+        assert!(judge(&all, 0, 5, 3, 4, false).is_none());
         assert!(judged_safe(&all[..4], 0, 5, 3, 4).is_none(), "one to go");
         // But with everyone's promise nothing below can change: what a
         // quorum holds is what may have been chosen.
@@ -415,9 +423,42 @@ pub(crate) mod tests {
         // Had acceptor 1 merely been behind, the ballots would do.
         let t1 = at(1, &[7]);
         let all = [(0, &t3), (1, &t1), (2, &t2), (3, &t2), (4, &t3)];
-        let safe = judge(&all, 0, 5, 3, 4).expect("prefixes all the way down");
+        let safe = judge(&all, 0, 5, 3, 4, false).expect("prefixes all the way down");
         let held: Vec<u64> = safe.entries().map(|e| e.opt.txn.seq).collect();
         assert_eq!(held, [7, 8]);
+    }
+
+    /// Found by `phase1_lean_props.rs`'s generator once its fast steps
+    /// proposed every option kind: a decrement (5) and a physical write
+    /// (4) reached different acceptors at the fast ballot, and a lease
+    /// holder's append reached acceptor 3 alone. From promises {1, 2, 3}
+    /// the lease ballot cannot be judged by its one report, so the
+    /// promisers below it are — two, fewer than a classic quorum, whose
+    /// fast votes conflict: what may have been chosen through either
+    /// does not join. That is "not judged yet" (the other two promises
+    /// settle it), where it used to trip `proved_safe`'s assertion.
+    #[test]
+    fn conflicting_votes_of_a_sub_quorum_below_an_assumed_ballot_wait() {
+        let lease = Ballot::lease(1, NodeId(3));
+        let promised = lease.next_classic(NodeId(0));
+        let fast = Ballot::fast(0, NodeId(0));
+        let mut write = CStruct::new();
+        write.append(phys_opt(4), OptionStatus::Accepted);
+        let r1 = p1b(promised, Some((fast, decs(&[5]))));
+        let r2 = p1b(promised, Some((fast, write)));
+        let r3 = p1b(promised, Some((lease, decs(&[1, 5, 102]))));
+        let three = [(1, &r1), (2, &r2), (3, &r3)];
+        assert!(
+            possibly_chosen(&three[..2], 5, 3, 4).is_err(),
+            "Γ does not join"
+        );
+        assert_eq!(judged_safe(&three, 0, 5, 3, 4), None);
+        let r0 = p1b(promised, None);
+        let five = [(0, &r0), (1, &r1), (2, &r2), (3, &r3), (4, &r0)];
+        assert!(
+            judged_safe(&five, 0, 5, 3, 4).is_some(),
+            "all five settle it"
+        );
     }
 
     #[test]
