@@ -10,15 +10,18 @@
 
 use std::sync::Arc;
 
+use mdcc_cluster::clients::ClosedLoop;
 use mdcc_cluster::{
     micro_catalog, run_mdcc, ClientPlacement, ClusterSpec, FaultEvent, FaultPlan, MdccMode,
     NetKind, NodeRole, Report,
 };
 use mdcc_common::{
-    DcId, Key, MasterPolicy, MastershipConfig, Placement, Row, SimDuration, SimTime,
-    StaticPlacement,
+    DcId, Key, MasterPolicy, MastershipConfig, NodeId, Placement, ProtocolConfig, Row, SimDuration,
+    SimTime, StaticPlacement,
 };
-use mdcc_core::TxnStats;
+use mdcc_core::{Msg, StorageNodeProcess, Tick, TmConfig, TransactionManager, TxnStats};
+use mdcc_sim::{NetworkModel, World, WorldConfig};
+use mdcc_storage::RecordStore;
 use mdcc_trace::TraceConfig;
 use mdcc_workloads::micro::{item_key, MicroConfig, MicroWorkload, STOCK};
 use mdcc_workloads::{ShiftingConfig, ShiftingLocalityWorkload, Workload};
@@ -394,6 +397,116 @@ fn partition_then_heal_keeps_exactly_one_master() {
     // drops: a classic vote goes to the coordinators, not to the master.
     assert!(report.nodes.classic_votes > 1_000);
     assert_eq!(report.nodes.stray_msgs, 0, "messages sent to be discarded");
+}
+
+/// The records `node` holds in another node's ballot stream whose
+/// cstruct differs from the one that stream's leader holds on its own
+/// replica at the same instance and ballot: appends `node` missed.
+fn missed_appends(world: &World<Msg, Tick>, node: NodeId) -> Vec<Key> {
+    let held = |n: NodeId, key: &Key| {
+        let proc_ = world.get::<StorageNodeProcess>(n).expect("a storage node");
+        let state = |r: &mdcc_paxos::AcceptorRecord| {
+            (r.version(), r.accepted_ballot(), r.cstruct().trace_digest())
+        };
+        proc_.store().with_record(key, state)
+    };
+    let proc_ = world
+        .get::<StorageNodeProcess>(node)
+        .expect("a storage node");
+    let streams = proc_.store().led_elsewhere(node);
+    let missed = streams.into_iter().filter(|(key, ballot)| {
+        let (mine, leaders) = (held(node, key), held(ballot.proposer, key));
+        let same_round = |a: &(_, _, u64), b: &(_, _, u64)| a.0 == b.0 && a.1 == b.1;
+        matches!((mine, leaders), (Some(m), Some(l)) if same_round(&m, &l) && m.2 != l.2)
+    });
+    missed.map(|(key, _)| key).collect()
+}
+
+/// A data center dark for longer than a lease while a holder elsewhere
+/// appends, then healed. Its replica is in the holder's streams and
+/// missed appends there, which it would go on taking without a base
+/// check; on the first mastership message after the heal it asks each
+/// stream's leader for the instance so far, and within two round trips
+/// it holds each such record's leader's cstruct. Only the healed
+/// replica asks.
+#[test]
+fn a_replica_dark_for_longer_than_a_lease_asks_for_the_appends_it_missed() {
+    let ms = SimTime::from_millis;
+    let protocol = ProtocolConfig {
+        mastership: MastershipConfig::enabled(),
+        ..ProtocolConfig::default()
+    };
+    let matrix: Vec<Vec<NodeId>> = (0..5).map(|dc| vec![NodeId(dc)]).collect();
+    let placement = StaticPlacement::new(matrix, MasterPolicy::FixedDc(DcId(0)));
+    let net = NetworkModel::uniform(5, 100.0, 1.0);
+    let config = WorldConfig {
+        seed: 45,
+        ..WorldConfig::default()
+    };
+    let mut world: World<Msg, Tick> = World::new(net, config);
+    for dc in 0..5 {
+        let mut store = RecordStore::new(protocol.clone(), micro_catalog());
+        for i in 0..ITEMS {
+            store.load(item_key(i), Row::new().with(STOCK, 1_000_000));
+        }
+        let node = StorageNodeProcess::new(protocol.clone(), store, placement.clone(), false);
+        world.spawn(DcId(dc), Box::new(node));
+    }
+    // Every client is in data center 0 and stops issuing at 4 s.
+    for _ in 0..6 {
+        let cfg = TmConfig {
+            protocol: protocol.clone(),
+            my_dc: DcId(0),
+            assume_classic: true,
+        };
+        let tm = TransactionManager::new(cfg, placement.clone());
+        let workload = MicroWorkload::new(MicroConfig {
+            items: ITEMS,
+            ..MicroConfig::default()
+        });
+        let client = ClosedLoop::new(tm, Box::new(workload), Some(ms(4_000)));
+        world.spawn(DcId(0), Box::new(client));
+    }
+    let dark = NodeId(1);
+    world.run_until(ms(3_000));
+    world.fail_dc(DcId(1));
+    world.run_until(ms(4_600));
+    let missed = missed_appends(&world, dark);
+    assert!(missed.len() >= 5, "node 1 missed too little: {missed:?}");
+
+    world.heal_dc(DcId(1));
+    world.run_until(ms(4_800));
+    let left = missed_appends(&world, dark);
+    let (left, of) = (left.len(), missed.len());
+    assert_eq!(left, 0, "{left} of {of} records still miss appends");
+    let asks = |n: u32| {
+        let proc_ = world.get::<StorageNodeProcess>(NodeId(n));
+        proc_.expect("a storage node").stats().rejoin_asks
+    };
+    assert!(asks(1) >= missed.len() as u64, "{} asks", asks(1));
+    for n in [0, 2, 3, 4] {
+        assert_eq!(asks(n), 0, "node {n} was never cut off");
+    }
+}
+
+/// With mastership off there is no silence to measure: an outage and a
+/// heal make no node ask.
+#[test]
+fn without_mastership_an_outage_asks_nothing() {
+    let s = SimDuration::from_secs;
+    let mut sp = spec(46);
+    sp.faults = FaultPlan::new()
+        .with(FaultEvent::FailDc {
+            at: s(4),
+            dc: DcId(1),
+        })
+        .with(FaultEvent::HealDc {
+            at: s(7),
+            dc: DcId(1),
+        });
+    let (report, _) = run(&sp);
+    assert_healthy("outage, mastership off", &report);
+    assert_eq!(report.nodes.rejoin_asks, 0);
 }
 
 proptest! {

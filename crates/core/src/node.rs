@@ -104,6 +104,8 @@ mdcc_common::counters! {
         /// charged for nothing. Zero unless a sender targets a node that
         /// cannot use what it sends.
         pub stray_msgs: u64,
+        /// Records asked about after a silence longer than a lease.
+        pub rejoin_asks: u64,
     }
 }
 
@@ -159,6 +161,8 @@ pub struct StorageNodeProcess {
     /// `on_start` seeds the mastership layer with them (empty on a first
     /// boot, and unused with mastership off).
     recovered_floors: Vec<(u32, MsBallot)>,
+    /// When the last mastership message arrived (`node/master.rs`).
+    ms_heard: SimTime,
     /// Mastered options held, by shard, for the lease this node is
     /// making (`node/master.rs`); volatile like `parked`.
     awaited: BTreeMap<u32, master::Awaited>,
@@ -200,6 +204,7 @@ impl StorageNodeProcess {
             store,
             placement,
             recovered_floors: Vec::new(),
+            ms_heard: SimTime::ZERO,
             awaited: BTreeMap::new(),
             leaders: HashMap::new(),
             allow_fast,

@@ -40,6 +40,10 @@
 //! replica node ([`StorageNodeProcess::send_rounds`], run by the
 //! handler's one flush with the verdicts its acceptors gave).
 //!
+//! A replica cut off for longer than a lease asks the leaders of the
+//! streams it is in for what it missed before a lease that moves here
+//! names a stale base ([`StorageNodeProcess::ask_after_silence`]).
+//!
 //! Phase 1 ships a cstruct only to or from a replica that lacks it. A
 //! Phase1a names the instance and cstruct digest of this node's replica
 //! and a promise leaves out what that names
@@ -52,7 +56,7 @@
 
 use mdcc_common::{DcId, Key, NodeId, SimDuration, SimTime};
 use mdcc_mastership::{
-    Action as MsAction, Ballot as MsBallot, Mastership, MsMsg, HEARTBEAT_INTERVAL,
+    Action as MsAction, Ballot as MsBallot, Mastership, MsMsg, HEARTBEAT_INTERVAL, LEASE_DURATION,
 };
 use mdcc_paxos::acceptor::{Base, ClassicAccept, Phase1a, Phase2a, Phase2aRounds, Promise};
 use mdcc_paxos::leader::{LeaderAction, LeaderConfig};
@@ -284,6 +288,7 @@ impl StorageNodeProcess {
             ms.set_audit(audit.clone());
         }
         self.mastership = Some(ms);
+        self.ms_heard = ctx.now;
         // Stagger first ticks by node id so heartbeats across nodes do
         // not land on the same instants.
         let stagger = SimDuration::from_micros((ctx.self_id.0 as u64 % 17) * 313);
@@ -581,11 +586,29 @@ impl StorageNodeProcess {
     }
 
     pub(super) fn on_mastership(&mut self, from: NodeId, inner: MsMsg, ctx: &mut MdccCtx<'_>) {
+        self.ask_after_silence(ctx);
         let mut out = Vec::new();
         if let Some(ms) = self.mastership.as_mut() {
             ms.on_msg(from, inner, ctx.now, &mut out);
         }
         self.flush_ms_actions(out, ctx);
+    }
+
+    /// The first mastership message after a silence longer than a lease:
+    /// grantors hear each holder's renewal every heartbeat, so this node
+    /// was cut off and may have missed appends to streams it is in, which
+    /// skip the base check. It asks each stream's leader for the instance
+    /// so far ([`RecordStore::led_elsewhere`]; [`Self::on_behind`]).
+    fn ask_after_silence(&mut self, ctx: &mut MdccCtx<'_>) {
+        let silent = ctx.now.since(self.ms_heard) > LEASE_DURATION;
+        self.ms_heard = ctx.now;
+        if !silent {
+            return;
+        }
+        for (key, ballot) in self.store.led_elsewhere(ctx.self_id) {
+            self.stats.rejoin_asks += 1;
+            ctx.send(ballot.proposer, Msg::P2aBehind { key, ballot });
+        }
     }
 
     /// A Phase1a: the promise is logged as the ballot alone and answered

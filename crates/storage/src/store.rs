@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use mdcc_common::config::DANGLING_TIMEOUT;
 use mdcc_common::wire::{Enc, Wire};
-use mdcc_common::{Key, ProtocolConfig, Row, SimTime, TxnId, Version};
+use mdcc_common::{Key, NodeId, ProtocolConfig, Row, SimTime, TxnId, Version};
 use mdcc_paxos::acceptor::{Base, ClassicAccept, FastPropose, Phase1b, Phase2a};
 use mdcc_paxos::{
     AcceptorRecord, AcceptorState, Ballot, OptionStatus, RecordSnapshot, Resolution, TxnOption,
@@ -555,6 +555,25 @@ impl RecordStore {
         self.pending.len()
     }
 
+    /// The records whose open instance sits in a ballot stream another
+    /// node leads: each record with a non-empty cstruct and an accepted
+    /// classic ballot whose proposer is not `me`, with that ballot, in
+    /// key order (a fast ballot has no leader to ask). An acceptor
+    /// already in a stream takes its later appends without a base check,
+    /// so one that was cut off asks these leaders for the instance so
+    /// far.
+    pub fn led_elsewhere(&self, me: NodeId) -> Vec<(Key, Ballot)> {
+        let mut led = Vec::new();
+        self.records.for_each_in(KeyRange::All, &mut |key, rec| {
+            let open = !rec.cstruct().is_empty();
+            let elsewhere = |b: &Ballot| open && !b.is_fast() && b.proposer != me;
+            if let Some(ballot) = rec.accepted_ballot().filter(elsewhere) {
+                led.push((key.clone(), ballot));
+            }
+        });
+        led
+    }
+
     /// An option this node accepted stays pending until its outcome
     /// arrives; a rejected one needs no recovery.
     fn note_decided(&mut self, now: SimTime, txn: TxnId, status: OptionStatus, peers: Arc<[Key]>) {
@@ -580,7 +599,7 @@ fn sync_item_of(key: &Key, rec: &AcceptorRecord) -> SyncItem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdcc_common::{CommutativeUpdate, NodeId, PhysicalUpdate, SimDuration, TableId, UpdateOp};
+    use mdcc_common::{CommutativeUpdate, PhysicalUpdate, SimDuration, TableId, UpdateOp};
     use mdcc_paxos::AttrConstraint;
 
     fn catalog() -> Arc<Catalog> {
@@ -821,5 +840,64 @@ mod tests {
             Some(7),
             "read committed, not the option"
         );
+    }
+
+    /// A classic append of one delta to `k` at `ballot` (none when
+    /// `delta` is `None`: the record joins the stream holding nothing).
+    fn append(s: &mut RecordStore, k: &str, ballot: Ballot, delta: Option<(u64, i64)>) {
+        let new_options = delta.into_iter().map(|(seq, d)| {
+            let op = UpdateOp::Commutative(CommutativeUpdate::delta("stock", d));
+            TxnOption::solo(txn(seq), key(k), op)
+        });
+        let p2a = Phase2a {
+            ballot,
+            version: Version(1),
+            snapshot: None,
+            base: Base::Held,
+            new_options: new_options.collect(),
+            close_instance: false,
+            reopen_fast: None,
+        };
+        let judged = s.classic_accept(&key(k), p2a, SimTime::ZERO);
+        assert!(matches!(judged, ClassicAccept::Vote(_)), "{judged:?}");
+    }
+
+    /// What a node cut off for longer than a lease asks about: each record
+    /// with a non-empty cstruct in another node's classic stream, with
+    /// that stream's ballot. Records with nothing open, in this node's
+    /// own stream, in a fast ballot or never touched are left out.
+    #[test]
+    fn led_elsewhere_names_open_records_in_other_nodes_streams() {
+        let me = NodeId(1);
+        let mut s = store();
+        for k in ["a", "b", "c", "d", "e", "f"] {
+            s.load(key(k), Row::new().with("stock", 9));
+        }
+        let (theirs, other, mine) = (
+            Ballot::lease(3, NodeId(4)),
+            Ballot::classic(2, NodeId(0)),
+            Ballot::lease(5, me),
+        );
+        append(&mut s, "a", theirs, Some((1, -1)));
+        append(&mut s, "a", theirs, Some((2, -1)));
+        append(&mut s, "b", mine, Some((3, -1)));
+        append(&mut s, "c", theirs, None);
+        append(&mut s, "d", other, Some((4, -2)));
+        let fast = TxnOption::solo(
+            txn(5),
+            key("e"),
+            UpdateOp::Commutative(CommutativeUpdate::delta("stock", -1)),
+        );
+        assert!(matches!(
+            s.fast_propose(fast, SimTime::ZERO),
+            FastPropose::Vote(_)
+        ));
+        assert_eq!(
+            s.led_elsewhere(me),
+            vec![(key("a"), theirs), (key("d"), other)]
+        );
+        let from_4 = vec![(key("b"), mine), (key("d"), other)];
+        assert_eq!(s.led_elsewhere(NodeId(4)), from_4);
+        assert!(store().led_elsewhere(me).is_empty());
     }
 }
